@@ -1,8 +1,9 @@
 // Distributed: run the scheduler/evaluator split over real TCP, the
 // architecture of the paper's Figure 6 with net/rpc workers standing in for
-// Ray evaluators. The coordinator proposes candidates with regularized
-// evolution; workers (here: three goroutines, but the same binary runs on
-// other hosts via cmd/swtnas-worker) train them and stream checkpoints
+// Ray evaluators. The search loop is the same nas.Run every other mode uses,
+// proposing candidates with regularized evolution; the coordinator is its
+// executor, and workers (here: three goroutines, but the same binary runs
+// on other hosts via cmd/swtnas-worker) train them and stream checkpoints
 // back; providers' checkpoints ride along inside child tasks.
 //
 //	go run ./examples/distributed

@@ -292,7 +292,7 @@ func (s *SearchHandle) TopK(n int) []Candidate {
 	s.mu.Lock()
 	cands := make([]Candidate, 0, s.completed)
 	for _, ev := range s.history {
-		if ev.Kind == EventCandidate {
+		if ev.Kind == EventCandidate && !ev.Candidate.Failed {
 			cands = append(cands, *ev.Candidate)
 		}
 	}
@@ -314,13 +314,14 @@ func (s *SearchHandle) emit(ev Event) {
 	s.mu.Lock()
 	s.history = append(s.history, ev)
 	// Only completed evaluations advance the counters: filtered events also
-	// carry a Candidate payload but consumed no budget and have no score.
+	// carry a Candidate payload but consumed no budget and have no score. A
+	// Failed candidate consumed budget and has no score either.
 	if c := ev.Candidate; c != nil && ev.Kind == EventCandidate {
 		s.completed++
 		if c.Resumed {
 			s.resumed++
 		}
-		if !s.hasBest || c.Score > s.best {
+		if !c.Failed && (!s.hasBest || c.Score > s.best) {
 			s.best, s.hasBest = c.Score, true
 		}
 	}
@@ -350,13 +351,20 @@ func (s *SearchHandle) finish(res *Result, err error) {
 	close(s.done)
 }
 
-// run executes the search to completion. It owns every per-run resource:
-// the application, the checkpoint store, the journal, and (when on a shared
-// pool) the pool registration.
+// run executes the search and publishes its outcome. The pool registration
+// is released first: whoever observes the search end may submit the next one
+// at once, and must find the slot free.
 func (s *SearchHandle) run(ctx context.Context, client *nas.PoolClient) {
+	res, err := s.search(ctx, client)
 	if client != nil {
-		defer client.Close()
+		client.Close()
 	}
+	s.finish(res, err)
+}
+
+// search runs the search to completion. It owns every per-run resource: the
+// application, the checkpoint store and the journal.
+func (s *SearchHandle) search(ctx context.Context, client *nas.PoolClient) (*Result, error) {
 	opt := s.opt
 	matcher, _ := core.MatcherByName(opt.Scheme) // Validate checked it
 	dtype, _ := tensor.ParseDType(opt.DType)     // Validate checked it
@@ -366,23 +374,19 @@ func (s *SearchHandle) run(ctx context.Context, client *nas.PoolClient) {
 	}
 	app, err := apps.New(opt.App, dataSeed, apps.Config{Data: data.Config{TrainN: opt.TrainN, ValN: opt.ValN}})
 	if err != nil {
-		s.finish(nil, err)
-		return
+		return nil, err
 	}
 	if opt.SpaceJSON != "" || opt.SpaceFile != "" {
 		space, err := loadCustomSpace(opt)
 		if err != nil {
-			s.finish(nil, err)
-			return
+			return nil, err
 		}
 		if len(app.Dataset.InputShapes) != 1 {
-			s.finish(nil, fmt.Errorf("swtnas: custom spaces need a single-input dataset; %q has %d inputs", opt.App, len(app.Dataset.InputShapes)))
-			return
+			return nil, fmt.Errorf("swtnas: custom spaces need a single-input dataset; %q has %d inputs", opt.App, len(app.Dataset.InputShapes))
 		}
 		if !shapesEqual(space.InputShapes[0], app.Dataset.InputShapes[0]) {
-			s.finish(nil, fmt.Errorf("swtnas: space input %v does not match dataset %q input %v",
-				space.InputShapes[0], opt.App, app.Dataset.InputShapes[0]))
-			return
+			return nil, fmt.Errorf("swtnas: space input %v does not match dataset %q input %v",
+				space.InputShapes[0], opt.App, app.Dataset.InputShapes[0])
 		}
 		app.Space = space
 		app.Name = space.Name
@@ -392,8 +396,7 @@ func (s *SearchHandle) run(ctx context.Context, client *nas.PoolClient) {
 	case opt.CheckpointDir != "":
 		store, err = checkpoint.NewCASDiskStore(opt.CheckpointDir)
 		if err != nil {
-			s.finish(nil, err)
-			return
+			return nil, err
 		}
 	case opt.JournalPath != "":
 		// Journaling without an explicit checkpoint dir: keep the blobs in a
@@ -402,8 +405,7 @@ func (s *SearchHandle) run(ctx context.Context, client *nas.PoolClient) {
 		// and resume finds the blobs where the crashed run left them.
 		store, err = checkpoint.NewCASDiskStore(opt.JournalPath + ".blobs")
 		if err != nil {
-			s.finish(nil, err)
-			return
+			return nil, err
 		}
 	default:
 		store = checkpoint.NewCASMemStore()
@@ -446,8 +448,7 @@ func (s *SearchHandle) run(ctx context.Context, client *nas.PoolClient) {
 			Admit: opt.ProxyAdmit,
 		})
 		if err != nil {
-			s.finish(nil, err)
-			return
+			return nil, err
 		}
 		cfg.Prefilter = pf
 		cfg.OnFiltered = func(fc proxy.FilteredCandidate) {
@@ -487,43 +488,26 @@ func (s *SearchHandle) run(ctx context.Context, client *nas.PoolClient) {
 		if opt.Resume {
 			j, rec, err := resilience.Open(opt.JournalPath)
 			if err != nil {
-				s.finish(nil, err)
-				return
+				return nil, err
 			}
 			if err := rec.Header.Validate(header); err != nil {
 				j.Close()
-				s.finish(nil, err)
-				return
+				return nil, err
 			}
 			cfg.Journal, cfg.Resume = j, rec
 			resumed = len(rec.Records)
 		} else {
 			j, err := resilience.Create(opt.JournalPath, header)
 			if err != nil {
-				s.finish(nil, err)
-				return
+				return nil, err
 			}
 			cfg.Journal = j
 		}
 		defer cfg.Journal.Close()
 	}
 	cfg.Progress = func(r nas.Result) {
-		c := Candidate{
-			ID:                r.ID,
-			Arch:              r.Arch,
-			Score:             r.Score,
-			Params:            r.Params,
-			ParentID:          r.ParentID,
-			TransferredLayers: r.Transfer.Copied,
-			TrainTime:         r.TrainTime,
-			CheckpointBytes:   r.CheckpointBytes,
-			CompletedAt:       r.CompletedAt,
-			EvalTime:          r.EvalTime,
-			QueueWait:         r.QueueWait,
-			BestScore:         r.BestScore,
-			Resumed:           r.Resumed,
-			ProxyScore:        r.ProxyScore,
-		}
+		c := candidateOf(r.Record())
+		c.BestScore, c.Resumed = r.BestScore, r.Resumed
 		// The caller's callback stays synchronous with the scheduler (the
 		// documented Progress contract); the event stream gets the same
 		// candidate for subscribers.
@@ -540,35 +524,24 @@ func (s *SearchHandle) run(ctx context.Context, client *nas.PoolClient) {
 	start := time.Now()
 	tr, runErr := nas.Run(ctx, cfg)
 	if tr == nil {
-		s.finish(nil, runErr)
-		return
+		return nil, runErr
 	}
 	// runErr is ctx.Err() here: the trace holds the candidates completed
 	// before cancellation, and the partial Result is returned beside it.
 	res := &Result{App: app.Name, Scheme: nas.SchemeName(matcher), app: app, store: store, tr: tr}
 	best := math.Inf(-1)
 	for i, r := range tr.Records {
-		if r.Score > best {
+		c := candidateOf(r)
+		if !r.Failed && r.Score > best {
 			best = r.Score
 		}
-		res.Candidates = append(res.Candidates, Candidate{
-			ID:                r.ID,
-			Arch:              r.Arch,
-			Score:             r.Score,
-			Params:            r.Params,
-			ParentID:          r.ParentID,
-			TransferredLayers: r.TransferCopied,
-			TrainTime:         r.TrainTime,
-			CheckpointBytes:   r.CheckpointBytes,
-			CompletedAt:       r.CompletedAt,
-			EvalTime:          r.EvalTime,
-			QueueWait:         r.QueueWait,
-			BestScore:         best,
-			Resumed:           i < resumed,
-			ProxyScore:        r.ProxyScore,
-		})
+		if !math.IsInf(best, -1) {
+			c.BestScore = best
+		}
+		c.Resumed = i < resumed
+		res.Candidates = append(res.Candidates, c)
 	}
 	res.Summary = summarize(tr, time.Since(start), before, pf)
 	res.Summary.Resumed = resumed
-	s.finish(res, runErr)
+	return res, runErr
 }

@@ -194,6 +194,7 @@ func TestCandidateJSONRoundTrip(t *testing.T) {
 		CheckpointBytes: 2048, CompletedAt: 7 * time.Millisecond,
 		EvalTime: 6 * time.Millisecond, QueueWait: time.Millisecond,
 		BestScore: 0.95, Resumed: true, ProxyScore: 1.75, Filtered: true,
+		Failed: true, FailReason: "non-finite score",
 	}
 	b, err := json.Marshal(c)
 	if err != nil {
@@ -202,7 +203,8 @@ func TestCandidateJSONRoundTrip(t *testing.T) {
 	want := `{"id":3,"arch":[1,2,0],"score":0.91,"params":1234,"parent_id":1,` +
 		`"transferred_layers":2,"train_time":5000000,"checkpoint_bytes":2048,` +
 		`"completed_at":7000000,"eval_time":6000000,"queue_wait":1000000,` +
-		`"best_score":0.95,"resumed":true,"proxy_score":1.75,"filtered":true}`
+		`"best_score":0.95,"resumed":true,"proxy_score":1.75,"filtered":true,` +
+		`"failed":true,"fail_reason":"non-finite score"}`
 	if string(b) != want {
 		t.Fatalf("schema drifted:\n got %s\nwant %s", b, want)
 	}
@@ -218,10 +220,35 @@ func TestCandidateJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"eval_time", "queue_wait", "resumed", "proxy_score", "filtered"} {
+	for _, field := range []string{"eval_time", "queue_wait", "resumed", "proxy_score", "filtered", "failed", "fail_reason"} {
 		if jsonHasField(t, lean, field) {
 			t.Fatalf("zero %s serialized: %s", field, lean)
 		}
+	}
+}
+
+// TestHandleFailedCandidateNeverRanks: a Failed candidate (spent retry
+// budget, or a non-finite score) counts toward Completed — it consumed
+// budget — but never moves BestScore and never appears in TopK, even when
+// its zero score beats every real one.
+func TestHandleFailedCandidateNeverRanks(t *testing.T) {
+	s, err := New(SearchOptions{App: "uno", Budget: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.emit(Event{Kind: EventCandidate, Candidate: &Candidate{ID: 0, Failed: true, FailReason: "non-finite score"}})
+	if _, ok := s.BestScore(); ok {
+		t.Fatal("a Failed candidate set the best score")
+	}
+	s.emit(Event{Kind: EventCandidate, Candidate: &Candidate{ID: 1, Score: -0.4}})
+	if best, ok := s.BestScore(); !ok || best != -0.4 {
+		t.Fatalf("best = %v, %v; want the one real score", best, ok)
+	}
+	if s.Completed() != 2 {
+		t.Fatalf("completed = %d, want both candidates", s.Completed())
+	}
+	if top := s.TopK(2); len(top) != 1 || top[0].ID != 1 {
+		t.Fatalf("top-K = %+v, want only candidate 1", top)
 	}
 }
 

@@ -11,7 +11,8 @@ func idNotFound(id string) error { return fmt.Errorf("checkpoint: id %q not foun
 // BlobStore is implemented by stores that can expose and accept the encoded
 // checkpoint stream directly, without a decode/re-encode round trip. The
 // resilience journal uses it so journaled checkpoints are bit-identical to
-// what the store holds.
+// what the store holds. Blobs are immutable: neither side modifies a slice
+// after handing it over, so an in-memory store shares it instead of copying.
 type BlobStore interface {
 	// LoadBlob returns the encoded bytes stored under id.
 	LoadBlob(id string) ([]byte, error)
@@ -51,7 +52,7 @@ func SaveEncoded(s Store, id string, blob []byte) error {
 	return err
 }
 
-// LoadBlob implements BlobStore: it returns a copy of the stored bytes.
+// LoadBlob implements BlobStore: it returns the stored bytes themselves.
 func (s *MemStore) LoadBlob(id string) ([]byte, error) {
 	s.mu.RLock()
 	b, ok := s.blob[id]
@@ -61,14 +62,14 @@ func (s *MemStore) LoadBlob(id string) ([]byte, error) {
 		return nil, idNotFound(id)
 	}
 	mStoreHits.Inc()
-	return append([]byte(nil), b...), nil
+	return b, nil
 }
 
-// SaveBlob implements BlobStore. The bytes are stored as-is; they are
+// SaveBlob implements BlobStore. The slice is kept as-is, not copied; it is
 // assumed to be a valid encoded checkpoint.
 func (s *MemStore) SaveBlob(id string, blob []byte) (int64, error) {
 	s.mu.Lock()
-	s.blob[id] = append([]byte(nil), blob...)
+	s.blob[id] = blob
 	s.mu.Unlock()
 	mStoreSaveBytes.Add(int64(len(blob)))
 	mStoreSaveSize.Observe(float64(len(blob)))

@@ -1,30 +1,94 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"swtnas/internal/apps"
+	"swtnas/internal/checkpoint"
+	"swtnas/internal/core"
 	"swtnas/internal/data"
 	"swtnas/internal/evo"
+	"swtnas/internal/nas"
 	"swtnas/internal/tensor"
 	"swtnas/internal/trace"
 )
 
-// DistConfig parameterizes a distributed search driven through a
-// Coordinator (the multi-node analogue of nas.Run).
+// Binding makes a Coordinator the nas.Executor of one search: it turns each
+// nas.Task into an RPCTask, reads the provider checkpoint from the search's
+// store, saves the returned checkpoint into it, and hands the nas.Result to
+// the scheduler — the paper's Figure 6 data flow with TCP workers in place
+// of Ray evaluators. Journal, resume, proxy pre-filter, checkpoint GC and
+// Pareto mode are whatever the search's nas.Config carries. A coordinator
+// serves one search at a time: task ids are its candidate numbers.
+type Binding struct {
+	c        *Coordinator
+	tmpl     RPCTask
+	transfer bool // tmpl.Matcher names a transfer scheme, not the baseline
+	store    checkpoint.Store
+}
+
+// Bind returns the coordinator's binding to one search. Every task ships as
+// a copy of tmpl (application, dataset, matcher, dtype and the worker-side
+// overrides) with the candidate's ID, Arch, Seed and Parent filled in; store
+// must be the search's nas.Config.Store.
+func (c *Coordinator) Bind(tmpl RPCTask, store checkpoint.Store) *Binding {
+	matcher, _ := core.MatcherByName(tmpl.Matcher) // an unknown name fails on the worker
+	return &Binding{c: c, tmpl: tmpl, transfer: matcher != nil, store: store}
+}
+
+// Submit implements nas.Executor. The evaluation function is not used: the
+// worker runs the same nas.Evaluator on its side of the wire. Tasks already
+// shipped are not recalled on cancellation; their results drain like any
+// in-flight evaluation's.
+func (b *Binding) Submit(ctx context.Context, t nas.Task, _ nas.EvalFunc, out chan<- nas.Result) {
+	rt := b.tmpl
+	rt.ID, rt.Arch, rt.Seed = t.ID, t.Arch, t.Seed
+	err := ctx.Err()
+	if err == nil && b.transfer && t.ParentID >= 0 {
+		if rt.Parent, err = checkpoint.LoadEncoded(b.store, nas.CandidateID(t.ParentID)); err != nil {
+			err = fmt.Errorf("cluster: loading provider %d: %w", t.ParentID, err)
+		}
+	}
+	if err != nil {
+		out <- nas.Result{ID: t.ID, Arch: t.Arch, ParentID: t.ParentID, Err: err}
+		return
+	}
+	b.c.enqueue(rt, func(rr RPCResult) { out <- b.result(t, rr) })
+}
+
+// result converts one terminal RPCResult. A Failed one (retry budget spent)
+// keeps its mark, so nas.Run applies the failure rule; a scored one is saved
+// into the store first, where later tasks find it as a provider.
+func (b *Binding) result(t nas.Task, rr RPCResult) nas.Result {
+	res := nas.Result{ID: t.ID, Arch: t.Arch, ParentID: t.ParentID}
+	if rr.Failed {
+		res.Failed, res.Err = true, errors.New(rr.Err)
+		return res
+	}
+	if err := checkpoint.SaveEncoded(b.store, nas.CandidateID(t.ID), rr.Checkpoint); err != nil {
+		res.Err = fmt.Errorf("cluster: storing candidate %d: %w", t.ID, err)
+		return res
+	}
+	res.Score, res.Params = rr.Score, rr.Params
+	res.Transfer.Copied = rr.Copied
+	res.TrainTime = time.Duration(rr.TrainMillis * float64(time.Millisecond))
+	res.CheckpointBytes = int64(len(rr.Checkpoint))
+	return res
+}
+
+// DistConfig parameterizes RunDistributed.
 type DistConfig struct {
 	// App / DataSeed / TrainN / ValN identify the application; workers
 	// regenerate the same dataset deterministically.
 	App          string
 	DataSeed     int64
 	TrainN, ValN int
-	// Matcher is "", "LP" or "LCS".
-	Matcher string
-	// DType is the worker-side training element type ("", "f64" or "f32");
-	// shipped with every task as RPCTask.DType.
-	DType string
+	// Matcher ("", "LP" or "LCS") and DType ("", "f64" or "f32") ship with
+	// every task as RPCTask.Matcher and RPCTask.DType.
+	Matcher, DType string
 	// Budget is the number of candidates to evaluate.
 	Budget int
 	// Outstanding caps in-flight tasks; set it to at least the number of
@@ -35,152 +99,51 @@ type DistConfig struct {
 	// N and S are the evolution population/sample sizes (0 -> paper
 	// defaults 64/32).
 	N, S int
-	// PartialEpochs overrides the app default when positive.
-	PartialEpochs int
-	// KernelWorkers, when positive, is shipped with every task as the
-	// workers' kernel-pool width. When zero and a node core budget is
-	// given (NodeCores with EvaluatorsPerNode), it is auto-set to
-	// max(1, NodeCores/EvaluatorsPerNode) — the same evaluator×kernel
-	// split the in-process scheduler applies to its own cores.
-	KernelWorkers int
-	// NodeCores and EvaluatorsPerNode describe the worker nodes' core
-	// budget for the auto-split above (both 0 -> tasks leave worker pools
-	// untouched).
-	NodeCores         int
-	EvaluatorsPerNode int
-	// TaskDeadline, when positive, bounds each candidate's worker-side
-	// evaluation (shipped as RPCTask.DeadlineMillis); pair it with the
-	// coordinator's FaultConfig.TaskDeadline for coordinator-side stall
-	// detection.
-	TaskDeadline time.Duration
 	// Progress, when set, is invoked synchronously with each trace record as
-	// it is appended — scored candidates and terminal failures alike (the
-	// latter with Failed set). Together with FaultConfig.OnEvent it gives a
-	// live feed of a distributed run: completions here, fault-tolerance
-	// decisions there.
+	// it is appended, scored candidates and terminal failures (Failed set)
+	// alike: the completions half of a live feed whose fault-tolerance half
+	// is FaultConfig.OnEvent.
 	Progress func(trace.Record)
 }
 
-// RunDistributed proposes candidates with regularized evolution, ships them
-// to workers via the coordinator, stores returned checkpoints, and wires
-// provider checkpoints into child tasks — the paper's Figure 6 data flow
-// with TCP workers in place of Ray evaluators.
+// RunDistributed runs a regularized-evolution search with an in-memory
+// store on the coordinator's workers: the mapping DistConfig → nas.Config
+// with a Binding as Executor → nas.Run. Callers that want a journal, a disk
+// store or another strategy build that nas.Config themselves.
 func RunDistributed(c *Coordinator, cfg DistConfig) (*trace.Trace, error) {
-	if cfg.Budget <= 0 {
-		return nil, fmt.Errorf("cluster: budget %d must be positive", cfg.Budget)
-	}
-	if _, err := tensor.ParseDType(cfg.DType); err != nil {
+	dt, err := tensor.ParseDType(cfg.DType)
+	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
+	}
+	matcher, ok := core.MatcherByName(cfg.Matcher)
+	if !ok {
+		return nil, fmt.Errorf("cluster: unknown matcher %q", cfg.Matcher)
 	}
 	app, err := apps.New(cfg.App, cfg.DataSeed, apps.Config{Data: data.Config{TrainN: cfg.TrainN, ValN: cfg.ValN}})
 	if err != nil {
 		return nil, err
 	}
-	outstanding := cfg.Outstanding
-	if outstanding <= 0 {
-		outstanding = 2
+	orDefault(&cfg.Outstanding, 2)
+	// MemStore keeps the encoded bytes as they came off the wire, so saving
+	// a result and shipping it later as a provider re-encode and copy nothing.
+	store := checkpoint.NewMemStore()
+	b := c.Bind(RPCTask{
+		App: cfg.App, DataSeed: cfg.DataSeed, TrainN: cfg.TrainN, ValN: cfg.ValN,
+		Matcher: cfg.Matcher, DType: cfg.DType,
+	}, store)
+	ncfg := nas.Config{
+		App:      app,
+		Strategy: evo.NewRegularizedEvolution(app.Space, cfg.N, cfg.S),
+		Matcher:  matcher,
+		DType:    dt,
+		Store:    store,
+		Workers:  cfg.Outstanding,
+		Budget:   cfg.Budget,
+		Seed:     cfg.Seed,
+		Executor: b,
 	}
-	if outstanding > cfg.Budget {
-		outstanding = cfg.Budget
+	if cfg.Progress != nil {
+		ncfg.Progress = func(r nas.Result) { cfg.Progress(r.Record()) }
 	}
-	strategy := evo.NewRegularizedEvolution(app.Space, cfg.N, cfg.S)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	kernelWorkers := cfg.KernelWorkers
-	if kernelWorkers <= 0 && cfg.NodeCores > 0 && cfg.EvaluatorsPerNode > 0 {
-		// Mirror the in-process evaluator×kernel split on remote nodes:
-		// concurrent evaluators partition the node's cores evenly.
-		kernelWorkers = cfg.NodeCores / cfg.EvaluatorsPerNode
-		if kernelWorkers < 1 {
-			kernelWorkers = 1
-		}
-	}
-
-	ckpts := map[int][]byte{} // candidate id -> encoded checkpoint
-	archs := map[int][]int{}  // candidate id -> architecture
-	parents := map[int]int{}  // candidate id -> provider id (-1 none)
-	issued := 0
-	issue := func() {
-		p := strategy.Propose(rng)
-		t := RPCTask{
-			ID:             issued,
-			App:            cfg.App,
-			DataSeed:       cfg.DataSeed,
-			TrainN:         cfg.TrainN,
-			ValN:           cfg.ValN,
-			Arch:           p.Arch,
-			Seed:           cfg.Seed*1_000_003 + int64(issued),
-			Matcher:        cfg.Matcher,
-			DType:          cfg.DType,
-			PartialEpochs:  cfg.PartialEpochs,
-			DeadlineMillis: int64(cfg.TaskDeadline / time.Millisecond),
-			KernelWorkers:  kernelWorkers,
-		}
-		parents[issued] = p.ParentID
-		if cfg.Matcher != "" && p.ParentID >= 0 {
-			t.Parent = ckpts[p.ParentID]
-		}
-		archs[issued] = p.Arch
-		c.Enqueue(t)
-		issued++
-	}
-
-	tr := &trace.Trace{App: cfg.App, Scheme: schemeLabel(cfg.Matcher), Seed: cfg.Seed}
-	start := time.Now()
-	for i := 0; i < outstanding; i++ {
-		issue()
-	}
-	for completed := 0; completed < cfg.Budget; completed++ {
-		res := <-c.Results()
-		if res.Failed {
-			// The coordinator exhausted the retry budget for this candidate
-			// (crashed/stalled workers or persistent evaluation errors). The
-			// search continues without it: the record is marked Failed, never
-			// reported to the strategy, and never ranked by TopK.
-			tr.Records = append(tr.Records, trace.Record{
-				ID:          res.ID,
-				Arch:        archs[res.ID],
-				ParentID:    parents[res.ID],
-				CompletedAt: time.Since(start),
-				Failed:      true,
-				FailReason:  res.Err,
-			})
-			if cfg.Progress != nil {
-				cfg.Progress(tr.Records[len(tr.Records)-1])
-			}
-			if issued < cfg.Budget {
-				issue()
-			}
-			continue
-		}
-		if res.Err != "" {
-			return nil, fmt.Errorf("cluster: candidate %d failed on %s: %s", res.ID, res.WorkerID, res.Err)
-		}
-		ckpts[res.ID] = res.Checkpoint
-		strategy.Report(evo.Individual{ID: res.ID, Arch: archs[res.ID], Score: res.Score})
-		tr.Records = append(tr.Records, trace.Record{
-			ID:              res.ID,
-			Arch:            archs[res.ID],
-			Score:           res.Score,
-			Params:          res.Params,
-			ParentID:        parents[res.ID],
-			TransferCopied:  res.Copied,
-			TrainTime:       time.Duration(res.TrainMillis * float64(time.Millisecond)),
-			CheckpointBytes: int64(len(res.Checkpoint)),
-			CompletedAt:     time.Since(start),
-		})
-		if cfg.Progress != nil {
-			cfg.Progress(tr.Records[len(tr.Records)-1])
-		}
-		if issued < cfg.Budget {
-			issue()
-		}
-	}
-	return tr, nil
-}
-
-func schemeLabel(matcher string) string {
-	if matcher == "" {
-		return "baseline"
-	}
-	return matcher
+	return nas.Run(context.Background(), ncfg)
 }

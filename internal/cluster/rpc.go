@@ -1,13 +1,22 @@
+// Package cluster is the multi-node executor of the one search loop
+// (nas.Run): TCP-distributed evaluators over net/rpc, the stand-in for
+// DeepHyper's multi-node Ray/MPI/Balsam backends. A Coordinator queues
+// tasks for polling Workers with fault-tolerant coordination (heartbeats,
+// quarantine, requeue, speculative re-execution); Coordinator.Bind makes it
+// the nas.Executor of one search, and each Worker runs nas.Evaluator behind
+// the RPC envelope. The paper's scalability study (Fig 10) runs on the
+// simulator in internal/sim instead, since this host has no GPUs.
 package cluster
 
 import (
-	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"maps"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 	"time"
 
@@ -16,7 +25,6 @@ import (
 	"swtnas/internal/core"
 	"swtnas/internal/data"
 	"swtnas/internal/nas"
-	"swtnas/internal/nn"
 	"swtnas/internal/obs"
 	"swtnas/internal/parallel"
 	"swtnas/internal/sim"
@@ -24,12 +32,11 @@ import (
 )
 
 // Cluster telemetry (internal/obs, disabled by default): per-RPC round-trip
-// latency as seen by workers (includes NextTask's queue-blocking time, the
-// worker-idle signal), call/error counts, dial retries, the local execution
-// time of each shipped candidate, and the coordinator's fault-tolerance
-// decisions (requeues, quarantines, re-admissions, exhausted tasks).
-// Coordinator-side RPC traffic is additionally labeled per worker id (see
-// obs.Labeled) so requeue/quarantine decisions are attributable.
+// latency as seen by workers (NextTask's includes its queue-blocking time,
+// the worker-idle signal), call/error counts, dial retries, each shipped
+// candidate's execution time, and the coordinator's fault-tolerance
+// decisions. Coordinator-side traffic is also labeled per worker id
+// (obs.Labeled), so requeue/quarantine decisions are attributable.
 var (
 	mRPCSeconds  = obs.GetHistogram("cluster.rpc.seconds", obs.DurationBuckets)
 	mRPCCalls    = obs.GetCounter("cluster.rpc.calls")
@@ -48,29 +55,12 @@ var (
 	mSpeculationWon   = obs.GetCounter("cluster.speculation.won")
 )
 
-// Worker.Run dial schedule; vars so tests can shrink the timing.
-var (
-	dialAttempts = 5
-	dialDelay    = 100 * time.Millisecond
+// Worker.Run's dial schedule, and the speculation window's length.
+const (
+	dialAttempts  = 5
+	dialDelay     = 100 * time.Millisecond
+	latencyWindow = 128
 )
-
-// dialRetry dials the coordinator, retrying on failure: workers commonly
-// start before the coordinator finishes binding its listener.
-func dialRetry(addr string) (*rpc.Client, error) {
-	var lastErr error
-	for i := 0; i < dialAttempts; i++ {
-		if i > 0 {
-			mRPCRetries.Inc()
-			time.Sleep(dialDelay)
-		}
-		client, err := rpc.Dial("tcp", addr)
-		if err == nil {
-			return client, nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
 
 // call wraps client.Call with round-trip telemetry.
 func call(client *rpc.Client, method string, args, reply any) error {
@@ -105,22 +95,17 @@ type RPCTask struct {
 	Matcher       string // "", "LP", "LCS"
 	Parent        []byte // encoded provider checkpoint, nil for scratch
 	PartialEpochs int
-	BatchSizeHint int // 0 -> space default
 	// DType selects the worker-side training element type ("", "f64" or
-	// "f32", the tensor.ParseDType spellings). Candidates build and
-	// weight-transfer in float64 on the worker exactly like the in-process
-	// evaluator, then train natively in the requested dtype; the returned
-	// checkpoint is dtype-tagged (SWTC v3 for f32).
+	// "f32", the tensor.ParseDType spellings), with nas.Evaluator.DType's
+	// meaning; the returned checkpoint is dtype-tagged (SWTC v3 for f32).
 	DType string
-	// DeadlineMillis, when positive, bounds the worker-side evaluation: the
-	// worker trains under a context with this timeout and reports a task
-	// error when it expires (the coordinator then retries or fails the
-	// candidate). Mirrors FaultConfig.TaskDeadline on the worker side.
+	// DeadlineMillis, when positive, bounds the worker-side evaluation: past
+	// it the worker reports a task error (the coordinator then retries or
+	// fails the candidate). Mirrors FaultConfig.TaskDeadline.
 	DeadlineMillis int64
 	// KernelWorkers, when positive, sets the worker's kernel-pool width for
-	// this task (the per-evaluator share of a node's core budget, mirroring
-	// the in-process evaluator×kernel split). 0 leaves the worker's pool
-	// untouched; a Worker with its own KernelWorkers pin ignores it.
+	// this task (the per-evaluator share of a node's core budget). 0 leaves
+	// the pool untouched; a Worker with its own KernelWorkers pin ignores it.
 	KernelWorkers int
 }
 
@@ -146,10 +131,9 @@ type RPCResult struct {
 // The zero value selects the defaults noted on each field; tests shrink the
 // timings to milliseconds.
 type FaultConfig struct {
-	// HeartbeatTimeout quarantines a worker that has been silent (no
-	// NextTask/Submit/Heartbeat) for longer than this; its in-flight tasks
-	// requeue to healthy workers. A quarantined worker that heartbeats
-	// again is re-admitted. Default 15s.
+	// HeartbeatTimeout quarantines a worker silent (no NextTask, Submit or
+	// Heartbeat) for longer than this; its in-flight tasks requeue, and it
+	// is re-admitted when it heartbeats again. Default 15s.
 	HeartbeatTimeout time.Duration
 	// TaskDeadline requeues a task that has been running on one worker for
 	// longer than this (stall detection, independent of heartbeats).
@@ -168,9 +152,8 @@ type FaultConfig struct {
 	// results are in, a task whose elapsed runtime exceeds
 	// SpeculationFactor times this quantile of recently completed
 	// evaluation latencies gets a backup attempt on the next free worker —
-	// first result wins, the loser's submission is dropped by the existing
-	// duplicate scrubbing. 0 disables speculation (the default); the
-	// paper-style straggler mitigation uses 0.9.
+	// first result wins, the loser's is dropped as a duplicate. 0 disables
+	// speculation (the default); paper-style straggler mitigation uses 0.9.
 	SpeculativeQuantile float64
 	// SpeculationFactor scales the quantile into the straggler threshold.
 	// Default 1.5.
@@ -179,8 +162,7 @@ type FaultConfig struct {
 	// window needs before speculation engages. Default 8.
 	SpeculationMinSamples int
 	// OnEvent, when set, observes every fault-tolerance decision the
-	// coordinator takes — requeues, terminal failures, quarantines and
-	// re-admissions — as nas.FaultEvent values. Events are delivered outside
+	// coordinator takes as a nas.FaultEvent. Events are delivered outside
 	// the coordinator's lock, in decision order, from whichever goroutine
 	// took the decision; the callback must be safe for concurrent use and
 	// must not block (it runs on the RPC and failure-detector paths).
@@ -188,49 +170,36 @@ type FaultConfig struct {
 }
 
 func (f FaultConfig) withDefaults() FaultConfig {
-	if f.HeartbeatTimeout <= 0 {
-		f.HeartbeatTimeout = 15 * time.Second
-	}
-	if f.MaxAttempts <= 0 {
-		f.MaxAttempts = 3
-	}
-	if f.RetryBackoff <= 0 {
-		f.RetryBackoff = 100 * time.Millisecond
-	}
-	if f.MonitorInterval <= 0 {
-		f.MonitorInterval = 250 * time.Millisecond
-	}
-	if f.SpeculationFactor <= 0 {
-		f.SpeculationFactor = 1.5
-	}
-	if f.SpeculationMinSamples <= 0 {
-		f.SpeculationMinSamples = 8
-	}
+	orDefault(&f.HeartbeatTimeout, 15*time.Second)
+	orDefault(&f.MaxAttempts, 3)
+	orDefault(&f.RetryBackoff, 100*time.Millisecond)
+	orDefault(&f.MonitorInterval, 250*time.Millisecond)
+	orDefault(&f.SpeculationFactor, 1.5)
+	orDefault(&f.SpeculationMinSamples, 8)
 	return f
 }
 
-// inflightTask is one task assigned to a worker and not yet resolved.
-type inflightTask struct {
-	task     RPCTask
-	worker   string
-	started  time.Time
-	attempts int // executions consumed, including this one
+// orDefault replaces a non-positive *v with d.
+func orDefault[T int | float64 | time.Duration](v *T, d T) {
+	if *v <= 0 {
+		*v = d
+	}
 }
 
-// queuedTask is a task waiting for a worker (attempts already consumed).
-// speculative marks a backup copy racing a still-running original; it is
-// tracked outside the retry budget.
-type queuedTask struct {
-	task        RPCTask
-	attempts    int
-	speculative bool
-}
-
-// delayedTask is a requeued task serving its retry backoff.
-type delayedTask struct {
-	task     RPCTask
-	attempts int
-	readyAt  time.Time
+// attempt is the scheduling state of one unresolved task: queued (not
+// dispatched before readyAt, its retry backoff) or running on worker since
+// started. One attempt follows a task through every retry. A backup is a
+// second copy racing a straggling original (speculative re-execution); it
+// lives outside the retry budget and resolves the task through the original.
+type attempt struct {
+	task       RPCTask
+	done       func(RPCResult) // receives the task's one terminal result
+	n          int             // executions consumed, the running one included
+	backup     bool
+	speculated bool // original only: its one backup has been launched
+	readyAt    time.Time
+	worker     string
+	started    time.Time
 }
 
 // workerState is the coordinator's liveness view of one worker.
@@ -249,25 +218,22 @@ type Coordinator struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	queue    []queuedTask
-	delayed  []delayedTask
-	inflight map[int]*inflightTask
+	queue    []*attempt       // waiting for a worker, in dispatch order
+	open     map[int]*attempt // every unresolved task's original attempt
+	inflight map[int]*attempt // originals running on a worker
+	backups  map[int]*attempt // backups running on a worker
 	workers  map[string]*workerState
-	done     map[int]bool
 	shutdown bool
 
-	// Speculative re-execution state: a sliding window of completed
-	// evaluation latencies (the threshold base), backup attempts in flight
-	// (kept apart from inflight so the original's tracking survives), and
-	// the tasks that already consumed their one backup.
-	latencies    []time.Duration
-	specInflight map[int]*inflightTask
-	speculated   map[int]bool
+	// latencies is a sliding window of the last latencyWindow completed
+	// attempts' dispatch-to-result times, the base of the speculation
+	// threshold.
+	latencies []time.Duration
 
 	monitorOnce sync.Once
 	stopMonitor chan struct{}
 
-	results chan RPCResult
+	results chan RPCResult // terminal results of tasks added with Enqueue
 
 	// pending buffers fault events recorded under mu; emitMu serializes
 	// their delivery to cfg.OnEvent so observers see decision order even
@@ -307,33 +273,41 @@ func NewCoordinator() *Coordinator { return NewCoordinatorWith(FaultConfig{}) }
 // NewCoordinatorWith creates a coordinator with an explicit fault policy.
 func NewCoordinatorWith(cfg FaultConfig) *Coordinator {
 	c := &Coordinator{
-		cfg:          cfg.withDefaults(),
-		inflight:     map[int]*inflightTask{},
-		workers:      map[string]*workerState{},
-		done:         map[int]bool{},
-		specInflight: map[int]*inflightTask{},
-		speculated:   map[int]bool{},
-		stopMonitor:  make(chan struct{}),
-		results:      make(chan RPCResult, 64),
+		cfg:         cfg.withDefaults(),
+		open:        map[int]*attempt{},
+		inflight:    map[int]*attempt{},
+		backups:     map[int]*attempt{},
+		workers:     map[string]*workerState{},
+		stopMonitor: make(chan struct{}),
+		results:     make(chan RPCResult, 64),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
 
-// Enqueue adds a task for the next free worker and starts the failure
-// detector on first use.
+// Enqueue adds a task for the next free worker; its terminal result arrives
+// on Results.
 func (c *Coordinator) Enqueue(t RPCTask) {
+	c.enqueue(t, func(res RPCResult) { c.results <- res })
+}
+
+// enqueue adds a task whose one terminal result goes to done, called outside
+// the coordinator's lock from whichever goroutine resolved the task. It
+// starts the failure detector on first use.
+func (c *Coordinator) enqueue(t RPCTask, done func(RPCResult)) {
 	c.monitorOnce.Do(func() { go c.monitor() })
+	a := &attempt{task: t, done: done}
 	c.mu.Lock()
-	c.queue = append(c.queue, queuedTask{task: t, attempts: 0})
+	c.open[t.ID] = a
+	c.queue = append(c.queue, a)
 	c.mu.Unlock()
 	c.cond.Signal()
 }
 
-// Results streams terminal task outcomes: one per enqueued task, either a
-// worker's successful submission or a coordinator-synthesized Failed result
-// after the retry budget is exhausted. Duplicate submissions (a stalled
-// worker finishing after its task was requeued and re-run) are dropped.
+// Results streams one terminal outcome per task added with Enqueue: a
+// worker's successful submission, or a coordinator-synthesized Failed result
+// once the retry budget is spent. Duplicate submissions (a stalled worker
+// finishing after its task was requeued and re-run) are dropped.
 func (c *Coordinator) Results() <-chan RPCResult { return c.results }
 
 // Shutdown makes every pending and future NextTask return a shutdown task
@@ -366,30 +340,51 @@ func (c *Coordinator) beatLocked(workerID string) {
 	}
 }
 
-// requeueLocked returns a resolved-but-unfinished task to the schedule: a
-// retry with backoff while attempts remain, a synthesized Failed result
-// otherwise. It returns the terminal result to send (nil for a retry);
-// callers hold c.mu and must send after unlocking.
-func (c *Coordinator) requeueLocked(t RPCTask, attempts int, reason string) *RPCResult {
-	if c.done[t.ID] {
-		return nil
+// runningLocked returns the attempt worker is running for task id — its
+// backup if it holds one, else the original — or nil if the attempt was
+// reclaimed from it (queued again or running elsewhere). Callers hold c.mu.
+func (c *Coordinator) runningLocked(id int, worker string) *attempt {
+	for _, a := range []*attempt{c.backups[id], c.inflight[id]} {
+		if a != nil && a.worker == worker {
+			return a
+		}
 	}
-	if attempts >= c.cfg.MaxAttempts {
-		c.done[t.ID] = true
+	return nil
+}
+
+// resolveLocked forgets a task that reached its terminal result, whatever
+// copies of it are queued or running. Callers hold c.mu.
+func (c *Coordinator) resolveLocked(id int) {
+	delete(c.open, id)
+	delete(c.inflight, id)
+	delete(c.backups, id)
+	c.queue = slices.DeleteFunc(c.queue, func(a *attempt) bool { return a.task.ID == id })
+}
+
+// requeueLocked returns an original attempt that ended without a result to
+// the schedule: a retry with backoff while attempts remain, a synthesized
+// Failed result otherwise. It returns the delivery of that terminal result
+// (nil for a retry); callers hold c.mu and must call it after unlocking.
+func (c *Coordinator) requeueLocked(a *attempt, reason string) (deliver func()) {
+	id := a.task.ID
+	if a.n >= c.cfg.MaxAttempts {
+		c.resolveLocked(id)
 		mTasksFailed.Inc()
-		c.emitLocked(nas.FaultEvent{Kind: nas.FaultFailed, CandidateID: t.ID, Reason: reason, Attempt: attempts})
-		return &RPCResult{ID: t.ID, WorkerID: "coordinator", Err: reason, Failed: true, Attempts: attempts}
+		c.emitLocked(nas.FaultEvent{Kind: nas.FaultFailed, CandidateID: id, Reason: reason, Attempt: a.n})
+		res := RPCResult{ID: id, WorkerID: "coordinator", Err: reason, Failed: true, Attempts: a.n}
+		return func() { a.done(res) }
 	}
-	backoff := c.cfg.RetryBackoff << (attempts - 1)
-	c.delayed = append(c.delayed, delayedTask{task: t, attempts: attempts, readyAt: time.Now().Add(backoff)})
+	delete(c.inflight, id)
+	a.readyAt = time.Now().Add(c.cfg.RetryBackoff << (a.n - 1))
+	c.queue = append(c.queue, a)
 	mTasksRequeued.Inc()
-	c.emitLocked(nas.FaultEvent{Kind: nas.FaultRequeue, CandidateID: t.ID, Reason: reason, Attempt: attempts})
+	c.emitLocked(nas.FaultEvent{Kind: nas.FaultRequeue, CandidateID: id, Reason: reason, Attempt: a.n})
 	return nil
 }
 
 // monitor is the failure detector: it quarantines silent workers (requeuing
-// their in-flight tasks), enforces per-task deadlines, and moves requeued
-// tasks whose backoff elapsed back into the dispatch queue.
+// their in-flight tasks), enforces per-task deadlines, launches speculative
+// backups, and wakes parked workers for requeued tasks whose backoff elapsed.
 func (c *Coordinator) monitor() {
 	ticker := time.NewTicker(c.cfg.MonitorInterval)
 	defer ticker.Stop()
@@ -400,7 +395,12 @@ func (c *Coordinator) monitor() {
 		case <-ticker.C:
 		}
 		now := time.Now()
-		var failed []RPCResult
+		var failed []func()
+		reclaim := func(a *attempt, reason string) {
+			if deliver := c.requeueLocked(a, reason); deliver != nil {
+				failed = append(failed, deliver)
+			}
+		}
 		c.mu.Lock()
 		// Quarantine workers that stopped heartbeating and reclaim their
 		// in-flight tasks.
@@ -412,91 +412,61 @@ func (c *Coordinator) monitor() {
 			mQuarantined.Inc()
 			obs.GetCounter(obs.Labeled("cluster.coord.quarantined", "worker", id)).Inc()
 			c.emitLocked(nas.FaultEvent{Kind: nas.FaultQuarantine, Worker: id, CandidateID: -1, Reason: "no heartbeat"})
-			for tid, ift := range c.inflight {
-				if ift.worker != id {
-					continue
-				}
-				delete(c.inflight, tid)
-				if res := c.requeueLocked(ift.task, ift.attempts, fmt.Sprintf("worker %s presumed dead (no heartbeat)", id)); res != nil {
-					failed = append(failed, *res)
+			for _, a := range c.inflight {
+				if a.worker == id {
+					reclaim(a, fmt.Sprintf("worker %s presumed dead (no heartbeat)", id))
 				}
 			}
 			// A quarantined worker's backup attempts are simply dropped:
 			// the originals are still tracked, so nothing is lost.
-			for tid, spec := range c.specInflight {
-				if spec.worker == id {
-					delete(c.specInflight, tid)
-				}
-			}
+			maps.DeleteFunc(c.backups, func(_ int, b *attempt) bool { return b.worker == id })
 		}
 		// Per-task deadline: a task stuck on one worker is requeued even if
 		// the worker still heartbeats (stalled evaluation).
 		if c.cfg.TaskDeadline > 0 {
-			for tid, ift := range c.inflight {
-				if now.Sub(ift.started) <= c.cfg.TaskDeadline {
-					continue
-				}
-				delete(c.inflight, tid)
-				if res := c.requeueLocked(ift.task, ift.attempts, fmt.Sprintf("task deadline %s exceeded on worker %s", c.cfg.TaskDeadline, ift.worker)); res != nil {
-					failed = append(failed, *res)
+			for _, a := range c.inflight {
+				if now.Sub(a.started) > c.cfg.TaskDeadline {
+					reclaim(a, fmt.Sprintf("task deadline %s exceeded on worker %s", c.cfg.TaskDeadline, a.worker))
 				}
 			}
 		}
-		// Speculative re-execution: once the latency window is warm, any
-		// task running past the calibrated quantile threshold gets one
-		// backup attempt, queued ahead of regular work so the next free
-		// worker picks it up (first result wins via duplicate scrubbing).
-		speculated := false
+		// Speculative re-execution: once the latency window is warm, a task
+		// running past the quantile threshold gets one backup attempt, queued
+		// ahead of regular work for the next free worker (first result wins).
 		if c.cfg.SpeculativeQuantile > 0 && len(c.latencies) >= c.cfg.SpeculationMinSamples {
 			threshold := time.Duration(float64(sim.DurationQuantile(c.latencies, c.cfg.SpeculativeQuantile)) * c.cfg.SpeculationFactor)
-			if threshold > 0 {
-				for tid, ift := range c.inflight {
-					if c.done[tid] || c.speculated[tid] || now.Sub(ift.started) <= threshold {
-						continue
-					}
-					c.speculated[tid] = true
-					mSpeculated.Inc()
-					c.queue = append([]queuedTask{{task: ift.task, attempts: ift.attempts, speculative: true}}, c.queue...)
-					c.emitLocked(nas.FaultEvent{
-						Kind:        nas.FaultSpeculate,
-						Worker:      ift.worker,
-						CandidateID: tid,
-						Reason:      fmt.Sprintf("runtime exceeded %s (q%.2f x %.1f of %d samples)", threshold.Round(time.Millisecond), c.cfg.SpeculativeQuantile, c.cfg.SpeculationFactor, len(c.latencies)),
-						Attempt:     ift.attempts,
-					})
-					speculated = true
+			for id, a := range c.inflight {
+				if threshold <= 0 || a.speculated || now.Sub(a.started) <= threshold {
+					continue
 				}
+				a.speculated = true
+				mSpeculated.Inc()
+				c.queue = slices.Insert(c.queue, 0, &attempt{task: a.task, n: a.n, backup: true})
+				c.emitLocked(nas.FaultEvent{
+					Kind:        nas.FaultSpeculate,
+					Worker:      a.worker,
+					CandidateID: id,
+					Reason:      fmt.Sprintf("runtime exceeded %s (q%.2f x %.1f of %d samples)", threshold.Round(time.Millisecond), c.cfg.SpeculativeQuantile, c.cfg.SpeculationFactor, len(c.latencies)),
+					Attempt:     a.n,
+				})
 			}
 		}
-		// Release requeued tasks whose backoff elapsed.
-		released := speculated
-		keep := c.delayed[:0]
-		for _, d := range c.delayed {
-			if !d.readyAt.After(now) {
-				c.queue = append(c.queue, queuedTask{task: d.task, attempts: d.attempts})
-				released = true
-			} else {
-				keep = append(keep, d)
-			}
-		}
-		c.delayed = keep
 		mInflightGauge.Set(int64(len(c.inflight)))
+		queued := len(c.queue) > 0
 		c.mu.Unlock()
 		c.flushEvents()
-		if released {
-			c.cond.Broadcast()
+		if queued {
+			c.cond.Broadcast() // a backup, or a backoff that may have elapsed
 		}
-		for _, res := range failed {
-			c.results <- res
+		for _, deliver := range failed {
+			deliver()
 		}
 	}
 }
 
 // Service is the exported RPC receiver ("Service.NextTask",
 // "Service.Submit", "Service.Heartbeat").
-type Service struct {
-	c *Coordinator
-}
+type Service struct{ c *Coordinator }
 
 // NextTask blocks until a task or shutdown is available. net/rpc runs each
 // call on its own goroutine, so blocking here parks only the asking worker.
@@ -508,32 +478,28 @@ func (s *Service) NextTask(workerID string, reply *RPCTask) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.beatLocked(workerID)
-	for len(c.queue) == 0 && !c.shutdown {
+	ready := func(a *attempt) bool { return !a.readyAt.After(time.Now()) }
+	i := slices.IndexFunc(c.queue, ready)
+	for ; i < 0 && !c.shutdown; i = slices.IndexFunc(c.queue, ready) {
 		c.cond.Wait()
 	}
-	if len(c.queue) == 0 {
+	if i < 0 {
 		*reply = RPCTask{Shutdown: true}
 		return nil
 	}
-	qt := c.queue[0]
-	c.queue = c.queue[1:]
-	ift := &inflightTask{
-		task:     qt.task,
-		worker:   workerID,
-		started:  time.Now(),
-		attempts: qt.attempts + 1,
-	}
-	if qt.speculative {
-		// A backup attempt races the original, which stays tracked in
-		// inflight; the backup lives outside the retry budget.
-		c.specInflight[qt.task.ID] = ift
+	a := c.queue[i]
+	c.queue = slices.Delete(c.queue, i, i+1)
+	a.worker, a.started = workerID, time.Now()
+	a.n++
+	if a.backup {
+		c.backups[a.task.ID] = a
 	} else {
-		c.inflight[qt.task.ID] = ift
+		c.inflight[a.task.ID] = a
 	}
 	c.beatLocked(workerID) // cond.Wait may have parked past the timeout
 	mInflightGauge.Set(int64(len(c.inflight)))
 	obs.GetCounter(obs.Labeled("cluster.coord.tasks.assigned", "worker", workerID)).Inc()
-	*reply = qt.task
+	*reply = a.task
 	return nil
 }
 
@@ -558,95 +524,47 @@ func (s *Service) Heartbeat(workerID string, ack *bool) error {
 func (s *Service) Submit(res RPCResult, ack *bool) error {
 	c := s.c
 	*ack = true
-	var terminal *RPCResult
+	var deliver func()
 	c.mu.Lock()
 	c.beatLocked(res.WorkerID)
 	obs.GetCounter(obs.Labeled("cluster.coord.results", "worker", res.WorkerID)).Inc()
+	orig, a := c.open[res.ID], c.runningLocked(res.ID, res.WorkerID)
 	switch {
-	case c.done[res.ID]:
-		// The race's loser arriving (a requeued task's original worker, or
-		// the slower side of a speculation pair): drop the result, clear
-		// its in-flight entry.
+	case orig == nil:
+		// The race's loser arriving (a requeued task's earlier worker, or the
+		// slower side of a speculation pair): drop the result.
 		mResultsDuplicate.Inc()
-		if spec := c.specInflight[res.ID]; spec != nil && spec.worker == res.WorkerID {
-			delete(c.specInflight, res.ID)
-		} else if ift := c.inflight[res.ID]; ift != nil && ift.worker == res.WorkerID {
-			delete(c.inflight, res.ID)
-		}
 	case res.Err != "":
-		if spec := c.specInflight[res.ID]; spec != nil && spec.worker == res.WorkerID {
+		if a == orig {
+			deliver = c.requeueLocked(a, res.Err)
+		} else if a != nil {
 			// A failed backup is dropped, not retried: the original still
 			// runs and owns the retry budget.
-			delete(c.specInflight, res.ID)
-		} else if ift := c.inflight[res.ID]; ift != nil && ift.worker == res.WorkerID {
-			delete(c.inflight, res.ID)
-			terminal = c.requeueLocked(ift.task, ift.attempts, res.Err)
+			delete(c.backups, res.ID)
 		}
 		// Otherwise another attempt is already queued or running; drop.
 	default:
-		backupWon := false
-		if spec := c.specInflight[res.ID]; spec != nil && spec.worker == res.WorkerID {
-			backupWon = true
-			res.Attempts = spec.attempts
-			delete(c.specInflight, res.ID)
-			c.recordLatencyLocked(time.Since(spec.started))
-		} else if ift := c.inflight[res.ID]; ift != nil {
-			res.Attempts = ift.attempts
-			delete(c.inflight, res.ID)
-			c.recordLatencyLocked(time.Since(ift.started))
+		if a == nil {
+			a = orig // a reclaimed attempt finishing after all still resolves the task
+		} else if c.cfg.SpeculativeQuantile > 0 {
+			c.latencies = append(c.latencies, time.Since(a.started))
+			c.latencies = c.latencies[max(0, len(c.latencies)-latencyWindow):]
 		}
-		c.scrubLocked(res.ID)
-		c.done[res.ID] = true
-		if backupWon {
+		res.Attempts = a.n
+		c.resolveLocked(res.ID)
+		if a.backup {
 			mSpeculationWon.Inc()
 			c.emitLocked(nas.FaultEvent{Kind: nas.FaultSpeculationWon, Worker: res.WorkerID, CandidateID: res.ID, Attempt: res.Attempts})
 		}
-		r := res
-		terminal = &r
+		deliver = func() { orig.done(res) }
 	}
 	mInflightGauge.Set(int64(len(c.inflight)))
 	c.mu.Unlock()
 	c.flushEvents()
-	if terminal != nil {
-		c.results <- *terminal
+	if deliver != nil {
+		deliver()
 	}
 	return nil
-}
-
-// latencyWindow bounds the sliding sample of completed evaluation latencies
-// that feeds the speculation threshold.
-const latencyWindow = 128
-
-// recordLatencyLocked appends a completed attempt's dispatch-to-result
-// latency to the sliding window. Callers hold c.mu.
-func (c *Coordinator) recordLatencyLocked(d time.Duration) {
-	if c.cfg.SpeculativeQuantile <= 0 {
-		return
-	}
-	c.latencies = append(c.latencies, d)
-	if len(c.latencies) > latencyWindow {
-		c.latencies = c.latencies[1:]
-	}
-}
-
-// scrubLocked removes any queued or delayed copy of a resolved task (a
-// requeued task whose original worker finished after all, or a speculative
-// backup that never dispatched). Callers hold c.mu.
-func (c *Coordinator) scrubLocked(id int) {
-	keepQ := c.queue[:0]
-	for _, qt := range c.queue {
-		if qt.task.ID != id {
-			keepQ = append(keepQ, qt)
-		}
-	}
-	c.queue = keepQ
-	keepD := c.delayed[:0]
-	for _, d := range c.delayed {
-		if d.task.ID != id {
-			keepD = append(keepD, d)
-		}
-	}
-	c.delayed = keepD
 }
 
 // Serve registers the coordinator service and accepts connections until the
@@ -665,9 +583,8 @@ func (c *Coordinator) Serve(l net.Listener) error {
 	}
 }
 
-// Sentinel errors an ExecuteHook can return to simulate worker failures
-// (used by resilience/faultinject; harmless in production workers, which
-// never set a hook).
+// Sentinel errors an ExecuteHook returns to simulate worker failures
+// (resilience/faultinject; production workers never set a hook).
 var (
 	// ErrCrash makes the worker drop its coordinator connection and stop
 	// heartbeating — from the coordinator's view, the process died.
@@ -682,28 +599,22 @@ var (
 type Worker struct {
 	// ID labels the worker in results.
 	ID string
-
 	// KernelWorkers, when positive, pins this worker's kernel-pool width
 	// for every task, overriding any RPCTask.KernelWorkers the coordinator
 	// ships (an operator-set SWTNAS_WORKERS equivalent).
 	KernelWorkers int
-
-	// DType, when non-empty, is the training element type applied to tasks
-	// that ship no RPCTask.DType (a coordinator predating the dtype field).
-	// Tasks that do name a dtype always win, keeping mixed fleets
-	// consistent. See DESIGN.md §14.
+	// DType, when non-empty, is the training element type of tasks that ship
+	// no RPCTask.DType; a task that names one always wins, keeping mixed
+	// fleets consistent. See DESIGN.md §14.
 	DType string
-
 	// HeartbeatEvery is the liveness-ping period Run uses while connected.
 	// 0 selects the 2s default; negative disables heartbeats entirely
 	// (tests simulating a silent stall).
 	HeartbeatEvery time.Duration
-
 	// ExecuteHook, when set, replaces Execute in Run's task loop. Returning
 	// ErrCrash kills the connection and Run; ErrDropResult suppresses the
 	// Submit. Any other error aborts Run with it. Fault-injection only.
 	ExecuteHook func(RPCTask) (RPCResult, error)
-
 	// Dial, when set, replaces the default TCP dial — faultinject wraps the
 	// returned conn to corrupt or delay traffic deterministically.
 	Dial func(addr string) (net.Conn, error)
@@ -711,20 +622,13 @@ type Worker struct {
 	appMu  sync.Mutex
 	appKey string
 	app    *apps.App
-	// f32Train/f32Val cache the float32 copy of the current app's dataset
-	// (converted once per app, reused across f32 tasks; reset with the app).
-	f32Train *nn.DataOf[float32]
-	f32Val   *nn.DataOf[float32]
 }
 
 // kernelWorkersFor resolves the kernel-pool width for one task: the
 // worker's own pin wins, then the task's coordinator-assigned share, then 0
 // (leave the pool as-is).
 func (w *Worker) kernelWorkersFor(t RPCTask) int {
-	if w.KernelWorkers > 0 {
-		return w.KernelWorkers
-	}
-	return t.KernelWorkers
+	return cmp.Or(max(w.KernelWorkers, 0), t.KernelWorkers)
 }
 
 // appFor returns (building if needed) the application a task needs.
@@ -740,42 +644,27 @@ func (w *Worker) appFor(t RPCTask) (*apps.App, error) {
 		return nil, err
 	}
 	w.appKey, w.app = key, app
-	w.f32Train, w.f32Val = nil, nil
 	return app, nil
 }
 
-// f32Dataset returns (converting and caching on first use) the float32 copy
-// of the worker's current app dataset.
-func (w *Worker) f32Dataset(app *apps.App) (*nn.DataOf[float32], *nn.DataOf[float32]) {
-	w.appMu.Lock()
-	defer w.appMu.Unlock()
-	if w.f32Train == nil {
-		w.f32Train = nn.ConvertData[float32](app.Dataset.Train)
-		w.f32Val = nn.ConvertData[float32](app.Dataset.Val)
-	}
-	return w.f32Train, w.f32Val
-}
-
 // Execute runs one task locally (exported for tests and for embedding the
-// worker in-process).
+// worker in-process). The envelope is the worker's: kernel-pool scoping,
+// dtype and application resolution, the task deadline. The evaluation is
+// nas.Evaluator's, the body every in-process executor runs, its store
+// standing in for the wire: the shipped provider in, the trained bytes out.
 func (w *Worker) Execute(t RPCTask) RPCResult {
 	defer mExecSeconds.Start().Stop()
 	if k := w.kernelWorkersFor(t); k > 0 {
 		// Scoped like the in-process auto-split: set for this evaluation,
 		// restore after, so an operator's process-wide setting survives.
-		prev := parallel.SetWorkers(k)
-		defer parallel.SetWorkers(prev)
+		defer parallel.SetWorkers(parallel.SetWorkers(k))
 	}
 	res := RPCResult{ID: t.ID, WorkerID: w.ID}
 	fail := func(err error) RPCResult {
 		res.Err = err.Error()
 		return res
 	}
-	dtSpec := t.DType
-	if dtSpec == "" {
-		dtSpec = w.DType
-	}
-	dt, err := tensor.ParseDType(dtSpec)
+	dt, err := tensor.ParseDType(cmp.Or(t.DType, w.DType))
 	if err != nil {
 		return fail(err)
 	}
@@ -783,34 +672,9 @@ func (w *Worker) Execute(t RPCTask) RPCResult {
 	if err != nil {
 		return fail(err)
 	}
-	rng := rand.New(rand.NewSource(t.Seed))
-	net, err := app.Space.Build(t.Arch, rng)
-	if err != nil {
-		return fail(err)
-	}
-	res.Params = net.ParamCount()
-	if t.Matcher != "" && len(t.Parent) > 0 {
-		m, ok := core.MatcherByName(t.Matcher)
-		if !ok || m == nil {
-			return fail(fmt.Errorf("cluster: unknown matcher %q", t.Matcher))
-		}
-		parent, err := checkpoint.Decode(bytes.NewReader(t.Parent))
-		if err != nil {
-			return fail(err)
-		}
-		stats, err := core.Transfer(m, parent.Sources(), net)
-		if err != nil {
-			return fail(err)
-		}
-		res.Copied = stats.Copied
-	}
-	epochs := t.PartialEpochs
-	if epochs <= 0 {
-		epochs = app.PartialEpochs
-	}
-	batch := t.BatchSizeHint
-	if batch <= 0 {
-		batch = app.Space.BatchSize
+	matcher, ok := core.MatcherByName(t.Matcher)
+	if !ok {
+		return fail(fmt.Errorf("cluster: unknown matcher %q", t.Matcher))
 	}
 	ctx := context.Background()
 	if t.DeadlineMillis > 0 {
@@ -818,54 +682,37 @@ func (w *Worker) Execute(t RPCTask) RPCResult {
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(t.DeadlineMillis)*time.Millisecond)
 		defer cancel()
 	}
-	fitCfg := nn.FitConfig{Context: ctx, Epochs: epochs, BatchSize: batch, RNG: rng}
-	var model *checkpoint.Model
-	start := time.Now()
-	if dt == tensor.F32 {
-		// Same dtype boundary as the in-process evaluator: built and
-		// warm-started in f64 above, converted once, trained natively in f32.
-		net32, err := nn.ConvertNetwork[float32](net)
-		if err != nil {
+	store := checkpoint.NewMemStore()
+	task := nas.Task{ID: t.ID, Arch: t.Arch, ParentID: -1, Seed: t.Seed}
+	if len(t.Parent) > 0 {
+		// The provider's candidate number does not travel with its bytes;
+		// any slot but the task's own serves.
+		task.ParentID = t.ID + 1
+		if _, err := store.SaveBlob(nas.CandidateID(task.ParentID), t.Parent); err != nil {
 			return fail(err)
 		}
-		loss32, err := nn.ConvertLoss[float32](app.Space.Loss)
-		if err != nil {
-			return fail(err)
-		}
-		metric32, err := nn.ConvertMetric[float32](app.Space.Metric)
-		if err != nil {
-			return fail(err)
-		}
-		train32, val32 := w.f32Dataset(app)
-		h, err := nn.Fit(net32, loss32, metric32, nn.NewAdamOf[float32](), train32, val32, fitCfg)
-		res.TrainMillis = float64(time.Since(start)) / float64(time.Millisecond)
-		if err != nil {
-			return fail(err)
-		}
-		res.Score = h.FinalScore()
-		model = checkpoint.FromNetworkOf(t.Arch, res.Score, net32)
-	} else {
-		h, err := nn.Fit(net, app.Space.Loss, app.Space.Metric, nn.NewAdam(),
-			app.Dataset.Train, app.Dataset.Val, fitCfg)
-		res.TrainMillis = float64(time.Since(start)) / float64(time.Millisecond)
-		if err != nil {
-			return fail(err)
-		}
-		res.Score = h.FinalScore()
-		model = checkpoint.FromNetwork(t.Arch, res.Score, net)
 	}
-	var buf bytes.Buffer
-	if err := model.Encode(&buf); err != nil {
+	eval := nas.Evaluator{App: app, Matcher: matcher, Store: store, Epochs: t.PartialEpochs, DType: dt}
+	r := eval.EvaluateCtx(ctx, task)
+	res.Params, res.Copied = r.Params, r.Transfer.Copied
+	res.TrainMillis = float64(r.TrainTime) / float64(time.Millisecond)
+	if r.Err != nil {
+		return fail(r.Err)
+	}
+	res.Score = r.Score
+	if res.Checkpoint, err = store.LoadBlob(nas.CandidateID(t.ID)); err != nil {
 		return fail(err)
 	}
-	res.Checkpoint = buf.Bytes()
 	return res
 }
 
-// dial opens the coordinator connection, honoring the Dial override.
+// dial opens the coordinator connection, honoring the Dial override and
+// retrying on failure: workers commonly start before the coordinator
+// finishes binding its listener.
 func (w *Worker) dial(addr string) (*rpc.Client, error) {
-	if w.Dial == nil {
-		return dialRetry(addr)
+	dial := w.Dial
+	if dial == nil {
+		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
 	var lastErr error
 	for i := 0; i < dialAttempts; i++ {
@@ -873,7 +720,7 @@ func (w *Worker) dial(addr string) (*rpc.Client, error) {
 			mRPCRetries.Inc()
 			time.Sleep(dialDelay)
 		}
-		conn, err := w.Dial(addr)
+		conn, err := dial(addr)
 		if err == nil {
 			return rpc.NewClient(conn), nil
 		}
@@ -882,10 +729,9 @@ func (w *Worker) dial(addr string) (*rpc.Client, error) {
 	return nil, lastErr
 }
 
-// Run connects to the coordinator (retrying the dial — workers commonly
-// start before the coordinator's listener is up) and processes tasks until
-// shutdown. A side goroutine heartbeats every HeartbeatEvery so the
-// coordinator distinguishes "evaluating a slow candidate" from "dead".
+// Run connects to the coordinator and processes tasks until shutdown. A side
+// goroutine heartbeats every HeartbeatEvery so the coordinator distinguishes
+// "evaluating a slow candidate" from "dead".
 func (w *Worker) Run(addr string) error {
 	client, err := w.dial(addr)
 	if err != nil {
@@ -893,10 +739,7 @@ func (w *Worker) Run(addr string) error {
 	}
 	defer client.Close()
 
-	beatEvery := w.HeartbeatEvery
-	if beatEvery == 0 {
-		beatEvery = 2 * time.Second
-	}
+	beatEvery := cmp.Or(w.HeartbeatEvery, 2*time.Second)
 	stopBeats := make(chan struct{})
 	defer close(stopBeats)
 	if beatEvery > 0 {
@@ -917,6 +760,10 @@ func (w *Worker) Run(addr string) error {
 		}()
 	}
 
+	execute := w.ExecuteHook
+	if execute == nil {
+		execute = func(t RPCTask) (RPCResult, error) { return w.Execute(t), nil }
+	}
 	for {
 		var task RPCTask
 		if err := call(client, "Service.NextTask", w.ID, &task); err != nil {
@@ -925,20 +772,14 @@ func (w *Worker) Run(addr string) error {
 		if task.Shutdown {
 			return nil
 		}
-		var res RPCResult
-		if w.ExecuteHook != nil {
-			var err error
-			res, err = w.ExecuteHook(task)
-			switch {
-			case errors.Is(err, ErrCrash):
-				return nil // drop connection + heartbeats: simulated death
-			case errors.Is(err, ErrDropResult):
-				continue // lose the result, keep serving
-			case err != nil:
-				return fmt.Errorf("cluster: worker %s execute hook: %w", w.ID, err)
-			}
-		} else {
-			res = w.Execute(task)
+		res, err := execute(task)
+		switch {
+		case errors.Is(err, ErrCrash):
+			return nil // drop connection + heartbeats: simulated death
+		case errors.Is(err, ErrDropResult):
+			continue // lose the result, keep serving
+		case err != nil:
+			return fmt.Errorf("cluster: worker %s execute hook: %w", w.ID, err)
 		}
 		var ack bool
 		if err := call(client, "Service.Submit", res, &ack); err != nil {

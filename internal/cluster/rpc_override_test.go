@@ -27,18 +27,6 @@ func TestWorkerHonorsPartialEpochsOverride(t *testing.T) {
 	}
 }
 
-func TestWorkerBatchSizeHint(t *testing.T) {
-	w := &Worker{ID: "w"}
-	task := RPCTask{
-		ID: 1, App: "nt3", DataSeed: 1, TrainN: 32, ValN: 16,
-		Arch: []int{0, 0, 0, 0, 0, 0, 0, 0}, Seed: 5,
-		BatchSizeHint: 8, PartialEpochs: 1,
-	}
-	if res := w.Execute(task); res.Err != "" {
-		t.Fatal(res.Err)
-	}
-}
-
 func TestWorkerTransfersFromInlineParent(t *testing.T) {
 	w := &Worker{ID: "w"}
 	arch := []int{0, 0, 0, 0, 0, 0, 0, 0}

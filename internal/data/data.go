@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"swtnas/internal/nn"
 	"swtnas/internal/tensor"
@@ -36,6 +37,21 @@ type Dataset struct {
 	// NumClasses is the class count for classification tasks, 0 for
 	// regression.
 	NumClasses int
+
+	f32Once          sync.Once
+	f32Train, f32Val *nn.DataOf[float32]
+}
+
+// F32 returns the float32 copy of both splits, converted on first use and
+// shared by every candidate trained on this dataset, so the conversion never
+// sits on a per-candidate path. Targets stay float64 and are shared with the
+// float64 splits.
+func (d *Dataset) F32() (train, val *nn.DataOf[float32]) {
+	d.f32Once.Do(func() {
+		d.f32Train = nn.ConvertData[float32](d.Train)
+		d.f32Val = nn.ConvertData[float32](d.Val)
+	})
+	return d.f32Train, d.f32Val
 }
 
 // Config scales the generated dataset sizes. The zero value selects the

@@ -66,10 +66,6 @@ func (s *Suite) Dist(w io.Writer) ([]DistResult, error) {
 
 	var results []DistResult
 	for _, scheme := range Schemes() {
-		matcher := scheme
-		if scheme == "baseline" {
-			matcher = ""
-		}
 		c := cluster.NewCoordinator()
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -89,7 +85,7 @@ func (s *Suite) Dist(w io.Writer) ([]DistResult, error) {
 			DataSeed:    s.Cfg.Seed,
 			TrainN:      s.Cfg.TrainN,
 			ValN:        s.Cfg.ValN,
-			Matcher:     matcher,
+			Matcher:     scheme,
 			Budget:      s.Cfg.Budget,
 			Outstanding: workers,
 			Seed:        s.Cfg.Seed,

@@ -4,7 +4,7 @@ import (
 	"io"
 	"time"
 
-	"swtnas/internal/cluster"
+	"swtnas/internal/sim"
 	"swtnas/internal/stats"
 )
 
@@ -23,17 +23,17 @@ type Fig10Row struct {
 // paper's reported regime (~6 s training, ~40 MB checkpoints); all other
 // apps keep their measured ratios to NT3. This preserves the quantity that
 // drives Fig 10's shape: checkpoint I/O cost relative to training time.
-func (s *Suite) fig10SimTasks(appName, scheme string, timeScale, byteScale float64) ([]cluster.SimTask, error) {
+func (s *Suite) fig10SimTasks(appName, scheme string, timeScale, byteScale float64) ([]sim.Task, error) {
 	c, err := s.Campaign(appName, scheme)
 	if err != nil {
 		return nil, err
 	}
 	recs := c.Traces[0].Records
 	const want = 400 // paper: 400 candidate evaluations
-	tasks := make([]cluster.SimTask, want)
+	tasks := make([]sim.Task, want)
 	for i := range tasks {
 		r := recs[i%len(recs)]
-		tasks[i] = cluster.SimTask{
+		tasks[i] = sim.Task{
 			TrainTime:       time.Duration(float64(r.TrainTime) * timeScale),
 			CheckpointBytes: int64(float64(r.CheckpointBytes) * byteScale),
 			LoadParent:      scheme != "baseline" && r.ParentID >= 0,
@@ -74,8 +74,8 @@ func (s *Suite) fig10Anchors() (timeScale, byteScale float64, err error) {
 // the Ray object store, whose churn the paper blames for NT3's ~4 s
 // checkpoint loads — captured as a low effective read bandwidth so a 40 MB
 // checkpoint costs ~4 s to load.
-func fig10FS() cluster.FSModel {
-	return cluster.FSModel{
+func fig10FS() sim.FSModel {
+	return sim.FSModel{
 		WriteBandwidth: 200e6,
 		ReadBandwidth:  10e6,
 		PerOpLatency:   50 * time.Millisecond,
@@ -108,7 +108,7 @@ func (s *Suite) Fig10(w io.Writer) ([]Fig10Row, error) {
 				matchOverhead = 100 * time.Millisecond
 			}
 			for _, gpus := range []int{8, 16, 32} {
-				res, err := cluster.Simulate(cluster.SimConfig{
+				res, err := sim.Simulate(sim.Config{
 					GPUs:             gpus,
 					Tasks:            tasks,
 					WriteCheckpoints: scheme != "baseline",

@@ -1,15 +1,20 @@
 package nas
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"swtnas/internal/checkpoint"
 	"swtnas/internal/core"
 	"swtnas/internal/evo"
+	"swtnas/internal/nn"
 	"swtnas/internal/search"
+	"swtnas/internal/tensor"
+	"swtnas/internal/trace"
 )
 
 // badStrategy proposes an invalid architecture to exercise the scheduler's
@@ -107,4 +112,87 @@ func TestRunWithNearestProviderStrategy(t *testing.T) {
 	if transferred == 0 {
 		t.Fatal("nearest-provider search never transferred weights")
 	}
+}
+
+// TestNonFiniteScoreIsFailedRecord: a training run that diverges to a NaN or
+// Inf score takes the failure rule on any executor — recorded as Failed with
+// reason "non-finite score", never reported to the strategy, never ranked —
+// instead of entering the population. The divergence is real and specific
+// to float32: inputs at the top of the float32 range overflow the forward
+// pass into Inf-Inf (no surface exposes a learning rate to explode instead),
+// while the same data trains to finite scores in float64.
+func TestNonFiniteScoreIsFailedRecord(t *testing.T) {
+	run := func(dt tensor.DType) (*trace.Trace, map[int]bool) {
+		app := tinyApp(t, "uno")
+		for _, split := range []*nn.Data{app.Dataset.Train, app.Dataset.Val} {
+			for _, in := range split.Inputs {
+				for i := range in.Data {
+					in.Data[i] *= 1e38
+				}
+			}
+		}
+		reported := map[int]bool{}
+		tr, err := Run(context.Background(), Config{
+			App:      app,
+			DType:    dt,
+			Matcher:  core.LCS{},
+			Strategy: reportSpy{Strategy: evo.NewRegularizedEvolution(app.Space, 3, 2), Seen: reported},
+			Budget:   6,
+			Seed:     5,
+		})
+		if err != nil {
+			t.Fatalf("%s: a diverged candidate must not abort the search: %v", dt, err)
+		}
+		if len(tr.Records) != 6 {
+			t.Fatalf("%s: records = %d, want the full budget of 6", dt, len(tr.Records))
+		}
+		return tr, reported
+	}
+
+	tr, reported := run(tensor.F32)
+	failed := 0
+	for _, r := range tr.Records {
+		if math.IsNaN(r.Score) || math.IsInf(r.Score, 0) {
+			t.Fatalf("f32 record %+v: a non-finite score reached the trace", r)
+		}
+		if r.Failed {
+			failed++
+			if r.FailReason != "non-finite score" || r.Score != 0 {
+				t.Fatalf("f32 record %+v: want reason \"non-finite score\" and a zero score", r)
+			}
+		}
+		if reported[r.ID] == r.Failed {
+			t.Fatalf("candidate %d: failed=%v but reported=%v", r.ID, r.Failed, reported[r.ID])
+		}
+	}
+	// Architectures whose first op saturates (tanh, sigmoid) survive the
+	// overflow; the seed is chosen so that some do not.
+	if failed == 0 {
+		t.Fatal("no f32 candidate diverged; the test exercised nothing")
+	}
+	if top := tr.TopK(len(tr.Records)); len(top) != len(tr.Records)-failed {
+		t.Fatalf("top-K ranks %d of %d records with %d failed", len(top), len(tr.Records), failed)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatalf("trace with diverged candidates does not serialize: %v", err)
+	}
+
+	tr, reported = run(tensor.F64)
+	for _, r := range tr.Records {
+		if r.Failed || !reported[r.ID] {
+			t.Fatalf("f64 record %+v: the same data must train to a finite, reported score", r)
+		}
+	}
+}
+
+// reportSpy records which candidates the scheduler reported to a strategy.
+type reportSpy struct {
+	evo.Strategy
+	Seen map[int]bool
+}
+
+func (s reportSpy) Report(ind evo.Individual) {
+	s.Seen[ind.ID] = true
+	s.Strategy.Report(ind)
 }

@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"swtnas/internal/apps"
@@ -98,12 +97,46 @@ type Result struct {
 	// rather than evaluated in this process.
 	Resumed bool
 	Err     error
+	// Failed marks a terminal failure the search survives: an executor with
+	// a retry budget sets it once the budget is spent (Err is the last
+	// cause), and the scheduler sets it on a non-finite score. Run records
+	// such a result as a Failed trace record, never reports it to the
+	// strategy, and continues; an Err without Failed aborts the run.
+	Failed bool
+}
+
+// errNonFinite is the failure reason of a candidate whose training diverged.
+var errNonFinite = errors.New("non-finite score")
+
+// Record renders the result as its trace record; a Failed result carries its
+// reason.
+func (r Result) Record() trace.Record {
+	rec := trace.Record{
+		ID:              r.ID,
+		Arch:            r.Arch,
+		Score:           r.Score,
+		ShapeSeq:        r.ShapeSeq,
+		Params:          r.Params,
+		ParentID:        r.ParentID,
+		TransferCopied:  r.Transfer.Copied,
+		TrainTime:       r.TrainTime,
+		CheckpointBytes: r.CheckpointBytes,
+		CompletedAt:     r.CompletedAt,
+		EvalTime:        r.EvalTime,
+		QueueWait:       r.QueueWait,
+		ProxyScore:      r.ProxyScore,
+	}
+	if r.Failed {
+		rec.Failed, rec.FailReason = true, r.Err.Error()
+	}
+	return rec
 }
 
 // Evaluator scores candidates for one application. An Evaluator is
-// stateless between calls except for the shared checkpoint store and the
-// lazily converted float32 dataset, so any number of Evaluate calls may run
-// concurrently.
+// stateless between calls except for the shared checkpoint store, so any
+// number of Evaluate calls may run concurrently. It is the one evaluation
+// body of the repo: Run's executors call it in-process, cluster.Worker calls
+// it behind the RPC envelope.
 type Evaluator struct {
 	// App supplies the space, dataset and training budget.
 	App *apps.App
@@ -121,12 +154,6 @@ type Evaluator struct {
 	// checkpoint is stored natively in float32. The zero value trains in
 	// float64 as always. See DESIGN.md §14.
 	DType tensor.DType
-
-	// f32Data lazily caches the float32 copy of the app's dataset so the
-	// conversion happens once per evaluator, not once per candidate.
-	f32Once  sync.Once
-	f32Train *nn.DataOf[float32]
-	f32Val   *nn.DataOf[float32]
 }
 
 // Evaluate runs one candidate end to end. Transfer failures are not fatal:
@@ -230,7 +257,7 @@ func (e *Evaluator) evaluate(ctx context.Context, task Task) Result {
 // fitF32 is the float32 leg of evaluate: the candidate built (and possibly
 // warm-started) in float64 is converted exactly once, trained natively in
 // float32, and snapshotted into a tensor.F32-tagged checkpoint that stores
-// at 4 bytes per element. The dataset conversion is cached on the evaluator.
+// at 4 bytes per element. The dataset conversion is cached on the dataset.
 func (e *Evaluator) fitF32(arch search.Arch, net *nn.Network, cfg nn.FitConfig) (float64, *checkpoint.Model, error) {
 	net32, err := nn.ConvertNetwork[float32](net)
 	if err != nil {
@@ -244,23 +271,13 @@ func (e *Evaluator) fitF32(arch search.Arch, net *nn.Network, cfg nn.FitConfig) 
 	if err != nil {
 		return 0, nil, err
 	}
-	train32, val32 := e.f32Dataset()
+	train32, val32 := e.App.Dataset.F32()
 	h, err := nn.Fit(net32, loss32, metric32, nn.NewAdamOf[float32](), train32, val32, cfg)
 	if err != nil {
 		return 0, nil, err
 	}
 	score := h.FinalScore()
 	return score, checkpoint.FromNetworkOf(arch, score, net32), nil
-}
-
-// f32Dataset converts the app's dataset to float32 once and reuses it for
-// every candidate this evaluator trains.
-func (e *Evaluator) f32Dataset() (*nn.DataOf[float32], *nn.DataOf[float32]) {
-	e.f32Once.Do(func() {
-		e.f32Train = nn.ConvertData[float32](e.App.Dataset.Train)
-		e.f32Val = nn.ConvertData[float32](e.App.Dataset.Val)
-	})
-	return e.f32Train, e.f32Val
 }
 
 // Config parameterizes a search run.
@@ -362,10 +379,13 @@ func SchemeName(m core.Matcher) string {
 	return m.Name()
 }
 
-// Run executes a candidate-estimation phase and returns its trace.
-// Evaluation errors abort the run: every architecture in the shipped spaces
-// is buildable, so an error indicates a real defect rather than a bad
-// candidate.
+// Run executes a candidate-estimation phase and returns its trace. It is the
+// one search loop: the local executor, a SharedPool client and a
+// cluster.Coordinator binding differ only in where Evaluator.EvaluateCtx
+// runs. Evaluation errors abort the run: every architecture in the shipped
+// spaces is buildable, so an error indicates a real defect rather than a bad
+// candidate. The exception is a result marked Failed (see Result.Failed): it
+// becomes a Failed trace record and the search continues without it.
 //
 // Cancelling ctx stops the search promptly: evaluations in flight stop at
 // the next minibatch boundary (their partial candidates are dropped, not
@@ -511,7 +531,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 
 	best := math.Inf(-1)
 	for _, r := range tr.Records {
-		if r.Score > best {
+		if !r.Failed && r.Score > best {
 			best = r.Score
 		}
 	}
@@ -530,40 +550,46 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	for inflight > 0 {
 		res := <-results
 		inflight--
-		if res.Err != nil {
+		if res.Err == nil && (math.IsNaN(res.Score) || math.IsInf(res.Score, 0)) {
+			// A diverged training run ends like a spent retry budget: it
+			// must not reach the population, the surrogate or a Pareto
+			// front, and a NaN would not survive the trace's JSON.
+			res.Failed, res.Err, res.Score = true, errNonFinite, 0
+		}
+		if res.Err != nil && !res.Failed {
 			if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
 				continue // cancelled mid-training or skipped in queue; keep draining
 			}
 			return nil, res.Err
 		}
 		res.CompletedAt = time.Since(start)
-		if res.Score > best {
-			best = res.Score
-		}
-		res.BestScore = best
 		res.ProxyScore = proxyScores[res.ID]
 		delete(proxyScores, res.ID)
 		gc.taskDone(res.ParentID)
-		gc.completed(res.ID, res.Score)
-		strategy.Report(evo.Individual{ID: res.ID, Arch: res.Arch, Score: res.Score, Params: res.Params})
-		tr.Records = append(tr.Records, trace.Record{
-			ID:              res.ID,
-			Arch:            res.Arch,
-			Score:           res.Score,
-			ShapeSeq:        res.ShapeSeq,
-			Params:          res.Params,
-			ParentID:        res.ParentID,
-			TransferCopied:  res.Transfer.Copied,
-			TrainTime:       res.TrainTime,
-			CheckpointBytes: res.CheckpointBytes,
-			CompletedAt:     res.CompletedAt,
-			EvalTime:        res.EvalTime,
-			QueueWait:       res.QueueWait,
-			ProxyScore:      res.ProxyScore,
-		})
+		if res.Failed {
+			// The failure rule, the same for every executor: the candidate
+			// spent its budget slot and is recorded, and the search goes on
+			// without it.
+			if !math.IsInf(best, -1) {
+				res.BestScore = best
+			}
+		} else {
+			if res.Score > best {
+				best = res.Score
+			}
+			res.BestScore = best
+			gc.completed(res.ID, res.Score)
+			strategy.Report(evo.Individual{ID: res.ID, Arch: res.Arch, Score: res.Score, Params: res.Params})
+		}
+		tr.Records = append(tr.Records, res.Record())
 		if cfg.Journal != nil {
 			rec := resilience.EvalRecord{Record: tr.Records[len(tr.Records)-1]}
-			if ms, ok := store.(checkpoint.ManifestStore); ok && ms.DurableBlobs() {
+			switch ms, ok := store.(checkpoint.ManifestStore); {
+			case res.Failed:
+				// No checkpoint to carry, but the record must be there: this
+				// completion triggers a proposal like any other, and replay
+				// can only mirror the issue order the journal shows.
+			case ok && ms.DurableBlobs():
 				// Manifest record: the blobs are already durable in the
 				// content-addressed store, so the journal carries only the
 				// layer→hash table — the per-candidate growth the paper's
@@ -574,7 +600,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 					return nil, fmt.Errorf("nas: journaling candidate %d: %w", res.ID, err)
 				}
 				rec.Manifest = man
-			} else {
+			default:
 				blob, err := checkpoint.LoadEncoded(store, CandidateID(res.ID))
 				if err != nil {
 					return nil, fmt.Errorf("nas: journaling candidate %d: %w", res.ID, err)

@@ -42,9 +42,12 @@ type EvalFunc func(context.Context, Task) Result
 // Executor abstracts where a search's candidate evaluations run: Run's
 // built-in per-search worker goroutines (the default), or a PoolClient on a
 // SharedPool whose evaluator slots are fairly divided between many
-// concurrent searches. Submit must not block the scheduler: the result is
-// delivered to out (whose capacity covers every in-flight task) exactly
-// once, possibly after Run has returned.
+// concurrent searches, or a cluster.Coordinator binding that ships tasks to
+// TCP workers. Submit must not block the scheduler: the result is delivered
+// to out (whose capacity covers every in-flight task) exactly once, possibly
+// after Run has returned. An executor that retries marks the result of a
+// task whose budget is spent as Failed; one that does not returns the error
+// bare, which aborts the search.
 type Executor interface {
 	Submit(ctx context.Context, t Task, eval EvalFunc, out chan<- Result)
 }
@@ -126,8 +129,9 @@ type ClientConfig struct {
 	Concurrency int
 	// MaxAttempts bounds executions per task: a task whose evaluation
 	// errors (or panics) is requeued with a FaultRequeue event until the
-	// budget is spent, then delivered with its error and a FaultFailed
-	// event. Default 1 — errors surface immediately.
+	// budget is spent, then delivered with its error, marked Failed, beside
+	// a FaultFailed event — the search continues without it. Default 1 —
+	// no retries, and an error aborts the search like the local executor's.
 	MaxAttempts int
 	// OnFault, when non-nil, receives requeue/failed events for this
 	// client's tasks. Called from pool slots, outside pool locks; it must
@@ -312,6 +316,7 @@ func (p *SharedPool) worker(slot string) {
 		if retriable {
 			mPoolFailed.Inc()
 			c.fault(FaultEvent{Kind: FaultFailed, Worker: slot, CandidateID: it.task.ID, Reason: res.Err.Error(), Attempt: it.attempt + 1})
+			res.Failed = c.cfg.MaxAttempts > 1
 		} else {
 			mPoolCompleted.Inc()
 			if obs.Enabled() {

@@ -66,12 +66,20 @@ func replayJournal(cfg Config, strategy evo.Strategy, store checkpoint.Store, gc
 		if !archsEqual(t.Arch, r.Arch) {
 			return nil, 0, fmt.Errorf("nas: journal candidate %d has arch %v, replay proposed %v — journal and run options disagree", r.ID, r.Arch, t.Arch)
 		}
-		if err := restoreCheckpoint(store, er, gc != nil); err != nil {
-			return nil, 0, err
-		}
 		gc.taskDone(t.ParentID)
-		gc.completed(r.ID, r.Score)
-		strategy.Report(evo.Individual{ID: r.ID, Arch: r.Arch, Score: r.Score, Params: r.Params})
+		var failure error
+		if r.Failed {
+			// A candidate the crashed run went on without stays lost: no
+			// checkpoint, no report — only the proposal its completion
+			// triggered, mirrored below.
+			failure = errors.New(r.FailReason)
+		} else {
+			if err := restoreCheckpoint(store, er, gc != nil); err != nil {
+				return nil, 0, err
+			}
+			gc.completed(r.ID, r.Score)
+			strategy.Report(evo.Individual{ID: r.ID, Arch: r.Arch, Score: r.Score, Params: r.Params})
+		}
 		tr.Records = append(tr.Records, r)
 		delete(open, r.ID)
 		if issued < cfg.Budget {
@@ -84,7 +92,7 @@ func replayJournal(cfg Config, strategy evo.Strategy, store checkpoint.Store, gc
 		// layer's SSE replay on top of it) sees the full history of a
 		// resumed run, each journaled candidate marked Resumed, with the
 		// original run's timings preserved.
-		if r.Score > best {
+		if !r.Failed && r.Score > best {
 			best = r.Score
 		}
 		if cfg.Progress != nil {
@@ -104,6 +112,8 @@ func replayJournal(cfg Config, strategy evo.Strategy, store checkpoint.Store, gc
 				BestScore:       best,
 				ProxyScore:      r.ProxyScore,
 				Resumed:         true,
+				Failed:          r.Failed,
+				Err:             failure,
 			})
 		}
 	}

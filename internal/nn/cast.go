@@ -125,9 +125,9 @@ func ConvertMetric[To tensor.Float](m Metric) (MetricOf[To], error) {
 
 // ConvertData converts a dataset split's input tensors to To. Targets are
 // always float64 (class indices / regression values) and are shared, not
-// copied. Evaluators convert each dataset once and reuse the result for
-// every candidate (internal/nas), so the conversion never sits on a
-// per-candidate hot path.
+// copied. data.Dataset.F32 converts each dataset once and every candidate
+// reuses the result, so the conversion never sits on a per-candidate hot
+// path.
 func ConvertData[To tensor.Float](d *Data) *DataOf[To] {
 	out := &DataOf[To]{Targets: d.Targets}
 	for _, in := range d.Inputs {

@@ -85,15 +85,18 @@ func TestSearchSurvivesWorkerCrashes(t *testing.T) {
 
 	c, stop := startInjectedCluster(t, 4, sched)
 	defer stop()
+	// The budget leaves a dozen tasks for the three workers still alive
+	// after the first crash, so the one scheduled to die at its second task
+	// is handed a second task on any scheduling.
 	tr, err := cluster.RunDistributed(c, cluster.DistConfig{
 		App: "nt3", DataSeed: 1, TrainN: 32, ValN: 16,
-		Matcher: "LCS", Budget: 8, Outstanding: 4, Seed: 3, N: 3, S: 2,
+		Matcher: "LCS", Budget: 16, Outstanding: 4, Seed: 3, N: 3, S: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tr.Records) != 8 {
-		t.Fatalf("records = %d, want the full budget of 8", len(tr.Records))
+	if len(tr.Records) != 16 {
+		t.Fatalf("records = %d, want the full budget of 16", len(tr.Records))
 	}
 	for _, r := range tr.Records {
 		if r.Failed {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -578,6 +579,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			fail(w, http.StatusInternalServerError, "", err.Error())
 			return
 		}
+		all = slices.DeleteFunc(all, func(c swtnas.Candidate) bool { return c.Failed })
 		sort.SliceStable(all, func(i, j int) bool {
 			if all[i].Score != all[j].Score {
 				return all[i].Score > all[j].Score
@@ -723,17 +725,21 @@ func (s *Server) journalCandidates(st *searchState) ([]swtnas.Candidate, error) 
 	best := math.Inf(-1)
 	for _, er := range rec.Records {
 		r := er.Record
-		if r.Score > best {
+		if !r.Failed && r.Score > best {
 			best = r.Score
 		}
-		cands = append(cands, candidateFromRecord(r, best))
+		c := candidateFromRecord(r)
+		if !math.IsInf(best, -1) {
+			c.BestScore = best
+		}
+		cands = append(cands, c)
 	}
 	return cands, nil
 }
 
 // candidateFromRecord maps a journaled trace record onto the wire candidate
 // form, Resumed set: it was evaluated by an earlier process.
-func candidateFromRecord(r trace.Record, best float64) swtnas.Candidate {
+func candidateFromRecord(r trace.Record) swtnas.Candidate {
 	return swtnas.Candidate{
 		ID:                r.ID,
 		Arch:              r.Arch,
@@ -746,8 +752,9 @@ func candidateFromRecord(r trace.Record, best float64) swtnas.Candidate {
 		CompletedAt:       r.CompletedAt,
 		EvalTime:          r.EvalTime,
 		QueueWait:         r.QueueWait,
-		BestScore:         best,
 		Resumed:           true,
 		ProxyScore:        r.ProxyScore,
+		Failed:            r.Failed,
+		FailReason:        r.FailReason,
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"swtnas"
+	"swtnas/internal/resilience"
+	"swtnas/internal/trace"
 )
 
 // testSubmit is the canonical small search the lifecycle tests run: Workers=1
@@ -560,5 +562,41 @@ func TestTenantProxyDefaults(t *testing.T) {
 	}
 	if !strings.Contains(string(meta), `"proxy_filter": true`) {
 		t.Fatalf("metadata does not persist the materialized mode:\n%s", meta)
+	}
+}
+
+// TestJournalCandidatesCarryFailed: a journaled Failed record (a lost or
+// diverged candidate) reaches the wire marked Failed, does not move the
+// running best, and leaves the payload encodable even when it comes first.
+func TestJournalCandidatesCarryFailed(t *testing.T) {
+	dir := t.TempDir()
+	j, err := resilience.Create(filepath.Join(dir, "s1.swtj"), resilience.Header{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []trace.Record{
+		{ID: 0, Failed: true, FailReason: "non-finite score"},
+		{ID: 1, Score: -0.5},
+	} {
+		if err := j.Append(resilience.EvalRecord{Record: r}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := &Server{dir: dir}
+	cands, err := s.journalCandidates(&searchState{id: "s1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cands) != 2 || !cands[0].Failed || cands[0].FailReason != "non-finite score" || cands[0].BestScore != 0 {
+		t.Fatalf("candidates = %+v, want a Failed first record with no best yet", cands)
+	}
+	if cands[1].Failed || cands[1].BestScore != -0.5 {
+		t.Fatalf("candidate 1 = %+v, want best -0.5 (the failed record's zero score must not count)", cands[1])
+	}
+	if _, err := json.Marshal(cands); err != nil {
+		t.Fatalf("payload does not encode: %v", err)
 	}
 }

@@ -1,31 +1,33 @@
-package cluster
+package sim
 
 import (
 	"testing"
 	"time"
 )
 
-func uniformTasks(n int, train time.Duration, ckpt int64, loadParent bool) []SimTask {
-	tasks := make([]SimTask, n)
+// ioTasks is uniformTasks with checkpoint traffic: every task writes ckpt
+// bytes and, past the first eight, reads a parent of the same size.
+func ioTasks(n int, train time.Duration, ckpt int64, loadParent bool) []Task {
+	tasks := make([]Task, n)
 	for i := range tasks {
-		tasks[i] = SimTask{TrainTime: train, CheckpointBytes: ckpt, LoadParent: loadParent && i >= 8}
+		tasks[i] = Task{TrainTime: train, CheckpointBytes: ckpt, LoadParent: loadParent && i >= 8}
 	}
 	return tasks
 }
 
 func TestSimulateValidation(t *testing.T) {
-	if _, err := Simulate(SimConfig{GPUs: 0, Tasks: uniformTasks(1, time.Second, 1, false)}); err == nil {
+	if _, err := Simulate(Config{GPUs: 0, Tasks: ioTasks(1, time.Second, 1, false)}); err == nil {
 		t.Fatal("zero GPUs must error")
 	}
-	if _, err := Simulate(SimConfig{GPUs: 4}); err == nil {
+	if _, err := Simulate(Config{GPUs: 4}); err == nil {
 		t.Fatal("no tasks must error")
 	}
 }
 
 func TestSimulateSingleGPUSequential(t *testing.T) {
-	res, err := Simulate(SimConfig{
+	res, err := Simulate(Config{
 		GPUs:  1,
-		Tasks: uniformTasks(10, time.Second, 0, false),
+		Tasks: ioTasks(10, time.Second, 0, false),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +42,7 @@ func TestSimulateSingleGPUSequential(t *testing.T) {
 
 func TestSimulatePerfectScalingWithoutIO(t *testing.T) {
 	mk := func(gpus int) time.Duration {
-		res, err := Simulate(SimConfig{GPUs: gpus, Tasks: uniformTasks(64, time.Second, 0, false)})
+		res, err := Simulate(Config{GPUs: gpus, Tasks: ioTasks(64, time.Second, 0, false)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,10 +56,10 @@ func TestSimulatePerfectScalingWithoutIO(t *testing.T) {
 func TestSimulateCheckpointOverheadSmallForLongTraining(t *testing.T) {
 	// CIFAR-like regime: training dominates I/O -> overhead fraction tiny
 	// and scaling near-linear (paper Fig 10 left).
-	run := func(gpus int) SimResult {
-		res, err := Simulate(SimConfig{
+	run := func(gpus int) Result {
+		res, err := Simulate(Config{
 			GPUs:             gpus,
-			Tasks:            uniformTasks(400, 30*time.Second, 200_000, true),
+			Tasks:            ioTasks(400, 30*time.Second, 200_000, true),
 			WriteCheckpoints: true,
 			MatchOverhead:    50 * time.Millisecond,
 		})
@@ -82,9 +84,9 @@ func TestSimulateNT3CheckpointBottleneck(t *testing.T) {
 	// scaling from 16 to 32 GPUs.
 	fs := FSModel{WriteBandwidth: 50e6, ReadBandwidth: 50e6, PerOpLatency: 100 * time.Millisecond, Serialized: true}
 	run := func(gpus int) time.Duration {
-		res, err := Simulate(SimConfig{
+		res, err := Simulate(Config{
 			GPUs:             gpus,
-			Tasks:            uniformTasks(400, 6*time.Second, 40_000_000, true),
+			Tasks:            ioTasks(400, 6*time.Second, 40_000_000, true),
 			WriteCheckpoints: true,
 			MatchOverhead:    100 * time.Millisecond,
 			FS:               fs,
@@ -108,12 +110,12 @@ func TestSimulateBaselineFasterThanTransferSchemes(t *testing.T) {
 	// Same training times; the transfer scheme adds checkpoint I/O, so it
 	// must take at least as long (paper: "our schemes have a constant time
 	// overhead").
-	tasks := uniformTasks(100, 2*time.Second, 5_000_000, true)
-	base, err := Simulate(SimConfig{GPUs: 8, Tasks: tasks})
+	tasks := ioTasks(100, 2*time.Second, 5_000_000, true)
+	base, err := Simulate(Config{GPUs: 8, Tasks: tasks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lcs, err := Simulate(SimConfig{GPUs: 8, Tasks: tasks, WriteCheckpoints: true, MatchOverhead: 100 * time.Millisecond})
+	lcs, err := Simulate(Config{GPUs: 8, Tasks: tasks, WriteCheckpoints: true, MatchOverhead: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +127,9 @@ func TestSimulateBaselineFasterThanTransferSchemes(t *testing.T) {
 func TestSimulateSchedulerLatencyFloors(t *testing.T) {
 	// 64 tasks of 1s on 64 GPUs with a 0.5s serialized dispatch: the
 	// last task cannot start before 64*0.5 = 32s.
-	res, err := Simulate(SimConfig{
+	res, err := Simulate(Config{
 		GPUs:             64,
-		Tasks:            uniformTasks(64, time.Second, 0, false),
+		Tasks:            ioTasks(64, time.Second, 0, false),
 		SchedulerLatency: 500 * time.Millisecond,
 	})
 	if err != nil {
@@ -137,7 +139,7 @@ func TestSimulateSchedulerLatencyFloors(t *testing.T) {
 		t.Fatalf("makespan = %v, want >= 32s dispatch floor", res.Makespan)
 	}
 	// Without dispatch latency the same workload takes ~1s.
-	res2, err := Simulate(SimConfig{GPUs: 64, Tasks: uniformTasks(64, time.Second, 0, false)})
+	res2, err := Simulate(Config{GPUs: 64, Tasks: ioTasks(64, time.Second, 0, false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,11 +153,11 @@ func TestSimulateParallelFSNoContention(t *testing.T) {
 	// different GPUs do not queue: 8 identical tasks on 8 GPUs finish in
 	// exactly read+train+write.
 	fs := FSModel{WriteBandwidth: 10e6, ReadBandwidth: 10e6, PerOpLatency: 0, Serialized: false}
-	tasks := make([]SimTask, 8)
+	tasks := make([]Task, 8)
 	for i := range tasks {
-		tasks[i] = SimTask{TrainTime: time.Second, CheckpointBytes: 10_000_000, LoadParent: true}
+		tasks[i] = Task{TrainTime: time.Second, CheckpointBytes: 10_000_000, LoadParent: true}
 	}
-	res, err := Simulate(SimConfig{GPUs: 8, Tasks: tasks, WriteCheckpoints: true, FS: fs})
+	res, err := Simulate(Config{GPUs: 8, Tasks: tasks, WriteCheckpoints: true, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,20 +166,11 @@ func TestSimulateParallelFSNoContention(t *testing.T) {
 	}
 	// The same workload on a serialized FS must be slower.
 	fs.Serialized = true
-	res2, err := Simulate(SimConfig{GPUs: 8, Tasks: tasks, WriteCheckpoints: true, FS: fs})
+	res2, err := Simulate(Config{GPUs: 8, Tasks: tasks, WriteCheckpoints: true, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Makespan <= res.Makespan {
 		t.Fatalf("serialized FS (%v) not slower than parallel (%v)", res2.Makespan, res.Makespan)
-	}
-}
-
-func TestNodeTypesMatchTableII(t *testing.T) {
-	if NodeTypeA.GPUs != 8 || NodeTypeA.GPUMemGB != 40 {
-		t.Fatalf("node A = %+v", NodeTypeA)
-	}
-	if NodeTypeB.GPUs != 2 || NodeTypeB.GPUMemGB != 12 {
-		t.Fatalf("node B = %+v", NodeTypeB)
 	}
 }

@@ -103,6 +103,33 @@ type Candidate struct {
 	// sentinel -1 (rejected proposals never receive candidate numbers).
 	// Only filtered progress events carry it; Result.Candidates never does.
 	Filtered bool `json:"filtered,omitempty"`
+	// Failed marks a candidate the search went on without: every attempt of
+	// its retry budget failed, or its training diverged to a non-finite
+	// score (FailReason says which). It consumed budget, has no score, never
+	// ranks in Best, TopK or ParetoFront, and stays failed across a resume.
+	Failed     bool   `json:"failed,omitempty"`
+	FailReason string `json:"fail_reason,omitempty"`
+}
+
+// candidateOf renders one trace record as a Candidate; BestScore and Resumed
+// are the caller's to fill.
+func candidateOf(r trace.Record) Candidate {
+	return Candidate{
+		ID:                r.ID,
+		Arch:              r.Arch,
+		Score:             r.Score,
+		Params:            r.Params,
+		ParentID:          r.ParentID,
+		TransferredLayers: r.TransferCopied,
+		TrainTime:         r.TrainTime,
+		CheckpointBytes:   r.CheckpointBytes,
+		CompletedAt:       r.CompletedAt,
+		EvalTime:          r.EvalTime,
+		QueueWait:         r.QueueWait,
+		ProxyScore:        r.ProxyScore,
+		Failed:            r.Failed,
+		FailReason:        r.FailReason,
+	}
 }
 
 // LatencyStats is the compact count/mean/p50/p95/max form SearchSummary
@@ -229,6 +256,9 @@ func summarize(tr *trace.Trace, wall time.Duration, before *obs.Snapshot, pf *pr
 	}
 	best := math.Inf(-1)
 	for _, r := range tr.Records {
+		if r.Failed {
+			continue
+		}
 		if r.Score > best {
 			best = r.Score
 		}
