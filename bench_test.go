@@ -451,32 +451,6 @@ func BenchmarkAblationProviderSelection(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStoreMemVsDisk measures checkpoint save+load on the two
-// store backends (the Fig 10/11 overhead discussion).
-func BenchmarkAblationStoreMemVsDisk(b *testing.B) {
-	provider, _ := benchNets(b)
-	m := checkpoint.FromNetwork([]int{1}, 0.5, provider)
-	run := func(b *testing.B, store checkpoint.Store) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			if _, err := store.Save("cand", m); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := store.Load("cand"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("mem", func(b *testing.B) { run(b, checkpoint.NewMemStore()) })
-	b.Run("disk", func(b *testing.B) {
-		store, err := checkpoint.NewDiskStore(b.TempDir())
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, store)
-	})
-}
-
 // BenchmarkAblationPopulationSize sweeps the evolution population size, an
 // explicit knob of the paper's Section VII-C (N=64, S=32).
 func BenchmarkAblationPopulationSize(b *testing.B) {
@@ -573,34 +547,6 @@ func BenchmarkAblationOneShotTau(b *testing.B) {
 		b.ReportMetric(tauOne, "oneshot-tau")
 		b.ReportMetric(tauScratch, "scratch-tau")
 		b.ReportMetric(float64(super.Entries()), "supernet-slots")
-	}
-}
-
-// BenchmarkAblationCheckpointEncodings compares the checkpoint encodings
-// (raw / f32 / gzip / f32+gzip) on size and round-trip cost — the efficient
-// checkpointing direction of the paper's conclusion (VELOC / DeepSZ).
-func BenchmarkAblationCheckpointEncodings(b *testing.B) {
-	provider, _ := benchNets(b)
-	m := checkpoint.FromNetwork([]int{1, 2}, 0.5, provider)
-	for _, enc := range []checkpoint.Encoding{
-		checkpoint.EncodingRaw, checkpoint.EncodingF32,
-		checkpoint.EncodingGzip, checkpoint.EncodingF32Gzip,
-	} {
-		enc := enc
-		b.Run(enc.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var buf bytes.Buffer
-				if err := m.EncodeWith(&buf, enc); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := checkpoint.Decode(bytes.NewReader(buf.Bytes())); err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.ReportMetric(float64(buf.Len()), "bytes")
-				}
-			}
-		})
 	}
 }
 

@@ -399,10 +399,9 @@ func (s *SearchHandle) search(ctx context.Context, client *nas.PoolClient) (*Res
 			return nil, err
 		}
 	case opt.JournalPath != "":
-		// Journaling without an explicit checkpoint dir: keep the blobs in a
-		// content-addressed store next to the journal, so the journal can
-		// carry manifest records instead of a full checkpoint per candidate
-		// and resume finds the blobs where the crashed run left them.
+		// Journaling without an explicit checkpoint dir: a journal record is
+		// a manifest, so keep the blobs in a content-addressed store next to
+		// the journal, where resume finds them as the crashed run left them.
 		store, err = checkpoint.NewCASDiskStore(opt.JournalPath + ".blobs")
 		if err != nil {
 			return nil, err

@@ -61,17 +61,24 @@ func decodeTensorBlob(b []byte, dt tensor.DType) ([]float64, error) {
 	if len(b)%w != 0 {
 		return nil, fmt.Errorf("checkpoint: blob length %d is not a multiple of %d", len(b), w)
 	}
-	data := make([]float64, len(b)/w)
+	return appendTensorBlob(make([]float64, 0, len(b)/w), b, dt), nil
+}
+
+// appendTensorBlob decodes b, a whole number of dt-wide values, onto dst.
+func appendTensorBlob(dst []float64, b []byte, dt tensor.DType) []float64 {
+	n := len(dst)
+	dst = append(dst, make([]float64, len(b)/dt.Size())...)
+	data := dst[n:]
 	if dt == tensor.F32 {
 		for i := range data {
 			data[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
 		}
-		return data, nil
+		return dst
 	}
 	for i := range data {
 		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
-	return data, nil
+	return dst
 }
 
 // ManifestTensor references one tensor of a manifest by content hash.
@@ -193,11 +200,10 @@ const (
 )
 
 // EncodeManifest serializes the manifest ("SWTM" binary format). Manifests
-// are a few hundred bytes — the journal's delta records carry them in place
-// of full checkpoints. Float64 manifests write the version-1 layout
-// byte-for-byte as before; a non-default DType writes version 2, which adds
-// the dtype after the version field so journal replay resolves blobs at the
-// right width.
+// are a few hundred bytes — the journal's evaluation records carry them, the
+// tensor blobs staying in the store. Float64 manifests write the version-1
+// layout; a non-default DType writes version 2, which adds the dtype after
+// the version field so journal replay resolves blobs at the right width.
 func EncodeManifest(mf *Manifest) ([]byte, error) {
 	if !mf.DType.Valid() {
 		return nil, fmt.Errorf("checkpoint: invalid manifest dtype %d", uint8(mf.DType))
@@ -256,7 +262,8 @@ func EncodeManifest(mf *Manifest) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeManifest parses an encoded manifest.
+// DecodeManifest parses an encoded manifest, rejecting negative or
+// implausibly large tensor shapes.
 func DecodeManifest(b []byte) (*Manifest, error) {
 	r := bytes.NewReader(b)
 	head := make([]byte, 4)
@@ -275,15 +282,9 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	}
 	mf := &Manifest{}
 	if ver == manifestVersion2 {
-		dtU, err := readU32(r)
-		if err != nil {
+		if mf.DType, err = readDType(r); err != nil {
 			return nil, err
 		}
-		dt := tensor.DType(uint8(dtU))
-		if dtU > 0xff || !dt.Valid() {
-			return nil, fmt.Errorf("checkpoint: invalid manifest dtype %d", dtU)
-		}
-		mf.DType = dt
 	}
 	if mf.Arch, err = readIntSlice(r); err != nil {
 		return nil, err
@@ -320,7 +321,7 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 			if t.Name, err = readString(r); err != nil {
 				return nil, err
 			}
-			if t.Shape, err = readIntSlice(r); err != nil {
+			if t.Shape, _, err = readShape(r); err != nil {
 				return nil, err
 			}
 			if _, err := io.ReadFull(r, t.Hash[:]); err != nil {

@@ -24,9 +24,8 @@ var ErrMissingBlob = errors.New("checkpoint: blob missing")
 
 // ManifestStore is implemented by content-addressed stores that can expose a
 // candidate checkpoint as a manifest (layer→hash table) and re-register a
-// manifest whose blobs they already hold. The resilience journal uses it to
-// write delta records — a manifest instead of a full checkpoint — and to
-// resolve them again on resume.
+// manifest whose blobs they already hold. The resilience journal's
+// evaluation records carry that manifest, and resume resolves it again.
 type ManifestStore interface {
 	Store
 	// EncodedManifest returns the stored id's encoded manifest.
@@ -36,7 +35,7 @@ type ManifestStore interface {
 	// surfaces as an error wrapping ErrMissingBlob.
 	AdoptManifest(id string, manifest []byte) error
 	// DurableBlobs reports whether blobs survive a process crash — the
-	// precondition for journaling manifests instead of full checkpoints.
+	// precondition for journaling a search on this store.
 	DurableBlobs() bool
 }
 
@@ -550,8 +549,8 @@ func (b *casMemBackend) durable() bool { return false }
 
 // casDiskBackend lays the store out as dir/manifests/<id>.swtm and
 // dir/blobs/<hex>.blob. Writes go through temp file + fsync + rename so a
-// crash never leaves a torn blob or manifest, and journal delta records can
-// rely on blobs being durable once Save returns.
+// crash never leaves a torn blob or manifest, and journal records can rely
+// on blobs being durable once Save returns.
 type casDiskBackend struct {
 	dir, blobDir, manDir string
 }

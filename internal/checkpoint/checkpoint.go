@@ -4,21 +4,23 @@
 // checkpoint back to warm-start training.
 //
 // The paper stores HDF5 files on a parallel file system; this package uses
-// an equivalent self-describing binary tensor archive ("SWTC") with both an
-// in-memory store and an on-disk store, so checkpoint sizes (Fig 11) and
-// load/store overheads (Fig 10) are measurable.
+// an equivalent self-describing binary tensor archive ("SWTC", one
+// dtype-tagged stream for float64 and float32 models alike) and three stores,
+// so checkpoint sizes (Fig 11) and load/store overheads (Fig 10) are
+// measurable: MemStore keeps whole encoded streams (the distributed path
+// ships them over the wire as they are), and the content-addressed CASStore
+// keeps one blob per tensor plus a small "SWTM" manifest per candidate, in
+// memory (NewCASMemStore, a search's default) or durably on disk
+// (NewCASDiskStore, the store a journaled search needs).
 package checkpoint
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"swtnas/internal/core"
 	"swtnas/internal/nn"
-	"swtnas/internal/obs"
 	"swtnas/internal/tensor"
 )
 
@@ -49,9 +51,8 @@ type Model struct {
 	// in-memory representation stays float64 either way (float32 → float64 is
 	// exact, so an f32-trained model round-trips losslessly through the f64
 	// transfer path), but the tag routes encoding: tensor.F32 models are
-	// stored natively at 4 bytes per element (SWTC v3, SWTM v2) instead of
-	// being cast. The zero value is tensor.F64, so pre-dtype checkpoints keep
-	// their meaning. See DESIGN.md §14.
+	// stored natively at 4 bytes per element (SWTC, SWTM v2) instead of
+	// being cast. The zero value is tensor.F64. See DESIGN.md §14.
 	DType tensor.DType
 	// Groups hold the weights in shape-sequence order.
 	Groups []Group
@@ -143,112 +144,6 @@ func RestoreIntoOf[T tensor.Float](m *Model, net *nn.NetworkOf[T]) error {
 		}
 	}
 	return nil
-}
-
-const (
-	magic   = "SWTC"
-	version = uint32(1)
-)
-
-// Encode writes the model in SWTC binary format (the raw version-1
-// stream). It is EncodeWith(w, EncodingRaw).
-func (m *Model) Encode(w io.Writer) error {
-	return m.EncodeWith(w, EncodingRaw)
-}
-
-// encodeRaw writes the uninstrumented version-1 float64 stream.
-func (m *Model) encodeRaw(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	if err := writeU32(bw, version); err != nil {
-		return err
-	}
-	if err := writeIntSlice(bw, m.Arch); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(m.Score)); err != nil {
-		return err
-	}
-	if err := writeU32(bw, uint32(len(m.Groups))); err != nil {
-		return err
-	}
-	for _, g := range m.Groups {
-		if err := writeString(bw, g.Layer); err != nil {
-			return err
-		}
-		if err := writeIntSlice(bw, g.Signature); err != nil {
-			return err
-		}
-		if err := writeU32(bw, uint32(len(g.Tensors))); err != nil {
-			return err
-		}
-		for _, t := range g.Tensors {
-			if err := writeString(bw, t.Name); err != nil {
-				return err
-			}
-			if err := writeIntSlice(bw, t.Shape); err != nil {
-				return err
-			}
-			if tensor.Numel(t.Shape) != len(t.Data) {
-				return fmt.Errorf("checkpoint: tensor %q data/shape mismatch", t.Name)
-			}
-			for _, v := range t.Data {
-				if err := binary.Write(bw, binary.LittleEndian, math.Float64bits(v)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// maxElems bounds decoded slice lengths to keep a corrupt or hostile
-// checkpoint from allocating unbounded memory.
-const maxElems = 1 << 28
-
-// Decode reads a model in SWTC binary format, accepting the version-1
-// float64 stream, the version-2 encoded streams (see Encoding) and the
-// version-3 dtype-tagged streams. Versions 1 and 2 carry no dtype and decode
-// with DType == tensor.F64, preserving their pre-dtype meaning.
-func Decode(r io.Reader) (*Model, error) {
-	if !obs.Enabled() {
-		return decode(r)
-	}
-	t := mDecodeSeconds.Start()
-	cr := &countingReader{r: r}
-	m, err := decode(cr)
-	if err == nil {
-		t.Stop()
-		mDecodeCalls.Inc()
-		mDecodeBytes.Add(cr.n)
-	}
-	return m, err
-}
-
-func decode(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading magic: %w", err)
-	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %q", head)
-	}
-	ver, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	switch ver {
-	case version:
-		return readBody(br, false)
-	case version2:
-		return decodeV2(br)
-	case version3:
-		return decodeV3(br)
-	}
-	return nil, fmt.Errorf("checkpoint: unsupported version %d", ver)
 }
 
 func writeU32(w io.Writer, v uint32) error {

@@ -222,16 +222,12 @@ func TestMemStore(t *testing.T) {
 	}
 }
 
-func TestDiskStore(t *testing.T) {
-	s, err := NewDiskStore(t.TempDir() + "/ckpts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	testStore(t, s)
+func TestCASStoresMeetStoreContract(t *testing.T) {
+	casStores(t, func(t *testing.T, s *CASStore) { testStore(t, s) })
 }
 
-func TestDiskStoreRejectsBadIDs(t *testing.T) {
-	s, err := NewDiskStore(t.TempDir())
+func TestCASDiskStoreRejectsBadIDs(t *testing.T) {
+	s, err := NewCASDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

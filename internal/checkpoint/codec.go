@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"bufio"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -12,67 +11,33 @@ import (
 	"swtnas/internal/tensor"
 )
 
-// Encoding selects how checkpoints are serialized. The paper's conclusion
-// proposes complementing weight transfer with efficient DNN checkpointing
-// (VELOC-style I/O reduction, DeepSZ-style lossy compression); these
-// encodings implement the two standard levers — precision truncation and
-// byte-stream compression — on the SWTC format.
-type Encoding int
-
-// Supported encodings.
+// The SWTC stream: magic, version, dtype, a reserved word that must be zero,
+// then the body with tensor data at the dtype's native width. Versions 1
+// (untagged float64) and 2 (truncated / gzip-wrapped payloads) and the
+// non-zero values of the reserved word (version 3's former encoding selector)
+// are no longer written or read.
 const (
-	// EncodingRaw is the version-1 float64 stream (the default).
-	EncodingRaw Encoding = iota
-	// EncodingF32 stores tensor data as float32 (lossy, ~2x smaller).
-	EncodingF32
-	// EncodingGzip wraps the float64 stream in DEFLATE.
-	EncodingGzip
-	// EncodingF32Gzip combines both (smallest, lossy).
-	EncodingF32Gzip
+	magic   = "SWTC"
+	version = uint32(3)
 )
 
-// String names the encoding.
-func (e Encoding) String() string {
-	switch e {
-	case EncodingRaw:
-		return "raw"
-	case EncodingF32:
-		return "f32"
-	case EncodingGzip:
-		return "gzip"
-	case EncodingF32Gzip:
-		return "f32+gzip"
-	}
-	return fmt.Sprintf("Encoding(%d)", int(e))
-}
+// maxElems bounds decoded tensor sizes to keep a corrupt or hostile
+// checkpoint from allocating unbounded memory.
+const maxElems = 1 << 28
 
-func (e Encoding) float32Data() bool { return e == EncodingF32 || e == EncodingF32Gzip }
-func (e Encoding) compressed() bool  { return e == EncodingGzip || e == EncodingF32Gzip }
-func (e Encoding) valid() bool       { return e >= EncodingRaw && e <= EncodingF32Gzip }
-
-const (
-	version2 = uint32(2)
-	version3 = uint32(3)
-)
-
-// EncodeWith writes the model using the selected encoding. For float64
-// models, EncodingRaw produces the version-1 stream (readable by any Decode)
-// and the other encodings write a version-2 stream with an encoding header.
-// A model tagged with a non-default DType always writes a version-3 stream,
-// which carries the dtype so it survives the round trip.
-func (m *Model) EncodeWith(w io.Writer, enc Encoding) error {
-	if !enc.valid() {
-		return fmt.Errorf("checkpoint: invalid encoding %d", enc)
-	}
+// Encode writes the model in SWTC binary format. A tensor.F32 model stores
+// 4 bytes per element without loss — an f32-trained network's weights are
+// f32-representable by construction — and a tensor.F64 model 8.
+func (m *Model) Encode(w io.Writer) error {
 	if !m.DType.Valid() {
 		return fmt.Errorf("checkpoint: invalid model dtype %d", uint8(m.DType))
 	}
 	if !obs.Enabled() {
-		return m.encodeWith(w, enc)
+		return m.encode(w)
 	}
 	t := mEncodeSeconds.Start()
 	cw := &countingWriter{w: w}
-	err := m.encodeWith(cw, enc)
+	err := m.encode(cw)
 	if err == nil {
 		t.Stop()
 		mEncodeCalls.Inc()
@@ -81,78 +46,23 @@ func (m *Model) EncodeWith(w io.Writer, enc Encoding) error {
 	return err
 }
 
-// encodeWith dispatches to the version-1, version-2 or version-3 writer.
-func (m *Model) encodeWith(w io.Writer, enc Encoding) error {
-	if m.DType != tensor.F64 {
-		return m.encodeV3(w, enc)
-	}
-	if enc == EncodingRaw {
-		return m.encodeRaw(w)
-	}
+func (m *Model) encode(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(magic); err != nil {
 		return err
 	}
-	if err := writeU32(bw, version2); err != nil {
-		return err
-	}
-	if err := writeU32(bw, uint32(enc)); err != nil {
-		return err
-	}
-	var payload io.Writer = bw
-	var gz *gzip.Writer
-	if enc.compressed() {
-		gz = gzip.NewWriter(bw)
-		payload = gz
-	}
-	if err := m.writeBody(payload, enc.float32Data()); err != nil {
-		return err
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
+	for _, word := range []uint32{version, uint32(m.DType), 0} {
+		if err := writeU32(bw, word); err != nil {
 			return err
 		}
+	}
+	if err := m.writeBody(bw); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// encodeV3 writes the version-3 stream: magic, version, dtype, encoding,
-// then the body at the dtype's native width. A tensor.F32 model stores
-// 4 bytes per element without loss — an f32-trained network's weights are
-// f32-representable by construction — so the former "EncodingF32 cast" is
-// promoted to a first-class stored dtype with an exact round trip.
-func (m *Model) encodeV3(w io.Writer, enc Encoding) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	if err := writeU32(bw, version3); err != nil {
-		return err
-	}
-	if err := writeU32(bw, uint32(m.DType)); err != nil {
-		return err
-	}
-	if err := writeU32(bw, uint32(enc)); err != nil {
-		return err
-	}
-	var payload io.Writer = bw
-	var gz *gzip.Writer
-	if enc.compressed() {
-		gz = gzip.NewWriter(bw)
-		payload = gz
-	}
-	if err := m.writeBody(payload, m.DType == tensor.F32 || enc.float32Data()); err != nil {
-		return err
-	}
-	if gz != nil {
-		if err := gz.Close(); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-func (m *Model) writeBody(w io.Writer, f32 bool) error {
+func (m *Model) writeBody(w io.Writer) error {
 	if err := writeIntSlice(w, m.Arch); err != nil {
 		return err
 	}
@@ -182,7 +92,7 @@ func (m *Model) writeBody(w io.Writer, f32 bool) error {
 			if tensor.Numel(t.Shape) != len(t.Data) {
 				return fmt.Errorf("checkpoint: tensor %q data/shape mismatch", t.Name)
 			}
-			if f32 {
+			if m.DType == tensor.F32 {
 				for _, v := range t.Data {
 					if err := binary.Write(w, binary.LittleEndian, math.Float32bits(float32(v))); err != nil {
 						return err
@@ -200,89 +110,92 @@ func (m *Model) writeBody(w io.Writer, f32 bool) error {
 	return nil
 }
 
-// decodeV2 parses the version-2 body (called by Decode after the version
-// field identifies the stream).
-func decodeV2(br io.Reader) (*Model, error) {
-	encU, err := readU32(br)
-	if err != nil {
-		return nil, err
+// Decode reads a model in SWTC binary format. Anything but the one stream
+// Encode writes — another version, an unknown dtype, a non-zero reserved
+// word — is an error naming what was found.
+func Decode(r io.Reader) (*Model, error) {
+	if !obs.Enabled() {
+		return decode(r)
 	}
-	enc := Encoding(encU)
-	if !enc.valid() || enc == EncodingRaw {
-		return nil, fmt.Errorf("checkpoint: invalid v2 encoding %d", encU)
+	t := mDecodeSeconds.Start()
+	cr := &countingReader{r: r}
+	m, err := decode(cr)
+	if err == nil {
+		t.Stop()
+		mDecodeCalls.Inc()
+		mDecodeBytes.Add(cr.n)
 	}
-	var payload io.Reader = br
-	var gz *gzip.Reader
-	if enc.compressed() {
-		var err error
-		gz, err = gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: opening gzip payload: %w", err)
-		}
-		defer gz.Close()
-		payload = gz
-	}
-	m, err := readBody(payload, enc.float32Data())
-	if err != nil {
-		return nil, err
-	}
-	if gz != nil {
-		// Drain to EOF so the gzip checksum is verified; a truncated or
-		// corrupted stream must not decode silently.
-		var tail [1]byte
-		if _, err := gz.Read(tail[:]); err != io.EOF {
-			return nil, fmt.Errorf("checkpoint: gzip payload not cleanly terminated: %v", err)
-		}
-	}
-	return m, nil
+	return m, err
 }
 
-// decodeV3 parses the version-3 body: dtype, encoding, then the payload at
-// the width the header implies. EncodingRaw is legal here (unlike v2) —
-// it is the canonical uncompressed form of an F32 model.
-func decodeV3(br io.Reader) (*Model, error) {
-	dtU, err := readU32(br)
+func decode(r io.Reader) (*Model, error) {
+	br := bufio.NewReader(r)
+	head := make([]byte, 4)
+	if _, err := io.ReadFull(br, head); err != nil {
+		return nil, fmt.Errorf("checkpoint: reading magic: %w", err)
+	}
+	if string(head) != magic {
+		return nil, fmt.Errorf("checkpoint: bad magic %q", head)
+	}
+	ver, err := readU32(br)
 	if err != nil {
 		return nil, err
 	}
-	dt := tensor.DType(uint8(dtU))
-	if dtU > 0xff || !dt.Valid() {
-		return nil, fmt.Errorf("checkpoint: invalid v3 dtype %d", dtU)
+	if ver != version {
+		return nil, fmt.Errorf("checkpoint: unsupported SWTC version %d (only version %d is read)", ver, version)
 	}
-	encU, err := readU32(br)
+	dt, err := readDType(br)
 	if err != nil {
 		return nil, err
 	}
-	enc := Encoding(encU)
-	if !enc.valid() {
-		return nil, fmt.Errorf("checkpoint: invalid v3 encoding %d", encU)
+	reserved, err := readU32(br)
+	if err != nil {
+		return nil, err
 	}
-	var payload io.Reader = br
-	var gz *gzip.Reader
-	if enc.compressed() {
-		var err error
-		gz, err = gzip.NewReader(br)
-		if err != nil {
-			return nil, fmt.Errorf("checkpoint: opening gzip payload: %w", err)
-		}
-		defer gz.Close()
-		payload = gz
+	if reserved != 0 {
+		return nil, fmt.Errorf("checkpoint: unsupported SWTC encoding %d (only native-width streams are read)", reserved)
 	}
-	m, err := readBody(payload, dt == tensor.F32 || enc.float32Data())
+	m, err := readBody(br, dt)
 	if err != nil {
 		return nil, err
 	}
 	m.DType = dt
-	if gz != nil {
-		var tail [1]byte
-		if _, err := gz.Read(tail[:]); err != io.EOF {
-			return nil, fmt.Errorf("checkpoint: gzip payload not cleanly terminated: %v", err)
-		}
-	}
 	return m, nil
 }
 
-func readBody(r io.Reader, f32 bool) (*Model, error) {
+// readDType reads and validates a dtype header word (SWTC and SWTM v2).
+func readDType(r io.Reader) (tensor.DType, error) {
+	dtU, err := readU32(r)
+	if err != nil {
+		return 0, err
+	}
+	dt := tensor.DType(uint8(dtU))
+	if dtU > 0xff || !dt.Valid() {
+		return 0, fmt.Errorf("checkpoint: invalid dtype %d", dtU)
+	}
+	return dt, nil
+}
+
+// readShape reads a tensor shape and its element count, rejecting negative
+// dimensions and products beyond maxElems (which also rules out overflow).
+func readShape(r io.Reader) ([]int, int, error) {
+	shape, err := readIntSlice(r)
+	if err != nil {
+		return nil, 0, err
+	}
+	n := 1
+	for _, d := range shape {
+		if d < 0 {
+			return nil, 0, fmt.Errorf("checkpoint: negative dimension in shape %v", shape)
+		}
+		if n *= d; n > maxElems {
+			return nil, 0, fmt.Errorf("checkpoint: implausible tensor shape %v", shape)
+		}
+	}
+	return shape, n, nil
+}
+
+func readBody(r io.Reader, dt tensor.DType) (*Model, error) {
 	m := &Model{}
 	var err error
 	if m.Arch, err = readIntSlice(r); err != nil {
@@ -320,33 +233,34 @@ func readBody(r io.Reader, f32 bool) (*Model, error) {
 			if t.Name, err = readString(r); err != nil {
 				return nil, err
 			}
-			if t.Shape, err = readIntSlice(r); err != nil {
+			var n int
+			if t.Shape, n, err = readShape(r); err != nil {
 				return nil, err
 			}
-			n := tensor.Numel(t.Shape)
-			if n < 0 || n > maxElems {
-				return nil, fmt.Errorf("checkpoint: implausible tensor size %d", n)
-			}
-			t.Data = make([]float64, n)
-			if f32 {
-				var b32 uint32
-				for i := range t.Data {
-					if err := binary.Read(r, binary.LittleEndian, &b32); err != nil {
-						return nil, err
-					}
-					t.Data[i] = float64(math.Float32frombits(b32))
-				}
-			} else {
-				for i := range t.Data {
-					if err := binary.Read(r, binary.LittleEndian, &bits); err != nil {
-						return nil, err
-					}
-					t.Data[i] = math.Float64frombits(bits)
-				}
+			if t.Data, err = readData(r, n, dt); err != nil {
+				return nil, err
 			}
 			g.Tensors = append(g.Tensors, t)
 		}
 		m.Groups = append(m.Groups, g)
 	}
 	return m, nil
+}
+
+// readData reads n values at the dtype's width. The slice grows as bytes
+// actually arrive, so a shape the stream cannot back allocates no more than
+// a constant factor of the input before the read fails.
+func readData(r io.Reader, n int, dt tensor.DType) ([]float64, error) {
+	const chunk = 1 << 13
+	width := dt.Size()
+	data := make([]float64, 0, min(n, chunk))
+	buf := make([]byte, width*min(n, chunk))
+	for len(data) < n {
+		b := buf[:width*min(n-len(data), chunk)]
+		if _, err := io.ReadFull(r, b); err != nil {
+			return nil, err
+		}
+		data = appendTensorBlob(data, b, dt)
+	}
+	return data, nil
 }

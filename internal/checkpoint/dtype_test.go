@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"swtnas/internal/nn"
@@ -26,40 +27,38 @@ func casModelF32(seed int64, layers int) *Model {
 	return m
 }
 
-// TestF32ModelRoundTripAllEncodings: an F32-tagged model must survive every
-// encoding bit for bit (its values are f32-representable, so the 4-byte
-// stream is lossless) and come back still tagged F32 — the v3 container
-// carries the dtype, unlike v1/v2 which imply F64.
-func TestF32ModelRoundTripAllEncodings(t *testing.T) {
+// TestF32ModelRoundTrip: an F32-tagged model must survive the stream bit for
+// bit (its values are f32-representable, so 4 bytes per element is lossless)
+// and come back still tagged F32.
+func TestF32ModelRoundTrip(t *testing.T) {
 	m := casModelF32(11, 3)
-	for _, enc := range []Encoding{EncodingRaw, EncodingF32, EncodingGzip, EncodingF32Gzip} {
-		var buf bytes.Buffer
-		if err := m.EncodeWith(&buf, enc); err != nil {
-			t.Fatalf("%v: %v", enc, err)
-		}
-		got, err := Decode(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%v: %v", enc, err)
-		}
-		if got.DType != tensor.F32 {
-			t.Fatalf("%v: decoded dtype %v, want F32", enc, got.DType)
-		}
-		if !modelsEqual(m, got) {
-			t.Fatalf("%v: f32 round trip is not bit-identical", enc)
-		}
+	var buf bytes.Buffer
+	if err := m.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.DType != tensor.F32 {
+		t.Fatalf("decoded dtype %v, want F32", got.DType)
+	}
+	if !modelsEqual(m, got) {
+		t.Fatal("f32 round trip is not bit-identical")
 	}
 }
 
-// TestF32ModelEncodesAtNativeWidth: the uncompressed f32 stream must store
-// tensor data at 4 bytes per element — the point of first-class f32 storage.
-func TestF32ModelEncodesAtNativeWidth(t *testing.T) {
+// TestModelsEncodeAtNativeWidth: under the one header both dtypes share, an
+// f32 stream is smaller than the f64 stream of the same model by exactly
+// 4 bytes per element.
+func TestModelsEncodeAtNativeWidth(t *testing.T) {
 	m64 := casModel(12, 4)
 	m32 := casModelF32(12, 4)
 	var b64, b32 bytes.Buffer
-	if err := m64.EncodeWith(&b64, EncodingRaw); err != nil {
+	if err := m64.Encode(&b64); err != nil {
 		t.Fatal(err)
 	}
-	if err := m32.EncodeWith(&b32, EncodingRaw); err != nil {
+	if err := m32.Encode(&b32); err != nil {
 		t.Fatal(err)
 	}
 	elems := 0
@@ -68,25 +67,23 @@ func TestF32ModelEncodesAtNativeWidth(t *testing.T) {
 			elems += len(ts.Data)
 		}
 	}
-	// The f32 stream saves 4 bytes per element minus the v3 header's extra
-	// dtype word.
-	if saved := b64.Len() - b32.Len(); saved < 4*elems-16 {
-		t.Fatalf("f32 stream saves %d bytes over f64 for %d elements; want ~%d", saved, elems, 4*elems)
+	if saved := b64.Len() - b32.Len(); saved != 4*elems {
+		t.Fatalf("f32 stream saves %d bytes over f64 for %d elements; want %d", saved, elems, 4*elems)
 	}
 }
 
-// TestDecodeRejectsBadDTypeV3 corrupts the v3 dtype word; Decode must fail
-// rather than misinterpret tensor widths.
-func TestDecodeRejectsBadDTypeV3(t *testing.T) {
+// TestDecodeRejectsBadDType corrupts the dtype word; Decode must fail rather
+// than misinterpret tensor widths.
+func TestDecodeRejectsBadDType(t *testing.T) {
 	m := casModelF32(13, 1)
 	var buf bytes.Buffer
 	if err := m.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	raw[4+3] = 0x77 // dtype u32 follows the 4-byte magic and precedes nothing else valid
-	if _, err := Decode(bytes.NewReader(raw)); err == nil {
-		t.Fatal("corrupt v3 dtype word decoded")
+	raw[8] = 0x77 // the dtype word follows the 4-byte magic and the version
+	if _, err := Decode(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "dtype") {
+		t.Fatalf("corrupt dtype word: err = %v, want one naming the dtype", err)
 	}
 }
 

@@ -52,9 +52,9 @@ func TestStoreHitMissCounters(t *testing.T) {
 	}
 }
 
-func TestDiskStoreHitMissCounters(t *testing.T) {
+func TestCASDiskStoreHitMissCounters(t *testing.T) {
 	withMetrics(t)
-	store, err := NewDiskStore(t.TempDir())
+	store, err := NewCASDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,5 +159,36 @@ func TestCodecByteCountersMatchEncodedSize(t *testing.T) {
 	}
 	if got := d.Counters["checkpoint.store.save.bytes"]; got != n {
 		t.Errorf("store save bytes = %d, want %d", got, n)
+	}
+}
+
+// TestSaveSizeHistogramCountsEachSaveOnce: checkpoint.store.save.size is the
+// distribution sim.Calibrate fits its checkpoint-bytes sampler from, so it
+// must hold exactly one observation per Save or SaveBlob, on every store.
+func TestSaveSizeHistogramCountsEachSaveOnce(t *testing.T) {
+	withMetrics(t)
+	m := metricModel(t)
+	mem, cas := NewMemStore(), NewCASMemStore()
+	before := obs.Take()
+	saves := 0
+	for i := 0; i < 3; i++ {
+		if _, err := mem.Save(fmt.Sprintf("m%d", i), m); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cas.Save(fmt.Sprintf("c%d", i), m); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := mem.LoadBlob(fmt.Sprintf("m%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mem.SaveBlob(fmt.Sprintf("b%d", i), blob); err != nil {
+			t.Fatal(err)
+		}
+		saves += 3
+	}
+	d := obs.Take().Delta(before)
+	if got := d.Histograms["checkpoint.store.save.size"].Count; got != int64(saves) {
+		t.Errorf("save.size observations = %d, want %d (one per Save/SaveBlob)", got, saves)
 	}
 }

@@ -3,10 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -25,30 +22,23 @@ type Store interface {
 	List() ([]string, error)
 }
 
-// MemStore keeps encoded checkpoints in memory. It still encodes/decodes so
-// that measured sizes match the on-disk format byte for byte.
+// MemStore keeps encoded checkpoints in memory, one SWTC stream per id. It
+// encodes on Save and decodes on Load, so measured sizes are the stream's.
 type MemStore struct {
-	enc  Encoding
 	mu   sync.RWMutex
 	blob map[string][]byte
 }
 
-// NewMemStore creates an empty in-memory store with raw encoding.
+// NewMemStore creates an empty in-memory store.
 func NewMemStore() *MemStore {
 	return &MemStore{blob: map[string][]byte{}}
-}
-
-// NewMemStoreEncoded creates an in-memory store using the given checkpoint
-// encoding (precision truncation and/or compression).
-func NewMemStoreEncoded(enc Encoding) *MemStore {
-	return &MemStore{enc: enc, blob: map[string][]byte{}}
 }
 
 // Save implements Store.
 func (s *MemStore) Save(id string, m *Model) (int64, error) {
 	t := mStoreSaveSeconds.Start()
 	var buf bytes.Buffer
-	if err := m.EncodeWith(&buf, s.enc); err != nil {
+	if err := m.Encode(&buf); err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
@@ -121,133 +111,4 @@ func (s *MemStore) TotalBytes() int64 {
 		n += int64(len(b))
 	}
 	return n
-}
-
-// DiskStore persists checkpoints as one ".swtc" file per id inside a
-// directory, the stand-in for the paper's parallel file system.
-type DiskStore struct {
-	dir string
-	enc Encoding
-}
-
-// NewDiskStore creates (if needed) and wraps the given directory, storing
-// raw checkpoints.
-func NewDiskStore(dir string) (*DiskStore, error) {
-	return NewDiskStoreEncoded(dir, EncodingRaw)
-}
-
-// NewDiskStoreEncoded creates a disk store using the given checkpoint
-// encoding.
-func NewDiskStoreEncoded(dir string, enc Encoding) (*DiskStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: creating store dir: %w", err)
-	}
-	return &DiskStore{dir: dir, enc: enc}, nil
-}
-
-// Dir returns the backing directory.
-func (s *DiskStore) Dir() string { return s.dir }
-
-func (s *DiskStore) path(id string) (string, error) {
-	if id == "" || strings.ContainsAny(id, "/\\") || strings.Contains(id, "..") {
-		return "", fmt.Errorf("checkpoint: invalid id %q", id)
-	}
-	return filepath.Join(s.dir, id+".swtc"), nil
-}
-
-// Save implements Store. The write goes through a temp file + rename so a
-// crashed evaluator never leaves a torn checkpoint behind.
-func (s *DiskStore) Save(id string, m *Model) (int64, error) {
-	t := mStoreSaveSeconds.Start()
-	p, err := s.path(id)
-	if err != nil {
-		return 0, err
-	}
-	tmp, err := os.CreateTemp(s.dir, id+".tmp*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(tmp.Name())
-	if err := m.EncodeWith(tmp, s.enc); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	info, err := tmp.Stat()
-	if err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		return 0, err
-	}
-	t.Stop()
-	mStoreSaveBytes.Add(info.Size())
-	mStoreSaveSize.Observe(float64(info.Size()))
-	return info.Size(), nil
-}
-
-// Load implements Store.
-func (s *DiskStore) Load(id string) (*Model, error) {
-	t := mStoreLoadSeconds.Start()
-	p, err := s.path(id)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(p)
-	if err != nil {
-		mStoreMisses.Inc()
-		return nil, fmt.Errorf("checkpoint: id %q: %w", id, err)
-	}
-	defer f.Close()
-	m, err := Decode(f)
-	if err == nil {
-		t.Stop()
-		mStoreHits.Inc()
-	}
-	return m, err
-}
-
-// Size implements Store.
-func (s *DiskStore) Size(id string) (int64, error) {
-	p, err := s.path(id)
-	if err != nil {
-		return 0, err
-	}
-	info, err := os.Stat(p)
-	if err != nil {
-		return 0, fmt.Errorf("checkpoint: id %q: %w", id, err)
-	}
-	return info.Size(), nil
-}
-
-// Delete implements Store.
-func (s *DiskStore) Delete(id string) error {
-	p, err := s.path(id)
-	if err != nil {
-		return err
-	}
-	if err := os.Remove(p); err != nil {
-		return fmt.Errorf("checkpoint: id %q: %w", id, err)
-	}
-	return nil
-}
-
-// List implements Store.
-func (s *DiskStore) List() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, err
-	}
-	var ids []string
-	for _, e := range entries {
-		name := e.Name()
-		if strings.HasSuffix(name, ".swtc") {
-			ids = append(ids, strings.TrimSuffix(name, ".swtc"))
-		}
-	}
-	sort.Strings(ids)
-	return ids, nil
 }

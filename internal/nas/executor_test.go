@@ -32,17 +32,19 @@ var executors = []struct {
 	{"coordinator", attachCoordinator},
 }
 
-// failSaveStore fails every Save of one checkpoint id.
-type failSaveStore struct {
-	checkpoint.Store
-	id string
+// failEval makes every evaluation of one candidate fail.
+type failEval struct {
+	nas.Executor
+	id int
 }
 
-func (s failSaveStore) Save(id string, m *checkpoint.Model) (int64, error) {
-	if id == s.id {
-		return 0, errors.New("injected save failure")
+func (f failEval) Submit(ctx context.Context, t nas.Task, eval nas.EvalFunc, out chan<- nas.Result) {
+	if t.ID == f.id {
+		eval = func(context.Context, nas.Task) nas.Result {
+			return nas.Result{ID: t.ID, Arch: t.Arch, ParentID: t.ParentID, Err: errors.New("injected evaluation failure")}
+		}
 	}
-	return s.Store.Save(id, m)
+	f.Executor.Submit(ctx, t, eval, out)
 }
 
 func attachPool(t *testing.T, cfg *nas.Config, failID int) {
@@ -55,7 +57,7 @@ func attachPool(t *testing.T, cfg *nas.Config, failID int) {
 	t.Cleanup(client.Close)
 	cfg.Executor = client
 	if failID >= 0 {
-		cfg.Store = failSaveStore{Store: cfg.Store, id: nas.CandidateID(failID)}
+		cfg.Executor = failEval{Executor: client, id: failID}
 	}
 }
 
@@ -140,9 +142,15 @@ func TestExecutorsProduceIdenticalTraces(t *testing.T) {
 // journaledSearch writes prefix into a fresh journal at path — the file a
 // crash after len(prefix) candidates would have left — and runs the search
 // to completion from there on ex, with candidate failID failing every
-// attempt (none if negative).
-func journaledSearch(t *testing.T, attach func(*testing.T, *nas.Config, int), path string, prefix []resilience.EvalRecord, failID int) *trace.Trace {
+// attempt (none if negative). The store is the content-addressed disk store
+// at storeDir, reopened as the restarted process would: the journal's
+// manifest records resolve against the blobs the interrupted run left there.
+func journaledSearch(t *testing.T, attach func(*testing.T, *nas.Config, int), storeDir, path string, prefix []resilience.EvalRecord, failID int) *trace.Trace {
 	t.Helper()
+	store, err := checkpoint.NewCASDiskStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	j, err := resilience.Create(path, resilience.Header{App: "nt3", Budget: 6})
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +168,7 @@ func journaledSearch(t *testing.T, attach func(*testing.T, *nas.Config, int), pa
 		t.Fatal(err)
 	}
 	cfg := searchConfig(t, core.LCS{}, tensor.F64)
-	cfg.Journal, cfg.Resume = j, rec
+	cfg.Store, cfg.Journal, cfg.Resume = store, j, rec
 	attach(t, &cfg, failID)
 	tr, err := nas.Run(context.Background(), cfg)
 	if err != nil {
@@ -176,10 +184,11 @@ func journaledSearch(t *testing.T, attach func(*testing.T, *nas.Config, int), pa
 // guarantee, on every executor: interrupt a journaled search after every
 // candidate count k, resume from the truncated journal, and the completed
 // run must match the uninterrupted one record for record — same scores,
-// same architectures, same weight-transfer amounts (checkpoints restored
-// bit for bit), same top-K. It holds with a lost candidate in the run too:
-// its Failed record is journaled, so replay mirrors the proposal that its
-// completion triggered, and it stays lost rather than being evaluated again.
+// same architectures, same weight-transfer amounts (manifests re-adopted
+// against the surviving blobs, hash-verified), same top-K. It holds with a
+// lost candidate in the run too: its Failed record is journaled, so replay
+// mirrors the proposal that its completion triggered, and it stays lost
+// rather than being evaluated again.
 func TestResumeBitIdenticalAtEveryInterrupt(t *testing.T) {
 	for _, ex := range executors {
 		for _, failID := range []int{-1, 2} {
@@ -188,8 +197,9 @@ func TestResumeBitIdenticalAtEveryInterrupt(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/fail=%d", ex.name, failID), func(t *testing.T) {
 				dir := t.TempDir()
+				storeDir := filepath.Join(dir, "blobs")
 				fullPath := filepath.Join(dir, "full.swtj")
-				full := journaledSearch(t, ex.attach, fullPath, nil, failID)
+				full := journaledSearch(t, ex.attach, storeDir, fullPath, nil, failID)
 				rec, err := resilience.Read(fullPath)
 				if err != nil {
 					t.Fatal(err)
@@ -199,7 +209,7 @@ func TestResumeBitIdenticalAtEveryInterrupt(t *testing.T) {
 				}
 				for k := 0; k <= 6; k++ {
 					path := filepath.Join(dir, fmt.Sprintf("cut-%d.swtj", k))
-					resumed := journaledSearch(t, ex.attach, path, rec.Records[:k], failID)
+					resumed := journaledSearch(t, ex.attach, storeDir, path, rec.Records[:k], failID)
 					nas.TracesEqual(t, full, resumed, fmt.Sprintf("interrupt after %d candidates", k))
 					final, err := resilience.Read(path)
 					if err != nil {

@@ -114,6 +114,32 @@ func TestRunWithNearestProviderStrategy(t *testing.T) {
 	}
 }
 
+// TestRunWithRLStrategy combines REINFORCE proposals with nearest-provider
+// weight transfer end to end.
+func TestRunWithRLStrategy(t *testing.T) {
+	app := tinyApp(t, "uno")
+	rl := evo.NewReinforceSearch(app.Space, 0, 0)
+	tr, err := Run(context.Background(), Config{
+		App:      app,
+		Strategy: evo.AugmentWithNearestProvider(rl, 16, 0),
+		Matcher:  core.LCS{},
+		Budget:   10,
+		Seed:     23,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	transferred := 0
+	for _, r := range tr.Records {
+		if r.TransferCopied > 0 {
+			transferred++
+		}
+	}
+	if transferred == 0 {
+		t.Fatal("RL+nearest-provider search never transferred weights")
+	}
+}
+
 // TestNonFiniteScoreIsFailedRecord: a training run that diverges to a NaN or
 // Inf score takes the failure rule on any executor — recorded as Failed with
 // reason "non-finite score", never reported to the strategy, never ranked —

@@ -335,10 +335,10 @@ type Config struct {
 	Executor Executor
 	// Journal, when non-nil, receives an append for every completed
 	// candidate before Progress fires, so a crashed run can resume from its
-	// last fsynced candidate. When Store is a checkpoint.ManifestStore with
-	// durable blobs (a content-addressed disk store), the append is a small
-	// manifest record — the tensor blobs already live, deduplicated, in the
-	// store — otherwise it carries the full encoded checkpoint. A journal
+	// last fsynced candidate. The append is a small manifest record — the
+	// tensor blobs already live in the store — so Store must then be a
+	// checkpoint.ManifestStore with durable blobs (checkpoint.NewCASDiskStore);
+	// Run rejects any other pairing before the first proposal. A journal
 	// write failure aborts the run: a search that silently stops journaling
 	// would resume wrong.
 	Journal *resilience.Journal
@@ -402,6 +402,16 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	if !cfg.DType.Valid() {
 		return nil, fmt.Errorf("nas: invalid dtype %d", uint8(cfg.DType))
 	}
+	store := cfg.Store
+	if store == nil {
+		store = checkpoint.NewCASMemStore()
+	}
+	// A journal record is a manifest: only a store that kept the blobs across
+	// the crash can resolve it again.
+	manifests, _ := store.(checkpoint.ManifestStore)
+	if (cfg.Journal != nil || cfg.Resume != nil) && (manifests == nil || !manifests.DurableBlobs()) {
+		return nil, fmt.Errorf("nas: a journaled search needs a checkpoint store with durable blobs (checkpoint.NewCASDiskStore), not %T", store)
+	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = 1
@@ -418,10 +428,6 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		// split is scoped to this run.
 		prev := parallel.SetWorkers(autoKernelWorkers(workers, runtime.GOMAXPROCS(0)))
 		defer parallel.SetWorkers(prev)
-	}
-	store := cfg.Store
-	if store == nil {
-		store = checkpoint.NewCASMemStore()
 	}
 	strategy := cfg.Strategy
 	if strategy == nil {
@@ -476,7 +482,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	issued := 0
 	if cfg.Resume != nil {
 		var err error
-		pending, issued, err = replayJournal(cfg, strategy, store, gc, rng, workers, tr)
+		pending, issued, err = replayJournal(cfg, strategy, manifests, gc, rng, workers, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -584,28 +590,14 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		tr.Records = append(tr.Records, res.Record())
 		if cfg.Journal != nil {
 			rec := resilience.EvalRecord{Record: tr.Records[len(tr.Records)-1]}
-			switch ms, ok := store.(checkpoint.ManifestStore); {
-			case res.Failed:
-				// No checkpoint to carry, but the record must be there: this
-				// completion triggers a proposal like any other, and replay
-				// can only mirror the issue order the journal shows.
-			case ok && ms.DurableBlobs():
-				// Manifest record: the blobs are already durable in the
-				// content-addressed store, so the journal carries only the
-				// layer→hash table — the per-candidate growth the paper's
-				// checkpoint-I/O numbers care about drops to a few hundred
-				// bytes.
-				man, err := ms.EncodedManifest(CandidateID(res.ID))
-				if err != nil {
+			// A Failed candidate has no checkpoint to reference, but its record
+			// must be there: this completion triggers a proposal like any other,
+			// and replay can only mirror the issue order the journal shows.
+			if !res.Failed {
+				var err error
+				if rec.Manifest, err = manifests.EncodedManifest(CandidateID(res.ID)); err != nil {
 					return nil, fmt.Errorf("nas: journaling candidate %d: %w", res.ID, err)
 				}
-				rec.Manifest = man
-			default:
-				blob, err := checkpoint.LoadEncoded(store, CandidateID(res.ID))
-				if err != nil {
-					return nil, fmt.Errorf("nas: journaling candidate %d: %w", res.ID, err)
-				}
-				rec.Checkpoint = blob
 			}
 			if err := cfg.Journal.Append(rec); err != nil {
 				return nil, fmt.Errorf("nas: journaling candidate %d: %w", res.ID, err)

@@ -125,7 +125,15 @@ func TestProxyFilterResumeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := newProxyConfig(t, checkpoint.NewMemStore())
+	// Every run shares the store directory, as a crash and its resume do.
+	openStore := func() checkpoint.Store {
+		store, err := checkpoint.NewCASDiskStore(filepath.Join(dir, "blobs"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+	cfg := newProxyConfig(t, openStore())
 	cfg.Journal = j
 	full, err := Run(context.Background(), cfg)
 	if err != nil {
@@ -157,7 +165,7 @@ func TestProxyFilterResumeBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rcfg := newProxyConfig(t, checkpoint.NewMemStore())
+		rcfg := newProxyConfig(t, openStore())
 		rcfg.Journal = j2
 		rcfg.Resume = rc
 		resumed, err := Run(context.Background(), rcfg)

@@ -29,7 +29,7 @@ var mResumedCandidates = obs.GetCounter("nas.candidates.resumed")
 // crash, or queued behind it) in issue order, plus the total proposal count
 // consumed, leaving rng and strategy in the same state as an uninterrupted
 // run at that point.
-func replayJournal(cfg Config, strategy evo.Strategy, store checkpoint.Store, gc *candidateGC, rng *rand.Rand, workers int, tr *trace.Trace) (pending []Task, issued int, err error) {
+func replayJournal(cfg Config, strategy evo.Strategy, store checkpoint.ManifestStore, gc *candidateGC, rng *rand.Rand, workers int, tr *trace.Trace) (pending []Task, issued int, err error) {
 	rec := cfg.Resume
 	if len(rec.Records) > cfg.Budget {
 		return nil, 0, fmt.Errorf("nas: journal holds %d candidates for a budget of %d", len(rec.Records), cfg.Budget)
@@ -127,30 +127,18 @@ func replayJournal(cfg Config, strategy evo.Strategy, store checkpoint.Store, gc
 }
 
 // restoreCheckpoint puts one journaled candidate's checkpoint back into the
-// store. Full records carry the encoded SWTC bytes; manifest records are
-// re-registered against the durable blob store, hash-verified. A manifest
-// whose blobs were garbage-collected before the crash is skipped when GC is
-// enabled — the replay mirror deletes that candidate at the same point the
-// original run did, so the missing checkpoint can never be needed.
-func restoreCheckpoint(store checkpoint.Store, er resilience.EvalRecord, gcEnabled bool) error {
+// store: the manifest is re-registered against the durable blobs,
+// hash-verified. A manifest whose blobs were garbage-collected before the
+// crash is skipped when GC is enabled — the replay mirror deletes that
+// candidate at the same point the original run did, so the missing checkpoint
+// can never be needed.
+func restoreCheckpoint(store checkpoint.ManifestStore, er resilience.EvalRecord, gcEnabled bool) error {
 	id := er.Record.ID
-	if len(er.Manifest) > 0 {
-		ms, ok := store.(checkpoint.ManifestStore)
-		if !ok || !ms.DurableBlobs() {
-			return fmt.Errorf("nas: journal has a manifest record for candidate %d but the store has no durable blobs — resume with the original checkpoint directory", id)
+	if err := store.AdoptManifest(CandidateID(id), er.Manifest); err != nil {
+		if gcEnabled && errors.Is(err, checkpoint.ErrMissingBlob) {
+			return nil
 		}
-		if err := ms.AdoptManifest(CandidateID(id), er.Manifest); err != nil {
-			if gcEnabled && errors.Is(err, checkpoint.ErrMissingBlob) {
-				return nil
-			}
-			return fmt.Errorf("nas: restoring journaled checkpoint %d: %w", id, err)
-		}
-		return nil
-	}
-	if len(er.Checkpoint) > 0 {
-		if err := checkpoint.SaveEncoded(store, CandidateID(id), er.Checkpoint); err != nil {
-			return fmt.Errorf("nas: restoring journaled checkpoint %d: %w", id, err)
-		}
+		return fmt.Errorf("nas: restoring journaled checkpoint %d: %w", id, err)
 	}
 	return nil
 }

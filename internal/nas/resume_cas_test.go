@@ -1,10 +1,13 @@
 package nas
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"swtnas/internal/checkpoint"
@@ -14,11 +17,30 @@ import (
 	"swtnas/internal/trace"
 )
 
+func tracesEqual(t *testing.T, a, b *trace.Trace, label string) {
+	t.Helper()
+	if len(a.Records) != len(b.Records) {
+		t.Fatalf("%s: %d records vs %d", label, len(a.Records), len(b.Records))
+	}
+	for i := range a.Records {
+		ra, rb := a.Records[i], b.Records[i]
+		if ra.ID != rb.ID || ra.Score != rb.Score || ra.ParentID != rb.ParentID ||
+			ra.Params != rb.Params || ra.TransferCopied != rb.TransferCopied || ra.Failed != rb.Failed {
+			t.Fatalf("%s: record %d differs:\n  full   %+v\n  resumed %+v", label, i, ra, rb)
+		}
+		if fmt.Sprint(ra.Arch) != fmt.Sprint(rb.Arch) {
+			t.Fatalf("%s: record %d arch %v vs %v", label, i, ra.Arch, rb.Arch)
+		}
+	}
+	ka, kb := a.TopK(3), b.TopK(3)
+	if fmt.Sprint(ka) != fmt.Sprint(kb) {
+		t.Fatalf("%s: top-K %v vs %v", label, ka, kb)
+	}
+}
+
 // journaledCASRun executes one full journaled LCS search against a
-// content-addressed disk store, so the journal holds manifest (delta)
-// records instead of full checkpoints. It returns the trace, the recovered
-// records, and the store directory (shared by resumed runs, like a real
-// crash would).
+// content-addressed disk store. It returns the trace, the recovered records,
+// and the store directory (shared by resumed runs, like a real crash would).
 func journaledCASRun(t *testing.T, dir string, budget, retainTopK int) (*trace.Trace, []resilience.EvalRecord, string) {
 	t.Helper()
 	app := tinyApp(t, "nt3")
@@ -57,9 +79,8 @@ func journaledCASRun(t *testing.T, dir string, budget, retainTopK int) (*trace.T
 		t.Fatalf("journal holds %d records, want %d", len(rec.Records), budget)
 	}
 	for i, er := range rec.Records {
-		if len(er.Manifest) == 0 || len(er.Checkpoint) > 0 {
-			t.Fatalf("record %d: CAS-backed journal must hold manifest records (manifest=%d ckpt=%d bytes)",
-				i, len(er.Manifest), len(er.Checkpoint))
+		if len(er.Manifest) == 0 {
+			t.Fatalf("record %d carries no manifest", i)
 		}
 	}
 	// The structural win: the journal no longer grows by a full checkpoint
@@ -108,14 +129,23 @@ func resumeCASRun(t *testing.T, path, storeDir string, budget, retainTopK int) *
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if retainTopK == 0 {
+		// The store a resumed run rebuilds must hold, for every replayed
+		// candidate, the exact manifest the original run journaled.
+		for _, er := range rec.Records {
+			got, err := store.EncodedManifest(CandidateID(er.Record.ID))
+			if err != nil || !bytes.Equal(got, er.Manifest) {
+				t.Fatalf("candidate %d: restored manifest differs from the journaled one (err %v)", er.Record.ID, err)
+			}
+		}
+	}
 	return resumed
 }
 
 // TestResumeManifestBitIdenticalAtEveryInterrupt is the every-index
-// interrupt guarantee on the delta-record format: rebuild the journal a
-// crash after candidate k would have left (manifest records only), resume
-// against the surviving blob store, and the completed run must match the
-// uninterrupted one record for record.
+// interrupt guarantee: rebuild the journal a crash after candidate k would
+// have left, resume against the surviving blob store, and the completed run
+// must match the uninterrupted one record for record.
 func TestResumeManifestBitIdenticalAtEveryInterrupt(t *testing.T) {
 	const budget = 6
 	dir := t.TempDir()
@@ -141,9 +171,9 @@ func TestResumeManifestBitIdenticalAtEveryInterrupt(t *testing.T) {
 	}
 }
 
-// TestResumeManifestTornTailMidDelta crashes mid-append of a manifest
-// record: every truncation point inside the final delta record must recover
-// the clean prefix and resume to the identical run.
+// TestResumeManifestTornTailMidDelta crashes mid-append of a record: every
+// truncation point inside the final record must recover the clean prefix and
+// resume to the identical run.
 func TestResumeManifestTornTailMidDelta(t *testing.T) {
 	const budget = 3
 	dir := t.TempDir()
@@ -262,4 +292,85 @@ func TestResumeWithGCBitIdentical(t *testing.T) {
 		resumed := resumeCASRun(t, path, storeDir, budget, retain)
 		tracesEqual(t, full, resumed, fmt.Sprintf("GC resume after %d candidates", k))
 	}
+}
+
+// TestResumeRejectsMismatchedRun: replaying a journal against different
+// search options must fail loudly, not silently diverge.
+func TestResumeRejectsMismatchedRun(t *testing.T) {
+	const budget = 4
+	dir := t.TempDir()
+	_, _, storeDir := journaledCASRun(t, dir, budget, 0)
+	store, err := checkpoint.NewCASDiskStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := resilience.Read(filepath.Join(dir, "run.swtj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := tinyApp(t, "nt3")
+	for name, mutate := range map[string]func(*Config){
+		"a different seed":                        func(c *Config) { c.Seed = 12 },
+		"a smaller budget than the journal holds": func(c *Config) { c.Budget = 2 },
+	} {
+		cfg := Config{
+			App:      app,
+			Matcher:  core.LCS{},
+			Strategy: evo.NewRegularizedEvolution(app.Space, 3, 2),
+			Store:    store,
+			Budget:   budget,
+			Seed:     11,
+			Resume:   rec,
+		}
+		mutate(&cfg)
+		if _, err := Run(context.Background(), cfg); err == nil {
+			t.Errorf("resume under %s must fail", name)
+		}
+	}
+}
+
+// TestJournalNeedsDurableStore: a journal record is a manifest, so pairing a
+// journal (or a recovered one) with a store whose blobs do not survive the
+// process is a configuration error, reported before anything is proposed or
+// appended.
+func TestJournalNeedsDurableStore(t *testing.T) {
+	app := tinyApp(t, "nt3")
+	for name, store := range map[string]checkpoint.Store{
+		"the default store":  nil,
+		"a MemStore":         checkpoint.NewMemStore(),
+		"a CAS memory store": checkpoint.NewCASMemStore(),
+	} {
+		path := filepath.Join(t.TempDir(), "run.swtj")
+		j, err := resilience.Create(path, resilience.Header{App: app.Name, Budget: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		proposed := false
+		cfg := Config{App: app, Store: store, Budget: 2, Seed: 1, Journal: j,
+			Strategy: proposeSpy{evo.NewRegularizedEvolution(app.Space, 3, 2), &proposed}}
+		if _, err := Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "durable") {
+			t.Errorf("journal on %s: err = %v, want a configuration error naming durable blobs", name, err)
+		}
+		cfg.Journal, cfg.Resume = nil, &resilience.Recovery{}
+		if _, err := Run(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "durable") {
+			t.Errorf("resume on %s: err = %v, want a configuration error naming durable blobs", name, err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rec, err := resilience.Read(path); err != nil || len(rec.Records) != 0 || proposed {
+			t.Errorf("%s: rejected run still proposed (%v) or journaled (%v, err %v)", name, proposed, rec, err)
+		}
+	}
+}
+
+// proposeSpy records whether the strategy was ever asked for a proposal.
+type proposeSpy struct {
+	evo.Strategy
+	proposed *bool
+}
+
+func (s proposeSpy) Propose(rng *rand.Rand) evo.Proposal {
+	*s.proposed = true
+	return s.Strategy.Propose(rng)
 }

@@ -1,27 +1,29 @@
 // Package resilience makes long NAS runs survive crashes: a search journal
-// (an append-only write-ahead log of every evaluated candidate, including
-// its encoded checkpoint) lets nas.Run resume an interrupted search and
-// reach a bit-identical result, and the faultinject subpackage provides the
-// deterministic fault-injection harness the cluster layer's fault-tolerance
-// tests drive.
+// (an append-only write-ahead log of every evaluated candidate: its trace
+// record and the manifest of its checkpoint) lets nas.Run resume an
+// interrupted search and reach a bit-identical result, and the faultinject
+// subpackage provides the deterministic fault-injection harness the cluster
+// layer's fault-tolerance tests drive.
 //
-// The journal format is a small record framing over the internal/checkpoint
-// codec: the file opens with a magic + version, followed by self-delimiting
-// records, each protected by a CRC32 so a crash mid-append (a torn tail) is
-// detected and dropped on recovery instead of corrupting the replay.
+// The journal format is a small record framing: the file opens with a magic
+// + version, followed by self-delimiting records, each protected by a CRC32
+// so a crash mid-append (a torn tail) is detected and dropped on recovery
+// instead of corrupting the replay.
 //
 //	file   := "SWTJ" u32(version) record*
 //	record := u32(kind) u32(len) payload[len] u32(crc32c of kind+len+payload)
 //
-// Record kinds: 1 = run header (JSON), 2 = full candidate evaluation
-// (u32(metaLen) + trace.Record JSON + encoded SWTC checkpoint), 3 = manifest
-// evaluation (u32(metaLen) + trace.Record JSON + encoded SWTM manifest, with
-// tensor blobs living in the durable content-addressed checkpoint store
-// rather than inline). Version 2 introduced kind 3; version-1 journals (all
-// kind-2) remain readable. Either way replay restores the store bit for bit,
-// so weight transfer after resume matches an uninterrupted run — full
-// records carry the exact SWTC bytes, manifest records resolve their hashes
-// against blobs the store already persisted before the record was appended.
+// Record kinds: 1 = run header (JSON), 3 = candidate evaluation
+// (u32(metaLen) + trace.Record JSON + encoded SWTM manifest; the manifest is
+// empty only on a Failed record). The tensor blobs a manifest references live
+// in the durable content-addressed checkpoint store (checkpoint.NewCASDiskStore),
+// which persisted them before the record was appended, so replay re-registers
+// each manifest against them, hash-verified, and weight transfer after resume
+// matches an uninterrupted run bit for bit. A journal is therefore always
+// paired with such a store. Version 1 files and kind 2 records (evaluations
+// carrying an inline SWTC checkpoint) are no longer written or read: Open and
+// Read reject them by name, because skipping an evaluation record would make
+// replay diverge.
 package resilience
 
 import (
@@ -48,11 +50,8 @@ var (
 	mJournalReplayed = obs.GetCounter("resilience.journal.replayed")
 	mJournalTorn     = obs.GetCounter("resilience.journal.torn")
 
-	// Split of eval appends by record kind: full inline checkpoints (kind 2)
-	// vs manifest records resolved against the blob store (kind 3). The
-	// dedup-smoke CI job asserts the manifest path dominates on a CAS-backed
-	// journaled run.
-	mJournalFullAppends     = obs.GetCounter("resilience.journal.full.appends")
+	// Evaluation appends, all manifest records; the dedup-smoke CI job checks
+	// one per journaled candidate.
 	mJournalManifestAppends = obs.GetCounter("resilience.journal.manifest.appends")
 )
 
@@ -61,11 +60,11 @@ const (
 	journalVersion = uint32(2)
 
 	recordHeader   = uint32(1)
-	recordEval     = uint32(2)
 	recordManifest = uint32(3)
 
 	// maxRecordBytes bounds one record so a corrupt length field cannot
-	// allocate unbounded memory (checkpoints are tens of MB at most).
+	// allocate unbounded memory (a record is a trace line plus a manifest of
+	// a few hundred bytes).
 	maxRecordBytes = 1 << 30
 )
 
@@ -164,16 +163,13 @@ func dtypeSpelling(s string) string {
 }
 
 // EvalRecord is one journaled candidate evaluation: the full trace record
-// plus the candidate's checkpoint in one of two forms. Checkpoint holds the
-// exact encoded SWTC bytes the store persisted (full record, kind 2).
-// Manifest holds an encoded SWTM manifest instead (kind 3) — a few hundred
-// bytes of layer→hash references whose tensor blobs the content-addressed
-// store persisted durably before the record was appended. Exactly one of the
-// two is set on records read back from a journal.
+// plus the candidate's encoded SWTM manifest — a few hundred bytes of
+// layer→hash references whose tensor blobs the content-addressed store
+// persisted durably before the record was appended. Manifest is empty exactly
+// when Record.Failed is set: a failed candidate has no checkpoint.
 type EvalRecord struct {
-	Record     trace.Record
-	Checkpoint []byte
-	Manifest   []byte
+	Record   trace.Record
+	Manifest []byte
 }
 
 // Recovery is a journal read back from disk, ready to replay.
@@ -262,39 +258,30 @@ func Read(path string) (*Recovery, error) {
 	return rec, err
 }
 
-// Append logs one evaluated candidate. A record with Manifest set is written
-// as a manifest record (kind 3); otherwise as a full record (kind 2) carrying
-// the inline checkpoint. The record is framed, CRC'd, written in a single
-// Write and fsynced before Append returns.
+// Append logs one evaluated candidate. The record is framed, CRC'd, written
+// in a single Write and fsynced before Append returns.
 func (j *Journal) Append(r EvalRecord) error {
-	kind, body := recordEval, r.Checkpoint
-	if len(r.Manifest) > 0 {
-		if len(r.Checkpoint) > 0 {
-			return fmt.Errorf("resilience: eval record has both checkpoint and manifest")
-		}
-		kind, body = recordManifest, r.Manifest
+	if r.Record.Failed != (len(r.Manifest) == 0) {
+		return fmt.Errorf("resilience: candidate %d: a record carries a manifest unless it is Failed (failed %v, manifest %d bytes)",
+			r.Record.ID, r.Record.Failed, len(r.Manifest))
 	}
 	meta, err := json.Marshal(r.Record)
 	if err != nil {
 		return err
 	}
-	payload := make([]byte, 0, 4+len(meta)+len(body))
+	payload := make([]byte, 0, 4+len(meta)+len(r.Manifest))
 	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(meta)))
 	payload = append(payload, meta...)
-	payload = append(payload, body...)
+	payload = append(payload, r.Manifest...)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("resilience: journal %s is closed", j.path)
 	}
-	if err := j.writeFrame(nil, kind, payload); err != nil {
+	if err := j.writeFrame(nil, recordManifest, payload); err != nil {
 		return err
 	}
-	if kind == recordManifest {
-		mJournalManifestAppends.Inc()
-	} else {
-		mJournalFullAppends.Inc()
-	}
+	mJournalManifestAppends.Inc()
 	return nil
 }
 
@@ -339,7 +326,9 @@ func (j *Journal) writeFrame(prefix []byte, kind uint32, payload []byte) error {
 // scan parses the journal stream, returning the recovery plus the byte
 // offset of the end of the last valid record. A torn or corrupt tail sets
 // Torn and stops the scan; a missing or corrupt header is a hard error
-// (there is nothing to resume from).
+// (there is nothing to resume from), and so is a file version or an intact
+// record kind this build does not read (skipping it would drop a candidate
+// from the replay).
 func scan(f *os.File) (*Recovery, int64, error) {
 	br := bufio.NewReader(f)
 	head := make([]byte, 4+4)
@@ -349,8 +338,8 @@ func scan(f *os.File) (*Recovery, int64, error) {
 	if string(head[:4]) != journalMagic {
 		return nil, 0, fmt.Errorf("resilience: bad journal magic %q", head[:4])
 	}
-	if v := binary.LittleEndian.Uint32(head[4:]); v < 1 || v > journalVersion {
-		return nil, 0, fmt.Errorf("resilience: unsupported journal version %d", v)
+	if v := binary.LittleEndian.Uint32(head[4:]); v != journalVersion {
+		return nil, 0, fmt.Errorf("resilience: unsupported journal version %d (only version %d is read)", v, journalVersion)
 	}
 	rec := &Recovery{}
 	offset := int64(len(head))
@@ -375,7 +364,7 @@ func scan(f *os.File) (*Recovery, int64, error) {
 				return nil, 0, fmt.Errorf("resilience: decoding journal header: %w", err)
 			}
 			sawHeader = true
-		case recordEval, recordManifest:
+		case recordManifest:
 			if !sawHeader {
 				return nil, 0, fmt.Errorf("resilience: journal record before header")
 			}
@@ -392,15 +381,10 @@ func scan(f *os.File) (*Recovery, int64, error) {
 			if err := json.Unmarshal(payload[4:4+metaLen], &er.Record); err != nil {
 				return nil, 0, fmt.Errorf("resilience: decoding journal record at offset %d: %w", offset, err)
 			}
-			body := append([]byte(nil), payload[4+metaLen:]...)
-			if kind == recordManifest {
-				er.Manifest = body
-			} else {
-				er.Checkpoint = body
-			}
+			er.Manifest = append([]byte(nil), payload[4+metaLen:]...)
 			rec.Records = append(rec.Records, er)
 		default:
-			// Unknown kind from a future version: skip, stay compatible.
+			return nil, 0, fmt.Errorf("resilience: unsupported journal record kind %d at offset %d", kind, offset)
 		}
 		if rec.Torn {
 			break

@@ -1,13 +1,17 @@
 package resilience
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"swtnas/internal/checkpoint"
 	"swtnas/internal/trace"
 )
 
@@ -27,7 +31,7 @@ func testRecord(id int) EvalRecord {
 			ParentID:  id - 1,
 			TrainTime: time.Duration(id) * time.Millisecond,
 		},
-		Checkpoint: []byte(strings.Repeat("c", 16+id)),
+		Manifest: []byte(strings.Repeat("m", 48+id)),
 	}
 }
 
@@ -67,8 +71,8 @@ func TestJournalRoundTrip(t *testing.T) {
 		if er.Record.ID != want.Record.ID || er.Record.Score != want.Record.Score {
 			t.Fatalf("record %d = %+v", i, er.Record)
 		}
-		if string(er.Checkpoint) != string(want.Checkpoint) {
-			t.Fatalf("record %d checkpoint mismatch (%d bytes)", i, len(er.Checkpoint))
+		if string(er.Manifest) != string(want.Manifest) {
+			t.Fatalf("record %d manifest mismatch (%d bytes)", i, len(er.Manifest))
 		}
 	}
 }
@@ -118,70 +122,6 @@ func TestJournalHeaderValidation(t *testing.T) {
 	for _, absent := range []string{"proxy_filter", "proxy_admit", "multi_objective"} {
 		if strings.Contains(string(b), absent) {
 			t.Fatalf("unset %s serialized: %s", absent, b)
-		}
-	}
-}
-
-// TestJournalTornTailTruncated simulates a crash mid-append: every proper
-// prefix byte length of the final record must recover to the first N-1
-// records, flag the tear, and leave the file appendable.
-func TestJournalTornTailTruncated(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.swtj")
-	j, err := Create(path, testHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := j.Append(testRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sizeBefore, err := j.f.Seek(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(testRecord(3)); err != nil {
-		t.Fatal(err)
-	}
-	sizeAfter, err := j.f.Seek(0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for cut := sizeBefore + 1; cut < sizeAfter; cut += 7 {
-		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		j2, rec, err := Open(path)
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
-		}
-		if !rec.Torn {
-			t.Fatalf("cut %d: tear not detected", cut)
-		}
-		if len(rec.Records) != 3 {
-			t.Fatalf("cut %d: records = %d, want 3", cut, len(rec.Records))
-		}
-		// The truncated journal must accept appends and read back clean.
-		if err := j2.Append(testRecord(3)); err != nil {
-			t.Fatalf("cut %d: append after recovery: %v", cut, err)
-		}
-		if err := j2.Close(); err != nil {
-			t.Fatal(err)
-		}
-		rec2, err := Read(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec2.Torn || len(rec2.Records) != 4 {
-			t.Fatalf("cut %d: after repair torn=%v records=%d", cut, rec2.Torn, len(rec2.Records))
 		}
 	}
 }
@@ -256,26 +196,29 @@ func TestJournalCreateTruncatesExisting(t *testing.T) {
 	}
 }
 
-func manifestRecord(id int) EvalRecord {
-	r := testRecord(id)
-	r.Checkpoint = nil
-	r.Manifest = []byte(strings.Repeat("m", 48+id))
-	return r
-}
-
-// TestJournalManifestRecords: kind-3 records round trip with the manifest
-// bytes in Manifest (not Checkpoint), and mix freely with full records.
-func TestJournalManifestRecords(t *testing.T) {
+// TestJournalFailedRecordHasNoManifest: a record carries a manifest exactly
+// when its candidate was scored. A Failed record round-trips with none; the
+// other two pairings are rejected at Append, before anything is written.
+func TestJournalFailedRecordHasNoManifest(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.swtj")
 	j, err := Create(path, testHeader())
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := []EvalRecord{testRecord(0), manifestRecord(1), manifestRecord(2), testRecord(3)}
-	for _, r := range recs {
-		if err := j.Append(r); err != nil {
-			t.Fatal(err)
-		}
+	failed := testRecord(0)
+	failed.Record.Failed, failed.Record.FailReason, failed.Manifest = true, "retry budget spent", nil
+	if err := j.Append(failed); err != nil {
+		t.Fatal(err)
+	}
+	scoredWithout := testRecord(1)
+	scoredWithout.Manifest = nil
+	if err := j.Append(scoredWithout); err == nil {
+		t.Fatal("scored record without a manifest must be rejected")
+	}
+	failedWith := testRecord(2)
+	failedWith.Record.Failed = true
+	if err := j.Append(failedWith); err == nil {
+		t.Fatal("failed record with a manifest must be rejected")
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -284,75 +227,108 @@ func TestJournalManifestRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Torn || len(rec.Records) != len(recs) {
-		t.Fatalf("torn=%v records=%d", rec.Torn, len(rec.Records))
+	if rec.Torn || len(rec.Records) != 1 {
+		t.Fatalf("torn=%v records=%d, want the one failed record", rec.Torn, len(rec.Records))
 	}
-	for i, er := range rec.Records {
-		want := recs[i]
-		if er.Record.ID != want.Record.ID {
-			t.Fatalf("record %d id = %d", i, er.Record.ID)
-		}
-		if string(er.Checkpoint) != string(want.Checkpoint) || string(er.Manifest) != string(want.Manifest) {
-			t.Fatalf("record %d body mismatch: ckpt=%d manifest=%d bytes", i, len(er.Checkpoint), len(er.Manifest))
-		}
+	if got := rec.Records[0]; !got.Record.Failed || got.Record.FailReason != "retry budget spent" || len(got.Manifest) != 0 {
+		t.Fatalf("failed record read back as %+v", got)
 	}
 }
 
-func TestJournalRejectsAmbiguousRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.swtj")
-	j, err := Create(path, testHeader())
+// TestRetiredFormatsRejected: every format this repo once wrote and no longer
+// reads fails with an error naming the version, kind or encoding found —
+// never a panic, a partial model, or a silently skipped record (a skipped
+// evaluation record makes replay diverge).
+func TestRetiredFormatsRejected(t *testing.T) {
+	// A current journal with one record, and a current f64 SWTC stream, to
+	// derive the retired layouts from.
+	jpath := filepath.Join(t.TempDir(), "run.swtj")
+	j, err := Create(jpath, testHeader())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j.Close()
-	r := testRecord(0)
-	r.Manifest = []byte("mm")
-	if err := j.Append(r); err == nil {
-		t.Fatal("record with both checkpoint and manifest must be rejected")
+	if err := j.Append(testRecord(0)); err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestJournalReadsVersion1: a journal whose header says version 1 (the
-// pre-manifest format, all kind-2 records) must still recover.
-func TestJournalReadsVersion1(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "run.swtj")
-	j, err := Create(path, testHeader())
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		if err := j.Append(testRecord(i)); err != nil {
+	var buf bytes.Buffer
+	model := &checkpoint.Model{Arch: []int{1, 2}, Score: 0.5, Groups: []checkpoint.Group{{
+		Layer: "d", Signature: []int{2, 2},
+		Tensors: []checkpoint.Tensor{{Name: "d/W", Shape: []int{2, 2}, Data: []float64{1, 2, 3, 4}}},
+	}}}
+	if err := model.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	swtc := buf.Bytes()
+	body := swtc[16:] // after magic, version, dtype, reserved word
+	stream := func(words ...uint32) []byte {
+		b := []byte("SWTC")
+		for _, w := range words {
+			b = binary.LittleEndian.AppendUint32(b, w)
+		}
+		return append(b, body...)
+	}
+	// kind2 re-frames the journal's evaluation record under the retired kind,
+	// CRC intact, as a version-2 writer of the parent commit would have.
+	kind2 := func() []byte {
+		headerEnd := 8 + 8 + int(binary.LittleEndian.Uint32(journal[12:])) + 4
+		frame := append([]byte(nil), journal[headerEnd:]...)
+		binary.LittleEndian.PutUint32(frame, 2)
+		binary.LittleEndian.PutUint32(frame[len(frame)-4:], crc32.Checksum(frame[:len(frame)-4], crcTable))
+		return append(append([]byte(nil), journal[:headerEnd]...), frame...)
+	}
+	readJournal := func(b []byte) error {
+		p := filepath.Join(t.TempDir(), "old.swtj")
+		if err := os.WriteFile(p, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
+		rec, err := Read(p)
+		if err == nil {
+			t.Errorf("Read recovered %d records", len(rec.Records))
+		}
+		if _, _, oerr := Open(p); oerr == nil || oerr.Error() != err.Error() {
+			t.Errorf("Open error %v, Read error %v", oerr, err)
+		}
+		return err
 	}
-	j.Close()
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	decode := func(b []byte) error {
+		m, err := checkpoint.Decode(bytes.NewReader(b))
+		if m != nil {
+			t.Errorf("Decode returned a model alongside error %v", err)
+		}
+		return err
 	}
-	raw[4] = 1 // version field is outside any record CRC
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+	v1Journal := append([]byte(nil), journal...)
+	v1Journal[4] = 1 // the version word is outside any record CRC
+	for _, tc := range []struct {
+		name  string
+		err   error
+		names string
+	}{
+		{"SWTJ version 1 file", readJournal(v1Journal), "journal version 1"},
+		{"SWTJ kind 2 record", readJournal(kind2()), "record kind 2"},
+		{"SWTC version 1 stream", decode(stream(1)), "SWTC version 1"},
+		{"SWTC version 2 stream", decode(stream(2, 2)), "SWTC version 2"},
+		{"SWTC version 3, gzip encoding word", decode(stream(3, 0, 2)), "SWTC encoding 2"},
+	} {
+		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.names) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, tc.err, tc.names)
+		}
 	}
-	rec, err := Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Torn || len(rec.Records) != 3 {
-		t.Fatalf("v1 journal: torn=%v records=%d", rec.Torn, len(rec.Records))
-	}
-	raw[4] = 3 // a future version must be rejected
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Read(path); err == nil {
-		t.Fatal("future journal version must be rejected")
+	if _, err := checkpoint.Decode(bytes.NewReader(swtc)); err != nil {
+		t.Fatalf("the current stream the cases derive from must decode: %v", err)
 	}
 }
 
-// TestJournalTornTailMidManifest is the torn-tail sweep over a manifest
-// (kind-3) final record: every proper prefix must recover the earlier
-// records, flag the tear, and leave the journal appendable.
+// TestJournalTornTailMidManifest simulates a crash mid-append: every proper
+// prefix of the final record must recover the earlier records, flag the tear,
+// and leave the journal appendable.
 func TestJournalTornTailMidManifest(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.swtj")
 	j, err := Create(path, testHeader())
@@ -360,7 +336,7 @@ func TestJournalTornTailMidManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := j.Append(manifestRecord(i)); err != nil {
+		if err := j.Append(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -368,7 +344,7 @@ func TestJournalTornTailMidManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(manifestRecord(2)); err != nil {
+	if err := j.Append(testRecord(2)); err != nil {
 		t.Fatal(err)
 	}
 	sizeAfter, err := j.f.Seek(0, 2)
@@ -394,7 +370,7 @@ func TestJournalTornTailMidManifest(t *testing.T) {
 		if !rec.Torn || len(rec.Records) != 2 {
 			t.Fatalf("cut %d: torn=%v records=%d", cut, rec.Torn, len(rec.Records))
 		}
-		if err := j2.Append(manifestRecord(2)); err != nil {
+		if err := j2.Append(testRecord(2)); err != nil {
 			t.Fatalf("cut %d: append after recovery: %v", cut, err)
 		}
 		if err := j2.Close(); err != nil {

@@ -578,7 +578,11 @@ func TestJournalCandidatesCarryFailed(t *testing.T) {
 		{ID: 0, Failed: true, FailReason: "non-finite score"},
 		{ID: 1, Score: -0.5},
 	} {
-		if err := j.Append(resilience.EvalRecord{Record: r}); err != nil {
+		er := resilience.EvalRecord{Record: r}
+		if !r.Failed {
+			er.Manifest = []byte("SWTM") // a scored record always carries one; its content is not read here
+		}
+		if err := j.Append(er); err != nil {
 			t.Fatal(err)
 		}
 	}

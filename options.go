@@ -76,11 +76,10 @@ type SearchOptions struct {
 	Metrics bool
 	// JournalPath enables crash-resume: every completed candidate is
 	// appended to a write-ahead log at this path and fsynced before the
-	// search proceeds. With CheckpointDir set the journal holds small
-	// manifest records (the tensor blobs are already durable in the
-	// content-addressed store); without it a content-addressed store is
-	// created at JournalPath + ".blobs" so the journal never has to carry
-	// full checkpoints. Empty disables journaling.
+	// search proceeds. The journal holds small manifest records; the tensor
+	// blobs they reference are durable in the content-addressed store at
+	// CheckpointDir, or at JournalPath + ".blobs" when CheckpointDir is
+	// empty. Empty disables journaling.
 	JournalPath string
 	// Resume replays the journal at JournalPath instead of starting fresh:
 	// journaled candidates are restored without re-evaluating (checkpoints
