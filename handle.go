@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -20,6 +18,7 @@ import (
 	"swtnas/internal/proxy"
 	"swtnas/internal/resilience"
 	"swtnas/internal/tensor"
+	"swtnas/internal/trace"
 )
 
 // ErrQuotaExceeded is returned by Search.Start when the shared evaluator
@@ -91,33 +90,23 @@ const (
 )
 
 // FaultKind labels one fault-tolerance decision; see the constants.
-type FaultKind string
+type FaultKind = nas.FaultKind
 
 // The fault kinds surfaced in a search's event stream, mirroring the
 // scheduler's decisions: requeue and failed are per-candidate, quarantine
 // and readmit are per-worker (distributed runs).
 const (
-	FaultRequeue    FaultKind = "requeue"
-	FaultQuarantine FaultKind = "quarantine"
-	FaultReadmit    FaultKind = "readmit"
-	FaultFailed     FaultKind = "failed"
+	FaultRequeue    = nas.FaultRequeue
+	FaultQuarantine = nas.FaultQuarantine
+	FaultReadmit    = nas.FaultReadmit
+	FaultFailed     = nas.FaultFailed
 )
 
 // FaultEvent is one fault-tolerance decision surfaced alongside candidate
 // completions: an evaluation failed and was requeued for another attempt, or
-// exhausted its retry budget.
-type FaultEvent struct {
-	// Kind is the decision taken.
-	Kind FaultKind `json:"kind"`
-	// Worker names the worker involved, empty when not attributable.
-	Worker string `json:"worker,omitempty"`
-	// CandidateID is the affected candidate, -1 for worker-scoped events.
-	CandidateID int `json:"candidate_id"`
-	// Reason carries the triggering error.
-	Reason string `json:"reason,omitempty"`
-	// Attempt counts the executions the candidate has consumed so far.
-	Attempt int `json:"attempt,omitempty"`
-}
+// exhausted its retry budget. It is the scheduler's own event type; the JSON
+// field names are part of the serve wire schema.
+type FaultEvent = nas.FaultEvent
 
 // Event is one entry of a search's progress stream: a completed candidate or
 // a fault-tolerance decision.
@@ -138,15 +127,16 @@ type Event struct {
 type SearchHandle struct {
 	opt SearchOptions
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	history   []Event
-	closed    bool // no further events
-	started   bool
-	completed int
-	resumed   int
-	best      float64
-	hasBest   bool
+	mu      sync.Mutex
+	cond    *sync.Cond
+	history []Event
+	closed  bool // no further events
+	started bool
+	// partial holds every candidate completed so far, so the leaderboard
+	// mid-run is the finished Result's: TopK is its Best.
+	partial Result
+	resumed int
+	hasBest bool // some candidate has scored: the last BestScore is real
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -160,7 +150,7 @@ func New(opt SearchOptions) (*SearchHandle, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	s := &SearchHandle{opt: opt, done: make(chan struct{})}
+	s := &SearchHandle{opt: opt, done: make(chan struct{}), partial: Result{tr: &trace.Trace{}}}
 	s.cond = sync.NewCond(&s.mu)
 	return s, nil
 }
@@ -191,7 +181,7 @@ func (s *SearchHandle) Start(ctx context.Context) error {
 			Tenant:      s.opt.Tenant,
 			Weight:      s.opt.Weight,
 			Concurrency: conc,
-			OnFault:     s.emitFault,
+			OnFault:     func(ev nas.FaultEvent) { s.emit(Event{Kind: EventFault, Fault: &ev}) },
 		})
 		if err != nil {
 			s.finish(nil, err)
@@ -235,7 +225,7 @@ func (s *SearchHandle) Wait() (*Result, error) {
 func (s *SearchHandle) Completed() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.completed
+	return len(s.partial.Candidates)
 }
 
 // Resumed reports how many of the completed candidates were replayed from a
@@ -251,7 +241,10 @@ func (s *SearchHandle) Resumed() int {
 func (s *SearchHandle) BestScore() (float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.best, s.hasBest
+	if !s.hasBest {
+		return 0, false
+	}
+	return s.partial.Candidates[len(s.partial.Candidates)-1].BestScore, true
 }
 
 // Events returns a channel that first replays every event the search has
@@ -285,60 +278,37 @@ func (s *SearchHandle) Events() <-chan Event {
 	return ch
 }
 
-// TopK returns the n highest-scoring candidates completed so far, best
-// first — the partial answer a caller can act on while the search is still
-// running. After completion it matches Result.Best.
+// TopK returns the n best candidates completed so far, best first — the
+// partial answer a caller can act on while the search is still running. It is
+// Result.Best over the candidates so far: the same ranking rule mid-run,
+// after completion and after a resume.
 func (s *SearchHandle) TopK(n int) []Candidate {
 	s.mu.Lock()
-	cands := make([]Candidate, 0, s.completed)
-	for _, ev := range s.history {
-		if ev.Kind == EventCandidate && !ev.Candidate.Failed {
-			cands = append(cands, *ev.Candidate)
-		}
-	}
-	s.mu.Unlock()
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].Score != cands[j].Score {
-			return cands[i].Score > cands[j].Score
-		}
-		return cands[i].ID < cands[j].ID
-	})
-	if n < len(cands) {
-		cands = cands[:n]
-	}
-	return cands
+	defer s.mu.Unlock()
+	return s.partial.Best(n)
 }
 
 // emit appends one event to the history and wakes subscribers.
 func (s *SearchHandle) emit(ev Event) {
 	s.mu.Lock()
 	s.history = append(s.history, ev)
-	// Only completed evaluations advance the counters: filtered events also
-	// carry a Candidate payload but consumed no budget and have no score. A
-	// Failed candidate consumed budget and has no score either.
-	if c := ev.Candidate; c != nil && ev.Kind == EventCandidate {
-		s.completed++
-		if c.Resumed {
-			s.resumed++
-		}
-		if !c.Failed && (!s.hasBest || c.Score > s.best) {
-			s.best, s.hasBest = c.Score, true
-		}
-	}
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }
 
-// emitFault adapts the scheduler's fault events into the public stream. It
-// is called from pool slots and coordinator goroutines concurrently.
-func (s *SearchHandle) emitFault(ev nas.FaultEvent) {
-	s.emit(Event{Kind: EventFault, Fault: &FaultEvent{
-		Kind:        FaultKind(ev.Kind),
-		Worker:      ev.Worker,
-		CandidateID: ev.CandidateID,
-		Reason:      ev.Reason,
-		Attempt:     ev.Attempt,
-	}})
+// completed records one finished evaluation — scored, failed or replayed from
+// the journal — and streams it. Filtered proposals never come here: they
+// consumed no budget and have no score.
+func (s *SearchHandle) completed(rec trace.Record, c Candidate) {
+	s.mu.Lock()
+	s.partial.tr.Records = append(s.partial.tr.Records, rec)
+	s.partial.Candidates = append(s.partial.Candidates, c)
+	if c.Resumed {
+		s.resumed++
+	}
+	s.hasBest = s.hasBest || !c.Failed
+	s.mu.Unlock()
+	s.emit(Event{Kind: EventCandidate, Candidate: &c})
 }
 
 // finish records the outcome, closes the event stream and releases waiters.
@@ -505,15 +475,14 @@ func (s *SearchHandle) search(ctx context.Context, client *nas.PoolClient) (*Res
 		defer cfg.Journal.Close()
 	}
 	cfg.Progress = func(r nas.Result) {
-		c := candidateOf(r.Record())
-		c.BestScore, c.Resumed = r.BestScore, r.Resumed
+		c := candidateOf(r)
 		// The caller's callback stays synchronous with the scheduler (the
 		// documented Progress contract); the event stream gets the same
 		// candidate for subscribers.
 		if opt.Progress != nil {
 			opt.Progress(c)
 		}
-		s.emit(Event{Kind: EventCandidate, Candidate: &c})
+		s.completed(r.Record, c)
 	}
 	var before *obs.Snapshot
 	if opt.Metrics {
@@ -527,19 +496,10 @@ func (s *SearchHandle) search(ctx context.Context, client *nas.PoolClient) (*Res
 	}
 	// runErr is ctx.Err() here: the trace holds the candidates completed
 	// before cancellation, and the partial Result is returned beside it.
-	res := &Result{App: app.Name, Scheme: nas.SchemeName(matcher), app: app, store: store, tr: tr}
-	best := math.Inf(-1)
-	for i, r := range tr.Records {
-		c := candidateOf(r)
-		if !r.Failed && r.Score > best {
-			best = r.Score
-		}
-		if !math.IsInf(best, -1) {
-			c.BestScore = best
-		}
-		c.Resumed = i < resumed
-		res.Candidates = append(res.Candidates, c)
-	}
+	s.mu.Lock()
+	cands := s.partial.Candidates // Progress saw every record of the trace
+	s.mu.Unlock()
+	res := &Result{App: app.Name, Scheme: nas.SchemeName(matcher), Candidates: cands, app: app, store: store, tr: tr}
 	res.Summary = summarize(tr, time.Since(start), before, pf)
 	res.Summary.Resumed = resumed
 	return res, runErr

@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"swtnas/internal/nas"
+	"swtnas/internal/trace"
 )
 
 func tinyOptions() SearchOptions {
@@ -236,11 +239,12 @@ func TestHandleFailedCandidateNeverRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.emit(Event{Kind: EventCandidate, Candidate: &Candidate{ID: 0, Failed: true, FailReason: "non-finite score"}})
+	feed := func(r nas.Result) { s.completed(r.Record, candidateOf(r)) }
+	feed(nas.Result{Record: trace.Record{ID: 0, Failed: true, FailReason: "non-finite score"}})
 	if _, ok := s.BestScore(); ok {
 		t.Fatal("a Failed candidate set the best score")
 	}
-	s.emit(Event{Kind: EventCandidate, Candidate: &Candidate{ID: 1, Score: -0.4}})
+	feed(nas.Result{Record: trace.Record{ID: 1, Score: -0.4}, BestScore: -0.4})
 	if best, ok := s.BestScore(); !ok || best != -0.4 {
 		t.Fatalf("best = %v, %v; want the one real score", best, ok)
 	}
@@ -249,6 +253,45 @@ func TestHandleFailedCandidateNeverRanks(t *testing.T) {
 	}
 	if top := s.TopK(2); len(top) != 1 || top[0].ID != 1 {
 		t.Fatalf("top-K = %+v, want only candidate 1", top)
+	}
+}
+
+// TestTopKMatchesBestOnTies pins the one ranking rule at the public API: nt3
+// scores tie at the accuracy ceiling, and with two workers the completion
+// order varies, so a leaderboard that broke ties by arrival (as Best did while
+// TopK broke them by id) disagreed with itself on 3 of these 8 seeds.
+func TestTopKMatchesBestOnTies(t *testing.T) {
+	ids := func(cs []Candidate) (out []int) {
+		for _, c := range cs {
+			out = append(out, c.ID)
+		}
+		return out
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		s, err := New(SearchOptions{
+			App: "nt3", Scheme: "LCS", Budget: 16, Workers: 2, Seed: seed,
+			TrainN: 48, ValN: 24, PopulationSize: 4, SampleSize: 2,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		best, top := res.Best(5), s.TopK(5)
+		if !reflect.DeepEqual(ids(best), ids(top)) {
+			t.Errorf("seed %d: Best(5) = %v, TopK(5) = %v", seed, ids(best), ids(top))
+		}
+		for i := 1; i < len(best); i++ {
+			a, b := best[i-1], best[i]
+			if a.Score < b.Score || (a.Score == b.Score && a.ID > b.ID) {
+				t.Errorf("seed %d: Best(5) = %+v is not score descending, id ascending", seed, ids(best))
+			}
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"swtnas/internal/apps"
 	"swtnas/internal/checkpoint"
@@ -53,28 +52,28 @@ func (b *Binding) Submit(ctx context.Context, t nas.Task, _ nas.EvalFunc, out ch
 		}
 	}
 	if err != nil {
-		out <- nas.Result{ID: t.ID, Arch: t.Arch, ParentID: t.ParentID, Err: err}
+		out <- nas.Result{Record: trace.Record{ID: t.ID}, Err: err}
 		return
 	}
-	b.c.enqueue(rt, func(rr RPCResult) { out <- b.result(t, rr) })
+	b.c.enqueue(rt, func(rr RPCResult) { out <- b.result(rr) })
 }
 
-// result converts one terminal RPCResult. A Failed one (retry budget spent)
-// keeps its mark, so nas.Run applies the failure rule; a scored one is saved
-// into the store first, where later tasks find it as a provider.
-func (b *Binding) result(t nas.Task, rr RPCResult) nas.Result {
-	res := nas.Result{ID: t.ID, Arch: t.Arch, ParentID: t.ParentID}
+// result hands the worker's record to the scheduler, overwriting only what
+// this side of the wire owns: the checkpoint size as stored (nas.Run restores
+// the task's identity itself — a provider's candidate number does not travel
+// with its bytes). A Failed result (retry budget spent) keeps its mark, so
+// nas.Run applies the failure rule; a scored one is saved into the store
+// first, where later tasks find it as a provider.
+func (b *Binding) result(rr RPCResult) nas.Result {
+	res := nas.Result{Record: rr.Record}
 	if rr.Failed {
-		res.Failed, res.Err = true, errors.New(rr.Err)
+		res.Err = errors.New(rr.Err)
 		return res
 	}
-	if err := checkpoint.SaveEncoded(b.store, nas.CandidateID(t.ID), rr.Checkpoint); err != nil {
-		res.Err = fmt.Errorf("cluster: storing candidate %d: %w", t.ID, err)
+	if err := checkpoint.SaveEncoded(b.store, nas.CandidateID(rr.ID), rr.Checkpoint); err != nil {
+		res.Err = fmt.Errorf("cluster: storing candidate %d: %w", rr.ID, err)
 		return res
 	}
-	res.Score, res.Params = rr.Score, rr.Params
-	res.Transfer.Copied = rr.Copied
-	res.TrainTime = time.Duration(rr.TrainMillis * float64(time.Millisecond))
 	res.CheckpointBytes = int64(len(rr.Checkpoint))
 	return res
 }
@@ -143,7 +142,7 @@ func RunDistributed(c *Coordinator, cfg DistConfig) (*trace.Trace, error) {
 		Executor: b,
 	}
 	if cfg.Progress != nil {
-		ncfg.Progress = func(r nas.Result) { cfg.Progress(r.Record()) }
+		ncfg.Progress = func(r nas.Result) { cfg.Progress(r.Record) }
 	}
 	return nas.Run(context.Background(), ncfg)
 }

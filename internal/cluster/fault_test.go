@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"swtnas/internal/nas"
+	"swtnas/internal/trace"
 )
 
 // eventRecorder collects nas.FaultEvent values from FaultConfig.OnEvent for
@@ -101,7 +102,7 @@ func TestConcurrentRequeueUniqueResults(t *testing.T) {
 				switch {
 				case n%5 == 0:
 					// Injected worker error: consumes an attempt, requeues.
-					res := RPCResult{ID: task.ID, WorkerID: id, Err: "injected"}
+					res := RPCResult{Record: trace.Record{ID: task.ID}, WorkerID: id, Err: "injected"}
 					if err := svc.Submit(res, &ack); err != nil {
 						t.Error(err)
 						return
@@ -110,7 +111,7 @@ func TestConcurrentRequeueUniqueResults(t *testing.T) {
 					// Lost result: submit nothing; the monitor's deadline
 					// path is off here, so instead submit a late success
 					// after a duplicate window to exercise dedup.
-					res := RPCResult{ID: task.ID, WorkerID: id, Score: 1}
+					res := RPCResult{Record: trace.Record{ID: task.ID, Score: 1}, WorkerID: id}
 					go func() {
 						time.Sleep(2 * time.Millisecond)
 						var ack2 bool
@@ -118,7 +119,7 @@ func TestConcurrentRequeueUniqueResults(t *testing.T) {
 						_ = svc.Submit(res, &ack2) // duplicate on purpose
 					}()
 				default:
-					res := RPCResult{ID: task.ID, WorkerID: id, Score: 1}
+					res := RPCResult{Record: trace.Record{ID: task.ID, Score: 1}, WorkerID: id}
 					if err := svc.Submit(res, &ack); err != nil {
 						t.Error(err)
 						return
@@ -172,7 +173,7 @@ func TestRequeueExhaustionSurfacesFailure(t *testing.T) {
 			t.Fatalf("attempt %d got task %d", attempt, task.ID)
 		}
 		var ack bool
-		if err := svc.Submit(RPCResult{ID: 7, WorkerID: "w0", Err: "boom"}, &ack); err != nil {
+		if err := svc.Submit(RPCResult{Record: trace.Record{ID: 7}, WorkerID: "w0", Err: "boom"}, &ack); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +250,7 @@ func TestQuarantineAndReadmission(t *testing.T) {
 		t.Fatalf("requeued task = %d, want 1", requeued.ID)
 	}
 	var ack bool
-	if err := svc.Submit(RPCResult{ID: 1, WorkerID: "healthy", Score: 2}, &ack); err != nil {
+	if err := svc.Submit(RPCResult{Record: trace.Record{ID: 1, Score: 2}, WorkerID: "healthy"}, &ack); err != nil {
 		t.Fatal(err)
 	}
 	res := <-c.Results()
@@ -310,11 +311,11 @@ func TestLateDuplicateSubmitIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ack bool
-	if err := svc.Submit(RPCResult{ID: 3, WorkerID: "w0", Score: 1}, &ack); err != nil {
+	if err := svc.Submit(RPCResult{Record: trace.Record{ID: 3, Score: 1}, WorkerID: "w0"}, &ack); err != nil {
 		t.Fatal(err)
 	}
 	// Late duplicate (e.g. a requeued copy finishing on another worker).
-	if err := svc.Submit(RPCResult{ID: 3, WorkerID: "w1", Score: 9}, &ack); err != nil {
+	if err := svc.Submit(RPCResult{Record: trace.Record{ID: 3, Score: 9}, WorkerID: "w1"}, &ack); err != nil {
 		t.Fatal(err)
 	}
 	res := <-c.Results()

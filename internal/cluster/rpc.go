@@ -4,8 +4,9 @@
 // tasks for polling Workers with fault-tolerant coordination (heartbeats,
 // quarantine, requeue, speculative re-execution); Coordinator.Bind makes it
 // the nas.Executor of one search, and each Worker runs nas.Evaluator behind
-// the RPC envelope. The paper's scalability study (Fig 10) runs on the
-// simulator in internal/sim instead, since this host has no GPUs.
+// the RPC envelope, returning the evaluator's trace.Record whole. The paper's
+// scalability study (Fig 10) runs on the simulator in internal/sim instead,
+// since this host has no GPUs.
 package cluster
 
 import (
@@ -29,6 +30,7 @@ import (
 	"swtnas/internal/parallel"
 	"swtnas/internal/sim"
 	"swtnas/internal/tensor"
+	"swtnas/internal/trace"
 )
 
 // Cluster telemetry (internal/obs, disabled by default): per-RPC round-trip
@@ -109,20 +111,18 @@ type RPCTask struct {
 	KernelWorkers int
 }
 
-// RPCResult returns a scored candidate to the coordinator.
+// RPCResult returns one evaluation to the coordinator: the candidate's trace
+// record whole, as the worker's nas.Evaluator filled it (shape sequence and
+// evaluation latency included), beside the trained bytes. Record.ID names the
+// task whatever the outcome. Record.Failed marks a terminal failure emitted
+// by the coordinator after the task exhausted its retry budget; plain worker
+// errors (Err set, Failed false) are retried internally and never reach
+// Results.
 type RPCResult struct {
-	ID          int
-	WorkerID    string
-	Score       float64
-	Params      int
-	Copied      int
-	TrainMillis float64
-	Checkpoint  []byte
-	Err         string
-	// Failed marks a terminal failure emitted by the coordinator after the
-	// task exhausted its retry budget; plain worker errors (Err set,
-	// Failed false) are retried internally and never reach Results.
-	Failed bool
+	trace.Record
+	WorkerID   string
+	Checkpoint []byte
+	Err        string
 	// Attempts counts the executions the task consumed (retries included).
 	Attempts int
 }
@@ -371,7 +371,7 @@ func (c *Coordinator) requeueLocked(a *attempt, reason string) (deliver func()) 
 		c.resolveLocked(id)
 		mTasksFailed.Inc()
 		c.emitLocked(nas.FaultEvent{Kind: nas.FaultFailed, CandidateID: id, Reason: reason, Attempt: a.n})
-		res := RPCResult{ID: id, WorkerID: "coordinator", Err: reason, Failed: true, Attempts: a.n}
+		res := RPCResult{Record: trace.Record{ID: id, Failed: true}, WorkerID: "coordinator", Err: reason, Attempts: a.n}
 		return func() { a.done(res) }
 	}
 	delete(c.inflight, id)
@@ -659,7 +659,7 @@ func (w *Worker) Execute(t RPCTask) RPCResult {
 		// restore after, so an operator's process-wide setting survives.
 		defer parallel.SetWorkers(parallel.SetWorkers(k))
 	}
-	res := RPCResult{ID: t.ID, WorkerID: w.ID}
+	res := RPCResult{Record: trace.Record{ID: t.ID}, WorkerID: w.ID}
 	fail := func(err error) RPCResult {
 		res.Err = err.Error()
 		return res
@@ -694,12 +694,10 @@ func (w *Worker) Execute(t RPCTask) RPCResult {
 	}
 	eval := nas.Evaluator{App: app, Matcher: matcher, Store: store, Epochs: t.PartialEpochs, DType: dt}
 	r := eval.EvaluateCtx(ctx, task)
-	res.Params, res.Copied = r.Params, r.Transfer.Copied
-	res.TrainMillis = float64(r.TrainTime) / float64(time.Millisecond)
+	res.Record = r.Record
 	if r.Err != nil {
 		return fail(r.Err)
 	}
-	res.Score = r.Score
 	if res.Checkpoint, err = store.LoadBlob(nas.CandidateID(t.ID)); err != nil {
 		return fail(err)
 	}

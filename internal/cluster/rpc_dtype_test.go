@@ -38,7 +38,7 @@ func TestWorkerExecutesF32Task(t *testing.T) {
 	if cres.Err != "" {
 		t.Fatal(cres.Err)
 	}
-	if cres.Copied == 0 {
+	if cres.TransferCopied == 0 {
 		t.Fatal("f32 parent checkpoint transferred no tensors")
 	}
 }

@@ -22,8 +22,8 @@ func TestWorkerHonorsPartialEpochsOverride(t *testing.T) {
 	if r1.Err != "" || r3.Err != "" {
 		t.Fatalf("errs: %q %q", r1.Err, r3.Err)
 	}
-	if r3.TrainMillis <= r1.TrainMillis {
-		t.Fatalf("3 epochs (%.1fms) not slower than 1 (%.1fms)", r3.TrainMillis, r1.TrainMillis)
+	if r3.TrainTime <= r1.TrainTime {
+		t.Fatalf("3 epochs (%s) not slower than 1 (%s)", r3.TrainTime, r1.TrainTime)
 	}
 }
 
@@ -50,7 +50,7 @@ func TestWorkerTransfersFromInlineParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if child.Copied != len(m.Groups) {
-		t.Fatalf("copied %d of %d groups", child.Copied, len(m.Groups))
+	if child.TransferCopied != len(m.Groups) {
+		t.Fatalf("copied %d of %d groups", child.TransferCopied, len(m.Groups))
 	}
 }

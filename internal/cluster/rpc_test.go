@@ -126,6 +126,14 @@ func TestDistributedSearchOverTCP(t *testing.T) {
 		if r.CheckpointBytes == 0 {
 			t.Fatal("missing checkpoint bytes")
 		}
+		// The worker's record crosses the wire whole: what the lineage and
+		// latency analyses read is there on a distributed trace too.
+		if len(r.ShapeSeq) == 0 || r.EvalTime <= 0 || r.EvalTime < r.TrainTime {
+			t.Fatalf("record %d: shape sequence %v, eval time %v, train time %v", r.ID, r.ShapeSeq, r.EvalTime, r.TrainTime)
+		}
+		if r.ParentID >= len(tr.Records) {
+			t.Fatalf("record %d names provider %d, not a candidate of this search", r.ID, r.ParentID)
+		}
 		if r.TransferCopied > 0 {
 			transferred++
 		}

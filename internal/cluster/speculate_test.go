@@ -9,6 +9,7 @@ import (
 
 	"swtnas/internal/nas"
 	"swtnas/internal/parallel"
+	"swtnas/internal/trace"
 )
 
 // specCoordinator builds a coordinator with a fast monitor and speculation
@@ -36,7 +37,7 @@ func warmLatencyWindow(t *testing.T, svc *Service, id string, n int, dur time.Du
 		}
 		time.Sleep(dur)
 		var ack bool
-		if err := svc.Submit(RPCResult{ID: task.ID, WorkerID: id, Score: 1}, &ack); err != nil {
+		if err := svc.Submit(RPCResult{Record: trace.Record{ID: task.ID, Score: 1}, WorkerID: id}, &ack); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -89,7 +90,7 @@ func TestSpeculationFirstResultWins(t *testing.T) {
 		t.Fatalf("backup task = %d, want straggler %d", backup.ID, straggler.ID)
 	}
 	var ack bool
-	if err := svc.Submit(RPCResult{ID: backup.ID, WorkerID: "w1", Score: 2}, &ack); err != nil {
+	if err := svc.Submit(RPCResult{Record: trace.Record{ID: backup.ID, Score: 2}, WorkerID: "w1"}, &ack); err != nil {
 		t.Fatal(err)
 	}
 	won := rec.await(t, "speculation_won", func(ev nas.FaultEvent) bool { return ev.Kind == nas.FaultSpeculationWon })
@@ -98,7 +99,7 @@ func TestSpeculationFirstResultWins(t *testing.T) {
 	}
 
 	// The straggler finally finishes; its result must be scrubbed.
-	if err := svc.Submit(RPCResult{ID: straggler.ID, WorkerID: "w0", Score: 1}, &ack); err != nil {
+	if err := svc.Submit(RPCResult{Record: trace.Record{ID: straggler.ID, Score: 1}, WorkerID: "w0"}, &ack); err != nil {
 		t.Fatal(err)
 	}
 	<-collected
@@ -142,7 +143,7 @@ func TestSpeculationDisabledByDefault(t *testing.T) {
 		}
 	}
 	var ack bool
-	if err := svc.Submit(RPCResult{ID: straggler.ID, WorkerID: "w0", Score: 1}, &ack); err != nil {
+	if err := svc.Submit(RPCResult{Record: trace.Record{ID: straggler.ID, Score: 1}, WorkerID: "w0"}, &ack); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -179,7 +180,7 @@ func TestSpeculationFailedBackupIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ack bool
-	if err := svc.Submit(RPCResult{ID: backup.ID, WorkerID: "w1", Err: "injected backup failure"}, &ack); err != nil {
+	if err := svc.Submit(RPCResult{Record: trace.Record{ID: backup.ID}, WorkerID: "w1", Err: "injected backup failure"}, &ack); err != nil {
 		t.Fatal(err)
 	}
 	// No requeue may result from the backup's failure.
@@ -189,7 +190,7 @@ func TestSpeculationFailedBackupIsDropped(t *testing.T) {
 			t.Fatalf("backup failure consumed the retry budget: %+v", ev)
 		}
 	}
-	if err := svc.Submit(RPCResult{ID: straggler.ID, WorkerID: "w0", Score: 3}, &ack); err != nil {
+	if err := svc.Submit(RPCResult{Record: trace.Record{ID: straggler.ID, Score: 3}, WorkerID: "w0"}, &ack); err != nil {
 		t.Fatal(err)
 	}
 	<-collected
@@ -246,7 +247,7 @@ func runStragglerWorkload(t *testing.T, c *Coordinator, workers, tasks int, base
 				}
 				time.Sleep(dur)
 				var ack bool
-				if err := svc.Submit(RPCResult{ID: task.ID, WorkerID: id, Score: 1}, &ack); err != nil {
+				if err := svc.Submit(RPCResult{Record: trace.Record{ID: task.ID, Score: 1}, WorkerID: id}, &ack); err != nil {
 					t.Error(err)
 					return
 				}

@@ -76,6 +76,9 @@ func (s *RandomSearch) Report(Individual) {}
 // takes the best as parent, and mutates one variable node — so the
 // architecture distance between parent (provider) and child (receiver) is
 // exactly 1, which is what makes provider selection free.
+//
+// NewParetoEvolution builds the same aging population with multi-objective
+// parent selection; only the choice of parent within the sample differs.
 type RegularizedEvolution struct {
 	space *search.Space
 	// N is the population size (paper: 64), S the sample size (paper: 32).
@@ -86,6 +89,10 @@ type RegularizedEvolution struct {
 	// be sampled as a parent again, so the scheduler uses this hook to
 	// garbage-collect its checkpoint. Set it before the search starts.
 	OnEvict func(Individual)
+
+	// pareto selects a uniformly drawn member of the sample's Pareto front
+	// as parent instead of the sample's best score.
+	pareto bool
 
 	mu  sync.Mutex
 	pop []Individual // FIFO queue, oldest first
@@ -106,32 +113,47 @@ func NewRegularizedEvolution(space *search.Space, n, s int) *RegularizedEvolutio
 	return &RegularizedEvolution{space: space, N: n, S: s}
 }
 
-// Name returns "regularized-evolution".
-func (s *RegularizedEvolution) Name() string { return "regularized-evolution" }
+// Name returns "regularized-evolution", or "pareto-evolution" under Pareto
+// parent selection.
+func (s *RegularizedEvolution) Name() string {
+	if s.pareto {
+		return "pareto-evolution"
+	}
+	return "regularized-evolution"
+}
 
 // Propose returns a random candidate while the population is filling, and a
-// single-node mutation of the best of S sampled individuals afterwards.
+// single-node mutation of the parent selected among S sampled individuals
+// afterwards.
 func (s *RegularizedEvolution) Propose(rng *rand.Rand) Proposal {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.pop) < s.N {
 		return Proposal{Arch: s.space.Random(rng), ParentID: -1}
 	}
-	// Sample S distinct individuals (Algorithm 1 line 6) and take the best.
-	perm := rng.Perm(len(s.pop))
-	best := s.pop[perm[0]]
-	for _, idx := range perm[1:s.S] {
-		if cand := s.pop[idx]; cand.Score > best.Score {
-			best = cand
+	// Sample S distinct individuals (Algorithm 1 line 6).
+	sample := make([]Individual, s.S)
+	for i, idx := range rng.Perm(len(s.pop))[:s.S] {
+		sample[i] = s.pop[idx]
+	}
+	parent := sample[0]
+	if s.pareto {
+		front := ParetoFront(sample)
+		parent = front[rng.Intn(len(front))]
+	} else {
+		for _, cand := range sample[1:] {
+			if cand.Score > parent.Score {
+				parent = cand
+			}
 		}
 	}
-	child, err := s.space.Mutate(best.Arch, rng)
+	child, err := s.space.Mutate(parent.Arch, rng)
 	if err != nil {
 		// The space has no mutable nodes; degenerate but valid — repeat
 		// the parent architecture.
-		child = best.Arch.Clone()
+		child = parent.Arch.Clone()
 	}
-	return Proposal{Arch: child, ParentID: best.ID, ParentArch: best.Arch.Clone()}
+	return Proposal{Arch: child, ParentID: parent.ID, ParentArch: parent.Arch.Clone()}
 }
 
 // Report pushes the scored candidate into the population, aging out the

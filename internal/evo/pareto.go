@@ -1,11 +1,6 @@
 package evo
 
-import (
-	"math/rand"
-	"sync"
-
-	"swtnas/internal/search"
-)
+import "swtnas/internal/search"
 
 // Dominates reports whether a Pareto-dominates b under the two search
 // objectives: maximize Score, minimize Params. a dominates b when it is no
@@ -74,88 +69,17 @@ func ParetoTopK(inds []Individual, k int) []Individual {
 
 // ParetoEvolution is regularized evolution with multi-objective parent
 // selection (the accuracy×complexity search of surrogate-assisted NAS,
-// arXiv:2011.13591): the same aging FIFO population, but each proposal
-// samples S individuals and mutates a uniformly drawn member of the
-// sample's Pareto front (score maximized, parameters minimized) instead of
-// the single best score — keeping small accurate models in the breeding
-// pool instead of letting large ones crowd them out.
-type ParetoEvolution struct {
-	space *search.Space
-	// N is the population size, S the sample size (defaults 64 / 32).
-	N, S int
-
-	// OnEvict, when non-nil, is invoked (outside the strategy lock) for
-	// each individual aged out of the population, exactly like
-	// RegularizedEvolution.OnEvict. Set it before the search starts.
-	OnEvict func(Individual)
-
-	mu  sync.Mutex
-	pop []Individual // FIFO queue, oldest first
-}
+// arXiv:2011.13591): the same aging FIFO population, report and eviction,
+// but each proposal samples S individuals and mutates a uniformly drawn
+// member of the sample's Pareto front (score maximized, parameters
+// minimized) instead of the single best score — keeping small accurate
+// models in the breeding pool instead of letting large ones crowd them out.
+type ParetoEvolution = RegularizedEvolution
 
 // NewParetoEvolution creates the strategy with the paper's population
 // defaults when n or s are non-positive (N=64, S=32).
 func NewParetoEvolution(space *search.Space, n, s int) *ParetoEvolution {
-	if n <= 0 {
-		n = 64
-	}
-	if s <= 0 {
-		s = 32
-	}
-	if s > n {
-		s = n
-	}
-	return &ParetoEvolution{space: space, N: n, S: s}
-}
-
-// Name returns "pareto-evolution".
-func (s *ParetoEvolution) Name() string { return "pareto-evolution" }
-
-// Propose returns a random candidate while the population is filling, and a
-// single-node mutation of a random Pareto-front member of S sampled
-// individuals afterwards.
-func (s *ParetoEvolution) Propose(rng *rand.Rand) Proposal {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.pop) < s.N {
-		return Proposal{Arch: s.space.Random(rng), ParentID: -1}
-	}
-	perm := rng.Perm(len(s.pop))
-	sample := make([]Individual, s.S)
-	for i, idx := range perm[:s.S] {
-		sample[i] = s.pop[idx]
-	}
-	front := ParetoFront(sample)
-	parent := front[rng.Intn(len(front))]
-	child, err := s.space.Mutate(parent.Arch, rng)
-	if err != nil {
-		// No mutable nodes; degenerate but valid — repeat the parent.
-		child = parent.Arch.Clone()
-	}
-	return Proposal{Arch: child, ParentID: parent.ID, ParentArch: parent.Arch.Clone()}
-}
-
-// Report pushes the scored candidate into the population, aging out the
-// oldest member beyond capacity and notifying OnEvict.
-func (s *ParetoEvolution) Report(ind Individual) {
-	s.mu.Lock()
-	s.pop = append(s.pop, ind)
-	var evicted *Individual
-	if len(s.pop) > s.N {
-		ev := s.pop[0]
-		s.pop = s.pop[1:]
-		evicted = &ev
-	}
-	cb := s.OnEvict
-	s.mu.Unlock()
-	if evicted != nil && cb != nil {
-		cb(*evicted)
-	}
-}
-
-// PopulationSize reports the current population fill (tests/diagnostics).
-func (s *ParetoEvolution) PopulationSize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pop)
+	e := NewRegularizedEvolution(space, n, s)
+	e.pareto = true
+	return e
 }

@@ -41,7 +41,7 @@ type failEval struct {
 func (f failEval) Submit(ctx context.Context, t nas.Task, eval nas.EvalFunc, out chan<- nas.Result) {
 	if t.ID == f.id {
 		eval = func(context.Context, nas.Task) nas.Result {
-			return nas.Result{ID: t.ID, Arch: t.Arch, ParentID: t.ParentID, Err: errors.New("injected evaluation failure")}
+			return nas.Result{Record: trace.Record{ID: t.ID}, Err: errors.New("injected evaluation failure")}
 		}
 	}
 	f.Executor.Submit(ctx, t, eval, out)
@@ -74,7 +74,7 @@ func attachCoordinator(t *testing.T, cfg *nas.Config, failID int) {
 	if failID >= 0 {
 		w.ExecuteHook = func(rt cluster.RPCTask) (cluster.RPCResult, error) {
 			if rt.ID == failID {
-				return cluster.RPCResult{ID: rt.ID, WorkerID: w.ID, Err: "injected task failure"}, nil
+				return cluster.RPCResult{Record: trace.Record{ID: rt.ID}, WorkerID: w.ID, Err: "injected task failure"}, nil
 			}
 			return w.Execute(rt), nil
 		}

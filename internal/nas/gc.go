@@ -22,8 +22,8 @@ var mGCDeleted = obs.GetCounter("nas.gc.checkpoints.deleted")
 // with per-parent reference counts so eviction defers while an evaluation
 // that needs the parent is in flight.
 //
-// All methods are called from the scheduler goroutine only (live loop and
-// journal replay alike), so the struct needs no locking.
+// All methods are called from the scheduler goroutine only, so the struct
+// needs no locking.
 type candidateGC struct {
 	store  checkpoint.Store
 	retain int
@@ -78,7 +78,7 @@ func (g *candidateGC) evict(id int) {
 }
 
 // sweep deletes every eligible checkpoint. Deletion is best effort: an id
-// whose checkpoint was already dropped (e.g. a replay that skipped a
+// whose checkpoint was already dropped (e.g. a resumed run that skipped a
 // collected manifest) is simply forgotten.
 func (g *candidateGC) sweep() {
 	if g == nil || len(g.evicted) == 0 {

@@ -4,6 +4,12 @@
 // the candidate network, optionally warm-starts it from its parent's
 // checkpoint via LP/LCS weight transfer (Section VII-C steps 1-4), trains it
 // for the partial-training budget, scores it, and checkpoints it.
+//
+// Run is the one scheduler. Its loop takes completions from an Executor — or,
+// on a resumed run, from the recovered journal until its records run out —
+// and does everything else (issue order, checkpoint GC, running best, trace,
+// journal, Progress) once for both. A finished candidate is a trace.Record
+// from the evaluator onward: Result embeds it.
 package nas
 
 import (
@@ -14,6 +20,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"time"
 
 	"swtnas/internal/apps"
@@ -42,6 +49,7 @@ var (
 	mCandTransfer     = obs.GetCounter("nas.candidates.transfer")
 	mCandScratch      = obs.GetCounter("nas.candidates.scratch")
 	mCandErrors       = obs.GetCounter("nas.candidates.errors")
+	mCandResumed      = obs.GetCounter("nas.candidates.resumed")
 )
 
 // CandidateID renders the checkpoint id of a candidate number.
@@ -67,69 +75,35 @@ type Task struct {
 	ProxyScore float64
 }
 
-// Result is the outcome of one evaluation.
+// Result is the outcome of one evaluation: the candidate's trace record — the
+// one representation of a finished candidate, filled by the evaluator and
+// completed by the scheduler (CompletedAt, ProxyScore, FailReason; it also
+// restores Arch and ParentID from the task it issued, so an executor's error
+// result need carry only the ID) — plus what is not a fact about the
+// candidate.
 type Result struct {
-	ID              int
-	Arch            search.Arch
-	ParentID        int
-	Score           float64
-	Params          int
-	ShapeSeq        core.ShapeSeq
-	Transfer        core.Stats
-	TrainTime       time.Duration
-	CheckpointBytes int64
-	// EvalTime is the end-to-end evaluation latency: build, transfer,
-	// training and checkpointing (TrainTime is the training share alone).
-	EvalTime time.Duration
-	// QueueWait is how long the task sat issued before an evaluator
-	// started it — the evaluator-saturation signal.
-	QueueWait time.Duration
-	// CompletedAt is filled by the scheduler: offset from search start.
-	CompletedAt time.Duration
+	trace.Record
 	// BestScore is filled by the scheduler: the best score of any
-	// candidate completed so far, including this one. Progress callbacks
-	// use it for whole-search early stopping.
+	// candidate completed so far, including this one (0 while none has
+	// scored). Progress callbacks use it for whole-search early stopping.
 	BestScore float64
-	// ProxyScore is filled by the scheduler when a proxy pre-filter
-	// admitted the candidate: the admission score it trained on.
-	ProxyScore float64
 	// Resumed marks a candidate replayed from a crash-resume journal
 	// rather than evaluated in this process.
 	Resumed bool
-	Err     error
-	// Failed marks a terminal failure the search survives: an executor with
-	// a retry budget sets it once the budget is spent (Err is the last
-	// cause), and the scheduler sets it on a non-finite score. Run records
-	// such a result as a Failed trace record, never reports it to the
-	// strategy, and continues; an Err without Failed aborts the run.
-	Failed bool
+	// Err is the evaluation error. With Failed unset it aborts the run. An
+	// executor with a retry budget sets Failed once the budget is spent (Err
+	// is the last cause), and the scheduler sets it on a non-finite score:
+	// Run records such a result as a Failed trace record whose FailReason is
+	// Err's text, never reports it to the strategy, and continues.
+	Err error
 }
 
 // errNonFinite is the failure reason of a candidate whose training diverged.
 var errNonFinite = errors.New("non-finite score")
 
-// Record renders the result as its trace record; a Failed result carries its
-// reason.
-func (r Result) Record() trace.Record {
-	rec := trace.Record{
-		ID:              r.ID,
-		Arch:            r.Arch,
-		Score:           r.Score,
-		ShapeSeq:        r.ShapeSeq,
-		Params:          r.Params,
-		ParentID:        r.ParentID,
-		TransferCopied:  r.Transfer.Copied,
-		TrainTime:       r.TrainTime,
-		CheckpointBytes: r.CheckpointBytes,
-		CompletedAt:     r.CompletedAt,
-		EvalTime:        r.EvalTime,
-		QueueWait:       r.QueueWait,
-		ProxyScore:      r.ProxyScore,
-	}
-	if r.Failed {
-		rec.Failed, rec.FailReason = true, r.Err.Error()
-	}
-	return rec
+// errResult is the result of a task that ended without a candidate record.
+func errResult(t Task, err error) Result {
+	return Result{Record: trace.Record{ID: t.ID}, Err: err}
 }
 
 // Evaluator scores candidates for one application. An Evaluator is
@@ -182,7 +156,7 @@ func (e *Evaluator) EvaluateCtx(ctx context.Context, task Task) Result {
 		switch {
 		case res.Err != nil:
 			mCandErrors.Inc()
-		case res.Transfer.Copied > 0:
+		case res.TransferCopied > 0:
 			mCandTransfer.Inc()
 		default:
 			mCandScratch.Inc()
@@ -193,7 +167,7 @@ func (e *Evaluator) EvaluateCtx(ctx context.Context, task Task) Result {
 
 // evaluate is EvaluateCtx without the telemetry envelope.
 func (e *Evaluator) evaluate(ctx context.Context, task Task) Result {
-	res := Result{ID: task.ID, Arch: task.Arch, ParentID: task.ParentID}
+	res := Result{Record: trace.Record{ID: task.ID, Arch: task.Arch, ParentID: task.ParentID}}
 	rng := rand.New(rand.NewSource(task.Seed))
 	net, err := e.App.Space.Build(task.Arch, rng)
 	if err != nil {
@@ -216,7 +190,7 @@ func (e *Evaluator) evaluate(ctx context.Context, task Task) Result {
 			return res
 		}
 		t.Stop()
-		res.Transfer = stats
+		res.TransferCopied = stats.Copied
 	}
 
 	epochs := e.Epochs
@@ -439,25 +413,19 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	// the scheduler sweeps. Only regularized evolution evicts — other
 	// strategies keep every checkpoint regardless of RetainTopK.
 	var gc *candidateGC
-	if cfg.RetainTopK > 0 {
-		switch st := strategy.(type) {
-		case *evo.RegularizedEvolution:
-			gc = newCandidateGC(store, cfg.RetainTopK)
-			st.OnEvict = func(ind evo.Individual) { gc.evict(ind.ID) }
-		case *evo.ParetoEvolution:
-			gc = newCandidateGC(store, cfg.RetainTopK)
-			st.OnEvict = func(ind evo.Individual) { gc.evict(ind.ID) }
-		}
+	if st, ok := strategy.(*evo.RegularizedEvolution); ok && cfg.RetainTopK > 0 {
+		gc = newCandidateGC(store, cfg.RetainTopK)
+		st.OnEvict = func(ind evo.Individual) { gc.evict(ind.ID) }
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := &trace.Trace{App: cfg.App.Name, Scheme: SchemeName(cfg.Matcher), Seed: cfg.Seed}
 
-	// Proxy admission filter: wrap the strategy so both the live loop and
-	// journal replay see the filtered proposal stream — replay re-derives
-	// the filter's deterministic decisions instead of reading them from the
-	// journal. Rejections are recorded from the scheduler goroutine only
-	// (Propose is never called concurrently), so the trace append is safe.
+	// Proxy admission filter: wrap the strategy so the loop sees the filtered
+	// proposal stream — on a resumed run the filter's deterministic decisions
+	// re-derive from the seed instead of being read from the journal.
+	// Rejections are recorded from the scheduler goroutine only (Propose is
+	// never called concurrently), so the trace append is safe.
 	if cfg.Prefilter != nil {
 		cfg.Prefilter.SetOnFiltered(func(fc proxy.FilteredCandidate) {
 			tr.Filtered = append(tr.Filtered, trace.FilteredRecord{
@@ -474,20 +442,6 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		strategy = cfg.Prefilter.Wrap(strategy)
 	}
 
-	// Crash resume: replay the journal first — the proposal stream is
-	// re-derived from the seed, journaled results are recorded without
-	// re-evaluating — leaving only the tasks that were in flight at the
-	// crash (plus the unissued remainder of the budget) to evaluate live.
-	var pending []Task
-	issued := 0
-	if cfg.Resume != nil {
-		var err error
-		pending, issued, err = replayJournal(cfg, strategy, manifests, gc, rng, workers, tr)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	eval := &Evaluator{App: cfg.App, Matcher: cfg.Matcher, Store: store, DType: cfg.DType}
 	results := make(chan Result, workers)
 	exec := cfg.Executor
@@ -497,65 +451,70 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		exec = le
 	}
 
-	// dispatch starts the next candidate: first any task recovered
-	// in-flight from the journal, then fresh proposals up to the budget.
-	// proxyScores remembers the admission score of each issued candidate
-	// until its result completes.
-	proxyScores := map[int]float64{}
-	for _, t := range pending {
-		if t.ProxyScore != 0 {
-			proxyScores[t.ID] = t.ProxyScore
+	// Crash resume: while journal records remain they are the loop's
+	// completions, in the order the crashed run recorded them, and nothing is
+	// evaluated. The proposal stream re-derives from the seed, so each record
+	// must answer an open task; what the journal leaves open was in flight at
+	// the crash and is submitted, in issue order, once it is exhausted.
+	var replay []resilience.EvalRecord
+	if cfg.Resume != nil {
+		if replay = cfg.Resume.Records; len(replay) > cfg.Budget {
+			return nil, fmt.Errorf("nas: journal holds %d candidates for a budget of %d", len(replay), cfg.Budget)
 		}
 	}
-	dispatch := func() bool {
-		if len(pending) > 0 {
-			// Recovered in-flight tasks were already pinned during replay.
-			t := pending[0]
-			pending = pending[1:]
-			t.IssuedAt = time.Now()
-			exec.Submit(ctx, t, eval.EvaluateCtx, results)
-			return true
+	open := map[int]Task{} // issued, not yet completed
+	var held []int         // issued while replaying, in issue order
+	issued := 0
+	submit := func(t Task) {
+		t.IssuedAt = time.Now()
+		exec.Submit(ctx, t, eval.EvaluateCtx, results)
+	}
+	// issue draws the next proposal, up to the budget, and pins its provider's
+	// checkpoint until the candidate completes.
+	issue := func() {
+		if issued >= cfg.Budget {
+			return
 		}
-		if issued < cfg.Budget {
-			p := strategy.Propose(rng)
-			gc.taskIssued(p.ParentID)
-			if p.ProxyScore != 0 {
-				proxyScores[issued] = p.ProxyScore
-			}
-			exec.Submit(ctx, Task{
-				ID:       issued,
-				Arch:     p.Arch,
-				ParentID: p.ParentID,
-				Seed:     TaskSeed(cfg.Seed, issued),
-				IssuedAt: time.Now(),
-			}, eval.EvaluateCtx, results)
-			issued++
-			return true
+		p := strategy.Propose(rng)
+		gc.taskIssued(p.ParentID)
+		t := Task{ID: issued, Arch: p.Arch, ParentID: p.ParentID, Seed: TaskSeed(cfg.Seed, issued), ProxyScore: p.ProxyScore}
+		issued++
+		open[t.ID] = t
+		if len(replay) > 0 {
+			held = append(held, t.ID)
+		} else {
+			submit(t)
 		}
-		return false
 	}
 
-	best := math.Inf(-1)
-	for _, r := range tr.Records {
-		if !r.Failed && r.Score > best {
-			best = r.Score
-		}
-	}
+	best, scored := 0.0, false
 	start := time.Now()
-	inflight := 0
 	for i := 0; i < workers; i++ {
-		if !dispatch() {
-			break
-		}
-		inflight++
+		issue()
 	}
-	// The scheduler loop drains every dispatched task: outstanding results
-	// are bounded by the worker count (one new task per completed result),
-	// so the buffered channels never block and no evaluator goroutine is
-	// left holding a result when Run returns.
-	for inflight > 0 {
-		res := <-results
-		inflight--
+	// Every issued task is drained: outstanding results are bounded by the
+	// worker count (one new task per completion), so the buffered channels
+	// never block and no evaluator goroutine is left holding a result when
+	// Run returns.
+	for len(open) > 0 {
+		var res Result
+		var manifest []byte
+		if len(replay) > 0 {
+			res, manifest = Result{Record: replay[0].Record, Resumed: true}, replay[0].Manifest
+			replay = replay[1:]
+			mCandResumed.Inc()
+		} else {
+			res = <-results
+		}
+		t, ok := open[res.ID]
+		switch {
+		case !ok && res.Resumed:
+			return nil, fmt.Errorf("nas: journal candidate %d is not in the replayed schedule — journal and run options disagree", res.ID)
+		case !ok:
+			return nil, fmt.Errorf("nas: executor returned candidate %d, which is not in flight", res.ID)
+		case res.Resumed && !slices.Equal([]int(t.Arch), res.Arch):
+			return nil, fmt.Errorf("nas: journal candidate %d has arch %v, replay proposed %v — journal and run options disagree", res.ID, res.Arch, t.Arch)
+		}
 		if res.Err == nil && (math.IsNaN(res.Score) || math.IsInf(res.Score, 0)) {
 			// A diverged training run ends like a spent retry budget: it
 			// must not reach the population, the surrogate or a Pareto
@@ -564,35 +523,49 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		}
 		if res.Err != nil && !res.Failed {
 			if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
+				delete(open, res.ID)
 				continue // cancelled mid-training or skipped in queue; keep draining
 			}
 			return nil, res.Err
 		}
-		res.CompletedAt = time.Since(start)
-		res.ProxyScore = proxyScores[res.ID]
-		delete(proxyScores, res.ID)
+		if !res.Resumed {
+			// The task's identity is the scheduler's: an executor's error
+			// result need carry no more than the ID.
+			res.Arch, res.ParentID = t.Arch, t.ParentID
+			res.CompletedAt, res.ProxyScore = time.Since(start), t.ProxyScore
+			if res.Failed {
+				res.FailReason = res.Err.Error()
+			}
+		}
+		delete(open, res.ID)
 		gc.taskDone(res.ParentID)
-		if res.Failed {
-			// The failure rule, the same for every executor: the candidate
-			// spent its budget slot and is recorded, and the search goes on
-			// without it.
-			if !math.IsInf(best, -1) {
-				res.BestScore = best
+		// The failure rule, the same for every executor and for a journaled
+		// failure: the candidate spent its budget slot and is recorded, and
+		// the search goes on without it.
+		if !res.Failed {
+			if !scored || res.Score > best {
+				best, scored = res.Score, true
 			}
-		} else {
-			if res.Score > best {
-				best = res.Score
-			}
-			res.BestScore = best
 			gc.completed(res.ID, res.Score)
 			strategy.Report(evo.Individual{ID: res.ID, Arch: res.Arch, Score: res.Score, Params: res.Params})
 		}
-		tr.Records = append(tr.Records, res.Record())
-		if cfg.Journal != nil {
-			rec := resilience.EvalRecord{Record: tr.Records[len(tr.Records)-1]}
-			// A Failed candidate has no checkpoint to reference, but its record
-			// must be there: this completion triggers a proposal like any other,
-			// and replay can only mirror the issue order the journal shows.
+		res.BestScore = best
+		tr.Records = append(tr.Records, res.Record)
+		// A Failed candidate has no checkpoint to reference, but its record
+		// must be journaled: its completion triggers a proposal like any other,
+		// and a resumed run can only follow the issue order the journal shows.
+		switch {
+		case res.Resumed && !res.Failed:
+			// The manifest is re-registered against the durable blobs,
+			// hash-verified, so later transfers read identical providers. One
+			// whose blobs were collected before the crash is fine when GC is on:
+			// the sweep below deletes that candidate at the same point the
+			// crashed run did, so the missing checkpoint can never be needed.
+			if err := manifests.AdoptManifest(CandidateID(res.ID), manifest); err != nil && !(gc != nil && errors.Is(err, checkpoint.ErrMissingBlob)) {
+				return nil, fmt.Errorf("nas: restoring journaled checkpoint %d: %w", res.ID, err)
+			}
+		case !res.Resumed && cfg.Journal != nil:
+			rec := resilience.EvalRecord{Record: res.Record}
 			if !res.Failed {
 				var err error
 				if rec.Manifest, err = manifests.EncodedManifest(CandidateID(res.ID)); err != nil {
@@ -603,15 +576,23 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 				return nil, fmt.Errorf("nas: journaling candidate %d: %w", res.ID, err)
 			}
 		}
-		// Sweep after the journal append: the candidate just journaled is
-		// never eligible (it is the population's newest member), and evicted
-		// ones already have their records on disk.
+		// Sweep after the journal step: the candidate just recorded is never
+		// eligible (it is the population's newest member), and evicted ones
+		// already have their records on disk.
 		gc.sweep()
 		if cfg.Progress != nil {
 			cfg.Progress(res)
 		}
-		if ctx.Err() == nil && dispatch() {
-			inflight++
+		if res.Resumed && len(replay) == 0 {
+			for _, id := range held {
+				if t, ok := open[id]; ok {
+					submit(t)
+				}
+			}
+			start = time.Now()
+		}
+		if len(replay) > 0 || ctx.Err() == nil {
+			issue()
 		}
 	}
 	if err := ctx.Err(); err != nil && len(tr.Records) < cfg.Budget {
@@ -642,7 +623,7 @@ func newLocalExecutor(workers int) *localExecutor {
 				// every still-queued task into a sentinel result so the
 				// scheduler's outstanding count drains exactly.
 				if err := it.ctx.Err(); err != nil {
-					it.out <- Result{ID: it.task.ID, Arch: it.task.Arch, ParentID: it.task.ParentID, Err: err}
+					it.out <- errResult(it.task, err)
 					continue
 				}
 				it.out <- it.eval(it.ctx, it.task)
@@ -661,8 +642,8 @@ func (le *localExecutor) Submit(ctx context.Context, t Task, eval EvalFunc, out 
 func (le *localExecutor) close() { close(le.tasks) }
 
 // TaskSeed derives candidate id's deterministic evaluation seed from the
-// search seed — shared by the live scheduler and journal replay so a
-// resumed task trains exactly as it would have in the original run.
+// search seed, so a task re-issued by a resumed run trains exactly as it
+// would have in the original one.
 func TaskSeed(searchSeed int64, id int) int64 {
 	return searchSeed*1_000_003 + int64(id)
 }

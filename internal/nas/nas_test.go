@@ -43,7 +43,7 @@ func TestEvaluatorBaseline(t *testing.T) {
 	if res.Params <= 0 || len(res.ShapeSeq) == 0 {
 		t.Fatalf("result = %+v", res)
 	}
-	if res.Transfer.Copied != 0 {
+	if res.TransferCopied != 0 {
 		t.Fatal("baseline must not transfer")
 	}
 	if res.CheckpointBytes <= 0 {
@@ -72,8 +72,8 @@ func TestEvaluatorTransfersFromParent(t *testing.T) {
 	if child.Err != nil {
 		t.Fatal(child.Err)
 	}
-	if !child.Transfer.Transferable() {
-		t.Fatalf("expected transfer from d=1 parent, stats = %+v", child.Transfer)
+	if child.TransferCopied == 0 {
+		t.Fatalf("expected transfer from d=1 parent, result = %+v", child)
 	}
 }
 

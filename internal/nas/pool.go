@@ -207,7 +207,7 @@ func (c *PoolClient) Submit(ctx context.Context, t Task, eval EvalFunc, out chan
 	p.mu.Lock()
 	if c.closed || p.closed {
 		p.mu.Unlock()
-		out <- Result{ID: t.ID, Arch: t.Arch, ParentID: t.ParentID, Err: context.Canceled}
+		out <- errResult(t, context.Canceled)
 		return
 	}
 	c.queue = append(c.queue, poolItem{ctx: ctx, task: t, eval: eval, out: out})
@@ -341,12 +341,11 @@ func runIsolated(it poolItem) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			mPoolPanics.Inc()
-			res = Result{ID: it.task.ID, Arch: it.task.Arch, ParentID: it.task.ParentID,
-				Err: fmt.Errorf("nas: evaluation panicked: %v", r)}
+			res = errResult(it.task, fmt.Errorf("nas: evaluation panicked: %v", r))
 		}
 	}()
 	if err := it.ctx.Err(); err != nil {
-		return Result{ID: it.task.ID, Arch: it.task.Arch, ParentID: it.task.ParentID, Err: err}
+		return errResult(it.task, err)
 	}
 	return it.eval(it.ctx, it.task)
 }

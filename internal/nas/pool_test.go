@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"swtnas/internal/apps"
+	"swtnas/internal/trace"
 )
 
 // stubEval returns an EvalFunc that records each executed task id under mu
@@ -18,7 +19,7 @@ func stubEval(mu *sync.Mutex, order *[]string, label string) EvalFunc {
 		mu.Lock()
 		*order = append(*order, fmt.Sprintf("%s-%d", label, t.ID))
 		mu.Unlock()
-		return Result{ID: t.ID, Arch: t.Arch, ParentID: t.ParentID, Score: 0.5}
+		return Result{Record: trace.Record{ID: t.ID, Arch: t.Arch, ParentID: t.ParentID, Score: 0.5}}
 	}
 }
 
@@ -184,9 +185,9 @@ func TestPoolRetryAndFaultEvents(t *testing.T) {
 		n := attempts
 		mu.Unlock()
 		if n < 3 {
-			return Result{ID: task.ID, Err: fmt.Errorf("transient %d", n)}
+			return errResult(task, fmt.Errorf("transient %d", n))
 		}
-		return Result{ID: task.ID, Score: 0.9}
+		return Result{Record: trace.Record{ID: task.ID, Score: 0.9}}
 	}
 	out := make(chan Result, 1)
 	c.Submit(context.Background(), Task{ID: 7}, flaky, out)
@@ -208,7 +209,7 @@ func TestPoolRetryAndFaultEvents(t *testing.T) {
 
 	// Persistent failure: budget spent, terminal failed event, error result.
 	c.Submit(context.Background(), Task{ID: 8}, func(ctx context.Context, task Task) Result {
-		return Result{ID: task.ID, Err: errors.New("broken")}
+		return errResult(task, errors.New("broken"))
 	}, out)
 	res = drain(t, out, 1)[0]
 	if res.Err == nil || !res.Failed {
@@ -248,7 +249,7 @@ func TestPoolPanicIsolation(t *testing.T) {
 		t.Fatalf("panicking eval result = %+v", res)
 	}
 	good.Submit(context.Background(), Task{ID: 2}, func(ctx context.Context, task Task) Result {
-		return Result{ID: task.ID, Score: 1}
+		return Result{Record: trace.Record{ID: task.ID, Score: 1}}
 	}, outGood)
 	if res := drain(t, outGood, 1)[0]; res.Err != nil || res.Score != 1 {
 		t.Fatalf("slot did not survive the panic: %+v", res)

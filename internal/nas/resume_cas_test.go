@@ -3,12 +3,15 @@ package nas
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"swtnas/internal/checkpoint"
 	"swtnas/internal/core"
@@ -30,6 +33,14 @@ func tracesEqual(t *testing.T, a, b *trace.Trace, label string) {
 		}
 		if fmt.Sprint(ra.Arch) != fmt.Sprint(rb.Arch) {
 			t.Fatalf("%s: record %d arch %v vs %v", label, i, ra.Arch, rb.Arch)
+		}
+		// Every executor returns the evaluator's record whole: the shape
+		// sequence and the evaluation latency cross the wire too.
+		if fmt.Sprint(ra.ShapeSeq) != fmt.Sprint(rb.ShapeSeq) || (!ra.Failed && len(ra.ShapeSeq) == 0) {
+			t.Fatalf("%s: record %d shape sequence %v vs %v", label, i, ra.ShapeSeq, rb.ShapeSeq)
+		}
+		if !ra.Failed && (ra.EvalTime <= 0 || rb.EvalTime <= 0) {
+			t.Fatalf("%s: record %d evaluation latency %v vs %v, want both measured", label, i, ra.EvalTime, rb.EvalTime)
 		}
 	}
 	ka, kb := a.TopK(3), b.TopK(3)
@@ -294,8 +305,41 @@ func TestResumeWithGCBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMismatchedRun: replaying a journal against different
-// search options must fail loudly, not silently diverge.
+// submitSpy counts the tasks a run hands its executor and answers each as a
+// cancelled one, so nothing trains.
+type submitSpy struct{ n int }
+
+func (s *submitSpy) Submit(_ context.Context, t Task, _ EvalFunc, out chan<- Result) {
+	s.n++
+	out <- errResult(t, context.Canceled)
+}
+
+// runWithin is Run under a deadline: a resume that waits for a completion
+// nobody will deliver fails the test instead of hanging it.
+func runWithin(t *testing.T, d time.Duration, ctx context.Context, cfg Config) (*trace.Trace, error) {
+	t.Helper()
+	type outcome struct {
+		tr  *trace.Trace
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		tr, err := Run(ctx, cfg)
+		done <- outcome{tr, err}
+	}()
+	select {
+	case o := <-done:
+		return o.tr, o.err
+	case <-time.After(d):
+		t.Fatalf("Run did not return within %s", d)
+		return nil, nil
+	}
+}
+
+// TestResumeRejectsMismatchedRun: a journal that does not answer the schedule
+// the run options re-derive must fail loudly, before anything is submitted
+// for training — not silently diverge, and not wait for a candidate that was
+// never issued.
 func TestResumeRejectsMismatchedRun(t *testing.T) {
 	const budget = 4
 	dir := t.TempDir()
@@ -308,11 +352,32 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// edited returns the recovery with record i changed.
+	edited := func(i int, edit func(*trace.Record)) *resilience.Recovery {
+		cp := *rec
+		cp.Records = append([]resilience.EvalRecord(nil), rec.Records...)
+		edit(&cp.Records[i].Record)
+		return &cp
+	}
+	const disagree = "journal and run options disagree"
 	app := tinyApp(t, "nt3")
-	for name, mutate := range map[string]func(*Config){
-		"a different seed":                        func(c *Config) { c.Seed = 12 },
-		"a smaller budget than the journal holds": func(c *Config) { c.Budget = 2 },
+	for name, tc := range map[string]struct {
+		mutate func(*Config)
+		want   string
+	}{
+		"a different seed":                        {func(c *Config) { c.Seed = 12 }, disagree},
+		"a smaller budget than the journal holds": {func(c *Config) { c.Budget = 2 }, "journal holds"},
+		"a candidate outside the replayed schedule": {func(c *Config) {
+			c.Resume = edited(1, func(r *trace.Record) { r.ID = budget + 3 })
+		}, disagree},
+		"a candidate recorded twice": {func(c *Config) {
+			c.Resume = edited(2, func(r *trace.Record) { r.ID = 0 })
+		}, disagree},
+		"a candidate whose arch disagrees": {func(c *Config) {
+			c.Resume = edited(budget-1, func(r *trace.Record) { r.Arch = append([]int{r.Arch[0] + 1}, r.Arch[1:]...) })
+		}, disagree},
 	} {
+		spy := &submitSpy{}
 		cfg := Config{
 			App:      app,
 			Matcher:  core.LCS{},
@@ -321,11 +386,79 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 			Budget:   budget,
 			Seed:     11,
 			Resume:   rec,
+			Executor: spy,
 		}
-		mutate(&cfg)
-		if _, err := Run(context.Background(), cfg); err == nil {
-			t.Errorf("resume under %s must fail", name)
+		tc.mutate(&cfg)
+		if _, err := runWithin(t, 30*time.Second, context.Background(), cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("resume under %s: err = %v, want one saying %q", name, err, tc.want)
 		}
+		if spy.n != 0 {
+			t.Errorf("resume under %s submitted %d tasks before failing", name, spy.n)
+		}
+	}
+}
+
+// TestResumeCancelledBeforeRunKeepsJournal: a resumed run whose context is
+// already cancelled still returns every journaled candidate in its partial
+// trace, beside the context's error, trains nothing and leaves no evaluator
+// goroutine behind.
+func TestResumeCancelledBeforeRunKeepsJournal(t *testing.T) {
+	const budget, cut = 6, 3
+	dir := t.TempDir()
+	full, recs, storeDir := journaledCASRun(t, dir, budget, 0)
+	app := tinyApp(t, "nt3")
+	path := filepath.Join(dir, "cut.swtj")
+	j, err := resilience.Create(path, resilience.Header{App: app.Name, Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, er := range recs[:cut] {
+		if err := j.Append(er); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, rec, err := resilience.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	store, err := checkpoint.NewCASDiskStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	before := runtime.NumGoroutine()
+	resumed := 0
+	tr, err := runWithin(t, 30*time.Second, ctx, Config{
+		App:      app,
+		Matcher:  core.LCS{},
+		Strategy: evo.NewRegularizedEvolution(app.Space, 3, 2),
+		Store:    store,
+		Budget:   budget,
+		Workers:  2,
+		Seed:     11,
+		Journal:  j,
+		Resume:   rec,
+		Progress: func(r Result) {
+			if r.Resumed {
+				resumed++
+			}
+		},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if tr == nil || len(tr.Records) != cut || resumed != cut {
+		t.Fatalf("partial trace = %+v (%d streamed as Resumed), want the %d journaled records", tr, resumed, cut)
+	}
+	tracesEqual(t, &trace.Trace{Records: full.Records[:cut]}, tr, "journaled prefix of a cancelled resume")
+	waitForGoroutines(t, before)
+	if after, err := resilience.Read(path); err != nil || len(after.Records) != cut {
+		t.Fatalf("cancelled resume changed the journal: %d records, err %v", len(after.Records), err)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"swtnas/internal/cluster"
 	"swtnas/internal/obs"
+	"swtnas/internal/trace"
 )
 
 // Injected-fault telemetry (internal/obs): how many of each fault class the
@@ -112,7 +113,7 @@ func Wrap(w *cluster.Worker, p Plan) {
 		}
 		if p.FailEvery > 0 && n%p.FailEvery == 0 {
 			mFails.Inc()
-			return cluster.RPCResult{ID: t.ID, WorkerID: w.ID, Err: "faultinject: injected task failure"}, nil
+			return cluster.RPCResult{Record: trace.Record{ID: t.ID}, WorkerID: w.ID, Err: "faultinject: injected task failure"}, nil
 		}
 		res := w.Execute(t)
 		if p.DropEvery > 0 && n%p.DropEvery == 0 {

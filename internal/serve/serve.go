@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,8 +15,6 @@ import (
 
 	"swtnas"
 	"swtnas/internal/obs"
-	"swtnas/internal/resilience"
-	"swtnas/internal/trace"
 )
 
 // Serve-layer telemetry: submissions, quota rejections, the live search
@@ -574,22 +570,12 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if h != nil {
 		cands = h.TopK(n)
 	} else {
-		all, err := s.journalCandidates(st)
+		_, ranked, err := swtnas.JournalCandidates(filepath.Join(s.dir, st.id+".swtj"))
 		if err != nil {
 			fail(w, http.StatusInternalServerError, "", err.Error())
 			return
 		}
-		all = slices.DeleteFunc(all, func(c swtnas.Candidate) bool { return c.Failed })
-		sort.SliceStable(all, func(i, j int) bool {
-			if all[i].Score != all[j].Score {
-				return all[i].Score > all[j].Score
-			}
-			return all[i].ID < all[j].ID
-		})
-		if n < len(all) {
-			all = all[:n]
-		}
-		cands = all
+		cands = ranked[:min(n, len(ranked))]
 	}
 	if cands == nil {
 		cands = []swtnas.Candidate{}
@@ -696,7 +682,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		// Terminal search from a previous process: replay its journal.
-		cands, err := s.journalCandidates(st)
+		cands, _, err := swtnas.JournalCandidates(filepath.Join(s.dir, st.id+".swtj"))
 		if err != nil {
 			return
 		}
@@ -711,50 +697,4 @@ done:
 	status := s.statusLocked(st)
 	s.mu.Unlock()
 	send(CandidateEvent{Kind: EventKindStatus, Status: &status})
-}
-
-// journalCandidates rebuilds a terminal search's candidate list from its
-// journal, in completion order, marked Resumed — the same view a resumed
-// process would stream.
-func (s *Server) journalCandidates(st *searchState) ([]swtnas.Candidate, error) {
-	rec, err := resilience.Read(filepath.Join(s.dir, st.id+".swtj"))
-	if err != nil {
-		return nil, err
-	}
-	cands := make([]swtnas.Candidate, 0, len(rec.Records))
-	best := math.Inf(-1)
-	for _, er := range rec.Records {
-		r := er.Record
-		if !r.Failed && r.Score > best {
-			best = r.Score
-		}
-		c := candidateFromRecord(r)
-		if !math.IsInf(best, -1) {
-			c.BestScore = best
-		}
-		cands = append(cands, c)
-	}
-	return cands, nil
-}
-
-// candidateFromRecord maps a journaled trace record onto the wire candidate
-// form, Resumed set: it was evaluated by an earlier process.
-func candidateFromRecord(r trace.Record) swtnas.Candidate {
-	return swtnas.Candidate{
-		ID:                r.ID,
-		Arch:              r.Arch,
-		Score:             r.Score,
-		Params:            r.Params,
-		ParentID:          r.ParentID,
-		TransferredLayers: r.TransferCopied,
-		TrainTime:         r.TrainTime,
-		CheckpointBytes:   r.CheckpointBytes,
-		CompletedAt:       r.CompletedAt,
-		EvalTime:          r.EvalTime,
-		QueueWait:         r.QueueWait,
-		Resumed:           true,
-		ProxyScore:        r.ProxyScore,
-		Failed:            r.Failed,
-		FailReason:        r.FailReason,
-	}
 }

@@ -252,6 +252,33 @@ func TestServerCrashResumeTwoTenants(t *testing.T) {
 	}
 }
 
+// TestTopKSameLiveAndRestored: a search that ties at the accuracy ceiling,
+// run at workers 2 so completions arrive in either order, answers /topk with
+// the same candidates in the same order from the process that ran it (the
+// handle) and from one that only has its journal — one ranking rule, both
+// paths.
+func TestTopKSameLiveAndRestored(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, dir, swtnas.PoolOptions{Workers: 2})
+	req := testSubmit("t1", 7, 16)
+	req.Workers = 2
+	a := submit(t, ts1, req)
+	waitState(t, ts1, a.ID, func(st SearchStatus) bool { return st.State == StateDone })
+	live := getTopK(t, ts1, a.ID, 5)
+	ts1.Close()
+	s1.Close()
+
+	s2, ts2 := newTestServer(t, dir, swtnas.PoolOptions{Workers: 1})
+	defer s2.Close()
+	restored := getTopK(t, ts2, a.ID, 5)
+	sameArchs(t, restored, live, "journal-backed top-K at workers 2")
+	for i := 1; i < len(live); i++ {
+		if p, c := live[i-1], live[i]; p.Score < c.Score || (p.Score == c.Score && p.ID > c.ID) {
+			t.Fatalf("top-K not score descending, id ascending at %d: %+v", i, live)
+		}
+	}
+}
+
 func readAll(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	defer resp.Body.Close()
@@ -589,10 +616,12 @@ func TestJournalCandidatesCarryFailed(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s := &Server{dir: dir}
-	cands, err := s.journalCandidates(&searchState{id: "s1"})
+	cands, ranked, err := swtnas.JournalCandidates(filepath.Join(dir, "s1.swtj"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(ranked) != 1 || ranked[0].ID != 1 {
+		t.Fatalf("ranked = %+v, want only the scored candidate", ranked)
 	}
 	if len(cands) != 2 || !cands[0].Failed || cands[0].FailReason != "non-finite score" || cands[0].BestScore != 0 {
 		t.Fatalf("candidates = %+v, want a Failed first record with no best yet", cands)

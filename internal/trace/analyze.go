@@ -44,10 +44,13 @@ func (t *Trace) indexByID() map[int]Record {
 	return byID
 }
 
-// Summary aggregates a trace for reporting.
+// Summary aggregates a trace for reporting. Candidates counts every record;
+// Failed ones (no score, no checkpoint) are counted in Failed and left out of
+// every other figure.
 type Summary struct {
 	App, Scheme     string
 	Candidates      int
+	Failed          int
 	BestScore       float64
 	BestID          int
 	MeanScore       float64
@@ -61,21 +64,21 @@ type Summary struct {
 	MeanTrainMillis float64
 }
 
-// Summarize computes the Summary of a trace.
+// Summarize computes the Summary of a trace. The best candidate is TopK's
+// first.
 func (t *Trace) Summarize() Summary {
 	s := Summary{App: t.App, Scheme: t.Scheme, Candidates: len(t.Records), BestID: -1}
-	if len(t.Records) == 0 {
-		return s
-	}
 	var scoreSum float64
 	var lineageSum int
-	best := t.Records[0].Score - 1
 	for _, r := range t.Records {
-		scoreSum += r.Score
-		if r.Score > best {
-			best = r.Score
-			s.BestID = r.ID
+		if r.CompletedAt > s.Makespan {
+			s.Makespan = r.CompletedAt
 		}
+		if r.Failed {
+			s.Failed++
+			continue
+		}
+		scoreSum += r.Score
 		if r.TransferCopied > 0 {
 			s.Transferred++
 		}
@@ -86,12 +89,13 @@ func (t *Trace) Summarize() Summary {
 		}
 		s.TotalTrainTime += r.TrainTime
 		s.TotalCkptBytes += r.CheckpointBytes
-		if r.CompletedAt > s.Makespan {
-			s.Makespan = r.CompletedAt
-		}
 	}
-	n := float64(len(t.Records))
-	s.BestScore = best
+	top := t.TopK(1)
+	if len(top) == 0 {
+		return s
+	}
+	s.BestID, s.BestScore = t.Records[top[0]].ID, t.Records[top[0]].Score
+	n := float64(s.Candidates - s.Failed)
 	s.MeanScore = scoreSum / n
 	s.MeanLineage = float64(lineageSum) / n
 	s.MeanCkptKB = float64(s.TotalCkptBytes) / n / 1024
@@ -103,10 +107,10 @@ func (t *Trace) Summarize() Summary {
 func (t *Trace) WriteSummary(w io.Writer) {
 	s := t.Summarize()
 	fmt.Fprintf(w, "trace %s/%s (seed %d)\n", s.App, s.Scheme, t.Seed)
-	fmt.Fprintf(w, "  candidates      %d\n", s.Candidates)
+	fmt.Fprintf(w, "  candidates      %d (%d failed)\n", s.Candidates, s.Failed)
 	fmt.Fprintf(w, "  best score      %.4f (candidate %d)\n", s.BestScore, s.BestID)
 	fmt.Fprintf(w, "  mean score      %.4f\n", s.MeanScore)
-	fmt.Fprintf(w, "  warm-started    %d (%.0f%%)\n", s.Transferred, 100*float64(s.Transferred)/float64(max(1, s.Candidates)))
+	fmt.Fprintf(w, "  warm-started    %d (%.0f%%)\n", s.Transferred, 100*float64(s.Transferred)/float64(max(1, s.Candidates-s.Failed)))
 	fmt.Fprintf(w, "  lineage depth   mean %.2f, max %d\n", s.MeanLineage, s.MaxLineage)
 	fmt.Fprintf(w, "  train time      %.1f ms/candidate\n", s.MeanTrainMillis)
 	fmt.Fprintf(w, "  checkpoints     %.1f KB/candidate\n", s.MeanCkptKB)

@@ -64,6 +64,24 @@ func TestSummarize(t *testing.T) {
 	if empty.Candidates != 0 || empty.BestID != -1 {
 		t.Fatalf("empty summary = %+v", empty)
 	}
+
+	// A Failed record has no score and no checkpoint: it is counted, and
+	// nothing else moves — not even when its zero score beats every real one.
+	tr := lineageTrace()
+	for i := range tr.Records {
+		tr.Records[i].Score -= 1
+	}
+	want := tr.Summarize()
+	tr.Records = append(tr.Records, Record{ID: 5, ParentID: 3, Failed: true, FailReason: "non-finite score", TransferCopied: 1, CompletedAt: 6 * time.Second})
+	got := tr.Summarize()
+	want.Candidates, want.Failed, want.Makespan = 6, 1, 6*time.Second
+	if got != want {
+		t.Fatalf("summary with a Failed record:\n got  %+v\n want %+v", got, want)
+	}
+	allFailed := (&Trace{Records: []Record{{ID: 0, Failed: true}}}).Summarize()
+	if allFailed.BestID != -1 || allFailed.Failed != 1 || allFailed.MeanScore != 0 {
+		t.Fatalf("all-failed summary = %+v", allFailed)
+	}
 }
 
 func TestWriteSummary(t *testing.T) {

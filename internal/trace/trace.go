@@ -1,6 +1,9 @@
 // Package trace records NAS runs — every evaluated candidate with its
 // architecture sequence, shape sequence, score and costs — and provides the
 // pair-sampling utilities behind the paper's offline studies (Figs 2, 4, 5).
+// Record is the one representation of a finished candidate: the evaluator
+// fills it, the RPC result and the scheduler's result carry it, the journal
+// stores it, and TopK is the one rule that ranks it.
 package trace
 
 import (
@@ -8,12 +11,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
 	"time"
 
 	"swtnas/internal/core"
 )
 
-// Record is one evaluated candidate.
+// Record is one evaluated candidate. It crosses the wire inside
+// cluster.RPCResult (gob) and is the body of a journal record (JSON).
 type Record struct {
 	// ID is the candidate's sequence number within the search.
 	ID int `json:"id"`
@@ -94,9 +99,10 @@ func (t *Trace) Scores() []float64 {
 	return out
 }
 
-// TopK returns the indices of the K best-scoring records (ties broken by
-// earlier completion), the candidates NAS would fully train in phase two.
-// Failed records (retry budget exhausted under fault-tolerant execution)
+// TopK returns the indices of the K best records, best first — the candidates
+// NAS would fully train in phase two. It is the repo's one ranking rule: score
+// descending, then candidate ID ascending, so the order is a function of the
+// record set and not of the order completions arrived in. Failed records
 // never rank.
 func (t *Trace) TopK(k int) []int {
 	idx := make([]int, 0, len(t.Records))
@@ -105,20 +111,33 @@ func (t *Trace) TopK(k int) []int {
 			idx = append(idx, i)
 		}
 	}
-	// Selection of the k best by score; n is small (hundreds).
-	for i := 0; i < k && i < len(idx); i++ {
-		best := i
-		for j := i + 1; j < len(idx); j++ {
-			if t.Records[idx[j]].Score > t.Records[idx[best]].Score {
-				best = j
-			}
+	sort.Slice(idx, func(a, b int) bool {
+		ra, rb := t.Records[idx[a]], t.Records[idx[b]]
+		if ra.Score != rb.Score {
+			return ra.Score > rb.Score
 		}
-		idx[i], idx[best] = idx[best], idx[i]
-	}
+		return ra.ID < rb.ID
+	})
 	if k > len(idx) {
 		k = len(idx)
 	}
 	return idx[:k]
+}
+
+// RunningBest returns, for every record, the best score among the non-Failed
+// records up to and including it, in completion order (0 while none has
+// scored) — what the scheduler reports as BestScore while a search runs, for
+// callers that hold only the records.
+func (t *Trace) RunningBest() []float64 {
+	out := make([]float64, len(t.Records))
+	best, scored := 0.0, false
+	for i, r := range t.Records {
+		if !r.Failed && (!scored || r.Score > best) {
+			best, scored = r.Score, true
+		}
+		out[i] = best
+	}
+	return out
 }
 
 // Pair indexes two distinct records of a trace.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -45,6 +46,35 @@ func TestTopK(t *testing.T) {
 	all := tr.TopK(10)
 	if len(all) != 4 || tr.Records[all[0]].ID != 1 {
 		t.Fatalf("topAll = %v", all)
+	}
+}
+
+// TestTopKRanksTiesByID: the ranking is a function of the record set — score
+// descending, then the lower candidate ID — whatever order the candidates
+// completed in, and a Failed record never ranks even when its zero score
+// would.
+func TestTopKRanksTiesByID(t *testing.T) {
+	recs := []Record{
+		{ID: 14, Score: 1}, {ID: 5, Score: 0.9}, {ID: 11, Score: 1},
+		{ID: 4, Score: 0.9}, {ID: 13, Score: 1}, {ID: 2, Score: -0.5}, {ID: 7, Failed: true},
+	}
+	want := []int{11, 13, 14, 4, 5, 2}
+	for shift := range recs {
+		tr := &Trace{Records: append(append([]Record(nil), recs[shift:]...), recs[:shift]...)}
+		var got []int
+		for _, i := range tr.TopK(len(recs)) {
+			got = append(got, tr.Records[i].ID)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("completion order rotated by %d: ranked %v, want %v", shift, got, want)
+		}
+	}
+}
+
+func TestRunningBest(t *testing.T) {
+	tr := &Trace{Records: []Record{{ID: 0, Failed: true}, {ID: 1, Score: -0.5}, {ID: 2, Failed: true}, {ID: 3, Score: 0.2}, {ID: 4, Score: 0.1}}}
+	if got, want := fmt.Sprint(tr.RunningBest()), "[0 -0.5 -0.5 0.2 0.2]"; got != want {
+		t.Fatalf("running best = %s, want %s", got, want)
 	}
 }
 

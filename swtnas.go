@@ -35,7 +35,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"math"
 	"math/rand"
 	"os"
 	"strings"
@@ -50,6 +49,7 @@ import (
 	"swtnas/internal/nn"
 	"swtnas/internal/obs"
 	"swtnas/internal/proxy"
+	"swtnas/internal/resilience"
 	"swtnas/internal/search"
 	"swtnas/internal/trace"
 )
@@ -111,9 +111,9 @@ type Candidate struct {
 	FailReason string `json:"fail_reason,omitempty"`
 }
 
-// candidateOf renders one trace record as a Candidate; BestScore and Resumed
-// are the caller's to fill.
-func candidateOf(r trace.Record) Candidate {
+// candidateOf renders one finished evaluation as a Candidate: the repo's one
+// mapping from a trace record to the public form.
+func candidateOf(r nas.Result) Candidate {
 	return Candidate{
 		ID:                r.ID,
 		Arch:              r.Arch,
@@ -126,10 +126,32 @@ func candidateOf(r trace.Record) Candidate {
 		CompletedAt:       r.CompletedAt,
 		EvalTime:          r.EvalTime,
 		QueueWait:         r.QueueWait,
+		BestScore:         r.BestScore,
+		Resumed:           r.Resumed,
 		ProxyScore:        r.ProxyScore,
 		Failed:            r.Failed,
 		FailReason:        r.FailReason,
 	}
+}
+
+// JournalCandidates reads the candidates of a search back from its journal —
+// the view a process that resumed it would stream: completion order, each
+// marked Resumed, BestScore the running best — together with the same
+// candidates in Result.Best order. The serve layer answers for searches that
+// finished under an earlier process with it.
+func JournalCandidates(path string) (completed, ranked []Candidate, err error) {
+	rec, err := resilience.Read(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	res := &Result{tr: &trace.Trace{}}
+	for _, er := range rec.Records {
+		res.tr.Records = append(res.tr.Records, er.Record)
+	}
+	for i, best := range res.tr.RunningBest() {
+		res.Candidates = append(res.Candidates, candidateOf(nas.Result{Record: res.tr.Records[i], BestScore: best, Resumed: true}))
+	}
+	return res.Candidates, res.Best(len(res.Candidates)), nil
 }
 
 // LatencyStats is the compact count/mean/p50/p95/max form SearchSummary
@@ -254,13 +276,9 @@ func summarize(tr *trace.Trace, wall time.Duration, before *obs.Snapshot, pf *pr
 			SurrogateMAE:    st.SurrogateMAE,
 		}
 	}
-	best := math.Inf(-1)
 	for _, r := range tr.Records {
 		if r.Failed {
 			continue
-		}
-		if r.Score > best {
-			best = r.Score
 		}
 		if r.TransferCopied > 0 {
 			s.Transferred++
@@ -268,8 +286,8 @@ func summarize(tr *trace.Trace, wall time.Duration, before *obs.Snapshot, pf *pr
 			s.Scratch++
 		}
 	}
-	if len(tr.Records) > 0 {
-		s.BestScore = best
+	if top := tr.TopK(1); len(top) > 0 {
+		s.BestScore = tr.Records[top[0]].Score
 	}
 	if before != nil {
 		d := obs.Take().Delta(before)
@@ -287,8 +305,9 @@ func summarize(tr *trace.Trace, wall time.Duration, before *obs.Snapshot, pf *pr
 	return s
 }
 
-// Best returns the k highest-scoring candidates (the top-K set NAS would
-// fully train).
+// Best returns the k best candidates, best first (the top-K set NAS would
+// fully train): score descending, ties broken by the lower candidate ID, so
+// the order depends on the candidates and not on when each one completed.
 func (r *Result) Best(k int) []Candidate {
 	idx := r.tr.TopK(k)
 	out := make([]Candidate, len(idx))
