@@ -7,6 +7,7 @@
 //	swtnas -app cifar10 -scheme LP -budget 400 -workers 4 -trace out.json
 //	swtnas -app nt3 -budget 200 -journal run.swtj            # crash-safe
 //	swtnas -app nt3 -budget 200 -journal run.swtj -resume    # continue it
+//	swtnas -app cifar10 -dtype f32 -budget 24 -cpuprofile cpu.prof
 package main
 
 import (
@@ -17,6 +18,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
@@ -25,6 +27,26 @@ import (
 	"swtnas/internal/obs"
 	"swtnas/internal/parallel"
 )
+
+// startCPUProfile starts a CPU profile into path and returns the function
+// that stops it and closes the file; an empty path profiles nothing.
+func startCPUProfile(path string) (stop func() error, err error) {
+	if path == "" {
+		return func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
 
 func main() {
 	log.SetFlags(0)
@@ -56,6 +78,7 @@ func main() {
 		proxyA   = flag.Float64("proxy-admit", 0, "fraction of each proposal batch admitted to training, in (0,1] (0 = default 0.5; needs -proxy-filter)")
 		multiObj = flag.Bool("multi-objective", false, "Pareto (score x params) parent selection instead of best-score evolution")
 		dtype    = flag.String("dtype", "", "training element type: f64 (default) or f32 (native float32 training, f32 checkpoints)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the search to this file (go tool pprof)")
 	)
 	flag.Parse()
 
@@ -106,8 +129,18 @@ func main() {
 		}
 	}
 
+	// The profile covers the search and nothing else. It is complete after
+	// Ctrl-C too: the signal only cancels ctx, and SearchContext then
+	// returns here.
+	stopProfile, err := startCPUProfile(*cpuProf)
+	if err != nil {
+		log.Fatal(err)
+	}
 	start := time.Now()
 	res, err := swtnas.SearchContext(ctx, opt)
+	if perr := stopProfile(); perr != nil {
+		log.Fatal(perr)
+	}
 	if err != nil {
 		if res == nil || !errors.Is(err, context.Canceled) {
 			log.Fatal(err)

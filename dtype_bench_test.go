@@ -1,10 +1,10 @@
 // Dtype benchmarks: the float32 instantiations of the GEMM and Conv2D hot
 // paths against their float64 twins, identical shapes and worker counts.
-// The f32 path runs the SIMD-shaped kernels of internal/tensor/gemm_f32.go
-// (4-lane SSE on amd64) instead of the scalar 2×4 micro-kernels, so it
-// must clear at least 1.4x the f64 throughput at conv batch 32 — the
-// pinned acceptance floor; measured ~1.7x for Conv2D fwd+bwd and ~5x for
-// the raw GEMM on the committed bench box. The README's Performance table
+// The f32 path runs the kernels of internal/tensor/gemm_f32.go (SSE2 tile
+// kernels on amd64) instead of the scalar 2×4 micro-kernels, so it must
+// clear at least 1.4x the f64 throughput at conv batch 32 — the pinned
+// acceptance floor; measured ~3.5x for Conv2D fwd+bwd and ~6x for the raw
+// GEMM on the committed bench box, single core. The README's Performance table
 // quotes these series; CI runs them with -benchtime 1x as a smoke test.
 // See DESIGN.md §14.
 package swtnas
@@ -85,5 +85,47 @@ func BenchmarkConv2DDtype(b *testing.B) {
 				c32.Backward(out)
 			}
 		})
+	}
+}
+
+// BenchmarkGemmF32Shapes runs the three f32 products single-threaded at the
+// shapes a cifar10/mnist search actually issues — 4, 8 or 16 filters, so
+// n ≤ 16 against tens of thousands of patch rows — plus one fat control.
+// GFLOP/s is nominal 2·m·k·n. The skinny rows are where the per-call
+// overhead of a kernel shows; the fat row is where its lanes do.
+func BenchmarkGemmF32Shapes(b *testing.B) {
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	shapes := []struct{ m, k, n int }{
+		{57600, 27, 4}, {57600, 27, 16}, {14400, 72, 8}, {14400, 144, 16}, {64, 256, 128},
+	}
+	for _, s := range shapes {
+		rng := rand.New(rand.NewSource(27))
+		randn := func(n int) []float32 {
+			v := make([]float32, n)
+			for i := range v {
+				v[i] = float32(rng.NormFloat64())
+			}
+			return v
+		}
+		x, w, g := randn(s.m*s.k), randn(s.k*s.n), randn(s.m*s.n)
+		out, dx, dw := make([]float32, s.m*s.n), make([]float32, s.m*s.k), make([]float32, s.k*s.n)
+		ops := []struct {
+			name string
+			run  func()
+		}{
+			{"Gemm", func() { tensor.Gemm(out, x, w, s.m, s.k, s.n, nil) }},
+			{"GemmBT", func() { tensor.GemmBT(dx, g, w, s.m, s.n, s.k) }},
+			{"GemmAT", func() { tensor.GemmAT(dw, x, g, s.m, s.k, s.n) }},
+		}
+		for _, op := range ops {
+			b.Run(fmt.Sprintf("op=%s/%dx%dx%d", op.name, s.m, s.k, s.n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					op.run()
+				}
+				flop := 2 * float64(s.m) * float64(s.k) * float64(s.n)
+				b.ReportMetric(flop*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }

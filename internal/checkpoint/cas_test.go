@@ -2,11 +2,14 @@ package checkpoint
 
 import (
 	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -394,6 +397,74 @@ func TestCASAdoptManifestRejectsCorruptBlob(t *testing.T) {
 	err = s2.AdoptManifest("b", man)
 	if err == nil || errors.Is(err, ErrMissingBlob) {
 		t.Fatalf("adopt with corrupt blob content: %v, want a hash-mismatch error", err)
+	}
+}
+
+// TestCASDecodeBoundedByManifestSize replaces a stored blob with a gzip
+// stream of the wrong inflated length. One that runs past the size the
+// manifest names — here 32 MiB of zeros behind a few KiB on disk, where the
+// tensor is 96 bytes — must fail Load and AdoptManifest with an error
+// naming the blob, having allocated in proportion to the 96 bytes, not the
+// 32 MiB; one that ends short must fail the same way.
+func TestCASDecodeBoundedByManifestSize(t *testing.T) {
+	gz := func(n int) []byte {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		if _, err := zw.Write(make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, c := range []struct {
+		name   string
+		stream []byte
+		want   string
+	}{
+		{"long", gz(32 << 20), "inflates past"},
+		{"short", gz(8), "inflates to fewer"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := NewCASDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Save("a", casModel(10, 1)); err != nil {
+				t.Fatal(err)
+			}
+			man, err := s.EncodedManifest("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			mf, err := DecodeManifest(man)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := mf.Groups[0].Tensors[0].Hash // the [4, 3] weight: 96 raw bytes
+			if err := os.WriteFile(filepath.Join(dir, "blobs", h.String()+".blob"), c.stream, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := NewCASDiskStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, loadErr := s2.Load("a")
+			adoptErr := s2.AdoptManifest("b", man)
+			runtime.ReadMemStats(&after)
+			for op, err := range map[string]error{"Load": loadErr, "AdoptManifest": adoptErr} {
+				if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), h.String()) {
+					t.Errorf("%s over a blob whose stream runs %s: err = %v, want one saying %q and naming %s", op, c.name, err, c.want, h)
+				}
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+				t.Errorf("decoding a 96-byte tensor allocated %d bytes", got)
+			}
+		})
 	}
 }
 

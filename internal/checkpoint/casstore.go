@@ -253,21 +253,36 @@ func (s *CASStore) encodeBlob(raw []byte, width int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeBlob undoes encodeBlob.
-func (s *CASStore) decodeBlob(stored []byte, width int) ([]byte, error) {
+// decodeBlob undoes encodeBlob for the blob with hash h, which its manifest
+// says is rawBytes long. The inflated stream is read into a buffer of
+// exactly that size: a stream that ends early or runs past it is an error
+// naming the blob, so a corrupt or hostile blob file costs at most the
+// allocation an honest one would, and an honest one is never re-grown.
+func (s *CASStore) decodeBlob(h Hash, stored []byte, rawBytes int64, width int) ([]byte, error) {
 	if !s.compress {
 		return stored, nil
 	}
+	// Deflate expands at most 1032:1, so a size the stored bytes cannot
+	// reach is refused before it is allocated.
+	if rawBytes > 1032*int64(len(stored)) {
+		return nil, fmt.Errorf("checkpoint: blob %s: %d stored bytes cannot hold the %d its manifest names", h, len(stored), rawBytes)
+	}
 	zr, err := gzip.NewReader(bytes.NewReader(stored))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("checkpoint: blob %s: %w", h, err)
 	}
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		return nil, err
+	raw := make([]byte, rawBytes)
+	if _, err := io.ReadFull(zr, raw); err != nil {
+		return nil, fmt.Errorf("checkpoint: blob %s inflates to fewer than the %d bytes its manifest names: %w", h, rawBytes, err)
 	}
-	if err := zr.Close(); err != nil {
-		return nil, err
+	// The stream must end here; reaching its end is also what makes gzip
+	// verify its checksum.
+	switch _, err := io.ReadFull(zr, make([]byte, 1)); err {
+	case io.EOF:
+	case nil:
+		return nil, fmt.Errorf("checkpoint: blob %s inflates past the %d bytes its manifest names", h, rawBytes)
+	default:
+		return nil, fmt.Errorf("checkpoint: blob %s: %w", h, err)
 	}
 	return unshuffleBytes(raw, width), nil
 }
@@ -362,7 +377,8 @@ func (s *CASStore) Load(id string) (*Model, error) {
 		if err != nil {
 			return nil, err
 		}
-		return s.decodeBlob(stored, mf.DType.Size())
+		// Every blob of a held manifest has a ref, sized from that manifest.
+		return s.decodeBlob(h, stored, s.refs[h].raw, mf.DType.Size())
 	})
 	s.mu.Unlock()
 	if err != nil {
@@ -458,9 +474,9 @@ func (s *CASStore) AdoptManifest(id string, manifest []byte) error {
 			if err != nil {
 				return fmt.Errorf("%w: id %q tensor %q (%s)", ErrMissingBlob, id, t.Name, t.Hash)
 			}
-			raw, err := s.decodeBlob(stored, mf.DType.Size())
+			raw, err := s.decodeBlob(t.Hash, stored, t.rawBytes(mf.DType), mf.DType.Size())
 			if err != nil {
-				return fmt.Errorf("checkpoint: adopting %q, blob %s: %w", id, t.Hash, err)
+				return fmt.Errorf("checkpoint: adopting %q: %w", id, err)
 			}
 			if HashBlob(raw) != t.Hash {
 				return fmt.Errorf("checkpoint: adopting %q, blob %s content does not match its hash", id, t.Hash)

@@ -42,12 +42,13 @@ import "swtnas/internal/obs"
 // The kernels are generic over Float, but the two instantiations do not
 // share micro-kernels: scalar multiply-adds cost the same at either width
 // on amd64, so a float32 copy of the float64 code would waste the halved
-// element size. The float32 instantiations dispatch to SIMD-shaped
-// primitives (gemm_f32.go; SSE assembly on amd64, pure-Go twins
-// elsewhere) with their own pinned accumulation orders. The determinism
-// contract — bit-identical results for any worker count — therefore holds
+// element size. The float32 instantiations have their own pinned
+// accumulation orders (gemm_f32.go), run as SSE2 tile kernels on amd64 —
+// one assembly call per row shard and reduction tile — and as the pure-Go
+// loops that define those orders elsewhere. The determinism contract —
+// bit-identical results for any worker count — therefore holds
 // independently *per dtype* (pinned by TestGemmParallelMatchesSerialF32
-// and TestF32KernelsMatchGoTwins); f32 and f64 results agree only to f32
+// and TestGemmF32ShapeSweep); f32 and f64 results agree only to f32
 // rounding. Mixed-dtype products do not exist: a network is entirely one
 // element type.
 
@@ -65,7 +66,8 @@ const (
 // one latency histogram shared by all three kernels, at call granularity —
 // the per-call cost when disabled is three atomic loads, invisible next to
 // even the smallest GEMM. FLOPs are nominal 2·m·k·n multiply-adds; the
-// zero-skip shortcut makes the executed count lower on sparse activations.
+// f64 zero-skip shortcut makes the executed count lower on sparse
+// activations.
 var (
 	mGemmCalls   = obs.GetCounter("tensor.gemm.calls")
 	mGemmFlops   = obs.GetCounter("tensor.gemm.flops")
@@ -84,10 +86,11 @@ func observeGemm(m, k, n int, t obs.Timer) {
 // every output row; otherwise rows start at zero. Rows of dst are computed
 // in parallel shards; the reduction over k runs in ascending tile order
 // inside each row (register-blocked within each tile), so the result is
-// bit-identical for any worker count. The scalar remainder path skips b rows
-// for zero elements of a (activations are sparse after ReLU); the 2×4
-// micro-kernel does not — the branch costs more on dense data than the skip
-// recovers at realistic sparsity.
+// bit-identical for any worker count. The float64 scalar remainder path
+// skips b rows for zero elements of a (activations are sparse after ReLU);
+// the 2×4 micro-kernel does not — the branch costs more on dense data than
+// the skip recovers at realistic sparsity — and the float32 path never
+// skips (gemm_f32.go).
 func Gemm[T Float](dst, a, b []T, m, k, n int, bias []T) {
 	defer observeGemm(m, k, n, mGemmSeconds.Start())
 	if d32, ok := any(dst).([]float32); ok {

@@ -3,41 +3,46 @@ package tensor
 // Float32 kernel specialization. The generic 2×4 micro-kernels in gemm.go
 // are scalar, and scalar multiply-adds cost the same at either width on
 // amd64 — so a float32 instantiation of the float64 kernels moves half the
-// bytes but clears barely any extra throughput. The f32 path instead lowers
-// every product onto two SIMD-friendly primitives whose per-element
-// accumulation order is fixed by construction:
+// bytes but clears barely any extra throughput. The f32 path instead pins
+// a SIMD-friendly per-element accumulation order for each product and lets
+// each build reach it the fastest way it can:
 //
-//   - axpy4f32: dst[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j], the
-//     four terms added left to right into dst[j], one IEEE rounding per
-//     multiply and per add. Gemm uses it with four consecutive B rows
-//     (contributions land kk-ascending, the same per-element sequence as
-//     the scalar path and the naive triple loop); GemmAT with four
-//     consecutive samples' b rows (mm-ascending, matching the serial
-//     sample-major loop).
-//   - dot4f32: four dot products of one a row against four consecutive b
-//     rows. Each dot is a 4-lane strided partial sum — lane l accumulates
-//     elements j≡l (mod 4) in ascending j — reduced as (s0+s2)+(s1+s3),
-//     then the tail elements (j ≥ len&^3) are added in ascending order.
-//     GemmBT's f32 dot products therefore have a *different* (but equally
-//     pinned) accumulation order than the f64 scalar kernel — allowed,
-//     because the determinism contract is per dtype.
+//   - Gemm: dst[i][j] starts at bias[j] (or +0) and takes a[i][kk]·b[kk][j]
+//     for kk ascending, one IEEE rounding per multiply and per add — the
+//     same per-element sequence as the scalar path and the naive triple
+//     loop.
+//   - GemmAT: dst[kk][j] takes a[mm][kk]·b[mm][j] for mm ascending, matching
+//     the serial sample-major loop.
+//   - GemmBT: each dot product is a 4-lane strided partial sum — lane l
+//     accumulates elements j≡l (mod 4) in ascending j from +0 — reduced as
+//     (s0+s2)+(s1+s3), then the tail elements (j ≥ len&^3) are added in
+//     ascending order. GemmBT's f32 dot products therefore have a
+//     *different* (but equally pinned) accumulation order than the f64
+//     scalar kernel — allowed, because the determinism contract is per
+//     dtype.
 //
-// On amd64 the primitives are hand-written SSE (gemm_f32_amd64.s): MULPS
-// and ADDPS round each lane exactly like MULSS/ADDSS, and Go never fuses
-// multiply-add on amd64, so the assembly is bit-identical to the pure-Go
-// twins below (pinned by TestF32KernelsMatchGoTwins). Other GOARCHes use
-// the twins directly (gemm_f32_noasm.go). Either way the kernel choice is
-// a pure function of position — never of worker count — so serial and
-// parallel runs agree bit for bit (TestGemmParallelMatchesSerialF32).
+// This file is the definition: plain Go loops over the four order-explicit
+// primitives at the bottom. On amd64 the products run as SSE2 tile kernels
+// instead (gemm_f32_amd64.s): one assembly call per row shard and reduction
+// tile, the output tile held in registers across the whole tile. MULPS and
+// ADDPS round each lane exactly like MULSS/ADDSS, and Go never fuses
+// multiply-add on amd64, so the assembly is bit-identical to these loops
+// (pinned by TestGemmF32ShapeSweep and TestF32KernelsMatchGoTwins). Other
+// GOARCHes, and amd64 under the purego build tag, run the loops directly
+// (gemm_f32_noasm.go). Either way the arithmetic of an element is a pure
+// function of its position — never of worker count or of which rows share
+// a tile — so serial and parallel runs agree bit for bit
+// (TestGemmParallelMatchesSerialF32).
 //
 // The f32 path does not skip zero operands: the branch that pays for
 // itself on scalar f64 sparsity breaks the SIMD pipeline for a 4-wide
 // kernel. Zero-skipping was never part of the numeric contract (0·b adds
-// a signed zero), only a scalar-era speedup.
+// a signed zero), only a scalar-era speedup; without it 0·Inf is NaN here
+// as IEEE says.
 
-// gemmRowsF32 computes rows [lo, hi) of dst = a·b (+bias) in float32,
-// K-tiled like the generic path with axpy4f32 inside each tile.
-func gemmRowsF32(dst, a, b []float32, lo, hi, k, n int, bias []float32) {
+// gemmRowsGo computes rows [lo, hi) of dst = a·b (+bias) in float32,
+// K-tiled like the generic path with axpy4Go inside each tile.
+func gemmRowsGo(dst, a, b []float32, lo, hi, k, n int, bias []float32) {
 	for i := lo; i < hi; i++ {
 		oi := dst[i*n : (i+1)*n]
 		if bias != nil {
@@ -58,22 +63,22 @@ func gemmRowsF32(dst, a, b []float32, lo, hi, k, n int, bias []float32) {
 			oi := dst[i*n : (i+1)*n]
 			kk := k0
 			for ; kk+4 <= k1; kk += 4 {
-				axpy4f32(oi,
+				axpy4Go(oi,
 					b[(kk+0)*n:(kk+1)*n], b[(kk+1)*n:(kk+2)*n],
 					b[(kk+2)*n:(kk+3)*n], b[(kk+3)*n:(kk+4)*n],
 					ai[kk], ai[kk+1], ai[kk+2], ai[kk+3])
 			}
 			for ; kk < k1; kk++ {
-				axpy1f32(oi, b[kk*n:(kk+1)*n], ai[kk])
+				axpy1Go(oi, b[kk*n:(kk+1)*n], ai[kk])
 			}
 		}
 	}
 }
 
-// gemmBTRowsF32 computes rows [lo, hi) of dst = a·bᵀ in float32: each
-// output element is one dot4f32/dot1f32 dot product, chosen by the global
-// tile grid so the order never depends on sharding.
-func gemmBTRowsF32(dst, a, b []float32, lo, hi, n, k int) {
+// gemmBTRowsGo computes rows [lo, hi) of dst = a·bᵀ in float32: each
+// output element is one dot4Go/dot1Go dot product (the two share one lane
+// order), chosen by the global tile grid.
+func gemmBTRowsGo(dst, a, b []float32, lo, hi, n, k int) {
 	for k0 := 0; k0 < k; k0 += gemmKBlock {
 		k1 := k0 + gemmKBlock
 		if k1 > k {
@@ -84,21 +89,21 @@ func gemmBTRowsF32(dst, a, b []float32, lo, hi, n, k int) {
 			oi := dst[i*k : (i+1)*k]
 			kk := k0
 			for ; kk+4 <= k1; kk += 4 {
-				oi[kk], oi[kk+1], oi[kk+2], oi[kk+3] = dot4f32(ai,
+				oi[kk], oi[kk+1], oi[kk+2], oi[kk+3] = dot4Go(ai,
 					b[(kk+0)*n:(kk+1)*n], b[(kk+1)*n:(kk+2)*n],
 					b[(kk+2)*n:(kk+3)*n], b[(kk+3)*n:(kk+4)*n])
 			}
 			for ; kk < k1; kk++ {
-				oi[kk] = dot1f32(ai, b[kk*n:(kk+1)*n])
+				oi[kk] = dot1Go(ai, b[kk*n:(kk+1)*n])
 			}
 		}
 	}
 }
 
-// gemmATRowsF32 accumulates rows [lo, hi) of dst += aᵀ·b in float32,
-// m-tiled with axpy4f32 over groups of four samples (mm ascending, the
+// gemmATRowsGo accumulates rows [lo, hi) of dst += aᵀ·b in float32,
+// m-tiled with axpy4Go over groups of four samples (mm ascending, the
 // contract order for weight gradients).
-func gemmATRowsF32(dst, a, b []float32, lo, hi, m, k, n int) {
+func gemmATRowsGo(dst, a, b []float32, lo, hi, m, k, n int) {
 	for m0 := 0; m0 < m; m0 += gemmMBlock {
 		m1 := m0 + gemmMBlock
 		if m1 > m {
@@ -108,26 +113,23 @@ func gemmATRowsF32(dst, a, b []float32, lo, hi, m, k, n int) {
 			oi := dst[kk*n : (kk+1)*n]
 			mm := m0
 			for ; mm+4 <= m1; mm += 4 {
-				axpy4f32(oi,
+				axpy4Go(oi,
 					b[(mm+0)*n:(mm+1)*n], b[(mm+1)*n:(mm+2)*n],
 					b[(mm+2)*n:(mm+3)*n], b[(mm+3)*n:(mm+4)*n],
 					a[(mm+0)*k+kk], a[(mm+1)*k+kk], a[(mm+2)*k+kk], a[(mm+3)*k+kk])
 			}
 			for ; mm < m1; mm++ {
-				axpy1f32(oi, b[mm*n:(mm+1)*n], a[mm*k+kk])
+				axpy1Go(oi, b[mm*n:(mm+1)*n], a[mm*k+kk])
 			}
 		}
 	}
 }
 
-// Pure-Go twins of the assembly kernels. They define the reference
-// semantics: the .s files must match them bit for bit (asserted by
-// TestF32KernelsMatchGoTwins on amd64) and non-amd64 builds run them
-// directly. Kept branch-free and order-explicit — do not "optimize" the
-// accumulation sequence here without changing the assembly in lockstep.
+// The order-explicit primitives under the loops above. Kept branch-free —
+// do not "optimize" the accumulation sequence here without changing the
+// assembly in lockstep.
 
-// axpy4Go is the reference for axpy4f32: four scaled rows added into dst,
-// terms left to right per element.
+// axpy4Go adds four scaled rows into dst, terms left to right per element.
 func axpy4Go(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	for j := range dst {
 		v := dst[j]
@@ -139,16 +141,15 @@ func axpy4Go(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
 	}
 }
 
-// axpy1Go is the reference for axpy1f32: dst[j] += a·b[j].
+// axpy1Go computes dst[j] += a·b[j].
 func axpy1Go(dst, b []float32, a float32) {
 	for j := range dst {
 		dst[j] += a * b[j]
 	}
 }
 
-// dot4Go is the reference for dot4f32: each dot product is a 4-lane
-// strided partial sum reduced as (s0+s2)+(s1+s3), tail elements appended
-// in ascending order.
+// dot4Go returns four dot products, each a 4-lane strided partial sum
+// reduced as (s0+s2)+(s1+s3), tail elements appended in ascending order.
 func dot4Go(a, b0, b1, b2, b3 []float32) (float32, float32, float32, float32) {
 	var p0, p1, p2, p3 [4]float32
 	j4 := len(a) &^ 3
@@ -175,8 +176,8 @@ func dot4Go(a, b0, b1, b2, b3 []float32) (float32, float32, float32, float32) {
 	return d0, d1, d2, d3
 }
 
-// dot1Go is the reference for dot1f32, with the same lane structure as
-// one dot4 output. A column lands in dot1 only as a tile remainder — a
+// dot1Go is one dot product with the same lane structure as one dot4Go
+// output. A column lands in dot1 only as a tile remainder — a
 // property of the global tile grid, identical on every worker count — so
 // sharing the structure is about reusing the rounding analysis, not a
 // determinism requirement.

@@ -1,31 +1,78 @@
+//go:build !purego
+
 package tensor
 
-// SSE implementations of the float32 kernel primitives (gemm_f32_amd64.s).
+// SSE2 tile kernels behind the float32 products (gemm_f32_amd64.s). Each
+// product makes one assembly call per row shard and reduction tile; the
+// loops over rows, columns and the reduction index run inside the call.
 // MULPS/ADDPS round each lane exactly like the scalar single-precision
-// ops, so these are bit-identical to the Go twins in gemm_f32.go — pinned
-// by TestF32KernelsMatchGoTwins. SSE is part of the amd64 baseline
-// (GOAMD64=v1), so there is no runtime feature check.
+// ops, so the kernels are bit-identical to the Go loops in gemm_f32.go —
+// pinned by TestF32KernelsMatchGoTwins and TestGemmF32ShapeSweep. SSE2 is
+// part of the amd64 baseline (GOAMD64=v1), so there is no feature check;
+// the purego build tag selects the Go loops instead.
 
-// axpy4f32 computes dst[j] += a0·b0[j] + a1·b1[j] + a2·b2[j] + a3·b3[j]
-// for j in [0, len(dst)), terms added left to right. The b rows must be at
-// least len(dst) long.
+// gemmTileF32 computes, for r < rows and j < n,
+//
+//	dst[r*n+j] = init[r*initStride+j] + Σ_t a[r*ars+t*ats]·b[t*n+j]
+//
+// with the sum taken t-ascending from 0 to kc-1, one multiply and one add
+// per term. A nil init starts every element at +0; init may be dst itself
+// (accumulate in place) or a bias row with stride 0. The (ars, ats) strides
+// make one kernel serve Gemm (a row-major: k, 1) and GemmAT (a read
+// transposed: 1, k).
 //
 //go:noescape
-func axpy4f32(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32)
+func gemmTileF32(dst, init *float32, initStride int, a *float32, ars, ats int, b *float32, rows, kc, n int)
 
-// axpy1f32 computes dst[j] += a·b[j] for j in [0, len(dst)).
+// gemmBTTileF32 computes dst[r*ldd+c] = a[r*n:(r+1)*n] · b[c*n:(c+1)*n] for
+// r < rows and c < cols, every dot product in the lane order of dot4Go.
 //
 //go:noescape
-func axpy1f32(dst, b []float32, a float32)
+func gemmBTTileF32(dst *float32, ldd int, a, b *float32, rows, cols, n int)
 
-// dot4f32 returns the four dot products of a against b0..b3 (each at least
-// len(a) long), each reduced in the pinned 4-lane order of dot4Go.
-//
-//go:noescape
-func dot4f32(a, b0, b1, b2, b3 []float32) (d0, d1, d2, d3 float32)
+// The wrappers below do the one bounds check per operand that lets the
+// kernels run unchecked, then walk the reduction tiles in ascending order.
 
-// dot1f32 returns the dot product of a and b in the pinned 4-lane order of
-// dot1Go.
-//
-//go:noescape
-func dot1f32(a, b []float32) float32
+func gemmRowsF32(dst, a, b []float32, lo, hi, k, n int, bias []float32) {
+	if lo >= hi || n == 0 {
+		return
+	}
+	if k == 0 {
+		gemmRowsGo(dst, a, b, lo, hi, k, n, bias)
+		return
+	}
+	d, ar, br := dst[lo*n:hi*n], a[lo*k:hi*k], b[:k*n]
+	var init *float32
+	if bias != nil {
+		init = &bias[:n][0]
+	}
+	initStride := 0
+	for k0 := 0; k0 < k; k0 += gemmKBlock {
+		gemmTileF32(&d[0], init, initStride, &ar[k0], k, 1, &br[k0*n], hi-lo, min(gemmKBlock, k-k0), n)
+		init, initStride = &d[0], n
+	}
+}
+
+func gemmBTRowsF32(dst, a, b []float32, lo, hi, n, k int) {
+	if lo >= hi || k == 0 {
+		return
+	}
+	if n == 0 {
+		gemmBTRowsGo(dst, a, b, lo, hi, n, k)
+		return
+	}
+	d, ar, br := dst[lo*k:hi*k], a[lo*n:hi*n], b[:k*n]
+	for k0 := 0; k0 < k; k0 += gemmKBlock {
+		gemmBTTileF32(&d[k0], k, &ar[0], &br[k0*n], hi-lo, min(gemmKBlock, k-k0), n)
+	}
+}
+
+func gemmATRowsF32(dst, a, b []float32, lo, hi, m, k, n int) {
+	if lo >= hi || n == 0 || m == 0 {
+		return
+	}
+	d, ar, br := dst[lo*n:hi*n], a[:m*k], b[:m*n]
+	for m0 := 0; m0 < m; m0 += gemmMBlock {
+		gemmTileF32(&d[0], &d[0], n, &ar[m0*k+lo], 1, k, &br[m0*n], hi-lo, min(gemmMBlock, m-m0), n)
+	}
+}

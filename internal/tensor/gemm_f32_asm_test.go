@@ -1,54 +1,155 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+
+	"swtnas/internal/parallel"
 )
 
-// TestF32KernelsMatchGoTwins pins the assembly kernels to their pure-Go
-// twins bit for bit, across lengths that hit the 8-wide loop, the 4-wide
-// loop and every scalar-tail size. On non-amd64 builds the primitives
-// *are* the twins and this passes trivially; on amd64 it is the proof
-// that MULPS/ADDPS reproduce the scalar rounding sequence (no FMA, one
-// rounding per op) the twins define.
+// sameBitsF32 reports the first index at which got and want are not the
+// same float32 bits, or -1. Any NaN matches any NaN: which payload survives
+// NaN+NaN depends on the operand order of the add instruction, which IEEE
+// and the accumulation-order contract both leave open.
+func sameBitsF32(got, want []float32) int {
+	for i := range want {
+		g, w := got[i], want[i]
+		if math.Float32bits(g) != math.Float32bits(w) && !(g != g && w != w) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestF32KernelsMatchGoTwins pins the kernels behind the f32 products to
+// the pure-Go loops bit for bit at the level a shard calls them: a row
+// range that starts past row 0 and ends short of the last row, across
+// vector lengths that hit the 8-wide chunk, the 4-wide chunk and every
+// scalar-tail size, with a reduction long enough to cross a tile. Under
+// the purego tag and on non-amd64 builds the kernels *are* the loops and
+// this passes trivially; on amd64 it is the proof that MULPS/ADDPS
+// reproduce the scalar rounding sequence (no FMA, one rounding per op)
+// the loops define.
 func TestF32KernelsMatchGoTwins(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
+	const rows, lo, hi = 11, 2, 9
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 64, 100, 241} {
-		dst := randSliceF32(rng, n)
-		b0 := randSliceF32(rng, n)
-		b1 := randSliceF32(rng, n)
-		b2 := randSliceF32(rng, n)
-		b3 := randSliceF32(rng, n)
-		a0 := float32(rng.NormFloat64())
-		a1 := float32(rng.NormFloat64())
-		a2 := float32(rng.NormFloat64())
-		a3 := float32(rng.NormFloat64())
+		for _, k := range []int{0, 1, 6, gemmKBlock + 3} {
+			a := randSliceF32(rng, rows*k)
+			b := randSliceF32(rng, k*n)
+			g := randSliceF32(rng, rows*n)
+			bias := randSliceF32(rng, n)
+			seed := randSliceF32(rng, rows*max(k, n))
 
-		asm := append([]float32(nil), dst...)
-		ref := append([]float32(nil), dst...)
-		axpy4f32(asm, b0, b1, b2, b3, a0, a1, a2, a3)
-		axpy4Go(ref, b0, b1, b2, b3, a0, a1, a2, a3)
-		if d := maxDiffF32(asm, ref); d != 0 {
-			t.Errorf("axpy4f32 n=%d differs from axpy4Go by %g (must be bit-identical)", n, d)
+			got := append([]float32(nil), seed[:rows*n]...)
+			want := append([]float32(nil), got...)
+			gemmRowsF32(got, a, b, lo, hi, k, n, bias)
+			gemmRowsGo(want, a, b, lo, hi, k, n, bias)
+			if i := sameBitsF32(got, want); i >= 0 {
+				t.Errorf("gemmRowsF32 k=%d n=%d: elem %d = %g, Go loop %g", k, n, i, got[i], want[i])
+			}
+
+			got = append([]float32(nil), seed[:rows*k]...)
+			want = append([]float32(nil), got...)
+			gemmBTRowsF32(got, g, b, lo, hi, n, k)
+			gemmBTRowsGo(want, g, b, lo, hi, n, k)
+			if i := sameBitsF32(got, want); i >= 0 {
+				t.Errorf("gemmBTRowsF32 n=%d k=%d: elem %d = %g, Go loop %g", n, k, i, got[i], want[i])
+			}
+
+			// GemmAT with the roles of the axes swapped, so the long axis
+			// is the reduction: dst is [rows, n], a is [k, rows].
+			got = append([]float32(nil), seed[:rows*n]...)
+			want = append([]float32(nil), got...)
+			gemmATRowsF32(got, a, b, lo, hi, k, rows, n)
+			gemmATRowsGo(want, a, b, lo, hi, k, rows, n)
+			if i := sameBitsF32(got, want); i >= 0 {
+				t.Errorf("gemmATRowsF32 m=%d n=%d: elem %d = %g, Go loop %g", k, n, i, got[i], want[i])
+			}
 		}
+	}
+}
 
-		asm = append([]float32(nil), dst...)
-		ref = append([]float32(nil), dst...)
-		axpy1f32(asm, b0, a0)
-		axpy1Go(ref, b0, a0)
-		if d := maxDiffF32(asm, ref); d != 0 {
-			t.Errorf("axpy1f32 n=%d differs from axpy1Go by %g (must be bit-identical)", n, d)
+// specialSliceF32 is randSliceF32 with every IEEE corner among the values:
+// signed zeros, signed infinities, NaN and denormals. The f32 path never
+// skips a zero operand, so 0·Inf must come out NaN exactly where the Go
+// loops make it one.
+func specialSliceF32(rng *rand.Rand, n int) []float32 {
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-41,
+		math.MaxFloat32, -math.MaxFloat32,
+	}
+	s := randSliceF32(rng, n)
+	for i := range s {
+		if rng.Intn(16) == 0 {
+			s[i] = specials[rng.Intn(len(specials))]
 		}
+	}
+	return s
+}
 
-		g0, g1, g2, g3 := dot4f32(dst, b0, b1, b2, b3)
-		w0, w1, w2, w3 := dot4Go(dst, b0, b1, b2, b3)
-		if g0 != w0 || g1 != w1 || g2 != w2 || g3 != w3 {
-			t.Errorf("dot4f32 n=%d = (%g %g %g %g), twin (%g %g %g %g)",
-				n, g0, g1, g2, g3, w0, w1, w2, w3)
+// TestGemmF32ShapeSweep is the oracle test of the f32 products: over a grid
+// of shapes that puts every tail of every kernel in play — odd row counts,
+// n mod 4 and n mod 8 column tails, k = 1, reductions one short of, equal
+// to and one past a tile and across two — Gemm (with and without bias),
+// GemmBT and GemmAT (accumulating into a non-zero dst) equal the pure-Go
+// loops bit for bit at 1, 2 and 3 kernel workers, IEEE specials included.
+// GemmAT takes its reduction length from the k list and its row count from
+// the m list, so each product's reduction axis crosses the tile boundary.
+func TestGemmF32ShapeSweep(t *testing.T) {
+	ms := []int{1, 2, 3, 5, 64}
+	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 27, 239, 240, 241, 481}
+	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33}
+	prev := parallel.SetWorkers(1)
+	defer parallel.SetWorkers(prev)
+	rng := rand.New(rand.NewSource(52))
+	const mMax, kMax, nMax = 64, 481, 33
+	a := specialSliceF32(rng, mMax*kMax)
+	b := specialSliceF32(rng, kMax*nMax)
+	g := specialSliceF32(rng, max(mMax, kMax)*nMax)
+	bias := specialSliceF32(rng, nMax)
+	seed := specialSliceF32(rng, max(mMax, kMax)*max(kMax, nMax))
+	got := make([]float32, len(seed))
+	want := make([]float32, len(seed))
+	check := func(op string, m, k, n, size int) {
+		t.Helper()
+		if i := sameBitsF32(got[:size], want[:size]); i >= 0 {
+			t.Fatalf("%s %dx%dx%d workers=%d: elem %d = %g (%#08x), Go loop %g (%#08x)",
+				op, m, k, n, parallel.Workers(), i,
+				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
-
-		if g, w := dot1f32(dst, b0), dot1Go(dst, b0); g != w {
-			t.Errorf("dot1f32 n=%d = %g, twin %g", n, g, w)
+	}
+	for _, m := range ms {
+		for _, k := range ks {
+			for _, n := range ns {
+				for _, bs := range [][]float32{nil, bias[:n]} {
+					gemmRowsGo(want, a, b, 0, m, k, n, bs)
+					for w := 1; w <= 3; w++ {
+						parallel.SetWorkers(w)
+						Gemm(got[:m*n], a[:m*k], b[:k*n], m, k, n, bs)
+						check(fmt.Sprintf("Gemm(bias=%v)", bs != nil), m, k, n, m*n)
+					}
+				}
+				gemmBTRowsGo(want, g, b, 0, m, n, k)
+				for w := 1; w <= 3; w++ {
+					parallel.SetWorkers(w)
+					GemmBT(got[:m*k], g[:m*n], b[:k*n], m, n, k)
+					check("GemmBT", m, k, n, m*k)
+				}
+				// dst [m, n] += aᵀ·g for a [k, m], g [k, n].
+				copy(want[:m*n], seed)
+				gemmATRowsGo(want, a, g, 0, m, k, m, n)
+				for w := 1; w <= 3; w++ {
+					parallel.SetWorkers(w)
+					copy(got[:m*n], seed)
+					GemmAT(got[:m*n], a[:k*m], g[:k*n], k, m, n)
+					check("GemmAT", k, m, n, m*n)
+				}
+			}
 		}
 	}
 }

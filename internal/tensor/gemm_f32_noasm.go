@@ -1,22 +1,19 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package tensor
 
-// Non-amd64 builds run the float32 kernel primitives as the pure-Go twins
-// directly — same accumulation order, no assembly. See gemm_f32.go.
+// Builds without the assembly tile kernels — every GOARCH but amd64, and
+// amd64 under the purego tag, which is how CI tests this path — run the
+// float32 products as the pure-Go loops of gemm_f32.go directly.
 
-func axpy4f32(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
-	axpy4Go(dst, b0, b1, b2, b3, a0, a1, a2, a3)
+func gemmRowsF32(dst, a, b []float32, lo, hi, k, n int, bias []float32) {
+	gemmRowsGo(dst, a, b, lo, hi, k, n, bias)
 }
 
-func axpy1f32(dst, b []float32, a float32) {
-	axpy1Go(dst, b, a)
+func gemmBTRowsF32(dst, a, b []float32, lo, hi, n, k int) {
+	gemmBTRowsGo(dst, a, b, lo, hi, n, k)
 }
 
-func dot4f32(a, b0, b1, b2, b3 []float32) (float32, float32, float32, float32) {
-	return dot4Go(a, b0, b1, b2, b3)
-}
-
-func dot1f32(a, b []float32) float32 {
-	return dot1Go(a, b)
+func gemmATRowsF32(dst, a, b []float32, lo, hi, m, k, n int) {
+	gemmATRowsGo(dst, a, b, lo, hi, m, k, n)
 }
