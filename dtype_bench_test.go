@@ -1,10 +1,10 @@
 // Dtype benchmarks: the float32 instantiations of the GEMM and Conv2D hot
 // paths against their float64 twins, identical shapes and worker counts.
-// The f32 path runs the kernels of internal/tensor/gemm_f32.go (SSE2 tile
-// kernels on amd64) instead of the scalar 2×4 micro-kernels, so it must
-// clear at least 1.4x the f64 throughput at conv batch 32 — the pinned
-// acceptance floor; measured ~3.5x for Conv2D fwd+bwd and ~6x for the raw
-// GEMM on the committed bench box, single core. The README's Performance table
+// On amd64 both widths run SSE2 tile kernels (internal/tensor/gemm_amd64.s),
+// so f32 has twice the lanes on the same instructions and must clear at
+// least 1.4x the f64 throughput at conv batch 32 — the pinned acceptance
+// floor; measured ~1.7x for Conv2D fwd+bwd and ~2.0x for the raw GEMM on
+// the committed bench box, single core. The README's Performance table
 // quotes these series; CI runs them with -benchtime 1x as a smoke test.
 // See DESIGN.md §14.
 package swtnas
@@ -94,22 +94,38 @@ func BenchmarkConv2DDtype(b *testing.B) {
 // GFLOP/s is nominal 2·m·k·n. The skinny rows are where the per-call
 // overhead of a kernel shows; the fat row is where its lanes do.
 func BenchmarkGemmF32Shapes(b *testing.B) {
+	benchGemmShapes[float32](b, []gemmShape{
+		{57600, 27, 4}, {57600, 27, 16}, {14400, 72, 8}, {14400, 144, 16}, {64, 256, 128},
+	})
+}
+
+// BenchmarkGemmF64Shapes is the same measurement for the f64 products at
+// the shapes an nt3 or uno search issues at batch 32: nt3's two dense
+// layers, its two conv layers as im2col products (8000 patch rows, n = 8
+// or 16 filters), and uno's tower and trunk layers.
+func BenchmarkGemmF64Shapes(b *testing.B) {
+	benchGemmShapes[float64](b, []gemmShape{
+		{32, 4000, 128}, {32, 1000, 64}, {8000, 5, 8}, {8000, 7, 16}, {32, 96, 128}, {32, 448, 128},
+	})
+}
+
+// gemmShape is one product size: x [m, k], w [k, n].
+type gemmShape struct{ m, k, n int }
+
+func benchGemmShapes[T tensor.Float](b *testing.B, shapes []gemmShape) {
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
-	shapes := []struct{ m, k, n int }{
-		{57600, 27, 4}, {57600, 27, 16}, {14400, 72, 8}, {14400, 144, 16}, {64, 256, 128},
-	}
 	for _, s := range shapes {
 		rng := rand.New(rand.NewSource(27))
-		randn := func(n int) []float32 {
-			v := make([]float32, n)
+		randn := func(n int) []T {
+			v := make([]T, n)
 			for i := range v {
-				v[i] = float32(rng.NormFloat64())
+				v[i] = T(rng.NormFloat64())
 			}
 			return v
 		}
 		x, w, g := randn(s.m*s.k), randn(s.k*s.n), randn(s.m*s.n)
-		out, dx, dw := make([]float32, s.m*s.n), make([]float32, s.m*s.k), make([]float32, s.k*s.n)
+		out, dx, dw := make([]T, s.m*s.n), make([]T, s.m*s.k), make([]T, s.k*s.n)
 		ops := []struct {
 			name string
 			run  func()

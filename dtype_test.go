@@ -1,7 +1,14 @@
 package swtnas
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -57,5 +64,52 @@ func TestSearchDTypeValidation(t *testing.T) {
 		if err := (SearchOptions{App: "nt3", Budget: 1, DType: ok}).Validate(); err != nil {
 			t.Fatalf("DType %q rejected: %v", ok, err)
 		}
+	}
+}
+
+// f64SearchDigest is the digest TestF64SearchDigest expects, recorded at the
+// commit before the f64 products moved onto the SSE2 tile kernels, when the
+// generic Go micro-kernels (zero-skip included) were the only f64 path.
+const f64SearchDigest = "11ef63d60659cff59f9cab78945749bb"
+
+// TestF64SearchDigest pins the f64 training arithmetic end to end: a small
+// nt3/f64/LCS search on one evaluator, hashed over every candidate's id,
+// parent, architecture and score bits and over the names of the blobs its
+// checkpoints left in a disk store — the SHA-256 of each trained tensor's raw
+// bytes, so one flipped bit in one weight of one candidate changes the
+// digest. The constant must hold on the default build (assembly tile
+// kernels) and under -tags purego (the Go loops): asm ≡ loops ≡ the commit
+// the constant was recorded at. Other GOARCHes are skipped because their
+// compilers fuse a·b+c into one rounding, which the amd64 one never does.
+func TestF64SearchDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64: compilers that fuse multiply-add round differently")
+	}
+	dir := t.TempDir()
+	res, err := Search(SearchOptions{
+		App: "nt3", Scheme: "LCS", Budget: 6, Seed: 11, Workers: 1,
+		PopulationSize: 3, SampleSize: 2, CheckpointDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	transferred := 0
+	for _, c := range res.Candidates {
+		fmt.Fprintf(h, "%d %d %v %016x\n", c.ID, c.ParentID, c.Arch, math.Float64bits(c.Score))
+		transferred += c.TransferredLayers
+	}
+	if transferred == 0 {
+		t.Fatal("no candidate was warm-started: the digest would not cover weight transfer")
+	}
+	blobs, err := os.ReadDir(filepath.Join(dir, "blobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range blobs { // ReadDir sorts by name
+		fmt.Fprintln(h, b.Name())
+	}
+	if got := hex.EncodeToString(h.Sum(nil)[:16]); got != f64SearchDigest {
+		t.Fatalf("digest %s, want %s: the f64 arithmetic of a search changed", got, f64SearchDigest)
 	}
 }

@@ -63,7 +63,9 @@ type LayerOf[T tensor.Float] interface {
 	Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T]
 	// Backward consumes the gradient w.r.t. the output and returns the
 	// gradients w.r.t. each input, in the same order as Forward's inputs.
-	// Parameter gradients are accumulated into the layer's Params.
+	// Parameter gradients are accumulated into the layer's Params. dOut is
+	// read-only — the same tensor may be another layer's gradient too — and
+	// may itself be returned as an input gradient.
 	Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T]
 	// Params returns the layer's parameter tensors (possibly empty).
 	// The first returned parameter is the layer's matching signature for

@@ -23,7 +23,7 @@ type node[T tensor.Float] struct {
 	inputs []InputRef
 	out    *tensor.TensorOf[T] // forward cache for the current pass
 	grad   *tensor.TensorOf[T] // accumulated dOut for the current backward pass
-	users  int                 // number of consumers (incl. being the output)
+	users  int                 // consuming edges (+1 for the output); 1 lets Backward adopt a gradient
 }
 
 // Network is a DAG of layers evaluated in insertion (topological) order.
@@ -181,11 +181,20 @@ func (n *NetworkOf[T]) Backward(dOut *tensor.TensorOf[T]) error {
 			if ref.isGraphInput() || dIns[j] == nil {
 				continue
 			}
+			// A node with one consumer takes that consumer's gradient as
+			// is: nothing will be added to it, and no layer writes to the
+			// dOut it is handed. Only a fan-out node needs a tensor of its
+			// own to sum into.
 			pred := n.nodes[ref]
-			if pred.grad == nil {
+			switch {
+			case pred.grad != nil:
+				if err := pred.grad.AddScaled(dIns[j], 1); err != nil {
+					return err
+				}
+			case pred.users == 1:
+				pred.grad = dIns[j]
+			default:
 				pred.grad = dIns[j].Clone()
-			} else if err := pred.grad.AddScaled(dIns[j], 1); err != nil {
-				return err
 			}
 		}
 	}

@@ -16,41 +16,53 @@ import "swtnas/internal/obs"
 //   - K-tiling: the reduction dimension is cut into gemmKBlock tiles so one
 //     tile of the B operand stays hot in cache while every row of a shard
 //     consumes it.
-//   - Register blocking: inside each K-tile a micro-kernel computes a small
-//     block of output elements together, holding the accumulators in
-//     registers across the whole tile so one operand load feeds several
-//     multiply-adds. The block shapes are chosen empirically for Go's amd64
-//     backend, which spills scalar float64 locals beyond ~8 live
-//     accumulators: Gemm uses a 2-row × 4-column accumulator tile, GemmBT a
-//     2×4 dot-product block (two a rows against four b rows), and GemmAT a
-//     4-row fused axpy (one loaded b row updates four dst rows). A full 4×4
-//     accumulator block — 16 live sums plus operand temporaries — exceeds the
-//     16 XMM registers and measured *slower* than the scalar loop.
+//   - Register blocking: inside each K-tile a block of output elements is
+//     computed together, the accumulators held in registers across the whole
+//     tile so one operand load feeds several multiply-adds.
+//
+// Each dtype has a definition in plain Go — the float64 loops at the bottom
+// of this file, the float32 loops of gemm_f32.go — that pins the order in
+// which every output element takes its terms, is the oracle in the tests,
+// and is what runs on every GOARCH but amd64 and under the purego build tag
+// (gemm_noasm.go). On amd64 the products run as SSE2 tile kernels instead
+// (gemm_amd64.s): one assembly call per row shard and reduction tile, a
+// 4-row output tile held in XMM registers across the whole tile. Gemm and
+// GemmAT share one kernel body (gemm_tile_amd64.h) instantiated at both
+// widths, gemmTileF32 and gemmTileF64; GemmBT's order differs per dtype,
+// so it has a kernel per width (gemmBTTileF32, gemmBTTileF64). Packed SSE2
+// multiplies and adds round each lane exactly like the scalar ones, and Go
+// never fuses multiply-add on amd64, so a kernel is bit-identical to its
+// loops.
+//
+// The Go loops' block shapes are chosen empirically for Go's amd64 backend,
+// which spills scalar float64 locals beyond ~8 live accumulators: a 2-row ×
+// 4-column accumulator tile for Gemm, a 2×4 dot-product block for GemmBT
+// (two a rows against four b rows), a 4-row fused axpy for GemmAT (one
+// loaded b row updates four dst rows). A 4×4 block written in Go — 16 live
+// sums plus operand temporaries — spills and measured *slower* than the
+// scalar loop; the assembly holds 4×4 f64 (4×8 f32) in eight XMM registers
+// because it places every value itself.
 //
 // Determinism contract: K-tiles are always visited in ascending order, each
-// output element is written by exactly one shard, and the micro-kernels add
-// each element's contributions in exactly the order the scalar remainder
-// loops do (kk ascending within a tile for Gemm, j ascending for GemmBT,
-// mm ascending for GemmAT). Register blocking therefore changes which
-// elements are computed *together*, never the per-element accumulation
-// sequence — so every kernel produces bit-identical results for any worker
-// count, and the row blocking never has to align with shard boundaries.
-// GemmAT additionally matches the accumulation order of a serial
-// sample-major loop (m ascending per output element), which keeps weight
-// gradients bit-identical to the pre-GEMM direct kernels.
+// output element is written by exactly one shard, and every path adds an
+// element's contributions in the same order (kk ascending for Gemm from
+// bias or +0, mm ascending into dst for GemmAT, and for GemmBT j ascending
+// from zero in f64, the 4-lane order of dot4Go in f32). Blocking therefore
+// changes which elements are computed *together*, never the per-element
+// accumulation sequence — so every kernel produces bit-identical results
+// for any worker count, and the row blocking never has to align with shard
+// boundaries. No path skips a zero operand: 0·b adds a signed zero and
+// 0·Inf is NaN, whichever row of a shard the element lands in. GemmAT
+// additionally matches the accumulation order of a serial sample-major loop
+// (m ascending per output element), which keeps weight gradients
+// bit-identical to the pre-GEMM direct kernels.
 //
-// The kernels are generic over Float, but the two instantiations do not
-// share micro-kernels: scalar multiply-adds cost the same at either width
-// on amd64, so a float32 copy of the float64 code would waste the halved
-// element size. The float32 instantiations have their own pinned
-// accumulation orders (gemm_f32.go), run as SSE2 tile kernels on amd64 —
-// one assembly call per row shard and reduction tile — and as the pure-Go
-// loops that define those orders elsewhere. The determinism contract —
-// bit-identical results for any worker count — therefore holds
-// independently *per dtype* (pinned by TestGemmParallelMatchesSerialF32
-// and TestGemmF32ShapeSweep); f32 and f64 results agree only to f32
-// rounding. Mixed-dtype products do not exist: a network is entirely one
-// element type.
+// The contract holds independently *per dtype* (pinned for f64 by
+// TestGemmKernelsDeterministicAcrossWorkers, TestGemmF64ShapeSweep and
+// TestF64KernelsMatchGoTwins, for f32 by TestGemmParallelMatchesSerialF32,
+// TestGemmF32ShapeSweep and TestF32KernelsMatchGoTwins); f32 and f64
+// results agree only to f32 rounding. Mixed-dtype products do not exist: a
+// network is entirely one element type.
 
 const (
 	// gemmKBlock tiles the reduction dimension of Gemm: one tile of the B
@@ -65,9 +77,8 @@ const (
 // GEMM telemetry (internal/obs, disabled by default): one counter pair and
 // one latency histogram shared by all three kernels, at call granularity —
 // the per-call cost when disabled is three atomic loads, invisible next to
-// even the smallest GEMM. FLOPs are nominal 2·m·k·n multiply-adds; the
-// f64 zero-skip shortcut makes the executed count lower on sparse
-// activations.
+// even the smallest GEMM. FLOPs are 2·m·k·n multiply-adds, nominal and
+// executed alike: no kernel skips an operand.
 var (
 	mGemmCalls   = obs.GetCounter("tensor.gemm.calls")
 	mGemmFlops   = obs.GetCounter("tensor.gemm.flops")
@@ -85,61 +96,103 @@ func observeGemm(m, k, n int, t obs.Timer) {
 // row-major. When bias is non-nil it must have length n and initializes
 // every output row; otherwise rows start at zero. Rows of dst are computed
 // in parallel shards; the reduction over k runs in ascending tile order
-// inside each row (register-blocked within each tile), so the result is
-// bit-identical for any worker count. The float64 scalar remainder path
-// skips b rows for zero elements of a (activations are sparse after ReLU);
-// the 2×4 micro-kernel does not — the branch costs more on dense data than
-// the skip recovers at realistic sparsity — and the float32 path never
-// skips (gemm_f32.go).
+// inside each row, so the result is bit-identical for any worker count.
+// Every operand is multiplied — a zero element of a is not skipped, so
+// 0·Inf is NaN as IEEE says — at either width.
 func Gemm[T Float](dst, a, b []T, m, k, n int, bias []T) {
 	defer observeGemm(m, k, n, mGemmSeconds.Start())
-	if d32, ok := any(dst).([]float32); ok {
-		a32, b32 := any(a).([]float32), any(b).([]float32)
-		var bias32 []float32
-		if bias != nil {
-			bias32 = any(bias).([]float32)
-		}
-		ForRows(m, k*n, func(lo, hi int) {
-			gemmRowsF32(d32, a32, b32, lo, hi, k, n, bias32)
-		})
-		return
+	switch d := any(dst).(type) {
+	case []float32:
+		a, b, bias := any(a).([]float32), any(b).([]float32), any(bias).([]float32)
+		ForRows(m, k*n, func(lo, hi int) { gemmRowsF32(d, a, b, lo, hi, k, n, bias) })
+	case []float64:
+		a, b, bias := any(a).([]float64), any(b).([]float64), any(bias).([]float64)
+		ForRows(m, k*n, func(lo, hi int) { gemmRowsF64(d, a, b, lo, hi, k, n, bias) })
 	}
-	ForRows(m, k*n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+}
+
+// GemmBT computes dst = a·bᵀ for a [m, n], b [k, n], dst [m, k] — the
+// input-gradient product (dIn = dOut·Wᵀ) of both the dense layer and the
+// im2col convolution path. The output columns are tiled so one tile of b
+// is reused by every row of a shard; every dot product runs in its dtype's
+// pinned order (j-ascending from zero in f64, the lane order of dot4Go in
+// f32) whichever rows share a block, so results are bit-identical for any
+// worker count.
+func GemmBT[T Float](dst, a, b []T, m, n, k int) {
+	defer observeGemm(m, k, n, mGemmSeconds.Start())
+	switch d := any(dst).(type) {
+	case []float32:
+		a, b := any(a).([]float32), any(b).([]float32)
+		ForRows(m, k*n, func(lo, hi int) { gemmBTRowsF32(d, a, b, lo, hi, n, k) })
+	case []float64:
+		a, b := any(a).([]float64), any(b).([]float64)
+		ForRows(m, k*n, func(lo, hi int) { gemmBTRowsF64(d, a, b, lo, hi, n, k) })
+	}
+}
+
+// GemmAT computes dst += aᵀ·b for a [m, k], b [m, n], dst [k, n] — the
+// weight-gradient product (dW += Xᵀ·dOut, or patchesᵀ·dOut for im2col
+// convolutions). It accumulates into dst, preserving the layer contract
+// that Backward adds to existing gradients. Rows of dst (the k axis) are
+// computed in parallel shards; each output element sums its m contributions
+// in ascending tile order, matching the serial sample-major loop, so weight
+// gradients are bit-identical for any worker count.
+func GemmAT[T Float](dst, a, b []T, m, k, n int) {
+	defer observeGemm(m, k, n, mGemmSeconds.Start())
+	switch d := any(dst).(type) {
+	case []float32:
+		a, b := any(a).([]float32), any(b).([]float32)
+		ForRows(k, m*n, func(lo, hi int) { gemmATRowsF32(d, a, b, lo, hi, m, k, n) })
+	case []float64:
+		a, b := any(a).([]float64), any(b).([]float64)
+		ForRows(k, m*n, func(lo, hi int) { gemmATRowsF64(d, a, b, lo, hi, m, k, n) })
+	}
+}
+
+// gemmInitRows starts rows [lo, hi) of a Gemm output at bias, or at +0.
+func gemmInitRows[T Float](dst []T, lo, hi, n int, bias []T) {
+	for i := lo; i < hi; i++ {
+		oi := dst[i*n : (i+1)*n]
+		if bias != nil {
+			copy(oi, bias)
+		} else {
+			for j := range oi {
+				oi[j] = 0
+			}
+		}
+	}
+}
+
+// The float64 definition: plain Go loops, register-blocked. On amd64 the
+// products run as SSE2 tile kernels instead (gemm_amd64.s) and these loops
+// are the oracle they are held to — and what a GemmBT shard of fewer than
+// four rows or columns runs; elsewhere, and under the purego tag, they are
+// what runs (gemm_noasm.go). The float32 twin of this half of the file is
+// gemm_f32.go.
+
+// gemmRowsGoF64 computes rows [lo, hi) of dst = a·b (+bias): row pairs go
+// through gemm2x4, an odd last row through the scalar loop, every element
+// kk-ascending either way.
+func gemmRowsGoF64(dst, a, b []float64, lo, hi, k, n int, bias []float64) {
+	gemmInitRows(dst, lo, hi, n, bias)
+	for k0 := 0; k0 < k; k0 += gemmKBlock {
+		k1 := min(k0+gemmKBlock, k)
+		i := lo
+		for ; i+2 <= hi; i += 2 {
+			gemm2x4(dst, a, b, i, k0, k1, k, n)
+		}
+		for ; i < hi; i++ {
+			ai := a[i*k : (i+1)*k]
 			oi := dst[i*n : (i+1)*n]
-			if bias != nil {
-				copy(oi, bias)
-			} else {
-				for j := range oi {
-					oi[j] = 0
+			for kk := k0; kk < k1; kk++ {
+				av := ai[kk]
+				br := b[kk*n : (kk+1)*n]
+				for j, bv := range br {
+					oi[j] += av * bv
 				}
 			}
 		}
-		for k0 := 0; k0 < k; k0 += gemmKBlock {
-			k1 := k0 + gemmKBlock
-			if k1 > k {
-				k1 = k
-			}
-			i := lo
-			for ; i+2 <= hi; i += 2 {
-				gemm2x4(dst, a, b, i, k0, k1, k, n)
-			}
-			for ; i < hi; i++ {
-				ai := a[i*k : (i+1)*k]
-				oi := dst[i*n : (i+1)*n]
-				for kk := k0; kk < k1; kk++ {
-					av := ai[kk]
-					if av == 0 {
-						continue
-					}
-					br := b[kk*n : (kk+1)*n]
-					for j, bv := range br {
-						oi[j] += av * bv
-					}
-				}
-			}
-		}
-	})
+	}
 }
 
 // gemm2x4 applies one K-tile [k0, k1) to the two consecutive output rows
@@ -148,8 +201,9 @@ func Gemm[T Float](dst, a, b []T, m, k, n int, bias []T) {
 // kk contributions in ascending order, exactly like the scalar row loop, so
 // the result does not depend on whether a row lands in this micro-kernel or
 // in the remainder path. Eight accumulators plus six operand temporaries fit
-// the amd64 register file; wider tiles spill and run slower.
-func gemm2x4[T Float](dst, a, b []T, i, k0, k1, k, n int) {
+// the amd64 register file; the Go compiler spills wider tiles, which run
+// slower.
+func gemm2x4(dst, a, b []float64, i, k0, k1, k, n int) {
 	a0 := a[(i+0)*k : (i+1)*k]
 	a1 := a[(i+1)*k : (i+2)*k]
 	o0 := dst[(i+0)*n : (i+1)*n]
@@ -186,46 +240,29 @@ func gemm2x4[T Float](dst, a, b []T, i, k0, k1, k, n int) {
 	}
 }
 
-// GemmBT computes dst = a·bᵀ for a [m, n], b [k, n], dst [m, k] — the
-// input-gradient product (dIn = dOut·Wᵀ) of both the dense layer and the
-// im2col convolution path. The output columns are tiled so one tile of b
-// is reused by every row of a shard, with a 2×4 register-blocked dot-product
-// block inside each tile; every dot product runs j-ascending from zero
-// whichever path computes it, so results are bit-identical for any worker
-// count.
-func GemmBT[T Float](dst, a, b []T, m, n, k int) {
-	defer observeGemm(m, k, n, mGemmSeconds.Start())
-	if d32, ok := any(dst).([]float32); ok {
-		a32, b32 := any(a).([]float32), any(b).([]float32)
-		ForRows(m, k*n, func(lo, hi int) {
-			gemmBTRowsF32(d32, a32, b32, lo, hi, n, k)
-		})
-		return
-	}
-	ForRows(m, k*n, func(lo, hi int) {
-		for k0 := 0; k0 < k; k0 += gemmKBlock {
-			k1 := k0 + gemmKBlock
-			if k1 > k {
-				k1 = k
-			}
-			i := lo
-			for ; i+2 <= hi; i += 2 {
-				gemmBT2x4(dst, a, b, i, k0, k1, n, k)
-			}
-			for ; i < hi; i++ {
-				ai := a[i*n : (i+1)*n]
-				oi := dst[i*k : (i+1)*k]
-				for kk := k0; kk < k1; kk++ {
-					br := b[kk*n : (kk+1)*n]
-					var s T
-					for j, g := range ai {
-						s += g * br[j]
-					}
-					oi[kk] = s
+// gemmBTRowsGoF64 computes rows [lo, hi) of dst = a·bᵀ: row pairs go
+// through gemmBT2x4, an odd last row through the scalar loop, every dot
+// product j-ascending from zero either way.
+func gemmBTRowsGoF64(dst, a, b []float64, lo, hi, n, k int) {
+	for k0 := 0; k0 < k; k0 += gemmKBlock {
+		k1 := min(k0+gemmKBlock, k)
+		i := lo
+		for ; i+2 <= hi; i += 2 {
+			gemmBT2x4(dst, a, b, i, k0, k1, n, k)
+		}
+		for ; i < hi; i++ {
+			ai := a[i*n : (i+1)*n]
+			oi := dst[i*k : (i+1)*k]
+			for kk := k0; kk < k1; kk++ {
+				br := b[kk*n : (kk+1)*n]
+				var s float64
+				for j, g := range ai {
+					s += g * br[j]
 				}
+				oi[kk] = s
 			}
 		}
-	})
+	}
 }
 
 // gemmBT2x4 computes the [i, i+2) × [k0, k1) block of dst = a·bᵀ. Two rows
@@ -234,7 +271,7 @@ func GemmBT[T Float](dst, a, b []T, m, n, k int) {
 // four products and each loaded b element two. Every dot product is the same
 // j-ascending sum the scalar path computes, so the two paths agree
 // bit-for-bit.
-func gemmBT2x4[T Float](dst, a, b []T, i, k0, k1, n, k int) {
+func gemmBT2x4(dst, a, b []float64, i, k0, k1, n, k int) {
 	a0 := a[(i+0)*n : (i+1)*n]
 	a1 := a[(i+1)*n : (i+2)*n]
 	o0 := dst[(i+0)*k : (i+1)*k]
@@ -245,8 +282,8 @@ func gemmBT2x4[T Float](dst, a, b []T, i, k0, k1, n, k int) {
 		b1 := b[(kk+1)*n : (kk+2)*n]
 		b2 := b[(kk+2)*n : (kk+3)*n]
 		b3 := b[(kk+3)*n : (kk+4)*n]
-		var c00, c01, c02, c03 T
-		var c10, c11, c12, c13 T
+		var c00, c01, c02, c03 float64
+		var c10, c11, c12, c13 float64
 		for j, g0 := range a0 {
 			g1 := a1[j]
 			w0, w1, w2, w3 := b0[j], b1[j], b2[j], b3[j]
@@ -264,7 +301,7 @@ func gemmBT2x4[T Float](dst, a, b []T, i, k0, k1, n, k int) {
 	}
 	for ; kk < k1; kk++ {
 		br := b[kk*n : (kk+1)*n]
-		var c0, c1 T
+		var c0, c1 float64
 		for j, w := range br {
 			c0 += a0[j] * w
 			c1 += a1[j] * w
@@ -273,48 +310,30 @@ func gemmBT2x4[T Float](dst, a, b []T, i, k0, k1, n, k int) {
 	}
 }
 
-// GemmAT computes dst += aᵀ·b for a [m, k], b [m, n], dst [k, n] — the
-// weight-gradient product (dW += Xᵀ·dOut, or patchesᵀ·dOut for im2col
-// convolutions). It accumulates into dst, preserving the layer contract
-// that Backward adds to existing gradients. Rows of dst (the k axis) are
-// computed in parallel shards; each output element sums its m contributions
-// in ascending tile order (register-blocked within each tile), matching
-// the serial sample-major loop, so weight gradients are bit-identical for
-// any worker count.
-func GemmAT[T Float](dst, a, b []T, m, k, n int) {
-	defer observeGemm(m, k, n, mGemmSeconds.Start())
-	if d32, ok := any(dst).([]float32); ok {
-		a32, b32 := any(a).([]float32), any(b).([]float32)
-		ForRows(k, m*n, func(lo, hi int) {
-			gemmATRowsF32(d32, a32, b32, lo, hi, m, k, n)
-		})
+// gemmATRowsGoF64 accumulates rows [lo, hi) of dst += aᵀ·b: row quads go
+// through gemmAT4, the last one to three rows through the scalar loop,
+// every element mm-ascending either way.
+func gemmATRowsGoF64(dst, a, b []float64, lo, hi, m, k, n int) {
+	if n == 0 {
 		return
 	}
-	ForRows(k, m*n, func(lo, hi int) {
-		for m0 := 0; m0 < m; m0 += gemmMBlock {
-			m1 := m0 + gemmMBlock
-			if m1 > m {
-				m1 = m
-			}
-			kk := lo
-			for ; kk+4 <= hi; kk += 4 {
-				gemmAT4(dst, a, b, kk, m0, m1, k, n)
-			}
-			for ; kk < hi; kk++ {
-				orow := dst[kk*n : (kk+1)*n]
-				for mm := m0; mm < m1; mm++ {
-					av := a[mm*k+kk]
-					if av == 0 {
-						continue
-					}
-					br := b[mm*n : (mm+1)*n]
-					for j, g := range br {
-						orow[j] += av * g
-					}
+	for m0 := 0; m0 < m; m0 += gemmMBlock {
+		m1 := min(m0+gemmMBlock, m)
+		kk := lo
+		for ; kk+4 <= hi; kk += 4 {
+			gemmAT4(dst, a, b, kk, m0, m1, k, n)
+		}
+		for ; kk < hi; kk++ {
+			orow := dst[kk*n : (kk+1)*n]
+			for mm := m0; mm < m1; mm++ {
+				av := a[mm*k+kk]
+				br := b[mm*n : (mm+1)*n]
+				for j, g := range br {
+					orow[j] += av * g
 				}
 			}
 		}
-	})
+	}
 }
 
 // gemmAT4 applies one m-tile [m0, m1) to the four consecutive dst rows
@@ -323,9 +342,8 @@ func GemmAT[T Float](dst, a, b []T, m, k, n int) {
 // loop. The four a elements per sample are contiguous (a[mm*k+kk .. +4]),
 // so the strided column walk of the scalar path becomes one 4-element load.
 // Samples are visited in ascending mm order — the exact per-element sequence
-// of the scalar remainder loop — and the whole group of four rows is skipped
-// for a sample only when all four a elements are zero.
-func gemmAT4[T Float](dst, a, b []T, kk, m0, m1, k, n int) {
+// of the scalar remainder loop.
+func gemmAT4(dst, a, b []float64, kk, m0, m1, k, n int) {
 	o0 := dst[(kk+0)*n : (kk+1)*n]
 	o1 := dst[(kk+1)*n : (kk+2)*n]
 	o2 := dst[(kk+2)*n : (kk+3)*n]
@@ -333,9 +351,6 @@ func gemmAT4[T Float](dst, a, b []T, kk, m0, m1, k, n int) {
 	for mm := m0; mm < m1; mm++ {
 		ar := a[mm*k+kk : mm*k+kk+4 : mm*k+kk+4]
 		av0, av1, av2, av3 := ar[0], ar[1], ar[2], ar[3]
-		if av0 == 0 && av1 == 0 && av2 == 0 && av3 == 0 {
-			continue
-		}
 		br := b[mm*n : (mm+1)*n]
 		_ = o3[len(br)-1]
 		_ = o2[len(br)-1]

@@ -1,10 +1,10 @@
 package tensor
 
-// Float32 kernel specialization. The generic 2×4 micro-kernels in gemm.go
-// are scalar, and scalar multiply-adds cost the same at either width on
-// amd64 — so a float32 instantiation of the float64 kernels moves half the
-// bytes but clears barely any extra throughput. The f32 path instead pins
-// a SIMD-friendly per-element accumulation order for each product and lets
+// Float32 kernel specialization. The 2×4 micro-kernels in gemm.go are
+// scalar, and scalar multiply-adds cost the same at either width on amd64 —
+// so a float32 copy of the float64 loops would move half the bytes but
+// clear barely any extra throughput. The f32 path instead pins a
+// SIMD-friendly per-element accumulation order for each product and lets
 // each build reach it the fastest way it can:
 //
 //   - Gemm: dst[i][j] starts at bias[j] (or +0) and takes a[i][kk]·b[kk][j]
@@ -23,36 +23,28 @@ package tensor
 //
 // This file is the definition: plain Go loops over the four order-explicit
 // primitives at the bottom. On amd64 the products run as SSE2 tile kernels
-// instead (gemm_f32_amd64.s): one assembly call per row shard and reduction
+// instead (gemm_amd64.s): one assembly call per row shard and reduction
 // tile, the output tile held in registers across the whole tile. MULPS and
 // ADDPS round each lane exactly like MULSS/ADDSS, and Go never fuses
 // multiply-add on amd64, so the assembly is bit-identical to these loops
 // (pinned by TestGemmF32ShapeSweep and TestF32KernelsMatchGoTwins). Other
 // GOARCHes, and amd64 under the purego build tag, run the loops directly
-// (gemm_f32_noasm.go). Either way the arithmetic of an element is a pure
+// (gemm_noasm.go). Either way the arithmetic of an element is a pure
 // function of its position — never of worker count or of which rows share
 // a tile — so serial and parallel runs agree bit for bit
 // (TestGemmParallelMatchesSerialF32).
 //
-// The f32 path does not skip zero operands: the branch that pays for
-// itself on scalar f64 sparsity breaks the SIMD pipeline for a 4-wide
-// kernel. Zero-skipping was never part of the numeric contract (0·b adds
-// a signed zero), only a scalar-era speedup; without it 0·Inf is NaN here
-// as IEEE says.
+// No path skips zero operands, at either width: a branch per element
+// breaks the SIMD pipeline, and a skip taken on some rows of a shard and
+// not on others makes the result depend on the sharding whenever an
+// operand is not finite. Zero-skipping was never part of the numeric
+// contract (0·b adds a signed zero), only a scalar-era speedup; without it
+// 0·Inf is NaN as IEEE says.
 
 // gemmRowsGo computes rows [lo, hi) of dst = a·b (+bias) in float32,
 // K-tiled like the generic path with axpy4Go inside each tile.
 func gemmRowsGo(dst, a, b []float32, lo, hi, k, n int, bias []float32) {
-	for i := lo; i < hi; i++ {
-		oi := dst[i*n : (i+1)*n]
-		if bias != nil {
-			copy(oi, bias)
-		} else {
-			for j := range oi {
-				oi[j] = 0
-			}
-		}
-	}
+	gemmInitRows(dst, lo, hi, n, bias)
 	for k0 := 0; k0 < k; k0 += gemmKBlock {
 		k1 := k0 + gemmKBlock
 		if k1 > k {

@@ -4,7 +4,7 @@ package tensor
 
 // Builds without the assembly tile kernels — every GOARCH but amd64, and
 // amd64 under the purego tag, which is how CI tests this path — run the
-// float32 products as the pure-Go loops of gemm_f32.go directly.
+// products as the pure-Go loops of gemm.go and gemm_f32.go directly.
 
 func gemmRowsF32(dst, a, b []float32, lo, hi, k, n int, bias []float32) {
 	gemmRowsGo(dst, a, b, lo, hi, k, n, bias)
@@ -16,4 +16,16 @@ func gemmBTRowsF32(dst, a, b []float32, lo, hi, n, k int) {
 
 func gemmATRowsF32(dst, a, b []float32, lo, hi, m, k, n int) {
 	gemmATRowsGo(dst, a, b, lo, hi, m, k, n)
+}
+
+func gemmRowsF64(dst, a, b []float64, lo, hi, k, n int, bias []float64) {
+	gemmRowsGoF64(dst, a, b, lo, hi, k, n, bias)
+}
+
+func gemmBTRowsF64(dst, a, b []float64, lo, hi, n, k int) {
+	gemmBTRowsGoF64(dst, a, b, lo, hi, n, k)
+}
+
+func gemmATRowsF64(dst, a, b []float64, lo, hi, m, k, n int) {
+	gemmATRowsGoF64(dst, a, b, lo, hi, m, k, n)
 }

@@ -54,7 +54,7 @@ func randSlice(rng *rand.Rand, n int) []float64 {
 	for i := range s {
 		s[i] = rng.NormFloat64()
 		if rng.Intn(8) == 0 {
-			s[i] = 0 // exercise the zero-skip path
+			s[i] = 0 // post-ReLU activations are sparse
 		}
 	}
 	return s
@@ -136,39 +136,52 @@ func TestGemmATMatchesNaiveAndAccumulates(t *testing.T) {
 
 // TestGemmKernelsDeterministicAcrossWorkers pins the bit-identical contract:
 // the blocked kernels must produce the same bits at any worker count,
-// including shapes whose reduction spans several cache tiles.
+// including shapes whose reduction spans several cache tiles, an odd row
+// count (so a row that shares a block serially is alone in a shard
+// elsewhere) and operands that are not finite. The second half is what a
+// zero-skip on some rows and not others broke: 0·Inf came out NaN or was
+// skipped depending on the sharding.
 func TestGemmKernelsDeterministicAcrossWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
 	const m, k, n = 37, 517, 13
-	a := randSlice(rng, m*k)
-	b := randSlice(rng, k*n)
-	g := randSlice(rng, m*n)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
+	for name, fill := range map[string]func(*rand.Rand, int) []float64{"finite": randSlice, "specials": specialSlice} {
+		rng := rand.New(rand.NewSource(44))
+		a, b, g := fill(rng, m*k), fill(rng, k*n), fill(rng, m*n)
+		run := func() (fwd, bt, at []float64) {
+			fwd, bt, at = make([]float64, m*n), make([]float64, m*k), make([]float64, k*n)
+			Gemm(fwd, a, b, m, k, n, nil)
+			GemmBT(bt, g, b, m, n, k)
+			GemmAT(at, a, g, m, k, n)
+			return
+		}
+		parallel.SetWorkers(1)
+		fwd0, bt0, at0 := run()
+		for _, w := range []int{2, 3, 8} {
+			parallel.SetWorkers(w)
+			fwd, bt, at := run()
+			if i := sameBitsF64(fwd, fwd0); i >= 0 {
+				t.Errorf("%s workers=%d: Gemm elem %d = %g, serial %g (must be bit-identical)", name, w, i, fwd[i], fwd0[i])
+			}
+			if i := sameBitsF64(bt, bt0); i >= 0 {
+				t.Errorf("%s workers=%d: GemmBT elem %d = %g, serial %g (must be bit-identical)", name, w, i, bt[i], bt0[i])
+			}
+			if i := sameBitsF64(at, at0); i >= 0 {
+				t.Errorf("%s workers=%d: GemmAT elem %d = %g, serial %g (must be bit-identical)", name, w, i, at[i], at0[i])
+			}
+		}
+	}
 
-	fwd0 := make([]float64, m*n)
-	bt0 := make([]float64, m*k)
-	at0 := make([]float64, k*n)
-	Gemm(fwd0, a, b, m, k, n, nil)
-	GemmBT(bt0, g, b, m, n, k)
-	GemmAT(at0, a, g, m, k, n)
-
-	for _, w := range []int{2, 3, 8} {
+	// The smallest case: three rows of 0 against +Inf. Every row is NaN,
+	// whether it shares a block with its neighbour or is its own shard.
+	for w := 1; w <= 3; w++ {
 		parallel.SetWorkers(w)
-		fwd := make([]float64, m*n)
-		bt := make([]float64, m*k)
-		at := make([]float64, k*n)
-		Gemm(fwd, a, b, m, k, n, nil)
-		GemmBT(bt, g, b, m, n, k)
-		GemmAT(at, a, g, m, k, n)
-		if d := gemmMaxDiff(fwd, fwd0); d != 0 {
-			t.Errorf("workers=%d: Gemm differs from serial by %g (must be bit-identical)", w, d)
-		}
-		if d := gemmMaxDiff(bt, bt0); d != 0 {
-			t.Errorf("workers=%d: GemmBT differs from serial by %g (must be bit-identical)", w, d)
-		}
-		if d := gemmMaxDiff(at, at0); d != 0 {
-			t.Errorf("workers=%d: GemmAT differs from serial by %g (must be bit-identical)", w, d)
+		out := []float64{1, 1, 1}
+		Gemm(out, []float64{0, 0, 0}, []float64{math.Inf(1)}, 3, 1, 1, nil)
+		for i, v := range out {
+			if v == v {
+				t.Errorf("workers=%d: 0·Inf row %d = %g, want NaN", w, i, v)
+			}
 		}
 	}
 }

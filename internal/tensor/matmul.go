@@ -38,9 +38,8 @@ func ForRows(rows, rowWork int, fn func(lo, hi int)) {
 // otherwise rows start at zero. It is a shape-checked wrapper over the
 // blocked Gemm kernel: rows are processed in parallel shards with the
 // reduction tiled over K in ascending order, so results are identical for
-// any worker count. Only the float64 scalar remainder rows skip the weight
-// row of a zero input; float32 multiplies every operand, so 0·Inf is NaN
-// there (gemm_f32.go).
+// any worker count. Every operand is multiplied at either width — a zero
+// input does not skip its weight row — so 0·Inf is NaN.
 func MatMulInto[T Float](dst, x, w *TensorOf[T], bias []T) error {
 	if len(x.Shape) != 2 || len(w.Shape) != 2 || len(dst.Shape) != 2 {
 		return fmt.Errorf("tensor: matmul wants rank-2 operands, got dst %s x %s w %s",
