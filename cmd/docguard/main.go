@@ -138,7 +138,7 @@ var (
 	// SearchOptions.Progress, cluster.tasks.requeued).
 	qualified = regexp.MustCompile(`^[A-Za-z]\w*(\.[A-Za-z]\w*)+$`)
 	// camel matches unexported camelCase identifiers (bnBlockRows,
-	// convArena, actMinChunk).
+	// convArena, gemmKBlock).
 	camel = regexp.MustCompile(`^[a-z][a-z0-9]*[A-Z]\w*$`)
 )
 

@@ -65,7 +65,7 @@ func (p *AvgPool2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 	// Output rows across the batch shard independently; each window sum runs
 	// (ky, kx)-ascending exactly like the serial loop, so results are
 	// bit-identical for any worker count (see pool.go).
-	parallel.For(b*p.outH, poolMinRows(orow*p.Size*p.Size), func(lo, hi int) {
+	parallel.For(b*p.outH, parallel.MinChunk(orow*p.Size*p.Size*costGather), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			bi, oy := r/p.outH, r%p.outH
 			xb := bi * p.inH * inRow
@@ -120,12 +120,12 @@ func (p *AvgPool2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 	}
 	if p.Stride >= p.Size {
 		// Disjoint windows: output rows write disjoint input regions.
-		parallel.For(b*p.outH, poolMinRows(orow*p.Size*p.Size), scatterRows)
+		parallel.For(b*p.outH, parallel.MinChunk(orow*p.Size*p.Size*costGather), scatterRows)
 		return []*tensor.TensorOf[T]{dIn}
 	}
 	// Overlapping windows: only samples are independent; within one sample
 	// the scatter keeps the serial ascending output order (see pool.go).
-	parallel.For(b, 1, func(lo, hi int) {
+	parallel.For(b, parallel.MinChunk(p.outH*orow*p.Size*p.Size*costGather), func(lo, hi int) {
 		scatterRows(lo*p.outH, hi*p.outH)
 	})
 	return []*tensor.TensorOf[T]{dIn}
@@ -168,7 +168,7 @@ func (p *GlobalAvgPoolOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *t
 	// Samples reduce independently; each per-channel sum runs in ascending
 	// spatial order exactly like the serial loop, so results are
 	// bit-identical for any worker count.
-	parallel.For(b, poolMinRows(p.spatial*c), func(lo, hi int) {
+	parallel.For(b, parallel.MinChunk(p.spatial*c*costStream), func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			base := bi * p.spatial * c
 			ob := out.Data[bi*c : (bi+1)*c]
@@ -191,7 +191,7 @@ func (p *GlobalAvgPoolOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.Tensor
 	c := p.inShape[len(p.inShape)-1]
 	dIn := tensor.NewOf[T](append([]int{b}, p.inShape...)...)
 	inv := T(1.0 / float64(p.spatial))
-	parallel.For(b, poolMinRows(p.spatial*c), func(lo, hi int) {
+	parallel.For(b, parallel.MinChunk(p.spatial*c*costStream), func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			base := bi * p.spatial * c
 			gb := dOut.Data[bi*c : (bi+1)*c]
@@ -231,7 +231,7 @@ func (a *AddOf[T]) OutShape(in [][]int) ([]int, error) {
 
 func (a *AddOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
 	out := in[0].Clone()
-	parallel.For(len(out.Data), actMinChunk, func(lo, hi int) {
+	parallel.For(len(out.Data), parallel.MinChunk(costStream), func(lo, hi int) {
 		od := out.Data[lo:hi]
 		for i, v := range in[1].Data[lo:hi] {
 			od[i] += v

@@ -91,7 +91,7 @@ func (b *BatchNormOf[T]) OutShape(in [][]int) ([]int, error) {
 func bnReduce[T tensor.Float](n, width int, acc func(ps []T, r0, r1 int)) []T {
 	nb := (n + bnBlockRows - 1) / bnBlockRows
 	partials := make([]T, nb*width)
-	parallel.For(nb, 1+actMinChunk/(bnBlockRows*width), func(lo, hi int) {
+	parallel.For(nb, parallel.MinChunk(bnBlockRows*width*costBranch), func(lo, hi int) {
 		for blk := lo; blk < hi; blk++ {
 			r0 := blk * bnBlockRows
 			r1 := r0 + bnBlockRows
@@ -118,7 +118,7 @@ func (b *BatchNormOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 
 	if !training {
 		rm, rv := b.RunMean.W.Data, b.RunVar.W.Data
-		parallel.For(n, 1+actMinChunk/b.C, func(lo, hi int) {
+		parallel.For(n, parallel.MinChunk(b.C*costBranch), func(lo, hi int) {
 			for i := lo * b.C; i < hi*b.C; i++ {
 				c := i % b.C
 				out.Data[i] = gamma[c]*(x.Data[i]-rm[c])/T(math.Sqrt(float64(rv[c])+b.Eps)) + beta[c]
@@ -152,7 +152,7 @@ func (b *BatchNormOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 		b.lastXHat = make([]T, x.Numel())
 	}
 	b.lastXHat = b.lastXHat[:x.Numel()]
-	parallel.For(n, 1+actMinChunk/b.C, func(lo, hi int) {
+	parallel.For(n, parallel.MinChunk(b.C*costBranch), func(lo, hi int) {
 		for i := lo * b.C; i < hi*b.C; i++ {
 			c := i % b.C
 			xh := (x.Data[i] - mean[c]) * invStd[c]
@@ -202,7 +202,7 @@ func (b *BatchNormOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 	}
 	dIn := tensor.NewOf[T](dOut.Shape...)
 	nf := T(n)
-	parallel.For(n, 1+actMinChunk/b.C, func(lo, hi int) {
+	parallel.For(n, parallel.MinChunk(b.C*costBranch), func(lo, hi int) {
 		for i := lo * b.C; i < hi*b.C; i++ {
 			c := i % b.C
 			dIn.Data[i] = gamma[c] * b.lastInvStd[c] / nf *

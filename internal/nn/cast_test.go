@@ -157,15 +157,21 @@ func convertedBatchNorm(t *testing.T, b int) (*tensor.TensorOf[float32], *tensor
 // determinism contract (DESIGN.md §14): Conv2D (k-block-crossing) and
 // BatchNorm must produce bit-identical outputs and input gradients at any
 // worker count, and exactly equal parameter gradients — same fixed reduction
-// order as the f64 kernels, just in float32 arithmetic.
+// order as the f64 kernels, just in float32 arithmetic. The grain is
+// lowered as in TestParallelKernelsMatchSerial, and each parallel leg must
+// report its splits: the convolution's five sharded loops; BatchNorm's two
+// element-wise passes, and at batch 37 (1813 rows) its three blocked
+// reductions as well.
 func TestParallelKernelsMatchSerialF32(t *testing.T) {
 	kernels := []struct {
-		name string
-		run  func(t *testing.T, b int) (*tensor.TensorOf[float32], *tensor.TensorOf[float32], []float32, []float32)
+		name           string
+		run            func(t *testing.T, b int) (*tensor.TensorOf[float32], *tensor.TensorOf[float32], []float32, []float32)
+		split1, splitN int64 // loops that split at batch 1 and at batch 37
 	}{
-		{"Conv2DWide", convertedConv2DWide},
-		{"BatchNorm", convertedBatchNorm},
+		{"Conv2DWide", convertedConv2DWide, 5, 5},
+		{"BatchNorm", convertedBatchNorm, 2, 5},
 	}
+	splitEverything(t)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	for _, k := range kernels {
@@ -175,9 +181,17 @@ func TestParallelKernelsMatchSerialF32(t *testing.T) {
 				out0, dIn0, dw0, db0 := k.run(t, batch)
 				dw0 = append([]float32(nil), dw0...)
 				db0 = append([]float32(nil), db0...)
+				want := k.splitN
+				if batch == 1 {
+					want = k.split1
+				}
 				for _, workers := range []int{2, 4, 7} {
 					parallel.SetWorkers(workers)
-					out, dIn, dw, db := k.run(t, batch)
+					var out, dIn *tensor.TensorOf[float32]
+					var dw, db []float32
+					if split, _ := splitCalls(func() { out, dIn, dw, db = k.run(t, batch) }); split != want {
+						t.Fatalf("workers=%d: %d loops split, want %d: the parallel leg did not run", workers, split, want)
+					}
 					if d := maxAbsDiffF32(out.Data, out0.Data); d != 0 {
 						t.Errorf("workers=%d: forward differs from serial by %g (must be bit-identical)", workers, d)
 					}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"swtnas/internal/parallel"
 	"swtnas/internal/tensor"
 )
 
@@ -14,8 +15,11 @@ import (
 // kernel family: dW += patchesᵀ·dOut (tensor.GemmAT on the forward patch
 // buffer) and dPatches = dOut·Wᵀ (tensor.GemmBT) followed by a col2im
 // scatter back onto the input gradient. One cache-tiled kernel therefore
-// serves conv and dense alike, and because the GEMM parallelizes over patch
-// rows — not samples — a batch of 1 still uses every core.
+// serves conv and dense alike. The unit of sharding is a patch row (a strip
+// of them for im2col/col2im), not a sample, so a call splits on its work
+// and not on its batch size: a batch of 64 at 8→16 filters on 16×16 maps
+// does, a batch of 1 of the same layer is 0.3 ms of work in all and runs
+// whole on the caller, where it measures faster (parallel.MinChunk).
 //
 // Determinism: patch rows store their (ky, kx, ci) taps in ascending order,
 // the GEMM reduction runs in ascending tile order, and col2im accumulates
@@ -142,8 +146,7 @@ func (c *Conv2DOf[T]) ensureArena() {
 }
 
 // Forward lowers the input to im2col patches and runs one blocked GEMM
-// against the weight matrix. Patch rows — not samples — are the unit of
-// parallelism, so a batch of 1 still shards across the worker pool.
+// against the weight matrix.
 func (c *Conv2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
 	x := in[0]
 	c.lastIn = x
@@ -166,7 +169,7 @@ func (c *Conv2DOf[T]) im2col(x *tensor.TensorOf[T], cols []T) {
 	padH, padW := c.padOffsets()
 	inRow := c.inW * c.InC
 	strip := c.outW * c.kdim()
-	tensor.ForRows(x.Shape[0]*c.outH, strip, func(lo, hi int) {
+	parallel.For(x.Shape[0]*c.outH, parallel.MinChunk(strip*costCopy), func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			bi, oy := s/c.outH, s%c.outH
 			xb := x.Data[bi*c.inH*inRow : (bi+1)*c.inH*inRow]
@@ -237,8 +240,8 @@ func (c *Conv2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 
 // col2im accumulates the patch gradients back onto the input positions they
 // were gathered from. Work shards over *input rows* across the whole batch
-// (b·inH strips), so a batch of 1 still uses every core; each input row is
-// written by exactly one shard. For an input row y the contributing output
+// (b·inH strips); each input row is written by exactly one shard. For an
+// input row y the contributing output
 // rows satisfy ky = y + padH - oy ∈ [0, KH); walking them oy-ascending, then
 // ox-ascending, accumulates every input element's contributions in exactly
 // the order the serial (oy, ox, ky, kx, ci) scatter did, keeping input
@@ -248,7 +251,7 @@ func (c *Conv2DOf[T]) col2im(dcols []T, dIn *tensor.TensorOf[T]) {
 	inRow := c.inW * c.InC
 	kdim := c.kdim()
 	kw := c.KW * c.InC
-	tensor.ForRows(dIn.Shape[0]*c.inH, c.outW*kw, func(lo, hi int) {
+	parallel.For(dIn.Shape[0]*c.inH, parallel.MinChunk(c.outW*kdim*costStream), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			bi, y := r/c.inH, r%c.inH
 			drow := dIn.Data[r*inRow : (r+1)*inRow]
@@ -361,8 +364,8 @@ func (c *Conv1DOf[T]) ensureArena() {
 	}
 }
 
-// Forward lowers to im2col patches and one blocked GEMM, parallel over
-// patch rows (intra-sample, like Conv2D.Forward).
+// Forward lowers to im2col patches and one blocked GEMM, like
+// Conv2D.Forward.
 func (c *Conv1DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
 	x := in[0]
 	c.lastIn = x
@@ -382,7 +385,7 @@ func (c *Conv1DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.T
 func (c *Conv1DOf[T]) im2col(x *tensor.TensorOf[T], cols []T) {
 	pad := c.padOffset()
 	kdim := c.kdim()
-	tensor.ForRows(x.Shape[0]*c.outL, kdim, func(lo, hi int) {
+	parallel.For(x.Shape[0]*c.outL, parallel.MinChunk(kdim*costCopy), func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			bi, ol := s/c.outL, s%c.outL
 			xb := x.Data[bi*c.inL*c.InC : (bi+1)*c.inL*c.InC]
@@ -434,16 +437,15 @@ func (c *Conv1DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 }
 
 // col2im scatters patch gradients back onto the input. Work shards over
-// input *positions* across the whole batch (b·inL strips), so batch-1
-// gradients no longer serialize; each position is written by exactly one
-// shard. For input position p the contributing output positions satisfy
+// input *positions* across the whole batch (b·inL strips); each position is
+// written by exactly one shard. For input position p the contributing output positions satisfy
 // k = p + pad - ol ∈ [0, K); walking them ol-ascending accumulates the
 // contributions in exactly the order of the serial (ol, k, ci) scatter,
 // keeping gradients bit-identical for any worker count.
 func (c *Conv1DOf[T]) col2im(dcols []T, dIn *tensor.TensorOf[T]) {
 	pad := c.padOffset()
 	kdim := c.kdim()
-	tensor.ForRows(dIn.Shape[0]*c.inL, c.K*c.InC, func(lo, hi int) {
+	parallel.For(dIn.Shape[0]*c.inL, parallel.MinChunk(kdim*costStream), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			bi, p := r/c.inL, r%c.inL
 			d := dIn.Data[r*c.InC : (r+1)*c.InC]

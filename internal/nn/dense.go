@@ -263,17 +263,29 @@ func (l *ActivationOf[T]) OutShape(in [][]int) ([]int, error) {
 	return append([]int(nil), in[0]...), nil
 }
 
-// actMinChunk is the smallest per-shard element count worth offloading: an
-// activation costs a few flops (or one math call) per element, so small
-// tensors run inline and large batches shard across the pool. Every element
-// is written by exactly one shard with the same serial arithmetic, so
-// outputs are bit-identical for any worker count.
-const actMinChunk = 2048
+// costs returns the per-element cost of the kind's forward and backward
+// loops: the forward pass of the smooth kinds is a math call, their gradient
+// a product of cached outputs; the piecewise kinds branch on the data both
+// ways.
+func (k ActKind) costs() (fwd, bwd int) {
+	switch k {
+	case Tanh, Sigmoid:
+		return costExp, costStream
+	case ELU:
+		return costExp, costBranch
+	}
+	return costBranch, costBranch
+}
+
+// Forward and Backward shard element ranges; every element is written by
+// exactly one shard with the serial arithmetic, so outputs are bit-identical
+// for any worker count.
 
 func (l *ActivationOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
 	x := in[0]
 	out := tensor.NewOf[T](x.Shape...)
-	parallel.For(len(x.Data), actMinChunk, func(lo, hi int) {
+	cost, _ := l.Kind.costs()
+	parallel.For(len(x.Data), parallel.MinChunk(cost), func(lo, hi int) {
 		xd, od := x.Data[lo:hi], out.Data[lo:hi]
 		switch l.Kind {
 		case ReLU:
@@ -314,7 +326,8 @@ func (l *ActivationOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tens
 
 func (l *ActivationOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 	dIn := tensor.NewOf[T](dOut.Shape...)
-	parallel.For(len(dOut.Data), actMinChunk, func(lo, hi int) {
+	_, cost := l.Kind.costs()
+	parallel.For(len(dOut.Data), parallel.MinChunk(cost), func(lo, hi int) {
 		gd, dd := dOut.Data[lo:hi], dIn.Data[lo:hi]
 		switch l.Kind {
 		case ReLU:

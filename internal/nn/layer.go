@@ -14,22 +14,33 @@
 // activations, gradient tensors, backward scratch) is caller-serialized:
 // never call Forward/Backward on the same Network or Layer from two
 // goroutines, and never overlap a Forward with the matching Backward.
-// Within one Forward/Backward call, however, the compute-heavy layers
-// (Conv2D, Conv1D, Dense) and the softmax-cross-entropy loss shard their
-// batch dimension across the process-wide worker pool in internal/parallel:
-// input/output rows are written by exactly one shard, and weight-gradient
-// partials are accumulated per shard and reduced lock-free after the pool
-// call returns. With SWTNAS_WORKERS=1 (or parallel.SetWorkers(1)) every
-// kernel runs the exact serial code path, bit-identical to the
-// pre-parallel implementation; at higher worker counts only the summation
-// order of weight gradients and scalar losses changes (bounded by normal
-// floating-point re-association, ~1e-15 relative).
+// Within one Forward/Backward call, however, a layer's loops may shard
+// their rows across the process-wide worker pool in internal/parallel —
+// when the call is large enough to pay for the handoff (the cost classes
+// below and parallel.MinChunk decide; most calls of a small search are not).
+// Every output element is written by exactly one shard in the serial order,
+// so layer outputs and gradients are bit-identical at any worker count; only
+// the scalar loss is summed from per-shard partials.
 package nn
 
 import (
 	"fmt"
 
 	"swtnas/internal/tensor"
+)
+
+// Per-item costs of the sharded loops, in the unit parallel.MinChunk takes:
+// one unit is one multiply-add of the f32 GEMM tile kernels, 0.1–0.2 ns on
+// the reference box. Each class is the measured serial cost of the loops it
+// names as a power of two, rounded down when in doubt — a cost set too low
+// keeps a call inline, one set too high splits a call that cannot pay for
+// the handoff. DESIGN.md §9.5 has the ns-per-item readings.
+const (
+	costCopy   = 4  // element copied or zeroed in a contiguous run: im2col
+	costStream = 8  // element read, combined and written once: col2im, Add, GlobalAvgPool, Gather, the Tanh/Sigmoid gradient
+	costGather = 16 // element reached through a stride or an index: average-pool taps, the max-pool gradient scatter
+	costBranch = 32 // element behind an unpredictable branch or an integer division: ReLU-class passes, max-pool taps, BatchNorm passes
+	costExp    = 64 // element through math.Exp or math.Tanh: Tanh/Sigmoid/ELU forward, a softmax logit
 )
 
 // Param is one parameter tensor of a layer.

@@ -33,17 +33,17 @@ type SoftmaxCrossEntropyOf[T tensor.Float] struct{}
 func (SoftmaxCrossEntropyOf[T]) Name() string { return "CE" }
 
 // Forward computes the mean cross-entropy and the fused softmax gradient
-// (softmax(pred) - onehot(target)) / B. Rows are processed in parallel
-// batch shards through the same row-parallel primitive as the dense matmul
-// path; gradients are per-row (worker-count invariant) and the scalar loss
-// is reduced from per-shard partials in shard order.
+// (softmax(pred) - onehot(target)) / B. Rows shard across the pool when
+// there are enough of them to pay for the handoff — a minibatch of the fit
+// loop never is; gradients are per-row (worker-count invariant) and the
+// scalar loss is reduced from per-shard partials in shard order.
 func (SoftmaxCrossEntropyOf[T]) Forward(pred *tensor.TensorOf[T], targets []float64) (float64, *tensor.TensorOf[T]) {
 	b, k := pred.Shape[0], pred.Shape[1]
 	if len(targets) != b {
 		panic(fmt.Sprintf("nn: %d targets for batch of %d", len(targets), b))
 	}
 	grad := tensor.NewOf[T](b, k)
-	shards := parallel.Shards(b, lossMinRows(k))
+	shards := parallel.Shards(b, parallel.MinChunk(k*costExp))
 	partial := make([]float64, shards)
 	parallel.ForShardN(b, shards, func(shard, lo, hi int) {
 		lossPart := 0.0
@@ -81,19 +81,6 @@ func (SoftmaxCrossEntropyOf[T]) Forward(pred *tensor.TensorOf[T], targets []floa
 	}
 	grad.Scale(T(1 / float64(b)))
 	return loss / float64(b), grad
-}
-
-// lossMinRows groups softmax rows so one shard exponentiates at least ~4k
-// values (rows are cheap relative to the pool handoff).
-func lossMinRows(k int) int {
-	if k <= 0 {
-		return 1
-	}
-	mr := 4096 / k
-	if mr < 1 {
-		mr = 1
-	}
-	return mr
 }
 
 // MAE is the mean absolute error on [B, 1] (or [B]) predictions, the loss

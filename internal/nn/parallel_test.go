@@ -95,17 +95,23 @@ func maxAbsDiff(a, b []float64) float64 {
 // in practice the whole comparison is bit-identical; the 1e-12 bound is the
 // documented contract.) Batch 1 matters since the GEMM path parallelizes
 // patch rows within a sample — the serial-vs-parallel agreement must hold
-// even when there is only one sample to shard.
+// even when there is only one sample to shard. These shapes are far under
+// the pool's grain, so the grain is lowered and each parallel leg must report
+// that its sharded loops split: im2col, the three GEMMs and col2im of a
+// convolution; of a Dense layer the three GEMMs, or at batch 1 only the
+// weight gradient (one output row cannot split).
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	kernels := []struct {
-		name string
-		run  func(t *testing.T, b int) (*tensor.Tensor, *tensor.Tensor, []float64, []float64)
+		name           string
+		run            func(t *testing.T, b int) (*tensor.Tensor, *tensor.Tensor, []float64, []float64)
+		split1, splitN int64 // loops that split at batch 1 and at batch 37
 	}{
-		{"Conv2D", runConv2D},
-		{"Conv2DWide", runConv2DWide},
-		{"Conv1D", runConv1D},
-		{"Dense", runDense},
+		{"Conv2D", runConv2D, 5, 5},
+		{"Conv2DWide", runConv2DWide, 5, 5},
+		{"Conv1D", runConv1D, 5, 5},
+		{"Dense", runDense, 1, 3},
 	}
+	splitEverything(t)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	for _, k := range kernels {
@@ -115,9 +121,17 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 				out0, dIn0, dw0, db0 := k.run(t, batch)
 				dw0 = append([]float64(nil), dw0...)
 				db0 = append([]float64(nil), db0...)
+				want := k.splitN
+				if batch == 1 {
+					want = k.split1
+				}
 				for _, workers := range []int{2, 4, 7} {
 					parallel.SetWorkers(workers)
-					out, dIn, dw, db := k.run(t, batch)
+					var out, dIn *tensor.Tensor
+					var dw, db []float64
+					if split, _ := splitCalls(func() { out, dIn, dw, db = k.run(t, batch) }); split != want {
+						t.Fatalf("workers=%d: %d loops split, want %d: the parallel leg did not run", workers, split, want)
+					}
 					if d := maxAbsDiff(out.Data, out0.Data); d != 0 {
 						t.Errorf("workers=%d: forward differs from serial by %g (must be bit-identical)", workers, d)
 					}
@@ -138,11 +152,13 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 
 // TestParallelActivationsMatchSerial extends the determinism contract to the
 // sharded element-wise activations: forward outputs and input gradients must
-// be bit-identical to the serial run for any worker count. The tensor is
-// sized past actMinChunk with an odd element count so several uneven shards
-// actually run, and each kind covers both branches of its piecewise form.
+// be bit-identical to the serial run for any worker count. The tensor has an
+// odd element count so the shards are uneven, the grain is lowered so that
+// it splits at all (both passes must report they did), and each kind covers
+// both branches of its piecewise form.
 func TestParallelActivationsMatchSerial(t *testing.T) {
 	kinds := []ActKind{ReLU, Tanh, Sigmoid, LeakyReLU, ELU}
+	splitEverything(t)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	for _, kind := range kinds {
@@ -150,7 +166,7 @@ func TestParallelActivationsMatchSerial(t *testing.T) {
 			run := func() (*tensor.Tensor, *tensor.Tensor) {
 				rng := rand.New(rand.NewSource(21))
 				a := NewActivation("act", kind)
-				x := tensor.New(7, 941) // 6587 elements: several uneven shards
+				x := tensor.New(7, 941) // 6587 elements: uneven shards
 				x.RandNormal(rng, 2)    // spread across both sides of zero
 				out := a.Forward([]*tensor.Tensor{x}, true)
 				g := tensor.New(out.Shape...)
@@ -162,7 +178,10 @@ func TestParallelActivationsMatchSerial(t *testing.T) {
 			out0, dIn0 := run()
 			for _, workers := range []int{2, 4, 7} {
 				parallel.SetWorkers(workers)
-				out, dIn := run()
+				var out, dIn *tensor.Tensor
+				if split, _ := splitCalls(func() { out, dIn = run() }); split != 2 {
+					t.Fatalf("workers=%d: %d of 2 passes split: the parallel leg did not run", workers, split)
+				}
 				if d := maxAbsDiff(out.Data, out0.Data); d != 0 {
 					t.Errorf("workers=%d: forward differs from serial by %g (must be bit-identical)", workers, d)
 				}
@@ -186,12 +205,17 @@ func TestParallelSoftmaxCrossEntropyMatchesSerial(t *testing.T) {
 	for i := range targets {
 		targets[i] = float64(rng.Intn(k))
 	}
+	splitEverything(t)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	loss0, grad0 := SoftmaxCrossEntropy{}.Forward(pred, targets)
 	for _, workers := range []int{2, 5, 8} {
 		parallel.SetWorkers(workers)
-		loss, grad := SoftmaxCrossEntropy{}.Forward(pred, targets)
+		var loss float64
+		var grad *tensor.Tensor
+		if split, _ := splitCalls(func() { loss, grad = SoftmaxCrossEntropy{}.Forward(pred, targets) }); split != 1 {
+			t.Fatalf("workers=%d: the loss ran as one shard: the parallel leg did not run", workers)
+		}
 		if math.Abs(loss-loss0) > 1e-12 {
 			t.Errorf("workers=%d: loss %v differs from serial %v", workers, loss, loss0)
 		}
@@ -213,11 +237,15 @@ func TestParallelGatherMatchesSerial(t *testing.T) {
 	}
 	d := &Data{Inputs: []*tensor.Tensor{in}, Targets: targets}
 	idx := rng.Perm(500)
+	splitEverything(t)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	serial := d.Gather(idx)
 	parallel.SetWorkers(6)
-	par := d.Gather(idx)
+	var par *Data
+	if split, _ := splitCalls(func() { par = d.Gather(idx) }); split != 1 {
+		t.Fatal("the gather ran as one shard: the parallel leg did not run")
+	}
 	if d := maxAbsDiff(par.Inputs[0].Data, serial.Inputs[0].Data); d != 0 {
 		t.Fatalf("parallel gather differs from serial by %g", d)
 	}
@@ -225,6 +253,29 @@ func TestParallelGatherMatchesSerial(t *testing.T) {
 		if par.Targets[i] != serial.Targets[i] {
 			t.Fatalf("target %d differs", i)
 		}
+	}
+}
+
+// TestPoolCountersConserveCalls is the conservation law behind the pool's
+// idle signal: how many For* calls a piece of work makes does not depend on
+// the grain, only how they divide between split (parallel.for.calls) and
+// kept whole (parallel.for.inline) does. The same layers run at the
+// production grain, where shapes this small all stay on the caller, and at
+// the lowered one, where all but the single-item loops split.
+func TestPoolCountersConserveCalls(t *testing.T) {
+	defer parallel.SetWorkers(parallel.SetWorkers(2))
+	work := func() {
+		runConv2D(t, 3)
+		runDense(t, 1)
+		runBatchNorm(t, 9)
+		runPool2D(t, NewMaxPool2D("mp", 3, 2), 1)
+	}
+	split0, kept0 := splitCalls(work)
+	splitEverything(t)
+	split1, kept1 := splitCalls(work)
+	if split0 != 0 || split1 == 0 || split0+kept0 != split1+kept1 {
+		t.Fatalf("production grain: %d split + %d kept; lowered: %d split + %d kept; want 0 split, then some, and equal sums",
+			split0, kept0, split1, kept1)
 	}
 }
 
@@ -261,6 +312,7 @@ func gradcheckLayer(t *testing.T, forward func() *tensor.Tensor, backward func(g
 // workers=4 so the parallel code paths — not just the serial fallback —
 // are verified against finite differences.
 func TestGradcheckUnderParallelKernels(t *testing.T) {
+	splitEverything(t)
 	prev := parallel.SetWorkers(4)
 	defer parallel.SetWorkers(prev)
 	rng := rand.New(rand.NewSource(16))
@@ -270,14 +322,16 @@ func TestGradcheckUnderParallelKernels(t *testing.T) {
 	}
 	x := tensor.New(6, 8, 2)
 	x.RandNormal(rng, 1)
-	gradcheckLayer(t,
-		func() *tensor.Tensor { return c.Forward([]*tensor.Tensor{x}, true) },
-		func(g *tensor.Tensor) {
-			c.W.Grad.Zero()
-			c.B.Grad.Zero()
-			c.Backward(g)
-		},
-		c.W.W.Data, c.W.Grad.Data)
+	allSplit(t, func() {
+		gradcheckLayer(t,
+			func() *tensor.Tensor { return c.Forward([]*tensor.Tensor{x}, true) },
+			func(g *tensor.Tensor) {
+				c.W.Grad.Zero()
+				c.B.Grad.Zero()
+				c.Backward(g)
+			},
+			c.W.W.Data, c.W.Grad.Data)
+	})
 }
 
 // TestGradcheckConv2DIm2col gradchecks the im2col Conv2D backward with a
@@ -285,6 +339,7 @@ func TestGradcheckUnderParallelKernels(t *testing.T) {
 // so the tiled GemmAT/GemmBT/col2im path — not just a single tile — is
 // verified against finite differences.
 func TestGradcheckConv2DIm2col(t *testing.T) {
+	splitEverything(t)
 	prev := parallel.SetWorkers(4)
 	defer parallel.SetWorkers(prev)
 	rng := rand.New(rand.NewSource(17))
@@ -294,14 +349,16 @@ func TestGradcheckConv2DIm2col(t *testing.T) {
 	}
 	x := tensor.New(2, 4, 4, 32)
 	x.RandNormal(rng, 1)
-	gradcheckLayer(t,
-		func() *tensor.Tensor { return c.Forward([]*tensor.Tensor{x}, true) },
-		func(g *tensor.Tensor) {
-			c.W.Grad.Zero()
-			c.B.Grad.Zero()
-			c.Backward(g)
-		},
-		c.W.W.Data, c.W.Grad.Data)
+	allSplit(t, func() {
+		gradcheckLayer(t,
+			func() *tensor.Tensor { return c.Forward([]*tensor.Tensor{x}, true) },
+			func(g *tensor.Tensor) {
+				c.W.Grad.Zero()
+				c.B.Grad.Zero()
+				c.Backward(g)
+			},
+			c.W.W.Data, c.W.Grad.Data)
+	})
 }
 
 // runBatchNorm builds a fresh seeded BatchNorm over conv-shaped activations
@@ -330,8 +387,12 @@ func runBatchNorm(t *testing.T, b int) (out, inf, dIn *tensor.Tensor, dGamma, dB
 // per-channel reductions (mean/variance/dGamma/dBeta) must agree within
 // 1e-12. The batch=9 case gives 9·35 = 315 rows — several bnBlockRows
 // blocks, so the blocked reduction really spreads across shards; batch=1
-// (35 rows) exercises the single-block path.
+// (35 rows) exercises the single-block path. With the grain lowered each
+// parallel leg must report its splits: the three element-wise passes
+// (normalize, input gradient, inference) at either batch, and at batch 9
+// the three blocked reductions as well — one block cannot split.
 func TestParallelBatchNormMatchesSerial(t *testing.T) {
+	splitEverything(t)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	for _, batch := range []int{1, 9} {
@@ -340,9 +401,17 @@ func TestParallelBatchNormMatchesSerial(t *testing.T) {
 			out0, inf0, dIn0, dg0, db0 := runBatchNorm(t, batch)
 			dg0 = append([]float64(nil), dg0...)
 			db0 = append([]float64(nil), db0...)
+			want := int64(3)
+			if batch == 9 {
+				want = 6
+			}
 			for _, workers := range []int{2, 4, 7} {
 				parallel.SetWorkers(workers)
-				out, inf, dIn, dg, db := runBatchNorm(t, batch)
+				var out, inf, dIn *tensor.Tensor
+				var dg, db []float64
+				if split, _ := splitCalls(func() { out, inf, dIn, dg, db = runBatchNorm(t, batch) }); split != want {
+					t.Fatalf("workers=%d: %d loops split, want %d: the parallel leg did not run", workers, split, want)
+				}
 				if d := maxAbsDiff(out.Data, out0.Data); d != 0 {
 					t.Errorf("workers=%d: training forward differs from serial by %g (must be bit-identical)", workers, d)
 				}
@@ -367,34 +436,38 @@ func TestParallelBatchNormMatchesSerial(t *testing.T) {
 // pooling layers, forward and backward, for both window regimes: disjoint
 // windows (stride >= size, backward shards over output rows) and overlapping
 // windows (stride < size, backward falls back to sample-parallel scatter).
-// GlobalAvgPool rides along with its sample-parallel reduction.
+// GlobalAvgPool rides along with its sample-parallel reduction. With the
+// grain lowered each parallel leg must report its splits: both passes over
+// output rows, except that a pass sharded over samples cannot split a batch
+// of 1 (the overlapping-window gradients, both GlobalAvgPool passes).
 func TestParallelPoolMatchesSerial(t *testing.T) {
 	type result struct {
 		out, dIn *tensor.Tensor
 	}
 	pools := []struct {
-		name string
-		run  func(t *testing.T, b int) result
+		name   string
+		split1 int64 // passes that split at batch 1; both do at batch 9
+		run    func(t *testing.T, b int) result
 	}{
-		{"MaxPool2D/disjoint", func(t *testing.T, b int) result {
+		{"MaxPool2D/disjoint", 2, func(t *testing.T, b int) result {
 			return runPool2D(t, NewMaxPool2D("mp", 2, 2), b)
 		}},
-		{"MaxPool2D/overlap", func(t *testing.T, b int) result {
+		{"MaxPool2D/overlap", 1, func(t *testing.T, b int) result {
 			return runPool2D(t, NewMaxPool2D("mp", 3, 2), b)
 		}},
-		{"AvgPool2D/disjoint", func(t *testing.T, b int) result {
+		{"AvgPool2D/disjoint", 2, func(t *testing.T, b int) result {
 			return runPool2D(t, NewAvgPool2D("ap", 2, 2), b)
 		}},
-		{"AvgPool2D/overlap", func(t *testing.T, b int) result {
+		{"AvgPool2D/overlap", 1, func(t *testing.T, b int) result {
 			return runPool2D(t, NewAvgPool2D("ap", 3, 2), b)
 		}},
-		{"MaxPool1D/disjoint", func(t *testing.T, b int) result {
+		{"MaxPool1D/disjoint", 2, func(t *testing.T, b int) result {
 			return runPool1D(t, NewMaxPool1D("mp", 2, 2), b)
 		}},
-		{"MaxPool1D/overlap", func(t *testing.T, b int) result {
+		{"MaxPool1D/overlap", 1, func(t *testing.T, b int) result {
 			return runPool1D(t, NewMaxPool1D("mp", 3, 2), b)
 		}},
-		{"GlobalAvgPool", func(t *testing.T, b int) result {
+		{"GlobalAvgPool", 0, func(t *testing.T, b int) result {
 			rng := rand.New(rand.NewSource(29))
 			p := NewGlobalAvgPool("gap")
 			if _, err := p.OutShape([][]int{{6, 6, 5}}); err != nil {
@@ -408,6 +481,7 @@ func TestParallelPoolMatchesSerial(t *testing.T) {
 			return result{out, p.Backward(g)[0]}
 		}},
 	}
+	splitEverything(t)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	for _, p := range pools {
@@ -415,9 +489,16 @@ func TestParallelPoolMatchesSerial(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/batch=%d", p.name, batch), func(t *testing.T) {
 				parallel.SetWorkers(1)
 				r0 := p.run(t, batch)
+				want := int64(2)
+				if batch == 1 {
+					want = p.split1
+				}
 				for _, workers := range []int{2, 4, 7} {
 					parallel.SetWorkers(workers)
-					r := p.run(t, batch)
+					var r result
+					if split, _ := splitCalls(func() { r = p.run(t, batch) }); split != want {
+						t.Fatalf("workers=%d: %d passes split, want %d: the parallel leg did not run", workers, split, want)
+					}
 					if d := maxAbsDiff(r.out.Data, r0.out.Data); d != 0 {
 						t.Errorf("workers=%d: forward differs from serial by %g (must be bit-identical)", workers, d)
 					}
@@ -465,6 +546,7 @@ func runPool1D(t *testing.T, l Layer, b int) struct{ out, dIn *tensor.Tensor } {
 // parallel reductions (workers=4, rows spanning several bnBlockRows blocks),
 // verifying the sharded statistics feed the same gradients as calculus says.
 func TestGradcheckBatchNormParallel(t *testing.T) {
+	splitEverything(t)
 	prev := parallel.SetWorkers(4)
 	defer parallel.SetWorkers(prev)
 	rng := rand.New(rand.NewSource(31))
@@ -474,14 +556,16 @@ func TestGradcheckBatchNormParallel(t *testing.T) {
 	}
 	x := tensor.New(3, 10, 10, 9) // 300 rows: three reduction blocks
 	x.RandNormal(rng, 1)
-	gradcheckLayer(t,
-		func() *tensor.Tensor { return bn.Forward([]*tensor.Tensor{x}, true) },
-		func(g *tensor.Tensor) {
-			bn.Gamma.Grad.Zero()
-			bn.Beta.Grad.Zero()
-			bn.Backward(g)
-		},
-		bn.Gamma.W.Data, bn.Gamma.Grad.Data)
+	allSplit(t, func() {
+		gradcheckLayer(t,
+			func() *tensor.Tensor { return bn.Forward([]*tensor.Tensor{x}, true) },
+			func(g *tensor.Tensor) {
+				bn.Gamma.Grad.Zero()
+				bn.Beta.Grad.Zero()
+				bn.Backward(g)
+			},
+			bn.Gamma.W.Data, bn.Gamma.Grad.Data)
+	})
 }
 
 // TestGradcheckConv2DMicroKernel targets the GEMM register-blocked
@@ -491,6 +575,7 @@ func TestGradcheckBatchNormParallel(t *testing.T) {
 // boundary — so every path through gemm2x4/gemmBT2x4/gemmAT4 and their
 // remainders contributes to the checked gradients.
 func TestGradcheckConv2DMicroKernel(t *testing.T) {
+	splitEverything(t)
 	prev := parallel.SetWorkers(4)
 	defer parallel.SetWorkers(prev)
 	rng := rand.New(rand.NewSource(33))
@@ -500,12 +585,14 @@ func TestGradcheckConv2DMicroKernel(t *testing.T) {
 	}
 	x := tensor.New(1, 5, 5, 32)
 	x.RandNormal(rng, 1)
-	gradcheckLayer(t,
-		func() *tensor.Tensor { return c.Forward([]*tensor.Tensor{x}, true) },
-		func(g *tensor.Tensor) {
-			c.W.Grad.Zero()
-			c.B.Grad.Zero()
-			c.Backward(g)
-		},
-		c.W.W.Data, c.W.Grad.Data)
+	allSplit(t, func() {
+		gradcheckLayer(t,
+			func() *tensor.Tensor { return c.Forward([]*tensor.Tensor{x}, true) },
+			func(g *tensor.Tensor) {
+				c.W.Grad.Zero()
+				c.B.Grad.Zero()
+				c.Backward(g)
+			},
+			c.W.W.Data, c.W.Grad.Data)
+	})
 }

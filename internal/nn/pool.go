@@ -22,15 +22,6 @@ import (
 //     over samples — within one sample it runs in ascending output order,
 //     the exact serial sequence.
 
-// poolMinRows converts a per-output-row cost into the minimum rows per
-// shard, reusing the actMinChunk offload threshold.
-func poolMinRows(rowCost int) int {
-	if rowCost < 1 {
-		rowCost = 1
-	}
-	return 1 + actMinChunk/rowCost
-}
-
 // MaxPool2D is a max pooling layer over [B, H, W, C] inputs with a square
 // window. When the input's spatial extent is smaller than the window (a
 // state random NAS candidates can reach by stacking pools), the layer
@@ -93,7 +84,7 @@ func (p *MaxPool2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 	p.argmax = p.argmax[:out.Numel()]
 	inRow := p.inW * p.ch
 	orow := p.outW * p.ch
-	parallel.For(b*p.outH, poolMinRows(orow*p.Size*p.Size), func(lo, hi int) {
+	parallel.For(b*p.outH, parallel.MinChunk(orow*p.Size*p.Size*costBranch), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			bi, oy := r/p.outH, r%p.outH
 			xb := bi * p.inH * inRow
@@ -132,7 +123,7 @@ func (p *MaxPool2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 	if p.Stride >= p.Size {
 		// Disjoint windows: each input element gets at most one
 		// contribution, so output rows scatter independently.
-		parallel.For(b*p.outH, poolMinRows(orow), func(lo, hi int) {
+		parallel.For(b*p.outH, parallel.MinChunk(orow*costGather), func(lo, hi int) {
 			for oi := lo * orow; oi < hi*orow; oi++ {
 				dIn.Data[p.argmax[oi]] += dOut.Data[oi]
 			}
@@ -140,7 +131,7 @@ func (p *MaxPool2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 		return []*tensor.TensorOf[T]{dIn}
 	}
 	perSample := p.outH * orow
-	parallel.For(b, 1, func(lo, hi int) {
+	parallel.For(b, parallel.MinChunk(perSample*costGather), func(lo, hi int) {
 		for oi := lo * perSample; oi < hi*perSample; oi++ {
 			dIn.Data[p.argmax[oi]] += dOut.Data[oi]
 		}
@@ -204,7 +195,7 @@ func (p *MaxPool1DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 		p.argmax = make([]int, out.Numel())
 	}
 	p.argmax = p.argmax[:out.Numel()]
-	parallel.For(b*p.outL, poolMinRows(p.ch*p.Size), func(lo, hi int) {
+	parallel.For(b*p.outL, parallel.MinChunk(p.ch*p.Size*costBranch), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			bi, ol := r/p.outL, r%p.outL
 			xb := bi * p.inL * p.ch
@@ -234,7 +225,7 @@ func (p *MaxPool1DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 	b := dOut.Shape[0]
 	dIn := tensor.NewOf[T](append([]int{b}, p.inShape...)...)
 	if p.Stride >= p.Size {
-		parallel.For(b*p.outL, poolMinRows(p.ch), func(lo, hi int) {
+		parallel.For(b*p.outL, parallel.MinChunk(p.ch*costGather), func(lo, hi int) {
 			for oi := lo * p.ch; oi < hi*p.ch; oi++ {
 				dIn.Data[p.argmax[oi]] += dOut.Data[oi]
 			}
@@ -242,7 +233,7 @@ func (p *MaxPool1DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 		return []*tensor.TensorOf[T]{dIn}
 	}
 	perSample := p.outL * p.ch
-	parallel.For(b, 1, func(lo, hi int) {
+	parallel.For(b, parallel.MinChunk(perSample*costGather), func(lo, hi int) {
 		for oi := lo * perSample; oi < hi*perSample; oi++ {
 			dIn.Data[p.argmax[oi]] += dOut.Data[oi]
 		}

@@ -61,11 +61,7 @@ func (d *DataOf[T]) Gather(idx []int) *DataOf[T] {
 		rowLen := in.Numel() / in.Shape[0]
 		shape := append([]int{len(idx)}, in.Shape[1:]...)
 		g := tensor.NewOf[T](shape...)
-		minRows := 1
-		if rowLen > 0 && rowLen < gatherShardFloats {
-			minRows = gatherShardFloats / rowLen
-		}
-		parallel.For(len(idx), minRows, func(lo, hi int) {
+		parallel.For(len(idx), parallel.MinChunk(rowLen*costStream), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				r := idx[i]
 				copy(g.Data[i*rowLen:(i+1)*rowLen], in.Data[r*rowLen:(r+1)*rowLen])
@@ -78,10 +74,6 @@ func (d *DataOf[T]) Gather(idx []int) *DataOf[T] {
 	}
 	return out
 }
-
-// gatherShardFloats is the minimum number of float64 copies one Gather
-// shard should amortize the pool handoff over.
-const gatherShardFloats = 1 << 16
 
 // Slice returns the half-open row range [lo, hi) without copying targets'
 // backing arrays more than needed.

@@ -1,15 +1,22 @@
 // Package parallel provides the process-wide worker pool that the compute
-// kernels (internal/tensor, internal/nn) shard batched work across.
+// kernels (internal/tensor, internal/nn) shard batched work across, and the
+// one rule that decides whether a kernel call is worth sharding at all.
 //
-// The pool exists because candidate evaluation dominates NAS wall-clock:
-// every Conv2D/Conv1D/Dense forward and backward pass iterates over the
-// batch dimension, and those iterations are independent. For splits such a
-// range into at most Workers contiguous chunks and runs them on a fixed set
-// of long-lived worker goroutines — no per-call goroutine spawn, no
-// per-element channel traffic.
+// For splits a range into at most Workers contiguous chunks and runs them on
+// a fixed set of long-lived worker goroutines — no per-call goroutine spawn,
+// no per-element channel traffic. What is measured (DESIGN.md §9.5, on the
+// 2-vCPU reference box):
 //
-// Design properties:
-//
+//   - A chunk handed to a parked worker starts late by the time the other
+//     core takes to wake, about a hundred microseconds there and not the
+//     ~1 µs of a hot channel send: a two-way split loses to the inline loop
+//     below 0.25–0.4 ms of total work and is worth 1.3–1.8× from 1 ms up.
+//     MinChunk therefore keeps every call whose halves would each be under
+//     the grain whole on the caller. In a cifar10/mnist search that is nearly
+//     every call (conv GEMMs at 4–16 filters on small maps, pooling,
+//     activations, BatchNorm, the loss, minibatch gathers); what still
+//     splits is work of about half a millisecond and up — wide Dense layers,
+//     batch ≥ 32 convolutions at 16+ filters, gathers of a whole split.
 //   - Static range-splitting: a call over n elements produces Shards(n,
 //     minChunk) contiguous chunks, each at least minChunk elements, decided
 //     up front. ForShard exposes the chunk index so callers can keep
@@ -25,9 +32,10 @@
 //   - Panic propagation: the first panic raised inside any chunk is
 //     re-raised on the calling goroutine after all chunks finish, so a
 //     kernel bug surfaces exactly like it would in the serial loop.
-//   - Serial fallback: when Workers() == 1, or the range is too small to
-//     split, fn runs inline on the caller — the exact serial code path, so
-//     golden and gradcheck tests stay bit-identical at workers=1.
+//   - Serial fallback: when Workers() == 1, or the range is under the
+//     grain, fn runs inline on the caller — the exact serial code path.
+//     Sharding never changes arithmetic (every kernel fixes its
+//     per-element order), so which calls split is a cost decision only.
 //
 // The pool size defaults to GOMAXPROCS and can be overridden by the
 // SWTNAS_WORKERS environment variable or SetWorkers, letting deployments
@@ -88,7 +96,11 @@ var (
 	tasks   chan task    // never closed; workers live for the process
 )
 
-// Pool telemetry (internal/obs, disabled by default). The offloaded/inline
+// Pool telemetry (internal/obs, disabled by default). for.calls counts the
+// calls that split and for.inline the calls kept whole on the caller while
+// the worker limit allowed a split (one shard: under the grain, or a single
+// item), so their sum is every For* call made at a limit above one and an
+// idle pool can be told from an unasked one. The offloaded/inline shard
 // split is the shard-imbalance signal: inline shards are chunks no worker
 // accepted immediately — either every worker was busy (the pool is the
 // bottleneck) or the caller raced the handoff. mInflight is the live number
@@ -96,6 +108,7 @@ var (
 // non-blocking handoff design.
 var (
 	mCalls     = obs.GetCounter("parallel.for.calls")
+	mKept      = obs.GetCounter("parallel.for.inline")
 	mOffloaded = obs.GetCounter("parallel.shards.offloaded")
 	mInline    = obs.GetCounter("parallel.shards.inline")
 	mWorkers   = obs.GetGauge("parallel.workers.running")
@@ -131,6 +144,28 @@ func SetWorkers(n int) int {
 		n = DefaultWorkers()
 	}
 	return int(limit.Swap(int64(n)))
+}
+
+// grain is the least work worth a shard of its own, in cost units: one unit
+// is one multiply-add of the f32 GEMM tile kernels, 0.08–0.2 ns on the
+// reference box, and every sharded kernel states its per-item cost in it
+// (DESIGN.md §9.5 has the table). 1<<21 units is 0.2–0.4 ms of single-core
+// work, the smallest power of two at which a two-way split is not slower
+// than the inline loop there — in BenchmarkForBreakEven's arithmetic sweep
+// and for the GEMM itself; re-read that sweep before changing it. A constant
+// to production code: only _test.go files lower it, to make small shapes
+// split.
+var grain = 1 << 21
+
+// MinChunk returns the smallest number of items one shard may hold, for a
+// kernel whose items cost about cost units each: ceil(grain/cost), at least
+// one. It is the minChunk every kernel passes to For, ForShard and Shards,
+// so one constant decides which calls are too small to pay for a handoff.
+func MinChunk(cost int) int {
+	if cost < 1 {
+		cost = 1
+	}
+	return (grain + cost - 1) / cost
 }
 
 // Shards returns the number of chunks For(n, minChunk, ·) splits into:
@@ -207,6 +242,9 @@ func ForShardN(n, s int, fn func(shard, lo, hi int)) {
 		s = n
 	}
 	if s <= 1 {
+		if Workers() > 1 {
+			mKept.Inc() // a no-op while the registry is disabled
+		}
 		fn(0, 0, n) // serial fast path: no pool, no wait group
 		return
 	}

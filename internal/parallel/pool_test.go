@@ -1,9 +1,13 @@
 package parallel
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"swtnas/internal/obs"
 )
 
 // withWorkers runs f with the pool limit set to n, restoring it after.
@@ -86,6 +90,60 @@ func TestShards(t *testing.T) {
 			if got := Shards(c.n, c.minChunk); got != c.want {
 				t.Errorf("Shards(%d, %d) = %d, want %d", c.n, c.minChunk, got, c.want)
 			}
+		}
+	})
+}
+
+// TestMinChunk pins the one split rule: a shard holds at least grain units
+// of work, whatever one item costs.
+func TestMinChunk(t *testing.T) {
+	for _, c := range []struct{ cost, want int }{
+		{-3, grain}, {0, grain}, {1, grain},
+		{3, (grain + 2) / 3}, // rounds up: a shard is never under the grain
+		{grain / 2, 2}, {grain/2 + 1, 2}, {grain, 1}, {grain + 1, 1}, {1 << 40, 1},
+	} {
+		if got := MinChunk(c.cost); got != c.want {
+			t.Errorf("MinChunk(%d) = %d, want %d", c.cost, got, c.want)
+		}
+	}
+	withWorkers(t, 2, func() {
+		// Two shards' worth of work splits; one item short of it does not.
+		const cost = 1 << 10
+		n := 2 * grain / cost
+		if got := Shards(n, MinChunk(cost)); got != 2 {
+			t.Errorf("Shards of %d items of cost %d = %d, want 2", n, cost, got)
+		}
+		if got := Shards(n-1, MinChunk(cost)); got != 1 {
+			t.Errorf("Shards of %d items of cost %d = %d, want 1", n-1, cost, got)
+		}
+	})
+}
+
+// TestCallCountersAccountForEveryCall pins the pool's conservation law: at
+// a worker limit above one every For* call over a non-empty range is counted
+// once, as split (parallel.for.calls) or as kept whole on the caller
+// (parallel.for.inline); at a limit of one the pool counts nothing, because
+// nothing was asked of it.
+func TestCallCountersAccountForEveryCall(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	count := func() (split, kept int64) {
+		split, kept = mCalls.Value(), mKept.Value()
+		nop := func(lo, hi int) {}
+		For(2*grain, MinChunk(1), nop)   // two shards' worth: splits
+		For(2*grain-1, MinChunk(1), nop) // under it: kept whole
+		For(1, 1, nop)                   // a single item cannot split
+		ForShardN(8, 1, func(_, lo, hi int) {})
+		For(0, 1, nop) // empty: not a call
+		return mCalls.Value() - split, mKept.Value() - kept
+	}
+	withWorkers(t, 2, func() {
+		if split, kept := count(); split != 1 || kept != 3 {
+			t.Errorf("workers=2: %d split + %d kept, want 1 + 3", split, kept)
+		}
+	})
+	withWorkers(t, 1, func() {
+		if split, kept := count(); split != 0 || kept != 0 {
+			t.Errorf("workers=1: %d split + %d kept, want none counted", split, kept)
 		}
 	})
 }
@@ -315,8 +373,49 @@ func TestPerShardScratchReduction(t *testing.T) {
 	})
 }
 
-func BenchmarkForOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		For(1024, 64, func(lo, hi int) {})
+// spin is the break-even sweep's work item: a dependent multiply-add chain,
+// so an item costs the same on any core and touches no memory.
+func spin(lo, hi int) float64 {
+	x := 1.0
+	for i := lo; i < hi; i++ {
+		x = x*1.0000001 + 1e-9
+	}
+	return x
+}
+
+var spinSink [2]float64
+
+// BenchmarkForBreakEven is the sweep the grain is set from: a fixed
+// arithmetic loop sized to 10 µs–4 ms of single-core work, run inline
+// (workers=1) and split two ways through the pool (workers=2; ForShardN pins
+// the split, so the sweep does not depend on the grain it sizes). The
+// smallest size at which workers=2 is not slower than workers=1, halved, is
+// the per-shard break-even. Run it with -cpu 2 (or more): at GOMAXPROCS=1
+// the second shard has no core to run on. Work is arithmetic only, so this is
+// the floor; the *Parallel kernel benchmarks of the root package add the
+// cache traffic of a real kernel whose data the other core has not seen.
+func BenchmarkForBreakEven(b *testing.B) {
+	// Calibrate items per microsecond on this box: the fastest of a few
+	// runs, long enough to be out of the timer's noise.
+	const probe = 1 << 20
+	best := time.Duration(1 << 62)
+	for i := 0; i < 5; i++ {
+		t0 := time.Now()
+		spinSink[0] = spin(0, probe)
+		if d := time.Since(t0); d < best {
+			best = d
+		}
+	}
+	perMicro := float64(probe) / (float64(best.Nanoseconds()) / 1e3)
+	for _, us := range []int{10, 20, 50, 100, 200, 300, 500, 1000, 2000, 4000} {
+		n := int(perMicro * float64(us))
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("work=%dus/workers=%d", us, w), func(b *testing.B) {
+				defer SetWorkers(SetWorkers(w))
+				for i := 0; i < b.N; i++ {
+					ForShardN(n, w, func(shard, lo, hi int) { spinSink[shard] = spin(lo, hi) })
+				}
+			})
+		}
 	}
 }

@@ -1,15 +1,22 @@
 package tensor
 
-import "swtnas/internal/obs"
+import (
+	"swtnas/internal/obs"
+	"swtnas/internal/parallel"
+)
 
 // Blocked GEMM primitives on flat row-major slices. One kernel family serves
 // every dense product in the training stack: the Dense layer's forward and
 // gradients (via MatMulInto/MatMulTInto) and the Conv1D/Conv2D layers, which
 // lower their input patches to an im2col buffer and call the same kernels
 // (internal/nn). Sharing the kernels means the cache tiling and the
-// row-parallel execution below speed up convolution and fully connected
-// layers alike — including within a single sample, because conv patch rows,
-// not samples, are the unit of parallelism.
+// row-parallel execution below serve convolution and fully connected layers
+// alike. Output rows are the unit of sharding, and a product splits only
+// when each shard would hold at least the pool's grain of work: a row costs
+// k·n units in f32 and twice that in f64, whose multiply-add measures twice
+// as long, so at two workers a product splits from about 4 M multiply-adds
+// in f32 and 2 M in f64 — which the skinny conv products of a cifar10/mnist
+// search mostly are not.
 //
 // Two levels of blocking (see DESIGN.md "Kernel architecture"):
 //
@@ -104,10 +111,10 @@ func Gemm[T Float](dst, a, b []T, m, k, n int, bias []T) {
 	switch d := any(dst).(type) {
 	case []float32:
 		a, b, bias := any(a).([]float32), any(b).([]float32), any(bias).([]float32)
-		ForRows(m, k*n, func(lo, hi int) { gemmRowsF32(d, a, b, lo, hi, k, n, bias) })
+		parallel.For(m, parallel.MinChunk(k*n), func(lo, hi int) { gemmRowsF32(d, a, b, lo, hi, k, n, bias) })
 	case []float64:
 		a, b, bias := any(a).([]float64), any(b).([]float64), any(bias).([]float64)
-		ForRows(m, k*n, func(lo, hi int) { gemmRowsF64(d, a, b, lo, hi, k, n, bias) })
+		parallel.For(m, parallel.MinChunk(2*k*n), func(lo, hi int) { gemmRowsF64(d, a, b, lo, hi, k, n, bias) })
 	}
 }
 
@@ -123,10 +130,10 @@ func GemmBT[T Float](dst, a, b []T, m, n, k int) {
 	switch d := any(dst).(type) {
 	case []float32:
 		a, b := any(a).([]float32), any(b).([]float32)
-		ForRows(m, k*n, func(lo, hi int) { gemmBTRowsF32(d, a, b, lo, hi, n, k) })
+		parallel.For(m, parallel.MinChunk(k*n), func(lo, hi int) { gemmBTRowsF32(d, a, b, lo, hi, n, k) })
 	case []float64:
 		a, b := any(a).([]float64), any(b).([]float64)
-		ForRows(m, k*n, func(lo, hi int) { gemmBTRowsF64(d, a, b, lo, hi, n, k) })
+		parallel.For(m, parallel.MinChunk(2*k*n), func(lo, hi int) { gemmBTRowsF64(d, a, b, lo, hi, n, k) })
 	}
 }
 
@@ -142,10 +149,10 @@ func GemmAT[T Float](dst, a, b []T, m, k, n int) {
 	switch d := any(dst).(type) {
 	case []float32:
 		a, b := any(a).([]float32), any(b).([]float32)
-		ForRows(k, m*n, func(lo, hi int) { gemmATRowsF32(d, a, b, lo, hi, m, k, n) })
+		parallel.For(k, parallel.MinChunk(m*n), func(lo, hi int) { gemmATRowsF32(d, a, b, lo, hi, m, k, n) })
 	case []float64:
 		a, b := any(a).([]float64), any(b).([]float64)
-		ForRows(k, m*n, func(lo, hi int) { gemmATRowsF64(d, a, b, lo, hi, m, k, n) })
+		parallel.For(k, parallel.MinChunk(2*m*n), func(lo, hi int) { gemmATRowsF64(d, a, b, lo, hi, m, k, n) })
 	}
 }
 

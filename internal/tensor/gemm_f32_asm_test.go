@@ -104,6 +104,7 @@ func TestGemmF32ShapeSweep(t *testing.T) {
 	ms := []int{1, 2, 3, 5, 64}
 	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 27, 239, 240, 241, 481}
 	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33}
+	splitEverything(t)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	rng := rand.New(rand.NewSource(52))
@@ -123,6 +124,14 @@ func TestGemmF32ShapeSweep(t *testing.T) {
 				got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
 		}
 	}
+	// The 2- and 3-worker legs are parallel legs only if the call split:
+	// every product over two or more output rows must, at the lowered grain.
+	split := func(op string, rows int, product func()) {
+		t.Helper()
+		if n := splitCalls(product); (n == 1) != (rows > 1 && parallel.Workers() > 1) {
+			t.Fatalf("%s over %d rows at workers=%d split %d times", op, rows, parallel.Workers(), n)
+		}
+	}
 	for _, m := range ms {
 		for _, k := range ks {
 			for _, n := range ns {
@@ -130,14 +139,14 @@ func TestGemmF32ShapeSweep(t *testing.T) {
 					gemmRowsGo(want, a, b, 0, m, k, n, bs)
 					for w := 1; w <= 3; w++ {
 						parallel.SetWorkers(w)
-						Gemm(got[:m*n], a[:m*k], b[:k*n], m, k, n, bs)
+						split("Gemm", m, func() { Gemm(got[:m*n], a[:m*k], b[:k*n], m, k, n, bs) })
 						check(fmt.Sprintf("Gemm(bias=%v)", bs != nil), m, k, n, m*n)
 					}
 				}
 				gemmBTRowsGo(want, g, b, 0, m, n, k)
 				for w := 1; w <= 3; w++ {
 					parallel.SetWorkers(w)
-					GemmBT(got[:m*k], g[:m*n], b[:k*n], m, n, k)
+					split("GemmBT", m, func() { GemmBT(got[:m*k], g[:m*n], b[:k*n], m, n, k) })
 					check("GemmBT", m, k, n, m*k)
 				}
 				// dst [m, n] += aᵀ·g for a [k, m], g [k, n].
@@ -146,7 +155,7 @@ func TestGemmF32ShapeSweep(t *testing.T) {
 				for w := 1; w <= 3; w++ {
 					parallel.SetWorkers(w)
 					copy(got[:m*n], seed)
-					GemmAT(got[:m*n], a[:k*m], g[:k*n], k, m, n)
+					split("GemmAT", m, func() { GemmAT(got[:m*n], a[:k*m], g[:k*n], k, m, n) })
 					check("GemmAT", k, m, n, m*n)
 				}
 			}

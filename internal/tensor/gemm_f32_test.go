@@ -111,8 +111,11 @@ func TestGemmF32AgreesWithF64(t *testing.T) {
 // TestGemmParallelMatchesSerialF32 pins the per-dtype determinism contract
 // for float32 (DESIGN.md §14): the f32 kernels must produce the same bits at
 // any worker count, including a reduction spanning several k-blocks
-// (k=517 > 2·gemmKBlock). Referenced from the gemm.go package docs.
+// (k=517 > 2·gemmKBlock). Referenced from the gemm.go package docs. The
+// grain is lowered so that this shape splits, and each parallel leg must
+// report that its three products did.
 func TestGemmParallelMatchesSerialF32(t *testing.T) {
+	splitEverything(t)
 	rng := rand.New(rand.NewSource(44))
 	const m, k, n = 37, 517, 13
 	a := randSliceF32(rng, m*k)
@@ -133,9 +136,14 @@ func TestGemmParallelMatchesSerialF32(t *testing.T) {
 		fwd := make([]float32, m*n)
 		bt := make([]float32, m*k)
 		at := make([]float32, k*n)
-		Gemm(fwd, a, b, m, k, n, nil)
-		GemmBT(bt, g, b, m, n, k)
-		GemmAT(at, a, g, m, k, n)
+		split := splitCalls(func() {
+			Gemm(fwd, a, b, m, k, n, nil)
+			GemmBT(bt, g, b, m, n, k)
+			GemmAT(at, a, g, m, k, n)
+		})
+		if split != 3 {
+			t.Fatalf("workers=%d: %d of 3 products split: the parallel leg did not run", w, split)
+		}
 		if d := maxDiffF32(fwd, fwd0); d != 0 {
 			t.Errorf("workers=%d: Gemm[float32] differs from serial by %g (must be bit-identical)", w, d)
 		}

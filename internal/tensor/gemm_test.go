@@ -140,9 +140,12 @@ func TestGemmATMatchesNaiveAndAccumulates(t *testing.T) {
 // count (so a row that shares a block serially is alone in a shard
 // elsewhere) and operands that are not finite. The second half is what a
 // zero-skip on some rows and not others broke: 0·Inf came out NaN or was
-// skipped depending on the sharding.
+// skipped depending on the sharding. The shape is far under the pool's
+// grain, so the grain is lowered and every parallel leg must report its
+// three products split.
 func TestGemmKernelsDeterministicAcrossWorkers(t *testing.T) {
 	const m, k, n = 37, 517, 13
+	splitEverything(t)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 	for name, fill := range map[string]func(*rand.Rand, int) []float64{"finite": randSlice, "specials": specialSlice} {
@@ -159,7 +162,10 @@ func TestGemmKernelsDeterministicAcrossWorkers(t *testing.T) {
 		fwd0, bt0, at0 := run()
 		for _, w := range []int{2, 3, 8} {
 			parallel.SetWorkers(w)
-			fwd, bt, at := run()
+			var fwd, bt, at []float64
+			if split := splitCalls(func() { fwd, bt, at = run() }); split != 3 {
+				t.Fatalf("%s workers=%d: %d of 3 products split: the parallel leg did not run", name, w, split)
+			}
 			if i := sameBitsF64(fwd, fwd0); i >= 0 {
 				t.Errorf("%s workers=%d: Gemm elem %d = %g, serial %g (must be bit-identical)", name, w, i, fwd[i], fwd0[i])
 			}
@@ -177,7 +183,10 @@ func TestGemmKernelsDeterministicAcrossWorkers(t *testing.T) {
 	for w := 1; w <= 3; w++ {
 		parallel.SetWorkers(w)
 		out := []float64{1, 1, 1}
-		Gemm(out, []float64{0, 0, 0}, []float64{math.Inf(1)}, 3, 1, 1, nil)
+		split := splitCalls(func() { Gemm(out, []float64{0, 0, 0}, []float64{math.Inf(1)}, 3, 1, 1, nil) })
+		if (split == 1) != (w > 1) {
+			t.Fatalf("workers=%d: 0·Inf product split %d times", w, split)
+		}
 		for i, v := range out {
 			if v == v {
 				t.Errorf("workers=%d: 0·Inf row %d = %g, want NaN", w, i, v)

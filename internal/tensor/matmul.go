@@ -1,37 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-
-	"swtnas/internal/parallel"
-)
-
-// rowShardTarget is the approximate number of multiply-adds one shard of a
-// row-parallel kernel should amortize the handoff over. Rows cheaper than
-// this are grouped into larger chunks; very small problems stay serial.
-const rowShardTarget = 16384
-
-// minRowsFor returns the minimum rows per shard for a kernel whose per-row
-// cost is work multiply-adds.
-func minRowsFor(work int) int {
-	if work <= 0 {
-		return 1
-	}
-	mr := rowShardTarget / work
-	if mr < 1 {
-		mr = 1
-	}
-	return mr
-}
-
-// ForRows shards the row range [0, rows) of a batched kernel across the
-// process worker pool, grouping rows so each shard performs at least
-// rowShardTarget multiply-adds (rowWork = cost of one row). It is the
-// shared row-parallel primitive behind MatMulInto/MatMulTInto and the
-// batched losses in internal/nn.
-func ForRows(rows, rowWork int, fn func(lo, hi int)) {
-	parallel.For(rows, minRowsFor(rowWork), fn)
-}
+import "fmt"
 
 // MatMulInto computes dst = x·w for x [B, K], w [K, N], dst [B, N]. When
 // bias is non-nil it must have length N and initializes every output row;

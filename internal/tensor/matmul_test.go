@@ -96,6 +96,7 @@ func TestMatMulTMatchesNaive(t *testing.T) {
 // output row is produced by exactly one shard with serial arithmetic, so
 // any worker count yields the same bits.
 func TestMatMulWorkerCountInvariance(t *testing.T) {
+	splitEverything(t)
 	rng := rand.New(rand.NewSource(3))
 	x, w := randTensor(rng, 53, 21), randTensor(rng, 21, 11)
 	prev := parallel.SetWorkers(1)
@@ -106,7 +107,10 @@ func TestMatMulWorkerCountInvariance(t *testing.T) {
 	}
 	for _, workers := range []int{2, 3, 8} {
 		parallel.SetWorkers(workers)
-		par, err := MatMul(x, w)
+		var par *Tensor
+		if split := splitCalls(func() { par, err = MatMul(x, w) }); split != 1 {
+			t.Fatalf("workers=%d: the product ran as one shard: the parallel leg did not run", workers)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -98,6 +99,64 @@ func TestSearchMetricsSmoke(t *testing.T) {
 			t.Errorf("candidate %d: EvalTime %v < TrainTime %v", c.ID, c.EvalTime, c.TrainTime)
 		}
 	}
+}
+
+// TestKernelPoolSplitsFewCalls is the count gate on the kernel pool's grain
+// (DESIGN.md §9.5): in a cifar10/f32 search on one evaluator with two kernel
+// workers, nearly every sharded loop is too small to pay for a handoff and
+// must run whole on the caller. Before the grain was measured such a search
+// split about 300 calls per candidate and was slower than at one kernel
+// worker; the counts below repeat exactly for a seed. The pool's two call
+// counters must also account for every call: each GEMM is one parallel.For,
+// so split plus kept is at least the GEMM count, and at one kernel worker the
+// pool is not consulted at all. Sharding changes no arithmetic, so the two
+// searches are the same search.
+func TestKernelPoolSplitsFewCalls(t *testing.T) {
+	prev := obs.SetEnabled(false)
+	t.Cleanup(func() {
+		obs.SetEnabled(prev)
+		obs.Reset()
+	})
+	const budget = 4
+	search := func(kernelWorkers int) (*Result, map[string]int64) {
+		res, err := Search(SearchOptions{
+			App: "cifar10", Scheme: "LCS", DType: "f32", Budget: budget, Seed: 5,
+			PopulationSize: 4, SampleSize: 2, Workers: 1, KernelWorkers: kernelWorkers,
+			Metrics: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc metricsDoc
+		if err := json.Unmarshal(res.Summary.Metrics, &doc); err != nil {
+			t.Fatalf("summary metrics document: %v", err)
+		}
+		return res, doc.Counters
+	}
+	one, c1 := search(1)
+	two, c2 := search(2)
+
+	split, kept, gemms := c2["parallel.for.calls"], c2["parallel.for.inline"], c2["tensor.gemm.calls"]
+	if split > 40*budget {
+		t.Errorf("kernel workers 2: %d calls split over %d candidates, want at most 40 per candidate", split, budget)
+	}
+	if gemms == 0 || gemms != c1["tensor.gemm.calls"] {
+		t.Errorf("tensor.gemm.calls = %d at kernel workers 2, %d at 1: want equal and non-zero", gemms, c1["tensor.gemm.calls"])
+	}
+	if split+kept < gemms {
+		t.Errorf("kernel workers 2: %d split + %d kept calls do not cover %d GEMMs", split, kept, gemms)
+	}
+	if n := c1["parallel.for.calls"] + c1["parallel.for.inline"]; n != 0 {
+		t.Errorf("kernel workers 1: the pool counted %d calls, want none", n)
+	}
+	for i, a := range one.Candidates {
+		b := two.Candidates[i]
+		if a.ID != b.ID || a.ParentID != b.ParentID || !reflect.DeepEqual(a.Arch, b.Arch) ||
+			math.Float64bits(a.Score) != math.Float64bits(b.Score) {
+			t.Errorf("candidate %d differs between kernel workers 1 and 2: %+v vs %+v", i, a, b)
+		}
+	}
+	t.Logf("kernel workers 2: %d calls split, %d kept whole, %d GEMMs over %d candidates", split, kept, gemms, budget)
 }
 
 // TestDebugMetricsEndpointLive drives the HTTP edge: a live /debug/metrics
