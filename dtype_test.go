@@ -77,14 +77,19 @@ const f64SearchDigest = "11ef63d60659cff59f9cab78945749bb"
 // parent, architecture and score bits and over the names of the blobs its
 // checkpoints left in a disk store — the SHA-256 of each trained tensor's raw
 // bytes, so one flipped bit in one weight of one candidate changes the
-// digest. The constant must hold on the default build (assembly tile
-// kernels) and under -tags purego (the Go loops): asm ≡ loops ≡ the commit
-// the constant was recorded at. Other GOARCHes are skipped because their
-// compilers fuse a·b+c into one rounding, which the amd64 one never does.
+// digest. The constant must hold on every body of the default build (the
+// assembly kernels at SSE2 and at AVX2 vectors) and under -tags purego (the
+// Go loops): AVX2 ≡ SSE2 ≡ loops ≡ the commit the constant was recorded at.
+// Other GOARCHes are skipped because their compilers fuse a·b+c into one
+// rounding, which the amd64 one never does.
 func TestF64SearchDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digest recorded on amd64: compilers that fuse multiply-add round differently")
 	}
+	eachGemmBody(t, testF64SearchDigest)
+}
+
+func testF64SearchDigest(t *testing.T) {
 	dir := t.TempDir()
 	res, err := Search(SearchOptions{
 		App: "nt3", Scheme: "LCS", Budget: 6, Seed: 11, Workers: 1,

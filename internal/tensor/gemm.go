@@ -12,11 +12,13 @@ import (
 // (internal/nn). Sharing the kernels means the cache tiling and the
 // row-parallel execution below serve convolution and fully connected layers
 // alike. Output rows are the unit of sharding, and a product splits only
-// when each shard would hold at least the pool's grain of work: a row costs
-// k·n units in f32 and twice that in f64, whose multiply-add measures twice
-// as long, so at two workers a product splits from about 4 M multiply-adds
-// in f32 and 2 M in f64 — which the skinny conv products of a cifar10/mnist
-// search mostly are not.
+// when each shard would hold at least the pool's grain of work (gemmCost):
+// under the 16-byte bodies and the Go loops a row costs k·n units in f32 and
+// twice that in f64, whose multiply-add measures twice as long, so at two
+// workers a product splits from about 4 M multiply-adds in f32 and 2 M in
+// f64; under the 32-byte bodies a multiply-add takes half as long and the
+// thresholds double — which the skinny conv products of a cifar10/mnist
+// search mostly are not either way.
 //
 // Two levels of blocking (see DESIGN.md "Kernel architecture"):
 //
@@ -31,15 +33,17 @@ import (
 // of this file, the float32 loops of gemm_f32.go — that pins the order in
 // which every output element takes its terms, is the oracle in the tests,
 // and is what runs on every GOARCH but amd64 and under the purego build tag
-// (gemm_noasm.go). On amd64 the products run as SSE2 tile kernels instead
+// (gemm_noasm.go). On amd64 the products run as tile kernels instead
 // (gemm_amd64.s): one assembly call per row shard and reduction tile, a
-// 4-row output tile held in XMM registers across the whole tile. Gemm and
-// GemmAT share one kernel body (gemm_tile_amd64.h) instantiated at both
-// widths, gemmTileF32 and gemmTileF64; GemmBT's order differs per dtype,
-// so it has a kernel per width (gemmBTTileF32, gemmBTTileF64). Packed SSE2
-// multiplies and adds round each lane exactly like the scalar ones, and Go
-// never fuses multiply-add on amd64, so a kernel is bit-identical to its
-// loops.
+// 4-row output tile held in vector registers across the whole tile. Gemm
+// and GemmAT share one kernel body (gemm_tile_amd64.h) instantiated at both
+// element widths, gemmTileF32 and gemmTileF64; GemmBT's order differs per
+// dtype, so it has a kernel per dtype (gemmBTTileF32, gemmBTTileF64). Each
+// exists at 16-byte vectors (SSE2, the amd64 baseline) and at 32 (AVX2,
+// chosen once per process by CPUID — gemm_amd64.go). Packed multiplies and
+// adds round each lane exactly like the scalar ones at either vector
+// width, no kernel has a fused multiply-add and Go never fuses one on
+// amd64, so every body is bit-identical to its loops.
 //
 // The Go loops' block shapes are chosen empirically for Go's amd64 backend,
 // which spills scalar float64 locals beyond ~8 live accumulators: a 2-row ×
@@ -47,8 +51,8 @@ import (
 // (two a rows against four b rows), a 4-row fused axpy for GemmAT (one
 // loaded b row updates four dst rows). A 4×4 block written in Go — 16 live
 // sums plus operand temporaries — spills and measured *slower* than the
-// scalar loop; the assembly holds 4×4 f64 (4×8 f32) in eight XMM registers
-// because it places every value itself.
+// scalar loop; the assembly holds 4×4 f64 (4×8 f32) in eight XMM registers,
+// twice that in eight YMM, because it places every value itself.
 //
 // Determinism contract: K-tiles are always visited in ascending order, each
 // output element is written by exactly one shard, and every path adds an
@@ -90,6 +94,10 @@ var (
 	mGemmCalls   = obs.GetCounter("tensor.gemm.calls")
 	mGemmFlops   = obs.GetCounter("tensor.gemm.flops")
 	mGemmSeconds = obs.GetHistogram("tensor.gemm.seconds", obs.DurationBuckets)
+	// Which body produced the series above: 32 or 16 (the assembly at AVX2
+	// or SSE2 vectors), 8 for the Go loops. Two runs' GFLOP/s compare only
+	// when this agrees.
+	mGemmVectorBytes = obs.GetGauge("tensor.gemm.vector_bytes")
 )
 
 // observeGemm records one kernel call of nominal size 2·m·k·n.
@@ -97,6 +105,18 @@ func observeGemm(m, k, n int, t obs.Timer) {
 	t.Stop()
 	mGemmCalls.Inc()
 	mGemmFlops.Add(2 * int64(m) * int64(k) * int64(n))
+	mGemmVectorBytes.Set(int64(gemmVectorBytes))
+}
+
+// gemmCost states one output row's multiply-adds — madds of f32, passed
+// doubled for f64 — in the pool's unit, one f32 multiply-add of the 16-byte
+// body: the 32-byte bodies retire them at half the cost, so a two-way split
+// still needs the same time per shard.
+func gemmCost(madds int) int {
+	if gemmVectorBytes == 32 {
+		return madds / 2
+	}
+	return madds
 }
 
 // Gemm computes dst = a·b for a [m, k], b [k, n], dst [m, n], all flat
@@ -111,10 +131,10 @@ func Gemm[T Float](dst, a, b []T, m, k, n int, bias []T) {
 	switch d := any(dst).(type) {
 	case []float32:
 		a, b, bias := any(a).([]float32), any(b).([]float32), any(bias).([]float32)
-		parallel.For(m, parallel.MinChunk(k*n), func(lo, hi int) { gemmRowsF32(d, a, b, lo, hi, k, n, bias) })
+		parallel.For(m, parallel.MinChunk(gemmCost(k*n)), func(lo, hi int) { gemmRowsF32(d, a, b, lo, hi, k, n, bias) })
 	case []float64:
 		a, b, bias := any(a).([]float64), any(b).([]float64), any(bias).([]float64)
-		parallel.For(m, parallel.MinChunk(2*k*n), func(lo, hi int) { gemmRowsF64(d, a, b, lo, hi, k, n, bias) })
+		parallel.For(m, parallel.MinChunk(gemmCost(2*k*n)), func(lo, hi int) { gemmRowsF64(d, a, b, lo, hi, k, n, bias) })
 	}
 }
 
@@ -130,10 +150,10 @@ func GemmBT[T Float](dst, a, b []T, m, n, k int) {
 	switch d := any(dst).(type) {
 	case []float32:
 		a, b := any(a).([]float32), any(b).([]float32)
-		parallel.For(m, parallel.MinChunk(k*n), func(lo, hi int) { gemmBTRowsF32(d, a, b, lo, hi, n, k) })
+		parallel.For(m, parallel.MinChunk(gemmCost(k*n)), func(lo, hi int) { gemmBTRowsF32(d, a, b, lo, hi, n, k) })
 	case []float64:
 		a, b := any(a).([]float64), any(b).([]float64)
-		parallel.For(m, parallel.MinChunk(2*k*n), func(lo, hi int) { gemmBTRowsF64(d, a, b, lo, hi, n, k) })
+		parallel.For(m, parallel.MinChunk(gemmCost(2*k*n)), func(lo, hi int) { gemmBTRowsF64(d, a, b, lo, hi, n, k) })
 	}
 }
 
@@ -149,10 +169,10 @@ func GemmAT[T Float](dst, a, b []T, m, k, n int) {
 	switch d := any(dst).(type) {
 	case []float32:
 		a, b := any(a).([]float32), any(b).([]float32)
-		parallel.For(k, parallel.MinChunk(m*n), func(lo, hi int) { gemmATRowsF32(d, a, b, lo, hi, m, k, n) })
+		parallel.For(k, parallel.MinChunk(gemmCost(m*n)), func(lo, hi int) { gemmATRowsF32(d, a, b, lo, hi, m, k, n) })
 	case []float64:
 		a, b := any(a).([]float64), any(b).([]float64)
-		parallel.For(k, parallel.MinChunk(2*m*n), func(lo, hi int) { gemmATRowsF64(d, a, b, lo, hi, m, k, n) })
+		parallel.For(k, parallel.MinChunk(gemmCost(2*m*n)), func(lo, hi int) { gemmATRowsF64(d, a, b, lo, hi, m, k, n) })
 	}
 }
 
@@ -171,11 +191,11 @@ func gemmInitRows[T Float](dst []T, lo, hi, n int, bias []T) {
 }
 
 // The float64 definition: plain Go loops, register-blocked. On amd64 the
-// products run as SSE2 tile kernels instead (gemm_amd64.s) and these loops
-// are the oracle they are held to — and what a GemmBT shard of fewer than
-// four rows or columns runs; elsewhere, and under the purego tag, they are
-// what runs (gemm_noasm.go). The float32 twin of this half of the file is
-// gemm_f32.go.
+// products run as assembly tile kernels instead (gemm_amd64.s) and these
+// loops are the oracle they are held to — and what a GemmBT shard of fewer
+// than four rows or columns runs; elsewhere, and under the purego tag, they
+// are what runs (gemm_noasm.go). The float32 twin of this half of the file
+// is gemm_f32.go.
 
 // gemmRowsGoF64 computes rows [lo, hi) of dst = a·b (+bias): row pairs go
 // through gemm2x4, an odd last row through the scalar loop, every element

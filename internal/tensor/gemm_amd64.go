@@ -2,15 +2,64 @@
 
 package tensor
 
-// SSE2 tile kernels behind the products (gemm_amd64.s). Each product makes
-// one assembly call per row shard and reduction tile; the loops over rows,
-// columns and the reduction index run inside the call. The packed SSE2
-// multiplies and adds round each lane exactly like the scalar ops, so the
-// kernels are bit-identical to the Go loops in gemm.go and gemm_f32.go —
-// pinned by TestF64KernelsMatchGoTwins, TestF32KernelsMatchGoTwins and the
-// two shape sweeps. SSE2 is part of the amd64 baseline (GOAMD64=v1), so
-// there is no feature check; the purego build tag selects the Go loops
-// instead.
+// Tile kernels behind the products (gemm_amd64.s). Each product makes one
+// assembly call per row shard and reduction tile; the loops over rows,
+// columns and the reduction index run inside the call. Packed multiplies and
+// adds round each lane exactly like the scalar ops, at 16 bytes or at 32,
+// and no kernel fuses them, so the kernels are bit-identical to the Go loops
+// in gemm.go and gemm_f32.go — pinned by TestF64KernelsMatchGoTwins,
+// TestF32KernelsMatchGoTwins and the two shape sweeps, on every body the
+// host can run. The SSE2 bodies are the amd64 baseline (GOAMD64=v1) and need
+// no check; every kernel also exists at 32-byte vectors, and which set runs
+// is chosen once, below. The purego build tag selects the Go loops instead.
+
+// gemmVectorBytes is the vector width of the bodies the products run: 32
+// when the CPU has AVX2 and the OS saves the YMM state, 16 otherwise. It is
+// set once, here; only a _test.go file writes it again, to reach the SSE2
+// bodies on an AVX2 host.
+var gemmVectorBytes = func() int {
+	if detectAVX2(cpuid, xgetbv) {
+		return 32
+	}
+	return 16
+}()
+
+// cpuid executes CPUID with EAX = leaf and ECX = sub; xgetbv reads XCR0 and
+// faults unless CPUID.1:ECX.OSXSAVE is set.
+func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv() (eax, edx uint32)
+
+// detectAVX2 asks the two instructions whether the 32-byte body may run,
+// reading XCR0 only once CPUID has said the instruction exists.
+func detectAVX2(cpuid func(leaf, sub uint32) (eax, ebx, ecx, edx uint32), xgetbv func() (eax, edx uint32)) bool {
+	maxLeaf, _, _, _ := cpuid(0, 0)
+	if maxLeaf < 7 {
+		return false
+	}
+	_, _, ecx1, _ := cpuid(1, 0)
+	_, ebx7, _, _ := cpuid(7, 0)
+	var xcr0 uint32
+	if ecx1&cpuidOSXSAVE != 0 {
+		xcr0, _ = xgetbv()
+	}
+	return avx2Usable(ecx1, ebx7, xcr0)
+}
+
+const (
+	cpuidOSXSAVE = 1 << 27 // CPUID.1:ECX — the OS has enabled XGETBV/XSAVE
+	cpuidAVX     = 1 << 28 // CPUID.1:ECX
+	cpuidAVX2    = 1 << 5  // CPUID.7.0:EBX
+	xcr0YMM      = 0b110   // XCR0 bits 1 and 2: the OS saves XMM and YMM state
+)
+
+// avx2Usable is the decision itself: the CPU has the instructions *and* the
+// OS (or hypervisor) preserves the registers they use. A guest whose XCR0
+// masks the YMM state advertises AVX2 in leaf 7 all the same, and a VEX-256
+// instruction there is a SIGILL.
+func avx2Usable(cpuid1ECX, cpuid7EBX, xcr0 uint32) bool {
+	return cpuid1ECX&cpuidOSXSAVE != 0 && cpuid1ECX&cpuidAVX != 0 &&
+		cpuid7EBX&cpuidAVX2 != 0 && xcr0&xcr0YMM == xcr0YMM
+}
 
 // gemmTileF32 computes, for r < rows and j < n,
 //
@@ -31,6 +80,15 @@ func gemmTileF32(dst, init *float32, initStride int, a *float32, ars, ats int, b
 //go:noescape
 func gemmTileF64(dst, init *float64, initStride int, a *float64, ars, ats int, b *float64, rows, kc, n int)
 
+// gemmTileF32AVX2 and gemmTileF64AVX2 are the same body again at 32-byte
+// vectors, VEX-encoded. Callable only where gemmVectorBytes is 32.
+//
+//go:noescape
+func gemmTileF32AVX2(dst, init *float32, initStride int, a *float32, ars, ats int, b *float32, rows, kc, n int)
+
+//go:noescape
+func gemmTileF64AVX2(dst, init *float64, initStride int, a *float64, ars, ats int, b *float64, rows, kc, n int)
+
 // gemmBTTileF32 computes dst[r*ldd+c] = a[r*n:(r+1)*n] · b[c*n:(c+1)*n] for
 // r < rows and c < cols, every dot product in the lane order of dot4Go.
 //
@@ -44,8 +102,28 @@ func gemmBTTileF32(dst *float32, ldd int, a, b *float32, rows, cols, n int)
 //go:noescape
 func gemmBTTileF64(dst *float64, ldd int, a, b *float64, rows, cols, n int)
 
-// tileKernel is the signature gemmTileF32 and gemmTileF64 share.
+// gemmBTTileF32AVX2 and gemmBTTileF64AVX2 are the two GemmBT kernels at
+// 32-byte vectors: two dot4Go dots per register, four gemmBT2x4 outputs per
+// register (the f64 pair shares its walk over the output blocks,
+// gemm_bt_f64_amd64.h). Callable only where gemmVectorBytes is 32.
+//
+//go:noescape
+func gemmBTTileF32AVX2(dst *float32, ldd int, a, b *float32, rows, cols, n int)
+
+//go:noescape
+func gemmBTTileF64AVX2(dst *float64, ldd int, a, b *float64, rows, cols, n int)
+
+// tileKernel is the signature the four tile kernels share.
 type tileKernel[T Float] func(dst, init *T, initStride int, a *T, ars, ats int, b *T, rows, kc, n int)
+
+// body returns the kernel of the body in use: wide where the 32-byte
+// bodies may run, narrow otherwise.
+func body[K any](narrow, wide K) K {
+	if gemmVectorBytes == 32 {
+		return wide
+	}
+	return narrow
+}
 
 // The wrappers below do the one bounds check per operand that lets the
 // kernels run unchecked, then walk the reduction tiles in ascending order.
@@ -81,19 +159,19 @@ func gemmATRowsTile[T Float](tile tileKernel[T], dst, a, b []T, lo, hi, m, k, n 
 }
 
 func gemmRowsF32(dst, a, b []float32, lo, hi, k, n int, bias []float32) {
-	gemmRowsTile(gemmTileF32, dst, a, b, lo, hi, k, n, bias)
+	gemmRowsTile(body(gemmTileF32, gemmTileF32AVX2), dst, a, b, lo, hi, k, n, bias)
 }
 
 func gemmRowsF64(dst, a, b []float64, lo, hi, k, n int, bias []float64) {
-	gemmRowsTile(gemmTileF64, dst, a, b, lo, hi, k, n, bias)
+	gemmRowsTile(body(gemmTileF64, gemmTileF64AVX2), dst, a, b, lo, hi, k, n, bias)
 }
 
 func gemmATRowsF32(dst, a, b []float32, lo, hi, m, k, n int) {
-	gemmATRowsTile(gemmTileF32, dst, a, b, lo, hi, m, k, n)
+	gemmATRowsTile(body(gemmTileF32, gemmTileF32AVX2), dst, a, b, lo, hi, m, k, n)
 }
 
 func gemmATRowsF64(dst, a, b []float64, lo, hi, m, k, n int) {
-	gemmATRowsTile(gemmTileF64, dst, a, b, lo, hi, m, k, n)
+	gemmATRowsTile(body(gemmTileF64, gemmTileF64AVX2), dst, a, b, lo, hi, m, k, n)
 }
 
 func gemmBTRowsF32(dst, a, b []float32, lo, hi, n, k int) {
@@ -105,8 +183,9 @@ func gemmBTRowsF32(dst, a, b []float32, lo, hi, n, k int) {
 		return
 	}
 	d, ar, br := dst[lo*k:hi*k], a[lo*n:hi*n], b[:k*n]
+	tile := body(gemmBTTileF32, gemmBTTileF32AVX2)
 	for k0 := 0; k0 < k; k0 += gemmKBlock {
-		gemmBTTileF32(&d[k0], k, &ar[0], &br[k0*n], hi-lo, min(gemmKBlock, k-k0), n)
+		tile(&d[k0], k, &ar[0], &br[k0*n], hi-lo, min(gemmKBlock, k-k0), n)
 	}
 }
 
@@ -116,6 +195,7 @@ func gemmBTRowsF64(dst, a, b []float64, lo, hi, n, k int) {
 		return
 	}
 	d, ar, br := dst[lo*k:hi*k], a[lo*n:hi*n], b[:k*n]
+	tile := body(gemmBTTileF64, gemmBTTileF64AVX2)
 	for k0 := 0; k0 < k; {
 		// The kernel needs four columns, so a remainder of one to three
 		// rides with the last full tile.
@@ -123,7 +203,7 @@ func gemmBTRowsF64(dst, a, b []float64, lo, hi, n, k int) {
 		if kc >= gemmKBlock+4 {
 			kc = gemmKBlock
 		}
-		gemmBTTileF64(&d[k0], k, &ar[0], &br[k0*n], hi-lo, kc, n)
+		tile(&d[k0], k, &ar[0], &br[k0*n], hi-lo, kc, n)
 		k0 += kc
 	}
 }

@@ -1,0 +1,335 @@
+//go:build !purego
+
+package tensor
+
+import (
+	"bufio"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"swtnas/internal/parallel"
+)
+
+// TestAVX2Usable pins the feature decision as a function of the three
+// words it reads: every way a host can fall short gets the SSE2 body, and
+// only the all-set case gets the wide one.
+func TestAVX2Usable(t *testing.T) {
+	const ecxAll = cpuidOSXSAVE | cpuidAVX
+	cases := []struct {
+		name             string
+		ecx1, ebx7, xcr0 uint32
+		want             bool
+	}{
+		{"no AVX2 bit", ecxAll, 0, 0x7, false},
+		{"AVX2 without OSXSAVE", cpuidAVX, cpuidAVX2, 0x7, false},
+		{"AVX2 without AVX", cpuidOSXSAVE, cpuidAVX2, 0x7, false},
+		{"XCR0 saves SSE state only", ecxAll, cpuidAVX2, 0x3, false},
+		{"XCR0 saves YMM but not XMM", ecxAll, cpuidAVX2, 0x5, false},
+		{"all set", ecxAll, cpuidAVX2, 0x7, true},
+		{"all set, other bits too", ^uint32(0), ^uint32(0), 0xe7, true},
+	}
+	for _, c := range cases {
+		if got := avx2Usable(c.ecx1, c.ebx7, c.xcr0); got != c.want {
+			t.Errorf("%s: avx2Usable(%#x, %#x, %#x) = %v, want %v", c.name, c.ecx1, c.ebx7, c.xcr0, got, c.want)
+		}
+	}
+}
+
+// TestDetectAVX2 drives the routine around avx2Usable with scripted CPUID
+// leaves: a CPU whose highest leaf is below 7 is never asked for leaf 7,
+// and XGETBV — an undefined opcode unless the OS enabled it — runs only
+// after CPUID has reported OSXSAVE.
+func TestDetectAVX2(t *testing.T) {
+	cpu := func(maxLeaf, ecx1, ebx7 uint32) func(leaf, sub uint32) (uint32, uint32, uint32, uint32) {
+		return func(leaf, sub uint32) (eax, ebx, ecx, edx uint32) {
+			switch {
+			case leaf == 0:
+				return maxLeaf, 0, 0, 0
+			case leaf > maxLeaf:
+				t.Errorf("CPUID leaf %d read on a CPU whose highest leaf is %d", leaf, maxLeaf)
+			case leaf == 1:
+				return 0, 0, ecx1, 0
+			case leaf == 7 && sub == 0:
+				return 0, ebx7, 0, 0
+			}
+			return 0, 0, 0, 0
+		}
+	}
+	xcr0 := func(v uint32) func() (uint32, uint32) { return func() (uint32, uint32) { return v, 0 } }
+	fault := func() (uint32, uint32) {
+		t.Error("XGETBV executed without OSXSAVE")
+		return 0x7, 0
+	}
+	const ecxAll = cpuidOSXSAVE | cpuidAVX
+	if !detectAVX2(cpu(0x1b, ecxAll, cpuidAVX2), xcr0(0x7)) {
+		t.Error("a host with AVX2 and YMM state enabled was refused")
+	}
+	if detectAVX2(cpu(0x1b, ecxAll, cpuidAVX2), xcr0(0x3)) {
+		t.Error("a host whose XCR0 masks the YMM state was accepted")
+	}
+	if detectAVX2(cpu(0x1b, cpuidAVX, cpuidAVX2), fault) {
+		t.Error("a host without OSXSAVE was accepted")
+	}
+	if detectAVX2(cpu(6, ecxAll, cpuidAVX2), xcr0(0x7)) {
+		t.Error("a host whose highest CPUID leaf is 6 was accepted")
+	}
+	if got := detectAVX2(cpuid, xgetbv); !*forceSSE2 && got != (gemmVectorBytes == 32) {
+		t.Errorf("detectAVX2 on this host = %v, but init chose %d-byte vectors", got, gemmVectorBytes)
+	}
+}
+
+// transposed returns the [cols, rows] transpose of the row-major [rows, cols] a.
+func transposed[T Float](a []T, rows, cols int) []T {
+	at := make([]T, len(a))
+	for r := 0; r < rows; r++ {
+		for c := 0; c < cols; c++ {
+			at[c*rows+r] = a[r*cols+c]
+		}
+	}
+	return at
+}
+
+// tileLadder calls one tile kernel directly — which no product does with
+// kc = 0 or kc > gemmKBlock, both inside the kernel's contract — over every
+// column count of the ladder at both vector widths (two vectors, one, the
+// XMM half, single columns: n = 1…40 covers each combination in f32 and
+// f64), every row count through two full tiles and a tail, the reduction
+// lengths around a tile, both stride pairs and all three kinds of init,
+// with IEEE specials among the operands. The oracle is the Go loops: rows
+// rowsGo(bias) for a nil or bias init, atGo for init = dst, each fed a or
+// its transpose so that both stride pairs meet both.
+func tileLadder[T Float](t *testing.T, tile tileKernel[T], special func(*rand.Rand, int) []T, same func(got, want []T) int,
+	rowsGo func(dst, a, b []T, lo, hi, k, n int, bias []T), atGo func(dst, a, b []T, lo, hi, m, k, n int)) {
+	rng := rand.New(rand.NewSource(71))
+	const rowsMax, nMax, kcMax = 9, 40, gemmKBlock + 1
+	aAll, bAll := special(rng, rowsMax*kcMax), special(rng, kcMax*nMax)
+	bias, seed := special(rng, nMax), special(rng, rowsMax*nMax)
+	got, want := make([]T, rowsMax*nMax+1), make([]T, rowsMax*nMax)
+	for rows := 1; rows <= rowsMax; rows++ {
+		for _, kc := range []int{0, 1, gemmKBlock - 1, gemmKBlock, gemmKBlock + 1} {
+			a := aAll[:rows*kc] // [rows, kc]
+			at := transposed(a, rows, kc)
+			// With kc = 0 the kernel is handed an a pointer it never reads
+			// through.
+			first := func(s []T) *T {
+				if len(s) == 0 {
+					return &aAll[0]
+				}
+				return &s[0]
+			}
+			for n := 1; n <= nMax; n++ {
+				b := bAll[:kc*n]
+				size := rows * n
+				for _, init := range []string{"nil", "bias", "dst"} {
+					for _, strides := range []string{"Gemm", "GemmAT"} {
+						ap, ars, ats := first(a), kc, 1
+						if strides == "GemmAT" {
+							ap, ars, ats = first(at), 1, rows
+						}
+						const guard = 12345
+						got[size] = guard
+						switch init {
+						case "nil":
+							rowsGo(want, a, b, 0, rows, kc, n, nil)
+							tile(&got[0], nil, 0, ap, ars, ats, &bAll[0], rows, kc, n)
+						case "bias":
+							rowsGo(want, a, b, 0, rows, kc, n, bias[:n])
+							tile(&got[0], &bias[0], 0, ap, ars, ats, &bAll[0], rows, kc, n)
+						case "dst":
+							copy(want, seed[:size])
+							copy(got, seed[:size])
+							atGo(want, at, b, 0, rows, kc, rows, n)
+							tile(&got[0], &got[0], n, ap, ars, ats, &bAll[0], rows, kc, n)
+						}
+						if i := same(got[:size], want[:size]); i >= 0 {
+							t.Fatalf("rows=%d kc=%d n=%d init=%s strides=%s: elem %d = %v, Go loops %v",
+								rows, kc, n, init, strides, i, got[i], want[i])
+						}
+						if got[size] != guard {
+							t.Fatalf("rows=%d kc=%d n=%d init=%s strides=%s: the kernel wrote past its last row", rows, kc, n, init, strides)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestTileKernelLadderF32(t *testing.T) {
+	eachBody(t, func(t *testing.T) {
+		tileLadder(t, body(gemmTileF32, gemmTileF32AVX2), specialSliceF32, sameBitsF32, gemmRowsGo, gemmATRowsGo)
+	})
+}
+
+func TestTileKernelLadderF64(t *testing.T) {
+	eachBody(t, func(t *testing.T) {
+		tileLadder(t, body(gemmTileF64, gemmTileF64AVX2), specialSlice, sameBitsF64, gemmRowsGoF64, gemmATRowsGoF64)
+	})
+}
+
+// asmText is one TEXT symbol of an assembly file after a good-enough
+// preprocessing: #include spliced in, and every line followed by the bodies
+// of the #defines it names, so that a register or mnemonic hidden behind a
+// macro counts as written on the line.
+type asmText struct {
+	name  string
+	lines []string // instruction lines, comments stripped
+}
+
+var (
+	asmDefine  = regexp.MustCompile(`^#define\s+(\w+)(\([^)]*\))?\s*(.*)$`)
+	asmInclude = regexp.MustCompile(`^#include\s+"([^"]+)"`)
+	asmWord    = regexp.MustCompile(`\w+`)
+)
+
+func readAsm(t *testing.T, file string, defs map[string]string, texts *[]asmText) {
+	f, err := os.Open(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	cont := ""
+	for sc.Scan() {
+		line := cont + sc.Text()
+		if i := strings.Index(line, "//"); i >= 0 {
+			line = line[:i]
+		}
+		line = strings.TrimSpace(line)
+		if strings.HasSuffix(line, "\\") {
+			cont = strings.TrimSuffix(line, "\\") + " "
+			continue
+		}
+		cont = ""
+		switch m := asmDefine.FindStringSubmatch(line); {
+		case line == "":
+		case m != nil:
+			defs[m[1]] = m[3]
+		case strings.HasPrefix(line, "#undef"):
+			delete(defs, strings.Fields(line)[1])
+		case asmInclude.MatchString(line):
+			if inc := asmInclude.FindStringSubmatch(line)[1]; inc != "textflag.h" {
+				readAsm(t, inc, defs, texts)
+			}
+		case strings.HasPrefix(line, "#"): // #ifdef/#endif: both arms are read
+		case strings.HasPrefix(line, "TEXT"):
+			*texts = append(*texts, asmText{name: line})
+		case len(*texts) > 0:
+			// Expand to a fixed point: macros name macros (MULC → MULV).
+			expanded, seen := line, map[string]bool{}
+			for again := true; again; {
+				again = false
+				for _, w := range asmWord.FindAllString(expanded, -1) {
+					if body, ok := defs[w]; ok && !seen[w] {
+						seen[w], again = true, true
+						expanded += " ; " + body
+					}
+				}
+			}
+			cur := &(*texts)[len(*texts)-1]
+			for _, stmt := range strings.Split(expanded, ";") {
+				if stmt = strings.TrimSpace(stmt); stmt != "" {
+					cur.lines = append(cur.lines, stmt)
+				}
+			}
+		}
+	}
+}
+
+// TestAssemblySource reads the kernels as text. Every TEXT that names a YMM
+// register — directly or through a macro — must execute VZEROUPPER
+// immediately before each RET, or the Go code it returns to pays the
+// SSE/AVX transition on its next scalar float instruction; and the
+// arithmetic contract has no fused multiply-add and no 64-byte vectors, so
+// neither may appear in any instruction, written out or behind a macro.
+func TestAssemblySource(t *testing.T) {
+	files, err := filepath.Glob("*.s")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no assembly files found: %v", err)
+	}
+	banned := regexp.MustCompile(`\b(VFN?M(ADD|SUB)\w*|Z([0-9]|[12][0-9]|3[01]))\b`)
+	ymm := regexp.MustCompile(`\bY([0-9]|1[0-5])\b`)
+	wide := 0
+	for _, f := range files {
+		var texts []asmText
+		readAsm(t, f, map[string]string{}, &texts)
+		for _, tx := range texts {
+			usesYMM, rets := false, 0
+			for i, l := range tx.lines {
+				if m := banned.FindString(l); m != "" {
+					t.Errorf("%s: %s: %s — fused multiply-add and ZMM registers are outside the arithmetic contract", f, tx.name, m)
+				}
+				usesYMM = usesYMM || ymm.MatchString(l)
+				if strings.Fields(l)[0] == "RET" {
+					rets++
+					if usesYMM && (i == 0 || tx.lines[i-1] != "VZEROUPPER") {
+						t.Errorf("%s: %s: RET after YMM use without VZEROUPPER before it (previous line %q)", f, tx.name, tx.lines[max(i-1, 0)])
+					}
+				}
+			}
+			if rets == 0 {
+				t.Errorf("%s: %s: no RET found: the scan lost the function", f, tx.name)
+			}
+			if usesYMM {
+				wide++
+			}
+		}
+	}
+	if wide != 4 {
+		t.Errorf("%d TEXT symbols use YMM registers, want the 4 AVX2 kernels: the scan no longer sees them", wide)
+	}
+}
+
+// BenchmarkGemmTileBodies measures the three products at the shapes the
+// searches issue (the f32 and f64 lists of BenchmarkGemmF32Shapes and
+// BenchmarkGemmF64Shapes in the root package) on each body the host can
+// run, single-threaded, nominal 2·m·k·n GFLOP/s. The table in DESIGN.md
+// §9.2 is this benchmark, several interleaved runs of it.
+func BenchmarkGemmTileBodies(b *testing.B) {
+	benchBodies[float32](b, "f32", [][3]int{{57600, 27, 4}, {57600, 27, 16}, {14400, 72, 8}, {14400, 144, 16}, {64, 256, 128}})
+	benchBodies[float64](b, "f64", [][3]int{{32, 4000, 128}, {32, 1000, 64}, {8000, 5, 8}, {8000, 7, 16}, {32, 96, 128}, {32, 448, 128}})
+}
+
+func benchBodies[T Float](b *testing.B, dtype string, shapes [][3]int) {
+	defer parallel.SetWorkers(parallel.SetWorkers(1))
+	rng := rand.New(rand.NewSource(27))
+	randn := func(n int) []T {
+		v := make([]T, n)
+		for i := range v {
+			v[i] = T(rng.NormFloat64())
+		}
+		return v
+	}
+	for _, s := range shapes {
+		m, k, n := s[0], s[1], s[2]
+		x, w, g := randn(m*k), randn(k*n), randn(m*n)
+		out, dx, dw := make([]T, m*n), make([]T, m*k), make([]T, k*n)
+		ops := []struct {
+			name string
+			run  func()
+		}{
+			{"Gemm", func() { Gemm(out, x, w, m, k, n, nil) }},
+			{"GemmBT", func() { GemmBT(dx, g, w, m, n, k) }},
+			{"GemmAT", func() { GemmAT(dw, x, g, m, k, n) }},
+		}
+		for _, op := range ops {
+			for _, vb := range []int{16, 32} {
+				b.Run(fmt.Sprintf("%s/op=%s/%dx%dx%d/vector_bytes=%d", dtype, op.name, m, k, n, vb), func(b *testing.B) {
+					if vb > hostVectorBytes {
+						b.Skipf("the %d-byte body cannot run here", vb)
+					}
+					setBody(b, vb)
+					for i := 0; i < b.N; i++ {
+						op.run()
+					}
+					b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+				})
+			}
+		}
+	}
+}

@@ -26,13 +26,15 @@ func sameBitsF32(got, want []float32) int {
 // TestF32KernelsMatchGoTwins pins the kernels behind the f32 products to
 // the pure-Go loops bit for bit at the level a shard calls them: a row
 // range that starts past row 0 and ends short of the last row, across
-// vector lengths that hit the 8-wide chunk, the 4-wide chunk and every
-// scalar-tail size, with a reduction long enough to cross a tile. Under
-// the purego tag and on non-amd64 builds the kernels *are* the loops and
-// this passes trivially; on amd64 it is the proof that MULPS/ADDPS
-// reproduce the scalar rounding sequence (no FMA, one rounding per op)
-// the loops define.
-func TestF32KernelsMatchGoTwins(t *testing.T) {
+// vector lengths that hit every chunk of the column ladder at both vector
+// widths and every scalar-tail size, with a reduction long enough to cross
+// a tile. Under the purego tag and on non-amd64 builds the kernels *are*
+// the loops and this passes trivially; on amd64 it is the proof, once per
+// body the host can run, that the packed multiplies and adds reproduce the
+// scalar rounding sequence (no FMA, one rounding per op) the loops define.
+func TestF32KernelsMatchGoTwins(t *testing.T) { eachBody(t, testF32KernelsMatchGoTwins) }
+
+func testF32KernelsMatchGoTwins(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	const rows, lo, hi = 11, 2, 9
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 31, 64, 100, 241} {
@@ -100,7 +102,9 @@ func specialSliceF32(rng *rand.Rand, n int) []float32 {
 // loops bit for bit at 1, 2 and 3 kernel workers, IEEE specials included.
 // GemmAT takes its reduction length from the k list and its row count from
 // the m list, so each product's reduction axis crosses the tile boundary.
-func TestGemmF32ShapeSweep(t *testing.T) {
+func TestGemmF32ShapeSweep(t *testing.T) { eachBody(t, testGemmF32ShapeSweep) }
+
+func testGemmF32ShapeSweep(t *testing.T) {
 	ms := []int{1, 2, 3, 5, 64}
 	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 27, 239, 240, 241, 481}
 	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33}

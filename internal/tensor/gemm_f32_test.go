@@ -114,7 +114,9 @@ func TestGemmF32AgreesWithF64(t *testing.T) {
 // (k=517 > 2·gemmKBlock). Referenced from the gemm.go package docs. The
 // grain is lowered so that this shape splits, and each parallel leg must
 // report that its three products did.
-func TestGemmParallelMatchesSerialF32(t *testing.T) {
+func TestGemmParallelMatchesSerialF32(t *testing.T) { eachBody(t, testGemmParallelMatchesSerialF32) }
+
+func testGemmParallelMatchesSerialF32(t *testing.T) {
 	splitEverything(t)
 	rng := rand.New(rand.NewSource(44))
 	const m, k, n = 37, 517, 13

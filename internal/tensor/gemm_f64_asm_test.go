@@ -28,7 +28,9 @@ func sameBitsF64(got, want []float64) int {
 // two-vector chunk, the one-vector chunk and the scalar column, with a
 // reduction long enough to cross a tile. Seven rows is one full 4-row tile
 // and one of three aliased rows.
-func TestF64KernelsMatchGoTwins(t *testing.T) {
+func TestF64KernelsMatchGoTwins(t *testing.T) { eachBody(t, testF64KernelsMatchGoTwins) }
+
+func testF64KernelsMatchGoTwins(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	const rows, lo, hi = 11, 2, 9
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 31, 64, 100, 241} {
@@ -94,7 +96,9 @@ func specialSlice(rng *rand.Rand, n int) []float64 {
 // and 3 kernel workers, IEEE specials included. The Go loops run serially
 // over the whole matrix, so the sweep also pins that a row computes the
 // same bits in a 2×4 block, a 4-row tile or on its own.
-func TestGemmF64ShapeSweep(t *testing.T) {
+func TestGemmF64ShapeSweep(t *testing.T) { eachBody(t, testGemmF64ShapeSweep) }
+
+func testGemmF64ShapeSweep(t *testing.T) {
 	ms := []int{1, 2, 3, 5, 64}
 	ks := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 27, 239, 240, 241, 481}
 	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 32, 33}

@@ -6,6 +6,11 @@ package tensor
 // amd64 under the purego tag, which is how CI tests this path — run the
 // products as the pure-Go loops of gemm.go and gemm_f32.go directly.
 
+// gemmVectorBytes is what the tensor.gemm.vector_bytes gauge reports where
+// the products are scalar Go: one float64. A variable only so that the
+// _test.go hooks that write gemm_amd64.go's by name link on this build too.
+var gemmVectorBytes = 8
+
 func gemmRowsF32(dst, a, b []float32, lo, hi, k, n int, bias []float32) {
 	gemmRowsGo(dst, a, b, lo, hi, k, n, bias)
 }

@@ -144,6 +144,10 @@ func TestGemmATMatchesNaiveAndAccumulates(t *testing.T) {
 // grain, so the grain is lowered and every parallel leg must report its
 // three products split.
 func TestGemmKernelsDeterministicAcrossWorkers(t *testing.T) {
+	eachBody(t, testGemmKernelsDeterministicAcrossWorkers)
+}
+
+func testGemmKernelsDeterministicAcrossWorkers(t *testing.T) {
 	const m, k, n = 37, 517, 13
 	splitEverything(t)
 	prev := parallel.SetWorkers(1)

@@ -1,21 +1,38 @@
-// Body of the SSE2 GEMM tile kernel, written once for both element widths
-// and included under one TEXT line per width (gemm_amd64.s), each of
+// Body of the GEMM tile kernel, written once for both element widths and
+// both vector widths and included under one TEXT line per combination
+// (gemm_amd64.s), each of
 //
 //	func(dst, init *T, initStride int, a *T, ars, ats int, b *T, rows, kc, n int)
 //
-// with frame $64-80. The including file defines, and #undefs afterwards:
+// with frame $64-80. The text falls out of its last line when the tile is
+// done: the including TEXT supplies the return (VZEROUPPER first where the
+// vectors are YMM). The including file defines, and #undefs afterwards:
 //
-//	ESIZE, ESHIFT   bytes per element and their log2
-//	MOV1            scalar load/store          MOVSS   MOVSD
-//	MUL1, ADD1      scalar multiply, add       MULSS…  MULSD…
-//	MULV, ADDV      packed multiply, add       MULPS…  MULPD…
-//	BCAST(m, x)     element at m into every lane of x
+//	ESIZE, ESHIFT     bytes per element and their log2
+//	MOV1              scalar load/store            MOVSS    VMOVSD …
+//	MUL1(s, x)        scalar x *= s
+//	ADD1(s, x)        scalar x += s
+//	VBYTES            bytes per vector, 16 or 32
+//	V0 … V13          the vector registers, X0 … X13 or Y0 … Y13
+//	MOVV              packed load/store            MOVUPS   VMOVUPS
+//	ZERO(x)           x = +0 in every lane
+//	BCAST(m, x)       element at m into every lane of x
+//	MULV(s, x)        packed x *= s
+//	MULC(s, a, x)     packed x = a * s, a kept     (a copy and a MULV at 16 bytes)
+//	ADDV(s, x)        packed x += s
 //
-// Packed moves and the zeroing XOR are bitwise, so the PS forms serve both
-// widths. A vector is 16 bytes — four f32 or two f64 — and everything below
-// that is not a row stride counts in bytes, so the column chunks (two
-// vectors, one vector, one element) and every address computation are the
-// same text at either width.
+// and, only where a vector is 32 bytes, BCASTH(m, x): BCAST into an XMM
+// register (the VEX multiply and add take either register size).
+//
+// Every operation is one IEEE multiply or one IEEE add per lane whatever
+// its encoding; the products always have the a element as first source and
+// the sums the accumulator, as the two-operand forms do. Packed moves and
+// the zeroing XOR are bitwise, so the PS forms serve both element widths.
+// Everything below that is not a row stride counts in bytes, so the column
+// ladder — two vectors, one vector, (one XMM under YMM vectors,) one element
+// — and every address computation are the same text in all four kernels.
+// A VEX instantiation is VEX throughout, scalar column included: no legacy
+// SSE instruction runs while the upper YMM halves are live.
 //
 // Registers: R8–R11 a pointers of the tile's rows, R12 ats in bytes, R13
 // n in bytes (row stride of b and dst), R14 column offset in bytes, R15
@@ -93,23 +110,27 @@ tile_rows:
 
 	// A tile starts from +0 unless init says otherwise.
 tile_cols:
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
+	ZERO(V0)
+	ZERO(V1)
+	ZERO(V2)
+	ZERO(V3)
+	ZERO(V4)
+	ZERO(V5)
+	ZERO(V6)
+	ZERO(V7)
 	MOVQ b+48(FP), SI
 	ADDQ R14, SI
 	MOVQ kc+64(FP), CX
 	MOVQ R13, AX
 	SUBQ R14, AX
-	CMPQ AX, $32
+	CMPQ AX, $(2*VBYTES)
 	JGE  tile_v2
-	CMPQ AX, $16
+	CMPQ AX, $VBYTES
 	JGE  tile_v1
+#ifdef BCASTH
+	CMPQ AX, $16
+	JGE  tile_h1
+#endif
 	CMPQ AX, $ESIZE
 	JGE  tile_e1
 
@@ -127,135 +148,185 @@ tile_cols:
 	SUBQ $4, R15
 	JMP  tile_rows
 
-tile_done:
-	RET
-
-	// 4 rows × 2 vectors: X0–X7 accumulate (row r in X(2r), X(2r+1)),
-	// X8/X9 the b row, X10–X13 the broadcast a elements.
+	// 4 rows × 2 vectors: V0–V7 accumulate (row r in V(2r), V(2r+1)),
+	// V8/V9 the b row, V10–V13 the broadcast a elements and their products.
 tile_v2:
 	CMPQ init+8(FP), $0
 	JEQ  v2_reduce
-	MOVQ   i0-40(SP), AX
-	MOVUPS (AX)(R14*1), X0
-	MOVUPS 16(AX)(R14*1), X1
-	MOVQ   i1-48(SP), AX
-	MOVUPS (AX)(R14*1), X2
-	MOVUPS 16(AX)(R14*1), X3
-	MOVQ   i2-56(SP), AX
-	MOVUPS (AX)(R14*1), X4
-	MOVUPS 16(AX)(R14*1), X5
-	MOVQ   i3-64(SP), AX
-	MOVUPS (AX)(R14*1), X6
-	MOVUPS 16(AX)(R14*1), X7
+	MOVQ i0-40(SP), AX
+	MOVV (AX)(R14*1), V0
+	MOVV VBYTES(AX)(R14*1), V1
+	MOVQ i1-48(SP), AX
+	MOVV (AX)(R14*1), V2
+	MOVV VBYTES(AX)(R14*1), V3
+	MOVQ i2-56(SP), AX
+	MOVV (AX)(R14*1), V4
+	MOVV VBYTES(AX)(R14*1), V5
+	MOVQ i3-64(SP), AX
+	MOVV (AX)(R14*1), V6
+	MOVV VBYTES(AX)(R14*1), V7
 
 v2_reduce:
 	TESTQ CX, CX
 	JZ    v2_store
+	PCALIGN $32
 
 v2_loop:
-	MOVUPS (SI), X8
-	MOVUPS 16(SI), X9
-	ADDQ   R13, SI
-	BCAST((R8), X10)
-	MOVAPS X10, X11
-	MULV   X8, X10
-	MULV   X9, X11
-	ADDV   X10, X0
-	ADDV   X11, X1
-	BCAST((R9), X12)
-	MOVAPS X12, X13
-	MULV   X8, X12
-	MULV   X9, X13
-	ADDV   X12, X2
-	ADDV   X13, X3
-	BCAST((R10), X10)
-	MOVAPS X10, X11
-	MULV   X8, X10
-	MULV   X9, X11
-	ADDV   X10, X4
-	ADDV   X11, X5
-	BCAST((R11), X12)
-	MOVAPS X12, X13
-	MULV   X8, X12
-	MULV   X9, X13
-	ADDV   X12, X6
-	ADDV   X13, X7
-	ADDQ   R12, R8
-	ADDQ   R12, R9
-	ADDQ   R12, R10
-	ADDQ   R12, R11
-	DECQ   CX
-	JNZ    v2_loop
+	MOVV (SI), V8
+	MOVV VBYTES(SI), V9
+	ADDQ R13, SI
+	BCAST((R8), V10)
+	MULC(V9, V10, V11)
+	MULV(V8, V10)
+	ADDV(V10, V0)
+	ADDV(V11, V1)
+	BCAST((R9), V12)
+	MULC(V9, V12, V13)
+	MULV(V8, V12)
+	ADDV(V12, V2)
+	ADDV(V13, V3)
+	BCAST((R10), V10)
+	MULC(V9, V10, V11)
+	MULV(V8, V10)
+	ADDV(V10, V4)
+	ADDV(V11, V5)
+	BCAST((R11), V12)
+	MULC(V9, V12, V13)
+	MULV(V8, V12)
+	ADDV(V12, V6)
+	ADDV(V13, V7)
+	ADDQ R12, R8
+	ADDQ R12, R9
+	ADDQ R12, R10
+	ADDQ R12, R11
+	DECQ CX
+	JNZ  v2_loop
 
 v2_store:
-	MOVQ   d0-8(SP), AX
-	MOVUPS X0, (AX)(R14*1)
-	MOVUPS X1, 16(AX)(R14*1)
-	MOVQ   d1-16(SP), AX
-	MOVUPS X2, (AX)(R14*1)
-	MOVUPS X3, 16(AX)(R14*1)
-	MOVQ   d2-24(SP), AX
-	MOVUPS X4, (AX)(R14*1)
-	MOVUPS X5, 16(AX)(R14*1)
-	MOVQ   d3-32(SP), AX
-	MOVUPS X6, (AX)(R14*1)
-	MOVUPS X7, 16(AX)(R14*1)
-	ADDQ   $32, R14
-	JMP    tile_rewind
+	MOVQ d0-8(SP), AX
+	MOVV V0, (AX)(R14*1)
+	MOVV V1, VBYTES(AX)(R14*1)
+	MOVQ d1-16(SP), AX
+	MOVV V2, (AX)(R14*1)
+	MOVV V3, VBYTES(AX)(R14*1)
+	MOVQ d2-24(SP), AX
+	MOVV V4, (AX)(R14*1)
+	MOVV V5, VBYTES(AX)(R14*1)
+	MOVQ d3-32(SP), AX
+	MOVV V6, (AX)(R14*1)
+	MOVV V7, VBYTES(AX)(R14*1)
+	ADDQ $(2*VBYTES), R14
+	JMP  tile_rewind
 
-	// 4 rows × 1 vector: X0–X3 accumulate, X8 the b row.
+	// 4 rows × 1 vector: V0–V3 accumulate, V8 the b row.
 tile_v1:
 	CMPQ init+8(FP), $0
 	JEQ  v1_reduce
-	MOVQ   i0-40(SP), AX
-	MOVUPS (AX)(R14*1), X0
-	MOVQ   i1-48(SP), AX
-	MOVUPS (AX)(R14*1), X1
-	MOVQ   i2-56(SP), AX
-	MOVUPS (AX)(R14*1), X2
-	MOVQ   i3-64(SP), AX
-	MOVUPS (AX)(R14*1), X3
+	MOVQ i0-40(SP), AX
+	MOVV (AX)(R14*1), V0
+	MOVQ i1-48(SP), AX
+	MOVV (AX)(R14*1), V1
+	MOVQ i2-56(SP), AX
+	MOVV (AX)(R14*1), V2
+	MOVQ i3-64(SP), AX
+	MOVV (AX)(R14*1), V3
 
 v1_reduce:
 	TESTQ CX, CX
 	JZ    v1_store
+	PCALIGN $32
 
 v1_loop:
-	MOVUPS (SI), X8
-	ADDQ   R13, SI
-	BCAST((R8), X10)
-	MULV   X8, X10
-	ADDV   X10, X0
-	BCAST((R9), X11)
-	MULV   X8, X11
-	ADDV   X11, X1
-	BCAST((R10), X12)
-	MULV   X8, X12
-	ADDV   X12, X2
-	BCAST((R11), X13)
-	MULV   X8, X13
-	ADDV   X13, X3
-	ADDQ   R12, R8
-	ADDQ   R12, R9
-	ADDQ   R12, R10
-	ADDQ   R12, R11
-	DECQ   CX
-	JNZ    v1_loop
+	MOVV (SI), V8
+	ADDQ R13, SI
+	BCAST((R8), V10)
+	MULV(V8, V10)
+	ADDV(V10, V0)
+	BCAST((R9), V11)
+	MULV(V8, V11)
+	ADDV(V11, V1)
+	BCAST((R10), V12)
+	MULV(V8, V12)
+	ADDV(V12, V2)
+	BCAST((R11), V13)
+	MULV(V8, V13)
+	ADDV(V13, V3)
+	ADDQ R12, R8
+	ADDQ R12, R9
+	ADDQ R12, R10
+	ADDQ R12, R11
+	DECQ CX
+	JNZ  v1_loop
 
 v1_store:
-	MOVQ   d0-8(SP), AX
-	MOVUPS X0, (AX)(R14*1)
-	MOVQ   d1-16(SP), AX
-	MOVUPS X1, (AX)(R14*1)
-	MOVQ   d2-24(SP), AX
-	MOVUPS X2, (AX)(R14*1)
-	MOVQ   d3-32(SP), AX
-	MOVUPS X3, (AX)(R14*1)
-	ADDQ   $16, R14
-	JMP    tile_rewind
+	MOVQ d0-8(SP), AX
+	MOVV V0, (AX)(R14*1)
+	MOVQ d1-16(SP), AX
+	MOVV V1, (AX)(R14*1)
+	MOVQ d2-24(SP), AX
+	MOVV V2, (AX)(R14*1)
+	MOVQ d3-32(SP), AX
+	MOVV V3, (AX)(R14*1)
+	ADDQ $VBYTES, R14
+	JMP  tile_rewind
+
+#ifdef BCASTH
+	// 4 rows × the XMM half of a vector (16 to 31 bytes of the row left
+	// under YMM vectors): the one-vector chunk again on X0–X3 and X8.
+tile_h1:
+	CMPQ init+8(FP), $0
+	JEQ  h1_reduce
+	MOVQ i0-40(SP), AX
+	MOVV (AX)(R14*1), X0
+	MOVQ i1-48(SP), AX
+	MOVV (AX)(R14*1), X1
+	MOVQ i2-56(SP), AX
+	MOVV (AX)(R14*1), X2
+	MOVQ i3-64(SP), AX
+	MOVV (AX)(R14*1), X3
+
+h1_reduce:
+	TESTQ CX, CX
+	JZ    h1_store
+	PCALIGN $32
+
+h1_loop:
+	MOVV (SI), X8
+	ADDQ R13, SI
+	BCASTH((R8), X10)
+	MULV(X8, X10)
+	ADDV(X10, X0)
+	BCASTH((R9), X11)
+	MULV(X8, X11)
+	ADDV(X11, X1)
+	BCASTH((R10), X12)
+	MULV(X8, X12)
+	ADDV(X12, X2)
+	BCASTH((R11), X13)
+	MULV(X8, X13)
+	ADDV(X13, X3)
+	ADDQ R12, R8
+	ADDQ R12, R9
+	ADDQ R12, R10
+	ADDQ R12, R11
+	DECQ CX
+	JNZ  h1_loop
+
+h1_store:
+	MOVQ d0-8(SP), AX
+	MOVV X0, (AX)(R14*1)
+	MOVQ d1-16(SP), AX
+	MOVV X1, (AX)(R14*1)
+	MOVQ d2-24(SP), AX
+	MOVV X2, (AX)(R14*1)
+	MOVQ d3-32(SP), AX
+	MOVV X3, (AX)(R14*1)
+	ADDQ $16, R14
+	JMP  tile_rewind
+#endif
 
 	// 4 rows × 1 element (the columns past the last whole vector): the
-	// same sequence on scalars.
+	// same sequence on scalars, in lane 0 of X0–X3, X8 and X10–X13.
 tile_e1:
 	CMPQ init+8(FP), $0
 	JEQ  e1_reduce
@@ -271,22 +342,23 @@ tile_e1:
 e1_reduce:
 	TESTQ CX, CX
 	JZ    e1_store
+	PCALIGN $32
 
 e1_loop:
 	MOV1 (SI), X8
 	ADDQ R13, SI
 	MOV1 (R8), X10
-	MUL1 X8, X10
-	ADD1 X10, X0
+	MUL1(X8, X10)
+	ADD1(X10, X0)
 	MOV1 (R9), X11
-	MUL1 X8, X11
-	ADD1 X11, X1
+	MUL1(X8, X11)
+	ADD1(X11, X1)
 	MOV1 (R10), X12
-	MUL1 X8, X12
-	ADD1 X12, X2
+	MUL1(X8, X12)
+	ADD1(X12, X2)
 	MOV1 (R11), X13
-	MUL1 X8, X13
-	ADD1 X13, X3
+	MUL1(X8, X13)
+	ADD1(X13, X3)
 	ADDQ R12, R8
 	ADDQ R12, R9
 	ADDQ R12, R10
@@ -315,3 +387,5 @@ tile_rewind:
 	SUBQ  AX, R10
 	SUBQ  AX, R11
 	JMP   tile_cols
+
+tile_done:

@@ -16,6 +16,7 @@ import (
 // assert on.
 type metricsDoc struct {
 	Counters   map[string]int64 `json:"counters"`
+	Gauges     map[string]int64 `json:"gauges"`
 	Histograms map[string]struct {
 		Count int64   `json:"count"`
 		Sum   float64 `json:"sum"`
@@ -76,6 +77,11 @@ func TestSearchMetricsSmoke(t *testing.T) {
 		if doc.Counters[name] <= 0 {
 			t.Errorf("counter %q = %d, want > 0", name, doc.Counters[name])
 		}
+	}
+	// Which GEMM body produced the series: the assembly at AVX2 or SSE2
+	// vectors, or the Go loops — and it is the body the products run.
+	if vb := doc.Gauges["tensor.gemm.vector_bytes"]; vb != int64(gemmVectorBytes) || (vb != 32 && vb != 16 && vb != 8) {
+		t.Errorf("gauge tensor.gemm.vector_bytes = %d, want %d (one of 32, 16, 8)", vb, gemmVectorBytes)
 	}
 	for _, name := range []string{
 		"tensor.gemm.seconds",
