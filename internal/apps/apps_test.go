@@ -1,11 +1,14 @@
 package apps
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"swtnas/internal/data"
 	"swtnas/internal/nn"
+	"swtnas/internal/search"
 )
 
 func smallCfg() Config {
@@ -160,4 +163,58 @@ func TestCIFARHasVGGBlockStructure(t *testing.T) {
 
 func containsSuffix(name, suffix string) bool {
 	return len(name) >= len(suffix) && name[len(name)-len(suffix):] == suffix
+}
+
+// TestCandidatesOfOneSpaceTrainConcurrently is the two-evaluator case of a
+// search: two candidates built from one Space — sharing its loss value, its
+// metric and the dataset — train side by side (under -race in CI) and each
+// ends, bit for bit, where it ends alone. Networks keep their step buffers,
+// so anything two of them shared would show here.
+func TestCandidatesOfOneSpaceTrainConcurrently(t *testing.T) {
+	app, err := New("nt3", 2, smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	archRNG := rand.New(rand.NewSource(41))
+	archs := []search.Arch{app.Space.Random(archRNG), app.Space.Random(archRNG)}
+	fit := func(i int) []float64 {
+		rng := rand.New(rand.NewSource(int64(i)))
+		net, err := app.Space.Build(archs[i], rng)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		h, err := nn.Fit(net, app.Space.Loss, app.Space.Metric, nn.NewAdam(),
+			app.Dataset.Train, app.Dataset.Val, nn.FitConfig{Epochs: 2, BatchSize: 8, RNG: rng})
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		out := append([]float64(nil), h.ValScore...)
+		for _, p := range net.Params() {
+			out = append(out, p.W.Data...)
+		}
+		return out
+	}
+	alone := [][]float64{fit(0), fit(1)}
+	together := make([][]float64, 2)
+	var wg sync.WaitGroup
+	for i := range together {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			together[i] = fit(i)
+		}(i)
+	}
+	wg.Wait()
+	for i := range alone {
+		if len(alone[i]) == 0 || len(alone[i]) != len(together[i]) {
+			t.Fatalf("candidate %d: %d values alone, %d beside the other", i, len(alone[i]), len(together[i]))
+		}
+		for j, v := range alone[i] {
+			if math.Float64bits(v) != math.Float64bits(together[i][j]) {
+				t.Fatalf("candidate %d differs at value %d when trained beside the other: %v, alone %v", i, j, together[i][j], v)
+			}
+		}
+	}
 }

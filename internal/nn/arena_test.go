@@ -9,8 +9,8 @@ import (
 
 // buildArenaNet builds a 3-conv network (conv → relu → conv → maxpool →
 // conv → gap → dense) whose conv layers have different patch-matrix sizes,
-// so the shared arena must fit the largest and the recompute path runs for
-// the two shallower convs during backward.
+// so the shared patch matrices must fit the largest and the recompute path
+// runs for the two shallower convs during backward.
 func buildArenaNet(t *testing.T, seed int64) (*Network, []*Conv2D) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -54,19 +54,17 @@ func runArenaNet(t *testing.T, net *Network, batch int) (*tensor.Tensor, []float
 	return out, grads
 }
 
-// TestConvArenaSharedAndDepthIndependent asserts the tentpole memory claim:
-// every conv layer of a network shares ONE arena, and after a training step
-// the arena's cols/dcols buffers are sized for the largest layer's patch
-// matrix — not the sum over layers — so peak scratch is depth-independent.
+// TestConvArenaSharedAndDepthIndependent asserts the memory claim of
+// convColsOf: every conv layer of a network shares the network's ONE pair of
+// patch matrices, and after a training step cols/dcols are sized for the
+// largest layer's patch matrix — not the sum over layers — so patch memory
+// is depth-independent.
 func TestConvArenaSharedAndDepthIndependent(t *testing.T) {
 	net, convs := buildArenaNet(t, 7)
-	if net.arena == nil {
-		t.Fatal("network built with conv layers has no arena")
-	}
 	var sum, max int
 	for _, c := range convs {
-		if c.arena != net.arena {
-			t.Errorf("conv %q has a private arena, want the shared network arena", c.Name())
+		if c.cols != &net.cols {
+			t.Errorf("conv %q has private patch matrices, want the network's shared ones", c.Name())
 		}
 		per := c.outH * c.outW * c.kdim()
 		sum += per
@@ -74,16 +72,17 @@ func TestConvArenaSharedAndDepthIndependent(t *testing.T) {
 			max = per
 		}
 	}
-	if net.arena.perSample != max {
-		t.Errorf("arena perSample = %d, want max layer patch size %d", net.arena.perSample, max)
+	if net.cols.perSample != max {
+		t.Errorf("shared perSample = %d, want max layer patch size %d", net.cols.perSample, max)
 	}
 
 	const batch = 3
 	runArenaNet(t, net, batch)
-	if got, want := cap(net.arena.cols), batch*max; got != want {
+	cols, dcols := net.cols.slots[0].Data, net.cols.slots[1].Data
+	if got, want := cap(cols), batch*max; got != want {
 		t.Errorf("cols capacity = %d, want batch*maxPerSample = %d (depth-independent)", got, want)
 	}
-	if got, want := cap(net.arena.dcols), batch*max; got != want {
+	if got, want := cap(dcols), batch*max; got != want {
 		t.Errorf("dcols capacity = %d, want batch*maxPerSample = %d (depth-independent)", got, want)
 	}
 	if batch*sum <= batch*max {
@@ -92,21 +91,21 @@ func TestConvArenaSharedAndDepthIndependent(t *testing.T) {
 	// cols and dcols must be distinct allocations: forward patches (read by
 	// the weight-gradient GEMM) and backward patch gradients coexist within
 	// one Backward call.
-	if &net.arena.cols[0] == &net.arena.dcols[0] {
+	if &cols[0] == &dcols[0] {
 		t.Error("cols and dcols alias the same backing array")
 	}
 }
 
 // TestConvArenaMatchesPrivateBuffers asserts that sharing scratch does not
 // change a single bit of any output or gradient: the same seeded network run
-// with the shared arena and with per-layer private arenas (the pre-arena
-// behavior) must agree exactly, including the weight gradients computed from
+// with the shared matrices and with per-layer private ones must agree
+// exactly, including the weight gradients computed from
 // re-gathered patches on the recompute path.
 func TestConvArenaMatchesPrivateBuffers(t *testing.T) {
 	shared, _ := buildArenaNet(t, 7)
 	private, privConvs := buildArenaNet(t, 7)
 	for _, c := range privConvs {
-		c.arena = nil // Forward lazily creates a private arena per layer
+		c.cols = nil // Forward lazily makes private matrices per layer
 	}
 
 	outS, gradsS := runArenaNet(t, shared, 3)
@@ -122,16 +121,16 @@ func TestConvArenaMatchesPrivateBuffers(t *testing.T) {
 		t.Errorf("shared-arena gradients differ from private buffers by %g (must be bit-identical)", d)
 	}
 
-	// The private nets really did use separate arenas (one per conv).
-	seen := map[*convArenaOf[float64]]bool{}
+	// The private nets really did use separate matrices (one pair per conv).
+	seen := map[*convColsOf[float64]]bool{}
 	for _, c := range privConvs {
-		if c.arena == nil {
-			t.Fatalf("conv %q never created its private arena", c.Name())
+		if c.cols == nil {
+			t.Fatalf("conv %q never made its private patch matrices", c.Name())
 		}
-		if seen[c.arena] {
-			t.Fatalf("private-arena control run unexpectedly shares an arena")
+		if seen[c.cols] {
+			t.Fatalf("private control run unexpectedly shares patch matrices")
 		}
-		seen[c.arena] = true
+		seen[c.cols] = true
 	}
 }
 
@@ -141,7 +140,7 @@ func TestConvArenaMatchesPrivateBuffers(t *testing.T) {
 // than computing weight gradients from another layer's patch rows.
 func TestConvArenaRecomputeAfterInterleavedForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	a := &convArenaOf[float64]{}
+	a := &convColsOf[float64]{}
 	c1 := NewConv1D("c1", 3, 2, 4, Same, 0, rng)
 	c2 := NewConv1D("c2", 3, 4, 4, Same, 0, rng)
 	if _, err := c1.OutShape([][]int{{16, 2}}); err != nil {
@@ -150,8 +149,8 @@ func TestConvArenaRecomputeAfterInterleavedForward(t *testing.T) {
 	if _, err := c2.OutShape([][]int{{16, 4}}); err != nil {
 		t.Fatal(err)
 	}
-	c1.setArena(a)
-	c2.setArena(a)
+	c1.setCols(a)
+	c2.setCols(a)
 
 	x := tensor.New(2, 16, 2)
 	x.RandNormal(rng, 1)
@@ -162,7 +161,7 @@ func TestConvArenaRecomputeAfterInterleavedForward(t *testing.T) {
 	d1 := c1.Backward(g)[0]
 	gotDW := append([]float64(nil), c1.W.Grad.Data...)
 
-	// Control: identical layer with its own arena, same forward input and
+	// Control: identical layer with its own matrices, same forward input and
 	// backward gradient, no interleaved overwrite.
 	rng2 := rand.New(rand.NewSource(9))
 	ctrl := NewConv1D("c1", 3, 2, 4, Same, 0, rng2)

@@ -10,12 +10,12 @@ import (
 // AvgPool2D is average pooling over [B, H, W, C] inputs with a square
 // window, with the same degenerate-window identity fallback as MaxPool2D.
 type AvgPool2DOf[T tensor.Float] struct {
+	stepBufsOf[T]
 	name         string
 	Size, Stride int
 	identity     bool
 	inH, inW, ch int
 	outH, outW   int
-	inShape      []int
 }
 
 // NewAvgPool2D creates an average-pooling layer.
@@ -41,7 +41,6 @@ func (p *AvgPool2DOf[T]) OutShape(in [][]int) ([]int, error) {
 		return nil, fmt.Errorf("avgpool2d wants input (H, W, C), got %s", tensor.ShapeString(s))
 	}
 	p.inH, p.inW, p.ch = s[0], s[1], s[2]
-	p.inShape = append([]int(nil), s...)
 	p.identity = p.inH < p.Size || p.inW < p.Size
 	if p.identity {
 		p.outH, p.outW = p.inH, p.inW
@@ -58,7 +57,7 @@ func (p *AvgPool2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 		return x
 	}
 	b := x.Shape[0]
-	out := tensor.NewOf[T](b, p.outH, p.outW, p.ch)
+	out := p.buf(slotOut, b, p.outH, p.outW, p.ch)
 	inRow := p.inW * p.ch
 	orow := p.outW * p.ch
 	inv := T(1.0 / float64(p.Size*p.Size))
@@ -90,10 +89,11 @@ func (p *AvgPool2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 
 func (p *AvgPool2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 	if p.identity {
-		return []*tensor.TensorOf[T]{dOut}
+		return p.grads(dOut)
 	}
 	b := dOut.Shape[0]
-	dIn := tensor.NewOf[T](append([]int{b}, p.inShape...)...)
+	dIn := p.buf(slotDIn, b, p.inH, p.inW, p.ch)
+	dIn.Zero()
 	inRow := p.inW * p.ch
 	orow := p.outW * p.ch
 	inv := T(1.0 / float64(p.Size*p.Size))
@@ -118,22 +118,23 @@ func (p *AvgPool2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 			}
 		}
 	}
-	if p.Stride >= p.Size {
-		// Disjoint windows: output rows write disjoint input regions.
-		parallel.For(b*p.outH, parallel.MinChunk(orow*p.Size*p.Size*costGather), scatterRows)
-		return []*tensor.TensorOf[T]{dIn}
+	// Disjoint windows: output rows write disjoint input regions. Overlapping
+	// ones: only samples are independent; within one the scatter keeps the
+	// serial ascending output order (see pool.go).
+	items, rows := b*p.outH, 1
+	if p.Stride < p.Size {
+		items, rows = b, p.outH
 	}
-	// Overlapping windows: only samples are independent; within one sample
-	// the scatter keeps the serial ascending output order (see pool.go).
-	parallel.For(b, parallel.MinChunk(p.outH*orow*p.Size*p.Size*costGather), func(lo, hi int) {
-		scatterRows(lo*p.outH, hi*p.outH)
+	parallel.For(items, parallel.MinChunk(rows*orow*p.Size*p.Size*costGather), func(lo, hi int) {
+		scatterRows(lo*rows, hi*rows)
 	})
-	return []*tensor.TensorOf[T]{dIn}
+	return p.grads(dIn)
 }
 
 // GlobalAvgPool averages each channel over all spatial positions, turning
 // [B, ..., C] into [B, C].
 type GlobalAvgPoolOf[T tensor.Float] struct {
+	stepBufsOf[T]
 	name    string
 	inShape []int
 	spatial int
@@ -163,15 +164,16 @@ func (p *GlobalAvgPoolOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *t
 	x := in[0]
 	b := x.Shape[0]
 	c := p.inShape[len(p.inShape)-1]
-	out := tensor.NewOf[T](b, c)
+	out := p.buf(slotOut, b, c)
 	inv := T(1.0 / float64(p.spatial))
-	// Samples reduce independently; each per-channel sum runs in ascending
-	// spatial order exactly like the serial loop, so results are
+	// Samples reduce independently; each per-channel sum runs from zero in
+	// ascending spatial order exactly like the serial loop, so results are
 	// bit-identical for any worker count.
 	parallel.For(b, parallel.MinChunk(p.spatial*c*costStream), func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
 			base := bi * p.spatial * c
 			ob := out.Data[bi*c : (bi+1)*c]
+			zero(ob)
 			for s := 0; s < p.spatial; s++ {
 				row := x.Data[base+s*c : base+(s+1)*c]
 				for ci, v := range row {
@@ -189,7 +191,8 @@ func (p *GlobalAvgPoolOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *t
 func (p *GlobalAvgPoolOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 	b := dOut.Shape[0]
 	c := p.inShape[len(p.inShape)-1]
-	dIn := tensor.NewOf[T](append([]int{b}, p.inShape...)...)
+	dIn := p.buf(slotDIn, b, p.spatial, c)
+	dIn.Shape = append(dIn.Shape[:1], p.inShape...) // [b, spatial..., c]
 	inv := T(1.0 / float64(p.spatial))
 	parallel.For(b, parallel.MinChunk(p.spatial*c*costStream), func(lo, hi int) {
 		for bi := lo; bi < hi; bi++ {
@@ -203,12 +206,13 @@ func (p *GlobalAvgPoolOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.Tensor
 			}
 		}
 	})
-	return []*tensor.TensorOf[T]{dIn}
+	return p.grads(dIn)
 }
 
 // Add sums two equally shaped activations element-wise — the residual
 // (skip) connection primitive.
 type AddOf[T tensor.Float] struct {
+	stepBufsOf[T]
 	name string
 }
 
@@ -230,16 +234,17 @@ func (a *AddOf[T]) OutShape(in [][]int) ([]int, error) {
 }
 
 func (a *AddOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
-	out := in[0].Clone()
+	out := a.buf(slotOut, in[0].Shape...)
 	parallel.For(len(out.Data), parallel.MinChunk(costStream), func(lo, hi int) {
-		od := out.Data[lo:hi]
+		od, x := out.Data[lo:hi], in[0].Data[lo:hi]
 		for i, v := range in[1].Data[lo:hi] {
-			od[i] += v
+			od[i] = x[i] + v
 		}
 	})
 	return out
 }
 
+// Backward hands the same tensor — the dOut it was given — to both inputs.
 func (a *AddOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
-	return []*tensor.TensorOf[T]{dOut, dOut}
+	return a.grads(dOut, dOut)
 }

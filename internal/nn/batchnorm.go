@@ -25,6 +25,7 @@ import (
 // what TestParallelBatchNormMatchesSerial pins (workers=1 runs the same
 // blocked path inline).
 type BatchNormOf[T tensor.Float] struct {
+	stepBufsOf[T]
 	name string
 	C    int
 	// Momentum is the exponential-moving-average factor of the running
@@ -33,13 +34,23 @@ type BatchNormOf[T tensor.Float] struct {
 	// Eps stabilizes the inverse standard deviation.
 	Eps float64
 
-	Gamma, Beta          *ParamOf[T]
-	RunMean, RunVar      *ParamOf[T] // non-trainable (nil Grad)
-	lastXHat             []T
-	lastInvStd, lastMean []T
-	inShape              []int
-	seen                 bool // running stats initialized from a batch yet?
+	Gamma, Beta     *ParamOf[T]
+	RunMean, RunVar *ParamOf[T] // non-trainable (nil Grad)
+	lastXHat        []T         // nil after an inference pass
+	lastInvStd      []T
+	inShape         []int
+	seen            bool // running stats initialized from a batch yet?
 }
+
+// BatchNorm's own slots: x̂, per-channel vectors, the reductions' partials.
+const (
+	bnXHat = slotAux + iota
+	bnMean
+	bnVar
+	bnInvStd
+	bnSums
+	bnPartials
+)
 
 // bnBlockRows is the fixed reduction block size: per-channel sums are formed
 // per block of this many rows, then combined in ascending block order. It is
@@ -84,13 +95,15 @@ func (b *BatchNormOf[T]) OutShape(in [][]int) ([]int, error) {
 	return append([]int(nil), s...), nil
 }
 
-// bnReduce computes a width-wide column reduction over n rows: acc adds rows
-// [r0, r1) into its partial-sum slice, once per fixed bnBlockRows block in
-// parallel; the block partials are then combined serially in ascending block
-// order. The result is independent of the worker count by construction.
-func bnReduce[T tensor.Float](n, width int, acc func(ps []T, r0, r1 int)) []T {
+// reduce computes a width-wide column reduction over n rows into buffer slot:
+// acc adds rows [r0, r1) into its (cleared) partial-sum slice, once per fixed
+// bnBlockRows block in parallel; the block partials are then combined
+// serially in ascending block order. The result is independent of the worker
+// count by construction.
+func (b *BatchNormOf[T]) reduce(slot, n, width int, acc func(ps []T, r0, r1 int)) []T {
 	nb := (n + bnBlockRows - 1) / bnBlockRows
-	partials := make([]T, nb*width)
+	partials := b.buf(bnPartials, nb*width).Data
+	zero(partials)
 	parallel.For(nb, parallel.MinChunk(bnBlockRows*width*costBranch), func(lo, hi int) {
 		for blk := lo; blk < hi; blk++ {
 			r0 := blk * bnBlockRows
@@ -101,7 +114,8 @@ func bnReduce[T tensor.Float](n, width int, acc func(ps []T, r0, r1 int)) []T {
 			acc(partials[blk*width:(blk+1)*width], r0, r1)
 		}
 	})
-	out := make([]T, width)
+	out := b.buf(slot, width).Data
+	zero(out)
 	for blk := 0; blk < nb; blk++ {
 		for c, v := range partials[blk*width : (blk+1)*width] {
 			out[c] += v
@@ -113,7 +127,7 @@ func bnReduce[T tensor.Float](n, width int, acc func(ps []T, r0, r1 int)) []T {
 func (b *BatchNormOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
 	x := in[0]
 	n := x.Numel() / b.C // samples per channel (batch × spatial)
-	out := tensor.NewOf[T](x.Shape...)
+	out := b.buf(slotOut, x.Shape...)
 	gamma, beta := b.Gamma.W.Data, b.Beta.W.Data
 
 	if !training {
@@ -128,7 +142,7 @@ func (b *BatchNormOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 		return out
 	}
 
-	mean := bnReduce(n, b.C, func(ps []T, r0, r1 int) {
+	mean := b.reduce(bnMean, n, b.C, func(ps []T, r0, r1 int) {
 		for i := r0 * b.C; i < r1*b.C; i++ {
 			ps[i%b.C] += x.Data[i]
 		}
@@ -136,22 +150,19 @@ func (b *BatchNormOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 	for c := range mean {
 		mean[c] /= T(n)
 	}
-	variance := bnReduce(n, b.C, func(ps []T, r0, r1 int) {
+	variance := b.reduce(bnVar, n, b.C, func(ps []T, r0, r1 int) {
 		for i := r0 * b.C; i < r1*b.C; i++ {
 			d := x.Data[i] - mean[i%b.C]
 			ps[i%b.C] += d * d
 		}
 	})
-	invStd := make([]T, b.C)
+	invStd := b.buf(bnInvStd, b.C).Data
 	for c := range variance {
 		variance[c] /= T(n)
 		invStd[c] = T(1 / math.Sqrt(float64(variance[c])+b.Eps))
 	}
 
-	if cap(b.lastXHat) < x.Numel() {
-		b.lastXHat = make([]T, x.Numel())
-	}
-	b.lastXHat = b.lastXHat[:x.Numel()]
+	b.lastXHat = b.buf(bnXHat, x.Numel()).Data
 	parallel.For(n, parallel.MinChunk(b.C*costBranch), func(lo, hi int) {
 		for i := lo * b.C; i < hi*b.C; i++ {
 			c := i % b.C
@@ -160,7 +171,7 @@ func (b *BatchNormOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 			out.Data[i] = gamma[c]*xh + beta[c]
 		}
 	})
-	b.lastInvStd, b.lastMean = invStd, mean
+	b.lastInvStd = invStd
 
 	rm, rv := b.RunMean.W.Data, b.RunVar.W.Data
 	if !b.seen {
@@ -187,7 +198,7 @@ func (b *BatchNormOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 
 	// One blocked pass produces both per-channel sums: partial layout is
 	// [sumDy | sumDyXHat] per block.
-	sums := bnReduce(n, 2*b.C, func(ps []T, r0, r1 int) {
+	sums := b.reduce(bnSums, n, 2*b.C, func(ps []T, r0, r1 int) {
 		for i := r0 * b.C; i < r1*b.C; i++ {
 			c := i % b.C
 			g := dOut.Data[i]
@@ -200,7 +211,7 @@ func (b *BatchNormOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 		dGamma[c] += sumDyXHat[c]
 		dBeta[c] += sumDy[c]
 	}
-	dIn := tensor.NewOf[T](dOut.Shape...)
+	dIn := b.buf(slotDIn, dOut.Shape...)
 	nf := T(n)
 	parallel.For(n, parallel.MinChunk(b.C*costBranch), func(lo, hi int) {
 		for i := lo * b.C; i < hi*b.C; i++ {
@@ -209,5 +220,5 @@ func (b *BatchNormOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 				(nf*dOut.Data[i] - sumDy[c] - b.lastXHat[i]*sumDyXHat[c])
 		}
 	})
-	return []*tensor.TensorOf[T]{dIn}
+	return b.grads(dIn)
 }

@@ -29,13 +29,83 @@ import (
 // workers=1 and identical across worker counts (the direct loops survive as
 // a test-only reference in convdirect_test.go).
 //
-// The cols/dcols patch buffers come from a convArena (arena.go) shared by
-// every conv layer of a network, so scratch memory is depth-independent.
+// The cols/dcols patch matrices come from a convColsOf (buffers.go) shared by
+// every conv layer of a network, so patch memory is depth-independent. A
+// network's first layer, whose input gradient nobody consumes, skips GemmBT
+// and col2im altogether.
 
 func zero[T tensor.Float](p []T) {
 	for i := range p {
 		p[i] = 0
 	}
+}
+
+// convOf is what convBaseOf needs of the convolution embedding it. setCols
+// adopts the network-shared patch matrices: Network.Add calls it after shape
+// inference, so the layer knows its patch-matrix size.
+type convOf[T tensor.Float] interface {
+	LayerOf[T]
+	setCols(a *convColsOf[T])
+	im2col(x *tensor.TensorOf[T], cols []T)
+	col2im(dcols []T, dIn *tensor.TensorOf[T])
+}
+
+// convBaseOf is the half of a convolution that does not depend on its rank:
+// the buffers, the cached input, and the two passes in terms of im2col and
+// col2im over a rows × kdim patch matrix.
+type convBaseOf[T tensor.Float] struct {
+	stepBufsOf[T]
+	lastIn *tensor.TensorOf[T]
+	// cols is shared with every other conv layer of the owning Network; a
+	// standalone layer makes its own on first Forward.
+	cols *convColsOf[T]
+}
+
+// forward lowers x to im2col patches and runs one blocked GEMM against the
+// weight matrix into out.
+func (cb *convBaseOf[T]) forward(c convOf[T], x, out *tensor.TensorOf[T], w, bias *ParamOf[T], rows, kdim int) *tensor.TensorOf[T] {
+	cb.lastIn = x
+	if cb.cols == nil {
+		c.setCols(&convColsOf[T]{})
+	}
+	cols := cb.cols.cols(x.Shape[0], rows*kdim)
+	c.im2col(x, cols)
+	cb.cols.owner = c
+	tensor.Gemm(out.Data, cols, w.W.Data, rows, kdim, len(bias.W.Data), bias.W.Data)
+	return out
+}
+
+// backward computes all three gradients through the GEMM kernels: the bias
+// gradient is a serial column sum of dOut (cheap and order-stable), the
+// weight gradient is patchesᵀ·dOut on the forward im2col matrix, and the
+// input gradient — when it has a consumer — is dOut·Wᵀ scattered back
+// through col2im onto a cleared buffer. When a deeper conv layer has
+// overwritten the shared patch matrix since this layer's Forward, the
+// patches are re-gathered from the cached input first; the deepest conv
+// runs backward first and always hits.
+func (cb *convBaseOf[T]) backward(c convOf[T], dOut *tensor.TensorOf[T], w, bias *ParamOf[T], rows, kdim int) []*tensor.TensorOf[T] {
+	x, outC := cb.lastIn, len(bias.W.Data)
+	db := bias.Grad.Data
+	for i := 0; i < rows; i++ {
+		for f, g := range dOut.Data[i*outC : (i+1)*outC] {
+			db[f] += g
+		}
+	}
+	cols := cb.cols.cols(x.Shape[0], rows*kdim)
+	if cb.cols.owner != c {
+		c.im2col(x, cols)
+		cb.cols.owner = c
+	}
+	tensor.GemmAT(w.Grad.Data, cols, dOut.Data, rows, kdim, outC)
+	if cb.deadIn {
+		return cb.grads(nil)
+	}
+	dcols := cb.cols.dcols(x.Shape[0], rows*kdim)
+	tensor.GemmBT(dcols, dOut.Data, w.W.Data, rows, outC, kdim)
+	dIn := cb.buf(slotDIn, x.Shape...)
+	dIn.Zero()
+	c.col2im(dcols, dIn)
+	return cb.grads(dIn)
 }
 
 // Padding selects the convolution border mode, mirroring Keras "valid"/"same".
@@ -64,20 +134,15 @@ func (p Padding) String() string {
 // chosen mode is visible via EffectivePadding. This mirrors the guard rails
 // NAS frameworks put around degenerate candidates.
 type Conv2DOf[T tensor.Float] struct {
+	convBaseOf[T]
 	name       string
 	KH, KW     int
 	InC, OutC  int
 	Pad        Padding
 	effPad     Padding
 	W, B       *ParamOf[T]
-	lastIn     *tensor.TensorOf[T]
 	inH, inW   int
 	outH, outW int
-	// arena provides the im2col patch buffer ([B*outH*outW, KH*KW*InC])
-	// and the col2im patch-gradient buffer, shared with every other conv
-	// layer of the owning Network (injected by Network.Add); a standalone
-	// layer lazily creates a private arena on first Forward.
-	arena *convArenaOf[T]
 }
 
 // NewConv2D creates a conv layer with He-normal weights (ReLU-friendly).
@@ -130,35 +195,14 @@ func (c *Conv2DOf[T]) padOffsets() (int, int) {
 // holds every (ky, kx, ci) tap.
 func (c *Conv2DOf[T]) kdim() int { return c.KH * c.KW * c.InC }
 
-// setArena adopts the network-shared scratch arena (Network.Add calls this
-// after shape inference, so the layer's patch-matrix size is known).
-func (c *Conv2DOf[T]) setArena(a *convArenaOf[T]) {
-	c.arena = a
-	a.attach(c.outH * c.outW * c.kdim())
+func (c *Conv2DOf[T]) setCols(a *convColsOf[T]) {
+	c.cols = a
+	a.perSample = max(a.perSample, c.outH*c.outW*c.kdim())
 }
 
-// ensureArena gives a standalone layer (used outside a Network) a private
-// arena, which behaves exactly like the old per-layer buffers.
-func (c *Conv2DOf[T]) ensureArena() {
-	if c.arena == nil {
-		c.setArena(&convArenaOf[T]{})
-	}
-}
-
-// Forward lowers the input to im2col patches and runs one blocked GEMM
-// against the weight matrix.
 func (c *Conv2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
-	x := in[0]
-	c.lastIn = x
-	b := x.Shape[0]
-	out := tensor.NewOf[T](b, c.outH, c.outW, c.OutC)
-	rows := b * c.outH * c.outW
-	c.ensureArena()
-	cols := c.arena.colsFor(b, rows*c.kdim())
-	c.im2col(x, cols)
-	c.arena.setOwner(c)
-	tensor.Gemm(out.Data, cols, c.W.W.Data, rows, c.kdim(), c.OutC, c.B.W.Data)
-	return out
+	b := in[0].Shape[0]
+	return c.forward(c, in[0], c.buf(slotOut, b, c.outH, c.outW, c.OutC), c.W, c.B, b*c.outH*c.outW, c.kdim())
 }
 
 // im2col writes one patch row per (sample, oy, ox) output position into
@@ -207,35 +251,8 @@ func (c *Conv2DOf[T]) im2col(x *tensor.TensorOf[T], cols []T) {
 	})
 }
 
-// Backward computes all three gradients through the GEMM kernels: the bias
-// gradient is a serial column sum of dOut (cheap and order-stable), the
-// weight gradient is patchesᵀ·dOut on the forward im2col buffer, and the
-// input gradient is dOut·Wᵀ scattered back through col2im. When a deeper
-// conv layer has overwritten the shared patch buffer since this layer's
-// Forward, the patches are re-gathered from the cached input first; the
-// deepest conv runs backward first and always hits.
 func (c *Conv2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
-	x := c.lastIn
-	b := x.Shape[0]
-	rows := b * c.outH * c.outW
-	kdim := c.kdim()
-	dIn := tensor.NewOf[T](x.Shape...)
-	db := c.B.Grad.Data
-	for i := 0; i < rows; i++ {
-		for f, g := range dOut.Data[i*c.OutC : (i+1)*c.OutC] {
-			db[f] += g
-		}
-	}
-	cols := c.arena.colsFor(b, rows*kdim)
-	if !c.arena.holds(c) {
-		c.im2col(x, cols)
-		c.arena.setOwner(c)
-	}
-	tensor.GemmAT(c.W.Grad.Data, cols, dOut.Data, rows, kdim, c.OutC)
-	dcols := c.arena.dcolsFor(b, rows*kdim)
-	tensor.GemmBT(dcols, dOut.Data, c.W.W.Data, rows, c.OutC, kdim)
-	c.col2im(dcols, dIn)
-	return []*tensor.TensorOf[T]{dIn}
+	return c.backward(c, dOut, c.W, c.B, dOut.Shape[0]*c.outH*c.outW, c.kdim())
 }
 
 // col2im accumulates the patch gradients back onto the input positions they
@@ -291,17 +308,14 @@ func (c *Conv2DOf[T]) col2im(dcols []T, dIn *tensor.TensorOf[T]) {
 // [K, C, F]. It powers the NT3-like gene-sequence search space. The same
 // degenerate-valid fallback as Conv2D applies.
 type Conv1DOf[T tensor.Float] struct {
+	convBaseOf[T]
 	name      string
 	K         int
 	InC, OutC int
 	Pad       Padding
 	effPad    Padding
 	W, B      *ParamOf[T]
-	lastIn    *tensor.TensorOf[T]
 	inL, outL int
-	// arena supplies the im2col/col2im scratch buffers, shared across the
-	// owning network's conv layers exactly as on Conv2D.
-	arena *convArenaOf[T]
 }
 
 // NewConv1D creates a 1-D conv layer with He-normal weights.
@@ -351,33 +365,14 @@ func (c *Conv1DOf[T]) padOffset() int {
 
 func (c *Conv1DOf[T]) kdim() int { return c.K * c.InC }
 
-// setArena adopts the network-shared scratch arena.
-func (c *Conv1DOf[T]) setArena(a *convArenaOf[T]) {
-	c.arena = a
-	a.attach(c.outL * c.kdim())
+func (c *Conv1DOf[T]) setCols(a *convColsOf[T]) {
+	c.cols = a
+	a.perSample = max(a.perSample, c.outL*c.kdim())
 }
 
-// ensureArena gives a standalone layer a private arena.
-func (c *Conv1DOf[T]) ensureArena() {
-	if c.arena == nil {
-		c.setArena(&convArenaOf[T]{})
-	}
-}
-
-// Forward lowers to im2col patches and one blocked GEMM, like
-// Conv2D.Forward.
 func (c *Conv1DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
-	x := in[0]
-	c.lastIn = x
-	b := x.Shape[0]
-	out := tensor.NewOf[T](b, c.outL, c.OutC)
-	rows := b * c.outL
-	c.ensureArena()
-	cols := c.arena.colsFor(b, rows*c.kdim())
-	c.im2col(x, cols)
-	c.arena.setOwner(c)
-	tensor.Gemm(out.Data, cols, c.W.W.Data, rows, c.kdim(), c.OutC, c.B.W.Data)
-	return out
+	b := in[0].Shape[0]
+	return c.forward(c, in[0], c.buf(slotOut, b, c.outL, c.OutC), c.W, c.B, b*c.outL, c.kdim())
 }
 
 // im2col writes one patch row per (sample, ol) position, taps in (k, ci)
@@ -409,31 +404,8 @@ func (c *Conv1DOf[T]) im2col(x *tensor.TensorOf[T], cols []T) {
 	})
 }
 
-// Backward mirrors Conv2D.Backward: serial bias sum, patchesᵀ·dOut weight
-// gradient (re-gathering patches if another conv overwrote the shared
-// buffer), dOut·Wᵀ patch gradients scattered through col2im.
 func (c *Conv1DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
-	x := c.lastIn
-	b := x.Shape[0]
-	rows := b * c.outL
-	kdim := c.kdim()
-	dIn := tensor.NewOf[T](x.Shape...)
-	db := c.B.Grad.Data
-	for i := 0; i < rows; i++ {
-		for f, g := range dOut.Data[i*c.OutC : (i+1)*c.OutC] {
-			db[f] += g
-		}
-	}
-	cols := c.arena.colsFor(b, rows*kdim)
-	if !c.arena.holds(c) {
-		c.im2col(x, cols)
-		c.arena.setOwner(c)
-	}
-	tensor.GemmAT(c.W.Grad.Data, cols, dOut.Data, rows, kdim, c.OutC)
-	dcols := c.arena.dcolsFor(b, rows*kdim)
-	tensor.GemmBT(dcols, dOut.Data, c.W.W.Data, rows, c.OutC, kdim)
-	c.col2im(dcols, dIn)
-	return []*tensor.TensorOf[T]{dIn}
+	return c.backward(c, dOut, c.W, c.B, dOut.Shape[0]*c.outL, c.kdim())
 }
 
 // col2im scatters patch gradients back onto the input. Work shards over

@@ -11,6 +11,7 @@ import (
 
 // Dense is a fully connected layer: out = in·W + b with in [B, In].
 type DenseOf[T tensor.Float] struct {
+	stepBufsOf[T]
 	name    string
 	In, Out int
 	W, B    *ParamOf[T]
@@ -46,26 +47,29 @@ func (d *DenseOf[T]) OutShape(in [][]int) ([]int, error) {
 // with serial arithmetic, so results are identical for any worker count.
 func (d *DenseOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
 	x := in[0]
-	b := x.Shape[0]
 	d.lastIn = x
-	out := tensor.NewOf[T](b, d.Out)
+	out := d.buf(slotOut, x.Shape[0], d.Out)
 	if err := tensor.MatMulInto(out, x, d.W.W, d.B.W.Data); err != nil {
 		panic(err) // shapes were validated by OutShape
 	}
 	return out
 }
 
-// Backward computes dIn = dOut·Wᵀ row-parallel (GemmBT via MatMulTInto),
-// accumulates dW += Xᵀ·dOut with the blocked GemmAT kernel — the same
-// primitive the im2col convolutions use — and dB += Σ dOut serially. Each
-// dW row is produced by exactly one shard summing samples in ascending
-// order, so weight gradients are bit-identical for any worker count.
+// Backward computes dIn = dOut·Wᵀ row-parallel (GemmBT via MatMulTInto)
+// unless nobody consumes it, accumulates dW += Xᵀ·dOut with the blocked
+// GemmAT kernel — the same primitive the im2col convolutions use — and
+// dB += Σ dOut serially. Each dW row is produced by exactly one shard
+// summing samples in ascending order, so weight gradients are bit-identical
+// for any worker count.
 func (d *DenseOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 	x := d.lastIn
 	b := x.Shape[0]
-	dIn := tensor.NewOf[T](b, d.In)
-	if err := tensor.MatMulTInto(dIn, dOut, d.W.W); err != nil {
-		panic(err)
+	var dIn *tensor.TensorOf[T]
+	if !d.deadIn {
+		dIn = d.buf(slotDIn, b, d.In)
+		if err := tensor.MatMulTInto(dIn, dOut, d.W.W); err != nil {
+			panic(err)
+		}
 	}
 	db := d.B.Grad.Data
 	for i := 0; i < b; i++ {
@@ -74,12 +78,15 @@ func (d *DenseOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 		}
 	}
 	tensor.GemmAT(d.W.Grad.Data, x.Data, dOut.Data, b, d.In, d.Out)
-	return []*tensor.TensorOf[T]{dIn}
+	return d.grads(dIn)
 }
 
-// Identity passes its input through unchanged. It is the "skip" choice many
-// variable nodes offer.
-type IdentityOf[T tensor.Float] struct{ name string }
+// Identity passes its input through unchanged — the tensors it returns are
+// the ones it was handed. It is the "skip" choice many variable nodes offer.
+type IdentityOf[T tensor.Float] struct {
+	stepBufsOf[T]
+	name string
+}
 
 // NewIdentity creates an identity layer.
 func NewIdentity(name string) *Identity { return &Identity{name: name} }
@@ -99,13 +106,16 @@ func (l *IdentityOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor
 }
 
 func (l *IdentityOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
-	return []*tensor.TensorOf[T]{dOut}
+	return l.grads(dOut)
 }
 
-// Flatten reshapes [B, d1, ..., dk] to [B, d1*...*dk].
+// Flatten reshapes [B, d1, ..., dk] to [B, d1*...*dk]. Both passes return a
+// view: a header the layer keeps over the storage of what it was handed.
 type FlattenOf[T tensor.Float] struct {
-	name    string
-	inShape []int
+	stepBufsOf[T]
+	name     string
+	inShape  []int
+	out, dIn tensor.TensorOf[T]
 }
 
 // NewFlatten creates a flatten layer.
@@ -124,27 +134,20 @@ func (l *FlattenOf[T]) OutShape(in [][]int) ([]int, error) {
 
 func (l *FlattenOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
 	b := in[0].Shape[0]
-	out, err := in[0].Reshape(b, in[0].Numel()/b)
-	if err != nil {
-		panic(err)
-	}
-	return out
+	l.out.Data, l.out.Shape = in[0].Data, append(l.out.Shape[:0], b, in[0].Numel()/b)
+	return &l.out
 }
 
 func (l *FlattenOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
-	b := dOut.Shape[0]
-	shape := append([]int{b}, l.inShape...)
-	dIn, err := dOut.Reshape(shape...)
-	if err != nil {
-		panic(err)
-	}
-	return []*tensor.TensorOf[T]{dIn}
+	l.dIn.Data, l.dIn.Shape = dOut.Data, append(append(l.dIn.Shape[:0], dOut.Shape[0]), l.inShape...)
+	return l.grads(&l.dIn)
 }
 
 // Concat concatenates flat feature vectors along the feature axis:
 // k inputs of shape [B, Di] become [B, ΣDi]. It is the merge operator of the
 // Uno-like multi-input search space.
 type ConcatOf[T tensor.Float] struct {
+	stepBufsOf[T]
 	name string
 	dims []int
 }
@@ -177,7 +180,7 @@ func (l *ConcatOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.T
 	for _, d := range l.dims {
 		total += d
 	}
-	out := tensor.NewOf[T](b, total)
+	out := l.buf(slotOut, b, total)
 	for i := 0; i < b; i++ {
 		off := i * total
 		for k, t := range in {
@@ -192,10 +195,11 @@ func (l *ConcatOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.T
 func (l *ConcatOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 	b := dOut.Shape[0]
 	total := dOut.Shape[1]
-	dIns := make([]*tensor.TensorOf[T], len(l.dims))
+	l.ret = l.ret[:0]
 	for k, d := range l.dims {
-		dIns[k] = tensor.NewOf[T](b, d)
+		l.ret = append(l.ret, l.buf(slotDIn+k, b, d))
 	}
+	dIns := l.ret
 	for i := 0; i < b; i++ {
 		off := i * total
 		for k, d := range l.dims {
@@ -242,6 +246,7 @@ const leakySlope = 0.01
 
 // Activation applies an element-wise nonlinearity.
 type ActivationOf[T tensor.Float] struct {
+	stepBufsOf[T]
 	name    string
 	Kind    ActKind
 	lastOut *tensor.TensorOf[T]
@@ -283,7 +288,7 @@ func (k ActKind) costs() (fwd, bwd int) {
 
 func (l *ActivationOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
 	x := in[0]
-	out := tensor.NewOf[T](x.Shape...)
+	out := l.buf(slotOut, x.Shape...)
 	cost, _ := l.Kind.costs()
 	parallel.For(len(x.Data), parallel.MinChunk(cost), func(lo, hi int) {
 		xd, od := x.Data[lo:hi], out.Data[lo:hi]
@@ -292,6 +297,8 @@ func (l *ActivationOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tens
 			for i, v := range xd {
 				if v > 0 {
 					od[i] = v
+				} else {
+					od[i] = 0
 				}
 			}
 		case Tanh:
@@ -325,7 +332,7 @@ func (l *ActivationOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tens
 }
 
 func (l *ActivationOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
-	dIn := tensor.NewOf[T](dOut.Shape...)
+	dIn := l.buf(slotDIn, dOut.Shape...)
 	_, cost := l.Kind.costs()
 	parallel.For(len(dOut.Data), parallel.MinChunk(cost), func(lo, hi int) {
 		gd, dd := dOut.Data[lo:hi], dIn.Data[lo:hi]
@@ -334,6 +341,8 @@ func (l *ActivationOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[
 			for i, v := range l.lastIn.Data[lo:hi] {
 				if v > 0 {
 					dd[i] = gd[i]
+				} else {
+					dd[i] = 0
 				}
 			}
 		case Tanh:
@@ -364,17 +373,18 @@ func (l *ActivationOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[
 			}
 		}
 	})
-	return []*tensor.TensorOf[T]{dIn}
+	return l.grads(dIn)
 }
 
 // Dropout zeroes each activation with probability Rate during training and
-// scales the survivors by 1/(1-Rate) (inverted dropout). At inference it is
-// the identity.
+// scales the survivors by 1/(1-Rate) (inverted dropout). At inference (and
+// at rate 0) it is the identity: both passes return what they were handed.
 type DropoutOf[T tensor.Float] struct {
+	stepBufsOf[T]
 	name string
 	Rate float64
 	rng  *rand.Rand
-	mask []T
+	mask []T // nil after a pass that dropped nothing
 }
 
 // NewDropout creates a dropout layer drawing masks from rng.
@@ -401,18 +411,14 @@ func (l *DropoutOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.
 		l.mask = nil
 		return x
 	}
-	out := tensor.NewOf[T](x.Shape...)
-	if cap(l.mask) < len(x.Data) {
-		l.mask = make([]T, len(x.Data))
-	}
-	l.mask = l.mask[:len(x.Data)]
+	out := l.buf(slotOut, x.Shape...)
+	l.mask = l.buf(slotAux, len(x.Data)).Data
 	keep := T(1 / (1 - l.Rate))
 	for i, v := range x.Data {
 		if l.rng.Float64() < l.Rate {
-			l.mask[i] = 0
+			l.mask[i], out.Data[i] = 0, 0
 		} else {
-			l.mask[i] = keep
-			out.Data[i] = v * keep
+			l.mask[i], out.Data[i] = keep, v*keep
 		}
 	}
 	return out
@@ -420,11 +426,11 @@ func (l *DropoutOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.
 
 func (l *DropoutOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 	if l.mask == nil {
-		return []*tensor.TensorOf[T]{dOut}
+		return l.grads(dOut)
 	}
-	dIn := tensor.NewOf[T](dOut.Shape...)
+	dIn := l.buf(slotDIn, dOut.Shape...)
 	for i, g := range dOut.Data {
 		dIn.Data[i] = g * l.mask[i]
 	}
-	return []*tensor.TensorOf[T]{dIn}
+	return l.grads(dIn)
 }

@@ -9,11 +9,27 @@
 // provider checkpoint genuinely changes their convergence — the effect the
 // paper measures.
 //
+// Ownership: a training step allocates no tensor storage. Layers write their
+// outputs, input gradients and Backward state into buffers they keep
+// (buffers.go), so a tensor returned by a layer's Forward or Backward is
+// valid until that layer's next Forward or Backward, and the network's
+// output until the network's next Forward: use it or copy it out before then
+// (Evaluate copies each batch's predictions). Some results are not the
+// layer's own: Identity, Flatten, a pool degraded to the identity and
+// Dropout at inference or rate 0 return what they were handed, or a view of
+// it, in both directions; Add's Backward hands one tensor to both inputs.
+// Nothing a layer is handed is ever written to. A layer none of whose inputs
+// leads back to a parameter — a network's first layer — has no consumer for
+// its input gradient: Network.Add tells it so and its Backward returns nil
+// in the gradient's place.
+//
 // Concurrency: a Network and its layers are owned by a single goroutine —
 // one evaluator drives one candidate, and per-layer state (cached
-// activations, gradient tensors, backward scratch) is caller-serialized:
-// never call Forward/Backward on the same Network or Layer from two
-// goroutines, and never overlap a Forward with the matching Backward.
+// activations, the retained buffers above) is caller-serialized: never call
+// Forward/Backward on the same Network or Layer from two goroutines, and
+// never overlap a Forward with the matching Backward. Two networks share
+// nothing a step writes: ConvertNetwork's result holds no buffer of its
+// source, and a loss value is stateless.
 // Within one Forward/Backward call, however, a layer's loops may shard
 // their rows across the process-wide worker pool in internal/parallel —
 // when the call is large enough to pay for the handoff (the cost classes
@@ -61,7 +77,7 @@ func (p *ParamOf[T]) Trainable() bool { return p.Grad != nil }
 
 // Layer is one operator in a computation graph. Forward must be called
 // before Backward within the same pass: layers cache whatever intermediate
-// state their gradient needs.
+// state their gradient needs, and reuse what they return (package comment).
 type LayerOf[T tensor.Float] interface {
 	// Name returns the unique layer name within its network.
 	Name() string
@@ -73,10 +89,11 @@ type LayerOf[T tensor.Float] interface {
 	// (dropout masks, batch-norm statistics).
 	Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T]
 	// Backward consumes the gradient w.r.t. the output and returns the
-	// gradients w.r.t. each input, in the same order as Forward's inputs.
-	// Parameter gradients are accumulated into the layer's Params. dOut is
-	// read-only — the same tensor may be another layer's gradient too — and
-	// may itself be returned as an input gradient.
+	// gradients w.r.t. each input, in the same order as Forward's inputs;
+	// an entry is nil where nobody consumes that gradient. Parameter
+	// gradients are accumulated into the layer's Params. dOut is read-only
+	// — the same tensor may be another layer's gradient too — and may
+	// itself be returned as an input gradient.
 	Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T]
 	// Params returns the layer's parameter tensors (possibly empty).
 	// The first returned parameter is the layer's matching signature for

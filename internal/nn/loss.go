@@ -13,9 +13,22 @@ import (
 // classification, raw values for regression.
 type LossOf[T tensor.Float] interface {
 	Name() string
-	// Forward returns the mean loss over the batch and d(loss)/d(pred).
-	// The scalar loss is always float64 regardless of the element type.
+	// Forward returns the mean loss over the batch and d(loss)/d(pred), a
+	// tensor of the caller's own. The scalar loss is always float64.
 	Forward(pred *tensor.TensorOf[T], targets []float64) (float64, *tensor.TensorOf[T])
+}
+
+// lossInto is the fit loop's form of Forward, implemented by both built-in
+// losses: the gradient overwrites grad (pred's shape), so a training step
+// reuses one buffer. A loss without it is called through Forward.
+type lossIntoOf[T tensor.Float] interface {
+	forwardInto(grad, pred *tensor.TensorOf[T], targets []float64) float64
+}
+
+// lossForward is Forward in terms of forwardInto.
+func lossForward[T tensor.Float](l lossIntoOf[T], pred *tensor.TensorOf[T], targets []float64) (float64, *tensor.TensorOf[T]) {
+	grad := new(scratchOf[T]).buf(0, pred.Shape...)
+	return l.forwardInto(grad, pred, targets), grad
 }
 
 // Metric scores predictions against targets (higher is better for every
@@ -37,12 +50,15 @@ func (SoftmaxCrossEntropyOf[T]) Name() string { return "CE" }
 // there are enough of them to pay for the handoff — a minibatch of the fit
 // loop never is; gradients are per-row (worker-count invariant) and the
 // scalar loss is reduced from per-shard partials in shard order.
-func (SoftmaxCrossEntropyOf[T]) Forward(pred *tensor.TensorOf[T], targets []float64) (float64, *tensor.TensorOf[T]) {
+func (l SoftmaxCrossEntropyOf[T]) Forward(pred *tensor.TensorOf[T], targets []float64) (float64, *tensor.TensorOf[T]) {
+	return lossForward[T](l, pred, targets)
+}
+
+func (SoftmaxCrossEntropyOf[T]) forwardInto(grad, pred *tensor.TensorOf[T], targets []float64) float64 {
 	b, k := pred.Shape[0], pred.Shape[1]
 	if len(targets) != b {
 		panic(fmt.Sprintf("nn: %d targets for batch of %d", len(targets), b))
 	}
-	grad := tensor.NewOf[T](b, k)
 	shards := parallel.Shards(b, parallel.MinChunk(k*costExp))
 	partial := make([]float64, shards)
 	parallel.ForShardN(b, shards, func(shard, lo, hi int) {
@@ -80,7 +96,7 @@ func (SoftmaxCrossEntropyOf[T]) Forward(pred *tensor.TensorOf[T], targets []floa
 		loss += p
 	}
 	grad.Scale(T(1 / float64(b)))
-	return loss / float64(b), grad
+	return loss / float64(b)
 }
 
 // MAE is the mean absolute error on [B, 1] (or [B]) predictions, the loss
@@ -91,12 +107,15 @@ type MAEOf[T tensor.Float] struct{}
 func (MAEOf[T]) Name() string { return "MAE" }
 
 // Forward computes mean |pred-target| and its subgradient sign(pred-target)/B.
-func (MAEOf[T]) Forward(pred *tensor.TensorOf[T], targets []float64) (float64, *tensor.TensorOf[T]) {
+func (l MAEOf[T]) Forward(pred *tensor.TensorOf[T], targets []float64) (float64, *tensor.TensorOf[T]) {
+	return lossForward[T](l, pred, targets)
+}
+
+func (MAEOf[T]) forwardInto(grad, pred *tensor.TensorOf[T], targets []float64) float64 {
 	b := pred.Shape[0]
 	if pred.Numel() != b {
 		panic(fmt.Sprintf("nn: MAE wants one output per sample, got shape %s", tensor.ShapeString(pred.Shape)))
 	}
-	grad := tensor.NewOf[T](pred.Shape...)
 	loss := 0.0
 	for i := 0; i < b; i++ {
 		d := float64(pred.Data[i]) - targets[i]
@@ -106,10 +125,12 @@ func (MAEOf[T]) Forward(pred *tensor.TensorOf[T], targets []float64) (float64, *
 			grad.Data[i] = 1
 		case d < 0:
 			grad.Data[i] = -1
+		default:
+			grad.Data[i] = 0
 		}
 	}
 	grad.Scale(T(1 / float64(b)))
-	return loss / float64(b), grad
+	return loss / float64(b)
 }
 
 // Accuracy is the fraction of argmax predictions equal to the class label.

@@ -21,9 +21,11 @@ func (r InputRef) graphInputIndex() int {
 type node[T tensor.Float] struct {
 	layer  LayerOf[T]
 	inputs []InputRef
-	out    *tensor.TensorOf[T] // forward cache for the current pass
-	grad   *tensor.TensorOf[T] // accumulated dOut for the current backward pass
-	users  int                 // consuming edges (+1 for the output); 1 lets Backward adopt a gradient
+	ins    []*tensor.TensorOf[T] // Forward's argument slice, refilled every pass
+	out    *tensor.TensorOf[T]   // forward cache for the current pass
+	grad   *tensor.TensorOf[T]   // accumulated dOut for the current backward pass
+	users  int                   // consuming edges, counted by Add; 1 lets Backward adopt a gradient
+	live   bool                  // the node, or one upstream of it, has parameters: its dOut is worth computing
 }
 
 // Network is a DAG of layers evaluated in insertion (topological) order.
@@ -34,10 +36,12 @@ type NetworkOf[T tensor.Float] struct {
 	inputShapes [][]int // per-sample shapes of the graph inputs
 	nodeShapes  [][]int // per-sample output shape of each node
 	output      int
-	// arena is the im2col scratch shared by every conv layer added to this
-	// network (created on the first one), keeping peak patch-buffer memory
-	// independent of depth. See arena.go.
-	arena *convArenaOf[T]
+	// cols is the im2col matrices the network's convolutions share; sums the
+	// gradient a fan-out node i adds its consumers' into, slot i (buffers.go).
+	cols convColsOf[T]
+	sums scratchOf[T]
+	// params caches Params(); Add drops it.
+	params []*ParamOf[T]
 }
 
 // NewNetwork creates a network with the given per-sample input shapes
@@ -64,6 +68,7 @@ func (n *NetworkOf[T]) NumInputs() int { return n.numInputs }
 // rely on this to validate candidate architectures).
 func (n *NetworkOf[T]) Add(l LayerOf[T], inputs ...InputRef) (InputRef, error) {
 	inShapes := make([][]int, len(inputs))
+	deadIn := true // no input leads back to a parameter: nobody consumes the layer's input gradients
 	for i, ref := range inputs {
 		switch {
 		case ref.isGraphInput():
@@ -76,23 +81,29 @@ func (n *NetworkOf[T]) Add(l LayerOf[T], inputs ...InputRef) (InputRef, error) {
 			return 0, fmt.Errorf("nn: layer %q references future node %d", l.Name(), ref)
 		default:
 			inShapes[i] = n.nodeShapes[ref]
+			deadIn = deadIn && !n.nodes[ref].live
 		}
 	}
 	out, err := l.OutShape(inShapes)
 	if err != nil {
 		return 0, fmt.Errorf("nn: layer %q: %w", l.Name(), err)
 	}
-	if au, ok := l.(arenaUserOf[T]); ok {
-		// Shape inference succeeded, so the layer knows its patch-matrix
-		// size; hand it the network-wide scratch arena.
-		if n.arena == nil {
-			n.arena = &convArenaOf[T]{}
-		}
-		au.setArena(n.arena)
+	if c, ok := l.(convOf[T]); ok {
+		c.setCols(&n.cols) // shape inference succeeded, so the layer knows its patch-matrix size
 	}
-	n.nodes = append(n.nodes, &node[T]{layer: l, inputs: append([]InputRef(nil), inputs...)})
+	if sb, ok := l.(stepLayerOf[T]); ok {
+		sb.stepBufs().deadIn = deadIn
+	}
+	for _, ref := range inputs {
+		if !ref.isGraphInput() {
+			n.nodes[ref].users++
+		}
+	}
+	n.nodes = append(n.nodes, &node[T]{layer: l, inputs: append([]InputRef(nil), inputs...),
+		ins: make([]*tensor.TensorOf[T], len(inputs)), live: !deadIn || len(l.Params()) > 0})
 	n.nodeShapes = append(n.nodeShapes, out)
 	n.output = len(n.nodes) - 1
+	n.params = nil
 	return InputRef(n.output), nil
 }
 
@@ -123,7 +134,9 @@ func (n *NetworkOf[T]) OutputShape() []int {
 }
 
 // Forward evaluates the graph on a batch. Each input tensor's first
-// dimension is the batch size; all batch sizes must agree.
+// dimension is the batch size; all batch sizes must agree. The result is a
+// retained buffer (or an input, through aliasing layers): valid until the
+// next Forward.
 func (n *NetworkOf[T]) Forward(inputs []*tensor.TensorOf[T], training bool) (*tensor.TensorOf[T], error) {
 	if len(inputs) != n.numInputs {
 		return nil, fmt.Errorf("nn: forward got %d inputs, want %d", len(inputs), n.numInputs)
@@ -132,27 +145,15 @@ func (n *NetworkOf[T]) Forward(inputs []*tensor.TensorOf[T], training bool) (*te
 		return nil, fmt.Errorf("nn: network has no nodes")
 	}
 	for _, nd := range n.nodes {
-		nd.users = 0
 		nd.grad = nil
-	}
-	for _, nd := range n.nodes {
-		for _, ref := range nd.inputs {
-			if !ref.isGraphInput() {
-				n.nodes[ref].users++
-			}
-		}
-	}
-	n.nodes[n.output].users++
-	for _, nd := range n.nodes {
-		ins := make([]*tensor.TensorOf[T], len(nd.inputs))
 		for i, ref := range nd.inputs {
 			if ref.isGraphInput() {
-				ins[i] = inputs[ref.graphInputIndex()]
+				nd.ins[i] = inputs[ref.graphInputIndex()]
 			} else {
-				ins[i] = n.nodes[ref].out
+				nd.ins[i] = n.nodes[ref].out
 			}
 		}
-		nd.out = nd.layer.Forward(ins, training)
+		nd.out = nd.layer.Forward(nd.ins, training)
 	}
 	return n.nodes[n.output].out, nil
 }
@@ -178,7 +179,7 @@ func (n *NetworkOf[T]) Backward(dOut *tensor.TensorOf[T]) error {
 			return fmt.Errorf("nn: layer %q returned %d input grads, want %d", nd.layer.Name(), len(dIns), len(nd.inputs))
 		}
 		for j, ref := range nd.inputs {
-			if ref.isGraphInput() || dIns[j] == nil {
+			if ref.isGraphInput() || dIns[j] == nil || !n.nodes[ref].live {
 				continue
 			}
 			// A node with one consumer takes that consumer's gradient as
@@ -194,11 +195,23 @@ func (n *NetworkOf[T]) Backward(dOut *tensor.TensorOf[T]) error {
 			case pred.users == 1:
 				pred.grad = dIns[j]
 			default:
-				pred.grad = dIns[j].Clone()
+				pred.grad = n.sums.buf(int(ref), dIns[j].Shape...)
+				copy(pred.grad.Data, dIns[j].Data)
 			}
 		}
 	}
 	return nil
+}
+
+// bufferBytes is the element storage the network and its layers retain.
+func (n *NetworkOf[T]) bufferBytes() int {
+	b := n.cols.bytes() + n.sums.bytes()
+	for _, nd := range n.nodes {
+		if sb, ok := nd.layer.(stepLayerOf[T]); ok {
+			b += sb.stepBufs().bytes()
+		}
+	}
+	return b
 }
 
 // ZeroGrads clears every trainable parameter gradient.
@@ -210,13 +223,15 @@ func (n *NetworkOf[T]) ZeroGrads() {
 	}
 }
 
-// Params returns every parameter tensor in topological layer order.
+// Params returns every parameter tensor in topological layer order. The
+// slice is cached until the next Add: read it, do not write to it.
 func (n *NetworkOf[T]) Params() []*ParamOf[T] {
-	var ps []*ParamOf[T]
-	for _, nd := range n.nodes {
-		ps = append(ps, nd.layer.Params()...)
+	if n.params == nil {
+		for _, nd := range n.nodes {
+			n.params = append(n.params, nd.layer.Params()...)
+		}
 	}
-	return ps
+	return n.params[:len(n.params):len(n.params)]
 }
 
 // ParamGroups returns the per-layer parameter groups in topological order.

@@ -21,19 +21,22 @@ import (
 //     contributions from several output rows, so the scatter only shards
 //     over samples — within one sample it runs in ascending output order,
 //     the exact serial sequence.
+//
+// Either way the scatter adds into the retained input-gradient buffer,
+// cleared first. A pool degraded to the identity returns what it was handed.
 
 // MaxPool2D is a max pooling layer over [B, H, W, C] inputs with a square
 // window. When the input's spatial extent is smaller than the window (a
 // state random NAS candidates can reach by stacking pools), the layer
 // degrades to the identity; IsIdentity reports that.
 type MaxPool2DOf[T tensor.Float] struct {
+	stepBufsOf[T]
 	name         string
 	Size, Stride int
 	identity     bool
 	inH, inW, ch int
 	outH, outW   int
 	argmax       []int // linear input index per output element
-	inShape      []int
 }
 
 // NewMaxPool2D creates a pooling layer.
@@ -60,7 +63,6 @@ func (p *MaxPool2DOf[T]) OutShape(in [][]int) ([]int, error) {
 		return nil, fmt.Errorf("maxpool2d wants input (H, W, C), got %s", tensor.ShapeString(s))
 	}
 	p.inH, p.inW, p.ch = s[0], s[1], s[2]
-	p.inShape = append([]int(nil), s...)
 	p.identity = p.inH < p.Size || p.inW < p.Size
 	if p.identity {
 		p.outH, p.outW = p.inH, p.inW
@@ -77,11 +79,8 @@ func (p *MaxPool2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 		return x
 	}
 	b := x.Shape[0]
-	out := tensor.NewOf[T](b, p.outH, p.outW, p.ch)
-	if cap(p.argmax) < out.Numel() {
-		p.argmax = make([]int, out.Numel())
-	}
-	p.argmax = p.argmax[:out.Numel()]
+	out := p.buf(slotOut, b, p.outH, p.outW, p.ch)
+	p.argmax = p.indices(out.Numel())
 	inRow := p.inW * p.ch
 	orow := p.outW * p.ch
 	parallel.For(b*p.outH, parallel.MinChunk(orow*p.Size*p.Size*costBranch), func(lo, hi int) {
@@ -115,40 +114,37 @@ func (p *MaxPool2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 
 func (p *MaxPool2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 	if p.identity {
-		return []*tensor.TensorOf[T]{dOut}
+		return p.grads(dOut)
 	}
 	b := dOut.Shape[0]
-	dIn := tensor.NewOf[T](append([]int{b}, p.inShape...)...)
+	dIn := p.buf(slotDIn, b, p.inH, p.inW, p.ch)
+	dIn.Zero()
 	orow := p.outW * p.ch
-	if p.Stride >= p.Size {
-		// Disjoint windows: each input element gets at most one
-		// contribution, so output rows scatter independently.
-		parallel.For(b*p.outH, parallel.MinChunk(orow*costGather), func(lo, hi int) {
-			for oi := lo * orow; oi < hi*orow; oi++ {
-				dIn.Data[p.argmax[oi]] += dOut.Data[oi]
-			}
-		})
-		return []*tensor.TensorOf[T]{dIn}
+	// Disjoint windows (Stride >= Size): each input element gets at most one
+	// contribution, so output rows scatter independently; overlapping ones
+	// only per sample.
+	items, per := b*p.outH, orow
+	if p.Stride < p.Size {
+		items, per = b, p.outH*orow
 	}
-	perSample := p.outH * orow
-	parallel.For(b, parallel.MinChunk(perSample*costGather), func(lo, hi int) {
-		for oi := lo * perSample; oi < hi*perSample; oi++ {
+	parallel.For(items, parallel.MinChunk(per*costGather), func(lo, hi int) {
+		for oi := lo * per; oi < hi*per; oi++ {
 			dIn.Data[p.argmax[oi]] += dOut.Data[oi]
 		}
 	})
-	return []*tensor.TensorOf[T]{dIn}
+	return p.grads(dIn)
 }
 
 // MaxPool1D is max pooling over [B, L, C] inputs, with the same
 // degenerate-window identity fallback as MaxPool2D.
 type MaxPool1DOf[T tensor.Float] struct {
+	stepBufsOf[T]
 	name         string
 	Size, Stride int
 	identity     bool
 	inL, ch      int
 	outL         int
 	argmax       []int
-	inShape      []int
 }
 
 // NewMaxPool1D creates a 1-D pooling layer.
@@ -174,7 +170,6 @@ func (p *MaxPool1DOf[T]) OutShape(in [][]int) ([]int, error) {
 		return nil, fmt.Errorf("maxpool1d wants input (L, C), got %s", tensor.ShapeString(s))
 	}
 	p.inL, p.ch = s[0], s[1]
-	p.inShape = append([]int(nil), s...)
 	p.identity = p.inL < p.Size
 	if p.identity {
 		p.outL = p.inL
@@ -190,11 +185,8 @@ func (p *MaxPool1DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 		return x
 	}
 	b := x.Shape[0]
-	out := tensor.NewOf[T](b, p.outL, p.ch)
-	if cap(p.argmax) < out.Numel() {
-		p.argmax = make([]int, out.Numel())
-	}
-	p.argmax = p.argmax[:out.Numel()]
+	out := p.buf(slotOut, b, p.outL, p.ch)
+	p.argmax = p.indices(out.Numel())
 	parallel.For(b*p.outL, parallel.MinChunk(p.ch*p.Size*costBranch), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			bi, ol := r/p.outL, r%p.outL
@@ -220,23 +212,19 @@ func (p *MaxPool1DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 
 func (p *MaxPool1DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 	if p.identity {
-		return []*tensor.TensorOf[T]{dOut}
+		return p.grads(dOut)
 	}
 	b := dOut.Shape[0]
-	dIn := tensor.NewOf[T](append([]int{b}, p.inShape...)...)
-	if p.Stride >= p.Size {
-		parallel.For(b*p.outL, parallel.MinChunk(p.ch*costGather), func(lo, hi int) {
-			for oi := lo * p.ch; oi < hi*p.ch; oi++ {
-				dIn.Data[p.argmax[oi]] += dOut.Data[oi]
-			}
-		})
-		return []*tensor.TensorOf[T]{dIn}
+	dIn := p.buf(slotDIn, b, p.inL, p.ch)
+	dIn.Zero()
+	items, per := b*p.outL, p.ch
+	if p.Stride < p.Size {
+		items, per = b, p.outL*p.ch
 	}
-	perSample := p.outL * p.ch
-	parallel.For(b, parallel.MinChunk(perSample*costGather), func(lo, hi int) {
-		for oi := lo * perSample; oi < hi*perSample; oi++ {
+	parallel.For(items, parallel.MinChunk(per*costGather), func(lo, hi int) {
+		for oi := lo * per; oi < hi*per; oi++ {
 			dIn.Data[p.argmax[oi]] += dOut.Data[oi]
 		}
 	})
-	return []*tensor.TensorOf[T]{dIn}
+	return p.grads(dIn)
 }

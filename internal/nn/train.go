@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"swtnas/internal/obs"
 	"swtnas/internal/parallel"
@@ -21,6 +22,11 @@ var (
 	mFitOptimizer = obs.GetHistogram("nn.fit.optimizer.seconds", obs.DurationBuckets)
 	mFitEpoch     = obs.GetHistogram("nn.fit.epoch.seconds", obs.DurationBuckets)
 	mFitBatches   = obs.GetCounter("nn.fit.batches")
+	// mBufferBytes is the most element bytes one fitted network and its Fit
+	// call retained between steps since the registry was reset (per search);
+	// the mutex makes two evaluators' read-compare-set one step each.
+	mBufferBytes  = obs.GetGauge("nn.buffers.bytes")
+	bufferBytesMu sync.Mutex
 )
 
 // Data is a dataset split: one batched tensor per network input (first
@@ -56,11 +62,19 @@ func (d *DataOf[T]) Validate() error {
 // Row copies are sharded across the worker pool for large gathers;
 // minibatch-sized gathers stay serial.
 func (d *DataOf[T]) Gather(idx []int) *DataOf[T] {
-	out := &DataOf[T]{Targets: make([]float64, len(idx))}
-	for _, in := range d.Inputs {
+	out := &DataOf[T]{}
+	d.gatherInto(out, new(scratchOf[T]), idx)
+	return out
+}
+
+// gatherInto is Gather into storage the caller keeps: input k fills slot k of
+// bufs, out's Inputs and Targets are reused.
+func (d *DataOf[T]) gatherInto(out *DataOf[T], bufs *scratchOf[T], idx []int) {
+	out.Inputs = out.Inputs[:0]
+	for k, in := range d.Inputs {
 		rowLen := in.Numel() / in.Shape[0]
-		shape := append([]int{len(idx)}, in.Shape[1:]...)
-		g := tensor.NewOf[T](shape...)
+		g := bufs.buf(k, len(idx)*rowLen)
+		g.Shape = append(append(g.Shape[:0], len(idx)), in.Shape[1:]...)
 		parallel.For(len(idx), parallel.MinChunk(rowLen*costStream), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				r := idx[i]
@@ -69,20 +83,22 @@ func (d *DataOf[T]) Gather(idx []int) *DataOf[T] {
 		})
 		out.Inputs = append(out.Inputs, g)
 	}
-	for i, r := range idx {
-		out.Targets[i] = d.Targets[r]
+	out.Targets = out.Targets[:0]
+	for _, r := range idx {
+		out.Targets = append(out.Targets, d.Targets[r])
 	}
-	return out
 }
 
-// Slice returns the half-open row range [lo, hi) without copying targets'
-// backing arrays more than needed.
+// Slice returns the half-open row range [lo, hi) as a view: the result's
+// tensors and targets share d's storage — nothing is copied, write to neither.
 func (d *DataOf[T]) Slice(lo, hi int) *DataOf[T] {
-	idx := make([]int, hi-lo)
-	for i := range idx {
-		idx[i] = lo + i
+	out := &DataOf[T]{Targets: d.Targets[lo:hi]}
+	for _, in := range d.Inputs {
+		rowLen := in.Numel() / in.Shape[0]
+		shape := append([]int{hi - lo}, in.Shape[1:]...)
+		out.Inputs = append(out.Inputs, &tensor.TensorOf[T]{Shape: shape, Data: in.Data[lo*rowLen : hi*rowLen]})
 	}
-	return d.Gather(idx)
+	return out
 }
 
 // FitConfig controls a training run.
@@ -176,6 +192,63 @@ func (h *History) BestScore() float64 {
 	return best
 }
 
+// stepperOf is what one Fit call carries from step to step, the storage it
+// keeps included: the gathered minibatch (slots 0…inputs−1 of bufs) and the
+// loss gradient (the slot after).
+type stepperOf[T tensor.Float] struct {
+	net   *NetworkOf[T]
+	loss  LossOf[T]
+	opt   OptimizerOf[T]
+	clip  float64
+	batch DataOf[T]
+	bufs  scratchOf[T]
+}
+
+// step trains on rows idx of train and returns the minibatch loss.
+func (s *stepperOf[T]) step(train *DataOf[T], idx []int) (float64, error) {
+	train.gatherInto(&s.batch, &s.bufs, idx)
+	tf := mFitForward.Start()
+	pred, err := s.net.Forward(s.batch.Inputs, true)
+	if err != nil {
+		return 0, err
+	}
+	l, grad := 0.0, s.bufs.buf(len(train.Inputs), pred.Shape...)
+	if li, ok := s.loss.(lossIntoOf[T]); ok {
+		l = li.forwardInto(grad, pred, s.batch.Targets)
+	} else {
+		l, grad = s.loss.Forward(pred, s.batch.Targets)
+	}
+	tf.Stop()
+	tb := mFitBackward.Start()
+	s.net.ZeroGrads()
+	if err := s.net.Backward(grad); err != nil {
+		return 0, err
+	}
+	tb.Stop()
+	to := mFitOptimizer.Start()
+	params := s.net.Params()
+	if s.clip > 0 {
+		clipGradients(params, s.clip)
+	}
+	s.opt.Step(params)
+	to.Stop()
+	mFitBatches.Inc()
+	return l, nil
+}
+
+// noteBufferBytes raises nn.buffers.bytes to what s and its network retain.
+func (s *stepperOf[T]) noteBufferBytes() {
+	if !obs.Enabled() {
+		return
+	}
+	b := int64(s.net.bufferBytes() + s.bufs.bytes())
+	bufferBytesMu.Lock()
+	defer bufferBytesMu.Unlock()
+	if b > mBufferBytes.Value() {
+		mBufferBytes.Set(b)
+	}
+}
+
 // Fit trains net with the given loss/metric/optimizer. It returns the
 // training history; the network is left holding the final weights.
 func Fit[T tensor.Float](net *NetworkOf[T], loss LossOf[T], metric MetricOf[T], opt OptimizerOf[T], train, val *DataOf[T], cfg FitConfig) (*History, error) {
@@ -197,6 +270,7 @@ func Fit[T tensor.Float](net *NetworkOf[T], loss LossOf[T], metric MetricOf[T], 
 		order[i] = i
 	}
 	h := &History{}
+	st := &stepperOf[T]{net: net, loss: loss, opt: opt, clip: cfg.ClipNorm}
 	flat := 0 // consecutive epochs with |Δscore| <= delta
 	prevScore := math.NaN()
 	if cfg.LRSchedule != nil {
@@ -224,30 +298,12 @@ func Fit[T tensor.Float](net *NetworkOf[T], loss LossOf[T], metric MetricOf[T], 
 			if hi > n {
 				hi = n
 			}
-			batch := train.Gather(order[lo:hi])
-			tf := mFitForward.Start()
-			pred, err := net.Forward(batch.Inputs, true)
+			l, err := st.step(train, order[lo:hi])
 			if err != nil {
 				return nil, err
 			}
-			l, grad := loss.Forward(pred, batch.Targets)
-			tf.Stop()
 			epochLoss += l
 			batches++
-			tb := mFitBackward.Start()
-			net.ZeroGrads()
-			if err := net.Backward(grad); err != nil {
-				return nil, err
-			}
-			tb.Stop()
-			to := mFitOptimizer.Start()
-			params := net.Params()
-			if cfg.ClipNorm > 0 {
-				clipGradients(params, cfg.ClipNorm)
-			}
-			opt.Step(params)
-			to.Stop()
-			mFitBatches.Inc()
 		}
 		epochTimer.Stop()
 		h.TrainLoss = append(h.TrainLoss, epochLoss/float64(batches))
@@ -255,6 +311,7 @@ func Fit[T tensor.Float](net *NetworkOf[T], loss LossOf[T], metric MetricOf[T], 
 		if err != nil {
 			return nil, err
 		}
+		st.noteBufferBytes()
 		h.ValScore = append(h.ValScore, score)
 		h.EpochsRun++
 		if cfg.OnEpoch != nil {

@@ -146,3 +146,42 @@ func TestSharedTrainingMovesBothCandidates(t *testing.T) {
 		}
 	}
 }
+
+// TestSubNetworksTrainInTurn: two sub-networks that share every layer through
+// the pool, stepped alternately, trace exactly what one network stepped on
+// the same batches traces — each keeps its own step buffers, and nothing of
+// one's pass survives into the other's.
+func TestSubNetworksTrainInTurn(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	x := tensor.New(6, 4)
+	x.RandNormal(rng, 1)
+	data := &nn.Data{Inputs: []*tensor.Tensor{x}, Targets: []float64{0, 1, 1, 0, 1, 0}}
+	step := func(net *nn.Network) {
+		if _, err := nn.Fit(net, nn.SoftmaxCrossEntropy{}, nn.Accuracy{}, nn.NewSGD(0.1, 0), data, data,
+			nn.FitConfig{Epochs: 1, BatchSize: 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New()
+	a, b, solo := mlp(8, 1), mlp(8, 2), mlp(8, 1)
+	s.Push(a)
+	for i := 0; i < 4; i++ {
+		sub := a
+		if i%2 == 1 {
+			sub = b
+		}
+		s.Pull(sub)
+		step(sub)
+		s.Push(sub)
+		step(solo)
+	}
+	s.Pull(a)
+	for i, p := range a.Params() {
+		want := solo.Params()[i].W.Data
+		for j, v := range p.W.Data {
+			if v != want[j] {
+				t.Fatalf("param %d elem %d: %v through two sub-networks in turn, %v through one network", i, j, v, want[j])
+			}
+		}
+	}
+}

@@ -83,6 +83,11 @@ func TestSearchMetricsSmoke(t *testing.T) {
 	if vb := doc.Gauges["tensor.gemm.vector_bytes"]; vb != int64(gemmVectorBytes) || (vb != 32 && vb != 16 && vb != 8) {
 		t.Errorf("gauge tensor.gemm.vector_bytes = %d, want %d (one of 32, 16, 8)", vb, gemmVectorBytes)
 	}
+	// The step buffers of the largest network fitted: a few hundred KB to a
+	// few MB for an nt3 candidate, and never nothing.
+	if b := doc.Gauges["nn.buffers.bytes"]; b <= 0 {
+		t.Errorf("gauge nn.buffers.bytes = %d, want > 0", b)
+	}
 	for _, name := range []string{
 		"tensor.gemm.seconds",
 		"checkpoint.encode.seconds",
