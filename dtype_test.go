@@ -2,14 +2,16 @@ package swtnas
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
+
+	"swtnas/internal/checkpoint"
 )
 
 // TestSearchF32EndToEnd runs the same tiny search in both dtypes and pins
@@ -74,10 +76,11 @@ const f64SearchDigest = "11ef63d60659cff59f9cab78945749bb"
 
 // TestF64SearchDigest pins the f64 training arithmetic end to end: a small
 // nt3/f64/LCS search on one evaluator, hashed over every candidate's id,
-// parent, architecture and score bits and over the names of the blobs its
-// checkpoints left in a disk store — the SHA-256 of each trained tensor's raw
-// bytes, so one flipped bit in one weight of one candidate changes the
-// digest. The constant must hold on every body of the default build (the
+// parent, architecture and score bits and over the truncated SHA-256 of each
+// distinct trained tensor's raw bytes, read back from the disk store and
+// spelled as the per-tensor blob file names of the store the constant was
+// recorded with, so one flipped bit in one weight of one candidate changes
+// the digest. The constant must hold on every body of the default build (the
 // assembly kernels at SSE2 and at AVX2 vectors) and under -tags purego (the
 // Go loops): AVX2 ≡ SSE2 ≡ loops ≡ the commit the constant was recorded at.
 // Other GOARCHes are skipped because their compilers fuse a·b+c into one
@@ -107,12 +110,33 @@ func testF64SearchDigest(t *testing.T) {
 	if transferred == 0 {
 		t.Fatal("no candidate was warm-started: the digest would not cover weight transfer")
 	}
-	blobs, err := os.ReadDir(filepath.Join(dir, "blobs"))
+	store, err := checkpoint.NewCASDiskStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range blobs { // ReadDir sorts by name
-		fmt.Fprintln(h, b.Name())
+	ids, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blobs []string
+	for _, id := range ids {
+		m, err := store.Load(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range m.Groups {
+			for _, ts := range g.Tensors {
+				raw := make([]byte, 0, 8*len(ts.Data))
+				for _, v := range ts.Data {
+					raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+				}
+				blobs = append(blobs, checkpoint.HashBlob(raw).String()+".blob")
+			}
+		}
+	}
+	slices.Sort(blobs)
+	for _, name := range slices.Compact(blobs) {
+		fmt.Fprintln(h, name)
 	}
 	if got := hex.EncodeToString(h.Sum(nil)[:16]); got != f64SearchDigest {
 		t.Fatalf("digest %s, want %s: the f64 arithmetic of a search changed", got, f64SearchDigest)

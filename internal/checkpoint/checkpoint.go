@@ -3,15 +3,17 @@
 // every scored candidate, and later candidates read their provider's
 // checkpoint back to warm-start training.
 //
-// The paper stores HDF5 files on a parallel file system; this package uses
-// an equivalent self-describing binary tensor archive ("SWTC", one
-// dtype-tagged stream for float64 and float32 models alike) and three stores,
-// so checkpoint sizes (Fig 11) and load/store overheads (Fig 10) are
-// measurable: MemStore keeps whole encoded streams (the distributed path
-// ships them over the wire as they are), and the content-addressed CASStore
-// keeps one blob per tensor plus a small "SWTM" manifest per candidate, in
-// memory (NewCASMemStore, a search's default) or durably on disk
-// (NewCASDiskStore, the store a journaled search needs).
+// The paper stores one HDF5 file per candidate on a parallel file system; this
+// package stores one object per candidate: its "SWTC" stream, a
+// self-describing binary tensor archive (one dtype-tagged format for float64
+// and float32 models alike), content-addressed by the stream's hash, so
+// checkpoint sizes (Fig 11) and load/store overheads (Fig 10) are measurable.
+// There is one store, CASStore, with two backends: memory (NewCASMemStore —
+// a search's default, the coordinator's store and a worker's per-task store;
+// it keeps the encoded bytes as they are, which is what the distributed path
+// ships) and disk (NewCASDiskStore — the durable store a journaled search
+// needs: a compressed object file plus a small "SWTM" manifest file per
+// candidate). DESIGN.md §10 is the contract.
 package checkpoint
 
 import (
@@ -51,8 +53,7 @@ type Model struct {
 	// in-memory representation stays float64 either way (float32 → float64 is
 	// exact, so an f32-trained model round-trips losslessly through the f64
 	// transfer path), but the tag routes encoding: tensor.F32 models are
-	// stored natively at 4 bytes per element (SWTC, SWTM v2) instead of
-	// being cast. The zero value is tensor.F64. See DESIGN.md §14.
+	// stored natively at 4 bytes per element instead of being cast. The zero value is tensor.F64. See DESIGN.md §14.
 	DType tensor.DType
 	// Groups hold the weights in shape-sequence order.
 	Groups []Group

@@ -214,14 +214,6 @@ func testStore(t *testing.T, s Store) {
 	}
 }
 
-func TestMemStore(t *testing.T) {
-	s := NewMemStore()
-	testStore(t, s)
-	if s.TotalBytes() <= 0 {
-		t.Fatal("TotalBytes must count the remaining checkpoint")
-	}
-}
-
 func TestCASStoresMeetStoreContract(t *testing.T) {
 	casStores(t, func(t *testing.T, s *CASStore) { testStore(t, s) })
 }
@@ -240,7 +232,7 @@ func TestCASDiskStoreRejectsBadIDs(t *testing.T) {
 }
 
 func TestStoreConcurrentAccess(t *testing.T) {
-	s := NewMemStore()
+	s := NewCASMemStore()
 	m := FromNetwork([]int{0}, 0, sampleNet(13))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -271,7 +263,7 @@ func TestCheckpointSizeScalesWithModel(t *testing.T) {
 	big.MustAdd(nn.NewDense("d1", 4, 256, 0, rng), nn.GraphInput(0))
 	big.MustAdd(nn.NewDense("d2", 256, 2, 0, rng), 0)
 	bigM := FromNetwork([]int{0}, 0, big)
-	s := NewMemStore()
+	s := NewCASMemStore()
 	ns, _ := s.Save("small", small)
 	nb, _ := s.Save("big", bigM)
 	if nb <= ns {

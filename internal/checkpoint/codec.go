@@ -92,18 +92,8 @@ func (m *Model) writeBody(w io.Writer) error {
 			if tensor.Numel(t.Shape) != len(t.Data) {
 				return fmt.Errorf("checkpoint: tensor %q data/shape mismatch", t.Name)
 			}
-			if m.DType == tensor.F32 {
-				for _, v := range t.Data {
-					if err := binary.Write(w, binary.LittleEndian, math.Float32bits(float32(v))); err != nil {
-						return err
-					}
-				}
-			} else {
-				for _, v := range t.Data {
-					if err := binary.Write(w, binary.LittleEndian, math.Float64bits(v)); err != nil {
-						return err
-					}
-				}
+			if _, err := w.Write(encodeTensorData(t.Data, m.DType)); err != nil {
+				return err
 			}
 		}
 	}
@@ -130,30 +120,9 @@ func Decode(r io.Reader) (*Model, error) {
 
 func decode(r io.Reader) (*Model, error) {
 	br := bufio.NewReader(r)
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("checkpoint: reading magic: %w", err)
-	}
-	if string(head) != magic {
-		return nil, fmt.Errorf("checkpoint: bad magic %q", head)
-	}
-	ver, err := readU32(br)
+	dt, err := readHeader(br)
 	if err != nil {
 		return nil, err
-	}
-	if ver != version {
-		return nil, fmt.Errorf("checkpoint: unsupported SWTC version %d (only version %d is read)", ver, version)
-	}
-	dt, err := readDType(br)
-	if err != nil {
-		return nil, err
-	}
-	reserved, err := readU32(br)
-	if err != nil {
-		return nil, err
-	}
-	if reserved != 0 {
-		return nil, fmt.Errorf("checkpoint: unsupported SWTC encoding %d (only native-width streams are read)", reserved)
 	}
 	m, err := readBody(br, dt)
 	if err != nil {
@@ -163,8 +132,22 @@ func decode(r io.Reader) (*Model, error) {
 	return m, nil
 }
 
-// readDType reads and validates a dtype header word (SWTC and SWTM v2).
-func readDType(r io.Reader) (tensor.DType, error) {
+// readHeader reads a stream's 16 header bytes and returns its dtype.
+func readHeader(r io.Reader) (tensor.DType, error) {
+	head := make([]byte, 4)
+	if _, err := io.ReadFull(r, head); err != nil {
+		return 0, fmt.Errorf("checkpoint: reading magic: %w", err)
+	}
+	if string(head) != magic {
+		return 0, fmt.Errorf("checkpoint: bad magic %q", head)
+	}
+	ver, err := readU32(r)
+	if err != nil {
+		return 0, err
+	}
+	if ver != version {
+		return 0, fmt.Errorf("checkpoint: unsupported SWTC version %d (only version %d is read)", ver, version)
+	}
 	dtU, err := readU32(r)
 	if err != nil {
 		return 0, err
@@ -172,6 +155,13 @@ func readDType(r io.Reader) (tensor.DType, error) {
 	dt := tensor.DType(uint8(dtU))
 	if dtU > 0xff || !dt.Valid() {
 		return 0, fmt.Errorf("checkpoint: invalid dtype %d", dtU)
+	}
+	reserved, err := readU32(r)
+	if err != nil {
+		return 0, err
+	}
+	if reserved != 0 {
+		return 0, fmt.Errorf("checkpoint: unsupported SWTC encoding %d (only native-width streams are read)", reserved)
 	}
 	return dt, nil
 }
@@ -260,7 +250,42 @@ func readData(r io.Reader, n int, dt tensor.DType) ([]float64, error) {
 		if _, err := io.ReadFull(r, b); err != nil {
 			return nil, err
 		}
-		data = appendTensorBlob(data, b, dt)
+		data = appendTensorData(data, b, dt)
 	}
 	return data, nil
+}
+
+// encodeTensorData serializes tensor data at the dtype's native width as raw
+// little-endian bytes. An F32 stream stores exactly the float32 bits of each
+// value, lossless for f32-trained tensors.
+func encodeTensorData(data []float64, dt tensor.DType) []byte {
+	if dt == tensor.F32 {
+		b := make([]byte, 4*len(data))
+		for i, v := range data {
+			binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(float32(v)))
+		}
+		return b
+	}
+	b := make([]byte, 8*len(data))
+	for i, v := range data {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+	}
+	return b
+}
+
+// appendTensorData decodes b, a whole number of dt-wide values, onto dst.
+func appendTensorData(dst []float64, b []byte, dt tensor.DType) []float64 {
+	n := len(dst)
+	dst = append(dst, make([]float64, len(b)/dt.Size())...)
+	data := dst[n:]
+	if dt == tensor.F32 {
+		for i := range data {
+			data[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
+		}
+		return dst
+	}
+	for i := range data {
+		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return dst
 }

@@ -87,102 +87,86 @@ func TestDecodeRejectsBadDType(t *testing.T) {
 	}
 }
 
-// TestF32ManifestRoundTrip: the CAS manifest of an F32 model (SWTM v2) must
-// round-trip with its 4-byte blobs and restore the model bit for bit.
+// TestF32ManifestRoundTrip: an F32 model's object is its 4-byte-per-element
+// stream on both backends — the manifest says F32 and names that stream's
+// length and hash — and it loads back bit for bit, still tagged F32, through
+// the disk backend's shuffle at the 4-byte width.
 func TestF32ManifestRoundTrip(t *testing.T) {
-	m := casModelF32(14, 3)
-	mf, blobs := ManifestOf(m)
-	if mf.DType != tensor.F32 {
-		t.Fatalf("manifest dtype %v, want F32", mf.DType)
-	}
-	elems, blobBytes := 0, 0
-	for _, g := range m.Groups {
-		for _, ts := range g.Tensors {
-			elems += len(ts.Data)
+	casStores(t, func(t *testing.T, s *CASStore) {
+		m := casModelF32(14, 3)
+		var stream bytes.Buffer
+		if err := m.Encode(&stream); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, b := range blobs {
-		blobBytes += len(b)
-	}
-	if blobBytes != 4*elems {
-		t.Fatalf("blobs hold %d bytes for %d elements; want %d (f32 width)", blobBytes, elems, 4*elems)
-	}
-	enc, err := EncodeManifest(mf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeManifest(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.DType != tensor.F32 {
-		t.Fatalf("decoded manifest dtype %v, want F32", dec.DType)
-	}
-	got, err := dec.Resolve(func(h Hash) ([]byte, error) { return blobs[h], nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.DType != tensor.F32 {
-		t.Fatalf("resolved model dtype %v, want F32", got.DType)
-	}
-	if !modelsEqual(m, got) {
-		t.Fatal("f32 manifest round trip is not bit-identical")
-	}
+		n, err := s.Save("a", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := s.EncodedManifest("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		mf, err := DecodeManifest(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (Manifest{hash: HashBlob(stream.Bytes()), size: n, dtype: tensor.F32}); *mf != want || n != int64(stream.Len()) {
+			t.Fatalf("manifest = %+v, want %+v with the stream's %d bytes", *mf, want, stream.Len())
+		}
+		got, err := s.Load("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.DType != tensor.F32 {
+			t.Fatalf("loaded model dtype %v, want F32", got.DType)
+		}
+		if !modelsEqual(m, got) {
+			t.Fatal("f32 store round trip is not bit-identical")
+		}
+	})
 }
 
-// TestF64ManifestBytesUnchanged: F64 manifests must keep encoding as SWTM
-// v1, byte for byte — old stores and journals hold those bytes.
-func TestF64ManifestBytesUnchanged(t *testing.T) {
-	mf, _ := ManifestOf(casModel(15, 2))
-	enc, err := EncodeManifest(mf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// "SWTM" magic then version word 1.
-	if enc[4] != 1 || enc[5] != 0 || enc[6] != 0 || enc[7] != 0 {
-		t.Fatalf("f64 manifest version word = % x, want 01 00 00 00", enc[4:8])
-	}
-}
-
-// TestF32ModelCASDedup is the f32 leg of the CAS dedup contract: a parent
-// and a child sharing 4 of 5 layers must share those layers' 4-byte blobs,
-// and both must load back bit-identical — through the width-aware
-// byte-plane shuffle filter on the disk backend.
+// TestF32ModelCASDedup is the f32 leg of the store's sharing contract: two ids
+// saved with the same F32 model share one object, the F64 model of the very
+// same values is another (its stream is 8 bytes wide, so it hashes apart), and
+// each loads back bit-identical under its own dtype.
 func TestF32ModelCASDedup(t *testing.T) {
 	casStores(t, func(t *testing.T, s *CASStore) {
-		parent := casModelF32(16, 5)
-		child := mutate(parent, 2, 99)
-		child.DType = tensor.F32
-		for i := range child.Groups[2].Tensors {
-			d := child.Groups[2].Tensors[i].Data
-			for j, v := range d {
-				d[j] = float64(float32(v))
+		m32 := casModelF32(16, 5)
+		m64 := casModelF32(16, 5)
+		m64.DType = tensor.F64
+		for id, m := range map[string]*Model{"a": m32, "b": casModelF32(16, 5), "wide": m64} {
+			if _, err := s.Save(id, m); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if _, err := s.Save("p", parent); err != nil {
+		ma, _ := s.EncodedManifest("a")
+		mb, _ := s.EncodedManifest("b")
+		mw, _ := s.EncodedManifest("wide")
+		if !bytes.Equal(ma, mb) || bytes.Equal(ma, mw) {
+			t.Fatal("the same f32 model must name one object, its f64 twin another")
+		}
+		if s.disk != nil {
+			if st := s.Stats(); st.BlobsLive != 2 || st.Manifests != 3 {
+				t.Fatalf("stats = %+v, want 3 manifests naming 2 objects", st)
+			}
+		}
+		if err := s.Delete("a"); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Save("c", child); err != nil {
-			t.Fatal(err)
-		}
-		// parent: 10 blobs stored; child: 2 new (mutated layer), 8 deduped —
-		// same counts as the f64 dedup test, now on 4-byte blobs.
-		if st := s.Stats(); st.BlobsStored != 12 || st.BlobsDeduped != 8 {
-			t.Fatalf("BlobsStored/Deduped = %d/%d, want 12/8", st.BlobsStored, st.BlobsDeduped)
-		}
-		gotP, err := s.Load("p")
+		got32, err := s.Load("b")
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotC, err := s.Load("c")
+		got64, err := s.Load("wide")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !modelsEqual(parent, gotP) || !modelsEqual(child, gotC) {
+		if !modelsEqual(m32, got32) || !modelsEqual(m64, got64) {
 			t.Fatal("f32 CAS load is not bit-identical")
 		}
-		if gotP.DType != tensor.F32 || gotC.DType != tensor.F32 {
-			t.Fatalf("loaded dtypes %v/%v, want F32", gotP.DType, gotC.DType)
+		if got32.DType != tensor.F32 || got64.DType != tensor.F64 {
+			t.Fatalf("loaded dtypes %v/%v, want F32/F64", got32.DType, got64.DType)
 		}
 	})
 }

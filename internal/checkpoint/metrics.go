@@ -31,18 +31,15 @@ var (
 	mStoreMisses   = obs.GetCounter("checkpoint.store.load.misses")
 )
 
-// Content-addressed store telemetry: the dedup ledger. RawBytes is what
-// full (undeduplicated, uncompressed) checkpoint writes would have cost;
-// WrittenBytes is what actually hit the backend — their ratio is the paper's
-// checkpoint-I/O reduction, asserted end to end by the dedup-smoke CI job.
+// Content-addressed store telemetry. RawBytes is what the saved SWTC streams
+// measure; WrittenBytes is what reached the backend for them — their ratio,
+// with the journal's bytes, is the checkpoint-I/O reduction the dedup-smoke
+// CI job asserts end to end. blobs.stored counts object writes: one per save
+// unless the disk backend already held the object.
 var (
 	mCASBlobsStored  = obs.GetCounter("checkpoint.cas.blobs.stored")
-	mCASBlobsDeduped = obs.GetCounter("checkpoint.cas.blobs.deduped")
 	mCASRawBytes     = obs.GetCounter("checkpoint.cas.bytes.raw")
 	mCASWrittenBytes = obs.GetCounter("checkpoint.cas.bytes.written")
-	mCASManifests    = obs.GetCounter("checkpoint.cas.manifests")
-	mCASGCBlobs      = obs.GetCounter("checkpoint.cas.gc.blobs")
-	mCASGCBytes      = obs.GetCounter("checkpoint.cas.gc.bytes")
 	mCASBlobsLive    = obs.GetGauge("checkpoint.cas.blobs.live")
 )
 

@@ -28,7 +28,7 @@ func metricModel(t *testing.T) *Model {
 
 func TestStoreHitMissCounters(t *testing.T) {
 	withMetrics(t)
-	store := NewMemStore()
+	store := NewCASMemStore()
 	m := metricModel(t)
 	if _, err := store.Save("a", m); err != nil {
 		t.Fatal(err)
@@ -79,12 +79,12 @@ func TestCASDiskStoreHitMissCounters(t *testing.T) {
 }
 
 // TestStoreCountersUnderConcurrentLoads exercises the hit/miss counters from
-// many goroutines against one MemStore while a reader snapshots — the race
+// many goroutines against one memory store while a reader snapshots — the race
 // detector guards the counter paths, the final delta checks no increment is
 // lost. Run with -race.
 func TestStoreCountersUnderConcurrentLoads(t *testing.T) {
 	withMetrics(t)
-	store := NewMemStore()
+	store := NewCASMemStore()
 	m := metricModel(t)
 	if _, err := store.Save("a", m); err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestCodecByteCountersMatchEncodedSize(t *testing.T) {
 	withMetrics(t)
 	m := metricModel(t)
 	before := obs.Take()
-	store := NewMemStore()
+	store := NewCASMemStore()
 	n, err := store.Save("a", m)
 	if err != nil {
 		t.Fatal(err)
@@ -164,31 +164,45 @@ func TestCodecByteCountersMatchEncodedSize(t *testing.T) {
 
 // TestSaveSizeHistogramCountsEachSaveOnce: checkpoint.store.save.size is the
 // distribution sim.Calibrate fits its checkpoint-bytes sampler from, so it
-// must hold exactly one observation per Save or SaveBlob, on every store.
+// must hold exactly one observation per Save or SaveEncoded, on both
+// backends — and moving a stream between stores re-encodes nothing.
 func TestSaveSizeHistogramCountsEachSaveOnce(t *testing.T) {
 	withMetrics(t)
 	m := metricModel(t)
-	mem, cas := NewMemStore(), NewCASMemStore()
+	mem := NewCASMemStore()
+	disk, err := NewCASDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := obs.Take()
 	saves := 0
 	for i := 0; i < 3; i++ {
 		if _, err := mem.Save(fmt.Sprintf("m%d", i), m); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cas.Save(fmt.Sprintf("c%d", i), m); err != nil {
-			t.Fatal(err)
-		}
-		blob, err := mem.LoadBlob(fmt.Sprintf("m%d", i))
+		stream, err := LoadEncoded(mem, fmt.Sprintf("m%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mem.SaveBlob(fmt.Sprintf("b%d", i), blob); err != nil {
+		if err := SaveEncoded(mem, fmt.Sprintf("b%d", i), stream); err != nil {
 			t.Fatal(err)
+		}
+		if err := SaveEncoded(disk, fmt.Sprintf("d%d", i), stream); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := LoadEncoded(mem, fmt.Sprintf("b%d", i)); err != nil || &again[0] != &stream[0] {
+			t.Fatalf("the memory backend copied a stream it was handed (err %v)", err)
 		}
 		saves += 3
 	}
 	d := obs.Take().Delta(before)
 	if got := d.Histograms["checkpoint.store.save.size"].Count; got != int64(saves) {
-		t.Errorf("save.size observations = %d, want %d (one per Save/SaveBlob)", got, saves)
+		t.Errorf("save.size observations = %d, want %d (one per Save/SaveEncoded)", got, saves)
+	}
+	if enc, dec := d.Counters["checkpoint.encode.calls"], d.Counters["checkpoint.decode.calls"]; enc != 3 || dec != 0 {
+		t.Errorf("%d encodes and %d decodes for 3 Saves and 6 SaveEncodeds, want 3 and 0", enc, dec)
+	}
+	if got := d.Counters["checkpoint.cas.blobs.stored"]; got != 7 {
+		t.Errorf("cas.blobs.stored = %d, want 7: one per memory save, one for the three identical disk saves", got)
 	}
 }

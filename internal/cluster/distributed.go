@@ -123,9 +123,10 @@ func RunDistributed(c *Coordinator, cfg DistConfig) (*trace.Trace, error) {
 		return nil, err
 	}
 	orDefault(&cfg.Outstanding, 2)
-	// MemStore keeps the encoded bytes as they came off the wire, so saving
-	// a result and shipping it later as a provider re-encode and copy nothing.
-	store := checkpoint.NewMemStore()
+	// The memory backend keeps the encoded bytes as they came off the wire, so
+	// saving a result and shipping it later as a provider re-encode and copy
+	// nothing.
+	store := checkpoint.NewCASMemStore()
 	b := c.Bind(RPCTask{
 		App: cfg.App, DataSeed: cfg.DataSeed, TrainN: cfg.TrainN, ValN: cfg.ValN,
 		Matcher: cfg.Matcher, DType: cfg.DType,

@@ -27,7 +27,6 @@ import (
 	"swtnas/internal/data"
 	"swtnas/internal/nas"
 	"swtnas/internal/obs"
-	"swtnas/internal/parallel"
 	"swtnas/internal/sim"
 	"swtnas/internal/tensor"
 	"swtnas/internal/trace"
@@ -89,26 +88,17 @@ type RPCTask struct {
 	ID int
 	// App names the application; DataSeed / TrainN / ValN reproduce its
 	// dataset on the worker.
-	App           string
-	DataSeed      int64
-	TrainN, ValN  int
-	Arch          []int
-	Seed          int64
-	Matcher       string // "", "LP", "LCS"
-	Parent        []byte // encoded provider checkpoint, nil for scratch
-	PartialEpochs int
+	App          string
+	DataSeed     int64
+	TrainN, ValN int
+	Arch         []int
+	Seed         int64
+	Matcher      string // "", "LP", "LCS"
+	Parent       []byte // encoded provider checkpoint, nil for scratch
 	// DType selects the worker-side training element type ("", "f64" or
 	// "f32", the tensor.ParseDType spellings), with nas.Evaluator.DType's
-	// meaning; the returned checkpoint is dtype-tagged (SWTC v3 for f32).
+	// meaning; the returned checkpoint is dtype-tagged.
 	DType string
-	// DeadlineMillis, when positive, bounds the worker-side evaluation: past
-	// it the worker reports a task error (the coordinator then retries or
-	// fails the candidate). Mirrors FaultConfig.TaskDeadline.
-	DeadlineMillis int64
-	// KernelWorkers, when positive, sets the worker's kernel-pool width for
-	// this task (the per-evaluator share of a node's core budget). 0 leaves
-	// the pool untouched; a Worker with its own KernelWorkers pin ignores it.
-	KernelWorkers int
 }
 
 // RPCResult returns one evaluation to the coordinator: the candidate's trace
@@ -599,10 +589,6 @@ var (
 type Worker struct {
 	// ID labels the worker in results.
 	ID string
-	// KernelWorkers, when positive, pins this worker's kernel-pool width
-	// for every task, overriding any RPCTask.KernelWorkers the coordinator
-	// ships (an operator-set SWTNAS_WORKERS equivalent).
-	KernelWorkers int
 	// DType, when non-empty, is the training element type of tasks that ship
 	// no RPCTask.DType; a task that names one always wins, keeping mixed
 	// fleets consistent. See DESIGN.md §14.
@@ -624,13 +610,6 @@ type Worker struct {
 	app    *apps.App
 }
 
-// kernelWorkersFor resolves the kernel-pool width for one task: the
-// worker's own pin wins, then the task's coordinator-assigned share, then 0
-// (leave the pool as-is).
-func (w *Worker) kernelWorkersFor(t RPCTask) int {
-	return cmp.Or(max(w.KernelWorkers, 0), t.KernelWorkers)
-}
-
 // appFor returns (building if needed) the application a task needs.
 func (w *Worker) appFor(t RPCTask) (*apps.App, error) {
 	key := fmt.Sprintf("%s/%d/%d/%d", t.App, t.DataSeed, t.TrainN, t.ValN)
@@ -648,17 +627,12 @@ func (w *Worker) appFor(t RPCTask) (*apps.App, error) {
 }
 
 // Execute runs one task locally (exported for tests and for embedding the
-// worker in-process). The envelope is the worker's: kernel-pool scoping,
-// dtype and application resolution, the task deadline. The evaluation is
-// nas.Evaluator's, the body every in-process executor runs, its store
-// standing in for the wire: the shipped provider in, the trained bytes out.
+// worker in-process). The envelope is the worker's: dtype and application
+// resolution. The evaluation is nas.Evaluator's, the body every in-process
+// executor runs, its store standing in for the wire: the shipped provider
+// in, the trained bytes out, neither copied nor re-encoded.
 func (w *Worker) Execute(t RPCTask) RPCResult {
 	defer mExecSeconds.Start().Stop()
-	if k := w.kernelWorkersFor(t); k > 0 {
-		// Scoped like the in-process auto-split: set for this evaluation,
-		// restore after, so an operator's process-wide setting survives.
-		defer parallel.SetWorkers(parallel.SetWorkers(k))
-	}
 	res := RPCResult{Record: trace.Record{ID: t.ID}, WorkerID: w.ID}
 	fail := func(err error) RPCResult {
 		res.Err = err.Error()
@@ -676,29 +650,23 @@ func (w *Worker) Execute(t RPCTask) RPCResult {
 	if !ok {
 		return fail(fmt.Errorf("cluster: unknown matcher %q", t.Matcher))
 	}
-	ctx := context.Background()
-	if t.DeadlineMillis > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(t.DeadlineMillis)*time.Millisecond)
-		defer cancel()
-	}
-	store := checkpoint.NewMemStore()
+	store := checkpoint.NewCASMemStore()
 	task := nas.Task{ID: t.ID, Arch: t.Arch, ParentID: -1, Seed: t.Seed}
 	if len(t.Parent) > 0 {
 		// The provider's candidate number does not travel with its bytes;
 		// any slot but the task's own serves.
 		task.ParentID = t.ID + 1
-		if _, err := store.SaveBlob(nas.CandidateID(task.ParentID), t.Parent); err != nil {
+		if err := checkpoint.SaveEncoded(store, nas.CandidateID(task.ParentID), t.Parent); err != nil {
 			return fail(err)
 		}
 	}
-	eval := nas.Evaluator{App: app, Matcher: matcher, Store: store, Epochs: t.PartialEpochs, DType: dt}
-	r := eval.EvaluateCtx(ctx, task)
+	eval := nas.Evaluator{App: app, Matcher: matcher, Store: store, DType: dt}
+	r := eval.EvaluateCtx(context.Background(), task)
 	res.Record = r.Record
 	if r.Err != nil {
 		return fail(r.Err)
 	}
-	if res.Checkpoint, err = store.LoadBlob(nas.CandidateID(t.ID)); err != nil {
+	if res.Checkpoint, err = checkpoint.LoadEncoded(store, nas.CandidateID(t.ID)); err != nil {
 		return fail(err)
 	}
 	return res

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"swtnas/internal/nas"
-	"swtnas/internal/parallel"
 	"swtnas/internal/trace"
 )
 
@@ -297,35 +296,5 @@ func TestSpeculationBeatsDeadlineFailoverOnStragglers(t *testing.T) {
 	rec.await(t, "speculated", func(ev nas.FaultEvent) bool { return ev.Kind == nas.FaultSpeculate })
 	if specMakespan >= deadlineMakespan {
 		t.Fatalf("speculation (%v) did not beat deadline failover (%v)", specMakespan, deadlineMakespan)
-	}
-}
-
-func TestKernelWorkersResolution(t *testing.T) {
-	w := &Worker{}
-	if got := w.kernelWorkersFor(RPCTask{}); got != 0 {
-		t.Fatalf("no pins must leave the pool untouched, got %d", got)
-	}
-	if got := w.kernelWorkersFor(RPCTask{KernelWorkers: 3}); got != 3 {
-		t.Fatalf("task share = %d, want 3", got)
-	}
-	w.KernelWorkers = 2
-	if got := w.kernelWorkersFor(RPCTask{KernelWorkers: 3}); got != 2 {
-		t.Fatalf("worker pin must win, got %d", got)
-	}
-}
-
-// TestExecuteRestoresKernelPool: the per-task kernel width is scoped to the
-// evaluation — even on the early-error path — so an operator's process-wide
-// setting survives.
-func TestExecuteRestoresKernelPool(t *testing.T) {
-	prev := parallel.SetWorkers(3)
-	defer parallel.SetWorkers(prev)
-	w := &Worker{ID: "w0", KernelWorkers: 2}
-	res := w.Execute(RPCTask{ID: 1, App: "no-such-app"})
-	if res.Err == "" {
-		t.Fatal("bogus app must error")
-	}
-	if got := parallel.Workers(); got != 3 {
-		t.Fatalf("kernel pool leaked: %d workers, want 3 restored", got)
 	}
 }

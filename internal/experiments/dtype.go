@@ -57,7 +57,7 @@ func (s *Suite) Dtype(w io.Writer) ([]DtypeRow, error) {
 		}
 		var taus, deltas, bests []float64
 		for rep := 0; rep < s.Cfg.Seeds; rep++ {
-			store32 := checkpoint.NewMemStore()
+			store32 := checkpoint.NewCASMemStore()
 			t32, err := nas.Run(context.Background(), nas.Config{
 				App:      app,
 				Strategy: evo.NewRegularizedEvolution(app.Space, s.Cfg.PopN, s.Cfg.PopS),

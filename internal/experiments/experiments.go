@@ -150,7 +150,7 @@ func (s *Suite) Campaign(appName, scheme string) (*Campaign, error) {
 	}
 	c := &Campaign{App: app, Scheme: scheme}
 	for rep := 0; rep < s.Cfg.Seeds; rep++ {
-		store := checkpoint.NewMemStore()
+		store := checkpoint.NewCASMemStore()
 		tr, err := nas.Run(context.Background(), nas.Config{
 			App:      app,
 			Strategy: evo.NewRegularizedEvolution(app.Space, s.Cfg.PopN, s.Cfg.PopS),

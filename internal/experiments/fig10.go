@@ -108,8 +108,8 @@ func (s *Suite) Fig10(w io.Writer) ([]Fig10Row, error) {
 				matchOverhead = 100 * time.Millisecond
 			}
 			for _, gpus := range []int{8, 16, 32} {
-				res, err := sim.Simulate(sim.Config{
-					GPUs:             gpus,
+				res, err := sim.SimulateFleet(sim.FleetConfig{
+					Evaluators:       gpus,
 					Tasks:            tasks,
 					WriteCheckpoints: scheme != "baseline",
 					MatchOverhead:    matchOverhead,

@@ -104,7 +104,7 @@ func searchConfig(t *testing.T, matcher core.Matcher, dt tensor.DType) nas.Confi
 		Matcher:  matcher,
 		DType:    dt,
 		Strategy: evo.NewRegularizedEvolution(app.Space, 3, 2),
-		Store:    checkpoint.NewMemStore(),
+		Store:    checkpoint.NewCASMemStore(),
 		Budget:   6,
 		Seed:     11,
 	}

@@ -73,7 +73,7 @@ func (s *failingStore) Save(id string, m *checkpoint.Model) (int64, error) {
 
 func TestRunSurfacesCheckpointFailures(t *testing.T) {
 	app := tinyApp(t, "nt3")
-	store := &failingStore{Store: checkpoint.NewMemStore(), failSave: true}
+	store := &failingStore{Store: checkpoint.NewCASMemStore(), failSave: true}
 	_, err := Run(context.Background(), Config{App: app, Store: store, Budget: 2, Seed: 1})
 	if err == nil {
 		t.Fatal("checkpoint save failure must fail the run")

@@ -310,8 +310,8 @@ type Config struct {
 	// Journal, when non-nil, receives an append for every completed
 	// candidate before Progress fires, so a crashed run can resume from its
 	// last fsynced candidate. The append is a small manifest record — the
-	// tensor blobs already live in the store — so Store must then be a
-	// checkpoint.ManifestStore with durable blobs (checkpoint.NewCASDiskStore);
+	// checkpoint it names already lives in the store — so Store must then be
+	// a checkpoint.ManifestStore with durable blobs (checkpoint.NewCASDiskStore);
 	// Run rejects any other pairing before the first proposal. A journal
 	// write failure aborts the run: a search that silently stops journaling
 	// would resume wrong.
@@ -319,8 +319,7 @@ type Config struct {
 	// RetainTopK, when positive, garbage-collects the checkpoints of
 	// candidates that have aged out of a RegularizedEvolution population and
 	// fall outside the running top-K scores, as soon as no in-flight task
-	// needs them as transfer provider. With a content-addressed store this
-	// releases blob references, bounding store growth on long runs. Zero
+	// needs them as transfer provider, bounding store growth on long runs. Zero
 	// keeps every checkpoint (required when the full trace's checkpoints
 	// must stay loadable).
 	RetainTopK int
@@ -380,8 +379,8 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	if store == nil {
 		store = checkpoint.NewCASMemStore()
 	}
-	// A journal record is a manifest: only a store that kept the blobs across
-	// the crash can resolve it again.
+	// A journal record is a manifest: only a store that kept the objects
+	// across the crash can resolve it again.
 	manifests, _ := store.(checkpoint.ManifestStore)
 	if (cfg.Journal != nil || cfg.Resume != nil) && (manifests == nil || !manifests.DurableBlobs()) {
 		return nil, fmt.Errorf("nas: a journaled search needs a checkpoint store with durable blobs (checkpoint.NewCASDiskStore), not %T", store)
@@ -556,9 +555,9 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		// and a resumed run can only follow the issue order the journal shows.
 		switch {
 		case res.Resumed && !res.Failed:
-			// The manifest is re-registered against the durable blobs,
+			// The manifest is re-registered against the durable object,
 			// hash-verified, so later transfers read identical providers. One
-			// whose blobs were collected before the crash is fine when GC is on:
+			// whose object was collected before the crash is fine when GC is on:
 			// the sweep below deletes that candidate at the same point the
 			// crashed run did, so the missing checkpoint can never be needed.
 			if err := manifests.AdoptManifest(CandidateID(res.ID), manifest); err != nil && !(gc != nil && errors.Is(err, checkpoint.ErrMissingBlob)) {

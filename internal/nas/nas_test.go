@@ -33,7 +33,7 @@ func TestCandidateID(t *testing.T) {
 
 func TestEvaluatorBaseline(t *testing.T) {
 	app := tinyApp(t, "nt3")
-	store := checkpoint.NewMemStore()
+	store := checkpoint.NewCASMemStore()
 	e := &Evaluator{App: app, Store: store}
 	arch := app.Space.Random(randSource(1))
 	res := e.Evaluate(Task{ID: 0, Arch: arch, ParentID: -1, Seed: 7})
@@ -56,7 +56,7 @@ func TestEvaluatorBaseline(t *testing.T) {
 
 func TestEvaluatorTransfersFromParent(t *testing.T) {
 	app := tinyApp(t, "nt3")
-	store := checkpoint.NewMemStore()
+	store := checkpoint.NewCASMemStore()
 	e := &Evaluator{App: app, Store: store, Matcher: core.LCS{}}
 	rng := randSource(2)
 	parentArch := app.Space.Random(rng)
@@ -79,7 +79,7 @@ func TestEvaluatorTransfersFromParent(t *testing.T) {
 
 func TestEvaluatorMissingParentFails(t *testing.T) {
 	app := tinyApp(t, "nt3")
-	e := &Evaluator{App: app, Store: checkpoint.NewMemStore(), Matcher: core.LP{}}
+	e := &Evaluator{App: app, Store: checkpoint.NewCASMemStore(), Matcher: core.LP{}}
 	res := e.Evaluate(Task{ID: 0, Arch: app.Space.Random(randSource(3)), ParentID: 99, Seed: 1})
 	if res.Err == nil {
 		t.Fatal("missing provider checkpoint must fail the evaluation")

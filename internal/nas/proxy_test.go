@@ -55,7 +55,7 @@ func filteredEqual(t *testing.T, a, b []trace.FilteredRecord, label string) {
 // training (the whole point of the pre-filter) while still completing the
 // full budget of admitted evaluations.
 func TestProxyFilterRejectsBeforeTraining(t *testing.T) {
-	cfg := newProxyConfig(t, checkpoint.NewMemStore())
+	cfg := newProxyConfig(t, checkpoint.NewCASMemStore())
 	var seen []proxy.FilteredCandidate
 	cfg.OnFiltered = func(fc proxy.FilteredCandidate) { seen = append(seen, fc) }
 	tr, err := Run(context.Background(), cfg)
@@ -95,7 +95,7 @@ func TestProxyFilterRejectsBeforeTraining(t *testing.T) {
 // determinism the resume path relies on.
 func TestProxyFilterDeterministicAcrossReruns(t *testing.T) {
 	run := func() *trace.Trace {
-		cfg := newProxyConfig(t, checkpoint.NewMemStore())
+		cfg := newProxyConfig(t, checkpoint.NewCASMemStore())
 		tr, err := Run(context.Background(), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +190,7 @@ func TestProxyFilterResumeBitIdentical(t *testing.T) {
 // checkpoint GC (which recognizes its OnEvict hook).
 func TestParetoStrategySearch(t *testing.T) {
 	app := tinyApp(t, "nt3")
-	store := checkpoint.NewMemStore()
+	store := checkpoint.NewCASMemStore()
 	tr, err := Run(context.Background(), Config{
 		App:        app,
 		Matcher:    core.LCS{},

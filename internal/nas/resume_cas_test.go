@@ -376,6 +376,12 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 		"a candidate whose arch disagrees": {func(c *Config) {
 			c.Resume = edited(budget-1, func(r *trace.Record) { r.Arch = append([]int{r.Arch[0] + 1}, r.Arch[1:]...) })
 		}, disagree},
+		"a journal of the per-tensor store (SWTM version 1)": {func(c *Config) {
+			c.Resume = edited(0, func(*trace.Record) {})
+			old := append([]byte(nil), rec.Records[0].Manifest...)
+			old[4] = 1 // the version word follows the 4-byte magic
+			c.Resume.Records[0].Manifest = old
+		}, "unsupported manifest version 1"},
 	} {
 		spy := &submitSpy{}
 		cfg := Config{
@@ -470,8 +476,8 @@ func TestJournalNeedsDurableStore(t *testing.T) {
 	app := tinyApp(t, "nt3")
 	for name, store := range map[string]checkpoint.Store{
 		"the default store":  nil,
-		"a MemStore":         checkpoint.NewMemStore(),
-		"a CAS memory store": checkpoint.NewCASMemStore(),
+		"a memory store":     checkpoint.NewCASMemStore(),
+		"a manifestless one": struct{ checkpoint.Store }{checkpoint.NewCASMemStore()},
 	} {
 		path := filepath.Join(t.TempDir(), "run.swtj")
 		j, err := resilience.Create(path, resilience.Header{App: app.Name, Budget: 2})

@@ -15,10 +15,10 @@
 //
 // Record kinds: 1 = run header (JSON), 3 = candidate evaluation
 // (u32(metaLen) + trace.Record JSON + encoded SWTM manifest; the manifest is
-// empty only on a Failed record). The tensor blobs a manifest references live
-// in the durable content-addressed checkpoint store (checkpoint.NewCASDiskStore),
-// which persisted them before the record was appended, so replay re-registers
-// each manifest against them, hash-verified, and weight transfer after resume
+// empty only on a Failed record). The object a manifest names lives in the
+// durable content-addressed checkpoint store (checkpoint.NewCASDiskStore),
+// which persisted it before the record was appended, so replay re-registers
+// each manifest against it, hash-verified, and weight transfer after resume
 // matches an uninterrupted run bit for bit. A journal is therefore always
 // paired with such a store. Version 1 files and kind 2 records (evaluations
 // carrying an inline SWTC checkpoint) are no longer written or read: Open and
@@ -163,9 +163,9 @@ func dtypeSpelling(s string) string {
 }
 
 // EvalRecord is one journaled candidate evaluation: the full trace record
-// plus the candidate's encoded SWTM manifest — a few hundred bytes of
-// layer→hash references whose tensor blobs the content-addressed store
-// persisted durably before the record was appended. Manifest is empty exactly
+// plus the candidate's encoded SWTM manifest — 36 bytes naming, by content
+// hash, the checkpoint object the store persisted durably before the record
+// was appended. Manifest is empty exactly
 // when Record.Failed is set: a failed candidate has no checkpoint.
 type EvalRecord struct {
 	Record   trace.Record

@@ -16,18 +16,18 @@ func ioTasks(n int, train time.Duration, ckpt int64, loadParent bool) []Task {
 }
 
 func TestSimulateValidation(t *testing.T) {
-	if _, err := Simulate(Config{GPUs: 0, Tasks: ioTasks(1, time.Second, 1, false)}); err == nil {
+	if _, err := SimulateFleet(FleetConfig{Evaluators: 0, Tasks: ioTasks(1, time.Second, 1, false)}); err == nil {
 		t.Fatal("zero GPUs must error")
 	}
-	if _, err := Simulate(Config{GPUs: 4}); err == nil {
+	if _, err := SimulateFleet(FleetConfig{Evaluators: 4}); err == nil {
 		t.Fatal("no tasks must error")
 	}
 }
 
 func TestSimulateSingleGPUSequential(t *testing.T) {
-	res, err := Simulate(Config{
-		GPUs:  1,
-		Tasks: ioTasks(10, time.Second, 0, false),
+	res, err := SimulateFleet(FleetConfig{
+		Evaluators: 1,
+		Tasks:      ioTasks(10, time.Second, 0, false),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +42,7 @@ func TestSimulateSingleGPUSequential(t *testing.T) {
 
 func TestSimulatePerfectScalingWithoutIO(t *testing.T) {
 	mk := func(gpus int) time.Duration {
-		res, err := Simulate(Config{GPUs: gpus, Tasks: ioTasks(64, time.Second, 0, false)})
+		res, err := SimulateFleet(FleetConfig{Evaluators: gpus, Tasks: ioTasks(64, time.Second, 0, false)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,9 +56,9 @@ func TestSimulatePerfectScalingWithoutIO(t *testing.T) {
 func TestSimulateCheckpointOverheadSmallForLongTraining(t *testing.T) {
 	// CIFAR-like regime: training dominates I/O -> overhead fraction tiny
 	// and scaling near-linear (paper Fig 10 left).
-	run := func(gpus int) Result {
-		res, err := Simulate(Config{
-			GPUs:             gpus,
+	run := func(gpus int) FleetResult {
+		res, err := SimulateFleet(FleetConfig{
+			Evaluators:       gpus,
 			Tasks:            ioTasks(400, 30*time.Second, 200_000, true),
 			WriteCheckpoints: true,
 			MatchOverhead:    50 * time.Millisecond,
@@ -84,8 +84,8 @@ func TestSimulateNT3CheckpointBottleneck(t *testing.T) {
 	// scaling from 16 to 32 GPUs.
 	fs := FSModel{WriteBandwidth: 50e6, ReadBandwidth: 50e6, PerOpLatency: 100 * time.Millisecond, Serialized: true}
 	run := func(gpus int) time.Duration {
-		res, err := Simulate(Config{
-			GPUs:             gpus,
+		res, err := SimulateFleet(FleetConfig{
+			Evaluators:       gpus,
 			Tasks:            ioTasks(400, 6*time.Second, 40_000_000, true),
 			WriteCheckpoints: true,
 			MatchOverhead:    100 * time.Millisecond,
@@ -111,11 +111,11 @@ func TestSimulateBaselineFasterThanTransferSchemes(t *testing.T) {
 	// must take at least as long (paper: "our schemes have a constant time
 	// overhead").
 	tasks := ioTasks(100, 2*time.Second, 5_000_000, true)
-	base, err := Simulate(Config{GPUs: 8, Tasks: tasks})
+	base, err := SimulateFleet(FleetConfig{Evaluators: 8, Tasks: tasks})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lcs, err := Simulate(Config{GPUs: 8, Tasks: tasks, WriteCheckpoints: true, MatchOverhead: 100 * time.Millisecond})
+	lcs, err := SimulateFleet(FleetConfig{Evaluators: 8, Tasks: tasks, WriteCheckpoints: true, MatchOverhead: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,8 +127,8 @@ func TestSimulateBaselineFasterThanTransferSchemes(t *testing.T) {
 func TestSimulateSchedulerLatencyFloors(t *testing.T) {
 	// 64 tasks of 1s on 64 GPUs with a 0.5s serialized dispatch: the
 	// last task cannot start before 64*0.5 = 32s.
-	res, err := Simulate(Config{
-		GPUs:             64,
+	res, err := SimulateFleet(FleetConfig{
+		Evaluators:       64,
 		Tasks:            ioTasks(64, time.Second, 0, false),
 		SchedulerLatency: 500 * time.Millisecond,
 	})
@@ -139,7 +139,7 @@ func TestSimulateSchedulerLatencyFloors(t *testing.T) {
 		t.Fatalf("makespan = %v, want >= 32s dispatch floor", res.Makespan)
 	}
 	// Without dispatch latency the same workload takes ~1s.
-	res2, err := Simulate(Config{GPUs: 64, Tasks: ioTasks(64, time.Second, 0, false)})
+	res2, err := SimulateFleet(FleetConfig{Evaluators: 64, Tasks: ioTasks(64, time.Second, 0, false)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestSimulateParallelFSNoContention(t *testing.T) {
 	for i := range tasks {
 		tasks[i] = Task{TrainTime: time.Second, CheckpointBytes: 10_000_000, LoadParent: true}
 	}
-	res, err := Simulate(Config{GPUs: 8, Tasks: tasks, WriteCheckpoints: true, FS: fs})
+	res, err := SimulateFleet(FleetConfig{Evaluators: 8, Tasks: tasks, WriteCheckpoints: true, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestSimulateParallelFSNoContention(t *testing.T) {
 	}
 	// The same workload on a serialized FS must be slower.
 	fs.Serialized = true
-	res2, err := Simulate(Config{GPUs: 8, Tasks: tasks, WriteCheckpoints: true, FS: fs})
+	res2, err := SimulateFleet(FleetConfig{Evaluators: 8, Tasks: tasks, WriteCheckpoints: true, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

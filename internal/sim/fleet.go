@@ -36,14 +36,15 @@ func (s SpeculationConfig) multiplier() float64 {
 	return s.Multiplier
 }
 
-// FleetConfig configures a fleet-scale simulation: the base engine's
-// workload and FS model plus the intra-node core model, the coordinator's
-// heartbeat-monitor load, and speculative re-execution.
+// FleetConfig configures one simulated candidate-estimation phase: the
+// workload, the scheduler and FS models, and — all off at their zero values —
+// the intra-node core model, the coordinator's heartbeat-monitor load, and
+// speculative re-execution.
 type FleetConfig struct {
-	// Evaluators is the simulated evaluator (GPU) count.
+	// Evaluators is the simulated evaluator (GPU) count (paper: 8, 16, 32).
 	Evaluators int
-	// Tasks is the workload; Task.TrainTime is the serial duration, scaled
-	// by the kernel model below.
+	// Tasks is the workload, dispatched FCFS to free evaluators;
+	// Task.TrainTime is the serial duration, scaled by the kernel model below.
 	Tasks []Task
 	// KernelWorkers is the kernel-pool width per evaluator (SWTNAS_WORKERS
 	// on a real worker). 0 derives it from the node core budget the way
@@ -57,8 +58,10 @@ type FleetConfig struct {
 	// as-is.
 	ParallelFraction float64
 	// SchedulerLatency is the serialized per-task dispatch cost at the
-	// coordinator. The heartbeat-monitor load inflates it: with load l in
-	// [0,1), effective latency is SchedulerLatency/(1-l).
+	// coordinator (Ray head node). It bounds throughput for very short tasks
+	// — the paper's NT3 non-linearity from 16 to 32 GPUs, which appears in
+	// the baseline too. The heartbeat-monitor load inflates it: with load l
+	// in [0,1), effective latency is SchedulerLatency/(1-l).
 	SchedulerLatency time.Duration
 	// HeartbeatEvery and HeartbeatCost model the coordinator's monitor
 	// loop: Evaluators/HeartbeatEvery heartbeats per second, each costing
@@ -67,9 +70,12 @@ type FleetConfig struct {
 	// the breaking point the scale study locates.
 	HeartbeatEvery time.Duration
 	HeartbeatCost  time.Duration
-	// WriteCheckpoints and MatchOverhead mirror Config.
+	// WriteCheckpoints enables the per-candidate checkpoint write the
+	// weight-transfer schemes add over the baseline.
 	WriteCheckpoints bool
-	MatchOverhead    time.Duration
+	// MatchOverhead is the LP/LCS compute cost added per transferring task
+	// (paper Section VIII-E: at most 150 ms).
+	MatchOverhead time.Duration
 	// FS is the shared-FS model; zero value -> DefaultFS.
 	FS FSModel
 	// Speculation configures speculative re-execution.
@@ -122,8 +128,7 @@ type FleetResult struct {
 	Attempts       int
 }
 
-// fleet event phases (the base engine's evGPUFree/evTrainDone plus the
-// speculation trigger).
+// event phases of an attempt on an evaluator.
 const (
 	fevFree = iota // evaluator finished (or is checking the queue)
 	fevDone        // an attempt's training finished
@@ -137,7 +142,10 @@ type attempt struct {
 	enqueue time.Duration // when the attempt became dispatchable
 }
 
-// SimulateFleet runs the fleet-scale simulation. Dispatch is FCFS with
+// SimulateFleet replays the workload on the virtual cluster and returns its
+// timing: an event-driven simulation in which checkpoint reads and writes are
+// serviced by the shared file system in the order they are issued in
+// simulated time. Dispatch is FCFS with
 // backups queued at the front (the real coordinator requeues urgent work the
 // same way); a speculation trigger fires only while its task is still
 // running, and the loser of a race runs to completion on its evaluator —

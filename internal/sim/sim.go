@@ -4,13 +4,13 @@
 // tested at fleet scale before they are built (the paper's Fig 10 study,
 // since this host has no GPUs).
 //
-// The package has three layers:
+// The package has two layers:
 //
-//   - Simulate (this file): the base engine — FCFS dispatch to free GPUs,
-//     serialized scheduler latency, a shared-FS model for checkpoint I/O.
-//     internal/cluster re-exports it unchanged for the Table II presets.
-//   - SimulateFleet (fleet.go): the base engine plus an intra-node core
-//     model (SWTNAS_WORKERS-aware kernel-parallel speedup), an analytic
+//   - SimulateFleet (fleet.go): the engine — FCFS dispatch to free
+//     evaluators, serialized scheduler latency and a shared-FS model for
+//     checkpoint I/O (what the Fig 10 study uses, every other knob at
+//     zero), plus an intra-node core model
+//     (SWTNAS_WORKERS-aware kernel-parallel speedup), an analytic
 //     heartbeat-monitor load on the coordinator, straggler injection, and
 //     speculative re-execution — first-result-wins backups for tasks that
 //     overrun a quantile of the workload's latency distribution.
@@ -19,11 +19,7 @@
 //     predicted against measured makespan.
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-	"time"
-)
+import "time"
 
 // FSModel is the shared-file-system cost model. An operation costs
 // PerOpLatency plus bytes/bandwidth. With Serialized set, all checkpoint
@@ -60,9 +56,8 @@ func (f FSModel) opTime(bytes int64, bandwidth float64) time.Duration {
 
 // Task is one candidate evaluation replayed by the simulator.
 type Task struct {
-	// TrainTime is the candidate's modeled training duration. In fleet
-	// simulations it is the serial (one kernel worker) duration; the kernel
-	// model scales it down.
+	// TrainTime is the candidate's modeled training duration on one kernel
+	// worker; the kernel model scales it down.
 	TrainTime time.Duration
 	// CheckpointBytes is the encoded checkpoint size.
 	CheckpointBytes int64
@@ -76,27 +71,6 @@ type Task struct {
 	// slowdown). Speculative backups re-run at the nominal duration — the
 	// backup lands on a healthy evaluator.
 	SlowFactor float64
-}
-
-// Config configures one simulated candidate-estimation phase.
-type Config struct {
-	// GPUs is the virtual accelerator count (paper: 8, 16, 32).
-	GPUs int
-	// Tasks is the replayed workload, dispatched FCFS to free GPUs.
-	Tasks []Task
-	// WriteCheckpoints enables the per-candidate checkpoint write the
-	// weight-transfer schemes add over the baseline.
-	WriteCheckpoints bool
-	// MatchOverhead is the LP/LCS compute cost added per transferring
-	// task (paper Section VIII-E: at most 150 ms).
-	MatchOverhead time.Duration
-	// SchedulerLatency is the serialized per-task dispatch cost at the
-	// scheduler (Ray head node). It bounds throughput for very short
-	// tasks — the paper's NT3 non-linearity from 16 to 32 GPUs, which
-	// appears in the baseline too.
-	SchedulerLatency time.Duration
-	// FS is the shared file-system model; zero value -> DefaultFS.
-	FS FSModel
 }
 
 // Result summarizes a simulated run.
@@ -120,12 +94,6 @@ func (r Result) OverheadFraction() float64 {
 	}
 	return float64(r.IOBusy) / float64(total)
 }
-
-// event phases of a candidate evaluation on a virtual GPU.
-const (
-	evGPUFree   = iota // the GPU finished its previous task
-	evTrainDone        // training finished; a checkpoint write may follow
-)
 
 type simEvent struct {
 	t     time.Duration
@@ -151,104 +119,6 @@ func (h *eventHeap) Pop() interface{} {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// Simulate replays the workload on the virtual cluster and returns its
-// timing. It is an event-driven simulation: tasks dispatch FCFS to GPUs as
-// they free up, and checkpoint reads/writes are serviced by the shared file
-// system in the order they are issued in simulated time.
-func Simulate(cfg Config) (Result, error) {
-	if cfg.GPUs <= 0 {
-		return Result{}, fmt.Errorf("sim: GPU count %d must be positive", cfg.GPUs)
-	}
-	if len(cfg.Tasks) == 0 {
-		return Result{}, fmt.Errorf("sim: no tasks to simulate")
-	}
-	fs := cfg.FS
-	if fs == (FSModel{}) {
-		fs = DefaultFS()
-	}
-	res := Result{GPUBusy: make([]time.Duration, cfg.GPUs)}
-
-	var (
-		fsFree    time.Duration // serialized-FS availability
-		schedFree time.Duration // serialized scheduler availability
-		next      int           // next task to dispatch
-		current   = make([]int, cfg.GPUs)
-		began     = make([]time.Duration, cfg.GPUs)
-		events    = &eventHeap{}
-		seq       int
-	)
-	fsOp := func(t time.Duration, bytes int64, bandwidth float64) (end time.Duration) {
-		cost := fs.opTime(bytes, bandwidth)
-		if !fs.Serialized {
-			return t + cost
-		}
-		start := maxDur(t, fsFree)
-		fsFree = start + cost
-		return fsFree
-	}
-	push := func(t time.Duration, phase, gpu int) {
-		heap.Push(events, simEvent{t: t, phase: phase, gpu: gpu, seq: seq})
-		seq++
-	}
-	for g := 0; g < cfg.GPUs; g++ {
-		current[g] = -1
-		push(0, evGPUFree, g)
-	}
-
-	for events.Len() > 0 {
-		ev := heap.Pop(events).(simEvent)
-		g := ev.gpu
-		switch ev.phase {
-		case evGPUFree:
-			if current[g] >= 0 {
-				res.GPUBusy[g] += ev.t - began[g]
-				if ev.t > res.Makespan {
-					res.Makespan = ev.t
-				}
-				current[g] = -1
-			}
-			if next >= len(cfg.Tasks) {
-				continue
-			}
-			task := cfg.Tasks[next]
-			current[g] = next
-			began[g] = ev.t
-			next++
-			t := ev.t
-			if cfg.SchedulerLatency > 0 {
-				// Task dispatch serializes at the scheduler.
-				start := maxDur(t, schedFree)
-				schedFree = start + cfg.SchedulerLatency
-				res.IOBusy += schedFree - t
-				t = schedFree
-			}
-			if task.LoadParent {
-				// The provider-checkpoint read is issued now; a
-				// serialized FS services requests in issue order.
-				bytes := task.ParentBytes
-				if bytes == 0 {
-					bytes = task.CheckpointBytes
-				}
-				ioEnd := fsOp(t, bytes, fs.ReadBandwidth)
-				res.IOBusy += (ioEnd - t) + cfg.MatchOverhead
-				t = ioEnd + cfg.MatchOverhead
-			}
-			res.TrainBusy += task.TrainTime
-			push(t+task.TrainTime, evTrainDone, g)
-		case evTrainDone:
-			task := cfg.Tasks[current[g]]
-			t := ev.t
-			if cfg.WriteCheckpoints {
-				ioEnd := fsOp(t, task.CheckpointBytes, fs.WriteBandwidth)
-				res.IOBusy += ioEnd - t
-				t = ioEnd
-			}
-			push(t, evGPUFree, g)
-		}
-	}
-	return res, nil
 }
 
 func maxDur(a, b time.Duration) time.Duration {

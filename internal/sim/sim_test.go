@@ -28,7 +28,7 @@ func TestFSOpTime(t *testing.T) {
 func TestSimulateZeroDurationTasks(t *testing.T) {
 	// Tasks with zero training time must drain without hanging and with a
 	// zero makespan when nothing else costs time.
-	res, err := Simulate(Config{GPUs: 4, Tasks: uniformTasks(64, 0)})
+	res, err := SimulateFleet(FleetConfig{Evaluators: 4, Tasks: uniformTasks(64, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,55 +36,12 @@ func TestSimulateZeroDurationTasks(t *testing.T) {
 		t.Fatalf("zero-duration makespan = %v trainBusy = %v, want 0", res.Makespan, res.TrainBusy)
 	}
 	// With a scheduler latency they serialize: 64 dispatches floor the run.
-	res, err = Simulate(Config{GPUs: 4, Tasks: uniformTasks(64, 0), SchedulerLatency: 10 * time.Millisecond})
+	res, err = SimulateFleet(FleetConfig{Evaluators: 4, Tasks: uniformTasks(64, 0), SchedulerLatency: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := 640 * time.Millisecond; res.Makespan != want {
 		t.Fatalf("zero-duration scheduler floor = %v, want %v", res.Makespan, want)
-	}
-}
-
-func TestFleetMatchesBaseEngineWhenExtensionsOff(t *testing.T) {
-	// With no kernel model, no heartbeat load, and no speculation, the
-	// fleet engine must reproduce the base engine's makespan exactly.
-	tasks := make([]Task, 40)
-	for i := range tasks {
-		tasks[i] = Task{
-			TrainTime:       time.Duration(i%7+1) * 500 * time.Millisecond,
-			CheckpointBytes: 20e6,
-			LoadParent:      i >= 8,
-		}
-	}
-	cfg := Config{
-		GPUs:             8,
-		Tasks:            tasks,
-		WriteCheckpoints: true,
-		MatchOverhead:    50 * time.Millisecond,
-		SchedulerLatency: 100 * time.Millisecond,
-	}
-	base, err := Simulate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fleet, err := SimulateFleet(FleetConfig{
-		Evaluators:       cfg.GPUs,
-		Tasks:            cfg.Tasks,
-		WriteCheckpoints: cfg.WriteCheckpoints,
-		MatchOverhead:    cfg.MatchOverhead,
-		SchedulerLatency: cfg.SchedulerLatency,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fleet.Makespan != base.Makespan {
-		t.Fatalf("fleet makespan %v != base %v", fleet.Makespan, base.Makespan)
-	}
-	if fleet.TrainBusy != base.TrainBusy {
-		t.Fatalf("fleet trainBusy %v != base %v", fleet.TrainBusy, base.TrainBusy)
-	}
-	if fleet.KernelWorkers != 1 || fleet.Speculated != 0 {
-		t.Fatalf("extensions leaked: %+v", fleet)
 	}
 }
 

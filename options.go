@@ -44,9 +44,9 @@ type SearchOptions struct {
 	// PopulationSize / SampleSize configure regularized evolution
 	// (0 = the paper's 64 / 32).
 	PopulationSize, SampleSize int
-	// CheckpointDir persists candidate checkpoints on disk (a
-	// content-addressed store: each distinct tensor stored once,
-	// refcounted); empty keeps them in memory.
+	// CheckpointDir persists candidate checkpoints on disk (one compressed,
+	// content-addressed object plus a small manifest file per candidate);
+	// empty keeps them in memory.
 	CheckpointDir string
 	// RetainTopK, when positive, garbage-collects the checkpoints of
 	// candidates that aged out of the evolution population and fall outside
@@ -76,10 +76,10 @@ type SearchOptions struct {
 	Metrics bool
 	// JournalPath enables crash-resume: every completed candidate is
 	// appended to a write-ahead log at this path and fsynced before the
-	// search proceeds. The journal holds small manifest records; the tensor
-	// blobs they reference are durable in the content-addressed store at
-	// CheckpointDir, or at JournalPath + ".blobs" when CheckpointDir is
-	// empty. Empty disables journaling.
+	// search proceeds. The journal holds small manifest records; the
+	// checkpoint objects they name are durable in the content-addressed
+	// store at CheckpointDir, or at JournalPath + ".blobs" when
+	// CheckpointDir is empty. Empty disables journaling.
 	JournalPath string
 	// Resume replays the journal at JournalPath instead of starting fresh:
 	// journaled candidates are restored without re-evaluating (checkpoints

@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"swtnas/internal/checkpoint"
 )
 
 func tinySearch(t *testing.T, scheme string) *Result {
@@ -177,6 +182,56 @@ func TestDiskCheckpointDir(t *testing.T) {
 	}
 	if _, err := res.FullyTrain(res.Best(1)[0]); err != nil {
 		t.Fatalf("full training from disk checkpoints: %v", err)
+	}
+}
+
+// TestDiskCheckpointDirVerifiedOnFirstRead: a store directory read back
+// without a journal has had nothing adopted, so a checkpoint's bytes are
+// checked against their content hash the first time they are loaded. After a
+// clean search into a CheckpointDir, one flipped byte in one object file must
+// fail exactly that candidate's Load, naming its id and the object's hash,
+// and leave every other candidate loadable.
+func TestDiskCheckpointDirVerifiedOnFirstRead(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Search(SearchOptions{
+		App: "nt3", Scheme: "LCS", Budget: 4, Seed: 6, TrainN: 24, ValN: 12,
+		PopulationSize: 2, SampleSize: 2, CheckpointDir: dir,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	objects, err := filepath.Glob(filepath.Join(dir, "objects", "*.obj"))
+	if err != nil || len(objects) != 4 {
+		t.Fatalf("objects after a budget-4 search: %v (err %v), want 4 files", objects, err)
+	}
+	b, err := os.ReadFile(objects[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x10
+	if err := os.WriteFile(objects[1], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hash := strings.TrimSuffix(filepath.Base(objects[1]), ".obj")
+
+	store, err := checkpoint.NewCASDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := store.List()
+	if err != nil || len(ids) != 4 {
+		t.Fatalf("reopened store lists %v (err %v), want 4 ids", ids, err)
+	}
+	failed := 0
+	for _, id := range ids {
+		if _, err := store.Load(id); err != nil {
+			failed++
+			if !strings.Contains(err.Error(), strconv.Quote(id)) || !strings.Contains(err.Error(), hash) {
+				t.Errorf("Load(%s) over the flipped object: %v, want an error naming the id and %s", id, err, hash)
+			}
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d of 4 candidates failed to load after one flipped byte, want exactly 1", failed)
 	}
 }
 
