@@ -60,15 +60,16 @@ func NewPool(o PoolOptions) *EvaluatorPool {
 		Workers:      workers,
 		MaxActive:    o.MaxActiveSearches,
 		MaxPerTenant: o.MaxSearchesPerTenant,
-		KernelSplit:  true,
 	})}
 }
 
 // Workers reports the pool's slot count.
 func (p *EvaluatorPool) Workers() int { return p.pool.Workers() }
 
-// Close stops the pool's slots. Searches still running on it observe
-// cancelled evaluations.
+// Close stops the pool's slots once their current evaluations finish.
+// Searches still running on it observe cancelled evaluations: their queued
+// candidates are dropped and Wait returns the candidates completed so far
+// beside context.Canceled.
 func (p *EvaluatorPool) Close() { p.pool.Close() }
 
 // EventKind discriminates Search.Events entries.
@@ -103,9 +104,10 @@ const (
 )
 
 // FaultEvent is one fault-tolerance decision surfaced alongside candidate
-// completions: an evaluation failed and was requeued for another attempt, or
-// exhausted its retry budget. It is the scheduler's own event type; the JSON
-// field names are part of the serve wire schema.
+// completions: an evaluation on the shared pool failed (which aborts the
+// search). It is the scheduler's own event type, which a TCP coordinator also
+// emits for requeues and spent retry budgets; the JSON field names are part
+// of the serve wire schema.
 type FaultEvent = nas.FaultEvent
 
 // Event is one entry of a search's progress stream: a completed candidate or

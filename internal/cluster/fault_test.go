@@ -29,6 +29,13 @@ func (r *eventRecorder) snapshot() []nas.FaultEvent {
 	return append([]nas.FaultEvent(nil), r.events...)
 }
 
+// queue is the tests' entry point to a coordinator: enqueue adds a task, and
+// its one terminal result arrives on terminal.
+func queue(c *Coordinator) (enqueue func(RPCTask), terminal <-chan RPCResult) {
+	ch := make(chan RPCResult, 64)
+	return func(t RPCTask) { c.enqueue(t, func(r RPCResult) { ch <- r }) }, ch
+}
+
 // await polls until an event satisfying pred arrives or the deadline passes.
 func (r *eventRecorder) await(t *testing.T, what string, pred func(nas.FaultEvent) bool) nas.FaultEvent {
 	t.Helper()
@@ -59,10 +66,11 @@ func TestConcurrentRequeueUniqueResults(t *testing.T) {
 	})
 	defer c.Shutdown()
 	svc := &Service{c: c}
+	enqueue, terminal := queue(c)
 
 	const tasks = 100
 	for i := 0; i < tasks; i++ {
-		c.Enqueue(RPCTask{ID: i})
+		enqueue(RPCTask{ID: i})
 	}
 
 	// Collect terminal results concurrently with the workers.
@@ -72,7 +80,7 @@ func TestConcurrentRequeueUniqueResults(t *testing.T) {
 	go func() {
 		defer close(collected)
 		for i := 0; i < tasks; i++ {
-			res := <-c.Results()
+			res := <-terminal
 			seen[res.ID]++
 			if res.Failed {
 				failed++
@@ -162,7 +170,8 @@ func TestRequeueExhaustionSurfacesFailure(t *testing.T) {
 	})
 	defer c.Shutdown()
 	svc := &Service{c: c}
-	c.Enqueue(RPCTask{ID: 7})
+	enqueue, terminal := queue(c)
+	enqueue(RPCTask{ID: 7})
 
 	for attempt := 1; attempt <= 3; attempt++ {
 		var task RPCTask
@@ -178,7 +187,7 @@ func TestRequeueExhaustionSurfacesFailure(t *testing.T) {
 		}
 	}
 	select {
-	case res := <-c.Results():
+	case res := <-terminal:
 		if !res.Failed {
 			t.Fatalf("result = %+v, want Failed", res)
 		}
@@ -225,7 +234,8 @@ func TestQuarantineAndReadmission(t *testing.T) {
 	})
 	defer c.Shutdown()
 	svc := &Service{c: c}
-	c.Enqueue(RPCTask{ID: 1})
+	enqueue, terminal := queue(c)
+	enqueue(RPCTask{ID: 1})
 
 	var task RPCTask
 	if err := svc.NextTask("flaky", &task); err != nil {
@@ -253,7 +263,7 @@ func TestQuarantineAndReadmission(t *testing.T) {
 	if err := svc.Submit(RPCResult{Record: trace.Record{ID: 1, Score: 2}, WorkerID: "healthy"}, &ack); err != nil {
 		t.Fatal(err)
 	}
-	res := <-c.Results()
+	res := <-terminal
 	if res.WorkerID != "healthy" || res.Failed {
 		t.Fatalf("result = %+v, want success from the healthy worker", res)
 	}
@@ -262,7 +272,7 @@ func TestQuarantineAndReadmission(t *testing.T) {
 	if err := svc.Heartbeat("flaky", &ack); err != nil {
 		t.Fatal(err)
 	}
-	c.Enqueue(RPCTask{ID: 2})
+	enqueue(RPCTask{ID: 2})
 	if err := svc.NextTask("flaky", &task); err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +314,8 @@ func TestLateDuplicateSubmitIsDropped(t *testing.T) {
 	})
 	defer c.Shutdown()
 	svc := &Service{c: c}
-	c.Enqueue(RPCTask{ID: 3})
+	enqueue, terminal := queue(c)
+	enqueue(RPCTask{ID: 3})
 
 	var task RPCTask
 	if err := svc.NextTask("w0", &task); err != nil {
@@ -318,12 +329,12 @@ func TestLateDuplicateSubmitIsDropped(t *testing.T) {
 	if err := svc.Submit(RPCResult{Record: trace.Record{ID: 3, Score: 9}, WorkerID: "w1"}, &ack); err != nil {
 		t.Fatal(err)
 	}
-	res := <-c.Results()
+	res := <-terminal
 	if res.WorkerID != "w0" || res.Score != 1 {
 		t.Fatalf("first result = %+v, want w0's", res)
 	}
 	select {
-	case res := <-c.Results():
+	case res := <-terminal:
 		t.Fatalf("duplicate produced a second terminal result: %+v", res)
 	case <-time.After(100 * time.Millisecond):
 	}

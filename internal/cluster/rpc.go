@@ -106,8 +106,8 @@ type RPCTask struct {
 // evaluation latency included), beside the trained bytes. Record.ID names the
 // task whatever the outcome. Record.Failed marks a terminal failure emitted
 // by the coordinator after the task exhausted its retry budget; plain worker
-// errors (Err set, Failed false) are retried internally and never reach
-// Results.
+// errors (Err set, Failed false) are retried internally and never reach the
+// search.
 type RPCResult struct {
 	trace.Record
 	WorkerID   string
@@ -223,8 +223,6 @@ type Coordinator struct {
 	monitorOnce sync.Once
 	stopMonitor chan struct{}
 
-	results chan RPCResult // terminal results of tasks added with Enqueue
-
 	// pending buffers fault events recorded under mu; emitMu serializes
 	// their delivery to cfg.OnEvent so observers see decision order even
 	// when RPC goroutines and the failure detector flush concurrently.
@@ -269,21 +267,17 @@ func NewCoordinatorWith(cfg FaultConfig) *Coordinator {
 		backups:     map[int]*attempt{},
 		workers:     map[string]*workerState{},
 		stopMonitor: make(chan struct{}),
-		results:     make(chan RPCResult, 64),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
 
-// Enqueue adds a task for the next free worker; its terminal result arrives
-// on Results.
-func (c *Coordinator) Enqueue(t RPCTask) {
-	c.enqueue(t, func(res RPCResult) { c.results <- res })
-}
-
-// enqueue adds a task whose one terminal result goes to done, called outside
-// the coordinator's lock from whichever goroutine resolved the task. It
-// starts the failure detector on first use.
+// enqueue adds a task for the next free worker. Its one terminal result — a
+// worker's successful submission, or a Failed result the coordinator
+// synthesizes once the retry budget is spent; duplicate submissions are
+// dropped — goes to done, called outside the coordinator's lock from
+// whichever goroutine resolved the task. It starts the failure detector on
+// first use.
 func (c *Coordinator) enqueue(t RPCTask, done func(RPCResult)) {
 	c.monitorOnce.Do(func() { go c.monitor() })
 	a := &attempt{task: t, done: done}
@@ -293,12 +287,6 @@ func (c *Coordinator) enqueue(t RPCTask, done func(RPCResult)) {
 	c.mu.Unlock()
 	c.cond.Signal()
 }
-
-// Results streams one terminal outcome per task added with Enqueue: a
-// worker's successful submission, or a coordinator-synthesized Failed result
-// once the retry budget is spent. Duplicate submissions (a stalled worker
-// finishing after its task was requeued and re-run) are dropped.
-func (c *Coordinator) Results() <-chan RPCResult { return c.results }
 
 // Shutdown makes every pending and future NextTask return a shutdown task
 // and stops the failure detector.
@@ -601,9 +589,6 @@ type Worker struct {
 	// ErrCrash kills the connection and Run; ErrDropResult suppresses the
 	// Submit. Any other error aborts Run with it. Fault-injection only.
 	ExecuteHook func(RPCTask) (RPCResult, error)
-	// Dial, when set, replaces the default TCP dial — faultinject wraps the
-	// returned conn to corrupt or delay traffic deterministically.
-	Dial func(addr string) (net.Conn, error)
 
 	appMu  sync.Mutex
 	appKey string
@@ -672,21 +657,16 @@ func (w *Worker) Execute(t RPCTask) RPCResult {
 	return res
 }
 
-// dial opens the coordinator connection, honoring the Dial override and
-// retrying on failure: workers commonly start before the coordinator
-// finishes binding its listener.
+// dial opens the coordinator connection, retrying on failure: workers
+// commonly start before the coordinator finishes binding its listener.
 func (w *Worker) dial(addr string) (*rpc.Client, error) {
-	dial := w.Dial
-	if dial == nil {
-		dial = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	}
 	var lastErr error
 	for i := 0; i < dialAttempts; i++ {
 		if i > 0 {
 			mRPCRetries.Inc()
 			time.Sleep(dialDelay)
 		}
-		conn, err := dial(addr)
+		conn, err := net.Dial("tcp", addr)
 		if err == nil {
 			return rpc.NewClient(conn), nil
 		}

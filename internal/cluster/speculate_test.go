@@ -52,17 +52,18 @@ func TestSpeculationFirstResultWins(t *testing.T) {
 	c := specCoordinator(rec, 0.5)
 	defer c.Shutdown()
 	svc := &Service{c: c}
+	enqueue, terminal := queue(c)
 
 	const tasks = 5 // 4 warm-up + 1 straggler
 	for i := 0; i < tasks; i++ {
-		c.Enqueue(RPCTask{ID: i})
+		enqueue(RPCTask{ID: i})
 	}
 	results := make(map[int]int)
 	collected := make(chan struct{})
 	go func() {
 		defer close(collected)
 		for i := 0; i < tasks; i++ {
-			res := <-c.Results()
+			res := <-terminal
 			results[res.ID]++
 		}
 	}()
@@ -122,12 +123,13 @@ func TestSpeculationDisabledByDefault(t *testing.T) {
 	})
 	defer c.Shutdown()
 	svc := &Service{c: c}
+	enqueue, terminal := queue(c)
 	for i := 0; i < 5; i++ {
-		c.Enqueue(RPCTask{ID: i})
+		enqueue(RPCTask{ID: i})
 	}
 	go func() {
 		for i := 0; i < 5; i++ {
-			<-c.Results()
+			<-terminal
 		}
 	}()
 	warmLatencyWindow(t, svc, "w0", 4, 2*time.Millisecond)
@@ -155,16 +157,17 @@ func TestSpeculationFailedBackupIsDropped(t *testing.T) {
 	c := specCoordinator(rec, 0.5)
 	defer c.Shutdown()
 	svc := &Service{c: c}
+	enqueue, terminal := queue(c)
 	const tasks = 5
 	for i := 0; i < tasks; i++ {
-		c.Enqueue(RPCTask{ID: i})
+		enqueue(RPCTask{ID: i})
 	}
 	results := make(map[int]*RPCResult)
 	collected := make(chan struct{})
 	go func() {
 		defer close(collected)
 		for i := 0; i < tasks; i++ {
-			res := <-c.Results()
+			res := <-terminal
 			results[res.ID] = &res
 		}
 	}()
@@ -206,8 +209,9 @@ func TestSpeculationFailedBackupIsDropped(t *testing.T) {
 func runStragglerWorkload(t *testing.T, c *Coordinator, workers, tasks int, baseDur, stallDur time.Duration) (time.Duration, map[int]int) {
 	t.Helper()
 	svc := &Service{c: c}
+	enqueue, terminal := queue(c)
 	for i := 0; i < tasks; i++ {
-		c.Enqueue(RPCTask{ID: i})
+		enqueue(RPCTask{ID: i})
 	}
 	start := time.Now()
 	var makespan time.Duration
@@ -216,7 +220,7 @@ func runStragglerWorkload(t *testing.T, c *Coordinator, workers, tasks int, base
 	go func() {
 		defer close(collected)
 		for i := 0; i < tasks; i++ {
-			res := <-c.Results()
+			res := <-terminal
 			results[res.ID]++
 			if res.Failed {
 				t.Errorf("task %d failed: %s", res.ID, res.Err)

@@ -4,25 +4,31 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"swtnas/internal/evo"
 )
 
-// waitForGoroutines polls until the process goroutine count drops back to at
-// most want, failing the test if the evaluator pool is still alive after a
-// generous grace period.
-func waitForGoroutines(t *testing.T, want int) {
+// waitForGoroutines polls until no evaluator slot (SharedPool.worker) is
+// alive, failing the test after a generous grace period. It counts slots, not
+// every goroutine: the kernel pool (internal/parallel) grows workers during a
+// search and keeps them for the process.
+func waitForGoroutines(t *testing.T) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if runtime.NumGoroutine() <= want {
+	for {
+		buf := make([]byte, 1<<20)
+		slots := strings.Count(string(buf[:runtime.Stack(buf, true)]), "nas.(*SharedPool).worker(")
+		if slots == 0 {
 			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("evaluator goroutines leaked: %d slots alive", slots)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("evaluator goroutines leaked: %d alive, want <= %d", runtime.NumGoroutine(), want)
 }
 
 // TestRunPreCancelledContext: a context that is already cancelled must yield
@@ -31,7 +37,6 @@ func TestRunPreCancelledContext(t *testing.T) {
 	app := tinyApp(t, "nt3")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := runtime.NumGoroutine()
 	tr, err := Run(ctx, Config{
 		App:      app,
 		Strategy: evo.NewRegularizedEvolution(app.Space, 4, 2),
@@ -48,7 +53,7 @@ func TestRunPreCancelledContext(t *testing.T) {
 	if len(tr.Records) != 0 {
 		t.Fatalf("pre-cancelled run evaluated %d candidates", len(tr.Records))
 	}
-	waitForGoroutines(t, before)
+	waitForGoroutines(t)
 }
 
 // TestRunCancelMidSearch cancels after the second completed candidate and
@@ -59,7 +64,6 @@ func TestRunCancelMidSearch(t *testing.T) {
 	app := tinyApp(t, "nt3")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	before := runtime.NumGoroutine()
 	completed := 0
 	tr, err := Run(ctx, Config{
 		App:      app,
@@ -88,7 +92,7 @@ func TestRunCancelMidSearch(t *testing.T) {
 	if len(tr.Records) == 50 {
 		t.Fatal("cancellation did not stop the search early")
 	}
-	waitForGoroutines(t, before)
+	waitForGoroutines(t)
 }
 
 // TestRunProgressStreams asserts the Progress callback fires once per

@@ -15,8 +15,9 @@ const (
 	// FaultReadmit: a quarantined worker showed signs of life and rejoined
 	// the schedule.
 	FaultReadmit FaultKind = "readmit"
-	// FaultFailed: a candidate exhausted its retry budget; the search
-	// continues without it.
+	// FaultFailed: a candidate's evaluation failed for good — the coordinator
+	// spent its retry budget (the search continues without it), or a pool
+	// evaluation errored or panicked (the search aborts).
 	FaultFailed FaultKind = "failed"
 	// FaultSpeculate: a task overran the calibrated latency quantile and a
 	// backup attempt was launched on another worker (first result wins).
@@ -27,10 +28,10 @@ const (
 )
 
 // FaultEvent is one fault-tolerance decision, emitted alongside candidate
-// completions in the progress feed: requeues and terminal failures from the
-// shared evaluator pool, plus quarantine/requeue/readmit/failed decisions
-// from the distributed coordinator (cluster.FaultConfig.OnEvent). The JSON
-// field names are part of the serve wire schema.
+// completions in the progress feed: failed evaluations on the evaluator
+// pool, plus quarantine/requeue/readmit/failed/speculation decisions from the
+// distributed coordinator (cluster.FaultConfig.OnEvent). The JSON field names
+// are part of the serve wire schema.
 type FaultEvent struct {
 	// Kind is the decision taken.
 	Kind FaultKind `json:"kind"`

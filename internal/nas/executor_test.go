@@ -2,7 +2,6 @@ package nas_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"path/filepath"
@@ -19,10 +18,11 @@ import (
 	"swtnas/internal/trace"
 )
 
-// executors are the three places nas.Run can evaluate a candidate. attach
-// points cfg (Store, Matcher and DType already set) at the executor and
-// registers its teardown; failID >= 0 makes every evaluation of that
-// candidate fail, by whatever means the executor offers.
+// executors are the places nas.Run can evaluate a candidate: "local" is the
+// default, a private pool Run owns. attach points cfg (Store, Matcher and
+// DType already set) at the executor and registers its teardown; failID >= 0
+// makes every evaluation of that candidate fail, which only the coordinator
+// survives (it alone retries and then marks the task Failed).
 var executors = []struct {
 	name   string
 	attach func(t *testing.T, cfg *nas.Config, failID int)
@@ -32,33 +32,15 @@ var executors = []struct {
 	{"coordinator", attachCoordinator},
 }
 
-// failEval makes every evaluation of one candidate fail.
-type failEval struct {
-	nas.Executor
-	id int
-}
-
-func (f failEval) Submit(ctx context.Context, t nas.Task, eval nas.EvalFunc, out chan<- nas.Result) {
-	if t.ID == f.id {
-		eval = func(context.Context, nas.Task) nas.Result {
-			return nas.Result{Record: trace.Record{ID: t.ID}, Err: errors.New("injected evaluation failure")}
-		}
-	}
-	f.Executor.Submit(ctx, t, eval, out)
-}
-
-func attachPool(t *testing.T, cfg *nas.Config, failID int) {
+func attachPool(t *testing.T, cfg *nas.Config, _ int) {
 	p := nas.NewSharedPool(nas.PoolConfig{Workers: 1})
 	t.Cleanup(p.Close)
-	client, err := p.Register(nas.ClientConfig{Tenant: "t", Concurrency: 1, MaxAttempts: 3})
+	client, err := p.Register(nas.ClientConfig{Tenant: "t", Concurrency: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(client.Close)
 	cfg.Executor = client
-	if failID >= 0 {
-		cfg.Executor = failEval{Executor: client, id: failID}
-	}
 }
 
 // attachCoordinator serves a coordinator on a loopback port with one
@@ -192,7 +174,7 @@ func journaledSearch(t *testing.T, attach func(*testing.T, *nas.Config, int), st
 func TestResumeBitIdenticalAtEveryInterrupt(t *testing.T) {
 	for _, ex := range executors {
 		for _, failID := range []int{-1, 2} {
-			if failID >= 0 && ex.name == "local" {
+			if failID >= 0 && ex.name != "coordinator" {
 				continue // no retry budget: a failure aborts the search
 			}
 			t.Run(fmt.Sprintf("%s/fail=%d", ex.name, failID), func(t *testing.T) {
@@ -224,13 +206,13 @@ func TestResumeBitIdenticalAtEveryInterrupt(t *testing.T) {
 	}
 }
 
-// TestSpentRetryBudgetIsOneFailedRecord is the failure rule, the same on
-// every executor that retries: a candidate that fails every attempt ends as
+// TestSpentRetryBudgetIsOneFailedRecord is the failure rule on the executor
+// that retries, the coordinator: a candidate that fails every attempt ends as
 // exactly one Failed record, the strategy never sees it, and the search
 // still reaches its budget.
 func TestSpentRetryBudgetIsOneFailedRecord(t *testing.T) {
 	const failID = 2
-	for _, ex := range executors[1:] { // the local executor has no retry budget
+	for _, ex := range executors[2:] { // the pool has no retry budget
 		t.Run(ex.name, func(t *testing.T) {
 			cfg := searchConfig(t, core.LCS{}, tensor.F64)
 			spy := nas.ReportSpy{Strategy: cfg.Strategy, Seen: map[int]bool{}}

@@ -8,18 +8,19 @@
 // Run is the one scheduler. Its loop takes completions from an Executor — or,
 // on a resumed run, from the recovered journal until its records run out —
 // and does everything else (issue order, checkpoint GC, running best, trace,
-// journal, Progress) once for both. A finished candidate is a trace.Record
-// from the evaluator onward: Result embeds it.
+// journal, Progress) once for both. There are two executors: a SharedPool
+// client, in-process (a search without one runs on a private pool), and a
+// cluster.Coordinator binding over TCP. A finished candidate is a
+// trace.Record from the evaluator onward: Result embeds it.
 package nas
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"runtime"
 	"slices"
 	"time"
 
@@ -90,11 +91,12 @@ type Result struct {
 	// Resumed marks a candidate replayed from a crash-resume journal
 	// rather than evaluated in this process.
 	Resumed bool
-	// Err is the evaluation error. With Failed unset it aborts the run. An
-	// executor with a retry budget sets Failed once the budget is spent (Err
-	// is the last cause), and the scheduler sets it on a non-finite score:
-	// Run records such a result as a Failed trace record whose FailReason is
-	// Err's text, never reports it to the strategy, and continues.
+	// Err is the evaluation error. With Failed unset it aborts the run. The
+	// coordinator binding sets Failed once a task's retry budget is spent
+	// (Err is the last cause), and the scheduler sets it on a non-finite
+	// score: Run records such a result as a Failed trace record whose
+	// FailReason is Err's text, never reports it to the strategy, and
+	// continues. A pool evaluation that errors or panics is never Failed.
 	Err error
 }
 
@@ -279,12 +281,12 @@ type Config struct {
 	// machine's cores instead of oversubscribing them (e.g. Workers=4 on
 	// a 16-core node pairs naturally with KernelWorkers=4).
 	//
-	// When 0 and Workers > 1, Run defaults it to the even split
-	// max(1, GOMAXPROCS/Workers) for the duration of the run (restoring
-	// the previous pool limit on return), unless the SWTNAS_WORKERS
+	// When 0 and Workers > 1, the private pool's core split sets the limit
+	// to max(1, GOMAXPROCS/Workers) for the duration of the run (restoring
+	// the previous limit when the pool closes), unless the SWTNAS_WORKERS
 	// environment variable pins an explicit pool size. When 0 with a
-	// single evaluator the current setting is left untouched; the pool's
-	// caller-runs handoff keeps oversubscription safe either way.
+	// single evaluator the current setting is left untouched; the kernel
+	// pool's caller-runs handoff keeps oversubscription safe either way.
 	KernelWorkers int
 	// Budget is the number of candidates to evaluate.
 	Budget int
@@ -302,10 +304,13 @@ type Config struct {
 	Progress func(Result)
 	// Executor, when non-nil, runs the candidate evaluations — a
 	// SharedPool client when this search shares evaluator slots with
-	// others. Nil gives the search its own Workers goroutines, the
-	// single-search behavior. With an Executor set, Workers bounds only
-	// this search's outstanding tasks (the pool sizes real concurrency)
-	// and the automatic kernel split is left to the pool.
+	// others, or a cluster.Coordinator binding. Nil runs the search on a
+	// private SharedPool of Workers slots that Run owns and closes when it
+	// returns (a run that ends normally or on cancellation has drained every
+	// task by then; an aborted one leaves its queued tasks to Close's
+	// cancellation). With an Executor set, Workers bounds
+	// only this search's outstanding tasks (the executor sizes real
+	// concurrency and the kernel split).
 	Executor Executor
 	// Journal, when non-nil, receives an append for every completed
 	// candidate before Progress fires, so a crashed run can resume from its
@@ -353,18 +358,21 @@ func SchemeName(m core.Matcher) string {
 }
 
 // Run executes a candidate-estimation phase and returns its trace. It is the
-// one search loop: the local executor, a SharedPool client and a
-// cluster.Coordinator binding differ only in where Evaluator.EvaluateCtx
-// runs. Evaluation errors abort the run: every architecture in the shipped
-// spaces is buildable, so an error indicates a real defect rather than a bad
-// candidate. The exception is a result marked Failed (see Result.Failed): it
-// becomes a Failed trace record and the search continues without it.
+// one search loop: a SharedPool client and a cluster.Coordinator binding
+// differ only in where Evaluator.EvaluateCtx runs. Evaluation errors, a
+// panicking evaluation included, abort the run: every architecture in the
+// shipped spaces is buildable, so an error indicates a real defect rather
+// than a bad candidate. The exception is a result marked Failed (see
+// Result.Err): it becomes a Failed trace record and the search continues
+// without it.
 //
 // Cancelling ctx stops the search promptly: evaluations in flight stop at
 // the next minibatch boundary (their partial candidates are dropped, not
 // recorded), queued tasks are skipped, and Run returns the partial trace of
 // every candidate completed before cancellation together with ctx.Err().
 // All evaluator goroutines have stopped evaluating by the time Run returns.
+// An executor that cancels tasks itself (a pool closed under the search)
+// ends the search the same way, with the tasks' context error.
 func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	if cfg.App == nil {
 		return nil, fmt.Errorf("nas: config needs an App")
@@ -394,13 +402,15 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	}
 	if cfg.KernelWorkers > 0 {
 		parallel.SetWorkers(cfg.KernelWorkers)
-	} else if cfg.Executor == nil && workers > 1 && os.Getenv(parallel.EnvWorkers) == "" {
-		// Evaluator×kernel auto-split: concurrent evaluations partition the
-		// cores evenly instead of each grabbing the whole machine. Unlike an
-		// explicit KernelWorkers (persistent, as documented), the automatic
-		// split is scoped to this run.
-		prev := parallel.SetWorkers(autoKernelWorkers(workers, runtime.GOMAXPROCS(0)))
-		defer parallel.SetWorkers(prev)
+	}
+	exec := cfg.Executor
+	if exec == nil {
+		// The pool's core split is scoped to the run (Close restores the
+		// limit); an explicit KernelWorkers stays pinned, as documented, and a
+		// lone evaluator leaves the limit alone.
+		pool := newSharedPool(PoolConfig{Workers: workers}, workers > 1 && cfg.KernelWorkers <= 0)
+		defer pool.Close()
+		exec, _ = pool.Register(ClientConfig{Concurrency: workers}) // a fresh pool has no quota to refuse
 	}
 	strategy := cfg.Strategy
 	if strategy == nil {
@@ -443,12 +453,6 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 
 	eval := &Evaluator{App: cfg.App, Matcher: cfg.Matcher, Store: store, DType: cfg.DType}
 	results := make(chan Result, workers)
-	exec := cfg.Executor
-	if exec == nil {
-		le := newLocalExecutor(workers)
-		defer le.close()
-		exec = le
-	}
 
 	// Crash resume: while journal records remain they are the loop's
 	// completions, in the order the crashed run recorded them, and nothing is
@@ -487,6 +491,9 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	}
 
 	best, scored := 0.0, false
+	// A task's context error — ctx's, or the executor's own (a pool closed
+	// under the search) — stops issuing; Run drains and returns it.
+	var cancelled error
 	start := time.Now()
 	for i := 0; i < workers; i++ {
 		issue()
@@ -523,6 +530,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		if res.Err != nil && !res.Failed {
 			if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
 				delete(open, res.ID)
+				cancelled = res.Err
 				continue // cancelled mid-training or skipped in queue; keep draining
 			}
 			return nil, res.Err
@@ -590,72 +598,19 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 			}
 			start = time.Now()
 		}
-		if len(replay) > 0 || ctx.Err() == nil {
+		if len(replay) > 0 || (ctx.Err() == nil && cancelled == nil) {
 			issue()
 		}
 	}
-	if err := ctx.Err(); err != nil && len(tr.Records) < cfg.Budget {
+	if err := cmp.Or(ctx.Err(), cancelled); err != nil && len(tr.Records) < cfg.Budget {
 		return tr, err
 	}
 	return tr, nil
 }
-
-// localExecutor is the default Executor: a per-search set of worker
-// goroutines, dedicated to one Run call and torn down when it returns.
-type localExecutor struct {
-	tasks chan localItem
-}
-
-type localItem struct {
-	ctx  context.Context
-	task Task
-	eval EvalFunc
-	out  chan<- Result
-}
-
-func newLocalExecutor(workers int) *localExecutor {
-	le := &localExecutor{tasks: make(chan localItem, workers)}
-	for w := 0; w < workers; w++ {
-		go func() {
-			for it := range le.tasks {
-				// Check between candidates: a cancelled context turns
-				// every still-queued task into a sentinel result so the
-				// scheduler's outstanding count drains exactly.
-				if err := it.ctx.Err(); err != nil {
-					it.out <- errResult(it.task, err)
-					continue
-				}
-				it.out <- it.eval(it.ctx, it.task)
-			}
-		}()
-	}
-	return le
-}
-
-// Submit never blocks the scheduler: the channel buffer covers the
-// outstanding-task bound (one new task per completed result).
-func (le *localExecutor) Submit(ctx context.Context, t Task, eval EvalFunc, out chan<- Result) {
-	le.tasks <- localItem{ctx: ctx, task: t, eval: eval, out: out}
-}
-
-func (le *localExecutor) close() { close(le.tasks) }
 
 // TaskSeed derives candidate id's deterministic evaluation seed from the
 // search seed, so a task re-issued by a resumed run trains exactly as it
 // would have in the original one.
 func TaskSeed(searchSeed int64, id int) int64 {
 	return searchSeed*1_000_003 + int64(id)
-}
-
-// autoKernelWorkers splits cores evenly across concurrent evaluators: each
-// evaluation gets cores/evalWorkers kernel workers, never less than one.
-func autoKernelWorkers(evalWorkers, cores int) int {
-	if evalWorkers < 1 {
-		evalWorkers = 1
-	}
-	kw := cores / evalWorkers
-	if kw < 1 {
-		kw = 1
-	}
-	return kw
 }

@@ -167,19 +167,56 @@ func TestRunLCSSearchTransfers(t *testing.T) {
 	}
 }
 
-func TestAutoKernelWorkers(t *testing.T) {
+// TestPoolKernelSplit pins the one evaluator×kernel core split, the pool's:
+// max(1, GOMAXPROCS/min(demand, slots)) while searches run, and the limit
+// the pool found back once it closes. Run keeps its private pool off the
+// split with one evaluator or an explicit KernelWorkers.
+func TestPoolKernelSplit(t *testing.T) {
+	if os.Getenv(parallel.EnvWorkers) != "" {
+		t.Skipf("%s pins the pool limit; the split is disabled", parallel.EnvWorkers)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer parallel.SetWorkers(parallel.SetWorkers(3))
 	cases := []struct {
-		evalWorkers, cores, want int
+		slots, demand, cores, want int
 	}{
-		{4, 8, 2},   // even split
-		{8, 4, 1},   // oversubscribed: floor at 1
-		{4, 9, 2},   // remainder cores stay idle rather than oversubscribe
-		{1, 16, 16}, // single evaluator gets the machine
-		{0, 8, 8},   // defensive: degenerate evaluator count
+		{4, 4, 8, 2},   // even split
+		{8, 8, 4, 1},   // oversubscribed: floor at 1
+		{4, 4, 9, 2},   // remainder cores stay idle rather than oversubscribe
+		{1, 1, 16, 16}, // single evaluator gets the machine
+		{0, 0, 8, 8},   // defensive: degenerate slot and demand counts
+		{8, 2, 8, 4},   // demand below the slot count: the busy slots share the cores
 	}
 	for _, c := range cases {
-		if got := autoKernelWorkers(c.evalWorkers, c.cores); got != c.want {
-			t.Errorf("autoKernelWorkers(%d, %d) = %d, want %d", c.evalWorkers, c.cores, got, c.want)
+		runtime.GOMAXPROCS(c.cores)
+		p := NewSharedPool(PoolConfig{Workers: c.slots})
+		if _, err := p.Register(ClientConfig{Concurrency: c.demand}); err != nil {
+			t.Fatal(err)
+		}
+		if got := parallel.Workers(); got != c.want {
+			t.Errorf("%d slots, demand %d, %d cores: kernel limit %d, want %d", c.slots, c.demand, c.cores, got, c.want)
+		}
+		p.Close()
+		if got := parallel.Workers(); got != 3 {
+			t.Errorf("%d slots, demand %d, %d cores: limit after Close %d, want the 3 it found", c.slots, c.demand, c.cores, got)
+		}
+	}
+	// Run's private pool: one evaluator leaves the limit alone, and an
+	// explicit KernelWorkers pins it, during the run and after.
+	runtime.GOMAXPROCS(8)
+	app := tinyApp(t, "nt3")
+	for _, c := range []struct{ workers, kernel, want int }{{1, 0, 3}, {2, 5, 5}} {
+		parallel.SetWorkers(3)
+		during := 0
+		_, err := Run(context.Background(), Config{
+			App: app, Budget: 2, Seed: 1, Workers: c.workers, KernelWorkers: c.kernel,
+			Progress: func(Result) { during = parallel.Workers() },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after := parallel.Workers(); during != c.want || after != c.want {
+			t.Errorf("Workers %d, KernelWorkers %d: kernel limit %d during the run, %d after, want %d", c.workers, c.kernel, during, after, c.want)
 		}
 	}
 }
@@ -205,7 +242,7 @@ func TestRunAutoSplitRestoresPoolLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := autoKernelWorkers(2, runtime.GOMAXPROCS(0))
+	want := max(1, runtime.GOMAXPROCS(0)/2)
 	if during != want {
 		t.Errorf("pool limit during run = %d, want auto split %d", during, want)
 	}

@@ -13,13 +13,12 @@ import (
 )
 
 // Shared-pool telemetry (internal/obs, disabled by default): task and
-// search accounting across tenants, retry decisions, and the current fair
+// search accounting across tenants, failures, and the current fair
 // schedule. Per-tenant task counters are additionally labeled (obs.Labeled)
 // so a multi-tenant server can attribute load.
 var (
 	mPoolSubmitted = obs.GetCounter("nas.pool.tasks.submitted")
 	mPoolCompleted = obs.GetCounter("nas.pool.tasks.completed")
-	mPoolRetries   = obs.GetCounter("nas.pool.tasks.requeued")
 	mPoolFailed    = obs.GetCounter("nas.pool.tasks.failed")
 	mPoolPanics    = obs.GetCounter("nas.pool.tasks.panics")
 	mPoolRejected  = obs.GetCounter("nas.pool.rejected.quota")
@@ -39,15 +38,15 @@ var ErrQuotaExceeded = errors.New("nas: evaluator pool quota exceeded")
 // evaluator.
 type EvalFunc func(context.Context, Task) Result
 
-// Executor abstracts where a search's candidate evaluations run: Run's
-// built-in per-search worker goroutines (the default), or a PoolClient on a
-// SharedPool whose evaluator slots are fairly divided between many
-// concurrent searches, or a cluster.Coordinator binding that ships tasks to
-// TCP workers. Submit must not block the scheduler: the result is delivered
-// to out (whose capacity covers every in-flight task) exactly once, possibly
-// after Run has returned. An executor that retries marks the result of a
-// task whose budget is spent as Failed; one that does not returns the error
-// bare, which aborts the search.
+// Executor abstracts where a search's candidate evaluations run: a
+// PoolClient on a SharedPool — one Run owns privately (the default), or one
+// whose evaluator slots are fairly divided between many concurrent searches
+// — or a cluster.Coordinator binding that ships tasks to TCP workers. Submit
+// must not block the scheduler: the result is delivered to out (whose
+// capacity covers every in-flight task) exactly once, possibly after Run has
+// returned. An executor that retries marks the result of a task whose budget
+// is spent as Failed; one that does not (the pool) returns the error bare,
+// which aborts the search.
 type Executor interface {
 	Submit(ctx context.Context, t Task, eval EvalFunc, out chan<- Result)
 }
@@ -62,23 +61,19 @@ type PoolConfig struct {
 	// MaxPerTenant caps concurrently registered searches per tenant; 0 is
 	// unlimited.
 	MaxPerTenant int
-	// KernelSplit re-splits the process-wide compute-kernel pool
-	// (internal/parallel) as searches come and go: with fewer busy
-	// evaluator slots than Workers, each running evaluation gets a larger
-	// share of the cores. The SWTNAS_WORKERS environment variable, when
-	// set, pins the kernel pool and disables the re-split, mirroring
-	// Config.KernelWorkers semantics.
-	KernelSplit bool
 }
 
-// SharedPool is a fixed set of evaluator slots shared by many concurrent
-// searches — the server-side replacement for Run's assumption that it owns
-// all workers. Each search registers a PoolClient; slots pick the next task
-// by weighted round-robin across clients (smallest weight-normalized service
-// so far wins), so a heavy search cannot starve a light one, and admission
-// control bounds how many searches a tenant may run at once.
+// SharedPool is a fixed set of evaluator slots — the only place candidate
+// evaluations run in-process. Each search registers a PoolClient; slots pick
+// the next task by weighted round-robin across clients (smallest
+// weight-normalized service so far wins), so a heavy search cannot starve a
+// light one, and admission control bounds how many searches a tenant may run
+// at once. Run gives a search without an Executor a private pool of its own.
 type SharedPool struct {
 	cfg PoolConfig
+	// split makes the pool re-split the process-wide compute-kernel limit
+	// (internal/parallel) as searches come and go (resplitLocked).
+	split bool
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -86,14 +81,20 @@ type SharedPool struct {
 	tenants map[string]int
 	queued  int
 	closed  bool
+	// kernelBefore is the limit the first re-split replaced; Close restores
+	// it.
+	kernelBefore int
 }
 
-// NewSharedPool starts a pool with cfg.Workers evaluator slots.
-func NewSharedPool(cfg PoolConfig) *SharedPool {
+// NewSharedPool starts a pool with cfg.Workers evaluator slots. It re-splits
+// the kernel limit across the evaluations it runs (resplitLocked).
+func NewSharedPool(cfg PoolConfig) *SharedPool { return newSharedPool(cfg, true) }
+
+func newSharedPool(cfg PoolConfig, split bool) *SharedPool {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	p := &SharedPool{cfg: cfg, tenants: map[string]int{}}
+	p := &SharedPool{cfg: cfg, split: split, tenants: map[string]int{}}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < cfg.Workers; i++ {
 		go p.worker(fmt.Sprintf("slot-%d", i))
@@ -104,14 +105,29 @@ func NewSharedPool(cfg PoolConfig) *SharedPool {
 // Workers returns the pool's evaluator-slot count.
 func (p *SharedPool) Workers() int { return p.cfg.Workers }
 
-// Close stops the pool's slots once their current evaluations finish.
-// Registered clients' queued tasks are abandoned; Close is for process
-// shutdown, not search teardown (searches close their own clients).
+// Close stops the pool's slots once their current evaluations finish, hands
+// every still-queued task a context.Canceled result (a search still running
+// on the pool drains and ends instead of waiting forever) and restores the
+// kernel limit the pool found. Close is for process shutdown, not search
+// teardown (searches close their own clients).
 func (p *SharedPool) Close() {
 	p.mu.Lock()
 	p.closed = true
+	var queued []poolItem
+	for _, c := range p.clients {
+		queued = append(queued, c.queue...)
+		c.queue = nil
+	}
+	p.queued = 0
+	mPoolQueued.Set(0)
+	if p.kernelBefore > 0 {
+		parallel.SetWorkers(p.kernelBefore)
+	}
 	p.mu.Unlock()
 	p.cond.Broadcast()
+	for _, it := range queued {
+		it.out <- errResult(it.task, context.Canceled)
+	}
 }
 
 // ClientConfig identifies one search to the pool.
@@ -127,15 +143,10 @@ type ClientConfig struct {
 	// option); the pool uses the sum over clients to re-split kernel
 	// cores.
 	Concurrency int
-	// MaxAttempts bounds executions per task: a task whose evaluation
-	// errors (or panics) is requeued with a FaultRequeue event until the
-	// budget is spent, then delivered with its error, marked Failed, beside
-	// a FaultFailed event — the search continues without it. Default 1 —
-	// no retries, and an error aborts the search like the local executor's.
-	MaxAttempts int
-	// OnFault, when non-nil, receives requeue/failed events for this
-	// client's tasks. Called from pool slots, outside pool locks; it must
-	// not block for long.
+	// OnFault, when non-nil, receives a FaultFailed event for each of this
+	// client's tasks whose evaluation errors or panics; the error itself is
+	// delivered bare and aborts the search. Called from pool slots, outside
+	// pool locks; it must not block for long.
 	OnFault func(FaultEvent)
 }
 
@@ -151,11 +162,10 @@ type PoolClient struct {
 }
 
 type poolItem struct {
-	ctx     context.Context
-	task    Task
-	eval    EvalFunc
-	out     chan<- Result
-	attempt int // executions already consumed
+	ctx  context.Context
+	task Task
+	eval EvalFunc
+	out  chan<- Result
 }
 
 // Register admits a search to the pool, enforcing the per-tenant and
@@ -167,9 +177,6 @@ func (p *SharedPool) Register(cfg ClientConfig) (*PoolClient, error) {
 	}
 	if cfg.Concurrency < 1 {
 		cfg.Concurrency = 1
-	}
-	if cfg.MaxAttempts < 1 {
-		cfg.MaxAttempts = 1
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -270,8 +277,7 @@ func (p *SharedPool) nextLocked() *PoolClient {
 }
 
 // worker is one evaluator slot: wait for the fair scheduler to hand it a
-// task, run it with panic isolation, retry transient failures within the
-// client's attempt budget, deliver the result.
+// task, run it with panic isolation, deliver the result.
 func (p *SharedPool) worker(slot string) {
 	for {
 		p.mu.Lock()
@@ -294,29 +300,11 @@ func (p *SharedPool) worker(slot string) {
 		p.mu.Unlock()
 
 		res := runIsolated(it)
-		retriable := res.Err != nil && !errors.Is(res.Err, context.Canceled) && !errors.Is(res.Err, context.DeadlineExceeded)
-
-		if retriable && it.attempt+1 < c.cfg.MaxAttempts {
-			p.mu.Lock()
-			open := !c.closed && !p.closed
-			if open {
-				it.attempt++
-				c.queue = append(c.queue, it)
-				p.queued++
-				mPoolQueued.Set(int64(p.queued))
-			}
-			p.mu.Unlock()
-			if open {
-				mPoolRetries.Inc()
-				c.fault(FaultEvent{Kind: FaultRequeue, Worker: slot, CandidateID: it.task.ID, Reason: res.Err.Error(), Attempt: it.attempt})
-				p.cond.Signal()
-				continue
-			}
-		}
-		if retriable {
+		if res.Err != nil && !errors.Is(res.Err, context.Canceled) && !errors.Is(res.Err, context.DeadlineExceeded) {
 			mPoolFailed.Inc()
-			c.fault(FaultEvent{Kind: FaultFailed, Worker: slot, CandidateID: it.task.ID, Reason: res.Err.Error(), Attempt: it.attempt + 1})
-			res.Failed = c.cfg.MaxAttempts > 1
+			if c.cfg.OnFault != nil {
+				c.cfg.OnFault(FaultEvent{Kind: FaultFailed, Worker: slot, CandidateID: it.task.ID, Reason: res.Err.Error(), Attempt: 1})
+			}
 		} else {
 			mPoolCompleted.Inc()
 			if obs.Enabled() {
@@ -327,21 +315,15 @@ func (p *SharedPool) worker(slot string) {
 	}
 }
 
-// fault forwards one fault event to the client's subscriber, if any.
-func (c *PoolClient) fault(ev FaultEvent) {
-	if c.cfg.OnFault != nil {
-		c.cfg.OnFault(ev)
-	}
-}
-
 // runIsolated executes one task, honoring its context and converting a
 // panicking evaluation (a defect in one tenant's space or data) into an
-// error result so the slot — and every other tenant's search — survives.
+// error result so the slot — and every other search, and the process —
+// survives.
 func runIsolated(it poolItem) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			mPoolPanics.Inc()
-			res = errResult(it.task, fmt.Errorf("nas: evaluation panicked: %v", r))
+			res = errResult(it.task, fmt.Errorf("nas: evaluating candidate %d panicked: %v", it.task.ID, r))
 		}
 	}()
 	if err := it.ctx.Err(); err != nil {
@@ -350,30 +332,25 @@ func runIsolated(it poolItem) (res Result) {
 	return it.eval(it.ctx, it.task)
 }
 
-// resplitLocked recomputes the evaluator×kernel core split for the current
-// set of searches: with fewer busy slots than cores, each running evaluation
-// shards its kernels wider. Demand is the sum of the clients' own
-// concurrency bounds, so a single one-worker search on an idle 16-core pool
-// gets all 16 cores, and a full pool divides them evenly. Callers hold p.mu.
+// resplitLocked is the evaluator×kernel core split, the one rule for how an
+// in-process search's evaluations share the cores: the kernel limit becomes
+// max(1, GOMAXPROCS/min(demand, slots)), so concurrent evaluations partition
+// the cores instead of oversubscribing them. Demand is the sum of the
+// clients' own concurrency bounds, so a single one-worker search on an idle
+// 16-core pool gets all 16 cores, and a full pool divides them evenly. The
+// SWTNAS_WORKERS environment variable pins the limit and disables the
+// re-split, as does a private pool Run keeps off it. Callers hold p.mu.
 func (p *SharedPool) resplitLocked() {
-	if !p.cfg.KernelSplit || os.Getenv(parallel.EnvWorkers) != "" {
+	if !p.split || p.closed || os.Getenv(parallel.EnvWorkers) != "" {
 		return
 	}
 	demand := 0
 	for _, c := range p.clients {
 		demand += c.cfg.Concurrency
 	}
-	busy := demand
-	if busy > p.cfg.Workers {
-		busy = p.cfg.Workers
+	kw := max(1, runtime.GOMAXPROCS(0)/max(1, min(demand, p.cfg.Workers)))
+	if prev := parallel.SetWorkers(kw); p.kernelBefore == 0 {
+		p.kernelBefore = prev
 	}
-	if busy < 1 {
-		busy = 1
-	}
-	kw := runtime.GOMAXPROCS(0) / busy
-	if kw < 1 {
-		kw = 1
-	}
-	parallel.SetWorkers(kw)
 	mPoolKernel.Set(int64(kw))
 }

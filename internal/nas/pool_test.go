@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"swtnas/internal/apps"
+	"swtnas/internal/checkpoint"
 	"swtnas/internal/trace"
 )
 
@@ -159,76 +161,20 @@ func TestPoolQuotas(t *testing.T) {
 	c.Close()
 }
 
-// TestPoolRetryAndFaultEvents pins the pool's bounded-retry contract: a
-// transiently failing evaluation requeues (with a requeue event per retry)
-// and succeeds within its attempt budget; a persistently failing one emits a
-// terminal failed event and surfaces its error.
-func TestPoolRetryAndFaultEvents(t *testing.T) {
+// TestPoolPanicIsolation: one tenant's panicking evaluation becomes an error
+// result naming the candidate, beside one FaultFailed event; the slot
+// survives and keeps serving other tenants. An erroring evaluation ends the
+// same way, its error delivered bare (not Failed): it aborts its search.
+func TestPoolPanicIsolation(t *testing.T) {
 	p := NewSharedPool(PoolConfig{Workers: 1})
 	defer p.Close()
 	var mu sync.Mutex
 	var events []FaultEvent
-	c, err := p.Register(ClientConfig{Tenant: "t", MaxAttempts: 3, OnFault: func(ev FaultEvent) {
+	bad, err := p.Register(ClientConfig{Tenant: "bad", OnFault: func(ev FaultEvent) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
 	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	attempts := 0
-	flaky := func(ctx context.Context, task Task) Result {
-		mu.Lock()
-		attempts++
-		n := attempts
-		mu.Unlock()
-		if n < 3 {
-			return errResult(task, fmt.Errorf("transient %d", n))
-		}
-		return Result{Record: trace.Record{ID: task.ID, Score: 0.9}}
-	}
-	out := make(chan Result, 1)
-	c.Submit(context.Background(), Task{ID: 7}, flaky, out)
-	res := drain(t, out, 1)[0]
-	if res.Err != nil || res.Score != 0.9 {
-		t.Fatalf("flaky result = %+v", res)
-	}
-	mu.Lock()
-	if len(events) != 2 {
-		t.Fatalf("events = %+v, want 2 requeues", events)
-	}
-	for i, ev := range events {
-		if ev.Kind != FaultRequeue || ev.CandidateID != 7 || ev.Attempt != i+1 {
-			t.Fatalf("event %d = %+v", i, ev)
-		}
-	}
-	events = nil
-	mu.Unlock()
-
-	// Persistent failure: budget spent, terminal failed event, error result.
-	c.Submit(context.Background(), Task{ID: 8}, func(ctx context.Context, task Task) Result {
-		return errResult(task, errors.New("broken"))
-	}, out)
-	res = drain(t, out, 1)[0]
-	if res.Err == nil || !res.Failed {
-		t.Fatalf("persistent failure must surface its error marked Failed, got %+v", res)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	last := events[len(events)-1]
-	if last.Kind != FaultFailed || last.CandidateID != 8 || last.Attempt != 3 {
-		t.Fatalf("terminal event = %+v", last)
-	}
-}
-
-// TestPoolPanicIsolation: one tenant's panicking evaluation becomes an error
-// result; the slot survives and keeps serving other tenants.
-func TestPoolPanicIsolation(t *testing.T) {
-	p := NewSharedPool(PoolConfig{Workers: 1})
-	defer p.Close()
-	bad, err := p.Register(ClientConfig{Tenant: "bad"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +191,7 @@ func TestPoolPanicIsolation(t *testing.T) {
 		panic("tenant defect")
 	}, outBad)
 	res := drain(t, outBad, 1)[0]
-	if res.Err == nil || res.ID != 1 {
+	if res.Err == nil || res.ID != 1 || !strings.Contains(res.Err.Error(), "candidate 1") {
 		t.Fatalf("panicking eval result = %+v", res)
 	}
 	good.Submit(context.Background(), Task{ID: 2}, func(ctx context.Context, task Task) Result {
@@ -254,7 +200,89 @@ func TestPoolPanicIsolation(t *testing.T) {
 	if res := drain(t, outGood, 1)[0]; res.Err != nil || res.Score != 1 {
 		t.Fatalf("slot did not survive the panic: %+v", res)
 	}
+	bad.Submit(context.Background(), Task{ID: 3}, func(ctx context.Context, task Task) Result {
+		return errResult(task, errors.New("broken"))
+	}, outBad)
+	if res := drain(t, outBad, 1)[0]; res.Err == nil || res.Failed {
+		t.Fatalf("erroring eval must deliver its error bare, got %+v", res)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(events) != 2 {
+		t.Fatalf("events = %+v, want one FaultFailed per failed evaluation", events)
+	}
+	for i, id := range []int{1, 3} {
+		if ev := events[i]; ev.Kind != FaultFailed || ev.CandidateID != id || ev.Attempt != 1 || ev.Reason == "" {
+			t.Fatalf("event %d = %+v, want FaultFailed for candidate %d, attempt 1", i, ev, id)
+		}
+	}
 }
+
+// TestPoolCloseCancelsQueuedTasks: closing a pool under a running search
+// hands its queued tasks context.Canceled, so the search drains and returns
+// the candidates completed so far beside that error instead of blocking. The
+// pool has one slot and the search two tasks: the first evaluation closes the
+// pool while the second waits in the queue, then finishes and is recorded.
+func TestPoolCloseCancelsQueuedTasks(t *testing.T) {
+	p := NewSharedPool(PoolConfig{Workers: 1})
+	defer p.Close()
+	client, err := p.Register(ClientConfig{Concurrency: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	app := tinyApp(t, "nt3")
+	type outcome struct {
+		records int
+		err     error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		tr, err := Run(context.Background(), Config{
+			App: app, Budget: 8, Seed: 3, Workers: 2, Executor: &closeInFirstEval{Executor: client, pool: p},
+		})
+		done <- outcome{len(tr.Records), err}
+	}()
+	select {
+	case o := <-done:
+		if !errors.Is(o.err, context.Canceled) || o.records != 1 {
+			t.Fatalf("Run = %d records, %v; want 1 record and context.Canceled", o.records, o.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run still blocked 10 s after its pool closed")
+	}
+}
+
+// closeInFirstEval closes pool from inside the first evaluation it runs.
+type closeInFirstEval struct {
+	Executor
+	pool *SharedPool
+	once sync.Once
+}
+
+func (c *closeInFirstEval) Submit(ctx context.Context, t Task, eval EvalFunc, out chan<- Result) {
+	c.Executor.Submit(ctx, t, func(ctx context.Context, t Task) Result {
+		c.once.Do(c.pool.Close)
+		return eval(ctx, t)
+	}, out)
+}
+
+// TestRunPanicIsError: on the default executor a panicking evaluation
+// aborts its search with an error naming the candidate — the process and the
+// test binary survive — and the private pool leaves no goroutine behind.
+func TestRunPanicIsError(t *testing.T) {
+	app := tinyApp(t, "nt3")
+	_, err := Run(context.Background(), Config{App: app, Store: panicStore{}, Budget: 4, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "candidate 0") || !strings.Contains(err.Error(), "injected save panic") {
+		t.Fatalf("err = %v, want the panic of candidate 0", err)
+	}
+	waitForGoroutines(t)
+}
+
+// panicStore panics on every save.
+type panicStore struct{ checkpoint.Store }
+
+func (panicStore) Save(string, *checkpoint.Model) (int64, error) { panic("injected save panic") }
 
 // TestPoolConcurrentSearchesInterleave: two one-worker searches on a
 // two-slot pool genuinely overlap — the second search finishes its first

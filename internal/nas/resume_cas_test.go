@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -437,7 +436,6 @@ func TestResumeCancelledBeforeRunKeepsJournal(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	before := runtime.NumGoroutine()
 	resumed := 0
 	tr, err := runWithin(t, 30*time.Second, ctx, Config{
 		App:      app,
@@ -462,7 +460,7 @@ func TestResumeCancelledBeforeRunKeepsJournal(t *testing.T) {
 		t.Fatalf("partial trace = %+v (%d streamed as Resumed), want the %d journaled records", tr, resumed, cut)
 	}
 	tracesEqual(t, &trace.Trace{Records: full.Records[:cut]}, tr, "journaled prefix of a cancelled resume")
-	waitForGoroutines(t, before)
+	waitForGoroutines(t)
 	if after, err := resilience.Read(path); err != nil || len(after.Records) != cut {
 		t.Fatalf("cancelled resume changed the journal: %d records, err %v", len(after.Records), err)
 	}

@@ -22,8 +22,6 @@ type (
 	Loss = LossOf[float64]
 	// Metric is the float64 metric interface.
 	Metric = MetricOf[float64]
-	// Optimizer is the float64 optimizer interface.
-	Optimizer = OptimizerOf[float64]
 	// Adam is the float64 Adam optimizer.
 	Adam = AdamOf[float64]
 	// SGD is the float64 SGD optimizer.

@@ -59,9 +59,6 @@ func NewNetworkOf[T tensor.Float](inputShapes ...[]int) *NetworkOf[T] {
 	return &NetworkOf[T]{numInputs: len(inputShapes), inputShapes: shapes, output: -1}
 }
 
-// NumInputs returns the number of graph inputs.
-func (n *NetworkOf[T]) NumInputs() int { return n.numInputs }
-
 // Add appends a layer consuming the given inputs and returns its node index.
 // Inputs must reference graph inputs or previously added nodes; shape
 // inference runs eagerly and errors are returned to the caller (NAS builders

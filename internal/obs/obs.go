@@ -69,9 +69,6 @@ func NewRegistry() *Registry {
 // on; the instrumented packages register their metrics here.
 var def = NewRegistry()
 
-// Default returns the process-wide registry.
-func Default() *Registry { return def }
-
 // Enabled reports whether metrics in r are being recorded.
 func (r *Registry) Enabled() bool { return r.enabled.Load() }
 

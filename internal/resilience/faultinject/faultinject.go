@@ -1,19 +1,17 @@
 // Package faultinject is the deterministic fault-injection harness behind
 // the resilience tests: it wraps a cluster worker's evaluator (ExecuteHook)
-// and RPC transport (Dial) to inject worker crashes, lost results, task
-// failures and slowdowns from a seeded schedule, so "kill K workers
-// mid-search" is a reproducible unit test instead of a manual drill.
+// to inject worker crashes, lost results and task failures from a seeded
+// schedule, so "kill K workers mid-search" is a reproducible unit test
+// instead of a manual drill.
 //
 // Faults are scripted per worker as a Plan; NewSchedule draws one Plan per
 // worker from a seeded RNG so a whole cluster's failure pattern is a single
-// int64. Production workers never set the hooks, so the package costs
+// int64. Production workers never set the hook, so the package costs
 // nothing outside tests.
 package faultinject
 
 import (
 	"math/rand"
-	"net"
-	"time"
 
 	"swtnas/internal/cluster"
 	"swtnas/internal/obs"
@@ -27,7 +25,6 @@ var (
 	mCrashes = obs.GetCounter("faultinject.crashes")
 	mDrops   = obs.GetCounter("faultinject.drops")
 	mFails   = obs.GetCounter("faultinject.failures")
-	mSlows   = obs.GetCounter("faultinject.slowdowns")
 )
 
 // Plan scripts the faults one worker injects, counted over the tasks it
@@ -44,10 +41,6 @@ type Plan struct {
 	// FailEvery turns every Nth executed task into a task error (RPCResult
 	// with Err set), exercising the coordinator's retry path. 0 never fails.
 	FailEvery int
-	// SlowEvery sleeps SlowBy before executing every Nth task, simulating a
-	// stalled evaluator for deadline tests. 0 never slows.
-	SlowEvery int
-	SlowBy    time.Duration
 }
 
 // Schedule is one Plan per worker, indexed like the worker slice it was
@@ -63,12 +56,10 @@ type Options struct {
 	// MaxCrashTask bounds the 1-based task index at which a crashing worker
 	// dies (default 2: die on the first or second task).
 	MaxCrashTask int
-	// DropEvery / FailEvery / SlowEvery / SlowBy apply uniformly to every
-	// worker (0 disables, as in Plan).
+	// DropEvery / FailEvery apply uniformly to every worker (0 disables, as
+	// in Plan).
 	DropEvery int
 	FailEvery int
-	SlowEvery int
-	SlowBy    time.Duration
 }
 
 // NewSchedule draws a deterministic failure schedule for `workers` workers:
@@ -78,12 +69,7 @@ func NewSchedule(seed int64, workers int, o Options) *Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	s := &Schedule{Plans: make([]Plan, workers)}
 	for i := range s.Plans {
-		s.Plans[i] = Plan{
-			DropEvery: o.DropEvery,
-			FailEvery: o.FailEvery,
-			SlowEvery: o.SlowEvery,
-			SlowBy:    o.SlowBy,
-		}
+		s.Plans[i] = Plan{DropEvery: o.DropEvery, FailEvery: o.FailEvery}
 	}
 	maxCrash := o.MaxCrashTask
 	if maxCrash <= 0 {
@@ -107,10 +93,6 @@ func Wrap(w *cluster.Worker, p Plan) {
 			mCrashes.Inc()
 			return cluster.RPCResult{}, cluster.ErrCrash
 		}
-		if p.SlowEvery > 0 && n%p.SlowEvery == 0 {
-			mSlows.Inc()
-			time.Sleep(p.SlowBy)
-		}
 		if p.FailEvery > 0 && n%p.FailEvery == 0 {
 			mFails.Inc()
 			return cluster.RPCResult{Record: trace.Record{ID: t.ID}, WorkerID: w.ID, Err: "faultinject: injected task failure"}, nil
@@ -132,29 +114,4 @@ func (s *Schedule) WrapAll(workers []*cluster.Worker) {
 			Wrap(w, s.Plans[i])
 		}
 	}
-}
-
-// Dialer returns a Worker.Dial override whose connections delay every write
-// by latency — a deterministic slow network for transport-level tests.
-func Dialer(latency time.Duration) func(addr string) (net.Conn, error) {
-	return func(addr string) (net.Conn, error) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		return &slowConn{Conn: conn, delay: latency}, nil
-	}
-}
-
-// slowConn injects a fixed delay before each write.
-type slowConn struct {
-	net.Conn
-	delay time.Duration
-}
-
-func (c *slowConn) Write(b []byte) (int, error) {
-	if c.delay > 0 {
-		time.Sleep(c.delay)
-	}
-	return c.Conn.Write(b)
 }

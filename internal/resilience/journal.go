@@ -190,9 +190,6 @@ type Journal struct {
 	path string
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Create starts a fresh journal at path (truncating any existing file) and
 // writes the run header.
 func Create(path string, h Header) (*Journal, error) {

@@ -108,7 +108,7 @@ type SearchOptions struct {
 	// Result.ParetoFront then reports the non-dominated candidates.
 	MultiObjective bool
 	// Pool, when non-nil, runs this search's evaluations on a shared
-	// evaluator pool instead of private worker goroutines — many concurrent
+	// evaluator pool instead of a private one of its own — many concurrent
 	// searches then share one core budget under weighted-fair scheduling.
 	// The pool outlives the search; admission may fail with
 	// ErrQuotaExceeded.

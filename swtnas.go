@@ -103,9 +103,9 @@ type Candidate struct {
 	// sentinel -1 (rejected proposals never receive candidate numbers).
 	// Only filtered progress events carry it; Result.Candidates never does.
 	Filtered bool `json:"filtered,omitempty"`
-	// Failed marks a candidate the search went on without: every attempt of
-	// its retry budget failed, or its training diverged to a non-finite
-	// score (FailReason says which). It consumed budget, has no score, never
+	// Failed marks a candidate the search went on without: its training
+	// diverged to a non-finite score, or (on a TCP coordinator) every attempt
+	// of its retry budget failed (FailReason says which). It consumed budget, has no score, never
 	// ranks in Best, TopK or ParetoFront, and stays failed across a resume.
 	Failed     bool   `json:"failed,omitempty"`
 	FailReason string `json:"fail_reason,omitempty"`
