@@ -61,9 +61,10 @@ func (b *Binding) Submit(ctx context.Context, t nas.Task, _ nas.EvalFunc, out ch
 // result hands the worker's record to the scheduler, overwriting only what
 // this side of the wire owns: the checkpoint size as stored (nas.Run restores
 // the task's identity itself — a provider's candidate number does not travel
-// with its bytes). A Failed result (retry budget spent) keeps its mark, so
-// nas.Run applies the failure rule; a scored one is saved into the store
-// first, where later tasks find it as a provider.
+// with its bytes). A Failed result (retry budget spent, or a diverged
+// candidate) keeps its mark and has nothing to save, so nas.Run applies the
+// failure rule; a scored one is saved into the store first, where later
+// tasks find it as a provider.
 func (b *Binding) result(rr RPCResult) nas.Result {
 	res := nas.Result{Record: rr.Record}
 	if rr.Failed {

@@ -104,10 +104,11 @@ type RPCTask struct {
 // RPCResult returns one evaluation to the coordinator: the candidate's trace
 // record whole, as the worker's nas.Evaluator filled it (shape sequence and
 // evaluation latency included), beside the trained bytes. Record.ID names the
-// task whatever the outcome. Record.Failed marks a terminal failure emitted
-// by the coordinator after the task exhausted its retry budget; plain worker
-// errors (Err set, Failed false) are retried internally and never reach the
-// search.
+// task whatever the outcome. Record.Failed marks a terminal failure: emitted
+// by the coordinator after the task exhausted its retry budget, or by the
+// worker for a candidate that diverged (nas.Evaluator's verdict, which a
+// retry would repeat; it ships no checkpoint). Plain worker errors (Err set,
+// Failed false) are retried internally and never reach the search.
 type RPCResult struct {
 	trace.Record
 	WorkerID   string
@@ -495,10 +496,10 @@ func (s *Service) Heartbeat(workerID string, ack *bool) error {
 	return nil
 }
 
-// Submit delivers a result to the coordinator. Successful results resolve
-// the task (late duplicates from requeued copies are dropped); worker-side
-// errors consume an attempt and requeue, failing terminally only once the
-// retry budget is spent.
+// Submit delivers a result to the coordinator. Successful results and a
+// worker's terminal Failed one resolve the task (late duplicates from
+// requeued copies are dropped); worker-side errors consume an attempt and
+// requeue, failing terminally only once the retry budget is spent.
 func (s *Service) Submit(res RPCResult, ack *bool) error {
 	c := s.c
 	*ack = true
@@ -512,7 +513,7 @@ func (s *Service) Submit(res RPCResult, ack *bool) error {
 		// The race's loser arriving (a requeued task's earlier worker, or the
 		// slower side of a speculation pair): drop the result.
 		mResultsDuplicate.Inc()
-	case res.Err != "":
+	case res.Err != "" && !res.Failed:
 		if a == orig {
 			deliver = c.requeueLocked(a, res.Err)
 		} else if a != nil {
@@ -648,6 +649,12 @@ func (w *Worker) Execute(t RPCTask) RPCResult {
 	eval := nas.Evaluator{App: app, Matcher: matcher, Store: store, DType: dt}
 	r := eval.EvaluateCtx(context.Background(), task)
 	res.Record = r.Record
+	if r.Failed {
+		// A diverged candidate: a retry would diverge the same way, and
+		// there is no checkpoint to ship.
+		res.Err = r.Err.Error()
+		return res
+	}
 	if r.Err != nil {
 		return fail(r.Err)
 	}

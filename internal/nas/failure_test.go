@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"swtnas/internal/apps"
 	"swtnas/internal/checkpoint"
 	"swtnas/internal/core"
 	"swtnas/internal/evo"
@@ -142,27 +143,24 @@ func TestRunWithRLStrategy(t *testing.T) {
 
 // TestNonFiniteScoreIsFailedRecord: a training run that diverges to a NaN or
 // Inf score takes the failure rule on any executor — recorded as Failed with
-// reason "non-finite score", never reported to the strategy, never ranked —
-// instead of entering the population. The divergence is real and specific
-// to float32: inputs at the top of the float32 range overflow the forward
-// pass into Inf-Inf (no surface exposes a learning rate to explode instead),
-// while the same data trains to finite scores in float64.
+// reason "non-finite score", never reported to the strategy, never ranked,
+// never saved — instead of entering the population: the store holds exactly
+// the scored candidates. The divergence is real and specific to float32:
+// inputs near the top of the float32 range overflow the forward pass into
+// Inf-Inf (no surface exposes a learning rate to explode instead), while
+// the same data trains to finite scores in float64.
 func TestNonFiniteScoreIsFailedRecord(t *testing.T) {
 	run := func(dt tensor.DType) (*trace.Trace, map[int]bool) {
 		app := tinyApp(t, "uno")
-		for _, split := range []*nn.Data{app.Dataset.Train, app.Dataset.Val} {
-			for _, in := range split.Inputs {
-				for i := range in.Data {
-					in.Data[i] *= 1e38
-				}
-			}
-		}
+		scaleInputs(app, 1e37)
 		reported := map[int]bool{}
+		store := checkpoint.NewCASMemStore()
 		tr, err := Run(context.Background(), Config{
 			App:      app,
 			DType:    dt,
 			Matcher:  core.LCS{},
 			Strategy: reportSpy{Strategy: evo.NewRegularizedEvolution(app.Space, 3, 2), Seen: reported},
+			Store:    store,
 			Budget:   6,
 			Seed:     5,
 		})
@@ -171,6 +169,9 @@ func TestNonFiniteScoreIsFailedRecord(t *testing.T) {
 		}
 		if len(tr.Records) != 6 {
 			t.Fatalf("%s: records = %d, want the full budget of 6", dt, len(tr.Records))
+		}
+		if saved := storedObjects(t, store); saved != len(tr.TopK(len(tr.Records))) {
+			t.Fatalf("%s: the store holds %d objects for %d scored candidates", dt, saved, len(tr.TopK(len(tr.Records))))
 		}
 		return tr, reported
 	}
@@ -192,9 +193,10 @@ func TestNonFiniteScoreIsFailedRecord(t *testing.T) {
 		}
 	}
 	// Architectures whose first op saturates (tanh, sigmoid) survive the
-	// overflow; the seed is chosen so that some do not.
-	if failed == 0 {
-		t.Fatal("no f32 candidate diverged; the test exercised nothing")
+	// overflow; the seed and scale are chosen so that some do not, and some
+	// do.
+	if failed == 0 || failed == len(tr.Records) {
+		t.Fatalf("%d of %d f32 candidates diverged; the test wants both kinds", failed, len(tr.Records))
 	}
 	if top := tr.TopK(len(tr.Records)); len(top) != len(tr.Records)-failed {
 		t.Fatalf("top-K ranks %d of %d records with %d failed", len(top), len(tr.Records), failed)
@@ -210,6 +212,70 @@ func TestNonFiniteScoreIsFailedRecord(t *testing.T) {
 			t.Fatalf("f64 record %+v: the same data must train to a finite, reported score", r)
 		}
 	}
+}
+
+// TestNonFiniteWeightIsFailedRecord is the weights-only divergence: the
+// accuracy of a classifier stays finite when its logits go NaN, so a
+// candidate whose float32 training overflowed can score like any other. It
+// takes the same failure rule as a non-finite score, with reason
+// "non-finite weight", and is not saved. The coordinator's leg of this rule
+// is internal/cluster's TestDivergedCandidateIsTerminal.
+func TestNonFiniteWeightIsFailedRecord(t *testing.T) {
+	app := tinyApp(t, "nt3")
+	scaleInputs(app, 2e37)
+	reported := map[int]bool{}
+	store := checkpoint.NewCASMemStore()
+	tr, err := Run(context.Background(), Config{
+		App:      app,
+		DType:    tensor.F32,
+		Matcher:  core.LCS{},
+		Strategy: reportSpy{Strategy: evo.NewRegularizedEvolution(app.Space, 3, 2), Seen: reported},
+		Store:    store,
+		Budget:   6,
+		Seed:     5,
+	})
+	if err != nil {
+		t.Fatalf("a diverged candidate must not abort the search: %v", err)
+	}
+	failed := 0
+	for _, r := range tr.Records {
+		if r.Failed {
+			failed++
+			if r.FailReason != "non-finite weight" || r.Score != 0 {
+				t.Fatalf("record %+v: want reason \"non-finite weight\" and a zero score", r)
+			}
+		}
+		if reported[r.ID] == r.Failed {
+			t.Fatalf("candidate %d: failed=%v but reported=%v", r.ID, r.Failed, reported[r.ID])
+		}
+	}
+	if failed == 0 || failed == len(tr.Records) {
+		t.Fatalf("%d of %d candidates diverged; the test wants both kinds", failed, len(tr.Records))
+	}
+	if saved := storedObjects(t, store); saved != len(tr.Records)-failed {
+		t.Fatalf("the store holds %d objects for %d scored candidates", saved, len(tr.Records)-failed)
+	}
+}
+
+// scaleInputs multiplies every input of the app's dataset by s.
+func scaleInputs(app *apps.App, s float64) {
+	for _, split := range []*nn.Data{app.Dataset.Train, app.Dataset.Val} {
+		for _, in := range split.Inputs {
+			for i := range in.Data {
+				in.Data[i] *= s
+			}
+		}
+	}
+}
+
+// storedObjects returns how many checkpoints store holds.
+func storedObjects(t *testing.T, store checkpoint.Store) int {
+	t.Helper()
+	ids, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(ids)
 }
 
 // reportSpy records which candidates the scheduler reported to a strategy.

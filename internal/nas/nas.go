@@ -93,15 +93,37 @@ type Result struct {
 	Resumed bool
 	// Err is the evaluation error. With Failed unset it aborts the run. The
 	// coordinator binding sets Failed once a task's retry budget is spent
-	// (Err is the last cause), and the scheduler sets it on a non-finite
-	// score: Run records such a result as a Failed trace record whose
+	// (Err is the last cause), and the Evaluator sets it on a candidate that
+	// diverged — a non-finite score, or a non-finite weight — which it does
+	// not save: Run records such a result as a Failed trace record whose
 	// FailReason is Err's text, never reports it to the strategy, and
 	// continues. A pool evaluation that errors or panics is never Failed.
 	Err error
 }
 
-// errNonFinite is the failure reason of a candidate whose training diverged.
-var errNonFinite = errors.New("non-finite score")
+// The failure reasons of a candidate whose training diverged: to a
+// non-finite score, or to a non-finite weight under a finite score.
+var (
+	errNonFinite       = errors.New("non-finite score")
+	errNonFiniteWeight = errors.New("non-finite weight")
+)
+
+// diverged returns why a trained candidate must not be saved, or nil.
+func diverged(score float64, m *checkpoint.Model) error {
+	if math.IsNaN(score) || math.IsInf(score, 0) {
+		return errNonFinite
+	}
+	for _, g := range m.Groups {
+		for _, t := range g.Tensors {
+			for _, v := range t.Data {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return errNonFiniteWeight
+				}
+			}
+		}
+	}
+	return nil
+}
 
 // errResult is the result of a task that ended without a candidate record.
 func errResult(t Task, err error) Result {
@@ -220,6 +242,15 @@ func (e *Evaluator) evaluate(ctx context.Context, task Task) Result {
 		}
 		res.Score = h.FinalScore()
 		ckpt = checkpoint.FromNetwork(task.Arch, res.Score, net)
+	}
+	// A diverged candidate ends like a spent retry budget, as a Failed
+	// record: it must not reach the population, the surrogate or a Pareto
+	// front (nor a NaN the trace's JSON). It is never saved either: nothing
+	// would ever collect its checkpoint, and a NaN weight would reach every
+	// child through transfer.
+	if err := diverged(res.Score, ckpt); err != nil {
+		res.Failed, res.Err, res.Score = true, err, 0
+		return res
 	}
 	n, err := e.Store.Save(CandidateID(task.ID), ckpt)
 	if err != nil {
@@ -520,12 +551,6 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 			return nil, fmt.Errorf("nas: executor returned candidate %d, which is not in flight", res.ID)
 		case res.Resumed && !slices.Equal([]int(t.Arch), res.Arch):
 			return nil, fmt.Errorf("nas: journal candidate %d has arch %v, replay proposed %v — journal and run options disagree", res.ID, res.Arch, t.Arch)
-		}
-		if res.Err == nil && (math.IsNaN(res.Score) || math.IsInf(res.Score, 0)) {
-			// A diverged training run ends like a spent retry budget: it
-			// must not reach the population, the surrogate or a Pareto
-			// front, and a NaN would not survive the trace's JSON.
-			res.Failed, res.Err, res.Score = true, errNonFinite, 0
 		}
 		if res.Err != nil && !res.Failed {
 			if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {

@@ -46,7 +46,8 @@ type EvalFunc func(context.Context, Task) Result
 // capacity covers every in-flight task) exactly once, possibly after Run has
 // returned. An executor that retries marks the result of a task whose budget
 // is spent as Failed; one that does not (the pool) returns the error bare,
-// which aborts the search.
+// which aborts the search. A diverged candidate comes back Failed from the
+// Evaluator itself, on either executor.
 type Executor interface {
 	Submit(ctx context.Context, t Task, eval EvalFunc, out chan<- Result)
 }
@@ -300,7 +301,9 @@ func (p *SharedPool) worker(slot string) {
 		p.mu.Unlock()
 
 		res := runIsolated(it)
-		if res.Err != nil && !errors.Is(res.Err, context.Canceled) && !errors.Is(res.Err, context.DeadlineExceeded) {
+		// A Failed result (a diverged candidate) is an evaluation that ran to
+		// its end, not a fault of the slot.
+		if res.Err != nil && !res.Failed && !errors.Is(res.Err, context.Canceled) && !errors.Is(res.Err, context.DeadlineExceeded) {
 			mPoolFailed.Inc()
 			if c.cfg.OnFault != nil {
 				c.cfg.OnFault(FaultEvent{Kind: FaultFailed, Worker: slot, CandidateID: it.task.ID, Reason: res.Err.Error(), Attempt: 1})

@@ -269,11 +269,13 @@ func (l *ActivationOf[T]) OutShape(in [][]int) ([]int, error) {
 }
 
 // costs returns the per-element cost of the kind's forward and backward
-// loops: the forward pass of the smooth kinds is a math call, their gradient
-// a product of cached outputs; the piecewise kinds branch on the data both
-// ways.
+// loops: ReLU's passes are vector bodies (tensor.ReLU, tensor.ReLUGrad); the
+// forward pass of the smooth kinds is a math call, their gradient a product
+// of cached outputs; the other piecewise kinds branch on the data both ways.
 func (k ActKind) costs() (fwd, bwd int) {
 	switch k {
+	case ReLU:
+		return costVector, costVector
 	case Tanh, Sigmoid:
 		return costExp, costStream
 	case ELU:
@@ -294,13 +296,7 @@ func (l *ActivationOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tens
 		xd, od := x.Data[lo:hi], out.Data[lo:hi]
 		switch l.Kind {
 		case ReLU:
-			for i, v := range xd {
-				if v > 0 {
-					od[i] = v
-				} else {
-					od[i] = 0
-				}
-			}
+			tensor.ReLU(od, xd)
 		case Tanh:
 			for i, v := range xd {
 				od[i] = T(math.Tanh(float64(v)))
@@ -338,13 +334,7 @@ func (l *ActivationOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[
 		gd, dd := dOut.Data[lo:hi], dIn.Data[lo:hi]
 		switch l.Kind {
 		case ReLU:
-			for i, v := range l.lastIn.Data[lo:hi] {
-				if v > 0 {
-					dd[i] = gd[i]
-				} else {
-					dd[i] = 0
-				}
-			}
+			tensor.ReLUGrad(dd, l.lastIn.Data[lo:hi], gd)
 		case Tanh:
 			for i, y := range l.lastOut.Data[lo:hi] {
 				dd[i] = gd[i] * (1 - y*y)

@@ -33,6 +33,32 @@ func TestMaxPoolUnevenStrideGradient(t *testing.T) {
 	checkInputGradient(t, NewMaxPool1D("p", 3, 2), []*tensor.Tensor{randInput(rng, 2, 9, 2)})
 }
 
+// TestMaxPoolDivergedWindow: a window whose every tap is NaN or −Inf — what
+// a diverged run feeds a pool — keeps its −Inf output and sends its
+// gradient to the window's first tap, where it used to index −1 and panic.
+func TestMaxPoolDivergedWindow(t *testing.T) {
+	nan, negInf := math.NaN(), math.Inf(-1)
+	for _, c := range []struct {
+		pool    Layer
+		in, out []int
+	}{
+		{NewMaxPool2D("p", 2, 2), []int{2, 2, 1}, []int{1, 1, 1, 1}},
+		{NewMaxPool1D("p", 4, 4), []int{4, 1}, []int{1, 1, 1}},
+	} {
+		if _, err := c.pool.OutShape([][]int{c.in}); err != nil {
+			t.Fatal(err)
+		}
+		x := tensor.FromData([]float64{nan, negInf, nan, nan}, append([]int{1}, c.in...)...)
+		if y := c.pool.Forward([]*tensor.Tensor{x}, true); !math.IsInf(y.Data[0], -1) {
+			t.Fatalf("%T: output %v, want −Inf", c.pool, y.Data[0])
+		}
+		dIn := c.pool.Backward(tensor.FromData([]float64{1}, c.out...))[0]
+		if got := dIn.Data; got[0] != 1 || got[1] != 0 || got[2] != 0 || got[3] != 0 {
+			t.Fatalf("%T: input gradient %v, want [1 0 0 0]", c.pool, got)
+		}
+	}
+}
+
 func TestDeepStackTrainsWithoutNaN(t *testing.T) {
 	// A deliberately deep mixed stack (conv, bn, pool, dropout, dense)
 	// must train several epochs without producing NaN/Inf.

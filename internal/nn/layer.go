@@ -52,10 +52,11 @@ import (
 // keeps a call inline, one set too high splits a call that cannot pay for
 // the handoff. DESIGN.md §9.5 has the ns-per-item readings.
 const (
+	costVector = 2  // element of a contiguous pass through a tensor package vector body: ReLU both ways
 	costCopy   = 4  // element copied or zeroed in a contiguous run: im2col
 	costStream = 8  // element read, combined and written once: col2im, Add, GlobalAvgPool, Gather, the Tanh/Sigmoid gradient
 	costGather = 16 // element reached through a stride or an index: average-pool taps, the max-pool gradient scatter
-	costBranch = 32 // element behind an unpredictable branch or an integer division: ReLU-class passes, max-pool taps, BatchNorm passes
+	costBranch = 32 // element behind an unpredictable branch or an integer division: LeakyReLU passes, the ELU gradient, max-pool taps, BatchNorm passes
 	costExp    = 64 // element through math.Exp or math.Tanh: Tanh/Sigmoid/ELU forward, a softmax logit
 )
 

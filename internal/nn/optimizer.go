@@ -40,14 +40,16 @@ func NewAdamOf[T tensor.Float]() *AdamOf[T] {
 // SetLR updates the learning rate (LRSettable).
 func (a *AdamOf[T]) SetLR(lr float64) { a.LR = lr }
 
-// Step applies one Adam update to every trainable parameter.
+// Step applies one Adam update to every trainable parameter: one
+// tensor.AdamStep call per parameter, the per-element arithmetic and its
+// order defined there.
 func (a *AdamOf[T]) Step(params []*ParamOf[T]) {
 	a.t++
-	c1 := T(1 - math.Pow(a.Beta1, float64(a.t)))
-	c2 := T(1 - math.Pow(a.Beta2, float64(a.t)))
-	b1, ob1 := T(a.Beta1), T(1-a.Beta1)
-	b2, ob2 := T(a.Beta2), T(1-a.Beta2)
-	lr, eps := T(a.LR), T(a.Eps)
+	k := tensor.AdamCoefs[T]{
+		B1: T(a.Beta1), OB1: T(1 - a.Beta1), B2: T(a.Beta2), OB2: T(1 - a.Beta2),
+		C1: T(1 - math.Pow(a.Beta1, float64(a.t))), C2: T(1 - math.Pow(a.Beta2, float64(a.t))),
+		LR: T(a.LR), Eps: T(a.Eps),
+	}
 	for _, p := range params {
 		if !p.Trainable() {
 			continue
@@ -57,19 +59,8 @@ func (a *AdamOf[T]) Step(params []*ParamOf[T]) {
 			st = &adamState[T]{m: make([]T, p.W.Numel()), v: make([]T, p.W.Numel())}
 			a.state[p] = st
 		}
-		l2x2 := T(2 * p.L2)
-		w, g := p.W.Data, p.Grad.Data
-		for i := range w {
-			gi := g[i]
-			if p.L2 != 0 {
-				gi += l2x2 * w[i]
-			}
-			st.m[i] = b1*st.m[i] + ob1*gi
-			st.v[i] = b2*st.v[i] + ob2*gi*gi
-			mHat := st.m[i] / c1
-			vHat := st.v[i] / c2
-			w[i] -= lr * mHat / (T(math.Sqrt(float64(vHat))) + eps)
-		}
+		k.L2x2, k.L2 = T(2*p.L2), p.L2 != 0
+		tensor.AdamStep(p.W.Data, p.Grad.Data, st.m, st.v, &k)
 	}
 }
 

@@ -90,8 +90,10 @@ func (p *MaxPool2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 			oi := r * orow
 			for ox := 0; ox < p.outW; ox++ {
 				for c := 0; c < p.ch; c++ {
+					// A window no tap of which beats −Inf (all NaN or −Inf,
+					// a diverged run) routes its gradient to the first tap.
 					best := T(math.Inf(-1))
-					bestIdx := -1
+					bestIdx := xb + oy*p.Stride*inRow + ox*p.Stride*p.ch + c
 					for ky := 0; ky < p.Size; ky++ {
 						y := oy*p.Stride + ky
 						for kx := 0; kx < p.Size; kx++ {
@@ -194,7 +196,7 @@ func (p *MaxPool1DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 			oi := r * p.ch
 			for c := 0; c < p.ch; c++ {
 				best := T(math.Inf(-1))
-				bestIdx := -1
+				bestIdx := xb + ol*p.Stride*p.ch + c // as in MaxPool2D
 				for k := 0; k < p.Size; k++ {
 					idx := xb + (ol*p.Stride+k)*p.ch + c
 					if v := x.Data[idx]; v > best {

@@ -244,15 +244,16 @@ func readAsm(t *testing.T, file string, defs map[string]string, texts *[]asmText
 // TestAssemblySource reads the kernels as text. Every TEXT that names a YMM
 // register — directly or through a macro — must execute VZEROUPPER
 // immediately before each RET, or the Go code it returns to pays the
-// SSE/AVX transition on its next scalar float instruction; and the
-// arithmetic contract has no fused multiply-add and no 64-byte vectors, so
-// neither may appear in any instruction, written out or behind a macro.
+// SSE/AVX transition on its next scalar float instruction; only the …AVX2
+// kernels name one; and the arithmetic contract has no fused multiply-add,
+// no reciprocal or reciprocal-square-root estimate and no 64-byte vectors,
+// so none may appear in any instruction, written out or behind a macro.
 func TestAssemblySource(t *testing.T) {
 	files, err := filepath.Glob("*.s")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no assembly files found: %v", err)
 	}
-	banned := regexp.MustCompile(`\b(VFN?M(ADD|SUB)\w*|Z([0-9]|[12][0-9]|3[01]))\b`)
+	banned := regexp.MustCompile(`\b(VFN?M(ADD|SUB)\w*|V?RCP\w*|V?RSQRT\w*|Z([0-9]|[12][0-9]|3[01]))\b`)
 	ymm := regexp.MustCompile(`\bY([0-9]|1[0-5])\b`)
 	wide := 0
 	for _, f := range files {
@@ -262,7 +263,7 @@ func TestAssemblySource(t *testing.T) {
 			usesYMM, rets := false, 0
 			for i, l := range tx.lines {
 				if m := banned.FindString(l); m != "" {
-					t.Errorf("%s: %s: %s — fused multiply-add and ZMM registers are outside the arithmetic contract", f, tx.name, m)
+					t.Errorf("%s: %s: %s — fused multiply-add, reciprocal estimates and ZMM registers are outside the arithmetic contract", f, tx.name, m)
 				}
 				usesYMM = usesYMM || ymm.MatchString(l)
 				if strings.Fields(l)[0] == "RET" {
@@ -275,13 +276,16 @@ func TestAssemblySource(t *testing.T) {
 			if rets == 0 {
 				t.Errorf("%s: %s: no RET found: the scan lost the function", f, tx.name)
 			}
+			if usesYMM != strings.Contains(tx.name, "AVX2(SB)") {
+				t.Errorf("%s: %s: uses YMM registers = %v, but exactly the …AVX2 kernels run at 32 bytes", f, tx.name, usesYMM)
+			}
 			if usesYMM {
 				wide++
 			}
 		}
 	}
-	if wide != 4 {
-		t.Errorf("%d TEXT symbols use YMM registers, want the 4 AVX2 kernels: the scan no longer sees them", wide)
+	if wide != 10 {
+		t.Errorf("%d TEXT symbols use YMM registers, want the 10 AVX2 kernels (4 products, 6 elementwise): the scan no longer sees them", wide)
 	}
 }
 

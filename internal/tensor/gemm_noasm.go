@@ -2,9 +2,11 @@
 
 package tensor
 
-// Builds without the assembly tile kernels — every GOARCH but amd64, and
-// amd64 under the purego tag, which is how CI tests this path — run the
-// products as the pure-Go loops of gemm.go and gemm_f32.go directly.
+// Builds without the assembly kernels — every GOARCH but amd64, and amd64
+// under the purego tag, which is how CI tests this path — run the products
+// as the pure-Go loops of gemm.go and gemm_f32.go directly, and the
+// elementwise kernels as the loops of elem.go: no element is covered by a
+// vector body.
 
 // gemmVectorBytes is what the tensor.gemm.vector_bytes gauge reports where
 // the products are scalar Go: one float64. A variable only so that the
@@ -34,3 +36,9 @@ func gemmBTRowsF64(dst, a, b []float64, lo, hi, n, k int) {
 func gemmATRowsF64(dst, a, b []float64, lo, hi, m, k, n int) {
 	gemmATRowsGoF64(dst, a, b, lo, hi, m, k, n)
 }
+
+func adamBody[T Float](w, g, m, v []T, k *AdamCoefs[T]) int { return 0 }
+
+func reluBody[T Float](dst, x []T) int { return 0 }
+
+func reluGradBody[T Float](dst, x, g []T) int { return 0 }

@@ -104,9 +104,10 @@ type Candidate struct {
 	// Only filtered progress events carry it; Result.Candidates never does.
 	Filtered bool `json:"filtered,omitempty"`
 	// Failed marks a candidate the search went on without: its training
-	// diverged to a non-finite score, or (on a TCP coordinator) every attempt
-	// of its retry budget failed (FailReason says which). It consumed budget, has no score, never
-	// ranks in Best, TopK or ParetoFront, and stays failed across a resume.
+	// diverged to a non-finite score or weight, or (on a TCP coordinator)
+	// every attempt of its retry budget failed (FailReason says which). It
+	// consumed budget, has no score and no checkpoint, never ranks in Best,
+	// TopK or ParetoFront, and stays failed across a resume.
 	Failed     bool   `json:"failed,omitempty"`
 	FailReason string `json:"fail_reason,omitempty"`
 }
