@@ -1,4 +1,4 @@
-// Command docguard is the CI documentation gate. It enforces two invariants
+// Command docguard is the CI documentation gate. It enforces four invariants
 // the test suite cannot see:
 //
 //  1. Every Go package in the repository carries a package doc comment
@@ -15,6 +15,10 @@
 //     numbered heading in DESIGN.md. Renumbering the design doc — or
 //     citing a chapter (such as §14, the dtype architecture) before it is
 //     written — fails the build instead of stranding the reader.
+//  4. No export of an imported internal package is left to tests alone:
+//     each exported top-level func and type is used by some non-test Go
+//     file outside its own declaration. Methods are not checked (an
+//     interface or net/rpc can call them by name).
 //
 // Usage (from the repository root, as CI runs it):
 //
@@ -25,12 +29,15 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"sort"
 	"strings"
 )
 
@@ -39,21 +46,11 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	goFiles, pkgDirs, err := collectGo(root)
+	violations, err := check(root)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "docguard: %v\n", err)
 		os.Exit(1)
 	}
-
-	var violations []string
-	violations = append(violations, checkPackageDocs(pkgDirs)...)
-
-	source := readAll(goFiles)
-	for _, md := range []string{"DESIGN.md", "README.md"} {
-		violations = append(violations, checkDocDrift(filepath.Join(root, md), source)...)
-	}
-	violations = append(violations, checkSectionRefs(filepath.Join(root, "DESIGN.md"), source)...)
-
 	if len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, v)
@@ -61,76 +58,74 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docguard: %d violation(s)\n", len(violations))
 		os.Exit(1)
 	}
-	fmt.Printf("docguard: %d packages documented, doc identifiers and section refs resolve\n", len(pkgDirs))
+	fmt.Println("docguard: packages documented, doc identifiers and section refs resolve, every internal export is used")
 }
 
-// collectGo walks the tree for .go files and the directories holding them
-// (skipping .git and testdata).
-func collectGo(root string) (files []string, dirs map[string][]string, err error) {
-	dirs = map[string][]string{}
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// check runs the four rules over the tree at root (skipping testdata and
+// hidden directories such as .git and build caches) and returns one line per
+// violation.
+func check(root string) ([]string, error) {
+	var violations []string
+	var source strings.Builder // every .go file, tests included
+	fset := token.NewFileSet()
+	pkgs := map[string][]*ast.File{} // package directory -> its non-test files
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			if name := d.Name(); name == ".git" || name == "testdata" {
-				return filepath.SkipDir
-			}
+		source.Write(data)
+		source.WriteByte('\n')
+		if strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		if strings.HasSuffix(path, ".go") {
-			files = append(files, path)
-			dirs[filepath.Dir(path)] = append(dirs[filepath.Dir(path)], path)
+		f, err := parser.ParseFile(fset, path, data, parser.ParseComments)
+		if err != nil {
+			violations = append(violations, err.Error())
+			return nil
 		}
+		pkgs[filepath.Dir(path)] = append(pkgs[filepath.Dir(path)], f)
 		return nil
 	})
-	return files, dirs, err
+	if err != nil {
+		return nil, err
+	}
+	violations = append(violations, checkPackageDocs(pkgs)...)
+
+	words := map[string]bool{}
+	for _, w := range word.FindAllString(source.String(), -1) {
+		words[w] = true
+	}
+	for _, md := range []string{"DESIGN.md", "README.md"} {
+		violations = append(violations, checkDocDrift(filepath.Join(root, md), words)...)
+	}
+	violations = append(violations, checkSectionRefs(filepath.Join(root, "DESIGN.md"), source.String())...)
+	return append(violations, checkOrphans(root, fset, pkgs)...), nil
 }
 
 // checkPackageDocs requires at least one non-test file per package directory
 // to carry a package doc comment.
-func checkPackageDocs(pkgDirs map[string][]string) []string {
+func checkPackageDocs(pkgs map[string][]*ast.File) []string {
 	var out []string
-	fset := token.NewFileSet()
-	for dir, files := range pkgDirs {
-		documented := false
-		hasNonTest := false
-		for _, f := range files {
-			if strings.HasSuffix(f, "_test.go") {
-				continue
-			}
-			hasNonTest = true
-			af, err := parser.ParseFile(fset, f, nil, parser.ParseComments|parser.PackageClauseOnly)
-			if err != nil {
-				out = append(out, fmt.Sprintf("%s: %v", f, err))
-				continue
-			}
-			if af.Doc != nil && strings.TrimSpace(af.Doc.Text()) != "" {
-				documented = true
-				break
-			}
-		}
-		if hasNonTest && !documented {
+	for dir, files := range pkgs {
+		if !slices.ContainsFunc(files, func(f *ast.File) bool { return strings.TrimSpace(f.Doc.Text()) != "" }) {
 			out = append(out, fmt.Sprintf("%s: package has no doc comment on any file", dir))
 		}
 	}
 	return out
 }
 
-func readAll(files []string) string {
-	var b strings.Builder
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			continue
-		}
-		b.Write(data)
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
 var (
+	// word matches one identifier-shaped run of the Go sources.
+	word       = regexp.MustCompile(`\w+`)
 	inlineSpan = regexp.MustCompile("`([^`\n]+)`")
 	// testName matches pinned test/benchmark references.
 	testName = regexp.MustCompile(`^(Test|Benchmark)[A-Z]\w*$`)
@@ -143,10 +138,10 @@ var (
 )
 
 // checkDocDrift extracts identifier-shaped inline code spans from one
-// markdown file and requires every dot-separated segment to appear as a
-// word in the Go sources. Fenced code blocks are skipped: they hold shell
+// markdown file and requires every dot-separated segment to be one of the
+// words of the Go sources. Fenced code blocks are skipped: they hold shell
 // transcripts and multi-line examples, not single identifiers.
-func checkDocDrift(mdPath, source string) []string {
+func checkDocDrift(mdPath string, words map[string]bool) []string {
 	data, err := os.ReadFile(mdPath)
 	if err != nil {
 		return []string{fmt.Sprintf("%s: %v", mdPath, err)}
@@ -169,7 +164,7 @@ func checkDocDrift(mdPath, source string) []string {
 			}
 			checked[tok] = true
 			for _, seg := range strings.Split(tok, ".") {
-				if !wordIn(source, seg) {
+				if !words[seg] {
 					out = append(out, fmt.Sprintf("%s: `%s` names %q, which no longer appears in the Go sources", mdPath, tok, seg))
 					break
 				}
@@ -206,33 +201,6 @@ func spanToken(span string) string {
 		return t
 	}
 	return ""
-}
-
-// wordIn reports whether seg appears in source on an identifier boundary.
-func wordIn(source, seg string) bool {
-	for i := 0; ; {
-		j := strings.Index(source[i:], seg)
-		if j < 0 {
-			return false
-		}
-		j += i
-		before := byte(' ')
-		if j > 0 {
-			before = source[j-1]
-		}
-		after := byte(' ')
-		if end := j + len(seg); end < len(source) {
-			after = source[end]
-		}
-		if !isWordByte(before) && !isWordByte(after) {
-			return true
-		}
-		i = j + 1
-	}
-}
-
-func isWordByte(b byte) bool {
-	return b == '_' || (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || (b >= '0' && b <= '9')
 }
 
 var (
@@ -272,4 +240,56 @@ func checkSectionRefs(mdPath, source string) []string {
 		}
 	}
 	return out
+}
+
+// checkOrphans enforces rule 4 by name alone, with no type checking: any
+// same-named identifier outside the declaration (a method, a field) counts as
+// a use, so the rule can miss an unused export but never flags a used one.
+func checkOrphans(root string, fset *token.FileSet, pkgs map[string][]*ast.File) []string {
+	uses, imported := map[string]int{}, map[string]bool{}
+	for _, files := range pkgs {
+		for _, f := range files {
+			countIdents(f, uses)
+			for _, imp := range f.Imports {
+				if _, pkg, ok := strings.Cut(strings.Trim(imp.Path.Value, `"`), "/internal/"); ok {
+					imported[filepath.Join(root, "internal", pkg)] = true
+				}
+			}
+		}
+	}
+	var out []string
+	for dir, files := range pkgs {
+		if !imported[dir] {
+			continue
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				fd, isFunc := n.(*ast.FuncDecl)
+				var name *ast.Ident
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					name = ts.Name
+				} else if isFunc && fd.Recv == nil {
+					name = fd.Name
+				}
+				if name != nil && name.IsExported() && uses[name.Name] == countIdents(n, map[string]int{})[name.Name] {
+					out = append(out, fmt.Sprintf("%s: %s.%s is exported, but no non-test Go file uses it",
+						fset.Position(name.Pos()), f.Name.Name, name.Name))
+				}
+				return !isFunc // nothing inside a function is a top-level declaration
+			})
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// countIdents adds every identifier under n to counts and returns counts.
+func countIdents(n ast.Node, counts map[string]int) map[string]int {
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			counts[id.Name]++
+		}
+		return true
+	})
+	return counts
 }

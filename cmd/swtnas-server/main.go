@@ -65,7 +65,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: s}
+	httpSrv := &http.Server{Addr: *addr, Handler: s, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Printf("serving on http://%s (data dir %s)\n", *addr, *dataDir)

@@ -70,19 +70,6 @@ func New(name string, seed int64, cfg Config) (*App, error) {
 	return app, nil
 }
 
-// All builds the four applications in the paper's order.
-func All(seed int64, cfg Config) ([]*App, error) {
-	var out []*App
-	for _, name := range data.Names() {
-		app, err := New(name, seed, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, app)
-	}
-	return out, nil
-}
-
 // convChoices enumerates Conv2D ops over filters × padding × L2, the
 // CIFAR-10 "Convolution" variable node of the paper (kernel fixed at 3×3,
 // L2 weight decay 0.0005 as in Section VII-A).

@@ -15,6 +15,20 @@ func smallCfg() Config {
 	return Config{Data: data.Config{TrainN: 32, ValN: 16}}
 }
 
+// allApps builds the four applications in the paper's order.
+func allApps(t *testing.T, seed int64) []*App {
+	t.Helper()
+	var out []*App
+	for _, name := range data.Names() {
+		app, err := New(name, seed, smallCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, app)
+	}
+	return out
+}
+
 func TestNewUnknownApp(t *testing.T) {
 	if _, err := New("bogus", 1, Config{}); err == nil {
 		t.Fatal("unknown app must error")
@@ -24,10 +38,7 @@ func TestNewUnknownApp(t *testing.T) {
 func TestAllAppsHavePaperVNCounts(t *testing.T) {
 	// Table I: CIFAR-10 21 VNs, MNIST 11, NT3 8, Uno 13.
 	want := map[string]int{"cifar10": 21, "mnist": 11, "nt3": 8, "uno": 13}
-	apps, err := All(1, smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	apps := allApps(t, 1)
 	if len(apps) != 4 {
 		t.Fatalf("got %d apps", len(apps))
 	}
@@ -41,10 +52,7 @@ func TestAllAppsHavePaperVNCounts(t *testing.T) {
 func TestSpaceSizesNontrivial(t *testing.T) {
 	// Table I reports millions-to-trillions of candidates; ours are scaled
 	// but must remain far too large to enumerate.
-	apps, err := All(1, smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	apps := allApps(t, 1)
 	for _, app := range apps {
 		if app.Space.Size().BitLen() < 19 { // > ~500k models
 			t.Errorf("%s: space size %v too small", app.Name, app.Space.Size())
@@ -56,10 +64,7 @@ func TestPaperTrainingConfig(t *testing.T) {
 	// Batch sizes (Section VII-A) and early-stop thresholds (VIII-B).
 	batch := map[string]int{"cifar10": 64, "mnist": 64, "nt3": 32, "uno": 32}
 	delta := map[string]float64{"cifar10": 0.01, "mnist": 0.001, "nt3": 0.005, "uno": 0.02}
-	apps, err := All(1, smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	apps := allApps(t, 1)
 	for _, app := range apps {
 		if app.Space.BatchSize != batch[app.Name] {
 			t.Errorf("%s batch = %d, want %d", app.Name, app.Space.BatchSize, batch[app.Name])
@@ -80,10 +85,7 @@ func TestPaperTrainingConfig(t *testing.T) {
 // every random architecture in every space must materialize into a network
 // that survives one training epoch.
 func TestRandomCandidatesBuildAndTrain(t *testing.T) {
-	apps, err := All(2, smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	apps := allApps(t, 2)
 	rng := rand.New(rand.NewSource(99))
 	for _, app := range apps {
 		for i := 0; i < 8; i++ {

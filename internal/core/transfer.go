@@ -136,18 +136,6 @@ func groupCompatible(s SourceGroup, d nn.ParamGroup) bool {
 	return true
 }
 
-// MatchOnly runs the matcher without copying, for the offline trace studies
-// (paper Figs 4 and 5) where only transferability is assessed.
-func MatchOnly(m Matcher, provider, receiver ShapeSeq) Stats {
-	pairs := m.Match(provider, receiver)
-	return Stats{
-		Matcher:        m.Name(),
-		ProviderLayers: len(provider),
-		ReceiverLayers: len(receiver),
-		Matched:        len(pairs),
-	}
-}
-
 // AllTensorShapes flattens every parameter tensor shape of a network
 // (weights, biases, batch-norm statistics) into one sequence. The paper's
 // Figure 2 "shareable" predicate counts any identically shaped tensor, so it

@@ -138,15 +138,6 @@ func TestTransferStatsTransferable(t *testing.T) {
 	}
 }
 
-func TestMatchOnly(t *testing.T) {
-	a := ShapeSeq{{1}, {2}}
-	b := ShapeSeq{{1}, {3}}
-	s := MatchOnly(LP{}, a, b)
-	if s.Matched != 1 || s.Copied != 0 || !s.Transferable() {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
 func TestGroupIncompatibleSkipped(t *testing.T) {
 	// A source whose signature matches but whose coupled tensors disagree
 	// must be skipped, leaving the receiver's weights intact.

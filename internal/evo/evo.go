@@ -1,6 +1,6 @@
-// Package evo implements the NAS search strategies: regularized (aging)
+// Package evo implements the NAS search strategy: regularized (aging)
 // evolution — the strategy the paper integrates weight transfer into
-// (Algorithm 1) — and random search as a baseline.
+// (Algorithm 1) — with best-score or Pareto parent selection.
 package evo
 
 import (
@@ -30,8 +30,6 @@ type Proposal struct {
 	// ParentID is the provider candidate for weight transfer, or -1 when
 	// the candidate should train from scratch (random/seed candidates).
 	ParentID int
-	// ParentArch is the provider's architecture (empty when ParentID<0).
-	ParentArch search.Arch
 	// ProxyScore is the admission score a proxy pre-filter attached (the
 	// surrogate prediction or zero-cost score); 0 when no filter ran.
 	ProxyScore float64
@@ -41,34 +39,11 @@ type Proposal struct {
 // safe for concurrent use: the scheduler may call Propose and Report from
 // its own goroutine while evaluators run.
 type Strategy interface {
-	// Name identifies the strategy in traces.
-	Name() string
 	// Propose returns the next candidate to evaluate.
 	Propose(rng *rand.Rand) Proposal
 	// Report delivers a scored candidate.
 	Report(ind Individual)
 }
-
-// RandomSearch proposes uniformly random candidates, never reusing parents.
-type RandomSearch struct {
-	space *search.Space
-}
-
-// NewRandomSearch creates a random-search strategy over the space.
-func NewRandomSearch(space *search.Space) *RandomSearch {
-	return &RandomSearch{space: space}
-}
-
-// Name returns "random".
-func (s *RandomSearch) Name() string { return "random" }
-
-// Propose returns a uniformly random candidate with no provider.
-func (s *RandomSearch) Propose(rng *rand.Rand) Proposal {
-	return Proposal{Arch: s.space.Random(rng), ParentID: -1}
-}
-
-// Report is a no-op for random search.
-func (s *RandomSearch) Report(Individual) {}
 
 // RegularizedEvolution is the aging-evolution strategy of Real et al.
 // (AAAI'19) as described in the paper's Algorithm 1: a FIFO population of
@@ -113,15 +88,6 @@ func NewRegularizedEvolution(space *search.Space, n, s int) *RegularizedEvolutio
 	return &RegularizedEvolution{space: space, N: n, S: s}
 }
 
-// Name returns "regularized-evolution", or "pareto-evolution" under Pareto
-// parent selection.
-func (s *RegularizedEvolution) Name() string {
-	if s.pareto {
-		return "pareto-evolution"
-	}
-	return "regularized-evolution"
-}
-
 // Propose returns a random candidate while the population is filling, and a
 // single-node mutation of the parent selected among S sampled individuals
 // afterwards.
@@ -153,7 +119,7 @@ func (s *RegularizedEvolution) Propose(rng *rand.Rand) Proposal {
 		// the parent architecture.
 		child = parent.Arch.Clone()
 	}
-	return Proposal{Arch: child, ParentID: parent.ID, ParentArch: parent.Arch.Clone()}
+	return Proposal{Arch: child, ParentID: parent.ID}
 }
 
 // Report pushes the scored candidate into the population, aging out the

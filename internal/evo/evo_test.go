@@ -33,30 +33,17 @@ func toySpace() *search.Space {
 	return s
 }
 
-func TestRandomSearchProposals(t *testing.T) {
-	s := NewRandomSearch(toySpace())
-	if s.Name() != "random" {
-		t.Fatalf("name = %q", s.Name())
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 20; i++ {
-		p := s.Propose(rng)
-		if p.ParentID != -1 {
-			t.Fatalf("random search proposed a parent: %+v", p)
-		}
-	}
-	s.Report(Individual{}) // must not panic
-}
-
 func TestEvolutionFillsPopulationWithRandoms(t *testing.T) {
 	space := toySpace()
 	s := NewRegularizedEvolution(space, 8, 4)
 	rng := rand.New(rand.NewSource(2))
+	archs := map[int]search.Arch{}
 	for i := 0; i < 8; i++ {
 		p := s.Propose(rng)
 		if p.ParentID != -1 {
 			t.Fatalf("proposal %d has a parent before the population filled", i)
 		}
+		archs[i] = p.Arch
 		s.Report(Individual{ID: i, Arch: p.Arch, Score: rng.Float64()})
 	}
 	if s.PopulationSize() != 8 {
@@ -70,7 +57,7 @@ func TestEvolutionFillsPopulationWithRandoms(t *testing.T) {
 		if p.ParentID < 0 {
 			t.Fatal("post-fill proposal lacks a parent")
 		}
-		if d := search.Distance(p.ParentArch, p.Arch); d != 1 {
+		if d := search.Distance(archs[p.ParentID], p.Arch); d != 1 {
 			t.Fatalf("distance = %d, want 1", d)
 		}
 	}

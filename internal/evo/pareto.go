@@ -33,40 +33,6 @@ func ParetoFront(inds []Individual) []Individual {
 	return front
 }
 
-// ParetoTopK selects at least k individuals by peeling Pareto fronts: the
-// first front, then the front of the remainder, until k is reached. The
-// front containing the cutoff is retained whole — the rank analog of the
-// checkpoint GC's all-score-ties rule, so no member of a front is dropped
-// in favor of an equally ranked sibling. Fewer than k individuals are
-// returned only when inds has fewer. Input order is preserved within and
-// across fronts.
-func ParetoTopK(inds []Individual, k int) []Individual {
-	if k <= 0 {
-		return nil
-	}
-	rest := append([]Individual(nil), inds...)
-	var out []Individual
-	for len(out) < k && len(rest) > 0 {
-		front := ParetoFront(rest)
-		out = append(out, front...)
-		inFront := make(map[int]bool, len(front))
-		for _, f := range front {
-			inFront[f.ID] = true
-		}
-		next := rest[:0]
-		for _, ind := range rest {
-			if !inFront[ind.ID] {
-				next = append(next, ind)
-			}
-		}
-		if len(next) == len(rest) {
-			break // defensive: duplicate IDs could stall the peel
-		}
-		rest = next
-	}
-	return out
-}
-
 // ParetoEvolution is regularized evolution with multi-objective parent
 // selection (the accuracy×complexity search of surrogate-assisted NAS,
 // arXiv:2011.13591): the same aging FIFO population, report and eviction,

@@ -2,7 +2,6 @@ package evo
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"swtnas/internal/search"
@@ -93,91 +92,17 @@ func TestParetoFrontPermutationStable(t *testing.T) {
 	}
 }
 
-// The front containing the cutoff is retained whole — the rank analog of
-// checkpoint GC's all-score-ties rule: no front member is dropped in favor
-// of an equally ranked sibling.
-func TestParetoTopKRetainsWholeCutoffFront(t *testing.T) {
-	inds := []Individual{
-		{ID: 0, Score: 0.9, Params: 100}, // front 1
-		{ID: 1, Score: 0.8, Params: 200}, // front 2: three mutually non-dominated
-		{ID: 2, Score: 0.7, Params: 150},
-		{ID: 3, Score: 0.6, Params: 120},
-		{ID: 4, Score: 0.1, Params: 900}, // front 3
-	}
-	got := ParetoTopK(inds, 2)
-	if len(got) != 4 {
-		t.Fatalf("TopK(2) returned %d, want 4 (front 1 + whole cutoff front 2)", len(got))
-	}
-	in := idSet(got)
-	for _, id := range []int{0, 1, 2, 3} {
-		if !in[id] {
-			t.Fatalf("TopK(2) dropped front member %d: %v", id, got)
-		}
-	}
-	if in[4] {
-		t.Fatal("TopK(2) included the dominated third front")
-	}
-}
-
-// Property: ParetoTopK peels in rank order — everything returned before a
-// member of front f belongs to front <= f — and returns at least k when
-// enough individuals exist.
-func TestParetoTopKProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		inds := randomInds(rng, 5+rng.Intn(30))
-		k := 1 + rng.Intn(len(inds))
-		got := ParetoTopK(inds, k)
-		if len(got) < k {
-			t.Fatalf("trial %d: TopK(%d) returned %d of %d", trial, k, len(got), len(inds))
-		}
-		ids := make([]int, len(got))
-		for i, ind := range got {
-			ids[i] = ind.ID
-		}
-		sort.Ints(ids)
-		for i := 1; i < len(ids); i++ {
-			if ids[i] == ids[i-1] {
-				t.Fatalf("trial %d: duplicate id %d in TopK", trial, ids[i])
-			}
-		}
-		// No returned individual may be dominated by an unreturned one.
-		in := idSet(got)
-		for _, out := range inds {
-			if in[out.ID] {
-				continue
-			}
-			for _, kept := range got {
-				if Dominates(out, kept) {
-					// Legal only if the kept one rode along on a whole-front
-					// retention with the dominating one outside — impossible:
-					// a dominator is always peeled in an earlier-or-equal
-					// front. Flag it.
-					t.Fatalf("trial %d: unreturned %d dominates returned %d", trial, out.ID, kept.ID)
-				}
-			}
-		}
-	}
-	if got := ParetoTopK(nil, 3); got != nil {
-		t.Fatalf("TopK on empty input = %v", got)
-	}
-	if got := ParetoTopK(randomInds(rand.New(rand.NewSource(4)), 5), 0); got != nil {
-		t.Fatalf("TopK(0) = %v", got)
-	}
-}
-
 func TestParetoEvolutionFillsThenMutatesFrontParent(t *testing.T) {
 	space := toySpace()
 	s := NewParetoEvolution(space, 6, 6)
-	if s.Name() != "pareto-evolution" {
-		t.Fatalf("name = %q", s.Name())
-	}
 	rng := rand.New(rand.NewSource(5))
+	archs := map[int]search.Arch{}
 	for i := 0; i < 6; i++ {
 		p := s.Propose(rng)
 		if p.ParentID != -1 {
 			t.Fatalf("proposal %d has a parent before the population filled", i)
 		}
+		archs[i] = p.Arch
 		s.Report(Individual{ID: i, Arch: p.Arch, Score: float64(i) / 10, Params: 1000 * (i + 1)})
 	}
 	if s.PopulationSize() != 6 {
@@ -193,7 +118,7 @@ func TestParetoEvolutionFillsThenMutatesFrontParent(t *testing.T) {
 		if p.ParentID < 0 {
 			t.Fatal("post-fill proposal lacks a parent")
 		}
-		if d := search.Distance(p.ParentArch, p.Arch); d > 1 {
+		if d := search.Distance(archs[p.ParentID], p.Arch); d > 1 {
 			t.Fatalf("distance = %d, want <= 1", d)
 		}
 	}

@@ -22,7 +22,6 @@ import (
 // failure path.
 type badStrategy struct{}
 
-func (badStrategy) Name() string { return "bad" }
 func (badStrategy) Propose(*rand.Rand) evo.Proposal {
 	return evo.Proposal{Arch: search.Arch{99}, ParentID: -1}
 }
@@ -39,7 +38,6 @@ func TestRunSurfacesBuildErrors(t *testing.T) {
 // must surface as a provider-load failure under a transfer scheme.
 type phantomParentStrategy struct{ space *search.Space }
 
-func (phantomParentStrategy) Name() string { return "phantom" }
 func (s phantomParentStrategy) Propose(rng *rand.Rand) evo.Proposal {
 	return evo.Proposal{Arch: s.space.Random(rng), ParentID: 12345}
 }
@@ -87,57 +85,6 @@ func TestSchemeName(t *testing.T) {
 	}
 	if SchemeName(core.LP{}) != "LP" || SchemeName(core.LCS{}) != "LCS" {
 		t.Fatal("matcher names wrong")
-	}
-}
-
-func TestRunWithNearestProviderStrategy(t *testing.T) {
-	// The Section IX generalization: random search with nearest-provider
-	// selection must run end to end and transfer at least once.
-	app := tinyApp(t, "uno")
-	tr, err := Run(context.Background(), Config{
-		App:      app,
-		Strategy: evo.NewNearestProviderSearch(app.Space, 16, 0),
-		Matcher:  core.LCS{},
-		Budget:   8,
-		Seed:     2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	transferred := 0
-	for _, r := range tr.Records {
-		if r.TransferCopied > 0 {
-			transferred++
-		}
-	}
-	if transferred == 0 {
-		t.Fatal("nearest-provider search never transferred weights")
-	}
-}
-
-// TestRunWithRLStrategy combines REINFORCE proposals with nearest-provider
-// weight transfer end to end.
-func TestRunWithRLStrategy(t *testing.T) {
-	app := tinyApp(t, "uno")
-	rl := evo.NewReinforceSearch(app.Space, 0, 0)
-	tr, err := Run(context.Background(), Config{
-		App:      app,
-		Strategy: evo.AugmentWithNearestProvider(rl, 16, 0),
-		Matcher:  core.LCS{},
-		Budget:   10,
-		Seed:     23,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	transferred := 0
-	for _, r := range tr.Records {
-		if r.TransferCopied > 0 {
-			transferred++
-		}
-	}
-	if transferred == 0 {
-		t.Fatal("RL+nearest-provider search never transferred weights")
 	}
 }
 

@@ -24,8 +24,6 @@ type (
 	Metric = MetricOf[float64]
 	// Adam is the float64 Adam optimizer.
 	Adam = AdamOf[float64]
-	// SGD is the float64 SGD optimizer.
-	SGD = SGDOf[float64]
 
 	// Dense is the float64 dense layer.
 	Dense = DenseOf[float64]

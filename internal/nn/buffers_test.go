@@ -50,7 +50,7 @@ var stepCases = []stepCase{
 		h = net.MustAdd(NewActivation("a2", Sigmoid), h)
 		h = net.MustAdd(NewFlatten("fl"), h)
 		h = net.MustAdd(NewDense("d1", 16, 8, 0, rng), h)
-		h = net.MustAdd(NewActivation("a3", LeakyReLU), h)
+		h = net.MustAdd(NewActivation("a3", ReLU), h)
 		h = net.MustAdd(NewDropout("dr", 0.2, rng), h)
 		h = net.MustAdd(NewDense("head", 8, 3, 0, rng), h)
 		h = net.MustAdd(NewIdentity("out-id"), h) // the output is two aliases away from its storage
@@ -66,7 +66,7 @@ var stepCases = []stepCase{
 		h = net.MustAdd(NewMaxPool1D("mp2", 3, 2), h) // overlapping windows
 		h = net.MustAdd(NewFlatten("fl"), h)
 		h = net.MustAdd(NewDense("d1", 20, 8, 0, rng), h)
-		h = net.MustAdd(NewActivation("a2", ELU), h)
+		h = net.MustAdd(NewActivation("a2", Tanh), h)
 		h = net.MustAdd(NewDropout("dr1", 0.3, rng), h)
 		h = net.MustAdd(NewDense("d2", 8, 8, 0, rng), h)
 		h = net.MustAdd(NewDropout("dr2", 0.1, rng), h)
@@ -128,7 +128,7 @@ func newStepper[T tensor.Float](t testing.TB, c stepCase, seed int64) *stepperOf
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &stepperOf[T]{net: net, loss: loss, opt: NewAdamOf[T](), clip: 1}
+	return &stepperOf[T]{net: net, loss: loss, opt: NewAdamOf[T]()}
 }
 
 // eachScratch visits every scratch a training step of st writes into: the

@@ -218,10 +218,6 @@ const (
 	ReLU ActKind = iota
 	Tanh
 	Sigmoid
-	// LeakyReLU uses slope 0.01 for negative inputs.
-	LeakyReLU
-	// ELU uses alpha 1.
-	ELU
 )
 
 // String returns the Keras-style activation name.
@@ -233,16 +229,9 @@ func (k ActKind) String() string {
 		return "tanh"
 	case Sigmoid:
 		return "sigmoid"
-	case LeakyReLU:
-		return "leaky_relu"
-	case ELU:
-		return "elu"
 	}
 	return fmt.Sprintf("ActKind(%d)", int(k))
 }
-
-// leakySlope is the LeakyReLU negative-side slope.
-const leakySlope = 0.01
 
 // Activation applies an element-wise nonlinearity.
 type ActivationOf[T tensor.Float] struct {
@@ -270,18 +259,13 @@ func (l *ActivationOf[T]) OutShape(in [][]int) ([]int, error) {
 
 // costs returns the per-element cost of the kind's forward and backward
 // loops: ReLU's passes are vector bodies (tensor.ReLU, tensor.ReLUGrad); the
-// forward pass of the smooth kinds is a math call, their gradient a product
-// of cached outputs; the other piecewise kinds branch on the data both ways.
+// forward pass of Tanh and Sigmoid is a math call, their gradient a product
+// of cached outputs.
 func (k ActKind) costs() (fwd, bwd int) {
-	switch k {
-	case ReLU:
+	if k == ReLU {
 		return costVector, costVector
-	case Tanh, Sigmoid:
-		return costExp, costStream
-	case ELU:
-		return costExp, costBranch
 	}
-	return costBranch, costBranch
+	return costExp, costStream
 }
 
 // Forward and Backward shard element ranges; every element is written by
@@ -305,22 +289,6 @@ func (l *ActivationOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tens
 			for i, v := range xd {
 				od[i] = T(1 / (1 + math.Exp(float64(-v))))
 			}
-		case LeakyReLU:
-			for i, v := range xd {
-				if v > 0 {
-					od[i] = v
-				} else {
-					od[i] = leakySlope * v
-				}
-			}
-		case ELU:
-			for i, v := range xd {
-				if v > 0 {
-					od[i] = v
-				} else {
-					od[i] = T(math.Exp(float64(v))) - 1
-				}
-			}
 		}
 	})
 	l.lastIn, l.lastOut = x, out
@@ -342,24 +310,6 @@ func (l *ActivationOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[
 		case Sigmoid:
 			for i, y := range l.lastOut.Data[lo:hi] {
 				dd[i] = gd[i] * y * (1 - y)
-			}
-		case LeakyReLU:
-			for i, v := range l.lastIn.Data[lo:hi] {
-				if v > 0 {
-					dd[i] = gd[i]
-				} else {
-					dd[i] = leakySlope * gd[i]
-				}
-			}
-		case ELU:
-			yd := l.lastOut.Data[lo:hi]
-			for i, v := range l.lastIn.Data[lo:hi] {
-				if v > 0 {
-					dd[i] = gd[i]
-				} else {
-					// d/dv (e^v - 1) = e^v = y + 1.
-					dd[i] = gd[i] * (yd[i] + 1)
-				}
 			}
 		}
 	})

@@ -56,8 +56,8 @@ const (
 	costCopy   = 4  // element copied or zeroed in a contiguous run: im2col
 	costStream = 8  // element read, combined and written once: col2im, Add, GlobalAvgPool, Gather, the Tanh/Sigmoid gradient
 	costGather = 16 // element reached through a stride or an index: average-pool taps, the max-pool gradient scatter
-	costBranch = 32 // element behind an unpredictable branch or an integer division: LeakyReLU passes, the ELU gradient, max-pool taps, BatchNorm passes
-	costExp    = 64 // element through math.Exp or math.Tanh: Tanh/Sigmoid/ELU forward, a softmax logit
+	costBranch = 32 // element behind an unpredictable branch or an integer division: max-pool taps, BatchNorm passes
+	costExp    = 64 // element through math.Exp or math.Tanh: Tanh/Sigmoid forward, a softmax logit
 )
 
 // Param is one parameter tensor of a layer.

@@ -16,17 +16,13 @@ type LossOf[T tensor.Float] interface {
 	// Forward returns the mean loss over the batch and d(loss)/d(pred), a
 	// tensor of the caller's own. The scalar loss is always float64.
 	Forward(pred *tensor.TensorOf[T], targets []float64) (float64, *tensor.TensorOf[T])
-}
-
-// lossInto is the fit loop's form of Forward, implemented by both built-in
-// losses: the gradient overwrites grad (pred's shape), so a training step
-// reuses one buffer. A loss without it is called through Forward.
-type lossIntoOf[T tensor.Float] interface {
+	// forwardInto is the fit loop's form of Forward: the gradient overwrites
+	// grad (pred's shape), so a training step reuses one buffer.
 	forwardInto(grad, pred *tensor.TensorOf[T], targets []float64) float64
 }
 
 // lossForward is Forward in terms of forwardInto.
-func lossForward[T tensor.Float](l lossIntoOf[T], pred *tensor.TensorOf[T], targets []float64) (float64, *tensor.TensorOf[T]) {
+func lossForward[T tensor.Float](l LossOf[T], pred *tensor.TensorOf[T], targets []float64) (float64, *tensor.TensorOf[T]) {
 	grad := new(scratchOf[T]).buf(0, pred.Shape...)
 	return l.forwardInto(grad, pred, targets), grad
 }

@@ -37,9 +37,6 @@ func NewAdamOf[T tensor.Float]() *AdamOf[T] {
 	return &AdamOf[T]{LR: 0.001, Beta1: 0.9, Beta2: 0.999, Eps: 1e-7, state: map[*ParamOf[T]]*adamState[T]{}}
 }
 
-// SetLR updates the learning rate (LRSettable).
-func (a *AdamOf[T]) SetLR(lr float64) { a.LR = lr }
-
 // Step applies one Adam update to every trainable parameter: one
 // tensor.AdamStep call per parameter, the per-element arithmetic and its
 // order defined there.
@@ -61,58 +58,5 @@ func (a *AdamOf[T]) Step(params []*ParamOf[T]) {
 		}
 		k.L2x2, k.L2 = T(2*p.L2), p.L2 != 0
 		tensor.AdamStep(p.W.Data, p.Grad.Data, st.m, st.v, &k)
-	}
-}
-
-// SGD is plain stochastic gradient descent with optional momentum, provided
-// as a baseline optimizer for tests and ablations.
-type SGDOf[T tensor.Float] struct {
-	LR, Momentum float64
-	vel          map[*ParamOf[T]][]T
-}
-
-// NewSGD returns a float64 SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD { return NewSGDOf[float64](lr, momentum) }
-
-// NewSGDOf returns an SGD optimizer for the given element type.
-func NewSGDOf[T tensor.Float](lr, momentum float64) *SGDOf[T] {
-	return &SGDOf[T]{LR: lr, Momentum: momentum, vel: map[*ParamOf[T]][]T{}}
-}
-
-// SetLR updates the learning rate (LRSettable).
-func (s *SGDOf[T]) SetLR(lr float64) { s.LR = lr }
-
-// Step applies one SGD update to every trainable parameter.
-func (s *SGDOf[T]) Step(params []*ParamOf[T]) {
-	lr, mom := T(s.LR), T(s.Momentum)
-	for _, p := range params {
-		if !p.Trainable() {
-			continue
-		}
-		l2x2 := T(2 * p.L2)
-		w, g := p.W.Data, p.Grad.Data
-		if s.Momentum == 0 {
-			for i := range w {
-				gi := g[i]
-				if p.L2 != 0 {
-					gi += l2x2 * w[i]
-				}
-				w[i] -= lr * gi
-			}
-			continue
-		}
-		v, ok := s.vel[p]
-		if !ok {
-			v = make([]T, len(w))
-			s.vel[p] = v
-		}
-		for i := range w {
-			gi := g[i]
-			if p.L2 != 0 {
-				gi += l2x2 * w[i]
-			}
-			v[i] = mom*v[i] - lr*gi
-			w[i] += v[i]
-		}
 	}
 }

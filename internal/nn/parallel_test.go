@@ -157,7 +157,7 @@ func TestParallelKernelsMatchSerial(t *testing.T) {
 // it splits at all (both passes must report they did), and each kind covers
 // both branches of its piecewise form.
 func TestParallelActivationsMatchSerial(t *testing.T) {
-	kinds := []ActKind{ReLU, Tanh, Sigmoid, LeakyReLU, ELU}
+	kinds := []ActKind{ReLU, Tanh, Sigmoid}
 	splitEverything(t)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)

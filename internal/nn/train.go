@@ -121,44 +121,6 @@ type FitConfig struct {
 	// most Delta for Patience consecutive epochs. Patience 0 disables.
 	EarlyStopDelta    float64
 	EarlyStopPatience int
-	// ClipNorm rescales each step's gradients when their global L2 norm
-	// exceeds it (0 disables clipping).
-	ClipNorm float64
-	// LRSchedule, when set, overrides the optimizer's learning rate at
-	// the start of each epoch (0-based); the optimizer must implement
-	// LRSettable.
-	LRSchedule func(epoch int) float64
-	// OnEpoch, when set, is called after each epoch with the mean
-	// training loss and validation score (progress reporting).
-	OnEpoch func(epoch int, trainLoss, valScore float64)
-}
-
-// LRSettable is implemented by optimizers whose learning rate can be driven
-// by FitConfig.LRSchedule.
-type LRSettable interface {
-	SetLR(lr float64)
-}
-
-// clipGradients rescales all trainable gradients to a global L2 norm of at
-// most maxNorm and returns the pre-clip norm.
-func clipGradients[T tensor.Float](params []*ParamOf[T], maxNorm float64) float64 {
-	total := 0.0
-	for _, p := range params {
-		if p.Trainable() {
-			n := p.Grad.L2Norm()
-			total += n * n
-		}
-	}
-	norm := math.Sqrt(total)
-	if norm > maxNorm && norm > 0 {
-		scale := maxNorm / norm
-		for _, p := range params {
-			if p.Trainable() {
-				p.Grad.Scale(T(scale))
-			}
-		}
-	}
-	return norm
 }
 
 // History records the outcome of Fit.
@@ -181,17 +143,6 @@ func (h *History) FinalScore() float64 {
 	return h.ValScore[len(h.ValScore)-1]
 }
 
-// BestScore returns the maximum validation score, or -Inf when no epoch ran.
-func (h *History) BestScore() float64 {
-	best := math.Inf(-1)
-	for _, s := range h.ValScore {
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
 // stepperOf is what one Fit call carries from step to step, the storage it
 // keeps included: the gathered minibatch (slots 0…inputs−1 of bufs) and the
 // loss gradient (the slot after).
@@ -199,7 +150,6 @@ type stepperOf[T tensor.Float] struct {
 	net   *NetworkOf[T]
 	loss  LossOf[T]
 	opt   OptimizerOf[T]
-	clip  float64
 	batch DataOf[T]
 	bufs  scratchOf[T]
 }
@@ -212,12 +162,8 @@ func (s *stepperOf[T]) step(train *DataOf[T], idx []int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	l, grad := 0.0, s.bufs.buf(len(train.Inputs), pred.Shape...)
-	if li, ok := s.loss.(lossIntoOf[T]); ok {
-		l = li.forwardInto(grad, pred, s.batch.Targets)
-	} else {
-		l, grad = s.loss.Forward(pred, s.batch.Targets)
-	}
+	grad := s.bufs.buf(len(train.Inputs), pred.Shape...)
+	l := s.loss.forwardInto(grad, pred, s.batch.Targets)
 	tf.Stop()
 	tb := mFitBackward.Start()
 	s.net.ZeroGrads()
@@ -226,11 +172,7 @@ func (s *stepperOf[T]) step(train *DataOf[T], idx []int) (float64, error) {
 	}
 	tb.Stop()
 	to := mFitOptimizer.Start()
-	params := s.net.Params()
-	if s.clip > 0 {
-		clipGradients(params, s.clip)
-	}
-	s.opt.Step(params)
+	s.opt.Step(s.net.Params())
 	to.Stop()
 	mFitBatches.Inc()
 	return l, nil
@@ -270,18 +212,10 @@ func Fit[T tensor.Float](net *NetworkOf[T], loss LossOf[T], metric MetricOf[T], 
 		order[i] = i
 	}
 	h := &History{}
-	st := &stepperOf[T]{net: net, loss: loss, opt: opt, clip: cfg.ClipNorm}
+	st := &stepperOf[T]{net: net, loss: loss, opt: opt}
 	flat := 0 // consecutive epochs with |Δscore| <= delta
 	prevScore := math.NaN()
-	if cfg.LRSchedule != nil {
-		if _, ok := opt.(LRSettable); !ok {
-			return nil, fmt.Errorf("nn: optimizer %T does not support LR schedules", opt)
-		}
-	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if cfg.LRSchedule != nil {
-			opt.(LRSettable).SetLR(cfg.LRSchedule(epoch))
-		}
 		if cfg.RNG != nil {
 			cfg.RNG.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
 		}
@@ -314,9 +248,6 @@ func Fit[T tensor.Float](net *NetworkOf[T], loss LossOf[T], metric MetricOf[T], 
 		st.noteBufferBytes()
 		h.ValScore = append(h.ValScore, score)
 		h.EpochsRun++
-		if cfg.OnEpoch != nil {
-			cfg.OnEpoch(epoch, h.TrainLoss[len(h.TrainLoss)-1], score)
-		}
 
 		if cfg.EarlyStopPatience > 0 {
 			if !math.IsNaN(prevScore) && math.Abs(score-prevScore) <= cfg.EarlyStopDelta {

@@ -157,7 +157,7 @@ func TestSubNetworksTrainInTurn(t *testing.T) {
 	x.RandNormal(rng, 1)
 	data := &nn.Data{Inputs: []*tensor.Tensor{x}, Targets: []float64{0, 1, 1, 0, 1, 0}}
 	step := func(net *nn.Network) {
-		if _, err := nn.Fit(net, nn.SoftmaxCrossEntropy{}, nn.Accuracy{}, nn.NewSGD(0.1, 0), data, data,
+		if _, err := nn.Fit(net, nn.SoftmaxCrossEntropy{}, nn.Accuracy{}, nn.NewAdam(), data, data,
 			nn.FitConfig{Epochs: 1, BatchSize: 4}); err != nil {
 			t.Fatal(err)
 		}

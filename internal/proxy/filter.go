@@ -170,9 +170,6 @@ type filterStrategy struct {
 	inner evo.Strategy
 }
 
-// Name suffixes the inner strategy's name.
-func (f *filterStrategy) Name() string { return f.inner.Name() + "+proxy" }
-
 // Propose returns the next admitted proposal, drawing and scoring a fresh
 // batch from the inner strategy when the admitted queue is empty.
 func (f *filterStrategy) Propose(rng *rand.Rand) evo.Proposal {

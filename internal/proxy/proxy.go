@@ -2,7 +2,7 @@
 // scores to pre-filter search proposals — the "do less work per candidate"
 // step past selective weight transfer. Three layers build on each other:
 //
-// Zero-cost scorers (Scorer, GradNorm, JacobCov, Complexity) rank an
+// Zero-cost scorers (GradNorm, JacobCov) rank an
 // architecture at initialization from one or two minibatches through the
 // existing internal/nn forward/backward path, in the spirit of NASI
 // (arXiv:2109.00817) and the training-free NAS literature.

@@ -7,26 +7,15 @@ import (
 	"swtnas/internal/nn"
 )
 
-// Scorer ranks a freshly initialized candidate network without training it.
-// Higher scores predict better trained candidates. Implementations must be
-// deterministic: the same network weights and batch always produce the same
-// score, so a crash-resumed search reproduces every filter decision.
-type Scorer interface {
-	// Name identifies the scorer in traces and experiment tables.
-	Name() string
-	// Score evaluates net on the scoring minibatch. The network is left
-	// with dirty gradients; callers that reuse it must ZeroGrads first.
-	Score(net *nn.Network, loss nn.Loss, batch *nn.Data) (float64, error)
-}
+// Both scorers are deterministic — the same weights and batch give the same
+// score, so a resumed search reproduces every filter decision — and leave the
+// network with dirty gradients for a caller that reuses it to zero.
 
 // GradNorm scores a candidate by the global L2 norm of its parameter
 // gradients after one forward/backward pass on the scoring minibatch — the
 // one-step NTK-trace signal of NASI (arXiv:2109.00817): architectures whose
 // initial gradients carry more energy train faster under the same budget.
 type GradNorm struct{}
-
-// Name returns "gradnorm".
-func (GradNorm) Name() string { return "gradnorm" }
 
 // Score runs one forward + loss + backward pass and returns the global
 // gradient L2 norm.
@@ -53,9 +42,6 @@ type JacobCov struct {
 	// (each costs one forward+backward at batch size 1); <=0 means 8.
 	Samples int
 }
-
-// Name returns "jacobcov".
-func (JacobCov) Name() string { return "jacobcov" }
 
 // Score computes per-sample parameter gradients for the first Samples rows
 // of the batch and returns the negated mean |correlation| between them.
@@ -105,19 +91,6 @@ func (j JacobCov) Score(net *nn.Network, loss nn.Loss, batch *nn.Data) (float64,
 		}
 	}
 	return -sum / float64(pairs), nil
-}
-
-// Complexity scores a candidate by its trainable-parameter count, the free
-// model-complexity proxy already on nn.Network (the paper's Table IV
-// column): smaller models rank higher. It never touches the batch.
-type Complexity struct{}
-
-// Name returns "complexity".
-func (Complexity) Name() string { return "complexity" }
-
-// Score returns -log(1+params), so fewer parameters score higher.
-func (Complexity) Score(net *nn.Network, _ nn.Loss, _ *nn.Data) (float64, error) {
-	return -math.Log1p(float64(net.ParamCount())), nil
 }
 
 // paramGradient runs one forward + loss + backward pass and returns the

@@ -445,6 +445,45 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedSubmit: a body past maxSubmitBytes is answered
+// 413 with the JSON error and leaves no search and no file in the data dir;
+// the next normal submit is admitted as before.
+func TestServerRejectsOversizedSubmit(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, dir, swtnas.PoolOptions{Workers: 1})
+	defer s.Close()
+
+	big := testSubmit("t", 1, 2)
+	big.Space = json.RawMessage(`"` + strings.Repeat("x", maxSubmitBytes) + `"`)
+	resp := postJSON(t, ts, "/"+APIVersion+"/searches", big)
+	var eresp ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&eresp); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || eresp.Error == "" {
+		t.Fatalf("oversized submit: status %d, error %q; want 413 with a message", resp.StatusCode, eresp.Error)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("oversized submit left %d entries in the data dir (err %v)", len(entries), err)
+	}
+	list, err := http.Get(ts.URL + "/" + APIVersion + "/searches")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lresp ListResponse
+	if err := json.NewDecoder(list.Body).Decode(&lresp); err != nil {
+		t.Fatal(err)
+	}
+	list.Body.Close()
+	if len(lresp.Searches) != 0 {
+		t.Fatalf("oversized submit created %d searches", len(lresp.Searches))
+	}
+
+	sub := submit(t, ts, testSubmit("t", 1, 2))
+	waitState(t, ts, sub.ID, func(st SearchStatus) bool { return st.State == StateDone })
+}
+
 // TestCandidateEventWireSchema pins the SSE payload: exactly one variant set,
 // snake_case keys, and the embedded candidate identical to its standalone
 // swtnas.Candidate encoding (shared schema with trace dumps).

@@ -45,16 +45,3 @@ func MatMulTInto[T Float](dst, x, w *TensorOf[T]) error {
 	GemmBT(dst.Data, x.Data, w.Data, b, n, k)
 	return nil
 }
-
-// MatMul returns x·w as a fresh [B, N] tensor (see MatMulInto).
-func MatMul[T Float](x, w *TensorOf[T]) (*TensorOf[T], error) {
-	if len(x.Shape) != 2 || len(w.Shape) != 2 {
-		return nil, fmt.Errorf("tensor: matmul wants rank-2 operands, got x %s w %s",
-			ShapeString(x.Shape), ShapeString(w.Shape))
-	}
-	dst := NewOf[T](x.Shape[0], w.Shape[1])
-	if err := MatMulInto(dst, x, w, nil); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}

@@ -46,8 +46,8 @@ func TestMatMulMatchesNaive(t *testing.T) {
 		for j := range bias {
 			bias[j] = rng.NormFloat64()
 		}
-		got, err := MatMul(x, w)
-		if err != nil {
+		got := New(b, n)
+		if err := MatMulInto(got, x, w, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := naiveMatMul(x, w, nil)
@@ -101,14 +101,15 @@ func TestMatMulWorkerCountInvariance(t *testing.T) {
 	x, w := randTensor(rng, 53, 21), randTensor(rng, 21, 11)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
-	serial, err := MatMul(x, w)
-	if err != nil {
+	serial := New(53, 11)
+	if err := MatMulInto(serial, x, w, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 8} {
 		parallel.SetWorkers(workers)
-		var par *Tensor
-		if split := splitCalls(func() { par, err = MatMul(x, w) }); split != 1 {
+		par := New(53, 11)
+		var err error
+		if split := splitCalls(func() { err = MatMulInto(par, x, w, nil) }); split != 1 {
 			t.Fatalf("workers=%d: the product ran as one shard: the parallel leg did not run", workers)
 		}
 		if err != nil {
@@ -123,8 +124,7 @@ func TestMatMulWorkerCountInvariance(t *testing.T) {
 }
 
 func TestMatMulShapeErrors(t *testing.T) {
-	x, w := New(2, 3), New(4, 5)
-	if _, err := MatMul(x, w); err == nil {
+	if err := MatMulInto(New(2, 5), New(2, 3), New(4, 5), nil); err == nil {
 		t.Fatal("inner-dimension mismatch must error")
 	}
 	if err := MatMulInto(New(2, 5), New(2, 3), New(3, 5), make([]float64, 4)); err == nil {
@@ -133,7 +133,7 @@ func TestMatMulShapeErrors(t *testing.T) {
 	if err := MatMulTInto(New(2, 3), New(2, 5), New(3, 4)); err == nil {
 		t.Fatal("matmulT shape mismatch must error")
 	}
-	if _, err := MatMul(New(2), New(2, 2)); err == nil {
+	if err := MatMulInto(New(2, 2), New(2), New(2, 2), nil); err == nil {
 		t.Fatal("rank-1 operand must error")
 	}
 }
