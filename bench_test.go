@@ -734,6 +734,27 @@ func BenchmarkPoolParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkMaxPool1DParallel measures the 1-D max pool (the 2-D kernel on a
+// height-1 map) at nt3's pool shape: batch 32 of length-250, 16-channel
+// sequences through disjoint size-2 windows, forward and backward.
+func BenchmarkMaxPool1DParallel(b *testing.B) {
+	rng := rand.New(rand.NewSource(27))
+	p := nn.NewMaxPool1D("mp", 2, 2)
+	if _, err := p.OutShape([][]int{{250, 16}}); err != nil {
+		b.Fatal(err)
+	}
+	x := tensor.New(32, 250, 16)
+	x.RandNormal(rng, 1)
+	for _, w := range benchWorkerCounts() {
+		benchWithWorkers(b, w, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				out := p.Forward([]*tensor.Tensor{x}, true)
+				p.Backward(out)
+			}
+		})
+	}
+}
+
 // BenchmarkMatmulParallel measures the raw tensor primitive the dense path
 // is built on: [256, 512] x [512, 256].
 func BenchmarkMatmulParallel(b *testing.B) {

@@ -166,15 +166,17 @@ func (s *CASStore) Save(id string, m *Model) (int64, error) {
 	if err := m.Encode(&buf); err != nil {
 		return 0, err
 	}
-	if err := s.put(id, buf.Bytes()); err != nil {
+	if err := s.SaveEncoded(id, buf.Bytes()); err != nil {
 		return 0, err
 	}
 	t.Stop()
 	return int64(buf.Len()), nil
 }
 
-// put stores an encoded stream under id.
-func (s *CASStore) put(id string, stream []byte) error {
+// SaveEncoded stores an encoded checkpoint stream under id as its object:
+// the memory backend keeps the slice as it is, uncopied and undecoded. The
+// distributed path saves the streams workers return with it.
+func (s *CASStore) SaveEncoded(id string, stream []byte) error {
 	e := &entry{mf: Manifest{size: int64(len(stream))}, stream: stream}
 	if s.disk != nil {
 		return s.putDisk(id, e)
@@ -264,7 +266,7 @@ func (s *CASStore) live() int {
 // Load implements Store.
 func (s *CASStore) Load(id string) (*Model, error) {
 	t := mStoreLoadSeconds.Start()
-	stream, err := s.loadEncoded(id)
+	stream, err := s.LoadEncoded(id)
 	if err != nil {
 		mStoreMisses.Inc()
 		return nil, err
@@ -279,10 +281,11 @@ func (s *CASStore) Load(id string) (*Model, error) {
 	return m, nil
 }
 
-// loadEncoded returns id's SWTC stream: the memory backend's own slice, or
-// the disk object unpacked — and, the first time this process reads it,
-// checked against its hash.
-func (s *CASStore) loadEncoded(id string) ([]byte, error) {
+// LoadEncoded returns id's SWTC stream: the memory backend's own slice (not
+// a copy — streams are immutable once handed over), or the disk object
+// unpacked and, the first time this process reads it, checked against its
+// hash. The distributed path ships providers with it.
+func (s *CASStore) LoadEncoded(id string) ([]byte, error) {
 	s.mu.Lock()
 	e := s.ids[id]
 	if e == nil || s.disk == nil {

@@ -180,17 +180,17 @@ func TestSaveSizeHistogramCountsEachSaveOnce(t *testing.T) {
 		if _, err := mem.Save(fmt.Sprintf("m%d", i), m); err != nil {
 			t.Fatal(err)
 		}
-		stream, err := LoadEncoded(mem, fmt.Sprintf("m%d", i))
+		stream, err := mem.LoadEncoded(fmt.Sprintf("m%d", i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := SaveEncoded(mem, fmt.Sprintf("b%d", i), stream); err != nil {
+		if err := mem.SaveEncoded(fmt.Sprintf("b%d", i), stream); err != nil {
 			t.Fatal(err)
 		}
-		if err := SaveEncoded(disk, fmt.Sprintf("d%d", i), stream); err != nil {
+		if err := disk.SaveEncoded(fmt.Sprintf("d%d", i), stream); err != nil {
 			t.Fatal(err)
 		}
-		if again, err := LoadEncoded(mem, fmt.Sprintf("b%d", i)); err != nil || &again[0] != &stream[0] {
+		if again, err := mem.LoadEncoded(fmt.Sprintf("b%d", i)); err != nil || &again[0] != &stream[0] {
 			t.Fatalf("the memory backend copied a stream it was handed (err %v)", err)
 		}
 		saves += 3

@@ -26,14 +26,14 @@ type Binding struct {
 	c        *Coordinator
 	tmpl     RPCTask
 	transfer bool // tmpl.Matcher names a transfer scheme, not the baseline
-	store    checkpoint.Store
+	store    *checkpoint.CASStore
 }
 
 // Bind returns the coordinator's binding to one search. Every task ships as
 // a copy of tmpl (application, dataset, matcher, dtype and the worker-side
 // overrides) with the candidate's ID, Arch, Seed and Parent filled in; store
 // must be the search's nas.Config.Store.
-func (c *Coordinator) Bind(tmpl RPCTask, store checkpoint.Store) *Binding {
+func (c *Coordinator) Bind(tmpl RPCTask, store *checkpoint.CASStore) *Binding {
 	matcher, _ := core.MatcherByName(tmpl.Matcher) // an unknown name fails on the worker
 	return &Binding{c: c, tmpl: tmpl, transfer: matcher != nil, store: store}
 }
@@ -47,7 +47,7 @@ func (b *Binding) Submit(ctx context.Context, t nas.Task, _ nas.EvalFunc, out ch
 	rt.ID, rt.Arch, rt.Seed = t.ID, t.Arch, t.Seed
 	err := ctx.Err()
 	if err == nil && b.transfer && t.ParentID >= 0 {
-		if rt.Parent, err = checkpoint.LoadEncoded(b.store, nas.CandidateID(t.ParentID)); err != nil {
+		if rt.Parent, err = b.store.LoadEncoded(nas.CandidateID(t.ParentID)); err != nil {
 			err = fmt.Errorf("cluster: loading provider %d: %w", t.ParentID, err)
 		}
 	}
@@ -71,7 +71,7 @@ func (b *Binding) result(rr RPCResult) nas.Result {
 		res.Err = errors.New(rr.Err)
 		return res
 	}
-	if err := checkpoint.SaveEncoded(b.store, nas.CandidateID(rr.ID), rr.Checkpoint); err != nil {
+	if err := b.store.SaveEncoded(nas.CandidateID(rr.ID), rr.Checkpoint); err != nil {
 		res.Err = fmt.Errorf("cluster: storing candidate %d: %w", rr.ID, err)
 		return res
 	}

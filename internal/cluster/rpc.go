@@ -642,7 +642,7 @@ func (w *Worker) Execute(t RPCTask) RPCResult {
 		// The provider's candidate number does not travel with its bytes;
 		// any slot but the task's own serves.
 		task.ParentID = t.ID + 1
-		if err := checkpoint.SaveEncoded(store, nas.CandidateID(task.ParentID), t.Parent); err != nil {
+		if err := store.SaveEncoded(nas.CandidateID(task.ParentID), t.Parent); err != nil {
 			return fail(err)
 		}
 	}
@@ -658,7 +658,7 @@ func (w *Worker) Execute(t RPCTask) RPCResult {
 	if r.Err != nil {
 		return fail(r.Err)
 	}
-	if res.Checkpoint, err = checkpoint.LoadEncoded(store, nas.CandidateID(t.ID)); err != nil {
+	if res.Checkpoint, err = store.LoadEncoded(nas.CandidateID(t.ID)); err != nil {
 		return fail(err)
 	}
 	return res

@@ -63,7 +63,6 @@ func (s *Suite) Sim(w io.Writer) ([]SimRow, error) {
 		cfg := sim.FleetConfig{
 			Evaluators:       evaluators,
 			Tasks:            tasks,
-			ParallelFraction: cm.ParallelFraction,
 			SchedulerLatency: cm.Dispatch,
 			HeartbeatEvery:   time.Second,
 			HeartbeatCost:    500 * time.Microsecond,

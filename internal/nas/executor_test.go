@@ -74,7 +74,7 @@ func attachCoordinator(t *testing.T, cfg *nas.Config, failID int) {
 	if cfg.Matcher != nil {
 		tmpl.Matcher = cfg.Matcher.Name()
 	}
-	cfg.Executor = c.Bind(tmpl, cfg.Store)
+	cfg.Executor = c.Bind(tmpl, cfg.Store.(*checkpoint.CASStore))
 }
 
 // searchConfig is the seeded six-candidate search every test here runs, at

@@ -8,48 +8,20 @@ import (
 )
 
 // AvgPool2D is average pooling over [B, H, W, C] inputs with a square
-// window, with the same degenerate-window identity fallback as MaxPool2D.
+// window, its geometry the one every pool shares (window, pool.go).
 type AvgPool2DOf[T tensor.Float] struct {
 	stepBufsOf[T]
-	name         string
-	Size, Stride int
-	identity     bool
-	inH, inW, ch int
-	outH, outW   int
+	window
 }
 
 // NewAvgPool2D creates an average-pooling layer.
 func NewAvgPool2D(name string, size, stride int) *AvgPool2D {
-	if size < 1 || stride < 1 {
-		panic(fmt.Sprintf("nn: pool size %d / stride %d must be >= 1", size, stride))
-	}
-	return &AvgPool2D{name: name, Size: size, Stride: stride}
+	return &AvgPool2D{window: newWindow(name, size, stride)}
 }
 
-func (p *AvgPool2DOf[T]) Name() string          { return p.name }
 func (p *AvgPool2DOf[T]) Params() []*ParamOf[T] { return nil }
 
-// IsIdentity reports whether the pool degraded to a pass-through.
-func (p *AvgPool2DOf[T]) IsIdentity() bool { return p.identity }
-
-func (p *AvgPool2DOf[T]) OutShape(in [][]int) ([]int, error) {
-	if len(in) != 1 {
-		return nil, fmt.Errorf("avgpool2d wants 1 input, got %d", len(in))
-	}
-	s := in[0]
-	if len(s) != 3 {
-		return nil, fmt.Errorf("avgpool2d wants input (H, W, C), got %s", tensor.ShapeString(s))
-	}
-	p.inH, p.inW, p.ch = s[0], s[1], s[2]
-	p.identity = p.inH < p.Size || p.inW < p.Size
-	if p.identity {
-		p.outH, p.outW = p.inH, p.inW
-		return append([]int(nil), s...), nil
-	}
-	p.outH = (p.inH-p.Size)/p.Stride + 1
-	p.outW = (p.inW-p.Size)/p.Stride + 1
-	return []int{p.outH, p.outW, p.ch}, nil
-}
+func (p *AvgPool2DOf[T]) OutShape(in [][]int) ([]int, error) { return p.outShape("avgpool2d", in) }
 
 func (p *AvgPool2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
 	x := in[0]

@@ -78,28 +78,32 @@ func convertLayer[To tensor.Float](l Layer) (LayerOf[To], error) {
 		// conversion, so the stream has a single consumer either way.
 		return &DropoutOf[To]{name: v.name, Rate: v.Rate, rng: v.rng}, nil
 	case *Conv2DOf[float64]:
-		return &Conv2DOf[To]{name: v.name, KH: v.KH, KW: v.KW, InC: v.InC, OutC: v.OutC,
-			Pad: v.Pad, W: convertParam[To](v.W), B: convertParam[To](v.B)}, nil
+		return convertConv2D[To](v), nil
 	case *Conv1DOf[float64]:
-		return &Conv1DOf[To]{name: v.name, K: v.K, InC: v.InC, OutC: v.OutC,
-			Pad: v.Pad, W: convertParam[To](v.W), B: convertParam[To](v.B)}, nil
+		return &Conv1DOf[To]{*convertConv2D[To](&v.Conv2DOf)}, nil
 	case *BatchNormOf[float64]:
 		return &BatchNormOf[To]{name: v.name, C: v.C, Momentum: v.Momentum, Eps: v.Eps,
 			Gamma: convertParam[To](v.Gamma), Beta: convertParam[To](v.Beta),
 			RunMean: convertParam[To](v.RunMean), RunVar: convertParam[To](v.RunVar),
 			seen: v.seen}, nil
 	case *MaxPool2DOf[float64]:
-		return &MaxPool2DOf[To]{name: v.name, Size: v.Size, Stride: v.Stride}, nil
+		return &MaxPool2DOf[To]{window: v.window}, nil
 	case *MaxPool1DOf[float64]:
-		return &MaxPool1DOf[To]{name: v.name, Size: v.Size, Stride: v.Stride}, nil
+		return &MaxPool1DOf[To]{MaxPool2DOf[To]{window: v.window}}, nil
 	case *AvgPool2DOf[float64]:
-		return &AvgPool2DOf[To]{name: v.name, Size: v.Size, Stride: v.Stride}, nil
+		return &AvgPool2DOf[To]{window: v.window}, nil
 	case *GlobalAvgPoolOf[float64]:
 		return &GlobalAvgPoolOf[To]{name: v.name}, nil
 	case *AddOf[float64]:
 		return &AddOf[To]{name: v.name}, nil
 	}
 	return nil, fmt.Errorf("nn: cannot convert layer %q of type %T", l.Name(), l)
+}
+
+// convertConv2D converts a convolution's configuration and parameters.
+func convertConv2D[To tensor.Float](v *Conv2D) *Conv2DOf[To] {
+	return &Conv2DOf[To]{name: v.name, KH: v.KH, KW: v.KW, InC: v.InC, OutC: v.OutC,
+		Pad: v.Pad, W: convertParam[To](v.W), B: convertParam[To](v.B)}
 }
 
 // ConvertLoss maps a float64 loss to its To-typed twin (closed set).

@@ -8,7 +8,8 @@ import (
 	"swtnas/internal/tensor"
 )
 
-// The convolution layers lower to im2col + GEMM: the forward pass gathers
+// Conv2D lowers to im2col + GEMM, and Conv1D is Conv2D on a height-1 map, so
+// there is one convolution kernel set: the forward pass gathers
 // every input patch into a [rows, KH*KW*InC] buffer (one row per output
 // position, batch-major) and multiplies it by the [KH*KW*InC, OutC] weight
 // matrix with the blocked tensor.Gemm kernel. Backward reuses the same
@@ -40,72 +41,10 @@ func zero[T tensor.Float](p []T) {
 	}
 }
 
-// convOf is what convBaseOf needs of the convolution embedding it. setCols
-// adopts the network-shared patch matrices: Network.Add calls it after shape
-// inference, so the layer knows its patch-matrix size.
+// convOf is a convolution: Network.Add hands it the network-shared patch
+// matrices after shape inference, so the layer knows its patch-matrix size.
 type convOf[T tensor.Float] interface {
-	LayerOf[T]
 	setCols(a *convColsOf[T])
-	im2col(x *tensor.TensorOf[T], cols []T)
-	col2im(dcols []T, dIn *tensor.TensorOf[T])
-}
-
-// convBaseOf is the half of a convolution that does not depend on its rank:
-// the buffers, the cached input, and the two passes in terms of im2col and
-// col2im over a rows × kdim patch matrix.
-type convBaseOf[T tensor.Float] struct {
-	stepBufsOf[T]
-	lastIn *tensor.TensorOf[T]
-	// cols is shared with every other conv layer of the owning Network; a
-	// standalone layer makes its own on first Forward.
-	cols *convColsOf[T]
-}
-
-// forward lowers x to im2col patches and runs one blocked GEMM against the
-// weight matrix into out.
-func (cb *convBaseOf[T]) forward(c convOf[T], x, out *tensor.TensorOf[T], w, bias *ParamOf[T], rows, kdim int) *tensor.TensorOf[T] {
-	cb.lastIn = x
-	if cb.cols == nil {
-		c.setCols(&convColsOf[T]{})
-	}
-	cols := cb.cols.cols(x.Shape[0], rows*kdim)
-	c.im2col(x, cols)
-	cb.cols.owner = c
-	tensor.Gemm(out.Data, cols, w.W.Data, rows, kdim, len(bias.W.Data), bias.W.Data)
-	return out
-}
-
-// backward computes all three gradients through the GEMM kernels: the bias
-// gradient is a serial column sum of dOut (cheap and order-stable), the
-// weight gradient is patchesᵀ·dOut on the forward im2col matrix, and the
-// input gradient — when it has a consumer — is dOut·Wᵀ scattered back
-// through col2im onto a cleared buffer. When a deeper conv layer has
-// overwritten the shared patch matrix since this layer's Forward, the
-// patches are re-gathered from the cached input first; the deepest conv
-// runs backward first and always hits.
-func (cb *convBaseOf[T]) backward(c convOf[T], dOut *tensor.TensorOf[T], w, bias *ParamOf[T], rows, kdim int) []*tensor.TensorOf[T] {
-	x, outC := cb.lastIn, len(bias.W.Data)
-	db := bias.Grad.Data
-	for i := 0; i < rows; i++ {
-		for f, g := range dOut.Data[i*outC : (i+1)*outC] {
-			db[f] += g
-		}
-	}
-	cols := cb.cols.cols(x.Shape[0], rows*kdim)
-	if cb.cols.owner != c {
-		c.im2col(x, cols)
-		cb.cols.owner = c
-	}
-	tensor.GemmAT(w.Grad.Data, cols, dOut.Data, rows, kdim, outC)
-	if cb.deadIn {
-		return cb.grads(nil)
-	}
-	dcols := cb.cols.dcols(x.Shape[0], rows*kdim)
-	tensor.GemmBT(dcols, dOut.Data, w.W.Data, rows, outC, kdim)
-	dIn := cb.buf(slotDIn, x.Shape...)
-	dIn.Zero()
-	c.col2im(dcols, dIn)
-	return cb.grads(dIn)
 }
 
 // Padding selects the convolution border mode, mirroring Keras "valid"/"same".
@@ -134,7 +73,7 @@ func (p Padding) String() string {
 // chosen mode is visible via EffectivePadding. This mirrors the guard rails
 // NAS frameworks put around degenerate candidates.
 type Conv2DOf[T tensor.Float] struct {
-	convBaseOf[T]
+	stepBufsOf[T]
 	name       string
 	KH, KW     int
 	InC, OutC  int
@@ -143,6 +82,10 @@ type Conv2DOf[T tensor.Float] struct {
 	W, B       *ParamOf[T]
 	inH, inW   int
 	outH, outW int
+	lastIn     *tensor.TensorOf[T]
+	// cols is shared with every other conv layer of the owning Network; a
+	// standalone layer makes its own on first Forward.
+	cols *convColsOf[T]
 }
 
 // NewConv2D creates a conv layer with He-normal weights (ReLU-friendly).
@@ -200,9 +143,22 @@ func (c *Conv2DOf[T]) setCols(a *convColsOf[T]) {
 	a.perSample = max(a.perSample, c.outH*c.outW*c.kdim())
 }
 
+// Forward lowers x to im2col patches and runs one blocked GEMM against the
+// weight matrix.
 func (c *Conv2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
-	b := in[0].Shape[0]
-	return c.forward(c, in[0], c.buf(slotOut, b, c.outH, c.outW, c.OutC), c.W, c.B, b*c.outH*c.outW, c.kdim())
+	x := in[0]
+	b := x.Shape[0]
+	c.lastIn = x
+	if c.cols == nil {
+		c.setCols(&convColsOf[T]{})
+	}
+	rows, kdim := b*c.outH*c.outW, c.kdim()
+	cols := c.cols.cols(b, rows*kdim)
+	c.im2col(x, cols)
+	c.cols.owner = c
+	out := c.buf(slotOut, b, c.outH, c.outW, c.OutC)
+	tensor.Gemm(out.Data, cols, c.W.W.Data, rows, kdim, c.OutC, c.B.W.Data)
+	return out
 }
 
 // im2col writes one patch row per (sample, oy, ox) output position into
@@ -251,8 +207,39 @@ func (c *Conv2DOf[T]) im2col(x *tensor.TensorOf[T], cols []T) {
 	})
 }
 
+// Backward computes all three gradients through the GEMM kernels: the bias
+// gradient is a serial column sum of dOut (cheap and order-stable), the
+// weight gradient is patchesᵀ·dOut on the forward im2col matrix, and the
+// input gradient — when it has a consumer — is dOut·Wᵀ scattered back
+// through col2im onto a cleared buffer shaped like the cached input. When a
+// deeper conv layer has overwritten the shared patch matrix since this
+// layer's Forward, the patches are re-gathered from the cached input first;
+// the deepest conv runs backward first and always hits.
 func (c *Conv2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
-	return c.backward(c, dOut, c.W, c.B, dOut.Shape[0]*c.outH*c.outW, c.kdim())
+	x := c.lastIn
+	b := x.Shape[0]
+	rows, kdim := b*c.outH*c.outW, c.kdim()
+	db := c.B.Grad.Data
+	for i := 0; i < rows; i++ {
+		for f, g := range dOut.Data[i*c.OutC : (i+1)*c.OutC] {
+			db[f] += g
+		}
+	}
+	cols := c.cols.cols(b, rows*kdim)
+	if c.cols.owner != c {
+		c.im2col(x, cols)
+		c.cols.owner = c
+	}
+	tensor.GemmAT(c.W.Grad.Data, cols, dOut.Data, rows, kdim, c.OutC)
+	if c.deadIn {
+		return c.grads(nil)
+	}
+	dcols := c.cols.dcols(b, rows*kdim)
+	tensor.GemmBT(dcols, dOut.Data, c.W.W.Data, rows, c.OutC, kdim)
+	dIn := c.buf(slotDIn, x.Shape...)
+	dIn.Zero()
+	c.col2im(dcols, dIn)
+	return c.grads(dIn)
 }
 
 // col2im accumulates the patch gradients back onto the input positions they
@@ -305,35 +292,19 @@ func (c *Conv2DOf[T]) col2im(dcols []T, dIn *tensor.TensorOf[T]) {
 }
 
 // Conv1D is a stride-1 1-D convolution over [B, L, C] inputs with weights
-// [K, C, F]. It powers the NT3-like gene-sequence search space. The same
-// degenerate-valid fallback as Conv2D applies.
-type Conv1DOf[T tensor.Float] struct {
-	convBaseOf[T]
-	name      string
-	K         int
-	InC, OutC int
-	Pad       Padding
-	effPad    Padding
-	W, B      *ParamOf[T]
-	inL, outL int
-}
+// [K, C, F]: Conv2D with KH = 1 and KW = K on the [B, 1, L, C] view of its
+// input. The kernels read only the weights' data, whose [1, K, C, F] layout is
+// the [K, C, F] one, so the tensor keeps the 1-D shape that weight-transfer
+// signatures and checkpoints see. It powers the NT3-like gene-sequence search
+// space. The same degenerate-valid fallback as Conv2D applies.
+type Conv1DOf[T tensor.Float] struct{ Conv2DOf[T] }
 
 // NewConv1D creates a 1-D conv layer with He-normal weights.
 func NewConv1D(name string, k, inC, outC int, pad Padding, l2 float64, rng *rand.Rand) *Conv1D {
-	w := tensor.New(k, inC, outC)
-	w.HeNormal(rng, k*inC)
-	return &Conv1D{
-		name: name, K: k, InC: inC, OutC: outC, Pad: pad,
-		W: &Param{Name: name + "/W", W: w, Grad: tensor.New(k, inC, outC), L2: l2},
-		B: &Param{Name: name + "/b", W: tensor.New(outC), Grad: tensor.New(outC)},
-	}
+	c := &Conv1D{*NewConv2D(name, 1, k, inC, outC, pad, l2, rng)}
+	c.W.W.Shape, c.W.Grad.Shape = []int{k, inC, outC}, []int{k, inC, outC}
+	return c
 }
-
-func (c *Conv1DOf[T]) Name() string          { return c.name }
-func (c *Conv1DOf[T]) Params() []*ParamOf[T] { return []*ParamOf[T]{c.W, c.B} }
-
-// EffectivePadding returns the padding applied after shape inference.
-func (c *Conv1DOf[T]) EffectivePadding() Padding { return c.effPad }
 
 func (c *Conv1DOf[T]) OutShape(in [][]int) ([]int, error) {
 	if len(in) != 1 {
@@ -343,98 +314,12 @@ func (c *Conv1DOf[T]) OutShape(in [][]int) ([]int, error) {
 	if len(s) != 2 || s[1] != c.InC {
 		return nil, fmt.Errorf("conv1d wants input (L, %d), got %s", c.InC, tensor.ShapeString(s))
 	}
-	c.inL = s[0]
-	c.effPad = c.Pad
-	if c.effPad == Valid && c.inL < c.K {
-		c.effPad = Same
-	}
-	if c.effPad == Same {
-		c.outL = c.inL
-	} else {
-		c.outL = c.inL - c.K + 1
-	}
-	return []int{c.outL, c.OutC}, nil
+	out, _ := c.Conv2DOf.OutShape([][]int{{1, s[0], s[1]}}) // a checked (1, L, C) shape always infers
+	return out[1:], nil
 }
 
-func (c *Conv1DOf[T]) padOffset() int {
-	if c.effPad == Same {
-		return (c.K - 1) / 2
-	}
-	return 0
-}
-
-func (c *Conv1DOf[T]) kdim() int { return c.K * c.InC }
-
-func (c *Conv1DOf[T]) setCols(a *convColsOf[T]) {
-	c.cols = a
-	a.perSample = max(a.perSample, c.outL*c.kdim())
-}
-
+// Forward runs Conv2D's; Backward is Conv2D's as it is, its input gradient
+// taking the shape of the cached [B, L, C] input.
 func (c *Conv1DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
-	b := in[0].Shape[0]
-	return c.forward(c, in[0], c.buf(slotOut, b, c.outL, c.OutC), c.W, c.B, b*c.outL, c.kdim())
-}
-
-// im2col writes one patch row per (sample, ol) position, taps in (k, ci)
-// order; the in-range tap span is a single contiguous copy.
-func (c *Conv1DOf[T]) im2col(x *tensor.TensorOf[T], cols []T) {
-	pad := c.padOffset()
-	kdim := c.kdim()
-	parallel.For(x.Shape[0]*c.outL, parallel.MinChunk(kdim*costCopy), func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			bi, ol := s/c.outL, s%c.outL
-			xb := x.Data[bi*c.inL*c.InC : (bi+1)*c.inL*c.InC]
-			row := cols[s*kdim : (s+1)*kdim]
-			k0, k1 := pad-ol, c.inL+pad-ol
-			if k0 < 0 {
-				k0 = 0
-			}
-			if k1 > c.K {
-				k1 = c.K
-			}
-			if k0 >= k1 {
-				zero(row)
-				continue
-			}
-			zero(row[:k0*c.InC])
-			src := (ol + k0 - pad) * c.InC
-			copy(row[k0*c.InC:k1*c.InC], xb[src:src+(k1-k0)*c.InC])
-			zero(row[k1*c.InC:])
-		}
-	})
-}
-
-func (c *Conv1DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
-	return c.backward(c, dOut, c.W, c.B, dOut.Shape[0]*c.outL, c.kdim())
-}
-
-// col2im scatters patch gradients back onto the input. Work shards over
-// input *positions* across the whole batch (b·inL strips); each position is
-// written by exactly one shard. For input position p the contributing output positions satisfy
-// k = p + pad - ol ∈ [0, K); walking them ol-ascending accumulates the
-// contributions in exactly the order of the serial (ol, k, ci) scatter,
-// keeping gradients bit-identical for any worker count.
-func (c *Conv1DOf[T]) col2im(dcols []T, dIn *tensor.TensorOf[T]) {
-	pad := c.padOffset()
-	kdim := c.kdim()
-	parallel.For(dIn.Shape[0]*c.inL, parallel.MinChunk(kdim*costStream), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			bi, p := r/c.inL, r%c.inL
-			d := dIn.Data[r*c.InC : (r+1)*c.InC]
-			ol0, ol1 := p+pad-c.K+1, p+pad
-			if ol0 < 0 {
-				ol0 = 0
-			}
-			if ol1 > c.outL-1 {
-				ol1 = c.outL - 1
-			}
-			for ol := ol0; ol <= ol1; ol++ {
-				k := p + pad - ol
-				seg := dcols[(bi*c.outL+ol)*kdim+k*c.InC : (bi*c.outL+ol)*kdim+(k+1)*c.InC]
-				for ci, v := range seg {
-					d[ci] += v
-				}
-			}
-		}
-	})
+	return squeezeH(c.Conv2DOf.Forward(in, training))
 }

@@ -111,18 +111,19 @@ func directConv2DBackward(c *Conv2D, x, dOut *tensor.Tensor, dw, db []float64) *
 // directConv1DForward is the old Conv1D forward kernel.
 func directConv1DForward(c *Conv1D, x *tensor.Tensor) *tensor.Tensor {
 	b := x.Shape[0]
-	out := tensor.New(b, c.outL, c.OutC)
-	pad := c.padOffset()
+	_, pad := c.padOffsets()
+	inL, outL, K := c.inW, c.outW, c.KW // the 1-D layer is Conv2D on a height-1 map
+	out := tensor.New(b, outL, c.OutC)
 	w, bias := c.W.W.Data, c.B.W.Data
 	for bi := 0; bi < b; bi++ {
-		xb := x.Data[bi*c.inL*c.InC : (bi+1)*c.inL*c.InC]
-		ob := out.Data[bi*c.outL*c.OutC : (bi+1)*c.outL*c.OutC]
-		for ol := 0; ol < c.outL; ol++ {
+		xb := x.Data[bi*inL*c.InC : (bi+1)*inL*c.InC]
+		ob := out.Data[bi*outL*c.OutC : (bi+1)*outL*c.OutC]
+		for ol := 0; ol < outL; ol++ {
 			oslice := ob[ol*c.OutC : (ol+1)*c.OutC]
 			copy(oslice, bias)
-			for k := 0; k < c.K; k++ {
+			for k := 0; k < K; k++ {
 				p := ol + k - pad
-				if p < 0 || p >= c.inL {
+				if p < 0 || p >= inL {
 					continue
 				}
 				xs := xb[p*c.InC : (p+1)*c.InC]
@@ -146,20 +147,21 @@ func directConv1DForward(c *Conv1D, x *tensor.Tensor) *tensor.Tensor {
 func directConv1DBackward(c *Conv1D, x, dOut *tensor.Tensor, dw, db []float64) *tensor.Tensor {
 	b := x.Shape[0]
 	dIn := tensor.New(x.Shape...)
-	pad := c.padOffset()
+	_, pad := c.padOffsets()
+	inL, outL, K := c.inW, c.outW, c.KW // the 1-D layer is Conv2D on a height-1 map
 	w := c.W.W.Data
 	for bi := 0; bi < b; bi++ {
-		xb := x.Data[bi*c.inL*c.InC : (bi+1)*c.inL*c.InC]
-		dxb := dIn.Data[bi*c.inL*c.InC : (bi+1)*c.inL*c.InC]
-		gb := dOut.Data[bi*c.outL*c.OutC : (bi+1)*c.outL*c.OutC]
-		for ol := 0; ol < c.outL; ol++ {
+		xb := x.Data[bi*inL*c.InC : (bi+1)*inL*c.InC]
+		dxb := dIn.Data[bi*inL*c.InC : (bi+1)*inL*c.InC]
+		gb := dOut.Data[bi*outL*c.OutC : (bi+1)*outL*c.OutC]
+		for ol := 0; ol < outL; ol++ {
 			gslice := gb[ol*c.OutC : (ol+1)*c.OutC]
 			for f, g := range gslice {
 				db[f] += g
 			}
-			for k := 0; k < c.K; k++ {
+			for k := 0; k < K; k++ {
 				p := ol + k - pad
-				if p < 0 || p >= c.inL {
+				if p < 0 || p >= inL {
 					continue
 				}
 				base := p * c.InC
@@ -255,7 +257,8 @@ var conv1DCases = []struct {
 	{"batch-1", 5, 1, 20, Same, 1, 64},
 }
 
-// TestConv1DIm2colMatchesDirect is the 1-D analogue.
+// TestConv1DIm2colMatchesDirect is the 1-D analogue: Conv2D's kernels at
+// height 1 against the old direct 1-D loops.
 func TestConv1DIm2colMatchesDirect(t *testing.T) {
 	for _, tc := range conv1DCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -266,7 +269,7 @@ func TestConv1DIm2colMatchesDirect(t *testing.T) {
 			}
 			x := tensor.New(tc.b, tc.l, tc.inC)
 			x.RandNormal(rng, 1)
-			g := tensor.New(tc.b, c.outL, c.OutC)
+			g := tensor.New(tc.b, c.outW, c.OutC)
 			g.RandNormal(rng, 1)
 
 			refOut := directConv1DForward(c, x)

@@ -25,54 +25,76 @@ import (
 // Either way the scatter adds into the retained input-gradient buffer,
 // cleared first. A pool degraded to the identity returns what it was handed.
 
-// MaxPool2D is a max pooling layer over [B, H, W, C] inputs with a square
-// window. When the input's spatial extent is smaller than the window (a
-// state random NAS candidates can reach by stacking pools), the layer
-// degrades to the identity; IsIdentity reports that.
-type MaxPool2DOf[T tensor.Float] struct {
-	stepBufsOf[T]
+// window is the geometry every pooling layer shares: a kh × Size window
+// moved by Stride over [B, H, W, C] maps. kh is Size for the square 2-D pools
+// and 1 for MaxPool1D, which is MaxPool2D on a height-1 map. When the input
+// is smaller than the window (a state random NAS candidates can reach by
+// stacking pools), the pool degrades to the identity; IsIdentity reports
+// that.
+type window struct {
 	name         string
 	Size, Stride int
+	kh           int
 	identity     bool
 	inH, inW, ch int
 	outH, outW   int
-	argmax       []int // linear input index per output element
+}
+
+func newWindow(name string, size, stride int) window {
+	if size < 1 || stride < 1 {
+		panic(fmt.Sprintf("nn: pool size %d / stride %d must be >= 1", size, stride))
+	}
+	return window{name: name, Size: size, Stride: stride, kh: size}
+}
+
+func (w *window) Name() string { return w.name }
+
+// IsIdentity reports whether the last shape inference degraded the pool to a
+// pass-through because the window does not fit.
+func (w *window) IsIdentity() bool { return w.identity }
+
+// outShape is the shape inference of a pool called kind over (H, W, C).
+func (w *window) outShape(kind string, in [][]int) ([]int, error) {
+	if len(in) != 1 {
+		return nil, fmt.Errorf("%s wants 1 input, got %d", kind, len(in))
+	}
+	s := in[0]
+	if len(s) != 3 {
+		return nil, fmt.Errorf("%s wants input (H, W, C), got %s", kind, tensor.ShapeString(s))
+	}
+	w.inH, w.inW, w.ch = s[0], s[1], s[2]
+	w.identity = w.inH < w.kh || w.inW < w.Size
+	if w.identity {
+		w.outH, w.outW = w.inH, w.inW
+		return append([]int(nil), s...), nil
+	}
+	w.outH = (w.inH-w.kh)/w.Stride + 1
+	w.outW = (w.inW-w.Size)/w.Stride + 1
+	return []int{w.outH, w.outW, w.ch}, nil
+}
+
+// MaxPool2D is a max pooling layer over [B, H, W, C] inputs with a square
+// window.
+type MaxPool2DOf[T tensor.Float] struct {
+	stepBufsOf[T]
+	window
+	argmax []int // linear input index per output element
 }
 
 // NewMaxPool2D creates a pooling layer.
 func NewMaxPool2D(name string, size, stride int) *MaxPool2D {
-	if size < 1 || stride < 1 {
-		panic(fmt.Sprintf("nn: pool size %d / stride %d must be >= 1", size, stride))
-	}
-	return &MaxPool2D{name: name, Size: size, Stride: stride}
+	return &MaxPool2D{window: newWindow(name, size, stride)}
 }
 
-func (p *MaxPool2DOf[T]) Name() string          { return p.name }
 func (p *MaxPool2DOf[T]) Params() []*ParamOf[T] { return nil }
 
-// IsIdentity reports whether the last shape inference degraded the pool to a
-// pass-through because the window does not fit.
-func (p *MaxPool2DOf[T]) IsIdentity() bool { return p.identity }
+func (p *MaxPool2DOf[T]) OutShape(in [][]int) ([]int, error) { return p.outShape("maxpool2d", in) }
 
-func (p *MaxPool2DOf[T]) OutShape(in [][]int) ([]int, error) {
-	if len(in) != 1 {
-		return nil, fmt.Errorf("maxpool2d wants 1 input, got %d", len(in))
-	}
-	s := in[0]
-	if len(s) != 3 {
-		return nil, fmt.Errorf("maxpool2d wants input (H, W, C), got %s", tensor.ShapeString(s))
-	}
-	p.inH, p.inW, p.ch = s[0], s[1], s[2]
-	p.identity = p.inH < p.Size || p.inW < p.Size
-	if p.identity {
-		p.outH, p.outW = p.inH, p.inW
-		return append([]int(nil), s...), nil
-	}
-	p.outH = (p.inH-p.Size)/p.Stride + 1
-	p.outW = (p.inW-p.Size)/p.Stride + 1
-	return []int{p.outH, p.outW, p.ch}, nil
-}
-
+// Forward runs tap-outer, channel-inner: an output pixel's channels start at
+// −Inf and the window's first tap, then each tap in (ky, kx) order updates
+// them with a strict >. Every element sees the compare sequence of a loop over
+// its own window, so a window no tap of which beats −Inf (all NaN or −Inf, a
+// diverged run) routes its gradient to the first tap.
 func (p *MaxPool2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
 	x := in[0]
 	if p.identity {
@@ -83,30 +105,26 @@ func (p *MaxPool2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 	p.argmax = p.indices(out.Numel())
 	inRow := p.inW * p.ch
 	orow := p.outW * p.ch
-	parallel.For(b*p.outH, parallel.MinChunk(orow*p.Size*p.Size*costBranch), func(lo, hi int) {
+	parallel.For(b*p.outH, parallel.MinChunk(orow*p.kh*p.Size*costBranch), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			bi, oy := r/p.outH, r%p.outH
-			xb := bi * p.inH * inRow
-			oi := r * orow
 			for ox := 0; ox < p.outW; ox++ {
-				for c := 0; c < p.ch; c++ {
-					// A window no tap of which beats −Inf (all NaN or −Inf,
-					// a diverged run) routes its gradient to the first tap.
-					best := T(math.Inf(-1))
-					bestIdx := xb + oy*p.Stride*inRow + ox*p.Stride*p.ch + c
-					for ky := 0; ky < p.Size; ky++ {
-						y := oy*p.Stride + ky
-						for kx := 0; kx < p.Size; kx++ {
-							xp := ox*p.Stride + kx
-							idx := xb + y*inRow + xp*p.ch + c
-							if v := x.Data[idx]; v > best {
-								best, bestIdx = v, idx
+				oi := r*orow + ox*p.ch
+				best, arg := out.Data[oi:oi+p.ch], p.argmax[oi:oi+p.ch]
+				first := (bi*p.inH+oy*p.Stride)*inRow + ox*p.Stride*p.ch
+				for c := range best {
+					best[c], arg[c] = T(math.Inf(-1)), first+c
+				}
+				for ky := 0; ky < p.kh; ky++ {
+					for kx := 0; kx < p.Size; kx++ {
+						tap := first + ky*inRow + kx*p.ch
+						taps := x.Data[tap : tap+len(best)]
+						for c, v := range taps {
+							if v > best[c] {
+								best[c], arg[c] = v, tap+c
 							}
 						}
 					}
-					out.Data[oi] = best
-					p.argmax[oi] = bestIdx
-					oi++
 				}
 			}
 		}
@@ -137,31 +155,16 @@ func (p *MaxPool2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 	return p.grads(dIn)
 }
 
-// MaxPool1D is max pooling over [B, L, C] inputs, with the same
-// degenerate-window identity fallback as MaxPool2D.
-type MaxPool1DOf[T tensor.Float] struct {
-	stepBufsOf[T]
-	name         string
-	Size, Stride int
-	identity     bool
-	inL, ch      int
-	outL         int
-	argmax       []int
-}
+// MaxPool1D is max pooling over [B, L, C] inputs: MaxPool2D with a 1×Size
+// window on the [B, 1, L, C] view of its input.
+type MaxPool1DOf[T tensor.Float] struct{ MaxPool2DOf[T] }
 
 // NewMaxPool1D creates a 1-D pooling layer.
 func NewMaxPool1D(name string, size, stride int) *MaxPool1D {
-	if size < 1 || stride < 1 {
-		panic(fmt.Sprintf("nn: pool size %d / stride %d must be >= 1", size, stride))
-	}
-	return &MaxPool1D{name: name, Size: size, Stride: stride}
+	p := &MaxPool1D{*NewMaxPool2D(name, size, stride)}
+	p.kh = 1
+	return p
 }
-
-func (p *MaxPool1DOf[T]) Name() string          { return p.name }
-func (p *MaxPool1DOf[T]) Params() []*ParamOf[T] { return nil }
-
-// IsIdentity reports whether the pool degraded to a pass-through.
-func (p *MaxPool1DOf[T]) IsIdentity() bool { return p.identity }
 
 func (p *MaxPool1DOf[T]) OutShape(in [][]int) ([]int, error) {
 	if len(in) != 1 {
@@ -171,62 +174,26 @@ func (p *MaxPool1DOf[T]) OutShape(in [][]int) ([]int, error) {
 	if len(s) != 2 {
 		return nil, fmt.Errorf("maxpool1d wants input (L, C), got %s", tensor.ShapeString(s))
 	}
-	p.inL, p.ch = s[0], s[1]
-	p.identity = p.inL < p.Size
-	if p.identity {
-		p.outL = p.inL
-		return append([]int(nil), s...), nil
-	}
-	p.outL = (p.inL-p.Size)/p.Stride + 1
-	return []int{p.outL, p.ch}, nil
+	out, _ := p.outShape("maxpool1d", [][]int{{1, s[0], s[1]}}) // a rank-3 shape always infers
+	return out[1:], nil
 }
 
 func (p *MaxPool1DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
-	x := in[0]
-	if p.identity {
-		return x
-	}
-	b := x.Shape[0]
-	out := p.buf(slotOut, b, p.outL, p.ch)
-	p.argmax = p.indices(out.Numel())
-	parallel.For(b*p.outL, parallel.MinChunk(p.ch*p.Size*costBranch), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			bi, ol := r/p.outL, r%p.outL
-			xb := bi * p.inL * p.ch
-			oi := r * p.ch
-			for c := 0; c < p.ch; c++ {
-				best := T(math.Inf(-1))
-				bestIdx := xb + ol*p.Stride*p.ch + c // as in MaxPool2D
-				for k := 0; k < p.Size; k++ {
-					idx := xb + (ol*p.Stride+k)*p.ch + c
-					if v := x.Data[idx]; v > best {
-						best, bestIdx = v, idx
-					}
-				}
-				out.Data[oi] = best
-				p.argmax[oi] = bestIdx
-				oi++
-			}
-		}
-	})
-	return out
+	return squeezeH(p.MaxPool2DOf.Forward(in, training))
 }
 
 func (p *MaxPool1DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
-	if p.identity {
-		return p.grads(dOut)
+	g := p.MaxPool2DOf.Backward(dOut)
+	squeezeH(g[0])
+	return g
+}
+
+// squeezeH gives a [B, 1, W, C] result of the 2-D kernels the [B, W, C]
+// shape of the 1-D layer that ran them. A tensor the layer was handed back
+// (a pool degraded to the identity) already has it.
+func squeezeH[T tensor.Float](t *tensor.TensorOf[T]) *tensor.TensorOf[T] {
+	if len(t.Shape) == 4 {
+		t.Shape = append(t.Shape[:1], t.Shape[2:]...)
 	}
-	b := dOut.Shape[0]
-	dIn := p.buf(slotDIn, b, p.inL, p.ch)
-	dIn.Zero()
-	items, per := b*p.outL, p.ch
-	if p.Stride < p.Size {
-		items, per = b, p.outL*p.ch
-	}
-	parallel.For(items, parallel.MinChunk(per*costGather), func(lo, hi int) {
-		for oi := lo * per; oi < hi*per; oi++ {
-			dIn.Data[p.argmax[oi]] += dOut.Data[oi]
-		}
-	})
-	return p.grads(dIn)
+	return t
 }

@@ -36,11 +36,6 @@ type CostModel struct {
 	// Dispatch is the serialized per-task cost at the coordinator — the
 	// RPC round-trip median in distributed runs.
 	Dispatch time.Duration
-	// ParallelFraction is the Amdahl parallel fraction of evaluation work;
-	// the fleet engine scales task durations by (1-p) + p/k for k kernel
-	// workers. Zero means Eval samples are taken as-is — correct when the
-	// histogram was recorded at the worker counts being simulated.
-	ParallelFraction float64
 	// FS is the checkpoint-I/O model, with bandwidths derived from the
 	// size and latency histograms when both are present.
 	FS FSModel

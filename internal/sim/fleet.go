@@ -37,26 +37,13 @@ func (s SpeculationConfig) multiplier() float64 {
 }
 
 // FleetConfig configures one simulated candidate-estimation phase: the
-// workload, the scheduler and FS models, and — all off at their zero values —
-// the intra-node core model, the coordinator's heartbeat-monitor load, and
-// speculative re-execution.
+// workload, the scheduler and FS models, and — both off at their zero values —
+// the coordinator's heartbeat-monitor load and speculative re-execution.
 type FleetConfig struct {
 	// Evaluators is the simulated evaluator (GPU) count (paper: 8, 16, 32).
 	Evaluators int
-	// Tasks is the workload, dispatched FCFS to free evaluators;
-	// Task.TrainTime is the serial duration, scaled by the kernel model below.
+	// Tasks is the workload, dispatched FCFS to free evaluators.
 	Tasks []Task
-	// KernelWorkers is the kernel-pool width per evaluator (SWTNAS_WORKERS
-	// on a real worker). 0 derives it from the node core budget the way
-	// the real split does: max(1, CoresPerNode/EvaluatorsPerNode), or 1
-	// when no budget is given.
-	KernelWorkers     int
-	CoresPerNode      int
-	EvaluatorsPerNode int
-	// ParallelFraction p gives Amdahl scaling: effective duration =
-	// TrainTime * ((1-p) + p/k) for k kernel workers. 0 -> durations used
-	// as-is.
-	ParallelFraction float64
 	// SchedulerLatency is the serialized per-task dispatch cost at the
 	// coordinator (Ray head node). It bounds throughput for very short tasks
 	// — the paper's NT3 non-linearity from 16 to 32 GPUs, which appears in
@@ -82,18 +69,6 @@ type FleetConfig struct {
 	Speculation SpeculationConfig
 }
 
-func (cfg FleetConfig) kernelWorkers() int {
-	if cfg.KernelWorkers > 0 {
-		return cfg.KernelWorkers
-	}
-	if cfg.CoresPerNode > 0 && cfg.EvaluatorsPerNode > 0 {
-		if k := cfg.CoresPerNode / cfg.EvaluatorsPerNode; k > 1 {
-			return k
-		}
-	}
-	return 1
-}
-
 // coordinatorLoad is the fraction of coordinator time the heartbeat monitor
 // consumes (unclamped; >= 1 means saturation).
 func (cfg FleetConfig) coordinatorLoad() float64 {
@@ -106,10 +81,6 @@ func (cfg FleetConfig) coordinatorLoad() float64 {
 // FleetResult extends Result with the fleet-model outputs.
 type FleetResult struct {
 	Result
-	// KernelWorkers and Speedup report the applied intra-node core model
-	// (Speedup = serial/effective duration ratio).
-	KernelWorkers int
-	Speedup       float64
 	// CoordinatorLoad is the heartbeat-monitor load (>= 1: saturated);
 	// DispatchLatency is the load-inflated effective scheduler latency.
 	CoordinatorLoad float64
@@ -161,15 +132,6 @@ func SimulateFleet(cfg FleetConfig) (FleetResult, error) {
 	if fs == (FSModel{}) {
 		fs = DefaultFS()
 	}
-	k := cfg.kernelWorkers()
-	p := cfg.ParallelFraction
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	scale := (1 - p) + p/float64(k)
 	load := cfg.coordinatorLoad()
 	dispatch := cfg.SchedulerLatency
 	if load > 0 && dispatch > 0 {
@@ -182,12 +144,8 @@ func SimulateFleet(cfg FleetConfig) (FleetResult, error) {
 
 	res := FleetResult{
 		Result:          Result{GPUBusy: make([]time.Duration, cfg.Evaluators)},
-		KernelWorkers:   k,
 		CoordinatorLoad: load,
 		DispatchLatency: dispatch,
-	}
-	if scale > 0 {
-		res.Speedup = 1 / scale
 	}
 
 	// Nominal (healthy-evaluator) durations; SlowFactor applies only to a
@@ -195,7 +153,7 @@ func SimulateFleet(cfg FleetConfig) (FleetResult, error) {
 	// distribution, like the real coordinator's completed-latency window.
 	nominal := make([]time.Duration, len(cfg.Tasks))
 	for i, t := range cfg.Tasks {
-		nominal[i] = time.Duration(float64(t.TrainTime) * scale)
+		nominal[i] = t.TrainTime
 	}
 	var threshold time.Duration
 	if cfg.Speculation.Enabled {
@@ -270,11 +228,7 @@ func SimulateFleet(cfg FleetConfig) (FleetResult, error) {
 			waits = append(waits, t-maxDur(ev.t, a.enqueue))
 			task := cfg.Tasks[a.task]
 			if task.LoadParent {
-				bytes := task.ParentBytes
-				if bytes == 0 {
-					bytes = task.CheckpointBytes
-				}
-				ioEnd := fsOp(t, bytes, fs.ReadBandwidth)
+				ioEnd := fsOp(t, task.CheckpointBytes, fs.ReadBandwidth)
 				res.IOBusy += (ioEnd - t) + cfg.MatchOverhead
 				t = ioEnd + cfg.MatchOverhead
 			}

@@ -9,11 +9,10 @@
 //   - SimulateFleet (fleet.go): the engine — FCFS dispatch to free
 //     evaluators, serialized scheduler latency and a shared-FS model for
 //     checkpoint I/O (what the Fig 10 study uses, every other knob at
-//     zero), plus an intra-node core model
-//     (SWTNAS_WORKERS-aware kernel-parallel speedup), an analytic
-//     heartbeat-monitor load on the coordinator, straggler injection, and
-//     speculative re-execution — first-result-wins backups for tasks that
-//     overrun a quantile of the workload's latency distribution.
+//     zero), plus an analytic heartbeat-monitor load on the coordinator,
+//     straggler injection, and speculative re-execution — first-result-wins
+//     backups for tasks that overrun a quantile of the workload's latency
+//     distribution.
 //   - CostModel (cost.go) and Replay (replay.go): empirical cost samplers
 //     calibrated from real obs snapshots, and trace replay that validates
 //     predicted against measured makespan.
@@ -56,16 +55,14 @@ func (f FSModel) opTime(bytes int64, bandwidth float64) time.Duration {
 
 // Task is one candidate evaluation replayed by the simulator.
 type Task struct {
-	// TrainTime is the candidate's modeled training duration on one kernel
-	// worker; the kernel model scales it down.
+	// TrainTime is the candidate's modeled training duration.
 	TrainTime time.Duration
-	// CheckpointBytes is the encoded checkpoint size.
+	// CheckpointBytes is the encoded checkpoint size; a task that loads a
+	// provider reads that many bytes too.
 	CheckpointBytes int64
 	// LoadParent marks tasks that read a provider checkpoint before
 	// training (weight-transfer schemes after the population fills).
 	LoadParent bool
-	// ParentBytes is the provider checkpoint size (0 -> CheckpointBytes).
-	ParentBytes int64
 	// SlowFactor injects a straggler: the task's training duration is
 	// multiplied by it on the evaluator it first lands on (0 or 1 -> no
 	// slowdown). Speculative backups re-run at the nominal duration — the

@@ -67,36 +67,6 @@ func TestFleetValidation(t *testing.T) {
 	}
 }
 
-func TestFleetKernelSpeedup(t *testing.T) {
-	tasks := uniformTasks(32, 8*time.Second)
-	serial, err := SimulateFleet(FleetConfig{Evaluators: 4, Tasks: tasks, ParallelFraction: 0.75})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 kernel workers at p=0.75: duration scales by 0.25 + 0.75/4 = 7/16.
-	par, err := SimulateFleet(FleetConfig{Evaluators: 4, Tasks: tasks, KernelWorkers: 4, ParallelFraction: 0.75})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.KernelWorkers != 1 || par.KernelWorkers != 4 {
-		t.Fatalf("kernel workers = %d, %d", serial.KernelWorkers, par.KernelWorkers)
-	}
-	if want := serial.Makespan * 7 / 16; par.Makespan != want {
-		t.Fatalf("kernel-parallel makespan = %v, want %v (serial %v)", par.Makespan, want, serial.Makespan)
-	}
-	// Core-budget derivation: 32 cores / 8 evaluators per node -> 4 workers.
-	derived, err := SimulateFleet(FleetConfig{
-		Evaluators: 4, Tasks: tasks, ParallelFraction: 0.75,
-		CoresPerNode: 32, EvaluatorsPerNode: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if derived.KernelWorkers != 4 || derived.Makespan != par.Makespan {
-		t.Fatalf("derived kernel workers = %d makespan = %v, want 4 and %v", derived.KernelWorkers, derived.Makespan, par.Makespan)
-	}
-}
-
 func TestFleetHeartbeatLoadInflatesDispatch(t *testing.T) {
 	tasks := uniformTasks(256, 2*time.Second)
 	mk := func(evaluators int) FleetResult {

@@ -135,13 +135,20 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	return nil
 }
 
-// ScoreQuantiles returns the q-quantiles of the score column (q >= 1),
-// useful for comparing runs without assuming normality.
+// ScoreQuantiles returns the q-quantiles of the scored candidates (q >= 1),
+// useful for comparing runs without assuming normality. Failed records have
+// no score and are skipped, as in Summarize; with no scored record it returns
+// nil.
 func (t *Trace) ScoreQuantiles(q int) []float64 {
-	if q < 1 || len(t.Records) == 0 {
+	var scores []float64
+	for _, r := range t.Records {
+		if !r.Failed {
+			scores = append(scores, r.Score)
+		}
+	}
+	if q < 1 || len(scores) == 0 {
 		return nil
 	}
-	scores := t.Scores()
 	sort.Float64s(scores)
 	out := make([]float64, q+1)
 	for i := 0; i <= q; i++ {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -131,5 +132,20 @@ func TestScoreQuantiles(t *testing.T) {
 	}
 	if tr.ScoreQuantiles(0) != nil {
 		t.Fatal("q=0 must be nil")
+	}
+
+	// Failed records have no score: a 0 must not enter the quantiles, not
+	// even below every real score (R² can be negative).
+	neg := lineageTrace()
+	for i := range neg.Records {
+		neg.Records[i].Score -= 1
+	}
+	want := neg.ScoreQuantiles(4)
+	neg.Records = append(neg.Records, Record{ID: 5, ParentID: 3, Failed: true}, Record{ID: 6, ParentID: -1, Failed: true})
+	if got := neg.ScoreQuantiles(4); !slices.Equal(got, want) {
+		t.Fatalf("quantiles with Failed records = %v, want %v", got, want)
+	}
+	if q := (&Trace{Records: []Record{{ID: 0, Failed: true}}}).ScoreQuantiles(4); q != nil {
+		t.Fatalf("all-failed trace quantiles = %v, want nil", q)
 	}
 }
