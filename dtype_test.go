@@ -9,6 +9,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"swtnas/internal/checkpoint"
@@ -83,32 +84,104 @@ const f64SearchDigest = "11ef63d60659cff59f9cab78945749bb"
 // the digest. The constant must hold on every body of the default build (the
 // assembly kernels at SSE2 and at AVX2 vectors) and under -tags purego (the
 // Go loops): AVX2 ≡ SSE2 ≡ loops ≡ the commit the constant was recorded at.
-// Other GOARCHes are skipped because their compilers fuse a·b+c into one
-// rounding, which the amd64 one never does.
+// It skips (skipUnlessDigestHost) off amd64, whose compilers fuse a·b+c
+// into one rounding, which the amd64 one never does, and where math.Exp is
+// unfused: the digest was recorded on its fused multiply-add sequence.
 func TestF64SearchDigest(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("digest recorded on amd64: compilers that fuse multiply-add round differently")
-	}
+	skipUnlessDigestHost(t)
 	eachGemmBody(t, testF64SearchDigest)
 }
 
+// skipUnlessDigestHost skips a digest test where the arithmetic it pins
+// is not the one recorded: off amd64, and where internal/tensor's probe
+// finds math.Exp unfused (no FMA, or GODEBUG=cpu.fma=off — the softmax,
+// Tanh and Sigmoid all round through it).
+func skipUnlessDigestHost(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64: compilers that fuse multiply-add round differently")
+	}
+	if !expFused {
+		t.Skip("math.Exp takes its unfused sequence here (no FMA, or GODEBUG=cpu.fma=off): the digest was recorded on its fused one")
+	}
+}
+
 func testF64SearchDigest(t *testing.T) {
-	dir := t.TempDir()
-	res, err := Search(SearchOptions{
+	got, _ := searchDigest(t, SearchOptions{
 		App: "nt3", Scheme: "LCS", Budget: 6, Seed: 11, Workers: 1,
-		PopulationSize: 3, SampleSize: 2, CheckpointDir: dir,
+		PopulationSize: 3, SampleSize: 2,
 	})
+	if got != f64SearchDigest {
+		t.Fatalf("digest %s, want %s: the f64 arithmetic of a search changed", got, f64SearchDigest)
+	}
+}
+
+// f32SearchDigest is the digest TestF32SearchDigest expects, recorded at the
+// commit before Tanh, Sigmoid and Dropout's forward pass left their Go loops.
+const f32SearchDigest = "3c7ba535e8a69fa0479fd599cb616b1a"
+
+// TestF32SearchDigest pins the f32 training arithmetic of the two searches
+// swtnas-server's benchmark tenants run, mnist/f32 and uno/f32, hashed like
+// TestF64SearchDigest (both searches into one digest). Their architectures
+// between them hold Tanh, Sigmoid and Dropout layers, so the digest covers
+// every elementwise forward pass a search runs. It must hold on every body
+// of the default build and under -tags purego, and skips where
+// TestF64SearchDigest does.
+func TestF32SearchDigest(t *testing.T) {
+	skipUnlessDigestHost(t)
+	eachGemmBody(t, testF32SearchDigest)
+}
+
+func testF32SearchDigest(t *testing.T) {
+	h := sha256.New()
+	var archs []string
+	for _, opt := range []SearchOptions{
+		{App: "mnist", Seed: 4, TrainN: 96, ValN: 32},
+		{App: "uno", Seed: 2, TrainN: 96, ValN: 32},
+	} {
+		opt.Scheme, opt.DType, opt.Budget, opt.Workers = "LCS", "f32", 6, 1
+		opt.PopulationSize, opt.SampleSize = 3, 2
+		d, described := searchDigest(t, opt)
+		fmt.Fprintln(h, d)
+		archs = append(archs, described...)
+	}
+	all := strings.Join(archs, "\n")
+	for _, layer := range []string{"=tanh", "=sigmoid", "=Dropout("} {
+		if !strings.Contains(all, layer) {
+			t.Fatalf("no pinned architecture has a %s layer: the digest would not cover it\n%s", layer, all)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)[:16]); got != f32SearchDigest {
+		t.Fatalf("digest %s, want %s: the f32 arithmetic of a search changed", got, f32SearchDigest)
+	}
+}
+
+// searchDigest runs opt with a disk store and returns its digest — every
+// candidate's id, parent, architecture and score bits, then the truncated
+// SHA-256 of each distinct trained tensor's raw float64 bytes, spelled as
+// the per-tensor blob file names of the store TestF64SearchDigest was
+// recorded with — and each candidate's described architecture.
+func searchDigest(t *testing.T, opt SearchOptions) (string, []string) {
+	t.Helper()
+	dir := t.TempDir()
+	opt.CheckpointDir = dir
+	res, err := Search(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := sha256.New()
 	transferred := 0
+	var described []string
 	for _, c := range res.Candidates {
 		fmt.Fprintf(h, "%d %d %v %016x\n", c.ID, c.ParentID, c.Arch, math.Float64bits(c.Score))
 		transferred += c.TransferredLayers
+		d, err := res.DescribeArch(c.Arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		described = append(described, d)
 	}
 	if transferred == 0 {
-		t.Fatal("no candidate was warm-started: the digest would not cover weight transfer")
+		t.Fatalf("%s: no candidate was warm-started: the digest would not cover weight transfer", opt.App)
 	}
 	store, err := checkpoint.NewCASDiskStore(dir)
 	if err != nil {
@@ -138,7 +211,5 @@ func testF64SearchDigest(t *testing.T) {
 	for _, name := range slices.Compact(blobs) {
 		fmt.Fprintln(h, name)
 	}
-	if got := hex.EncodeToString(h.Sum(nil)[:16]); got != f64SearchDigest {
-		t.Fatalf("digest %s, want %s: the f64 arithmetic of a search changed", got, f64SearchDigest)
-	}
+	return hex.EncodeToString(h.Sum(nil)[:16]), described
 }

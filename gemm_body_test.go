@@ -17,6 +17,14 @@ import (
 //go:linkname gemmVectorBytes swtnas/internal/tensor.gemmVectorBytes
 var gemmVectorBytes int
 
+// expFused is internal/tensor's probe of math.Exp: whether it takes its
+// fused multiply-add sequence here, as it does on an amd64 host with FMA
+// unless GODEBUG=cpu.fma=off. Both search digests were recorded where it
+// does, and skip where it does not.
+//
+//go:linkname expFused swtnas/internal/tensor.expFused
+var expFused bool
+
 var forceSSE2 = flag.Bool("gemm.sse2", false, "run the 16-byte (SSE2) GEMM bodies even where AVX2 is usable")
 
 func TestMain(m *testing.M) {

@@ -258,14 +258,18 @@ func (l *ActivationOf[T]) OutShape(in [][]int) ([]int, error) {
 }
 
 // costs returns the per-element cost of the kind's forward and backward
-// loops: ReLU's passes are vector bodies (tensor.ReLU, tensor.ReLUGrad); the
-// forward pass of Tanh and Sigmoid is a math call, their gradient a product
-// of cached outputs.
+// loops: ReLU's passes are vector bodies (tensor.ReLU, tensor.ReLUGrad), and
+// so are the forward passes of Tanh and Sigmoid (tensor.Tanh,
+// tensor.Sigmoid: an exponential, a divide and blends per element); their
+// gradient is a product of cached outputs.
 func (k ActKind) costs() (fwd, bwd int) {
-	if k == ReLU {
+	switch k {
+	case ReLU:
 		return costVector, costVector
+	case Tanh:
+		return costGather, costStream
 	}
-	return costExp, costStream
+	return costStream, costStream
 }
 
 // Forward and Backward shard element ranges; every element is written by
@@ -282,13 +286,9 @@ func (l *ActivationOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tens
 		case ReLU:
 			tensor.ReLU(od, xd)
 		case Tanh:
-			for i, v := range xd {
-				od[i] = T(math.Tanh(float64(v)))
-			}
+			tensor.Tanh(od, xd)
 		case Sigmoid:
-			for i, v := range xd {
-				od[i] = T(1 / (1 + math.Exp(float64(-v))))
-			}
+			tensor.Sigmoid(od, xd)
 		}
 	})
 	l.lastIn, l.lastOut = x, out
@@ -324,7 +324,7 @@ type DropoutOf[T tensor.Float] struct {
 	name string
 	Rate float64
 	rng  *rand.Rand
-	mask []T // nil after a pass that dropped nothing
+	mask []T // keep or +0 per element; nil after an identity pass
 }
 
 // NewDropout creates a dropout layer drawing masks from rng.
@@ -354,14 +354,42 @@ func (l *DropoutOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.
 	out := l.buf(slotOut, x.Shape...)
 	l.mask = l.buf(slotAux, len(x.Data)).Data
 	keep := T(1 / (1 - l.Rate))
-	for i, v := range x.Data {
-		if l.rng.Float64() < l.Rate {
-			l.mask[i], out.Data[i] = 0, 0
-		} else {
-			l.mask[i], out.Data[i] = keep, v*keep
-		}
+	switch x := any(x.Data).(type) {
+	case []float32:
+		dropoutF32(any(out.Data).([]float32), any(l.mask).([]float32), x, any(keep).(float32), l.Rate, l.rng)
+	case []float64:
+		dropoutF64(any(out.Data).([]float64), any(l.mask).([]float64), x, any(keep).(float64), l.Rate, l.rng)
 	}
 	return out
+}
+
+// dropoutF64 is the training pass: one draw u per element, in order, and
+// the element dropped where u < rate — its mask and output +0, otherwise
+// keep and v·keep. The choice is a bit mask, not a branch, which would
+// mispredict at the rates the searches use: u and rate are non-negative,
+// so u < rate is the sign of the difference of their bit patterns, and the
+// mask clears every bit of a dropped element (+0, never −0, even for a NaN
+// input) and keeps every bit of a kept one (a kept NaN stays NaN).
+func dropoutF64(out, mask, x []float64, keep, rate float64, rng *rand.Rand) {
+	out, mask = out[:len(x)], mask[:len(x)]
+	kb, rb := math.Float64bits(keep), math.Float64bits(rate)
+	for i, v := range x {
+		sel := ^uint64(int64(math.Float64bits(rng.Float64())-rb) >> 63)
+		mask[i] = math.Float64frombits(kb & sel)
+		out[i] = math.Float64frombits(math.Float64bits(v*keep) & sel)
+	}
+}
+
+// dropoutF32 is dropoutF64 at float32: the same draws against the same
+// float64 rate.
+func dropoutF32(out, mask, x []float32, keep float32, rate float64, rng *rand.Rand) {
+	out, mask = out[:len(x)], mask[:len(x)]
+	kb, rb := math.Float32bits(keep), math.Float64bits(rate)
+	for i, v := range x {
+		sel := ^uint32(int64(math.Float64bits(rng.Float64())-rb) >> 63)
+		mask[i] = math.Float32frombits(kb & sel)
+		out[i] = math.Float32frombits(math.Float32bits(v*keep) & sel)
+	}
 }
 
 func (l *DropoutOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {

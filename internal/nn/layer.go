@@ -54,10 +54,10 @@ import (
 const (
 	costVector = 2  // element of a contiguous pass through a tensor package vector body: ReLU both ways
 	costCopy   = 4  // element copied or zeroed in a contiguous run: im2col
-	costStream = 8  // element read, combined and written once: col2im, Add, GlobalAvgPool, Gather, the Tanh/Sigmoid gradient
-	costGather = 16 // element reached through a stride or an index: average-pool taps, the max-pool gradient scatter
+	costStream = 8  // element read, combined and written once: col2im, Add, GlobalAvgPool, Gather, the Tanh/Sigmoid gradient, the Sigmoid body
+	costGather = 16 // element reached through a stride or an index: average-pool taps, the max-pool gradient scatter; the Tanh body
 	costBranch = 32 // element behind an unpredictable branch or an integer division: max-pool taps, BatchNorm passes
-	costExp    = 64 // element through math.Exp or math.Tanh: Tanh/Sigmoid forward, a softmax logit
+	costExp    = 64 // element through a scalar math.Exp: a softmax logit
 )
 
 // Param is one parameter tensor of a layer.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -273,6 +274,88 @@ func TestDropoutRejectsBadRate(t *testing.T) {
 		}
 	}()
 	NewDropout("do", 1.0, rand.New(rand.NewSource(1)))
+}
+
+// dropoutReference is DropoutOf.Forward's training pass as a branch on each
+// draw: the definition the layer's select must reproduce.
+func dropoutReference[T tensor.Float](out, mask, x []T, rate float64, rng *rand.Rand) {
+	keep := T(1 / (1 - rate))
+	for i, v := range x {
+		if rng.Float64() < rate {
+			mask[i], out[i] = 0, 0
+		} else {
+			mask[i], out[i] = keep, v*keep
+		}
+	}
+}
+
+// TestDropoutMatchesReference holds the training forward pass to
+// dropoutReference bit for bit — output, mask, and the generator's next
+// draw — at both dtypes and several rates, over inputs that include ±0,
+// ±Inf, NaN and subnormals: a kept NaN stays NaN, a dropped element is +0
+// (never −0, whatever the input's sign), and each element takes exactly one
+// draw in order.
+func TestDropoutMatchesReference(t *testing.T) {
+	t.Run("f32", testDropoutMatchesReference[float32])
+	t.Run("f64", testDropoutMatchesReference[float64])
+}
+
+func testDropoutMatchesReference[T tensor.Float](t *testing.T) {
+	corners := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		-math.NaN(), 5e-324, -5e-324, 1e-40, -1e-40, math.MaxFloat64}
+	src := rand.New(rand.NewSource(17))
+	x := make([]T, 1031)
+	for i := range x {
+		x[i] = T(src.NormFloat64())
+		if i%7 == 0 {
+			x[i] = T(corners[(i/7)%len(corners)])
+		}
+	}
+	for _, rate := range []float64{0.02, 0.3, 0.5} {
+		d := &DropoutOf[T]{name: "do", Rate: rate, rng: rand.New(rand.NewSource(int64(100 * rate)))}
+		out := d.Forward([]*tensor.TensorOf[T]{{Shape: []int{len(x)}, Data: x}}, true)
+		wantOut, wantMask := make([]T, len(x)), make([]T, len(x))
+		ref := rand.New(rand.NewSource(int64(100 * rate)))
+		dropoutReference(wantOut, wantMask, x, rate, ref)
+		if !sameBits(out.Data, wantOut) {
+			t.Errorf("rate %v: output differs from the reference", rate)
+		}
+		if !sameBits(d.mask, wantMask) {
+			t.Errorf("rate %v: mask differs from the reference", rate)
+		}
+		if got, want := d.rng.Float64(), ref.Float64(); got != want {
+			t.Errorf("rate %v: next draw %v, reference %v: the pass took a different number of draws", rate, got, want)
+		}
+	}
+}
+
+// BenchmarkDropoutForward times the training forward pass per element over
+// 32768 normal inputs, at the rates uno's and mnist's spaces offer: draw
+// included, at both dtypes.
+func BenchmarkDropoutForward(b *testing.B) {
+	b.Run("f32", benchDropout[float32])
+	b.Run("f64", benchDropout[float64])
+}
+
+func benchDropout[T tensor.Float](b *testing.B) {
+	const n = 1 << 15
+	src := rand.New(rand.NewSource(18))
+	x := &tensor.TensorOf[T]{Shape: []int{n}, Data: make([]T, n)}
+	for i := range x.Data {
+		x.Data[i] = T(src.NormFloat64())
+	}
+	for _, rate := range []float64{0.1, 0.3, 0.5} {
+		b.Run(fmt.Sprintf("rate=%g", rate), func(b *testing.B) {
+			d := &DropoutOf[T]{name: "do", Rate: rate, rng: rand.New(rand.NewSource(19))}
+			in := []*tensor.TensorOf[T]{x}
+			d.Forward(in, true) // sizes the layer's buffers
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Forward(in, true)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
+		})
+	}
 }
 
 func TestIdentityPassThrough(t *testing.T) {

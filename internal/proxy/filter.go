@@ -190,8 +190,9 @@ func (f *filterStrategy) Propose(rng *rand.Rand) evo.Proposal {
 		s, err := p.score(prop, seqBase+i)
 		if err != nil {
 			// An unbuildable or unscorable proposal cannot be ranked; admit
-			// it untouched so the evaluator surfaces the real error instead
-			// of the filter hiding it.
+			// it untouched, with no features for the surrogate, so the
+			// evaluator surfaces the real error instead of the filter
+			// hiding it.
 			s = scored{prop: prop, rank: math.Inf(1)}
 		}
 		batch = append(batch, s)
@@ -300,6 +301,11 @@ func (p *Prefilter) score(prop evo.Proposal, seq int) (scored, error) {
 	jc, err := p.jacobCov.Score(net, p.cfg.Loss, p.cfg.Batch)
 	if err != nil {
 		return scored{}, err
+	}
+	if !finite(gn) || !finite(jc) {
+		// A diverged scoring pass: as unscorable as an error, and a
+		// non-finite feature would make every later prediction NaN.
+		return scored{}, fmt.Errorf("proxy: non-finite zero-cost score (gradient norm %v, jacobcov %v)", gn, jc)
 	}
 	params := net.ParamCount()
 	feat := Features(p.cfg.Space, prop.Arch, gn, jc, params)

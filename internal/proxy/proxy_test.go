@@ -10,6 +10,7 @@ import (
 	"swtnas/internal/evo"
 	"swtnas/internal/nn"
 	"swtnas/internal/search"
+	"swtnas/internal/tensor"
 )
 
 func testApp(t *testing.T) *apps.App {
@@ -303,5 +304,70 @@ func TestFeaturesShape(t *testing.T) {
 	}
 	if want := math.Log1p(1000); feat[len(arch)+2] != want {
 		t.Fatalf("params feature = %v, want %v", feat[len(arch)+2], want)
+	}
+}
+
+// One non-finite pair must not reach the fit: a +Inf feature (or a NaN
+// score) in the normal equations makes every later prediction NaN, and
+// admission then silently falls back to draw order.
+func TestSurrogateDropsNonFinitePairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	s := &Surrogate{Lambda: 1e-8}
+	f := func(x []float64) float64 { return 2*x[0] - x[1] + 0.25 }
+	for i := 0; i < 20; i++ {
+		x := []float64{rng.Float64(), rng.Float64()}
+		s.Observe(x, f(x))
+	}
+	s.Observe([]float64{math.Inf(1), 0.5}, 1)
+	s.Observe([]float64{0.5, 0.5}, math.NaN())
+	if n := s.Observations(); n != 20 {
+		t.Fatalf("%d observations kept, want the 20 finite ones", n)
+	}
+	if err := s.Fit(); err != nil {
+		t.Fatal(err)
+	}
+	x := []float64{0.3, 0.6}
+	if pred, ok := s.Predict(x); !ok || math.Abs(pred-f(x)) > 1e-5 {
+		t.Fatalf("Predict = %v, %v after non-finite pairs, want %v", pred, ok, f(x))
+	}
+}
+
+// infLoss is a loss whose gradient is +Inf everywhere: every scoring pass
+// through it diverges.
+type infLoss struct{ nn.Loss }
+
+func (l infLoss) Forward(pred *tensor.Tensor, targets []float64) (float64, *tensor.Tensor) {
+	loss, grad := l.Loss.Forward(pred, targets)
+	grad.Fill(math.Inf(1))
+	return loss, grad
+}
+
+// A proposal whose zero-cost scores are not finite is unscorable: it ranks
+// +Inf like a scoring error (admitted, so the evaluator sees it), and its
+// features never reach the surrogate.
+func TestPrefilterNonFiniteScoreIsUnscorable(t *testing.T) {
+	app := testApp(t)
+	pf, err := NewPrefilter(FilterConfig{
+		Space:  app.Space,
+		Loss:   infLoss{app.Space.Loss},
+		Batch:  app.Dataset.Train.Slice(0, 8),
+		Seed:   5,
+		Admit:  1,
+		MinFit: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	strat := pf.Wrap(&countingStrategy{space: app.Space})
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 8; i++ {
+		p := strat.Propose(rng)
+		if !math.IsInf(p.ProxyScore, 1) {
+			t.Fatalf("proposal %d ranked %v, want +Inf (unscorable)", i, p.ProxyScore)
+		}
+		strat.Report(evo.Individual{ID: i, Arch: p.Arch, Score: 0.1 * float64(i)})
+	}
+	if n := pf.Surrogate().Observations(); n != 0 {
+		t.Fatalf("the surrogate observed %d pairs from diverged scoring passes", n)
 	}
 }

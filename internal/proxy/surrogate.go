@@ -3,6 +3,7 @@ package proxy
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -28,8 +29,12 @@ type Surrogate struct {
 
 // Observe records one (features, trained score) pair. When the surrogate is
 // already fitted, the pair first scores the model: the absolute prediction
-// error feeds the surrogate.mae series and MAE().
+// error feeds the surrogate.mae series and MAE(). A pair with a non-finite
+// feature or score is dropped: one would make every later fit predict NaN.
 func (s *Surrogate) Observe(features []float64, score float64) {
+	if !finite(score) || slices.ContainsFunc(features, func(v float64) bool { return !finite(v) }) {
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.w != nil {
@@ -163,6 +168,9 @@ func (s *Surrogate) MAE() float64 {
 	}
 	return s.maeSum / float64(s.maeN)
 }
+
+// finite reports whether v is neither NaN nor infinite.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // solve runs Gaussian elimination with partial pivoting on the augmented
 // system [A|b] (m rows, m+1 columns), returning x with Ax = b.

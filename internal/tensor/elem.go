@@ -2,15 +2,18 @@ package tensor
 
 import "math"
 
-// Elementwise kernels: the Adam update and both ReLU passes, the largest
-// per-step costs of a training step after the products. The Go loops at the
-// bottom are the definition — every lane of an assembly body does their IEEE
-// operations in their order, no reciprocal and no fused multiply-add — and
+// Elementwise kernels: the Adam update, both ReLU passes and the Tanh and
+// Sigmoid forward passes, the largest per-step costs of a training step
+// after the products. The Go loops at the bottom are the definition, and
 // what runs on every GOARCH but amd64, under the purego build tag, and over
 // the last elements of a call that do not fill a vector. On amd64 the rest
 // runs as one assembly body per kernel, dtype and vector width
 // (elem_amd64.s), chosen by the GEMMs' gemmVectorBytes; TestElemBodiesMatchGo
-// and FuzzElementwise hold each body to these loops bit for bit.
+// and FuzzElementwise hold each body to these loops bit for bit. Every lane
+// of a body does its loop's IEEE operations in their order — no reciprocal,
+// and no fused multiply-add except where math.Exp itself fuses: the Tanh and
+// Sigmoid bodies run Exp's FMA sequence lane for lane, at 32 bytes only, and
+// only where expFused says math.Exp takes that sequence.
 
 // AdamCoefs are the scalars of one Adam update in the parameter's element
 // type. The moments and the weight are updated per element as
@@ -56,6 +59,32 @@ func ReLUGrad[T Float](dst, x, g []T) {
 	reluGradGo(dst[i:], x[i:], g[i:])
 }
 
+// Tanh writes T(math.Tanh(float64(v))) into dst for each v of x. dst is at
+// least as long as x.
+func Tanh[T Float](dst, x []T) {
+	dst = dst[:len(x)]
+	i := tanhBody(dst, x)
+	tanhGo(dst[i:], x[i:])
+}
+
+// Sigmoid writes T(1 / (1 + math.Exp(float64(-v)))) into dst for each v of
+// x. dst is at least as long as x.
+func Sigmoid[T Float](dst, x []T) {
+	dst = dst[:len(x)]
+	i := sigmoidBody(dst, x)
+	sigmoidGo(dst[i:], x[i:])
+}
+
+// expFused reports whether math.Exp rounds as its fused multiply-add
+// sequence does: the amd64 math package runs it where the CPU has FMA,
+// unless GODEBUG=cpu.fma=off, and an unfused sequence otherwise. The probe
+// is three arguments on which the two sequences differ, against the fused
+// results. The Tanh and Sigmoid bodies run only where it holds, and the
+// search digests were recorded where it holds.
+var expFused = math.Exp(0.8497425325589525) == 2.3390445465784064 &&
+	math.Exp(-3.069843025532003) == 0.04642844236548021 &&
+	math.Exp(-8.913371177229802) == 0.00013457738419050315
+
 // adamGo is the definition of AdamStep.
 func adamGo[T Float](w, g, m, v []T, k *AdamCoefs[T]) {
 	b1, ob1, b2, ob2 := k.B1, k.OB1, k.B2, k.OB2
@@ -95,5 +124,21 @@ func reluGradGo[T Float](dst, x, g []T) {
 		} else {
 			dst[i] = 0
 		}
+	}
+}
+
+// tanhGo is the definition of Tanh.
+func tanhGo[T Float](dst, x []T) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = T(math.Tanh(float64(v)))
+	}
+}
+
+// sigmoidGo is the definition of Sigmoid.
+func sigmoidGo[T Float](dst, x []T) {
+	dst = dst[:len(x)]
+	for i, v := range x {
+		dst[i] = T(1 / (1 + math.Exp(float64(-v))))
 	}
 }

@@ -2,6 +2,8 @@
 
 package tensor
 
+import "math"
+
 // Vector bodies of the elementwise kernels (elem_amd64.s): one text per
 // kernel, assembled at each element width under each register file, the
 // vector width chosen by the same gemmVectorBytes as the products. A body
@@ -57,6 +59,91 @@ func reluGradF32AVX2(dst, x, grad *float32, n int)
 
 //go:noescape
 func reluGradF64AVX2(dst, x, grad *float64, n int)
+
+// tanhF32AVX2 writes Tanh of the first n elements of x into dst, n a
+// multiple of four: each lane widened to float64, both of math.Tanh's
+// branches computed, the one its argument takes blended in, and the result
+// narrowed back (elem_tanh_amd64.h). Callable only where expPart is not 0.
+//
+//go:noescape
+func tanhF32AVX2(dst, x *float32, n int)
+
+//go:noescape
+func tanhF64AVX2(dst, x *float64, n int)
+
+// sigmoidF32AVX2 writes Sigmoid of the first n elements of x into dst, n a
+// multiple of four, and returns how many it wrote: all n, or up to the first
+// vector with a lane off math.Exp's normal path, which it leaves unwritten
+// (elem_sigmoid_amd64.h). Callable only where expPart is not 0.
+//
+//go:noescape
+func sigmoidF32AVX2(dst, x *float32, n int) int
+
+//go:noescape
+func sigmoidF64AVX2(dst, x *float64, n int) int
+
+// expBodies is whether the Tanh and Sigmoid bodies may run on this host:
+// they run math.Exp's FMA sequence (archExp in the math package, lane for
+// lane), so they need the instructions and a math.Exp that takes that
+// sequence itself (expFused). Set once, here.
+var expBodies = func() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	return expFused && ecx1&cpuidFMA != 0
+}()
+
+const cpuidFMA = 1 << 12 // CPUID.1:ECX
+
+// expLanes is the number of elements of one Tanh or Sigmoid vector: four
+// float64 lanes of a YMM register, at either dtype.
+const expLanes = 4
+
+// expPart returns how many of n elements the Tanh and Sigmoid bodies cover:
+// n rounded down to whole vectors where they may run — 32-byte bodies and
+// expBodies — and 0 elsewhere.
+func expPart(n int) int {
+	if gemmVectorBytes != 32 || !expBodies {
+		return 0
+	}
+	return n &^ (expLanes - 1)
+}
+
+// expConsts are the constants of the Tanh and Sigmoid bodies, one 32-byte
+// row each with every lane equal, so that an instruction takes a row as its
+// memory operand; elem_exp_amd64.h names the rows. The floats are the math
+// package's literals: archExp's (exp_amd64.s) and tanh's (tanh.go).
+var expConsts = func() (rows [26][4]uint64) {
+	for i, v := range []uint64{
+		math.Float64bits(1.4426950408889634073599246810018920),                  // LOG2E
+		math.Float64bits(0.69314718055966295651160180568695068359375),           // LN2U
+		math.Float64bits(0.28235290563031577122588448175013436025525412068e-12), // LN2L
+		math.Float64bits(0.0625),
+		math.Float64bits(2.4801587301587301587e-5), // the Taylor coefficients, Horner order
+		math.Float64bits(1.9841269841269841270e-4),
+		math.Float64bits(1.3888888888888888889e-3),
+		math.Float64bits(8.3333333333333333333e-3),
+		math.Float64bits(4.1666666666666666667e-2),
+		math.Float64bits(1.6666666666666666667e-1),
+		math.Float64bits(0.5),
+		math.Float64bits(1.0),
+		math.Float64bits(2.0),
+		1023,                                                 // the exponent bias, int64 lanes
+		0xFFFFFC01_FFFFFC01,                                  // −1023 in int32 lanes: k must exceed it …
+		0x000003FF_000003FF,                                  // … and not exceed 1023 (a biased exponent in (0, 0x7FF))
+		1<<63 - 1,                                            // |x|
+		1 << 63,                                              // the sign bit
+		math.Float64bits(0.625),                              // tanh's branch point
+		math.Float64bits(0.5 * 8.8029691931113054295988e+01), // 0.5·MAXLOG
+		math.Float64bits(-9.64399179425052238628e-1),         // tanhP
+		math.Float64bits(-9.92877231001918586564e1),
+		math.Float64bits(-1.61468768441708447952e3),
+		math.Float64bits(1.12811678491632931402e2), // tanhQ
+		math.Float64bits(2.23548839060100448583e3),
+		math.Float64bits(4.84406305325125486048e3),
+	} {
+		rows[i] = [4]uint64{v, v, v, v}
+	}
+	return rows
+}()
 
 // vectorPart returns how many of n elements of size bytes the body in use
 // covers: n rounded down to whole vectors.
@@ -129,4 +216,38 @@ func reluGradBody[T Float](dst, x, g []T) int {
 		return n
 	}
 	return 0
+}
+
+func tanhBody[T Float](dst, x []T) int {
+	n := expPart(len(x))
+	if n == 0 {
+		return 0
+	}
+	switch x := any(x).(type) {
+	case []float32:
+		tanhF32AVX2(&any(dst).([]float32)[0], &x[0], n)
+	case []float64:
+		tanhF64AVX2(&any(dst).([]float64)[0], &x[0], n)
+	}
+	return n
+}
+
+// sigmoidBody covers the whole vectors of a call: the body writes them up
+// to one with a lane off math.Exp's normal path, that vector's elements take
+// the Go loop, and the body resumes after it.
+func sigmoidBody[T Float](dst, x []T) int {
+	n := expPart(len(x))
+	for i := 0; i < n; {
+		switch x := any(x[i:n]).(type) {
+		case []float32:
+			i += sigmoidF32AVX2(&any(dst).([]float32)[i], &x[0], len(x))
+		case []float64:
+			i += sigmoidF64AVX2(&any(dst).([]float64)[i], &x[0], len(x))
+		}
+		if i < n {
+			sigmoidGo(dst[i:i+expLanes], x[i:i+expLanes])
+			i += expLanes
+		}
+	}
+	return n
 }

@@ -1,12 +1,13 @@
 //go:build !purego
 
 // Elementwise kernels. Reference semantics (and required bit-for-bit
-// behavior) are the Go loops of elem.go: adamGo, reluGo and reluGradGo. Each kernel is one body text, included once per
-// element width under each register file, like the tile kernels of
-// gemm_amd64.s: the vector macros are set once per register file, the
-// element macros per element width. Every arithmetic macro is one packed
-// IEEE operation per lane — no reciprocal estimate, no fused multiply-add —
-// and x is its first source:
+// behavior) are the Go loops of elem.go: adamGo, reluGo, reluGradGo, tanhGo
+// and sigmoidGo. Each kernel is one body text, included once per element
+// width under each register file, like the tile kernels of gemm_amd64.s:
+// the vector macros are set once per register file, the element macros per
+// element width. Every arithmetic macro is one packed IEEE operation per
+// lane — no reciprocal estimate, no fused multiply-add — and x is its first
+// source:
 //
 //	BCAST(m, x)       element at m into every lane of x
 //	MULV(s, x)        x = x·s                 ADDV, SUBV, DIVV the same
@@ -17,6 +18,7 @@
 //	ANDV(s, x)        x = x & s, bitwise
 
 #include "textflag.h"
+#include "elem_exp_amd64.h"
 
 // 16-byte vectors: SSE/SSE2, two-operand.
 #define VBYTES 16
@@ -187,6 +189,30 @@ TEXT ·reluGradF32AVX2(SB), NOSPLIT, $0-32
 	VZEROUPPER
 	RET
 
+// Tanh and Sigmoid exist at 32 bytes only: their exponential is math.Exp's
+// FMA sequence (EXPV, elem_exp_amd64.h), four float64 lanes at either
+// element width — a float32 vector is widened on load and narrowed on store.
+#define STEP 16
+#define LOAD4(m, y) VCVTPS2PD m, y
+#define STORE4(y, m) VCVTPD2PSY y, X15; VMOVUPS X15, m
+
+// func tanhF32AVX2(dst, x *float32, n int)
+TEXT ·tanhF32AVX2(SB), NOSPLIT, $0-24
+#include "elem_tanh_amd64.h"
+	VZEROUPPER
+	RET
+
+// func sigmoidF32AVX2(dst, x *float32, n int) int
+TEXT ·sigmoidF32AVX2(SB), NOSPLIT, $0-32
+#include "elem_sigmoid_amd64.h"
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+#undef STEP
+#undef LOAD4
+#undef STORE4
+
 #undef ESIZE
 #undef ESHIFT
 #undef BCAST
@@ -228,5 +254,22 @@ TEXT ·reluF64AVX2(SB), NOSPLIT, $0-24
 // func reluGradF64AVX2(dst, x, grad *float64, n int)
 TEXT ·reluGradF64AVX2(SB), NOSPLIT, $0-32
 #include "elem_relu_grad_amd64.h"
+	VZEROUPPER
+	RET
+
+#define STEP 32
+#define LOAD4(m, y) VMOVUPD m, y
+#define STORE4(y, m) VMOVUPD y, m
+
+// func tanhF64AVX2(dst, x *float64, n int)
+TEXT ·tanhF64AVX2(SB), NOSPLIT, $0-24
+#include "elem_tanh_amd64.h"
+	VZEROUPPER
+	RET
+
+// func sigmoidF64AVX2(dst, x *float64, n int) int
+TEXT ·sigmoidF64AVX2(SB), NOSPLIT, $0-32
+#include "elem_sigmoid_amd64.h"
+	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET

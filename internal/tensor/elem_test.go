@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -99,8 +101,8 @@ func expectTwin[T Float](t *testing.T, what string, ops [][]T, off, n int, kerne
 }
 
 // TestElemBodiesMatchGo is the twin sweep of the elementwise kernels: on
-// each body the host runs, at both element types, AdamStep, ReLU and
-// ReLUGrad equal their Go loops bit for bit (expectTwin) over
+// each body the host runs, at both element types, AdamStep, ReLU,
+// ReLUGrad, Tanh and Sigmoid equal their Go loops bit for bit (expectTwin) over
 // every length 0–67 (every tail of every lane count, and several whole
 // vectors) at start offsets 0–3 (every misalignment), with IEEE corners in
 // every operand — signaling and quiet NaNs, ±Inf, ±0, subnormals and
@@ -127,6 +129,10 @@ func testElemBodies[T Float](t *testing.T) {
 				func(s [][]T) { ReLU(s[0], s[1]) }, func(s [][]T) { reluGo(s[0], s[1]) })
 			expectTwin(t, "ReLUGrad", [][]T{dst, x, g}, off, n,
 				func(s [][]T) { ReLUGrad(s[0], s[1], s[2]) }, func(s [][]T) { reluGradGo(s[0], s[1], s[2]) })
+			expectTwin(t, "Tanh", [][]T{dst, x}, off, n,
+				func(s [][]T) { Tanh(s[0], s[1]) }, func(s [][]T) { tanhGo(s[0], s[1]) })
+			expectTwin(t, "Sigmoid", [][]T{dst, x}, off, n,
+				func(s [][]T) { Sigmoid(s[0], s[1]) }, func(s [][]T) { sigmoidGo(s[0], s[1]) })
 
 			special := adamCoefs[T](1, 0)
 			for _, c := range []*T{&special.B1, &special.OB1, &special.B2, &special.OB2, &special.C1, &special.C2, &special.LR, &special.Eps, &special.L2x2} {
@@ -206,6 +212,10 @@ func fuzzElem[T Float](t *testing.T, data []byte, l2 bool) {
 			func(s [][]T) { ReLU(s[0], s[1]) }, func(s [][]T) { reluGo(s[0], s[1]) })
 		expectTwin(t, what+"/ReLUGrad", ops[:3], 0, n,
 			func(s [][]T) { ReLUGrad(s[0], s[1], s[2]) }, func(s [][]T) { reluGradGo(s[0], s[1], s[2]) })
+		expectTwin(t, what+"/Tanh", ops[:2], 0, n,
+			func(s [][]T) { Tanh(s[0], s[1]) }, func(s [][]T) { tanhGo(s[0], s[1]) })
+		expectTwin(t, what+"/Sigmoid", ops[:2], 0, n,
+			func(s [][]T) { Sigmoid(s[0], s[1]) }, func(s [][]T) { sigmoidGo(s[0], s[1]) })
 		expectTwin(t, what+"/Adam", ops, 0, n,
 			func(s [][]T) { AdamStep(s[0], s[1], s[2], s[3], k) }, func(s [][]T) { adamGo(s[0], s[1], s[2], s[3], k) })
 	}
@@ -213,7 +223,8 @@ func fuzzElem[T Float](t *testing.T, data []byte, l2 bool) {
 
 // BenchmarkElemBodies times the elementwise kernels per element, one call
 // over 32768 elements at both element types: the Go loops (vector_bytes=8)
-// and each body the host runs. At a few thousand elements the branch
+// and each body the host runs (Tanh and Sigmoid have none at 16 bytes, and
+// none at 32 where expPart rules them out). At a few thousand elements the branch
 // predictor learns the ReLU loops' random signs across iterations and flatters
 // them fourfold; at this size it cannot, as in a search. DESIGN.md §9.2's
 // elementwise table is this benchmark.
@@ -240,10 +251,13 @@ func benchElem[T Float](b *testing.B) {
 	kernels := []struct {
 		name       string
 		loop, body func()
+		exp        bool // a Tanh/Sigmoid body: 32 bytes only, behind expPart
 	}{
-		{"adam", func() { adamGo(w, g, m, v, k) }, func() { AdamStep(w, g, m, v, k) }},
-		{"relu", func() { reluGo(dst, x) }, func() { ReLU(dst, x) }},
-		{"relu_grad", func() { reluGradGo(dst, x, g) }, func() { ReLUGrad(dst, x, g) }},
+		{"adam", func() { adamGo(w, g, m, v, k) }, func() { AdamStep(w, g, m, v, k) }, false},
+		{"relu", func() { reluGo(dst, x) }, func() { ReLU(dst, x) }, false},
+		{"relu_grad", func() { reluGradGo(dst, x, g) }, func() { ReLUGrad(dst, x, g) }, false},
+		{"tanh", func() { tanhGo(dst, x) }, func() { Tanh(dst, x) }, true},
+		{"sigmoid", func() { sigmoidGo(dst, x) }, func() { Sigmoid(dst, x) }, true},
 	}
 	for _, kn := range kernels {
 		for _, vb := range []int{8, 16, 32} {
@@ -256,6 +270,9 @@ func benchElem[T Float](b *testing.B) {
 					b.Skipf("the %d-byte body cannot run here", vb)
 				default:
 					setBody(b, vb)
+					if kn.exp && expPart(n) == 0 {
+						b.Skipf("no %d-byte %s body runs here", vb, kn.name)
+					}
 				}
 				for i := 0; i < b.N; i++ {
 					run()
@@ -263,5 +280,142 @@ func benchElem[T Float](b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
 			})
 		}
+	}
+}
+
+// TestExpBodiesMatchMath is the long sweep of the Tanh and Sigmoid bodies
+// against their Go loops, at both element types, on the inputs where an
+// exponential's lanes are most likely to part from math.Exp's: ±64 ulps
+// around tanh's branch point 0.625 and its saturation point 0.5·MAXLOG,
+// around the arguments where Sigmoid's Exp(−x) leaves the normal path
+// (x = −709.78…, where it overflows, and x = 708.39… and 744.44…, where it
+// goes subnormal and then to zero), ±0, ±Inf, NaNs, subnormals, uniform
+// ranges and random bit patterns. It needs the bodies: on a host or body
+// where expPart rules them out the kernels are their loops, and it skips.
+func TestExpBodiesMatchMath(t *testing.T) {
+	if expPart(1024) == 0 {
+		t.Skip("no Tanh or Sigmoid body runs here: no FMA, no AVX2 body, or math.Exp unfused (expFused)")
+	}
+	rng := rand.New(rand.NewSource(64))
+	var x []float64
+	for _, c := range []float64{0.625, 0.5 * 8.8029691931113054295988e+01, 709.782712893384, -708.3964185322641, -744.4400719213812} {
+		for _, s := range []float64{c, -c} {
+			b := math.Float64bits(s)
+			for d := -64; d <= 64; d++ {
+				x = append(x, math.Float64frombits(b+uint64(d)))
+			}
+		}
+	}
+	for _, c := range elemCorners[float64]() {
+		x = append(x, c)
+	}
+	for len(x) < 1<<20 {
+		switch len(x) % 4 {
+		case 0:
+			x = append(x, math.Float64frombits(rng.Uint64()))
+		case 1:
+			x = append(x, (rng.Float64()*2-1)*800)
+		case 2:
+			x = append(x, rng.NormFloat64()*3)
+		default:
+			x = append(x, math.Float64frombits(rng.Uint64()&0x800fffffffffffff)) // ±subnormal
+		}
+	}
+	x32 := make([]float32, len(x))
+	for i, v := range x {
+		x32[i] = float32(v)
+	}
+	sweepExp(t, x)
+	sweepExp(t, x32)
+}
+
+func sweepExp[T Float](t *testing.T, x []T) {
+	for _, k := range []struct {
+		name       string
+		body, loop func(dst, x []T)
+	}{{"Tanh", Tanh[T], tanhGo[T]}, {"Sigmoid", Sigmoid[T], sigmoidGo[T]}} {
+		got, want := make([]T, len(x)), make([]T, len(x))
+		k.body(got, x)
+		k.loop(want, x)
+		bad := 0
+		for i := range got {
+			if g, w := got[i], want[i]; bitsOf(g) != bitsOf(w) && !(g != g && w != w) {
+				if bad++; bad <= 5 {
+					t.Errorf("%s/%s(%v = %#x) = %v, Go loop %v", k.name, DTypeFor[T](), x[i], bitsOf(x[i]), g, w)
+				}
+			}
+		}
+		if bad > 0 {
+			t.Errorf("%s/%s: %d of %d elements differ", k.name, DTypeFor[T](), bad, len(x))
+		}
+	}
+}
+
+// expSequence is archExp's normal path (the math package's exp_amd64.s) in
+// Go, with its multiply-adds fused (math.FMA) or not; ok is false off that
+// path. The probe's arguments are chosen where the two differ.
+func expSequence(x float64, fused bool) (y float64, ok bool) {
+	const (
+		log2e = 1.4426950408889634073599246810018920
+		ln2u  = 0.69314718055966295651160180568695068359375
+		ln2l  = 0.28235290563031577122588448175013436025525412068e-12
+	)
+	fma := func(a, b, c float64) float64 {
+		if fused {
+			return math.FMA(a, b, c)
+		}
+		return a*b + c
+	}
+	k := math.RoundToEven(log2e * x)
+	if x != x || math.IsInf(x, 0) || x > 7.09782712893384e+02 || k+1023 <= 0 || k+1023 >= 0x7ff {
+		return 0, false
+	}
+	r := fma(-ln2u, k, x)
+	r = fma(-ln2l, k, r) * 0.0625
+	p := 2.4801587301587301587e-5
+	for _, c := range []float64{1.9841269841269841270e-4, 1.3888888888888888889e-3, 8.3333333333333333333e-3,
+		4.1666666666666666667e-2, 1.6666666666666666667e-1, 0.5, 1.0} {
+		p = fma(p, r, c)
+	}
+	r *= p
+	for i := 0; i < 3; i++ {
+		r *= r + 2
+	}
+	r = fma(r+2, r, 1)
+	return r * math.Float64frombits(uint64(k+1023)<<52), true
+}
+
+// TestExpProbe holds expFused to what it claims. Each probe argument must
+// tell the two sequences apart and carry the fused result; and the probe's
+// answer must be the truth on a sample of normal-path arguments: math.Exp
+// equals the fused sequence on all of them where expFused holds, and
+// differs somewhere where it does not — under GODEBUG=cpu.fma=off it must
+// not hold.
+func TestExpProbe(t *testing.T) {
+	for _, p := range [][2]float64{
+		{0.8497425325589525, 2.3390445465784064},
+		{-3.069843025532003, 0.04642844236548021},
+		{-8.913371177229802, 0.00013457738419050315},
+	} {
+		f, _ := expSequence(p[0], true)
+		u, _ := expSequence(p[0], false)
+		if f != p[1] || u == p[1] {
+			t.Errorf("probe Exp(%v): fused %v, unfused %v, recorded %v: the argument does not separate them", p[0], f, u, p[1])
+		}
+	}
+	rng := rand.New(rand.NewSource(65))
+	agree, sampled := true, 0
+	for sampled < 100000 {
+		x := (rng.Float64()*2 - 1) * 700
+		if f, ok := expSequence(x, true); ok {
+			sampled++
+			agree = agree && math.Exp(x) == f
+		}
+	}
+	if agree != expFused {
+		t.Errorf("expFused = %v, but math.Exp agrees with the fused sequence on all %d sampled arguments: %v", expFused, sampled, agree)
+	}
+	if strings.Contains(os.Getenv("GODEBUG"), "cpu.fma=off") && expFused {
+		t.Error("expFused holds under GODEBUG=cpu.fma=off")
 	}
 }

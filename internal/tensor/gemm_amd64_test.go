@@ -245,25 +245,37 @@ func readAsm(t *testing.T, file string, defs map[string]string, texts *[]asmText
 // register — directly or through a macro — must execute VZEROUPPER
 // immediately before each RET, or the Go code it returns to pays the
 // SSE/AVX transition on its next scalar float instruction; only the …AVX2
-// kernels name one; and the arithmetic contract has no fused multiply-add,
-// no reciprocal or reciprocal-square-root estimate and no 64-byte vectors,
-// so none may appear in any instruction, written out or behind a macro.
+// kernels name one; and the arithmetic contract has no reciprocal or
+// reciprocal-square-root estimate and no 64-byte vectors, so none may
+// appear in any instruction, written out or behind a macro. Fused
+// multiply-adds appear exactly in the Tanh and Sigmoid texts, whose EXPV is
+// math.Exp's own FMA sequence and which run only where expFused says
+// math.Exp takes it; no other text may name one.
 func TestAssemblySource(t *testing.T) {
 	files, err := filepath.Glob("*.s")
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no assembly files found: %v", err)
 	}
-	banned := regexp.MustCompile(`\b(VFN?M(ADD|SUB)\w*|V?RCP\w*|V?RSQRT\w*|Z([0-9]|[12][0-9]|3[01]))\b`)
+	banned := regexp.MustCompile(`\b(V?RCP\w*|V?RSQRT\w*|Z([0-9]|[12][0-9]|3[01]))\b`)
+	fma := regexp.MustCompile(`\bVFN?M(ADD|SUB)\w*`)
+	expText := regexp.MustCompile(`·(tanh|sigmoid)F(32|64)AVX2\(SB\)`)
 	ymm := regexp.MustCompile(`\bY([0-9]|1[0-5])\b`)
-	wide := 0
+	wide, exps := 0, 0
 	for _, f := range files {
 		var texts []asmText
 		readAsm(t, f, map[string]string{}, &texts)
 		for _, tx := range texts {
-			usesYMM, rets := false, 0
+			usesYMM, usesFMA, rets := false, false, 0
+			isExp := expText.MatchString(tx.name)
 			for i, l := range tx.lines {
 				if m := banned.FindString(l); m != "" {
-					t.Errorf("%s: %s: %s — fused multiply-add, reciprocal estimates and ZMM registers are outside the arithmetic contract", f, tx.name, m)
+					t.Errorf("%s: %s: %s — reciprocal estimates and ZMM registers are outside the arithmetic contract", f, tx.name, m)
+				}
+				if m := fma.FindString(l); m != "" {
+					usesFMA = true
+					if !isExp {
+						t.Errorf("%s: %s: %s — a fused multiply-add outside the exp texts rounds where the Go loops do not", f, tx.name, m)
+					}
 				}
 				usesYMM = usesYMM || ymm.MatchString(l)
 				if strings.Fields(l)[0] == "RET" {
@@ -282,10 +294,16 @@ func TestAssemblySource(t *testing.T) {
 			if usesYMM {
 				wide++
 			}
+			if isExp {
+				exps++
+				if !usesFMA {
+					t.Errorf("%s: %s: no fused multiply-add seen: the scan lost EXPV", f, tx.name)
+				}
+			}
 		}
 	}
-	if wide != 10 {
-		t.Errorf("%d TEXT symbols use YMM registers, want the 10 AVX2 kernels (4 products, 6 elementwise): the scan no longer sees them", wide)
+	if wide != 14 || exps != 4 {
+		t.Errorf("%d TEXT symbols use YMM registers and %d are exp texts, want the 14 AVX2 kernels (4 products, 10 elementwise) and 4: the scan no longer sees them", wide, exps)
 	}
 }
 

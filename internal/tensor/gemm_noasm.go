@@ -42,3 +42,9 @@ func adamBody[T Float](w, g, m, v []T, k *AdamCoefs[T]) int { return 0 }
 func reluBody[T Float](dst, x []T) int { return 0 }
 
 func reluGradBody[T Float](dst, x, g []T) int { return 0 }
+
+func tanhBody[T Float](dst, x []T) int { return 0 }
+
+func sigmoidBody[T Float](dst, x []T) int { return 0 }
+
+func expPart(n int) int { return 0 }
