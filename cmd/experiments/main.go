@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"swtnas/internal/experiments"
@@ -88,6 +89,12 @@ func main() {
 	if len(names) == 1 && names[0] == "all" {
 		names = order
 	}
+	// A misspelt name fails here, not after the experiments before it ran.
+	for _, name := range names {
+		if !slices.Contains(order, name) {
+			log.Fatalf("unknown experiment %q (valid: %s, all)", name, strings.Join(order, " "))
+		}
+	}
 
 	suite := experiments.NewSuite(cfg)
 	w := os.Stdout
@@ -127,8 +134,6 @@ func main() {
 			_, err = suite.Dist(w)
 		case "sim":
 			_, err = suite.Sim(w)
-		default:
-			log.Fatalf("unknown experiment %q (valid: %s, all)", name, strings.Join(order, " "))
 		}
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)

@@ -1,17 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"math/rand"
 
 	"swtnas/internal/apps"
 	"swtnas/internal/checkpoint"
-	"swtnas/internal/core"
-	"swtnas/internal/evo"
-	"swtnas/internal/nas"
-	"swtnas/internal/nn"
 	"swtnas/internal/stats"
 	"swtnas/internal/tensor"
 	"swtnas/internal/trace"
@@ -41,35 +35,18 @@ type DtypeRow struct {
 // reruns it with Config.DType = F32.
 func (s *Suite) Dtype(w io.Writer) ([]DtypeRow, error) {
 	line(w, "Dtype study: f32 vs f64 candidate-score rank fidelity (scheme LCS)")
-	matcher, ok := core.MatcherByName("LCS")
-	if !ok {
-		return nil, fmt.Errorf("experiments: LCS matcher unavailable")
-	}
 	var rows []DtypeRow
 	for _, name := range s.Cfg.Apps {
-		app, err := s.App(name)
-		if err != nil {
-			return nil, err
-		}
 		c, err := s.Campaign(name, "LCS")
 		if err != nil {
 			return nil, err
 		}
+		app := c.App
 		var taus, deltas, bests []float64
 		for rep := 0; rep < s.Cfg.Seeds; rep++ {
-			store32 := checkpoint.NewCASMemStore()
-			t32, err := nas.Run(context.Background(), nas.Config{
-				App:      app,
-				Strategy: evo.NewRegularizedEvolution(app.Space, s.Cfg.PopN, s.Cfg.PopS),
-				Matcher:  matcher,
-				Store:    store32,
-				Workers:  s.Cfg.Workers,
-				Budget:   s.Cfg.Budget,
-				Seed:     s.Cfg.Seed + int64(rep),
-				DType:    tensor.F32,
-			})
+			t32, store32, err := s.search(app, "LCS", rep, tensor.F32)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: %s f32 rep %d: %w", name, rep, err)
+				return nil, err
 			}
 			t64 := c.Traces[rep]
 			s32, s64 := pairScores(t32, t64)
@@ -135,33 +112,15 @@ func pairScores(t32, t64 *trace.Trace) (s32, s64 []float64) {
 }
 
 // bestFinalScore fully trains the trace's top-1 candidate from its
-// checkpoint — the phase-2 path, always f64; an F32-tagged checkpoint
-// restores through exact widening — and returns the final validation
-// score.
+// checkpoint (fullTrain, early-stopped, in f64 whatever dtype the search
+// ran) and returns the final validation score.
 func (s *Suite) bestFinalScore(app *apps.App, tr *trace.Trace, store checkpoint.Store) (float64, error) {
 	idx := tr.TopK(1)
 	if len(idx) == 0 {
 		return 0, fmt.Errorf("experiments: %s: no rankable candidates", tr.App)
 	}
 	rec := tr.Records[idx[0]]
-	ckpt, err := store.Load(nas.CandidateID(rec.ID))
-	if err != nil {
-		return 0, err
-	}
-	net, err := buildReceiver(app, rec.Arch, s.Cfg.Seed+int64(rec.ID))
-	if err != nil {
-		return 0, err
-	}
-	if err := ckpt.RestoreInto(net); err != nil {
-		return 0, err
-	}
-	h, err := nn.Fit(net, app.Space.Loss, app.Space.Metric, nn.NewAdam(),
-		app.Dataset.Train, app.Dataset.Val, nn.FitConfig{
-			Epochs: s.fullEpochs(app), BatchSize: app.Space.BatchSize,
-			RNG:               rand.New(rand.NewSource(s.Cfg.Seed + int64(rec.ID) + 1)),
-			EarlyStopDelta:    app.Space.EarlyStopDelta,
-			EarlyStopPatience: app.EarlyStopPatience,
-		})
+	h, err := s.fullTrain(app, store, rec, s.Cfg.Seed+int64(rec.ID), true)
 	if err != nil {
 		return 0, err
 	}

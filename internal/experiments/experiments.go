@@ -15,6 +15,7 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"time"
 
 	"swtnas/internal/apps"
 	"swtnas/internal/checkpoint"
@@ -24,6 +25,7 @@ import (
 	"swtnas/internal/nas"
 	"swtnas/internal/nn"
 	"swtnas/internal/search"
+	"swtnas/internal/tensor"
 	"swtnas/internal/trace"
 )
 
@@ -144,24 +146,11 @@ func (s *Suite) Campaign(appName, scheme string) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	matcher, ok := core.MatcherByName(scheme)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown scheme %q", scheme)
-	}
 	c := &Campaign{App: app, Scheme: scheme}
 	for rep := 0; rep < s.Cfg.Seeds; rep++ {
-		store := checkpoint.NewCASMemStore()
-		tr, err := nas.Run(context.Background(), nas.Config{
-			App:      app,
-			Strategy: evo.NewRegularizedEvolution(app.Space, s.Cfg.PopN, s.Cfg.PopS),
-			Matcher:  matcher,
-			Store:    store,
-			Workers:  s.Cfg.Workers,
-			Budget:   s.Cfg.Budget,
-			Seed:     s.Cfg.Seed + int64(rep),
-		})
+		tr, store, err := s.search(app, scheme, rep, tensor.F64)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s/%s rep %d: %w", appName, scheme, rep, err)
+			return nil, err
 		}
 		c.Traces = append(c.Traces, tr)
 		c.Stores = append(c.Stores, store)
@@ -170,22 +159,92 @@ func (s *Suite) Campaign(appName, scheme string) (*Campaign, error) {
 	return c, nil
 }
 
+// search runs repetition rep of one scheme's search on app, training in
+// dt, into a fresh in-memory store.
+func (s *Suite) search(app *apps.App, scheme string, rep int, dt tensor.DType) (*trace.Trace, checkpoint.Store, error) {
+	matcher, ok := core.MatcherByName(scheme)
+	if !ok {
+		return nil, nil, fmt.Errorf("experiments: unknown scheme %q", scheme)
+	}
+	store := checkpoint.NewCASMemStore()
+	tr, err := nas.Run(context.Background(), nas.Config{
+		App:      app,
+		Strategy: evo.NewRegularizedEvolution(app.Space, s.Cfg.PopN, s.Cfg.PopS),
+		Matcher:  matcher,
+		Store:    store,
+		Workers:  s.Cfg.Workers,
+		Budget:   s.Cfg.Budget,
+		Seed:     s.Cfg.Seed + int64(rep),
+		DType:    dt,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: %s/%s/%s rep %d: %w", app.Name, scheme, dt, rep, err)
+	}
+	return tr, store, nil
+}
+
+// shortestMakespan returns the duration of the shortest run across the
+// schemes and repetitions of an app — the fairness cutoff of Section
+// VIII-C ("all the approaches have the same time budget"), which Fig 7
+// plots up to and phase 2 selects within.
+func (s *Suite) shortestMakespan(app string) (time.Duration, error) {
+	shortest := time.Duration(0)
+	for _, scheme := range Schemes() {
+		c, err := s.Campaign(app, scheme)
+		if err != nil {
+			return 0, err
+		}
+		for _, tr := range c.Traces {
+			if n := len(tr.Records); n > 0 {
+				if mk := tr.Records[n-1].CompletedAt; shortest == 0 || mk < shortest {
+					shortest = mk
+				}
+			}
+		}
+	}
+	return shortest, nil
+}
+
 // buildReceiver constructs a candidate with a deterministic fresh
 // initialization.
 func buildReceiver(app *apps.App, arch search.Arch, seed int64) (*nn.Network, error) {
 	return app.Space.Build(arch, rand.New(rand.NewSource(seed)))
 }
 
-// trainEpochs runs the candidate-estimation training (partial epochs) and
-// returns the final validation score.
-func trainEpochs(app *apps.App, net *nn.Network, epochs int, seed int64) (float64, error) {
-	h, err := nn.Fit(net, app.Space.Loss, app.Space.Metric, nn.NewAdam(),
-		app.Dataset.Train, app.Dataset.Val,
-		nn.FitConfig{Epochs: epochs, BatchSize: app.Space.BatchSize, RNG: rand.New(rand.NewSource(seed))})
-	if err != nil {
-		return 0, err
+// train is every training run of the experiments: epochs passes over the
+// app's training set at its batch size, shuffled by an RNG seeded with
+// seed, stopped early by the paper's rule (Section VIII-B, the app's delta
+// and patience) when earlyStop is set.
+func train(app *apps.App, net *nn.Network, epochs int, seed int64, earlyStop bool) (*nn.History, error) {
+	cfg := nn.FitConfig{Epochs: epochs, BatchSize: app.Space.BatchSize, RNG: rand.New(rand.NewSource(seed))}
+	if earlyStop {
+		cfg.EarlyStopDelta, cfg.EarlyStopPatience = app.Space.EarlyStopDelta, app.EarlyStopPatience
 	}
-	return h.FinalScore(), nil
+	return nn.Fit(net, app.Space.Loss, app.Space.Metric, nn.NewAdam(), app.Dataset.Train, app.Dataset.Val, cfg)
+}
+
+// fullTrain is the paper's second stage for one searched candidate: rec's
+// architecture built from seed, its trained weights reloaded from store,
+// then trained (RNG seed+1) for the full epoch budget (Config.FullEpochs,
+// else the app's), early-stopped or not. An F32-tagged checkpoint restores through exact widening, so full
+// training is f64 whatever dtype the search ran.
+func (s *Suite) fullTrain(app *apps.App, store checkpoint.Store, rec trace.Record, seed int64, earlyStop bool) (*nn.History, error) {
+	ckpt, err := store.Load(nas.CandidateID(rec.ID))
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s candidate %d: %w", app.Name, rec.ID, err)
+	}
+	net, err := buildReceiver(app, rec.Arch, seed)
+	if err != nil {
+		return nil, err
+	}
+	if err := ckpt.RestoreInto(net); err != nil {
+		return nil, err
+	}
+	epochs := app.FullMaxEpochs
+	if s.Cfg.FullEpochs > 0 {
+		epochs = s.Cfg.FullEpochs
+	}
+	return train(app, net, epochs, seed+1, earlyStop)
 }
 
 // mutateK returns a copy of arch re-choosing exactly k distinct variable
@@ -213,14 +272,6 @@ func mutateK(space *search.Space, arch search.Arch, k int, rng *rand.Rand) (sear
 		}
 	}
 	return child, nil
-}
-
-// fullEpochs resolves the phase-2 epoch cap.
-func (s *Suite) fullEpochs(app *apps.App) int {
-	if s.Cfg.FullEpochs > 0 {
-		return s.Cfg.FullEpochs
-	}
-	return app.FullMaxEpochs
 }
 
 func pct(n, total int) float64 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"io"
+	"slices"
 	"time"
 
 	"swtnas/internal/sim"
@@ -46,25 +47,23 @@ func (s *Suite) fig10SimTasks(appName, scheme string, timeScale, byteScale float
 // the configured apps, measured values are used unscaled.
 func (s *Suite) fig10Anchors() (timeScale, byteScale float64, err error) {
 	timeScale, byteScale = 1, 1
-	for _, name := range s.Cfg.Apps {
-		if name != "nt3" {
-			continue
-		}
-		c, err := s.Campaign("nt3", "LCS")
-		if err != nil {
-			return 0, 0, err
-		}
-		var times, sizes []float64
-		for _, r := range c.Traces[0].Records {
-			times = append(times, float64(r.TrainTime))
-			sizes = append(sizes, float64(r.CheckpointBytes))
-		}
-		if m := stats.Mean(times); m > 0 {
-			timeScale = float64(6*time.Second) / m // paper: NT3 trains ~6 s
-		}
-		if m := stats.Mean(sizes); m > 0 {
-			byteScale = 40e6 / m // paper Fig 11: NT3 checkpoints ~40 MB
-		}
+	if !slices.Contains(s.Cfg.Apps, "nt3") {
+		return timeScale, byteScale, nil
+	}
+	c, err := s.Campaign("nt3", "LCS")
+	if err != nil {
+		return 0, 0, err
+	}
+	var times, sizes []float64
+	for _, r := range c.Traces[0].Records {
+		times = append(times, float64(r.TrainTime))
+		sizes = append(sizes, float64(r.CheckpointBytes))
+	}
+	if m := stats.Mean(times); m > 0 {
+		timeScale = float64(6*time.Second) / m // paper: NT3 trains ~6 s
+	}
+	if m := stats.Mean(sizes); m > 0 {
+		byteScale = 40e6 / m // paper Fig 11: NT3 checkpoints ~40 MB
 	}
 	return timeScale, byteScale, nil
 }

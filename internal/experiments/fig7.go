@@ -36,23 +36,9 @@ func (s *Suite) Fig7(w io.Writer) ([]Fig7Point, []Fig7Summary, error) {
 	var points []Fig7Point
 	var summaries []Fig7Summary
 	for _, name := range s.Cfg.Apps {
-		// Shortest makespan across all schemes and repetitions.
-		shortest := time.Duration(0)
-		camps := map[string]*Campaign{}
-		for _, scheme := range Schemes() {
-			c, err := s.Campaign(name, scheme)
-			if err != nil {
-				return nil, nil, err
-			}
-			camps[scheme] = c
-			for _, tr := range c.Traces {
-				if n := len(tr.Records); n > 0 {
-					mk := tr.Records[n-1].CompletedAt
-					if shortest == 0 || mk < shortest {
-						shortest = mk
-					}
-				}
-			}
+		shortest, err := s.shortestMakespan(name)
+		if err != nil {
+			return nil, nil, err
 		}
 		if shortest == 0 {
 			continue
@@ -63,9 +49,13 @@ func (s *Suite) Fig7(w io.Writer) ([]Fig7Point, []Fig7Summary, error) {
 		}
 		summary := Fig7Summary{App: name, TailMeans: map[string]float64{}}
 		for _, scheme := range Schemes() {
+			c, err := s.Campaign(name, scheme)
+			if err != nil {
+				return nil, nil, err
+			}
 			buckets := map[int][]float64{}
 			var tail []float64
-			for _, tr := range camps[scheme].Traces {
+			for _, tr := range c.Traces {
 				for _, r := range tr.Records {
 					if r.CompletedAt > shortest {
 						continue

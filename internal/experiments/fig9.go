@@ -4,8 +4,6 @@ import (
 	"io"
 	"math/rand"
 
-	"swtnas/internal/nas"
-	"swtnas/internal/nn"
 	"swtnas/internal/stats"
 )
 
@@ -19,18 +17,13 @@ type Fig9Row struct {
 }
 
 // Fig9 reproduces Figure 9: for each scheme, TauSamples candidates per
-// search are fully trained from their checkpoints (early stopping, as in
-// phase 2), and Kendall's τ is computed between estimation-phase scores and
-// the fully trained metrics. τ is computed per repetition and averaged.
+// search are fully trained from their checkpoints (tauSample), and
+// Kendall's τ is computed between estimation-phase scores and the fully
+// trained metrics. τ is computed per repetition and averaged.
 func (s *Suite) Fig9(w io.Writer) ([]Fig9Row, error) {
 	line(w, "Fig 9: Kendall's tau between estimated scores and fully trained metrics")
 	var rows []Fig9Row
 	for _, name := range s.Cfg.Apps {
-		app, err := s.App(name)
-		if err != nil {
-			return nil, err
-		}
-		full := s.fullEpochs(app)
 		for _, scheme := range Schemes() {
 			c, err := s.Campaign(name, scheme)
 			if err != nil {
@@ -38,39 +31,13 @@ func (s *Suite) Fig9(w io.Writer) ([]Fig9Row, error) {
 			}
 			var taus []float64
 			for rep, tr := range c.Traces {
-				rng := rand.New(rand.NewSource(s.Cfg.Seed + 9000 + int64(rep)))
-				n := len(tr.Records)
-				k := s.Cfg.TauSamples
-				if k > n {
-					k = n
+				sample, truth, err := s.tauSample(c, rep, 9000)
+				if err != nil {
+					return nil, err
 				}
-				perm := rng.Perm(n)[:k]
-				var est, truth []float64
-				for _, idx := range perm {
-					rec := tr.Records[idx]
-					ckpt, err := c.Stores[rep].Load(nas.CandidateID(rec.ID))
-					if err != nil {
-						return nil, err
-					}
-					net, err := buildReceiver(app, rec.Arch, s.Cfg.Seed+int64(rec.ID))
-					if err != nil {
-						return nil, err
-					}
-					if err := ckpt.RestoreInto(net); err != nil {
-						return nil, err
-					}
-					h, err := nn.Fit(net, app.Space.Loss, app.Space.Metric, nn.NewAdam(),
-						app.Dataset.Train, app.Dataset.Val, nn.FitConfig{
-							Epochs: full, BatchSize: app.Space.BatchSize,
-							RNG:               rand.New(rand.NewSource(s.Cfg.Seed + int64(rec.ID) + 1)),
-							EarlyStopDelta:    app.Space.EarlyStopDelta,
-							EarlyStopPatience: app.EarlyStopPatience,
-						})
-					if err != nil {
-						return nil, err
-					}
-					est = append(est, rec.Score)
-					truth = append(truth, h.FinalScore())
+				est := make([]float64, len(sample))
+				for i, idx := range sample {
+					est[i] = tr.Records[idx].Score
 				}
 				tau, err := stats.KendallTau(est, truth)
 				if err != nil {
@@ -85,4 +52,25 @@ func (s *Suite) Fig9(w io.Writer) ([]Fig9Row, error) {
 		}
 	}
 	return rows, nil
+}
+
+// tauSample is the ground truth of the rank-fidelity studies for one
+// repetition of a campaign: TauSamples of its records drawn by an RNG
+// seeded with Seed+salt+rep, each fully trained from its own checkpoint
+// with early stopping (fullTrain, build seed Seed+ID). It returns the
+// drawn record indices, in draw order, and their fully trained scores.
+// salt keeps the draws of studies that share a campaign apart.
+func (s *Suite) tauSample(c *Campaign, rep int, salt int64) (sample []int, truth []float64, err error) {
+	recs := c.Traces[rep].Records
+	rng := rand.New(rand.NewSource(s.Cfg.Seed + salt + int64(rep)))
+	sample = rng.Perm(len(recs))[:min(s.Cfg.TauSamples, len(recs))]
+	for _, idx := range sample {
+		rec := recs[idx]
+		h, err := s.fullTrain(c.App, c.Stores[rep], rec, s.Cfg.Seed+int64(rec.ID), true)
+		if err != nil {
+			return nil, nil, err
+		}
+		truth = append(truth, h.FinalScore())
+	}
+	return sample, truth, nil
 }

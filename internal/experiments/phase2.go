@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
-	"math/rand"
 	"time"
 
-	"swtnas/internal/nas"
-	"swtnas/internal/nn"
 	"swtnas/internal/stats"
 	"swtnas/internal/trace"
 )
@@ -28,28 +24,6 @@ type Phase2Model struct {
 	Params int
 }
 
-// shortestMakespan returns the duration of the shortest run across the
-// schemes of an app — the fairness cutoff of Section VIII-C ("all the
-// approaches have the same time budget").
-func (s *Suite) shortestMakespan(app string) (time.Duration, error) {
-	shortest := time.Duration(0)
-	for _, scheme := range Schemes() {
-		c, err := s.Campaign(app, scheme)
-		if err != nil {
-			return 0, err
-		}
-		for _, tr := range c.Traces {
-			if n := len(tr.Records); n > 0 {
-				mk := tr.Records[n-1].CompletedAt
-				if shortest == 0 || mk < shortest {
-					shortest = mk
-				}
-			}
-		}
-	}
-	return shortest, nil
-}
-
 // topKWithin selects the top-K records completed before the cutoff.
 func topKWithin(tr *trace.Trace, cutoff time.Duration, k int) []trace.Record {
 	filtered := &trace.Trace{}
@@ -66,10 +40,11 @@ func topKWithin(tr *trace.Trace, cutoff time.Duration, k int) []trace.Record {
 	return out
 }
 
-// Phase2 fully trains the top-K models of every campaign (resuming from
-// their checkpoints, as the search pipeline does) twice: once with the
-// paper's early-stopping rule and once for the full epoch budget. Results
-// are cached; Fig8, Table3 and Table4 all render from them.
+// Phase2 fully trains the top-K models of every campaign within the
+// shortest makespan (fullTrain: resuming from their checkpoints, as the
+// search pipeline does) twice: once with the paper's early-stopping rule
+// and once for the full epoch budget. Results are cached; Fig8, Table3 and
+// Table4 all render from them.
 func (s *Suite) Phase2() ([]Phase2Model, error) {
 	s.mu.Lock()
 	if s.phase2 != nil {
@@ -80,59 +55,23 @@ func (s *Suite) Phase2() ([]Phase2Model, error) {
 
 	var models []Phase2Model
 	for _, name := range s.Cfg.Apps {
-		app, err := s.App(name)
-		if err != nil {
-			return nil, err
-		}
 		cutoff, err := s.shortestMakespan(name)
 		if err != nil {
 			return nil, err
 		}
-		full := s.fullEpochs(app)
 		for _, scheme := range Schemes() {
 			c, err := s.Campaign(name, scheme)
 			if err != nil {
 				return nil, err
 			}
 			for rep, tr := range c.Traces {
-				store := c.Stores[rep]
 				for rank, rec := range topKWithin(tr, cutoff, s.Cfg.TopK) {
-					ckpt, err := store.Load(nas.CandidateID(rec.ID))
-					if err != nil {
-						return nil, fmt.Errorf("experiments: phase2 %s/%s: %w", name, scheme, err)
-					}
 					seed := s.Cfg.Seed + int64(rec.ID)*7 + int64(rep)
-					// (a) early-stopped full training.
-					netES, err := buildReceiver(app, rec.Arch, seed)
+					hES, err := s.fullTrain(c.App, c.Stores[rep], rec, seed, true)
 					if err != nil {
 						return nil, err
 					}
-					if err := ckpt.RestoreInto(netES); err != nil {
-						return nil, err
-					}
-					hES, err := nn.Fit(netES, app.Space.Loss, app.Space.Metric, nn.NewAdam(),
-						app.Dataset.Train, app.Dataset.Val, nn.FitConfig{
-							Epochs: full, BatchSize: app.Space.BatchSize,
-							RNG:               rand.New(rand.NewSource(seed + 1)),
-							EarlyStopDelta:    app.Space.EarlyStopDelta,
-							EarlyStopPatience: app.EarlyStopPatience,
-						})
-					if err != nil {
-						return nil, err
-					}
-					// (b) full training without early stopping.
-					netFull, err := buildReceiver(app, rec.Arch, seed)
-					if err != nil {
-						return nil, err
-					}
-					if err := ckpt.RestoreInto(netFull); err != nil {
-						return nil, err
-					}
-					hFull, err := nn.Fit(netFull, app.Space.Loss, app.Space.Metric, nn.NewAdam(),
-						app.Dataset.Train, app.Dataset.Val, nn.FitConfig{
-							Epochs: full, BatchSize: app.Space.BatchSize,
-							RNG: rand.New(rand.NewSource(seed + 1)),
-						})
+					hFull, err := s.fullTrain(c.App, c.Stores[rep], rec, seed, false)
 					if err != nil {
 						return nil, err
 					}

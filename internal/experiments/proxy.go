@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"io"
-	"math/rand"
 
-	"swtnas/internal/nas"
-	"swtnas/internal/nn"
 	"swtnas/internal/proxy"
 	"swtnas/internal/stats"
 )
@@ -28,28 +25,26 @@ type ProxyRow struct {
 // -proxy-filter admission mode: how well does each score that is available
 // before (or much cheaper than) training rank candidates, measured against
 // full training? TauSamples candidates per repetition are fully trained from
-// their checkpoints exactly as in Fig9; the surrogate is fit on the trace
-// records outside the sample, so its τ is out-of-sample. τ is computed per
-// repetition and averaged.
+// their checkpoints exactly as in Fig9 (tauSample); the surrogate is fit on
+// the trace records outside the sample, so its τ is out-of-sample. τ is
+// computed per repetition and averaged.
 func (s *Suite) Proxy(w io.Writer) ([]ProxyRow, error) {
 	line(w, "Proxy study: Kendall's tau of pre-training scores vs fully trained metrics (scheme LCS)")
 	var rows []ProxyRow
 	for _, name := range s.Cfg.Apps {
-		app, err := s.App(name)
-		if err != nil {
-			return nil, err
-		}
-		full := s.fullEpochs(app)
 		c, err := s.Campaign(name, "LCS")
 		if err != nil {
 			return nil, err
 		}
+		app := c.App
 		bn := app.Dataset.Train.N()
 		if bn > 16 {
 			bn = 16
 		}
 		batch := app.Dataset.Train.Slice(0, bn)
-		var tEst, tGrad, tJac, tSur []float64
+		// taus[j][rep] is score j's τ in repetition rep, j in ProxyRow's
+		// order: estimate, gradient norm, JacobCov, surrogate.
+		var taus [4][]float64
 		for rep, tr := range c.Traces {
 			// Zero-cost scores for every record: one minibatch through a
 			// freshly initialized network — the same signal the pre-filter
@@ -73,15 +68,12 @@ func (s *Suite) Proxy(w io.Writer) ([]ProxyRow, error) {
 				gns[i], jcs[i] = gn, jc
 				feats[i] = proxy.Features(app.Space, rec.Arch, gn, jc, rec.Params)
 			}
-			rng := rand.New(rand.NewSource(s.Cfg.Seed + 9500 + int64(rep)))
-			n := len(tr.Records)
-			k := s.Cfg.TauSamples
-			if k > n {
-				k = n
+			sample, truth, err := s.tauSample(c, rep, 9500)
+			if err != nil {
+				return nil, err
 			}
-			perm := rng.Perm(n)[:k]
-			inSample := make(map[int]bool, k)
-			for _, idx := range perm {
+			inSample := make(map[int]bool, len(sample))
+			for _, idx := range sample {
 				inSample[idx] = true
 			}
 			sur := &proxy.Surrogate{}
@@ -94,56 +86,23 @@ func (s *Suite) Proxy(w io.Writer) ([]ProxyRow, error) {
 			// predictions then default to zero and its τ to zero.
 			sur.Fit() //nolint:errcheck
 
-			var est, grad, jac, surr, truth []float64
-			for _, idx := range perm {
-				rec := tr.Records[idx]
-				ckpt, err := c.Stores[rep].Load(nas.CandidateID(rec.ID))
-				if err != nil {
-					return nil, err
+			var cols [4][]float64
+			for _, idx := range sample {
+				p, _ := sur.Predict(feats[idx])
+				for j, v := range [4]float64{tr.Records[idx].Score, gns[idx], jcs[idx], p} {
+					cols[j] = append(cols[j], v)
 				}
-				net, err := buildReceiver(app, rec.Arch, s.Cfg.Seed+int64(rec.ID))
-				if err != nil {
-					return nil, err
-				}
-				if err := ckpt.RestoreInto(net); err != nil {
-					return nil, err
-				}
-				h, err := nn.Fit(net, app.Space.Loss, app.Space.Metric, nn.NewAdam(),
-					app.Dataset.Train, app.Dataset.Val, nn.FitConfig{
-						Epochs: full, BatchSize: app.Space.BatchSize,
-						RNG:               rand.New(rand.NewSource(s.Cfg.Seed + int64(rec.ID) + 1)),
-						EarlyStopDelta:    app.Space.EarlyStopDelta,
-						EarlyStopPatience: app.EarlyStopPatience,
-					})
-				if err != nil {
-					return nil, err
-				}
-				truth = append(truth, h.FinalScore())
-				est = append(est, rec.Score)
-				grad = append(grad, gns[idx])
-				jac = append(jac, jcs[idx])
-				p, ok := sur.Predict(feats[idx])
-				if !ok {
-					p = 0
-				}
-				surr = append(surr, p)
 			}
-			for _, t := range []struct {
-				scores *[]float64
-				out    *[]float64
-			}{{&est, &tEst}, {&grad, &tGrad}, {&jac, &tJac}, {&surr, &tSur}} {
-				tau, err := stats.KendallTau(*t.scores, truth)
+			for j := range cols {
+				tau, err := stats.KendallTau(cols[j], truth)
 				if err != nil {
 					return nil, err
 				}
-				*t.out = append(*t.out, tau)
+				taus[j] = append(taus[j], tau)
 			}
 		}
-		row := ProxyRow{App: name}
-		row.TauEst, _ = stats.MeanStd(tEst)
-		row.TauGrad, _ = stats.MeanStd(tGrad)
-		row.TauJacob, _ = stats.MeanStd(tJac)
-		row.TauSur, _ = stats.MeanStd(tSur)
+		row := ProxyRow{App: name, TauEst: stats.Mean(taus[0]), TauGrad: stats.Mean(taus[1]),
+			TauJacob: stats.Mean(taus[2]), TauSur: stats.Mean(taus[3])}
 		rows = append(rows, row)
 		line(w, "  %-8s tau(estimate) %6.3f  tau(gradnorm) %6.3f  tau(jacobcov) %6.3f  tau(surrogate) %6.3f",
 			row.App, row.TauEst, row.TauGrad, row.TauJacob, row.TauSur)
