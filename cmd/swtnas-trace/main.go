@@ -32,9 +32,13 @@ func main() {
 		log.Fatal("usage: swtnas-trace summary|csv|compare|replay <trace.json> [...]")
 	}
 	cmd, paths := os.Args[1], os.Args[2:]
-	if cmd == "replay" {
+	switch cmd {
+	case "replay":
 		runReplay(paths)
 		return
+	case "summary", "csv", "compare":
+	default:
+		log.Fatalf("unknown command %q (summary, csv, compare, replay)", cmd)
 	}
 	traces := make([]*trace.Trace, len(paths))
 	for i, p := range paths {
@@ -77,8 +81,6 @@ func main() {
 			fmt.Printf("%-10s %-10s %10.4f %10.4f %10.4f %12.2f\n",
 				s.App, s.Scheme, s.BestScore, s.MeanScore, p50, s.MeanLineage)
 		}
-	default:
-		log.Fatalf("unknown command %q (summary, csv, compare, replay)", cmd)
 	}
 }
 

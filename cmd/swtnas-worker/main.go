@@ -18,6 +18,7 @@ import (
 	"swtnas/internal/cluster"
 	"swtnas/internal/obs"
 	"swtnas/internal/parallel"
+	"swtnas/internal/tensor"
 )
 
 func main() {
@@ -32,6 +33,9 @@ func main() {
 		dtype    = flag.String("dtype", "", "training element type for tasks that ship none: f64 (default) or f32")
 	)
 	flag.Parse()
+	if _, err := tensor.ParseDType(*dtype); err != nil {
+		log.Fatal(err)
+	}
 	if *kworkers > 0 {
 		// Several workers on one node partition its cores between them.
 		parallel.SetWorkers(*kworkers)

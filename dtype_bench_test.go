@@ -1,7 +1,7 @@
 // Dtype benchmarks: the float32 instantiations of the GEMM and Conv2D hot
 // paths against their float64 twins, identical shapes and worker counts.
-// On amd64 both widths run the same tile kernels at the same vector width
-// (internal/tensor/gemm_amd64.s; SSE2, or AVX2 where CPUID allows), so f32
+// On an amd64 host with AVX2 both widths run the same tile kernels at the
+// same vector width (internal/tensor/gemm_amd64.s), so f32
 // has twice the lanes on the same instructions and must clear at
 // least 1.4x the f64 throughput at conv batch 32 — the pinned acceptance
 // floor; measured ~1.7x for Conv2D fwd+bwd and ~2.0x for the raw GEMM on

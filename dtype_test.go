@@ -71,7 +71,7 @@ func TestSearchDTypeValidation(t *testing.T) {
 }
 
 // f64SearchDigest is the digest TestF64SearchDigest expects, recorded at the
-// commit before the f64 products moved onto the SSE2 tile kernels, when the
+// commit before the f64 products moved onto assembly tile kernels, when the
 // generic Go micro-kernels (zero-skip included) were the only f64 path.
 const f64SearchDigest = "11ef63d60659cff59f9cab78945749bb"
 
@@ -81,15 +81,15 @@ const f64SearchDigest = "11ef63d60659cff59f9cab78945749bb"
 // distinct trained tensor's raw bytes, read back from the disk store and
 // spelled as the per-tensor blob file names of the store the constant was
 // recorded with, so one flipped bit in one weight of one candidate changes
-// the digest. The constant must hold on every body of the default build (the
-// assembly kernels at SSE2 and at AVX2 vectors) and under -tags purego (the
-// Go loops): AVX2 ≡ SSE2 ≡ loops ≡ the commit the constant was recorded at.
+// the digest. The constant must hold on both bodies — the AVX2 kernels of
+// the default build and the Go loops of -tags purego: AVX2 ≡ loops ≡ the
+// commit the constant was recorded at.
 // It skips (skipUnlessDigestHost) off amd64, whose compilers fuse a·b+c
 // into one rounding, which the amd64 one never does, and where math.Exp is
 // unfused: the digest was recorded on its fused multiply-add sequence.
 func TestF64SearchDigest(t *testing.T) {
 	skipUnlessDigestHost(t)
-	eachGemmBody(t, testF64SearchDigest)
+	onBodyInUse(t, testF64SearchDigest)
 }
 
 // skipUnlessDigestHost skips a digest test where the arithmetic it pins
@@ -123,12 +123,11 @@ const f32SearchDigest = "3c7ba535e8a69fa0479fd599cb616b1a"
 // swtnas-server's benchmark tenants run, mnist/f32 and uno/f32, hashed like
 // TestF64SearchDigest (both searches into one digest). Their architectures
 // between them hold Tanh, Sigmoid and Dropout layers, so the digest covers
-// every elementwise forward pass a search runs. It must hold on every body
-// of the default build and under -tags purego, and skips where
-// TestF64SearchDigest does.
+// every elementwise forward pass a search runs. It must hold on both
+// bodies, and skips where TestF64SearchDigest does.
 func TestF32SearchDigest(t *testing.T) {
 	skipUnlessDigestHost(t)
-	eachGemmBody(t, testF32SearchDigest)
+	onBodyInUse(t, testF32SearchDigest)
 }
 
 func testF32SearchDigest(t *testing.T) {

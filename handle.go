@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -356,7 +357,7 @@ func (s *SearchHandle) search(ctx context.Context, client *nas.PoolClient) (*Res
 		if len(app.Dataset.InputShapes) != 1 {
 			return nil, fmt.Errorf("swtnas: custom spaces need a single-input dataset; %q has %d inputs", opt.App, len(app.Dataset.InputShapes))
 		}
-		if !shapesEqual(space.InputShapes[0], app.Dataset.InputShapes[0]) {
+		if !slices.Equal(space.InputShapes[0], app.Dataset.InputShapes[0]) {
 			return nil, fmt.Errorf("swtnas: space input %v does not match dataset %q input %v",
 				space.InputShapes[0], opt.App, app.Dataset.InputShapes[0])
 		}

@@ -15,6 +15,7 @@ import (
 
 	"swtnas"
 	"swtnas/internal/obs"
+	"swtnas/internal/tensor"
 )
 
 // Serve-layer telemetry: submissions, quota rejections, the live search
@@ -143,6 +144,9 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, errors.New("serve: Config.DataDir is required")
+	}
+	if _, err := tensor.ParseDType(cfg.DefaultDType); err != nil {
+		return nil, fmt.Errorf("serve: Config.DefaultDType: %w", err)
 	}
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, err

@@ -184,7 +184,7 @@ func SimulateFleet(cfg FleetConfig) (FleetResult, error) {
 		if !fs.Serialized {
 			return t + cost
 		}
-		start := maxDur(t, fsFree)
+		start := max(t, fsFree)
 		fsFree = start + cost
 		return fsFree
 	}
@@ -220,12 +220,12 @@ func SimulateFleet(cfg FleetConfig) (FleetResult, error) {
 			res.Attempts++
 			t := ev.t
 			if dispatch > 0 {
-				start := maxDur(t, schedFree)
+				start := max(t, schedFree)
 				schedFree = start + dispatch
 				res.IOBusy += schedFree - t
 				t = schedFree
 			}
-			waits = append(waits, t-maxDur(ev.t, a.enqueue))
+			waits = append(waits, t-max(ev.t, a.enqueue))
 			task := cfg.Tasks[a.task]
 			if task.LoadParent {
 				ioEnd := fsOp(t, task.CheckpointBytes, fs.ReadBandwidth)

@@ -117,10 +117,3 @@ func (h *eventHeap) Pop() interface{} {
 	*h = old[:n-1]
 	return x
 }
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}

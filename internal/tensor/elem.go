@@ -7,13 +7,13 @@ import "math"
 // after the products. The Go loops at the bottom are the definition, and
 // what runs on every GOARCH but amd64, under the purego build tag, and over
 // the last elements of a call that do not fill a vector. On amd64 the rest
-// runs as one assembly body per kernel, dtype and vector width
-// (elem_amd64.s), chosen by the GEMMs' gemmVectorBytes; TestElemBodiesMatchGo
+// runs as one AVX2 body per kernel and dtype (elem_amd64.s), where the
+// GEMMs' gemmVectorBytes says the AVX2 kernels run; TestElemBodiesMatchGo
 // and FuzzElementwise hold each body to these loops bit for bit. Every lane
 // of a body does its loop's IEEE operations in their order — no reciprocal,
 // and no fused multiply-add except where math.Exp itself fuses: the Tanh and
-// Sigmoid bodies run Exp's FMA sequence lane for lane, at 32 bytes only, and
-// only where expFused says math.Exp takes that sequence.
+// Sigmoid bodies run Exp's FMA sequence lane for lane, and only where
+// expFused says math.Exp takes that sequence.
 
 // AdamCoefs are the scalars of one Adam update in the parameter's element
 // type. The moments and the weight are updated per element as

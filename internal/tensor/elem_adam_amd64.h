@@ -1,6 +1,5 @@
-// Body of the Adam kernel, written once for both element widths and both
-// vector widths and included under one TEXT line per combination
-// (elem_amd64.s), each of
+// Body of the Adam kernel, written once for both element widths and
+// included under one TEXT line per width (elem_amd64.s), each of
 //
 //	func(w, grad, m, v *T, n int, k *AdamCoefs[T])
 //

@@ -3,15 +3,15 @@
 // Elementwise kernels. Reference semantics (and required bit-for-bit
 // behavior) are the Go loops of elem.go: adamGo, reluGo, reluGradGo, tanhGo
 // and sigmoidGo. Each kernel is one body text, included once per element
-// width under each register file, like the tile kernels of gemm_amd64.s:
-// the vector macros are set once per register file, the element macros per
-// element width. Every arithmetic macro is one packed IEEE operation per
-// lane — no reciprocal estimate, no fused multiply-add — and x is its first
-// source:
+// width, like the tile kernels of gemm_amd64.s: the vector macros are set
+// once for the file, the element macros per element width. Every kernel is
+// AVX2, run only where gemm_amd64.go's CPUID check allows. Every arithmetic
+// macro is one packed IEEE operation per lane — no reciprocal estimate, no
+// fused multiply-add — and x is its first source:
 //
 //	BCAST(m, x)       element at m into every lane of x
 //	MULV(s, x)        x = x·s                 ADDV, SUBV, DIVV the same
-//	MULC(s, a, x)     x = a·s, a kept         (a copy and a MULV at 16 bytes)
+//	MULC(s, a, x)     x = a·s, a kept
 //	SQRTV(s, x)       x = sqrt(s)
 //	MAXV(s, x)        x = x > s ? x : s       (s for NaN and for ±0 pairs)
 //	CMPLT(b, a, m)    m = a < b ? all ones : 0
@@ -19,125 +19,6 @@
 
 #include "textflag.h"
 #include "elem_exp_amd64.h"
-
-// 16-byte vectors: SSE/SSE2, two-operand.
-#define VBYTES 16
-#define V0 X0
-#define V1 X1
-#define V2 X2
-#define V3 X3
-#define V4 X4
-#define V5 X5
-#define V6 X6
-#define V7 X7
-#define V8 X8
-#define V9 X9
-#define V10 X10
-#define V11 X11
-#define V12 X12
-#define V13 X13
-#define MOVV MOVUPS
-#define ZERO(x) XORPS x, x
-
-#define ESIZE 4
-#define ESHIFT 2
-#define BCAST(m, x) MOVSS m, x; SHUFPS $0x00, x, x
-#define MULV(s, x) MULPS s, x
-#define MULC(s, a, x) MOVAPS a, x; MULPS s, x
-#define ADDV(s, x) ADDPS s, x
-#define SUBV(s, x) SUBPS s, x
-#define DIVV(s, x) DIVPS s, x
-#define SQRTV(s, x) SQRTPS s, x
-#define MAXV(s, x) MAXPS s, x
-#define CMPLT(b, a, m) MOVAPS a, m; CMPPS b, m, $1
-#define ANDV(s, x) ANDPS s, x
-
-// func adamF32(w, grad, m, v *float32, n int, k *AdamCoefs[float32])
-TEXT ·adamF32(SB), NOSPLIT, $0-48
-#include "elem_adam_amd64.h"
-	RET
-
-// func reluF32(dst, x *float32, n int)
-TEXT ·reluF32(SB), NOSPLIT, $0-24
-#include "elem_relu_amd64.h"
-	RET
-
-// func reluGradF32(dst, x, grad *float32, n int)
-TEXT ·reluGradF32(SB), NOSPLIT, $0-32
-#include "elem_relu_grad_amd64.h"
-	RET
-
-#undef ESIZE
-#undef ESHIFT
-#undef BCAST
-#undef MULV
-#undef MULC
-#undef ADDV
-#undef SUBV
-#undef DIVV
-#undef SQRTV
-#undef MAXV
-#undef CMPLT
-#undef ANDV
-
-#define ESIZE 8
-#define ESHIFT 3
-#define BCAST(m, x) MOVSD m, x; UNPCKLPD x, x
-#define MULV(s, x) MULPD s, x
-#define MULC(s, a, x) MOVAPD a, x; MULPD s, x
-#define ADDV(s, x) ADDPD s, x
-#define SUBV(s, x) SUBPD s, x
-#define DIVV(s, x) DIVPD s, x
-#define SQRTV(s, x) SQRTPD s, x
-#define MAXV(s, x) MAXPD s, x
-#define CMPLT(b, a, m) MOVAPD a, m; CMPPD b, m, $1
-#define ANDV(s, x) ANDPD s, x
-
-// func adamF64(w, grad, m, v *float64, n int, k *AdamCoefs[float64])
-TEXT ·adamF64(SB), NOSPLIT, $0-48
-#include "elem_adam_amd64.h"
-	RET
-
-// func reluF64(dst, x *float64, n int)
-TEXT ·reluF64(SB), NOSPLIT, $0-24
-#include "elem_relu_amd64.h"
-	RET
-
-// func reluGradF64(dst, x, grad *float64, n int)
-TEXT ·reluGradF64(SB), NOSPLIT, $0-32
-#include "elem_relu_grad_amd64.h"
-	RET
-
-#undef ESIZE
-#undef ESHIFT
-#undef BCAST
-#undef MULV
-#undef MULC
-#undef ADDV
-#undef SUBV
-#undef DIVV
-#undef SQRTV
-#undef MAXV
-#undef CMPLT
-#undef ANDV
-
-#undef VBYTES
-#undef V0
-#undef V1
-#undef V2
-#undef V3
-#undef V4
-#undef V5
-#undef V6
-#undef V7
-#undef V8
-#undef V9
-#undef V10
-#undef V11
-#undef V12
-#undef V13
-#undef MOVV
-#undef ZERO
 
 // 32-byte vectors: VEX, three-operand, VZEROUPPER before every RET.
 #define VBYTES 32
@@ -189,9 +70,9 @@ TEXT ·reluGradF32AVX2(SB), NOSPLIT, $0-32
 	VZEROUPPER
 	RET
 
-// Tanh and Sigmoid exist at 32 bytes only: their exponential is math.Exp's
-// FMA sequence (EXPV, elem_exp_amd64.h), four float64 lanes at either
-// element width — a float32 vector is widened on load and narrowed on store.
+// Tanh and Sigmoid: their exponential is math.Exp's FMA sequence (EXPV,
+// elem_exp_amd64.h), four float64 lanes at either element width — a float32
+// vector is widened on load and narrowed on store.
 #define STEP 16
 #define LOAD4(m, y) VCVTPS2PD m, y
 #define STORE4(y, m) VCVTPD2PSY y, X15; VMOVUPS X15, m

@@ -198,14 +198,10 @@ func fuzzElem[T Float](t *testing.T, data []byte, l2 bool) {
 	k.L2 = l2
 	n := len(vals) / 4
 	ops := [][]T{vals[:n], vals[n : 2*n], vals[2*n : 3*n], vals[3*n : 4*n]}
-	bodies := []int{gemmVectorBytes}
-	if gemmVectorBytes != 8 {
-		bodies = []int{16}
-		if hostVectorBytes == 32 {
-			bodies = append(bodies, 32)
+	for _, vb := range []int{8, 32} {
+		if vb > hostVectorBytes {
+			continue
 		}
-	}
-	for _, vb := range bodies {
 		setBody(t, vb)
 		what := fmt.Sprintf("%s/vector_bytes=%d", DTypeFor[T](), vb)
 		expectTwin(t, what+"/ReLU", ops[:2], 0, n,
@@ -222,9 +218,9 @@ func fuzzElem[T Float](t *testing.T, data []byte, l2 bool) {
 }
 
 // BenchmarkElemBodies times the elementwise kernels per element, one call
-// over 32768 elements at both element types: the Go loops (vector_bytes=8)
-// and each body the host runs (Tanh and Sigmoid have none at 16 bytes, and
-// none at 32 where expPart rules them out). At a few thousand elements the branch
+// over 32768 elements at both element types: on the Go loops
+// (vector_bytes=8) and on the AVX2 bodies where the host runs them (for
+// Tanh and Sigmoid, where expPart does not rule them out). At a few thousand elements the branch
 // predictor learns the ReLU loops' random signs across iterations and flatters
 // them fourfold; at this size it cannot, as in a search. DESIGN.md §9.2's
 // elementwise table is this benchmark.
@@ -249,33 +245,28 @@ func benchElem[T Float](b *testing.B) {
 	}
 	k := adamCoefs[T](10, 0)
 	kernels := []struct {
-		name       string
-		loop, body func()
-		exp        bool // a Tanh/Sigmoid body: 32 bytes only, behind expPart
+		name string
+		run  func()
+		exp  bool // a Tanh/Sigmoid body, behind expPart
 	}{
-		{"adam", func() { adamGo(w, g, m, v, k) }, func() { AdamStep(w, g, m, v, k) }, false},
-		{"relu", func() { reluGo(dst, x) }, func() { ReLU(dst, x) }, false},
-		{"relu_grad", func() { reluGradGo(dst, x, g) }, func() { ReLUGrad(dst, x, g) }, false},
-		{"tanh", func() { tanhGo(dst, x) }, func() { Tanh(dst, x) }, true},
-		{"sigmoid", func() { sigmoidGo(dst, x) }, func() { Sigmoid(dst, x) }, true},
+		{"adam", func() { AdamStep(w, g, m, v, k) }, false},
+		{"relu", func() { ReLU(dst, x) }, false},
+		{"relu_grad", func() { ReLUGrad(dst, x, g) }, false},
+		{"tanh", func() { Tanh(dst, x) }, true},
+		{"sigmoid", func() { Sigmoid(dst, x) }, true},
 	}
 	for _, kn := range kernels {
-		for _, vb := range []int{8, 16, 32} {
+		for _, vb := range []int{8, 32} {
 			b.Run(fmt.Sprintf("%s/%s/vector_bytes=%d", kn.name, DTypeFor[T](), vb), func(b *testing.B) {
-				run := kn.body
-				switch {
-				case vb == 8:
-					run = kn.loop
-				case vb > hostVectorBytes:
+				if vb > hostVectorBytes {
 					b.Skipf("the %d-byte body cannot run here", vb)
-				default:
-					setBody(b, vb)
-					if kn.exp && expPart(n) == 0 {
-						b.Skipf("no %d-byte %s body runs here", vb, kn.name)
-					}
+				}
+				setBody(b, vb)
+				if vb == 32 && kn.exp && expPart(n) == 0 {
+					b.Skipf("no %d-byte %s body runs here", vb, kn.name)
 				}
 				for i := 0; i < b.N; i++ {
-					run()
+					kn.run()
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/elem")
 			})
@@ -290,11 +281,11 @@ func benchElem[T Float](b *testing.B) {
 // around the arguments where Sigmoid's Exp(−x) leaves the normal path
 // (x = −709.78…, where it overflows, and x = 708.39… and 744.44…, where it
 // goes subnormal and then to zero), ±0, ±Inf, NaNs, subnormals, uniform
-// ranges and random bit patterns. It needs the bodies: on a host or body
-// where expPart rules them out the kernels are their loops, and it skips.
+// ranges and random bit patterns. It needs the bodies: on a host where
+// expPart rules them out the kernels are their loops, and it skips.
 func TestExpBodiesMatchMath(t *testing.T) {
 	if expPart(1024) == 0 {
-		t.Skip("no Tanh or Sigmoid body runs here: no FMA, no AVX2 body, or math.Exp unfused (expFused)")
+		t.Skip("no Tanh or Sigmoid body runs here: no FMA, no AVX2, or math.Exp unfused (expFused)")
 	}
 	rng := rand.New(rand.NewSource(64))
 	var x []float64

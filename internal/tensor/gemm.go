@@ -13,12 +13,12 @@ import (
 // row-parallel execution below serve convolution and fully connected layers
 // alike. Output rows are the unit of sharding, and a product splits only
 // when each shard would hold at least the pool's grain of work (gemmCost):
-// under the 16-byte bodies and the Go loops a row costs k·n units in f32 and
-// twice that in f64, whose multiply-add measures twice as long, so at two
-// workers a product splits from about 4 M multiply-adds in f32 and 2 M in
-// f64; under the 32-byte bodies a multiply-add takes half as long and the
-// thresholds double — which the skinny conv products of a cifar10/mnist
-// search mostly are not either way.
+// under the AVX2 kernels a row costs k·n/2 units in f32 and twice that in
+// f64, whose multiply-add measures twice as long, so at two workers a
+// product splits from about 8 M multiply-adds in f32 and 4 M in f64; under
+// the Go loops a row costs twice the units and the thresholds halve — which
+// the skinny conv products of a cifar10/mnist search mostly are not either
+// way.
 //
 // Two levels of blocking (see DESIGN.md "Kernel architecture"):
 //
@@ -37,13 +37,13 @@ import (
 // (gemm_amd64.s): one assembly call per row shard and reduction tile, a
 // 4-row output tile held in vector registers across the whole tile. Gemm
 // and GemmAT share one kernel body (gemm_tile_amd64.h) instantiated at both
-// element widths, gemmTileF32 and gemmTileF64; GemmBT's order differs per
-// dtype, so it has a kernel per dtype (gemmBTTileF32, gemmBTTileF64). Each
-// exists at 16-byte vectors (SSE2, the amd64 baseline) and at 32 (AVX2,
-// chosen once per process by CPUID — gemm_amd64.go). Packed multiplies and
-// adds round each lane exactly like the scalar ones at either vector
-// width, no kernel has a fused multiply-add and Go never fuses one on
-// amd64, so every body is bit-identical to its loops.
+// element widths, gemmTileF32AVX2 and gemmTileF64AVX2; GemmBT's order
+// differs per dtype, so it has a kernel per dtype (gemmBTTileF32AVX2,
+// gemmBTTileF64AVX2). The kernels are AVX2, allowed or not once per process
+// by CPUID (gemm_amd64.go); an amd64 host without usable AVX2 runs the Go
+// loops. Packed multiplies and adds round each lane exactly like the scalar
+// ones, no kernel has a fused multiply-add and Go never fuses one on amd64,
+// so the kernels are bit-identical to their loops.
 //
 // The Go loops' block shapes are chosen empirically for Go's amd64 backend,
 // which spills scalar float64 locals beyond ~8 live accumulators: a 2-row ×
@@ -51,8 +51,8 @@ import (
 // (two a rows against four b rows), a 4-row fused axpy for GemmAT (one
 // loaded b row updates four dst rows). A 4×4 block written in Go — 16 live
 // sums plus operand temporaries — spills and measured *slower* than the
-// scalar loop; the assembly holds 4×4 f64 (4×8 f32) in eight XMM registers,
-// twice that in eight YMM, because it places every value itself.
+// scalar loop; the assembly holds 4×8 f64 (4×16 f32) in eight YMM
+// registers because it places every value itself.
 //
 // Determinism contract: K-tiles are always visited in ascending order, each
 // output element is written by exactly one shard, and every path adds an
@@ -94,9 +94,8 @@ var (
 	mGemmCalls   = obs.GetCounter("tensor.gemm.calls")
 	mGemmFlops   = obs.GetCounter("tensor.gemm.flops")
 	mGemmSeconds = obs.GetHistogram("tensor.gemm.seconds", obs.DurationBuckets)
-	// Which body produced the series above: 32 or 16 (the assembly at AVX2
-	// or SSE2 vectors), 8 for the Go loops. Two runs' GFLOP/s compare only
-	// when this agrees.
+	// Which body produced the series above: 32 for the AVX2 kernels, 8 for
+	// the Go loops. Two runs' GFLOP/s compare only when this agrees.
 	mGemmVectorBytes = obs.GetGauge("tensor.gemm.vector_bytes")
 )
 
@@ -109,9 +108,8 @@ func observeGemm(m, k, n int, t obs.Timer) {
 }
 
 // gemmCost states one output row's multiply-adds — madds of f32, passed
-// doubled for f64 — in the pool's unit, one f32 multiply-add of the 16-byte
-// body: the 32-byte bodies retire them at half the cost, so a two-way split
-// still needs the same time per shard.
+// doubled for f64 — in the pool's unit, two f32 multiply-adds of the AVX2
+// kernels. The Go loops are charged a unit per multiply-add.
 func gemmCost(madds int) int {
 	if gemmVectorBytes == 32 {
 		return madds / 2

@@ -5,23 +5,22 @@ package tensor
 // Tile kernels behind the products (gemm_amd64.s). Each product makes one
 // assembly call per row shard and reduction tile; the loops over rows,
 // columns and the reduction index run inside the call. Packed multiplies and
-// adds round each lane exactly like the scalar ops, at 16 bytes or at 32,
-// and no kernel fuses them, so the kernels are bit-identical to the Go loops
-// in gemm.go and gemm_f32.go — pinned by TestF64KernelsMatchGoTwins,
-// TestF32KernelsMatchGoTwins and the two shape sweeps, on every body the
-// host can run. The SSE2 bodies are the amd64 baseline (GOAMD64=v1) and need
-// no check; every kernel also exists at 32-byte vectors, and which set runs
-// is chosen once, below. The purego build tag selects the Go loops instead.
+// adds round each lane exactly like the scalar ops, and no kernel fuses
+// them, so the kernels are bit-identical to the Go loops in gemm.go and
+// gemm_f32.go — pinned by TestF64KernelsMatchGoTwins,
+// TestF32KernelsMatchGoTwins and the two shape sweeps. The kernels are AVX2;
+// whether they may run is decided once, below, and where they may not the
+// products run the Go loops, as under the purego build tag.
 
 // gemmVectorBytes is the vector width of the bodies the products run: 32
-// when the CPU has AVX2 and the OS saves the YMM state, 16 otherwise. It is
-// set once, here; only a _test.go file writes it again, to reach the SSE2
-// bodies on an AVX2 host.
+// when the CPU has AVX2 and the OS saves the YMM state, 8 (one float64: the
+// Go loops) otherwise. It is set once, here; only a _test.go file writes it
+// again, to run the Go loops on an AVX2 host.
 var gemmVectorBytes = func() int {
 	if detectAVX2(cpuid, xgetbv) {
 		return 32
 	}
-	return 16
+	return 8
 }()
 
 // cpuid executes CPUID with EAX = leaf and ECX = sub; xgetbv reads XCR0 and
@@ -29,7 +28,7 @@ var gemmVectorBytes = func() int {
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
-// detectAVX2 asks the two instructions whether the 32-byte body may run,
+// detectAVX2 asks the two instructions whether the 32-byte bodies may run,
 // reading XCR0 only once CPUID has said the instruction exists.
 func detectAVX2(cpuid func(leaf, sub uint32) (eax, ebx, ecx, edx uint32), xgetbv func() (eax, edx uint32)) bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
@@ -61,7 +60,7 @@ func avx2Usable(cpuid1ECX, cpuid7EBX, xcr0 uint32) bool {
 		cpuid7EBX&cpuidAVX2 != 0 && xcr0&xcr0YMM == xcr0YMM
 }
 
-// gemmTileF32 computes, for r < rows and j < n,
+// gemmTileF32AVX2 computes, for r < rows and j < n,
 //
 //	dst[r*n+j] = init[r*initStride+j] + Σ_t a[r*ars+t*ats]·b[t*n+j]
 //
@@ -69,64 +68,39 @@ func avx2Usable(cpuid1ECX, cpuid7EBX, xcr0 uint32) bool {
 // per term. A nil init starts every element at +0; init may be dst itself
 // (accumulate in place) or a bias row with stride 0. The (ars, ats) strides
 // make one kernel serve Gemm (a row-major: k, 1) and GemmAT (a read
-// transposed: 1, k).
-//
-//go:noescape
-func gemmTileF32(dst, init *float32, initStride int, a *float32, ars, ats int, b *float32, rows, kc, n int)
-
-// gemmTileF64 is gemmTileF32 on float64: the same body assembled with the
-// packed-double instructions.
-//
-//go:noescape
-func gemmTileF64(dst, init *float64, initStride int, a *float64, ars, ats int, b *float64, rows, kc, n int)
-
-// gemmTileF32AVX2 and gemmTileF64AVX2 are the same body again at 32-byte
-// vectors, VEX-encoded. Callable only where gemmVectorBytes is 32.
+// transposed: 1, k). Every kernel below is callable only where
+// gemmVectorBytes is 32.
 //
 //go:noescape
 func gemmTileF32AVX2(dst, init *float32, initStride int, a *float32, ars, ats int, b *float32, rows, kc, n int)
 
+// gemmTileF64AVX2 is gemmTileF32AVX2 on float64: the same body assembled
+// with the packed-double instructions.
+//
 //go:noescape
 func gemmTileF64AVX2(dst, init *float64, initStride int, a *float64, ars, ats int, b *float64, rows, kc, n int)
 
-// gemmBTTileF32 computes dst[r*ldd+c] = a[r*n:(r+1)*n] · b[c*n:(c+1)*n] for
-// r < rows and c < cols, every dot product in the lane order of dot4Go.
-//
-//go:noescape
-func gemmBTTileF32(dst *float32, ldd int, a, b *float32, rows, cols, n int)
-
-// gemmBTTileF64 computes the same block with every dot product one
-// j-ascending sum from +0, the order of gemmBT2x4. It needs rows ≥ 4,
-// cols ≥ 4 and n ≥ 1.
-//
-//go:noescape
-func gemmBTTileF64(dst *float64, ldd int, a, b *float64, rows, cols, n int)
-
-// gemmBTTileF32AVX2 and gemmBTTileF64AVX2 are the two GemmBT kernels at
-// 32-byte vectors: two dot4Go dots per register, four gemmBT2x4 outputs per
-// register (the f64 pair shares its walk over the output blocks,
-// gemm_bt_f64_amd64.h). Callable only where gemmVectorBytes is 32.
+// gemmBTTileF32AVX2 computes dst[r*ldd+c] = a[r*n:(r+1)*n] · b[c*n:(c+1)*n]
+// for r < rows and c < cols, every dot product in the lane order of dot4Go,
+// two dots per register.
 //
 //go:noescape
 func gemmBTTileF32AVX2(dst *float32, ldd int, a, b *float32, rows, cols, n int)
 
+// gemmBTTileF64AVX2 computes the same block with every dot product one
+// j-ascending sum from +0, the order of gemmBT2x4, four outputs per
+// register (the walk over the output blocks is gemm_bt_f64_amd64.h). It
+// needs rows ≥ 4, cols ≥ 4 and n ≥ 1.
+//
 //go:noescape
 func gemmBTTileF64AVX2(dst *float64, ldd int, a, b *float64, rows, cols, n int)
 
-// tileKernel is the signature the four tile kernels share.
+// tileKernel is the signature the two tile kernels share.
 type tileKernel[T Float] func(dst, init *T, initStride int, a *T, ars, ats int, b *T, rows, kc, n int)
 
-// body returns the kernel of the body in use: wide where the 32-byte
-// bodies may run, narrow otherwise.
-func body[K any](narrow, wide K) K {
-	if gemmVectorBytes == 32 {
-		return wide
-	}
-	return narrow
-}
-
-// The wrappers below do the one bounds check per operand that lets the
-// kernels run unchecked, then walk the reduction tiles in ascending order.
+// The wrappers below run the Go loops unless gemmVectorBytes is 32;
+// otherwise they do the one bounds check per operand that lets the kernels
+// run unchecked, then walk the reduction tiles in ascending order.
 
 func gemmRowsTile[T Float](tile tileKernel[T], dst, a, b []T, lo, hi, k, n int, bias []T) {
 	if lo >= hi || n == 0 {
@@ -159,43 +133,57 @@ func gemmATRowsTile[T Float](tile tileKernel[T], dst, a, b []T, lo, hi, m, k, n 
 }
 
 func gemmRowsF32(dst, a, b []float32, lo, hi, k, n int, bias []float32) {
-	gemmRowsTile(body(gemmTileF32, gemmTileF32AVX2), dst, a, b, lo, hi, k, n, bias)
+	if gemmVectorBytes != 32 {
+		gemmRowsGo(dst, a, b, lo, hi, k, n, bias)
+		return
+	}
+	gemmRowsTile(gemmTileF32AVX2, dst, a, b, lo, hi, k, n, bias)
 }
 
 func gemmRowsF64(dst, a, b []float64, lo, hi, k, n int, bias []float64) {
-	gemmRowsTile(body(gemmTileF64, gemmTileF64AVX2), dst, a, b, lo, hi, k, n, bias)
+	if gemmVectorBytes != 32 {
+		gemmRowsGoF64(dst, a, b, lo, hi, k, n, bias)
+		return
+	}
+	gemmRowsTile(gemmTileF64AVX2, dst, a, b, lo, hi, k, n, bias)
 }
 
 func gemmATRowsF32(dst, a, b []float32, lo, hi, m, k, n int) {
-	gemmATRowsTile(body(gemmTileF32, gemmTileF32AVX2), dst, a, b, lo, hi, m, k, n)
+	if gemmVectorBytes != 32 {
+		gemmATRowsGo(dst, a, b, lo, hi, m, k, n)
+		return
+	}
+	gemmATRowsTile(gemmTileF32AVX2, dst, a, b, lo, hi, m, k, n)
 }
 
 func gemmATRowsF64(dst, a, b []float64, lo, hi, m, k, n int) {
-	gemmATRowsTile(body(gemmTileF64, gemmTileF64AVX2), dst, a, b, lo, hi, m, k, n)
+	if gemmVectorBytes != 32 {
+		gemmATRowsGoF64(dst, a, b, lo, hi, m, k, n)
+		return
+	}
+	gemmATRowsTile(gemmTileF64AVX2, dst, a, b, lo, hi, m, k, n)
 }
 
 func gemmBTRowsF32(dst, a, b []float32, lo, hi, n, k int) {
-	if lo >= hi || k == 0 {
-		return
-	}
-	if n == 0 {
+	if gemmVectorBytes != 32 || n == 0 {
 		gemmBTRowsGo(dst, a, b, lo, hi, n, k)
 		return
 	}
+	if lo >= hi || k == 0 {
+		return
+	}
 	d, ar, br := dst[lo*k:hi*k], a[lo*n:hi*n], b[:k*n]
-	tile := body(gemmBTTileF32, gemmBTTileF32AVX2)
 	for k0 := 0; k0 < k; k0 += gemmKBlock {
-		tile(&d[k0], k, &ar[0], &br[k0*n], hi-lo, min(gemmKBlock, k-k0), n)
+		gemmBTTileF32AVX2(&d[k0], k, &ar[0], &br[k0*n], hi-lo, min(gemmKBlock, k-k0), n)
 	}
 }
 
 func gemmBTRowsF64(dst, a, b []float64, lo, hi, n, k int) {
-	if hi-lo < 4 || k < 4 || n == 0 {
+	if gemmVectorBytes != 32 || hi-lo < 4 || k < 4 || n == 0 {
 		gemmBTRowsGoF64(dst, a, b, lo, hi, n, k)
 		return
 	}
 	d, ar, br := dst[lo*k:hi*k], a[lo*n:hi*n], b[:k*n]
-	tile := body(gemmBTTileF64, gemmBTTileF64AVX2)
 	for k0 := 0; k0 < k; {
 		// The kernel needs four columns, so a remainder of one to three
 		// rides with the last full tile.
@@ -203,7 +191,7 @@ func gemmBTRowsF64(dst, a, b []float64, lo, hi, n, k int) {
 		if kc >= gemmKBlock+4 {
 			kc = gemmKBlock
 		}
-		tile(&d[k0], k, &ar[0], &br[k0*n], hi-lo, kc, n)
+		gemmBTTileF64AVX2(&d[k0], k, &ar[0], &br[k0*n], hi-lo, kc, n)
 		k0 += kc
 	}
 }

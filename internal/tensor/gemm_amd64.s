@@ -5,11 +5,10 @@
 // there for the accumulation-order contracts. One call covers a whole row
 // block of one reduction tile: the loops over rows, column chunks and the
 // reduction index all run here, with the output tile held in vector
-// registers from its first multiply-add to its last. The baseline bodies use
-// only SSE/SSE2 instructions; the AVX2 bodies (the …AVX2 symbols) are
-// reached only after the CPUID check of gemm_amd64.go. Neither has a fused
+// registers from its first multiply-add to its last. Every kernel is AVX2,
+// reached only after the CPUID check of gemm_amd64.go, and has no fused
 // multiply-add: the packed multiplies and adds round each lane exactly like
-// the scalar ones the Go loops compile to, at 16 bytes or at 32.
+// the scalar ones the Go loops compile to.
 
 #include "textflag.h"
 
@@ -34,105 +33,23 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func gemmTileF32(dst, init *float32, initStride int, a *float32, ars, ats int, b *float32, rows, kc, n int)
-// func gemmTileF64(dst, init *float64, initStride int, a *float64, ars, ats int, b *float64, rows, kc, n int)
-// func gemmTileF32AVX2, gemmTileF64AVX2: the same
+// func gemmTileF32AVX2(dst, init *float32, initStride int, a *float32, ars, ats int, b *float32, rows, kc, n int)
+// func gemmTileF64AVX2(dst, init *float64, initStride int, a *float64, ars, ats int, b *float64, rows, kc, n int)
 //
 //	acc         = init[r*initStride+j]   (0 when init is nil)
 //	acc        += a[r*ars+t*ats] * b[t*n+j]   for t = 0 … kc-1, in that order
 //	dst[r*n+j]  = acc
 //
 // for r < rows, j < n. Rows are taken four at a time and columns in chunks
-// of two vectors, then one, (then one XMM where a vector is a YMM,) then
-// single columns, so a 4-row tile always has four independent add chains in
-// flight whatever n is. A last tile of fewer than four rows runs the same
+// of two vectors, then one, then one XMM, then single columns, so a 4-row
+// tile always has four independent add chains in flight whatever n is. A last tile of fewer than four rows runs the same
 // code with the missing rows' pointers aliasing its last real row: they
 // recompute that row's values and store them to that row's address a second
 // time, which costs no branch in the loops and keeps every load and store
 // inside the operands.
 //
-// One body, gemm_tile_amd64.h, instantiated at each element width under each
-// register file: the element macros are set per TEXT, the vector macros once
-// per file.
-
-// 16-byte vectors: SSE2, two-operand.
-#define VBYTES 16
-#define V0 X0
-#define V1 X1
-#define V2 X2
-#define V3 X3
-#define V4 X4
-#define V5 X5
-#define V6 X6
-#define V7 X7
-#define V8 X8
-#define V9 X9
-#define V10 X10
-#define V11 X11
-#define V12 X12
-#define V13 X13
-#define MOVV MOVUPS
-#define ZERO(x) XORPS x, x
-#define MULC(s, a, x) MOVAPS a, x; MULV(s, x)
-
-#define ESIZE 4
-#define ESHIFT 2
-#define MOV1 MOVSS
-#define MUL1(s, x) MULSS s, x
-#define ADD1(s, x) ADDSS s, x
-#define MULV(s, x) MULPS s, x
-#define ADDV(s, x) ADDPS s, x
-#define BCAST(m, x) MOVSS m, x; SHUFPS $0x00, x, x
-TEXT ·gemmTileF32(SB), NOSPLIT, $64-80
-#include "gemm_tile_amd64.h"
-	RET
-#undef ESIZE
-#undef ESHIFT
-#undef MOV1
-#undef MUL1
-#undef ADD1
-#undef MULV
-#undef ADDV
-#undef BCAST
-
-#define ESIZE 8
-#define ESHIFT 3
-#define MOV1 MOVSD
-#define MUL1(s, x) MULSD s, x
-#define ADD1(s, x) ADDSD s, x
-#define MULV(s, x) MULPD s, x
-#define ADDV(s, x) ADDPD s, x
-#define BCAST(m, x) MOVSD m, x; UNPCKLPD x, x
-TEXT ·gemmTileF64(SB), NOSPLIT, $64-80
-#include "gemm_tile_amd64.h"
-	RET
-#undef ESIZE
-#undef ESHIFT
-#undef MOV1
-#undef MUL1
-#undef ADD1
-#undef MULV
-#undef ADDV
-#undef BCAST
-
-#undef VBYTES
-#undef V0
-#undef V1
-#undef V2
-#undef V3
-#undef V4
-#undef V5
-#undef V6
-#undef V7
-#undef V8
-#undef V9
-#undef V10
-#undef V11
-#undef V12
-#undef V13
-#undef MOVV
-#undef ZERO
-#undef MULC
+// One body, gemm_tile_amd64.h, instantiated at each element width: the
+// element macros are set per TEXT, the vector macros once for the file.
 
 // 32-byte vectors: VEX, three-operand, the broadcast on the load port.
 #define VBYTES 32
@@ -192,177 +109,21 @@ TEXT ·gemmTileF64AVX2(SB), NOSPLIT, $64-80
 #include "gemm_tile_amd64.h"
 	VZEROUPPER
 	RET
-#undef ESIZE
-#undef ESHIFT
-#undef MOV1
-#undef MUL1
-#undef ADD1
-#undef MULV
-#undef MULC
-#undef ADDV
-#undef BCAST
-#undef BCASTH
 
-// func gemmBTTileF32(dst *float32, ldd int, a, b *float32, rows, cols, n int)
+// func gemmBTTileF32AVX2(dst *float32, ldd int, a, b *float32, rows, cols, n int)
 //
 //	dst[r*ldd+c] = a[r*n : (r+1)*n] · b[c*n : (c+1)*n]   for r < rows, c < cols
 //
 // each dot product in the pinned order of dot4Go/dot1Go: lane l sums the
 // products of elements j ≡ l (mod 4) in ascending j starting from +0, the
 // lanes reduce as (s0+s2)+(s1+s3), then the elements past n&^3 are added in
-// ascending order. Four b rows are taken against one a row at a time — four
-// independent chains — and their four lane vectors are reduced together:
-// two half-swaps form (s0+s2, s1+s3) for two dots per vector, an even/odd
-// split forms the final sums of all four in one vector, stored with one
-// MOVUPS. A last group of fewer than four columns aliases the missing b
-// rows to its last real one and stores only the real columns.
-//
-// Registers: DI a row, BX dst row, R12 rows left, R13 n in bytes, R14 the
-// bytes of n&^3, R15 ldd in bytes; per group R8–R11 b rows, SI dst pointer,
-// AX columns in the group, CX columns left, DX byte offset along the dot.
-TEXT ·gemmBTTileF32(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), BX
-	MOVQ ldd+8(FP), R15
-	SHLQ $2, R15
-	MOVQ a+16(FP), DI
-	MOVQ rows+32(FP), R12
-	MOVQ n+48(FP), R13
-	SHLQ $2, R13
-	MOVQ R13, R14
-	ANDQ $-16, R14
-
-bt_rows:
-	TESTQ R12, R12
-	JLE   bt_done
-	MOVQ  b+24(FP), R8
-	MOVQ  cols+40(FP), CX
-	MOVQ  BX, SI
-
-bt_cols:
-	TESTQ CX, CX
-	JLE   bt_next_row
-	CMPQ  CX, $4
-	JLT   bt_clamp
-	MOVQ  $4, AX
-	LEAQ  (R8)(R13*1), R9
-	LEAQ  (R8)(R13*2), R10
-	LEAQ  (R9)(R13*2), R11
-	JMP   bt_dot
-
-bt_clamp: // 1 to 3 columns left
-	MOVQ CX, AX
-	MOVQ R8, R9
-	CMPQ AX, $2
-	JLT  bt_clamp2
-	ADDQ R13, R9
-
-bt_clamp2:
-	MOVQ R9, R10
-	CMPQ AX, $3
-	JLT  bt_clamp3
-	ADDQ R13, R10
-
-bt_clamp3:
-	MOVQ R10, R11
-
-bt_dot:
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORQ  DX, DX
-	CMPQ  DX, R14
-	JGE   bt_hsum
-
-bt_lanes:
-	MOVUPS (DI)(DX*1), X4
-	MOVUPS (R8)(DX*1), X5
-	MULPS  X4, X5
-	ADDPS  X5, X0
-	MOVUPS (R9)(DX*1), X6
-	MULPS  X4, X6
-	ADDPS  X6, X1
-	MOVUPS (R10)(DX*1), X7
-	MULPS  X4, X7
-	ADDPS  X7, X2
-	MOVUPS (R11)(DX*1), X8
-	MULPS  X4, X8
-	ADDPS  X8, X3
-	ADDQ   $16, DX
-	CMPQ   DX, R14
-	JLT    bt_lanes
-
-bt_hsum:
-	MOVAPS  X0, X4
-	MOVLHPS X1, X4       // X4 = dot0[s0 s1] dot1[s0 s1]
-	MOVHLPS X0, X1       // X1 = dot0[s2 s3] dot1[s2 s3]
-	ADDPS   X1, X4       // X4 = dot0[s0+s2 s1+s3] dot1[s0+s2 s1+s3]
-	MOVAPS  X2, X5
-	MOVLHPS X3, X5
-	MOVHLPS X2, X3
-	ADDPS   X3, X5       // X5 = the same for dot2, dot3
-	MOVAPS  X4, X6
-	SHUFPS  $0x88, X5, X4 // X4 = s0+s2 of dot0..dot3
-	SHUFPS  $0xDD, X5, X6 // X6 = s1+s3 of dot0..dot3
-	ADDPS   X6, X4       // X4 = (s0+s2)+(s1+s3) of dot0..dot3
-	CMPQ    DX, R13
-	JGE     bt_store
-
-bt_tail: // elements past n&^3, ascending, all four dots per step
-	MOVSS    (DI)(DX*1), X5
-	SHUFPS   $0x00, X5, X5
-	MOVSS    (R8)(DX*1), X6
-	MOVSS    (R9)(DX*1), X7
-	UNPCKLPS X7, X6
-	MOVSS    (R10)(DX*1), X7
-	MOVSS    (R11)(DX*1), X8
-	UNPCKLPS X8, X7
-	MOVLHPS  X7, X6
-	MULPS    X5, X6
-	ADDPS    X6, X4
-	ADDQ     $4, DX
-	CMPQ     DX, R13
-	JLT      bt_tail
-
-bt_store:
-	CMPQ   AX, $4
-	JLT    bt_store_part
-	MOVUPS X4, (SI)
-	ADDQ   $16, SI
-	LEAQ   (R8)(R13*4), R8
-	SUBQ   $4, CX
-	JMP    bt_cols
-
-bt_store_part: // the last group of the row
-	MOVSS  X4, (SI)
-	CMPQ   AX, $2
-	JLT    bt_next_row
-	PSHUFD $0x55, X4, X5
-	MOVSS  X5, 4(SI)
-	CMPQ   AX, $3
-	JLT    bt_next_row
-	PSHUFD $0xAA, X4, X5
-	MOVSS  X5, 8(SI)
-
-bt_next_row:
-	ADDQ R13, DI
-	ADDQ R15, BX
-	DECQ R12
-	JMP  bt_rows
-
-bt_done:
-	RET
-
-// func gemmBTTileF32AVX2(dst *float32, ldd int, a, b *float32, rows, cols, n int)
-//
-// gemmBTTileF32 at 32-byte vectors. A dot product's four lanes are the
-// contract (dot4Go), so a YMM register holds two dots side by side, one per
-// 128-bit half: two a rows are taken against four b rows at a time — Y0, Y1
-// the first a row against b rows (0|1) and (2|3), Y2, Y3 the second — four
-// independent chains, each loaded b pair serving both a rows. The pair's
-// eight dots are then reduced together, each as gemmBTTileF32 reduces its
-// own — (s0+s2)+(s1+s3) — into one XMM of four results per a row, and the
-// tail elements are added the same way. A last single row runs as a pair
+// ascending order. A dot product's four lanes are the contract, so a YMM
+// register holds two dots side by side, one per 128-bit half: two a rows
+// are taken against four b rows at a time — Y0, Y1 the first a row against
+// b rows (0|1) and (2|3), Y2, Y3 the second — four independent chains, each
+// loaded b pair serving both a rows. The pair's eight dots are then reduced
+// together into one XMM of four results per a row, and the tail elements
+// are added the same way. A last single row runs as a pair
 // whose second row aliases the first, in a and in dst; a last group of
 // fewer than four columns aliases the missing b rows to its last real one
 // and stores only the real columns.
@@ -521,8 +282,8 @@ btw_next_rows:
 btw_done:
 	VZEROUPPER
 	RET
-// func gemmBTTileF64(dst *float64, ldd int, a, b *float64, rows, cols, n int)
-// func gemmBTTileF64AVX2: the same
+
+// func gemmBTTileF64AVX2(dst *float64, ldd int, a, b *float64, rows, cols, n int)
 //
 //	dst[r*ldd+c] = a[r*n : (r+1)*n] · b[c*n : (c+1)*n]   for r < rows, c < cols
 //
@@ -533,59 +294,9 @@ btw_done:
 // last group of fewer than four rows (or columns) is taken as the last
 // four, recomputing and re-storing up to three with the same values.
 //
-// One walk over the blocks, gemm_bt_f64_amd64.h, with the block defined at
-// each vector width.
-
-// 16 bytes: two outputs per register. X(2r) accumulates a row r against b
-// rows 0, 1 and X(2r+1) against b rows 2, 3.
-#define BTD_ZERO \
-	XORPS X0, X0; \
-	XORPS X1, X1; \
-	XORPS X2, X2; \
-	XORPS X3, X3; \
-	XORPS X4, X4; \
-	XORPS X5, X5; \
-	XORPS X6, X6; \
-	XORPS X7, X7
-#define BTD_ROW(ar, t0, t1, acc0, acc1) \
-	MOVSD    (ar)(DX*1), t0; \
-	UNPCKLPD t0, t0; \
-	MOVAPS   t0, t1; \
-	MULPD    X8, t0; \
-	MULPD    X9, t1; \
-	ADDPD    t0, acc0; \
-	ADDPD    t1, acc1
-#define BTD_STEP \
-	MOVSD  (R12)(DX*1), X8; \
-	MOVHPD (R13)(DX*1), X8; \
-	MOVSD  (R14)(DX*1), X9; \
-	MOVHPD (R15)(DX*1), X9; \
-	BTD_ROW(R8, X10, X11, X0, X1); \
-	BTD_ROW(R9, X12, X13, X2, X3); \
-	BTD_ROW(R10, X10, X11, X4, X5); \
-	BTD_ROW(R11, X12, X13, X6, X7)
-#define BTD_STORE \
-	MOVUPS X0, (BX); \
-	MOVUPS X1, 16(BX); \
-	LEAQ   (BX)(DI*1), AX; \
-	MOVUPS X2, (AX); \
-	MOVUPS X3, 16(AX); \
-	LEAQ   (BX)(DI*2), AX; \
-	MOVUPS X4, (AX); \
-	MOVUPS X5, 16(AX); \
-	ADDQ   DI, AX; \
-	MOVUPS X6, (AX); \
-	MOVUPS X7, 16(AX)
-TEXT ·gemmBTTileF64(SB), NOSPLIT, $16-56
-#include "gemm_bt_f64_amd64.h"
-	RET
-#undef BTD_ZERO
-#undef BTD_ROW
-#undef BTD_STEP
-#undef BTD_STORE
-
-// 32 bytes: four outputs per register. Y(r) accumulates a row r against b
-// rows 0–3, whose elements are gathered into Y8.
+// The walk over the blocks is gemm_bt_f64_amd64.h; the block is defined
+// here, four outputs per register: Y(r) accumulates a row r against b rows
+// 0–3, whose elements are gathered into Y8.
 #define BTD_ZERO \
 	VXORPS Y0, Y0, Y0; \
 	VXORPS Y1, Y1, Y1; \
@@ -617,7 +328,3 @@ TEXT ·gemmBTTileF64AVX2(SB), NOSPLIT, $16-56
 #include "gemm_bt_f64_amd64.h"
 	VZEROUPPER
 	RET
-#undef BTD_ZERO
-#undef BTD_ROW
-#undef BTD_STEP
-#undef BTD_STORE

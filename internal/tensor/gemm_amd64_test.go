@@ -4,20 +4,17 @@ package tensor
 
 import (
 	"bufio"
-	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-
-	"swtnas/internal/parallel"
 )
 
 // TestAVX2Usable pins the feature decision as a function of the three
-// words it reads: every way a host can fall short gets the SSE2 body, and
-// only the all-set case gets the wide one.
+// words it reads: every way a host can fall short gets the Go loops, and
+// only the all-set case gets the AVX2 kernels.
 func TestAVX2Usable(t *testing.T) {
 	const ecxAll = cpuidOSXSAVE | cpuidAVX
 	cases := []struct {
@@ -78,8 +75,8 @@ func TestDetectAVX2(t *testing.T) {
 	if detectAVX2(cpu(6, ecxAll, cpuidAVX2), xcr0(0x7)) {
 		t.Error("a host whose highest CPUID leaf is 6 was accepted")
 	}
-	if got := detectAVX2(cpuid, xgetbv); !*forceSSE2 && got != (gemmVectorBytes == 32) {
-		t.Errorf("detectAVX2 on this host = %v, but init chose %d-byte vectors", got, gemmVectorBytes)
+	if got := detectAVX2(cpuid, xgetbv); got != (hostVectorBytes == 32) {
+		t.Errorf("detectAVX2 on this host = %v, but init chose %d-byte vectors", got, hostVectorBytes)
 	}
 }
 
@@ -96,9 +93,8 @@ func transposed[T Float](a []T, rows, cols int) []T {
 
 // tileLadder calls one tile kernel directly — which no product does with
 // kc = 0 or kc > gemmKBlock, both inside the kernel's contract — over every
-// column count of the ladder at both vector widths (two vectors, one, the
-// XMM half, single columns: n = 1…40 covers each combination in f32 and
-// f64), every row count through two full tiles and a tail, the reduction
+// column count of the ladder (two vectors, one, the XMM half, single
+// columns: n = 1…40 covers each combination in f32 and f64), every row count through two full tiles and a tail, the reduction
 // lengths around a tile, both stride pairs and all three kinds of init,
 // with IEEE specials among the operands. The oracle is the Go loops: rows
 // rowsGo(bias) for a nil or bias init, atGo for init = dst, each fed a or
@@ -160,15 +156,17 @@ func tileLadder[T Float](t *testing.T, tile tileKernel[T], special func(*rand.Ra
 	}
 }
 
+// The ladders call the AVX2 kernels themselves, so they run on that body
+// only.
 func TestTileKernelLadderF32(t *testing.T) {
-	eachBody(t, func(t *testing.T) {
-		tileLadder(t, body(gemmTileF32, gemmTileF32AVX2), specialSliceF32, sameBitsF32, gemmRowsGo, gemmATRowsGo)
+	onBody(t, 32, func(t *testing.T) {
+		tileLadder(t, gemmTileF32AVX2, specialSliceF32, sameBitsF32, gemmRowsGo, gemmATRowsGo)
 	})
 }
 
 func TestTileKernelLadderF64(t *testing.T) {
-	eachBody(t, func(t *testing.T) {
-		tileLadder(t, body(gemmTileF64, gemmTileF64AVX2), specialSlice, sameBitsF64, gemmRowsGoF64, gemmATRowsGoF64)
+	onBody(t, 32, func(t *testing.T) {
+		tileLadder(t, gemmTileF64AVX2, specialSlice, sameBitsF64, gemmRowsGoF64, gemmATRowsGoF64)
 	})
 }
 
@@ -244,8 +242,8 @@ func readAsm(t *testing.T, file string, defs map[string]string, texts *[]asmText
 // TestAssemblySource reads the kernels as text. Every TEXT that names a YMM
 // register — directly or through a macro — must execute VZEROUPPER
 // immediately before each RET, or the Go code it returns to pays the
-// SSE/AVX transition on its next scalar float instruction; only the …AVX2
-// kernels name one; and the arithmetic contract has no reciprocal or
+// SSE/AVX transition on its next scalar float instruction; every kernel is
+// an …AVX2 one and names one (cpuid and xgetbv name none); and the arithmetic contract has no reciprocal or
 // reciprocal-square-root estimate and no 64-byte vectors, so none may
 // appear in any instruction, written out or behind a macro. Fused
 // multiply-adds appear exactly in the Tanh and Sigmoid texts, whose EXPV is
@@ -289,7 +287,7 @@ func TestAssemblySource(t *testing.T) {
 				t.Errorf("%s: %s: no RET found: the scan lost the function", f, tx.name)
 			}
 			if usesYMM != strings.Contains(tx.name, "AVX2(SB)") {
-				t.Errorf("%s: %s: uses YMM registers = %v, but exactly the …AVX2 kernels run at 32 bytes", f, tx.name, usesYMM)
+				t.Errorf("%s: %s: uses YMM registers = %v, but exactly the …AVX2 kernels are vector code", f, tx.name, usesYMM)
 			}
 			if usesYMM {
 				wide++
@@ -304,54 +302,5 @@ func TestAssemblySource(t *testing.T) {
 	}
 	if wide != 14 || exps != 4 {
 		t.Errorf("%d TEXT symbols use YMM registers and %d are exp texts, want the 14 AVX2 kernels (4 products, 10 elementwise) and 4: the scan no longer sees them", wide, exps)
-	}
-}
-
-// BenchmarkGemmTileBodies measures the three products at the shapes the
-// searches issue (the f32 and f64 lists of BenchmarkGemmF32Shapes and
-// BenchmarkGemmF64Shapes in the root package) on each body the host can
-// run, single-threaded, nominal 2·m·k·n GFLOP/s. The table in DESIGN.md
-// §9.2 is this benchmark, several interleaved runs of it.
-func BenchmarkGemmTileBodies(b *testing.B) {
-	benchBodies[float32](b, "f32", [][3]int{{57600, 27, 4}, {57600, 27, 16}, {14400, 72, 8}, {14400, 144, 16}, {64, 256, 128}})
-	benchBodies[float64](b, "f64", [][3]int{{32, 4000, 128}, {32, 1000, 64}, {8000, 5, 8}, {8000, 7, 16}, {32, 96, 128}, {32, 448, 128}})
-}
-
-func benchBodies[T Float](b *testing.B, dtype string, shapes [][3]int) {
-	defer parallel.SetWorkers(parallel.SetWorkers(1))
-	rng := rand.New(rand.NewSource(27))
-	randn := func(n int) []T {
-		v := make([]T, n)
-		for i := range v {
-			v[i] = T(rng.NormFloat64())
-		}
-		return v
-	}
-	for _, s := range shapes {
-		m, k, n := s[0], s[1], s[2]
-		x, w, g := randn(m*k), randn(k*n), randn(m*n)
-		out, dx, dw := make([]T, m*n), make([]T, m*k), make([]T, k*n)
-		ops := []struct {
-			name string
-			run  func()
-		}{
-			{"Gemm", func() { Gemm(out, x, w, m, k, n, nil) }},
-			{"GemmBT", func() { GemmBT(dx, g, w, m, n, k) }},
-			{"GemmAT", func() { GemmAT(dw, x, g, m, k, n) }},
-		}
-		for _, op := range ops {
-			for _, vb := range []int{16, 32} {
-				b.Run(fmt.Sprintf("%s/op=%s/%dx%dx%d/vector_bytes=%d", dtype, op.name, m, k, n, vb), func(b *testing.B) {
-					if vb > hostVectorBytes {
-						b.Skipf("the %d-byte body cannot run here", vb)
-					}
-					setBody(b, vb)
-					for i := 0; i < b.N; i++ {
-						op.run()
-					}
-					b.ReportMetric(2*float64(m)*float64(k)*float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-				})
-			}
-		}
 	}
 }

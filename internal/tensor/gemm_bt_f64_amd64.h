@@ -1,5 +1,5 @@
-// Body of the f64 GemmBT kernel, written once for both vector widths and
-// included under one TEXT line per width (gemm_amd64.s), each of
+// Body of the f64 GemmBT kernel, included under its TEXT line
+// (gemm_amd64.s),
 //
 //	func(dst *float64, ldd int, a, b *float64, rows, cols, n int)
 //

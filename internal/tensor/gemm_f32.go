@@ -22,13 +22,12 @@ package tensor
 //     dtype.
 //
 // This file is the definition: plain Go loops over the four order-explicit
-// primitives at the bottom. On amd64 the products run as tile kernels
-// instead (gemm_amd64.s; SSE2 vectors, or AVX2 where CPUID allows): one
-// assembly call per row shard and reduction tile, the output tile held in
-// registers across the whole tile. A packed multiply or add rounds each
-// lane exactly like MULSS/ADDSS at either vector width, no kernel fuses
-// them and Go never does on amd64, so the assembly is bit-identical to
-// these loops (pinned by TestGemmF32ShapeSweep and
+// primitives at the bottom. On an amd64 host with AVX2 the products run as
+// tile kernels instead (gemm_amd64.s): one assembly call per row shard and
+// reduction tile, the output tile held in registers across the whole tile.
+// A packed multiply or add rounds each lane exactly like MULSS/ADDSS, no
+// kernel fuses them and Go never does on amd64, so the assembly is
+// bit-identical to these loops (pinned by TestGemmF32ShapeSweep and
 // TestF32KernelsMatchGoTwins on every body the host runs). Other
 // GOARCHes, and amd64 under the purego build tag, run the loops directly
 // (gemm_noasm.go). Either way the arithmetic of an element is a pure

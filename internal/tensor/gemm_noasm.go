@@ -9,8 +9,9 @@ package tensor
 // vector body.
 
 // gemmVectorBytes is what the tensor.gemm.vector_bytes gauge reports where
-// the products are scalar Go: one float64. A variable only so that the
-// _test.go hooks that write gemm_amd64.go's by name link on this build too.
+// the products are scalar Go: one float64, as on an amd64 host without
+// usable AVX2. A variable only so that the _test.go hooks that write
+// gemm_amd64.go's by name link on this build too.
 var gemmVectorBytes = 8
 
 func gemmRowsF32(dst, a, b []float32, lo, hi, k, n int, bias []float32) {

@@ -1,37 +1,34 @@
 // Body of the GEMM tile kernel, written once for both element widths and
-// both vector widths and included under one TEXT line per combination
-// (gemm_amd64.s), each of
+// included under one TEXT line per width (gemm_amd64.s), each of
 //
 //	func(dst, init *T, initStride int, a *T, ars, ats int, b *T, rows, kc, n int)
 //
 // with frame $64-80. The text falls out of its last line when the tile is
-// done: the including TEXT supplies the return (VZEROUPPER first where the
-// vectors are YMM). The including file defines, and #undefs afterwards:
+// done: the including TEXT supplies the return, VZEROUPPER first. The
+// including file defines:
 //
 //	ESIZE, ESHIFT     bytes per element and their log2
-//	MOV1              scalar load/store            MOVSS    VMOVSD …
+//	MOV1              scalar load/store            VMOVSS   VMOVSD
 //	MUL1(s, x)        scalar x *= s
 //	ADD1(s, x)        scalar x += s
-//	VBYTES            bytes per vector, 16 or 32
-//	V0 … V13          the vector registers, X0 … X13 or Y0 … Y13
-//	MOVV              packed load/store            MOVUPS   VMOVUPS
+//	VBYTES            bytes per vector, 32
+//	V0 … V13          the vector registers, Y0 … Y13
+//	MOVV              packed load/store            VMOVUPS
 //	ZERO(x)           x = +0 in every lane
 //	BCAST(m, x)       element at m into every lane of x
+//	BCASTH(m, x)      BCAST into an XMM register (the VEX multiply and add
+//	                  take either register size)
 //	MULV(s, x)        packed x *= s
-//	MULC(s, a, x)     packed x = a * s, a kept     (a copy and a MULV at 16 bytes)
+//	MULC(s, a, x)     packed x = a * s, a kept
 //	ADDV(s, x)        packed x += s
 //
-// and, only where a vector is 32 bytes, BCASTH(m, x): BCAST into an XMM
-// register (the VEX multiply and add take either register size).
-//
-// Every operation is one IEEE multiply or one IEEE add per lane whatever
-// its encoding; the products always have the a element as first source and
-// the sums the accumulator, as the two-operand forms do. Packed moves and
-// the zeroing XOR are bitwise, so the PS forms serve both element widths.
-// Everything below that is not a row stride counts in bytes, so the column
-// ladder — two vectors, one vector, (one XMM under YMM vectors,) one element
-// — and every address computation are the same text in all four kernels.
-// A VEX instantiation is VEX throughout, scalar column included: no legacy
+// Every operation is one IEEE multiply or one IEEE add per lane; the
+// products always have the a element as first source and the sums the
+// accumulator. Packed moves and the zeroing XOR are bitwise, so the PS forms
+// serve both element widths. Everything below that is not a row stride
+// counts in bytes, so the column ladder — two vectors, one vector, one XMM,
+// one element — and every address computation are the same text in both
+// kernels. The text is VEX throughout, scalar column included: no legacy
 // SSE instruction runs while the upper YMM halves are live.
 //
 // Registers: R8–R11 a pointers of the tile's rows, R12 ats in bytes, R13
@@ -127,10 +124,8 @@ tile_cols:
 	JGE  tile_v2
 	CMPQ AX, $VBYTES
 	JGE  tile_v1
-#ifdef BCASTH
 	CMPQ AX, $16
 	JGE  tile_h1
-#endif
 	CMPQ AX, $ESIZE
 	JGE  tile_e1
 
@@ -270,9 +265,8 @@ v1_store:
 	ADDQ $VBYTES, R14
 	JMP  tile_rewind
 
-#ifdef BCASTH
-	// 4 rows × the XMM half of a vector (16 to 31 bytes of the row left
-	// under YMM vectors): the one-vector chunk again on X0–X3 and X8.
+	// 4 rows × the XMM half of a vector (16 to 31 bytes of the row left):
+	// the one-vector chunk again on X0–X3 and X8.
 tile_h1:
 	CMPQ init+8(FP), $0
 	JEQ  h1_reduce
@@ -323,7 +317,6 @@ h1_store:
 	MOVV X3, (AX)(R14*1)
 	ADDQ $16, R14
 	JMP  tile_rewind
-#endif
 
 	// 4 rows × 1 element (the columns past the last whole vector): the
 	// same sequence on scalars, in lane 0 of X0–X3, X8 and X10–X13.

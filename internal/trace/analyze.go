@@ -157,10 +157,3 @@ func (t *Trace) ScoreQuantiles(q int) []float64 {
 	}
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -78,10 +78,10 @@ func TestSearchMetricsSmoke(t *testing.T) {
 			t.Errorf("counter %q = %d, want > 0", name, doc.Counters[name])
 		}
 	}
-	// Which GEMM body produced the series: the assembly at AVX2 or SSE2
-	// vectors, or the Go loops — and it is the body the products run.
-	if vb := doc.Gauges["tensor.gemm.vector_bytes"]; vb != int64(gemmVectorBytes) || (vb != 32 && vb != 16 && vb != 8) {
-		t.Errorf("gauge tensor.gemm.vector_bytes = %d, want %d (one of 32, 16, 8)", vb, gemmVectorBytes)
+	// Which GEMM body produced the series: the AVX2 kernels or the Go
+	// loops — and it is the body the products run.
+	if vb := doc.Gauges["tensor.gemm.vector_bytes"]; vb != int64(gemmVectorBytes) || (vb != 32 && vb != 8) {
+		t.Errorf("gauge tensor.gemm.vector_bytes = %d, want %d (32 or 8)", vb, gemmVectorBytes)
 	}
 	// The step buffers of the largest network fitted: a few hundred KB to a
 	// few MB for an nt3 candidate, and never nothing.

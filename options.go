@@ -2,6 +2,7 @@ package swtnas
 
 import (
 	"fmt"
+	"slices"
 
 	"swtnas/internal/core"
 	"swtnas/internal/data"
@@ -144,14 +145,7 @@ func (opt SearchOptions) Validate() error {
 	if opt.App == "" {
 		return &InvalidOptionError{Field: "App", Reason: fmt.Sprintf("required (one of %v)", Applications())}
 	}
-	known := false
-	for _, n := range data.Names() {
-		if n == opt.App {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(data.Names(), opt.App) {
 		return &InvalidOptionError{Field: "App", Reason: fmt.Sprintf("unknown application %q (one of %v)", opt.App, Applications())}
 	}
 	if _, ok := core.MatcherByName(opt.Scheme); !ok {

@@ -417,18 +417,6 @@ func loadCustomSpace(opt SearchOptions) (*search.Space, error) {
 	return spec.Compile()
 }
 
-func shapesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // LongestPrefix returns how many leading tensor shapes two shape sequences
 // share — the LP matcher's transfer scope (paper Section IV-A).
 func LongestPrefix(provider, receiver [][]int) int {
