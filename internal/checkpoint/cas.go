@@ -31,9 +31,10 @@ func HashBlob(b []byte) Hash {
 func (h Hash) String() string { return hex.EncodeToString(h[:]) }
 
 // Manifest names a stored candidate checkpoint by content: the hash of its
-// SWTC stream, the stream's length, and the dtype it was encoded at (the
-// element width the disk backend shuffled the object by). It is what a
-// journal record carries in place of the checkpoint itself.
+// SWTC stream, the stream's length, and the dtype it was encoded at (which
+// the disk backend's object must hold: its sections are laid out at that
+// element width). It is what a journal record carries in place of the
+// checkpoint itself.
 type Manifest struct {
 	hash  Hash
 	size  int64

@@ -2,7 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
-	"compress/gzip"
+	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"swtnas/internal/tensor"
 )
 
 // casModel builds a small deterministic model; seed selects the tensor
@@ -428,14 +431,14 @@ func TestCASLoadVerifiesHashOnFirstRead(t *testing.T) {
 	}
 	_, mf := manifestOf(t, m)
 	// Rewrite the object with one payload byte changed, through the store's
-	// own at-rest encoding so gzip's checksum agrees with the tampered bytes.
+	// own at-rest encoding so the object's CRC agrees with the tampered bytes.
 	var stream bytes.Buffer
 	if err := m.Encode(&stream); err != nil {
 		t.Fatal(err)
 	}
 	tampered := stream.Bytes()
 	tampered[len(tampered)-3] ^= 0x01
-	packed, err := pack(tampered, mf.dtype.Size())
+	packed, err := pack(tampered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +463,7 @@ func TestCASLoadVerifiesHashOnFirstRead(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), `"a"`) || !strings.Contains(err.Error(), mf.hash.String()) {
 		t.Fatalf("Load of a tampered object: err = %v, want one naming id \"a\" and hash %s", err, mf.hash)
 	}
-	// A flipped byte of the file itself is caught too (gzip or the hash).
+	// A flipped byte of the file itself is caught too (the CRC, inflate or the hash).
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0xFF
 	if err := os.WriteFile(path, flipped, 0o644); err != nil {
@@ -475,6 +478,79 @@ func TestCASLoadVerifiesHashOnFirstRead(t *testing.T) {
 	}
 	if got, err := s2.Load("a"); err != nil || !modelsEqual(m, got) {
 		t.Fatalf("Load of the restored object: err %v", err)
+	}
+}
+
+// TestCASLoadChecksEveryRead: an object once verified is not hashed again in
+// the same process, so the object's own checksum is what catches a byte that
+// changes on disk afterwards — every Load checks it, and the error names the
+// id and the hash.
+func TestCASLoadChecksEveryRead(t *testing.T) {
+	dir := t.TempDir()
+	m := casModel(23, 3)
+	_, mf := manifestOf(t, m)
+	path := filepath.Join(dir, "objects", mf.hash.String()+".obj")
+	for _, at := range []func(n int) int{func(n int) int { return n / 2 }, func(n int) int { return n - 1 }} {
+		s, err := NewCASDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Save("a", m); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s.Load("a"); err != nil || !modelsEqual(m, got) {
+			t.Fatalf("Load of the saved object: err %v", err)
+		}
+		obj, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := at(len(obj))
+		obj[i] ^= 0xFF
+		if err := os.WriteFile(path, obj, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Load("a"); err == nil || !strings.Contains(err.Error(), `"a"`) || !strings.Contains(err.Error(), mf.hash.String()) {
+			t.Fatalf("Load after flipping byte %d of %d: err = %v, want one naming id \"a\" and hash %s", i, len(obj), err, mf.hash)
+		}
+		if err := s.Delete("a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCASObjectDTypeMustMatchManifest: a manifest that names the right hash
+// and size at the wrong dtype is refused when its object is read, although
+// the stream itself is intact.
+func TestCASObjectDTypeMustMatchManifest(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewCASDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := casModelF32(26, 2)
+	if _, err := s.Save("a", m); err != nil {
+		t.Fatal(err)
+	}
+	_, mf := manifestOf(t, m)
+	mf.dtype = tensor.F64
+	man, err := EncodeManifest(mf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "manifests", "a.swtm"), man, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewCASDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, loadErr := s2.Load("a")
+	adoptErr := s2.AdoptManifest("b", man)
+	for op, err := range map[string]error{"Load": loadErr, "AdoptManifest": adoptErr} {
+		if err == nil || !strings.Contains(err.Error(), "holds a f32 stream, its manifest names f64") || !strings.Contains(err.Error(), mf.hash.String()) {
+			t.Errorf("%s of an f32 object under an f64 manifest: err = %v", op, err)
+		}
 	}
 }
 
@@ -578,25 +654,35 @@ func TestCASAdoptManifestRejectsCorruptBlob(t *testing.T) {
 	}
 }
 
-// TestCASDecodeBoundedByManifestSize replaces a stored object with a gzip
-// stream of the wrong inflated length. One that runs past the size the
-// manifest names — here 32 MiB of zeros behind a few KiB on disk, where the
-// candidate is a few hundred bytes — must fail Load and AdoptManifest with an
-// error naming the object, having allocated in proportion to the size named,
-// not the 32 MiB; one that ends short must fail the same way; and a manifest
-// naming a size the stored bytes could never inflate to is refused before
-// anything is allocated for it.
+// rawObject frames an object file around the given sections, as pack does.
+func rawObject(coded, verbatim []byte, crc uint32) []byte {
+	obj := append([]byte(objectMagic), binary.LittleEndian.AppendUint64(nil, uint64(len(coded)))...)
+	obj = append(append(obj, coded...), verbatim...)
+	return binary.LittleEndian.AppendUint32(obj, crc)
+}
+
+// TestCASDecodeBoundedByManifestSize replaces a stored object with one whose
+// coded section inflates to the wrong length. One that runs past the size
+// the manifest names — here 32 MiB of zeros behind a few KiB on disk, where
+// the candidate is a few hundred bytes — must fail Load and AdoptManifest
+// with an error naming the object, having allocated in proportion to the
+// size named, not the 32 MiB; one that ends short must fail the same way;
+// and a manifest naming a size the stored bytes could never inflate to is
+// refused before anything is allocated for it.
 func TestCASDecodeBoundedByManifestSize(t *testing.T) {
-	gz := func(n int) []byte {
+	object := func(n int) []byte {
 		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
+		zw, err := flate.NewWriter(&buf, flate.BestCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := zw.Write(make([]byte, n)); err != nil {
 			t.Fatal(err)
 		}
 		if err := zw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return rawObject(buf.Bytes(), nil, 0)
 	}
 	for _, c := range []struct {
 		name   string
@@ -604,9 +690,10 @@ func TestCASDecodeBoundedByManifestSize(t *testing.T) {
 		size   int64  // replaces the manifest's size when positive
 		want   string
 	}{
-		{"long", gz(32 << 20), 0, "inflates past"},
-		{"short", gz(8), 0, "inflates to fewer"},
+		{"long", object(32 << 20), 0, "inflates past"},
+		{"short", object(8), 0, "inflates to fewer"},
 		{"forged", nil, 1 << 40, "cannot hold"},
+		{"forged_64MiB", nil, 64 << 20, "cannot hold"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -2,10 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
-	"compress/gzip"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -68,9 +66,9 @@ type object struct {
 // CASStore is the checkpoint store: one object per candidate, its SWTC
 // stream, content-addressed by the stream's hash. The memory backend keeps
 // the stream under its id as it is; the disk backend keeps it once per
-// distinct hash, byte-plane-shuffled and gzipped, beside a small manifest
-// file per id, so ids saved with bit-identical checkpoints share one object
-// and a crash never leaves a manifest naming nothing.
+// distinct hash, as an element-aligned object (object.go), beside a small
+// manifest file per id, so ids saved with bit-identical checkpoints share one
+// object and a crash never leaves a manifest naming nothing.
 type CASStore struct {
 	disk *casDisk // nil for the memory backend
 
@@ -200,7 +198,7 @@ func (s *CASStore) putDisk(id string, e *entry) error {
 	if err != nil {
 		return err
 	}
-	packed, err := pack(e.stream, e.mf.dtype.Size())
+	packed, err := pack(e.stream)
 	if err != nil {
 		return err
 	}
@@ -430,93 +428,6 @@ func (s *CASStore) Stats() CASStats {
 	st := s.stats
 	st.Manifests, st.BlobsLive = len(s.ids), s.live()
 	return st
-}
-
-// shuffleBytes transposes a buffer of width-byte little-endian values into
-// byte-plane order: byte k of every value becomes contiguous. Raw float bytes
-// barely compress (mantissas are effectively random), but network weights
-// share sign and a narrow exponent range, so the grouped high-order planes
-// collapse into long runs — the shuffle filter of scientific checkpoint
-// compressors (Blosc, HDF5). The stream's few hundred bytes of header and
-// names ride along, shifting a tensor's phase within the planes but not the
-// runs. A trailing remainder passes through unshuffled.
-func shuffleBytes(b []byte, width int) []byte {
-	n := len(b) / width
-	out := make([]byte, len(b))
-	for k := 0; k < width; k++ {
-		plane := out[k*n : (k+1)*n]
-		for i := 0; i < n; i++ {
-			plane[i] = b[width*i+k]
-		}
-	}
-	copy(out[width*n:], b[width*n:])
-	return out
-}
-
-// unshuffleBytes is the inverse of shuffleBytes.
-func unshuffleBytes(b []byte, width int) []byte {
-	n := len(b) / width
-	out := make([]byte, len(b))
-	for k := 0; k < width; k++ {
-		plane := b[k*n : (k+1)*n]
-		for i := 0; i < n; i++ {
-			out[width*i+k] = plane[i]
-		}
-	}
-	copy(out[width*n:], b[width*n:])
-	return out
-}
-
-// pack is the disk backend's at-rest encoding of an object: byte-plane
-// shuffle at the dtype's element width, then gzip.
-func pack(stream []byte, width int) ([]byte, error) {
-	var buf bytes.Buffer
-	zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := zw.Write(shuffleBytes(stream, width)); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// unpack undoes pack for the object mf names and, when verify is set, checks
-// the result against mf.hash. The inflated stream is read into a buffer of
-// exactly mf.size: a stream that ends early or runs past it is an error
-// naming the object, so a corrupt or hostile object file costs at most the
-// allocation an honest one would, and an honest one is never re-grown.
-func unpack(mf *Manifest, packed []byte, verify bool) ([]byte, error) {
-	// Deflate expands at most 1032:1, so a size the stored bytes cannot
-	// reach is refused before it is allocated.
-	if mf.size > 1032*int64(len(packed)) {
-		return nil, fmt.Errorf("checkpoint: object %s: %d stored bytes cannot hold the %d its manifest names", mf.hash, len(packed), mf.size)
-	}
-	zr, err := gzip.NewReader(bytes.NewReader(packed))
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: object %s: %w", mf.hash, err)
-	}
-	raw := make([]byte, mf.size)
-	if _, err := io.ReadFull(zr, raw); err != nil {
-		return nil, fmt.Errorf("checkpoint: object %s inflates to fewer than the %d bytes its manifest names: %w", mf.hash, mf.size, err)
-	}
-	// The stream must end here; reaching its end is also what makes gzip
-	// verify its checksum.
-	switch _, err := io.ReadFull(zr, make([]byte, 1)); err {
-	case io.EOF:
-	case nil:
-		return nil, fmt.Errorf("checkpoint: object %s inflates past the %d bytes its manifest names", mf.hash, mf.size)
-	default:
-		return nil, fmt.Errorf("checkpoint: object %s: %w", mf.hash, err)
-	}
-	stream := unshuffleBytes(raw, mf.dtype.Size())
-	if verify && HashBlob(stream) != mf.hash {
-		return nil, fmt.Errorf("checkpoint: object %s content does not match its hash", mf.hash)
-	}
-	return stream, nil
 }
 
 // casDisk lays the store out as dir/manifests/<id>.swtm and

@@ -170,7 +170,7 @@ func readString(r io.Reader) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > 1<<20 {
+	if n > maxString {
 		return "", fmt.Errorf("checkpoint: implausible string length %d", n)
 	}
 	buf := make([]byte, n)
@@ -197,7 +197,7 @@ func readIntSlice(r io.Reader) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<16 {
+	if n > maxSlice {
 		return nil, fmt.Errorf("checkpoint: implausible slice length %d", n)
 	}
 	xs := make([]int, n)

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -21,9 +22,14 @@ const (
 	version = uint32(3)
 )
 
-// maxElems bounds decoded tensor sizes to keep a corrupt or hostile
-// checkpoint from allocating unbounded memory.
-const maxElems = 1 << 28
+// The decode limits, which keep a corrupt or hostile checkpoint from
+// allocating unbounded memory: tensor element counts (and group and tensor
+// counts), string lengths and int-slice lengths.
+const (
+	maxElems  = 1 << 28
+	maxString = 1 << 20
+	maxSlice  = 1 << 16
+)
 
 // Encode writes the model in SWTC binary format. A tensor.F32 model stores
 // 4 bytes per element without loss — an f32-trained network's weights are
@@ -166,23 +172,32 @@ func readHeader(r io.Reader) (tensor.DType, error) {
 	return dt, nil
 }
 
-// readShape reads a tensor shape and its element count, rejecting negative
-// dimensions and products beyond maxElems (which also rules out overflow).
+// readShape reads a tensor shape and its element count.
 func readShape(r io.Reader) ([]int, int, error) {
 	shape, err := readIntSlice(r)
 	if err != nil {
 		return nil, 0, err
 	}
+	n, err := shapeElems(shape)
+	if err != nil {
+		return nil, 0, err
+	}
+	return shape, n, nil
+}
+
+// shapeElems returns a shape's element count, rejecting negative dimensions
+// and products beyond maxElems (which also rules out overflow).
+func shapeElems(shape []int) (int, error) {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			return nil, 0, fmt.Errorf("checkpoint: negative dimension in shape %v", shape)
+			return 0, fmt.Errorf("checkpoint: negative dimension in shape %v", shape)
 		}
 		if n *= d; n > maxElems {
-			return nil, 0, fmt.Errorf("checkpoint: implausible tensor shape %v", shape)
+			return 0, fmt.Errorf("checkpoint: implausible tensor shape %v", shape)
 		}
 	}
-	return shape, n, nil
+	return n, nil
 }
 
 func readBody(r io.Reader, dt tensor.DType) (*Model, error) {
@@ -235,6 +250,106 @@ func readBody(r io.Reader, dt tensor.DType) (*Model, error) {
 		m.Groups = append(m.Groups, g)
 	}
 	return m, nil
+}
+
+// span is one tensor payload of an SWTC stream: its byte offset in the
+// stream and its element count.
+type span struct{ at, n int }
+
+// layout walks an SWTC stream as readBody reads it, under the same limits,
+// and returns its dtype, every tensor payload's span and the number of bytes
+// of b it walked. With meta set, b holds only the stream's non-payload bytes
+// — its payloads cut out — and the spans still give their places in the whole
+// stream. The walk stops after the last group; what follows is the caller's
+// to check.
+func layout(b []byte, meta bool) (tensor.DType, []span, int, error) {
+	dt, err := readHeader(bytes.NewReader(b))
+	if err != nil {
+		return 0, nil, 0, err
+	}
+	w := walker{b: b, off: 16} // past the header readHeader checked
+	w.ints()
+	w.take(8) // score
+	var spans []span
+	nGroups := w.bounded(maxElems, "group count")
+	for gi := 0; gi < nGroups && w.err == nil; gi++ {
+		w.take(w.bounded(maxString, "string length")) // layer
+		w.ints()                                      // signature
+		nT := w.bounded(maxElems, "tensor count")
+		for ti := 0; ti < nT && w.err == nil; ti++ {
+			w.take(w.bounded(maxString, "string length")) // name
+			n := w.shape()
+			if w.err != nil {
+				break
+			}
+			spans = append(spans, span{at: w.off + w.cut, n: n})
+			if meta {
+				w.cut += n * dt.Size()
+			} else {
+				w.take(n * dt.Size())
+			}
+		}
+	}
+	if w.err != nil {
+		return 0, nil, 0, w.err
+	}
+	return dt, spans, w.off, nil
+}
+
+// walker is layout's cursor: off bytes of b read, cut payload bytes absent
+// from b before off, and the first error, after which every step is a no-op.
+type walker struct {
+	b        []byte
+	off, cut int
+	err      error
+}
+
+func (w *walker) take(n int) []byte {
+	if w.err != nil {
+		return nil
+	}
+	if n > len(w.b)-w.off {
+		w.err = io.ErrUnexpectedEOF
+		return nil
+	}
+	w.off += n
+	return w.b[w.off-n : w.off]
+}
+
+func (w *walker) u32() uint32 {
+	if b := w.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
+	}
+	return 0
+}
+
+// bounded reads a u32 length or count, failing past limit.
+func (w *walker) bounded(limit int, what string) int {
+	n := w.u32()
+	if w.err == nil && n > uint32(limit) {
+		w.err = fmt.Errorf("checkpoint: implausible %s %d", what, n)
+	}
+	return int(n)
+}
+
+// ints steps over an int slice and returns its raw int32s.
+func (w *walker) ints() []byte {
+	return w.take(4 * w.bounded(maxSlice, "slice length"))
+}
+
+// shape reads a tensor shape and returns its element count, as readShape
+// does.
+func (w *walker) shape() int {
+	dims := w.ints()
+	shape := make([]int, len(dims)/4)
+	for i := range shape {
+		shape[i] = int(int32(binary.LittleEndian.Uint32(dims[4*i:])))
+	}
+	n, err := shapeElems(shape)
+	if w.err == nil {
+		w.err = err
+	}
+	return n
 }
 
 // readData reads n values at the dtype's width. The slice grows as bytes

@@ -90,7 +90,8 @@ func TestDecodeRejectsBadDType(t *testing.T) {
 // TestF32ManifestRoundTrip: an F32 model's object is its 4-byte-per-element
 // stream on both backends — the manifest says F32 and names that stream's
 // length and hash — and it loads back bit for bit, still tagged F32, through
-// the disk backend's shuffle at the 4-byte width.
+// the disk backend's object split at the 4-byte width (byte 3 of each
+// element coded, bytes 0–2 verbatim).
 func TestF32ManifestRoundTrip(t *testing.T) {
 	casStores(t, func(t *testing.T, s *CASStore) {
 		m := casModelF32(14, 3)

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"compress/gzip"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -149,6 +150,66 @@ func FuzzDecodeManifest(f *testing.F) {
 		enc, err := EncodeManifest(mf)
 		if err != nil || !bytes.Equal(enc, data) {
 			t.Fatalf("decoded manifest does not re-encode to its own bytes: %v", err)
+		}
+	})
+}
+
+// FuzzUnpack hardens the disk backend's object reader: a manifest and an
+// object file, both arbitrary, must unpack to the stream the manifest names
+// or fail with an error, and neither may allocate more than a constant factor
+// of the size the manifest names — which the object's own size bounds, since
+// a size its bytes cannot inflate to is refused before anything is
+// allocated. The seeds are packed f64 and f32 objects with their manifests,
+// their bit-flipped and truncated copies, and an object of the retired
+// shuffle + gzip format. Run `go test -fuzz FuzzUnpack ./internal/checkpoint`
+// for a real fuzzing session; under plain `go test` the seed corpus runs.
+func FuzzUnpack(f *testing.F) {
+	for _, m := range []*Model{FromNetwork([]int{1, 2, 3}, 0.5, sampleNet(92)), casModelF32(93, 3)} {
+		var buf bytes.Buffer
+		if err := m.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		man, _ := manifestOf(f, m)
+		obj, err := pack(buf.Bytes())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(man, obj)
+		f.Add(man, obj[:len(obj)/2])
+		for _, at := range []int{3, 5, 12, 20, len(obj) / 2, len(obj) - 10, len(obj) - 1} {
+			flipped := append([]byte(nil), obj...)
+			flipped[at] ^= 0xFF
+			f.Add(man, flipped)
+		}
+		var gz bytes.Buffer
+		zw := gzip.NewWriter(&gz)
+		if _, err := zw.Write(buf.Bytes()); err != nil {
+			f.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(man, gz.Bytes())
+	}
+
+	f.Fuzz(func(t *testing.T, man, obj []byte) {
+		mf, err := DecodeManifest(man)
+		if err != nil {
+			return
+		}
+		var stream []byte
+		got := allocated(func() { stream, err = unpack(mf, obj, true) })
+		if got > 8*uint64(mf.size)+1<<20 {
+			t.Fatalf("unpacking %d bytes for a %d-byte stream allocated %d (err %v)", len(obj), mf.size, got, err)
+		}
+		if err != nil {
+			if stream != nil {
+				t.Fatal("failed unpack returned a stream")
+			}
+			return
+		}
+		if int64(len(stream)) != mf.size || HashBlob(stream) != mf.hash {
+			t.Fatalf("unpack returned %d bytes that are not the stream the manifest names", len(stream))
 		}
 	})
 }

@@ -61,11 +61,6 @@ const (
 
 	recordHeader   = uint32(1)
 	recordManifest = uint32(3)
-
-	// maxRecordBytes bounds one record so a corrupt length field cannot
-	// allocate unbounded memory (a record is a trace line plus a manifest of
-	// a few hundred bytes).
-	maxRecordBytes = 1 << 30
 )
 
 // crcTable is the Castagnoli polynomial, hardware-accelerated on amd64/arm64.
@@ -327,6 +322,10 @@ func (j *Journal) writeFrame(prefix []byte, kind uint32, payload []byte) error {
 // record kind this build does not read (skipping it would drop a candidate
 // from the replay).
 func scan(f *os.File) (*Recovery, int64, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("resilience: reading journal: %w", err)
+	}
 	br := bufio.NewReader(f)
 	head := make([]byte, 4+4)
 	if _, err := io.ReadFull(br, head); err != nil {
@@ -342,7 +341,7 @@ func scan(f *os.File) (*Recovery, int64, error) {
 	offset := int64(len(head))
 	sawHeader := false
 	for {
-		kind, payload, n, err := readFrame(br)
+		kind, payload, n, err := readFrame(br, info.Size()-offset)
 		if err == io.EOF {
 			break
 		}
@@ -394,10 +393,11 @@ func scan(f *os.File) (*Recovery, int64, error) {
 	return rec, offset, nil
 }
 
-// readFrame reads one framed record, verifying length bounds and CRC. It
-// returns io.EOF cleanly at end of stream and any other error for a torn or
-// corrupt record.
-func readFrame(br *bufio.Reader) (kind uint32, payload []byte, n int64, err error) {
+// readFrame reads one framed record of at most left bytes, the rest of the
+// file, verifying its CRC. It returns io.EOF cleanly at end of stream and any
+// other error for a torn or corrupt record — among them a length field the
+// file cannot hold, refused before anything is allocated for it.
+func readFrame(br *bufio.Reader, left int64) (kind uint32, payload []byte, n int64, err error) {
 	hdr := make([]byte, 8)
 	if _, err := io.ReadFull(br, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
@@ -407,8 +407,8 @@ func readFrame(br *bufio.Reader) (kind uint32, payload []byte, n int64, err erro
 	}
 	kind = binary.LittleEndian.Uint32(hdr)
 	plen := binary.LittleEndian.Uint32(hdr[4:])
-	if plen > maxRecordBytes {
-		return 0, nil, 0, fmt.Errorf("resilience: implausible record length %d", plen)
+	if int64(plen) > left-12 {
+		return 0, nil, 0, fmt.Errorf("resilience: record length %d runs past the journal's last %d bytes", plen, left)
 	}
 	payload = make([]byte, plen)
 	if _, err := io.ReadFull(br, payload); err != nil {

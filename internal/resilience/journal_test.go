@@ -2,6 +2,7 @@ package resilience
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
@@ -236,7 +237,7 @@ func TestJournalFailedRecordHasNoManifest(t *testing.T) {
 }
 
 // TestRetiredFormatsRejected: every format this repo once wrote and no longer
-// reads fails with an error naming the version, kind or encoding found —
+// reads fails with an error naming the version, kind, encoding or format found —
 // never a panic, a partial model, or a silently skipped record (a skipped
 // evaluation record makes replay diverge).
 func TestRetiredFormatsRejected(t *testing.T) {
@@ -304,6 +305,47 @@ func TestRetiredFormatsRejected(t *testing.T) {
 		}
 		return err
 	}
+	// An object file of the store before element-aligned objects: the stream
+	// byte-plane-shuffled at its element width, then gzipped. It is refused
+	// on its first read, by Load and by AdoptManifest alike.
+	gzipObject := func(op string) error {
+		dir := t.TempDir()
+		s, err := checkpoint.NewCASDiskStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Save("a", model); err != nil {
+			t.Fatal(err)
+		}
+		man, err := s.EncodedManifest("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(swtc) / 8
+		shuffled := append(make([]byte, 8*n), swtc[8*n:]...)
+		for i := 0; i < 8*n; i++ {
+			shuffled[(i%8)*n+i/8] = swtc[i]
+		}
+		var gz bytes.Buffer
+		zw := gzip.NewWriter(&gz)
+		zw.Write(shuffled) // a bytes.Buffer takes every write; Close reports any error
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		obj := filepath.Join(dir, "objects", checkpoint.HashBlob(swtc).String()+".obj")
+		if err := os.WriteFile(obj, gz.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if s, err = checkpoint.NewCASDiskStore(dir); err != nil {
+			t.Fatal(err)
+		}
+		if op == "Load" {
+			_, err = s.Load("a")
+			return err
+		}
+		return s.AdoptManifest("b", man)
+	}
+	gzipNames := "object " + checkpoint.HashBlob(swtc).String() + " is a gzip object"
 	v1Journal := append([]byte(nil), journal...)
 	v1Journal[4] = 1 // the version word is outside any record CRC
 	for _, tc := range []struct {
@@ -316,6 +358,8 @@ func TestRetiredFormatsRejected(t *testing.T) {
 		{"SWTC version 1 stream", decode(stream(1)), "SWTC version 1"},
 		{"SWTC version 2 stream", decode(stream(2, 2)), "SWTC version 2"},
 		{"SWTC version 3, gzip encoding word", decode(stream(3, 0, 2)), "SWTC encoding 2"},
+		{"gzip object, Load", gzipObject("Load"), gzipNames},
+		{"gzip object, AdoptManifest", gzipObject("AdoptManifest"), gzipNames},
 	} {
 		if tc.err == nil || !strings.Contains(tc.err.Error(), tc.names) {
 			t.Errorf("%s: error %v, want one naming %q", tc.name, tc.err, tc.names)
