@@ -50,7 +50,7 @@ func BenchmarkMatmulDtype(b *testing.B) {
 }
 
 // BenchmarkConv2DDtype trains the CIFAR-sized convolution per dtype —
-// forward plus backward through the im2col/GEMM lowering — at batch 1 and
+// forward plus backward through the strided-GEMM lowering — at batch 1 and
 // the batch the ≥1.4x f32 speedup target is stated for (32).
 func BenchmarkConv2DDtype(b *testing.B) {
 	prev := parallel.SetWorkers(runtime.NumCPU())
@@ -102,8 +102,8 @@ func BenchmarkGemmF32Shapes(b *testing.B) {
 
 // BenchmarkGemmF64Shapes is the same measurement for the f64 products at
 // the shapes an nt3 or uno search issues at batch 32: nt3's two dense
-// layers, its two conv layers as im2col products (8000 patch rows, n = 8
-// or 16 filters), and uno's tower and trunk layers.
+// layers, its two conv layers as plain products of their nominal size (8000
+// output positions, n = 8 or 16 filters), and uno's tower and trunk layers.
 func BenchmarkGemmF64Shapes(b *testing.B) {
 	benchGemmShapes[float64](b, []gemmShape{
 		{32, 4000, 128}, {32, 1000, 64}, {8000, 5, 8}, {8000, 7, 16}, {32, 96, 128}, {32, 448, 128},

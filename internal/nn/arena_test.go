@@ -8,9 +8,7 @@ import (
 )
 
 // buildArenaNet builds a 3-conv network (conv → relu → conv → maxpool →
-// conv → gap → dense) whose conv layers have different patch-matrix sizes,
-// so the shared patch matrices must fit the largest and the recompute path
-// runs for the two shallower convs during backward.
+// conv → gap → dense) whose conv layers have different patch-matrix sizes.
 func buildArenaNet(t *testing.T, seed int64) (*Network, []*Conv2D) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -54,93 +52,50 @@ func runArenaNet(t *testing.T, net *Network, batch int) (*tensor.Tensor, []float
 	return out, grads
 }
 
-// TestConvArenaSharedAndDepthIndependent asserts the memory claim of
-// convColsOf: every conv layer of a network shares the network's ONE pair of
-// patch matrices, and after a training step cols/dcols are sized for the
-// largest layer's patch matrix — not the sum over layers — so patch memory
-// is depth-independent.
-func TestConvArenaSharedAndDepthIndependent(t *testing.T) {
+// TestConvRetainsNoPatchMatrix asserts the memory claim of the in-place
+// lowering: after a training step no conv layer retains a buffer the size
+// of its patch matrix (batch × outH·outW × KH·KW·InC elements), a
+// patch-gradient block holds at most max(outH·outW, blockRows) rows of
+// KH·KW·InC whatever the batch, and what the convolutions retain beyond
+// their output and input gradient — zero-bordered inputs, blocks, offset
+// tables — is less than the two patch matrices of the largest layer an
+// im2col lowering keeps. The batch makes every layer's patch matrix larger
+// than a block.
+func TestConvRetainsNoPatchMatrix(t *testing.T) {
 	net, convs := buildArenaNet(t, 7)
-	var sum, max int
-	for _, c := range convs {
-		if c.cols != &net.cols {
-			t.Errorf("conv %q has private patch matrices, want the network's shared ones", c.Name())
-		}
-		per := c.outH * c.outW * c.kdim()
-		sum += per
-		if per > max {
-			max = per
-		}
-	}
-	if net.cols.perSample != max {
-		t.Errorf("shared perSample = %d, want max layer patch size %d", net.cols.perSample, max)
-	}
-
-	const batch = 3
+	const batch = 8
 	runArenaNet(t, net, batch)
-	cols, dcols := net.cols.slots[0].Data, net.cols.slots[1].Data
-	if got, want := cap(cols), batch*max; got != want {
-		t.Errorf("cols capacity = %d, want batch*maxPerSample = %d (depth-independent)", got, want)
+	var aux, largest int
+	for _, c := range convs {
+		patches := batch * c.outH * c.outW * c.kdim()
+		largest = max(largest, patches)
+		for i, s := range c.slots {
+			if cap(s.Data) >= patches {
+				t.Errorf("conv %q slot %d holds %d elements, a patch matrix is %d", c.Name(), i, cap(s.Data), patches)
+			}
+			if block := max(c.outH*c.outW, blockRows) * c.kdim(); i > slotAux && cap(s.Data) > block {
+				t.Errorf("conv %q block %d holds %d elements, more than %d", c.Name(), i, cap(s.Data), block)
+			}
+			if i >= slotAux {
+				aux += cap(s.Data)
+			}
+		}
+		aux += cap(c.index)
 	}
-	if got, want := cap(dcols), batch*max; got != want {
-		t.Errorf("dcols capacity = %d, want batch*maxPerSample = %d (depth-independent)", got, want)
+	if aux >= 2*largest {
+		t.Errorf("convolutions retain %d elements beyond output and input gradient, im2col's two matrices are %d", aux, 2*largest)
 	}
-	if batch*sum <= batch*max {
-		t.Fatal("test network must have more than one conv layer for the depth claim to mean anything")
-	}
-	// cols and dcols must be distinct allocations: forward patches (read by
-	// the weight-gradient GEMM) and backward patch gradients coexist within
-	// one Backward call.
-	if &cols[0] == &dcols[0] {
-		t.Error("cols and dcols alias the same backing array")
+	if aux == 0 {
+		t.Fatal("no conv retained a tap map or a block: the step did not run the lowering under test")
 	}
 }
 
-// TestConvArenaMatchesPrivateBuffers asserts that sharing scratch does not
-// change a single bit of any output or gradient: the same seeded network run
-// with the shared matrices and with per-layer private ones must agree
-// exactly, including the weight gradients computed from
-// re-gathered patches on the recompute path.
-func TestConvArenaMatchesPrivateBuffers(t *testing.T) {
-	shared, _ := buildArenaNet(t, 7)
-	private, privConvs := buildArenaNet(t, 7)
-	for _, c := range privConvs {
-		c.cols = nil // Forward lazily makes private matrices per layer
-	}
-
-	outS, gradsS := runArenaNet(t, shared, 3)
-	outP, gradsP := runArenaNet(t, private, 3)
-
-	if d := maxAbsDiff(outS.Data, outP.Data); d != 0 {
-		t.Errorf("shared-arena forward differs from private buffers by %g (must be bit-identical)", d)
-	}
-	if len(gradsS) != len(gradsP) {
-		t.Fatalf("gradient count mismatch: %d vs %d", len(gradsS), len(gradsP))
-	}
-	if d := maxAbsDiff(gradsS, gradsP); d != 0 {
-		t.Errorf("shared-arena gradients differ from private buffers by %g (must be bit-identical)", d)
-	}
-
-	// The private nets really did use separate matrices (one pair per conv).
-	seen := map[*convColsOf[float64]]bool{}
-	for _, c := range privConvs {
-		if c.cols == nil {
-			t.Fatalf("conv %q never made its private patch matrices", c.Name())
-		}
-		if seen[c.cols] {
-			t.Fatalf("private control run unexpectedly shares patch matrices")
-		}
-		seen[c.cols] = true
-	}
-}
-
-// TestConvArenaRecomputeAfterInterleavedForward covers the owner-tracking
-// edge: a second Forward of a deeper conv invalidates a shallower conv's
-// patches, so its Backward must re-gather them from the cached input rather
-// than computing weight gradients from another layer's patch rows.
+// TestConvArenaRecomputeAfterInterleavedForward covers the interleaving a
+// network produces: a deeper conv's Forward between a shallower conv's
+// Forward and Backward must leave the shallower conv's gradients exact —
+// its Backward reads the taps its own Forward left, never another layer's.
 func TestConvArenaRecomputeAfterInterleavedForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	a := &convColsOf[float64]{}
 	c1 := NewConv1D("c1", 3, 2, 4, Same, 0, rng)
 	c2 := NewConv1D("c2", 3, 4, 4, Same, 0, rng)
 	if _, err := c1.OutShape([][]int{{16, 2}}); err != nil {
@@ -149,20 +104,18 @@ func TestConvArenaRecomputeAfterInterleavedForward(t *testing.T) {
 	if _, err := c2.OutShape([][]int{{16, 4}}); err != nil {
 		t.Fatal(err)
 	}
-	c1.setCols(a)
-	c2.setCols(a)
 
 	x := tensor.New(2, 16, 2)
 	x.RandNormal(rng, 1)
 	h := c1.Forward([]*tensor.Tensor{x}, true)
-	c2.Forward([]*tensor.Tensor{h}, true) // overwrites c1's patches
+	c2.Forward([]*tensor.Tensor{h}, true)
 	g := tensor.New(2, 16, 4)
 	g.RandNormal(rng, 1)
 	d1 := c1.Backward(g)[0]
 	gotDW := append([]float64(nil), c1.W.Grad.Data...)
 
-	// Control: identical layer with its own matrices, same forward input and
-	// backward gradient, no interleaved overwrite.
+	// Control: an identical layer, same forward input and backward
+	// gradient, no interleaved Forward.
 	rng2 := rand.New(rand.NewSource(9))
 	ctrl := NewConv1D("c1", 3, 2, 4, Same, 0, rng2)
 	if _, err := ctrl.OutShape([][]int{{16, 2}}); err != nil {
@@ -171,9 +124,9 @@ func TestConvArenaRecomputeAfterInterleavedForward(t *testing.T) {
 	ctrl.Forward([]*tensor.Tensor{x}, true)
 	wantDIn := ctrl.Backward(g)[0]
 	if d := maxAbsDiff(gotDW, ctrl.W.Grad.Data); d != 0 {
-		t.Errorf("weight gradient after patch recompute differs by %g (must be bit-identical)", d)
+		t.Errorf("weight gradient after an interleaved Forward differs by %g (must be bit-identical)", d)
 	}
 	if d := maxAbsDiff(d1.Data, wantDIn.Data); d != 0 {
-		t.Errorf("input gradient after patch recompute differs by %g (must be bit-identical)", d)
+		t.Errorf("input gradient after an interleaved Forward differs by %g (must be bit-identical)", d)
 	}
 }

@@ -145,7 +145,7 @@ func (p *GlobalAvgPoolOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *t
 		for bi := lo; bi < hi; bi++ {
 			base := bi * p.spatial * c
 			ob := out.Data[bi*c : (bi+1)*c]
-			zero(ob)
+			clear(ob)
 			for s := 0; s < p.spatial; s++ {
 				row := x.Data[base+s*c : base+(s+1)*c]
 				for ci, v := range row {

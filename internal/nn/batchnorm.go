@@ -103,7 +103,7 @@ func (b *BatchNormOf[T]) OutShape(in [][]int) ([]int, error) {
 func (b *BatchNormOf[T]) reduce(slot, n, width int, acc func(ps []T, r0, r1 int)) []T {
 	nb := (n + bnBlockRows - 1) / bnBlockRows
 	partials := b.buf(bnPartials, nb*width).Data
-	zero(partials)
+	clear(partials)
 	parallel.For(nb, parallel.MinChunk(bnBlockRows*width*costBranch), func(lo, hi int) {
 		for blk := lo; blk < hi; blk++ {
 			r0 := blk * bnBlockRows
@@ -115,7 +115,7 @@ func (b *BatchNormOf[T]) reduce(slot, n, width int, acc func(ps []T, r0, r1 int)
 		}
 	})
 	out := b.buf(slot, width).Data
-	zero(out)
+	clear(out)
 	for blk := 0; blk < nb; blk++ {
 		for c, v := range partials[blk*width : (blk+1)*width] {
 			out[c] += v

@@ -10,8 +10,8 @@ import (
 // into (DESIGN.md §9.4): numbered tensors plus one index table, sized at
 // first use and kept. Each built-in layer embeds one (in a stepBufsOf) for
 // its output, its input gradients and what its Backward caches; a network
-// has one for the gradient sums of fan-out nodes, convColsOf wraps one for
-// the im2col matrices its convolutions share, Fit has one for the minibatch.
+// has one for the gradient sums of fan-out nodes, Fit has one for the
+// minibatch.
 //
 // Nothing here clears: a slot holds what its last use left, so a caller
 // writes every element or zeroes first. Only accumulation targets need the
@@ -86,25 +86,3 @@ func (s *stepBufsOf[T]) grads(g ...*tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 	s.ret = append(s.ret[:0], g...)
 	return s.ret
 }
-
-// convColsOf is the im2col patch matrix (slot 0) and its gradient (slot 1),
-// shared by every convolution of one network so that patch memory is the
-// largest layer's and not the sum over depth. Network.Add hands it to each
-// convolution after shape inference, which raises perSample to its own patch
-// matrix: the first step allocates both matrices once, at batch·perSample. A
-// standalone layer makes its own.
-//
-// Sharing means a deeper convolution's Forward overwrites the patches a
-// shallower one's Backward needs for its weight gradient. owner is the layer
-// whose patches cols holds; on a miss Backward gathers them again from its
-// cached input. The deepest convolution runs backward first and always hits:
-// a step re-gathers len(convs)−1 times. dcols carries nothing between layers.
-type convColsOf[T tensor.Float] struct {
-	scratchOf[T]
-	perSample int
-	owner     LayerOf[T]
-}
-
-// cols and dcols return the first n elements of the two matrices.
-func (a *convColsOf[T]) cols(batch, n int) []T  { return a.buf(0, batch*a.perSample).Data[:n] }
-func (a *convColsOf[T]) dcols(batch, n int) []T { return a.buf(1, batch*a.perSample).Data[:n] }

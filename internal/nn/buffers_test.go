@@ -132,10 +132,9 @@ func newStepper[T tensor.Float](t testing.TB, c stepCase, seed int64) *stepperOf
 }
 
 // eachScratch visits every scratch a training step of st writes into: the
-// stepper's own, the network's two and one per layer.
+// stepper's own, the network's and one per layer.
 func eachScratch[T tensor.Float](st *stepperOf[T], visit func(s *scratchOf[T])) {
 	visit(&st.bufs)
-	visit(&st.net.cols.scratchOf)
 	visit(&st.net.sums)
 	for _, nd := range st.net.nodes {
 		visit(&nd.layer.(stepLayerOf[T]).stepBufs().scratchOf)

@@ -19,10 +19,10 @@ import (
 
 // ConvertNetwork rebuilds n with element type To: every layer is re-created
 // with its configuration and converted parameter tensors, re-added in
-// topological order (which re-runs shape inference and re-wires the shared
-// im2col matrices), and the output node is preserved. Optimizer state,
-// activation caches and step buffers do not carry over: the result shares no
-// storage with n — convert before training, not mid-fit.
+// topological order (which re-runs shape inference), and the output node is
+// preserved. Optimizer state, activation caches and step buffers do not
+// carry over: the result shares no storage with n — convert before
+// training, not mid-fit.
 // It fails on layer types outside the closed built-in set.
 func ConvertNetwork[To tensor.Float](n *Network) (*NetworkOf[To], error) {
 	out := NewNetworkOf[To](n.inputShapes...)

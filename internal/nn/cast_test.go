@@ -111,8 +111,8 @@ func TestConvertLossAndMetric(t *testing.T) {
 }
 
 // convertedConv2DWide is runConv2DWide's float32 twin: the same seeded f64
-// layer converted once, so the im2col patch width (3*3*32 = 288) crosses the
-// GEMM k-block in float32 too.
+// layer converted once, so the receptive field (3*3*32 = 288 taps) crosses
+// the GEMM k-block in float32 too.
 func convertedConv2DWide(t *testing.T, b int) (*tensor.TensorOf[float32], *tensor.TensorOf[float32], []float32, []float32) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(19))
@@ -159,7 +159,7 @@ func convertedBatchNorm(t *testing.T, b int) (*tensor.TensorOf[float32], *tensor
 // worker count, and exactly equal parameter gradients — same fixed reduction
 // order as the f64 kernels, just in float32 arithmetic. The grain is
 // lowered as in TestParallelKernelsMatchSerial, and each parallel leg must
-// report its splits: the convolution's five sharded loops; BatchNorm's two
+// report its splits: the convolution's three sharded loops; BatchNorm's two
 // element-wise passes, and at batch 37 (1813 rows) its three blocked
 // reductions as well.
 func TestParallelKernelsMatchSerialF32(t *testing.T) {
@@ -168,7 +168,7 @@ func TestParallelKernelsMatchSerialF32(t *testing.T) {
 		run            func(t *testing.T, b int) (*tensor.TensorOf[float32], *tensor.TensorOf[float32], []float32, []float32)
 		split1, splitN int64 // loops that split at batch 1 and at batch 37
 	}{
-		{"Conv2DWide", convertedConv2DWide, 5, 5},
+		{"Conv2DWide", convertedConv2DWide, 3, 3},
 		{"BatchNorm", convertedBatchNorm, 2, 5},
 	}
 	splitEverything(t)

@@ -8,44 +8,36 @@ import (
 	"swtnas/internal/tensor"
 )
 
-// Conv2D lowers to im2col + GEMM, and Conv1D is Conv2D on a height-1 map, so
-// there is one convolution kernel set: the forward pass gathers
-// every input patch into a [rows, KH*KW*InC] buffer (one row per output
-// position, batch-major) and multiplies it by the [KH*KW*InC, OutC] weight
-// matrix with the blocked tensor.Gemm kernel. Backward reuses the same
-// kernel family: dW += patchesᵀ·dOut (tensor.GemmAT on the forward patch
-// buffer) and dPatches = dOut·Wᵀ (tensor.GemmBT) followed by a col2im
-// scatter back onto the input gradient. One cache-tiled kernel therefore
-// serves conv and dense alike. The unit of sharding is a patch row (a strip
-// of them for im2col/col2im), not a sample, so a call splits on its work
-// and not on its batch size: a batch of 64 at 8→16 filters on 16×16 maps
-// does, a batch of 1 of the same layer is 0.3 ms of work in all and runs
-// whole on the caller, where it measures faster (parallel.MinChunk).
+// Conv2D is a set of strided GEMMs over its input, and Conv1D is Conv2D on a
+// height-1 map, so there is one convolution kernel set. No patch matrix is
+// built: a layer with a border copies its input once into a zero-bordered
+// tap map (without one it reads the input itself), and in the tap map the
+// KW·InC taps of kernel row ky for output position (oy, ox) are one
+// contiguous run, InC elements after the run of (oy, ox-1) and one tap-map
+// row after the run of kernel row ky-1. tensor.GemmStrided reads every
+// receptive field in place through two offset tables, one for its rows and
+// one for the groups of contiguous terms its reduction walks:
 //
-// Determinism: patch rows store their (ky, kx, ci) taps in ascending order,
-// the GEMM reduction runs in ascending tile order, and col2im accumulates
-// each input element's contributions in ascending (oy, ox) order — the exact
-// per-element order of a serial (oy, ox, ky, kx, ci) scatter — so outputs
-// AND gradients are bit-identical to the pre-GEMM direct kernels at
-// workers=1 and identical across worker counts (the direct loops survive as
-// a test-only reference in convdirect_test.go).
+//   - forward: out = bias + taps·W, one product per shard of output
+//     positions, each position's taps KH groups of KW·InC;
+//   - weight gradient: W.Grad += tapsᵀ·dOut, one product per shard of tap
+//     rows, reducing over every output position of the batch in order, a
+//     run of positions (an output row) to a group; the bias gradient is one
+//     more product, dOut's column sums against a one;
+//   - input gradient: dOut·Wᵀ (tensor.GemmBTSerial) into a block of a
+//     sample's (or a strip of samples') output rows, then a col2im scatter
+//     of that block.
 //
-// The cols/dcols patch matrices come from a convColsOf (buffers.go) shared by
-// every conv layer of a network, so patch memory is depth-independent. A
-// network's first layer, whose input gradient nobody consumes, skips GemmBT
-// and col2im altogether.
-
-func zero[T tensor.Float](p []T) {
-	for i := range p {
-		p[i] = 0
-	}
-}
-
-// convOf is a convolution: Network.Add hands it the network-shared patch
-// matrices after shape inference, so the layer knows its patch-matrix size.
-type convOf[T tensor.Float] interface {
-	setCols(a *convColsOf[T])
-}
+// Determinism: every output element takes its (ky, kx, ci) terms in order
+// from the bias, every weight- and bias-gradient element its positions in
+// (sample, oy, ox) order, and col2im accumulates each input element's
+// contributions in (oy, ox) order — the per-element order of a serial
+// direct convolution whose taps outside the border are zeros. Outputs and
+// gradients are therefore bit-identical to the direct loops at workers=1 (a
+// test-only reference in convdirect_test.go) and across worker counts. The sharded units are output positions,
+// weight-gradient tap rows and input rows, so a call splits on its work and
+// not on its batch size. A network's first layer, whose input gradient
+// nobody consumes, skips the input gradient altogether.
 
 // Padding selects the convolution border mode, mirroring Keras "valid"/"same".
 type Padding int
@@ -83,9 +75,11 @@ type Conv2DOf[T tensor.Float] struct {
 	inH, inW   int
 	outH, outW int
 	lastIn     *tensor.TensorOf[T]
-	// cols is shared with every other conv layer of the owning Network; a
-	// standalone layer makes its own on first Forward.
-	cols *convColsOf[T]
+	// xp is what Forward read its taps from: the zero-bordered copy of
+	// lastIn, or lastIn's data under "valid" padding.
+	xp []T
+	// one is the A operand of the bias gradient's column sum.
+	one [1]T
 }
 
 // NewConv2D creates a conv layer with He-normal weights (ReLU-friendly).
@@ -134,159 +128,189 @@ func (c *Conv2DOf[T]) padOffsets() (int, int) {
 	return 0, 0
 }
 
-// kdim is the patch width of the im2col buffer: one row per output position
-// holds every (ky, kx, ci) tap.
+// kdim is the receptive field's length: every (ky, kx, ci) tap.
 func (c *Conv2DOf[T]) kdim() int { return c.KH * c.KW * c.InC }
 
-func (c *Conv2DOf[T]) setCols(a *convColsOf[T]) {
-	c.cols = a
-	a.perSample = max(a.perSample, c.outH*c.outW*c.kdim())
+// padded returns the height and width of the map the taps are read from.
+func (c *Conv2DOf[T]) padded() (int, int) {
+	if c.effPad == Same {
+		return c.inH + c.KH - 1, c.inW + c.KW - 1
+	}
+	return c.inH, c.inW
 }
 
-// Forward lowers x to im2col patches and runs one blocked GEMM against the
-// weight matrix.
+// taps returns the map the receptive fields are read from: x itself where
+// there is no border (valid padding, a 1×1 kernel), otherwise x copied into
+// the middle of a zero-bordered buffer, every element of it written.
+func (c *Conv2DOf[T]) taps(x *tensor.TensorOf[T]) []T {
+	ph, pw := c.padded()
+	if ph == c.inH && pw == c.inW {
+		return x.Data
+	}
+	padH, padW := c.padOffsets()
+	xp := c.buf(slotAux, x.Shape[0], ph, pw, c.InC).Data
+	row, inRow := pw*c.InC, c.inW*c.InC
+	for r := 0; r < x.Shape[0]*ph; r++ {
+		bi, y := r/ph, r%ph-padH
+		dst := xp[r*row : (r+1)*row]
+		if y < 0 || y >= c.inH {
+			clear(dst)
+			continue
+		}
+		clear(dst[:padW*c.InC])
+		copy(dst[padW*c.InC:], x.Data[(bi*c.inH+y)*inRow:(bi*c.inH+y+1)*inRow])
+		clear(dst[padW*c.InC+inRow:])
+	}
+	return xp
+}
+
+// oneGroup is the offset table of one run of terms, or of one row.
+var oneGroup = []int{0}
+
+// tapsAt fills at[i] with the tap-map offset of output position i·step,
+// counted (sample, oy, ox) batch-major: the first tap of its receptive
+// field.
+func (c *Conv2DOf[T]) tapsAt(at []int, step int) {
+	ph, pw := c.padded()
+	s, oy, ox := 0, 0, 0
+	for i := range at {
+		at[i] = ((s*ph+oy)*pw + ox) * c.InC
+		for ox += step; ox >= c.outW; ox -= c.outW {
+			if oy++; oy == c.outH {
+				s, oy = s+1, 0
+			}
+		}
+	}
+}
+
+// runs says how the batch's output positions line up in the tap map: as
+// count runs of run positions step apart — output rows, InC apart; on a
+// map one wide the samples' columns, a tap-map row apart; on a 1×1 map the
+// whole batch, a sample apart.
+func (c *Conv2DOf[T]) runs(batch int) (count, run, step int) {
+	ph, pw := c.padded()
+	switch {
+	case c.outW > 1:
+		return batch * c.outH, c.outW, c.InC
+	case c.outH > 1:
+		return batch, c.outH, pw * c.InC
+	}
+	return 1, batch, ph * pw * c.InC
+}
+
+// Forward runs one strided product per shard of output positions, each
+// position's KH groups of KW·InC taps against the whole weight matrix.
 func (c *Conv2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
 	x := in[0]
 	b := x.Shape[0]
-	c.lastIn = x
-	if c.cols == nil {
-		c.setCols(&convColsOf[T]{})
-	}
-	rows, kdim := b*c.outH*c.outW, c.kdim()
-	cols := c.cols.cols(b, rows*kdim)
-	c.im2col(x, cols)
-	c.cols.owner = c
+	c.lastIn, c.xp = x, c.taps(x)
 	out := c.buf(slotOut, b, c.outH, c.outW, c.OutC)
-	tensor.Gemm(out.Data, cols, c.W.W.Data, rows, kdim, c.OutC, c.B.W.Data)
+	rows, kdim := b*c.outH*c.outW, c.kdim()
+	_, pw := c.padded()
+	at := c.indices(rows + c.KH)
+	pos, kyRows := at[:rows], at[rows:]
+	c.tapsAt(pos, 1)
+	for ky := range kyRows {
+		kyRows[ky] = ky * pw * c.InC
+	}
+	defer tensor.ObserveGemm(rows, kdim, c.OutC, tensor.StartGemm())
+	parallel.For(rows, parallel.MinChunk(tensor.GemmCost[T](kdim*c.OutC)), func(lo, hi int) {
+		tensor.GemmStrided(out.Data[lo*c.OutC:], c.B.W.Data, 0, c.xp, pos[lo:hi], kyRows, c.KW*c.InC, 1,
+			c.W.W.Data, c.OutC)
+	})
 	return out
 }
 
-// im2col writes one patch row per (sample, oy, ox) output position into
-// cols, taps in (ky, kx, ci) order with zeros outside the border. Work is
-// sharded over (sample, oy) strips; each strip is written by exactly one
-// shard.
-func (c *Conv2DOf[T]) im2col(x *tensor.TensorOf[T], cols []T) {
-	padH, padW := c.padOffsets()
-	inRow := c.inW * c.InC
-	strip := c.outW * c.kdim()
-	parallel.For(x.Shape[0]*c.outH, parallel.MinChunk(strip*costCopy), func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			bi, oy := s/c.outH, s%c.outH
-			xb := x.Data[bi*c.inH*inRow : (bi+1)*c.inH*inRow]
-			row := cols[s*strip : (s+1)*strip]
-			pos := 0
-			for ox := 0; ox < c.outW; ox++ {
-				for ky := 0; ky < c.KH; ky++ {
-					seg := row[pos : pos+c.KW*c.InC]
-					pos += c.KW * c.InC
-					y := oy + ky - padH
-					if y < 0 || y >= c.inH {
-						zero(seg)
-						continue
-					}
-					// Clamp the kx taps to the valid input columns; the
-					// in-range span is one contiguous copy.
-					kx0, kx1 := padW-ox, c.inW+padW-ox
-					if kx0 < 0 {
-						kx0 = 0
-					}
-					if kx1 > c.KW {
-						kx1 = c.KW
-					}
-					if kx0 >= kx1 {
-						zero(seg)
-						continue
-					}
-					zero(seg[:kx0*c.InC])
-					src := (y*c.inW + ox + kx0 - padW) * c.InC
-					copy(seg[kx0*c.InC:kx1*c.InC], xb[src:src+(kx1-kx0)*c.InC])
-					zero(seg[kx1*c.InC:])
-				}
-			}
-		}
-	})
-}
-
-// Backward computes all three gradients through the GEMM kernels: the bias
-// gradient is a serial column sum of dOut (cheap and order-stable), the
-// weight gradient is patchesᵀ·dOut on the forward im2col matrix, and the
-// input gradient — when it has a consumer — is dOut·Wᵀ scattered back
-// through col2im onto a cleared buffer shaped like the cached input. When a
-// deeper conv layer has overwritten the shared patch matrix since this
-// layer's Forward, the patches are re-gathered from the cached input first;
-// the deepest conv runs backward first and always hits.
+// Backward shards the weight gradient over W.Grad's tap rows, as
+// tensor.GemmAT shards its output rows, plus one row for the bias gradient;
+// the input gradient, when it has a consumer, over input rows (col2im).
 func (c *Conv2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 	x := c.lastIn
 	b := x.Shape[0]
-	rows, kdim := b*c.outH*c.outW, c.kdim()
-	db := c.B.Grad.Data
-	for i := 0; i < rows; i++ {
-		for f, g := range dOut.Data[i*c.OutC : (i+1)*c.OutC] {
-			db[f] += g
+	rows, kdim, kw := b*c.outH*c.outW, c.kdim(), c.KW*c.InC
+	_, pw := c.padded()
+	count, run, step := c.runs(b)
+	at := c.indices(kdim + count)
+	taps, starts := at[:kdim], at[kdim:]
+	for t := range taps {
+		taps[t] = t/kw*pw*c.InC + t%kw
+	}
+	c.tapsAt(starts, run)
+	dw, db := c.W.Grad.Data, c.B.Grad.Data
+	c.one[0] = 1
+	t := tensor.StartGemm()
+	parallel.For(kdim+1, parallel.MinChunk(tensor.GemmCost[T](rows*c.OutC)), func(lo, hi int) {
+		if hi > kdim {
+			tensor.GemmStrided(db, db, 0, c.one[:], oneGroup, oneGroup, rows, 0, dOut.Data, c.OutC)
+			hi = kdim
 		}
-	}
-	cols := c.cols.cols(b, rows*kdim)
-	if c.cols.owner != c {
-		c.im2col(x, cols)
-		c.cols.owner = c
-	}
-	tensor.GemmAT(c.W.Grad.Data, cols, dOut.Data, rows, kdim, c.OutC)
+		if lo < hi {
+			d := dw[lo*c.OutC : hi*c.OutC]
+			tensor.GemmStrided(d, d, c.OutC, c.xp, taps[lo:hi], starts, run, step, dOut.Data, c.OutC)
+		}
+	})
+	tensor.ObserveGemm(rows, kdim, c.OutC, t)
 	if c.deadIn {
 		return c.grads(nil)
 	}
-	dcols := c.cols.dcols(b, rows*kdim)
-	tensor.GemmBT(dcols, dOut.Data, c.W.W.Data, rows, c.OutC, kdim)
 	dIn := c.buf(slotDIn, x.Shape...)
-	dIn.Zero()
-	c.col2im(dcols, dIn)
+	c.col2im(dOut, dIn)
 	return c.grads(dIn)
 }
 
-// col2im accumulates the patch gradients back onto the input positions they
-// were gathered from. Work shards over *input rows* across the whole batch
-// (b·inH strips); each input row is written by exactly one shard. For an
-// input row y the contributing output
-// rows satisfy ky = y + padH - oy ∈ [0, KH); walking them oy-ascending, then
-// ox-ascending, accumulates every input element's contributions in exactly
-// the order the serial (oy, ox, ky, kx, ci) scatter did, keeping input
-// gradients bit-identical for any worker count.
-func (c *Conv2DOf[T]) col2im(dcols []T, dIn *tensor.TensorOf[T]) {
+// blockRows is the least number of output positions whose patch gradients
+// col2im computes in one product: a strip of whole samples where a
+// sample's map is smaller, one sample's rows otherwise. The block holds
+// max(outH·outW, blockRows) rows at most, whatever the batch.
+const blockRows = 64
+
+// col2im computes the input gradient, sharded over the batch's input rows,
+// each written by one shard. A shard takes its rows a strip of samples at a
+// time: dOut·Wᵀ for the output rows they receive from goes into its block —
+// the bits one product over the batch gives those rows — and is added onto
+// the cleared input rows, output rows oy-ascending (ky = y + padH - oy),
+// then ox-ascending: every input element's contributions in the order of
+// the serial (oy, ox, ky, kx, ci) scatter, for any worker count.
+func (c *Conv2DOf[T]) col2im(dOut, dIn *tensor.TensorOf[T]) {
 	padH, padW := c.padOffsets()
-	inRow := c.inW * c.InC
-	kdim := c.kdim()
-	kw := c.KW * c.InC
-	parallel.For(dIn.Shape[0]*c.inH, parallel.MinChunk(c.outW*kdim*costStream), func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			bi, y := r/c.inH, r%c.inH
-			drow := dIn.Data[r*inRow : (r+1)*inRow]
-			oy0, oy1 := y+padH-c.KH+1, y+padH
-			if oy0 < 0 {
-				oy0 = 0
-			}
-			if oy1 > c.outH-1 {
-				oy1 = c.outH - 1
-			}
-			for oy := oy0; oy <= oy1; oy++ {
-				ky := y + padH - oy
-				base := ((bi*c.outH+oy)*c.outW)*kdim + ky*kw
-				for ox := 0; ox < c.outW; ox++ {
-					seg := dcols[base+ox*kdim : base+ox*kdim+kw]
-					kx0, kx1 := padW-ox, c.inW+padW-ox
-					if kx0 < 0 {
-						kx0 = 0
-					}
-					if kx1 > c.KW {
-						kx1 = c.KW
-					}
-					for kx := kx0; kx < kx1; kx++ {
-						xp := ox + kx - padW
-						d := drow[xp*c.InC : (xp+1)*c.InC]
-						for ci, v := range seg[kx*c.InC : (kx+1)*c.InC] {
-							d[ci] += v
+	inRow, kdim, kw := c.inW*c.InC, c.kdim(), c.KW*c.InC
+	n := dIn.Shape[0] * c.inH
+	defer tensor.ObserveGemm(dIn.Shape[0]*c.outH*c.outW, kdim, c.OutC, tensor.StartGemm())
+	strip := min(dIn.Shape[0], max(1, blockRows/(c.outH*c.outW)))
+	cost := tensor.GemmCost[T](c.outW*kdim*c.OutC) + c.outW*kdim*costStream
+	shards := parallel.Shards(n, parallel.MinChunk(cost))
+	for i := 0; i < shards; i++ {
+		c.buf(slotAux+1+i, strip*c.outH*c.outW*kdim)
+	}
+	// The output rows, counted (sample, oy), input row r = (sample, y)
+	// receives from are [first(r), last(r)].
+	first := func(r int) int { return r/c.inH*c.outH + max(0, r%c.inH+padH-c.KH+1) }
+	last := func(r int) int { return r/c.inH*c.outH + min(c.outH-1, r%c.inH+padH) }
+	parallel.ForShardN(n, shards, func(shard, lo, hi int) {
+		block := c.slots[slotAux+1+shard].Data
+		for r0 := lo; r0 < hi; {
+			r1 := min(hi, (r0/c.inH+strip)*c.inH)
+			q0, q1 := first(r0), last(r1-1)+1
+			tensor.GemmBTSerial(block, dOut.Data[q0*c.outW*c.OutC:], c.W.W.Data, (q1-q0)*c.outW, c.OutC, kdim)
+			for r := r0; r < r1; r++ {
+				drow := dIn.Data[r*inRow : (r+1)*inRow]
+				clear(drow)
+				for q := first(r); q <= last(r); q++ {
+					ky := r%c.inH + padH - q%c.outH
+					base := (q-q0)*c.outW*kdim + ky*kw
+					for ox := 0; ox < c.outW; ox++ {
+						seg := block[base+ox*kdim : base+ox*kdim+kw]
+						for kx := max(0, padW-ox); kx < min(c.KW, c.inW+padW-ox); kx++ {
+							xp := ox + kx - padW
+							d := drow[xp*c.InC : (xp+1)*c.InC]
+							for ci, v := range seg[kx*c.InC : (kx+1)*c.InC] {
+								d[ci] += v
+							}
 						}
 					}
 				}
 			}
+			r0 = r1
 		}
 	})
 }

@@ -57,7 +57,7 @@ func (d *DenseOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.Te
 
 // Backward computes dIn = dOut·Wᵀ row-parallel (GemmBT via MatMulTInto)
 // unless nobody consumes it, accumulates dW += Xᵀ·dOut with the blocked
-// GemmAT kernel — the same primitive the im2col convolutions use — and
+// GemmAT kernel — the addressing the convolutions reach through GemmStrided — and
 // dB += Σ dOut serially. Each dW row is produced by exactly one shard
 // summing samples in ascending order, so weight gradients are bit-identical
 // for any worker count.

@@ -95,8 +95,8 @@ func randInputF32(rng *rand.Rand, shape ...int) *tensor.TensorOf[float32] {
 }
 
 // TestGradcheckConv2DF32CrossesKBlock gradchecks the float32 Conv2D whose
-// im2col patch width (3·3·32 = 288) exceeds the GEMM k-block of 240, so the
-// backward pass sums partial products across two k-tiles in f32.
+// receptive field (3·3·32 = 288 taps) exceeds the GEMM k-block of 240, so
+// its products sum more terms than one k-tile holds, in f32.
 func TestGradcheckConv2DF32CrossesKBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	l, err := convertLayer[float32](NewConv2D("cv", 3, 3, 32, 4, Same, 0, rng))

@@ -36,9 +36,8 @@ type NetworkOf[T tensor.Float] struct {
 	inputShapes [][]int // per-sample shapes of the graph inputs
 	nodeShapes  [][]int // per-sample output shape of each node
 	output      int
-	// cols is the im2col matrices the network's convolutions share; sums the
-	// gradient a fan-out node i adds its consumers' into, slot i (buffers.go).
-	cols convColsOf[T]
+	// sums is the gradient a fan-out node i adds its consumers' into, slot i
+	// (buffers.go).
 	sums scratchOf[T]
 	// params caches Params(); Add drops it.
 	params []*ParamOf[T]
@@ -84,9 +83,6 @@ func (n *NetworkOf[T]) Add(l LayerOf[T], inputs ...InputRef) (InputRef, error) {
 	out, err := l.OutShape(inShapes)
 	if err != nil {
 		return 0, fmt.Errorf("nn: layer %q: %w", l.Name(), err)
-	}
-	if c, ok := l.(convOf[T]); ok {
-		c.setCols(&n.cols) // shape inference succeeded, so the layer knows its patch-matrix size
 	}
 	if sb, ok := l.(stepLayerOf[T]); ok {
 		sb.stepBufs().deadIn = deadIn
@@ -202,7 +198,7 @@ func (n *NetworkOf[T]) Backward(dOut *tensor.TensorOf[T]) error {
 
 // bufferBytes is the element storage the network and its layers retain.
 func (n *NetworkOf[T]) bufferBytes() int {
-	b := n.cols.bytes() + n.sums.bytes()
+	b := n.sums.bytes()
 	for _, nd := range n.nodes {
 		if sb, ok := nd.layer.(stepLayerOf[T]); ok {
 			b += sb.stepBufs().bytes()

@@ -28,9 +28,9 @@ func runConv2D(t *testing.T, b int) (*tensor.Tensor, *tensor.Tensor, []float64, 
 	return out, dIn, c.W.Grad.Data, c.B.Grad.Data
 }
 
-// runConv2DWide is runConv2D with 32 input channels, so the im2col patch
-// width (3*3*32 = 288) crosses the GEMM k-block boundary and the tiled
-// reduction path is exercised, not just a single tile.
+// runConv2DWide is runConv2D with 32 input channels, so the receptive field
+// (3*3*32 = 288 taps) is longer than the GEMM k-block and the backward's
+// GemmBT is tiled, not just a single tile.
 func runConv2DWide(t *testing.T, b int) (*tensor.Tensor, *tensor.Tensor, []float64, []float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(19))
@@ -91,26 +91,27 @@ func maxAbsDiff(a, b []float64) float64 {
 // TestParallelKernelsMatchSerial asserts the determinism contract of the
 // parallel kernels: with any worker count, outputs and input gradients are
 // bit-identical to the serial (workers=1) run, and weight/bias gradients
-// agree within 1e-12. (The im2col/GEMM kernels fix the reduction order, so
-// in practice the whole comparison is bit-identical; the 1e-12 bound is the
-// documented contract.) Batch 1 matters since the GEMM path parallelizes
-// patch rows within a sample — the serial-vs-parallel agreement must hold
-// even when there is only one sample to shard. These shapes are far under
-// the pool's grain, so the grain is lowered and each parallel leg must report
-// that its sharded loops split: im2col, the three GEMMs and col2im of a
-// convolution, except that a 1-D one's im2col and col2im, sharded over the
-// rows of a height-1 map, cannot split a batch of 1; of a Dense layer the
-// three GEMMs, or at batch 1 only the weight gradient (one output row cannot
-// split).
+// agree within 1e-12. (The GEMM kernels fix the reduction order, so in
+// practice the whole comparison is bit-identical; the 1e-12 bound is the
+// documented contract.) Batch 1 matters since the convolution shards output
+// positions, tap rows and input rows within a sample — the
+// serial-vs-parallel agreement must hold even when there is only one sample
+// to shard. These shapes are far under the pool's grain, so the grain is
+// lowered and each parallel leg must report that its sharded loops split: a
+// convolution's forward (output positions), weight gradient (tap rows) and
+// input gradient (input rows), except that a 1-D one's input gradient,
+// sharded over the rows of a height-1 map, cannot split a batch of 1; of a
+// Dense layer the three GEMMs, or at batch 1 only the weight gradient (one
+// output row cannot split).
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	kernels := []struct {
 		name           string
 		run            func(t *testing.T, b int) (*tensor.Tensor, *tensor.Tensor, []float64, []float64)
 		split1, splitN int64 // loops that split at batch 1 and at batch 37
 	}{
-		{"Conv2D", runConv2D, 5, 5},
-		{"Conv2DWide", runConv2DWide, 5, 5},
-		{"Conv1D", runConv1D, 3, 5},
+		{"Conv2D", runConv2D, 3, 3},
+		{"Conv2DWide", runConv2DWide, 3, 3},
+		{"Conv1D", runConv1D, 2, 3},
 		{"Dense", runDense, 1, 3},
 	}
 	splitEverything(t)
@@ -336,10 +337,10 @@ func TestGradcheckUnderParallelKernels(t *testing.T) {
 	})
 }
 
-// TestGradcheckConv2DIm2col gradchecks the im2col Conv2D backward with a
-// channel count whose patch width (3*3*32 = 288) crosses the GEMM k-block,
-// so the tiled GemmAT/GemmBT/col2im path — not just a single tile — is
-// verified against finite differences.
+// TestGradcheckConv2DIm2col gradchecks the Conv2D backward with a
+// channel count whose receptive field (3*3*32 = 288 taps) crosses the GEMM
+// k-block, so the strided weight gradient and the tiled GemmBT/col2im path —
+// not just a single tile — are verified against finite differences.
 func TestGradcheckConv2DIm2col(t *testing.T) {
 	splitEverything(t)
 	prev := parallel.SetWorkers(4)

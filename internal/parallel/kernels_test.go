@@ -50,8 +50,8 @@ func TestGrainSplitsMillisecondKernels(t *testing.T) {
 		run       func()
 		wantSplit int64 // sharded loops that must split; the rest must not
 	}{
-		// im2col, the three GEMMs and col2im.
-		{"Conv2D batch 64", conv2d(64), 5},
+		// The forward, the weight gradient and the input gradient.
+		{"Conv2D batch 64", conv2d(64), 3},
 		{"MatMul 256x512x256", func() {
 			if err := tensor.MatMulInto(tensor.New(256, 256), tensor.New(256, 512), tensor.New(512, 256), nil); err != nil {
 				t.Fatal(err)

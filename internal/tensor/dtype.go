@@ -21,7 +21,8 @@ const (
 	// F64 is the float64 dtype the stack has always used (the zero value).
 	F64 DType = iota
 	// F32 is the float32 dtype: half the memory bandwidth on the GEMM and
-	// im2col hot paths, with checkpoints stored natively at 4 bytes/element.
+	// convolution hot paths, with checkpoints stored natively at 4
+	// bytes/element.
 	F32
 )
 

@@ -8,7 +8,8 @@ import (
 // Blocked GEMM primitives on flat row-major slices. One kernel family serves
 // every dense product in the training stack: the Dense layer's forward and
 // gradients (via MatMulInto/MatMulTInto) and the Conv1D/Conv2D layers, which
-// lower their input patches to an im2col buffer and call the same kernels
+// read their receptive fields in place through GemmStrided (strided.go), the
+// tile kernels' own addressing, and call GemmBT for their input gradient
 // (internal/nn). Sharing the kernels means the cache tiling and the
 // row-parallel execution below serve convolution and fully connected layers
 // alike. Output rows are the unit of sharding, and a product splits only
@@ -35,8 +36,9 @@ import (
 // and is what runs on every GOARCH but amd64 and under the purego build tag
 // (gemm_noasm.go). On amd64 the products run as tile kernels instead
 // (gemm_amd64.s): one assembly call per row shard and reduction tile, a
-// 4-row output tile held in vector registers across the whole tile. Gemm
-// and GemmAT share one kernel body (gemm_tile_amd64.h) instantiated at both
+// 4-row output tile held in vector registers across the whole tile. Gemm,
+// GemmAT and GemmStrided share one kernel body (gemm_tile_amd64.h)
+// instantiated at both
 // element widths, gemmTileF32AVX2 and gemmTileF64AVX2; GemmBT's order
 // differs per dtype, so it has a kernel per dtype (gemmBTTileF32AVX2,
 // gemmBTTileF64AVX2). The kernels are AVX2, allowed or not once per process
@@ -137,8 +139,8 @@ func Gemm[T Float](dst, a, b []T, m, k, n int, bias []T) {
 }
 
 // GemmBT computes dst = a·bᵀ for a [m, n], b [k, n], dst [m, k] — the
-// input-gradient product (dIn = dOut·Wᵀ) of both the dense layer and the
-// im2col convolution path. The output columns are tiled so one tile of b
+// input-gradient product (dIn = dOut·Wᵀ) of the dense layer, and (as
+// GemmBTSerial) of the convolutions' patch-gradient blocks. The output columns are tiled so one tile of b
 // is reused by every row of a shard; every dot product runs in its dtype's
 // pinned order (j-ascending from zero in f64, the lane order of dot4Go in
 // f32) whichever rows share a block, so results are bit-identical for any
@@ -156,8 +158,8 @@ func GemmBT[T Float](dst, a, b []T, m, n, k int) {
 }
 
 // GemmAT computes dst += aᵀ·b for a [m, k], b [m, n], dst [k, n] — the
-// weight-gradient product (dW += Xᵀ·dOut, or patchesᵀ·dOut for im2col
-// convolutions). It accumulates into dst, preserving the layer contract
+// weight-gradient product of a dense layer (dW += Xᵀ·dOut); a convolution
+// takes the same per-element order through GemmStrided. It accumulates into dst, preserving the layer contract
 // that Backward adds to existing gradients. Rows of dst (the k axis) are
 // computed in parallel shards; each output element sums its m contributions
 // in ascending tile order, matching the serial sample-major loop, so weight

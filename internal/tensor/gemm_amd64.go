@@ -62,23 +62,27 @@ func avx2Usable(cpuid1ECX, cpuid7EBX, xcr0 uint32) bool {
 
 // gemmTileF32AVX2 computes, for r < rows and j < n,
 //
-//	dst[r*n+j] = init[r*initStride+j] + Σ_t a[r*ars+t*ats]·b[t*n+j]
+//	dst[r*n+j] = init[r*initStride+j] + Σ_t a[r*ars+rowAt[r]+groups[t/tw]+(t%tw)*ats]·b[t*n+j]
 //
 // with the sum taken t-ascending from 0 to kc-1, one multiply and one add
 // per term. A nil init starts every element at +0; init may be dst itself
-// (accumulate in place) or a bias row with stride 0. The (ars, ats) strides
-// make one kernel serve Gemm (a row-major: k, 1) and GemmAT (a read
-// transposed: 1, k). Every kernel below is callable only where
-// gemmVectorBytes is 32.
+// (accumulate in place) or a bias row with stride 0. A nil rowAt adds 0 to
+// every row. The a strides make one kernel serve Gemm (a row-major: ars k,
+// ats 1, one group), GemmAT (a read transposed: ars 1, ats k) and
+// GemmStrided, whose rows start at the offsets of rowAt and whose
+// reduction walks groups of tw terms ats apart, each group at its own
+// offset (a receptive field: kernel rows of KW·InC contiguous taps). kc is a
+// multiple of tw ≥ 1 and groups holds kc/tw offsets. Every kernel below is
+// callable only where gemmVectorBytes is 32.
 //
 //go:noescape
-func gemmTileF32AVX2(dst, init *float32, initStride int, a *float32, ars, ats int, b *float32, rows, kc, n int)
+func gemmTileF32AVX2(dst, init *float32, initStride int, a *float32, ars int, rowAt *int, ats, tw int, groups *int, b *float32, rows, kc, n int)
 
 // gemmTileF64AVX2 is gemmTileF32AVX2 on float64: the same body assembled
 // with the packed-double instructions.
 //
 //go:noescape
-func gemmTileF64AVX2(dst, init *float64, initStride int, a *float64, ars, ats int, b *float64, rows, kc, n int)
+func gemmTileF64AVX2(dst, init *float64, initStride int, a *float64, ars int, rowAt *int, ats, tw int, groups *int, b *float64, rows, kc, n int)
 
 // gemmBTTileF32AVX2 computes dst[r*ldd+c] = a[r*n:(r+1)*n] · b[c*n:(c+1)*n]
 // for r < rows and c < cols, every dot product in the lane order of dot4Go,
@@ -96,7 +100,10 @@ func gemmBTTileF32AVX2(dst *float32, ldd int, a, b *float32, rows, cols, n int)
 func gemmBTTileF64AVX2(dst *float64, ldd int, a, b *float64, rows, cols, n int)
 
 // tileKernel is the signature the two tile kernels share.
-type tileKernel[T Float] func(dst, init *T, initStride int, a *T, ars, ats int, b *T, rows, kc, n int)
+type tileKernel[T Float] func(dst, init *T, initStride int, a *T, ars int, rowAt *int, ats, tw int, groups *int, b *T, rows, kc, n int)
+
+// oneGroup is the group table of a reduction that is one run of terms.
+var oneGroup = [1]int{0}
 
 // The wrappers below run the Go loops unless gemmVectorBytes is 32;
 // otherwise they do the one bounds check per operand that lets the kernels
@@ -117,7 +124,8 @@ func gemmRowsTile[T Float](tile tileKernel[T], dst, a, b []T, lo, hi, k, n int, 
 	}
 	initStride := 0
 	for k0 := 0; k0 < k; k0 += gemmKBlock {
-		tile(&d[0], init, initStride, &ar[k0], k, 1, &br[k0*n], hi-lo, min(gemmKBlock, k-k0), n)
+		kc := min(gemmKBlock, k-k0)
+		tile(&d[0], init, initStride, &ar[k0], k, nil, 1, kc, &oneGroup[0], &br[k0*n], hi-lo, kc, n)
 		init, initStride = &d[0], n
 	}
 }
@@ -128,7 +136,8 @@ func gemmATRowsTile[T Float](tile tileKernel[T], dst, a, b []T, lo, hi, m, k, n 
 	}
 	d, ar, br := dst[lo*n:hi*n], a[:m*k], b[:m*n]
 	for m0 := 0; m0 < m; m0 += gemmMBlock {
-		tile(&d[0], &d[0], n, &ar[m0*k+lo], 1, k, &br[m0*n], hi-lo, min(gemmMBlock, m-m0), n)
+		mc := min(gemmMBlock, m-m0)
+		tile(&d[0], &d[0], n, &ar[m0*k+lo], 1, nil, k, mc, &oneGroup[0], &br[m0*n], hi-lo, mc, n)
 	}
 }
 
@@ -193,5 +202,27 @@ func gemmBTRowsF64(dst, a, b []float64, lo, hi, n, k int) {
 		}
 		gemmBTTileF64AVX2(&d[k0], k, &ar[0], &br[k0*n], hi-lo, kc, n)
 		k0 += kc
+	}
+}
+
+func gemmStrided[T Float](dst, init []T, initStride int, a []T, rowAt, groupAt []int, tw, ats int, b []T, n int) {
+	if gemmVectorBytes != 32 {
+		gemmStridedGo(dst, init, initStride, a, rowAt, groupAt, tw, ats, b, n)
+		return
+	}
+	rows, kc := len(rowAt), len(groupAt)*tw
+	switch d := any(dst).(type) {
+	case []float32:
+		var ip *float32
+		if init != nil {
+			ip = &any(init).([]float32)[0]
+		}
+		gemmTileF32AVX2(&d[0], ip, initStride, &any(a).([]float32)[0], 0, &rowAt[0], ats, tw, &groupAt[0], &any(b).([]float32)[0], rows, kc, n)
+	case []float64:
+		var ip *float64
+		if init != nil {
+			ip = &any(init).([]float64)[0]
+		}
+		gemmTileF64AVX2(&d[0], ip, initStride, &any(a).([]float64)[0], 0, &rowAt[0], ats, tw, &groupAt[0], &any(b).([]float64)[0], rows, kc, n)
 	}
 }

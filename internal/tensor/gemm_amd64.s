@@ -12,6 +12,26 @@
 
 #include "textflag.h"
 
+// GROUP_END, for the tile body below: the end of a group of tw terms in a
+// reduction loop. The a pointers take the step DX holds, and DX the one to
+// the group after, if there is one.
+#define GROUP_END(loop, store) \
+	SUBQ tw+56(FP), CX; \
+	JZ   store; \
+	ADDQ DX, R8; \
+	ADDQ DX, R9; \
+	ADDQ DX, R10; \
+	ADDQ DX, R11; \
+	MOVQ tw+56(FP), BX; \
+	ADDQ $8, DI; \
+	CMPQ CX, BX; \
+	JLE  loop; \
+	MOVQ 8(DI), DX; \
+	SUBQ (DI), DX; \
+	SUBQ tws-120(SP), DX; \
+	SHLQ $ESHIFT, DX; \
+	JMP  loop
+
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX
@@ -33,11 +53,13 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func gemmTileF32AVX2(dst, init *float32, initStride int, a *float32, ars, ats int, b *float32, rows, kc, n int)
-// func gemmTileF64AVX2(dst, init *float64, initStride int, a *float64, ars, ats int, b *float64, rows, kc, n int)
+// func gemmTileF32AVX2(dst, init *float32, initStride int, a *float32, ars int, rowAt *int, ats, tw int, groups *int, b *float32, rows, kc, n int)
+// func gemmTileF64AVX2(dst, init *float64, initStride int, a *float64, ars int, rowAt *int, ats, tw int, groups *int, b *float64, rows, kc, n int)
 //
 //	acc         = init[r*initStride+j]   (0 when init is nil)
-//	acc        += a[r*ars+t*ats] * b[t*n+j]   for t = 0 … kc-1, in that order
+//	acc        += a[r*ars+rowAt[r]+groups[t/tw]+(t%tw)*ats] * b[t*n+j]   for t = 0 … kc-1, in that order
+//
+// (rowAt[r] is 0 when rowAt is nil)
 //	dst[r*n+j]  = acc
 //
 // for r < rows, j < n. Rows are taken four at a time and columns in chunks
@@ -80,7 +102,7 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 #define ADDV(s, x) VADDPS s, x, x
 #define BCAST(m, x) VBROADCASTSS m, x
 #define BCASTH(m, x) VBROADCASTSS m, x
-TEXT ·gemmTileF32AVX2(SB), NOSPLIT, $64-80
+TEXT ·gemmTileF32AVX2(SB), NOSPLIT, $120-104
 #include "gemm_tile_amd64.h"
 	VZEROUPPER
 	RET
@@ -105,7 +127,7 @@ TEXT ·gemmTileF32AVX2(SB), NOSPLIT, $64-80
 #define ADDV(s, x) VADDPD s, x, x
 #define BCAST(m, x) VBROADCASTSD m, x
 #define BCASTH(m, x) VMOVDDUP m, x
-TEXT ·gemmTileF64AVX2(SB), NOSPLIT, $64-80
+TEXT ·gemmTileF64AVX2(SB), NOSPLIT, $120-104
 #include "gemm_tile_amd64.h"
 	VZEROUPPER
 	RET

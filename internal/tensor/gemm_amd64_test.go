@@ -132,15 +132,15 @@ func tileLadder[T Float](t *testing.T, tile tileKernel[T], special func(*rand.Ra
 						switch init {
 						case "nil":
 							rowsGo(want, a, b, 0, rows, kc, n, nil)
-							tile(&got[0], nil, 0, ap, ars, ats, &bAll[0], rows, kc, n)
+							tile(&got[0], nil, 0, ap, ars, nil, ats, max(kc, 1), &oneGroup[0], &bAll[0], rows, kc, n)
 						case "bias":
 							rowsGo(want, a, b, 0, rows, kc, n, bias[:n])
-							tile(&got[0], &bias[0], 0, ap, ars, ats, &bAll[0], rows, kc, n)
+							tile(&got[0], &bias[0], 0, ap, ars, nil, ats, max(kc, 1), &oneGroup[0], &bAll[0], rows, kc, n)
 						case "dst":
 							copy(want, seed[:size])
 							copy(got, seed[:size])
 							atGo(want, at, b, 0, rows, kc, rows, n)
-							tile(&got[0], &got[0], n, ap, ars, ats, &bAll[0], rows, kc, n)
+							tile(&got[0], &got[0], n, ap, ars, nil, ats, max(kc, 1), &oneGroup[0], &bAll[0], rows, kc, n)
 						}
 						if i := same(got[:size], want[:size]); i >= 0 {
 							t.Fatalf("rows=%d kc=%d n=%d init=%s strides=%s: elem %d = %v, Go loops %v",

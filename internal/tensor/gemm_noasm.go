@@ -49,3 +49,7 @@ func tanhBody[T Float](dst, x []T) int { return 0 }
 func sigmoidBody[T Float](dst, x []T) int { return 0 }
 
 func expPart(n int) int { return 0 }
+
+func gemmStrided[T Float](dst, init []T, initStride int, a []T, rowAt, groupAt []int, tw, ats int, b []T, n int) {
+	gemmStridedGo(dst, init, initStride, a, rowAt, groupAt, tw, ats, b, n)
+}

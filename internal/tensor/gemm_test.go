@@ -77,7 +77,7 @@ var gemmShapes = []struct{ m, k, n int }{
 	{3, 240, 8},
 	{5, 241, 9},
 	{17, 600, 4},
-	{64, 72, 16}, // the CIFAR conv im2col shape
+	{64, 72, 16}, // a CIFAR conv's nominal product shape
 	{2, 1, 1},
 }
 

@@ -1,9 +1,9 @@
 // Body of the GEMM tile kernel, written once for both element widths and
 // included under one TEXT line per width (gemm_amd64.s), each of
 //
-//	func(dst, init *T, initStride int, a *T, ars, ats int, b *T, rows, kc, n int)
+//	func(dst, init *T, initStride int, a *T, ars int, rowAt *int, ats, tw int, groups *int, b *T, rows, kc, n int)
 //
-// with frame $64-80. The text falls out of its last line when the tile is
+// with frame $120-104, kc a multiple of tw ≥ 1. The text falls out of its last line when the tile is
 // done: the including TEXT supplies the return, VZEROUPPER first. The
 // including file defines:
 //
@@ -22,6 +22,10 @@
 //	MULC(s, a, x)     packed x = a * s, a kept
 //	ADDV(s, x)        packed x += s
 //
+//	GROUP_END(l, s)   after a group's last term: on to store s when the
+//	                  reduction is done, else step the a pointers to the
+//	                  next group and go on with loop l
+//
 // Every operation is one IEEE multiply or one IEEE add per lane; the
 // products always have the a element as first source and the sums the
 // accumulator. Packed moves and the zeroing XOR are bitwise, so the PS forms
@@ -33,15 +37,26 @@
 //
 // Registers: R8–R11 a pointers of the tile's rows, R12 ats in bytes, R13
 // n in bytes (row stride of b and dst), R14 column offset in bytes, R15
-// rows left, SI b pointer, CX reduction counter; AX, BX, DX, DI scratch.
-// The dst and init pointers of the tile's rows live in the frame.
+// rows left, SI b pointer, CX reduction counter; in the reduction loops BX
+// counts the terms left in the current group of tw, DI points at the
+// group's entry of groups and DX holds the step of the a pointers from the
+// end of the group to the start of the next; AX, BX, DX, DI scratch
+// elsewhere. The dst and init pointers of the tile's rows, their a pointers
+// at a group offset of 0, the tile's first row's a pointer by ars alone,
+// its entry of rowAt (0 without a table) and tw·ats live in the frame.
 
-	MOVQ rows+56(FP), R15
-	MOVQ n+72(FP), R13
+	MOVQ rows+80(FP), R15
+	MOVQ n+96(FP), R13
 	SHLQ $ESHIFT, R13
-	MOVQ ats+40(FP), R12
+	MOVQ ats+48(FP), R12
 	SHLQ $ESHIFT, R12
 	MOVQ a+24(FP), R8
+	MOVQ R8, rb-104(SP)
+	MOVQ rowAt+40(FP), DI
+	MOVQ DI, rt-112(SP)
+	MOVQ tw+56(FP), DI
+	IMULQ ats+48(FP), DI
+	MOVQ DI, tws-120(SP)
 	MOVQ dst+0(FP), DI
 	MOVQ DI, d0-8(SP)
 	MOVQ init+8(FP), DI
@@ -64,6 +79,7 @@ tile_rows:
 	CMPQ    DI, DX
 	CMOVQLT DI, DX
 
+	MOVQ  rb-104(SP), R8
 	MOVQ  ars+32(FP), DI
 	SHLQ  $ESHIFT, DI
 	MOVQ  DI, R9
@@ -75,6 +91,29 @@ tile_rows:
 	MOVQ  DI, R11
 	IMULQ DX, R11
 	ADDQ  R8, R11
+
+	// Each row adds its own entry of rowAt, when there is a table.
+	MOVQ  rt-112(SP), DI
+	TESTQ DI, DI
+	JZ    rows_ready
+	MOVQ  (DI), CX
+	SHLQ  $ESHIFT, CX
+	ADDQ  CX, R8
+	MOVQ  (DI)(AX*8), CX
+	SHLQ  $ESHIFT, CX
+	ADDQ  CX, R9
+	MOVQ  (DI)(BX*8), CX
+	SHLQ  $ESHIFT, CX
+	ADDQ  CX, R10
+	MOVQ  (DI)(DX*8), CX
+	SHLQ  $ESHIFT, CX
+	ADDQ  CX, R11
+
+rows_ready:
+	MOVQ  R8, a0-72(SP)
+	MOVQ  R9, a1-80(SP)
+	MOVQ  R10, a2-88(SP)
+	MOVQ  R11, a3-96(SP)
 
 	MOVQ  d0-8(SP), DI
 	MOVQ  R13, CX
@@ -115,9 +154,32 @@ tile_cols:
 	ZERO(V5)
 	ZERO(V6)
 	ZERO(V7)
-	MOVQ b+48(FP), SI
+	MOVQ b+72(FP), SI
 	ADDQ R14, SI
-	MOVQ kc+64(FP), CX
+	MOVQ kc+88(FP), CX
+	MOVQ tw+56(FP), BX
+	MOVQ groups+64(FP), DI
+	MOVQ (DI), AX
+	SHLQ $ESHIFT, AX
+	MOVQ a0-72(SP), R8
+	ADDQ AX, R8
+	MOVQ a1-80(SP), R9
+	ADDQ AX, R9
+	MOVQ a2-88(SP), R10
+	ADDQ AX, R10
+	MOVQ a3-96(SP), R11
+	ADDQ AX, R11
+
+	// DX: the step from the end of the first group to the start of the
+	// second, groups[1] - groups[0] - tw·ats, in bytes, if there is one.
+	CMPQ CX, BX
+	JLE  cols_chunk
+	MOVQ 8(DI), DX
+	SUBQ (DI), DX
+	SUBQ tws-120(SP), DX
+	SHLQ $ESHIFT, DX
+
+cols_chunk:
 	MOVQ R13, AX
 	SUBQ R14, AX
 	CMPQ AX, $(2*VBYTES)
@@ -131,9 +193,15 @@ tile_cols:
 
 	// Next four rows. init advances by its own stride, so a bias (stride
 	// 0) stays put; a nil init is never dereferenced.
-	MOVQ ars+32(FP), AX
-	SHLQ $(ESHIFT+2), AX
-	ADDQ AX, R8
+	MOVQ  ars+32(FP), AX
+	SHLQ  $(ESHIFT+2), AX
+	ADDQ  AX, rb-104(SP)
+	MOVQ  rt-112(SP), AX
+	TESTQ AX, AX
+	JZ    rows_next
+	ADDQ  $32, rt-112(SP)
+
+rows_next:
 	MOVQ R13, AX
 	SHLQ $2, AX
 	ADDQ AX, d0-8(SP)
@@ -194,8 +262,9 @@ v2_loop:
 	ADDQ R12, R9
 	ADDQ R12, R10
 	ADDQ R12, R11
-	DECQ CX
+	DECQ BX
 	JNZ  v2_loop
+	GROUP_END(v2_loop, v2_store)
 
 v2_store:
 	MOVQ d0-8(SP), AX
@@ -211,7 +280,7 @@ v2_store:
 	MOVV V6, (AX)(R14*1)
 	MOVV V7, VBYTES(AX)(R14*1)
 	ADDQ $(2*VBYTES), R14
-	JMP  tile_rewind
+	JMP  tile_cols
 
 	// 4 rows × 1 vector: V0–V3 accumulate, V8 the b row.
 tile_v1:
@@ -250,8 +319,9 @@ v1_loop:
 	ADDQ R12, R9
 	ADDQ R12, R10
 	ADDQ R12, R11
-	DECQ CX
+	DECQ BX
 	JNZ  v1_loop
+	GROUP_END(v1_loop, v1_store)
 
 v1_store:
 	MOVQ d0-8(SP), AX
@@ -263,7 +333,7 @@ v1_store:
 	MOVQ d3-32(SP), AX
 	MOVV V3, (AX)(R14*1)
 	ADDQ $VBYTES, R14
-	JMP  tile_rewind
+	JMP  tile_cols
 
 	// 4 rows × the XMM half of a vector (16 to 31 bytes of the row left):
 	// the one-vector chunk again on X0–X3 and X8.
@@ -303,8 +373,9 @@ h1_loop:
 	ADDQ R12, R9
 	ADDQ R12, R10
 	ADDQ R12, R11
-	DECQ CX
+	DECQ BX
 	JNZ  h1_loop
+	GROUP_END(h1_loop, h1_store)
 
 h1_store:
 	MOVQ d0-8(SP), AX
@@ -316,7 +387,7 @@ h1_store:
 	MOVQ d3-32(SP), AX
 	MOVV X3, (AX)(R14*1)
 	ADDQ $16, R14
-	JMP  tile_rewind
+	JMP  tile_cols
 
 	// 4 rows × 1 element (the columns past the last whole vector): the
 	// same sequence on scalars, in lane 0 of X0–X3, X8 and X10–X13.
@@ -356,8 +427,9 @@ e1_loop:
 	ADDQ R12, R9
 	ADDQ R12, R10
 	ADDQ R12, R11
-	DECQ CX
+	DECQ BX
 	JNZ  e1_loop
+	GROUP_END(e1_loop, e1_store)
 
 e1_store:
 	MOVQ d0-8(SP), AX
@@ -370,15 +442,6 @@ e1_store:
 	MOV1 X3, (AX)(R14*1)
 	ADDQ $ESIZE, R14
 
-	// Put the a pointers back at the start of the reduction tile for the
-	// next column chunk.
-tile_rewind:
-	MOVQ  kc+64(FP), AX
-	IMULQ R12, AX
-	SUBQ  AX, R8
-	SUBQ  AX, R9
-	SUBQ  AX, R10
-	SUBQ  AX, R11
-	JMP   tile_cols
+	JMP tile_cols
 
 tile_done:

@@ -33,7 +33,7 @@ type SearchOptions struct {
 	Seed, DataSeed int64
 	// DType selects the training element type: "" or "f64" (the default
 	// float64 stack), or "f32" to train candidates natively in float32 —
-	// roughly half the memory traffic on the GEMM/im2col hot paths, with
+	// roughly half the memory traffic on the GEMM and convolution hot paths, with
 	// checkpoints stored at 4 bytes per element. Candidates are still built
 	// and weight-transferred in float64 and converted once before training,
 	// so the search's proposal stream is identical across dtypes; only the
