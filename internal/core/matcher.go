@@ -75,20 +75,17 @@ func (LP) Match(provider, receiver ShapeSeq) []MatchPair {
 
 // LCS is the longest-common-subsequence matcher (paper Section IV-A),
 // implemented with the Wagner–Fischer dynamic program.
-//
-// Multiple alignments can realize the same LCS length; BackBiased selects
-// the tie-breaking direction of the backtrack. The default (false) prefers
-// matching earlier provider layers, consistent with the intuition that early
-// layers transfer best; the ablation benchmark compares both.
-type LCS struct {
-	BackBiased bool
-}
+type LCS struct{}
 
 // Name returns "LCS".
 func (LCS) Name() string { return "LCS" }
 
 // Match computes one maximum-length common subsequence of identical shapes.
-func (m LCS) Match(provider, receiver ShapeSeq) []MatchPair {
+// Several alignments can realize that length; the backtrack walks forward
+// from the first tensors, takes a pair whenever it lies on a longest
+// alignment, and otherwise skips the provider tensor before the receiver
+// tensor (DESIGN.md §7).
+func (LCS) Match(provider, receiver ShapeSeq) []MatchPair {
 	n, k := len(provider), len(receiver)
 	if n == 0 || k == 0 {
 		return nil
@@ -118,10 +115,6 @@ func (m LCS) Match(provider, receiver ShapeSeq) []MatchPair {
 			pairs = append(pairs, MatchPair{Provider: i, Receiver: j})
 			i++
 			j++
-		case m.BackBiased && dp[i][j+1] >= dp[i+1][j]:
-			j++
-		case m.BackBiased:
-			i++
 		case dp[i+1][j] >= dp[i][j+1]:
 			i++
 		default:

@@ -73,7 +73,7 @@ func Paper() Config {
 	}
 }
 
-// Quick returns the reduced scale used by bench_test.go so the whole
+// Quick returns the reduced scale (cmd/experiments -scale quick) so the whole
 // evaluation regenerates in minutes on one CPU core.
 func Quick() Config {
 	return Config{
