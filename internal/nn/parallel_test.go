@@ -573,11 +573,11 @@ func TestGradcheckBatchNormParallel(t *testing.T) {
 }
 
 // TestGradcheckConv2DMicroKernel targets the GEMM register-blocked
-// micro-kernel edges: batch 1 with a 5×5 output gives 25 patch rows (12 row
-// pairs + a scalar remainder row), OutC=6 gives one 4-column group + a
-// 2-column remainder, and the 3*3*32 = 288 patch width crosses the K-tile
-// boundary — so every path through gemm2x4/gemmBT2x4/gemmAT4 and their
-// remainders contributes to the checked gradients.
+// edges: batch 1 with a 5×5 output gives 25 patch rows (six 4-row tiles and
+// a 1-row tail, 12 row pairs and a remainder row of GemmBT's f64 loop),
+// OutC=6 gives one 4-column group + a 2-column remainder, and the
+// 3*3*32 = 288 patch width crosses the K-tile boundary — so every block and
+// its remainders contribute to the checked gradients.
 func TestGradcheckConv2DMicroKernel(t *testing.T) {
 	splitEverything(t)
 	prev := parallel.SetWorkers(4)

@@ -6,7 +6,7 @@ import (
 )
 
 // hostVectorBytes is the body init chose: 32 where the AVX2 kernels run, 8
-// where the products are the Go loops. A test reaches the other body by
+// where the products are the Go definitions. A test reaches the other body by
 // writing gemmVectorBytes (setBody); production code has no switch — no
 // flag, environment variable or build tag selects a body.
 var hostVectorBytes = gemmVectorBytes
@@ -17,6 +17,15 @@ func setBody(t testing.TB, vectorBytes int) {
 	prev := gemmVectorBytes
 	gemmVectorBytes = vectorBytes
 	t.Cleanup(func() { gemmVectorBytes = prev })
+}
+
+// onGo runs f on the Go definitions, whichever body the test is on: the
+// oracle a body is held to.
+func onGo(f func()) {
+	prev := gemmVectorBytes
+	gemmVectorBytes = 8
+	defer func() { gemmVectorBytes = prev }()
+	f()
 }
 
 // onBody runs f as subtest vector_bytes=vb on that body, skipping — it
@@ -31,8 +40,8 @@ func onBody(t *testing.T, vb int, f func(t *testing.T)) {
 	})
 }
 
-// eachBody runs f on both bodies: vector_bytes=8, the Go loops, reached on
-// amd64 through the wrappers' fallback an amd64 host without AVX2 takes,
+// eachBody runs f on both bodies: vector_bytes=8, the Go definitions,
+// reached on amd64 through the fallback an amd64 host without AVX2 takes,
 // and vector_bytes=32, the AVX2 kernels.
 func eachBody(t *testing.T, f func(t *testing.T)) {
 	onBody(t, 8, f)

@@ -9,7 +9,7 @@ import (
 // every dense product in the training stack: the Dense layer's forward and
 // gradients (via MatMulInto/MatMulTInto) and the Conv1D/Conv2D layers, which
 // read their receptive fields in place through GemmStrided (strided.go), the
-// tile kernels' own addressing, and call GemmBT for their input gradient
+// tile's own addressing, and call GemmBT for their input gradient
 // (internal/nn). Sharing the kernels means the cache tiling and the
 // row-parallel execution below serve convolution and fully connected layers
 // alike. Output rows are the unit of sharding, and a product splits only
@@ -30,45 +30,42 @@ import (
 //     computed together, the accumulators held in registers across the whole
 //     tile so one operand load feeds several multiply-adds.
 //
-// Each dtype has a definition in plain Go — the float64 loops at the bottom
-// of this file, the float32 loops of gemm_f32.go — that pins the order in
-// which every output element takes its terms, is the oracle in the tests,
-// and is what runs on every GOARCH but amd64 and under the purego build tag
-// (gemm_noasm.go). On amd64 the products run as tile kernels instead
-// (gemm_amd64.s): one assembly call per row shard and reduction tile, a
-// 4-row output tile held in vector registers across the whole tile. Gemm,
-// GemmAT and GemmStrided share one kernel body (gemm_tile_amd64.h)
-// instantiated at both
-// element widths, gemmTileF32AVX2 and gemmTileF64AVX2; GemmBT's order
-// differs per dtype, so it has a kernel per dtype (gemmBTTileF32AVX2,
-// gemmBTTileF64AVX2). The kernels are AVX2, allowed or not once per process
-// by CPUID (gemm_amd64.go); an amd64 host without usable AVX2 runs the Go
-// loops. Packed multiplies and adds round each lane exactly like the scalar
-// ones, no kernel has a fused multiply-add and Go never fuses one on amd64,
-// so the kernels are bit-identical to their loops.
+// Gemm, GemmAT and GemmStrided are one operation, the tile (gemmTile): for
+// r < rows and j < n,
 //
-// The Go loops' block shapes are chosen empirically for Go's amd64 backend,
-// which spills scalar float64 locals beyond ~8 live accumulators: a 2-row ×
-// 4-column accumulator tile for Gemm, a 2×4 dot-product block for GemmBT
-// (two a rows against four b rows), a 4-row fused axpy for GemmAT (one
-// loaded b row updates four dst rows). A 4×4 block written in Go — 16 live
-// sums plus operand temporaries — spills and measured *slower* than the
-// scalar loop; the assembly holds 4×8 f64 (4×16 f32) in eight YMM
-// registers because it places every value itself.
+//	dst[r*n+j] = init[r*initStride+j] + Σ_t a[r*ars+rowAt[r]+groups[t/tw]+(t%tw)*ats]·b[t*n+j]
 //
-// Determinism contract: K-tiles are always visited in ascending order, each
-// output element is written by exactly one shard, and every path adds an
-// element's contributions in the same order (kk ascending for Gemm from
-// bias or +0, mm ascending into dst for GemmAT, and for GemmBT j ascending
-// from zero in f64, the 4-lane order of dot4Go in f32). Blocking therefore
-// changes which elements are computed *together*, never the per-element
-// accumulation sequence — so every kernel produces bit-identical results
-// for any worker count, and the row blocking never has to align with shard
-// boundaries. No path skips a zero operand: 0·b adds a signed zero and
-// 0·Inf is NaN, whichever row of a shard the element lands in. GemmAT
-// additionally matches the accumulation order of a serial sample-major loop
-// (m ascending per output element), which keeps weight gradients
-// bit-identical to the pre-GEMM direct kernels.
+// the sum taken t-ascending from init or +0, one rounding per multiply and
+// per add. Gemm walks K-tiles reading a row-major (ars k, ats 1), GemmAT
+// walks m-tiles reading a transposed (ars 1, ats k), and GemmStrided is one
+// tile whose rows and groups start at the offsets of its tables.
+// gemmTileGo is the tile's one definition in Go: the oracle in the tests,
+// and what runs on every GOARCH but amd64, under the purego build tag
+// (gemm_noasm.go) and on an amd64 host without usable AVX2. Elsewhere the
+// tile is one assembly body (gemm_tile_amd64.h) instantiated at both
+// element widths, gemmTileF32AVX2 and gemmTileF64AVX2, a 4-row output tile
+// held in vector registers across the whole reduction tile; whether it may
+// run is decided once per process by CPUID (gemm_amd64.go). Packed
+// multiplies and adds round each lane exactly like the scalar ones, no
+// kernel has a fused multiply-add and Go never fuses one on amd64, so the
+// two bodies give the same bits. GemmBT's dot-product order differs per
+// dtype — j-ascending from zero in f64 (the loops at the bottom of this
+// file), the 4-lane order of dot4Go in f32 (gemm_f32.go) — so it has a Go
+// loop and a kernel per dtype.
+//
+// Determinism contract: reduction tiles are always visited in ascending
+// order, each output element is written by exactly one shard, and every
+// path adds an element's contributions in the same order (kk ascending for
+// Gemm from bias or +0, mm ascending into dst for GemmAT, and for GemmBT j
+// ascending from zero in f64, the 4-lane order of dot4Go in f32). Blocking
+// therefore changes which elements are computed *together*, never the
+// per-element accumulation sequence — so every kernel produces
+// bit-identical results for any worker count, and the row blocking never
+// has to align with shard boundaries. No path skips a zero operand: 0·b
+// adds a signed zero and 0·Inf is NaN, whichever row of a shard the element
+// lands in. GemmAT additionally matches the accumulation order of a serial
+// sample-major loop (m ascending per output element), which keeps weight
+// gradients bit-identical to the pre-GEMM direct kernels.
 //
 // The contract holds independently *per dtype* (pinned for f64 by
 // TestGemmKernelsDeterministicAcrossWorkers, TestGemmF64ShapeSweep and
@@ -128,14 +125,7 @@ func gemmCost(madds int) int {
 // 0·Inf is NaN as IEEE says — at either width.
 func Gemm[T Float](dst, a, b []T, m, k, n int, bias []T) {
 	defer observeGemm(m, k, n, mGemmSeconds.Start())
-	switch d := any(dst).(type) {
-	case []float32:
-		a, b, bias := any(a).([]float32), any(b).([]float32), any(bias).([]float32)
-		parallel.For(m, parallel.MinChunk(gemmCost(k*n)), func(lo, hi int) { gemmRowsF32(d, a, b, lo, hi, k, n, bias) })
-	case []float64:
-		a, b, bias := any(a).([]float64), any(b).([]float64), any(bias).([]float64)
-		parallel.For(m, parallel.MinChunk(gemmCost(2*k*n)), func(lo, hi int) { gemmRowsF64(d, a, b, lo, hi, k, n, bias) })
-	}
+	parallel.For(m, parallel.MinChunk(GemmCost[T](k*n)), func(lo, hi int) { gemmRows(dst, a, b, lo, hi, k, n, bias) })
 }
 
 // GemmBT computes dst = a·bᵀ for a [m, n], b [k, n], dst [m, k] — the
@@ -159,113 +149,146 @@ func GemmBT[T Float](dst, a, b []T, m, n, k int) {
 
 // GemmAT computes dst += aᵀ·b for a [m, k], b [m, n], dst [k, n] — the
 // weight-gradient product of a dense layer (dW += Xᵀ·dOut); a convolution
-// takes the same per-element order through GemmStrided. It accumulates into dst, preserving the layer contract
-// that Backward adds to existing gradients. Rows of dst (the k axis) are
-// computed in parallel shards; each output element sums its m contributions
-// in ascending tile order, matching the serial sample-major loop, so weight
-// gradients are bit-identical for any worker count.
+// takes the same per-element order through GemmStrided. It accumulates into
+// dst, preserving the layer contract that Backward adds to existing
+// gradients. Rows of dst (the k axis) are computed in parallel shards; each
+// output element sums its m contributions in ascending tile order, matching
+// the serial sample-major loop, so weight gradients are bit-identical for
+// any worker count.
 func GemmAT[T Float](dst, a, b []T, m, k, n int) {
 	defer observeGemm(m, k, n, mGemmSeconds.Start())
-	switch d := any(dst).(type) {
-	case []float32:
-		a, b := any(a).([]float32), any(b).([]float32)
-		parallel.For(k, parallel.MinChunk(gemmCost(m*n)), func(lo, hi int) { gemmATRowsF32(d, a, b, lo, hi, m, k, n) })
-	case []float64:
-		a, b := any(a).([]float64), any(b).([]float64)
-		parallel.For(k, parallel.MinChunk(gemmCost(2*m*n)), func(lo, hi int) { gemmATRowsF64(d, a, b, lo, hi, m, k, n) })
+	parallel.For(k, parallel.MinChunk(GemmCost[T](m*n)), func(lo, hi int) { gemmATRows(dst, a, b, lo, hi, m, k, n) })
+}
+
+// oneGroup is the group table of a reduction that is one run of terms.
+var oneGroup = []int{0}
+
+// gemmRows computes rows [lo, hi) of dst = a·b (+bias), one tile per K-tile
+// in ascending order: the first starts from bias or +0 — and is the only
+// one, with no term, when k is 0 — and each later one from dst.
+func gemmRows[T Float](dst, a, b []T, lo, hi, k, n int, bias []T) {
+	d, init, initStride := dst[lo*n:], bias, 0
+	for k0 := 0; k0 == 0 || k0 < k; k0 += gemmKBlock {
+		kc := min(gemmKBlock, k-k0)
+		gemmTile(d, init, initStride, a[lo*k+k0:], k, nil, 1, kc, oneGroup, b[k0*n:], hi-lo, n)
+		init, initStride = d, n
 	}
 }
 
-// gemmInitRows starts rows [lo, hi) of a Gemm output at bias, or at +0.
-func gemmInitRows[T Float](dst []T, lo, hi, n int, bias []T) {
-	for i := lo; i < hi; i++ {
-		oi := dst[i*n : (i+1)*n]
-		if bias != nil {
-			copy(oi, bias)
+// gemmATRows accumulates rows [lo, hi) of dst += aᵀ·b, one tile per m-tile
+// in ascending order, each reading a transposed.
+func gemmATRows[T Float](dst, a, b []T, lo, hi, m, k, n int) {
+	d := dst[lo*n:]
+	for m0 := 0; m0 < m; m0 += gemmMBlock {
+		mc := min(gemmMBlock, m-m0)
+		gemmTile(d, d, n, a[m0*k+lo:], 1, nil, k, mc, oneGroup, b[m0*n:], hi-lo, n)
+	}
+}
+
+// gemmTile computes one tile (the formula at the top of this file) of
+// kc = len(groups)·tw terms on the body gemmVectorBytes names. It makes the
+// one bounds check per operand that lets the kernels run unchecked: a
+// negative stride or offset panics, and so does an operand shorter than the
+// farthest element the tile reads. With kc ≤ 0 there is no term: the tile
+// writes init or +0, reading neither a nor b. A nil rowAt adds 0 to every
+// row.
+func gemmTile[T Float](dst, init []T, initStride int, a []T, ars int, rowAt []int, ats, tw int, groups []int, b []T, rows, n int) {
+	if rows <= 0 || n <= 0 {
+		return
+	}
+	if initStride < 0 || ars < 0 || ats < 0 {
+		panic("tensor: GEMM stride below zero")
+	}
+	dst = dst[:rows*n]
+	if init != nil {
+		init = init[:(rows-1)*initStride+n]
+	}
+	if rowAt != nil {
+		rowAt = rowAt[:rows]
+	}
+	kc := len(groups) * tw
+	if kc <= 0 {
+		kc, tw, groups = 0, 1, oneGroup
+	} else {
+		a = a[:(rows-1)*ars+farthest(rowAt)+farthest(groups)+(tw-1)*ats+1]
+		b = b[:kc*n]
+	}
+	if !tileBody(&dst[0], first(init), initStride, first(a), ars, first(rowAt), ats, tw, &groups[0], first(b), rows, kc, n) {
+		gemmTileGo(dst, init, initStride, a, ars, rowAt, ats, tw, groups, b, rows, kc, n)
+	}
+}
+
+// first is the address of s[0], or nil when s is empty: the kernel argument
+// of an operand the tile does not read may be nil, never dereferenced.
+func first[E any](s []E) *E {
+	if len(s) == 0 {
+		return nil
+	}
+	return &s[0]
+}
+
+// farthest is the largest offset of a table, which holds none below zero.
+func farthest(at []int) int {
+	far := 0
+	for _, o := range at {
+		if o < 0 {
+			panic("tensor: GEMM offset below zero")
+		}
+		far = max(far, o)
+	}
+	return far
+}
+
+// gemmTileGo is the tile's definition: row by row, each row's terms taken
+// group by group, four at a time where a group has four left, every
+// element's sum t-ascending.
+func gemmTileGo[T Float](dst, init []T, initStride int, a []T, ars int, rowAt []int, ats, tw int, groups []int, b []T, rows, kc, n int) {
+	groups = groups[:kc/tw]
+	for r := 0; r < rows; r++ {
+		o := dst[r*n : (r+1)*n]
+		if init == nil {
+			clear(o)
 		} else {
-			for j := range oi {
-				oi[j] = 0
+			copy(o, init[r*initStride:r*initStride+n])
+		}
+		row := r * ars
+		if rowAt != nil {
+			row += rowAt[r]
+		}
+		bt := b
+		for _, g := range groups {
+			at, i := row+g, 0
+			for ; i+4 <= tw; i += 4 {
+				axpy4(o, bt[:n], bt[n:2*n], bt[2*n:3*n], bt[3*n:4*n], a[at], a[at+ats], a[at+2*ats], a[at+3*ats])
+				at, bt = at+4*ats, bt[4*n:]
 			}
-		}
-	}
-}
-
-// The float64 definition: plain Go loops, register-blocked. On amd64 the
-// products run as assembly tile kernels instead (gemm_amd64.s) and these
-// loops are the oracle they are held to — and what a GemmBT shard of fewer
-// than four rows or columns runs; elsewhere, and under the purego tag, they
-// are what runs (gemm_noasm.go). The float32 twin of this half of the file
-// is gemm_f32.go.
-
-// gemmRowsGoF64 computes rows [lo, hi) of dst = a·b (+bias): row pairs go
-// through gemm2x4, an odd last row through the scalar loop, every element
-// kk-ascending either way.
-func gemmRowsGoF64(dst, a, b []float64, lo, hi, k, n int, bias []float64) {
-	gemmInitRows(dst, lo, hi, n, bias)
-	for k0 := 0; k0 < k; k0 += gemmKBlock {
-		k1 := min(k0+gemmKBlock, k)
-		i := lo
-		for ; i+2 <= hi; i += 2 {
-			gemm2x4(dst, a, b, i, k0, k1, k, n)
-		}
-		for ; i < hi; i++ {
-			ai := a[i*k : (i+1)*k]
-			oi := dst[i*n : (i+1)*n]
-			for kk := k0; kk < k1; kk++ {
-				av := ai[kk]
-				br := b[kk*n : (kk+1)*n]
-				for j, bv := range br {
-					oi[j] += av * bv
+			for ; i < tw; i++ {
+				av := a[at]
+				for j, bv := range bt[:n] {
+					o[j] += av * bv
 				}
+				at, bt = at+ats, bt[n:]
 			}
 		}
 	}
 }
 
-// gemm2x4 applies one K-tile [k0, k1) to the two consecutive output rows
-// starting at i. Columns are walked in groups of four with a 2×4 accumulator
-// tile held in registers across the whole K-tile; each accumulator sums its
-// kk contributions in ascending order, exactly like the scalar row loop, so
-// the result does not depend on whether a row lands in this micro-kernel or
-// in the remainder path. Eight accumulators plus six operand temporaries fit
-// the amd64 register file; the Go compiler spills wider tiles, which run
-// slower.
-func gemm2x4(dst, a, b []float64, i, k0, k1, k, n int) {
-	a0 := a[(i+0)*k : (i+1)*k]
-	a1 := a[(i+1)*k : (i+2)*k]
-	o0 := dst[(i+0)*n : (i+1)*n]
-	o1 := dst[(i+1)*n : (i+2)*n]
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		c00, c01, c02, c03 := o0[j], o0[j+1], o0[j+2], o0[j+3]
-		c10, c11, c12, c13 := o1[j], o1[j+1], o1[j+2], o1[j+3]
-		bi := k0*n + j
-		for kk := k0; kk < k1; kk++ {
-			av0, av1 := a0[kk], a1[kk]
-			b0, b1, b2, b3 := b[bi], b[bi+1], b[bi+2], b[bi+3]
-			bi += n
-			c00 += av0 * b0
-			c01 += av0 * b1
-			c02 += av0 * b2
-			c03 += av0 * b3
-			c10 += av1 * b0
-			c11 += av1 * b1
-			c12 += av1 * b2
-			c13 += av1 * b3
-		}
-		o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
-		o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
-	}
-	for ; j < n; j++ {
-		c0, c1 := o0[j], o1[j]
-		for kk := k0; kk < k1; kk++ {
-			bv := b[kk*n+j]
-			c0 += a0[kk] * bv
-			c1 += a1[kk] * bv
-		}
-		o0[j], o1[j] = c0, c1
+// axpy4 adds four scaled rows into dst, the terms left to right per
+// element.
+func axpy4[T Float](dst, b0, b1, b2, b3 []T, a0, a1, a2, a3 T) {
+	b0, b1, b2, b3 = b0[:len(dst)], b1[:len(dst)], b2[:len(dst)], b3[:len(dst)]
+	for j := range dst {
+		v := dst[j]
+		v += a0 * b0[j]
+		v += a1 * b1[j]
+		v += a2 * b2[j]
+		v += a3 * b3[j]
+		dst[j] = v
 	}
 }
+
+// The f64 GemmBT loops: a shard of fewer than four rows or columns runs
+// them on an AVX2 host too (gemm_amd64.go). The f32 ones are gemm_f32.go's.
 
 // gemmBTRowsGoF64 computes rows [lo, hi) of dst = a·bᵀ: row pairs go
 // through gemmBT2x4, an odd last row through the scalar loop, every dot
@@ -334,60 +357,5 @@ func gemmBT2x4(dst, a, b []float64, i, k0, k1, n, k int) {
 			c1 += a1[j] * w
 		}
 		o0[kk], o1[kk] = c0, c1
-	}
-}
-
-// gemmATRowsGoF64 accumulates rows [lo, hi) of dst += aᵀ·b: row quads go
-// through gemmAT4, the last one to three rows through the scalar loop,
-// every element mm-ascending either way.
-func gemmATRowsGoF64(dst, a, b []float64, lo, hi, m, k, n int) {
-	if n == 0 {
-		return
-	}
-	for m0 := 0; m0 < m; m0 += gemmMBlock {
-		m1 := min(m0+gemmMBlock, m)
-		kk := lo
-		for ; kk+4 <= hi; kk += 4 {
-			gemmAT4(dst, a, b, kk, m0, m1, k, n)
-		}
-		for ; kk < hi; kk++ {
-			orow := dst[kk*n : (kk+1)*n]
-			for mm := m0; mm < m1; mm++ {
-				av := a[mm*k+kk]
-				br := b[mm*n : (mm+1)*n]
-				for j, g := range br {
-					orow[j] += av * g
-				}
-			}
-		}
-	}
-}
-
-// gemmAT4 applies one m-tile [m0, m1) to the four consecutive dst rows
-// starting at kk as a fused axpy: each sample's b row is loaded once and
-// scaled into all four output rows, quartering b traffic versus the scalar
-// loop. The four a elements per sample are contiguous (a[mm*k+kk .. +4]),
-// so the strided column walk of the scalar path becomes one 4-element load.
-// Samples are visited in ascending mm order — the exact per-element sequence
-// of the scalar remainder loop.
-func gemmAT4(dst, a, b []float64, kk, m0, m1, k, n int) {
-	o0 := dst[(kk+0)*n : (kk+1)*n]
-	o1 := dst[(kk+1)*n : (kk+2)*n]
-	o2 := dst[(kk+2)*n : (kk+3)*n]
-	o3 := dst[(kk+3)*n : (kk+4)*n]
-	for mm := m0; mm < m1; mm++ {
-		ar := a[mm*k+kk : mm*k+kk+4 : mm*k+kk+4]
-		av0, av1, av2, av3 := ar[0], ar[1], ar[2], ar[3]
-		br := b[mm*n : (mm+1)*n]
-		_ = o3[len(br)-1]
-		_ = o2[len(br)-1]
-		_ = o1[len(br)-1]
-		_ = o0[len(br)-1]
-		for j, g := range br {
-			o0[j] += av0 * g
-			o1[j] += av1 * g
-			o2[j] += av2 * g
-			o3[j] += av3 * g
-		}
 	}
 }

@@ -6,16 +6,17 @@ package tensor
 // assembly call per row shard and reduction tile; the loops over rows,
 // columns and the reduction index run inside the call. Packed multiplies and
 // adds round each lane exactly like the scalar ops, and no kernel fuses
-// them, so the kernels are bit-identical to the Go loops in gemm.go and
-// gemm_f32.go — pinned by TestF64KernelsMatchGoTwins,
-// TestF32KernelsMatchGoTwins and the two shape sweeps. The kernels are AVX2;
-// whether they may run is decided once, below, and where they may not the
-// products run the Go loops, as under the purego build tag.
+// them, so the kernels are bit-identical to the Go definitions in gemm.go
+// and gemm_f32.go — pinned by TestF64KernelsMatchGoTwins,
+// TestF32KernelsMatchGoTwins, the two shape sweeps and the tile ladders. The
+// kernels are AVX2; whether they may run is decided once, below, and where
+// they may not the products run the Go definitions, as under the purego
+// build tag.
 
 // gemmVectorBytes is the vector width of the bodies the products run: 32
 // when the CPU has AVX2 and the OS saves the YMM state, 8 (one float64: the
-// Go loops) otherwise. It is set once, here; only a _test.go file writes it
-// again, to run the Go loops on an AVX2 host.
+// Go definitions) otherwise. It is set once, here; only a _test.go file
+// writes it again, to run the Go definitions on an AVX2 host.
 var gemmVectorBytes = func() int {
 	if detectAVX2(cpuid, xgetbv) {
 		return 32
@@ -65,15 +66,10 @@ func avx2Usable(cpuid1ECX, cpuid7EBX, xcr0 uint32) bool {
 //	dst[r*n+j] = init[r*initStride+j] + Σ_t a[r*ars+rowAt[r]+groups[t/tw]+(t%tw)*ats]·b[t*n+j]
 //
 // with the sum taken t-ascending from 0 to kc-1, one multiply and one add
-// per term. A nil init starts every element at +0; init may be dst itself
-// (accumulate in place) or a bias row with stride 0. A nil rowAt adds 0 to
-// every row. The a strides make one kernel serve Gemm (a row-major: ars k,
-// ats 1, one group), GemmAT (a read transposed: ars 1, ats k) and
-// GemmStrided, whose rows start at the offsets of rowAt and whose
-// reduction walks groups of tw terms ats apart, each group at its own
-// offset (a receptive field: kernel rows of KW·InC contiguous taps). kc is a
-// multiple of tw ≥ 1 and groups holds kc/tw offsets. Every kernel below is
-// callable only where gemmVectorBytes is 32.
+// per term: the tile of gemm.go, whose Go definition is gemmTileGo. A nil
+// init starts every element at +0, and a nil rowAt adds 0 to every row. kc
+// is a multiple of tw ≥ 1, and groups holds kc/tw offsets, one at least.
+// Every kernel below is callable only where gemmVectorBytes is 32.
 //
 //go:noescape
 func gemmTileF32AVX2(dst, init *float32, initStride int, a *float32, ars int, rowAt *int, ats, tw int, groups *int, b *float32, rows, kc, n int)
@@ -99,79 +95,25 @@ func gemmBTTileF32AVX2(dst *float32, ldd int, a, b *float32, rows, cols, n int)
 //go:noescape
 func gemmBTTileF64AVX2(dst *float64, ldd int, a, b *float64, rows, cols, n int)
 
-// tileKernel is the signature the two tile kernels share.
-type tileKernel[T Float] func(dst, init *T, initStride int, a *T, ars int, rowAt *int, ats, tw int, groups *int, b *T, rows, kc, n int)
+// tileBody runs one checked gemmTile call on the AVX2 kernel of T's width
+// where gemmVectorBytes is 32, and otherwise reports false, having run
+// nothing.
+func tileBody[T Float](dst, init *T, initStride int, a *T, ars int, rowAt *int, ats, tw int, groups *int, b *T, rows, kc, n int) bool {
+	if gemmVectorBytes != 32 {
+		return false
+	}
+	switch d := any(dst).(type) {
+	case *float32:
+		gemmTileF32AVX2(d, any(init).(*float32), initStride, any(a).(*float32), ars, rowAt, ats, tw, groups, any(b).(*float32), rows, kc, n)
+	case *float64:
+		gemmTileF64AVX2(d, any(init).(*float64), initStride, any(a).(*float64), ars, rowAt, ats, tw, groups, any(b).(*float64), rows, kc, n)
+	}
+	return true
+}
 
-// oneGroup is the group table of a reduction that is one run of terms.
-var oneGroup = [1]int{0}
-
-// The wrappers below run the Go loops unless gemmVectorBytes is 32;
+// The GemmBT wrappers run the Go loops unless gemmVectorBytes is 32;
 // otherwise they do the one bounds check per operand that lets the kernels
 // run unchecked, then walk the reduction tiles in ascending order.
-
-func gemmRowsTile[T Float](tile tileKernel[T], dst, a, b []T, lo, hi, k, n int, bias []T) {
-	if lo >= hi || n == 0 {
-		return
-	}
-	if k == 0 {
-		gemmInitRows(dst, lo, hi, n, bias)
-		return
-	}
-	d, ar, br := dst[lo*n:hi*n], a[lo*k:hi*k], b[:k*n]
-	var init *T
-	if bias != nil {
-		init = &bias[:n][0]
-	}
-	initStride := 0
-	for k0 := 0; k0 < k; k0 += gemmKBlock {
-		kc := min(gemmKBlock, k-k0)
-		tile(&d[0], init, initStride, &ar[k0], k, nil, 1, kc, &oneGroup[0], &br[k0*n], hi-lo, kc, n)
-		init, initStride = &d[0], n
-	}
-}
-
-func gemmATRowsTile[T Float](tile tileKernel[T], dst, a, b []T, lo, hi, m, k, n int) {
-	if lo >= hi || n == 0 || m == 0 {
-		return
-	}
-	d, ar, br := dst[lo*n:hi*n], a[:m*k], b[:m*n]
-	for m0 := 0; m0 < m; m0 += gemmMBlock {
-		mc := min(gemmMBlock, m-m0)
-		tile(&d[0], &d[0], n, &ar[m0*k+lo], 1, nil, k, mc, &oneGroup[0], &br[m0*n], hi-lo, mc, n)
-	}
-}
-
-func gemmRowsF32(dst, a, b []float32, lo, hi, k, n int, bias []float32) {
-	if gemmVectorBytes != 32 {
-		gemmRowsGo(dst, a, b, lo, hi, k, n, bias)
-		return
-	}
-	gemmRowsTile(gemmTileF32AVX2, dst, a, b, lo, hi, k, n, bias)
-}
-
-func gemmRowsF64(dst, a, b []float64, lo, hi, k, n int, bias []float64) {
-	if gemmVectorBytes != 32 {
-		gemmRowsGoF64(dst, a, b, lo, hi, k, n, bias)
-		return
-	}
-	gemmRowsTile(gemmTileF64AVX2, dst, a, b, lo, hi, k, n, bias)
-}
-
-func gemmATRowsF32(dst, a, b []float32, lo, hi, m, k, n int) {
-	if gemmVectorBytes != 32 {
-		gemmATRowsGo(dst, a, b, lo, hi, m, k, n)
-		return
-	}
-	gemmATRowsTile(gemmTileF32AVX2, dst, a, b, lo, hi, m, k, n)
-}
-
-func gemmATRowsF64(dst, a, b []float64, lo, hi, m, k, n int) {
-	if gemmVectorBytes != 32 {
-		gemmATRowsGoF64(dst, a, b, lo, hi, m, k, n)
-		return
-	}
-	gemmATRowsTile(gemmTileF64AVX2, dst, a, b, lo, hi, m, k, n)
-}
 
 func gemmBTRowsF32(dst, a, b []float32, lo, hi, n, k int) {
 	if gemmVectorBytes != 32 || n == 0 {
@@ -202,27 +144,5 @@ func gemmBTRowsF64(dst, a, b []float64, lo, hi, n, k int) {
 		}
 		gemmBTTileF64AVX2(&d[k0], k, &ar[0], &br[k0*n], hi-lo, kc, n)
 		k0 += kc
-	}
-}
-
-func gemmStrided[T Float](dst, init []T, initStride int, a []T, rowAt, groupAt []int, tw, ats int, b []T, n int) {
-	if gemmVectorBytes != 32 {
-		gemmStridedGo(dst, init, initStride, a, rowAt, groupAt, tw, ats, b, n)
-		return
-	}
-	rows, kc := len(rowAt), len(groupAt)*tw
-	switch d := any(dst).(type) {
-	case []float32:
-		var ip *float32
-		if init != nil {
-			ip = &any(init).([]float32)[0]
-		}
-		gemmTileF32AVX2(&d[0], ip, initStride, &any(a).([]float32)[0], 0, &rowAt[0], ats, tw, &groupAt[0], &any(b).([]float32)[0], rows, kc, n)
-	case []float64:
-		var ip *float64
-		if init != nil {
-			ip = &any(init).([]float64)[0]
-		}
-		gemmTileF64AVX2(&d[0], ip, initStride, &any(a).([]float64)[0], 0, &rowAt[0], ats, tw, &groupAt[0], &any(b).([]float64)[0], rows, kc, n)
 	}
 }

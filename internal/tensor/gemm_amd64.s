@@ -1,14 +1,15 @@
 //go:build !purego
 
 // Tile kernels. Reference semantics (and required bit-for-bit behavior) are
-// the pure-Go loops in gemm.go (f64) and gemm_f32.go (f32); see the comments
-// there for the accumulation-order contracts. One call covers a whole row
-// block of one reduction tile: the loops over rows, column chunks and the
-// reduction index all run here, with the output tile held in vector
+// the Go definitions: gemmTileGo in gemm.go for the tile, at both widths,
+// and the GemmBT loops of gemm.go (f64) and gemm_f32.go (f32); see the
+// comments there for the accumulation-order contracts. One call covers a
+// whole row block of one reduction tile: the loops over rows, column chunks
+// and the reduction index all run here, with the output tile held in vector
 // registers from its first multiply-add to its last. Every kernel is AVX2,
 // reached only after the CPUID check of gemm_amd64.go, and has no fused
 // multiply-add: the packed multiplies and adds round each lane exactly like
-// the scalar ones the Go loops compile to.
+// the scalar ones the Go definitions compile to.
 
 #include "textflag.h"
 

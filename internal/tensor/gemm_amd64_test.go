@@ -91,63 +91,74 @@ func transposed[T Float](a []T, rows, cols int) []T {
 	return at
 }
 
-// tileLadder calls one tile kernel directly — which no product does with
-// kc = 0 or kc > gemmKBlock, both inside the kernel's contract — over every
-// column count of the ladder (two vectors, one, the XMM half, single
-// columns: n = 1…40 covers each combination in f32 and f64), every row count through two full tiles and a tail, the reduction
-// lengths around a tile, both stride pairs and all three kinds of init,
-// with IEEE specials among the operands. The oracle is the Go loops: rows
-// rowsGo(bias) for a nil or bias init, atGo for init = dst, each fed a or
-// its transpose so that both stride pairs meet both.
-func tileLadder[T Float](t *testing.T, tile tileKernel[T], special func(*rand.Rand, int) []T, same func(got, want []T) int,
-	rowsGo func(dst, a, b []T, lo, hi, k, n int, bias []T), atGo func(dst, a, b []T, lo, hi, m, k, n int)) {
-	rng := rand.New(rand.NewSource(71))
+// tileLadder calls the AVX2 body through tileBody, past gemmTile's checks —
+// which no product does with kc = 0 or kc > gemmKBlock, both inside the
+// kernel's contract — over every column count of the ladder (two vectors,
+// one, the XMM half, single columns: n = 1…40 covers each combination in
+// f32 and f64), every row count through two full tiles and a tail, the
+// reduction lengths around a tile, all three kinds of init and three
+// layouts of a: Gemm's and GemmAT's strides, and a row table and a group
+// table with the row stride on top, rows and groups out of order and
+// overlapping, groups of one term and of 48 — on finite operands, and with
+// IEEE specials among them. The oracle is gemmTileGo called with the same
+// arguments.
+func tileLadder[T Float](t *testing.T) {
 	const rowsMax, nMax, kcMax = 9, 40, gemmKBlock + 1
-	aAll, bAll := special(rng, rowsMax*kcMax), special(rng, kcMax*nMax)
-	bias, seed := special(rng, nMax), special(rng, rowsMax*nMax)
-	got, want := make([]T, rowsMax*nMax+1), make([]T, rowsMax*nMax)
-	for rows := 1; rows <= rowsMax; rows++ {
-		for _, kc := range []int{0, 1, gemmKBlock - 1, gemmKBlock, gemmKBlock + 1} {
-			a := aAll[:rows*kc] // [rows, kc]
-			at := transposed(a, rows, kc)
-			// With kc = 0 the kernel is handed an a pointer it never reads
-			// through.
-			first := func(s []T) *T {
-				if len(s) == 0 {
-					return &aAll[0]
+	for name, fill := range map[string]func(*rand.Rand, int) []T{"finite": randFloats[T], "specials": specialFloats[T]} {
+		rng := rand.New(rand.NewSource(71))
+		aAll, bAll := fill(rng, rowsMax*kcMax), fill(rng, kcMax*nMax)
+		bias, seed := fill(rng, nMax), fill(rng, rowsMax*nMax)
+		rowAt, groups := []int{6, 0, 3, 3, 1, 5, 2, 4, 0}, make([]int, kcMax)
+		for g := range groups {
+			groups[g] = g * 37 % 1000
+		}
+		got, want := make([]T, rowsMax*nMax+1), make([]T, rowsMax*nMax)
+		for rows := 1; rows <= rowsMax; rows++ {
+			for _, kc := range []int{0, 1, gemmKBlock - 1, gemmKBlock, gemmKBlock + 1} {
+				a := aAll[:rows*kc] // [rows, kc]; empty at kc = 0, its pointer nil
+				tw := 1
+				if kc%48 == 0 {
+					tw = 48
 				}
-				return &s[0]
-			}
-			for n := 1; n <= nMax; n++ {
-				b := bAll[:kc*n]
-				size := rows * n
-				for _, init := range []string{"nil", "bias", "dst"} {
-					for _, strides := range []string{"Gemm", "GemmAT"} {
-						ap, ars, ats := first(a), kc, 1
-						if strides == "GemmAT" {
-							ap, ars, ats = first(at), 1, rows
-						}
-						const guard = 12345
-						got[size] = guard
-						switch init {
-						case "nil":
-							rowsGo(want, a, b, 0, rows, kc, n, nil)
-							tile(&got[0], nil, 0, ap, ars, nil, ats, max(kc, 1), &oneGroup[0], &bAll[0], rows, kc, n)
-						case "bias":
-							rowsGo(want, a, b, 0, rows, kc, n, bias[:n])
-							tile(&got[0], &bias[0], 0, ap, ars, nil, ats, max(kc, 1), &oneGroup[0], &bAll[0], rows, kc, n)
-						case "dst":
-							copy(want, seed[:size])
-							copy(got, seed[:size])
-							atGo(want, at, b, 0, rows, kc, rows, n)
-							tile(&got[0], &got[0], n, ap, ars, nil, ats, max(kc, 1), &oneGroup[0], &bAll[0], rows, kc, n)
-						}
-						if i := same(got[:size], want[:size]); i >= 0 {
-							t.Fatalf("rows=%d kc=%d n=%d init=%s strides=%s: elem %d = %v, Go loops %v",
-								rows, kc, n, init, strides, i, got[i], want[i])
-						}
-						if got[size] != guard {
-							t.Fatalf("rows=%d kc=%d n=%d init=%s strides=%s: the kernel wrote past its last row", rows, kc, n, init, strides)
+				layouts := []struct {
+					name    string
+					a       []T
+					ars     int
+					rowAt   []int
+					ats, tw int
+					groups  []int
+				}{
+					{"Gemm", a, kc, nil, 1, max(kc, 1), oneGroup},
+					{"GemmAT", transposed(a, rows, kc), 1, nil, rows, max(kc, 1), oneGroup},
+					{"tables", aAll, 1, rowAt[:rows], 2, tw, groups},
+				}
+				for n := 1; n <= nMax; n++ {
+					b := bAll[:kc*n]
+					size := rows * n
+					for _, init := range []string{"nil", "bias", "dst"} {
+						for _, l := range layouts {
+							gi, wi, stride := []T(nil), []T(nil), 0
+							switch init {
+							case "bias":
+								gi, wi = bias[:n], bias[:n]
+							case "dst":
+								copy(got, seed[:size])
+								copy(want, seed[:size])
+								gi, wi, stride = got, want, n
+							}
+							const guard = 12345
+							got[size] = guard
+							if !tileBody(&got[0], first(gi), stride, first(l.a), l.ars, first(l.rowAt), l.ats, l.tw, &l.groups[0], first(b), rows, kc, n) {
+								t.Fatal("tileBody ran no kernel")
+							}
+							gemmTileGo(want, wi, stride, l.a, l.ars, l.rowAt, l.ats, l.tw, l.groups, b, rows, kc, n)
+							if i := sameBits(got[:size], want[:size]); i >= 0 {
+								t.Fatalf("%s: rows=%d kc=%d n=%d init=%s a=%s: elem %d = %v, Go definition %v",
+									name, rows, kc, n, init, l.name, i, got[i], want[i])
+							}
+							if got[size] != guard {
+								t.Fatalf("%s: rows=%d kc=%d n=%d init=%s a=%s: the kernel wrote past its last row", name, rows, kc, n, init, l.name)
+							}
 						}
 					}
 				}
@@ -158,17 +169,8 @@ func tileLadder[T Float](t *testing.T, tile tileKernel[T], special func(*rand.Ra
 
 // The ladders call the AVX2 kernels themselves, so they run on that body
 // only.
-func TestTileKernelLadderF32(t *testing.T) {
-	onBody(t, 32, func(t *testing.T) {
-		tileLadder(t, gemmTileF32AVX2, specialSliceF32, sameBitsF32, gemmRowsGo, gemmATRowsGo)
-	})
-}
-
-func TestTileKernelLadderF64(t *testing.T) {
-	onBody(t, 32, func(t *testing.T) {
-		tileLadder(t, gemmTileF64AVX2, specialSlice, sameBitsF64, gemmRowsGoF64, gemmATRowsGoF64)
-	})
-}
+func TestTileKernelLadderF32(t *testing.T) { onBody(t, 32, tileLadder[float32]) }
+func TestTileKernelLadderF64(t *testing.T) { onBody(t, 32, tileLadder[float64]) }
 
 // asmText is one TEXT symbol of an assembly file after a good-enough
 // preprocessing: #include spliced in, and every line followed by the bodies

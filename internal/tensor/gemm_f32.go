@@ -1,72 +1,24 @@
 package tensor
 
-// Float32 kernel specialization. The 2×4 micro-kernels in gemm.go are
-// scalar, and scalar multiply-adds cost the same at either width on amd64 —
-// so a float32 copy of the float64 loops would move half the bytes but
-// clear barely any extra throughput. The f32 path instead pins a
-// SIMD-friendly per-element accumulation order for each product and lets
-// each build reach it the fastest way it can:
+// The float32 GemmBT. Gemm, GemmAT and GemmStrided take every element's
+// terms in the same order at both widths (gemm.go); GemmBT's f32 dot
+// products have their own, SIMD-friendly order instead of the f64 loops'
+// j-ascending one: each is a 4-lane strided partial sum — lane l
+// accumulates elements j≡l (mod 4) in ascending j from +0 — reduced as
+// (s0+s2)+(s1+s3), then the tail elements (j ≥ len&^3) are added in
+// ascending order. That is allowed because the determinism contract is per
+// dtype.
 //
-//   - Gemm: dst[i][j] starts at bias[j] (or +0) and takes a[i][kk]·b[kk][j]
-//     for kk ascending, one IEEE rounding per multiply and per add — the
-//     same per-element sequence as the scalar path and the naive triple
-//     loop.
-//   - GemmAT: dst[kk][j] takes a[mm][kk]·b[mm][j] for mm ascending, matching
-//     the serial sample-major loop.
-//   - GemmBT: each dot product is a 4-lane strided partial sum — lane l
-//     accumulates elements j≡l (mod 4) in ascending j from +0 — reduced as
-//     (s0+s2)+(s1+s3), then the tail elements (j ≥ len&^3) are added in
-//     ascending order. GemmBT's f32 dot products therefore have a
-//     *different* (but equally pinned) accumulation order than the f64
-//     scalar kernel — allowed, because the determinism contract is per
-//     dtype.
-//
-// This file is the definition: plain Go loops over the four order-explicit
-// primitives at the bottom. On an amd64 host with AVX2 the products run as
-// tile kernels instead (gemm_amd64.s): one assembly call per row shard and
-// reduction tile, the output tile held in registers across the whole tile.
-// A packed multiply or add rounds each lane exactly like MULSS/ADDSS, no
-// kernel fuses them and Go never does on amd64, so the assembly is
-// bit-identical to these loops (pinned by TestGemmF32ShapeSweep and
-// TestF32KernelsMatchGoTwins on every body the host runs). Other
-// GOARCHes, and amd64 under the purego build tag, run the loops directly
-// (gemm_noasm.go). Either way the arithmetic of an element is a pure
-// function of its position — never of worker count or of which rows share
-// a tile — so serial and parallel runs agree bit for bit
-// (TestGemmParallelMatchesSerialF32).
-//
-// No path skips zero operands, at either width: a branch per element
-// breaks the SIMD pipeline, and a skip taken on some rows of a shard and
-// not on others makes the result depend on the sharding whenever an
-// operand is not finite. Zero-skipping was never part of the numeric
-// contract (0·b adds a signed zero), only a scalar-era speedup; without it
-// 0·Inf is NaN as IEEE says.
-
-// gemmRowsGo computes rows [lo, hi) of dst = a·b (+bias) in float32,
-// K-tiled like the generic path with axpy4Go inside each tile.
-func gemmRowsGo(dst, a, b []float32, lo, hi, k, n int, bias []float32) {
-	gemmInitRows(dst, lo, hi, n, bias)
-	for k0 := 0; k0 < k; k0 += gemmKBlock {
-		k1 := k0 + gemmKBlock
-		if k1 > k {
-			k1 = k
-		}
-		for i := lo; i < hi; i++ {
-			ai := a[i*k : (i+1)*k]
-			oi := dst[i*n : (i+1)*n]
-			kk := k0
-			for ; kk+4 <= k1; kk += 4 {
-				axpy4Go(oi,
-					b[(kk+0)*n:(kk+1)*n], b[(kk+1)*n:(kk+2)*n],
-					b[(kk+2)*n:(kk+3)*n], b[(kk+3)*n:(kk+4)*n],
-					ai[kk], ai[kk+1], ai[kk+2], ai[kk+3])
-			}
-			for ; kk < k1; kk++ {
-				axpy1Go(oi, b[kk*n:(kk+1)*n], ai[kk])
-			}
-		}
-	}
-}
+// This file is the definition: the loop over rows and columns and the two
+// order-explicit dot products under it. On an amd64 host with AVX2 the
+// product runs as gemmBTTileF32AVX2 instead (gemm_amd64.s), bit-identical
+// to these loops (pinned by TestGemmF32ShapeSweep and
+// TestF32KernelsMatchGoTwins on every body the host runs). Either way the
+// arithmetic of an element is a pure function of its position — never of
+// worker count or of which rows share a tile — so serial and parallel runs
+// agree bit for bit (TestGemmParallelMatchesSerialF32). Kept branch-free:
+// do not "optimize" the accumulation sequence here without changing the
+// assembly in lockstep.
 
 // gemmBTRowsGo computes rows [lo, hi) of dst = a·bᵀ in float32: each
 // output element is one dot4Go/dot1Go dot product (the two share one lane
@@ -90,54 +42,6 @@ func gemmBTRowsGo(dst, a, b []float32, lo, hi, n, k int) {
 				oi[kk] = dot1Go(ai, b[kk*n:(kk+1)*n])
 			}
 		}
-	}
-}
-
-// gemmATRowsGo accumulates rows [lo, hi) of dst += aᵀ·b in float32,
-// m-tiled with axpy4Go over groups of four samples (mm ascending, the
-// contract order for weight gradients).
-func gemmATRowsGo(dst, a, b []float32, lo, hi, m, k, n int) {
-	for m0 := 0; m0 < m; m0 += gemmMBlock {
-		m1 := m0 + gemmMBlock
-		if m1 > m {
-			m1 = m
-		}
-		for kk := lo; kk < hi; kk++ {
-			oi := dst[kk*n : (kk+1)*n]
-			mm := m0
-			for ; mm+4 <= m1; mm += 4 {
-				axpy4Go(oi,
-					b[(mm+0)*n:(mm+1)*n], b[(mm+1)*n:(mm+2)*n],
-					b[(mm+2)*n:(mm+3)*n], b[(mm+3)*n:(mm+4)*n],
-					a[(mm+0)*k+kk], a[(mm+1)*k+kk], a[(mm+2)*k+kk], a[(mm+3)*k+kk])
-			}
-			for ; mm < m1; mm++ {
-				axpy1Go(oi, b[mm*n:(mm+1)*n], a[mm*k+kk])
-			}
-		}
-	}
-}
-
-// The order-explicit primitives under the loops above. Kept branch-free —
-// do not "optimize" the accumulation sequence here without changing the
-// assembly in lockstep.
-
-// axpy4Go adds four scaled rows into dst, terms left to right per element.
-func axpy4Go(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
-	for j := range dst {
-		v := dst[j]
-		v += a0 * b0[j]
-		v += a1 * b1[j]
-		v += a2 * b2[j]
-		v += a3 * b3[j]
-		dst[j] = v
-	}
-}
-
-// axpy1Go computes dst[j] += a·b[j].
-func axpy1Go(dst, b []float32, a float32) {
-	for j := range dst {
-		dst[j] += a * b[j]
 	}
 }
 

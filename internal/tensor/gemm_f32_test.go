@@ -8,82 +8,14 @@ import (
 	"swtnas/internal/parallel"
 )
 
-// The float32 instantiations of the blocked kernels get their own suite:
-// the f64 tests pin numerics against a naive reference, these pin the two
-// per-dtype contracts that matter for f32 — agreement with a naive f32
-// triple loop (same rounding class, loose tolerance) and bit-identical
-// results at every worker count (exact, no tolerance).
-
-func naiveGemmF32(dst, a, b []float32, m, k, n int, bias []float32) {
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var s float32
-			if bias != nil {
-				s = bias[j]
-			}
-			for kk := 0; kk < k; kk++ {
-				s += a[i*k+kk] * b[kk*n+j]
-			}
-			dst[i*n+j] = s
-		}
-	}
-}
-
-func randSliceF32(rng *rand.Rand, n int) []float32 {
-	s := make([]float32, n)
-	for i := range s {
-		s[i] = float32(rng.NormFloat64())
-		if rng.Intn(8) == 0 {
-			s[i] = 0 // exercise the zero-skip path
-		}
-	}
-	return s
-}
-
-func maxDiffF32(a, b []float32) float64 {
-	m := 0.0
-	for i := range a {
-		if d := math.Abs(float64(a[i]) - float64(b[i])); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// TestGemmF32MatchesNaive checks the blocked f32 kernel against a naive f32
-// triple loop. Both accumulate in float32 but in different orders, so the
-// tolerance is the f32 rounding envelope for k<=600 reductions of unit-scale
-// values, not the 1e-12 the f64 suite uses.
-func TestGemmF32MatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, s := range gemmShapes {
-		a := randSliceF32(rng, s.m*s.k)
-		b := randSliceF32(rng, s.k*s.n)
-		bias := randSliceF32(rng, s.n)
-		for _, withBias := range []bool{false, true} {
-			var bs []float32
-			if withBias {
-				bs = bias
-			}
-			got := make([]float32, s.m*s.n)
-			want := make([]float32, s.m*s.n)
-			Gemm(got, a, b, s.m, s.k, s.n, bs)
-			naiveGemmF32(want, a, b, s.m, s.k, s.n, bs)
-			if d := maxDiffF32(got, want); d > 1e-3 {
-				t.Errorf("Gemm[float32] %dx%dx%d bias=%v: max diff %g", s.m, s.k, s.n, withBias, d)
-			}
-		}
-	}
-}
-
 // TestGemmF32AgreesWithF64 bounds the rounding gap between the f32 and f64
 // instantiations on identical inputs — the per-element error of an f32
 // reduction, not a correctness bug, so the bound scales with k.
 func TestGemmF32AgreesWithF64(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, s := range gemmShapes {
-		a64 := randSlice(rng, s.m*s.k)
-		b64 := randSlice(rng, s.k*s.n)
+		a64 := randFloats[float64](rng, s.m*s.k)
+		b64 := randFloats[float64](rng, s.k*s.n)
 		a32 := make([]float32, len(a64))
 		b32 := make([]float32, len(b64))
 		for i, v := range a64 {
@@ -120,9 +52,9 @@ func testGemmParallelMatchesSerialF32(t *testing.T) {
 	splitEverything(t)
 	rng := rand.New(rand.NewSource(44))
 	const m, k, n = 37, 517, 13
-	a := randSliceF32(rng, m*k)
-	b := randSliceF32(rng, k*n)
-	g := randSliceF32(rng, m*n)
+	a := randFloats[float32](rng, m*k)
+	b := randFloats[float32](rng, k*n)
+	g := randFloats[float32](rng, m*n)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
 
@@ -146,14 +78,14 @@ func testGemmParallelMatchesSerialF32(t *testing.T) {
 		if split != 3 {
 			t.Fatalf("workers=%d: %d of 3 products split: the parallel leg did not run", w, split)
 		}
-		if d := maxDiffF32(fwd, fwd0); d != 0 {
-			t.Errorf("workers=%d: Gemm[float32] differs from serial by %g (must be bit-identical)", w, d)
+		if i := sameBits(fwd, fwd0); i >= 0 {
+			t.Errorf("workers=%d: Gemm[float32] elem %d = %g, serial %g (must be bit-identical)", w, i, fwd[i], fwd0[i])
 		}
-		if d := maxDiffF32(bt, bt0); d != 0 {
-			t.Errorf("workers=%d: GemmBT[float32] differs from serial by %g (must be bit-identical)", w, d)
+		if i := sameBits(bt, bt0); i >= 0 {
+			t.Errorf("workers=%d: GemmBT[float32] elem %d = %g, serial %g (must be bit-identical)", w, i, bt[i], bt0[i])
 		}
-		if d := maxDiffF32(at, at0); d != 0 {
-			t.Errorf("workers=%d: GemmAT[float32] differs from serial by %g (must be bit-identical)", w, d)
+		if i := sameBits(at, at0); i >= 0 {
+			t.Errorf("workers=%d: GemmAT[float32] elem %d = %g, serial %g (must be bit-identical)", w, i, at[i], at0[i])
 		}
 	}
 }

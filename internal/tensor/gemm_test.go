@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,19 +9,23 @@ import (
 	"swtnas/internal/parallel"
 )
 
-// naiveGemm is the triple-loop reference every blocked kernel is checked
-// against.
-func naiveGemm(dst, a, b []float64, m, k, n int, bias []float64) {
-	for i := 0; i < m; i++ {
+// naiveTile is the tile's formula (gemm.go) written out element by element:
+// the independent check of gemmTileGo, the one Go copy of it.
+func naiveTile[T Float](dst, init []T, initStride int, a []T, ars int, rowAt []int, ats, tw int, groups []int, b []T, rows, kc, n int) {
+	for r := 0; r < rows; r++ {
 		for j := 0; j < n; j++ {
-			s := 0.0
-			if bias != nil {
-				s = bias[j]
+			var s T
+			if init != nil {
+				s = init[r*initStride+j]
 			}
-			for kk := 0; kk < k; kk++ {
-				s += a[i*k+kk] * b[kk*n+j]
+			for t := 0; t < kc; t++ {
+				at := r*ars + groups[t/tw] + t%tw*ats
+				if rowAt != nil {
+					at += rowAt[r]
+				}
+				s += a[at] * b[t*n+j]
 			}
-			dst[i*n+j] = s
+			dst[r*n+j] = s
 		}
 	}
 }
@@ -49,15 +54,46 @@ func naiveGemmAT(dst, a, b []float64, m, k, n int) {
 	}
 }
 
-func randSlice(rng *rand.Rand, n int) []float64 {
-	s := make([]float64, n)
+// randFloats returns n normal values of T, one in eight of them zero (as
+// post-ReLU activations are).
+func randFloats[T Float](rng *rand.Rand, n int) []T {
+	s := make([]T, n)
 	for i := range s {
-		s[i] = rng.NormFloat64()
+		s[i] = T(rng.NormFloat64())
 		if rng.Intn(8) == 0 {
-			s[i] = 0 // post-ReLU activations are sparse
+			s[i] = 0
 		}
 	}
 	return s
+}
+
+// specialFloats is randFloats with every IEEE corner among the values:
+// signed zeros, signed infinities, NaNs and subnormals. No path skips a
+// zero operand, so 0·Inf must come out NaN exactly where the Go definition
+// makes it one.
+func specialFloats[T Float](rng *rand.Rand, n int) []T {
+	corners := elemCorners[T]()
+	s := randFloats[T](rng, n)
+	for i := range s {
+		if rng.Intn(16) == 0 {
+			s[i] = corners[rng.Intn(len(corners))]
+		}
+	}
+	return s
+}
+
+// sameBits reports the first index at which got and want are not the same
+// bits, or -1. Any NaN matches any NaN: which payload survives NaN+NaN
+// depends on the operand order of the add instruction, which IEEE and the
+// accumulation-order contract both leave open.
+func sameBits[T Float](got, want []T) int {
+	for i := range want {
+		g, w := got[i], want[i]
+		if bitsOf(g) != bitsOf(w) && !(g != g && w != w) {
+			return i
+		}
+	}
+	return -1
 }
 
 func gemmMaxDiff(a, b []float64) float64 {
@@ -81,24 +117,54 @@ var gemmShapes = []struct{ m, k, n int }{
 	{2, 1, 1},
 }
 
-func TestGemmMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for _, s := range gemmShapes {
-		a := randSlice(rng, s.m*s.k)
-		b := randSlice(rng, s.k*s.n)
-		bias := randSlice(rng, s.n)
-		for _, withBias := range []bool{false, true} {
-			var bs []float64
-			if withBias {
-				bs = bias
+// TestGemmMatchesNaive holds Gemm (from +0 and from a bias), GemmAT
+// (accumulating into a non-zero dst) and GemmStrided (rows and groups out
+// of order and overlapping) to naiveTile bit for bit, on every body the
+// host runs, over operands that are finite and operands with every IEEE
+// corner among them. TestGemmF32MatchesNaive is the same test at f32.
+func TestGemmMatchesNaive(t *testing.T)    { eachBody(t, testGemmMatchesNaive[float64]) }
+func TestGemmF32MatchesNaive(t *testing.T) { eachBody(t, testGemmMatchesNaive[float32]) }
+
+func testGemmMatchesNaive[T Float](t *testing.T) {
+	for name, fill := range map[string]func(*rand.Rand, int) []T{"finite": randFloats[T], "specials": specialFloats[T]} {
+		rng := rand.New(rand.NewSource(41))
+		check := func(op string, s struct{ m, k, n int }, got, want []T) {
+			t.Helper()
+			if i := sameBits(got, want); i >= 0 {
+				t.Errorf("%s: %s %dx%dx%d: elem %d = %v, naive %v", name, op, s.m, s.k, s.n, i, got[i], want[i])
 			}
-			got := make([]float64, s.m*s.n)
-			want := make([]float64, s.m*s.n)
-			Gemm(got, a, b, s.m, s.k, s.n, bs)
-			naiveGemm(want, a, b, s.m, s.k, s.n, bs)
-			if d := gemmMaxDiff(got, want); d > 1e-12 {
-				t.Errorf("Gemm %dx%dx%d bias=%v: max diff %g", s.m, s.k, s.n, withBias, d)
+		}
+		for _, s := range gemmShapes {
+			a, b, g := fill(rng, s.m*s.k), fill(rng, s.k*s.n), fill(rng, s.m*s.n)
+			for _, bias := range [][]T{nil, fill(rng, s.n)} {
+				got, want := make([]T, s.m*s.n), make([]T, s.m*s.n)
+				Gemm(got, a, b, s.m, s.k, s.n, bias)
+				naiveTile(want, bias, 0, a, s.k, nil, 1, s.k, []int{0}, b, s.m, s.k, s.n)
+				check(fmt.Sprintf("Gemm(bias=%v)", bias != nil), s, got, want)
 			}
+			// dst [k, n] += aᵀ·g: a read transposed, the m axis reduced.
+			got := fill(rng, s.k*s.n)
+			want := append([]T(nil), got...)
+			GemmAT(got, a, g, s.m, s.k, s.n)
+			naiveTile(want, want, s.n, a, 1, nil, s.k, s.m, []int{0}, g, s.k, s.m, s.n)
+			check("GemmAT", s, got, want)
+		}
+		a, b := fill(rng, 64), fill(rng, 12*5)
+		rowAt, groups := []int{5, 0, 9, 2, 2}, []int{5, 0, 12, 3}
+		for _, init := range []string{"nil", "bias", "dst"} {
+			got, want := fill(rng, len(rowAt)*5), make([]T, len(rowAt)*5)
+			gi, wi, stride := []T(nil), []T(nil), 0
+			switch init {
+			case "bias":
+				gi = fill(rng, 5)
+				wi = gi
+			case "dst":
+				copy(want, got)
+				gi, wi, stride = got, want, 5
+			}
+			GemmStrided(got, gi, stride, a, rowAt, groups, 3, 7, b, 5)
+			naiveTile(want, wi, stride, a, 0, rowAt, 7, 3, groups, b, len(rowAt), 12, 5)
+			check("GemmStrided(init="+init+")", struct{ m, k, n int }{len(rowAt), 12, 5}, got, want)
 		}
 	}
 }
@@ -106,8 +172,8 @@ func TestGemmMatchesNaive(t *testing.T) {
 func TestGemmBTMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, s := range gemmShapes {
-		a := randSlice(rng, s.m*s.n)
-		b := randSlice(rng, s.k*s.n)
+		a := randFloats[float64](rng, s.m*s.n)
+		b := randFloats[float64](rng, s.k*s.n)
 		got := make([]float64, s.m*s.k)
 		want := make([]float64, s.m*s.k)
 		GemmBT(got, a, b, s.m, s.n, s.k)
@@ -121,9 +187,9 @@ func TestGemmBTMatchesNaive(t *testing.T) {
 func TestGemmATMatchesNaiveAndAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, s := range gemmShapes {
-		a := randSlice(rng, s.m*s.k)
-		b := randSlice(rng, s.m*s.n)
-		seed := randSlice(rng, s.k*s.n)
+		a := randFloats[float64](rng, s.m*s.k)
+		b := randFloats[float64](rng, s.m*s.n)
+		seed := randFloats[float64](rng, s.k*s.n)
 		got := append([]float64(nil), seed...)
 		want := append([]float64(nil), seed...)
 		GemmAT(got, a, b, s.m, s.k, s.n)
@@ -152,7 +218,7 @@ func testGemmKernelsDeterministicAcrossWorkers(t *testing.T) {
 	splitEverything(t)
 	prev := parallel.SetWorkers(1)
 	defer parallel.SetWorkers(prev)
-	for name, fill := range map[string]func(*rand.Rand, int) []float64{"finite": randSlice, "specials": specialSlice} {
+	for name, fill := range map[string]func(*rand.Rand, int) []float64{"finite": randFloats[float64], "specials": specialFloats[float64]} {
 		rng := rand.New(rand.NewSource(44))
 		a, b, g := fill(rng, m*k), fill(rng, k*n), fill(rng, m*n)
 		run := func() (fwd, bt, at []float64) {
@@ -170,13 +236,13 @@ func testGemmKernelsDeterministicAcrossWorkers(t *testing.T) {
 			if split := splitCalls(func() { fwd, bt, at = run() }); split != 3 {
 				t.Fatalf("%s workers=%d: %d of 3 products split: the parallel leg did not run", name, w, split)
 			}
-			if i := sameBitsF64(fwd, fwd0); i >= 0 {
+			if i := sameBits(fwd, fwd0); i >= 0 {
 				t.Errorf("%s workers=%d: Gemm elem %d = %g, serial %g (must be bit-identical)", name, w, i, fwd[i], fwd0[i])
 			}
-			if i := sameBitsF64(bt, bt0); i >= 0 {
+			if i := sameBits(bt, bt0); i >= 0 {
 				t.Errorf("%s workers=%d: GemmBT elem %d = %g, serial %g (must be bit-identical)", name, w, i, bt[i], bt0[i])
 			}
-			if i := sameBitsF64(at, at0); i >= 0 {
+			if i := sameBits(at, at0); i >= 0 {
 				t.Errorf("%s workers=%d: GemmAT elem %d = %g, serial %g (must be bit-identical)", name, w, i, at[i], at0[i])
 			}
 		}

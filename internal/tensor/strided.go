@@ -22,58 +22,12 @@ import "swtnas/internal/obs"
 // apart, group g at offset groupAt[g] from the row's start: a receptive
 // field's kernel rows, or the output rows of a batch. A nil init starts
 // every element at +0; init may be dst itself (initStride n: accumulate in
-// place) or one row (initStride 0: a bias). Offsets and ats are
-// non-negative; no operand is skipped, so 0·Inf is NaN. The call runs whole
-// on the caller and records nothing.
+// place) or one row (initStride 0: a bias). An offset, ats or initStride
+// below zero panics, as does an operand shorter than the farthest element
+// the call reads; no operand is skipped, so 0·Inf is NaN. The call runs
+// whole on the caller and records nothing.
 func GemmStrided[T Float](dst, init []T, initStride int, a []T, rowAt, groupAt []int, tw, ats int, b []T, n int) {
-	rows := len(rowAt)
-	if rows == 0 || n <= 0 {
-		return
-	}
-	// One bounds check per operand: the kernels run unchecked.
-	dst = dst[:rows*n]
-	if init != nil {
-		init = init[:(rows-1)*initStride+n]
-	}
-	if len(groupAt) == 0 || tw <= 0 {
-		gemmStridedGo(dst, init, initStride, a, rowAt, nil, 0, ats, b, n)
-		return
-	}
-	a = a[:farthest(rowAt)+farthest(groupAt)+(tw-1)*ats+1]
-	b = b[:len(groupAt)*tw*n]
-	gemmStrided(dst, init, initStride, a, rowAt, groupAt, tw, ats, b, n)
-}
-
-// farthest is the largest offset of a table, which holds none below zero.
-func farthest(at []int) int {
-	far := 0
-	for _, o := range at {
-		if o < 0 {
-			panic("tensor: GemmStrided offset below zero")
-		}
-		far = max(far, o)
-	}
-	return far
-}
-
-// gemmStridedGo is GemmStrided's definition: the scalar loop, element by
-// element in the order the contract states. It is what runs where the
-// products run the Go loops.
-func gemmStridedGo[T Float](dst, init []T, initStride int, a []T, rowAt, groupAt []int, tw, ats int, b []T, n int) {
-	for r, at := range rowAt {
-		o := dst[r*n : (r+1)*n]
-		if init == nil {
-			clear(o)
-		} else {
-			copy(o, init[r*initStride:r*initStride+n])
-		}
-		for t := 0; t < len(groupAt)*tw; t++ {
-			av := a[at+groupAt[t/tw]+t%tw*ats]
-			for j, bv := range b[t*n : (t+1)*n] {
-				o[j] += av * bv
-			}
-		}
-	}
+	gemmTile(dst, init, initStride, a, 0, rowAt, ats, tw, groupAt, b, len(rowAt), n)
 }
 
 // GemmBTSerial is GemmBT run whole on the caller and recorded nowhere: the

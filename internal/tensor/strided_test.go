@@ -7,7 +7,7 @@ import (
 )
 
 // TestGemmStridedMatchesGo pins GemmStrided, on every body the host runs,
-// to its Go definition bit for bit (any NaN matching any NaN), with every
+// to the Go definition, gemmTileGo, bit for bit (any NaN matching any NaN), with every
 // IEEE corner among the operands, at the strides a convolution reads its
 // receptive fields with: the output positions of a batch of maps over
 // kernel rows of KW·InC taps, a kernel's taps over the output rows of a
@@ -18,14 +18,14 @@ import (
 func TestGemmStridedMatchesGo(t *testing.T) { eachBody(t, testGemmStridedMatchesGo) }
 
 func testGemmStridedMatchesGo(t *testing.T) {
-	t.Run("f32", func(t *testing.T) { stridedCases(t, specialSliceF32, sameBitsF32) })
-	t.Run("f64", func(t *testing.T) { stridedCases(t, specialSlice, sameBitsF64) })
+	t.Run("f32", stridedCases[float32])
+	t.Run("f64", stridedCases[float64])
 }
 
-func stridedCases[T Float](t *testing.T, special func(*rand.Rand, int) []T, same func(got, want []T) int) {
+func stridedCases[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	a, b := special(rng, 4096), special(rng, 4096)
-	bias, seed := special(rng, 64), special(rng, 2048)
+	a, b := specialFloats[T](rng, 4096), specialFloats[T](rng, 4096)
+	bias, seed := specialFloats[T](rng, 64), specialFloats[T](rng, 2048)
 	// positions are the first taps of the output positions of a batch of
 	// maps, rowStarts those of its output rows, taps a kernel's taps.
 	positions := func(samples, outH, outW, ph, pw, inC int) []int {
@@ -77,8 +77,8 @@ func stridedCases[T Float](t *testing.T, special func(*rand.Rand, int) []T, same
 					gi, wi, stride = got, want, c.n
 				}
 				GemmStrided(got, gi, stride, a, c.rowAt, c.groups, c.tw, c.ats, b, c.n)
-				gemmStridedGo(want, wi, stride, a, c.rowAt, c.groups, c.tw, c.ats, b, c.n)
-				if i := same(got[:size], want); i >= 0 {
+				gemmTileGo(want, wi, stride, a, 0, c.rowAt, c.ats, c.tw, c.groups, b, len(c.rowAt), len(c.groups)*c.tw, c.n)
+				if i := sameBits(got[:size], want); i >= 0 {
 					t.Fatalf("elem %d = %v, Go definition %v", i, got[i], want[i])
 				}
 				if got[size] != 12345 {
@@ -87,4 +87,34 @@ func stridedCases[T Float](t *testing.T, special func(*rand.Rand, int) []T, same
 			})
 		}
 	}
+}
+
+// TestGemmStridedRejectsNegativeStrides: a negative ats or initStride
+// passes the bounds check of the farthest element read as a negative
+// offset would, so each is refused itself, before the unchecked AVX2
+// kernel reads outside the operand (the first case would sum a[0..7] of a
+// one-element a, the second read init before and after its one element).
+func TestGemmStridedRejectsNegativeStrides(t *testing.T) {
+	eachBody(t, func(t *testing.T) {
+		for _, c := range []struct {
+			name       string
+			init       []float64
+			initStride int
+			rowAt      []int
+			tw, ats, n int
+		}{
+			{"ats", nil, 0, []int{7}, 8, -1, 1},
+			{"initStride", []float64{1}, -1, []int{0, 0, 0}, 1, 0, 3},
+		} {
+			t.Run(c.name, func(t *testing.T) {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s < 0 accepted", c.name)
+					}
+				}()
+				dst, a, b := make([]float64, len(c.rowAt)*c.n), []float64{1}, make([]float64, c.tw*c.n)
+				GemmStrided(dst, c.init, c.initStride, a, c.rowAt, []int{0}, c.tw, c.ats, b, c.n)
+			})
+		}
+	})
 }
