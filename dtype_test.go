@@ -7,12 +7,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"swtnas/internal/checkpoint"
+	"swtnas/internal/nn"
+	"swtnas/internal/search"
 )
 
 // TestSearchF32EndToEnd runs the same tiny search in both dtypes and pins
@@ -139,9 +142,9 @@ func testF32SearchDigest(t *testing.T) {
 	} {
 		opt.Scheme, opt.DType, opt.Budget, opt.Workers = "LCS", "f32", 6, 1
 		opt.PopulationSize, opt.SampleSize = 3, 2
-		d, described := searchDigest(t, opt)
+		d, res := searchDigest(t, opt)
 		fmt.Fprintln(h, d)
-		archs = append(archs, described...)
+		archs = append(archs, describeAll(t, res)...)
 	}
 	all := strings.Join(archs, "\n")
 	for _, layer := range []string{"=tanh", "=sigmoid", "=Dropout("} {
@@ -154,12 +157,57 @@ func testF32SearchDigest(t *testing.T) {
 	}
 }
 
+// convSearchDigest is the digest TestConvSearchDigest expects, recorded at
+// the commit before the max-pool forward pass and BatchNorm's passes left
+// their per-element loops.
+const convSearchDigest = "97483258e92144644d58a4feb08826e0"
+
+// TestConvSearchDigest pins the f32 training arithmetic of a cifar10
+// search, the one application whose space holds BatchNorm and whose maps
+// are wide enough for a 2-D max-pool, hashed like TestF64SearchDigest. Its
+// architectures between them hold a BatchNorm and a MaxPool2D that is not
+// degraded to the identity, so the digest covers both layers' passes. It
+// must hold on both bodies, and skips where TestF64SearchDigest does.
+func TestConvSearchDigest(t *testing.T) {
+	skipUnlessDigestHost(t)
+	onBodyInUse(t, testConvSearchDigest)
+}
+
+func testConvSearchDigest(t *testing.T) {
+	got, res := searchDigest(t, SearchOptions{
+		App: "cifar10", Scheme: "LCS", DType: "f32", Budget: 6, Seed: 1, Workers: 1,
+		TrainN: 96, ValN: 32, PopulationSize: 3, SampleSize: 2,
+	})
+	var pool, bn bool
+	for _, c := range res.Candidates {
+		net, err := res.app.Space.Build(search.Arch(c.Arch), rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range net.Layers() {
+			switch l := l.(type) {
+			case *nn.MaxPool2D:
+				pool = pool || !l.IsIdentity()
+			case *nn.BatchNorm:
+				bn = true
+			}
+		}
+	}
+	if !pool || !bn {
+		t.Fatalf("pinned architectures: a MaxPool2D not the identity %v, a BatchNorm %v: the digest would not cover both\n%s",
+			pool, bn, strings.Join(describeAll(t, res), "\n"))
+	}
+	if got != convSearchDigest {
+		t.Fatalf("digest %s, want %s: the f32 arithmetic of a cifar10 search changed", got, convSearchDigest)
+	}
+}
+
 // searchDigest runs opt with a disk store and returns its digest — every
 // candidate's id, parent, architecture and score bits, then the truncated
 // SHA-256 of each distinct trained tensor's raw float64 bytes, spelled as
 // the per-tensor blob file names of the store TestF64SearchDigest was
-// recorded with — and each candidate's described architecture.
-func searchDigest(t *testing.T, opt SearchOptions) (string, []string) {
+// recorded with — and the search's result.
+func searchDigest(t *testing.T, opt SearchOptions) (string, *Result) {
 	t.Helper()
 	dir := t.TempDir()
 	opt.CheckpointDir = dir
@@ -169,15 +217,9 @@ func searchDigest(t *testing.T, opt SearchOptions) (string, []string) {
 	}
 	h := sha256.New()
 	transferred := 0
-	var described []string
 	for _, c := range res.Candidates {
 		fmt.Fprintf(h, "%d %d %v %016x\n", c.ID, c.ParentID, c.Arch, math.Float64bits(c.Score))
 		transferred += c.TransferredLayers
-		d, err := res.DescribeArch(c.Arch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		described = append(described, d)
 	}
 	if transferred == 0 {
 		t.Fatalf("%s: no candidate was warm-started: the digest would not cover weight transfer", opt.App)
@@ -210,5 +252,19 @@ func searchDigest(t *testing.T, opt SearchOptions) (string, []string) {
 	for _, name := range slices.Compact(blobs) {
 		fmt.Fprintln(h, name)
 	}
-	return hex.EncodeToString(h.Sum(nil)[:16]), described
+	return hex.EncodeToString(h.Sum(nil)[:16]), res
+}
+
+// describeAll returns each candidate's described architecture.
+func describeAll(t *testing.T, res *Result) []string {
+	t.Helper()
+	var described []string
+	for _, c := range res.Candidates {
+		d, err := res.DescribeArch(c.Arch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		described = append(described, d)
+	}
+	return described
 }
