@@ -156,6 +156,10 @@ func poisonBuffers[T tensor.Float](st *stepperOf[T]) {
 		for i := range idx {
 			idx[i] = -1
 		}
+		idx32 := s.index32[:cap(s.index32)]
+		for i := range idx32 {
+			idx32[i] = -1
+		}
 	})
 }
 
@@ -496,6 +500,11 @@ func TestConvertNetworkSharesNoBuffers(t *testing.T) {
 				}
 			}
 			for _, v := range s.index[:cap(s.index)] {
+				if v != -1 {
+					t.Fatalf("%s: stepping the converted network wrote to an index table of its source", c.name)
+				}
+			}
+			for _, v := range s.index32[:cap(s.index32)] {
 				if v != -1 {
 					t.Fatalf("%s: stepping the converted network wrote to an index table of its source", c.name)
 				}

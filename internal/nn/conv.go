@@ -299,13 +299,16 @@ func (c *Conv2DOf[T]) col2im(dOut, dIn *tensor.TensorOf[T]) {
 					ky := r%c.inH + padH - q%c.outH
 					base := (q-q0)*c.outW*kdim + ky*kw
 					for ox := 0; ox < c.outW; ox++ {
-						seg := block[base+ox*kdim : base+ox*kdim+kw]
-						for kx := max(0, padW-ox); kx < min(c.KW, c.inW+padW-ox); kx++ {
-							xp := ox + kx - padW
-							d := drow[xp*c.InC : (xp+1)*c.InC]
-							for ci, v := range seg[kx*c.InC : (kx+1)*c.InC] {
-								d[ci] += v
-							}
+						// Taps kx in [lo, hi) land on adjacent input pixels
+						// ox+kx-padW: one contiguous run of both rows.
+						lo, hi := max(0, padW-ox), min(c.KW, c.inW+padW-ox)
+						if lo >= hi {
+							continue
+						}
+						seg := block[base+ox*kdim+lo*c.InC : base+ox*kdim+hi*c.InC]
+						d := drow[(ox+lo-padW)*c.InC : (ox+hi-padW)*c.InC]
+						for i, v := range seg {
+							d[i] += v
 						}
 					}
 				}

@@ -52,10 +52,9 @@ import (
 // keeps a call inline, one set too high splits a call that cannot pay for
 // the handoff. DESIGN.md §9.5 has the ns-per-item readings.
 const (
-	costVector = 2  // element of a contiguous pass through a tensor package vector body: ReLU both ways
-	costStream = 8  // element read, combined and written once: col2im, Add, GlobalAvgPool, Gather, the Tanh/Sigmoid gradient, the Sigmoid body
+	costVector = 2  // element of a contiguous pass through a tensor package vector body: ReLU both ways, max-pool taps
+	costStream = 8  // element read, combined and written once: col2im, Add, GlobalAvgPool, Gather, BatchNorm passes, the Tanh/Sigmoid gradient, the Sigmoid body
 	costGather = 16 // element reached through a stride or an index: average-pool taps, the max-pool gradient scatter; the Tanh body
-	costBranch = 32 // element behind an unpredictable branch or an integer division: max-pool taps, BatchNorm passes
 	costExp    = 64 // element through a scalar math.Exp: a softmax logit
 )
 

@@ -78,7 +78,7 @@ func (w *window) outShape(kind string, in [][]int) ([]int, error) {
 type MaxPool2DOf[T tensor.Float] struct {
 	stepBufsOf[T]
 	window
-	argmax []int // linear input index per output element
+	argmax []int32 // input index within its sample, per output element
 }
 
 // NewMaxPool2D creates a pooling layer.
@@ -88,12 +88,31 @@ func NewMaxPool2D(name string, size, stride int) *MaxPool2D {
 
 func (p *MaxPool2DOf[T]) Params() []*ParamOf[T] { return nil }
 
-func (p *MaxPool2DOf[T]) OutShape(in [][]int) ([]int, error) { return p.outShape("maxpool2d", in) }
+func (p *MaxPool2DOf[T]) OutShape(in [][]int) ([]int, error) {
+	out, err := p.outShape("maxpool2d", in)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.indexable("maxpool2d"); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
-// Forward runs tap-outer, channel-inner: an output pixel's channels start at
-// −Inf and the window's first tap, then each tap in (ky, kx) order updates
-// them with a strict >. Every element sees the compare sequence of a loop over
-// its own window, so a window no tap of which beats −Inf (all NaN or −Inf, a
+// indexable reports an error where a sample's input map has more elements
+// than the int32 argmax can index.
+func (p *MaxPool2DOf[T]) indexable(kind string) error {
+	if n := p.inH * p.inW * p.ch; n > math.MaxInt32 {
+		return fmt.Errorf("%s input of %d elements per sample: its argmax indexes at most %d", kind, n, math.MaxInt32)
+	}
+	return nil
+}
+
+// Forward runs one tensor.MaxPoolRow per output row: tap-outer,
+// channel-inner, an output pixel's channels starting at −Inf and the
+// window's first tap, then each tap in (ky, kx) order updating them with a
+// strict >. Every element sees the compare sequence of a loop over its own
+// window, so a window no tap of which beats −Inf (all NaN or −Inf, a
 // diverged run) routes its gradient to the first tap.
 func (p *MaxPool2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.TensorOf[T] {
 	x := in[0]
@@ -102,31 +121,13 @@ func (p *MaxPool2DOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 	}
 	b := x.Shape[0]
 	out := p.buf(slotOut, b, p.outH, p.outW, p.ch)
-	p.argmax = p.indices(out.Numel())
-	inRow := p.inW * p.ch
-	orow := p.outW * p.ch
-	parallel.For(b*p.outH, parallel.MinChunk(orow*p.kh*p.Size*costBranch), func(lo, hi int) {
+	p.argmax = p.indices32(out.Numel())
+	inRow, orow, sample := p.inW*p.ch, p.outW*p.ch, p.inH*p.inW*p.ch
+	parallel.For(b*p.outH, parallel.MinChunk(orow*p.kh*p.Size*costVector), func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			bi, oy := r/p.outH, r%p.outH
-			for ox := 0; ox < p.outW; ox++ {
-				oi := r*orow + ox*p.ch
-				best, arg := out.Data[oi:oi+p.ch], p.argmax[oi:oi+p.ch]
-				first := (bi*p.inH+oy*p.Stride)*inRow + ox*p.Stride*p.ch
-				for c := range best {
-					best[c], arg[c] = T(math.Inf(-1)), first+c
-				}
-				for ky := 0; ky < p.kh; ky++ {
-					for kx := 0; kx < p.Size; kx++ {
-						tap := first + ky*inRow + kx*p.ch
-						taps := x.Data[tap : tap+len(best)]
-						for c, v := range taps {
-							if v > best[c] {
-								best[c], arg[c] = v, tap+c
-							}
-						}
-					}
-				}
-			}
+			tensor.MaxPoolRow(out.Data[r*orow:(r+1)*orow], p.argmax[r*orow:(r+1)*orow],
+				x.Data[bi*sample:(bi+1)*sample], oy*p.Stride*inRow, p.ch, inRow, p.kh, p.Size, p.Stride)
 		}
 	})
 	return out
@@ -139,17 +140,21 @@ func (p *MaxPool2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 	b := dOut.Shape[0]
 	dIn := p.buf(slotDIn, b, p.inH, p.inW, p.ch)
 	dIn.Zero()
-	orow := p.outW * p.ch
+	orow, sample := p.outW*p.ch, p.inH*p.inW*p.ch
 	// Disjoint windows (Stride >= Size): each input element gets at most one
 	// contribution, so output rows scatter independently; overlapping ones
 	// only per sample.
-	items, per := b*p.outH, orow
+	items, rows := b*p.outH, 1
 	if p.Stride < p.Size {
-		items, per = b, p.outH*orow
+		items, rows = b, p.outH
 	}
-	parallel.For(items, parallel.MinChunk(per*costGather), func(lo, hi int) {
-		for oi := lo * per; oi < hi*per; oi++ {
-			dIn.Data[p.argmax[oi]] += dOut.Data[oi]
+	parallel.For(items, parallel.MinChunk(rows*orow*costGather), func(lo, hi int) {
+		for r := lo * rows; r < hi*rows; r++ {
+			bi := r / p.outH
+			d := dIn.Data[bi*sample : (bi+1)*sample]
+			for oi := r * orow; oi < (r+1)*orow; oi++ {
+				d[p.argmax[oi]] += dOut.Data[oi]
+			}
 		}
 	})
 	return p.grads(dIn)
@@ -175,6 +180,9 @@ func (p *MaxPool1DOf[T]) OutShape(in [][]int) ([]int, error) {
 		return nil, fmt.Errorf("maxpool1d wants input (L, C), got %s", tensor.ShapeString(s))
 	}
 	out, _ := p.outShape("maxpool1d", [][]int{{1, s[0], s[1]}}) // a rank-3 shape always infers
+	if err := p.indexable("maxpool1d"); err != nil {
+		return nil, err
+	}
 	return out[1:], nil
 }
 
