@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -168,6 +169,13 @@ func TestFullyTrain(t *testing.T) {
 	}
 	if full.Epochs < 1 || full.Epochs > 20 {
 		t.Fatalf("epochs = %d", full.Epochs)
+	}
+	// Phase 2 is a function of the checkpoint and the candidate's id: build
+	// seed id+1, fit seed id+2.
+	skipUnlessDigestHost(t)
+	if full.Epochs != 11 || !full.EarlyStopped || math.Float64bits(full.Score) != 0x3fed555555555555 {
+		t.Fatalf("candidate %d fully trained to %d epochs, early stop %v, score %#x; want 11, true, 0x3fed555555555555",
+			best.ID, full.Epochs, full.EarlyStopped, math.Float64bits(full.Score))
 	}
 }
 
