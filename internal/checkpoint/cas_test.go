@@ -60,14 +60,12 @@ func mutate(m *Model, layer int, seed int64) *Model {
 }
 
 func modelsEqual(a, b *Model) bool {
-	var ab, bb bytes.Buffer
-	if err := a.Encode(&ab); err != nil {
+	ab, err := a.Encode()
+	if err != nil {
 		return false
 	}
-	if err := b.Encode(&bb); err != nil {
-		return false
-	}
-	return bytes.Equal(ab.Bytes(), bb.Bytes())
+	bb, err := b.Encode()
+	return err == nil && bytes.Equal(ab, bb)
 }
 
 // manifestOf saves m into a fresh memory store and returns its manifest,
@@ -93,12 +91,12 @@ func manifestOf(t testing.TB, m *Model) ([]byte, *Manifest) {
 // the model's SWTC stream and the model's dtype — and survives its encoding.
 func TestManifestRoundTrip(t *testing.T) {
 	m := casModel(1, 3)
-	var stream bytes.Buffer
-	if err := m.Encode(&stream); err != nil {
+	stream, err := m.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
 	enc, mf := manifestOf(t, m)
-	if want := (Manifest{hash: HashBlob(stream.Bytes()), size: int64(stream.Len()), dtype: m.DType}); *mf != want {
+	if want := (Manifest{hash: HashBlob(stream), size: int64(len(stream)), dtype: m.DType}); *mf != want {
 		t.Fatalf("manifest = %+v, want %+v", *mf, want)
 	}
 	again, err := EncodeManifest(mf)
@@ -432,11 +430,11 @@ func TestCASLoadVerifiesHashOnFirstRead(t *testing.T) {
 	_, mf := manifestOf(t, m)
 	// Rewrite the object with one payload byte changed, through the store's
 	// own at-rest encoding so the object's CRC agrees with the tampered bytes.
-	var stream bytes.Buffer
-	if err := m.Encode(&stream); err != nil {
+	stream, err := m.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	tampered := stream.Bytes()
+	tampered := stream
 	tampered[len(tampered)-3] ^= 0x01
 	packed, err := pack(tampered)
 	if err != nil {

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -160,15 +159,15 @@ func (s *CASStore) unname(e *entry) error {
 // "checkpoint size" on every store.
 func (s *CASStore) Save(id string, m *Model) (int64, error) {
 	t := mStoreSaveSeconds.Start()
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
+	stream, err := m.Encode()
+	if err != nil {
 		return 0, err
 	}
-	if err := s.SaveEncoded(id, buf.Bytes()); err != nil {
+	if err := s.SaveEncoded(id, stream); err != nil {
 		return 0, err
 	}
 	t.Stop()
-	return int64(buf.Len()), nil
+	return int64(len(stream)), nil
 }
 
 // SaveEncoded stores an encoded checkpoint stream under id as its object:
@@ -240,12 +239,13 @@ func (s *CASStore) account(raw, written, stored int64) {
 	}
 }
 
-// address fills in the entry's content hash and dtype from its stream.
+// address fills in the entry's content hash and dtype from its stream,
+// which must parse whole.
 func (e *entry) address() error {
 	if e.hashed {
 		return nil
 	}
-	dt, err := readHeader(bytes.NewReader(e.stream))
+	dt, _, _, err := walk(e.stream, false, nil)
 	if err != nil {
 		return err
 	}
@@ -269,7 +269,7 @@ func (s *CASStore) Load(id string) (*Model, error) {
 		mStoreMisses.Inc()
 		return nil, err
 	}
-	m, err := Decode(bytes.NewReader(stream))
+	m, err := Decode(stream)
 	if err != nil {
 		mStoreMisses.Inc()
 		return nil, fmt.Errorf("checkpoint: id %q: %w", id, err)

@@ -17,9 +17,7 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"swtnas/internal/core"
 	"swtnas/internal/nn"
@@ -145,68 +143,4 @@ func RestoreIntoOf[T tensor.Float](m *Model, net *nn.NetworkOf[T]) error {
 		}
 	}
 	return nil
-}
-
-func writeU32(w io.Writer, v uint32) error {
-	return binary.Write(w, binary.LittleEndian, v)
-}
-
-func readU32(r io.Reader) (uint32, error) {
-	var v uint32
-	err := binary.Read(r, binary.LittleEndian, &v)
-	return v, err
-}
-
-func writeString(w io.Writer, s string) error {
-	if err := writeU32(w, uint32(len(s))); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, s)
-	return err
-}
-
-func readString(r io.Reader) (string, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return "", err
-	}
-	if n > maxString {
-		return "", fmt.Errorf("checkpoint: implausible string length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func writeIntSlice(w io.Writer, xs []int) error {
-	if err := writeU32(w, uint32(len(xs))); err != nil {
-		return err
-	}
-	for _, x := range xs {
-		if err := binary.Write(w, binary.LittleEndian, int32(x)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func readIntSlice(r io.Reader) ([]int, error) {
-	n, err := readU32(r)
-	if err != nil {
-		return nil, err
-	}
-	if n > maxSlice {
-		return nil, fmt.Errorf("checkpoint: implausible slice length %d", n)
-	}
-	xs := make([]int, n)
-	for i := range xs {
-		var v int32
-		if err := binary.Read(r, binary.LittleEndian, &v); err != nil {
-			return nil, err
-		}
-		xs[i] = int(v)
-	}
-	return xs, nil
 }

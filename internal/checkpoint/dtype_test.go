@@ -32,11 +32,11 @@ func casModelF32(seed int64, layers int) *Model {
 // and come back still tagged F32.
 func TestF32ModelRoundTrip(t *testing.T) {
 	m := casModelF32(11, 3)
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
+	buf, err := m.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(bytes.NewReader(buf.Bytes()))
+	got, err := Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,12 @@ func TestF32ModelRoundTrip(t *testing.T) {
 func TestModelsEncodeAtNativeWidth(t *testing.T) {
 	m64 := casModel(12, 4)
 	m32 := casModelF32(12, 4)
-	var b64, b32 bytes.Buffer
-	if err := m64.Encode(&b64); err != nil {
+	b64, err := m64.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m32.Encode(&b32); err != nil {
+	b32, err := m32.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
 	elems := 0
@@ -67,7 +68,7 @@ func TestModelsEncodeAtNativeWidth(t *testing.T) {
 			elems += len(ts.Data)
 		}
 	}
-	if saved := b64.Len() - b32.Len(); saved != 4*elems {
+	if saved := len(b64) - len(b32); saved != 4*elems {
 		t.Fatalf("f32 stream saves %d bytes over f64 for %d elements; want %d", saved, elems, 4*elems)
 	}
 }
@@ -76,13 +77,12 @@ func TestModelsEncodeAtNativeWidth(t *testing.T) {
 // than misinterpret tensor widths.
 func TestDecodeRejectsBadDType(t *testing.T) {
 	m := casModelF32(13, 1)
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
+	raw, err := m.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
 	raw[8] = 0x77 // the dtype word follows the 4-byte magic and the version
-	if _, err := Decode(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "dtype") {
+	if _, err := Decode(raw); err == nil || !strings.Contains(err.Error(), "dtype") {
 		t.Fatalf("corrupt dtype word: err = %v, want one naming the dtype", err)
 	}
 }
@@ -95,8 +95,8 @@ func TestDecodeRejectsBadDType(t *testing.T) {
 func TestF32ManifestRoundTrip(t *testing.T) {
 	casStores(t, func(t *testing.T, s *CASStore) {
 		m := casModelF32(14, 3)
-		var stream bytes.Buffer
-		if err := m.Encode(&stream); err != nil {
+		stream, err := m.Encode()
+		if err != nil {
 			t.Fatal(err)
 		}
 		n, err := s.Save("a", m)
@@ -111,8 +111,8 @@ func TestF32ManifestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := (Manifest{hash: HashBlob(stream.Bytes()), size: n, dtype: tensor.F32}); *mf != want || n != int64(stream.Len()) {
-			t.Fatalf("manifest = %+v, want %+v with the stream's %d bytes", *mf, want, stream.Len())
+		if want := (Manifest{hash: HashBlob(stream), size: n, dtype: tensor.F32}); *mf != want || n != int64(len(stream)) {
+			t.Fatalf("manifest = %+v, want %+v with the stream's %d bytes", *mf, want, len(stream))
 		}
 		got, err := s.Load("a")
 		if err != nil {
@@ -198,11 +198,11 @@ func TestFromNetworkOfF32RoundTrip(t *testing.T) {
 	if m.DType != tensor.F32 {
 		t.Fatalf("checkpoint dtype %v, want F32", m.DType)
 	}
-	var buf bytes.Buffer
-	if err := m.Encode(&buf); err != nil {
+	buf, err := m.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decode(bytes.NewReader(buf.Bytes()))
+	dec, err := Decode(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

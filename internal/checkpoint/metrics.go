@@ -1,10 +1,6 @@
 package checkpoint
 
-import (
-	"io"
-
-	"swtnas/internal/obs"
-)
+import "swtnas/internal/obs"
 
 // Checkpoint telemetry (internal/obs, disabled by default). Codec metrics
 // count every encode/decode in the process — store saves/loads, inline RPC
@@ -42,28 +38,3 @@ var (
 	mCASWrittenBytes = obs.GetCounter("checkpoint.cas.bytes.written")
 	mCASBlobsLive    = obs.GetGauge("checkpoint.cas.blobs.live")
 )
-
-// countingWriter counts the bytes flushed through it; the codec's bufio
-// layer sits on top, so Write calls are few and large.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// countingReader counts the bytes consumed through it.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}

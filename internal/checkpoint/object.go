@@ -34,12 +34,9 @@ func planeBytes(width int) (top, low int) { return width / 4, width - width/4 }
 
 // pack is the disk backend's at-rest encoding of an SWTC stream.
 func pack(stream []byte) ([]byte, error) {
-	dt, spans, walked, err := layout(stream, false)
+	dt, spans, _, err := walk(stream, false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: packing a stream: %w", err)
-	}
-	if walked != len(stream) {
-		return nil, fmt.Errorf("checkpoint: packing a stream: %d bytes follow its last group", len(stream)-walked)
 	}
 	width := dt.Size()
 	_, low := planeBytes(width)
@@ -171,7 +168,7 @@ func unpack(mf *Manifest, obj []byte, verify bool) ([]byte, error) {
 	if src.Len() != 0 {
 		return fail("has %d bytes after its deflate stream", src.Len())
 	}
-	dt, spans, meta, err := layout(plain, true)
+	dt, spans, meta, err := walk(plain, true, nil)
 	if err != nil {
 		return fail("%w", err)
 	}

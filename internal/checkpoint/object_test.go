@@ -55,18 +55,19 @@ func oddModel(rng *rand.Rand) *Model {
 }
 
 // TestLayoutAgreesWithEncode: on models from every corner of the format,
-// layout finds each tensor payload where Encode put it, walks the whole
-// stream, finds the same spans in the stream's metadata bytes alone, and
-// pack and unpack round-trip the stream.
+// the one SWTC walker agrees with Encode in each of its uses — it finds each
+// tensor payload where Encode put it and walks the whole stream (pack),
+// finds the same spans in the stream's metadata bytes alone (unpack), and
+// fills a model that encodes to the same stream (Decode) — and pack and
+// unpack round-trip the stream.
 func TestLayoutAgreesWithEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for trial := 0; trial < 300; trial++ {
 		m := oddModel(rng)
-		var buf bytes.Buffer
-		if err := m.Encode(&buf); err != nil {
+		stream, err := m.Encode()
+		if err != nil {
 			t.Fatal(err)
 		}
-		stream := buf.Bytes()
 		// Encode's layout, counted from the model: header, arch, score, group
 		// count, then per group its name, signature and tensor count, and per
 		// tensor its name, shape and payload.
@@ -77,15 +78,18 @@ func TestLayoutAgreesWithEncode(t *testing.T) {
 			for _, tt := range g.Tensors {
 				at += 4 + len(tt.Name) + 4 + 4*len(tt.Shape)
 				want = append(want, span{at: at, n: len(tt.Data)})
-				if !bytes.Equal(stream[at:at+len(tt.Data)*m.DType.Size()], encodeTensorData(tt.Data, m.DType)) {
+				if !bytes.Equal(stream[at:at+len(tt.Data)*m.DType.Size()], appendData(nil, tt.Data, m.DType)) {
 					t.Fatalf("trial %d: tensor %q is not where the count puts it", trial, tt.Name)
 				}
 				at += len(tt.Data) * m.DType.Size()
 			}
 		}
-		dt, spans, walked, err := layout(stream, false)
+		dt, spans, walked, err := walk(stream, false, nil)
 		if err != nil || dt != m.DType || walked != len(stream) || fmt.Sprint(spans) != fmt.Sprint(want) {
 			t.Fatalf("trial %d: layout = %v %v %d %v, want %v %v %d", trial, dt, spans, walked, err, m.DType, want, len(stream))
+		}
+		if dec, err := Decode(stream); err != nil || !modelsEqual(dec, m) {
+			t.Fatalf("trial %d: the decoded model does not encode to the stream (err %v)", trial, err)
 		}
 		var meta []byte
 		prev := 0
@@ -94,7 +98,7 @@ func TestLayoutAgreesWithEncode(t *testing.T) {
 			prev = s.at + s.n*m.DType.Size()
 		}
 		meta = append(meta, stream[prev:]...)
-		dt, spans, walked, err = layout(meta, true)
+		dt, spans, walked, err = walk(meta, true, nil)
 		if err != nil || dt != m.DType || walked != len(meta) || fmt.Sprint(spans) != fmt.Sprint(want) {
 			t.Fatalf("trial %d: layout of the metadata = %v %v %d %v, want %v %v %d", trial, dt, spans, walked, err, m.DType, want, len(meta))
 		}
@@ -116,15 +120,15 @@ func TestLayoutAgreesWithEncode(t *testing.T) {
 func TestObjectEveryByteCounts(t *testing.T) {
 	for _, m := range []*Model{casModel(24, 2), casModelF32(25, 2)} {
 		_, mf := manifestOf(t, m)
-		var stream bytes.Buffer
-		if err := m.Encode(&stream); err != nil {
-			t.Fatal(err)
-		}
-		obj, err := pack(stream.Bytes())
+		stream, err := m.Encode()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := unpack(mf, obj, true); err != nil || !bytes.Equal(got, stream.Bytes()) {
+		obj, err := pack(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := unpack(mf, obj, true); err != nil || !bytes.Equal(got, stream) {
 			t.Fatalf("%v: the honest object does not unpack to its stream: %v", m.DType, err)
 		}
 		for i := range obj {
@@ -145,11 +149,11 @@ func TestObjectEveryByteCounts(t *testing.T) {
 func TestObjectInsertedByteRefused(t *testing.T) {
 	for _, m := range []*Model{casModel(28, 2), casModelF32(29, 2)} {
 		_, mf := manifestOf(t, m)
-		var stream bytes.Buffer
-		if err := m.Encode(&stream); err != nil {
+		stream, err := m.Encode()
+		if err != nil {
 			t.Fatal(err)
 		}
-		obj, err := pack(stream.Bytes())
+		obj, err := pack(stream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,11 +177,11 @@ func TestObjectInsertedByteRefused(t *testing.T) {
 func TestObjectSectionsMustMatchLayout(t *testing.T) {
 	for _, m := range []*Model{casModel(30, 2), casModelF32(31, 2)} {
 		_, mf := manifestOf(t, m)
-		var stream bytes.Buffer
-		if err := m.Encode(&stream); err != nil {
+		stream, err := m.Encode()
+		if err != nil {
 			t.Fatal(err)
 		}
-		obj, err := pack(stream.Bytes())
+		obj, err := pack(stream)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,12 +232,12 @@ func appStream(tb testing.TB, name string, dt tensor.DType, target int) []byte {
 			}
 			m = FromNetworkOf(arch, 0.5, net32)
 		}
-		var buf bytes.Buffer
-		if err := m.Encode(&buf); err != nil {
+		buf, err := m.Encode()
+		if err != nil {
 			tb.Fatal(err)
 		}
-		if n := buf.Len(); 4*n >= 3*target && 4*n <= 5*target {
-			return buf.Bytes()
+		if n := len(buf); 4*n >= 3*target && 4*n <= 5*target {
+			return buf
 		}
 	}
 	tb.Fatalf("no %s candidate of about %d bytes", name, target)

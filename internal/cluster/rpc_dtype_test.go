@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"testing"
 
 	"swtnas/internal/checkpoint"
@@ -22,7 +21,7 @@ func TestWorkerExecutesF32Task(t *testing.T) {
 	if res.Err != "" {
 		t.Fatal(res.Err)
 	}
-	m, err := checkpoint.Decode(bytes.NewReader(res.Checkpoint))
+	m, err := checkpoint.Decode(res.Checkpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestWorkerDTypeDefaultAndRejection(t *testing.T) {
 	if res.Err != "" {
 		t.Fatal(res.Err)
 	}
-	m, err := checkpoint.Decode(bytes.NewReader(res.Checkpoint))
+	m, err := checkpoint.Decode(res.Checkpoint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func TestWorkerDTypeDefaultAndRejection(t *testing.T) {
 	if res.Err != "" {
 		t.Fatal(res.Err)
 	}
-	if m, err = checkpoint.Decode(bytes.NewReader(res.Checkpoint)); err != nil {
+	if m, err = checkpoint.Decode(res.Checkpoint); err != nil {
 		t.Fatal(err)
 	}
 	if m.DType != tensor.F64 {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"testing"
 
 	"swtnas/internal/checkpoint"
@@ -25,7 +24,7 @@ func TestWorkerTransfersFromInlineParent(t *testing.T) {
 		t.Fatal(child.Err)
 	}
 	// Same architecture: every layer group must be warm-started.
-	m, err := checkpoint.Decode(bytes.NewReader(parentRes.Checkpoint))
+	m, err := checkpoint.Decode(parentRes.Checkpoint)
 	if err != nil {
 		t.Fatal(err)
 	}

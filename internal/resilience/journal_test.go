@@ -258,15 +258,14 @@ func TestRetiredFormatsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
 	model := &checkpoint.Model{Arch: []int{1, 2}, Score: 0.5, Groups: []checkpoint.Group{{
 		Layer: "d", Signature: []int{2, 2},
 		Tensors: []checkpoint.Tensor{{Name: "d/W", Shape: []int{2, 2}, Data: []float64{1, 2, 3, 4}}},
 	}}}
-	if err := model.Encode(&buf); err != nil {
+	swtc, err := model.Encode()
+	if err != nil {
 		t.Fatal(err)
 	}
-	swtc := buf.Bytes()
 	body := swtc[16:] // after magic, version, dtype, reserved word
 	stream := func(words ...uint32) []byte {
 		b := []byte("SWTC")
@@ -299,7 +298,7 @@ func TestRetiredFormatsRejected(t *testing.T) {
 		return err
 	}
 	decode := func(b []byte) error {
-		m, err := checkpoint.Decode(bytes.NewReader(b))
+		m, err := checkpoint.Decode(b)
 		if m != nil {
 			t.Errorf("Decode returned a model alongside error %v", err)
 		}
@@ -365,7 +364,7 @@ func TestRetiredFormatsRejected(t *testing.T) {
 			t.Errorf("%s: error %v, want one naming %q", tc.name, tc.err, tc.names)
 		}
 	}
-	if _, err := checkpoint.Decode(bytes.NewReader(swtc)); err != nil {
+	if _, err := checkpoint.Decode(swtc); err != nil {
 		t.Fatalf("the current stream the cases derive from must decode: %v", err)
 	}
 }
