@@ -39,11 +39,7 @@
 // the scalar loss is summed from per-shard partials.
 package nn
 
-import (
-	"fmt"
-
-	"swtnas/internal/tensor"
-)
+import "swtnas/internal/tensor"
 
 // Per-item costs of the sharded loops, in the unit parallel.MinChunk takes:
 // one unit is one multiply-add of the f32 GEMM tile kernels, 0.1–0.2 ns on
@@ -112,33 +108,4 @@ type ParamGroupOf[T tensor.Float] struct {
 	Signature []int
 	// Params lists every tensor of the layer, primary weight first.
 	Params []*ParamOf[T]
-}
-
-// Compatible reports whether weights can be transferred from src into g:
-// identical signatures and identical shapes for every coupled tensor.
-func (g *ParamGroupOf[T]) Compatible(src *ParamGroupOf[T]) bool {
-	if !tensor.SameShape(g.Signature, src.Signature) || len(g.Params) != len(src.Params) {
-		return false
-	}
-	for i := range g.Params {
-		if !tensor.SameShape(g.Params[i].W.Shape, src.Params[i].W.Shape) {
-			return false
-		}
-	}
-	return true
-}
-
-// CopyFrom copies every tensor of src into g. It returns an error if the
-// groups are not Compatible.
-func (g *ParamGroupOf[T]) CopyFrom(src *ParamGroupOf[T]) error {
-	if !g.Compatible(src) {
-		return fmt.Errorf("nn: param group %q%s not compatible with %q%s",
-			g.Layer, tensor.ShapeString(g.Signature), src.Layer, tensor.ShapeString(src.Signature))
-	}
-	for i := range g.Params {
-		if err := g.Params[i].W.CopyFrom(src.Params[i].W); err != nil {
-			return err
-		}
-	}
-	return nil
 }

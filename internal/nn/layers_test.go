@@ -444,24 +444,3 @@ func TestNetworkParamCountAndGroups(t *testing.T) {
 		t.Fatalf("batchnorm group has %d tensors, want 4", len(gs[1].Params))
 	}
 }
-
-func TestParamGroupCopyFrom(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := NewDense("a", 3, 2, 0, rng)
-	b := NewDense("b", 3, 2, 0, rng)
-	ga := ParamGroup{Layer: "a", Signature: []int{3, 2}, Params: a.Params()}
-	gb := ParamGroup{Layer: "b", Signature: []int{3, 2}, Params: b.Params()}
-	if err := gb.CopyFrom(&ga); err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.W.W.Data {
-		if b.W.W.Data[i] != a.W.W.Data[i] {
-			t.Fatal("weights not copied")
-		}
-	}
-	c := NewDense("c", 4, 2, 0, rng)
-	gc := ParamGroup{Layer: "c", Signature: []int{4, 2}, Params: c.Params()}
-	if err := gc.CopyFrom(&ga); err == nil {
-		t.Fatal("incompatible copy must error")
-	}
-}
