@@ -423,7 +423,7 @@ func (s *SearchHandle) search(ctx context.Context, client *nas.PoolClient) (*Res
 			return nil, err
 		}
 		cfg.Prefilter = pf
-		cfg.OnFiltered = func(fc proxy.FilteredCandidate) {
+		cfg.OnFiltered = func(fc trace.FilteredRecord) {
 			s.emit(Event{Kind: EventFiltered, Candidate: &Candidate{
 				ID:         -1,
 				Arch:       fc.Arch,

@@ -211,40 +211,24 @@ func buildReceiver(app *apps.App, arch search.Arch, seed int64) (*nn.Network, er
 	return app.Space.Build(arch, rand.New(rand.NewSource(seed)))
 }
 
-// train is every training run of the experiments: epochs passes over the
-// app's training set at its batch size, shuffled by an RNG seeded with
-// seed, stopped early by the paper's rule (Section VIII-B, the app's delta
-// and patience) when earlyStop is set.
-func train(app *apps.App, net *nn.Network, epochs int, seed int64, earlyStop bool) (*nn.History, error) {
+// train is every partial training run of the experiments: epochs passes
+// over the app's training set at its batch size, shuffled by an RNG seeded
+// with seed. Full training, early-stopped or not, is nas.FullyTrain.
+func train(app *apps.App, net *nn.Network, epochs int, seed int64) (*nn.History, error) {
 	cfg := nn.FitConfig{Epochs: epochs, BatchSize: app.Space.BatchSize, RNG: rand.New(rand.NewSource(seed))}
-	if earlyStop {
-		cfg.EarlyStopDelta, cfg.EarlyStopPatience = app.Space.EarlyStopDelta, app.EarlyStopPatience
-	}
 	return nn.Fit(net, app.Space.Loss, app.Space.Metric, nn.NewAdam(), app.Dataset.Train, app.Dataset.Val, cfg)
 }
 
-// fullTrain is the paper's second stage for one searched candidate: rec's
-// architecture built from seed, its trained weights reloaded from store,
-// then trained (RNG seed+1) for the full epoch budget (Config.FullEpochs,
-// else the app's), early-stopped or not. An F32-tagged checkpoint restores through exact widening, so full
-// training is f64 whatever dtype the search ran.
+// fullTrain is nas.FullyTrain for one searched candidate at the full epoch
+// budget (Config.FullEpochs, else the app's): rec's architecture built from
+// seed, its trained weights reloaded from store, trained with RNG seed+1,
+// early-stopped or not.
 func (s *Suite) fullTrain(app *apps.App, store checkpoint.Store, rec trace.Record, seed int64, earlyStop bool) (*nn.History, error) {
-	ckpt, err := store.Load(nas.CandidateID(rec.ID))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s candidate %d: %w", app.Name, rec.ID, err)
-	}
-	net, err := buildReceiver(app, rec.Arch, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := ckpt.RestoreInto(net); err != nil {
-		return nil, err
-	}
 	epochs := app.FullMaxEpochs
 	if s.Cfg.FullEpochs > 0 {
 		epochs = s.Cfg.FullEpochs
 	}
-	return train(app, net, epochs, seed+1, earlyStop)
+	return nas.FullyTrain(app, store, rec.ID, rec.Arch, seed, epochs, earlyStop)
 }
 
 // mutateK returns a copy of arch re-choosing exactly k distinct variable

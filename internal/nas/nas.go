@@ -287,6 +287,31 @@ func (e *Evaluator) fitF32(arch search.Arch, net *nn.Network, cfg nn.FitConfig) 
 	return score, checkpoint.FromNetworkOf(arch, score, net32), nil
 }
 
+// FullyTrain is NAS phase 2 for one searched candidate: arch built from
+// seed, the candidate's trained weights restored from its checkpoint in
+// store, then trained for epochs at the app's batch size with RNG seed+1,
+// stopped early by the paper's rule (Section VIII-B, the app's delta and
+// patience) when earlyStop is set. An F32-tagged checkpoint restores through
+// exact widening, so phase 2 runs in f64 whatever dtype the search ran.
+func FullyTrain(app *apps.App, store checkpoint.Store, id int, arch search.Arch, seed int64, epochs int, earlyStop bool) (*nn.History, error) {
+	ckpt, err := store.Load(CandidateID(id))
+	if err != nil {
+		return nil, fmt.Errorf("nas: loading candidate %d: %w", id, err)
+	}
+	net, err := app.Space.Build(arch, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		return nil, err
+	}
+	if err := ckpt.RestoreInto(net); err != nil {
+		return nil, err
+	}
+	cfg := nn.FitConfig{Epochs: epochs, BatchSize: app.Space.BatchSize, RNG: rand.New(rand.NewSource(seed + 1))}
+	if earlyStop {
+		cfg.EarlyStopDelta, cfg.EarlyStopPatience = app.Space.EarlyStopDelta, app.EarlyStopPatience
+	}
+	return nn.Fit(net, app.Space.Loss, app.Space.Metric, nn.NewAdam(), app.Dataset.Train, app.Dataset.Val, cfg)
+}
+
 // Config parameterizes a search run.
 type Config struct {
 	// App is the application under search.
@@ -377,7 +402,7 @@ type Config struct {
 	// OnFiltered, when non-nil, is invoked from the scheduler goroutine
 	// for every proposal the Prefilter rejects, after the rejection is
 	// recorded in the trace. Ignored without Prefilter.
-	OnFiltered func(proxy.FilteredCandidate)
+	OnFiltered func(trace.FilteredRecord)
 }
 
 // SchemeName renders the scheme label used across the evaluation.
@@ -467,14 +492,8 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	// Rejections are recorded from the scheduler goroutine only (Propose is
 	// never called concurrently), so the trace append is safe.
 	if cfg.Prefilter != nil {
-		cfg.Prefilter.SetOnFiltered(func(fc proxy.FilteredCandidate) {
-			tr.Filtered = append(tr.Filtered, trace.FilteredRecord{
-				Seq:        fc.Seq,
-				Arch:       fc.Arch,
-				ParentID:   fc.ParentID,
-				ProxyScore: fc.ProxyScore,
-				Params:     fc.Params,
-			})
+		cfg.Prefilter.SetOnFiltered(func(fc trace.FilteredRecord) {
+			tr.Filtered = append(tr.Filtered, fc)
 			if cfg.OnFiltered != nil {
 				cfg.OnFiltered(fc)
 			}

@@ -56,8 +56,8 @@ func filteredEqual(t *testing.T, a, b []trace.FilteredRecord, label string) {
 // full budget of admitted evaluations.
 func TestProxyFilterRejectsBeforeTraining(t *testing.T) {
 	cfg := newProxyConfig(t, checkpoint.NewCASMemStore())
-	var seen []proxy.FilteredCandidate
-	cfg.OnFiltered = func(fc proxy.FilteredCandidate) { seen = append(seen, fc) }
+	var seen []trace.FilteredRecord
+	cfg.OnFiltered = func(fc trace.FilteredRecord) { seen = append(seen, fc) }
 	tr, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

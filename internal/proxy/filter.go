@@ -9,6 +9,7 @@ import (
 	"swtnas/internal/evo"
 	"swtnas/internal/nn"
 	"swtnas/internal/search"
+	"swtnas/internal/trace"
 )
 
 // FilterConfig parameterizes a Prefilter.
@@ -40,22 +41,6 @@ type FilterConfig struct {
 	MinFit, RefitEvery int
 }
 
-// FilteredCandidate describes one proposal rejected before training.
-type FilteredCandidate struct {
-	// Seq is the proposal's draw number within the search (0-based, counted
-	// over every drawn proposal, admitted or not).
-	Seq int
-	// Arch is the rejected architecture.
-	Arch search.Arch
-	// ParentID is the proposal's transfer provider (-1 for scratch).
-	ParentID int
-	// ProxyScore is the score the admission ranking used: the surrogate
-	// prediction once fitted, the gradient norm before that.
-	ProxyScore float64
-	// Params is the rejected network's trainable-parameter count.
-	Params int
-}
-
 // Stats summarizes a Prefilter's work so far.
 type Stats struct {
 	// Proposals counts proposals drawn from the wrapped strategy.
@@ -84,7 +69,7 @@ type Prefilter struct {
 	sur      *Surrogate
 
 	mu         sync.Mutex
-	onFiltered func(FilteredCandidate)
+	onFiltered func(trace.FilteredRecord)
 	queue      []evo.Proposal
 	drawn      int // proposals drawn from the inner strategy
 	admitted   int64
@@ -127,7 +112,7 @@ func NewPrefilter(cfg FilterConfig) (*Prefilter, error) {
 // SetOnFiltered installs the rejection callback. It is invoked from
 // whatever goroutine calls Propose (the scheduler), before the admitted
 // proposal of the same batch is returned. Set it before the search starts.
-func (p *Prefilter) SetOnFiltered(fn func(FilteredCandidate)) {
+func (p *Prefilter) SetOnFiltered(fn func(trace.FilteredRecord)) {
 	p.mu.Lock()
 	p.onFiltered = fn
 	p.mu.Unlock()
@@ -238,7 +223,7 @@ func (f *filterStrategy) Propose(rng *rand.Rand) evo.Proposal {
 		p.filtered++
 		mFiltered.Inc()
 		if p.onFiltered != nil {
-			p.onFiltered(FilteredCandidate{
+			p.onFiltered(trace.FilteredRecord{
 				Seq:        seqBase + i,
 				Arch:       s.prop.Arch,
 				ParentID:   s.prop.ParentID,

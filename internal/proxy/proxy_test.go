@@ -11,6 +11,7 @@ import (
 	"swtnas/internal/nn"
 	"swtnas/internal/search"
 	"swtnas/internal/tensor"
+	"swtnas/internal/trace"
 )
 
 func testApp(t *testing.T) *apps.App {
@@ -155,8 +156,8 @@ func newTestFilter(t *testing.T, app *apps.App, admit float64) (*Prefilter, *cou
 func TestPrefilterAdmitFraction(t *testing.T) {
 	app := testApp(t)
 	pf, inner, strat := newTestFilter(t, app, 0.25)
-	var rejected []FilteredCandidate
-	pf.SetOnFiltered(func(fc FilteredCandidate) { rejected = append(rejected, fc) })
+	var rejected []trace.FilteredRecord
+	pf.SetOnFiltered(func(fc trace.FilteredRecord) { rejected = append(rejected, fc) })
 	rng := rand.New(rand.NewSource(1))
 	p := strat.Propose(rng)
 	if len(p.Arch) == 0 {
@@ -204,7 +205,7 @@ func TestPrefilterDecisionsDeterministic(t *testing.T) {
 	app := testApp(t)
 	run := func() (admitted []string, rejected []int) {
 		pf, _, strat := newTestFilter(t, app, 0.5)
-		pf.SetOnFiltered(func(fc FilteredCandidate) { rejected = append(rejected, fc.Seq) })
+		pf.SetOnFiltered(func(fc trace.FilteredRecord) { rejected = append(rejected, fc.Seq) })
 		rng := rand.New(rand.NewSource(77))
 		for i := 0; i < 12; i++ {
 			p := strat.Propose(rng)

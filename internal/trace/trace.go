@@ -62,13 +62,15 @@ type Record struct {
 // are not journaled: a crash-resumed run regenerates them deterministically
 // from the seed.
 type FilteredRecord struct {
-	// Seq is the proposal's draw number within the search.
+	// Seq is the proposal's draw number within the search (0-based, counted
+	// over every drawn proposal, admitted or not).
 	Seq int `json:"seq"`
 	// Arch is the rejected architecture sequence.
 	Arch []int `json:"arch"`
 	// ParentID is the proposal's transfer provider (-1 for scratch).
 	ParentID int `json:"parent_id"`
-	// ProxyScore is the admission score that ranked it below the cut.
+	// ProxyScore is the admission score that ranked it below the cut: the
+	// surrogate prediction once fitted, the gradient norm before that.
 	ProxyScore float64 `json:"proxy_score"`
 	// Params is the rejected network's trainable-parameter count.
 	Params int `json:"params,omitempty"`

@@ -46,7 +46,6 @@ import (
 	"swtnas/internal/data"
 	"swtnas/internal/evo"
 	"swtnas/internal/nas"
-	"swtnas/internal/nn"
 	"swtnas/internal/obs"
 	"swtnas/internal/proxy"
 	"swtnas/internal/resilience"
@@ -370,27 +369,10 @@ type FullTraining struct {
 
 // FullyTrain resumes a candidate from its checkpoint and trains it with the
 // application's early-stopping rule (threshold per app, patience 2) up to
-// the full budget of 20 epochs.
+// the full budget of 20 epochs. The network is built from seed ID+1 and
+// shuffled from seed ID+2.
 func (r *Result) FullyTrain(c Candidate) (*FullTraining, error) {
-	ckpt, err := r.store.Load(nas.CandidateID(c.ID))
-	if err != nil {
-		return nil, err
-	}
-	net, err := r.app.Space.Build(search.Arch(c.Arch), rand.New(rand.NewSource(int64(c.ID)+1)))
-	if err != nil {
-		return nil, err
-	}
-	if err := ckpt.RestoreInto(net); err != nil {
-		return nil, err
-	}
-	h, err := nn.Fit(net, r.app.Space.Loss, r.app.Space.Metric, nn.NewAdam(),
-		r.app.Dataset.Train, r.app.Dataset.Val, nn.FitConfig{
-			Epochs:            r.app.FullMaxEpochs,
-			BatchSize:         r.app.Space.BatchSize,
-			RNG:               rand.New(rand.NewSource(int64(c.ID) + 2)),
-			EarlyStopDelta:    r.app.Space.EarlyStopDelta,
-			EarlyStopPatience: r.app.EarlyStopPatience,
-		})
+	h, err := nas.FullyTrain(r.app, r.store, c.ID, search.Arch(c.Arch), int64(c.ID)+1, r.app.FullMaxEpochs, true)
 	if err != nil {
 		return nil, err
 	}
