@@ -3,6 +3,7 @@ package nas
 import (
 	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -510,4 +511,154 @@ type proposeSpy struct {
 func (s proposeSpy) Propose(rng *rand.Rand) evo.Proposal {
 	*s.proposed = true
 	return s.Strategy.Propose(rng)
+}
+
+// TestResumeRejectsCorruptObject: a resume whose store holds a damaged
+// object for a mid-journal candidate fails loudly at that candidate's record,
+// naming it, and trains nothing. The three kinds of damage are caught by
+// three different checks: a flipped verbatim byte by the object's CRC, a
+// well-formed object of another stream renamed into place by the hash, and a
+// deleted object file (without GC) as a missing blob.
+func TestResumeRejectsCorruptObject(t *testing.T) {
+	const budget = 6
+	dir := t.TempDir()
+	_, recs, storeDir := journaledCASRun(t, dir, budget, 0)
+	rec, err := resilience.Read(filepath.Join(dir, "run.swtj"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The victim is a mid-journal record whose object no other record names,
+	// so the damage is met first at its own record.
+	victim := -1
+	for i := budget / 2; i < budget-1 && victim < 0; i++ {
+		shared := false
+		for j, er := range recs {
+			shared = shared || (j != i && bytes.Equal(er.Manifest, recs[i].Manifest))
+		}
+		if !shared {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		t.Fatal("every mid-journal record shares its object")
+	}
+	id := recs[victim].Record.ID
+	hash := hex.EncodeToString(recs[victim].Manifest[len(recs[victim].Manifest)-checkpoint.HashSize:])
+	objRel := filepath.Join("objects", hash+".obj")
+	prefix := fmt.Sprintf("nas: restoring journaled checkpoint %d: ", id)
+
+	// foreign is a valid object of another stream of the same size and
+	// dtype: the victim's checkpoint with one weight changed, saved to a
+	// scratch store.
+	foreign := func(t *testing.T) []byte {
+		src, err := checkpoint.NewCASDiskStore(storeDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := src.Load(CandidateID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Groups[0].Tensors[0].Data[0] += 1
+		scratchDir := filepath.Join(t.TempDir(), "scratch")
+		scratch, err := checkpoint.NewCASDiskStore(scratchDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := scratch.Save("other", m); err != nil {
+			t.Fatal(err)
+		}
+		objs, err := filepath.Glob(filepath.Join(scratchDir, "objects", "*.obj"))
+		if err != nil || len(objs) != 1 {
+			t.Fatalf("scratch store holds objects %v (err %v), want one", objs, err)
+		}
+		b, err := os.ReadFile(objs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name    string
+		damage  func(t *testing.T, path string)
+		want    string
+		missing bool
+	}{
+		{"a flipped verbatim byte", func(t *testing.T, path string) {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[len(b)-5] ^= 0x40 // the last verbatim byte, just before the CRC
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, fmt.Sprintf("checkpoint: adopting %q: checkpoint: object %s fails its CRC-32C", CandidateID(id), hash), false},
+		{"another stream's object renamed into place", func(t *testing.T, path string) {
+			if err := os.WriteFile(path, foreign(t), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, fmt.Sprintf("checkpoint: adopting %q: checkpoint: object %s content does not match its hash", CandidateID(id), hash), false},
+		{"a deleted object file", func(t *testing.T, path string) {
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		}, fmt.Sprintf("checkpoint: blob missing: id %q (%s)", CandidateID(id), hash), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			damaged := filepath.Join(t.TempDir(), "blobs")
+			copyTree(t, storeDir, damaged)
+			tc.damage(t, filepath.Join(damaged, objRel))
+			store, err := checkpoint.NewCASDiskStore(damaged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			app := tinyApp(t, "nt3")
+			spy := &submitSpy{}
+			_, err = runWithin(t, 30*time.Second, context.Background(), Config{
+				App:      app,
+				Matcher:  core.LCS{},
+				Strategy: evo.NewRegularizedEvolution(app.Space, 3, 2),
+				Store:    store,
+				Budget:   budget,
+				Seed:     11,
+				Resume:   rec,
+				Executor: spy,
+			})
+			if err == nil || err.Error() != prefix+tc.want {
+				t.Fatalf("err = %v\nwant    %s", err, prefix+tc.want)
+			}
+			if got := errors.Is(err, checkpoint.ErrMissingBlob); got != tc.missing {
+				t.Errorf("errors.Is(err, ErrMissingBlob) = %v, want %v", got, tc.missing)
+			}
+			if spy.n != 0 {
+				t.Errorf("the failed resume submitted %d tasks", spy.n)
+			}
+		})
+	}
+}
+
+// copyTree copies the regular files under src to the same paths under dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), b, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
