@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -100,7 +101,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("pack refused a stream Decode accepts: %v", err)
 		}
 		mf := &Manifest{hash: HashBlob(data), size: int64(len(data)), dtype: model.DType}
-		if back, err := unpack(mf, obj, true); err != nil || !bytes.Equal(back, data) {
+		if back, err := unpack(mf, obj, true, nil); err != nil || !bytes.Equal(back, data) {
 			t.Fatalf("unpack(pack(stream)) is not the stream (err %v)", err)
 		}
 	})
@@ -183,9 +184,21 @@ func FuzzDecodeManifest(f *testing.F) {
 // a size its bytes cannot inflate to is refused before anything is
 // allocated. The seeds are packed f64 and f32 objects with their manifests,
 // their bit-flipped and truncated copies, and an object of the retired
-// shuffle + gzip format. Run `go test -fuzz FuzzUnpack ./internal/checkpoint`
-// for a real fuzzing session; under plain `go test` the seed corpus runs.
+// shuffle + gzip format. Unpacking in buffers another object used first
+// gives the same stream or error. Run `go test -fuzz FuzzUnpack
+// ./internal/checkpoint` for a real fuzzing session; under plain `go test`
+// the seed corpus runs.
 func FuzzUnpack(f *testing.F) {
+	prior := casModel(91, 4)
+	priorStream, err := prior.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	priorObj, err := pack(priorStream)
+	if err != nil {
+		f.Fatal(err)
+	}
+	_, priorMF := manifestOf(f, prior)
 	for _, m := range []*Model{FromNetwork([]int{1, 2, 3}, 0.5, sampleNet(92)), casModelF32(93, 3)} {
 		buf, err := m.Encode()
 		if err != nil {
@@ -220,9 +233,18 @@ func FuzzUnpack(f *testing.F) {
 			return
 		}
 		var stream []byte
-		got := allocated(func() { stream, err = unpack(mf, obj, true) })
+		got := allocated(func() { stream, err = unpack(mf, obj, true, nil) })
 		if got > 8*uint64(mf.size)+1<<20 {
 			t.Fatalf("unpacking %d bytes for a %d-byte stream allocated %d (err %v)", len(obj), mf.size, got, err)
+		}
+		junk := func() []byte { return bytes.Repeat([]byte{0xA5}, 1<<16) }
+		buf := &objectBuffers{plain: junk(), stream: junk()}
+		if _, err := unpack(priorMF, priorObj, true, buf); err != nil {
+			t.Fatal(err)
+		}
+		reused, reusedErr := unpack(mf, obj, true, buf)
+		if fmt.Sprint(reusedErr) != fmt.Sprint(err) || !bytes.Equal(reused, stream) {
+			t.Fatalf("unpack in used buffers gave %d bytes, err %v; in fresh ones %d bytes, err %v", len(reused), reusedErr, len(stream), err)
 		}
 		if err != nil {
 			if stream != nil {

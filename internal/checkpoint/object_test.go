@@ -107,7 +107,7 @@ func TestLayoutAgreesWithEncode(t *testing.T) {
 			t.Fatal(err)
 		}
 		mf := &Manifest{hash: HashBlob(stream), size: int64(len(stream)), dtype: m.DType}
-		if got, err := unpack(mf, obj, true); err != nil || !bytes.Equal(got, stream) {
+		if got, err := unpack(mf, obj, true, nil); err != nil || !bytes.Equal(got, stream) {
 			t.Fatalf("trial %d: unpack: %v", trial, err)
 		}
 	}
@@ -128,12 +128,12 @@ func TestObjectEveryByteCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := unpack(mf, obj, true); err != nil || !bytes.Equal(got, stream) {
+		if got, err := unpack(mf, obj, true, nil); err != nil || !bytes.Equal(got, stream) {
 			t.Fatalf("%v: the honest object does not unpack to its stream: %v", m.DType, err)
 		}
 		for i := range obj {
 			obj[i] ^= 0xFF
-			if _, err := unpack(mf, obj, false); err == nil || !strings.Contains(err.Error(), mf.hash.String()) {
+			if _, err := unpack(mf, obj, false, nil); err == nil || !strings.Contains(err.Error(), mf.hash.String()) {
 				t.Fatalf("%v: flipping byte %d of %d: err = %v, want one naming %s", m.DType, i, len(obj), err, mf.hash)
 			}
 			obj[i] ^= 0xFF
@@ -163,7 +163,7 @@ func TestObjectInsertedByteRefused(t *testing.T) {
 			if i <= codedEnd {
 				binary.LittleEndian.PutUint64(grown[len(objectMagic):], uint64(codedEnd+1-objectHead))
 			}
-			if _, err := unpack(mf, grown, false); err == nil {
+			if _, err := unpack(mf, grown, false, nil); err == nil {
 				t.Fatalf("%v: a byte inserted at %d of %d (coded section ends at %d) was accepted", m.DType, i, len(obj), codedEnd)
 			}
 		}
@@ -203,7 +203,7 @@ func TestObjectSectionsMustMatchLayout(t *testing.T) {
 		}
 		verbatim := append([]byte{plain[len(plain)-1]}, obj[codedEnd:len(obj)-objectTail]...)
 		crc := binary.LittleEndian.Uint32(obj[len(obj)-objectTail:])
-		if _, err := unpack(mf, rawObject(coded.Bytes(), verbatim, crc), false); err == nil || !strings.Contains(err.Error(), "does not lay out") {
+		if _, err := unpack(mf, rawObject(coded.Bytes(), verbatim, crc), false, nil); err == nil || !strings.Contains(err.Error(), "does not lay out") {
 			t.Fatalf("%v: err = %v, want one saying the object does not lay out its elements", m.DType, err)
 		}
 	}
@@ -287,7 +287,7 @@ func BenchmarkObjectUnpack(b *testing.B) {
 		b.Run(fmt.Sprintf("%s/%v", c.name, c.dt), func(b *testing.B) {
 			b.SetBytes(int64(len(stream)))
 			for i := 0; i < b.N; i++ {
-				if _, err := unpack(mf, obj, true); err != nil {
+				if _, err := unpack(mf, obj, true, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -514,6 +514,15 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		if replay = cfg.Resume.Records; len(replay) > cfg.Budget {
 			return nil, fmt.Errorf("nas: journal holds %d candidates for a budget of %d", len(replay), cfg.Budget)
 		}
+		// The journaled checkpoints are hash-checked up front, on the kernel
+		// pool's cores; one that fails is reported by its record's adoption.
+		var mfs [][]byte
+		for _, er := range replay {
+			if !er.Record.Failed {
+				mfs = append(mfs, er.Manifest)
+			}
+		}
+		manifests.VerifyManifests(mfs, parallel.Workers())
 	}
 	open := map[int]Task{} // issued, not yet completed
 	var held []int         // issued while replaying, in issue order
@@ -608,7 +617,8 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		switch {
 		case res.Resumed && !res.Failed:
 			// The manifest is re-registered against the durable object,
-			// hash-verified, so later transfers read identical providers. One
+			// hash-verified (by the check above the loop, or here if that
+			// failed), so later transfers read identical providers. One
 			// whose object was collected before the crash is fine when GC is on:
 			// the sweep below deletes that candidate at the same point the
 			// crashed run did, so the missing checkpoint can never be needed.
