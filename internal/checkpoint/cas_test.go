@@ -660,21 +660,24 @@ func rawObject(coded, verbatim []byte, crc uint32) []byte {
 }
 
 // TestCASDecodeBoundedByManifestSize replaces a stored object with one whose
-// coded section inflates to the wrong length. One that runs past the size
-// the manifest names — here 32 MiB of zeros behind a few KiB on disk, where
-// the candidate is a few hundred bytes — must fail Load and AdoptManifest
-// with an error naming the object, having allocated in proportion to the
-// size named, not the 32 MiB; one that ends short must fail the same way;
-// and a manifest naming a size the stored bytes could never inflate to is
-// refused before anything is allocated for it.
+// coded section inflates to the wrong length, or its manifest with one
+// naming a size the object cannot hold. Each must fail Load and
+// AdoptManifest with an error naming the object, having allocated in
+// proportion to the size named, not to what the coded section would expand
+// to. One that runs past the size the manifest names (1 KiB of zeros, where
+// the candidate is a few hundred bytes) or ends short is refused by its
+// length; the BestCompression bomb of 32 MiB of zeros from 32 KiB, with a
+// size that lets its file be read, by its length symbols, which pack never
+// writes; and a size past the 8:1 a literal-only coded section can reach,
+// even by one byte, before anything is allocated for it.
 func TestCASDecodeBoundedByManifestSize(t *testing.T) {
-	object := func(n int) []byte {
+	object := func(level int, plain []byte) []byte {
 		var buf bytes.Buffer
-		zw, err := flate.NewWriter(&buf, flate.BestCompression)
+		zw, err := flate.NewWriter(&buf, level)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := zw.Write(make([]byte, n)); err != nil {
+		if _, err := zw.Write(plain); err != nil {
 			t.Fatal(err)
 		}
 		if err := zw.Close(); err != nil {
@@ -682,16 +685,25 @@ func TestCASDecodeBoundedByManifestSize(t *testing.T) {
 		}
 		return rawObject(buf.Bytes(), nil, 0)
 	}
+	short := make([]byte, 200)
+	rand.New(rand.NewSource(5)).Read(short)
+	// overBound names one byte more than the stored object's sections hold.
+	overBound := func(obj []byte) int64 {
+		coded := len(codedSection(obj))
+		return int64(len(obj)-objectHead-objectTail-coded) + 8*int64(coded) + 1
+	}
 	for _, c := range []struct {
 		name   string
-		stream []byte // replaces the object file when non-nil
-		size   int64  // replaces the manifest's size when positive
+		stream []byte                 // replaces the object file when non-nil
+		size   func(obj []byte) int64 // replaces the manifest's size when set
 		want   string
 	}{
-		{"long", object(32 << 20), 0, "inflates past"},
-		{"short", object(8), 0, "inflates to fewer"},
-		{"forged", nil, 1 << 40, "cannot hold"},
-		{"forged_64MiB", nil, 64 << 20, "cannot hold"},
+		{"long", object(flate.HuffmanOnly, make([]byte, 1<<10)), nil, "inflates past"},
+		{"short", object(flate.HuffmanOnly, short), nil, "inflates to fewer"},
+		{"matched", object(flate.BestCompression, make([]byte, 32<<20)), func([]byte) int64 { return 64 << 10 }, "codes length symbols"},
+		{"over_8x", nil, overBound, "cannot hold"},
+		{"forged", nil, func([]byte) int64 { return 1 << 40 }, "cannot hold"},
+		{"forged_64MiB", nil, func([]byte) int64 { return 64 << 20 }, "cannot hold"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -711,13 +723,18 @@ func TestCASDecodeBoundedByManifestSize(t *testing.T) {
 				t.Fatal(err)
 			}
 			h := mf.hash
+			path := filepath.Join(dir, "objects", h.String()+".obj")
 			if c.stream != nil {
-				if err := os.WriteFile(filepath.Join(dir, "objects", h.String()+".obj"), c.stream, 0o644); err != nil {
+				if err := os.WriteFile(path, c.stream, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if c.size > 0 {
-				mf.size = c.size
+			if c.size != nil {
+				obj, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mf.size = c.size(obj)
 				if man, err = EncodeManifest(mf); err != nil {
 					t.Fatal(err)
 				}
@@ -743,6 +760,50 @@ func TestCASDecodeBoundedByManifestSize(t *testing.T) {
 				t.Errorf("decoding a %d-byte object allocated %d bytes", mf.size, got)
 			}
 		})
+	}
+}
+
+// TestCASRefusesOversizedObjectFile: an object file larger than pack makes
+// of the size its manifest names — here made sparse at 1 GiB — is refused
+// by its size before it is read. Load and AdoptManifest fail a check naming
+// the object, as for a corrupt object, not a missing one (which a resume
+// with GC on would skip), and allocate nothing for the file.
+func TestCASRefusesOversizedObjectFile(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewCASDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Save("a", casModel(12, 2)); err != nil {
+		t.Fatal(err)
+	}
+	man, err := s.EncodedManifest("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mf, err := DecodeManifest(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, "objects", mf.hash.String()+".obj"), 1<<30); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewCASDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loadErr, adoptErr error
+	got := allocated(func() {
+		_, loadErr = s2.Load("a")
+		adoptErr = s2.AdoptManifest("b", man)
+	})
+	for op, err := range map[string]error{"Load": loadErr, "AdoptManifest": adoptErr} {
+		if err == nil || !strings.Contains(err.Error(), "more than pack makes") || !strings.Contains(err.Error(), mf.hash.String()) || errors.Is(err, ErrMissingBlob) {
+			t.Errorf("%s over a 1 GiB object file: err = %v, want a refusal of its size naming %s", op, err, mf.hash)
+		}
+	}
+	if got > 1<<20 {
+		t.Errorf("refusing a 1 GiB object file allocated %d bytes", got)
 	}
 }
 

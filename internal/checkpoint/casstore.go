@@ -321,17 +321,18 @@ func (e readError) Unwrap() error { return e.error }
 // s.mu, so no overwrite or delete removes the file before it is read; the
 // lock is then released, and the object is unpacked in buf (as for unpack)
 // and, unless this process verified it already, checked against mf's hash
-// and marked verified. A file that cannot be read is a readError.
+// and marked verified. A file that cannot be read is a readError; one too
+// large for its manifest fails a check, as a corrupt one does.
 func (s *CASStore) loadUnlock(mf *Manifest, buf *objectBuffers) ([]byte, error) {
 	obj := s.objects[mf.hash]
 	verify := obj == nil || !obj.verified
 	if buf == nil {
 		buf = new(objectBuffers)
 	}
-	packed, err := buf.readFile(s.disk.objectPath(mf.hash))
+	packed, err := buf.readFile(s.disk.objectPath(mf.hash), mf)
 	s.mu.Unlock()
 	if err != nil {
-		return nil, readError{err}
+		return nil, err
 	}
 	stream, err := unpack(mf, packed, verify, buf)
 	if err == nil && verify && obj != nil {
