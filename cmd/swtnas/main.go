@@ -102,7 +102,6 @@ func main() {
 		KernelWorkers: *kworkers,
 		Seed:          *seed, PopulationSize: *popN, SampleSize: *popS,
 		TrainN: *trainN, ValN: *valN, CheckpointDir: *ckptDir,
-		SpaceFile:      *spaceF,
 		Metrics:        *mDump != "" || *mAddr != "",
 		JournalPath:    *journal,
 		Resume:         *resume,
@@ -111,6 +110,13 @@ func main() {
 		ProxyAdmit:     *proxyA,
 		MultiObjective: *multiObj,
 		DType:          *dtype,
+	}
+	if *spaceF != "" {
+		spec, err := os.ReadFile(*spaceF)
+		if err != nil {
+			log.Fatal(err)
+		}
+		opt.SpaceJSON = string(spec)
 	}
 	if *retain > 0 && *retain < *topK {
 		log.Fatalf("-retain-topk %d would collect checkpoints the -topk %d report needs", *retain, *topK)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 )
@@ -85,5 +86,37 @@ func TestCPUProfile(t *testing.T) {
 				t.Fatal("the profile is empty")
 			}
 		})
+	}
+}
+
+// TestSpaceFlag covers -space: the command reads the spec file and searches
+// its space over the -app dataset; a file that cannot be read fails before
+// any candidate is trained.
+func TestSpaceFlag(t *testing.T) {
+	const spec = `{"name": "toy-space", "input": [10, 10, 1], "output_units": 10,
+  "nodes": [{"name": "d", "ops": [{"type": "identity"}, {"type": "dense_act", "units": 16, "act": "relu"}]}]}`
+	dir := t.TempDir()
+	path := filepath.Join(dir, "space.json")
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := func(space string) (string, error) {
+		cmd := exec.Command(os.Args[0], "-app", "mnist", "-space", space, "-budget", "3", "-seed", "4",
+			"-train", "32", "-val", "16", "-population", "2", "-sample", "2", "-progress=false")
+		cmd.Env = append(os.Environ(), "SWTNAS_TEST_MAIN=1")
+		cmd.Dir = dir
+		out, err := cmd.CombinedOutput()
+		return string(out), err
+	}
+	out, err := run(path)
+	if err != nil {
+		t.Fatalf("exit %v:\n%s", err, out)
+	}
+	if !strings.Contains(out, "search toy-space/LCS: 3 candidates") {
+		t.Fatalf("output does not report the spec's space:\n%s", out)
+	}
+	out, err = run(filepath.Join(dir, "missing.json"))
+	if err == nil || !strings.Contains(out, "missing.json: no such file") || strings.Contains(out, "search ") {
+		t.Fatalf("exit %v, want a failure naming the file before the search:\n%s", err, out)
 	}
 }

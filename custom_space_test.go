@@ -1,10 +1,6 @@
 package swtnas
 
-import (
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 const testSpaceJSON = `{
   "name": "toy-space",
@@ -42,27 +38,6 @@ func TestSearchWithCustomSpaceJSON(t *testing.T) {
 	}
 }
 
-func TestSearchWithCustomSpaceFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "space.json")
-	if err := os.WriteFile(path, []byte(testSpaceJSON), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Search(SearchOptions{
-		App:       "mnist",
-		SpaceFile: path,
-		Budget:    3,
-		Seed:      4,
-		TrainN:    32, ValN: 16,
-		PopulationSize: 2, SampleSize: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Candidates) != 3 {
-		t.Fatalf("candidates = %d", len(res.Candidates))
-	}
-}
-
 func TestSearchCustomSpaceValidation(t *testing.T) {
 	// Mismatched input shape: nt3 inputs are (256, 1), the space wants
 	// (10, 10, 1).
@@ -82,11 +57,5 @@ func TestSearchCustomSpaceValidation(t *testing.T) {
 		App: "mnist", SpaceJSON: `{`, Budget: 1, TrainN: 16, ValN: 8,
 	}); err == nil {
 		t.Fatal("bad spec JSON must error")
-	}
-	// Missing file.
-	if _, err := Search(SearchOptions{
-		App: "mnist", SpaceFile: "/nonexistent/space.json", Budget: 1, TrainN: 16, ValN: 8,
-	}); err == nil {
-		t.Fatal("missing spec file must error")
 	}
 }

@@ -3,9 +3,7 @@ package swtnas
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"time"
 
@@ -345,24 +343,9 @@ func (s *SearchHandle) search(ctx context.Context, client *nas.PoolClient) (*Res
 	if dataSeed == 0 {
 		dataSeed = opt.Seed
 	}
-	app, err := apps.New(opt.App, dataSeed, apps.Config{Data: data.Config{TrainN: opt.TrainN, ValN: opt.ValN}})
+	app, err := apps.New(opt.App, dataSeed, apps.Config{Data: data.Config{TrainN: opt.TrainN, ValN: opt.ValN}, SpaceJSON: opt.SpaceJSON})
 	if err != nil {
 		return nil, err
-	}
-	if opt.SpaceJSON != "" || opt.SpaceFile != "" {
-		space, err := loadCustomSpace(opt)
-		if err != nil {
-			return nil, err
-		}
-		if len(app.Dataset.InputShapes) != 1 {
-			return nil, fmt.Errorf("swtnas: custom spaces need a single-input dataset; %q has %d inputs", opt.App, len(app.Dataset.InputShapes))
-		}
-		if !slices.Equal(space.InputShapes[0], app.Dataset.InputShapes[0]) {
-			return nil, fmt.Errorf("swtnas: space input %v does not match dataset %q input %v",
-				space.InputShapes[0], opt.App, app.Dataset.InputShapes[0])
-		}
-		app.Space = space
-		app.Name = space.Name
 	}
 	var store checkpoint.Store
 	switch {

@@ -6,6 +6,8 @@ package apps
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"swtnas/internal/data"
 	"swtnas/internal/nn"
@@ -28,15 +30,33 @@ type App struct {
 	EarlyStopPatience int
 }
 
-// Config adjusts dataset sizes; the zero value uses the defaults.
+// Config adjusts dataset sizes and may replace the search space; the zero
+// value uses the defaults.
 type Config struct {
 	Data data.Config
+	// SpaceJSON, when set, is a search.Spec in JSON: its sequential space is
+	// searched in place of the application's, which then provides only the
+	// dataset and training budget.
+	SpaceJSON string
 }
 
 // New builds the named application. The seed controls dataset generation
 // only; candidate weight initialization is seeded per candidate by the NAS
-// framework.
+// framework. A cfg.SpaceJSON spec is parsed and compiled before the dataset
+// is generated, then admitted against it (admitSpec); the App takes the
+// spec's space and name.
 func New(name string, seed int64, cfg Config) (*App, error) {
+	var spec *search.Spec
+	var custom *search.Space
+	if cfg.SpaceJSON != "" {
+		var err error
+		if spec, err = search.LoadSpec(strings.NewReader(cfg.SpaceJSON)); err != nil {
+			return nil, err
+		}
+		if custom, err = spec.Compile(); err != nil {
+			return nil, err
+		}
+	}
 	ds, err := data.ByName(name, seed, cfg.Data)
 	if err != nil {
 		return nil, err
@@ -67,7 +87,26 @@ func New(name string, seed int64, cfg Config) (*App, error) {
 	default:
 		return nil, fmt.Errorf("apps: unknown application %q", name)
 	}
+	if custom != nil {
+		if err := admitSpec(custom, ds, name); err != nil {
+			return nil, err
+		}
+		app.Space, app.Name = custom, custom.Name
+	}
 	return app, nil
+}
+
+// admitSpec checks that dataset ds (application name) can train the space
+// compiled from a spec: one input, of the spec's shape.
+func admitSpec(space *search.Space, ds *data.Dataset, name string) error {
+	if len(ds.InputShapes) != 1 {
+		return fmt.Errorf("swtnas: custom spaces need a single-input dataset; %q has %d inputs", name, len(ds.InputShapes))
+	}
+	if !slices.Equal(space.InputShapes[0], ds.InputShapes[0]) {
+		return fmt.Errorf("swtnas: space input %v does not match dataset %q input %v",
+			space.InputShapes[0], name, ds.InputShapes[0])
+	}
+	return nil
 }
 
 // convChoices enumerates Conv2D ops over filters × padding × L2, the
@@ -96,10 +135,12 @@ func poolChoices2D(sizes, strides []int) []search.Op {
 	return ops
 }
 
-func dropoutChoices(rates []float64) []search.Op {
+// skipOr is the choice list "identity, then one op per value": the dense,
+// pooling and dropout variable nodes of MNIST and NT3.
+func skipOr[V any](values []V, op func(V) search.Op) []search.Op {
 	ops := []search.Op{search.OpIdentity()}
-	for _, r := range rates {
-		ops = append(ops, search.OpDropout(r))
+	for _, v := range values {
+		ops = append(ops, op(v))
 	}
 	return ops
 }
@@ -147,21 +188,7 @@ func cifar10Space(ds *data.Dataset) *search.Space {
 		BatchSize:   64,
 		// Paper Section VIII-B: CIFAR-10 threshold 0.01.
 		EarlyStopDelta: 0.01,
-		Assemble: func(b *search.Builder, arch search.Arch) error {
-			ref := nn.GraphInput(0)
-			var err error
-			for i := range nodes {
-				if ref, err = b.ApplyNode(i, ref); err != nil {
-					return err
-				}
-			}
-			if ref, err = b.Flat(ref); err != nil {
-				return err
-			}
-			in := b.ShapeOf(ref)[0]
-			_, err = b.Net.Add(nn.NewDense("head", in, ds.NumClasses, 0, b.RNG), ref)
-			return err
-		},
+		Assemble:       search.Sequential(ds.NumClasses),
 	}
 }
 
@@ -179,32 +206,20 @@ func mnistSpace(ds *data.Dataset) *search.Space {
 		}
 		return ops
 	}
-	poolOps := func() []search.Op {
-		ops := []search.Op{search.OpIdentity()}
-		for s := 2; s <= 5; s++ {
-			ops = append(ops, search.OpPool2D(s, s))
-		}
-		return ops
-	}
-	denseOps := func() []search.Op {
-		ops := []search.Op{search.OpIdentity()}
-		for _, u := range []int{32, 64, 128, 256, 512} {
-			ops = append(ops, search.OpDense(u))
-		}
-		return ops
-	}
+	poolOps := skipOr([]int{2, 3, 4, 5}, func(s int) search.Op { return search.OpPool2D(s, s) })
+	denseOps := skipOr([]int{32, 64, 128, 256, 512}, search.OpDense)
 	nodes := []*search.VariableNode{
 		{Name: "conv0", Ops: convOps()},
 		{Name: "act0", Ops: actChoices()},
-		{Name: "pool0", Ops: poolOps()},
+		{Name: "pool0", Ops: poolOps},
 		{Name: "conv1", Ops: convOps()},
 		{Name: "act1", Ops: actChoices()},
-		{Name: "pool1", Ops: poolOps()},
-		{Name: "dense0", Ops: denseOps()},
+		{Name: "pool1", Ops: poolOps},
+		{Name: "dense0", Ops: denseOps},
 		{Name: "act2", Ops: actChoices()},
-		{Name: "dense1", Ops: denseOps()},
+		{Name: "dense1", Ops: denseOps},
 		{Name: "act3", Ops: actChoices()},
-		{Name: "dropout", Ops: dropoutChoices([]float64{0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5})},
+		{Name: "dropout", Ops: skipOr([]float64{0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5}, search.OpDropout)},
 	}
 	return &search.Space{
 		Name:        "mnist",
@@ -215,21 +230,7 @@ func mnistSpace(ds *data.Dataset) *search.Space {
 		BatchSize:   64,
 		// Paper Section VIII-B: MNIST threshold 0.001.
 		EarlyStopDelta: 0.001,
-		Assemble: func(b *search.Builder, arch search.Arch) error {
-			ref := nn.GraphInput(0)
-			var err error
-			for i := range nodes {
-				if ref, err = b.ApplyNode(i, ref); err != nil {
-					return err
-				}
-			}
-			if ref, err = b.Flat(ref); err != nil {
-				return err
-			}
-			in := b.ShapeOf(ref)[0]
-			_, err = b.Net.Add(nn.NewDense("head", in, ds.NumClasses, 0, b.RNG), ref)
-			return err
-		},
+		Assemble:       search.Sequential(ds.NumClasses),
 	}
 }
 
@@ -246,29 +247,17 @@ func nt3Space(ds *data.Dataset) *search.Space {
 		}
 		return ops
 	}
-	poolOps := func() []search.Op {
-		ops := []search.Op{search.OpIdentity()}
-		for s := 2; s <= 5; s++ {
-			ops = append(ops, search.OpPool1D(s, s))
-		}
-		return ops
-	}
-	denseOps := func() []search.Op {
-		ops := []search.Op{search.OpIdentity()}
-		for _, u := range []int{16, 32, 64, 128, 256} {
-			ops = append(ops, search.OpDense(u))
-		}
-		return ops
-	}
+	poolOps := skipOr([]int{2, 3, 4, 5}, func(s int) search.Op { return search.OpPool1D(s, s) })
+	denseOps := skipOr([]int{16, 32, 64, 128, 256}, search.OpDense)
 	nodes := []*search.VariableNode{
 		{Name: "conv0", Ops: convOps()},
 		{Name: "act0", Ops: actChoices()},
-		{Name: "pool0", Ops: poolOps()},
-		{Name: "dense0", Ops: denseOps()},
+		{Name: "pool0", Ops: poolOps},
+		{Name: "dense0", Ops: denseOps},
 		{Name: "act1", Ops: actChoices()},
-		{Name: "dropout0", Ops: dropoutChoices([]float64{0.1, 0.2, 0.3, 0.4, 0.5})},
-		{Name: "dense1", Ops: denseOps()},
-		{Name: "dropout1", Ops: dropoutChoices([]float64{0.1, 0.2, 0.3, 0.4, 0.5})},
+		{Name: "dropout0", Ops: skipOr([]float64{0.1, 0.2, 0.3, 0.4, 0.5}, search.OpDropout)},
+		{Name: "dense1", Ops: denseOps},
+		{Name: "dropout1", Ops: skipOr([]float64{0.1, 0.2, 0.3, 0.4, 0.5}, search.OpDropout)},
 	}
 	return &search.Space{
 		Name:        "nt3",
@@ -279,21 +268,7 @@ func nt3Space(ds *data.Dataset) *search.Space {
 		BatchSize:   32,
 		// Paper Section VIII-B: NT3 threshold 0.005.
 		EarlyStopDelta: 0.005,
-		Assemble: func(b *search.Builder, arch search.Arch) error {
-			ref := nn.GraphInput(0)
-			var err error
-			for i := range nodes {
-				if ref, err = b.ApplyNode(i, ref); err != nil {
-					return err
-				}
-			}
-			if ref, err = b.Flat(ref); err != nil {
-				return err
-			}
-			in := b.ShapeOf(ref)[0]
-			_, err = b.Net.Add(nn.NewDense("head", in, ds.NumClasses, 0, b.RNG), ref)
-			return err
-		},
+		Assemble:       search.Sequential(ds.NumClasses),
 	}
 }
 

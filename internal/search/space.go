@@ -227,6 +227,27 @@ func (b *Builder) ApplyNode(i int, ref nn.InputRef) (nn.InputRef, error) {
 	return out, nil
 }
 
+// Sequential returns the Assemble of a sequential space: the chosen op of
+// every variable node in order on the one input, then a flatten where the
+// frontier is not flat and a dense head of out units named "head".
+func Sequential(out int) func(b *Builder, arch Arch) error {
+	return func(b *Builder, _ Arch) error {
+		ref := nn.GraphInput(0)
+		var err error
+		for i := range b.space.Nodes {
+			if ref, err = b.ApplyNode(i, ref); err != nil {
+				return err
+			}
+		}
+		if ref, err = b.Flat(ref); err != nil {
+			return err
+		}
+		in := b.ShapeOf(ref)[0]
+		_, err = b.Net.Add(nn.NewDense("head", in, out, 0, b.RNG), ref)
+		return err
+	}
+}
+
 // Flat ensures the frontier holds a flat [B, D] activation, inserting a
 // Flatten layer when needed (the Keras-style implicit flatten before dense
 // heads).

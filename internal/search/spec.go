@@ -10,10 +10,10 @@ import (
 
 // Spec is a declarative, JSON-loadable search-space definition — the
 // equivalent of a DeepHyper "problem" file. It describes a sequential
-// single-input space: the variable nodes are applied in order to the input,
-// and a fixed dense head produces the output. (The built-in multi-branch
-// spaces — CIFAR blocks, Uno towers — are defined in code in internal/apps;
-// specs cover the common sequential case for user-defined problems.)
+// single-input space, assembled by Sequential like the built-in CIFAR-10,
+// MNIST and NT3 spaces: the variable nodes are applied in order to the
+// input, and a fixed dense head produces the output. (Uno's towers are the
+// one built-in space that is not sequential.)
 type Spec struct {
 	// Name labels the space.
 	Name string `json:"name"`
@@ -235,31 +235,14 @@ func (s *Spec) Compile() (*Space, error) {
 		}
 		nodes[i] = vn
 	}
-	out := s.OutputUnits
-	space := &Space{
+	return &Space{
 		Name:           s.Name,
 		Nodes:          nodes,
 		InputShapes:    [][]int{append([]int(nil), s.Input...)},
+		Assemble:       Sequential(s.OutputUnits),
 		Loss:           loss,
 		Metric:         metric,
 		BatchSize:      batch,
 		EarlyStopDelta: delta,
-	}
-	space.Assemble = func(b *Builder, arch Arch) error {
-		ref := nn.GraphInput(0)
-		var err error
-		for i := range nodes {
-			if ref, err = b.ApplyNode(i, ref); err != nil {
-				return err
-			}
-		}
-		flat, err := b.Flat(ref)
-		if err != nil {
-			return err
-		}
-		in := b.ShapeOf(flat)[0]
-		_, err = b.Net.Add(nn.NewDense("head", in, out, 0, b.RNG), flat)
-		return err
-	}
-	return space, nil
+	}, nil
 }

@@ -55,11 +55,11 @@ type SearchOptions struct {
 	// that Result.FullyTrain needs the candidate's checkpoint, so RetainTopK
 	// should be at least the number of candidates passed to Best.
 	RetainTopK int
-	// SpaceFile / SpaceJSON load a custom declarative search space (see
-	// internal/search.Spec) instead of the built-in one; the App field
-	// then names only the dataset the space trains on. SpaceJSON takes
-	// precedence over SpaceFile.
-	SpaceFile string
+	// SpaceJSON, when set, is a custom declarative search space (an
+	// internal/search.Spec in JSON) searched instead of the built-in one;
+	// App then names only the dataset it trains on. A spec that does not
+	// parse, compile or fit the dataset fails the search before anything
+	// trains (DESIGN.md §5).
 	SpaceJSON string
 	// Progress, when non-nil, streams each candidate as its evaluation
 	// completes, in completion order — the same candidates that end up in

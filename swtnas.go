@@ -36,8 +36,6 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand"
-	"os"
-	"strings"
 	"time"
 
 	"swtnas/internal/apps"
@@ -377,26 +375,6 @@ func (r *Result) FullyTrain(c Candidate) (*FullTraining, error) {
 		return nil, err
 	}
 	return &FullTraining{Epochs: h.EpochsRun, EarlyStopped: h.EarlyStopped, Score: h.FinalScore()}, nil
-}
-
-// loadCustomSpace resolves SpaceJSON/SpaceFile into a compiled space.
-func loadCustomSpace(opt SearchOptions) (*search.Space, error) {
-	var r io.Reader
-	if opt.SpaceJSON != "" {
-		r = strings.NewReader(opt.SpaceJSON)
-	} else {
-		f, err := os.Open(opt.SpaceFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		r = f
-	}
-	spec, err := search.LoadSpec(r)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Compile()
 }
 
 // LongestPrefix returns how many leading tensor shapes two shape sequences
