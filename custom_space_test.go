@@ -1,6 +1,10 @@
 package swtnas
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 const testSpaceJSON = `{
   "name": "toy-space",
@@ -57,5 +61,43 @@ func TestSearchCustomSpaceValidation(t *testing.T) {
 		App: "mnist", SpaceJSON: `{`, Budget: 1, TrainN: 16, ValN: 8,
 	}); err == nil {
 		t.Fatal("bad spec JSON must error")
+	}
+}
+
+// TestCustomHeadRefusedBeforeTraining pins the head admission rule: a spec
+// whose head the loss would index past (fewer logits than the dataset has
+// classes under "ce") or misread (more than one output under "mae") passes
+// Validate but fails the search with an error naming output_units and the
+// class count, before any candidate trains.
+func TestCustomHeadRefusedBeforeTraining(t *testing.T) {
+	spec := func(loss string, units int) string {
+		return fmt.Sprintf(`{"name": "head", "input": [10, 10, 1], "output_units": %d, "loss": %q,
+  "nodes": [{"name": "d", "ops": [{"type": "dense", "units": 8}]}]}`, units, loss)
+	}
+	for _, c := range []struct {
+		loss  string
+		units int
+		want  string // "" = admitted
+	}{
+		{"ce", 2, `output_units 2; loss "ce" needs a logit for each of dataset "mnist"'s 10 classes`},
+		{"", 9, `output_units 9; loss "ce" needs a logit for each of dataset "mnist"'s 10 classes`},
+		{"mae", 10, `output_units 10; loss "mae" scores one output against dataset "mnist"'s label (10 classes), so it needs 1`},
+		{"ce", 10, ""},
+		{"ce", 12, ""},
+		{"mae", 1, ""},
+	} {
+		opt := SearchOptions{App: "mnist", SpaceJSON: spec(c.loss, c.units), Budget: 1, TrainN: 16, ValN: 8}
+		if err := opt.Validate(); err != nil {
+			t.Fatalf("%s/%d: Validate: %v", c.loss, c.units, err)
+		}
+		var evaluated int
+		opt.Progress = func(Candidate) { evaluated++ }
+		_, err := Search(opt)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s/%d: %v", c.loss, c.units, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want) || evaluated != 0):
+			t.Errorf("%s/%d: err %v after %d candidates, want %q before any", c.loss, c.units, err, evaluated, c.want)
+		}
 	}
 }

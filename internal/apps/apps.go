@@ -88,7 +88,7 @@ func New(name string, seed int64, cfg Config) (*App, error) {
 		return nil, fmt.Errorf("apps: unknown application %q", name)
 	}
 	if custom != nil {
-		if err := admitSpec(custom, ds, name); err != nil {
+		if err := admitSpec(spec, custom, ds, name); err != nil {
 			return nil, err
 		}
 		app.Space, app.Name = custom, custom.Name
@@ -97,14 +97,24 @@ func New(name string, seed int64, cfg Config) (*App, error) {
 }
 
 // admitSpec checks that dataset ds (application name) can train the space
-// compiled from a spec: one input, of the spec's shape.
-func admitSpec(space *search.Space, ds *data.Dataset, name string) error {
+// compiled from spec: one input, of the spec's shape, and a head the loss
+// can score every label with — a logit per class under "ce", one output
+// under "mae".
+func admitSpec(spec *search.Spec, space *search.Space, ds *data.Dataset, name string) error {
 	if len(ds.InputShapes) != 1 {
 		return fmt.Errorf("swtnas: custom spaces need a single-input dataset; %q has %d inputs", name, len(ds.InputShapes))
 	}
 	if !slices.Equal(space.InputShapes[0], ds.InputShapes[0]) {
 		return fmt.Errorf("swtnas: space input %v does not match dataset %q input %v",
 			space.InputShapes[0], name, ds.InputShapes[0])
+	}
+	if spec.Loss == "mae" && spec.OutputUnits != 1 {
+		return fmt.Errorf("apps: space %q has output_units %d; loss \"mae\" scores one output against dataset %q's label (%d classes), so it needs 1",
+			spec.Name, spec.OutputUnits, name, ds.NumClasses)
+	}
+	if spec.Loss != "mae" && spec.OutputUnits < ds.NumClasses {
+		return fmt.Errorf("apps: space %q has output_units %d; loss \"ce\" needs a logit for each of dataset %q's %d classes",
+			spec.Name, spec.OutputUnits, name, ds.NumClasses)
 	}
 	return nil
 }
