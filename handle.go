@@ -422,7 +422,7 @@ func (s *SearchHandle) search(ctx context.Context, client *nas.PoolClient) (*Res
 		header := resilience.Header{
 			App:            app.Name,
 			Scheme:         nas.SchemeName(matcher),
-			Space:          app.Space.Name,
+			Space:          app.Identity,
 			Seed:           opt.Seed,
 			DataSeed:       dataSeed,
 			Budget:         opt.Budget,

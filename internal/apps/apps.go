@@ -5,6 +5,7 @@
 package apps
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"slices"
 	"strings"
@@ -28,6 +29,10 @@ type App struct {
 	FullMaxEpochs int
 	// EarlyStopPatience is the paper's fixed 2-epoch patience.
 	EarlyStopPatience int
+	// Identity names the space in a journal header: a built-in space's
+	// bare name; for a spec's space, its name and a digest of what the
+	// spec compiled to, so a resume refuses a spec changed under its name.
+	Identity string
 }
 
 // Config adjusts dataset sizes and may replace the search space; the zero
@@ -92,8 +97,27 @@ func New(name string, seed int64, cfg Config) (*App, error) {
 			return nil, err
 		}
 		app.Space, app.Name = custom, custom.Name
+		app.Identity = specIdentity(spec, custom)
+	} else {
+		app.Identity = name
 	}
 	return app, nil
+}
+
+// specIdentity is space's name, "@" and the first 8 bytes of a SHA-256 over
+// what spec compiled to: node names, op labels, head width, loss, metric,
+// batch size and early-stop threshold.
+func specIdentity(spec *search.Spec, space *search.Space) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%d %s %s %d %g\n", spec.OutputUnits, space.Loss.Name(), space.Metric.Name(), space.BatchSize, space.EarlyStopDelta)
+	for _, n := range space.Nodes {
+		fmt.Fprintf(h, "%q", n.Name)
+		for _, op := range n.Ops {
+			fmt.Fprintf(h, " %q", op.Label)
+		}
+		fmt.Fprintln(h)
+	}
+	return fmt.Sprintf("%s@%x", space.Name, h.Sum(nil)[:8])
 }
 
 // admitSpec checks that dataset ds (application name) can train the space

@@ -94,7 +94,11 @@ func OpConv2D(filters, kernel int, pad nn.Padding, l2 float64) Op {
 
 // OpConv1D adds a 1-D convolution choice.
 func OpConv1D(filters, kernel int, pad nn.Padding, l2 float64) Op {
-	label := fmt.Sprintf("Conv1D(%d, %d, %s)", filters, kernel, pad)
+	label := fmt.Sprintf("Conv1D(%d, %d, %s", filters, kernel, pad)
+	if l2 > 0 {
+		label += fmt.Sprintf(", l2=%g", l2)
+	}
+	label += ")"
 	return Op{
 		Label: label,
 		Apply: func(b *Builder, ref nn.InputRef) (nn.InputRef, error) {
