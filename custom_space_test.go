@@ -2,8 +2,14 @@ package swtnas
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+
+	"swtnas/internal/apps"
+	"swtnas/internal/data"
+	"swtnas/internal/search"
 )
 
 const testSpaceJSON = `{
@@ -99,5 +105,40 @@ func TestCustomHeadRefusedBeforeTraining(t *testing.T) {
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want) || evaluated != 0):
 			t.Errorf("%s/%d: err %v after %d candidates, want %q before any", c.loss, c.units, err, evaluated, c.want)
 		}
+	}
+}
+
+// TestOversizedCandidateRefusedBeforeAllocating pins the size bounds: a
+// dense width of 1<<40 on mnist (weights past what any machine holds) and a
+// convolution of 1<<20 filters (small weights, activations past
+// search.MaxActivations) each fail Space.Build with an error naming the node,
+// the op and the bound, having allocated at most 1 MiB; Search returns the
+// dense case's error rather than a recovered panic.
+func TestOversizedCandidateRefusedBeforeAllocating(t *testing.T) {
+	spec := func(op string) string {
+		return `{"name": "bomb", "input": [10, 10, 1], "output_units": 10, "nodes": [{"name": "big", "ops": [` + op + `]}]}`
+	}
+	for _, c := range []struct{ op, want string }{
+		{`{"type": "dense", "units": 1099511627776}`, `node "big" choice "Dense(1099511627776)": 111050674405376 parameters on top of 0 pass the bound of 4194304 (search.MaxParams)`},
+		{`{"type": "conv2d", "filters": 1048576, "kernel": 1}`, `node "big" choice "Conv2D(1048576, 1x1, valid)": 104857600 activation elements on top of 0 pass the bound of 131072 (search.MaxActivations)`},
+	} {
+		app, err := apps.New("mnist", 1, apps.Config{Data: data.Config{TrainN: 16, ValN: 8}, SpaceJSON: spec(c.op)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = app.Space.Build(search.Arch{0}, rand.New(rand.NewSource(1)))
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("Build: %v, want %q", err, c.want)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Fatalf("Build allocated %d bytes before refusing", d)
+		}
+	}
+	_, err := Search(SearchOptions{App: "mnist", SpaceJSON: spec(`{"type": "dense", "units": 1099511627776}`), Budget: 1, TrainN: 16, ValN: 8})
+	if err == nil || !strings.Contains(err.Error(), "(search.MaxParams)") || strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("Search: %v, want the bound error", err)
 	}
 }

@@ -362,7 +362,7 @@ func unoSpace(ds *data.Dataset) *search.Space {
 				towers[t] = ref
 			}
 			fourth := nn.GraphInput(3)
-			cat, err := b.Net.Add(nn.NewConcat(b.FreshName("concat")), towers[0], towers[1], towers[2], fourth)
+			cat, err := b.Add(nn.NewConcat(b.FreshName("concat")), towers[0], towers[1], towers[2], fourth)
 			if err != nil {
 				return err
 			}
@@ -372,8 +372,7 @@ func unoSpace(ds *data.Dataset) *search.Space {
 					return err
 				}
 			}
-			in := b.ShapeOf(ref)[0]
-			_, err = b.Net.Add(nn.NewDense("head", in, 1, 0, b.RNG), ref)
+			_, err = b.Dense("head", ref, 1)
 			return err
 		},
 	}

@@ -11,7 +11,7 @@ func OpIdentity() Op {
 	return Op{
 		Label: "Identity",
 		Apply: func(b *Builder, ref nn.InputRef) (nn.InputRef, error) {
-			return b.Net.Add(nn.NewIdentity(b.FreshName("identity")), ref)
+			return b.Add(nn.NewIdentity(b.FreshName("identity")), ref)
 		},
 	}
 }
@@ -26,8 +26,7 @@ func OpDense(units int) Op {
 			if err != nil {
 				return 0, err
 			}
-			in := b.ShapeOf(flat)[0]
-			return b.Net.Add(nn.NewDense(b.FreshName("dense"), in, units, 0, b.RNG), flat)
+			return b.Dense(b.FreshName("dense"), flat, units)
 		},
 	}
 }
@@ -42,12 +41,11 @@ func OpDenseAct(units int, act nn.ActKind) Op {
 			if err != nil {
 				return 0, err
 			}
-			in := b.ShapeOf(flat)[0]
-			d, err := b.Net.Add(nn.NewDense(b.FreshName("dense"), in, units, 0, b.RNG), flat)
+			d, err := b.Dense(b.FreshName("dense"), flat, units)
 			if err != nil {
 				return 0, err
 			}
-			return b.Net.Add(nn.NewActivation(b.FreshName("act"), act), d)
+			return b.Add(nn.NewActivation(b.FreshName("act"), act), d)
 		},
 	}
 }
@@ -57,7 +55,7 @@ func OpActivation(kind nn.ActKind) Op {
 	return Op{
 		Label: kind.String(),
 		Apply: func(b *Builder, ref nn.InputRef) (nn.InputRef, error) {
-			return b.Net.Add(nn.NewActivation(b.FreshName("act"), kind), ref)
+			return b.Add(nn.NewActivation(b.FreshName("act"), kind), ref)
 		},
 	}
 }
@@ -67,7 +65,7 @@ func OpDropout(rate float64) Op {
 	return Op{
 		Label: fmt.Sprintf("Dropout(%g)", rate),
 		Apply: func(b *Builder, ref nn.InputRef) (nn.InputRef, error) {
-			return b.Net.Add(nn.NewDropout(b.FreshName("dropout"), rate, b.RNG), ref)
+			return b.Add(nn.NewDropout(b.FreshName("dropout"), rate, b.RNG), ref)
 		},
 	}
 }
@@ -87,7 +85,11 @@ func OpConv2D(filters, kernel int, pad nn.Padding, l2 float64) Op {
 			if len(shape) != 3 {
 				return 0, fmt.Errorf("conv2d needs (H, W, C) input, got %v", shape)
 			}
-			return b.Net.Add(nn.NewConv2D(b.FreshName("conv2d"), kernel, kernel, shape[2], filters, pad, l2, b.RNG), ref)
+			out, _ := (&nn.Conv2D{KH: kernel, KW: kernel, InC: shape[2], OutC: filters, Pad: pad}).OutShape([][]int{shape})
+			if err := b.admit(mul(mul(kernel, kernel, shape[2])+1, filters), mul(out...)); err != nil {
+				return 0, err
+			}
+			return b.Add(nn.NewConv2D(b.FreshName("conv2d"), kernel, kernel, shape[2], filters, pad, l2, b.RNG), ref)
 		},
 	}
 }
@@ -106,7 +108,11 @@ func OpConv1D(filters, kernel int, pad nn.Padding, l2 float64) Op {
 			if len(shape) != 2 {
 				return 0, fmt.Errorf("conv1d needs (L, C) input, got %v", shape)
 			}
-			return b.Net.Add(nn.NewConv1D(b.FreshName("conv1d"), kernel, shape[1], filters, pad, l2, b.RNG), ref)
+			out, _ := (&nn.Conv1D{Conv2DOf: nn.Conv2D{KH: 1, KW: kernel, InC: shape[1], OutC: filters, Pad: pad}}).OutShape([][]int{shape})
+			if err := b.admit(mul(mul(kernel, shape[1])+1, filters), mul(out...)); err != nil {
+				return 0, err
+			}
+			return b.Add(nn.NewConv1D(b.FreshName("conv1d"), kernel, shape[1], filters, pad, l2, b.RNG), ref)
 		},
 	}
 }
@@ -116,7 +122,7 @@ func OpPool2D(size, stride int) Op {
 	return Op{
 		Label: fmt.Sprintf("MaxPool2D(%d, s%d)", size, stride),
 		Apply: func(b *Builder, ref nn.InputRef) (nn.InputRef, error) {
-			return b.Net.Add(nn.NewMaxPool2D(b.FreshName("pool2d"), size, stride), ref)
+			return b.Add(nn.NewMaxPool2D(b.FreshName("pool2d"), size, stride), ref)
 		},
 	}
 }
@@ -126,7 +132,7 @@ func OpPool1D(size, stride int) Op {
 	return Op{
 		Label: fmt.Sprintf("MaxPool1D(%d, s%d)", size, stride),
 		Apply: func(b *Builder, ref nn.InputRef) (nn.InputRef, error) {
-			return b.Net.Add(nn.NewMaxPool1D(b.FreshName("pool1d"), size, stride), ref)
+			return b.Add(nn.NewMaxPool1D(b.FreshName("pool1d"), size, stride), ref)
 		},
 	}
 }
@@ -136,7 +142,7 @@ func OpAvgPool2D(size, stride int) Op {
 	return Op{
 		Label: fmt.Sprintf("AvgPool2D(%d, s%d)", size, stride),
 		Apply: func(b *Builder, ref nn.InputRef) (nn.InputRef, error) {
-			return b.Net.Add(nn.NewAvgPool2D(b.FreshName("avgpool2d"), size, stride), ref)
+			return b.Add(nn.NewAvgPool2D(b.FreshName("avgpool2d"), size, stride), ref)
 		},
 	}
 }
@@ -147,7 +153,7 @@ func OpGlobalAvgPool() Op {
 	return Op{
 		Label: "GlobalAvgPool",
 		Apply: func(b *Builder, ref nn.InputRef) (nn.InputRef, error) {
-			return b.Net.Add(nn.NewGlobalAvgPool(b.FreshName("gap")), ref)
+			return b.Add(nn.NewGlobalAvgPool(b.FreshName("gap")), ref)
 		},
 	}
 }
@@ -163,19 +169,19 @@ func OpResidualDense(act nn.ActKind) Op {
 				return 0, err
 			}
 			w := b.ShapeOf(flat)[0]
-			d1, err := b.Net.Add(nn.NewDense(b.FreshName("dense"), w, w, 0, b.RNG), flat)
+			d1, err := b.Dense(b.FreshName("dense"), flat, w)
 			if err != nil {
 				return 0, err
 			}
-			a, err := b.Net.Add(nn.NewActivation(b.FreshName("act"), act), d1)
+			a, err := b.Add(nn.NewActivation(b.FreshName("act"), act), d1)
 			if err != nil {
 				return 0, err
 			}
-			d2, err := b.Net.Add(nn.NewDense(b.FreshName("dense"), w, w, 0, b.RNG), a)
+			d2, err := b.Dense(b.FreshName("dense"), a, w)
 			if err != nil {
 				return 0, err
 			}
-			return b.Net.Add(nn.NewAdd(b.FreshName("residual")), d2, flat)
+			return b.Add(nn.NewAdd(b.FreshName("residual")), d2, flat)
 		},
 	}
 }
@@ -190,7 +196,10 @@ func OpBatchNorm() Op {
 			if len(shape) == 0 {
 				return 0, fmt.Errorf("batchnorm needs a shaped input")
 			}
-			return b.Net.Add(nn.NewBatchNorm(b.FreshName("bn"), shape[len(shape)-1]), ref)
+			if err := b.admit(2*shape[len(shape)-1], mul(shape...)); err != nil {
+				return 0, err
+			}
+			return b.Add(nn.NewBatchNorm(b.FreshName("bn"), shape[len(shape)-1]), ref)
 		},
 	}
 }

@@ -188,6 +188,19 @@ func (s *Space) Build(arch Arch, rng *rand.Rand) (*nn.Network, error) {
 	return b.Net, nil
 }
 
+// The bounds on one candidate, the same for every space (DESIGN.md §5):
+// its trainable parameters, and its per-sample activation elements — the
+// output elements of every layer, summed. An op that constructs weights
+// checks both totals before it constructs them (Builder.Dense and the
+// convolution and batch-norm ops), and Builder.Add checks the activations of
+// every layer, so a candidate over either bound fails to build without
+// allocating it. Each is at least twice the largest candidate of the four
+// built-in spaces at default data sizes (TestSizeBoundsCoverBuiltInSpaces).
+const (
+	MaxParams      = 1 << 22
+	MaxActivations = 1 << 17
+)
+
 // Builder accumulates a candidate network during Space.Build.
 type Builder struct {
 	// Net is the network under construction.
@@ -199,6 +212,64 @@ type Builder struct {
 	arch    Arch
 	applied int
 	counter int
+	// params and acts are the candidate's totals so far (MaxParams,
+	// MaxActivations).
+	params, acts int
+}
+
+// admit charges params trainable parameters to the candidate and refuses a
+// layer that would take either total past its bound, counting the outElems
+// per-sample outputs Add will charge it. Ops call it before constructing a
+// layer with weights.
+func (b *Builder) admit(params, outElems int) error {
+	if params > MaxParams-b.params {
+		return fmt.Errorf("%d parameters on top of %d pass the bound of %d (search.MaxParams)", params, b.params, MaxParams)
+	}
+	if outElems > MaxActivations-b.acts {
+		return fmt.Errorf("%d activation elements on top of %d pass the bound of %d (search.MaxActivations)", outElems, b.acts, MaxActivations)
+	}
+	b.params += params
+	return nil
+}
+
+// Add appends layer l on inputs to the network and charges its per-sample
+// output elements to the candidate, refusing the candidate when they take
+// it past MaxActivations. Every op adds its layers through it.
+func (b *Builder) Add(l nn.Layer, inputs ...nn.InputRef) (nn.InputRef, error) {
+	ref, err := b.Net.Add(l, inputs...)
+	if err != nil {
+		return 0, err
+	}
+	elems := mul(b.ShapeOf(ref)...)
+	if elems > MaxActivations-b.acts {
+		return 0, fmt.Errorf("%d activation elements on top of %d pass the bound of %d (search.MaxActivations)", elems, b.acts, MaxActivations)
+	}
+	b.acts += elems
+	return ref, nil
+}
+
+// Dense adds a dense layer of the given width and name on the flat frontier
+// ref, after admit has checked its (in+1)·units parameters and units
+// outputs.
+func (b *Builder) Dense(name string, ref nn.InputRef, units int) (nn.InputRef, error) {
+	in := b.ShapeOf(ref)[0]
+	if err := b.admit(mul(in+1, units), units); err != nil {
+		return 0, err
+	}
+	return b.Add(nn.NewDense(name, in, units, 0, b.RNG), ref)
+}
+
+// mul is the product of positive xs, saturated at 1<<62: a count that large
+// is over every bound, and a sum of two of them cannot overflow.
+func mul(xs ...int) int {
+	p := 1
+	for _, x := range xs {
+		if p > (1<<62)/x {
+			return 1 << 62
+		}
+		p *= x
+	}
+	return p
 }
 
 // FreshName returns a unique layer name with the given kind prefix.
@@ -242,8 +313,7 @@ func Sequential(out int) func(b *Builder, arch Arch) error {
 		if ref, err = b.Flat(ref); err != nil {
 			return err
 		}
-		in := b.ShapeOf(ref)[0]
-		_, err = b.Net.Add(nn.NewDense("head", in, out, 0, b.RNG), ref)
+		_, err = b.Dense("head", ref, out)
 		return err
 	}
 }
@@ -259,5 +329,5 @@ func (b *Builder) Flat(ref nn.InputRef) (nn.InputRef, error) {
 	if len(shape) == 1 {
 		return ref, nil
 	}
-	return b.Net.Add(nn.NewFlatten(b.FreshName("flatten")), ref)
+	return b.Add(nn.NewFlatten(b.FreshName("flatten")), ref)
 }

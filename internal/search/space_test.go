@@ -1,7 +1,9 @@
 package search
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -206,5 +208,68 @@ func TestQuickDistanceMetric(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuilderTotalsMatchNetwork: on every candidate of the sample spec
+// (convolution, pooling, batch norm, dense, residual and dropout ops) the
+// totals the bounds are checked against are the built network's trainable
+// parameters and summed per-sample layer outputs.
+func TestBuilderTotalsMatchNetwork(t *testing.T) {
+	spec, err := LoadSpec(strings.NewReader(sampleSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, err := spec.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := space.Assemble
+	space.Assemble = func(b *Builder, arch Arch) error {
+		if err := seq(b, arch); err != nil {
+			return err
+		}
+		acts := 0
+		for i := range b.Net.Layers() {
+			acts += mul(b.ShapeOf(nn.InputRef(i))...)
+		}
+		if b.params != b.Net.ParamCount() || b.acts != acts {
+			return fmt.Errorf("builder totals (%d, %d), network (%d, %d)", b.params, b.acts, b.Net.ParamCount(), acts)
+		}
+		return nil
+	}
+	arch := make(Arch, space.NumNodes())
+	for n := space.Size().Int64(); n > 0; n-- {
+		if _, err := space.Build(arch, rand.New(rand.NewSource(1))); err != nil {
+			t.Fatal(err)
+		}
+		for i := range arch { // next architecture, node 0 fastest
+			if arch[i]++; arch[i] < len(space.Nodes[i].Ops) {
+				break
+			}
+			arch[i] = 0
+		}
+	}
+}
+
+// TestAdmitBoundsAreInclusive: a candidate may reach each bound exactly,
+// and one more refuses it; a saturated product refuses it too.
+func TestAdmitBoundsAreInclusive(t *testing.T) {
+	b := &Builder{Net: nn.NewNetwork([]int{1})}
+	if err := b.admit(MaxParams, MaxActivations); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.admit(1, 0); err == nil || !strings.Contains(err.Error(), "search.MaxParams") {
+		t.Fatalf("one parameter over: %v", err)
+	}
+	b = &Builder{Net: nn.NewNetwork([]int{1}), acts: MaxActivations}
+	if err := b.admit(0, 1); err == nil || !strings.Contains(err.Error(), "search.MaxActivations") {
+		t.Fatalf("one activation over: %v", err)
+	}
+	if p := mul(1<<40, 1<<40, 3); p != 1<<62 {
+		t.Fatalf("mul did not saturate: %d", p)
+	}
+	if err := (&Builder{}).admit(mul(1<<31, 1<<31)+1, 1); err == nil {
+		t.Fatal("a saturated count was admitted")
 	}
 }
