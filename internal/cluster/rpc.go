@@ -27,7 +27,7 @@ import (
 	"swtnas/internal/data"
 	"swtnas/internal/nas"
 	"swtnas/internal/obs"
-	"swtnas/internal/sim"
+	"swtnas/internal/stats"
 	"swtnas/internal/tensor"
 	"swtnas/internal/trace"
 )
@@ -413,7 +413,7 @@ func (c *Coordinator) monitor() {
 		// running past the quantile threshold gets one backup attempt, queued
 		// ahead of regular work for the next free worker (first result wins).
 		if c.cfg.SpeculativeQuantile > 0 && len(c.latencies) >= c.cfg.SpeculationMinSamples {
-			threshold := time.Duration(float64(sim.DurationQuantile(c.latencies, c.cfg.SpeculativeQuantile)) * c.cfg.SpeculationFactor)
+			threshold := time.Duration(float64(stats.DurationQuantile(c.latencies, c.cfg.SpeculativeQuantile)) * c.cfg.SpeculationFactor)
 			for id, a := range c.inflight {
 				if threshold <= 0 || a.speculated || now.Sub(a.started) <= threshold {
 					continue

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"sort"
 	"time"
 
 	"swtnas/internal/obs"
@@ -137,22 +136,4 @@ func (cm CostModel) Tasks(n int, transferFrac float64, rng *rand.Rand) []Task {
 		}
 	}
 	return tasks
-}
-
-// DurationQuantile returns the q-quantile of ds by nearest-rank on a sorted
-// copy — the speculation threshold base in both the simulator and the real
-// coordinator (cluster.FaultConfig.SpeculativeQuantile).
-func DurationQuantile(ds []time.Duration, q float64) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	sorted := append([]time.Duration(nil), ds...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	return sorted[int(q*float64(len(sorted)-1)+0.5)]
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"time"
+
+	"swtnas/internal/stats"
 )
 
 // SpeculationConfig models speculative re-execution: when a running task's
@@ -157,7 +159,7 @@ func SimulateFleet(cfg FleetConfig) (FleetResult, error) {
 	}
 	var threshold time.Duration
 	if cfg.Speculation.Enabled {
-		q := DurationQuantile(nominal, cfg.Speculation.quantile())
+		q := stats.DurationQuantile(nominal, cfg.Speculation.quantile())
 		threshold = time.Duration(float64(q) * cfg.Speculation.multiplier())
 	}
 

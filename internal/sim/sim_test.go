@@ -151,19 +151,3 @@ func TestFleetSpeculationNoopWithoutStragglers(t *testing.T) {
 		t.Fatalf("speculation changed a straggler-free makespan: %v vs %v", on.Makespan, off.Makespan)
 	}
 }
-
-func TestDurationQuantile(t *testing.T) {
-	ds := []time.Duration{4 * time.Second, time.Second, 3 * time.Second, 2 * time.Second}
-	if got := DurationQuantile(ds, 0); got != time.Second {
-		t.Fatalf("q0 = %v", got)
-	}
-	if got := DurationQuantile(ds, 1); got != 4*time.Second {
-		t.Fatalf("q1 = %v", got)
-	}
-	if got := DurationQuantile(ds, 0.5); got != 3*time.Second {
-		t.Fatalf("q0.5 = %v", got)
-	}
-	if got := DurationQuantile(nil, 0.5); got != 0 {
-		t.Fatalf("empty quantile = %v", got)
-	}
-}

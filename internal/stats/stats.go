@@ -7,6 +7,8 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
+	"time"
 )
 
 // Mean returns the arithmetic mean (NaN for empty input).
@@ -120,4 +122,22 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
+}
+
+// DurationQuantile returns the q-quantile of ds by nearest-rank on a sorted
+// copy — the speculation threshold base in both the simulator and the real
+// coordinator (cluster.FaultConfig.SpeculativeQuantile).
+func DurationQuantile(ds []time.Duration, q float64) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	sorted := slices.Clone(ds)
+	slices.Sort(sorted)
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[len(sorted)-1]
+	}
+	return sorted[int(q*float64(len(sorted)-1)+0.5)]
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestMeanStd(t *testing.T) {
@@ -139,5 +140,21 @@ func TestQuickKendallTauProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestDurationQuantile(t *testing.T) {
+	ds := []time.Duration{4 * time.Second, time.Second, 3 * time.Second, 2 * time.Second}
+	if got := DurationQuantile(ds, 0); got != time.Second {
+		t.Fatalf("q0 = %v", got)
+	}
+	if got := DurationQuantile(ds, 1); got != 4*time.Second {
+		t.Fatalf("q1 = %v", got)
+	}
+	if got := DurationQuantile(ds, 0.5); got != 3*time.Second {
+		t.Fatalf("q0.5 = %v", got)
+	}
+	if got := DurationQuantile(nil, 0.5); got != 0 {
+		t.Fatalf("empty quantile = %v", got)
 	}
 }
