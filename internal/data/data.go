@@ -82,9 +82,9 @@ func prototypeImage(rng *rand.Rand, h, w, c int) []float64 {
 		ws := make([]wave, waves)
 		for i := range ws {
 			ws[i] = wave{
-				fy:    (rng.Float64()*2 + 0.5) * math.Pi / float64(h),
-				fx:    (rng.Float64()*2 + 0.5) * math.Pi / float64(w),
-				phase: rng.Float64() * 2 * math.Pi,
+				fy:    (float64(rng.Float64())*2 + 0.5) * math.Pi / float64(h),
+				fx:    (float64(rng.Float64())*2 + 0.5) * math.Pi / float64(w),
+				phase: float64(rng.Float64()) * 2 * math.Pi,
 				amp:   rng.NormFloat64(),
 			}
 		}
@@ -92,7 +92,7 @@ func prototypeImage(rng *rand.Rand, h, w, c int) []float64 {
 			for x := 0; x < w; x++ {
 				v := 0.0
 				for _, wv := range ws {
-					v += wv.amp * math.Sin(wv.fy*float64(y)*float64(h)/2+wv.fx*float64(x)*float64(w)/2+wv.phase)
+					v += float64(wv.amp * math.Sin(float64(wv.fy*float64(y)*float64(h)/2)+float64(wv.fx*float64(x)*float64(w)/2)+wv.phase))
 				}
 				p[(y*w+x)*c+ch] = v
 			}
@@ -101,7 +101,7 @@ func prototypeImage(rng *rand.Rand, h, w, c int) []float64 {
 	// Normalize to unit RMS so the noise scale is comparable across classes.
 	rms := 0.0
 	for _, v := range p {
-		rms += v * v
+		rms += float64(v * v)
 	}
 	rms = math.Sqrt(rms / float64(len(p)))
 	if rms > 0 {
@@ -120,12 +120,12 @@ func prototypeImage(rng *rand.Rand, h, w, c int) []float64 {
 func imageClassification(name string, rng *rand.Rand, nTrain, nVal, h, w, c, classes int, noise, classSep float64) *Dataset {
 	common := prototypeImage(rng, h, w, c)
 	protos := make([][]float64, classes)
-	base := math.Sqrt(1 - classSep*classSep)
+	base := math.Sqrt(1 - float64(classSep*classSep))
 	for k := range protos {
 		own := prototypeImage(rng, h, w, c)
 		p := make([]float64, len(common))
 		for i := range p {
-			p[i] = base*common[i] + classSep*own[i]
+			p[i] = float64(base*common[i]) + float64(classSep*own[i])
 		}
 		protos[k] = p
 	}
@@ -138,7 +138,7 @@ func imageClassification(name string, rng *rand.Rand, nTrain, nVal, h, w, c, cla
 			targets[i] = float64(k)
 			row := x.Data[i*sample : (i+1)*sample]
 			for j := range row {
-				row[j] = protos[k][j] + rng.NormFloat64()*noise
+				row[j] = protos[k][j] + float64(rng.NormFloat64()*noise)
 			}
 		}
 		return &nn.Data{Inputs: []*tensor.Tensor{x}, Targets: targets}
@@ -191,16 +191,16 @@ func NT3Like(seed int64, cfg Config) *Dataset {
 	for k := 0; k < 2; k++ {
 		p := make([]float64, length)
 		for w := 0; w < 4; w++ {
-			freq := (rng.Float64()*3 + 1) * 2 * math.Pi / length
-			phase := rng.Float64() * 2 * math.Pi
+			freq := (float64(rng.Float64()*3) + 1) * 2 * math.Pi / length
+			phase := float64(float64(rng.Float64()) * 2 * math.Pi)
 			amp := rng.NormFloat64()
 			for i := range p {
-				p[i] += amp * math.Sin(freq*float64(i)*8+phase)
+				p[i] += float64(amp * math.Sin(float64(freq*float64(i)*8)+phase))
 			}
 		}
 		rms := 0.0
 		for _, v := range p {
-			rms += v * v
+			rms += float64(v * v)
 		}
 		rms = math.Sqrt(rms / float64(length))
 		for i := range p {
@@ -216,7 +216,7 @@ func NT3Like(seed int64, cfg Config) *Dataset {
 			targets[i] = float64(k)
 			row := x.Data[i*length : (i+1)*length]
 			for j := range row {
-				row[j] = protos[k][j] + rng.NormFloat64()*nt3Noise
+				row[j] = protos[k][j] + float64(rng.NormFloat64()*nt3Noise)
 			}
 		}
 		return &nn.Data{Inputs: []*tensor.Tensor{x}, Targets: targets}
@@ -266,9 +266,9 @@ func UnoLike(seed int64, cfg Config) *Dataset {
 		for hI := 0; hI < hidden; hI++ {
 			s := 0.0
 			for j, xv := range x {
-				s += w[hI*total+j] * xv
+				s += float64(w[hI*total+j] * xv)
 			}
-			y += v[hI] * math.Tanh(s)
+			y += float64(v[hI] * math.Tanh(s))
 		}
 		return y
 	}
@@ -289,7 +289,7 @@ func UnoLike(seed int64, cfg Config) *Dataset {
 				}
 				off += d
 			}
-			targets[i] = teacher(buf) + rng.NormFloat64()*0.10
+			targets[i] = teacher(buf) + float64(rng.NormFloat64()*0.10)
 		}
 		// Standardize targets so MAE magnitudes are comparable across seeds.
 		mean, std := meanStd(targets)
@@ -322,7 +322,7 @@ func meanStd(xs []float64) (float64, float64) {
 	v := 0.0
 	for _, x := range xs {
 		d := x - m
-		v += d * d
+		v += float64(d * d)
 	}
 	return m, math.Sqrt(v / float64(len(xs)))
 }

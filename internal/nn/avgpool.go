@@ -78,7 +78,7 @@ func (p *AvgPool2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 			oi := r * orow
 			for ox := 0; ox < p.outW; ox++ {
 				for c := 0; c < p.ch; c++ {
-					g := dOut.Data[oi] * inv
+					g := T(dOut.Data[oi] * inv)
 					oi++
 					for ky := 0; ky < p.Size; ky++ {
 						y := oy*p.Stride + ky

@@ -171,7 +171,7 @@ func (b *BatchNormOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 		for r := r0; r < r1; r++ {
 			for c, v := range x.Data[r*b.C : (r+1)*b.C] {
 				d := v - mean[c]
-				ps[c] += d * d
+				ps[c] += T(d * d)
 			}
 		}
 	})
@@ -188,7 +188,7 @@ func (b *BatchNormOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 			for c, v := range xr {
 				h := (v - mean[c]) * invStd[c]
 				xh[c] = h
-				or[c] = gamma[c]*h + beta[c]
+				or[c] = T(gamma[c]*h) + beta[c]
 			}
 		}
 	})
@@ -202,8 +202,8 @@ func (b *BatchNormOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tenso
 	} else {
 		mom, om := T(b.Momentum), T(1-b.Momentum)
 		for c := 0; c < b.C; c++ {
-			rm[c] = mom*rm[c] + om*mean[c]
-			rv[c] = mom*rv[c] + om*variance[c]
+			rm[c] = T(mom*rm[c]) + T(om*mean[c])
+			rv[c] = T(mom*rv[c]) + T(om*variance[c])
 		}
 	}
 	return out
@@ -225,7 +225,7 @@ func (b *BatchNormOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 			xh := b.lastXHat[r*b.C : (r+1)*b.C]
 			for c, g := range dOut.Data[r*b.C : (r+1)*b.C] {
 				sumDy[c] += g
-				sumDyXHat[c] += g * xh[c]
+				sumDyXHat[c] += T(g * xh[c])
 			}
 		}
 	})
@@ -246,7 +246,7 @@ func (b *BatchNormOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T
 		for r := lo; r < hi; r++ {
 			g, xh, d := dOut.Data[r*b.C:(r+1)*b.C], b.lastXHat[r*b.C:(r+1)*b.C], dIn.Data[r*b.C:(r+1)*b.C]
 			for c, v := range g {
-				d[c] = scale[c] * (nf*v - sumDy[c] - xh[c]*sumDyXHat[c])
+				d[c] = scale[c] * (T(nf*v) - sumDy[c] - T(xh[c]*sumDyXHat[c]))
 			}
 		}
 	})

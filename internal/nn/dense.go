@@ -305,7 +305,7 @@ func (l *ActivationOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[
 			tensor.ReLUGrad(dd, l.lastIn.Data[lo:hi], gd)
 		case Tanh:
 			for i, y := range l.lastOut.Data[lo:hi] {
-				dd[i] = gd[i] * (1 - y*y)
+				dd[i] = gd[i] * (1 - T(y*y))
 			}
 		case Sigmoid:
 			for i, y := range l.lastOut.Data[lo:hi] {

@@ -173,9 +173,9 @@ func (R2Of[T]) Eval(pred *tensor.TensorOf[T], targets []float64) float64 {
 	ssRes, ssTot := 0.0, 0.0
 	for i := 0; i < b; i++ {
 		d := targets[i] - float64(pred.Data[i])
-		ssRes += d * d
+		ssRes += float64(d * d)
 		m := targets[i] - mean
-		ssTot += m * m
+		ssTot += float64(m * m)
 	}
 	if ssTot == 0 {
 		return 0

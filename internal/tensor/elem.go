@@ -93,10 +93,10 @@ func adamGo[T Float](w, g, m, v []T, k *AdamCoefs[T]) {
 	for i := range w {
 		gi := g[i]
 		if k.L2 {
-			gi += l2x2 * w[i]
+			gi += T(l2x2 * w[i])
 		}
-		m[i] = b1*m[i] + ob1*gi
-		v[i] = b2*v[i] + ob2*gi*gi
+		m[i] = T(b1*m[i]) + T(ob1*gi)
+		v[i] = T(b2*v[i]) + T(ob2*gi*gi)
 		mHat := m[i] / c1
 		vHat := v[i] / c2
 		w[i] -= lr * mHat / (T(math.Sqrt(float64(vHat))) + eps)

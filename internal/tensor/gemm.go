@@ -265,7 +265,7 @@ func gemmTileGo[T Float](dst, init []T, initStride int, a []T, ars int, rowAt []
 			for ; i < tw; i++ {
 				av := a[at]
 				for j, bv := range bt[:n] {
-					o[j] += av * bv
+					o[j] += T(av * bv)
 				}
 				at, bt = at+ats, bt[n:]
 			}
@@ -279,10 +279,10 @@ func axpy4[T Float](dst, b0, b1, b2, b3 []T, a0, a1, a2, a3 T) {
 	b0, b1, b2, b3 = b0[:len(dst)], b1[:len(dst)], b2[:len(dst)], b3[:len(dst)]
 	for j := range dst {
 		v := dst[j]
-		v += a0 * b0[j]
-		v += a1 * b1[j]
-		v += a2 * b2[j]
-		v += a3 * b3[j]
+		v += T(a0 * b0[j])
+		v += T(a1 * b1[j])
+		v += T(a2 * b2[j])
+		v += T(a3 * b3[j])
 		dst[j] = v
 	}
 }
@@ -307,7 +307,7 @@ func gemmBTRowsGoF64(dst, a, b []float64, lo, hi, n, k int) {
 				br := b[kk*n : (kk+1)*n]
 				var s float64
 				for j, g := range ai {
-					s += g * br[j]
+					s += float64(g * br[j])
 				}
 				oi[kk] = s
 			}
@@ -337,14 +337,14 @@ func gemmBT2x4(dst, a, b []float64, i, k0, k1, n, k int) {
 		for j, g0 := range a0 {
 			g1 := a1[j]
 			w0, w1, w2, w3 := b0[j], b1[j], b2[j], b3[j]
-			c00 += g0 * w0
-			c01 += g0 * w1
-			c02 += g0 * w2
-			c03 += g0 * w3
-			c10 += g1 * w0
-			c11 += g1 * w1
-			c12 += g1 * w2
-			c13 += g1 * w3
+			c00 += float64(g0 * w0)
+			c01 += float64(g0 * w1)
+			c02 += float64(g0 * w2)
+			c03 += float64(g0 * w3)
+			c10 += float64(g1 * w0)
+			c11 += float64(g1 * w1)
+			c12 += float64(g1 * w2)
+			c13 += float64(g1 * w3)
 		}
 		o0[kk], o0[kk+1], o0[kk+2], o0[kk+3] = c00, c01, c02, c03
 		o1[kk], o1[kk+1], o1[kk+2], o1[kk+3] = c10, c11, c12, c13
@@ -353,8 +353,8 @@ func gemmBT2x4(dst, a, b []float64, i, k0, k1, n, k int) {
 		br := b[kk*n : (kk+1)*n]
 		var c0, c1 float64
 		for j, w := range br {
-			c0 += a0[j] * w
-			c1 += a1[j] * w
+			c0 += float64(a0[j] * w)
+			c1 += float64(a1[j] * w)
 		}
 		o0[kk], o1[kk] = c0, c1
 	}

@@ -53,10 +53,10 @@ func dot4Go(a, b0, b1, b2, b3 []float32) (float32, float32, float32, float32) {
 	for j := 0; j < j4; j += 4 {
 		for l := 0; l < 4; l++ {
 			av := a[j+l]
-			p0[l] += av * b0[j+l]
-			p1[l] += av * b1[j+l]
-			p2[l] += av * b2[j+l]
-			p3[l] += av * b3[j+l]
+			p0[l] += float32(av * b0[j+l])
+			p1[l] += float32(av * b1[j+l])
+			p2[l] += float32(av * b2[j+l])
+			p3[l] += float32(av * b3[j+l])
 		}
 	}
 	d0 := (p0[0] + p0[2]) + (p0[1] + p0[3])
@@ -65,10 +65,10 @@ func dot4Go(a, b0, b1, b2, b3 []float32) (float32, float32, float32, float32) {
 	d3 := (p3[0] + p3[2]) + (p3[1] + p3[3])
 	for j := j4; j < len(a); j++ {
 		av := a[j]
-		d0 += av * b0[j]
-		d1 += av * b1[j]
-		d2 += av * b2[j]
-		d3 += av * b3[j]
+		d0 += float32(av * b0[j])
+		d1 += float32(av * b1[j])
+		d2 += float32(av * b2[j])
+		d3 += float32(av * b3[j])
 	}
 	return d0, d1, d2, d3
 }
@@ -82,14 +82,14 @@ func dot1Go(a, b []float32) float32 {
 	var p [4]float32
 	j4 := len(a) &^ 3
 	for j := 0; j < j4; j += 4 {
-		p[0] += a[j] * b[j]
-		p[1] += a[j+1] * b[j+1]
-		p[2] += a[j+2] * b[j+2]
-		p[3] += a[j+3] * b[j+3]
+		p[0] += float32(a[j] * b[j])
+		p[1] += float32(a[j+1] * b[j+1])
+		p[2] += float32(a[j+2] * b[j+2])
+		p[3] += float32(a[j+3] * b[j+3])
 	}
 	d := (p[0] + p[2]) + (p[1] + p[3])
 	for j := j4; j < len(a); j++ {
-		d += a[j] * b[j]
+		d += float32(a[j] * b[j])
 	}
 	return d
 }

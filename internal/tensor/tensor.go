@@ -132,7 +132,7 @@ func (t *TensorOf[T]) AddScaled(src *TensorOf[T], a T) error {
 		return fmt.Errorf("tensor: addScaled shape mismatch: dst %v src %v", t.Shape, src.Shape)
 	}
 	for i, v := range src.Data {
-		t.Data[i] += a * v
+		t.Data[i] += T(a * v)
 	}
 	return nil
 }
@@ -193,7 +193,7 @@ func (t *TensorOf[T]) RandNormal(rng *rand.Rand, std float64) {
 func (t *TensorOf[T]) GlorotUniform(rng *rand.Rand, fanIn, fanOut int) {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	for i := range t.Data {
-		t.Data[i] = T((rng.Float64()*2 - 1) * limit)
+		t.Data[i] = T((float64(rng.Float64())*2 - 1) * limit)
 	}
 }
 
@@ -220,7 +220,7 @@ func (t *TensorOf[T]) MaxAbs() float64 {
 func (t *TensorOf[T]) L2Norm() float64 {
 	s := 0.0
 	for _, v := range t.Data {
-		s += float64(v) * float64(v)
+		s += float64(float64(v) * float64(v))
 	}
 	return math.Sqrt(s)
 }
