@@ -85,6 +85,8 @@ func OpConv2D(filters, kernel int, pad nn.Padding, l2 float64) Op {
 			if len(shape) != 3 {
 				return 0, fmt.Errorf("conv2d needs (H, W, C) input, got %v", shape)
 			}
+			// The output shape, inferred before the weights exist; a checked
+			// (H, W, C) shape always infers.
 			out, _ := (&nn.Conv2D{KH: kernel, KW: kernel, InC: shape[2], OutC: filters, Pad: pad}).OutShape([][]int{shape})
 			if err := b.admit(mul(mul(kernel, kernel, shape[2])+1, filters), mul(out...)); err != nil {
 				return 0, err
@@ -108,6 +110,7 @@ func OpConv1D(filters, kernel int, pad nn.Padding, l2 float64) Op {
 			if len(shape) != 2 {
 				return 0, fmt.Errorf("conv1d needs (L, C) input, got %v", shape)
 			}
+			// As in OpConv2D: a checked (L, C) shape always infers.
 			out, _ := (&nn.Conv1D{Conv2DOf: nn.Conv2D{KH: 1, KW: kernel, InC: shape[1], OutC: filters, Pad: pad}}).OutShape([][]int{shape})
 			if err := b.admit(mul(mul(kernel, shape[1])+1, filters), mul(out...)); err != nil {
 				return 0, err

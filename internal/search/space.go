@@ -225,10 +225,16 @@ func (b *Builder) admit(params, outElems int) error {
 	if params > MaxParams-b.params {
 		return fmt.Errorf("%d parameters on top of %d pass the bound of %d (search.MaxParams)", params, b.params, MaxParams)
 	}
-	if outElems > MaxActivations-b.acts {
-		return fmt.Errorf("%d activation elements on top of %d pass the bound of %d (search.MaxActivations)", outElems, b.acts, MaxActivations)
-	}
 	b.params += params
+	return b.fits(outElems)
+}
+
+// fits refuses elems more per-sample activation elements where they would
+// take the candidate past MaxActivations.
+func (b *Builder) fits(elems int) error {
+	if elems > MaxActivations-b.acts {
+		return fmt.Errorf("%d activation elements on top of %d pass the bound of %d (search.MaxActivations)", elems, b.acts, MaxActivations)
+	}
 	return nil
 }
 
@@ -241,8 +247,8 @@ func (b *Builder) Add(l nn.Layer, inputs ...nn.InputRef) (nn.InputRef, error) {
 		return 0, err
 	}
 	elems := mul(b.ShapeOf(ref)...)
-	if elems > MaxActivations-b.acts {
-		return 0, fmt.Errorf("%d activation elements on top of %d pass the bound of %d (search.MaxActivations)", elems, b.acts, MaxActivations)
+	if err := b.fits(elems); err != nil {
+		return 0, err
 	}
 	b.acts += elems
 	return ref, nil

@@ -253,7 +253,8 @@ func TestBuilderTotalsMatchNetwork(t *testing.T) {
 }
 
 // TestAdmitBoundsAreInclusive: a candidate may reach each bound exactly,
-// and one more refuses it; a saturated product refuses it too.
+// and one more parameter, or one more layer's output, refuses it; a
+// saturated product refuses it too.
 func TestAdmitBoundsAreInclusive(t *testing.T) {
 	b := &Builder{Net: nn.NewNetwork([]int{1})}
 	if err := b.admit(MaxParams, MaxActivations); err != nil {
@@ -265,6 +266,14 @@ func TestAdmitBoundsAreInclusive(t *testing.T) {
 	b = &Builder{Net: nn.NewNetwork([]int{1}), acts: MaxActivations}
 	if err := b.admit(0, 1); err == nil || !strings.Contains(err.Error(), "search.MaxActivations") {
 		t.Fatalf("one activation over: %v", err)
+	}
+	b = &Builder{Net: nn.NewNetwork([]int{MaxActivations})}
+	ref, err := b.Add(nn.NewIdentity("full"), nn.GraphInput(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Add(nn.NewIdentity("over"), ref); err == nil || !strings.Contains(err.Error(), "search.MaxActivations") {
+		t.Fatalf("a layer past the activation bound: %v", err)
 	}
 	if p := mul(1<<40, 1<<40, 3); p != 1<<62 {
 		t.Fatalf("mul did not saturate: %d", p)
