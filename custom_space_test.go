@@ -109,11 +109,13 @@ func TestCustomHeadRefusedBeforeTraining(t *testing.T) {
 }
 
 // TestOversizedCandidateRefusedBeforeAllocating pins the size bounds: a
-// dense width of 1<<40 on mnist (weights past what any machine holds) and a
+// dense width of 1<<40 on mnist (weights past what any machine holds), a
 // convolution of 1<<20 filters (small weights, activations past
-// search.MaxActivations) each fail Space.Build with an error naming the node,
-// the op and the bound, having allocated at most 1 MiB; Search returns the
-// dense case's error rather than a recovered panic.
+// search.MaxActivations) and a one-filter 361×361 same convolution (100
+// outputs, but a 370×370 bordered input copy past search.MaxActivations)
+// each fail Space.Build with an error naming the node, the op and the
+// bound, having allocated at most 1 MiB; Search returns the dense case's
+// error rather than a recovered panic.
 func TestOversizedCandidateRefusedBeforeAllocating(t *testing.T) {
 	spec := func(op string) string {
 		return `{"name": "bomb", "input": [10, 10, 1], "output_units": 10, "nodes": [{"name": "big", "ops": [` + op + `]}]}`
@@ -121,6 +123,7 @@ func TestOversizedCandidateRefusedBeforeAllocating(t *testing.T) {
 	for _, c := range []struct{ op, want string }{
 		{`{"type": "dense", "units": 1099511627776}`, `node "big" choice "Dense(1099511627776)": 111050674405376 parameters on top of 0 pass the bound of 4194304 (search.MaxParams)`},
 		{`{"type": "conv2d", "filters": 1048576, "kernel": 1}`, `node "big" choice "Conv2D(1048576, 1x1, valid)": 104857600 activation elements on top of 0 pass the bound of 131072 (search.MaxActivations)`},
+		{`{"type": "conv2d", "filters": 1, "kernel": 361, "padding": "same"}`, `node "big" choice "Conv2D(1, 361x361, same)": 136900 activation elements on top of 0 pass the bound of 131072 (search.MaxActivations)`},
 	} {
 		app, err := apps.New("mnist", 1, apps.Config{Data: data.Config{TrainN: 16, ValN: 8}, SpaceJSON: spec(c.op)})
 		if err != nil {

@@ -55,10 +55,7 @@ func New(name string, seed int64, cfg Config) (*App, error) {
 	var custom *search.Space
 	if cfg.SpaceJSON != "" {
 		var err error
-		if spec, err = search.LoadSpec(strings.NewReader(cfg.SpaceJSON)); err != nil {
-			return nil, err
-		}
-		if custom, err = spec.Compile(); err != nil {
+		if spec, custom, err = compileSpec(cfg.SpaceJSON); err != nil {
 			return nil, err
 		}
 	}
@@ -118,6 +115,36 @@ func specIdentity(spec *search.Spec, space *search.Space) string {
 		fmt.Fprintln(h)
 	}
 	return fmt.Sprintf("%s@%x", space.Name, h.Sum(nil)[:8])
+}
+
+// Admit refuses the custom space specJSON with the error New gives it for
+// application name, without building the application: the spec is parsed,
+// compiled and admitted against the dataset's shapes, which a one-sample
+// split of it has. A service admits a submitted space with it before it
+// starts anything.
+func Admit(name, specJSON string) error {
+	spec, custom, err := compileSpec(specJSON)
+	if err != nil {
+		return err
+	}
+	ds, err := data.ByName(name, 1, data.Config{TrainN: 1, ValN: 1})
+	if err != nil {
+		return err
+	}
+	return admitSpec(spec, custom, ds, name)
+}
+
+// compileSpec parses and compiles a search.Spec in JSON.
+func compileSpec(specJSON string) (*search.Spec, *search.Space, error) {
+	spec, err := search.LoadSpec(strings.NewReader(specJSON))
+	if err != nil {
+		return nil, nil, err
+	}
+	space, err := spec.Compile()
+	if err != nil {
+		return nil, nil, err
+	}
+	return spec, space, nil
 }
 
 // admitSpec checks that dataset ds (application name) can train the space

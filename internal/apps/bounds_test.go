@@ -11,18 +11,31 @@ import (
 )
 
 // size is what a part of a network holds: trainable parameters and per-sample
-// activation elements (every layer's output elements, summed), the two
-// quantities search.MaxParams and search.MaxActivations bound.
+// activation elements (every layer's output elements and every same-padded
+// convolution's bordered input copy, summed), the two quantities
+// search.MaxParams and search.MaxActivations bound.
 type size struct{ params, acts int }
 
 func netSize(net *nn.Network) size {
 	s := size{params: net.ParamCount()}
-	for i := range net.Layers() {
+	for i, l := range net.Layers() {
 		n := 1
 		for _, d := range net.ShapeOf(nn.InputRef(i)) {
 			n *= d
 		}
 		s.acts += n
+		var conv *nn.Conv2D
+		switch c := l.(type) {
+		case *nn.Conv2D:
+			conv = c
+		case *nn.Conv1D:
+			conv = &c.Conv2DOf
+		}
+		if conv != nil {
+			if h, w, copied := conv.BorderedInput(); copied {
+				s.acts += h * w * conv.InC
+			}
+		}
 	}
 	return s
 }

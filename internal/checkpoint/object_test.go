@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"compress/flate"
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -15,6 +16,16 @@ import (
 	"swtnas/internal/nn"
 	"swtnas/internal/tensor"
 )
+
+// pack is packer.pack in a fresh packer with its two parts joined: the
+// object file's bytes, the caller's to keep.
+func pack(stream []byte) ([]byte, error) {
+	head, tail, err := new(packer).pack(stream)
+	if err != nil {
+		return nil, err
+	}
+	return append(head, tail...), nil
+}
 
 // oddModel draws a model from the corners of the format: an empty or short
 // arch, empty groups, names of odd and zero length, scalar and zero-element
@@ -211,7 +222,8 @@ func TestObjectSectionsMustMatchLayout(t *testing.T) {
 
 // appStream encodes a freshly built candidate of the named application,
 // drawing architectures until one's stream is within a quarter of target
-// bytes: a checkpoint of the size and weight distribution a search saves.
+// bytes: a checkpoint of the size and weight distribution a search saves. A
+// target of 0 takes the first draw.
 func appStream(tb testing.TB, name string, dt tensor.DType, target int) []byte {
 	app, err := apps.New(name, 1, apps.Config{Data: data.Config{TrainN: 8, ValN: 4}})
 	if err != nil {
@@ -236,12 +248,68 @@ func appStream(tb testing.TB, name string, dt tensor.DType, target int) []byte {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if n := len(buf); 4*n >= 3*target && 4*n <= 5*target {
+		if n := len(buf); target == 0 || 4*n >= 3*target && 4*n <= 5*target {
 			return buf
 		}
 	}
 	tb.Fatalf("no %s candidate of about %d bytes", name, target)
 	return nil
+}
+
+// packedObjects are the SHA-256 of the object file of each application's
+// first random candidate at each dtype (appStream with target 0), its
+// stream's length, as pack made them before it split payloads in one pass
+// (per-plane gathers, an element-at-a-time low-byte copy and a fresh
+// deflate writer an object).
+var packedObjects = []struct {
+	app    string
+	dt     tensor.DType
+	size   int
+	sha256 string
+}{
+	{"cifar10", tensor.F64, 45240, "9e682918dd3e6274265d729c9ff37dc78efc0eb010706b7825973532a7880be3"},
+	{"cifar10", tensor.F32, 23232, "bc2a8b2fd66129597427573b7361564e7f59b7e43c53a37aaab23c8d9b861fab"},
+	{"mnist", tensor.F64, 152093, "f3805ea60d9b44d376fa67476f246af70a35ad984a3892f538d9b8afaf9400a9"},
+	{"mnist", tensor.F32, 76277, "7f4c906c79adf6c941fb54c7c63d0e8721c228568e89c1817880e987cbb91547"},
+	{"nt3", tensor.F64, 1395949, "4d78f69b126a0f1613d36b6947d6a5cff22e0920492c5e7d1467fcf7954a125c"},
+	{"nt3", tensor.F32, 698149, "ac8231e1e7814002bed18be1e64c55f90b2ddd19666293561c741364b833998a"},
+	{"uno", tensor.F64, 187575, "e23b587322efec5fe505308cec658a03ac0f6e6d14ecff899b787b9f07ae58b4"},
+	{"uno", tensor.F32, 94003, "8e40b883e7b43eaa2c5ac2065e9d3abc5e7104b4a271249f6de40f52cfc748e1"},
+}
+
+// TestPackBytesUnchanged: the objects pack makes of real candidates of all
+// four applications at both dtypes are byte for byte the earlier writer's
+// (packedObjects) — from a fresh packer, and from one that packed every
+// other object first, as a pooled one has — so stores written before and
+// after share every object file.
+func TestPackBytesUnchanged(t *testing.T) {
+	used := new(packer)
+	for i := len(packedObjects) - 1; i >= 0; i-- {
+		c := packedObjects[i]
+		if _, _, err := used.pack(appStream(t, c.app, c.dt, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range packedObjects {
+		stream := appStream(t, c.app, c.dt, 0)
+		if len(stream) != c.size {
+			t.Fatalf("%s/%v: the candidate's stream is %d bytes, want %d: the draw changed, not pack", c.app, c.dt, len(stream), c.size)
+		}
+		obj, err := pack(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(obj)); got != c.sha256 {
+			t.Errorf("%s/%v: the object hashes to %s, want %s", c.app, c.dt, got, c.sha256)
+		}
+		head, tail, err := used.pack(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(append(append([]byte(nil), head...), tail...), obj) {
+			t.Errorf("%s/%v: a used packer's object differs from a fresh one's", c.app, c.dt)
+		}
+	}
 }
 
 // objectBenchCases are the disk backend's two typical objects: an nt3/f64
@@ -257,25 +325,36 @@ var objectBenchCases = []struct {
 
 // BenchmarkObjectPack is the disk backend's write-side encoding of one
 // candidate's stream; the reported ratio is object bytes per stream byte.
+// Each case runs twice: in a fresh packer an object (its deflate writer and
+// buffers allocated and their pages faulted in), and, as /reused, in one
+// packer kept across objects, as the store's pooled saves run it.
 func BenchmarkObjectPack(b *testing.B) {
 	for _, c := range objectBenchCases {
 		stream := appStream(b, c.name, c.dt, c.target)
-		b.Run(fmt.Sprintf("%s/%v", c.name, c.dt), func(b *testing.B) {
-			b.SetBytes(int64(len(stream)))
-			var obj []byte
-			for i := 0; i < b.N; i++ {
-				var err error
-				if obj, err = pack(stream); err != nil {
-					b.Fatal(err)
+		for _, reused := range []bool{false, true} {
+			b.Run(benchCaseName(c.name, c.dt, reused), func(b *testing.B) {
+				b.SetBytes(int64(len(stream)))
+				p, size := new(packer), 0
+				for i := 0; i < b.N; i++ {
+					if !reused {
+						p = new(packer)
+					}
+					head, tail, err := p.pack(stream)
+					if err != nil {
+						b.Fatal(err)
+					}
+					size = len(head) + len(tail)
 				}
-			}
-			b.ReportMetric(float64(len(obj))/float64(len(stream)), "ratio")
-		})
+				b.ReportMetric(float64(size)/float64(len(stream)), "ratio")
+			})
+		}
 	}
 }
 
 // BenchmarkObjectUnpack is the read side: unpack with the first-read hash
-// check, as a resume or a fresh store's first Load runs it.
+// check, as a resume or a fresh store's first Load runs it — in fresh
+// buffers an object, and, as /reused, in one set kept across objects, as
+// the store's pooled reads run it.
 func BenchmarkObjectUnpack(b *testing.B) {
 	for _, c := range objectBenchCases {
 		stream := appStream(b, c.name, c.dt, c.target)
@@ -284,13 +363,28 @@ func BenchmarkObjectUnpack(b *testing.B) {
 			b.Fatal(err)
 		}
 		mf := &Manifest{hash: HashBlob(stream), size: int64(len(stream)), dtype: c.dt}
-		b.Run(fmt.Sprintf("%s/%v", c.name, c.dt), func(b *testing.B) {
-			b.SetBytes(int64(len(stream)))
-			for i := 0; i < b.N; i++ {
-				if _, err := unpack(mf, obj, true, nil); err != nil {
-					b.Fatal(err)
+		for _, reused := range []bool{false, true} {
+			b.Run(benchCaseName(c.name, c.dt, reused), func(b *testing.B) {
+				b.SetBytes(int64(len(stream)))
+				var buf *objectBuffers
+				if reused {
+					buf = new(objectBuffers)
 				}
-			}
-		})
+				for i := 0; i < b.N; i++ {
+					if _, err := unpack(mf, obj, true, buf); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
+}
+
+// benchCaseName names an object benchmark's case: app/dtype, the row
+// BENCH_5.json gates, for fresh buffers, and app/dtype/reused beside it.
+func benchCaseName(app string, dt tensor.DType, reused bool) string {
+	if reused {
+		return fmt.Sprintf("%s/%v/reused", app, dt)
+	}
+	return fmt.Sprintf("%s/%v", app, dt)
 }

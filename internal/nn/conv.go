@@ -139,12 +139,21 @@ func (c *Conv2DOf[T]) padded() (int, int) {
 	return c.inH, c.inW
 }
 
-// taps returns the map the receptive fields are read from: x itself where
-// there is no border (valid padding, a 1×1 kernel), otherwise x copied into
-// the middle of a zero-bordered buffer, every element of it written.
-func (c *Conv2DOf[T]) taps(x *tensor.TensorOf[T]) []T {
+// BorderedInput returns the per-sample height and width of the
+// zero-bordered copy of its input a convolution reads its taps from, and
+// whether it makes one: not where there is no border (valid padding, a 1×1
+// kernel), where it reads its input in place. OutShape sets what it reads.
+func (c *Conv2DOf[T]) BorderedInput() (h, w int, copied bool) {
 	ph, pw := c.padded()
-	if ph == c.inH && pw == c.inW {
+	return ph, pw, ph != c.inH || pw != c.inW
+}
+
+// taps returns the map the receptive fields are read from: x itself where
+// there is no border, otherwise x copied into the middle of a zero-bordered
+// buffer, every element of it written.
+func (c *Conv2DOf[T]) taps(x *tensor.TensorOf[T]) []T {
+	ph, pw, copied := c.BorderedInput()
+	if !copied {
 		return x.Data
 	}
 	padH, padW := c.padOffsets()

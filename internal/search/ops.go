@@ -87,8 +87,9 @@ func OpConv2D(filters, kernel int, pad nn.Padding, l2 float64) Op {
 			}
 			// The output shape, inferred before the weights exist; a checked
 			// (H, W, C) shape always infers.
-			out, _ := (&nn.Conv2D{KH: kernel, KW: kernel, InC: shape[2], OutC: filters, Pad: pad}).OutShape([][]int{shape})
-			if err := b.admit(mul(mul(kernel, kernel, shape[2])+1, filters), mul(out...)); err != nil {
+			conv := &nn.Conv2D{KH: kernel, KW: kernel, InC: shape[2], OutC: filters, Pad: pad}
+			out, _ := conv.OutShape([][]int{shape})
+			if err := b.admit(mul(mul(kernel, kernel, shape[2])+1, filters), bordered(conv), mul(out...)); err != nil {
 				return 0, err
 			}
 			return b.Add(nn.NewConv2D(b.FreshName("conv2d"), kernel, kernel, shape[2], filters, pad, l2, b.RNG), ref)
@@ -111,8 +112,9 @@ func OpConv1D(filters, kernel int, pad nn.Padding, l2 float64) Op {
 				return 0, fmt.Errorf("conv1d needs (L, C) input, got %v", shape)
 			}
 			// As in OpConv2D: a checked (L, C) shape always infers.
-			out, _ := (&nn.Conv1D{Conv2DOf: nn.Conv2D{KH: 1, KW: kernel, InC: shape[1], OutC: filters, Pad: pad}}).OutShape([][]int{shape})
-			if err := b.admit(mul(mul(kernel, shape[1])+1, filters), mul(out...)); err != nil {
+			conv := &nn.Conv1D{Conv2DOf: nn.Conv2D{KH: 1, KW: kernel, InC: shape[1], OutC: filters, Pad: pad}}
+			out, _ := conv.OutShape([][]int{shape})
+			if err := b.admit(mul(mul(kernel, shape[1])+1, filters), bordered(&conv.Conv2DOf), mul(out...)); err != nil {
 				return 0, err
 			}
 			return b.Add(nn.NewConv1D(b.FreshName("conv1d"), kernel, shape[1], filters, pad, l2, b.RNG), ref)
@@ -199,7 +201,7 @@ func OpBatchNorm() Op {
 			if len(shape) == 0 {
 				return 0, fmt.Errorf("batchnorm needs a shaped input")
 			}
-			if err := b.admit(2*shape[len(shape)-1], mul(shape...)); err != nil {
+			if err := b.admit(2*shape[len(shape)-1], 0, mul(shape...)); err != nil {
 				return 0, err
 			}
 			return b.Add(nn.NewBatchNorm(b.FreshName("bn"), shape[len(shape)-1]), ref)

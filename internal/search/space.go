@@ -190,7 +190,8 @@ func (s *Space) Build(arch Arch, rng *rand.Rand) (*nn.Network, error) {
 
 // The bounds on one candidate, the same for every space (DESIGN.md §5):
 // its trainable parameters, and its per-sample activation elements — the
-// output elements of every layer, summed. An op that constructs weights
+// output elements of every layer and the zero-bordered input copy of every
+// same-padded convolution, summed. An op that constructs weights
 // checks both totals before it constructs them (Builder.Dense and the
 // convolution and batch-norm ops), and Builder.Add checks the activations of
 // every layer, so a candidate over either bound fails to build without
@@ -217,16 +218,31 @@ type Builder struct {
 	params, acts int
 }
 
-// admit charges params trainable parameters to the candidate and refuses a
-// layer that would take either total past its bound, counting the outElems
-// per-sample outputs Add will charge it. Ops call it before constructing a
-// layer with weights.
-func (b *Builder) admit(params, outElems int) error {
+// admit charges params trainable parameters and the layer's own scratch
+// per-sample elements (a convolution's bordered input copy) to the
+// candidate, and refuses a layer that would take either total past its
+// bound, counting the outElems per-sample outputs Add will charge it. Ops
+// call it before constructing a layer with weights.
+func (b *Builder) admit(params, scratch, outElems int) error {
 	if params > MaxParams-b.params {
 		return fmt.Errorf("%d parameters on top of %d pass the bound of %d (search.MaxParams)", params, b.params, MaxParams)
 	}
 	b.params += params
+	if err := b.fits(scratch); err != nil {
+		return err
+	}
+	b.acts += scratch
 	return b.fits(outElems)
+}
+
+// bordered is the per-sample element count of the bordered input copy conv,
+// its output shape inferred, makes (nn.Conv2DOf.BorderedInput), 0 if none.
+func bordered(conv *nn.Conv2D) int {
+	h, w, copied := conv.BorderedInput()
+	if !copied {
+		return 0
+	}
+	return mul(h, w, conv.InC)
 }
 
 // fits refuses elems more per-sample activation elements where they would
@@ -259,7 +275,7 @@ func (b *Builder) Add(l nn.Layer, inputs ...nn.InputRef) (nn.InputRef, error) {
 // outputs.
 func (b *Builder) Dense(name string, ref nn.InputRef, units int) (nn.InputRef, error) {
 	in := b.ShapeOf(ref)[0]
-	if err := b.admit(mul(in+1, units), units); err != nil {
+	if err := b.admit(mul(in+1, units), 0, units); err != nil {
 		return 0, err
 	}
 	return b.Add(nn.NewDense(name, in, units, 0, b.RNG), ref)

@@ -214,7 +214,7 @@ func TestQuickDistanceMetric(t *testing.T) {
 // TestBuilderTotalsMatchNetwork: on every candidate of the sample spec
 // (convolution, pooling, batch norm, dense, residual and dropout ops) the
 // totals the bounds are checked against are the built network's trainable
-// parameters and summed per-sample layer outputs.
+// parameters and summed per-sample layer outputs and bordered input copies.
 func TestBuilderTotalsMatchNetwork(t *testing.T) {
 	spec, err := LoadSpec(strings.NewReader(sampleSpec))
 	if err != nil {
@@ -230,8 +230,14 @@ func TestBuilderTotalsMatchNetwork(t *testing.T) {
 			return err
 		}
 		acts := 0
-		for i := range b.Net.Layers() {
+		for i, l := range b.Net.Layers() {
 			acts += mul(b.ShapeOf(nn.InputRef(i))...)
+			switch c := l.(type) {
+			case *nn.Conv2D:
+				acts += bordered(c)
+			case *nn.Conv1D:
+				acts += bordered(&c.Conv2DOf)
+			}
 		}
 		if b.params != b.Net.ParamCount() || b.acts != acts {
 			return fmt.Errorf("builder totals (%d, %d), network (%d, %d)", b.params, b.acts, b.Net.ParamCount(), acts)
@@ -253,19 +259,27 @@ func TestBuilderTotalsMatchNetwork(t *testing.T) {
 }
 
 // TestAdmitBoundsAreInclusive: a candidate may reach each bound exactly,
-// and one more parameter, or one more layer's output, refuses it; a
-// saturated product refuses it too.
+// and one more parameter, one more layer's output or one more scratch
+// element refuses it; a saturated product refuses it too.
 func TestAdmitBoundsAreInclusive(t *testing.T) {
 	b := &Builder{Net: nn.NewNetwork([]int{1})}
-	if err := b.admit(MaxParams, MaxActivations); err != nil {
+	if err := b.admit(MaxParams, 0, MaxActivations); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.admit(1, 0); err == nil || !strings.Contains(err.Error(), "search.MaxParams") {
+	if err := b.admit(1, 0, 0); err == nil || !strings.Contains(err.Error(), "search.MaxParams") {
 		t.Fatalf("one parameter over: %v", err)
 	}
 	b = &Builder{Net: nn.NewNetwork([]int{1}), acts: MaxActivations}
-	if err := b.admit(0, 1); err == nil || !strings.Contains(err.Error(), "search.MaxActivations") {
+	if err := b.admit(0, 0, 1); err == nil || !strings.Contains(err.Error(), "search.MaxActivations") {
 		t.Fatalf("one activation over: %v", err)
+	}
+	b = &Builder{Net: nn.NewNetwork([]int{1}), acts: MaxActivations - 3}
+	if err := b.admit(0, 2, 1); err != nil {
+		t.Fatalf("scratch and outputs reaching the bound: %v", err)
+	}
+	b = &Builder{Net: nn.NewNetwork([]int{1}), acts: MaxActivations - 3}
+	if err := b.admit(0, 3, 1); err == nil || !strings.Contains(err.Error(), "search.MaxActivations") {
+		t.Fatalf("one scratch element over: %v", err)
 	}
 	b = &Builder{Net: nn.NewNetwork([]int{MaxActivations})}
 	ref, err := b.Add(nn.NewIdentity("full"), nn.GraphInput(0))
@@ -278,7 +292,7 @@ func TestAdmitBoundsAreInclusive(t *testing.T) {
 	if p := mul(1<<40, 1<<40, 3); p != 1<<62 {
 		t.Fatalf("mul did not saturate: %d", p)
 	}
-	if err := (&Builder{}).admit(mul(1<<31, 1<<31)+1, 1); err == nil {
+	if err := (&Builder{}).admit(mul(1<<31, 1<<31)+1, 0, 1); err == nil {
 		t.Fatal("a saturated count was admitted")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"swtnas"
+	"swtnas/internal/apps"
 	"swtnas/internal/obs"
 	"swtnas/internal/tensor"
 )
@@ -466,6 +467,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			fail(w, http.StatusBadRequest, "", err.Error())
 		}
 		return
+	}
+	// A custom space is admitted here, as the search would admit it, so a
+	// space the app cannot train is a 400 and never a search that fails.
+	if opt.SpaceJSON != "" {
+		if err := apps.Admit(opt.App, opt.SpaceJSON); err != nil {
+			s.mu.Unlock()
+			fail(w, http.StatusBadRequest, "space", err.Error())
+			return
+		}
 	}
 	s.nextSeq++
 	st.state = StateRunning

@@ -445,6 +445,51 @@ func TestServerValidation(t *testing.T) {
 	}
 }
 
+// TestServerRefusesSpaceItsAppCannotRun: a custom space whose input is not
+// its app's (mnist is 10×10×1) is answered 400 naming the "space" field,
+// with the error the search would have failed with, and leaves no search and
+// no file in the data dir; the same space with mnist's input is admitted.
+func TestServerRefusesSpaceItsAppCannotRun(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := newTestServer(t, dir, swtnas.PoolOptions{Workers: 1})
+	defer s.Close()
+	spec := func(input string) json.RawMessage {
+		return json.RawMessage(`{"name": "tiny", "input": ` + input + `, "output_units": 10,
+  "nodes": [{"name": "d", "ops": [{"type": "dense", "units": 8}]}]}`)
+	}
+	req := SubmitRequest{Tenant: "t", App: "mnist", Scheme: "LCS", Budget: 1, Workers: 1, TrainN: 16, ValN: 8, Space: spec("[3, 3, 1]")}
+	resp := postJSON(t, ts, "/"+APIVersion+"/searches", req)
+	var eresp ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&eresp); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || eresp.Field != "space" || !strings.Contains(eresp.Error, `does not match dataset "mnist" input [10 10 1]`) {
+		t.Fatalf("submit: status %d, field %q, error %q; want 400 on space with the input mismatch", resp.StatusCode, eresp.Field, eresp.Error)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("the refused submit left %d entries in the data dir (err %v)", len(entries), err)
+	}
+	list, err := http.Get(ts.URL + "/" + APIVersion + "/searches")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lresp ListResponse
+	if err := json.NewDecoder(list.Body).Decode(&lresp); err != nil {
+		t.Fatal(err)
+	}
+	list.Body.Close()
+	if len(lresp.Searches) != 0 {
+		t.Fatalf("the refused submit created %d searches", len(lresp.Searches))
+	}
+
+	req.Space = spec("[10, 10, 1]")
+	sub := submit(t, ts, req)
+	if st := waitState(t, ts, sub.ID, func(st SearchStatus) bool { return terminal(st.State) }); st.State != StateDone {
+		t.Fatalf("the admitted space's search ended %s: %s", st.State, st.Error)
+	}
+}
+
 // TestServerRejectsOversizedSubmit: a body past maxSubmitBytes is answered
 // 413 with the JSON error and leaves no search and no file in the data dir;
 // the next normal submit is admitted as before.

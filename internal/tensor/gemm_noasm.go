@@ -5,8 +5,9 @@ package tensor
 // Builds without the assembly kernels — every GOARCH but amd64, and amd64
 // under the purego tag, which is how CI tests this path — run the products
 // as the Go definitions of gemm.go and gemm_f32.go, the elementwise
-// kernels as the loops of elem.go and the max-pool rows as maxPoolRowGo:
-// no tile, element or channel is covered by a vector body.
+// kernels as the loops of elem.go, the max-pool rows as maxPoolRowGo and
+// the byte-plane split and join as the loops of planes.go: no tile,
+// element or channel is covered by a vector body.
 
 // gemmVectorBytes is what the tensor.gemm.vector_bytes gauge reports where
 // the products are scalar Go: one float64, as on an amd64 host without
@@ -41,3 +42,7 @@ func expPart(n int) int { return 0 }
 func maxPoolBody[T Float](dst []T, arg []int32, x []T, at, ch, inRow, kh, kw, stride int) int {
 	return 0
 }
+
+func splitBody(low, planes []byte, stride int, src []byte, width int) int { return 0 }
+
+func joinBody(dst, low, planes []byte, stride, width int) int { return 0 }
