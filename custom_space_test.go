@@ -145,3 +145,41 @@ func TestOversizedCandidateRefusedBeforeAllocating(t *testing.T) {
 		t.Fatalf("Search: %v, want the bound error", err)
 	}
 }
+
+// TestInputGradientBlockRefusedBeforeAllocating: a one-filter 301×301 same
+// convolution after a 3×3 one holds 96,100 bordered input elements, inside
+// search.MaxActivations, but computes its input gradient through a block of
+// 100·301·301 patch gradients (nn.Conv2DOf.InputGradBlock), which training
+// at batch 8 allocated at 151.9 MB. It fails Space.Build naming the node,
+// the op and the bound, having allocated at most 1 MiB. As the first layer
+// it computes no input gradient, holds no block, and builds.
+func TestInputGradientBlockRefusedBeforeAllocating(t *testing.T) {
+	const big = `{"name": "big", "ops": [{"type": "conv2d", "filters": 1, "kernel": 301, "padding": "same"}]}`
+	spec := func(nodes string) string {
+		return `{"name": "bomb", "input": [10, 10, 1], "output_units": 10, "nodes": [` + nodes + `]}`
+	}
+	build := func(nodes string, arch search.Arch) error {
+		app, err := apps.New("mnist", 1, apps.Config{Data: data.Config{TrainN: 16, ValN: 8}, SpaceJSON: spec(nodes)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err = app.Space.Build(arch, rand.New(rand.NewSource(1)))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+				t.Fatalf("Build allocated %d bytes before refusing", d)
+			}
+		}
+		return err
+	}
+	want := `node "big" choice "Conv2D(1, 301x301, same)": 9060100 input-gradient elements in one block pass the bound of 131072 (search.MaxActivations)`
+	err := build(`{"name": "small", "ops": [{"type": "conv2d", "filters": 1, "kernel": 3, "padding": "same"}]}, `+big, search.Arch{0, 0})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Build: %v, want %q", err, want)
+	}
+	if err := build(big, search.Arch{0}); err != nil {
+		t.Fatalf("the same convolution as the first layer: %v", err)
+	}
+}

@@ -13,8 +13,9 @@ import (
 // size is what a part of a network holds: trainable parameters and per-sample
 // activation elements (every layer's output elements and every same-padded
 // convolution's bordered input copy, summed), the two quantities
-// search.MaxParams and search.MaxActivations bound.
-type size struct{ params, acts int }
+// search.MaxParams and search.MaxActivations bound, and the largest
+// input-gradient block of its convolutions, which MaxActivations bounds too.
+type size struct{ params, acts, block int }
 
 func netSize(net *nn.Network) size {
 	s := size{params: net.ParamCount()}
@@ -35,6 +36,7 @@ func netSize(net *nn.Network) size {
 			if h, w, copied := conv.BorderedInput(); copied {
 				s.acts += h * w * conv.InC
 			}
+			s.block = max(s.block, conv.InputGradBlock())
 		}
 	}
 	return s
@@ -142,9 +144,14 @@ func TestSizeBoundsCoverBuiltInSpaces(t *testing.T) {
 		}
 		p := largest(t, app, func(s size) int { return s.params })
 		a := largest(t, app, func(s size) int { return s.acts })
-		t.Logf("%s: largest candidate %d parameters, %d activation elements", name, p, a)
-		if 2*p > search.MaxParams || 2*a > search.MaxActivations {
-			t.Errorf("%s: bounds %d parameters, %d activations are not twice the largest candidate", name, search.MaxParams, search.MaxActivations)
+		// The largest block of any convolution a candidate holds, in any
+		// position: every op is built on every frontier shape it is reached
+		// with. A first layer's counts, though it computes no input gradient.
+		blk := 0
+		largest(t, app, func(s size) int { blk = max(blk, s.block); return 0 })
+		t.Logf("%s: largest candidate %d parameters, %d activation elements; largest input-gradient block %d", name, p, a, blk)
+		if 2*p > search.MaxParams || 2*a > search.MaxActivations || 2*blk > search.MaxActivations {
+			t.Errorf("%s: bounds %d parameters, %d activations are not twice the largest candidate and block", name, search.MaxParams, search.MaxActivations)
 		}
 		rng := rand.New(rand.NewSource(2))
 		for i := 0; i < 20; i++ {
@@ -152,8 +159,8 @@ func TestSizeBoundsCoverBuiltInSpaces(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s := netSize(net); s.params > p || s.acts > a {
-				t.Fatalf("%s: a random candidate holds %+v, over the measured largest (%d, %d)", name, s, p, a)
+			if s := netSize(net); s.params > p || s.acts > a || s.block > blk {
+				t.Fatalf("%s: a random candidate holds %+v, over the measured largest (%d, %d, %d)", name, s, p, a, blk)
 			}
 		}
 	}

@@ -4,7 +4,9 @@
 package evo
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"swtnas/internal/search"
@@ -90,17 +92,71 @@ func NewRegularizedEvolution(space *search.Space, n, s int) *RegularizedEvolutio
 
 // Propose returns a random candidate while the population is filling, and a
 // single-node mutation of the parent selected among S sampled individuals
-// afterwards.
+// afterwards. It is a Draft with no pending candidate, finished at once.
 func (s *RegularizedEvolution) Propose(rng *rand.Rand) Proposal {
+	return s.Draft(rng, nil).Finish(rng)
+}
+
+// Draft is a proposal drawn as far as the population allows: its random
+// architecture, or its sample of S members. Finish makes the remaining
+// draws once every pending member it sampled (Waits) has reported.
+type Draft struct {
+	s      *RegularizedEvolution
+	random search.Arch  // drawn while the population fills
+	sample []Individual // the sampled members in draw order; a pending one holds only its ID
+	waits  []int        // the pending members in sample
+}
+
+// Draft draws the next proposal against the population as it will stand once
+// the pending candidates (issued, not yet reported, in the order they will
+// report) have joined it: each counts as a member whose score is not yet
+// known. With no pending candidate it takes Propose's draws; with some, it
+// takes the draws Propose would take after they had all reported.
+func (s *RegularizedEvolution) Draft(rng *rand.Rand, pending []int) *Draft {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.pop) < s.N {
-		return Proposal{Arch: s.space.Random(rng), ParentID: -1}
+	d := &Draft{s: s}
+	n := len(s.pop) + len(pending)
+	if n < s.N {
+		d.random = s.space.Random(rng)
+		return d
 	}
-	// Sample S distinct individuals (Algorithm 1 line 6).
-	sample := make([]Individual, s.S)
-	for i, idx := range rng.Perm(len(s.pop))[:s.S] {
-		sample[i] = s.pop[idx]
+	// Sample S distinct individuals (Algorithm 1 line 6) of the N youngest:
+	// the oldest n-N age out as the pending candidates report.
+	off := n - s.N
+	d.sample = make([]Individual, s.S)
+	for i, idx := range rng.Perm(s.N)[:s.S] {
+		if j := off + idx; j < len(s.pop) {
+			d.sample[i] = s.pop[j]
+		} else {
+			d.sample[i] = Individual{ID: pending[j-len(s.pop)]}
+			d.waits = append(d.waits, d.sample[i].ID)
+		}
+	}
+	return d
+}
+
+// Waits returns the pending candidates the draft sampled, whose reports
+// Finish needs.
+func (d *Draft) Waits() []int { return d.waits }
+
+// Finish completes the proposal with the draws that follow the sample:
+// the parent's choice and its mutation. Every candidate Waits names must
+// have reported, and none but the pending ones since the draft.
+func (d *Draft) Finish(rng *rand.Rand) Proposal {
+	if d.random != nil {
+		return Proposal{Arch: d.random, ParentID: -1}
+	}
+	s := d.s
+	sample := d.sample
+	if len(d.waits) > 0 {
+		s.mu.Lock()
+		for i := range sample {
+			if slices.Contains(d.waits, sample[i].ID) {
+				sample[i] = s.memberLocked(sample[i].ID)
+			}
+		}
+		s.mu.Unlock()
 	}
 	parent := sample[0]
 	if s.pareto {
@@ -120,6 +176,16 @@ func (s *RegularizedEvolution) Propose(rng *rand.Rand) Proposal {
 		child = parent.Arch.Clone()
 	}
 	return Proposal{Arch: child, ParentID: parent.ID}
+}
+
+// memberLocked returns the population member id. Callers hold s.mu.
+func (s *RegularizedEvolution) memberLocked(id int) Individual {
+	for _, ind := range s.pop {
+		if ind.ID == id {
+			return ind
+		}
+	}
+	panic(fmt.Sprintf("evo: candidate %d has not reported", id))
 }
 
 // Report pushes the scored candidate into the population, aging out the

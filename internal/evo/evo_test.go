@@ -164,3 +164,50 @@ func TestEvolutionOnEvict(t *testing.T) {
 		t.Fatalf("population = %d, want 3", s.PopulationSize())
 	}
 }
+
+// TestDraftIsProposeAfterThePendingReport: a draft drawn with candidates
+// pending, finished once they have reported, is the proposal Propose draws
+// after those reports from the same RNG state — the same parent and child,
+// while the population fills and once it is full, for best-score and
+// Pareto parent choice. Every pending member the sample holds is in Waits.
+func TestDraftIsProposeAfterThePendingReport(t *testing.T) {
+	space := toySpace()
+	for _, pareto := range []bool{false, true} {
+		for seed := int64(1); seed <= 40; seed++ {
+			newStrategy := func() *RegularizedEvolution {
+				if pareto {
+					return NewParetoEvolution(space, 4, 2)
+				}
+				return NewRegularizedEvolution(space, 4, 2)
+			}
+			rng := rand.New(rand.NewSource(seed))
+			committed := int(seed % 6) // 0–5 members reported before the draft
+			var inds []Individual
+			for id := 0; id < committed+2; id++ {
+				inds = append(inds, Individual{ID: id, Arch: space.Random(rng), Score: float64(rng.Intn(4)), Params: rng.Intn(3)})
+			}
+			a, b := newStrategy(), newStrategy()
+			for _, ind := range inds[:committed] {
+				a.Report(ind)
+				b.Report(ind)
+			}
+			pending := []int{committed, committed + 1}
+			draw := rand.New(rand.NewSource(seed + 100))
+			d := a.Draft(draw, pending)
+			for _, id := range d.Waits() {
+				if id != committed && id != committed+1 {
+					t.Fatalf("seed %d: waits on %d, which is not pending", seed, id)
+				}
+			}
+			for _, ind := range inds[committed:] {
+				a.Report(ind)
+				b.Report(ind)
+			}
+			got := d.Finish(draw)
+			want := b.Propose(rand.New(rand.NewSource(seed + 100)))
+			if got.ParentID != want.ParentID || search.Distance(got.Arch, want.Arch) != 0 {
+				t.Fatalf("pareto=%v seed %d: draft gives %+v, Propose %+v", pareto, seed, got, want)
+			}
+		}
+	}
+}

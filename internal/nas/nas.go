@@ -329,7 +329,8 @@ type Config struct {
 	// Store defaults to an in-memory store.
 	Store checkpoint.Store
 	// Workers is the evaluator-pool size (the per-node GPU count of the
-	// paper's Ray setup); defaults to 1.
+	// paper's Ray setup); defaults to 1. It fixes what a seed means: how
+	// many results may be outstanding when a proposal is drawn.
 	Workers int
 	// KernelWorkers caps the intra-candidate compute-kernel parallelism:
 	// it sets the process-wide internal/parallel pool limit before the
@@ -340,16 +341,19 @@ type Config struct {
 	// When 0 and Workers > 1, the private pool's core split sets the limit
 	// to max(1, GOMAXPROCS/Workers) for the duration of the run (restoring
 	// the previous limit when the pool closes), unless the SWTNAS_WORKERS
-	// environment variable pins an explicit pool size. When 0 with a
-	// single evaluator the current setting is left untouched; the kernel
-	// pool's caller-runs handoff keeps oversubscription safe either way.
+	// environment variable pins an explicit pool size. With a single
+	// evaluator the limit is left where it is; on the private pool and with
+	// no Resume it is also the search's cores, spent on lookahead (Run): up
+	// to that many small candidates run at once. The kernel pool's
+	// caller-runs handoff keeps oversubscription safe either way.
 	KernelWorkers int
 	// Budget is the number of candidates to evaluate.
 	Budget int
 	// Seed drives proposals and per-candidate seeds.
 	Seed int64
 	// Progress, when non-nil, is invoked from the scheduler goroutine for
-	// every completed candidate, in completion order, after the result has
+	// every completed candidate, in commit order (completion order, or id
+	// order under lookahead), after the result has
 	// been recorded in the trace (CompletedAt and the running BestScore
 	// are already set, so callers can implement whole-search early
 	// stopping by cancelling the context when BestScore plateaus). On a
@@ -422,10 +426,22 @@ func SchemeName(m core.Matcher) string {
 // Result.Err): it becomes a Failed trace record and the search continues
 // without it.
 //
+// A one-evaluator search on Run's own pool, drawing from
+// *evo.RegularizedEvolution without a Prefilter and not resuming a journal,
+// looks ahead: while earlier candidates train it draws the next proposal
+// against the population as they will leave it, starts it on an idle core
+// when its sample holds none of them (and the trainable state in flight
+// stays within lookaheadState), and holds it otherwise. Results commit in
+// id order, and a failure that commits with later proposals drawn
+// withdraws them and rewinds the search RNG, so the search is the
+// one-at-a-time loop's at any core count (DESIGN.md §8).
+//
 // Cancelling ctx stops the search promptly: evaluations in flight stop at
 // the next minibatch boundary (their partial candidates are dropped, not
 // recorded), queued tasks are skipped, and Run returns the partial trace of
-// every candidate completed before cancellation together with ctx.Err().
+// every candidate completed before cancellation together with ctx.Err()
+// (under lookahead, the id-order prefix of them; later ones are dropped
+// with their checkpoints).
 // All evaluator goroutines have stopped evaluating by the time Run returns.
 // An executor that cancels tasks itself (a pool closed under the search)
 // ends the search the same way, with the tasks' context error.
@@ -459,18 +475,32 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	if cfg.KernelWorkers > 0 {
 		parallel.SetWorkers(cfg.KernelWorkers)
 	}
+	strategy := cfg.Strategy
+	if strategy == nil {
+		strategy = evo.NewRegularizedEvolution(cfg.App.Space, 0, 0)
+	}
+	// Lookahead (DESIGN.md §8): a one-evaluator search on its own pool,
+	// drawing from regularized evolution and not resuming a journal, runs
+	// later candidates on idle cores whenever their proposals are already
+	// fixed, and commits in id order. A search's cores are its kernel limit;
+	// at one core nothing runs ahead.
+	ahead, _ := strategy.(*evo.RegularizedEvolution)
+	if workers > 1 || cfg.Executor != nil || cfg.Prefilter != nil || cfg.Resume != nil {
+		ahead = nil
+	}
+	cores := parallel.Workers()
+	slots := workers
+	if ahead != nil {
+		slots = min(cores, cfg.Budget)
+	}
 	exec := cfg.Executor
 	if exec == nil {
 		// The pool's core split is scoped to the run (Close restores the
 		// limit); an explicit KernelWorkers stays pinned, as documented, and a
 		// lone evaluator leaves the limit alone.
-		pool := newSharedPool(PoolConfig{Workers: workers}, workers > 1 && cfg.KernelWorkers <= 0)
+		pool := newSharedPool(PoolConfig{Workers: slots}, workers > 1 && cfg.KernelWorkers <= 0)
 		defer pool.Close()
 		exec, _ = pool.Register(ClientConfig{Concurrency: workers}) // a fresh pool has no quota to refuse
-	}
-	strategy := cfg.Strategy
-	if strategy == nil {
-		strategy = evo.NewRegularizedEvolution(cfg.App.Space, 0, 0)
 	}
 
 	// Checkpoint GC: eviction from an aging population is the signal that a
@@ -483,7 +513,8 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		st.OnEvict = func(ind evo.Individual) { gc.evict(ind.ID) }
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	src := newCountingSource(cfg.Seed)
+	rng := rand.New(src)
 	tr := &trace.Trace{App: cfg.App.Name, Scheme: SchemeName(cfg.Matcher), Seed: cfg.Seed}
 
 	// Proxy admission filter: wrap the strategy so the loop sees the filtered
@@ -502,7 +533,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	}
 
 	eval := &Evaluator{App: cfg.App, Matcher: cfg.Matcher, Store: store, DType: cfg.DType}
-	results := make(chan Result, workers)
+	results := make(chan Result, slots)
 
 	// Crash resume: while journal records remain they are the loop's
 	// completions, in the order the crashed run recorded them, and nothing is
@@ -524,23 +555,66 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		}
 		manifests.VerifyManifests(mfs, parallel.Workers())
 	}
-	open := map[int]Task{} // issued, not yet completed
+	open := map[int]Task{} // issued, not yet committed
 	var held []int         // issued while replaying, in issue order
 	issued := 0
+	// Lookahead state. A result waits in done until every earlier candidate
+	// has committed (next is the first that has not); marks[id] is the search
+	// RNG's draw count before id's proposal; draft is a proposal held on the
+	// pending candidates it sampled, ready one held on lookaheadState;
+	// cancels withdraws a running task; gap is the first candidate a
+	// cancellation lost, after which nothing commits.
+	var (
+		done    = map[int]Result{}
+		next    int
+		marks   []uint64
+		draft   *evo.Draft
+		ready   *evo.Proposal // draft finished, held on the state bound
+		params  []int         // committed candidates' parameter counts, by id
+		sum     int           // of params
+		cancels = map[int]context.CancelFunc{}
+		gap     = cfg.Budget
+	)
+	defer func() {
+		for _, cancel := range cancels {
+			cancel()
+		}
+	}()
+	best, scored := 0.0, false
+	// A task's context error — ctx's, or the executor's own (a pool closed
+	// under the search) — stops issuing; Run drains and returns it.
+	var cancelled error
+	start := time.Now()
+	// state is the trainable state lookahead counts a candidate at
+	// (lookaheadState): its parent's parameters for a mutation, the mean of
+	// the committed candidates' for a random proposal.
+	state := func(parentID int) int {
+		n := 0
+		switch {
+		case parentID >= 0:
+			n = params[parentID]
+		case len(params) > 0:
+			n = sum / len(params)
+		}
+		return 4 * n * cfg.DType.Size()
+	}
 	submit := func(t Task) {
 		t.IssuedAt = time.Now()
-		exec.Submit(ctx, t, eval.EvaluateCtx, results)
-	}
-	// issue draws the next proposal, up to the budget, and pins its provider's
-	// checkpoint until the candidate completes.
-	issue := func() {
-		if issued >= cfg.Budget {
-			return
+		tctx := ctx
+		if ahead != nil {
+			tctx, cancels[t.ID] = context.WithCancel(ctx)
 		}
-		p := strategy.Propose(rng)
+		exec.Submit(tctx, t, eval.EvaluateCtx, results)
+	}
+	// issue makes p the next task and pins its provider's checkpoint until
+	// the candidate completes.
+	issue := func(p evo.Proposal) {
 		gc.taskIssued(p.ParentID)
 		t := Task{ID: issued, Arch: p.Arch, ParentID: p.ParentID, Seed: TaskSeed(cfg.Seed, issued), ProxyScore: p.ProxyScore}
 		issued++
+		if ahead != nil && len(open) > len(done) {
+			mAhead.Inc()
+		}
 		open[t.ID] = t
 		if len(replay) > 0 {
 			held = append(held, t.ID)
@@ -548,45 +622,96 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 			submit(t)
 		}
 	}
-
-	best, scored := 0.0, false
-	// A task's context error — ctx's, or the executor's own (a pool closed
-	// under the search) — stops issuing; Run drains and returns it.
-	var cancelled error
-	start := time.Now()
-	for i := 0; i < workers; i++ {
-		issue()
-	}
-	// Every issued task is drained: outstanding results are bounded by the
-	// worker count (one new task per completion), so the buffered channels
-	// never block and no evaluator goroutine is left holding a result when
-	// Run returns.
-	for len(open) > 0 {
-		var res Result
-		var manifest []byte
-		if len(replay) > 0 {
-			res, manifest = Result{Record: replay[0].Record, Resumed: true}, replay[0].Manifest
-			replay = replay[1:]
-			mCandResumed.Inc()
-		} else {
-			res = <-results
-		}
-		t, ok := open[res.ID]
-		switch {
-		case !ok && res.Resumed:
-			return nil, fmt.Errorf("nas: journal candidate %d is not in the replayed schedule — journal and run options disagree", res.ID)
-		case !ok:
-			return nil, fmt.Errorf("nas: executor returned candidate %d, which is not in flight", res.ID)
-		case res.Resumed && !slices.Equal([]int(t.Arch), res.Arch):
-			return nil, fmt.Errorf("nas: journal candidate %d has arch %v, replay proposed %v — journal and run options disagree", res.ID, res.Arch, t.Arch)
-		}
-		if res.Err != nil && !res.Failed {
-			if errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded) {
-				delete(open, res.ID)
-				cancelled = res.Err
-				continue // cancelled mid-training or skipped in queue; keep draining
+	// fill issues proposals while the issue rule allows, up to the budget and
+	// until a task is cancelled (a replay issues regardless: its tasks are the
+	// journal's). Without lookahead at most Workers tasks are open. With it,
+	// up to cores candidates run, each proposal drawn against the population
+	// as it will stand when the open ones commit; one that sampled an open
+	// candidate is held until that one commits, and one whose trainable
+	// state would not fit beside the running ones until they finish.
+	fill := func() {
+		for issued < cfg.Budget && (len(replay) > 0 || (ctx.Err() == nil && cancelled == nil)) {
+			if ahead == nil {
+				if len(open) >= workers {
+					return
+				}
+				issue(strategy.Propose(rng))
+				continue
 			}
-			return nil, res.Err
+			if draft == nil {
+				if len(open)-len(done) >= cores {
+					return
+				}
+				marks = append(marks, src.draws)
+				pending := make([]int, 0, issued-next)
+				for id := next; id < issued; id++ {
+					pending = append(pending, id)
+				}
+				if draft = ahead.Draft(rng, pending); len(draft.Waits()) > 0 {
+					mWaited.Inc()
+				}
+			}
+			if w := draft.Waits(); len(w) > 0 && slices.Max(w) >= next {
+				return
+			}
+			if ready == nil {
+				p := draft.Finish(rng)
+				ready = &p
+			}
+			if len(open) > len(done) {
+				inFlight := state(ready.ParentID)
+				for id, t := range open {
+					if _, ok := done[id]; !ok {
+						inFlight += state(t.ParentID)
+					}
+				}
+				if inFlight > lookaheadState {
+					return
+				}
+			}
+			issue(*ready)
+			draft, ready = nil, nil
+		}
+	}
+	// drop discards a lookahead result that will never commit, and the
+	// checkpoint it saved.
+	drop := func(r Result) {
+		gc.taskDone(open[r.ID].ParentID)
+		delete(open, r.ID)
+		delete(done, r.ID)
+		if r.Err == nil {
+			store.Delete(CandidateID(r.ID)) //nolint:errcheck // best effort, like the GC's sweep
+		}
+	}
+	// withdraw takes back every candidate from id on, and the proposal held
+	// for the next: a pending candidate failed, so each was drawn against a
+	// population it never joined. Their tasks are cancelled and drained, what
+	// they saved is deleted, and the search RNG is rewound to before id's
+	// proposal, so that the next proposal is the one the search draws once
+	// the failure has committed.
+	withdraw := func(id int) {
+		for _, cancel := range cancels {
+			cancel()
+		}
+		for running := len(open) - len(done); running > 0; running-- {
+			r := <-results
+			delete(cancels, r.ID)
+			done[r.ID] = r
+		}
+		for _, r := range done {
+			drop(r)
+			mRewound.Inc()
+		}
+		src.rewind(marks[id])
+		marks, issued, draft, ready = marks[:id], id, nil, nil
+	}
+
+	// commit records one completed candidate: strategy report, trace record,
+	// journal append, GC sweep and Progress, in that order.
+	commit := func(res Result, manifest []byte) error {
+		t := open[res.ID]
+		if res.Err != nil && !res.Failed {
+			return res.Err
 		}
 		if !res.Resumed {
 			// The task's identity is the scheduler's: an executor's error
@@ -599,6 +724,10 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		}
 		delete(open, res.ID)
 		gc.taskDone(res.ParentID)
+		if ahead != nil {
+			params = append(params, res.Params) // commits are in id order
+			sum += res.Params
+		}
 		// The failure rule, the same for every executor and for a journaled
 		// failure: the candidate spent its budget slot and is recorded, and
 		// the search goes on without it.
@@ -623,18 +752,18 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 			// the sweep below deletes that candidate at the same point the
 			// crashed run did, so the missing checkpoint can never be needed.
 			if err := manifests.AdoptManifest(CandidateID(res.ID), manifest); err != nil && !(gc != nil && errors.Is(err, checkpoint.ErrMissingBlob)) {
-				return nil, fmt.Errorf("nas: restoring journaled checkpoint %d: %w", res.ID, err)
+				return fmt.Errorf("nas: restoring journaled checkpoint %d: %w", res.ID, err)
 			}
 		case !res.Resumed && cfg.Journal != nil:
 			rec := resilience.EvalRecord{Record: res.Record}
 			if !res.Failed {
 				var err error
 				if rec.Manifest, err = manifests.EncodedManifest(CandidateID(res.ID)); err != nil {
-					return nil, fmt.Errorf("nas: journaling candidate %d: %w", res.ID, err)
+					return fmt.Errorf("nas: journaling candidate %d: %w", res.ID, err)
 				}
 			}
 			if err := cfg.Journal.Append(rec); err != nil {
-				return nil, fmt.Errorf("nas: journaling candidate %d: %w", res.ID, err)
+				return fmt.Errorf("nas: journaling candidate %d: %w", res.ID, err)
 			}
 		}
 		// Sweep after the journal step: the candidate just recorded is never
@@ -652,9 +781,70 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 			}
 			start = time.Now()
 		}
-		if len(replay) > 0 || (ctx.Err() == nil && cancelled == nil) {
-			issue()
+		return nil
+	}
+
+	fill()
+	// Every issued task is drained: outstanding results are bounded by the
+	// slot count, so the buffered channels never block and no evaluator
+	// goroutine is left holding a result when Run returns.
+	for len(open) > 0 {
+		var res Result
+		var manifest []byte
+		if len(replay) > 0 {
+			res, manifest = Result{Record: replay[0].Record, Resumed: true}, replay[0].Manifest
+			replay = replay[1:]
+			mCandResumed.Inc()
+		} else {
+			res = <-results
 		}
+		t, ok := open[res.ID]
+		switch {
+		case !ok && res.Resumed:
+			return nil, fmt.Errorf("nas: journal candidate %d is not in the replayed schedule — journal and run options disagree", res.ID)
+		case !ok:
+			return nil, fmt.Errorf("nas: executor returned candidate %d, which is not in flight", res.ID)
+		case res.Resumed && !slices.Equal([]int(t.Arch), res.Arch):
+			return nil, fmt.Errorf("nas: journal candidate %d has arch %v, replay proposed %v — journal and run options disagree", res.ID, res.Arch, t.Arch)
+		}
+		if cancel := cancels[res.ID]; cancel != nil {
+			cancel()
+			delete(cancels, res.ID)
+		}
+		switch {
+		case res.Err != nil && !res.Failed && (errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded)):
+			// Cancelled mid-training or skipped in queue; keep draining. With
+			// lookahead only the id-order prefix before it commits.
+			delete(open, res.ID)
+			cancelled = res.Err
+			gap = min(gap, res.ID)
+			for id, r := range done {
+				if id > gap {
+					drop(r)
+				}
+			}
+		case ahead == nil:
+			if err := commit(res, manifest); err != nil {
+				return nil, err
+			}
+		case res.ID > gap:
+			drop(res)
+		default:
+			// The reorder buffer: commit strictly in id order. A failure that
+			// commits with later proposals drawn withdraws them.
+			done[res.ID] = res
+			for r, ok := done[next]; ok; r, ok = done[next] {
+				delete(done, next)
+				next++
+				if err := commit(r, nil); err != nil {
+					return nil, err
+				}
+				if r.Failed && len(marks) > next {
+					withdraw(next)
+				}
+			}
+		}
+		fill()
 	}
 	if err := cmp.Or(ctx.Err(), cancelled); err != nil && len(tr.Records) < cfg.Budget {
 		return tr, err

@@ -273,6 +273,14 @@ func (c *Conv2DOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
 // max(outH·outW, blockRows) rows at most, whatever the batch.
 const blockRows = 64
 
+// InputGradBlock returns the element count of one shard's col2im block at
+// the largest strip any batch gives: max(1, blockRows/(outH·outW)) samples of
+// outH·outW·KH·KW·InC patch gradients. OutShape sets what it reads.
+func (c *Conv2DOf[T]) InputGradBlock() int {
+	hw := c.outH * c.outW
+	return max(1, blockRows/hw) * hw * c.kdim()
+}
+
 // col2im computes the input gradient, sharded over the batch's input rows,
 // each written by one shard. A shard takes its rows a strip of samples at a
 // time: dOut·Wᵀ for the output rows they receive from goes into its block —

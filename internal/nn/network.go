@@ -100,6 +100,13 @@ func (n *NetworkOf[T]) Add(l LayerOf[T], inputs ...InputRef) (InputRef, error) {
 	return InputRef(n.output), nil
 }
 
+// Live reports whether a gradient flows back through ref: it is a node that
+// has parameters or one upstream of it does. A layer consuming only refs
+// that are not live (graph inputs among them) computes no input gradient.
+func (n *NetworkOf[T]) Live(ref InputRef) bool {
+	return !ref.isGraphInput() && int(ref) < len(n.nodes) && n.nodes[ref].live
+}
+
 // MustAdd is Add for statically known-valid graphs; it panics on error.
 func (n *NetworkOf[T]) MustAdd(l LayerOf[T], inputs ...InputRef) InputRef {
 	ref, err := n.Add(l, inputs...)

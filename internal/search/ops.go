@@ -92,6 +92,9 @@ func OpConv2D(filters, kernel int, pad nn.Padding, l2 float64) Op {
 			if err := b.admit(mul(mul(kernel, kernel, shape[2])+1, filters), bordered(conv), mul(out...)); err != nil {
 				return 0, err
 			}
+			if err := b.gradBlock(ref, conv.InputGradBlock()); err != nil {
+				return 0, err
+			}
 			return b.Add(nn.NewConv2D(b.FreshName("conv2d"), kernel, kernel, shape[2], filters, pad, l2, b.RNG), ref)
 		},
 	}
@@ -115,6 +118,9 @@ func OpConv1D(filters, kernel int, pad nn.Padding, l2 float64) Op {
 			conv := &nn.Conv1D{Conv2DOf: nn.Conv2D{KH: 1, KW: kernel, InC: shape[1], OutC: filters, Pad: pad}}
 			out, _ := conv.OutShape([][]int{shape})
 			if err := b.admit(mul(mul(kernel, shape[1])+1, filters), bordered(&conv.Conv2DOf), mul(out...)); err != nil {
+				return 0, err
+			}
+			if err := b.gradBlock(ref, conv.InputGradBlock()); err != nil {
 				return 0, err
 			}
 			return b.Add(nn.NewConv1D(b.FreshName("conv1d"), kernel, shape[1], filters, pad, l2, b.RNG), ref)

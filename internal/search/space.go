@@ -195,7 +195,9 @@ func (s *Space) Build(arch Arch, rng *rand.Rand) (*nn.Network, error) {
 // checks both totals before it constructs them (Builder.Dense and the
 // convolution and batch-norm ops), and Builder.Add checks the activations of
 // every layer, so a candidate over either bound fails to build without
-// allocating it. Each is at least twice the largest candidate of the four
+// allocating it. MaxActivations also bounds the one block of patch gradients
+// a convolution computes its input gradient through (Builder.gradBlock).
+// Each is at least twice the largest candidate (and block) of the four
 // built-in spaces at default data sizes (TestSizeBoundsCoverBuiltInSpaces).
 const (
 	MaxParams      = 1 << 22
@@ -233,6 +235,18 @@ func (b *Builder) admit(params, scratch, outElems int) error {
 	}
 	b.acts += scratch
 	return b.fits(outElems)
+}
+
+// gradBlock refuses a convolution on ref whose input-gradient block — the
+// patch gradients of one strip of samples, elems of them
+// (nn.Conv2DOf.InputGradBlock), which each kernel shard holds — exceeds
+// MaxActivations. A convolution whose input leads back to no parameter
+// computes no input gradient, and holds no block.
+func (b *Builder) gradBlock(ref nn.InputRef, elems int) error {
+	if b.Net.Live(ref) && elems > MaxActivations {
+		return fmt.Errorf("%d input-gradient elements in one block pass the bound of %d (search.MaxActivations)", elems, MaxActivations)
+	}
+	return nil
 }
 
 // bordered is the per-sample element count of the bordered input copy conv,

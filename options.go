@@ -19,14 +19,21 @@ type SearchOptions struct {
 	Budget int
 	// Workers sizes the parallel evaluator pool (default 1). With Pool set
 	// it instead caps how many of the shared pool's slots this search uses
-	// at once.
+	// at once. It fixes what a seed means: how many results may be
+	// outstanding when a proposal is drawn. At 1 the search is
+	// bit-reproducible at any KernelWorkers (DESIGN.md §8).
 	Workers int
 	// KernelWorkers caps the intra-candidate compute-kernel parallelism
 	// (the process-wide worker pool the Conv/Dense kernels shard batches
 	// across). 0 keeps the current setting: the SWTNAS_WORKERS
 	// environment variable when set, GOMAXPROCS otherwise. When Workers
 	// evaluators run concurrently, KernelWorkers ≈ cores/Workers
-	// partitions the machine between them.
+	// partitions the machine between them. A one-evaluator search without
+	// Pool, a proxy filter or Resume spends these cores on lookahead: up to
+	// that many candidates whose proposals are already fixed, and whose
+	// weights and optimizer state together stay small, train at once, and
+	// results commit in id order, so the cores decide only how fast the
+	// search runs.
 	KernelWorkers int
 	// Seed drives the search; DataSeed the synthetic dataset (defaults
 	// to Seed).
