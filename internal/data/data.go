@@ -236,7 +236,7 @@ var unoDims = []int{1, 48, 96, 64}
 
 // UnoLike generates the multi-source drug-response regression stand-in:
 // four input groups feeding a nonlinear random teacher, plus observation
-// noise that bounds the reachable R². Defaults: 384 train / 96 val.
+// noise that bounds the reachable R². Defaults: 512 train / 128 val.
 func UnoLike(seed int64, cfg Config) *Dataset {
 	rng := rand.New(rand.NewSource(seed))
 	tr, va := cfg.sizes(512, 128)

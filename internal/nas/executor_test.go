@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"swtnas/internal/core"
 	"swtnas/internal/evo"
 	"swtnas/internal/nas"
+	"swtnas/internal/obs"
 	"swtnas/internal/resilience"
 	"swtnas/internal/tensor"
 	"swtnas/internal/trace"
@@ -28,19 +31,33 @@ var executors = []struct {
 	attach func(t *testing.T, cfg *nas.Config, failID int)
 }{
 	{"local", func(*testing.T, *nas.Config, int) {}},
-	{"pool", attachPool},
+	{"pool", attachPool(1)},
 	{"coordinator", attachCoordinator},
 }
 
-func attachPool(t *testing.T, cfg *nas.Config, _ int) {
-	p := nas.NewSharedPool(nas.PoolConfig{Workers: 1})
-	t.Cleanup(p.Close)
-	client, err := p.Register(nas.ClientConfig{Tenant: "t", Concurrency: 1})
-	if err != nil {
-		t.Fatal(err)
+// lookaheadPools are shared pools of 2 and 4 slots, on which a
+// one-evaluator client looks ahead.
+var lookaheadPools = []struct {
+	name   string
+	attach func(t *testing.T, cfg *nas.Config, failID int)
+}{
+	{"pool-2", attachPool(2)},
+	{"pool-4", attachPool(4)},
+}
+
+// attachPool makes cfg a one-evaluator client of a SharedPool of the given
+// slots.
+func attachPool(slots int) func(*testing.T, *nas.Config, int) {
+	return func(t *testing.T, cfg *nas.Config, _ int) {
+		p := nas.NewSharedPool(nas.PoolConfig{Workers: slots})
+		t.Cleanup(p.Close)
+		client, err := p.Register(nas.ClientConfig{Tenant: "t", Concurrency: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(client.Close)
+		cfg.Executor = client
 	}
-	t.Cleanup(client.Close)
-	cfg.Executor = client
 }
 
 // attachCoordinator serves a coordinator on a loopback port with one
@@ -94,21 +111,28 @@ func searchConfig(t *testing.T, matcher core.Matcher, dt tensor.DType) nas.Confi
 
 // TestExecutorsProduceIdenticalTraces is the executor-equivalence contract:
 // one config and seed give the bit-identical trace — architectures, parents,
-// scores, transferred tensors, top-K — wherever the evaluations run. Rank
-// fidelity is the repo's scorecard, so a seed must rank the same on every
-// executor.
+// scores, transferred tensors, top-K — wherever the evaluations run, and
+// however many of a shared pool's slots a one-evaluator client looks ahead
+// on. Rank fidelity is the repo's scorecard, so a seed must rank the same on
+// every executor.
 func TestExecutorsProduceIdenticalTraces(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	ahead := obs.GetCounter("nas.lookahead.ahead")
 	for _, dt := range []tensor.DType{tensor.F64, tensor.F32} {
 		for _, matcher := range []core.Matcher{core.LCS{}, nil} {
 			var ref *trace.Trace
-			for _, ex := range executors {
+			for _, ex := range slices.Concat(executors, lookaheadPools) {
 				label := fmt.Sprintf("%s/%s/%s", dt, nas.SchemeName(matcher), ex.name)
 				t.Run(label, func(t *testing.T) {
 					cfg := searchConfig(t, matcher, dt)
 					ex.attach(t, &cfg, -1)
+					before := ahead.Value()
 					tr, err := nas.Run(context.Background(), cfg)
 					if err != nil {
 						t.Fatal(err)
+					}
+					if strings.HasPrefix(ex.name, "pool-") && ahead.Value() == before {
+						t.Fatal("the client never ran a candidate ahead")
 					}
 					if ref == nil {
 						ref = tr

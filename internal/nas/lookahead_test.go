@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"swtnas/internal/apps"
@@ -49,16 +50,35 @@ type lookaheadRun struct {
 	dir     string
 	err     error
 
-	ahead, waited, rewound, issued int64
+	lookaheadCounts
 }
 
-// runLookahead runs c at the given cores (KernelWorkers), restoring the
-// kernel limit afterwards. progress, when non-nil, is the run's Progress;
-// it receives the context's cancel.
-func runLookahead(t *testing.T, c lookaheadCase, cores int, progress func(context.CancelFunc, Result)) lookaheadRun {
+// lookaheadCounts are the lookahead counters and the pool's issued tasks.
+type lookaheadCounts struct{ ahead, waited, rewound, issued int64 }
+
+func countsNow() lookaheadCounts {
+	return lookaheadCounts{mAhead.Value(), mWaited.Value(), mRewound.Value(), mPoolSubmitted.Value()}
+}
+
+func (n lookaheadCounts) since(before lookaheadCounts) lookaheadCounts {
+	return lookaheadCounts{n.ahead - before.ahead, n.waited - before.waited, n.rewound - before.rewound, n.issued - before.issued}
+}
+
+// lookaheadSearch is c set up to run: its config, with a journal on a disk
+// store under dir, and the context its progress may cancel.
+type lookaheadSearch struct {
+	c      lookaheadCase
+	cfg    Config
+	ctx    context.Context
+	cancel context.CancelFunc
+	j      *resilience.Journal
+	dir    string
+}
+
+// newLookaheadSearch sets c up on Run's own pool. progress, when non-nil,
+// is the run's Progress; it receives the context's cancel.
+func newLookaheadSearch(t *testing.T, c lookaheadCase, progress func(context.CancelFunc, Result)) *lookaheadSearch {
 	t.Helper()
-	defer parallel.SetWorkers(parallel.Workers())
-	defer obs.SetEnabled(obs.SetEnabled(true))
 	app := tinyApp(t, c.app)
 	if c.scale != 0 {
 		scaleInputs(app, c.scale)
@@ -68,8 +88,7 @@ func runLookahead(t *testing.T, c lookaheadCase, cores int, progress func(contex
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "run.swtj")
-	j, err := resilience.Create(path, resilience.Header{App: app.Name, Budget: c.budget})
+	j, err := resilience.Create(filepath.Join(dir, "run.swtj"), resilience.Header{App: app.Name, Budget: c.budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,39 +97,97 @@ func runLookahead(t *testing.T, c lookaheadCase, cores int, progress func(contex
 	if c.pareto {
 		st = evo.NewParetoEvolution(app.Space, pop, 2)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := Config{
+	s := &lookaheadSearch{c: c, j: j, dir: dir}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
+	t.Cleanup(s.cancel)
+	s.cfg = Config{
 		App: app, DType: c.dt, Matcher: core.LCS{}, Strategy: st, Store: store,
-		Budget: c.budget, Seed: c.seed, Journal: j, RetainTopK: c.retain, KernelWorkers: cores,
+		Budget: c.budget, Seed: c.seed, Journal: j, RetainTopK: c.retain,
 	}
 	if progress != nil {
-		cfg.Progress = func(r Result) { progress(cancel, r) }
+		s.cfg.Progress = func(r Result) { progress(s.cancel, r) }
 	}
-	ahead, waited, rewound, issued := mAhead.Value(), mWaited.Value(), mRewound.Value(), mPoolSubmitted.Value()
-	tr, err := Run(ctx, cfg)
-	out := lookaheadRun{tr: tr, store: store, dir: dir, err: err,
-		ahead: mAhead.Value() - ahead, waited: mWaited.Value() - waited,
-		rewound: mRewound.Value() - rewound, issued: mPoolSubmitted.Value() - issued}
+	return s
+}
+
+// finish closes the search's journal and collects what the run left.
+func (s *lookaheadSearch) finish(t *testing.T, tr *trace.Trace, err error, moved lookaheadCounts) lookaheadRun {
+	t.Helper()
 	if tr == nil {
-		t.Fatalf("%s at %d cores: %v", c.label(), cores, err)
+		t.Fatalf("%s: %v", s.c.label(), err)
 	}
-	if err := j.Close(); err != nil {
+	if err := s.j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := resilience.Read(path)
-	if err != nil {
-		t.Fatal(err)
+	rec, rerr := resilience.Read(filepath.Join(s.dir, "run.swtj"))
+	if rerr != nil {
+		t.Fatal(rerr)
 	}
-	out.journal = rec.Records
+	out := lookaheadRun{tr: tr, journal: rec.Records, store: s.cfg.Store.(*checkpoint.CASStore), dir: s.dir, err: err, lookaheadCounts: moved}
 	for i := range out.journal {
 		untimed(&out.journal[i].Record)
 	}
 	for i := range tr.Records {
 		untimed(&tr.Records[i])
 	}
-	out.objects = objectFiles(t, dir)
+	out.objects = objectFiles(t, s.dir)
 	return out
+}
+
+// runLookahead runs c at the given cores (KernelWorkers) on Run's own pool,
+// restoring the kernel limit afterwards. progress, when non-nil, is the
+// run's Progress; it receives the context's cancel.
+func runLookahead(t *testing.T, c lookaheadCase, cores int, progress func(context.CancelFunc, Result)) lookaheadRun {
+	t.Helper()
+	defer parallel.SetWorkers(parallel.Workers())
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	s := newLookaheadSearch(t, c, progress)
+	s.cfg.KernelWorkers = cores
+	before := countsNow()
+	tr, err := Run(s.ctx, s.cfg)
+	return s.finish(t, tr, err, countsNow().since(before))
+}
+
+// runShared runs the cases at once, each a one-evaluator client of one
+// SharedPool of the given slots; progress[i], when non-nil, is case i's. It
+// returns their runs (each with no counters of its own) and the counters
+// they moved together.
+func runShared(t *testing.T, slots int, cases []lookaheadCase, progress ...func(context.CancelFunc, Result)) ([]lookaheadRun, lookaheadCounts) {
+	t.Helper()
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	pool := NewSharedPool(PoolConfig{Workers: slots})
+	defer pool.Close()
+	searches := make([]*lookaheadSearch, len(cases))
+	for i, c := range cases {
+		var p func(context.CancelFunc, Result)
+		if i < len(progress) {
+			p = progress[i]
+		}
+		searches[i] = newLookaheadSearch(t, c, p)
+		client, err := pool.Register(ClientConfig{Tenant: c.label(), Concurrency: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		searches[i].cfg.Executor = client
+	}
+	trs, errs := make([]*trace.Trace, len(cases)), make([]error, len(cases))
+	before := countsNow()
+	var wg sync.WaitGroup
+	for i, s := range searches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			trs[i], errs[i] = Run(s.ctx, s.cfg)
+		}()
+	}
+	wg.Wait()
+	moved := countsNow().since(before)
+	runs := make([]lookaheadRun, len(cases))
+	for i, s := range searches {
+		runs[i] = s.finish(t, trs[i], errs[i], lookaheadCounts{})
+	}
+	return runs, moved
 }
 
 func (c lookaheadCase) label() string {
@@ -353,64 +430,168 @@ func TestLookaheadCancelCommitsPrefix(t *testing.T) {
 // TestLookaheadCrashResumeBitIdentical: a crash can leave a later
 // candidate's checkpoint in the store while an earlier one never finished;
 // the journal holds only the id-order prefix before it. Resuming from that
-// state gives the uninterrupted search, journal and objects included.
+// state gives the uninterrupted search, journal and objects included — on
+// Run's own pool, and with the search a client of a shared one.
 func TestLookaheadCrashResumeBitIdentical(t *testing.T) {
 	const cores = 2
 	c := lookaheadCase{app: "nt3", dt: tensor.F64, budget: 6, seed: 11}
 	full := runLookahead(t, c, cores, nil)
+	runs, moved := runShared(t, cores, []lookaheadCase{c})
+	sameRun(t, full, runs[0], "on a shared pool")
+	if moved.ahead == 0 {
+		t.Fatal("nothing ran ahead on the shared pool")
+	}
 	defer parallel.SetWorkers(parallel.Workers())
-	for k := 0; k < c.budget-1; k++ {
-		dir := t.TempDir()
-		copyTree(t, filepath.Join(full.dir, "blobs"), filepath.Join(dir, "blobs"))
-		// Candidate k never finished; k+1 did; nothing later had started.
-		for id := k; id < c.budget; id++ {
-			if id != k+1 {
-				os.Remove(filepath.Join(dir, "blobs", "manifests", CandidateID(id)+".swtm"))
+	for _, shared := range []bool{false, true} {
+		for k := 0; k < c.budget-1; k++ {
+			dir := t.TempDir()
+			copyTree(t, filepath.Join(full.dir, "blobs"), filepath.Join(dir, "blobs"))
+			// Candidate k never finished; k+1 did; nothing later had started.
+			for id := k; id < c.budget; id++ {
+				if id != k+1 {
+					os.Remove(filepath.Join(dir, "blobs", "manifests", CandidateID(id)+".swtm"))
+				}
 			}
-		}
-		path := filepath.Join(dir, "run.swtj")
-		j, err := resilience.Create(path, resilience.Header{App: "nt3", Budget: c.budget})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, er := range full.journal[:k] {
-			if err := j.Append(er); err != nil {
+			path := filepath.Join(dir, "run.swtj")
+			j, err := resilience.Create(path, resilience.Header{App: "nt3", Budget: c.budget})
+			if err != nil {
 				t.Fatal(err)
 			}
+			for _, er := range full.journal[:k] {
+				if err := j.Append(er); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j, rec, err := resilience.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := checkpoint.NewCASDiskStore(filepath.Join(dir, "blobs"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			app := tinyApp(t, "nt3")
+			cfg := Config{
+				App: app, Matcher: core.LCS{}, Strategy: evo.NewRegularizedEvolution(app.Space, 3, 2), Store: store,
+				Budget: c.budget, Seed: c.seed, Journal: j, Resume: rec, KernelWorkers: cores,
+			}
+			var pool *SharedPool
+			if shared {
+				pool = NewSharedPool(PoolConfig{Workers: cores})
+				client, err := pool.Register(ClientConfig{Concurrency: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Executor, cfg.KernelWorkers = client, 0
+			}
+			tr, err := Run(context.Background(), cfg)
+			if pool != nil {
+				pool.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			final, err := resilience.Read(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := lookaheadRun{tr: tr, journal: final.Records, objects: objectFiles(t, dir)}
+			for i := range got.tr.Records {
+				untimed(&got.tr.Records[i])
+			}
+			for i := range got.journal {
+				untimed(&got.journal[i].Record)
+			}
+			sameRun(t, full, got, fmt.Sprintf("shared=%v: crash with %d journaled and %d saved", shared, k, k+1))
 		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		j, rec, err := resilience.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		store, err := checkpoint.NewCASDiskStore(filepath.Join(dir, "blobs"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		app := tinyApp(t, "nt3")
-		tr, err := Run(context.Background(), Config{
-			App: app, Matcher: core.LCS{}, Strategy: evo.NewRegularizedEvolution(app.Space, 3, 2), Store: store,
-			Budget: c.budget, Seed: c.seed, Journal: j, Resume: rec, KernelWorkers: cores,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
-		}
-		final, err := resilience.Read(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := lookaheadRun{tr: tr, journal: final.Records, objects: objectFiles(t, dir)}
-		for i := range got.tr.Records {
-			untimed(&got.tr.Records[i])
-		}
-		for i := range got.journal {
-			untimed(&got.journal[i].Record)
-		}
-		sameRun(t, full, got, fmt.Sprintf("crash with %d journaled and %d saved", k, k+1))
 	}
+}
+
+// sharedCases are the two searches the shared-pool tests run side by side:
+// nt3/f64 (GC off, every checkpoint kept) and mnist/f32 with Pareto parent
+// choice, both journaled on a disk store.
+var sharedCases = []lookaheadCase{
+	{app: "nt3", dt: tensor.F64, budget: 10, seed: 3},
+	{app: "mnist", dt: tensor.F32, budget: 10, seed: 3, pareto: true},
+}
+
+// TestLookaheadSharedPoolTwoSearches: two one-evaluator searches run at once
+// as clients of one 2-slot SharedPool, where each looks ahead on the pool's
+// slots. Each is its one-at-a-time search on a private pool — records with
+// score bits, journal and checkpoint objects — and every task the two
+// issued either commits or is withdrawn.
+func TestLookaheadSharedPoolTwoSearches(t *testing.T) {
+	var refs []lookaheadRun
+	for _, c := range sharedCases {
+		refs = append(refs, runLookahead(t, c, 1, nil))
+	}
+	runs, moved := runShared(t, 2, sharedCases)
+	committed := int64(0)
+	for i, run := range runs {
+		label := sharedCases[i].label() + " on a shared pool"
+		if run.err != nil {
+			t.Fatalf("%s: %v", label, run.err)
+		}
+		sameRun(t, refs[i], run, label)
+		checkStore(t, run, false, label)
+		committed += int64(len(run.tr.Records))
+	}
+	if moved.ahead == 0 {
+		t.Fatal("no candidate was issued ahead on the shared pool")
+	}
+	if moved.issued != committed+moved.rewound {
+		t.Fatalf("%d tasks issued, %d committed and %d withdrawn", moved.issued, committed, moved.rewound)
+	}
+	t.Logf("%d issued, %d ahead, %d waited, %d withdrawn", moved.issued, moved.ahead, moved.waited, moved.rewound)
+}
+
+// TestLookaheadSharedPoolCancelOne: cancelling one of two searches that
+// share a pool, while candidates run ahead, leaves the other's search as it
+// was and no orphan object in either store; the cancelled one keeps an
+// id-order prefix of its search, at most one task a slot lost.
+func TestLookaheadSharedPoolCancelOne(t *testing.T) {
+	const slots = 2
+	ref := runLookahead(t, sharedCases[1], 1, nil)
+	runs, moved := runShared(t, slots, sharedCases, func(cancel context.CancelFunc, r Result) {
+		if r.ID == 1 {
+			cancel()
+		}
+	})
+	cut, other := runs[0], runs[1]
+	if !errors.Is(cut.err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", cut.err)
+	}
+	if other.err != nil {
+		t.Fatalf("the search not cancelled: %v", other.err)
+	}
+	sameRun(t, ref, other, "beside a cancelled search")
+	checkStore(t, other, false, "beside a cancelled search")
+	full := runLookahead(t, sharedCases[0], 1, nil)
+	n := len(cut.tr.Records)
+	if n < 2 || n == sharedCases[0].budget {
+		t.Fatalf("cancelled search committed %d records", n)
+	}
+	for i, r := range cut.tr.Records {
+		if !reflect.DeepEqual(r, full.tr.Records[i]) {
+			t.Fatalf("record %d = %+v, want the uncancelled search's %+v", i, r, full.tr.Records[i])
+		}
+	}
+	if !reflect.DeepEqual(cut.journal, full.journal[:n]) {
+		t.Fatal("the journal is not the uncancelled search's prefix")
+	}
+	checkStore(t, cut, false, "cancelled")
+	if moved.ahead == 0 {
+		t.Fatal("no candidate was issued ahead on the shared pool")
+	}
+	lost := moved.issued - int64(n+len(other.tr.Records)) - moved.rewound
+	if lost < 0 || lost > slots {
+		t.Fatalf("%d tasks issued, %d committed, %d withdrawn: %d cancelled, want 0..%d", moved.issued, n+len(other.tr.Records), moved.rewound, lost, slots)
+	}
+	waitForGoroutines(t)
 }

@@ -344,8 +344,9 @@ type Config struct {
 	// environment variable pins an explicit pool size. With a single
 	// evaluator the limit is left where it is; on the private pool and with
 	// no Resume it is also the search's cores, spent on lookahead (Run): up
-	// to that many small candidates run at once. The kernel pool's
-	// caller-runs handoff keeps oversubscription safe either way.
+	// to that many small candidates run at once (on a shared pool the
+	// cores are its slots instead). The kernel pool's caller-runs handoff
+	// keeps oversubscription safe either way.
 	KernelWorkers int
 	// Budget is the number of candidates to evaluate.
 	Budget int
@@ -368,9 +369,11 @@ type Config struct {
 	// private SharedPool of Workers slots that Run owns and closes when it
 	// returns (a run that ends normally or on cancellation has drained every
 	// task by then; an aborted one leaves its queued tasks to Close's
-	// cancellation). With an Executor set, Workers bounds
-	// only this search's outstanding tasks (the executor sizes real
-	// concurrency and the kernel split).
+	// cancellation). With an Executor set, Workers still fixes what a seed
+	// means, and the executor sizes real concurrency and the kernel split. A
+	// one-evaluator client of a SharedPool looks ahead on the pool's slots
+	// (Run), its tasks queued behind other clients' by the fair scheduler;
+	// a coordinator binding runs one task at a time.
 	Executor Executor
 	// Journal, when non-nil, receives an append for every completed
 	// candidate before Progress fires, so a crashed run can resume from its
@@ -426,12 +429,13 @@ func SchemeName(m core.Matcher) string {
 // Result.Err): it becomes a Failed trace record and the search continues
 // without it.
 //
-// A one-evaluator search on Run's own pool, drawing from
-// *evo.RegularizedEvolution without a Prefilter and not resuming a journal,
-// looks ahead: while earlier candidates train it draws the next proposal
-// against the population as they will leave it, starts it on an idle core
-// when its sample holds none of them (and the trainable state in flight
-// stays within lookaheadState), and holds it otherwise. Results commit in
+// A one-evaluator search on a SharedPool (Run's own or a shared one's
+// client), drawing from *evo.RegularizedEvolution without a Prefilter and
+// not resuming a journal, looks ahead: while earlier candidates train it
+// draws the next proposal against the population as they will leave it,
+// starts it on an idle core (a slot, on a shared pool) when its sample holds
+// none of them (and the trainable state in flight stays within
+// lookaheadState), and holds it otherwise. Results commit in
 // id order, and a failure that commits with later proposals drawn
 // withdraws them and rewinds the search RNG, so the search is the
 // one-at-a-time loop's at any core count (DESIGN.md §8).
@@ -479,16 +483,23 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	if strategy == nil {
 		strategy = evo.NewRegularizedEvolution(cfg.App.Space, 0, 0)
 	}
-	// Lookahead (DESIGN.md §8): a one-evaluator search on its own pool,
-	// drawing from regularized evolution and not resuming a journal, runs
-	// later candidates on idle cores whenever their proposals are already
-	// fixed, and commits in id order. A search's cores are its kernel limit;
-	// at one core nothing runs ahead.
+	// Lookahead (DESIGN.md §8): a one-evaluator search on a SharedPool (its
+	// own or a shared one), drawing from regularized evolution and not
+	// resuming a journal, runs later candidates on idle cores whenever their
+	// proposals are already fixed, and commits in id order. A search's cores
+	// are its kernel limit on its own pool and the slot count on a shared
+	// one, whose fair queue decides when they run; at one core nothing runs
+	// ahead.
 	ahead, _ := strategy.(*evo.RegularizedEvolution)
-	if workers > 1 || cfg.Executor != nil || cfg.Prefilter != nil || cfg.Resume != nil {
+	cores := parallel.Workers()
+	if client, ok := cfg.Executor.(*PoolClient); ok {
+		cores = client.pool.Workers()
+	} else if cfg.Executor != nil {
 		ahead = nil
 	}
-	cores := parallel.Workers()
+	if workers > 1 || cfg.Prefilter != nil || cfg.Resume != nil {
+		ahead = nil
+	}
 	slots := workers
 	if ahead != nil {
 		slots = min(cores, cfg.Budget)

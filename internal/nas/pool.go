@@ -140,9 +140,10 @@ type ClientConfig struct {
 	// (minimum 1): a weight-2 client is served twice as often as a
 	// weight-1 client under contention.
 	Weight int
-	// Concurrency is the search's own outstanding-task bound (its Workers
-	// option); the pool uses the sum over clients to re-split kernel
-	// cores.
+	// Concurrency is the search's Workers option; the pool uses the sum
+	// over clients to re-split kernel cores. It does not bound the
+	// client's queue: a one-evaluator search looking ahead may hold up to
+	// the pool's slot count in flight (Run).
 	Concurrency int
 	// OnFault, when non-nil, receives a FaultFailed event for each of this
 	// client's tasks whose evaluation errors or panics; the error itself is

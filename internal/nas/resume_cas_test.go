@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -27,7 +28,7 @@ func tracesEqual(t *testing.T, a, b *trace.Trace, label string) {
 	}
 	for i := range a.Records {
 		ra, rb := a.Records[i], b.Records[i]
-		if ra.ID != rb.ID || ra.Score != rb.Score || ra.ParentID != rb.ParentID ||
+		if ra.ID != rb.ID || math.Float64bits(ra.Score) != math.Float64bits(rb.Score) || ra.ParentID != rb.ParentID ||
 			ra.Params != rb.Params || ra.TransferCopied != rb.TransferCopied || ra.Failed != rb.Failed {
 			t.Fatalf("%s: record %d differs:\n  full   %+v\n  resumed %+v", label, i, ra, rb)
 		}

@@ -258,10 +258,19 @@ func (s *Server) restore() error {
 	return nil
 }
 
+// candidateHook, when non-nil, is called with the search's id for every
+// candidate a search completes, on its scheduler goroutine (the search's
+// Progress), so that a test can hold a search at a point it chooses.
+var candidateHook func(id string, c swtnas.Candidate)
+
 // options maps a search's persisted request onto SearchOptions, pointing it
 // at the server's pool and the search's journal. Resuming after a restart
 // rebuilds the identical options, which the journal header then validates.
 func (s *Server) options(st *searchState) swtnas.SearchOptions {
+	var progress func(swtnas.Candidate)
+	if hook := candidateHook; hook != nil {
+		progress = func(c swtnas.Candidate) { hook(st.id, c) }
+	}
 	return swtnas.SearchOptions{
 		App:            st.req.App,
 		Scheme:         st.req.Scheme,
@@ -283,6 +292,7 @@ func (s *Server) options(st *searchState) swtnas.SearchOptions {
 		Pool:           s.pool,
 		Tenant:         st.req.Tenant,
 		Weight:         st.req.Weight,
+		Progress:       progress,
 	}
 }
 

@@ -151,6 +151,28 @@ func sameArchs(t *testing.T, got, want []swtnas.Candidate, label string) {
 func TestServerCrashResumeTwoTenants(t *testing.T) {
 	dir := t.TempDir()
 	const budget = 10
+	// Each search holds after its second commit (a one-evaluator search
+	// commits in id order) until the server is crashed, so both are mid-run
+	// when it dies: at least two candidates journaled, and too few
+	// evaluations can finish between the crash and the cancellation it
+	// brings to reach the budget.
+	var s1 *Server
+	held := make(chan string, 2)
+	setCandidateHook(t, func(id string, c swtnas.Candidate) {
+		if c.ID != 1 || c.Resumed {
+			return
+		}
+		held <- id
+		for {
+			s1.mu.Lock()
+			closing := s1.closing
+			s1.mu.Unlock()
+			if closing {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
 	s1, ts1 := newTestServer(t, dir, swtnas.PoolOptions{Workers: 2})
 
 	a := submit(t, ts1, testSubmit("t1", 3, budget))
@@ -159,10 +181,20 @@ func TestServerCrashResumeTwoTenants(t *testing.T) {
 		t.Fatalf("duplicate search ids: %s", a.ID)
 	}
 
-	// Let both make progress but not finish, then die without marking
-	// anything — Close is deliberately crash-like.
-	waitState(t, ts1, a.ID, func(st SearchStatus) bool { return st.Completed >= 2 })
-	waitState(t, ts1, b.ID, func(st SearchStatus) bool { return st.Completed >= 2 })
+	// Once both are held, die without marking anything — Close is
+	// deliberately crash-like.
+	got := map[string]bool{}
+	for len(got) < 2 {
+		select {
+		case id := <-held:
+			got[id] = true
+		case <-time.After(60 * time.Second):
+			t.Fatalf("searches held after their second commit: %v, want %s and %s", got, a.ID, b.ID)
+		}
+	}
+	if !got[a.ID] || !got[b.ID] {
+		t.Fatalf("searches held: %v, want %s and %s", got, a.ID, b.ID)
+	}
 	ts1.Close()
 	s1.Close()
 

@@ -17,11 +17,12 @@ type SearchOptions struct {
 	Scheme string
 	// Budget is the number of candidates to evaluate. Required.
 	Budget int
-	// Workers sizes the parallel evaluator pool (default 1). With Pool set
-	// it instead caps how many of the shared pool's slots this search uses
-	// at once. It fixes what a seed means: how many results may be
-	// outstanding when a proposal is drawn. At 1 the search is
-	// bit-reproducible at any KernelWorkers (DESIGN.md §8).
+	// Workers sizes the parallel evaluator pool (default 1). It fixes what
+	// a seed means: how many results may be outstanding when a proposal is
+	// drawn. At 1 the search is bit-reproducible at any KernelWorkers and on
+	// any Pool (DESIGN.md §8). With Pool set, a search of 2 or more uses at
+	// most that many of the shared pool's slots at once; one of 1 looks
+	// ahead on up to all of them, behind the other searches' queued work.
 	Workers int
 	// KernelWorkers caps the intra-candidate compute-kernel parallelism
 	// (the process-wide worker pool the Conv/Dense kernels shard batches
@@ -29,11 +30,11 @@ type SearchOptions struct {
 	// environment variable when set, GOMAXPROCS otherwise. When Workers
 	// evaluators run concurrently, KernelWorkers ≈ cores/Workers
 	// partitions the machine between them. A one-evaluator search without
-	// Pool, a proxy filter or Resume spends these cores on lookahead: up to
-	// that many candidates whose proposals are already fixed, and whose
-	// weights and optimizer state together stay small, train at once, and
-	// results commit in id order, so the cores decide only how fast the
-	// search runs.
+	// a proxy filter or Resume spends these cores on lookahead (on a Pool,
+	// the pool's slots instead): up to that many candidates whose proposals
+	// are already fixed, and whose weights and optimizer state together
+	// stay small, train at once, and results commit in id order, so the
+	// cores decide only how fast the search runs.
 	KernelWorkers int
 	// Seed drives the search; DataSeed the synthetic dataset (defaults
 	// to Seed).
