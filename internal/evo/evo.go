@@ -12,7 +12,7 @@ import (
 	"swtnas/internal/search"
 )
 
-// Individual is one scored candidate inside a strategy's state.
+// Individual is one evaluated candidate inside a strategy's state.
 type Individual struct {
 	// ID is the candidate id assigned by the scheduler.
 	ID int
@@ -23,6 +23,10 @@ type Individual struct {
 	// Params is the trainable-parameter count, the second objective of
 	// Pareto (multi-objective) selection; 0 when the scheduler predates it.
 	Params int
+	// Failed marks a candidate that has no score (it diverged, or ran out
+	// of retries). It is a member ranked below every scored one, and never
+	// a provider: a child of a Failed parent trains from scratch.
+	Failed bool
 }
 
 // Proposal is a candidate the strategy wants evaluated next.
@@ -43,13 +47,13 @@ type Proposal struct {
 type Strategy interface {
 	// Propose returns the next candidate to evaluate.
 	Propose(rng *rand.Rand) Proposal
-	// Report delivers a scored candidate.
+	// Report delivers an evaluated candidate, Failed or scored.
 	Report(ind Individual)
 }
 
 // RegularizedEvolution is the aging-evolution strategy of Real et al.
 // (AAAI'19) as described in the paper's Algorithm 1: a FIFO population of
-// the N most recently scored candidates; each proposal samples S of them,
+// the N most recently evaluated candidates; each proposal samples S of them,
 // takes the best as parent, and mutates one variable node — so the
 // architecture distance between parent (provider) and child (receiver) is
 // exactly 1, which is what makes provider selection free.
@@ -164,7 +168,7 @@ func (d *Draft) Finish(rng *rand.Rand) Proposal {
 		parent = front[rng.Intn(len(front))]
 	} else {
 		for _, cand := range sample[1:] {
-			if cand.Score > parent.Score {
+			if !cand.Failed && (parent.Failed || cand.Score > parent.Score) {
 				parent = cand
 			}
 		}
@@ -174,6 +178,10 @@ func (d *Draft) Finish(rng *rand.Rand) Proposal {
 		// The space has no mutable nodes; degenerate but valid — repeat
 		// the parent architecture.
 		child = parent.Arch.Clone()
+	}
+	if parent.Failed {
+		// Every sampled member failed: a Failed member has no checkpoint.
+		return Proposal{Arch: child, ParentID: -1}
 	}
 	return Proposal{Arch: child, ParentID: parent.ID}
 }
@@ -188,7 +196,7 @@ func (s *RegularizedEvolution) memberLocked(id int) Individual {
 	panic(fmt.Sprintf("evo: candidate %d has not reported", id))
 }
 
-// Report pushes the scored candidate into the population, aging out the
+// Report pushes the evaluated candidate into the population, aging out the
 // oldest member beyond capacity (Algorithm 1 lines 4-5) and notifying
 // OnEvict of the aged-out individual.
 func (s *RegularizedEvolution) Report(ind Individual) {

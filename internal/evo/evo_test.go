@@ -169,45 +169,91 @@ func TestEvolutionOnEvict(t *testing.T) {
 // pending, finished once they have reported, is the proposal Propose draws
 // after those reports from the same RNG state — the same parent and child,
 // while the population fills and once it is full, for best-score and
-// Pareto parent choice. Every pending member the sample holds is in Waits.
+// Pareto parent choice, whichever pending members report Failed. Every
+// pending member the sample holds is in Waits.
 func TestDraftIsProposeAfterThePendingReport(t *testing.T) {
 	space := toySpace()
 	for _, pareto := range []bool{false, true} {
-		for seed := int64(1); seed <= 40; seed++ {
-			newStrategy := func() *RegularizedEvolution {
-				if pareto {
-					return NewParetoEvolution(space, 4, 2)
+		for fails := 0; fails < 4; fails++ { // bit i: pending member i reports Failed
+			for seed := int64(1); seed <= 40; seed++ {
+				newStrategy := func() *RegularizedEvolution {
+					if pareto {
+						return NewParetoEvolution(space, 4, 2)
+					}
+					return NewRegularizedEvolution(space, 4, 2)
 				}
-				return NewRegularizedEvolution(space, 4, 2)
-			}
-			rng := rand.New(rand.NewSource(seed))
-			committed := int(seed % 6) // 0–5 members reported before the draft
-			var inds []Individual
-			for id := 0; id < committed+2; id++ {
-				inds = append(inds, Individual{ID: id, Arch: space.Random(rng), Score: float64(rng.Intn(4)), Params: rng.Intn(3)})
-			}
-			a, b := newStrategy(), newStrategy()
-			for _, ind := range inds[:committed] {
-				a.Report(ind)
-				b.Report(ind)
-			}
-			pending := []int{committed, committed + 1}
-			draw := rand.New(rand.NewSource(seed + 100))
-			d := a.Draft(draw, pending)
-			for _, id := range d.Waits() {
-				if id != committed && id != committed+1 {
-					t.Fatalf("seed %d: waits on %d, which is not pending", seed, id)
+				rng := rand.New(rand.NewSource(seed))
+				committed := int(seed % 6) // 0–5 members reported before the draft
+				var inds []Individual
+				for id := 0; id < committed+2; id++ {
+					inds = append(inds, Individual{ID: id, Arch: space.Random(rng), Score: float64(rng.Intn(4)), Params: rng.Intn(3)})
 				}
-			}
-			for _, ind := range inds[committed:] {
-				a.Report(ind)
-				b.Report(ind)
-			}
-			got := d.Finish(draw)
-			want := b.Propose(rand.New(rand.NewSource(seed + 100)))
-			if got.ParentID != want.ParentID || search.Distance(got.Arch, want.Arch) != 0 {
-				t.Fatalf("pareto=%v seed %d: draft gives %+v, Propose %+v", pareto, seed, got, want)
+				a, b := newStrategy(), newStrategy()
+				for _, ind := range inds[:committed] {
+					a.Report(ind)
+					b.Report(ind)
+				}
+				pending := []int{committed, committed + 1}
+				draw := rand.New(rand.NewSource(seed + 100))
+				d := a.Draft(draw, pending)
+				for _, id := range d.Waits() {
+					if id != committed && id != committed+1 {
+						t.Fatalf("seed %d: waits on %d, which is not pending", seed, id)
+					}
+				}
+				for k, ind := range inds[committed:] {
+					if fails>>k&1 == 1 {
+						ind.Score, ind.Failed = 0, true
+					}
+					a.Report(ind)
+					b.Report(ind)
+				}
+				got := d.Finish(draw)
+				want := b.Propose(rand.New(rand.NewSource(seed + 100)))
+				if got.ParentID != want.ParentID || search.Distance(got.Arch, want.Arch) != 0 {
+					t.Fatalf("pareto=%v fails=%b seed %d: draft gives %+v, Propose %+v", pareto, fails, seed, got, want)
+				}
 			}
 		}
+	}
+}
+
+// TestFailedMemberRanksLast: a Failed member loses to every scored one, in
+// best-score and in Pareto selection, even to a scored one below its zero
+// score or with more parameters; a sample of Failed members only gives a
+// child trained from scratch (ParentID -1); and a Failed member is never on
+// a front beside a scored one.
+func TestFailedMemberRanksLast(t *testing.T) {
+	space := toySpace()
+	rng := rand.New(rand.NewSource(3))
+	failed := Individual{ID: 0, Arch: space.Random(rng), Failed: true}
+	scored := Individual{ID: 1, Arch: space.Random(rng), Score: -1, Params: 10}
+	for _, pareto := range []bool{false, true} {
+		newStrategy := func() *RegularizedEvolution {
+			if pareto {
+				return NewParetoEvolution(space, 2, 2)
+			}
+			return NewRegularizedEvolution(space, 2, 2)
+		}
+		s := newStrategy()
+		s.Report(failed)
+		s.Report(scored)
+		all := newStrategy()
+		all.Report(failed)
+		all.Report(Individual{ID: 2, Arch: space.Random(rng), Failed: true})
+		for i := 0; i < 20; i++ {
+			if p := s.Propose(rng); p.ParentID != scored.ID {
+				t.Fatalf("pareto=%v: parent %d, want the scored member %d", pareto, p.ParentID, scored.ID)
+			}
+			if p := all.Propose(rng); p.ParentID != -1 {
+				t.Fatalf("pareto=%v: an all-failed sample gives parent %d, want -1", pareto, p.ParentID)
+			}
+		}
+	}
+	if front := ParetoFront([]Individual{failed, scored}); len(front) != 1 || front[0].ID != scored.ID {
+		t.Fatalf("front %+v, want only the scored member", front)
+	}
+	if Dominates(failed, scored) || !Dominates(scored, failed) || Dominates(failed, failed) {
+		t.Fatal("a Failed member must dominate nothing and be dominated by every scored one")
 	}
 }

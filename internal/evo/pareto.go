@@ -5,8 +5,12 @@ import "swtnas/internal/search"
 // Dominates reports whether a Pareto-dominates b under the two search
 // objectives: maximize Score, minimize Params. a dominates b when it is no
 // worse on both and strictly better on at least one; equal individuals
-// dominate in neither direction, so both survive a front.
+// dominate in neither direction, so both survive a front. A Failed
+// individual dominates nothing, and every scored one dominates it.
 func Dominates(a, b Individual) bool {
+	if a.Failed || b.Failed {
+		return !a.Failed
+	}
 	if a.Score < b.Score || a.Params > b.Params {
 		return false
 	}

@@ -16,7 +16,8 @@ const (
 	// the schedule.
 	FaultReadmit FaultKind = "readmit"
 	// FaultFailed: a candidate's evaluation failed for good — the coordinator
-	// spent its retry budget (the search continues without it), or a pool
+	// spent its retry budget (the search continues, the candidate a Failed
+	// member of the population), or a pool
 	// evaluation errored or panicked (the search aborts).
 	FaultFailed FaultKind = "failed"
 	// FaultSpeculate: a task overran the calibrated latency quantile and a

@@ -232,8 +232,8 @@ func TestResumeBitIdenticalAtEveryInterrupt(t *testing.T) {
 
 // TestSpentRetryBudgetIsOneFailedRecord is the failure rule on the executor
 // that retries, the coordinator: a candidate that fails every attempt ends as
-// exactly one Failed record, the strategy never sees it, and the search
-// still reaches its budget.
+// exactly one Failed record, the strategy sees it as a Failed member, and
+// the search still reaches its budget.
 func TestSpentRetryBudgetIsOneFailedRecord(t *testing.T) {
 	const failID = 2
 	for _, ex := range executors[2:] { // the pool has no retry budget
@@ -256,8 +256,8 @@ func TestSpentRetryBudgetIsOneFailedRecord(t *testing.T) {
 				if r.Failed && r.FailReason == "" {
 					t.Fatal("Failed record carries no reason")
 				}
-				if spy.Seen[r.ID] == r.Failed {
-					t.Fatalf("candidate %d: failed=%v but reported=%v", r.ID, r.Failed, spy.Seen[r.ID])
+				if failed, ok := spy.Seen[r.ID]; !ok || failed != r.Failed {
+					t.Fatalf("candidate %d: failed=%v but reported=%v (failed=%v)", r.ID, r.Failed, ok, failed)
 				}
 			}
 			for _, i := range tr.TopK(cfg.Budget) {

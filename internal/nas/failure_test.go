@@ -90,9 +90,9 @@ func TestSchemeName(t *testing.T) {
 
 // TestNonFiniteScoreIsFailedRecord: a training run that diverges to a NaN or
 // Inf score takes the failure rule on any executor — recorded as Failed with
-// reason "non-finite score", never reported to the strategy, never ranked,
-// never saved — instead of entering the population: the store holds exactly
-// the scored candidates. The divergence is real and specific to float32:
+// reason "non-finite score", reported to the strategy as a Failed member,
+// never ranked, never saved — instead of entering the population with its
+// score: the store holds exactly the scored candidates. The divergence is real and specific to float32:
 // inputs near the top of the float32 range overflow the forward pass into
 // Inf-Inf (no surface exposes a learning rate to explode instead), while
 // the same data trains to finite scores in float64.
@@ -135,8 +135,8 @@ func TestNonFiniteScoreIsFailedRecord(t *testing.T) {
 				t.Fatalf("f32 record %+v: want reason \"non-finite score\" and a zero score", r)
 			}
 		}
-		if reported[r.ID] == r.Failed {
-			t.Fatalf("candidate %d: failed=%v but reported=%v", r.ID, r.Failed, reported[r.ID])
+		if failed, ok := reported[r.ID]; !ok || failed != r.Failed {
+			t.Fatalf("candidate %d: failed=%v but reported=%v (failed=%v)", r.ID, r.Failed, ok, failed)
 		}
 	}
 	// Architectures whose first op saturates (tanh, sigmoid) survive the
@@ -155,7 +155,7 @@ func TestNonFiniteScoreIsFailedRecord(t *testing.T) {
 
 	tr, reported = run(tensor.F64)
 	for _, r := range tr.Records {
-		if r.Failed || !reported[r.ID] {
+		if failed, ok := reported[r.ID]; r.Failed || !ok || failed {
 			t.Fatalf("f64 record %+v: the same data must train to a finite, reported score", r)
 		}
 	}
@@ -165,8 +165,9 @@ func TestNonFiniteScoreIsFailedRecord(t *testing.T) {
 // accuracy of a classifier stays finite when its logits go NaN, so a
 // candidate whose float32 training overflowed can score like any other. It
 // takes the same failure rule as a non-finite score, with reason
-// "non-finite weight", and is not saved. The coordinator's leg of this rule
-// is internal/cluster's TestDivergedCandidateIsTerminal.
+// "non-finite weight": it is reported as a Failed member and not saved. The
+// coordinator's leg of this rule is internal/cluster's
+// TestDivergedCandidateIsTerminal.
 func TestNonFiniteWeightIsFailedRecord(t *testing.T) {
 	app := tinyApp(t, "nt3")
 	scaleInputs(app, 2e37)
@@ -192,8 +193,8 @@ func TestNonFiniteWeightIsFailedRecord(t *testing.T) {
 				t.Fatalf("record %+v: want reason \"non-finite weight\" and a zero score", r)
 			}
 		}
-		if reported[r.ID] == r.Failed {
-			t.Fatalf("candidate %d: failed=%v but reported=%v", r.ID, r.Failed, reported[r.ID])
+		if failed, ok := reported[r.ID]; !ok || failed != r.Failed {
+			t.Fatalf("candidate %d: failed=%v but reported=%v (failed=%v)", r.ID, r.Failed, ok, failed)
 		}
 	}
 	if failed == 0 || failed == len(tr.Records) {
@@ -225,13 +226,14 @@ func storedObjects(t *testing.T, store checkpoint.Store) int {
 	return len(ids)
 }
 
-// reportSpy records which candidates the scheduler reported to a strategy.
+// reportSpy records which candidates the scheduler reported to a strategy,
+// each with its Failed flag.
 type reportSpy struct {
 	evo.Strategy
 	Seen map[int]bool
 }
 
 func (s reportSpy) Report(ind evo.Individual) {
-	s.Seen[ind.ID] = true
+	s.Seen[ind.ID] = ind.Failed
 	s.Strategy.Report(ind)
 }

@@ -54,14 +54,14 @@ type lookaheadRun struct {
 }
 
 // lookaheadCounts are the lookahead counters and the pool's issued tasks.
-type lookaheadCounts struct{ ahead, waited, rewound, issued int64 }
+type lookaheadCounts struct{ ahead, waited, issued int64 }
 
 func countsNow() lookaheadCounts {
-	return lookaheadCounts{mAhead.Value(), mWaited.Value(), mRewound.Value(), mPoolSubmitted.Value()}
+	return lookaheadCounts{mAhead.Value(), mWaited.Value(), mPoolSubmitted.Value()}
 }
 
 func (n lookaheadCounts) since(before lookaheadCounts) lookaheadCounts {
-	return lookaheadCounts{n.ahead - before.ahead, n.waited - before.waited, n.rewound - before.rewound, n.issued - before.issued}
+	return lookaheadCounts{n.ahead - before.ahead, n.waited - before.waited, n.issued - before.issued}
 }
 
 // lookaheadSearch is c set up to run: its config, with a journal on a disk
@@ -274,7 +274,7 @@ func sameRun(t *testing.T, want, got lookaheadRun, label string) {
 // same records, journal and checkpoint objects at 1, 2 and 4 cores — at one
 // core nothing runs ahead, at more the next candidates train beside the
 // current one — on every app at both dtypes, with GC on and with Pareto
-// parent choice. Every task issued either commits or is withdrawn.
+// parent choice. Every task issued commits.
 func TestLookaheadSameSearchAtAnyCoreCount(t *testing.T) {
 	var cases []lookaheadCase
 	for _, app := range []string{"nt3", "uno", "mnist", "cifar10"} {
@@ -296,12 +296,12 @@ func TestLookaheadSameSearchAtAnyCoreCount(t *testing.T) {
 				t.Fatalf("%s: %v", label, run.err)
 			}
 			checkStore(t, run, c.retain > 0, label)
-			if run.issued != int64(len(run.tr.Records))+run.rewound {
-				t.Fatalf("%s: %d tasks issued, %d committed and %d withdrawn", label, run.issued, len(run.tr.Records), run.rewound)
+			if run.issued != int64(len(run.tr.Records)) {
+				t.Fatalf("%s: %d tasks issued, %d committed", label, run.issued, len(run.tr.Records))
 			}
 			if cores == 1 {
-				if run.ahead != 0 || run.waited != 0 || run.rewound != 0 {
-					t.Fatalf("%s: one core ran ahead (ahead %d, waited %d, rewound %d)", label, run.ahead, run.waited, run.rewound)
+				if run.ahead != 0 || run.waited != 0 {
+					t.Fatalf("%s: one core ran ahead (ahead %d, waited %d)", label, run.ahead, run.waited)
 				}
 				ref = run
 				continue
@@ -357,13 +357,15 @@ func TestLookaheadHoldsLargeCandidates(t *testing.T) {
 	}
 }
 
-// TestLookaheadWithdrawsOnPendingFailure is TestNonFiniteScoreIsFailedRecord's
+// TestLookaheadFailedCandidateIsAMember is TestNonFiniteScoreIsFailedRecord's
 // diverging uno/f32 search on plain regularized evolution, with a population
 // of 6 so that candidates run ahead while it fills: a candidate that fails
-// never joins the population, so whatever was drawn while it was pending is
-// withdrawn, its checkpoints deleted, and drawn again. The search is the
-// one-core search, and no object outlives its candidate.
-func TestLookaheadWithdrawsOnPendingFailure(t *testing.T) {
+// joins the population like a scored one, so what was drawn while it was
+// pending stands. At 2 and 4 cores, on Run's own pool and as a shared pool's
+// client, the search is the one-core search, a later task was issued while a
+// failing candidate was pending, every task issued commits, and no object
+// outlives its candidate.
+func TestLookaheadFailedCandidateIsAMember(t *testing.T) {
 	c := lookaheadCase{app: "uno", dt: tensor.F32, budget: 8, seed: 5, pop: 6, scale: 1e37}
 	ref := runLookahead(t, c, 1, nil)
 	failed := 0
@@ -376,15 +378,31 @@ func TestLookaheadWithdrawsOnPendingFailure(t *testing.T) {
 		t.Fatalf("%d of %d candidates diverged; the test wants both kinds", failed, len(ref.tr.Records))
 	}
 	for _, cores := range []int{2, 4} {
-		label := fmt.Sprintf("%d cores", cores)
-		run := runLookahead(t, c, cores, nil)
-		sameRun(t, ref, run, label)
-		checkStore(t, run, false, label)
-		if run.rewound == 0 {
-			t.Fatalf("%s: no task was withdrawn: no failure committed with a later candidate running", label)
-		}
-		if run.issued != int64(len(run.tr.Records))+run.rewound {
-			t.Fatalf("%s: %d tasks issued, %d committed and %d withdrawn", label, run.issued, len(run.tr.Records), run.rewound)
+		for _, shared := range []bool{false, true} {
+			label := fmt.Sprintf("%d cores, shared pool %v", cores, shared)
+			// A failure's Progress runs as it commits: a task past its id
+			// issued by then was issued while it was pending.
+			before, overtaken := mPoolSubmitted.Value(), false
+			progress := func(_ context.CancelFunc, r Result) {
+				if r.Failed && mPoolSubmitted.Value()-before > int64(r.ID)+1 {
+					overtaken = true
+				}
+			}
+			var run lookaheadRun
+			if shared {
+				runs, moved := runShared(t, cores, []lookaheadCase{c}, progress)
+				run, run.lookaheadCounts = runs[0], moved
+			} else {
+				run = runLookahead(t, c, cores, progress)
+			}
+			sameRun(t, ref, run, label)
+			checkStore(t, run, false, label)
+			if !overtaken {
+				t.Fatalf("%s: no task was issued while a failing candidate was pending", label)
+			}
+			if run.issued != int64(len(run.tr.Records)) {
+				t.Fatalf("%s: %d tasks issued, %d committed", label, run.issued, len(run.tr.Records))
+			}
 		}
 	}
 }
@@ -419,9 +437,9 @@ func TestLookaheadCancelCommitsPrefix(t *testing.T) {
 		t.Fatal("the journal is not the uncancelled search's prefix")
 	}
 	checkStore(t, run, false, "cancelled")
-	lost := run.issued - int64(n) - run.rewound
-	if run.rewound != 0 || lost < 0 || lost > cores {
-		t.Fatalf("%d tasks issued, %d committed, %d withdrawn: %d cancelled, want 0..%d", run.issued, n, run.rewound, lost, cores)
+	lost := run.issued - int64(n)
+	if lost < 0 || lost > cores {
+		t.Fatalf("%d tasks issued, %d committed: %d cancelled, want 0..%d", run.issued, n, lost, cores)
 	}
 	t.Logf("%d issued, %d committed, %d cancelled", run.issued, n, lost)
 	waitForGoroutines(t)
@@ -525,7 +543,7 @@ var sharedCases = []lookaheadCase{
 // as clients of one 2-slot SharedPool, where each looks ahead on the pool's
 // slots. Each is its one-at-a-time search on a private pool — records with
 // score bits, journal and checkpoint objects — and every task the two
-// issued either commits or is withdrawn.
+// issued commits.
 func TestLookaheadSharedPoolTwoSearches(t *testing.T) {
 	var refs []lookaheadRun
 	for _, c := range sharedCases {
@@ -545,10 +563,10 @@ func TestLookaheadSharedPoolTwoSearches(t *testing.T) {
 	if moved.ahead == 0 {
 		t.Fatal("no candidate was issued ahead on the shared pool")
 	}
-	if moved.issued != committed+moved.rewound {
-		t.Fatalf("%d tasks issued, %d committed and %d withdrawn", moved.issued, committed, moved.rewound)
+	if moved.issued != committed {
+		t.Fatalf("%d tasks issued, %d committed", moved.issued, committed)
 	}
-	t.Logf("%d issued, %d ahead, %d waited, %d withdrawn", moved.issued, moved.ahead, moved.waited, moved.rewound)
+	t.Logf("%d issued, %d ahead, %d waited", moved.issued, moved.ahead, moved.waited)
 }
 
 // TestLookaheadSharedPoolCancelOne: cancelling one of two searches that
@@ -589,9 +607,9 @@ func TestLookaheadSharedPoolCancelOne(t *testing.T) {
 	if moved.ahead == 0 {
 		t.Fatal("no candidate was issued ahead on the shared pool")
 	}
-	lost := moved.issued - int64(n+len(other.tr.Records)) - moved.rewound
+	lost := moved.issued - int64(n+len(other.tr.Records))
 	if lost < 0 || lost > slots {
-		t.Fatalf("%d tasks issued, %d committed, %d withdrawn: %d cancelled, want 0..%d", moved.issued, n+len(other.tr.Records), moved.rewound, lost, slots)
+		t.Fatalf("%d tasks issued, %d committed: %d cancelled, want 0..%d", moved.issued, n+len(other.tr.Records), lost, slots)
 	}
 	waitForGoroutines(t)
 }

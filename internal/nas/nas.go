@@ -96,7 +96,8 @@ type Result struct {
 	// (Err is the last cause), and the Evaluator sets it on a candidate that
 	// diverged — a non-finite score, or a non-finite weight — which it does
 	// not save: Run records such a result as a Failed trace record whose
-	// FailReason is Err's text, never reports it to the strategy, and
+	// FailReason is Err's text, reports it to the strategy as a Failed
+	// member (ranked below every scored one, never a provider), and
 	// continues. A pool evaluation that errors or panics is never Failed.
 	Err error
 }
@@ -244,10 +245,10 @@ func (e *Evaluator) evaluate(ctx context.Context, task Task) Result {
 		ckpt = checkpoint.FromNetwork(task.Arch, res.Score, net)
 	}
 	// A diverged candidate ends like a spent retry budget, as a Failed
-	// record: it must not reach the population, the surrogate or a Pareto
-	// front (nor a NaN the trace's JSON). It is never saved either: nothing
-	// would ever collect its checkpoint, and a NaN weight would reach every
-	// child through transfer.
+	// record: its score must not reach a tournament, the surrogate or a
+	// Pareto front (nor a NaN the trace's JSON). It is never saved either:
+	// nothing would ever collect its checkpoint, and a NaN weight would
+	// reach every child through transfer.
 	if err := diverged(res.Score, ckpt); err != nil {
 		res.Failed, res.Err, res.Score = true, err, 0
 		return res
@@ -426,8 +427,8 @@ func SchemeName(m core.Matcher) string {
 // panicking evaluation included, abort the run: every architecture in the
 // shipped spaces is buildable, so an error indicates a real defect rather
 // than a bad candidate. The exception is a result marked Failed (see
-// Result.Err): it becomes a Failed trace record and the search continues
-// without it.
+// Result.Err): it becomes a Failed trace record, joins the population below
+// every scored member, and the search continues.
 //
 // A one-evaluator search on a SharedPool (Run's own or a shared one's
 // client), drawing from *evo.RegularizedEvolution without a Prefilter and
@@ -435,10 +436,9 @@ func SchemeName(m core.Matcher) string {
 // draws the next proposal against the population as they will leave it,
 // starts it on an idle core (a slot, on a shared pool) when its sample holds
 // none of them (and the trainable state in flight stays within
-// lookaheadState), and holds it otherwise. Results commit in
-// id order, and a failure that commits with later proposals drawn
-// withdraws them and rewinds the search RNG, so the search is the
-// one-at-a-time loop's at any core count (DESIGN.md §8).
+// lookaheadState), and holds it otherwise. Results commit in id order, a
+// failed candidate joining the population like any other, so the search is
+// the one-at-a-time loop's at any core count (DESIGN.md §8).
 //
 // Cancelling ctx stops the search promptly: evaluations in flight stop at
 // the next minibatch boundary (their partial candidates are dropped, not
@@ -489,7 +489,8 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	// proposals are already fixed, and commits in id order. A search's cores
 	// are its kernel limit on its own pool and the slot count on a shared
 	// one, whose fair queue decides when they run; at one core nothing runs
-	// ahead.
+	// ahead. A coordinator binding does not look ahead: Run does not know how
+	// many of its workers are idle.
 	ahead, _ := strategy.(*evo.RegularizedEvolution)
 	cores := parallel.Workers()
 	if client, ok := cfg.Executor.(*PoolClient); ok {
@@ -524,8 +525,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		st.OnEvict = func(ind evo.Individual) { gc.evict(ind.ID) }
 	}
 
-	src := newCountingSource(cfg.Seed)
-	rng := rand.New(src)
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := &trace.Trace{App: cfg.App.Name, Scheme: SchemeName(cfg.Matcher), Seed: cfg.Seed}
 
 	// Proxy admission filter: wrap the strategy so the loop sees the filtered
@@ -570,27 +570,19 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	var held []int         // issued while replaying, in issue order
 	issued := 0
 	// Lookahead state. A result waits in done until every earlier candidate
-	// has committed (next is the first that has not); marks[id] is the search
-	// RNG's draw count before id's proposal; draft is a proposal held on the
-	// pending candidates it sampled, ready one held on lookaheadState;
-	// cancels withdraws a running task; gap is the first candidate a
-	// cancellation lost, after which nothing commits.
+	// has committed (next is the first that has not); draft is a proposal
+	// held on the pending candidates it sampled, ready one held on
+	// lookaheadState; gap is the first candidate a cancellation lost, after
+	// which nothing commits.
 	var (
-		done    = map[int]Result{}
-		next    int
-		marks   []uint64
-		draft   *evo.Draft
-		ready   *evo.Proposal // draft finished, held on the state bound
-		params  []int         // committed candidates' parameter counts, by id
-		sum     int           // of params
-		cancels = map[int]context.CancelFunc{}
-		gap     = cfg.Budget
+		done   = map[int]Result{}
+		next   int
+		draft  *evo.Draft
+		ready  *evo.Proposal // draft finished, held on the state bound
+		params []int         // committed candidates' parameter counts, by id
+		sum    int           // of params
+		gap    = cfg.Budget
 	)
-	defer func() {
-		for _, cancel := range cancels {
-			cancel()
-		}
-	}()
 	best, scored := 0.0, false
 	// A task's context error — ctx's, or the executor's own (a pool closed
 	// under the search) — stops issuing; Run drains and returns it.
@@ -611,11 +603,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	}
 	submit := func(t Task) {
 		t.IssuedAt = time.Now()
-		tctx := ctx
-		if ahead != nil {
-			tctx, cancels[t.ID] = context.WithCancel(ctx)
-		}
-		exec.Submit(tctx, t, eval.EvaluateCtx, results)
+		exec.Submit(ctx, t, eval.EvaluateCtx, results)
 	}
 	// issue makes p the next task and pins its provider's checkpoint until
 	// the candidate completes.
@@ -653,7 +641,6 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 				if len(open)-len(done) >= cores {
 					return
 				}
-				marks = append(marks, src.draws)
 				pending := make([]int, 0, issued-next)
 				for id := next; id < issued; id++ {
 					pending = append(pending, id)
@@ -694,28 +681,6 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 			store.Delete(CandidateID(r.ID)) //nolint:errcheck // best effort, like the GC's sweep
 		}
 	}
-	// withdraw takes back every candidate from id on, and the proposal held
-	// for the next: a pending candidate failed, so each was drawn against a
-	// population it never joined. Their tasks are cancelled and drained, what
-	// they saved is deleted, and the search RNG is rewound to before id's
-	// proposal, so that the next proposal is the one the search draws once
-	// the failure has committed.
-	withdraw := func(id int) {
-		for _, cancel := range cancels {
-			cancel()
-		}
-		for running := len(open) - len(done); running > 0; running-- {
-			r := <-results
-			delete(cancels, r.ID)
-			done[r.ID] = r
-		}
-		for _, r := range done {
-			drop(r)
-			mRewound.Inc()
-		}
-		src.rewind(marks[id])
-		marks, issued, draft, ready = marks[:id], id, nil, nil
-	}
 
 	// commit records one completed candidate: strategy report, trace record,
 	// journal append, GC sweep and Progress, in that order.
@@ -740,15 +705,16 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 			sum += res.Params
 		}
 		// The failure rule, the same for every executor and for a journaled
-		// failure: the candidate spent its budget slot and is recorded, and
-		// the search goes on without it.
+		// failure: the candidate spent its budget slot, is recorded, and joins
+		// the population below every scored member; it has no score for the
+		// running best or the GC's top-K.
 		if !res.Failed {
 			if !scored || res.Score > best {
 				best, scored = res.Score, true
 			}
 			gc.completed(res.ID, res.Score)
-			strategy.Report(evo.Individual{ID: res.ID, Arch: res.Arch, Score: res.Score, Params: res.Params})
 		}
+		strategy.Report(evo.Individual{ID: res.ID, Arch: res.Arch, Score: res.Score, Params: res.Params, Failed: res.Failed})
 		res.BestScore = best
 		tr.Records = append(tr.Records, res.Record)
 		// A Failed candidate has no checkpoint to reference, but its record
@@ -815,12 +781,8 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 			return nil, fmt.Errorf("nas: journal candidate %d is not in the replayed schedule — journal and run options disagree", res.ID)
 		case !ok:
 			return nil, fmt.Errorf("nas: executor returned candidate %d, which is not in flight", res.ID)
-		case res.Resumed && !slices.Equal([]int(t.Arch), res.Arch):
-			return nil, fmt.Errorf("nas: journal candidate %d has arch %v, replay proposed %v — journal and run options disagree", res.ID, res.Arch, t.Arch)
-		}
-		if cancel := cancels[res.ID]; cancel != nil {
-			cancel()
-			delete(cancels, res.ID)
+		case res.Resumed && (!slices.Equal([]int(t.Arch), res.Arch) || t.ParentID != res.ParentID):
+			return nil, fmt.Errorf("nas: journal candidate %d has arch %v from parent %d, replay proposed %v from parent %d — journal and run options disagree", res.ID, res.Arch, res.ParentID, t.Arch, t.ParentID)
 		}
 		switch {
 		case res.Err != nil && !res.Failed && (errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded)):
@@ -841,17 +803,13 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		case res.ID > gap:
 			drop(res)
 		default:
-			// The reorder buffer: commit strictly in id order. A failure that
-			// commits with later proposals drawn withdraws them.
+			// The reorder buffer: commit strictly in id order.
 			done[res.ID] = res
 			for r, ok := done[next]; ok; r, ok = done[next] {
 				delete(done, next)
 				next++
 				if err := commit(r, nil); err != nil {
 					return nil, err
-				}
-				if r.Failed && len(marks) > next {
-					withdraw(next)
 				}
 			}
 		}

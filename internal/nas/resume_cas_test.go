@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -340,7 +341,7 @@ func runWithin(t *testing.T, d time.Duration, ctx context.Context, cfg Config) (
 // TestResumeRejectsMismatchedRun: a journal that does not answer the schedule
 // the run options re-derive must fail loudly, before anything is submitted
 // for training — not silently diverge, and not wait for a candidate that was
-// never issued.
+// never issued. Each want is a regular expression.
 func TestResumeRejectsMismatchedRun(t *testing.T) {
 	const budget = 4
 	dir := t.TempDir()
@@ -377,6 +378,11 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 		"a candidate whose arch disagrees": {func(c *Config) {
 			c.Resume = edited(budget-1, func(r *trace.Record) { r.Arch = append([]int{r.Arch[0] + 1}, r.Arch[1:]...) })
 		}, disagree},
+		// A journal written while a Failed candidate stayed out of the
+		// population can re-derive the same architecture from another parent.
+		"a candidate whose parent disagrees": {func(c *Config) {
+			c.Resume = edited(budget-1, func(r *trace.Record) { r.ParentID = (r.ParentID + 1) % (budget - 1) })
+		}, fmt.Sprintf("journal candidate %d has .* %s", budget-1, disagree)},
 		"a journal of the per-tensor store (SWTM version 1)": {func(c *Config) {
 			c.Resume = edited(0, func(*trace.Record) {})
 			old := append([]byte(nil), rec.Records[0].Manifest...)
@@ -396,7 +402,7 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 			Executor: spy,
 		}
 		tc.mutate(&cfg)
-		if _, err := runWithin(t, 30*time.Second, context.Background(), cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := runWithin(t, 30*time.Second, context.Background(), cfg); err == nil || !regexp.MustCompile(tc.want).MatchString(err.Error()) {
 			t.Errorf("resume under %s: err = %v, want one saying %q", name, err, tc.want)
 		}
 		if spy.n != 0 {

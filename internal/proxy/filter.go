@@ -238,7 +238,8 @@ func (f *filterStrategy) Propose(rng *rand.Rand) evo.Proposal {
 }
 
 // Report feeds the surrogate with the admitted candidate's real score, then
-// forwards to the inner strategy.
+// forwards to the inner strategy. A Failed candidate's features are dropped
+// unobserved: it has no score to fit.
 func (f *filterStrategy) Report(ind evo.Individual) {
 	p := f.p
 	p.mu.Lock()
@@ -250,13 +251,15 @@ func (f *filterStrategy) Report(ind evo.Individual) {
 		} else {
 			p.feats[key] = pending[1:]
 		}
-		p.sur.Observe(feat, ind.Score)
-		p.sinceFit++
-		if n := p.sur.Observations(); n >= p.cfg.MinFit && p.sinceFit >= p.cfg.RefitEvery {
-			p.sinceFit = 0
-			p.fitLocked()
-		} else if n >= p.cfg.MinFit && !p.sur.Ready() {
-			p.fitLocked()
+		if !ind.Failed {
+			p.sur.Observe(feat, ind.Score)
+			p.sinceFit++
+			if n := p.sur.Observations(); n >= p.cfg.MinFit && p.sinceFit >= p.cfg.RefitEvery {
+				p.sinceFit = 0
+				p.fitLocked()
+			} else if n >= p.cfg.MinFit && !p.sur.Ready() {
+				p.fitLocked()
+			}
 		}
 	}
 	p.mu.Unlock()

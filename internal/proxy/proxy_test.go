@@ -3,6 +3,7 @@ package proxy
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"swtnas/internal/apps"
@@ -261,6 +262,39 @@ func TestPrefilterFitsSurrogateFromReports(t *testing.T) {
 	}
 	if len(inner.reported) != 8 {
 		t.Fatalf("inner saw %d reports, want 8", len(inner.reported))
+	}
+}
+
+// A Failed report drops the admitted proposal's features unobserved — it has
+// no score to fit, and a later proposal of the same architecture must not be
+// fitted against them — and still reaches the inner strategy.
+func TestPrefilterDropsFailedFeatures(t *testing.T) {
+	app := testApp(t)
+	pf, err := NewPrefilter(FilterConfig{
+		Space: app.Space, Loss: app.Space.Loss, Batch: app.Dataset.Train.Slice(0, 8),
+		Seed: 5, Admit: 1, BatchSize: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := &countingStrategy{space: app.Space}
+	strat := pf.Wrap(inner)
+	rng := rand.New(rand.NewSource(13))
+	p := strat.Propose(rng)
+	if len(pf.feats) != 1 {
+		t.Fatalf("%d feature keys pending after one admitted proposal, want 1", len(pf.feats))
+	}
+	strat.Report(evo.Individual{ID: 0, Arch: p.Arch, Failed: true})
+	if len(pf.feats) != 0 || pf.Surrogate().Observations() != 0 {
+		t.Fatalf("after a Failed report: %d feature keys pending, %d observations; want 0 and 0", len(pf.feats), pf.Surrogate().Observations())
+	}
+	p = strat.Propose(rng)
+	strat.Report(evo.Individual{ID: 1, Arch: p.Arch, Score: 0.5})
+	if len(pf.feats) != 0 || pf.Surrogate().Observations() != 1 {
+		t.Fatalf("after a scored report: %d feature keys pending, %d observations; want 0 and 1", len(pf.feats), pf.Surrogate().Observations())
+	}
+	if !slices.Equal(inner.reported, []int{0, 1}) {
+		t.Fatalf("inner saw reports %v, want [0 1]", inner.reported)
 	}
 }
 

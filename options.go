@@ -69,8 +69,9 @@ type SearchOptions struct {
 	// parse, compile or fit the dataset fails the search before anything
 	// trains (DESIGN.md §5).
 	SpaceJSON string
-	// Progress, when non-nil, streams each candidate as its evaluation
-	// completes, in completion order — the same candidates that end up in
+	// Progress, when non-nil, streams each candidate as the search records
+	// it — in candidate id order with one evaluator (Workers 1), in
+	// completion order with more — the same candidates that end up in
 	// Result.Candidates. It is invoked from the search's scheduler
 	// goroutine, so a slow callback delays issuing the next candidate;
 	// it must not block indefinitely. On a resumed run the journaled prefix

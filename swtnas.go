@@ -100,11 +100,12 @@ type Candidate struct {
 	// sentinel -1 (rejected proposals never receive candidate numbers).
 	// Only filtered progress events carry it; Result.Candidates never does.
 	Filtered bool `json:"filtered,omitempty"`
-	// Failed marks a candidate the search went on without: its training
-	// diverged to a non-finite score or weight, or (on a TCP coordinator)
-	// every attempt of its retry budget failed (FailReason says which). It
-	// consumed budget, has no score and no checkpoint, never ranks in Best,
-	// TopK or ParetoFront, and stays failed across a resume.
+	// Failed marks a candidate with no score: its training diverged to a
+	// non-finite score or weight, or (on a TCP coordinator) every attempt of
+	// its retry budget failed (FailReason says which). It consumed budget,
+	// has no checkpoint, never ranks in Best, TopK or ParetoFront, and stays
+	// failed across a resume. It joins the search's population ranked below
+	// every scored member, and is never a weight-transfer provider.
 	Failed     bool   `json:"failed,omitempty"`
 	FailReason string `json:"fail_reason,omitempty"`
 }
