@@ -1,4 +1,4 @@
-// Command docguard is the CI documentation gate. It enforces four invariants
+// Command docguard is the CI documentation gate. It enforces six invariants
 // the test suite cannot see:
 //
 //  1. Every Go package in the repository carries a package doc comment
@@ -19,6 +19,13 @@
 //     each exported top-level func and type is used by some non-test Go
 //     file outside its own declaration. Methods are not checked (an
 //     interface or net/rpc can call them by name).
+//  5. Every "ROADMAP item N" or "item N(x)" citation in DESIGN.md, README.md
+//     and the Go sources names an item of ROADMAP.md's open list (and, with
+//     a letter, a sub-item "(x)" in that item's text), so a done or
+//     renumbered item cannot be cited for PRs after it is gone.
+//  6. DESIGN.md and README.md together stay within docLineBudget lines: a
+//     change that must grow one section shrinks another, or raises the
+//     budget in the same diff with its reason in CHANGES.md.
 //
 // Usage (from the repository root, as CI runs it):
 //
@@ -58,10 +65,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docguard: %d violation(s)\n", len(violations))
 		os.Exit(1)
 	}
-	fmt.Println("docguard: packages documented, doc identifiers and section refs resolve, every internal export is used")
+	fmt.Println("docguard: packages documented, doc identifiers, section and item refs resolve, every internal export is used, docs within budget")
 }
 
-// check runs the four rules over the tree at root (skipping testdata and
+// check runs the six rules over the tree at root (skipping testdata and
 // hidden directories such as .git and build caches) and returns one line per
 // violation.
 func check(root string) ([]string, error) {
@@ -104,12 +111,27 @@ func check(root string) ([]string, error) {
 	for _, w := range word.FindAllString(source.String(), -1) {
 		words[w] = true
 	}
+	items, err := roadmapItems(filepath.Join(root, "ROADMAP.md"))
+	if err != nil {
+		violations = append(violations, err.Error())
+	}
+	violations = append(violations, checkItemRefs(items, "go sources", source.String())...)
+	lines := 0
 	for _, md := range []string{"DESIGN.md", "README.md"} {
 		violations = append(violations, checkDocDrift(filepath.Join(root, md), words)...)
+		data, _ := os.ReadFile(filepath.Join(root, md)) // checkDocDrift reports a read error
+		violations = append(violations, checkItemRefs(items, md, string(data))...)
+		lines += strings.Count(string(data), "\n")
+	}
+	if lines > docLineBudget {
+		violations = append(violations, fmt.Sprintf("DESIGN.md + README.md are %d lines, over the budget of %d (docLineBudget): shrink a section, or raise the budget with its reason in CHANGES.md", lines, docLineBudget))
 	}
 	violations = append(violations, checkSectionRefs(filepath.Join(root, "DESIGN.md"), source.String())...)
 	return append(violations, checkOrphans(root, fset, pkgs)...), nil
 }
+
+// docLineBudget is the committed ceiling on DESIGN.md + README.md lines.
+const docLineBudget = 2450
 
 // checkPackageDocs requires at least one non-test file per package directory
 // to carry a package doc comment.
@@ -237,6 +259,63 @@ func checkSectionRefs(mdPath, source string) []string {
 		seen[sec] = true
 		if !headings[sec] {
 			out = append(out, fmt.Sprintf("go sources cite DESIGN.md §%s, but %s has no heading numbered %s", sec, mdPath, sec))
+		}
+	}
+	return out
+}
+
+var (
+	// itemRef matches ROADMAP item citations ("ROADMAP item 8", "items 2",
+	// "item 15(c)"); group 2 is the sub-item letter.
+	itemRef = regexp.MustCompile(`\b(?:ROADMAP(?:\.md)? )?[Ii]tems? ([0-9]+)(?:\(([a-z])\))?`)
+	// itemHeading matches an item of ROADMAP.md's open list ("21. **One
+	// issue loop").
+	itemHeading = regexp.MustCompile(`^([0-9]+)\. `)
+)
+
+// roadmapItems returns the text of each item under ROADMAP.md's "## Open
+// items" heading, by item number.
+func roadmapItems(path string) (map[string]string, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	items := map[string]string{}
+	open, cur := false, ""
+	for _, lineText := range strings.Split(string(data), "\n") {
+		switch m := itemHeading.FindStringSubmatch(lineText); {
+		case strings.HasPrefix(lineText, "## "):
+			open, cur = lineText == "## Open items", ""
+		case open && m != nil:
+			cur = m[1]
+		}
+		if cur != "" {
+			items[cur] += lineText + "\n"
+		}
+	}
+	return items, nil
+}
+
+// checkItemRefs requires every ROADMAP item citation in text (named name in
+// the violations) to name one of items, and a cited sub-item to appear as
+// "(x)" in its item's text.
+func checkItemRefs(items map[string]string, name, text string) []string {
+	var out []string
+	seen := map[string]bool{}
+	for _, m := range itemRef.FindAllStringSubmatch(text, -1) {
+		ref := m[1]
+		if m[2] != "" {
+			ref += "(" + m[2] + ")"
+		}
+		if seen[ref] {
+			continue
+		}
+		seen[ref] = true
+		switch body, ok := items[m[1]]; {
+		case !ok:
+			out = append(out, fmt.Sprintf("%s cites ROADMAP item %s, but ROADMAP.md has no item %s", name, ref, m[1]))
+		case m[2] != "" && !strings.Contains(body, "("+m[2]+")"):
+			out = append(out, fmt.Sprintf("%s cites ROADMAP item %s, but item %s of ROADMAP.md has no (%s)", name, ref, m[1], m[2]))
 		}
 	}
 	return out

@@ -1,19 +1,22 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// baseTree passes every rule: documented packages, a README span and a
-// section citation that resolve, and an internal package whose exports a
-// command uses — one a func, one a type used only through its method.
+// baseTree passes every rule: documented packages, a README span, a section
+// citation and a ROADMAP item citation that resolve, docs within the line
+// budget, and an internal package whose exports a command uses — one a
+// func, one a type used only through its method.
 var baseTree = map[string]string{
-	"go.mod":    "module m\n\ngo 1.22\n",
-	"DESIGN.md": "# Design\n\n## 1. Intro\n",
-	"README.md": "Call `lib.Used` to start.\n",
+	"go.mod":     "module m\n\ngo 1.22\n",
+	"DESIGN.md":  "# Design\n\n## 1. Intro\n",
+	"README.md":  "Call `lib.Used` to start (ROADMAP item 1).\n",
+	"ROADMAP.md": "# Roadmap\n\n1. **An aim, not an item.**\n\n## Open items\n\n1. **First.**\n   - (a) A part.\n2. **Second.**\n\n## Recent\n\n8. **Not an item either.**\n",
 	"internal/lib/lib.go": `// Package lib is a library (DESIGN.md §1).
 package lib
 
@@ -63,6 +66,23 @@ func TestRules(t *testing.T) {
 		{"section refs/fail", map[string]string{
 			"cmd/tool/doc.go": "// See DESIGN.md §2.\npackage main\n",
 		}, "go sources cite DESIGN.md §2, but"},
+
+		// As above, the cited items exist in the repository's own
+		// ROADMAP.md, sub-item letters included.
+		{"roadmap items/pass", map[string]string{
+			"DESIGN.md":       "# Design\n\n## 1. Intro\n\nSee item 1(a) and items 2 and 1.\n",
+			"cmd/tool/doc.go": "// See ROADMAP item 2.\npackage main\n",
+		}, ""},
+		{"roadmap items/fail", map[string]string{
+			"cmd/tool/doc.go": "// See ROADMAP item 8.\npackage main\n",
+		}, "go sources cites ROADMAP item 8, but"},
+		{"roadmap sub-items/fail", map[string]string{
+			"README.md": "Call `lib.Used` (item 1(b)).\n",
+		}, "README.md cites ROADMAP item 1(b), but item 1 of"},
+
+		{"line budget/fail", map[string]string{
+			"DESIGN.md": "# Design\n\n## 1. Intro\n" + strings.Repeat("\n", docLineBudget-3),
+		}, fmt.Sprintf("DESIGN.md + README.md are %d lines, over the budget of %d", docLineBudget+1, docLineBudget)},
 
 		{"orphan exports/pass", map[string]string{
 			// A package only tests import is a harness: its exports are

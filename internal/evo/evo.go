@@ -106,9 +106,20 @@ func (s *RegularizedEvolution) Propose(rng *rand.Rand) Proposal {
 // draws once every pending member it sampled (Waits) has reported.
 type Draft struct {
 	s      *RegularizedEvolution
+	other  Strategy     // a strategy that does not draft: Finish proposes
 	random search.Arch  // drawn while the population fills
 	sample []Individual // the sampled members in draw order; a pending one holds only its ID
 	waits  []int        // the pending members in sample
+}
+
+// DraftOf drafts s's next proposal against the pending candidates: regularized
+// evolution's own Draft, or any other strategy's, which draws nothing, waits
+// on every pending candidate and finishes with s.Propose.
+func DraftOf(s Strategy, rng *rand.Rand, pending []int) *Draft {
+	if re, ok := s.(*RegularizedEvolution); ok {
+		return re.Draft(rng, pending)
+	}
+	return &Draft{other: s, waits: pending}
 }
 
 // Draft draws the next proposal against the population as it will stand once
@@ -148,6 +159,9 @@ func (d *Draft) Waits() []int { return d.waits }
 // the parent's choice and its mutation. Every candidate Waits names must
 // have reported, and none but the pending ones since the draft.
 func (d *Draft) Finish(rng *rand.Rand) Proposal {
+	if d.other != nil {
+		return d.other.Propose(rng)
+	}
 	if d.random != nil {
 		return Proposal{Arch: d.random, ParentID: -1}
 	}

@@ -2,6 +2,7 @@ package evo
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -255,5 +256,33 @@ func TestFailedMemberRanksLast(t *testing.T) {
 	}
 	if Dominates(failed, scored) || !Dominates(scored, failed) || Dominates(failed, failed) {
 		t.Fatal("a Failed member must dominate nothing and be dominated by every scored one")
+	}
+}
+
+// wrapped hides a RegularizedEvolution behind the Strategy interface, as a
+// custom strategy would.
+type wrapped struct{ Strategy }
+
+// TestDraftOfAnyStrategy: regularized evolution's DraftOf is its own Draft;
+// any other strategy's waits on every pending candidate, draws nothing until
+// Finish, and Finish is Propose from the same RNG state.
+func TestDraftOfAnyStrategy(t *testing.T) {
+	space := toySpace()
+	s := NewRegularizedEvolution(space, 4, 2)
+	for id := 0; id < 4; id++ {
+		s.Report(Individual{ID: id, Arch: space.Random(rand.New(rand.NewSource(int64(id)))), Score: float64(id)})
+	}
+	if d := DraftOf(s, rand.New(rand.NewSource(1)), []int{4}); d.s != s || d.other != nil {
+		t.Fatal("regularized evolution's DraftOf is not its own draft")
+	}
+	draw := rand.New(rand.NewSource(7))
+	d := DraftOf(wrapped{s}, draw, []int{4, 5})
+	if !slices.Equal(d.Waits(), []int{4, 5}) {
+		t.Fatalf("waits %v, want every pending candidate", d.Waits())
+	}
+	got := d.Finish(draw)
+	want := s.Propose(rand.New(rand.NewSource(7)))
+	if got.ParentID != want.ParentID || search.Distance(got.Arch, want.Arch) != 0 {
+		t.Fatalf("draft gives %+v, Propose %+v", got, want)
 	}
 }

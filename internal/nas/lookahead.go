@@ -2,9 +2,9 @@ package nas
 
 import "swtnas/internal/obs"
 
-// Lookahead telemetry (DESIGN.md §8): candidates issued while an earlier one
-// was still running, and proposals held on a sampled candidate not yet
-// committed.
+// Lookahead telemetry (DESIGN.md §8): tasks started while an earlier
+// candidate was uncommitted, and drafts held on an uncommitted candidate
+// (every draft with one pending, for a strategy that does not draft).
 var (
 	mAhead  = obs.GetCounter("nas.lookahead.ahead")
 	mWaited = obs.GetCounter("nas.lookahead.waited")

@@ -357,6 +357,52 @@ func TestLookaheadHoldsLargeCandidates(t *testing.T) {
 	}
 }
 
+// TestLookaheadNonDraftingStrategies: a pre-filter search and a strategy
+// that does not draft (a wrapper around regularized evolution) run through
+// the same loop, but their drafts wait on every uncommitted candidate, so
+// they give the same records (and filtered records) at 1, 2 and 4 cores,
+// one candidate at a time: nothing issued ahead, and above one core every
+// draft but the first held.
+func TestLookaheadNonDraftingStrategies(t *testing.T) {
+	defer parallel.SetWorkers(parallel.Workers())
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	const budget = 5
+	for _, prefilter := range []bool{true, false} {
+		var ref *trace.Trace
+		for _, cores := range []int{1, 2, 4} {
+			label := fmt.Sprintf("pre-filter %v at %d cores", prefilter, cores)
+			cfg := newProxyConfig(t, checkpoint.NewCASMemStore())
+			cfg.Budget, cfg.KernelWorkers = budget, cores
+			if !prefilter {
+				cfg.Prefilter, cfg.Strategy = nil, proposeSpy{cfg.Strategy, new(bool)}
+			}
+			before := countsNow()
+			tr, err := Run(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			moved := countsNow().since(before)
+			if want := int64(min(cores-1, 1) * (budget - 1)); moved.ahead != 0 || moved.waited != want {
+				t.Fatalf("%s: ahead %d, waited %d, want 0 and %d", label, moved.ahead, moved.waited, want)
+			}
+			for i := range tr.Records {
+				untimed(&tr.Records[i])
+			}
+			if ref == nil {
+				ref = tr
+				continue
+			}
+			if !reflect.DeepEqual(tr.Records, ref.Records) {
+				t.Fatalf("%s: records differ from one core's", label)
+			}
+			filteredEqual(t, tr.Filtered, ref.Filtered, label)
+		}
+		if prefilter && len(ref.Filtered) == 0 {
+			t.Fatal("the pre-filter rejected nothing")
+		}
+	}
+}
+
 // TestLookaheadFailedCandidateIsAMember is TestNonFiniteScoreIsFailedRecord's
 // diverging uno/f32 search on plain regularized evolution, with a population
 // of 6 so that candidates run ahead while it fills: a candidate that fails
@@ -449,7 +495,8 @@ func TestLookaheadCancelCommitsPrefix(t *testing.T) {
 // candidate's checkpoint in the store while an earlier one never finished;
 // the journal holds only the id-order prefix before it. Resuming from that
 // state gives the uninterrupted search, journal and objects included — on
-// Run's own pool, and with the search a client of a shared one.
+// Run's own pool, and with the search a client of a shared one — and the
+// resumed search looks ahead once its replay is done.
 func TestLookaheadCrashResumeBitIdentical(t *testing.T) {
 	const cores = 2
 	c := lookaheadCase{app: "nt3", dt: tensor.F64, budget: 6, seed: 11}
@@ -460,6 +507,8 @@ func TestLookaheadCrashResumeBitIdentical(t *testing.T) {
 		t.Fatal("nothing ran ahead on the shared pool")
 	}
 	defer parallel.SetWorkers(parallel.Workers())
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	var resumedAhead int64
 	for _, shared := range []bool{false, true} {
 		for k := 0; k < c.budget-1; k++ {
 			dir := t.TempDir()
@@ -505,6 +554,7 @@ func TestLookaheadCrashResumeBitIdentical(t *testing.T) {
 				}
 				cfg.Executor, cfg.KernelWorkers = client, 0
 			}
+			before := countsNow()
 			tr, err := Run(context.Background(), cfg)
 			if pool != nil {
 				pool.Close()
@@ -512,6 +562,7 @@ func TestLookaheadCrashResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			resumedAhead += countsNow().since(before).ahead
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -528,6 +579,9 @@ func TestLookaheadCrashResumeBitIdentical(t *testing.T) {
 			}
 			sameRun(t, full, got, fmt.Sprintf("shared=%v: crash with %d journaled and %d saved", shared, k, k+1))
 		}
+	}
+	if resumedAhead == 0 {
+		t.Fatal("no resumed search issued a candidate ahead after its replay")
 	}
 }
 

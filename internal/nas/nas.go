@@ -343,26 +343,25 @@ type Config struct {
 	// to max(1, GOMAXPROCS/Workers) for the duration of the run (restoring
 	// the previous limit when the pool closes), unless the SWTNAS_WORKERS
 	// environment variable pins an explicit pool size. With a single
-	// evaluator the limit is left where it is; on the private pool and with
-	// no Resume it is also the search's cores, spent on lookahead (Run): up
-	// to that many small candidates run at once (on a shared pool the
-	// cores are its slots instead). The kernel pool's caller-runs handoff
-	// keeps oversubscription safe either way.
+	// evaluator the limit is left where it is, and on the private pool it is
+	// also the search's cores for lookahead (Run): up to that many small
+	// candidates run at once. The kernel pool's caller-runs handoff keeps
+	// oversubscription safe either way.
 	KernelWorkers int
 	// Budget is the number of candidates to evaluate.
 	Budget int
 	// Seed drives proposals and per-candidate seeds.
 	Seed int64
 	// Progress, when non-nil, is invoked from the scheduler goroutine for
-	// every completed candidate, in commit order (completion order, or id
-	// order under lookahead), after the result has
-	// been recorded in the trace (CompletedAt and the running BestScore
-	// are already set, so callers can implement whole-search early
-	// stopping by cancelling the context when BestScore plateaus). On a
-	// resumed run the journaled prefix is streamed first, each replayed
-	// candidate marked Resumed, so a progress feed always sees the full
-	// history. It must not call back into the search; a slow callback
-	// delays issuing the next candidate but never corrupts the run.
+	// every completed candidate, in commit order (id order at one evaluator,
+	// completion order above), after the result has been recorded in the
+	// trace (CompletedAt and the running BestScore are already set, so
+	// callers can implement whole-search early stopping by cancelling the
+	// context when BestScore plateaus). On a resumed run the journaled prefix
+	// is streamed first, each replayed candidate marked Resumed, so a
+	// progress feed always sees the full history. It must not call back into
+	// the search; a slow callback delays issuing the next candidate but never
+	// corrupts the run.
 	Progress func(Result)
 	// Executor, when non-nil, runs the candidate evaluations — a
 	// SharedPool client when this search shares evaluator slots with
@@ -371,10 +370,10 @@ type Config struct {
 	// returns (a run that ends normally or on cancellation has drained every
 	// task by then; an aborted one leaves its queued tasks to Close's
 	// cancellation). With an Executor set, Workers still fixes what a seed
-	// means, and the executor sizes real concurrency and the kernel split. A
-	// one-evaluator client of a SharedPool looks ahead on the pool's slots
-	// (Run), its tasks queued behind other clients' by the fair scheduler;
-	// a coordinator binding runs one task at a time.
+	// means, and the executor sizes real concurrency and the kernel split. At
+	// one evaluator a SharedPool client looks ahead on the pool's slots (Run),
+	// queued behind other clients' tasks by the fair scheduler; a coordinator
+	// binding runs one task at a time.
 	Executor Executor
 	// Journal, when non-nil, receives an append for every completed
 	// candidate before Progress fires, so a crashed run can resume from its
@@ -430,21 +429,19 @@ func SchemeName(m core.Matcher) string {
 // Result.Err): it becomes a Failed trace record, joins the population below
 // every scored member, and the search continues.
 //
-// A one-evaluator search on a SharedPool (Run's own or a shared one's
-// client), drawing from *evo.RegularizedEvolution without a Prefilter and
-// not resuming a journal, looks ahead: while earlier candidates train it
-// draws the next proposal against the population as they will leave it,
-// starts it on an idle core (a slot, on a shared pool) when its sample holds
-// none of them (and the trainable state in flight stays within
-// lookaheadState), and holds it otherwise. Results commit in id order, a
-// failed candidate joining the population like any other, so the search is
-// the one-at-a-time loop's at any core count (DESIGN.md §8).
+// A one-evaluator search looks ahead: while earlier candidates train it
+// drafts the next proposal against the population as they will leave it
+// (evo.DraftOf), starts it on an idle core when the draft holds none of them
+// (and the trainable state in flight stays within lookaheadState), and holds
+// it otherwise; a strategy that does not draft holds on all of them. Results
+// commit in id order, so the search is the one-at-a-time loop's at any core
+// count, a resumed one's included (DESIGN.md §8).
 //
 // Cancelling ctx stops the search promptly: evaluations in flight stop at
 // the next minibatch boundary (their partial candidates are dropped, not
 // recorded), queued tasks are skipped, and Run returns the partial trace of
 // every candidate completed before cancellation together with ctx.Err()
-// (under lookahead, the id-order prefix of them; later ones are dropped
+// (at one evaluator, the id-order prefix of them; later ones are dropped
 // with their checkpoints).
 // All evaluator goroutines have stopped evaluating by the time Run returns.
 // An executor that cancels tasks itself (a pool closed under the search)
@@ -483,27 +480,16 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	if strategy == nil {
 		strategy = evo.NewRegularizedEvolution(cfg.App.Space, 0, 0)
 	}
-	// Lookahead (DESIGN.md §8): a one-evaluator search on a SharedPool (its
-	// own or a shared one), drawing from regularized evolution and not
-	// resuming a journal, runs later candidates on idle cores whenever their
-	// proposals are already fixed, and commits in id order. A search's cores
-	// are its kernel limit on its own pool and the slot count on a shared
-	// one, whose fair queue decides when they run; at one core nothing runs
-	// ahead. A coordinator binding does not look ahead: Run does not know how
-	// many of its workers are idle.
-	ahead, _ := strategy.(*evo.RegularizedEvolution)
-	cores := parallel.Workers()
-	if client, ok := cfg.Executor.(*PoolClient); ok {
-		cores = client.pool.Workers()
-	} else if cfg.Executor != nil {
-		ahead = nil
-	}
-	if workers > 1 || cfg.Prefilter != nil || cfg.Resume != nil {
-		ahead = nil
-	}
+	// A one-evaluator search's cores: its kernel limit on its own pool, a
+	// shared pool's slots (its fair queue decides when they run), and one on
+	// a coordinator binding, whose idle workers Run does not know.
 	slots := workers
-	if ahead != nil {
-		slots = min(cores, cfg.Budget)
+	switch client, ok := cfg.Executor.(*PoolClient); {
+	case workers > 1:
+	case ok:
+		slots = min(client.pool.Workers(), cfg.Budget)
+	case cfg.Executor == nil:
+		slots = min(parallel.Workers(), cfg.Budget)
 	}
 	exec := cfg.Executor
 	if exec == nil {
@@ -569,13 +555,17 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	open := map[int]Task{} // issued, not yet committed
 	var held []int         // issued while replaying, in issue order
 	issued := 0
-	// Lookahead state. A result waits in done until every earlier candidate
-	// has committed (next is the first that has not); draft is a proposal
-	// held on the pending candidates it sampled, ready one held on
-	// lookaheadState; gap is the first candidate a cancellation lost, after
-	// which nothing commits.
+	// Lookahead state. A result (with its journaled manifest, when replayed)
+	// waits in done until every earlier candidate has committed (next is the
+	// first that has not); draft is a proposal held on the pending candidates
+	// it sampled, ready one held on lookaheadState; gap is the first
+	// candidate a cancellation lost, after which nothing commits.
+	type completion struct {
+		Result
+		manifest []byte
+	}
 	var (
-		done   = map[int]Result{}
+		done   = map[int]completion{}
 		next   int
 		draft  *evo.Draft
 		ready  *evo.Proposal // draft finished, held on the state bound
@@ -602,6 +592,9 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		return 4 * n * cfg.DType.Size()
 	}
 	submit := func(t Task) {
+		if workers == 1 && t.ID > next {
+			mAhead.Inc()
+		}
 		t.IssuedAt = time.Now()
 		exec.Submit(ctx, t, eval.EvaluateCtx, results)
 	}
@@ -611,9 +604,6 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		gc.taskIssued(p.ParentID)
 		t := Task{ID: issued, Arch: p.Arch, ParentID: p.ParentID, Seed: TaskSeed(cfg.Seed, issued), ProxyScore: p.ProxyScore}
 		issued++
-		if ahead != nil && len(open) > len(done) {
-			mAhead.Inc()
-		}
 		open[t.ID] = t
 		if len(replay) > 0 {
 			held = append(held, t.ID)
@@ -623,29 +613,23 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	}
 	// fill issues proposals while the issue rule allows, up to the budget and
 	// until a task is cancelled (a replay issues regardless: its tasks are the
-	// journal's). Without lookahead at most Workers tasks are open. With it,
-	// up to cores candidates run, each proposal drawn against the population
-	// as it will stand when the open ones commit; one that sampled an open
-	// candidate is held until that one commits, and one whose trainable
-	// state would not fit beside the running ones until they finish.
+	// journal's). Up to slots candidates run, each proposal drafted against
+	// the population as it will stand when the pending ones commit: at
+	// Workers 1 every uncommitted candidate, so a draft that sampled one is
+	// held until it commits, and a proposal whose trainable state would not
+	// fit beside the running ones until they finish; at Workers ≥ 2 none,
+	// which draws what Propose draws, in completion order.
 	fill := func() {
 		for issued < cfg.Budget && (len(replay) > 0 || (ctx.Err() == nil && cancelled == nil)) {
-			if ahead == nil {
-				if len(open) >= workers {
-					return
-				}
-				issue(strategy.Propose(rng))
-				continue
-			}
 			if draft == nil {
-				if len(open)-len(done) >= cores {
+				if len(open)-len(done) >= slots {
 					return
 				}
-				pending := make([]int, 0, issued-next)
-				for id := next; id < issued; id++ {
+				var pending []int
+				for id := next; workers == 1 && id < issued; id++ {
 					pending = append(pending, id)
 				}
-				if draft = ahead.Draft(rng, pending); len(draft.Waits()) > 0 {
+				if draft = evo.DraftOf(strategy, rng, pending); len(draft.Waits()) > 0 {
 					mWaited.Inc()
 				}
 			}
@@ -656,7 +640,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 				p := draft.Finish(rng)
 				ready = &p
 			}
-			if len(open) > len(done) {
+			if workers == 1 && len(open) > len(done) {
 				inFlight := state(ready.ParentID)
 				for id, t := range open {
 					if _, ok := done[id]; !ok {
@@ -700,7 +684,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		}
 		delete(open, res.ID)
 		gc.taskDone(res.ParentID)
-		if ahead != nil {
+		if workers == 1 {
 			params = append(params, res.Params) // commits are in id order
 			sum += res.Params
 		}
@@ -781,22 +765,24 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 			return nil, fmt.Errorf("nas: journal candidate %d is not in the replayed schedule — journal and run options disagree", res.ID)
 		case !ok:
 			return nil, fmt.Errorf("nas: executor returned candidate %d, which is not in flight", res.ID)
+		case res.Resumed && workers == 1 && res.ID != next:
+			return nil, fmt.Errorf("nas: journal candidate %d comes before candidate %d — journal and run options disagree", res.ID, next)
 		case res.Resumed && (!slices.Equal([]int(t.Arch), res.Arch) || t.ParentID != res.ParentID):
 			return nil, fmt.Errorf("nas: journal candidate %d has arch %v from parent %d, replay proposed %v from parent %d — journal and run options disagree", res.ID, res.Arch, res.ParentID, t.Arch, t.ParentID)
 		}
 		switch {
 		case res.Err != nil && !res.Failed && (errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded)):
-			// Cancelled mid-training or skipped in queue; keep draining. With
-			// lookahead only the id-order prefix before it commits.
+			// Cancelled mid-training or skipped in queue; keep draining. At one
+			// evaluator only the id-order prefix before it commits.
 			delete(open, res.ID)
 			cancelled = res.Err
 			gap = min(gap, res.ID)
 			for id, r := range done {
 				if id > gap {
-					drop(r)
+					drop(r.Result)
 				}
 			}
-		case ahead == nil:
+		case workers > 1:
 			if err := commit(res, manifest); err != nil {
 				return nil, err
 			}
@@ -804,11 +790,11 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 			drop(res)
 		default:
 			// The reorder buffer: commit strictly in id order.
-			done[res.ID] = res
+			done[res.ID] = completion{res, manifest}
 			for r, ok := done[next]; ok; r, ok = done[next] {
 				delete(done, next)
 				next++
-				if err := commit(r, nil); err != nil {
+				if err := commit(r.Result, r.manifest); err != nil {
 					return nil, err
 				}
 			}

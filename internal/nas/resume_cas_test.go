@@ -18,6 +18,7 @@ import (
 	"swtnas/internal/checkpoint"
 	"swtnas/internal/core"
 	"swtnas/internal/evo"
+	"swtnas/internal/parallel"
 	"swtnas/internal/resilience"
 	"swtnas/internal/trace"
 )
@@ -344,6 +345,7 @@ func runWithin(t *testing.T, d time.Duration, ctx context.Context, cfg Config) (
 // never issued. Each want is a regular expression.
 func TestResumeRejectsMismatchedRun(t *testing.T) {
 	const budget = 4
+	defer parallel.SetWorkers(parallel.Workers())
 	dir := t.TempDir()
 	_, _, storeDir := journaledCASRun(t, dir, budget, 0)
 	store, err := checkpoint.NewCASDiskStore(storeDir)
@@ -375,6 +377,14 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 		"a candidate recorded twice": {func(c *Config) {
 			c.Resume = edited(2, func(r *trace.Record) { r.ID = 0 })
 		}, disagree},
+		// Two cores let candidates 1 and 2 be issued beside 0, so their
+		// records answer open tasks, only too early: buffered, they would
+		// wait for a record of candidate 0 that never comes.
+		"a journal without its first candidate": {func(c *Config) {
+			cp := *rec
+			cp.Records = rec.Records[1:3]
+			c.Resume, c.Executor, c.KernelWorkers = &cp, nil, 2
+		}, "journal candidate 1 comes before candidate 0 — " + disagree},
 		"a candidate whose arch disagrees": {func(c *Config) {
 			c.Resume = edited(budget-1, func(r *trace.Record) { r.Arch = append([]int{r.Arch[0] + 1}, r.Arch[1:]...) })
 		}, disagree},

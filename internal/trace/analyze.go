@@ -15,33 +15,49 @@ import (
 
 // LineageDepth returns how many ancestors a record has within the trace
 // (0 for candidates trained from scratch).
-func (t *Trace) LineageDepth(id int) int {
-	byID := t.indexByID()
-	depth := 0
-	cur, ok := byID[id]
-	if !ok {
-		return 0
-	}
-	for cur.ParentID >= 0 {
-		next, ok := byID[cur.ParentID]
-		if !ok {
-			break
-		}
-		depth++
-		cur = next
-		if depth > len(t.Records) { // corrupt trace with a cycle
-			break
-		}
-	}
-	return depth
-}
+func (t *Trace) LineageDepth(id int) int { return t.lineageDepths()[id] }
 
-func (t *Trace) indexByID() map[int]Record {
-	byID := make(map[int]Record, len(t.Records))
+// lineageDepths returns every record's LineageDepth by ID, walking each
+// ancestor chain once: a walk stops at a record whose depth is known, and
+// the records it passed take their depths on the way back. A chain that
+// runs into a cycle (a corrupt trace) reads len(t.Records)+1 throughout.
+func (t *Trace) lineageDepths() map[int]int {
+	parent := make(map[int]int, len(t.Records))
 	for _, r := range t.Records {
-		byID[r.ID] = r
+		parent[r.ID] = r.ParentID
 	}
-	return byID
+	const walking = -1 // on the current walk, depth not yet known
+	cyclic := len(t.Records) + 1
+	depths := make(map[int]int, len(parent))
+	var path []int
+	for id := range parent {
+		if _, ok := depths[id]; ok {
+			continue
+		}
+		path = path[:0]
+		d := -1 // the depth of the walk's last record's parent: -1 past a root
+		for cur := id; ; cur = parent[cur] {
+			depths[cur] = walking
+			path = append(path, cur)
+			p := parent[cur]
+			if _, ok := parent[p]; p < 0 || !ok {
+				break
+			}
+			if pd, ok := depths[p]; ok {
+				if d = pd; pd == walking {
+					d = cyclic
+				}
+				break
+			}
+		}
+		for i := len(path) - 1; i >= 0; i-- {
+			if d != cyclic {
+				d++
+			}
+			depths[path[i]] = d
+		}
+	}
+	return depths
 }
 
 // Summary aggregates a trace for reporting. Candidates counts every record;
@@ -70,6 +86,7 @@ func (t *Trace) Summarize() Summary {
 	s := Summary{App: t.App, Scheme: t.Scheme, Candidates: len(t.Records), BestID: -1}
 	var scoreSum float64
 	var lineageSum int
+	depths := t.lineageDepths()
 	for _, r := range t.Records {
 		if r.CompletedAt > s.Makespan {
 			s.Makespan = r.CompletedAt
@@ -82,7 +99,7 @@ func (t *Trace) Summarize() Summary {
 		if r.TransferCopied > 0 {
 			s.Transferred++
 		}
-		d := t.LineageDepth(r.ID)
+		d := depths[r.ID]
 		lineageSum += d
 		if d > s.MaxLineage {
 			s.MaxLineage = d
@@ -123,9 +140,10 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "id,score,parent_id,transfer_copied,lineage_depth,params,train_ms,ckpt_bytes,completed_ms"); err != nil {
 		return err
 	}
+	depths := t.lineageDepths()
 	for _, r := range t.Records {
 		if _, err := fmt.Fprintf(w, "%d,%g,%d,%d,%d,%d,%g,%d,%g\n",
-			r.ID, r.Score, r.ParentID, r.TransferCopied, t.LineageDepth(r.ID), r.Params,
+			r.ID, r.Score, r.ParentID, r.TransferCopied, depths[r.ID], r.Params,
 			float64(r.TrainTime)/float64(time.Millisecond),
 			r.CheckpointBytes,
 			float64(r.CompletedAt)/float64(time.Millisecond)); err != nil {

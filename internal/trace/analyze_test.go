@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"io"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -147,5 +149,82 @@ func TestScoreQuantiles(t *testing.T) {
 	}
 	if q := (&Trace{Records: []Record{{ID: 0, Failed: true}}}).ScoreQuantiles(4); q != nil {
 		t.Fatalf("all-failed trace quantiles = %v, want nil", q)
+	}
+}
+
+// walkDepth is LineageDepth as one walk per record: the reference the
+// memoised depths are held to.
+func walkDepth(t *Trace, id int) int {
+	byID := map[int]Record{}
+	for _, r := range t.Records {
+		byID[r.ID] = r
+	}
+	depth := 0
+	cur, ok := byID[id]
+	if !ok {
+		return 0
+	}
+	for cur.ParentID >= 0 {
+		next, ok := byID[cur.ParentID]
+		if !ok {
+			break
+		}
+		depth++
+		cur = next
+		if depth > len(t.Records) {
+			break
+		}
+	}
+	return depth
+}
+
+// TestLineageDepthsMatchOneWalkPerRecord: on random traces — parents
+// earlier, later, missing or negative, duplicate IDs, self-parents and
+// cycles — every record's depth, as Summarize and WriteCSV read it, is the
+// one walk's.
+func TestLineageDepthsMatchOneWalkPerRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cycles := 0
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(30)
+		tr := &Trace{}
+		for i := 0; i < n; i++ {
+			tr.Records = append(tr.Records, Record{ID: rng.Intn(n + 2), ParentID: rng.Intn(n+4) - 2})
+		}
+		depths := tr.lineageDepths()
+		for id := -2; id < n+4; id++ {
+			got, want := depths[id], walkDepth(tr, id)
+			if got != want {
+				t.Fatalf("trial %d, %+v: depth of %d = %d, want %d", trial, tr.Records, id, got, want)
+			}
+			if want == n+1 {
+				cycles++
+			}
+		}
+	}
+	if cycles == 0 {
+		t.Fatal("no trace ran into a cycle")
+	}
+}
+
+// TestSummarizeLongChainIsLinear: a 16,000-record chain, each candidate
+// the previous one's child, summarises in well under a second; one walk per
+// record took over a minute.
+func TestSummarizeLongChainIsLinear(t *testing.T) {
+	const n = 16000
+	tr := &Trace{}
+	for i := 0; i < n; i++ {
+		tr.Records = append(tr.Records, Record{ID: i, ParentID: i - 1, Score: float64(i)})
+	}
+	start := time.Now()
+	s := tr.Summarize()
+	if err := tr.WriteCSV(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Fatalf("Summarize and WriteCSV took %v", elapsed)
+	}
+	if s.MaxLineage != n-1 || s.MeanLineage != float64(n-1)/2 {
+		t.Fatalf("max lineage %d, mean %g", s.MaxLineage, s.MeanLineage)
 	}
 }

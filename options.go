@@ -29,12 +29,12 @@ type SearchOptions struct {
 	// across). 0 keeps the current setting: the SWTNAS_WORKERS
 	// environment variable when set, GOMAXPROCS otherwise. When Workers
 	// evaluators run concurrently, KernelWorkers ≈ cores/Workers
-	// partitions the machine between them. A one-evaluator search without
-	// a proxy filter or Resume spends these cores on lookahead (on a Pool,
-	// the pool's slots instead): up to that many candidates whose proposals
-	// are already fixed, and whose weights and optimizer state together
-	// stay small, train at once, and results commit in id order, so the
-	// cores decide only how fast the search runs.
+	// partitions the machine between them. A one-evaluator search spends
+	// these cores on lookahead (on a Pool, the pool's slots instead): up to
+	// that many candidates whose proposals are already fixed, and whose
+	// weights and optimizer state together stay small, train at once, and
+	// results commit in id order, so the cores decide only how fast the
+	// search runs.
 	KernelWorkers int
 	// Seed drives the search; DataSeed the synthetic dataset (defaults
 	// to Seed).
