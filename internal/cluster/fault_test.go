@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -337,5 +338,161 @@ func TestLateDuplicateSubmitIsDropped(t *testing.T) {
 	case res := <-terminal:
 		t.Fatalf("duplicate produced a second terminal result: %+v", res)
 	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// submit sends one worker's result for task id, failing the test on an RPC
+// error.
+func submit(t *testing.T, svc *Service, worker string, id int, score float64, errMsg string) {
+	t.Helper()
+	var ack bool
+	if err := svc.Submit(RPCResult{Record: trace.Record{ID: id, Score: score}, WorkerID: worker, Err: errMsg}, &ack); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// next hands worker the next task and checks it is task id.
+func next(t *testing.T, svc *Service, worker string, id int) {
+	t.Helper()
+	var task RPCTask
+	if err := svc.NextTask(worker, &task); err != nil {
+		t.Fatal(err)
+	}
+	if task.ID != id {
+		t.Fatalf("%s got task %d, want %d", worker, task.ID, id)
+	}
+}
+
+// noResult fails if a terminal result is waiting. Submit delivers before it
+// returns, so a submit that resolved its task has already sent it.
+func noResult(t *testing.T, terminal <-chan RPCResult, why string) {
+	t.Helper()
+	select {
+	case res := <-terminal:
+		t.Fatalf("%s produced a terminal result: %+v", why, res)
+	default:
+	}
+}
+
+// countEvents counts the recorded events of kind for candidate id.
+func countEvents(rec *eventRecorder, kind nas.FaultKind, id int) int {
+	n := 0
+	for _, ev := range rec.snapshot() {
+		if ev.Kind == kind && ev.CandidateID == id {
+			n++
+		}
+	}
+	return n
+}
+
+// TestReclaimedWorkerLateSubmit walks Submit's paths for a worker whose
+// attempt was reclaimed (quarantine) and requeued to another worker, one
+// step at a time: (a) the reclaimed worker's late success resolves the task
+// once and the requeued copy's later result is a duplicate; (b) its late
+// error is dropped and consumes no attempt; (c) Attempts counts the
+// executions the task consumed.
+func TestReclaimedWorkerLateSubmit(t *testing.T) {
+	rec := &eventRecorder{}
+	c := NewCoordinatorWith(FaultConfig{
+		HeartbeatTimeout: 40 * time.Millisecond,
+		MonitorInterval:  2 * time.Millisecond,
+		RetryBackoff:     time.Millisecond,
+		MaxAttempts:      2, // a consumed late error would fail the task
+		OnEvent:          rec.record,
+	})
+	defer c.Shutdown()
+	svc := &Service{c: c}
+	enqueue, terminal := queue(c)
+	reclaim := func(id int) {
+		t.Helper()
+		enqueue(RPCTask{ID: id})
+		next(t, svc, "A", id)
+		rec.await(t, "requeue", func(ev nas.FaultEvent) bool { return ev.Kind == nas.FaultRequeue && ev.CandidateID == id })
+		next(t, svc, "B", id)
+	}
+
+	// (a) A's late success wins; B's result is dropped.
+	reclaim(0)
+	submit(t, svc, "A", 0, 1, "")
+	res := <-terminal
+	if res.WorkerID != "A" || res.Score != 1 || res.Failed || res.Attempts != 2 {
+		t.Fatalf("late success = %+v, want A's score 1 after 2 attempts", res)
+	}
+	submit(t, svc, "B", 0, 2, "")
+	noResult(t, terminal, "the requeued copy's result")
+
+	// (b) A's late error is dropped: with MaxAttempts 2, consuming an
+	// attempt would have failed the task. B's success then resolves it.
+	reclaim(1)
+	submit(t, svc, "A", 1, 0, "late error")
+	noResult(t, terminal, "a reclaimed worker's late error")
+	if n := countEvents(rec, nas.FaultRequeue, 1); n != 1 {
+		t.Fatalf("task 1 requeued %d times, want once (the reclaim)", n)
+	}
+	submit(t, svc, "B", 1, 3, "")
+	res = <-terminal
+	if res.WorkerID != "B" || res.Score != 3 || res.Failed || res.Attempts != 2 {
+		t.Fatalf("result = %+v, want B's score 3 after 2 attempts", res)
+	}
+	if n := countEvents(rec, nas.FaultFailed, 1); n != 0 {
+		t.Fatalf("task 1 has %d failed events", n)
+	}
+}
+
+// TestTaskDeadlineReclaimsStalledWorker: a worker that keeps heartbeating
+// but never finishes is not quarantined; its task is reclaimed at
+// TaskDeadline and completed elsewhere, and the stalled worker's late
+// submit is dropped.
+func TestTaskDeadlineReclaimsStalledWorker(t *testing.T) {
+	const deadline = 60 * time.Millisecond
+	rec := &eventRecorder{}
+	c := NewCoordinatorWith(FaultConfig{
+		HeartbeatTimeout: 10 * time.Second,
+		TaskDeadline:     deadline,
+		MonitorInterval:  2 * time.Millisecond,
+		RetryBackoff:     time.Millisecond,
+		OnEvent:          rec.record,
+	})
+	defer c.Shutdown()
+	svc := &Service{c: c}
+	enqueue, terminal := queue(c)
+	enqueue(RPCTask{ID: 0})
+
+	start := time.Now()
+	next(t, svc, "stalled", 0)
+	stop := make(chan struct{})
+	beating := make(chan struct{})
+	go func() {
+		defer close(beating)
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(5 * time.Millisecond):
+				var ack bool
+				_ = svc.Heartbeat("stalled", &ack)
+			}
+		}
+	}()
+	ev := rec.await(t, "requeue", func(ev nas.FaultEvent) bool { return ev.Kind == nas.FaultRequeue && ev.CandidateID == 0 })
+	if waited := time.Since(start); waited < deadline {
+		t.Fatalf("task reclaimed after %v, before its %v deadline", waited, deadline)
+	}
+	if !strings.Contains(ev.Reason, "deadline") {
+		t.Fatalf("requeue reason %q, want the task deadline", ev.Reason)
+	}
+	next(t, svc, "healthy", 0)
+	submit(t, svc, "healthy", 0, 2, "")
+	if res := <-terminal; res.WorkerID != "healthy" || res.Score != 2 || res.Attempts != 2 {
+		t.Fatalf("result = %+v, want the healthy worker's after 2 attempts", res)
+	}
+	submit(t, svc, "stalled", 0, 1, "")
+	noResult(t, terminal, "the stalled worker's late submit")
+	close(stop)
+	<-beating
+	for _, ev := range rec.snapshot() {
+		if ev.Kind == nas.FaultQuarantine {
+			t.Fatalf("a heartbeating worker was quarantined: %+v", ev)
+		}
 	}
 }

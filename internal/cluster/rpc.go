@@ -2,11 +2,10 @@
 // (nas.Run): TCP-distributed evaluators over net/rpc, the stand-in for
 // DeepHyper's multi-node Ray/MPI/Balsam backends. A Coordinator queues
 // tasks for polling Workers with fault-tolerant coordination (heartbeats,
-// quarantine, requeue, speculative re-execution); Coordinator.Bind makes it
-// the nas.Executor of one search, and each Worker runs nas.Evaluator behind
-// the RPC envelope, returning the evaluator's trace.Record whole. The paper's
-// scalability study (Fig 10) runs on the simulator in internal/sim instead,
-// since this host has no GPUs.
+// quarantine, requeue); Coordinator.Bind makes it the nas.Executor of one
+// search, and each Worker runs nas.Evaluator behind the RPC envelope,
+// returning the evaluator's trace.Record whole. The paper's scalability study
+// (Fig 10) runs on the simulator in internal/sim instead, which needs no GPUs.
 package cluster
 
 import (
@@ -14,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"net"
 	"net/rpc"
 	"slices"
@@ -27,7 +25,6 @@ import (
 	"swtnas/internal/data"
 	"swtnas/internal/nas"
 	"swtnas/internal/obs"
-	"swtnas/internal/stats"
 	"swtnas/internal/tensor"
 	"swtnas/internal/trace"
 )
@@ -52,15 +49,12 @@ var (
 	mReadmitted       = obs.GetCounter("cluster.workers.readmitted")
 	mInflightGauge    = obs.GetGauge("cluster.tasks.inflight")
 	mHeartbeats       = obs.GetCounter("cluster.heartbeats")
-	mSpeculated       = obs.GetCounter("cluster.tasks.speculated")
-	mSpeculationWon   = obs.GetCounter("cluster.speculation.won")
 )
 
-// Worker.Run's dial schedule, and the speculation window's length.
+// Worker.Run's dial schedule.
 const (
-	dialAttempts  = 5
-	dialDelay     = 100 * time.Millisecond
-	latencyWindow = 128
+	dialAttempts = 5
+	dialDelay    = 100 * time.Millisecond
 )
 
 // call wraps client.Call with round-trip telemetry.
@@ -139,19 +133,6 @@ type FaultConfig struct {
 	RetryBackoff time.Duration
 	// MonitorInterval is the failure-detector scan period. Default 250ms.
 	MonitorInterval time.Duration
-	// SpeculativeQuantile enables speculative re-execution: once enough
-	// results are in, a task whose elapsed runtime exceeds
-	// SpeculationFactor times this quantile of recently completed
-	// evaluation latencies gets a backup attempt on the next free worker —
-	// first result wins, the loser's is dropped as a duplicate. 0 disables
-	// speculation (the default); paper-style straggler mitigation uses 0.9.
-	SpeculativeQuantile float64
-	// SpeculationFactor scales the quantile into the straggler threshold.
-	// Default 1.5.
-	SpeculationFactor float64
-	// SpeculationMinSamples is how many completed evaluations the latency
-	// window needs before speculation engages. Default 8.
-	SpeculationMinSamples int
 	// OnEvent, when set, observes every fault-tolerance decision the
 	// coordinator takes as a nas.FaultEvent. Events are delivered outside
 	// the coordinator's lock, in decision order, from whichever goroutine
@@ -165,13 +146,11 @@ func (f FaultConfig) withDefaults() FaultConfig {
 	orDefault(&f.MaxAttempts, 3)
 	orDefault(&f.RetryBackoff, 100*time.Millisecond)
 	orDefault(&f.MonitorInterval, 250*time.Millisecond)
-	orDefault(&f.SpeculationFactor, 1.5)
-	orDefault(&f.SpeculationMinSamples, 8)
 	return f
 }
 
 // orDefault replaces a non-positive *v with d.
-func orDefault[T int | float64 | time.Duration](v *T, d T) {
+func orDefault[T int | time.Duration](v *T, d T) {
 	if *v <= 0 {
 		*v = d
 	}
@@ -179,18 +158,14 @@ func orDefault[T int | float64 | time.Duration](v *T, d T) {
 
 // attempt is the scheduling state of one unresolved task: queued (not
 // dispatched before readyAt, its retry backoff) or running on worker since
-// started. One attempt follows a task through every retry. A backup is a
-// second copy racing a straggling original (speculative re-execution); it
-// lives outside the retry budget and resolves the task through the original.
+// started. One attempt follows a task through every retry.
 type attempt struct {
-	task       RPCTask
-	done       func(RPCResult) // receives the task's one terminal result
-	n          int             // executions consumed, the running one included
-	backup     bool
-	speculated bool // original only: its one backup has been launched
-	readyAt    time.Time
-	worker     string
-	started    time.Time
+	task    RPCTask
+	done    func(RPCResult) // receives the task's one terminal result
+	n       int             // executions consumed, the running one included
+	readyAt time.Time
+	worker  string
+	started time.Time
 }
 
 // workerState is the coordinator's liveness view of one worker.
@@ -210,16 +185,10 @@ type Coordinator struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	queue    []*attempt       // waiting for a worker, in dispatch order
-	open     map[int]*attempt // every unresolved task's original attempt
-	inflight map[int]*attempt // originals running on a worker
-	backups  map[int]*attempt // backups running on a worker
+	open     map[int]*attempt // every unresolved task's attempt
+	inflight map[int]*attempt // attempts running on a worker
 	workers  map[string]*workerState
 	shutdown bool
-
-	// latencies is a sliding window of the last latencyWindow completed
-	// attempts' dispatch-to-result times, the base of the speculation
-	// threshold.
-	latencies []time.Duration
 
 	monitorOnce sync.Once
 	stopMonitor chan struct{}
@@ -265,7 +234,6 @@ func NewCoordinatorWith(cfg FaultConfig) *Coordinator {
 		cfg:         cfg.withDefaults(),
 		open:        map[int]*attempt{},
 		inflight:    map[int]*attempt{},
-		backups:     map[int]*attempt{},
 		workers:     map[string]*workerState{},
 		stopMonitor: make(chan struct{}),
 	}
@@ -319,30 +287,17 @@ func (c *Coordinator) beatLocked(workerID string) {
 	}
 }
 
-// runningLocked returns the attempt worker is running for task id — its
-// backup if it holds one, else the original — or nil if the attempt was
-// reclaimed from it (queued again or running elsewhere). Callers hold c.mu.
-func (c *Coordinator) runningLocked(id int, worker string) *attempt {
-	for _, a := range []*attempt{c.backups[id], c.inflight[id]} {
-		if a != nil && a.worker == worker {
-			return a
-		}
-	}
-	return nil
-}
-
-// resolveLocked forgets a task that reached its terminal result, whatever
-// copies of it are queued or running. Callers hold c.mu.
+// resolveLocked forgets a task that reached its terminal result, whether it
+// is queued or running. Callers hold c.mu.
 func (c *Coordinator) resolveLocked(id int) {
 	delete(c.open, id)
 	delete(c.inflight, id)
-	delete(c.backups, id)
 	c.queue = slices.DeleteFunc(c.queue, func(a *attempt) bool { return a.task.ID == id })
 }
 
-// requeueLocked returns an original attempt that ended without a result to
-// the schedule: a retry with backoff while attempts remain, a synthesized
-// Failed result otherwise. It returns the delivery of that terminal result
+// requeueLocked returns an attempt that ended without a result to the
+// schedule: a retry with backoff while attempts remain, a synthesized Failed
+// result otherwise. It returns the delivery of that terminal result
 // (nil for a retry); callers hold c.mu and must call it after unlocking.
 func (c *Coordinator) requeueLocked(a *attempt, reason string) (deliver func()) {
 	id := a.task.ID
@@ -362,8 +317,8 @@ func (c *Coordinator) requeueLocked(a *attempt, reason string) (deliver func()) 
 }
 
 // monitor is the failure detector: it quarantines silent workers (requeuing
-// their in-flight tasks), enforces per-task deadlines, launches speculative
-// backups, and wakes parked workers for requeued tasks whose backoff elapsed.
+// their in-flight tasks), enforces per-task deadlines, and wakes parked
+// workers for requeued tasks whose backoff elapsed.
 func (c *Coordinator) monitor() {
 	ticker := time.NewTicker(c.cfg.MonitorInterval)
 	defer ticker.Stop()
@@ -396,9 +351,6 @@ func (c *Coordinator) monitor() {
 					reclaim(a, fmt.Sprintf("worker %s presumed dead (no heartbeat)", id))
 				}
 			}
-			// A quarantined worker's backup attempts are simply dropped:
-			// the originals are still tracked, so nothing is lost.
-			maps.DeleteFunc(c.backups, func(_ int, b *attempt) bool { return b.worker == id })
 		}
 		// Per-task deadline: a task stuck on one worker is requeued even if
 		// the worker still heartbeats (stalled evaluation).
@@ -409,33 +361,12 @@ func (c *Coordinator) monitor() {
 				}
 			}
 		}
-		// Speculative re-execution: once the latency window is warm, a task
-		// running past the quantile threshold gets one backup attempt, queued
-		// ahead of regular work for the next free worker (first result wins).
-		if c.cfg.SpeculativeQuantile > 0 && len(c.latencies) >= c.cfg.SpeculationMinSamples {
-			threshold := time.Duration(float64(stats.DurationQuantile(c.latencies, c.cfg.SpeculativeQuantile)) * c.cfg.SpeculationFactor)
-			for id, a := range c.inflight {
-				if threshold <= 0 || a.speculated || now.Sub(a.started) <= threshold {
-					continue
-				}
-				a.speculated = true
-				mSpeculated.Inc()
-				c.queue = slices.Insert(c.queue, 0, &attempt{task: a.task, n: a.n, backup: true})
-				c.emitLocked(nas.FaultEvent{
-					Kind:        nas.FaultSpeculate,
-					Worker:      a.worker,
-					CandidateID: id,
-					Reason:      fmt.Sprintf("runtime exceeded %s (q%.2f x %.1f of %d samples)", threshold.Round(time.Millisecond), c.cfg.SpeculativeQuantile, c.cfg.SpeculationFactor, len(c.latencies)),
-					Attempt:     a.n,
-				})
-			}
-		}
 		mInflightGauge.Set(int64(len(c.inflight)))
 		queued := len(c.queue) > 0
 		c.mu.Unlock()
 		c.flushEvents()
 		if queued {
-			c.cond.Broadcast() // a backup, or a backoff that may have elapsed
+			c.cond.Broadcast() // a backoff may have elapsed
 		}
 		for _, deliver := range failed {
 			deliver()
@@ -470,11 +401,7 @@ func (s *Service) NextTask(workerID string, reply *RPCTask) error {
 	c.queue = slices.Delete(c.queue, i, i+1)
 	a.worker, a.started = workerID, time.Now()
 	a.n++
-	if a.backup {
-		c.backups[a.task.ID] = a
-	} else {
-		c.inflight[a.task.ID] = a
-	}
+	c.inflight[a.task.ID] = a
 	c.beatLocked(workerID) // cond.Wait may have parked past the timeout
 	mInflightGauge.Set(int64(len(c.inflight)))
 	obs.GetCounter(obs.Labeled("cluster.coord.tasks.assigned", "worker", workerID)).Inc()
@@ -507,35 +434,24 @@ func (s *Service) Submit(res RPCResult, ack *bool) error {
 	c.mu.Lock()
 	c.beatLocked(res.WorkerID)
 	obs.GetCounter(obs.Labeled("cluster.coord.results", "worker", res.WorkerID)).Inc()
-	orig, a := c.open[res.ID], c.runningLocked(res.ID, res.WorkerID)
+	a := c.open[res.ID]
 	switch {
-	case orig == nil:
-		// The race's loser arriving (a requeued task's earlier worker, or the
-		// slower side of a speculation pair): drop the result.
+	case a == nil:
+		// The task is resolved already (a reclaimed worker's result arriving
+		// after another's, or a repeated submission): drop the result.
 		mResultsDuplicate.Inc()
 	case res.Err != "" && !res.Failed:
-		if a == orig {
+		// Only the attempt's holder consumes it: the error of a worker it
+		// was reclaimed from is dropped, the task queued or running again.
+		if c.inflight[res.ID] == a && a.worker == res.WorkerID {
 			deliver = c.requeueLocked(a, res.Err)
-		} else if a != nil {
-			// A failed backup is dropped, not retried: the original still
-			// runs and owns the retry budget.
-			delete(c.backups, res.ID)
 		}
-		// Otherwise another attempt is already queued or running; drop.
 	default:
-		if a == nil {
-			a = orig // a reclaimed attempt finishing after all still resolves the task
-		} else if c.cfg.SpeculativeQuantile > 0 {
-			c.latencies = append(c.latencies, time.Since(a.started))
-			c.latencies = c.latencies[max(0, len(c.latencies)-latencyWindow):]
-		}
+		// The holder's result resolves the task, and so does that of a
+		// worker the attempt was reclaimed from, finishing after all.
 		res.Attempts = a.n
 		c.resolveLocked(res.ID)
-		if a.backup {
-			mSpeculationWon.Inc()
-			c.emitLocked(nas.FaultEvent{Kind: nas.FaultSpeculationWon, Worker: res.WorkerID, CandidateID: res.ID, Attempt: res.Attempts})
-		}
-		deliver = func() { orig.done(res) }
+		deliver = func() { a.done(res) }
 	}
 	mInflightGauge.Set(int64(len(c.inflight)))
 	c.mu.Unlock()

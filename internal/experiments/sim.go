@@ -73,7 +73,7 @@ func (s *Suite) Sim(w io.Writer) ([]SimRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.Speculation = sim.SpeculationConfig{Enabled: true}
+		cfg.Speculate = true
 		on, err := sim.SimulateFleet(cfg)
 		if err != nil {
 			return nil, err

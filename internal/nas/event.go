@@ -17,22 +17,16 @@ const (
 	FaultReadmit FaultKind = "readmit"
 	// FaultFailed: a candidate's evaluation failed for good — the coordinator
 	// spent its retry budget (the search continues, the candidate a Failed
-	// member of the population), or a pool
-	// evaluation errored or panicked (the search aborts).
+	// member of the population), or a pool evaluation errored or panicked
+	// (the search aborts).
 	FaultFailed FaultKind = "failed"
-	// FaultSpeculate: a task overran the calibrated latency quantile and a
-	// backup attempt was launched on another worker (first result wins).
-	FaultSpeculate FaultKind = "speculated"
-	// FaultSpeculationWon: a speculative backup finished before the
-	// straggling original; the original's late result will be scrubbed.
-	FaultSpeculationWon FaultKind = "speculation_won"
 )
 
 // FaultEvent is one fault-tolerance decision, emitted alongside candidate
 // completions in the progress feed: failed evaluations on the evaluator
-// pool, plus quarantine/requeue/readmit/failed/speculation decisions from the
-// distributed coordinator (cluster.FaultConfig.OnEvent). The JSON field names
-// are part of the serve wire schema.
+// pool, plus quarantine/requeue/readmit/failed decisions from the distributed
+// coordinator (cluster.FaultConfig.OnEvent). The JSON field names are part of
+// the serve wire schema.
 type FaultEvent struct {
 	// Kind is the decision taken.
 	Kind FaultKind `json:"kind"`

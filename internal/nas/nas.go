@@ -137,15 +137,13 @@ func errResult(t Task, err error) Result {
 // body of the repo: Run's executors call it in-process, cluster.Worker calls
 // it behind the RPC envelope.
 type Evaluator struct {
-	// App supplies the space, dataset and training budget.
+	// App supplies the space, dataset and training budget (PartialEpochs).
 	App *apps.App
 	// Matcher enables weight transfer; nil trains every candidate from
 	// scratch (the paper's baseline).
 	Matcher core.Matcher
 	// Store persists candidate checkpoints and serves provider reads.
 	Store checkpoint.Store
-	// Epochs overrides App.PartialEpochs when positive.
-	Epochs int
 	// DType selects the training element type. Candidates are always built
 	// and weight-transferred in float64 (the search operators, init RNG
 	// streams and transfer engine are dtype-invariant that way); with
@@ -218,11 +216,7 @@ func (e *Evaluator) evaluate(ctx context.Context, task Task) Result {
 		res.TransferCopied = stats.Copied
 	}
 
-	epochs := e.Epochs
-	if epochs <= 0 {
-		epochs = e.App.PartialEpochs
-	}
-	fitCfg := nn.FitConfig{Context: ctx, Epochs: epochs, BatchSize: e.App.Space.BatchSize, RNG: rng}
+	fitCfg := nn.FitConfig{Context: ctx, Epochs: e.App.PartialEpochs, BatchSize: e.App.Space.BatchSize, RNG: rng}
 	var ckpt *checkpoint.Model
 	start := time.Now()
 	if e.DType == tensor.F32 {

@@ -32,9 +32,6 @@ type FilterConfig struct {
 	// BatchSize is how many proposals are drawn and scored per admission
 	// round; <=0 defaults to 8.
 	BatchSize int
-	// JacobSamples caps the per-sample passes of the JacobCov scorer
-	// (<=0 defaults to 8).
-	JacobSamples int
 	// MinFit is the observation count at which the surrogate first fits
 	// (<=0 defaults to 12); RefitEvery is the refit cadence after that
 	// (<=0 defaults to 8).
@@ -63,10 +60,8 @@ type Stats struct {
 // Propose/Report in a replay-reproducible order, so a crash-resumed search
 // makes identical admission decisions without journaling them.
 type Prefilter struct {
-	cfg      FilterConfig
-	gradNorm GradNorm
-	jacobCov JacobCov
-	sur      *Surrogate
+	cfg FilterConfig
+	sur *Surrogate
 
 	mu         sync.Mutex
 	onFiltered func(trace.FilteredRecord)
@@ -102,10 +97,9 @@ func NewPrefilter(cfg FilterConfig) (*Prefilter, error) {
 		cfg.RefitEvery = 8
 	}
 	return &Prefilter{
-		cfg:      cfg,
-		jacobCov: JacobCov{Samples: cfg.JacobSamples},
-		sur:      &Surrogate{},
-		feats:    map[string][][]float64{},
+		cfg:   cfg,
+		sur:   &Surrogate{},
+		feats: map[string][][]float64{},
 	}, nil
 }
 
@@ -282,11 +276,11 @@ func (p *Prefilter) score(prop evo.Proposal, seq int) (scored, error) {
 	if err != nil {
 		return scored{}, err
 	}
-	gn, err := p.gradNorm.Score(net, p.cfg.Loss, p.cfg.Batch)
+	gn, err := GradNorm{}.Score(net, p.cfg.Loss, p.cfg.Batch)
 	if err != nil {
 		return scored{}, err
 	}
-	jc, err := p.jacobCov.Score(net, p.cfg.Loss, p.cfg.Batch)
+	jc, err := JacobCov{}.Score(net, p.cfg.Loss, p.cfg.Batch)
 	if err != nil {
 		return scored{}, err
 	}

@@ -37,22 +37,16 @@ func (GradNorm) Score(net *nn.Network, loss nn.Loss, batch *nn.Data) (float64, e
 // independent directions can tell inputs apart before any training. The
 // score is the negated mean absolute off-diagonal correlation, so higher
 // (closer to zero) means more decorrelated and ranks better.
-type JacobCov struct {
-	// Samples caps how many batch rows get an individual backward pass
-	// (each costs one forward+backward at batch size 1); <=0 means 8.
-	Samples int
-}
+type JacobCov struct{}
 
-// Score computes per-sample parameter gradients for the first Samples rows
-// of the batch and returns the negated mean |correlation| between them.
-func (j JacobCov) Score(net *nn.Network, loss nn.Loss, batch *nn.Data) (float64, error) {
-	k := j.Samples
-	if k <= 0 {
-		k = 8
-	}
-	if n := batch.N(); k > n {
-		k = n
-	}
+// jacobSamples caps how many batch rows get an individual backward pass;
+// each costs one forward+backward at batch size 1.
+const jacobSamples = 8
+
+// Score computes per-sample parameter gradients for the first jacobSamples
+// rows of the batch and returns the negated mean |correlation| between them.
+func (JacobCov) Score(net *nn.Network, loss nn.Loss, batch *nn.Data) (float64, error) {
+	k := min(jacobSamples, batch.N())
 	if k < 2 {
 		return 0, fmt.Errorf("proxy: jacobcov needs at least 2 samples, batch has %d", batch.N())
 	}

@@ -9,34 +9,13 @@ import (
 	"swtnas/internal/stats"
 )
 
-// SpeculationConfig models speculative re-execution: when a running task's
-// elapsed time exceeds Multiplier times the Quantile of the workload's
-// nominal duration distribution, a backup attempt is launched on a free
-// evaluator and the first result wins (the loser runs to completion and its
-// result is scrubbed, matching the real coordinator's duplicate handling).
-type SpeculationConfig struct {
-	// Enabled turns speculation on.
-	Enabled bool
-	// Quantile of the nominal task-duration distribution used as the
-	// straggler threshold base (0 -> 0.9).
-	Quantile float64
-	// Multiplier scales the quantile into the trigger threshold (0 -> 1.5).
-	Multiplier float64
-}
-
-func (s SpeculationConfig) quantile() float64 {
-	if s.Quantile <= 0 || s.Quantile >= 1 {
-		return 0.9
-	}
-	return s.Quantile
-}
-
-func (s SpeculationConfig) multiplier() float64 {
-	if s.Multiplier <= 0 {
-		return 1.5
-	}
-	return s.Multiplier
-}
+// The speculation threshold: a running task whose elapsed time exceeds
+// specMultiplier times the specQuantile of the workload's nominal task
+// durations gets a backup attempt.
+const (
+	specQuantile   = 0.9
+	specMultiplier = 1.5
+)
 
 // FleetConfig configures one simulated candidate-estimation phase: the
 // workload, the scheduler and FS models, and — both off at their zero values —
@@ -67,8 +46,11 @@ type FleetConfig struct {
 	MatchOverhead time.Duration
 	// FS is the shared-FS model; zero value -> DefaultFS.
 	FS FSModel
-	// Speculation configures speculative re-execution.
-	Speculation SpeculationConfig
+	// Speculate enables speculative re-execution: a task that overruns the
+	// speculation threshold gets a backup attempt on a free evaluator, and
+	// the first result wins (the loser runs to completion, its result
+	// scrubbed).
+	Speculate bool
 }
 
 // coordinatorLoad is the fraction of coordinator time the heartbeat monitor
@@ -118,11 +100,10 @@ type attempt struct {
 // SimulateFleet replays the workload on the virtual cluster and returns its
 // timing: an event-driven simulation in which checkpoint reads and writes are
 // serviced by the shared file system in the order they are issued in
-// simulated time. Dispatch is FCFS with
-// backups queued at the front (the real coordinator requeues urgent work the
-// same way); a speculation trigger fires only while its task is still
-// running, and the loser of a race runs to completion on its evaluator —
-// there is no cancellation RPC, matching the real system.
+// simulated time. Dispatch is FCFS with backups queued at the front; a
+// speculation trigger fires only while its task is still running, and the
+// loser of a race runs to completion on its evaluator (there is no
+// cancellation).
 func SimulateFleet(cfg FleetConfig) (FleetResult, error) {
 	if cfg.Evaluators <= 0 {
 		return FleetResult{}, fmt.Errorf("sim: evaluator count %d must be positive", cfg.Evaluators)
@@ -152,15 +133,14 @@ func SimulateFleet(cfg FleetConfig) (FleetResult, error) {
 
 	// Nominal (healthy-evaluator) durations; SlowFactor applies only to a
 	// task's first attempt. The speculation threshold comes from this
-	// distribution, like the real coordinator's completed-latency window.
+	// distribution.
 	nominal := make([]time.Duration, len(cfg.Tasks))
 	for i, t := range cfg.Tasks {
 		nominal[i] = t.TrainTime
 	}
 	var threshold time.Duration
-	if cfg.Speculation.Enabled {
-		q := stats.DurationQuantile(nominal, cfg.Speculation.quantile())
-		threshold = time.Duration(float64(q) * cfg.Speculation.multiplier())
+	if cfg.Speculate {
+		threshold = time.Duration(float64(stats.DurationQuantile(nominal, specQuantile)) * specMultiplier)
 	}
 
 	var (

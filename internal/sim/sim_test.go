@@ -106,7 +106,7 @@ func TestFleetSpeculationBeatsStragglers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Speculation = SpeculationConfig{Enabled: true}
+	cfg.Speculate = true
 	on, err := SimulateFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -137,9 +137,9 @@ func TestFleetSpeculationNoopWithoutStragglers(t *testing.T) {
 		t.Fatal(err)
 	}
 	on, err := SimulateFleet(FleetConfig{
-		Evaluators:  8,
-		Tasks:       tasks,
-		Speculation: SpeculationConfig{Enabled: true},
+		Evaluators: 8,
+		Tasks:      tasks,
+		Speculate:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

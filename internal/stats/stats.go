@@ -125,8 +125,7 @@ func Max(xs []float64) float64 {
 }
 
 // DurationQuantile returns the q-quantile of ds by nearest-rank on a sorted
-// copy — the speculation threshold base in both the simulator and the real
-// coordinator (cluster.FaultConfig.SpeculativeQuantile).
+// copy: the base of the simulator's speculation threshold (internal/sim).
 func DurationQuantile(ds []time.Duration, q float64) time.Duration {
 	if len(ds) == 0 {
 		return 0
