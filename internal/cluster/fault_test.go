@@ -334,11 +334,7 @@ func TestLateDuplicateSubmitIsDropped(t *testing.T) {
 	if res.WorkerID != "w0" || res.Score != 1 {
 		t.Fatalf("first result = %+v, want w0's", res)
 	}
-	select {
-	case res := <-terminal:
-		t.Fatalf("duplicate produced a second terminal result: %+v", res)
-	case <-time.After(100 * time.Millisecond):
-	}
+	noResult(t, terminal, "the late duplicate")
 }
 
 // submit sends one worker's result for task id, failing the test on an RPC

@@ -206,9 +206,10 @@ func (s *Suite) shortestMakespan(app string) (time.Duration, error) {
 }
 
 // buildReceiver constructs a candidate with a deterministic fresh
-// initialization.
+// initialization; its dropout masks continue the same stream.
 func buildReceiver(app *apps.App, arch search.Arch, seed int64) (*nn.Network, error) {
-	return app.Space.Build(arch, rand.New(rand.NewSource(seed)))
+	net, _, err := app.Space.BuildSeeded(arch, seed)
+	return net, err
 }
 
 // train is every partial training run of the experiments: epochs passes

@@ -191,8 +191,7 @@ func (e *Evaluator) EvaluateCtx(ctx context.Context, task Task) Result {
 // evaluate is EvaluateCtx without the telemetry envelope.
 func (e *Evaluator) evaluate(ctx context.Context, task Task) Result {
 	res := Result{Record: trace.Record{ID: task.ID, Arch: task.Arch, ParentID: task.ParentID}}
-	rng := rand.New(rand.NewSource(task.Seed))
-	net, err := e.App.Space.Build(task.Arch, rng)
+	net, rng, err := e.App.Space.BuildSeeded(task.Arch, task.Seed)
 	if err != nil {
 		res.Err = fmt.Errorf("nas: building candidate %d: %w", task.ID, err)
 		return res
@@ -293,7 +292,7 @@ func FullyTrain(app *apps.App, store checkpoint.Store, id int, arch search.Arch,
 	if err != nil {
 		return nil, fmt.Errorf("nas: loading candidate %d: %w", id, err)
 	}
-	net, err := app.Space.Build(arch, rand.New(rand.NewSource(seed)))
+	net, _, err := app.Space.BuildSeeded(arch, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -74,9 +74,10 @@ func convertLayer[To tensor.Float](l Layer) (LayerOf[To], error) {
 	case *ActivationOf[float64]:
 		return &ActivationOf[To]{name: v.name, Kind: v.Kind}, nil
 	case *DropoutOf[float64]:
-		// The mask RNG object is shared: the f64 network is discarded after
-		// conversion, so the stream has a single consumer either way.
-		return &DropoutOf[To]{name: v.name, Rate: v.Rate, rng: v.rng}, nil
+		// The mask RNG object (and its Stream) is shared: the f64 network is
+		// discarded after conversion, so the stream has a single consumer
+		// either way.
+		return &DropoutOf[To]{name: v.name, Rate: v.Rate, rng: v.rng, stream: v.stream}, nil
 	case *Conv2DOf[float64]:
 		return convertConv2D[To](v), nil
 	case *Conv1DOf[float64]:

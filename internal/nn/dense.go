@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"swtnas/internal/parallel"
@@ -319,12 +318,16 @@ func (l *ActivationOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[
 // Dropout zeroes each activation with probability Rate during training and
 // scales the survivors by 1/(1-Rate) (inverted dropout). At inference (and
 // at rate 0) it is the identity: both passes return what they were handed.
+// Its masks take one rng.Float64 per element, in order; where the network
+// handed the layer rng's Stream (NetworkOf.DrawFrom), the same draws are
+// made in bulk.
 type DropoutOf[T tensor.Float] struct {
 	stepBufsOf[T]
-	name string
-	Rate float64
-	rng  *rand.Rand
-	mask []T // keep or +0 per element; nil after an identity pass
+	name   string
+	Rate   float64
+	rng    *rand.Rand
+	stream *tensor.Stream // rng's source, or nil
+	mask   []T            // keep or +0 per element; nil after an identity pass
 }
 
 // NewDropout creates a dropout layer drawing masks from rng.
@@ -354,42 +357,12 @@ func (l *DropoutOf[T]) Forward(in []*tensor.TensorOf[T], training bool) *tensor.
 	out := l.buf(slotOut, x.Shape...)
 	l.mask = l.buf(slotAux, len(x.Data)).Data
 	keep := T(1 / (1 - l.Rate))
-	switch x := any(x.Data).(type) {
-	case []float32:
-		dropoutF32(any(out.Data).([]float32), any(l.mask).([]float32), x, any(keep).(float32), l.Rate, l.rng)
-	case []float64:
-		dropoutF64(any(out.Data).([]float64), any(l.mask).([]float64), x, any(keep).(float64), l.Rate, l.rng)
+	if l.stream != nil {
+		tensor.Dropout(out.Data, l.mask, x.Data, keep, l.Rate, l.stream)
+	} else {
+		tensor.DropoutEach(out.Data, l.mask, x.Data, keep, l.Rate, l.rng)
 	}
 	return out
-}
-
-// dropoutF64 is the training pass: one draw u per element, in order, and
-// the element dropped where u < rate — its mask and output +0, otherwise
-// keep and v·keep. The choice is a bit mask, not a branch, which would
-// mispredict at the rates the searches use: u and rate are non-negative,
-// so u < rate is the sign of the difference of their bit patterns, and the
-// mask clears every bit of a dropped element (+0, never −0, even for a NaN
-// input) and keeps every bit of a kept one (a kept NaN stays NaN).
-func dropoutF64(out, mask, x []float64, keep, rate float64, rng *rand.Rand) {
-	out, mask = out[:len(x)], mask[:len(x)]
-	kb, rb := math.Float64bits(keep), math.Float64bits(rate)
-	for i, v := range x {
-		sel := ^uint64(int64(math.Float64bits(rng.Float64())-rb) >> 63)
-		mask[i] = math.Float64frombits(kb & sel)
-		out[i] = math.Float64frombits(math.Float64bits(v*keep) & sel)
-	}
-}
-
-// dropoutF32 is dropoutF64 at float32: the same draws against the same
-// float64 rate.
-func dropoutF32(out, mask, x []float32, keep float32, rate float64, rng *rand.Rand) {
-	out, mask = out[:len(x)], mask[:len(x)]
-	kb, rb := math.Float32bits(keep), math.Float64bits(rate)
-	for i, v := range x {
-		sel := ^uint32(int64(math.Float64bits(rng.Float64())-rb) >> 63)
-		mask[i] = math.Float32frombits(kb & sel)
-		out[i] = math.Float32frombits(math.Float32bits(v*keep) & sel)
-	}
 }
 
 func (l *DropoutOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] {
@@ -397,8 +370,6 @@ func (l *DropoutOf[T]) Backward(dOut *tensor.TensorOf[T]) []*tensor.TensorOf[T] 
 		return l.grads(dOut)
 	}
 	dIn := l.buf(slotDIn, dOut.Shape...)
-	for i, g := range dOut.Data {
-		dIn.Data[i] = g * l.mask[i]
-	}
+	tensor.Mul(dIn.Data, dOut.Data, l.mask)
 	return l.grads(dIn)
 }

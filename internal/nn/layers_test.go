@@ -294,7 +294,8 @@ func dropoutReference[T tensor.Float](out, mask, x []T, rate float64, rng *rand.
 // draw — at both dtypes and several rates, over inputs that include ±0,
 // ±Inf, NaN and subnormals: a kept NaN stays NaN, a dropped element is +0
 // (never −0, whatever the input's sign), and each element takes exactly one
-// draw in order.
+// draw in order. A layer holding its generator's tensor.Stream draws in bulk
+// and must match the same reference over rand.NewSource.
 func TestDropoutMatchesReference(t *testing.T) {
 	t.Run("f32", testDropoutMatchesReference[float32])
 	t.Run("f64", testDropoutMatchesReference[float64])
@@ -312,20 +313,50 @@ func testDropoutMatchesReference[T tensor.Float](t *testing.T) {
 		}
 	}
 	for _, rate := range []float64{0.02, 0.3, 0.5} {
-		d := &DropoutOf[T]{name: "do", Rate: rate, rng: rand.New(rand.NewSource(int64(100 * rate)))}
-		out := d.Forward([]*tensor.TensorOf[T]{{Shape: []int{len(x)}, Data: x}}, true)
-		wantOut, wantMask := make([]T, len(x)), make([]T, len(x))
-		ref := rand.New(rand.NewSource(int64(100 * rate)))
-		dropoutReference(wantOut, wantMask, x, rate, ref)
-		if !sameBits(out.Data, wantOut) {
-			t.Errorf("rate %v: output differs from the reference", rate)
+		for _, bulk := range []bool{false, true} {
+			seed := int64(100 * rate)
+			d := &DropoutOf[T]{name: "do", Rate: rate, rng: rand.New(rand.NewSource(seed))}
+			if bulk {
+				d.stream = tensor.NewStream(seed)
+				d.rng = d.stream.Rand()
+			}
+			out := d.Forward([]*tensor.TensorOf[T]{{Shape: []int{len(x)}, Data: x}}, true)
+			wantOut, wantMask := make([]T, len(x)), make([]T, len(x))
+			ref := rand.New(rand.NewSource(seed))
+			dropoutReference(wantOut, wantMask, x, rate, ref)
+			if !sameBits(out.Data, wantOut) {
+				t.Errorf("rate %v bulk %v: output differs from the reference", rate, bulk)
+			}
+			if !sameBits(d.mask, wantMask) {
+				t.Errorf("rate %v bulk %v: mask differs from the reference", rate, bulk)
+			}
+			if got, want := d.rng.Float64(), ref.Float64(); got != want {
+				t.Errorf("rate %v bulk %v: next draw %v, reference %v: the pass took a different number of draws", rate, bulk, got, want)
+			}
 		}
-		if !sameBits(d.mask, wantMask) {
-			t.Errorf("rate %v: mask differs from the reference", rate)
-		}
-		if got, want := d.rng.Float64(), ref.Float64(); got != want {
-			t.Errorf("rate %v: next draw %v, reference %v: the pass took a different number of draws", rate, got, want)
-		}
+	}
+}
+
+// TestDrawFromHandsOnlyItsStream: DrawFrom gives the stream to the dropout
+// layers built with its rand.Rand and to no other, and ConvertNetwork
+// carries it to the converted layers.
+func TestDrawFromHandsOnlyItsStream(t *testing.T) {
+	s := tensor.NewStream(3)
+	net := NewNetwork([]int{4})
+	a := net.MustAdd(NewDropout("a", 0.3, s.Rand()), GraphInput(0))
+	net.MustAdd(NewDropout("b", 0.3, rand.New(rand.NewSource(3))), a)
+	net.DrawFrom(s)
+	ls := net.Layers()
+	if ls[0].(*Dropout).stream != s || ls[1].(*Dropout).stream != nil {
+		t.Fatalf("streams after DrawFrom: %p and %p, want %p and nil", ls[0].(*Dropout).stream, ls[1].(*Dropout).stream, s)
+	}
+	n32, err := ConvertNetwork[float32](net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := n32.Layers()
+	if c[0].(*DropoutOf[float32]).stream != s || c[1].(*DropoutOf[float32]).stream != nil {
+		t.Fatal("ConvertNetwork did not carry the streams")
 	}
 }
 

@@ -282,6 +282,18 @@ func (n *NetworkOf[T]) ShapeOf(ref InputRef) []int {
 	return n.nodeShapes[ref]
 }
 
+// DrawFrom hands s to every dropout layer built with s.Rand(): each then
+// draws its masks from s in bulk (tensor.Dropout), the same draws in the
+// same order as one rng.Float64 per element. A layer built with another
+// rand.Rand keeps drawing from it.
+func (n *NetworkOf[T]) DrawFrom(s *tensor.Stream) {
+	for _, nd := range n.nodes {
+		if d, ok := nd.layer.(*DropoutOf[T]); ok && d.rng == s.Rand() {
+			d.stream = s
+		}
+	}
+}
+
 // Layers returns the layers in topological order (read-only use).
 func (n *NetworkOf[T]) Layers() []LayerOf[T] {
 	ls := make([]LayerOf[T], len(n.nodes))

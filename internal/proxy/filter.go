@@ -272,7 +272,7 @@ func (p *Prefilter) fitLocked() {
 func (p *Prefilter) score(prop evo.Proposal, seq int) (scored, error) {
 	t := mScoreSeconds.Start()
 	defer t.Stop()
-	net, err := p.cfg.Space.Build(prop.Arch, rand.New(rand.NewSource(ScoreSeed(p.cfg.Seed, seq))))
+	net, _, err := p.cfg.Space.BuildSeeded(prop.Arch, ScoreSeed(p.cfg.Seed, seq))
 	if err != nil {
 		return scored{}, err
 	}

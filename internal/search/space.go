@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"swtnas/internal/nn"
+	"swtnas/internal/tensor"
 )
 
 // Arch is an architecture sequence: one choice index per variable node.
@@ -186,6 +187,22 @@ func (s *Space) Build(arch Arch, rng *rand.Rand) (*nn.Network, error) {
 		return nil, fmt.Errorf("search: space %q applied %d of %d variable nodes", s.Name, b.applied, len(s.Nodes))
 	}
 	return b.Net, nil
+}
+
+// BuildSeeded is Build with the rand.Rand of a tensor.Stream seeded with
+// seed, whose draws are rand.NewSource(seed)'s: the weights are those Build
+// draws from rand.New(rand.NewSource(seed)), and the dropout layers draw
+// their masks from the same stream in bulk (nn.NetworkOf.DrawFrom). It
+// returns the stream's rand.Rand too: the candidate's epoch shuffles draw
+// from it, after its initialization and interleaved with its masks.
+func (s *Space) BuildSeeded(arch Arch, seed int64) (*nn.Network, *rand.Rand, error) {
+	st := tensor.NewStream(seed)
+	net, err := s.Build(arch, st.Rand())
+	if err != nil {
+		return nil, nil, err
+	}
+	net.DrawFrom(st)
+	return net, st.Rand(), nil
 }
 
 // The bounds on one candidate, the same for every space (DESIGN.md §5):

@@ -2,11 +2,12 @@ package tensor
 
 import "math"
 
-// Elementwise kernels: the Adam update, both ReLU passes and the Tanh and
-// Sigmoid forward passes, the largest per-step costs of a training step
-// after the products. The Go loops at the bottom are the definition, and
-// what runs on every GOARCH but amd64, under the purego build tag, and over
-// the last elements of a call that do not fill a vector. On amd64 the rest
+// Elementwise kernels: the Adam update, both ReLU passes, the Tanh and
+// Sigmoid forward passes and both dropout passes (dropout.go), the largest
+// per-step costs of a training step after the products. The Go loops at
+// the bottom are the definition, and what runs on every GOARCH but amd64,
+// under the purego build tag, and over the last elements of a call that do
+// not fill a vector. On amd64 the rest
 // runs as one AVX2 body per kernel and dtype (elem_amd64.s), where the
 // GEMMs' gemmVectorBytes says the AVX2 kernels run; TestElemBodiesMatchGo
 // and FuzzElementwise hold each body to these loops bit for bit. Every lane

@@ -225,3 +225,73 @@ func sigmoidBody[T Float](dst, x []T) int {
 	}
 	return n
 }
+
+// dropoutF32AVX2 runs Dropout over the first n elements, n a multiple of the
+// lanes, with draws pointing at the Stream's next draw and the 607 before it
+// in place: it writes each vector's draws, stops before the first vector
+// with a draw Float64 redraws, keeps an element whose draw's low 63 bits
+// reach thr, and returns how many elements it wrote (elem_dropout_amd64.h).
+//
+//go:noescape
+func dropoutF32AVX2(out, mask, x *float32, n int, keep float32, thr uint64, draws *uint64) int
+
+//go:noescape
+func dropoutF64AVX2(out, mask, x *float64, n int, keep float64, thr uint64, draws *uint64) int
+
+// mulF32AVX2 writes a·b of the first n elements into dst, one VMULPS a
+// lane (elem_mul_amd64.h).
+//
+//go:noescape
+func mulF32AVX2(dst, a, b *float32, n int)
+
+//go:noescape
+func mulF64AVX2(dst, a, b *float64, n int)
+
+// dropoutBody covers the whole vectors of a Dropout call, whole, in
+// windows of the Stream's buffer, and returns how many elements it wrote:
+// whole, or fewer where the next draw is one Float64 redraws.
+func dropoutBody[T Float](out, mask, x []T, keep T, rate float64, s *Stream) (done, whole int) {
+	size := DTypeFor[T]().Size()
+	whole = vectorPart(len(x), size)
+	if whole == 0 {
+		return 0, 0
+	}
+	thr, lanes := dropThreshold(rate), 32/size
+	for done < whole {
+		w := s.window(lanes)
+		n := min(whole-done, len(w)-streamLong) &^ (lanes - 1)
+		var k int
+		switch x := any(x[done:]).(type) {
+		case []float32:
+			k = dropoutF32AVX2(&any(out).([]float32)[done], &any(mask).([]float32)[done], &x[0], n,
+				any(keep).(float32), thr, &w[streamLong])
+		case []float64:
+			k = dropoutF64AVX2(&any(out).([]float64)[done], &any(mask).([]float64)[done], &x[0], n,
+				any(keep).(float64), thr, &w[streamLong])
+		}
+		done += k
+		s.pos += k
+		if k < n {
+			break
+		}
+	}
+	return done, whole
+}
+
+func mulBody[T Float](dst, a, b []T) int {
+	switch a := any(a).(type) {
+	case []float32:
+		n := vectorPart(len(a), 4)
+		if n > 0 {
+			mulF32AVX2(&any(dst).([]float32)[0], &a[0], &any(b).([]float32)[0], n)
+		}
+		return n
+	case []float64:
+		n := vectorPart(len(a), 8)
+		if n > 0 {
+			mulF64AVX2(&any(dst).([]float64)[0], &a[0], &any(b).([]float64)[0], n)
+		}
+		return n
+	}
+	return 0
+}

@@ -1,8 +1,8 @@
 //go:build !purego
 
 // Elementwise kernels. Reference semantics (and required bit-for-bit
-// behavior) are the Go loops of elem.go: adamGo, reluGo, reluGradGo, tanhGo
-// and sigmoidGo. Each kernel is one body text, included once per element
+// behavior) are the Go loops of elem.go and dropout.go: adamGo, reluGo,
+// reluGradGo, tanhGo, sigmoidGo, mulGo and DropoutEach. Each kernel is one body text, included once per element
 // width, like the tile kernels of gemm_amd64.s: the vector macros are set
 // once for the file, the element macros per element width. Every kernel is
 // AVX2, run only where gemm_amd64.go's CPUID check allows. Every arithmetic
@@ -94,6 +94,35 @@ TEXT ·sigmoidF32AVX2(SB), NOSPLIT, $0-32
 #undef LOAD4
 #undef STORE4
 
+// func mulF32AVX2(dst, a, b *float32, n int)
+TEXT ·mulF32AVX2(SB), NOSPLIT, $0-32
+#include "elem_mul_amd64.h"
+	VZEROUPPER
+	RET
+
+// Dropout: eight float32 elements take two vectors of draws, whose 64-bit
+// keep lanes are packed to eight 32-bit ones (every lane is all ones or 0,
+// so its low half is its value): VSHUFPS takes the even halves of both
+// vectors in 128-bit lane order, 0 1 4 5 | 2 3 6 7, and VPERMQ puts the
+// quarters in element order.
+#define DSCALE 2
+#define SEL \
+	DRAW(0, Y4, Y6); \
+	DRAW(32, Y5, Y7); \
+	VPOR Y7, Y6, Y6; \
+	VSHUFPS $0x88, Y5, Y4, Y4; \
+	VPERMQ $0xD8, Y4, Y4
+
+// func dropoutF32AVX2(out, mask, x *float32, n int, keep float32, thr uint64, draws *uint64) int
+TEXT ·dropoutF32AVX2(SB), NOSPLIT, $0-64
+#include "elem_dropout_amd64.h"
+	MOVQ AX, ret+56(FP)
+	VZEROUPPER
+	RET
+
+#undef DSCALE
+#undef SEL
+
 #undef ESIZE
 #undef ESHIFT
 #undef BCAST
@@ -152,5 +181,22 @@ TEXT ·tanhF64AVX2(SB), NOSPLIT, $0-24
 TEXT ·sigmoidF64AVX2(SB), NOSPLIT, $0-32
 #include "elem_sigmoid_amd64.h"
 	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func mulF64AVX2(dst, a, b *float64, n int)
+TEXT ·mulF64AVX2(SB), NOSPLIT, $0-32
+#include "elem_mul_amd64.h"
+	VZEROUPPER
+	RET
+
+// Dropout: four float64 elements take one vector of draws.
+#define DSCALE 1
+#define SEL DRAW(0, Y4, Y6)
+
+// func dropoutF64AVX2(out, mask, x *float64, n int, keep float64, thr uint64, draws *uint64) int
+TEXT ·dropoutF64AVX2(SB), NOSPLIT, $0-64
+#include "elem_dropout_amd64.h"
+	MOVQ AX, ret+56(FP)
 	VZEROUPPER
 	RET

@@ -102,7 +102,7 @@ func expectTwin[T Float](t *testing.T, what string, ops [][]T, off, n int, kerne
 
 // TestElemBodiesMatchGo is the twin sweep of the elementwise kernels: on
 // each body the host runs, at both element types, AdamStep, ReLU,
-// ReLUGrad, Tanh and Sigmoid equal their Go loops bit for bit (expectTwin) over
+// ReLUGrad, Tanh, Sigmoid and Mul equal their Go loops bit for bit (expectTwin) over
 // every length 0–67 (every tail of every lane count, and several whole
 // vectors) at start offsets 0–3 (every misalignment), with IEEE corners in
 // every operand — signaling and quiet NaNs, ±Inf, ±0, subnormals and
@@ -133,6 +133,8 @@ func testElemBodies[T Float](t *testing.T) {
 				func(s [][]T) { Tanh(s[0], s[1]) }, func(s [][]T) { tanhGo(s[0], s[1]) })
 			expectTwin(t, "Sigmoid", [][]T{dst, x}, off, n,
 				func(s [][]T) { Sigmoid(s[0], s[1]) }, func(s [][]T) { sigmoidGo(s[0], s[1]) })
+			expectTwin(t, "Mul", [][]T{dst, x, g}, off, n,
+				func(s [][]T) { Mul(s[0], s[1], s[2]) }, func(s [][]T) { mulGo(s[0], s[1], s[2]) })
 
 			special := adamCoefs[T](1, 0)
 			for _, c := range []*T{&special.B1, &special.OB1, &special.B2, &special.OB2, &special.C1, &special.C2, &special.LR, &special.Eps, &special.L2x2} {
@@ -212,6 +214,8 @@ func fuzzElem[T Float](t *testing.T, data []byte, l2 bool) {
 			func(s [][]T) { Tanh(s[0], s[1]) }, func(s [][]T) { tanhGo(s[0], s[1]) })
 		expectTwin(t, what+"/Sigmoid", ops[:2], 0, n,
 			func(s [][]T) { Sigmoid(s[0], s[1]) }, func(s [][]T) { sigmoidGo(s[0], s[1]) })
+		expectTwin(t, what+"/Mul", ops[:3], 0, n,
+			func(s [][]T) { Mul(s[0], s[1], s[2]) }, func(s [][]T) { mulGo(s[0], s[1], s[2]) })
 		expectTwin(t, what+"/Adam", ops, 0, n,
 			func(s [][]T) { AdamStep(s[0], s[1], s[2], s[3], k) }, func(s [][]T) { adamGo(s[0], s[1], s[2], s[3], k) })
 	}
@@ -254,6 +258,7 @@ func benchElem[T Float](b *testing.B) {
 		{"relu_grad", func() { ReLUGrad(dst, x, g) }, false},
 		{"tanh", func() { Tanh(dst, x) }, true},
 		{"sigmoid", func() { Sigmoid(dst, x) }, true},
+		{"mul", func() { Mul(dst, x, g) }, false},
 	}
 	for _, kn := range kernels {
 		for _, vb := range []int{8, 32} {

@@ -5,9 +5,9 @@ package tensor
 // Builds without the assembly kernels — every GOARCH but amd64, and amd64
 // under the purego tag, which is how CI tests this path — run the products
 // as the Go definitions of gemm.go and gemm_f32.go, the elementwise
-// kernels as the loops of elem.go, the max-pool rows as maxPoolRowGo and
-// the byte-plane split and join as the loops of planes.go: no tile,
-// element or channel is covered by a vector body.
+// kernels as the loops of elem.go and dropout.go, the max-pool rows as
+// maxPoolRowGo and the byte-plane split and join as the loops of planes.go:
+// no tile, element or channel is covered by a vector body.
 
 // gemmVectorBytes is what the tensor.gemm.vector_bytes gauge reports where
 // the products are scalar Go: one float64, as on an amd64 host without
@@ -46,3 +46,9 @@ func maxPoolBody[T Float](dst []T, arg []int32, x []T, at, ch, inRow, kh, kw, st
 func splitBody(low, planes []byte, stride int, src []byte, width int) int { return 0 }
 
 func joinBody(dst, low, planes []byte, stride, width int) int { return 0 }
+
+func dropoutBody[T Float](out, mask, x []T, keep T, rate float64, s *Stream) (done, whole int) {
+	return 0, 0
+}
+
+func mulBody[T Float](dst, a, b []T) int { return 0 }
