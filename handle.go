@@ -71,55 +71,6 @@ func (p *EvaluatorPool) Workers() int { return p.pool.Workers() }
 // beside context.Canceled.
 func (p *EvaluatorPool) Close() { p.pool.Close() }
 
-// EventKind discriminates Search.Events entries.
-type EventKind string
-
-// The event kinds a search streams.
-const (
-	// EventCandidate carries one completed candidate evaluation.
-	EventCandidate EventKind = "candidate"
-	// EventFault carries one fault-tolerance decision (retry, terminal
-	// failure) taken for this search's evaluations.
-	EventFault EventKind = "fault"
-	// EventFiltered carries one proposal the proxy pre-filter rejected
-	// before training (SearchOptions.ProxyFilter): the Candidate payload
-	// has Filtered set, ID -1, and the proxy score that ranked it below
-	// the admission cut. Filtered events never count toward Completed,
-	// TopK or BestScore.
-	EventFiltered EventKind = "filtered"
-)
-
-// FaultKind labels one fault-tolerance decision; see the constants.
-type FaultKind = nas.FaultKind
-
-// The fault kinds surfaced in a search's event stream, mirroring the
-// scheduler's decisions: requeue and failed are per-candidate, quarantine
-// and readmit are per-worker (distributed runs).
-const (
-	FaultRequeue    = nas.FaultRequeue
-	FaultQuarantine = nas.FaultQuarantine
-	FaultReadmit    = nas.FaultReadmit
-	FaultFailed     = nas.FaultFailed
-)
-
-// FaultEvent is one fault-tolerance decision surfaced alongside candidate
-// completions: an evaluation on the shared pool failed (which aborts the
-// search). It is the scheduler's own event type, which a TCP coordinator also
-// emits for requeues and spent retry budgets; the JSON field names are part
-// of the serve wire schema.
-type FaultEvent = nas.FaultEvent
-
-// Event is one entry of a search's progress stream: a completed candidate or
-// a fault-tolerance decision.
-type Event struct {
-	// Kind says which of the payload fields is set.
-	Kind EventKind `json:"kind"`
-	// Candidate is set for EventCandidate.
-	Candidate *Candidate `json:"candidate,omitempty"`
-	// Fault is set for EventFault.
-	Fault *FaultEvent `json:"fault,omitempty"`
-}
-
 // SearchHandle is a handle on one (possibly running) architecture search. New
 // creates it, Start launches it, Events/TopK observe it mid-flight, Cancel
 // stops it between candidate evaluations, and Wait collects the final
@@ -130,8 +81,8 @@ type SearchHandle struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond
-	history []Event
-	closed  bool // no further events
+	history []Candidate // what Events streams, filtered proposals included
+	closed  bool        // no further events
 	started bool
 	// partial holds every candidate completed so far, so the leaderboard
 	// mid-run is the finished Result's: TopK is its Best.
@@ -182,7 +133,6 @@ func (s *SearchHandle) Start(ctx context.Context) error {
 			Tenant:      s.opt.Tenant,
 			Weight:      s.opt.Weight,
 			Concurrency: conc,
-			OnFault:     func(ev nas.FaultEvent) { s.emit(Event{Kind: EventFault, Fault: &ev}) },
 		})
 		if err != nil {
 			s.finish(nil, err)
@@ -248,14 +198,17 @@ func (s *SearchHandle) BestScore() (float64, bool) {
 	return s.partial.Candidates[len(s.partial.Candidates)-1].BestScore, true
 }
 
-// Events returns a channel that first replays every event the search has
+// Events returns a channel that first replays every candidate the search has
 // produced so far, then streams new ones live, closing when the search
 // finishes. Each call gets an independent stream with the full history — a
 // subscriber attaching after a crash-resume sees the whole run, replayed
-// candidates marked Resumed. A slow consumer delays only its own stream,
-// never the search.
-func (s *SearchHandle) Events() <-chan Event {
-	ch := make(chan Event, 64)
+// candidates marked Resumed. A proposal the proxy pre-filter rejected before
+// training (SearchOptions.ProxyFilter) streams too, with Filtered set, ID -1
+// and the proxy score that ranked it below the admission cut; it never counts
+// toward Completed, TopK or BestScore. A slow consumer delays only its own
+// stream, never the search.
+func (s *SearchHandle) Events() <-chan Candidate {
+	ch := make(chan Candidate, 64)
 	go func() {
 		defer close(ch)
 		next := 0
@@ -271,8 +224,8 @@ func (s *SearchHandle) Events() <-chan Event {
 			batch := s.history[next:len(s.history):len(s.history)]
 			next = len(s.history)
 			s.mu.Unlock()
-			for _, ev := range batch {
-				ch <- ev
+			for _, c := range batch {
+				ch <- c
 			}
 		}
 	}()
@@ -289,10 +242,10 @@ func (s *SearchHandle) TopK(n int) []Candidate {
 	return s.partial.Best(n)
 }
 
-// emit appends one event to the history and wakes subscribers.
-func (s *SearchHandle) emit(ev Event) {
+// emit appends one candidate to the history and wakes subscribers.
+func (s *SearchHandle) emit(c Candidate) {
 	s.mu.Lock()
-	s.history = append(s.history, ev)
+	s.history = append(s.history, c)
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }
@@ -309,7 +262,7 @@ func (s *SearchHandle) completed(rec trace.Record, c Candidate) {
 	}
 	s.hasBest = s.hasBest || !c.Failed
 	s.mu.Unlock()
-	s.emit(Event{Kind: EventCandidate, Candidate: &c})
+	s.emit(c)
 }
 
 // finish records the outcome, closes the event stream and releases waiters.
@@ -407,14 +360,14 @@ func (s *SearchHandle) search(ctx context.Context, client *nas.PoolClient) (*Res
 		}
 		cfg.Prefilter = pf
 		cfg.OnFiltered = func(fc trace.FilteredRecord) {
-			s.emit(Event{Kind: EventFiltered, Candidate: &Candidate{
+			s.emit(Candidate{
 				ID:         -1,
 				Arch:       fc.Arch,
 				Params:     fc.Params,
 				ParentID:   fc.ParentID,
 				ProxyScore: fc.ProxyScore,
 				Filtered:   true,
-			}})
+			})
 		}
 	}
 	resumed := 0

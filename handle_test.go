@@ -35,11 +35,11 @@ func TestHandleLifecycle(t *testing.T) {
 		t.Fatal("second Start must fail")
 	}
 	var streamed []Candidate
-	for ev := range events {
-		if ev.Kind != EventCandidate || ev.Candidate == nil {
-			t.Fatalf("unexpected event %+v", ev)
+	for c := range events {
+		if c.Filtered {
+			t.Fatalf("unexpected filtered candidate %+v", c)
 		}
-		streamed = append(streamed, *ev.Candidate)
+		streamed = append(streamed, c)
 	}
 	res, err := s.Wait()
 	if err != nil {
@@ -63,10 +63,8 @@ func TestHandleLifecycle(t *testing.T) {
 	}
 	// A late subscriber replays the whole history.
 	var replayed int
-	for ev := range s.Events() {
-		if ev.Kind == EventCandidate {
-			replayed++
-		}
+	for range s.Events() {
+		replayed++
 	}
 	if replayed != 5 {
 		t.Fatalf("late subscriber saw %d candidates, want 5", replayed)
@@ -93,10 +91,7 @@ func TestHandleCancelMidStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := 0
-	for ev := range events {
-		if ev.Kind != EventCandidate {
-			continue
-		}
+	for range events {
 		seen++
 		if seen == 2 {
 			s.Cancel()

@@ -809,7 +809,6 @@ func TestCASRefusesOversizedObjectFile(t *testing.T) {
 
 func TestCASStoreImplementsInterfaces(t *testing.T) {
 	var _ Store = (*CASStore)(nil)
-	var _ ManifestStore = (*CASStore)(nil)
 	if NewCASMemStore().DurableBlobs() {
 		t.Fatal("mem store must not claim durable blobs")
 	}

@@ -22,27 +22,6 @@ import (
 // cannot.
 var ErrMissingBlob = errors.New("checkpoint: blob missing")
 
-// ManifestStore is implemented by content-addressed stores that can name a
-// stored checkpoint by manifest and re-register a manifest whose object they
-// already hold. The resilience journal's evaluation records carry that
-// manifest, and resume adopts it again.
-type ManifestStore interface {
-	Store
-	// EncodedManifest returns the stored id's encoded manifest.
-	EncodedManifest(id string) ([]byte, error)
-	// AdoptManifest registers a manifest under id, verifying that the object
-	// it names is present and hashes to it. A missing object surfaces as an
-	// error wrapping ErrMissingBlob.
-	AdoptManifest(id string, manifest []byte) error
-	// VerifyManifests checks, on at most workers goroutines, the objects the
-	// manifests name, so that adopting them afterwards need not. It reports
-	// nothing: what fails stays for AdoptManifest to read and report.
-	VerifyManifests(manifests [][]byte, workers int)
-	// DurableBlobs reports whether objects survive a process crash — the
-	// precondition for journaling a search on this store.
-	DurableBlobs() bool
-}
-
 // CASStats is a point-in-time snapshot of one store's accounting.
 type CASStats struct {
 	// Manifests is the number of stored candidate checkpoints, BlobsLive the
@@ -130,7 +109,8 @@ func NewCASDiskStore(dir string) (*CASStore, error) {
 	return s, nil
 }
 
-// DurableBlobs implements ManifestStore.
+// DurableBlobs reports whether objects survive a process crash (the disk
+// backend): the precondition for journaling a search on this store.
 func (s *CASStore) DurableBlobs() bool { return s.disk != nil }
 
 // name registers e under id on the disk backend, replacing what id named
@@ -402,7 +382,8 @@ func (s *CASStore) List() ([]string, error) {
 	return ids, nil
 }
 
-// EncodedManifest implements ManifestStore.
+// EncodedManifest returns the stored id's encoded manifest, which the
+// resilience journal's evaluation records carry.
 func (s *CASStore) EncodedManifest(id string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -416,10 +397,11 @@ func (s *CASStore) EncodedManifest(id string) ([]byte, error) {
 	return EncodeManifest(&e.mf)
 }
 
-// AdoptManifest implements ManifestStore: journal replay hands back a
+// AdoptManifest registers a manifest under id: journal replay hands back a
 // manifest and the store re-registers it against the object it already
 // holds, verifying the object's content hash so resume is bit-identical or
-// fails loudly. A manifest id already has on disk, byte for byte, is not
+// fails loudly. A missing object surfaces as an error wrapping
+// ErrMissingBlob. A manifest id already has on disk, byte for byte, is not
 // written again.
 func (s *CASStore) AdoptManifest(id string, manifest []byte) error {
 	mf, err := DecodeManifest(manifest)
@@ -469,18 +451,18 @@ func (s *CASStore) AdoptManifest(id string, manifest []byte) error {
 	return nil
 }
 
-// VerifyManifests implements ManifestStore. Every distinct object the
-// manifests name that this process has not verified yet is read, unpacked
-// and checked against the first manifest naming it, as adopting them in
-// order would, and marked verified if it passes; adopting the manifests
-// afterwards then only registers their ids. Goroutines claim objects one at
-// a time and each keeps one set of buffers, taken from the pool reads
-// share, from object to object. Nothing
-// is reported and nothing on disk changes: a manifest that does not decode,
-// an object that is missing or fails a check, and one no manifest on disk
-// names stay as they were, for AdoptManifest to read and report at their
-// own record. It returns once its goroutines have. On the memory backend it
-// does nothing.
+// VerifyManifests checks, on at most workers goroutines, the objects the
+// manifests name, so that adopting them afterwards need not. Every distinct
+// object the manifests name that this process has not verified yet is read,
+// unpacked and checked against the first manifest naming it, as adopting them
+// in order would, and marked verified if it passes; adopting the manifests
+// afterwards then only registers their ids. Goroutines claim objects one at a
+// time and each keeps one set of buffers, taken from the pool reads share,
+// from object to object. Nothing is reported and nothing on disk changes: a
+// manifest that does not decode, an object that is missing or fails a check,
+// and one no manifest on disk names stay as they were, for AdoptManifest to
+// read and report at their own record. It returns once its goroutines have.
+// On the memory backend it does nothing.
 func (s *CASStore) VerifyManifests(manifests [][]byte, workers int) {
 	if s.disk == nil {
 		return

@@ -101,8 +101,7 @@ type DistConfig struct {
 	N, S int
 	// Progress, when set, is invoked synchronously with each trace record as
 	// it is appended, scored candidates and terminal failures (Failed set)
-	// alike: the completions half of a live feed whose fault-tolerance half
-	// is FaultConfig.OnEvent.
+	// alike.
 	Progress func(trace.Record)
 }
 

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,13 +40,8 @@ func TestDivergedCandidateIsTerminal(t *testing.T) {
 		}
 		return app
 	}
-	var requeues atomic.Int32
-	c := NewCoordinatorWith(FaultConfig{RetryBackoff: time.Millisecond, MonitorInterval: 2 * time.Millisecond,
-		OnEvent: func(ev nas.FaultEvent) {
-			if ev.Kind == nas.FaultRequeue || ev.Kind == nas.FaultFailed {
-				requeues.Add(1)
-			}
-		}})
+	moved := counting(t)
+	c := NewCoordinatorWith(FaultConfig{RetryBackoff: time.Millisecond, MonitorInterval: 2 * time.Millisecond})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +92,7 @@ func TestDivergedCandidateIsTerminal(t *testing.T) {
 	if len(ids) != len(tr.Records)-failed {
 		t.Fatalf("the store holds %d objects for %d scored candidates", len(ids), len(tr.Records)-failed)
 	}
-	if n := requeues.Load(); n != 0 {
-		t.Fatalf("%d requeue or retry-budget events: a diverged candidate was retried", n)
+	if rq, f := moved("cluster.tasks.requeued"), moved("cluster.tasks.failed"); rq != 0 || f != 0 {
+		t.Fatalf("requeued +%d, failed +%d: a diverged candidate was retried", rq, f)
 	}
 }

@@ -2,32 +2,21 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"swtnas/internal/nas"
+	"swtnas/internal/obs"
 	"swtnas/internal/trace"
 )
 
-// eventRecorder collects nas.FaultEvent values from FaultConfig.OnEvent for
-// assertions; the callback runs from RPC and monitor goroutines concurrently.
-type eventRecorder struct {
-	mu     sync.Mutex
-	events []nas.FaultEvent
-}
-
-func (r *eventRecorder) record(ev nas.FaultEvent) {
-	r.mu.Lock()
-	r.events = append(r.events, ev)
-	r.mu.Unlock()
-}
-
-func (r *eventRecorder) snapshot() []nas.FaultEvent {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]nas.FaultEvent(nil), r.events...)
+// counting turns metrics on for the rest of the test and returns how far a
+// counter has moved since the call.
+func counting(t *testing.T) func(name string) int64 {
+	was := obs.SetEnabled(true)
+	t.Cleanup(func() { obs.SetEnabled(was) })
+	before := obs.Take()
+	return func(name string) int64 { return obs.GetCounter(name).Value() - before.Counters[name] }
 }
 
 // queue is the tests' entry point to a coordinator: enqueue adds a task, and
@@ -35,22 +24,6 @@ func (r *eventRecorder) snapshot() []nas.FaultEvent {
 func queue(c *Coordinator) (enqueue func(RPCTask), terminal <-chan RPCResult) {
 	ch := make(chan RPCResult, 64)
 	return func(t RPCTask) { c.enqueue(t, func(r RPCResult) { ch <- r }) }, ch
-}
-
-// await polls until an event satisfying pred arrives or the deadline passes.
-func (r *eventRecorder) await(t *testing.T, what string, pred func(nas.FaultEvent) bool) nas.FaultEvent {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		for _, ev := range r.snapshot() {
-			if pred(ev) {
-				return ev
-			}
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("no %s event arrived; have %+v", what, r.snapshot())
-	return nas.FaultEvent{}
 }
 
 // TestConcurrentRequeueUniqueResults hammers the coordinator's scheduling
@@ -161,13 +134,12 @@ func TestConcurrentRequeueUniqueResults(t *testing.T) {
 // worker errors and expects a coordinator-synthesized Failed result, not a
 // hang or an extra retry.
 func TestRequeueExhaustionSurfacesFailure(t *testing.T) {
-	rec := &eventRecorder{}
+	moved := counting(t)
 	c := NewCoordinatorWith(FaultConfig{
 		HeartbeatTimeout: 2 * time.Second,
 		MonitorInterval:  2 * time.Millisecond,
 		RetryBackoff:     time.Millisecond,
 		MaxAttempts:      3,
-		OnEvent:          rec.record,
 	})
 	defer c.Shutdown()
 	svc := &Service{c: c}
@@ -202,22 +174,9 @@ func TestRequeueExhaustionSurfacesFailure(t *testing.T) {
 		t.Fatal("no terminal result after retry exhaustion")
 	}
 
-	// The progress feed saw each retry decision and the terminal failure:
-	// two requeues (attempts 1, 2) then a failed event (attempt 3).
-	events := rec.snapshot()
-	var kinds []nas.FaultKind
-	for _, ev := range events {
-		if ev.CandidateID != 7 {
-			t.Fatalf("event for unexpected candidate: %+v", ev)
-		}
-		kinds = append(kinds, ev.Kind)
-	}
-	want := []nas.FaultKind{nas.FaultRequeue, nas.FaultRequeue, nas.FaultFailed}
-	if fmt.Sprint(kinds) != fmt.Sprint(want) {
-		t.Fatalf("event kinds = %v, want %v (events %+v)", kinds, want, events)
-	}
-	if events[2].Attempt != 3 || events[2].Reason != "boom" {
-		t.Fatalf("terminal event = %+v, want attempt 3 reason boom", events[2])
+	// Two retries (attempts 1, 2), then the spent budget (attempt 3).
+	if rq, f := moved("cluster.tasks.requeued"), moved("cluster.tasks.failed"); rq != 2 || f != 1 {
+		t.Fatalf("requeued +%d, failed +%d; want +2 and +1", rq, f)
 	}
 }
 
@@ -225,13 +184,12 @@ func TestRequeueExhaustionSurfacesFailure(t *testing.T) {
 // checks its in-flight task requeues, then heartbeats again and checks the
 // worker is served tasks once more.
 func TestQuarantineAndReadmission(t *testing.T) {
-	rec := &eventRecorder{}
+	moved := counting(t)
 	c := NewCoordinatorWith(FaultConfig{
 		HeartbeatTimeout: 50 * time.Millisecond,
 		MonitorInterval:  10 * time.Millisecond,
 		RetryBackoff:     time.Millisecond,
 		MaxAttempts:      3,
-		OnEvent:          rec.record,
 	})
 	defer c.Shutdown()
 	svc := &Service{c: c}
@@ -281,26 +239,13 @@ func TestQuarantineAndReadmission(t *testing.T) {
 		t.Fatalf("re-admitted worker got task %d, want 2", task.ID)
 	}
 
-	// The feed carries the full worker lifecycle: quarantine of "flaky"
-	// (worker-scoped, candidate -1), the requeue of its in-flight task, and
-	// the eventual readmission.
-	// (A worker parked in NextTask can age past the timeout too and bounce
-	// through quarantine/readmit, so match on "flaky" specifically.)
-	q := rec.await(t, "quarantine", func(ev nas.FaultEvent) bool {
-		return ev.Kind == nas.FaultQuarantine && ev.Worker == "flaky"
-	})
-	if q.CandidateID != -1 {
-		t.Fatalf("quarantine event = %+v, want candidate -1", q)
-	}
-	rq := rec.await(t, "requeue", func(ev nas.FaultEvent) bool { return ev.Kind == nas.FaultRequeue })
-	if rq.CandidateID != 1 {
-		t.Fatalf("requeue event = %+v, want candidate 1", rq)
-	}
-	ra := rec.await(t, "readmit", func(ev nas.FaultEvent) bool {
-		return ev.Kind == nas.FaultReadmit && ev.Worker == "flaky"
-	})
-	if ra.CandidateID != -1 {
-		t.Fatalf("readmit event = %+v, want candidate -1", ra)
+	// "flaky" went through quarantine and readmission once each. (A worker
+	// parked in NextTask can age past the timeout too and bounce through
+	// both, so count "flaky"'s own series.)
+	q := moved(obs.Labeled("cluster.coord.quarantined", "worker", "flaky"))
+	ra := moved(obs.Labeled("cluster.coord.readmitted", "worker", "flaky"))
+	if q != 1 || ra != 1 {
+		t.Fatalf("flaky quarantined +%d, readmitted +%d; want +1 each", q, ra)
 	}
 }
 
@@ -370,17 +315,6 @@ func noResult(t *testing.T, terminal <-chan RPCResult, why string) {
 	}
 }
 
-// countEvents counts the recorded events of kind for candidate id.
-func countEvents(rec *eventRecorder, kind nas.FaultKind, id int) int {
-	n := 0
-	for _, ev := range rec.snapshot() {
-		if ev.Kind == kind && ev.CandidateID == id {
-			n++
-		}
-	}
-	return n
-}
-
 // TestReclaimedWorkerLateSubmit walks Submit's paths for a worker whose
 // attempt was reclaimed (quarantine) and requeued to another worker, one
 // step at a time: (a) the reclaimed worker's late success resolves the task
@@ -388,22 +322,20 @@ func countEvents(rec *eventRecorder, kind nas.FaultKind, id int) int {
 // error is dropped and consumes no attempt; (c) Attempts counts the
 // executions the task consumed.
 func TestReclaimedWorkerLateSubmit(t *testing.T) {
-	rec := &eventRecorder{}
 	c := NewCoordinatorWith(FaultConfig{
 		HeartbeatTimeout: 40 * time.Millisecond,
 		MonitorInterval:  2 * time.Millisecond,
 		RetryBackoff:     time.Millisecond,
 		MaxAttempts:      2, // a consumed late error would fail the task
-		OnEvent:          rec.record,
 	})
 	defer c.Shutdown()
 	svc := &Service{c: c}
 	enqueue, terminal := queue(c)
+	// B waits in NextTask until A's attempt is reclaimed and requeued.
 	reclaim := func(id int) {
 		t.Helper()
 		enqueue(RPCTask{ID: id})
 		next(t, svc, "A", id)
-		rec.await(t, "requeue", func(ev nas.FaultEvent) bool { return ev.Kind == nas.FaultRequeue && ev.CandidateID == id })
 		next(t, svc, "B", id)
 	}
 
@@ -419,10 +351,11 @@ func TestReclaimedWorkerLateSubmit(t *testing.T) {
 
 	// (b) A's late error is dropped: with MaxAttempts 2, consuming an
 	// attempt would have failed the task. B's success then resolves it.
+	moved := counting(t)
 	reclaim(1)
 	submit(t, svc, "A", 1, 0, "late error")
 	noResult(t, terminal, "a reclaimed worker's late error")
-	if n := countEvents(rec, nas.FaultRequeue, 1); n != 1 {
+	if n := moved("cluster.tasks.requeued"); n != 1 {
 		t.Fatalf("task 1 requeued %d times, want once (the reclaim)", n)
 	}
 	submit(t, svc, "B", 1, 3, "")
@@ -430,8 +363,8 @@ func TestReclaimedWorkerLateSubmit(t *testing.T) {
 	if res.WorkerID != "B" || res.Score != 3 || res.Failed || res.Attempts != 2 {
 		t.Fatalf("result = %+v, want B's score 3 after 2 attempts", res)
 	}
-	if n := countEvents(rec, nas.FaultFailed, 1); n != 0 {
-		t.Fatalf("task 1 has %d failed events", n)
+	if n := moved("cluster.tasks.failed"); n != 0 {
+		t.Fatalf("task 1 failed %d times", n)
 	}
 }
 
@@ -441,13 +374,12 @@ func TestReclaimedWorkerLateSubmit(t *testing.T) {
 // submit is dropped.
 func TestTaskDeadlineReclaimsStalledWorker(t *testing.T) {
 	const deadline = 60 * time.Millisecond
-	rec := &eventRecorder{}
+	moved := counting(t)
 	c := NewCoordinatorWith(FaultConfig{
 		HeartbeatTimeout: 10 * time.Second,
 		TaskDeadline:     deadline,
 		MonitorInterval:  2 * time.Millisecond,
 		RetryBackoff:     time.Millisecond,
-		OnEvent:          rec.record,
 	})
 	defer c.Shutdown()
 	svc := &Service{c: c}
@@ -470,14 +402,15 @@ func TestTaskDeadlineReclaimsStalledWorker(t *testing.T) {
 			}
 		}
 	}()
-	ev := rec.await(t, "requeue", func(ev nas.FaultEvent) bool { return ev.Kind == nas.FaultRequeue && ev.CandidateID == 0 })
+	// The heartbeat timeout is far off, so only the deadline can requeue
+	// the task to the healthy worker waiting for it.
+	next(t, svc, "healthy", 0)
 	if waited := time.Since(start); waited < deadline {
 		t.Fatalf("task reclaimed after %v, before its %v deadline", waited, deadline)
 	}
-	if !strings.Contains(ev.Reason, "deadline") {
-		t.Fatalf("requeue reason %q, want the task deadline", ev.Reason)
+	if n := moved("cluster.tasks.requeued"); n != 1 {
+		t.Fatalf("requeued +%d, want +1", n)
 	}
-	next(t, svc, "healthy", 0)
 	submit(t, svc, "healthy", 0, 2, "")
 	if res := <-terminal; res.WorkerID != "healthy" || res.Score != 2 || res.Attempts != 2 {
 		t.Fatalf("result = %+v, want the healthy worker's after 2 attempts", res)
@@ -486,9 +419,7 @@ func TestTaskDeadlineReclaimsStalledWorker(t *testing.T) {
 	noResult(t, terminal, "the stalled worker's late submit")
 	close(stop)
 	<-beating
-	for _, ev := range rec.snapshot() {
-		if ev.Kind == nas.FaultQuarantine {
-			t.Fatalf("a heartbeating worker was quarantined: %+v", ev)
-		}
+	if n := moved(obs.Labeled("cluster.coord.quarantined", "worker", "stalled")); n != 0 {
+		t.Fatalf("a heartbeating worker was quarantined %d times", n)
 	}
 }

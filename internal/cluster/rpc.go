@@ -133,12 +133,6 @@ type FaultConfig struct {
 	RetryBackoff time.Duration
 	// MonitorInterval is the failure-detector scan period. Default 250ms.
 	MonitorInterval time.Duration
-	// OnEvent, when set, observes every fault-tolerance decision the
-	// coordinator takes as a nas.FaultEvent. Events are delivered outside
-	// the coordinator's lock, in decision order, from whichever goroutine
-	// took the decision; the callback must be safe for concurrent use and
-	// must not block (it runs on the RPC and failure-detector paths).
-	OnEvent func(nas.FaultEvent)
 }
 
 func (f FaultConfig) withDefaults() FaultConfig {
@@ -192,37 +186,6 @@ type Coordinator struct {
 
 	monitorOnce sync.Once
 	stopMonitor chan struct{}
-
-	// pending buffers fault events recorded under mu; emitMu serializes
-	// their delivery to cfg.OnEvent so observers see decision order even
-	// when RPC goroutines and the failure detector flush concurrently.
-	pending []nas.FaultEvent
-	emitMu  sync.Mutex
-}
-
-// emitLocked queues a fault event for delivery; callers hold c.mu and must
-// call flushEvents after unlocking.
-func (c *Coordinator) emitLocked(ev nas.FaultEvent) {
-	if c.cfg.OnEvent != nil {
-		c.pending = append(c.pending, ev)
-	}
-}
-
-// flushEvents delivers queued fault events outside c.mu, preserving the
-// order the decisions were taken in.
-func (c *Coordinator) flushEvents() {
-	if c.cfg.OnEvent == nil {
-		return
-	}
-	c.emitMu.Lock()
-	defer c.emitMu.Unlock()
-	c.mu.Lock()
-	evs := c.pending
-	c.pending = nil
-	c.mu.Unlock()
-	for _, ev := range evs {
-		c.cfg.OnEvent(ev)
-	}
 }
 
 // NewCoordinator creates a coordinator with the default fault policy.
@@ -283,7 +246,6 @@ func (c *Coordinator) beatLocked(workerID string) {
 		ws.quarantined = false
 		mReadmitted.Inc()
 		obs.GetCounter(obs.Labeled("cluster.coord.readmitted", "worker", workerID)).Inc()
-		c.emitLocked(nas.FaultEvent{Kind: nas.FaultReadmit, Worker: workerID, CandidateID: -1})
 	}
 }
 
@@ -304,7 +266,6 @@ func (c *Coordinator) requeueLocked(a *attempt, reason string) (deliver func()) 
 	if a.n >= c.cfg.MaxAttempts {
 		c.resolveLocked(id)
 		mTasksFailed.Inc()
-		c.emitLocked(nas.FaultEvent{Kind: nas.FaultFailed, CandidateID: id, Reason: reason, Attempt: a.n})
 		res := RPCResult{Record: trace.Record{ID: id, Failed: true}, WorkerID: "coordinator", Err: reason, Attempts: a.n}
 		return func() { a.done(res) }
 	}
@@ -312,7 +273,6 @@ func (c *Coordinator) requeueLocked(a *attempt, reason string) (deliver func()) 
 	a.readyAt = time.Now().Add(c.cfg.RetryBackoff << (a.n - 1))
 	c.queue = append(c.queue, a)
 	mTasksRequeued.Inc()
-	c.emitLocked(nas.FaultEvent{Kind: nas.FaultRequeue, CandidateID: id, Reason: reason, Attempt: a.n})
 	return nil
 }
 
@@ -345,7 +305,6 @@ func (c *Coordinator) monitor() {
 			ws.quarantined = true
 			mQuarantined.Inc()
 			obs.GetCounter(obs.Labeled("cluster.coord.quarantined", "worker", id)).Inc()
-			c.emitLocked(nas.FaultEvent{Kind: nas.FaultQuarantine, Worker: id, CandidateID: -1, Reason: "no heartbeat"})
 			for _, a := range c.inflight {
 				if a.worker == id {
 					reclaim(a, fmt.Sprintf("worker %s presumed dead (no heartbeat)", id))
@@ -364,7 +323,6 @@ func (c *Coordinator) monitor() {
 		mInflightGauge.Set(int64(len(c.inflight)))
 		queued := len(c.queue) > 0
 		c.mu.Unlock()
-		c.flushEvents()
 		if queued {
 			c.cond.Broadcast() // a backoff may have elapsed
 		}
@@ -384,7 +342,6 @@ type Service struct{ c *Coordinator }
 // worker: if it can ask, it is alive).
 func (s *Service) NextTask(workerID string, reply *RPCTask) error {
 	c := s.c
-	defer c.flushEvents() // after the unlock below (defers run LIFO)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.beatLocked(workerID)
@@ -416,7 +373,6 @@ func (s *Service) Heartbeat(workerID string, ack *bool) error {
 	c.mu.Lock()
 	c.beatLocked(workerID)
 	c.mu.Unlock()
-	c.flushEvents()
 	mHeartbeats.Inc()
 	obs.GetCounter(obs.Labeled("cluster.coord.heartbeats", "worker", workerID)).Inc()
 	*ack = true
@@ -455,7 +411,6 @@ func (s *Service) Submit(res RPCResult, ack *bool) error {
 	}
 	mInflightGauge.Set(int64(len(c.inflight)))
 	c.mu.Unlock()
-	c.flushEvents()
 	if deliver != nil {
 		deliver()
 	}

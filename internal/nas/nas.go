@@ -372,7 +372,7 @@ type Config struct {
 	// candidate before Progress fires, so a crashed run can resume from its
 	// last fsynced candidate. The append is a small manifest record — the
 	// checkpoint it names already lives in the store — so Store must then be
-	// a checkpoint.ManifestStore with durable blobs (checkpoint.NewCASDiskStore);
+	// a *checkpoint.CASStore with durable blobs (checkpoint.NewCASDiskStore);
 	// Run rejects any other pairing before the first proposal. A journal
 	// write failure aborts the run: a search that silently stops journaling
 	// would resume wrong.
@@ -455,7 +455,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	}
 	// A journal record is a manifest: only a store that kept the objects
 	// across the crash can resolve it again.
-	manifests, _ := store.(checkpoint.ManifestStore)
+	manifests, _ := store.(*checkpoint.CASStore)
 	if (cfg.Journal != nil || cfg.Resume != nil) && (manifests == nil || !manifests.DurableBlobs()) {
 		return nil, fmt.Errorf("nas: a journaled search needs a checkpoint store with durable blobs (checkpoint.NewCASDiskStore), not %T", store)
 	}

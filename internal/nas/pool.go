@@ -98,7 +98,7 @@ func newSharedPool(cfg PoolConfig, split bool) *SharedPool {
 	p := &SharedPool{cfg: cfg, split: split, tenants: map[string]int{}}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < cfg.Workers; i++ {
-		go p.worker(fmt.Sprintf("slot-%d", i))
+		go p.worker()
 	}
 	return p
 }
@@ -145,11 +145,6 @@ type ClientConfig struct {
 	// client's queue: a one-evaluator search looking ahead may hold up to
 	// the pool's slot count in flight (Run).
 	Concurrency int
-	// OnFault, when non-nil, receives a FaultFailed event for each of this
-	// client's tasks whose evaluation errors or panics; the error itself is
-	// delivered bare and aborts the search. Called from pool slots, outside
-	// pool locks; it must not block for long.
-	OnFault func(FaultEvent)
 }
 
 // PoolClient is one search's handle on a SharedPool; it implements Executor.
@@ -280,7 +275,7 @@ func (p *SharedPool) nextLocked() *PoolClient {
 
 // worker is one evaluator slot: wait for the fair scheduler to hand it a
 // task, run it with panic isolation, deliver the result.
-func (p *SharedPool) worker(slot string) {
+func (p *SharedPool) worker() {
 	for {
 		p.mu.Lock()
 		var c *PoolClient
@@ -306,9 +301,6 @@ func (p *SharedPool) worker(slot string) {
 		// its end, not a fault of the slot.
 		if res.Err != nil && !res.Failed && !errors.Is(res.Err, context.Canceled) && !errors.Is(res.Err, context.DeadlineExceeded) {
 			mPoolFailed.Inc()
-			if c.cfg.OnFault != nil {
-				c.cfg.OnFault(FaultEvent{Kind: FaultFailed, Worker: slot, CandidateID: it.task.ID, Reason: res.Err.Error(), Attempt: 1})
-			}
 		} else {
 			mPoolCompleted.Inc()
 			if obs.Enabled() {

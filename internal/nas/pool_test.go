@@ -11,6 +11,7 @@ import (
 
 	"swtnas/internal/apps"
 	"swtnas/internal/checkpoint"
+	"swtnas/internal/obs"
 	"swtnas/internal/trace"
 )
 
@@ -162,19 +163,16 @@ func TestPoolQuotas(t *testing.T) {
 }
 
 // TestPoolPanicIsolation: one tenant's panicking evaluation becomes an error
-// result naming the candidate, beside one FaultFailed event; the slot
-// survives and keeps serving other tenants. An erroring evaluation ends the
-// same way, its error delivered bare (not Failed): it aborts its search.
+// result naming the candidate; the slot survives and keeps serving other
+// tenants. An erroring evaluation ends the same way, its error delivered bare
+// (not Failed): it aborts its search. The pool counts both as failed tasks,
+// and the panic once more as a panic.
 func TestPoolPanicIsolation(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	before := obs.Take()
 	p := NewSharedPool(PoolConfig{Workers: 1})
 	defer p.Close()
-	var mu sync.Mutex
-	var events []FaultEvent
-	bad, err := p.Register(ClientConfig{Tenant: "bad", OnFault: func(ev FaultEvent) {
-		mu.Lock()
-		events = append(events, ev)
-		mu.Unlock()
-	}})
+	bad, err := p.Register(ClientConfig{Tenant: "bad"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,15 +204,9 @@ func TestPoolPanicIsolation(t *testing.T) {
 	if res := drain(t, outBad, 1)[0]; res.Err == nil || res.Failed {
 		t.Fatalf("erroring eval must deliver its error bare, got %+v", res)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) != 2 {
-		t.Fatalf("events = %+v, want one FaultFailed per failed evaluation", events)
-	}
-	for i, id := range []int{1, 3} {
-		if ev := events[i]; ev.Kind != FaultFailed || ev.CandidateID != id || ev.Attempt != 1 || ev.Reason == "" {
-			t.Fatalf("event %d = %+v, want FaultFailed for candidate %d, attempt 1", i, ev, id)
-		}
+	d := obs.Take().Delta(before)
+	if failed, panics := d.Counters["nas.pool.tasks.failed"], d.Counters["nas.pool.tasks.panics"]; failed != 2 || panics != 1 {
+		t.Fatalf("nas.pool.tasks.failed +%d, nas.pool.tasks.panics +%d; want +2 and +1", failed, panics)
 	}
 }
 

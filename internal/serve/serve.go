@@ -321,16 +321,12 @@ func (s *Server) watch(st *searchState) {
 	defer mActive.Add(-1)
 	defer close(st.settled)
 	cands := obs.GetCounter(obs.Labeled("serve.candidates", "search", st.id, "tenant", st.req.Tenant))
-	faults := obs.GetCounter(obs.Labeled("serve.faults", "search", st.id, "tenant", st.req.Tenant))
 	filtered := obs.GetCounter(obs.Labeled("serve.filtered", "search", st.id, "tenant", st.req.Tenant))
-	for ev := range st.handle.Events() {
-		switch ev.Kind {
-		case swtnas.EventCandidate:
-			cands.Inc()
-		case swtnas.EventFault:
-			faults.Inc()
-		case swtnas.EventFiltered:
+	for c := range st.handle.Events() {
+		if c.Filtered {
 			filtered.Inc()
+		} else {
+			cands.Inc()
 		}
 	}
 	_, err := st.handle.Wait()
@@ -684,7 +680,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			select {
 			case <-r.Context().Done():
 				return
-			case ev, ok := <-ch:
+			case c, ok := <-ch:
 				if !ok {
 					// Search finished; wait for the watcher to record the
 					// terminal state, then close with it below.
@@ -695,16 +691,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 					}
 					goto done
 				}
-				we := CandidateEvent{}
-				switch ev.Kind {
-				case swtnas.EventCandidate:
-					we.Kind, we.Candidate = EventKindCandidate, ev.Candidate
-				case swtnas.EventFault:
-					we.Kind, we.Fault = EventKindFault, ev.Fault
-				case swtnas.EventFiltered:
-					we.Kind, we.Candidate = EventKindFiltered, ev.Candidate
-				default:
-					continue
+				we := CandidateEvent{Kind: EventKindCandidate, Candidate: &c}
+				if c.Filtered {
+					we.Kind = EventKindFiltered
 				}
 				if !send(we) {
 					return

@@ -119,12 +119,12 @@ type ListResponse struct {
 }
 
 // CandidateEvent is one server-sent event on /v1/searches/{id}/events.
-// Exactly one of Candidate, Fault and Status is set, matching Kind. The
+// Exactly one of Candidate and Status is set, matching Kind. The
 // candidate payload reuses swtnas.Candidate's wire schema, so a streamed
 // candidate marshals identically to the same candidate in a trace dump —
 // including the omitempty elision of zero eval_time/queue_wait/resumed.
 type CandidateEvent struct {
-	// Kind is "candidate", "filtered", "fault" or "status".
+	// Kind is "candidate", "filtered" or "status".
 	Kind string `json:"kind"`
 	// SearchID is the search the event belongs to.
 	SearchID string `json:"search_id"`
@@ -134,8 +134,6 @@ type CandidateEvent struct {
 	// Candidate is one completed evaluation (Kind "candidate") or one
 	// proxy-rejected proposal (Kind "filtered", Filtered set).
 	Candidate *swtnas.Candidate `json:"candidate,omitempty"`
-	// Fault is one fault-tolerance decision (Kind "fault").
-	Fault *swtnas.FaultEvent `json:"fault,omitempty"`
 	// Status is the terminal status closing the stream (Kind "status").
 	Status *SearchStatus `json:"status,omitempty"`
 }
@@ -143,7 +141,6 @@ type CandidateEvent struct {
 // The CandidateEvent kinds.
 const (
 	EventKindCandidate = "candidate"
-	EventKindFault     = "fault"
 	EventKindStatus    = "status"
 	// EventKindFiltered streams one proposal the proxy pre-filter rejected
 	// before training; the Candidate payload has Filtered set and ID -1.

@@ -35,7 +35,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"math/rand"
 	"time"
 
 	"swtnas/internal/apps"
@@ -98,7 +97,7 @@ type Candidate struct {
 	// Filtered marks a proposal the proxy pre-filter rejected before
 	// training: it consumed no budget, has no checkpoint, and its ID is the
 	// sentinel -1 (rejected proposals never receive candidate numbers).
-	// Only filtered progress events carry it; Result.Candidates never does.
+	// Only the Events stream carries it; Result.Candidates never does.
 	Filtered bool `json:"filtered,omitempty"`
 	// Failed marks a candidate with no score: its training diverged to a
 	// non-finite score or weight, or (on a TCP coordinator) every attempt of
@@ -348,7 +347,7 @@ func (r *Result) WriteTrace(w io.Writer) error { return r.tr.WriteJSON(w) }
 // Summarize writes a Keras-style layer/shape/parameter summary of a
 // candidate's network.
 func (r *Result) Summarize(c Candidate, w io.Writer) error {
-	net, err := r.app.Space.Build(search.Arch(c.Arch), rand.New(rand.NewSource(int64(c.ID)+1)))
+	net, _, err := r.app.Space.BuildSeeded(search.Arch(c.Arch), int64(c.ID)+1)
 	if err != nil {
 		return err
 	}
