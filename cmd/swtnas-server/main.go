@@ -5,13 +5,14 @@
 // /v1/searches/{id}/events, fetch partial results from
 // /v1/searches/{id}/topk, and scrape Prometheus metrics from /metrics. If
 // the process is killed, restarting it against the same -data-dir resumes
-// every unfinished search from its journal.
+// every unfinished search from its journal. A search's settings, its dtype
+// and proxy mode among them, come only from its submission, which is
+// persisted with it, so a restart resumes it with the same options.
 //
 // Usage:
 //
 //	swtnas-server -addr :8080 -data-dir /var/lib/swtnas
 //	swtnas-server -addr :8080 -data-dir ./runs -pool-workers 8 -max-active 4
-//	swtnas-server -data-dir ./runs -tenant-proxy-defaults "teamA=0.5,teamB=off"
 package main
 
 import (
@@ -39,16 +40,10 @@ func main() {
 		workers   = flag.Int("pool-workers", 0, "evaluator pool slots shared by all searches (0 = all cores)")
 		maxActive = flag.Int("max-active", 0, "admission quota: concurrent searches across all tenants (0 = unlimited)")
 		maxTenant = flag.Int("max-tenant", 0, "admission quota: concurrent searches per tenant (0 = unlimited)")
-		tenantPxy = flag.String("tenant-proxy-defaults", "", `per-tenant default proxy-admission modes, e.g. "teamA=0.5,teamB=off"`)
-		dtype     = flag.String("dtype", "", "default training element type for submissions that omit dtype: f64 (default) or f32")
 	)
 	flag.Parse()
 	if *dataDir == "" {
 		log.Fatal("-data-dir is required")
-	}
-	tenantDefaults, err := serve.ParseTenantDefaults(*tenantPxy)
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	s, err := serve.New(serve.Config{
@@ -58,8 +53,6 @@ func main() {
 			MaxActiveSearches:    *maxActive,
 			MaxSearchesPerTenant: *maxTenant,
 		},
-		TenantDefaults: tenantDefaults,
-		DefaultDType:   *dtype,
 	})
 	if err != nil {
 		log.Fatal(err)

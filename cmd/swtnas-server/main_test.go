@@ -47,13 +47,14 @@ func runExitCases(t *testing.T, cases []exitCase) {
 	}
 }
 
-// TestExitCodes: a missing -data-dir and an unknown -dtype each exit 1
-// before the server listens; an unknown flag exits 2.
+// TestExitCodes: a missing -data-dir exits 1 before the server listens;
+// -dtype is not a flag (a search's dtype is its submission's) and exits 2,
+// like any unknown flag.
 func TestExitCodes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "data")
 	runExitCases(t, []exitCase{
 		{name: "missing data dir", args: nil, code: 1, want: "-data-dir is required", absent: "serving on"},
-		{name: "invalid dtype", args: []string{"-data-dir", dir, "-addr", "127.0.0.1:0", "-dtype", "f16"}, code: 1, want: `unknown dtype "f16"`, absent: "serving on"},
+		{name: "invalid dtype", args: []string{"-data-dir", dir, "-addr", "127.0.0.1:0", "-dtype", "f32"}, code: 2, want: "flag provided but not defined: -dtype", absent: "serving on"},
 		{name: "unknown flag", args: []string{"-bogus"}, code: 2, want: "flag provided but not defined: -bogus"},
 	})
 }

@@ -18,7 +18,6 @@ import (
 	"swtnas/internal/cluster"
 	"swtnas/internal/obs"
 	"swtnas/internal/parallel"
-	"swtnas/internal/tensor"
 )
 
 func main() {
@@ -30,12 +29,8 @@ func main() {
 		kworkers = flag.Int("kernel-workers", 0, "compute-kernel pool size: cores this worker may use (0 = $"+parallel.EnvWorkers+" or all cores)")
 		mAddr    = flag.String("metrics-addr", "", "serve live metrics JSON on this address at "+obs.MetricsPath+" (Prometheus text at "+obs.PromPath+")")
 		beat     = flag.Duration("heartbeat", 2*time.Second, "liveness-ping period; the coordinator requeues this worker's tasks if pings stop")
-		dtype    = flag.String("dtype", "", "training element type for tasks that ship none: f64 (default) or f32")
 	)
 	flag.Parse()
-	if _, err := tensor.ParseDType(*dtype); err != nil {
-		log.Fatal(err)
-	}
 	if *kworkers > 0 {
 		// Several workers on one node partition its cores between them.
 		parallel.SetWorkers(*kworkers)
@@ -53,7 +48,7 @@ func main() {
 		host, _ := os.Hostname()
 		workerID = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	w := &cluster.Worker{ID: workerID, HeartbeatEvery: *beat, DType: *dtype}
+	w := &cluster.Worker{ID: workerID, HeartbeatEvery: *beat}
 	log.Printf("worker %s connecting to %s", workerID, *addr)
 	if err := w.Run(*addr); err != nil {
 		log.Fatal(err)

@@ -46,11 +46,12 @@ func runExitCases(t *testing.T, cases []exitCase) {
 	}
 }
 
-// TestExitCodes: an unknown -dtype exits 1 naming it, before the worker
-// dials its coordinator; an unknown flag exits 2.
+// TestExitCodes: -dtype is not a flag (a task trains in its search's
+// dtype) and exits 2 before the worker dials its coordinator, like any
+// unknown flag.
 func TestExitCodes(t *testing.T) {
 	runExitCases(t, []exitCase{
-		{name: "invalid dtype", args: []string{"-dtype", "f16", "-addr", "127.0.0.1:1"}, code: 1, want: `unknown dtype "f16"`, absent: "connecting"},
+		{name: "invalid dtype", args: []string{"-dtype", "f32", "-addr", "127.0.0.1:1"}, code: 2, want: "flag provided but not defined: -dtype", absent: "connecting"},
 		{name: "unknown flag", args: []string{"-bogus"}, code: 2, want: "flag provided but not defined: -bogus"},
 	})
 }

@@ -20,8 +20,8 @@ import (
 	"swtnas/internal/trace"
 )
 
-// ErrQuotaExceeded is returned by Search.Start when the shared evaluator
-// pool's admission limits (PoolOptions.MaxActiveSearches /
+// ErrQuotaExceeded is returned by SearchHandle.Start when the shared
+// evaluator pool's admission limits (PoolOptions.MaxActiveSearches /
 // MaxSearchesPerTenant) reject the search. Check with errors.Is.
 var ErrQuotaExceeded = nas.ErrQuotaExceeded
 
@@ -31,7 +31,7 @@ type PoolOptions struct {
 	// concurrently across all searches on the pool. Default GOMAXPROCS.
 	Workers int
 	// MaxActiveSearches caps concurrently admitted searches (0 = unlimited);
-	// Search.Start fails with ErrQuotaExceeded beyond it.
+	// SearchHandle.Start fails with ErrQuotaExceeded beyond it.
 	MaxActiveSearches int
 	// MaxSearchesPerTenant caps admitted searches per SearchOptions.Tenant
 	// (0 = unlimited).

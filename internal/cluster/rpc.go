@@ -9,7 +9,6 @@
 package cluster
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -89,8 +88,8 @@ type RPCTask struct {
 	Seed         int64
 	Matcher      string // "", "LP", "LCS"
 	Parent       []byte // encoded provider checkpoint, nil for scratch
-	// DType selects the worker-side training element type ("", "f64" or
-	// "f32", the tensor.ParseDType spellings), with nas.Evaluator.DType's
+	// DType is the search's training element type ("", "f64" or "f32", the
+	// tensor.ParseDType spellings; "" is f64), with nas.Evaluator.DType's
 	// meaning; the returned checkpoint is dtype-tagged.
 	DType string
 }
@@ -449,13 +448,8 @@ var (
 type Worker struct {
 	// ID labels the worker in results.
 	ID string
-	// DType, when non-empty, is the training element type of tasks that ship
-	// no RPCTask.DType; a task that names one always wins, keeping mixed
-	// fleets consistent. See DESIGN.md §14.
-	DType string
-	// HeartbeatEvery is the liveness-ping period Run uses while connected.
-	// 0 selects the 2s default; negative disables heartbeats entirely
-	// (tests simulating a silent stall).
+	// HeartbeatEvery is the liveness-ping period Run uses while connected;
+	// a non-positive value selects the 2s default.
 	HeartbeatEvery time.Duration
 	// ExecuteHook, when set, replaces Execute in Run's task loop. Returning
 	// ErrCrash kills the connection and Run; ErrDropResult suppresses the
@@ -495,7 +489,7 @@ func (w *Worker) Execute(t RPCTask) RPCResult {
 		res.Err = err.Error()
 		return res
 	}
-	dt, err := tensor.ParseDType(cmp.Or(t.DType, w.DType))
+	dt, err := tensor.ParseDType(t.DType)
 	if err != nil {
 		return fail(err)
 	}
@@ -563,26 +557,27 @@ func (w *Worker) Run(addr string) error {
 	}
 	defer client.Close()
 
-	beatEvery := cmp.Or(w.HeartbeatEvery, 2*time.Second)
+	beatEvery := w.HeartbeatEvery
+	if beatEvery <= 0 {
+		beatEvery = 2 * time.Second
+	}
 	stopBeats := make(chan struct{})
 	defer close(stopBeats)
-	if beatEvery > 0 {
-		go func() {
-			ticker := time.NewTicker(beatEvery)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stopBeats:
-					return
-				case <-ticker.C:
-					var ack bool
-					// Errors here mean the connection died; the task loop
-					// will observe the same failure and exit.
-					_ = call(client, "Service.Heartbeat", w.ID, &ack)
-				}
+	go func() {
+		ticker := time.NewTicker(beatEvery)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stopBeats:
+				return
+			case <-ticker.C:
+				var ack bool
+				// Errors here mean the connection died; the task loop
+				// will observe the same failure and exit.
+				_ = call(client, "Service.Heartbeat", w.ID, &ack)
 			}
-		}()
-	}
+		}
+	}()
 
 	execute := w.ExecuteHook
 	if execute == nil {

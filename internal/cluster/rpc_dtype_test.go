@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"testing"
 
 	"swtnas/internal/checkpoint"
@@ -42,11 +43,12 @@ func TestWorkerExecutesF32Task(t *testing.T) {
 	}
 }
 
-// TestWorkerDTypeDefaultAndRejection: a worker-level DType fills in for
-// tasks that ship none, a task-level dtype wins over it, and an unknown
-// dtype fails the task rather than silently training in f64.
+// TestWorkerDTypeDefaultAndRejection: a task that ships no dtype trains in
+// f64, the default on both sides of the wire, byte for byte as the same task
+// shipped with "f64"; an unknown dtype fails the task rather than silently
+// training in f64.
 func TestWorkerDTypeDefaultAndRejection(t *testing.T) {
-	w := &Worker{ID: "w0", DType: "f32"}
+	w := &Worker{ID: "w0"}
 	task := RPCTask{
 		ID: 1, App: "nt3", DataSeed: 1, TrainN: 32, ValN: 16,
 		Arch: []int{0, 0, 0, 0, 0, 0, 0, 0}, Seed: 5,
@@ -59,20 +61,17 @@ func TestWorkerDTypeDefaultAndRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.DType != tensor.F32 {
-		t.Fatalf("worker-default dtype not applied: checkpoint dtype %v", m.DType)
+	if m.DType != tensor.F64 {
+		t.Fatalf("task with no dtype trained to a %v checkpoint, want F64", m.DType)
 	}
 
 	task.DType = "f64"
-	res = w.Execute(task)
-	if res.Err != "" {
-		t.Fatal(res.Err)
+	explicit := w.Execute(task)
+	if explicit.Err != "" {
+		t.Fatal(explicit.Err)
 	}
-	if m, err = checkpoint.Decode(res.Checkpoint); err != nil {
-		t.Fatal(err)
-	}
-	if m.DType != tensor.F64 {
-		t.Fatalf("task dtype should beat the worker default: checkpoint dtype %v", m.DType)
+	if !bytes.Equal(res.Checkpoint, explicit.Checkpoint) {
+		t.Fatal("a task with no dtype and the same task with \"f64\" return different checkpoints")
 	}
 
 	task.DType = "f16"

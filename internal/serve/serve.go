@@ -10,13 +10,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"swtnas"
 	"swtnas/internal/apps"
 	"swtnas/internal/obs"
-	"swtnas/internal/tensor"
 )
 
 // Serve-layer telemetry: submissions, quota rejections, the live search
@@ -38,54 +36,6 @@ type Config struct {
 	DataDir string
 	// Pool sizes the shared evaluator pool every search runs on.
 	Pool swtnas.PoolOptions
-	// TenantDefaults maps tenant names to the proxy-admission mode applied
-	// to their submissions that leave ProxyFilter unset. Defaults are
-	// materialized into the request at admission and persisted with it, so a
-	// search resumes identically even if the server restarts with different
-	// defaults.
-	TenantDefaults map[string]TenantDefault
-	// DefaultDType is the training element type ("f32" or "f64") materialized
-	// into submissions that leave dtype empty. Like tenant defaults it is
-	// applied at admission and persisted with the request, so a search
-	// resumes with its admission-time dtype even if the server restarts with
-	// a different default. Empty keeps the library default (float64).
-	DefaultDType string
-}
-
-// TenantDefault is one tenant's default proxy-admission mode.
-type TenantDefault struct {
-	// ProxyFilter enables the zero-cost proxy pre-filter by default.
-	ProxyFilter bool
-	// ProxyAdmit is the default admitted fraction in (0, 1] when
-	// ProxyFilter is on; 0 keeps the search-level default (0.5).
-	ProxyAdmit float64
-}
-
-// ParseTenantDefaults parses the -tenant-proxy-defaults flag syntax: a
-// comma-separated list of tenant=mode pairs where mode is either "off" (the
-// proxy pre-filter stays disabled by default) or an admitted fraction in
-// (0, 1] that enables it, e.g. "teamA=0.5,teamB=off".
-func ParseTenantDefaults(s string) (map[string]TenantDefault, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := map[string]TenantDefault{}
-	for _, pair := range strings.Split(s, ",") {
-		tenant, mode, ok := strings.Cut(strings.TrimSpace(pair), "=")
-		if !ok || tenant == "" {
-			return nil, fmt.Errorf("serve: tenant default %q is not tenant=mode", pair)
-		}
-		if mode == "off" {
-			out[tenant] = TenantDefault{}
-			continue
-		}
-		admit, err := strconv.ParseFloat(mode, 64)
-		if err != nil || admit <= 0 || admit > 1 {
-			return nil, fmt.Errorf("serve: tenant %s mode %q must be \"off\" or a fraction in (0, 1]", tenant, mode)
-		}
-		out[tenant] = TenantDefault{ProxyFilter: true, ProxyAdmit: admit}
-	}
-	return out, nil
 }
 
 // searchState is the server's record of one search. Live searches carry the
@@ -126,11 +76,9 @@ type metaFile struct {
 // restart every search that never reached a terminal state resumes from its
 // journal. It implements http.Handler.
 type Server struct {
-	dir      string
-	pool     *swtnas.EvaluatorPool
-	mux      *http.ServeMux
-	defaults map[string]TenantDefault
-	dtype    string
+	dir  string
+	pool *swtnas.EvaluatorPool
+	mux  *http.ServeMux
 
 	mu       sync.Mutex
 	searches map[string]*searchState
@@ -146,17 +94,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, errors.New("serve: Config.DataDir is required")
 	}
-	if _, err := tensor.ParseDType(cfg.DefaultDType); err != nil {
-		return nil, fmt.Errorf("serve: Config.DefaultDType: %w", err)
-	}
 	if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Server{
 		dir:      cfg.DataDir,
 		pool:     swtnas.NewPool(cfg.Pool),
-		defaults: cfg.TenantDefaults,
-		dtype:    cfg.DefaultDType,
 		searches: map[string]*searchState{},
 	}
 	s.routes()
@@ -283,7 +226,7 @@ func (s *Server) options(st *searchState) swtnas.SearchOptions {
 		PopulationSize: st.req.Population,
 		SampleSize:     st.req.Sample,
 		RetainTopK:     st.req.RetainTopK,
-		ProxyFilter:    st.req.ProxyFilter != nil && *st.req.ProxyFilter,
+		ProxyFilter:    st.req.ProxyFilter,
 		ProxyAdmit:     st.req.ProxyAdmit,
 		MultiObjective: st.req.MultiObjective,
 		DType:          st.req.DType,
@@ -449,12 +392,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		fail(w, code, "", "decoding request: "+err.Error())
 		return
 	}
-	s.applyTenantDefaults(&req)
-	if req.DType == "" {
-		// Materialized like tenant defaults: the persisted request carries
-		// the admission-time dtype, so resumes survive default changes.
-		req.DType = s.dtype
-	}
 	s.mu.Lock()
 	if s.closing {
 		s.mu.Unlock()
@@ -502,25 +439,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	mSubmitted.Inc()
 	writeJSON(w, http.StatusCreated, SubmitResponse{ID: id, Status: status})
-}
-
-// applyTenantDefaults materializes the tenant's default proxy-admission mode
-// into a submission that left ProxyFilter unset (an explicit true or false
-// always wins). The materialized request is what gets persisted, so resumes
-// replay the admission-time decision regardless of later flag changes.
-func (s *Server) applyTenantDefaults(req *SubmitRequest) {
-	if req.ProxyFilter != nil {
-		return
-	}
-	d, ok := s.defaults[req.Tenant]
-	if !ok {
-		return
-	}
-	on := d.ProxyFilter
-	req.ProxyFilter = &on
-	if on && req.ProxyAdmit == 0 {
-		req.ProxyAdmit = d.ProxyAdmit
-	}
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

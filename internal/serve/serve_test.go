@@ -610,66 +610,18 @@ func TestCandidateEventWireSchema(t *testing.T) {
 	}
 }
 
-// TestTenantProxyDefaults: a tenant's configured default proxy-admission
-// mode is materialized into submissions that leave proxy_filter unset — and
-// persisted that way, so resumes replay the admission-time decision — while
-// explicit values always win.
-func TestTenantProxyDefaults(t *testing.T) {
+// TestSubmitProxyFilter: a submission with proxy_filter set runs in
+// proxy-filter mode (it streams filtered proposals) and persists the mode
+// for resume; metadata written with the key or without it restores each
+// search with that mode.
+func TestSubmitProxyFilter(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(Config{
-		DataDir: dir,
-		Pool:    swtnas.PoolOptions{Workers: 2},
-		TenantDefaults: map[string]TenantDefault{
-			"teamA": {ProxyFilter: true, ProxyAdmit: 0.5},
-			"teamB": {}, // "off": default stays disabled
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
+	s, ts := newTestServer(t, dir, swtnas.PoolOptions{Workers: 2})
 	defer s.Close()
 
-	materialized := func(id string) (filter *bool, admit float64) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		st := s.searches[id]
-		if st == nil {
-			t.Fatalf("no search %s", id)
-		}
-		return st.req.ProxyFilter, st.req.ProxyAdmit
-	}
-
-	// teamA inherits filter on at 0.5.
-	a := submit(t, ts, testSubmit("teamA", 1, 6))
-	if f, admit := materialized(a.ID); f == nil || !*f || admit != 0.5 {
-		t.Fatalf("teamA materialized filter %v admit %v, want true 0.5", f, admit)
-	}
-
-	// An explicit opt-out beats the tenant default.
-	off := false
-	reqOff := testSubmit("teamA", 2, 4)
-	reqOff.ProxyFilter = &off
-	b := submit(t, ts, reqOff)
-	if f, admit := materialized(b.ID); f == nil || *f || admit != 0 {
-		t.Fatalf("opted-out materialized filter %v admit %v, want false 0", f, admit)
-	}
-
-	// teamB's "off" default and an unconfigured tenant both stay disabled —
-	// but "off" is materialized while the unconfigured one stays unset.
-	c := submit(t, ts, testSubmit("teamB", 3, 4))
-	if f, _ := materialized(c.ID); f == nil || *f {
-		t.Fatalf("teamB materialized filter %v, want explicit false", f)
-	}
-	d := submit(t, ts, testSubmit("teamC", 4, 4))
-	if f, _ := materialized(d.ID); f != nil {
-		t.Fatalf("teamC materialized filter %v, want unset", f)
-	}
-
-	// The defaulted search really runs in proxy-filter mode: it streams
-	// filtered proposals, and its persisted metadata carries the
-	// materialized mode for resume.
+	req := testSubmit("teamA", 1, 6)
+	req.ProxyFilter, req.ProxyAdmit = true, 0.5
+	a := submit(t, ts, req)
 	waitState(t, ts, a.ID, func(st SearchStatus) bool { return st.State == StateDone })
 	resp, err := http.Get(ts.URL + "/" + APIVersion + "/searches/" + a.ID + "/events")
 	if err != nil {
@@ -695,14 +647,42 @@ func TestTenantProxyDefaults(t *testing.T) {
 	}
 	resp.Body.Close()
 	if filtered == 0 {
-		t.Fatal("defaulted proxy-filter search streamed no filtered proposals")
+		t.Fatal("proxy-filter search streamed no filtered proposals")
 	}
 	meta, err := os.ReadFile(filepath.Join(dir, a.ID+".json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(meta), `"proxy_filter": true`) {
-		t.Fatalf("metadata does not persist the materialized mode:\n%s", meta)
+		t.Fatalf("metadata does not persist the proxy mode:\n%s", meta)
+	}
+
+	// Metadata as earlier servers wrote it: the key true, false or absent.
+	restoreDir := t.TempDir()
+	for id, filter := range map[string]string{"s-000000": `"proxy_filter": true,`, "s-000001": `"proxy_filter": false,`, "s-000002": ""} {
+		meta := fmt.Sprintf(`{
+  "id": %q,
+  "request": {"tenant": "teamA", "app": "nt3", "scheme": "LCS", "budget": 6, %s "train_n": 48, "val_n": 24},
+  "state": "done",
+  "completed": 6
+}
+`, id, filter)
+		if err := os.WriteFile(filepath.Join(restoreDir, id+".json"), []byte(meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, _ := newTestServer(t, restoreDir, swtnas.PoolOptions{Workers: 1})
+	defer r.Close()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for id, want := range map[string]bool{"s-000000": true, "s-000001": false, "s-000002": false} {
+		st := r.searches[id]
+		if st == nil {
+			t.Fatalf("search %s not restored", id)
+		}
+		if got := r.options(st).ProxyFilter; got != want {
+			t.Fatalf("search %s restored with ProxyFilter %v, want %v", id, got, want)
+		}
 	}
 }
 

@@ -63,9 +63,7 @@ type SubmitRequest struct {
 	// ProxyFilter turns on the zero-cost proxy pre-filter as the search's
 	// admission mode: only the best ProxyAdmit fraction of each proposal
 	// batch reaches real training; rejections stream as "filtered" events.
-	// Absent (null) defers to the server's per-tenant default
-	// (Config.TenantDefaults); an explicit false opts out of it.
-	ProxyFilter *bool `json:"proxy_filter,omitempty"`
+	ProxyFilter bool `json:"proxy_filter,omitempty"`
 	// ProxyAdmit is the admitted fraction in (0, 1]; 0 means 0.5.
 	ProxyAdmit float64 `json:"proxy_admit,omitempty"`
 	// MultiObjective selects Pareto (score × params) parent selection.

@@ -18,9 +18,10 @@
 //	full, err := res.FullyTrain(best[0])
 //
 // Long-lived callers (the swtnas-server service, dashboards, schedulers)
-// use the handle form of the same API: New validates options into a *Search,
-// Start launches it, Events streams per-candidate progress, TopK reads the
-// partial leaderboard mid-run, Cancel stops it, Wait collects the Result.
+// use the handle form of the same API: New validates options into a
+// *SearchHandle, Start launches it, Events streams per-candidate progress,
+// TopK reads the partial leaderboard mid-run, Cancel stops it, Wait collects
+// the Result.
 // Many concurrent searches can share one EvaluatorPool under weighted-fair
 // scheduling with per-tenant admission quotas.
 //
