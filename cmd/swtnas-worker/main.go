@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"time"
 
 	"swtnas/internal/cluster"
 	"swtnas/internal/obs"
@@ -28,7 +27,6 @@ func main() {
 		id       = flag.String("id", "", "worker id (default host-pid)")
 		kworkers = flag.Int("kernel-workers", 0, "compute-kernel pool size: cores this worker may use (0 = $"+parallel.EnvWorkers+" or all cores)")
 		mAddr    = flag.String("metrics-addr", "", "serve live metrics JSON on this address at "+obs.MetricsPath+" (Prometheus text at "+obs.PromPath+")")
-		beat     = flag.Duration("heartbeat", 2*time.Second, "liveness-ping period; the coordinator requeues this worker's tasks if pings stop")
 	)
 	flag.Parse()
 	if *kworkers > 0 {
@@ -48,7 +46,7 @@ func main() {
 		host, _ := os.Hostname()
 		workerID = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
-	w := &cluster.Worker{ID: workerID, HeartbeatEvery: *beat}
+	w := &cluster.Worker{ID: workerID}
 	log.Printf("worker %s connecting to %s", workerID, *addr)
 	if err := w.Run(*addr); err != nil {
 		log.Fatal(err)

@@ -47,11 +47,13 @@ func runExitCases(t *testing.T, cases []exitCase) {
 }
 
 // TestExitCodes: -dtype is not a flag (a task trains in its search's
-// dtype) and exits 2 before the worker dials its coordinator, like any
-// unknown flag.
+// dtype), nor is -heartbeat (the coordinator's silence timeout is fixed, so
+// the worker's ping period is not the operator's to set); each exits 2
+// before the worker dials its coordinator, like any unknown flag.
 func TestExitCodes(t *testing.T) {
 	runExitCases(t, []exitCase{
 		{name: "invalid dtype", args: []string{"-dtype", "f32", "-addr", "127.0.0.1:1"}, code: 2, want: "flag provided but not defined: -dtype", absent: "connecting"},
+		{name: "heartbeat", args: []string{"-heartbeat", "2s", "-addr", "127.0.0.1:1"}, code: 2, want: "flag provided but not defined: -heartbeat", absent: "connecting"},
 		{name: "unknown flag", args: []string{"-bogus"}, code: 2, want: "flag provided but not defined: -bogus"},
 	})
 }

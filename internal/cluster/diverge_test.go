@@ -41,7 +41,7 @@ func TestDivergedCandidateIsTerminal(t *testing.T) {
 		return app
 	}
 	moved := counting(t)
-	c := NewCoordinatorWith(FaultConfig{RetryBackoff: time.Millisecond, MonitorInterval: 2 * time.Millisecond})
+	c := NewCoordinatorWith(FaultConfig{RetryBackoff: time.Millisecond})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,13 +30,12 @@ func queue(c *Coordinator) (enqueue func(RPCTask), terminal <-chan RPCResult) {
 
 // TestConcurrentRequeueUniqueResults hammers the coordinator's scheduling
 // state directly (no TCP): many worker goroutines pull tasks and submit a
-// mix of successes and errors concurrently while the monitor requeues, and
+// mix of successes and errors concurrently while the coordinator requeues, and
 // every task must still resolve exactly once. Run under -race this pins the
 // coordinator's locking discipline.
 func TestConcurrentRequeueUniqueResults(t *testing.T) {
 	c := NewCoordinatorWith(FaultConfig{
 		HeartbeatTimeout: 2 * time.Second,
-		MonitorInterval:  5 * time.Millisecond,
 		RetryBackoff:     time.Millisecond,
 		MaxAttempts:      4,
 	})
@@ -90,9 +91,8 @@ func TestConcurrentRequeueUniqueResults(t *testing.T) {
 						return
 					}
 				case n%7 == 0:
-					// Lost result: submit nothing; the monitor's deadline
-					// path is off here, so instead submit a late success
-					// after a duplicate window to exercise dedup.
+					// A late success after a duplicate window, submitted
+					// twice to exercise dedup.
 					res := RPCResult{Record: trace.Record{ID: task.ID, Score: 1}, WorkerID: id}
 					go func() {
 						time.Sleep(2 * time.Millisecond)
@@ -137,7 +137,6 @@ func TestRequeueExhaustionSurfacesFailure(t *testing.T) {
 	moved := counting(t)
 	c := NewCoordinatorWith(FaultConfig{
 		HeartbeatTimeout: 2 * time.Second,
-		MonitorInterval:  2 * time.Millisecond,
 		RetryBackoff:     time.Millisecond,
 		MaxAttempts:      3,
 	})
@@ -178,6 +177,9 @@ func TestRequeueExhaustionSurfacesFailure(t *testing.T) {
 	if rq, f := moved("cluster.tasks.requeued"), moved("cluster.tasks.failed"); rq != 2 || f != 1 {
 		t.Fatalf("requeued +%d, failed +%d; want +2 and +1", rq, f)
 	}
+	if e, s := moved(obs.Labeled("cluster.tasks.requeued", "cause", "error")), moved(obs.Labeled("cluster.tasks.requeued", "cause", "silent")); e != 2 || s != 0 {
+		t.Fatalf("requeued for cause error +%d, silent +%d; want +2 and +0", e, s)
+	}
 }
 
 // TestQuarantineAndReadmission silences a worker past the heartbeat timeout,
@@ -187,7 +189,6 @@ func TestQuarantineAndReadmission(t *testing.T) {
 	moved := counting(t)
 	c := NewCoordinatorWith(FaultConfig{
 		HeartbeatTimeout: 50 * time.Millisecond,
-		MonitorInterval:  10 * time.Millisecond,
 		RetryBackoff:     time.Millisecond,
 		MaxAttempts:      3,
 	})
@@ -200,7 +201,7 @@ func TestQuarantineAndReadmission(t *testing.T) {
 	if err := svc.NextTask("flaky", &task); err != nil {
 		t.Fatal(err)
 	}
-	// Go silent: the monitor must quarantine "flaky" and requeue task 1;
+	// Go silent: the silence timer must quarantine "flaky" and requeue task 1;
 	// a healthy worker parked in NextTask then receives it.
 	got := make(chan RPCTask, 1)
 	go func() {
@@ -247,6 +248,9 @@ func TestQuarantineAndReadmission(t *testing.T) {
 	if q != 1 || ra != 1 {
 		t.Fatalf("flaky quarantined +%d, readmitted +%d; want +1 each", q, ra)
 	}
+	if s, e := moved(obs.Labeled("cluster.tasks.requeued", "cause", "silent")), moved(obs.Labeled("cluster.tasks.requeued", "cause", "error")); s != 1 || e != 0 {
+		t.Fatalf("requeued for cause silent +%d, error +%d; want +1 and +0", s, e)
+	}
 }
 
 // TestLateDuplicateSubmitIsDropped: a stalled worker's submit arriving after
@@ -254,8 +258,7 @@ func TestQuarantineAndReadmission(t *testing.T) {
 // terminal result.
 func TestLateDuplicateSubmitIsDropped(t *testing.T) {
 	c := NewCoordinatorWith(FaultConfig{
-		HeartbeatTimeout: time.Hour, // manual control; no monitor action
-		MonitorInterval:  time.Hour,
+		HeartbeatTimeout: time.Hour, // manual control; no silence timer fires
 		MaxAttempts:      3,
 	})
 	defer c.Shutdown()
@@ -324,7 +327,6 @@ func noResult(t *testing.T, terminal <-chan RPCResult, why string) {
 func TestReclaimedWorkerLateSubmit(t *testing.T) {
 	c := NewCoordinatorWith(FaultConfig{
 		HeartbeatTimeout: 40 * time.Millisecond,
-		MonitorInterval:  2 * time.Millisecond,
 		RetryBackoff:     time.Millisecond,
 		MaxAttempts:      2, // a consumed late error would fail the task
 	})
@@ -368,58 +370,55 @@ func TestReclaimedWorkerLateSubmit(t *testing.T) {
 	}
 }
 
-// TestTaskDeadlineReclaimsStalledWorker: a worker that keeps heartbeating
-// but never finishes is not quarantined; its task is reclaimed at
-// TaskDeadline and completed elsewhere, and the stalled worker's late
-// submit is dropped.
-func TestTaskDeadlineReclaimsStalledWorker(t *testing.T) {
-	const deadline = 60 * time.Millisecond
-	moved := counting(t)
-	c := NewCoordinatorWith(FaultConfig{
-		HeartbeatTimeout: 10 * time.Second,
-		TaskDeadline:     deadline,
-		MonitorInterval:  2 * time.Millisecond,
-		RetryBackoff:     time.Millisecond,
-	})
-	defer c.Shutdown()
-	svc := &Service{c: c}
-	enqueue, terminal := queue(c)
+// TestFaultShutdownLeavesNoGoroutine: a coordinator runs no goroutine of its
+// own (silence and backoff are timers): dispatching, beating and requeuing
+// start none, and once a search has run, the coordinator is shut down, its
+// worker has returned and its listener is closed, no goroutine runs this
+// package's code or serves an RPC connection.
+func TestFaultShutdownLeavesNoGoroutine(t *testing.T) {
+	idle := NewCoordinatorWith(FaultConfig{RetryBackoff: time.Hour})
+	enqueue, _ := queue(idle)
 	enqueue(RPCTask{ID: 0})
+	svc := &Service{c: idle}
+	next(t, svc, "w", 0)
+	submit(t, svc, "w", 0, 0, "boom") // requeued behind an hour's backoff
+	if left := clusterGoroutines(); len(left) > 0 {
+		t.Fatalf("%d goroutines running the coordinator:\n\n%s", len(left), strings.Join(left, "\n\n"))
+	}
+	idle.Shutdown()
 
-	start := time.Now()
-	next(t, svc, "stalled", 0)
-	stop := make(chan struct{})
-	beating := make(chan struct{})
-	go func() {
-		defer close(beating)
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(5 * time.Millisecond):
-				var ack bool
-				_ = svc.Heartbeat("stalled", &ack)
-			}
+	c, stop := startCluster(t, 1)
+	if _, err := RunDistributed(c, DistConfig{
+		App: "nt3", DataSeed: 1, TrainN: 32, ValN: 16,
+		Matcher: "LCS", Budget: 3, Outstanding: 1, Seed: 5, N: 2, S: 2,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		left := clusterGoroutines()
+		if len(left) == 0 {
+			return
 		}
-	}()
-	// The heartbeat timeout is far off, so only the deadline can requeue
-	// the task to the healthy worker waiting for it.
-	next(t, svc, "healthy", 0)
-	if waited := time.Since(start); waited < deadline {
-		t.Fatalf("task reclaimed after %v, before its %v deadline", waited, deadline)
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left after Shutdown:\n\n%s", len(left), strings.Join(left, "\n\n"))
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	if n := moved("cluster.tasks.requeued"); n != 1 {
-		t.Fatalf("requeued +%d, want +1", n)
+}
+
+// clusterGoroutines returns the stack of every goroutine but the caller's
+// that runs (or was started by) this package's code or serves an RPC
+// connection.
+func clusterGoroutines() []string {
+	buf := make([]byte, 1<<20)
+	stacks := strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n")
+	var left []string
+	for _, s := range stacks[1:] { // the caller's own comes first
+		if strings.Contains(s, "swtnas/internal/cluster.") || strings.Contains(s, "net/rpc.(*Server).ServeConn") {
+			left = append(left, s)
+		}
 	}
-	submit(t, svc, "healthy", 0, 2, "")
-	if res := <-terminal; res.WorkerID != "healthy" || res.Score != 2 || res.Attempts != 2 {
-		t.Fatalf("result = %+v, want the healthy worker's after 2 attempts", res)
-	}
-	submit(t, svc, "stalled", 0, 1, "")
-	noResult(t, terminal, "the stalled worker's late submit")
-	close(stop)
-	<-beating
-	if n := moved(obs.Labeled("cluster.coord.quarantined", "worker", "stalled")); n != 0 {
-		t.Fatalf("a heartbeating worker was quarantined %d times", n)
-	}
+	return left
 }

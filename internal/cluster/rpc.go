@@ -95,13 +95,13 @@ type RPCTask struct {
 }
 
 // RPCResult returns one evaluation to the coordinator: the candidate's trace
-// record whole, as the worker's nas.Evaluator filled it (shape sequence and
-// evaluation latency included), beside the trained bytes. Record.ID names the
-// task whatever the outcome. Record.Failed marks a terminal failure: emitted
-// by the coordinator after the task exhausted its retry budget, or by the
-// worker for a candidate that diverged (nas.Evaluator's verdict, which a
-// retry would repeat; it ships no checkpoint). Plain worker errors (Err set,
-// Failed false) are retried internally and never reach the search.
+// record whole, as the worker's nas.Evaluator filled it (evaluation latency
+// included), beside the trained bytes. Record.ID names the task whatever the
+// outcome. Record.Failed marks a terminal failure: emitted by the coordinator
+// after the task exhausted its retry budget, or by the worker for a candidate
+// that diverged (nas.Evaluator's verdict, which a retry would repeat; it
+// ships no checkpoint). Plain worker errors (Err set, Failed false) are
+// retried internally and never reach the search.
 type RPCResult struct {
 	trace.Record
 	WorkerID   string
@@ -116,13 +116,9 @@ type RPCResult struct {
 // timings to milliseconds.
 type FaultConfig struct {
 	// HeartbeatTimeout quarantines a worker silent (no NextTask, Submit or
-	// Heartbeat) for longer than this; its in-flight tasks requeue, and it
-	// is re-admitted when it heartbeats again. Default 15s.
+	// Heartbeat) for this long; its in-flight tasks requeue, and it is
+	// re-admitted when it heartbeats again. Default 15s.
 	HeartbeatTimeout time.Duration
-	// TaskDeadline requeues a task that has been running on one worker for
-	// longer than this (stall detection, independent of heartbeats).
-	// 0 disables per-task deadlines.
-	TaskDeadline time.Duration
 	// MaxAttempts bounds the executions one task may consume before the
 	// coordinator surfaces it as a Failed result instead of retrying.
 	// Default 3.
@@ -130,15 +126,12 @@ type FaultConfig struct {
 	// RetryBackoff delays a requeued task's re-dispatch, doubling per
 	// consumed attempt. Default 100ms.
 	RetryBackoff time.Duration
-	// MonitorInterval is the failure-detector scan period. Default 250ms.
-	MonitorInterval time.Duration
 }
 
 func (f FaultConfig) withDefaults() FaultConfig {
 	orDefault(&f.HeartbeatTimeout, 15*time.Second)
 	orDefault(&f.MaxAttempts, 3)
 	orDefault(&f.RetryBackoff, 100*time.Millisecond)
-	orDefault(&f.MonitorInterval, 250*time.Millisecond)
 	return f
 }
 
@@ -150,28 +143,30 @@ func orDefault[T int | time.Duration](v *T, d T) {
 }
 
 // attempt is the scheduling state of one unresolved task: queued (not
-// dispatched before readyAt, its retry backoff) or running on worker since
-// started. One attempt follows a task through every retry.
+// dispatched before readyAt, its retry backoff) or running on worker. One
+// attempt follows a task through every retry.
 type attempt struct {
 	task    RPCTask
 	done    func(RPCResult) // receives the task's one terminal result
 	n       int             // executions consumed, the running one included
 	readyAt time.Time
 	worker  string
-	started time.Time
 }
 
 // workerState is the coordinator's liveness view of one worker.
 type workerState struct {
 	lastBeat    time.Time
 	quarantined bool
+	silence     *time.Timer // calls Coordinator.silent HeartbeatTimeout after the last beat
 }
 
 // Coordinator is the scheduler-side RPC endpoint: workers poll NextTask,
 // push Submit, and report liveness via Heartbeat. It is the stand-in for
 // DeepHyper's Ray head node, hardened for worker preemption: tasks whose
-// worker crashes or stalls are requeued (bounded attempts with backoff) and
-// dead workers are quarantined until they heartbeat again.
+// worker crashes or goes silent are requeued (bounded attempts with backoff)
+// and silent workers are quarantined until they heartbeat again. It runs no
+// goroutine of its own: each worker's silence and each retry's backoff is a
+// timer.
 type Coordinator struct {
 	cfg FaultConfig
 
@@ -182,9 +177,6 @@ type Coordinator struct {
 	inflight map[int]*attempt // attempts running on a worker
 	workers  map[string]*workerState
 	shutdown bool
-
-	monitorOnce sync.Once
-	stopMonitor chan struct{}
 }
 
 // NewCoordinator creates a coordinator with the default fault policy.
@@ -193,11 +185,10 @@ func NewCoordinator() *Coordinator { return NewCoordinatorWith(FaultConfig{}) }
 // NewCoordinatorWith creates a coordinator with an explicit fault policy.
 func NewCoordinatorWith(cfg FaultConfig) *Coordinator {
 	c := &Coordinator{
-		cfg:         cfg.withDefaults(),
-		open:        map[int]*attempt{},
-		inflight:    map[int]*attempt{},
-		workers:     map[string]*workerState{},
-		stopMonitor: make(chan struct{}),
+		cfg:      cfg.withDefaults(),
+		open:     map[int]*attempt{},
+		inflight: map[int]*attempt{},
+		workers:  map[string]*workerState{},
 	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
@@ -207,10 +198,8 @@ func NewCoordinatorWith(cfg FaultConfig) *Coordinator {
 // worker's successful submission, or a Failed result the coordinator
 // synthesizes once the retry budget is spent; duplicate submissions are
 // dropped — goes to done, called outside the coordinator's lock from
-// whichever goroutine resolved the task. It starts the failure detector on
-// first use.
+// whichever goroutine resolved the task.
 func (c *Coordinator) enqueue(t RPCTask, done func(RPCResult)) {
-	c.monitorOnce.Do(func() { go c.monitor() })
 	a := &attempt{task: t, done: done}
 	c.mu.Lock()
 	c.open[t.ID] = a
@@ -220,27 +209,37 @@ func (c *Coordinator) enqueue(t RPCTask, done func(RPCResult)) {
 }
 
 // Shutdown makes every pending and future NextTask return a shutdown task
-// and stops the failure detector.
+// and stops the workers' silence timers.
 func (c *Coordinator) Shutdown() {
-	c.monitorOnce.Do(func() { go c.monitor() }) // ensure stopMonitor has a consumer
 	c.mu.Lock()
-	if !c.shutdown {
-		c.shutdown = true
-		close(c.stopMonitor)
+	c.shutdown = true
+	for _, ws := range c.workers {
+		if ws.silence != nil {
+			ws.silence.Stop()
+		}
 	}
 	c.mu.Unlock()
 	c.cond.Broadcast()
 }
 
-// beatLocked records worker liveness, re-admitting it from quarantine.
-// Callers hold c.mu.
+// beatLocked records worker liveness, re-arming its silence timer and
+// re-admitting it from quarantine. Callers hold c.mu.
 func (c *Coordinator) beatLocked(workerID string) {
 	ws := c.workers[workerID]
 	if ws == nil {
 		ws = &workerState{}
 		c.workers[workerID] = ws
 	}
+	// Stamp before arming, so the timer never fires before lastBeat is
+	// HeartbeatTimeout old (silent re-checks it all the same).
 	ws.lastBeat = time.Now()
+	switch {
+	case c.shutdown:
+	case ws.silence == nil:
+		ws.silence = time.AfterFunc(c.cfg.HeartbeatTimeout, func() { c.silent(workerID) })
+	default:
+		ws.silence.Reset(c.cfg.HeartbeatTimeout)
+	}
 	if ws.quarantined {
 		ws.quarantined = false
 		mReadmitted.Inc()
@@ -258,9 +257,10 @@ func (c *Coordinator) resolveLocked(id int) {
 
 // requeueLocked returns an attempt that ended without a result to the
 // schedule: a retry with backoff while attempts remain, a synthesized Failed
-// result otherwise. It returns the delivery of that terminal result
-// (nil for a retry); callers hold c.mu and must call it after unlocking.
-func (c *Coordinator) requeueLocked(a *attempt, reason string) (deliver func()) {
+// result otherwise. cause ("silent" or "error") labels the requeue count. It
+// returns the delivery of that terminal result (nil for a retry); callers
+// hold c.mu and must call it after unlocking.
+func (c *Coordinator) requeueLocked(a *attempt, reason, cause string) (deliver func()) {
 	id := a.task.ID
 	if a.n >= c.cfg.MaxAttempts {
 		c.resolveLocked(id)
@@ -269,65 +269,52 @@ func (c *Coordinator) requeueLocked(a *attempt, reason string) (deliver func()) 
 		return func() { a.done(res) }
 	}
 	delete(c.inflight, id)
-	a.readyAt = time.Now().Add(c.cfg.RetryBackoff << (a.n - 1))
+	backoff := c.cfg.RetryBackoff << (a.n - 1)
+	a.readyAt = time.Now().Add(backoff)
 	c.queue = append(c.queue, a)
+	// Armed after readyAt is set, the timer fires once the attempt is
+	// ready; broadcasting under the lock wakes every NextTask that found it
+	// not yet ready, since each holds the lock from that check into Wait.
+	time.AfterFunc(backoff, func() {
+		c.mu.Lock()
+		c.cond.Broadcast()
+		c.mu.Unlock()
+	})
 	mTasksRequeued.Inc()
+	obs.GetCounter(obs.Labeled("cluster.tasks.requeued", "cause", cause)).Inc()
 	return nil
 }
 
-// monitor is the failure detector: it quarantines silent workers (requeuing
-// their in-flight tasks), enforces per-task deadlines, and wakes parked
-// workers for requeued tasks whose backoff elapsed.
-func (c *Coordinator) monitor() {
-	ticker := time.NewTicker(c.cfg.MonitorInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.stopMonitor:
-			return
-		case <-ticker.C:
-		}
-		now := time.Now()
-		var failed []func()
-		reclaim := func(a *attempt, reason string) {
-			if deliver := c.requeueLocked(a, reason); deliver != nil {
+// silent is a worker's silence timer: a worker that has not beaten for
+// HeartbeatTimeout is quarantined and its in-flight tasks are requeued. The
+// check is made again under c.mu, and a worker found not yet silent keeps a
+// timer armed for the time left, so no worker is left without one.
+func (c *Coordinator) silent(workerID string) {
+	var failed []func()
+	c.mu.Lock()
+	ws := c.workers[workerID]
+	left := c.cfg.HeartbeatTimeout - time.Since(ws.lastBeat)
+	switch {
+	case c.shutdown || ws.quarantined:
+	case left > 0:
+		ws.silence.Reset(left)
+	default:
+		ws.quarantined = true
+		mQuarantined.Inc()
+		obs.GetCounter(obs.Labeled("cluster.coord.quarantined", "worker", workerID)).Inc()
+		for _, a := range c.inflight {
+			if a.worker != workerID {
+				continue
+			}
+			if deliver := c.requeueLocked(a, fmt.Sprintf("worker %s presumed dead (no heartbeat)", workerID), "silent"); deliver != nil {
 				failed = append(failed, deliver)
 			}
 		}
-		c.mu.Lock()
-		// Quarantine workers that stopped heartbeating and reclaim their
-		// in-flight tasks.
-		for id, ws := range c.workers {
-			if ws.quarantined || now.Sub(ws.lastBeat) <= c.cfg.HeartbeatTimeout {
-				continue
-			}
-			ws.quarantined = true
-			mQuarantined.Inc()
-			obs.GetCounter(obs.Labeled("cluster.coord.quarantined", "worker", id)).Inc()
-			for _, a := range c.inflight {
-				if a.worker == id {
-					reclaim(a, fmt.Sprintf("worker %s presumed dead (no heartbeat)", id))
-				}
-			}
-		}
-		// Per-task deadline: a task stuck on one worker is requeued even if
-		// the worker still heartbeats (stalled evaluation).
-		if c.cfg.TaskDeadline > 0 {
-			for _, a := range c.inflight {
-				if now.Sub(a.started) > c.cfg.TaskDeadline {
-					reclaim(a, fmt.Sprintf("task deadline %s exceeded on worker %s", c.cfg.TaskDeadline, a.worker))
-				}
-			}
-		}
 		mInflightGauge.Set(int64(len(c.inflight)))
-		queued := len(c.queue) > 0
-		c.mu.Unlock()
-		if queued {
-			c.cond.Broadcast() // a backoff may have elapsed
-		}
-		for _, deliver := range failed {
-			deliver()
-		}
+	}
+	c.mu.Unlock()
+	for _, deliver := range failed {
+		deliver()
 	}
 }
 
@@ -355,7 +342,7 @@ func (s *Service) NextTask(workerID string, reply *RPCTask) error {
 	}
 	a := c.queue[i]
 	c.queue = slices.Delete(c.queue, i, i+1)
-	a.worker, a.started = workerID, time.Now()
+	a.worker = workerID
 	a.n++
 	c.inflight[a.task.ID] = a
 	c.beatLocked(workerID) // cond.Wait may have parked past the timeout
@@ -399,7 +386,7 @@ func (s *Service) Submit(res RPCResult, ack *bool) error {
 		// Only the attempt's holder consumes it: the error of a worker it
 		// was reclaimed from is dropped, the task queued or running again.
 		if c.inflight[res.ID] == a && a.worker == res.WorkerID {
-			deliver = c.requeueLocked(a, res.Err)
+			deliver = c.requeueLocked(a, res.Err, "error")
 		}
 	default:
 		// The holder's result resolves the task, and so does that of a
@@ -432,16 +419,10 @@ func (c *Coordinator) Serve(l net.Listener) error {
 	}
 }
 
-// Sentinel errors an ExecuteHook returns to simulate worker failures
-// (resilience/faultinject; production workers never set a hook).
-var (
-	// ErrCrash makes the worker drop its coordinator connection and stop
-	// heartbeating — from the coordinator's view, the process died.
-	ErrCrash = errors.New("cluster: injected worker crash")
-	// ErrDropResult makes the worker skip Submit for this one task but keep
-	// serving (a lost result; the coordinator's deadline reclaims the task).
-	ErrDropResult = errors.New("cluster: injected result drop")
-)
+// ErrCrash is what an ExecuteHook returns to simulate a worker's death
+// (resilience/faultinject; production workers never set a hook): the worker
+// drops its coordinator connection and stops heartbeating.
+var ErrCrash = errors.New("cluster: injected worker crash")
 
 // Worker executes tasks fetched from a coordinator. It caches one
 // application per configuration so repeated tasks do not regenerate data.
@@ -452,8 +433,8 @@ type Worker struct {
 	// a non-positive value selects the 2s default.
 	HeartbeatEvery time.Duration
 	// ExecuteHook, when set, replaces Execute in Run's task loop. Returning
-	// ErrCrash kills the connection and Run; ErrDropResult suppresses the
-	// Submit. Any other error aborts Run with it. Fault-injection only.
+	// ErrCrash kills the connection and Run; any other error aborts Run with
+	// it. Fault-injection only.
 	ExecuteHook func(RPCTask) (RPCResult, error)
 
 	appMu  sync.Mutex
@@ -595,8 +576,6 @@ func (w *Worker) Run(addr string) error {
 		switch {
 		case errors.Is(err, ErrCrash):
 			return nil // drop connection + heartbeats: simulated death
-		case errors.Is(err, ErrDropResult):
-			continue // lose the result, keep serving
 		case err != nil:
 			return fmt.Errorf("cluster: worker %s execute hook: %w", w.ID, err)
 		}

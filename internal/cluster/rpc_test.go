@@ -128,8 +128,8 @@ func TestDistributedSearchOverTCP(t *testing.T) {
 		}
 		// The worker's record crosses the wire whole: what the lineage and
 		// latency analyses read is there on a distributed trace too.
-		if len(r.ShapeSeq) == 0 || r.EvalTime <= 0 || r.EvalTime < r.TrainTime {
-			t.Fatalf("record %d: shape sequence %v, eval time %v, train time %v", r.ID, r.ShapeSeq, r.EvalTime, r.TrainTime)
+		if r.EvalTime <= 0 || r.EvalTime < r.TrainTime {
+			t.Fatalf("record %d: eval time %v, train time %v", r.ID, r.EvalTime, r.TrainTime)
 		}
 		if r.ParentID >= len(tr.Records) {
 			t.Fatalf("record %d names provider %d, not a candidate of this search", r.ID, r.ParentID)

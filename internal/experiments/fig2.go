@@ -43,7 +43,7 @@ func (s *Suite) Fig2(w io.Writer) ([]Fig2Row, error) {
 			}
 			kernelSeqs[i] = core.ShapeSeqOfNetwork(net)
 			allSeqs[i] = core.AllTensorShapes(net)
-			tr.Records = append(tr.Records, trace.Record{ID: i, Arch: arch, ShapeSeq: kernelSeqs[i]})
+			tr.Records = append(tr.Records, trace.Record{ID: i, Arch: arch})
 		}
 		pairs, err := tr.SamplePairs(rng, s.Cfg.TracePairs)
 		if err != nil {

@@ -63,7 +63,7 @@ func attachPool(slots int) func(*testing.T, *nas.Config, int) {
 // attachCoordinator serves a coordinator on a loopback port with one
 // in-process TCP worker; the task template repeats nas.TinyApp's dataset.
 func attachCoordinator(t *testing.T, cfg *nas.Config, failID int) {
-	c := cluster.NewCoordinatorWith(cluster.FaultConfig{RetryBackoff: time.Millisecond, MonitorInterval: 2 * time.Millisecond})
+	c := cluster.NewCoordinatorWith(cluster.FaultConfig{RetryBackoff: time.Millisecond})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

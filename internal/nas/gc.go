@@ -17,10 +17,9 @@ var mGCDeleted = obs.GetCounter("nas.gc.checkpoints.deleted")
 // A candidate's checkpoint may be deleted once three conditions hold:
 // it has been evicted from the strategy's population (it can never be
 // sampled as a parent again), it is outside the running top-K scores (it
-// can never appear in the final ranking the run reports), and no issued
-// task still names it as transfer provider. The last condition is tracked
-// with per-parent reference counts so eviction defers while an evaluation
-// that needs the parent is in flight.
+// can never appear in the final ranking the run reports), and no task the
+// search issued and has not committed names it as transfer provider, so
+// collection defers while an evaluation that needs the parent may run.
 //
 // All methods are called from the scheduler goroutine only, so the struct
 // needs no locking.
@@ -29,7 +28,6 @@ type candidateGC struct {
 	retain int
 
 	scores  map[int]float64 // candidates whose checkpoint is (or was) in the store
-	refs    map[int]int     // parent id -> issued-but-unfinished tasks using it
 	evicted map[int]bool    // aged out of the population, awaiting collection
 }
 
@@ -38,26 +36,7 @@ func newCandidateGC(store checkpoint.Store, retain int) *candidateGC {
 		store:   store,
 		retain:  retain,
 		scores:  map[int]float64{},
-		refs:    map[int]int{},
 		evicted: map[int]bool{},
-	}
-}
-
-// taskIssued pins parentID (if any) until taskDone.
-func (g *candidateGC) taskIssued(parentID int) {
-	if g == nil || parentID < 0 {
-		return
-	}
-	g.refs[parentID]++
-}
-
-// taskDone releases one pin on parentID.
-func (g *candidateGC) taskDone(parentID int) {
-	if g == nil || parentID < 0 {
-		return
-	}
-	if g.refs[parentID]--; g.refs[parentID] <= 0 {
-		delete(g.refs, parentID)
 	}
 }
 
@@ -77,16 +56,21 @@ func (g *candidateGC) evict(id int) {
 	g.evicted[id] = true
 }
 
-// sweep deletes every eligible checkpoint. Deletion is best effort: an id
-// whose checkpoint was already dropped (e.g. a resumed run that skipped a
+// sweep deletes every eligible checkpoint; open holds the uncommitted
+// tasks, whose providers stay. Deletion is best effort: an id whose
+// checkpoint was already dropped (e.g. a resumed run that skipped a
 // collected manifest) is simply forgotten.
-func (g *candidateGC) sweep() {
+func (g *candidateGC) sweep(open map[int]Task) {
 	if g == nil || len(g.evicted) == 0 {
 		return
 	}
 	top := g.topK()
+	pinned := map[int]bool{}
+	for _, t := range open {
+		pinned[t.ParentID] = true
+	}
 	for id := range g.evicted {
-		if g.refs[id] > 0 || top[id] {
+		if pinned[id] || top[id] {
 			continue
 		}
 		if err := g.store.Delete(CandidateID(id)); err == nil {

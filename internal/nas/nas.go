@@ -197,7 +197,6 @@ func (e *Evaluator) evaluate(ctx context.Context, task Task) Result {
 		return res
 	}
 	res.Params = net.ParamCount()
-	res.ShapeSeq = core.ShapeSeqOfNetwork(net)
 
 	if e.Matcher != nil && task.ParentID >= 0 {
 		t := mTransferSeconds.Start()
@@ -591,10 +590,9 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		t.IssuedAt = time.Now()
 		exec.Submit(ctx, t, eval.EvaluateCtx, results)
 	}
-	// issue makes p the next task and pins its provider's checkpoint until
-	// the candidate completes.
+	// issue makes p the next task; while it is open its provider's
+	// checkpoint is not collected.
 	issue := func(p evo.Proposal) {
-		gc.taskIssued(p.ParentID)
 		t := Task{ID: issued, Arch: p.Arch, ParentID: p.ParentID, Seed: TaskSeed(cfg.Seed, issued), ProxyScore: p.ProxyScore}
 		issued++
 		open[t.ID] = t
@@ -651,7 +649,6 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	// drop discards a lookahead result that will never commit, and the
 	// checkpoint it saved.
 	drop := func(r Result) {
-		gc.taskDone(open[r.ID].ParentID)
 		delete(open, r.ID)
 		delete(done, r.ID)
 		if r.Err == nil {
@@ -676,7 +673,6 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 			}
 		}
 		delete(open, res.ID)
-		gc.taskDone(res.ParentID)
 		if workers == 1 {
 			params = append(params, res.Params) // commits are in id order
 			sum += res.Params
@@ -723,7 +719,7 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		// Sweep after the journal step: the candidate just recorded is never
 		// eligible (it is the population's newest member), and evicted ones
 		// already have their records on disk.
-		gc.sweep()
+		gc.sweep(open)
 		if cfg.Progress != nil {
 			cfg.Progress(res)
 		}

@@ -37,11 +37,8 @@ func tracesEqual(t *testing.T, a, b *trace.Trace, label string) {
 		if fmt.Sprint(ra.Arch) != fmt.Sprint(rb.Arch) {
 			t.Fatalf("%s: record %d arch %v vs %v", label, i, ra.Arch, rb.Arch)
 		}
-		// Every executor returns the evaluator's record whole: the shape
-		// sequence and the evaluation latency cross the wire too.
-		if fmt.Sprint(ra.ShapeSeq) != fmt.Sprint(rb.ShapeSeq) || (!ra.Failed && len(ra.ShapeSeq) == 0) {
-			t.Fatalf("%s: record %d shape sequence %v vs %v", label, i, ra.ShapeSeq, rb.ShapeSeq)
-		}
+		// Every executor returns the evaluator's record whole: the
+		// evaluation latency crosses the wire too.
 		if !ra.Failed && (ra.EvalTime <= 0 || rb.EvalTime <= 0) {
 			t.Fatalf("%s: record %d evaluation latency %v vs %v, want both measured", label, i, ra.EvalTime, rb.EvalTime)
 		}

@@ -106,8 +106,8 @@ type FitConfig struct {
 	// Context, when non-nil, is checked between minibatches and epochs:
 	// cancellation (or a deadline) stops training promptly mid-epoch and
 	// Fit returns the context's error. nil never cancels. This is how
-	// search-level cancellation and per-task resilience deadlines stop a
-	// multi-minute candidate without waiting for its epoch to finish.
+	// search-level cancellation stops a multi-minute candidate without
+	// waiting for its epoch to finish.
 	Context context.Context
 	// Epochs is the maximum number of passes over the training data.
 	Epochs int

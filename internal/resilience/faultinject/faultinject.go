@@ -1,6 +1,6 @@
 // Package faultinject is the deterministic fault-injection harness behind
 // the resilience tests: it wraps a cluster worker's evaluator (ExecuteHook)
-// to inject worker crashes, lost results and task failures from a seeded
+// to inject worker crashes and task failures from a seeded
 // schedule, so "kill K workers mid-search" is a reproducible unit test
 // instead of a manual drill.
 //
@@ -23,7 +23,6 @@ import (
 // trusting the schedule.
 var (
 	mCrashes = obs.GetCounter("faultinject.crashes")
-	mDrops   = obs.GetCounter("faultinject.drops")
 	mFails   = obs.GetCounter("faultinject.failures")
 )
 
@@ -34,10 +33,6 @@ type Plan struct {
 	// dropped, heartbeats stop, Run returns) upon receiving its Nth task,
 	// without executing or submitting it. 0 never crashes.
 	CrashAtTask int
-	// DropEvery loses the result of every Nth executed task
-	// (cluster.ErrDropResult: the evaluation runs but Submit is skipped),
-	// simulating a result lost in transit. 0 never drops.
-	DropEvery int
 	// FailEvery turns every Nth executed task into a task error (RPCResult
 	// with Err set), exercising the coordinator's retry path. 0 never fails.
 	FailEvery int
@@ -56,9 +51,7 @@ type Options struct {
 	// MaxCrashTask bounds the 1-based task index at which a crashing worker
 	// dies (default 2: die on the first or second task).
 	MaxCrashTask int
-	// DropEvery / FailEvery apply uniformly to every worker (0 disables, as
-	// in Plan).
-	DropEvery int
+	// FailEvery applies uniformly to every worker (0 disables, as in Plan).
 	FailEvery int
 }
 
@@ -69,7 +62,7 @@ func NewSchedule(seed int64, workers int, o Options) *Schedule {
 	rng := rand.New(rand.NewSource(seed))
 	s := &Schedule{Plans: make([]Plan, workers)}
 	for i := range s.Plans {
-		s.Plans[i] = Plan{DropEvery: o.DropEvery, FailEvery: o.FailEvery}
+		s.Plans[i] = Plan{FailEvery: o.FailEvery}
 	}
 	maxCrash := o.MaxCrashTask
 	if maxCrash <= 0 {
@@ -97,12 +90,7 @@ func Wrap(w *cluster.Worker, p Plan) {
 			mFails.Inc()
 			return cluster.RPCResult{Record: trace.Record{ID: t.ID}, WorkerID: w.ID, Err: "faultinject: injected task failure"}, nil
 		}
-		res := w.Execute(t)
-		if p.DropEvery > 0 && n%p.DropEvery == 0 {
-			mDrops.Inc()
-			return cluster.RPCResult{}, cluster.ErrDropResult
-		}
-		return res, nil
+		return w.Execute(t), nil
 	}
 }
 

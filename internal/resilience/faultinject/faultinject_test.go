@@ -15,7 +15,6 @@ import (
 func fastFaults() cluster.FaultConfig {
 	return cluster.FaultConfig{
 		HeartbeatTimeout: 300 * time.Millisecond,
-		MonitorInterval:  30 * time.Millisecond,
 		RetryBackoff:     20 * time.Millisecond,
 		MaxAttempts:      3,
 	}
@@ -151,52 +150,9 @@ func TestInjectedTaskFailuresAreRetried(t *testing.T) {
 	}
 }
 
-// TestDroppedResultsAreReclaimed loses results in transit; the coordinator's
-// heartbeat/deadline machinery must re-run the task rather than hang.
-func TestDroppedResultsAreReclaimed(t *testing.T) {
-	// One worker drops its first result (evaluation runs, Submit skipped);
-	// the task deadline reclaims the candidate and retries it.
-	cfg := fastFaults()
-	cfg.TaskDeadline = 400 * time.Millisecond
-	c := cluster.NewCoordinatorWith(cfg)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	go c.Serve(l) //nolint:errcheck
-
-	w := &cluster.Worker{ID: "dropper", HeartbeatEvery: 50 * time.Millisecond}
-	Wrap(w, Plan{DropEvery: 2})
-	done := make(chan error, 1)
-	go func() { done <- w.Run(l.Addr().String()) }()
-	defer func() {
-		c.Shutdown()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Errorf("worker exit: %v", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Error("worker did not shut down")
-		}
-	}()
-
-	tr, err := cluster.RunDistributed(c, cluster.DistConfig{
-		App: "nt3", DataSeed: 1, TrainN: 32, ValN: 16,
-		Budget: 4, Outstanding: 1, Seed: 9, N: 2, S: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Records) != 4 {
-		t.Fatalf("records = %d, want 4", len(tr.Records))
-	}
-}
-
 func TestScheduleIsDeterministic(t *testing.T) {
-	a := NewSchedule(42, 8, Options{CrashWorkers: 3, MaxCrashTask: 5, DropEvery: 4})
-	b := NewSchedule(42, 8, Options{CrashWorkers: 3, MaxCrashTask: 5, DropEvery: 4})
+	a := NewSchedule(42, 8, Options{CrashWorkers: 3, MaxCrashTask: 5})
+	b := NewSchedule(42, 8, Options{CrashWorkers: 3, MaxCrashTask: 5})
 	for i := range a.Plans {
 		if a.Plans[i] != b.Plans[i] {
 			t.Fatalf("plan %d differs across same-seed schedules: %+v vs %+v", i, a.Plans[i], b.Plans[i])

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -233,6 +234,60 @@ func TestJournalFailedRecordHasNoManifest(t *testing.T) {
 	}
 	if got := rec.Records[0]; !got.Record.Failed || got.Record.FailReason != "retry budget spent" || len(got.Manifest) != 0 {
 		t.Fatalf("failed record read back as %+v", got)
+	}
+}
+
+// TestJournalResumesRecordWithShapeSeq: every journal written before records
+// dropped their shape sequence carries a "shape_seq" key in each evaluation
+// record. Open reads such a record with every other field and its manifest
+// intact, and the resumed journal takes new appends after it.
+func TestJournalResumesRecordWithShapeSeq(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.swtj")
+	j, err := Create(path, testHeader())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := testRecord(0)
+	meta, err := json.Marshal(old.Record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(meta, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["shape_seq"] = [][]int{{3, 3, 1, 8}, {10, 2}}
+	if meta, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	payload := binary.LittleEndian.AppendUint32(nil, uint32(len(meta)))
+	payload = append(append(payload, meta...), old.Manifest...)
+	if err := j.writeFrame(nil, recordManifest, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j, rec, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Torn || len(rec.Records) != 1 || !reflect.DeepEqual(rec.Records[0], old) {
+		t.Fatalf("torn=%v records=%+v, want the one record %+v", rec.Torn, rec.Records, old)
+	}
+	if err := j.Append(testRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err = Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []EvalRecord{old, testRecord(1)}; rec.Torn || !reflect.DeepEqual(rec.Records, want) {
+		t.Fatalf("torn=%v records=%+v, want %+v", rec.Torn, rec.Records, want)
 	}
 }
 

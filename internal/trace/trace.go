@@ -1,5 +1,5 @@
 // Package trace records NAS runs — every evaluated candidate with its
-// architecture sequence, shape sequence, score and costs — and provides the
+// architecture sequence, score and costs — and provides the
 // pair-sampling utilities behind the paper's offline studies (Figs 2, 4, 5).
 // Record is the one representation of a finished candidate: the evaluator
 // fills it, the RPC result and the scheduler's result carry it, the journal
@@ -13,8 +13,6 @@ import (
 	"math/rand"
 	"sort"
 	"time"
-
-	"swtnas/internal/core"
 )
 
 // Record is one evaluated candidate. It crosses the wire inside
@@ -26,8 +24,6 @@ type Record struct {
 	Arch []int `json:"arch"`
 	// Score is the estimated objective metric from partial training.
 	Score float64 `json:"score"`
-	// ShapeSeq is the candidate's shape sequence.
-	ShapeSeq core.ShapeSeq `json:"shape_seq"`
 	// Params is the trainable parameter count.
 	Params int `json:"params"`
 	// ParentID is the provider candidate (-1 when trained from scratch).

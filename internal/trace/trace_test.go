@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -117,7 +118,6 @@ func TestSamplePairs(t *testing.T) {
 
 func TestJSONRoundTrip(t *testing.T) {
 	tr := sampleTrace(3)
-	tr.Records[0].ShapeSeq = [][]int{{3, 3, 1, 8}, {10, 2}}
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if got.App != "nt3" || got.Scheme != "LCS" || got.Seed != 7 {
 		t.Fatalf("header = %+v", got)
 	}
-	if len(got.Records) != 3 || got.Records[0].ShapeSeq[0][3] != 8 {
+	if len(got.Records) != 3 || !reflect.DeepEqual(got.Records, tr.Records) {
 		t.Fatalf("records = %+v", got.Records)
 	}
 	if _, err := ReadJSON(bytes.NewBufferString("{nope")); err == nil {
