@@ -382,9 +382,9 @@ func TestFaultShutdownLeavesNoGoroutine(t *testing.T) {
 	svc := &Service{c: idle}
 	next(t, svc, "w", 0)
 	submit(t, svc, "w", 0, 0, "boom") // requeued behind an hour's backoff
-	if left := clusterGoroutines(); len(left) > 0 {
-		t.Fatalf("%d goroutines running the coordinator:\n\n%s", len(left), strings.Join(left, "\n\n"))
-	}
+	// Polled, as a timer callback or connection an earlier test left may
+	// still be finishing; one the idle coordinator started never would.
+	waitNoClusterGoroutines(t, "running the idle coordinator")
 	idle.Shutdown()
 
 	c, stop := startCluster(t, 1)
@@ -395,6 +395,14 @@ func TestFaultShutdownLeavesNoGoroutine(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop()
+	waitNoClusterGoroutines(t, "left after Shutdown")
+}
+
+// waitNoClusterGoroutines polls until no goroutine but the caller's runs (or
+// was started by) this package's code or serves an RPC connection, failing
+// the test after a generous grace period.
+func waitNoClusterGoroutines(t *testing.T, what string) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		left := clusterGoroutines()
@@ -402,7 +410,7 @@ func TestFaultShutdownLeavesNoGoroutine(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines left after Shutdown:\n\n%s", len(left), strings.Join(left, "\n\n"))
+			t.Fatalf("%d goroutines %s:\n\n%s", len(left), what, strings.Join(left, "\n\n"))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -222,23 +222,21 @@ func (c *Coordinator) Shutdown() {
 	c.cond.Broadcast()
 }
 
-// beatLocked records worker liveness, re-arming its silence timer and
-// re-admitting it from quarantine. Callers hold c.mu.
+// beatLocked records worker liveness, arming its silence timer on its first
+// beat and re-admitting it from quarantine. Callers hold c.mu.
 func (c *Coordinator) beatLocked(workerID string) {
 	ws := c.workers[workerID]
 	if ws == nil {
 		ws = &workerState{}
 		c.workers[workerID] = ws
 	}
-	// Stamp before arming, so the timer never fires before lastBeat is
-	// HeartbeatTimeout old (silent re-checks it all the same).
 	ws.lastBeat = time.Now()
 	switch {
 	case c.shutdown:
 	case ws.silence == nil:
 		ws.silence = time.AfterFunc(c.cfg.HeartbeatTimeout, func() { c.silent(workerID) })
-	default:
-		ws.silence.Reset(c.cfg.HeartbeatTimeout)
+	case ws.quarantined:
+		ws.silence.Reset(c.cfg.HeartbeatTimeout) // silent left it disarmed
 	}
 	if ws.quarantined {
 		ws.quarantined = false
@@ -286,16 +284,16 @@ func (c *Coordinator) requeueLocked(a *attempt, reason, cause string) (deliver f
 }
 
 // silent is a worker's silence timer: a worker that has not beaten for
-// HeartbeatTimeout is quarantined and its in-flight tasks are requeued. The
-// check is made again under c.mu, and a worker found not yet silent keeps a
-// timer armed for the time left, so no worker is left without one.
+// HeartbeatTimeout is quarantined and its in-flight tasks are requeued. A
+// worker that has beaten since the timer was armed gets it back for the time
+// left; only a quarantined one is left without it, until it beats again.
 func (c *Coordinator) silent(workerID string) {
 	var failed []func()
 	c.mu.Lock()
 	ws := c.workers[workerID]
 	left := c.cfg.HeartbeatTimeout - time.Since(ws.lastBeat)
 	switch {
-	case c.shutdown || ws.quarantined:
+	case c.shutdown:
 	case left > 0:
 		ws.silence.Reset(left)
 	default:

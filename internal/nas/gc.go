@@ -19,7 +19,8 @@ var mGCDeleted = obs.GetCounter("nas.gc.checkpoints.deleted")
 // sampled as a parent again), it is outside the running top-K scores (it
 // can never appear in the final ranking the run reports), and no task the
 // search issued and has not committed names it as transfer provider, so
-// collection defers while an evaluation that needs the parent may run.
+// collection defers while an evaluation that needs the parent may run. Run
+// sweeps no more once a task is cancelled, as a resumed run re-issues it.
 //
 // All methods are called from the scheduler goroutine only, so the struct
 // needs no locking.

@@ -9,8 +9,9 @@ import (
 
 // TestGCKeepsUncommittedTasksProviders: a sweep deletes an evicted candidate
 // outside the top-K unless a task still open names it as provider; once no
-// open task does (committed, dropped or cancelled alike), the next sweep
-// deletes it.
+// open task does, the next sweep deletes it. A
+// cancelled task's provider is kept by Run, which sweeps no more after a
+// cancellation (TestGCResumeAfterCancelKeepsProvider).
 func TestGCKeepsUncommittedTasksProviders(t *testing.T) {
 	store := checkpoint.NewCASMemStore()
 	gc := newCandidateGC(store, 1)

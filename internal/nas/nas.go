@@ -590,8 +590,8 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		t.IssuedAt = time.Now()
 		exec.Submit(ctx, t, eval.EvaluateCtx, results)
 	}
-	// issue makes p the next task; while it is open its provider's
-	// checkpoint is not collected.
+	// issue makes p the next task; while it is open, or once it is
+	// cancelled, its provider's checkpoint is not collected.
 	issue := func(p evo.Proposal) {
 		t := Task{ID: issued, Arch: p.Arch, ParentID: p.ParentID, Seed: TaskSeed(cfg.Seed, issued), ProxyScore: p.ProxyScore}
 		issued++
@@ -718,8 +718,11 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 		}
 		// Sweep after the journal step: the candidate just recorded is never
 		// eligible (it is the population's newest member), and evicted ones
-		// already have their records on disk.
-		gc.sweep(open)
+		// already have their records on disk. None once a task is cancelled:
+		// a resumed run re-issues it, and it needs its provider.
+		if cancelled == nil {
+			gc.sweep(open)
+		}
 		if cfg.Progress != nil {
 			cfg.Progress(res)
 		}

@@ -305,6 +305,111 @@ func TestResumeWithGCBitIdentical(t *testing.T) {
 	}
 }
 
+// cancelAfterSibling evaluates each task inline, except the first whose
+// provider is the population's oldest member (ID−3 at population 3) and not
+// the best candidate so far. That task is held until the next one has been
+// evaluated, then answered as cancelled, with the search's context, just
+// ahead of the next one's result: the search commits a candidate after the
+// cancellation, and that commit ages the held task's provider out.
+type cancelAfterSibling struct {
+	cancel context.CancelFunc
+	scores map[int]float64
+	best   float64
+	held   *Task
+	fired  bool
+}
+
+func (e *cancelAfterSibling) Submit(ctx context.Context, t Task, eval EvalFunc, out chan<- Result) {
+	switch {
+	case e.held != nil:
+		r := eval(ctx, t)
+		e.cancel()
+		out <- errResult(*e.held, context.Canceled)
+		out <- r
+	case !e.fired && t.ParentID >= 0 && t.ParentID == t.ID-3 && e.scores[t.ParentID] < e.best:
+		e.held, e.fired = &t, true
+	default:
+		r := eval(ctx, t)
+		e.scores[t.ID], e.best = r.Score, max(e.best, r.Score)
+		out <- r
+	}
+}
+
+// TestGCResumeAfterCancelKeepsProvider: a search with checkpoint GC that is
+// cancelled at two evaluators while a later candidate still commits keeps
+// the cancelled task's provider, so the run resumed from its journal, which
+// re-issues that task, completes.
+func TestGCResumeAfterCancelKeepsProvider(t *testing.T) {
+	const (
+		budget = 12
+		retain = 1
+	)
+	dir := t.TempDir()
+	app := tinyApp(t, "nt3")
+	storeDir := filepath.Join(dir, "blobs")
+	path := filepath.Join(dir, "run.swtj")
+	cfg := func(store checkpoint.Store, j *resilience.Journal) Config {
+		return Config{
+			App:        app,
+			Matcher:    core.LCS{},
+			Strategy:   evo.NewRegularizedEvolution(app.Space, 3, 2),
+			Store:      store,
+			Budget:     budget,
+			Workers:    2,
+			Seed:       11,
+			Journal:    j,
+			RetainTopK: retain,
+		}
+	}
+	store, err := checkpoint.NewCASDiskStore(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := resilience.Create(path, resilience.Header{App: app.Name, Budget: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	exec := &cancelAfterSibling{cancel: cancel, scores: map[int]float64{}}
+	c := cfg(store, j)
+	c.Executor = exec
+	tr, err := Run(ctx, c)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	j.Close()
+	if exec.held == nil {
+		t.Fatal("no task had the population's oldest member as provider; the test needs another seed")
+	}
+	if last := tr.Records[len(tr.Records)-1].ID; last != exec.held.ID+1 {
+		t.Fatalf("last committed candidate %d, want %d, committed after the cancellation", last, exec.held.ID+1)
+	}
+
+	j, rec, err := resilience.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if store, err = checkpoint.NewCASDiskStore(storeDir); err != nil {
+		t.Fatal(err)
+	}
+	c = cfg(store, j)
+	c.Resume = rec
+	resumed, err := Run(context.Background(), c)
+	if err != nil {
+		t.Fatalf("resuming after cancelling candidate %d (provider %d): %v", exec.held.ID, exec.held.ParentID, err)
+	}
+	if len(resumed.Records) != budget {
+		t.Fatalf("resumed run holds %d records, want %d", len(resumed.Records), budget)
+	}
+	for _, r := range resumed.Records {
+		if r.Failed {
+			t.Fatalf("candidate %d failed: %s", r.ID, r.FailReason)
+		}
+	}
+}
+
 // submitSpy counts the tasks a run hands its executor and answers each as a
 // cancelled one, so nothing trains.
 type submitSpy struct{ n int }
