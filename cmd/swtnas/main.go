@@ -56,7 +56,7 @@ func main() {
 		scheme   = flag.String("scheme", "LCS", "estimation scheme: baseline, LP, LCS")
 		budget   = flag.Int("budget", 100, "number of candidates to evaluate")
 		workers  = flag.Int("workers", 1, "parallel evaluators")
-		kworkers = flag.Int("kernel-workers", 0, "cores per candidate evaluation: compute-kernel pool size (0 = $"+parallel.EnvWorkers+" or all cores)")
+		kworkers = flag.Int("kernel-workers", 0, "cores per candidate evaluation, pinned for the search (0 = the search's pool divides the cores among the evaluations it runs, unless $"+parallel.EnvWorkers+" pins them)")
 		seed     = flag.Int64("seed", 1, "search seed")
 		popN     = flag.Int("population", 0, "evolution population size (0 = paper default 64)")
 		popS     = flag.Int("sample", 0, "evolution sample size (0 = paper default 32)")

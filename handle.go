@@ -41,9 +41,11 @@ type PoolOptions struct {
 // EvaluatorPool is a long-lived, shared pool of evaluation slots. Many
 // concurrent searches (SearchOptions.Pool) run on one pool: a weighted-fair
 // scheduler interleaves their candidates slot by slot, per-tenant quotas
-// bound admission, and the compute-kernel worker budget is continuously
-// re-split across however many evaluations run at once. The serve layer
-// keeps one pool for the whole process; tests create small private ones.
+// bound admission, and the cores are divided among however many evaluations
+// run at once (the compute-kernel limit is GOMAXPROCS over that count unless
+// SWTNAS_WORKERS pins it; Close restores the limit the pool found). The
+// serve layer keeps one pool for the whole process; tests create small
+// private ones.
 type EvaluatorPool struct {
 	pool *nas.SharedPool
 }
@@ -124,16 +126,8 @@ func (s *SearchHandle) Start(ctx context.Context) error {
 
 	var client *nas.PoolClient
 	if s.opt.Pool != nil {
-		conc := s.opt.Workers
-		if conc <= 0 {
-			conc = 1
-		}
 		var err error
-		client, err = s.opt.Pool.pool.Register(nas.ClientConfig{
-			Tenant:      s.opt.Tenant,
-			Weight:      s.opt.Weight,
-			Concurrency: conc,
-		})
+		client, err = s.opt.Pool.pool.Register(nas.ClientConfig{Tenant: s.opt.Tenant, Weight: s.opt.Weight})
 		if err != nil {
 			s.finish(nil, err)
 			return err

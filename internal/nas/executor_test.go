@@ -51,7 +51,7 @@ func attachPool(slots int) func(*testing.T, *nas.Config, int) {
 	return func(t *testing.T, cfg *nas.Config, _ int) {
 		p := nas.NewSharedPool(nas.PoolConfig{Workers: slots})
 		t.Cleanup(p.Close)
-		client, err := p.Register(nas.ClientConfig{Tenant: "t", Concurrency: 1})
+		client, err := p.Register(nas.ClientConfig{Tenant: "t"})
 		if err != nil {
 			t.Fatal(err)
 		}

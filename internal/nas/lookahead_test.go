@@ -20,7 +20,6 @@ import (
 	"swtnas/internal/data"
 	"swtnas/internal/evo"
 	"swtnas/internal/obs"
-	"swtnas/internal/parallel"
 	"swtnas/internal/resilience"
 	"swtnas/internal/tensor"
 	"swtnas/internal/trace"
@@ -134,12 +133,11 @@ func (s *lookaheadSearch) finish(t *testing.T, tr *trace.Trace, err error, moved
 	return out
 }
 
-// runLookahead runs c at the given cores (KernelWorkers) on Run's own pool,
-// restoring the kernel limit afterwards. progress, when non-nil, is the
-// run's Progress; it receives the context's cancel.
+// runLookahead runs c at the given cores (KernelWorkers) on Run's own pool.
+// progress, when non-nil, is the run's Progress; it receives the context's
+// cancel.
 func runLookahead(t *testing.T, c lookaheadCase, cores int, progress func(context.CancelFunc, Result)) lookaheadRun {
 	t.Helper()
-	defer parallel.SetWorkers(parallel.Workers())
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	s := newLookaheadSearch(t, c, progress)
 	s.cfg.KernelWorkers = cores
@@ -164,7 +162,7 @@ func runShared(t *testing.T, slots int, cases []lookaheadCase, progress ...func(
 			p = progress[i]
 		}
 		searches[i] = newLookaheadSearch(t, c, p)
-		client, err := pool.Register(ClientConfig{Tenant: c.label(), Concurrency: 1})
+		client, err := pool.Register(ClientConfig{Tenant: c.label()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,7 +329,6 @@ func TestLookaheadHoldsLargeCandidates(t *testing.T) {
 	const spec = `{"name": "wide", "input": [10, 10, 1], "output_units": 10,
   "nodes": [{"name": "d", "ops": [{"type": "dense", "units": 2048}, {"type": "dense", "units": 1536}]}]}`
 	run := func(cores int) (*trace.Trace, int64) {
-		defer parallel.SetWorkers(parallel.Workers())
 		defer obs.SetEnabled(obs.SetEnabled(true))
 		app, err := apps.New("mnist", 1, apps.Config{Data: data.Config{TrainN: 32, ValN: 16}, SpaceJSON: spec})
 		if err != nil {
@@ -364,7 +361,6 @@ func TestLookaheadHoldsLargeCandidates(t *testing.T) {
 // one candidate at a time: nothing issued ahead, and above one core every
 // draft but the first held.
 func TestLookaheadNonDraftingStrategies(t *testing.T) {
-	defer parallel.SetWorkers(parallel.Workers())
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	const budget = 5
 	for _, prefilter := range []bool{true, false} {
@@ -506,7 +502,6 @@ func TestLookaheadCrashResumeBitIdentical(t *testing.T) {
 	if moved.ahead == 0 {
 		t.Fatal("nothing ran ahead on the shared pool")
 	}
-	defer parallel.SetWorkers(parallel.Workers())
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	var resumedAhead int64
 	for _, shared := range []bool{false, true} {
@@ -548,7 +543,7 @@ func TestLookaheadCrashResumeBitIdentical(t *testing.T) {
 			var pool *SharedPool
 			if shared {
 				pool = NewSharedPool(PoolConfig{Workers: cores})
-				client, err := pool.Register(ClientConfig{Concurrency: 1})
+				client, err := pool.Register(ClientConfig{})
 				if err != nil {
 					t.Fatal(err)
 				}

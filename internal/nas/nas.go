@@ -325,20 +325,13 @@ type Config struct {
 	// paper's Ray setup); defaults to 1. It fixes what a seed means: how
 	// many results may be outstanding when a proposal is drawn.
 	Workers int
-	// KernelWorkers caps the intra-candidate compute-kernel parallelism:
-	// it sets the process-wide internal/parallel pool limit before the
-	// search starts, so concurrent candidate evaluations partition the
-	// machine's cores instead of oversubscribing them (e.g. Workers=4 on
-	// a 16-core node pairs naturally with KernelWorkers=4).
-	//
-	// When 0 and Workers > 1, the private pool's core split sets the limit
-	// to max(1, GOMAXPROCS/Workers) for the duration of the run (restoring
-	// the previous limit when the pool closes), unless the SWTNAS_WORKERS
-	// environment variable pins an explicit pool size. With a single
-	// evaluator the limit is left where it is, and on the private pool it is
-	// also the search's cores for lookahead (Run): up to that many small
-	// candidates run at once. The kernel pool's caller-runs handoff keeps
-	// oversubscription safe either way.
+	// KernelWorkers pins the intra-candidate compute-kernel parallelism
+	// (the process-wide internal/parallel limit) for the run; Run restores
+	// the limit it found. When 0, the private pool divides GOMAXPROCS among
+	// the evaluations it is running (SharedPool), unless the SWTNAS_WORKERS
+	// environment variable pins the limit. A one-evaluator search looks
+	// ahead as many candidates wide: KernelWorkers, or the current limit at
+	// 0. Ignored with an Executor, which owns the split.
 	KernelWorkers int
 	// Budget is the number of candidates to evaluate.
 	Budget int
@@ -465,14 +458,11 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	if workers > cfg.Budget {
 		workers = cfg.Budget
 	}
-	if cfg.KernelWorkers > 0 {
-		parallel.SetWorkers(cfg.KernelWorkers)
-	}
 	strategy := cfg.Strategy
 	if strategy == nil {
 		strategy = evo.NewRegularizedEvolution(cfg.App.Space, 0, 0)
 	}
-	// A one-evaluator search's cores: its kernel limit on its own pool, a
+	// A one-evaluator search's cores: its kernel workers on its own pool, a
 	// shared pool's slots (its fair queue decides when they run), and one on
 	// a coordinator binding, whose idle workers Run does not know.
 	slots := workers
@@ -481,16 +471,21 @@ func Run(ctx context.Context, cfg Config) (*trace.Trace, error) {
 	case ok:
 		slots = min(client.pool.Workers(), cfg.Budget)
 	case cfg.Executor == nil:
-		slots = min(parallel.Workers(), cfg.Budget)
+		slots = min(cmp.Or(cfg.KernelWorkers, parallel.Workers()), cfg.Budget)
 	}
 	exec := cfg.Executor
 	if exec == nil {
-		// The pool's core split is scoped to the run (Close restores the
-		// limit); an explicit KernelWorkers stays pinned, as documented, and a
-		// lone evaluator leaves the limit alone.
-		pool := newSharedPool(PoolConfig{Workers: slots}, workers > 1 && cfg.KernelWorkers <= 0)
+		// The private pool divides the cores among its evaluations and
+		// restores the limit on Close; an explicit KernelWorkers pins the
+		// limit for the run instead.
+		cores := kernelCores()
+		if cfg.KernelWorkers > 0 {
+			defer parallel.SetWorkers(parallel.SetWorkers(cfg.KernelWorkers))
+			cores = 0
+		}
+		pool := newSharedPool(PoolConfig{Workers: slots}, cores)
 		defer pool.Close()
-		exec, _ = pool.Register(ClientConfig{Concurrency: workers}) // a fresh pool has no quota to refuse
+		exec, _ = pool.Register(ClientConfig{}) // a fresh pool has no quota to refuse
 	}
 
 	// Checkpoint GC: eviction from an aging population is the signal that a

@@ -3,8 +3,8 @@ package nas
 import (
 	"context"
 	"math"
-	"os"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,7 +13,9 @@ import (
 	"swtnas/internal/core"
 	"swtnas/internal/data"
 	"swtnas/internal/evo"
+	"swtnas/internal/obs"
 	"swtnas/internal/parallel"
+	"swtnas/internal/trace"
 )
 
 func tinyApp(t *testing.T, name string) *apps.App {
@@ -168,86 +170,205 @@ func TestRunLCSSearchTransfers(t *testing.T) {
 }
 
 // TestPoolKernelSplit pins the one evaluator×kernel core split, the pool's:
-// max(1, GOMAXPROCS/min(demand, slots)) while searches run, and the limit
-// the pool found back once it closes. Run keeps its private pool off the
-// split with one evaluator or an explicit KernelWorkers.
+// with S evaluations on its slots and C cores the kernel limit is
+// max(1, C/S), and C/(S−1) once one of them finishes; the
+// nas.pool.kernel.workers gauge reads the same. Close restores the limit the
+// pool found, a slot that finishes after Close writes nothing, and
+// SWTNAS_WORKERS leaves the limit alone.
 func TestPoolKernelSplit(t *testing.T) {
-	if os.Getenv(parallel.EnvWorkers) != "" {
-		t.Skipf("%s pins the pool limit; the split is disabled", parallel.EnvWorkers)
-	}
+	t.Setenv(parallel.EnvWorkers, "")
+	defer obs.SetEnabled(obs.SetEnabled(true))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	defer parallel.SetWorkers(parallel.SetWorkers(3))
-	cases := []struct {
-		slots, demand, cores, want int
-	}{
-		{4, 4, 8, 2},   // even split
-		{8, 8, 4, 1},   // oversubscribed: floor at 1
-		{4, 4, 9, 2},   // remainder cores stay idle rather than oversubscribe
-		{1, 1, 16, 16}, // single evaluator gets the machine
-		{0, 0, 8, 8},   // defensive: degenerate slot and demand counts
-		{8, 2, 8, 4},   // demand below the slot count: the busy slots share the cores
-	}
-	for _, c := range cases {
+	for _, c := range []struct{ slots, cores int }{
+		{4, 8},  // even split
+		{8, 4},  // oversubscribed: floor at 1
+		{4, 9},  // remainder cores stay idle rather than oversubscribe
+		{1, 16}, // a lone evaluation gets the machine
+	} {
 		runtime.GOMAXPROCS(c.cores)
 		p := NewSharedPool(PoolConfig{Workers: c.slots})
-		if _, err := p.Register(ClientConfig{Concurrency: c.demand}); err != nil {
-			t.Fatal(err)
+		limits, gauges := splitReadings(t, p, c.slots)
+		for k := range limits {
+			// Task k reads with the k tasks before it finished.
+			want := max(1, c.cores/(c.slots-k))
+			if limits[k] != want || gauges[k] != int64(want) {
+				t.Errorf("%d cores, %d of %d evaluations running: kernel limit %d, gauge %d, want %d", c.cores, c.slots-k, c.slots, limits[k], gauges[k], want)
+			}
 		}
-		if got := parallel.Workers(); got != c.want {
-			t.Errorf("%d slots, demand %d, %d cores: kernel limit %d, want %d", c.slots, c.demand, c.cores, got, c.want)
+		if got := parallel.Workers(); got != c.cores {
+			t.Errorf("%d cores, idle pool: kernel limit %d, want all the cores", c.cores, got)
 		}
 		p.Close()
 		if got := parallel.Workers(); got != 3 {
-			t.Errorf("%d slots, demand %d, %d cores: limit after Close %d, want the 3 it found", c.slots, c.demand, c.cores, got)
+			t.Errorf("%d cores: limit after Close %d, want the 3 it found", c.cores, got)
 		}
 	}
-	// Run's private pool: one evaluator leaves the limit alone, and an
-	// explicit KernelWorkers pins it, during the run and after.
+
+	// A slot that finishes after Close leaves the restored limit alone.
 	runtime.GOMAXPROCS(8)
+	p := NewSharedPool(PoolConfig{Workers: 1})
+	client, err := p.Register(ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	out := make(chan Result, 1)
+	client.Submit(context.Background(), Task{}, func(_ context.Context, task Task) Result {
+		close(started)
+		<-release
+		return Result{Record: trace.Record{ID: task.ID}}
+	}, out)
+	<-started
+	p.Close()
+	close(release)
+	drain(t, out, 1)
+	if got := parallel.Workers(); got != 3 {
+		t.Errorf("limit after a slot finished past Close: %d, want the 3 the pool found", got)
+	}
+
+	// SWTNAS_WORKERS pins the limit: the pool neither divides nor restores it.
+	t.Setenv(parallel.EnvWorkers, "7")
+	mPoolKernel.Set(-1)
+	p = NewSharedPool(PoolConfig{Workers: 2})
+	limits, _ := splitReadings(t, p, 2)
+	p.Close()
+	if limits[0] != 3 || limits[1] != 3 || parallel.Workers() != 3 || mPoolKernel.Value() != -1 {
+		t.Errorf("%s set: kernel limits %v, %d after Close, gauge %d; want 3 throughout and the gauge untouched", parallel.EnvWorkers, limits, parallel.Workers(), mPoolKernel.Value())
+	}
+}
+
+// splitReadings runs n tasks on p at once; once all n are on the slots it
+// lets them finish one at a time, each reading the kernel limit and the
+// nas.pool.kernel.workers gauge as it goes: task k reads with n−k running.
+func splitReadings(t *testing.T, p *SharedPool, n int) (limits []int, gauges []int64) {
+	t.Helper()
+	client, err := p.Register(ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	limits, gauges = make([]int, n), make([]int64, n)
+	started := make(chan struct{}, n)
+	release := make([]chan struct{}, n)
+	out := make(chan Result, n)
+	for i := range n {
+		release[i] = make(chan struct{})
+		client.Submit(context.Background(), Task{ID: i}, func(_ context.Context, task Task) Result {
+			started <- struct{}{}
+			<-release[task.ID]
+			limits[task.ID], gauges[task.ID] = parallel.Workers(), mPoolKernel.Value()
+			return Result{Record: trace.Record{ID: task.ID}}
+		}, out)
+	}
+	for range n {
+		select {
+		case <-started:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d tasks never ran at once on %d slots", n, p.Workers())
+		}
+	}
+	for i := range n {
+		close(release[i])
+		drain(t, out, 1)
+	}
+	return limits, gauges
+}
+
+// TestRunAutoSplitRestoresPoolLimit: Run's private pool divides the cores
+// between the evaluations it runs, and an explicit KernelWorkers pins the
+// limit for the run instead; a one-evaluator search looks ahead that many
+// candidates wide. Either way Run leaves the limit it found. On an Executor,
+// KernelWorkers is ignored and the executor's pool splits. Every leg reads
+// the limit inside two evaluations that a store holds side by side.
+func TestRunAutoSplitRestoresPoolLimit(t *testing.T) {
+	t.Setenv(parallel.EnvWorkers, "")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	defer parallel.SetWorkers(parallel.Workers())
 	app := tinyApp(t, "nt3")
-	for _, c := range []struct{ workers, kernel, want int }{{1, 0, 3}, {2, 5, 5}} {
-		parallel.SetWorkers(3)
-		during := 0
+	run := func(workers, kernel int, exec Executor) []int {
+		store := &sideBySideStore{Store: checkpoint.NewCASMemStore(), arrived: newGate(2), read: newGate(2)}
 		_, err := Run(context.Background(), Config{
-			App: app, Budget: 2, Seed: 1, Workers: c.workers, KernelWorkers: c.kernel,
-			Progress: func(Result) { during = parallel.Workers() },
+			App: app, Store: store, Budget: 2, Seed: 1, Workers: workers, KernelWorkers: kernel, Executor: exec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if after := parallel.Workers(); during != c.want || after != c.want {
-			t.Errorf("Workers %d, KernelWorkers %d: kernel limit %d during the run, %d after, want %d", c.workers, c.kernel, during, after, c.want)
+		return store.seen
+	}
+	for _, c := range []struct{ workers, kernel, found, want int }{
+		{2, 0, 3, 4}, // two evaluations on 8 cores
+		{2, 5, 3, 5}, // pinned
+		{1, 0, 3, 4}, // lookahead as wide as the limit, capped at the budget
+		{1, 2, 1, 2}, // as wide as KernelWorkers, not the limit found
+	} {
+		parallel.SetWorkers(c.found)
+		seen := run(c.workers, c.kernel, nil)
+		if len(seen) != 2 || seen[0] != c.want || seen[1] != c.want {
+			t.Errorf("Workers %d, KernelWorkers %d: kernel limit %v in the evaluations side by side, want %d", c.workers, c.kernel, seen, c.want)
+		}
+		if got := parallel.Workers(); got != c.found {
+			t.Errorf("Workers %d, KernelWorkers %d: limit after Run %d, want the %d it found", c.workers, c.kernel, got, c.found)
 		}
 	}
-}
-
-func TestRunAutoSplitRestoresPoolLimit(t *testing.T) {
-	if os.Getenv(parallel.EnvWorkers) != "" {
-		t.Skipf("%s pins the pool limit; auto-split is disabled", parallel.EnvWorkers)
-	}
-	prev := parallel.SetWorkers(runtime.GOMAXPROCS(0))
-	defer parallel.SetWorkers(prev)
-	before := parallel.Workers()
-
-	var during int
-	app := tinyApp(t, "nt3")
-	_, err := Run(context.Background(), Config{
-		App:      app,
-		Strategy: evo.NewRegularizedEvolution(app.Space, 2, 1),
-		Budget:   2,
-		Workers:  2,
-		Seed:     23,
-		Progress: func(Result) { during = parallel.Workers() },
-	})
+	p := NewSharedPool(PoolConfig{Workers: 2})
+	defer p.Close()
+	client, err := p.Register(ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := max(1, runtime.GOMAXPROCS(0)/2)
-	if during != want {
-		t.Errorf("pool limit during run = %d, want auto split %d", during, want)
+	defer client.Close()
+	if seen := run(2, 5, client); len(seen) != 2 || seen[0] != 4 || seen[1] != 4 {
+		t.Errorf("KernelWorkers 5 on a shared pool: kernel limit %v in the evaluations side by side, want the pool's split 4", seen)
 	}
-	if got := parallel.Workers(); got != before {
-		t.Errorf("pool limit after run = %d, want restored %d", got, before)
+	if got := parallel.Workers(); got != 8 {
+		t.Errorf("KernelWorkers 5 on a shared pool: limit after Run %d, want the idle pool's 8", got)
+	}
+}
+
+// sideBySideStore holds each Save until two evaluations are in it, and
+// records the kernel limit each reads there (0 when the other never came).
+type sideBySideStore struct {
+	checkpoint.Store
+	arrived, read *gate
+	mu            sync.Mutex
+	seen          []int
+}
+
+func (s *sideBySideStore) Save(id string, m *checkpoint.Model) (int64, error) {
+	kw := 0
+	if s.arrived.pass() {
+		kw = parallel.Workers()
+	}
+	s.mu.Lock()
+	s.seen = append(s.seen, kw)
+	s.mu.Unlock()
+	s.read.pass() // neither evaluation ends before both have read
+	return s.Store.Save(id, m)
+}
+
+// gate opens once n goroutines have reached it; pass reports whether it did
+// within 10 s, so a search that never runs n evaluations at once fails its
+// test rather than hanging.
+type gate struct {
+	mu   sync.Mutex
+	n    int
+	open chan struct{}
+}
+
+func newGate(n int) *gate { return &gate{n: n, open: make(chan struct{})} }
+
+func (g *gate) pass() bool {
+	g.mu.Lock()
+	if g.n--; g.n == 0 {
+		close(g.open)
+	}
+	g.mu.Unlock()
+	select {
+	case <-g.open:
+		return true
+	case <-time.After(10 * time.Second):
+		return false
 	}
 }
 

@@ -69,33 +69,44 @@ type PoolConfig struct {
 // the next task by weighted round-robin across clients (smallest
 // weight-normalized service so far wins), so a heavy search cannot starve a
 // light one, and admission control bounds how many searches a tenant may run
-// at once. Run gives a search without an Executor a private pool of its own.
+// at once. It divides the cores among the evaluations on its slots
+// (splitLocked). Run gives a search without an Executor a private pool of its
+// own.
 type SharedPool struct {
 	cfg PoolConfig
-	// split makes the pool re-split the process-wide compute-kernel limit
-	// (internal/parallel) as searches come and go (resplitLocked).
-	split bool
+	// cores is what the process-wide compute-kernel limit (internal/parallel)
+	// divides among the running evaluations (splitLocked); 0 leaves the
+	// limit alone.
+	cores int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
 	clients []*PoolClient
 	tenants map[string]int
 	queued  int
+	running int // evaluations on the slots
 	closed  bool
-	// kernelBefore is the limit the first re-split replaced; Close restores
-	// it.
+	// kernelBefore is the limit the pool found; Close restores it.
 	kernelBefore int
 }
 
-// NewSharedPool starts a pool with cfg.Workers evaluator slots. It re-splits
-// the kernel limit across the evaluations it runs (resplitLocked).
-func NewSharedPool(cfg PoolConfig) *SharedPool { return newSharedPool(cfg, true) }
+// NewSharedPool starts a pool with cfg.Workers evaluator slots.
+func NewSharedPool(cfg PoolConfig) *SharedPool { return newSharedPool(cfg, kernelCores()) }
 
-func newSharedPool(cfg PoolConfig, split bool) *SharedPool {
+// kernelCores is what a pool divides: GOMAXPROCS, or 0 (leave the kernel
+// limit alone) when the SWTNAS_WORKERS environment variable pins it.
+func kernelCores() int {
+	if os.Getenv(parallel.EnvWorkers) != "" {
+		return 0
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+func newSharedPool(cfg PoolConfig, cores int) *SharedPool {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	p := &SharedPool{cfg: cfg, split: split, tenants: map[string]int{}}
+	p := &SharedPool{cfg: cfg, cores: cores, tenants: map[string]int{}, kernelBefore: parallel.Workers()}
 	p.cond = sync.NewCond(&p.mu)
 	for i := 0; i < cfg.Workers; i++ {
 		go p.worker()
@@ -121,7 +132,7 @@ func (p *SharedPool) Close() {
 	}
 	p.queued = 0
 	mPoolQueued.Set(0)
-	if p.kernelBefore > 0 {
+	if p.cores > 0 {
 		parallel.SetWorkers(p.kernelBefore)
 	}
 	p.mu.Unlock()
@@ -140,11 +151,6 @@ type ClientConfig struct {
 	// (minimum 1): a weight-2 client is served twice as often as a
 	// weight-1 client under contention.
 	Weight int
-	// Concurrency is the search's Workers option; the pool uses the sum
-	// over clients to re-split kernel cores. It does not bound the
-	// client's queue: a one-evaluator search looking ahead may hold up to
-	// the pool's slot count in flight (Run).
-	Concurrency int
 }
 
 // PoolClient is one search's handle on a SharedPool; it implements Executor.
@@ -166,14 +172,11 @@ type poolItem struct {
 }
 
 // Register admits a search to the pool, enforcing the per-tenant and
-// pool-wide quotas (ErrQuotaExceeded), and re-splits the kernel-core budget
-// across the new set of searches. Close the client when the search ends.
+// pool-wide quotas (ErrQuotaExceeded). Close the client when the search
+// ends.
 func (p *SharedPool) Register(cfg ClientConfig) (*PoolClient, error) {
 	if cfg.Weight < 1 {
 		cfg.Weight = 1
-	}
-	if cfg.Concurrency < 1 {
-		cfg.Concurrency = 1
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -200,7 +203,6 @@ func (p *SharedPool) Register(cfg ClientConfig) (*PoolClient, error) {
 	p.clients = append(p.clients, c)
 	p.tenants[cfg.Tenant]++
 	mPoolActive.Set(int64(len(p.clients)))
-	p.resplitLocked()
 	return c, nil
 }
 
@@ -226,10 +228,9 @@ func (c *PoolClient) Submit(ctx context.Context, t Task, eval EvalFunc, out chan
 }
 
 // Close deregisters the search: queued tasks are dropped (their results are
-// no longer consumed), the tenant's quota slot frees, and the kernel-core
-// budget re-splits across the remaining searches. An evaluation already
-// running on a slot finishes and its result is discarded by the departed
-// scheduler's buffered channel.
+// no longer consumed) and the tenant's quota slot frees. An evaluation
+// already running on a slot finishes and its result is discarded by the
+// departed scheduler's buffered channel.
 func (c *PoolClient) Close() {
 	p := c.pool
 	p.mu.Lock()
@@ -252,7 +253,6 @@ func (c *PoolClient) Close() {
 		delete(p.tenants, c.cfg.Tenant)
 	}
 	mPoolActive.Set(int64(len(p.clients)))
-	p.resplitLocked()
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }
@@ -294,9 +294,15 @@ func (p *SharedPool) worker() {
 		p.queued--
 		mPoolQueued.Set(int64(p.queued))
 		c.served += 1 / float64(c.cfg.Weight)
+		p.running++
+		p.splitLocked()
 		p.mu.Unlock()
 
 		res := runIsolated(it)
+		p.mu.Lock()
+		p.running--
+		p.splitLocked()
+		p.mu.Unlock()
 		// A Failed result (a diverged candidate) is an evaluation that ran to
 		// its end, not a fault of the slot.
 		if res.Err != nil && !res.Failed && !errors.Is(res.Err, context.Canceled) && !errors.Is(res.Err, context.DeadlineExceeded) {
@@ -328,25 +334,16 @@ func runIsolated(it poolItem) (res Result) {
 	return it.eval(it.ctx, it.task)
 }
 
-// resplitLocked is the evaluator×kernel core split, the one rule for how an
-// in-process search's evaluations share the cores: the kernel limit becomes
-// max(1, GOMAXPROCS/min(demand, slots)), so concurrent evaluations partition
-// the cores instead of oversubscribing them. Demand is the sum of the
-// clients' own concurrency bounds, so a single one-worker search on an idle
-// 16-core pool gets all 16 cores, and a full pool divides them evenly. The
-// SWTNAS_WORKERS environment variable pins the limit and disables the
-// re-split, as does a private pool Run keeps off it. Callers hold p.mu.
-func (p *SharedPool) resplitLocked() {
-	if !p.split || p.closed || os.Getenv(parallel.EnvWorkers) != "" {
+// splitLocked is the evaluator×kernel core split, the one rule for how
+// in-process evaluations share the cores: the kernel limit becomes
+// max(1, cores/running), so the evaluations on the slots partition the cores
+// instead of oversubscribing them, and a lone one gets them all. A closed
+// pool has restored the limit it found and writes nothing. Callers hold p.mu.
+func (p *SharedPool) splitLocked() {
+	if p.cores <= 0 || p.closed {
 		return
 	}
-	demand := 0
-	for _, c := range p.clients {
-		demand += c.cfg.Concurrency
-	}
-	kw := max(1, runtime.GOMAXPROCS(0)/max(1, min(demand, p.cfg.Workers)))
-	if prev := parallel.SetWorkers(kw); p.kernelBefore == 0 {
-		p.kernelBefore = prev
-	}
+	kw := max(1, p.cores/max(1, p.running))
+	parallel.SetWorkers(kw)
 	mPoolKernel.Set(int64(kw))
 }

@@ -218,7 +218,7 @@ func TestPoolPanicIsolation(t *testing.T) {
 func TestPoolCloseCancelsQueuedTasks(t *testing.T) {
 	p := NewSharedPool(PoolConfig{Workers: 1})
 	defer p.Close()
-	client, err := p.Register(ClientConfig{Concurrency: 2})
+	client, err := p.Register(ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestPoolConcurrentSearchesInterleave(t *testing.T) {
 	// before the other begins.
 	tenantApps := map[string]*apps.App{"t1": tinyApp(t, "nt3"), "t2": tinyApp(t, "nt3")}
 	run := func(tenant string, seed int64, done chan<- error) {
-		client, err := p.Register(ClientConfig{Tenant: tenant, Concurrency: 1})
+		client, err := p.Register(ClientConfig{Tenant: tenant})
 		if err != nil {
 			done <- err
 			return

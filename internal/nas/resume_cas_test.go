@@ -18,7 +18,6 @@ import (
 	"swtnas/internal/checkpoint"
 	"swtnas/internal/core"
 	"swtnas/internal/evo"
-	"swtnas/internal/parallel"
 	"swtnas/internal/resilience"
 	"swtnas/internal/trace"
 )
@@ -447,7 +446,6 @@ func runWithin(t *testing.T, d time.Duration, ctx context.Context, cfg Config) (
 // never issued. Each want is a regular expression.
 func TestResumeRejectsMismatchedRun(t *testing.T) {
 	const budget = 4
-	defer parallel.SetWorkers(parallel.Workers())
 	dir := t.TempDir()
 	_, _, storeDir := journaledCASRun(t, dir, budget, 0)
 	store, err := checkpoint.NewCASDiskStore(storeDir)

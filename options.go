@@ -24,17 +24,18 @@ type SearchOptions struct {
 	// most that many of the shared pool's slots at once; one of 1 looks
 	// ahead on up to all of them, behind the other searches' queued work.
 	Workers int
-	// KernelWorkers caps the intra-candidate compute-kernel parallelism
+	// KernelWorkers pins the intra-candidate compute-kernel parallelism
 	// (the process-wide worker pool the Conv/Dense kernels shard batches
-	// across). 0 keeps the current setting: the SWTNAS_WORKERS
-	// environment variable when set, GOMAXPROCS otherwise. When Workers
-	// evaluators run concurrently, KernelWorkers ≈ cores/Workers
-	// partitions the machine between them. A one-evaluator search spends
-	// these cores on lookahead (on a Pool, the pool's slots instead): up to
-	// that many candidates whose proposals are already fixed, and whose
-	// weights and optimizer state together stay small, train at once, and
-	// results commit in id order, so the cores decide only how fast the
-	// search runs.
+	// across) for the search's duration; the search restores the limit it
+	// found. 0 lets the search's pool divide GOMAXPROCS among the
+	// evaluations running at once (unless the SWTNAS_WORKERS environment
+	// variable pins the limit). A one-evaluator search spends these cores
+	// on lookahead (at 0, the current limit's worth): up to that many
+	// candidates whose proposals are already fixed, and whose weights and
+	// optimizer state together stay small, train at once, and results
+	// commit in id order, so the cores decide only how fast the search
+	// runs. Validate rejects it with Pool, whose slots are the search's
+	// cores and which divides them itself.
 	KernelWorkers int
 	// Seed drives the search; DataSeed the synthetic dataset (defaults
 	// to Seed).
@@ -197,6 +198,9 @@ func (opt SearchOptions) Validate() error {
 	}
 	if opt.Weight > 0 && opt.Pool == nil {
 		return &InvalidOptionError{Field: "Weight", Reason: "set without Pool — weights only apply to shared-pool searches"}
+	}
+	if opt.KernelWorkers > 0 && opt.Pool != nil {
+		return &InvalidOptionError{Field: "KernelWorkers", Reason: "set with Pool — a shared pool divides the cores among its evaluations"}
 	}
 	return nil
 }

@@ -34,6 +34,7 @@ func TestValidateFieldErrors(t *testing.T) {
 		{"sample exceeds population", func(o *SearchOptions) { o.PopulationSize = 4; o.SampleSize = 8 }, "SampleSize"},
 		{"resume without journal", func(o *SearchOptions) { o.Resume = true }, "Resume"},
 		{"weight without pool", func(o *SearchOptions) { o.Weight = 2 }, "Weight"},
+		{"kernel workers with pool", func(o *SearchOptions) { o.Pool = &EvaluatorPool{}; o.KernelWorkers = 2 }, "KernelWorkers"},
 		{"negative proxy admit", func(o *SearchOptions) { o.ProxyFilter = true; o.ProxyAdmit = -0.1 }, "ProxyAdmit"},
 		{"proxy admit above one", func(o *SearchOptions) { o.ProxyFilter = true; o.ProxyAdmit = 1.5 }, "ProxyAdmit"},
 		{"proxy admit without filter", func(o *SearchOptions) { o.ProxyAdmit = 0.5 }, "ProxyAdmit"},
